@@ -78,7 +78,7 @@ fn classified_rows(records: &[ResponseRecord]) -> usize {
 }
 
 fn main() {
-    let scale = simnet::Scale::from_env();
+    let scale = beholder_bench::env_scale(simnet::Scale::Small);
     let vantages = env_usize("BENCH_STREAM_VANTAGES", 3).clamp(1, 3) as u8;
     let reps = env_usize("BENCH_STREAM_REPS", 3).max(1);
 

@@ -53,7 +53,7 @@ fn usage() -> ! {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        scale: Scale::from_env(),
+        scale: beholder_bench::env_scale(Scale::Small),
         seed: 0xbe401de5,
         vantage: 0,
         set: "caida-z64".into(),
@@ -72,15 +72,10 @@ fn parse_args() -> Args {
         };
         match a.as_str() {
             "--scale" => {
-                args.scale = match val("--scale").as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => {
-                        eprintln!("unknown scale {other}");
-                        usage()
-                    }
-                }
+                args.scale = val("--scale").parse().unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    usage()
+                })
             }
             "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
             "--vantage" => args.vantage = val("--vantage").parse().unwrap_or_else(|_| usage()),

@@ -29,10 +29,20 @@ pub struct Scenario {
     pub scale: Scale,
 }
 
+/// The scale `BEHOLDER_SCALE` selects (`default` when unset). A value
+/// that names no scale ends the process with status 2: a bench run at
+/// a scale nobody asked for is worse than no run.
+pub fn env_scale(default: Scale) -> Scale {
+    Scale::from_env_or(default).unwrap_or_else(|e| {
+        eprintln!("BEHOLDER_SCALE: {e}");
+        std::process::exit(2)
+    })
+}
+
 impl Scenario {
     /// Builds the scenario at the environment-selected scale.
     pub fn load() -> Self {
-        Self::load_at(Scale::from_env())
+        Self::load_at(env_scale(Scale::Small))
     }
 
     /// Builds the scenario at an explicit scale.

@@ -18,7 +18,7 @@
 use simnet::engine::{Delivery, EngineStats};
 use simnet::flow::{self, FlowKey};
 use simnet::ratelimit::TokenBucket;
-use simnet::route::{self, DestEntry, ResolvedPath};
+use simnet::route::{self, DestEntry};
 use simnet::topology::{HostKind, RouterId, Topology, UnknownAddrPolicy};
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
@@ -26,11 +26,24 @@ use std::sync::Arc;
 use v6packet::icmp6::{DestUnreachCode, Icmp6Type};
 use v6packet::{ip6, proto_num, tcp, Ipv6Header};
 
+/// A resolved path as the seed held it: one owned hop list per path.
+pub struct SeedPath {
+    hops: Vec<RouterId>,
+    dest: DestEntry,
+    firewall_hop: Option<u8>,
+}
+
+impl SeedPath {
+    fn len(&self) -> usize {
+        self.hops.len()
+    }
+}
+
 /// The simulation engine for one probing campaign.
 pub struct SeedEngine {
     topo: Arc<Topology>,
     buckets: Vec<TokenBucket>,
-    path_cache: HashMap<(u8, u128, u64), Arc<ResolvedPath>>,
+    path_cache: HashMap<(u8, u128, u64), Arc<SeedPath>>,
     /// Per-router fragment-identification counters: one monotonic
     /// counter shared by all of a router's interfaces (the speedtrap
     /// alias signal). Seeded per router so counters are unsynchronized.
@@ -93,13 +106,26 @@ impl SeedEngine {
         vantage_idx: u8,
         dst: std::net::Ipv6Addr,
         flow_hash: u64,
-    ) -> Arc<ResolvedPath> {
+    ) -> Arc<SeedPath> {
         let key = (vantage_idx, u128::from(dst), flow_hash);
         if let Some(p) = self.path_cache.get(&key) {
             return p.clone();
         }
         let v = &self.topo.vantages[vantage_idx as usize];
-        let p = Arc::new(route::resolve(&self.topo, v, dst, flow_hash));
+        let mut hops = Vec::new();
+        let p = route::resolve(
+            &self.topo,
+            v,
+            dst,
+            flow_hash,
+            &mut Default::default(),
+            &mut hops,
+        );
+        let p = Arc::new(SeedPath {
+            hops,
+            dest: p.dest,
+            firewall_hop: p.firewall_hop,
+        });
         self.path_cache.insert(key, p.clone());
         p
     }

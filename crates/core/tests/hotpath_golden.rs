@@ -3,10 +3,18 @@
 //! `Engine::inject` pipeline — for every protocol, with the
 //! `vary_flow_label` ablation on and off, through fill chains, and on
 //! middlebox-heavy topologies where fill chases rewritten quoted targets.
+//!
+//! The hot path also *looks ahead* in its permutation (a window of
+//! probes is resolved inside the engine before any of it is sent) and
+//! the reference never does, so the same comparison, extended to the
+//! engine's own counters and token buckets, pins that lookahead changes
+//! nothing observable: at probe counts on every side of the window, and
+//! under fault and adversarial schedules, whose state the lookahead
+//! must not touch.
 
 use simnet::config::TopologyConfig;
 use simnet::generate::generate;
-use simnet::{Engine, Topology};
+use simnet::{AdversarialClass, AdversarialSchedule, Engine, FaultSchedule, RouterId, Topology};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use v6packet::probe::Protocol;
@@ -18,11 +26,22 @@ fn assert_pipelines_match(
     targets: &[Ipv6Addr],
     cfg: &YarrpConfig,
 ) {
-    let hot = yarrp::run(&mut Engine::new(topo.clone()), vantage, targets, cfg);
-    let naive = yarrp::run_reference(&mut Engine::new(topo.clone()), vantage, targets, cfg);
+    let (mut hot_engine, mut naive_engine) = (Engine::new(topo.clone()), Engine::new(topo.clone()));
+    let hot = yarrp::run(&mut hot_engine, vantage, targets, cfg);
+    let naive = yarrp::run_reference(&mut naive_engine, vantage, targets, cfg);
     let label = format!(
-        "proto={} vary_flow_label={} max_ttl={}",
-        cfg.protocol, cfg.vary_flow_label, cfg.max_ttl
+        "proto={} vary_flow_label={} max_ttl={} targets={}",
+        cfg.protocol,
+        cfg.vary_flow_label,
+        cfg.max_ttl,
+        targets.len()
+    );
+    assert_eq!(hot_engine.stats, naive_engine.stats, "stats: {label}");
+    assert_eq!(hot_engine.stats.probes, hot.probes_sent, "probes: {label}");
+    assert_eq!(
+        hot_engine.bucket_suppressed_by_class(),
+        naive_engine.bucket_suppressed_by_class(),
+        "buckets: {label}"
     );
     assert_eq!(hot.probes_sent, naive.probes_sent, "probes_sent: {label}");
     assert_eq!(hot.fills, naive.fills, "fills: {label}");
@@ -92,4 +111,91 @@ fn neighborhood_mode_pipelines_match() {
         ..Default::default()
     };
     assert_pipelines_match(&topo, 0, &targets, &cfg);
+}
+
+/// The prober's lookahead window (`LOOKAHEAD` in `yarrp.rs`, private).
+const WINDOW: usize = 64;
+
+#[test]
+fn probe_counts_on_every_side_of_the_lookahead_window_match() {
+    // One TTL per target makes the probe count the target count: none,
+    // one, a window less one, exactly one, one more, and three and a
+    // bit. With fill mode on, every answered probe starts a fill chain
+    // (its TTL is already `max_ttl`), so fill probes land between the
+    // looked-ahead ones throughout.
+    let topo = Arc::new(generate(TopologyConfig::tiny(42)));
+    let hosts: Vec<Ipv6Addr> = topo.hosts().map(|(a, _)| a).collect();
+    for n in [0, 1, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 5] {
+        for fill_mode in [false, true] {
+            let cfg = YarrpConfig {
+                max_ttl: 1,
+                fill_mode,
+                ..Default::default()
+            };
+            assert_pipelines_match(&topo, 1, &hosts[..n], &cfg);
+        }
+    }
+    // And a whole number of TTLs per target that the window does not
+    // divide: the last window is short, and targets straddle windows.
+    let cfg = YarrpConfig {
+        max_ttl: 7,
+        ..Default::default()
+    };
+    assert_pipelines_match(&topo, 0, &hosts[..WINDOW + 1], &cfg);
+}
+
+#[test]
+fn pipelines_match_under_a_fault_schedule() {
+    // A vantage outage and a flapping first-hop link, both inside the
+    // campaign's span (80 targets x 16 TTLs at 1 kpps is 1.28 s).
+    let mut tcfg = TopologyConfig::tiny(42);
+    let first_hop = generate(tcfg.clone()).vantages[0].onprem[0];
+    tcfg.faults = FaultSchedule::default()
+        .with_vantage_outage(0, 200_000, 400_000)
+        .with_link_flap(first_hop, 600_000, 1_000_000, 50_000);
+    let topo = Arc::new(generate(tcfg));
+    let targets: Vec<Ipv6Addr> = topo.hosts().map(|(a, _)| a).take(80).collect();
+    let cfg = YarrpConfig::default();
+    let mut e = Engine::new(topo.clone());
+    yarrp::run(&mut e, 0, &targets, &cfg);
+    assert!(
+        e.stats.fault_vantage_outage > 0 && e.stats.fault_link_flap > 0,
+        "fixture must fire both faults: {:?}",
+        e.stats
+    );
+    assert_pipelines_match(&topo, 0, &targets, &cfg);
+}
+
+#[test]
+fn pipelines_match_under_an_adversarial_schedule() {
+    // Every seventh router hostile, cycling through all five classes.
+    let mut tcfg = TopologyConfig::tiny(42);
+    let routers = generate(tcfg.clone()).routers.len();
+    tcfg.adversarial = (0..routers)
+        .step_by(7)
+        .zip(AdversarialClass::ALL.iter().cycle())
+        .fold(AdversarialSchedule::default(), |s, (r, &class)| {
+            s.with_hostile_always(RouterId(r as u32), class)
+        });
+    let topo = Arc::new(generate(tcfg));
+    let targets: Vec<Ipv6Addr> = topo.hosts().map(|(a, _)| a).take(120).collect();
+    let mut fired = simnet::EngineStats::default();
+    for vantage in 0..3 {
+        let cfg = YarrpConfig::default();
+        let mut e = Engine::new(topo.clone());
+        yarrp::run(&mut e, vantage, &targets, &cfg);
+        fired.merge(&e.stats);
+        assert_pipelines_match(&topo, vantage, &targets, &cfg);
+    }
+    let by_class = [
+        fired.adv_lying_ttl,
+        fired.adv_spoofed_source,
+        fired.adv_zombie_echo,
+        fired.adv_duplicate_storm,
+        fired.adv_garbage,
+    ];
+    assert!(
+        by_class.iter().all(|&n| n > 0),
+        "fixture must fire all five classes: {by_class:?}"
+    );
 }

@@ -151,14 +151,68 @@ impl AdversarialSchedule {
         })
     }
 
-    /// Union of the class bits `router` ever exhibits, over all windows
-    /// — the engine's precomputed fast filter (a zero mask skips the
-    /// per-window scan entirely).
-    pub(crate) fn class_mask(&self, router: RouterId) -> u8 {
+    /// Union of the class bits `router` ever exhibits, over all windows:
+    /// the definition [`Hostiles`] is tested against.
+    #[cfg(test)]
+    fn class_mask(&self, router: RouterId) -> u8 {
         self.hostiles
             .iter()
             .filter(|h| h.router == router && h.from_us < h.until_us)
             .fold(0u8, |m, h| m | h.class.bit())
+    }
+}
+
+/// A schedule laid out for the engine, which asks about one router at a
+/// time, once or more per probe, and is built once per campaign: the
+/// windows sorted by router, and every router's class bits. Answers
+/// exactly as [`AdversarialSchedule::active`] does.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Hostiles {
+    /// The schedule's non-empty windows, sorted by router.
+    windows: Vec<HostileWindow>,
+    /// Per router, the union of the class bits it ever exhibits (0 for
+    /// honest routers): the O(1) filter in front of `windows`.
+    mask: Vec<u8>,
+}
+
+impl Hostiles {
+    /// Lays out `schedule` for a topology of `routers` routers, in one
+    /// pass over its windows (plus their sort). Windows naming a router
+    /// the topology does not have can never be asked about and are
+    /// dropped.
+    pub(crate) fn new(schedule: &AdversarialSchedule, routers: usize) -> Self {
+        let mut mask = vec![0u8; if schedule.is_empty() { 0 } else { routers }];
+        let mut windows = Vec::with_capacity(schedule.hostiles.len());
+        for h in &schedule.hostiles {
+            if let Some(m) = mask.get_mut(h.router.0 as usize) {
+                if h.from_us < h.until_us {
+                    *m |= h.class.bit();
+                    windows.push(*h);
+                }
+            }
+        }
+        windows.sort_by_key(|h| h.router);
+        Hostiles { windows, mask }
+    }
+
+    /// No router is ever hostile.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.windows.is_empty()
+    }
+
+    /// The class bits `router` ever exhibits.
+    #[inline]
+    pub(crate) fn mask(&self, router: RouterId) -> u8 {
+        self.mask[router.0 as usize]
+    }
+
+    /// Is `router` exhibiting `class` at `now_us`?
+    pub(crate) fn active(&self, router: RouterId, class: AdversarialClass, now_us: u64) -> bool {
+        let first = self.windows.partition_point(|h| h.router < router);
+        self.windows[first..]
+            .iter()
+            .take_while(|h| h.router == router)
+            .any(|h| h.class == class && h.from_us <= now_us && now_us < h.until_us)
     }
 }
 
@@ -215,6 +269,60 @@ mod tests {
         let s = AdversarialSchedule::default().with_hostile(r, AdversarialClass::LyingTtl, 50, 50);
         assert_eq!(s.class_mask(r), 0);
         assert!(!s.active(r, AdversarialClass::LyingTtl, 50));
+    }
+
+    #[test]
+    fn engine_layout_answers_like_the_schedule() {
+        // Overlapping windows of one class, several classes on one
+        // router, empty and inverted windows, routers out of order, one
+        // beyond the topology, and honest routers in between.
+        let n = 12;
+        let s = AdversarialSchedule::default()
+            .with_hostile(RouterId(9), AdversarialClass::LyingTtl, 0, 100)
+            .with_hostile(RouterId(2), AdversarialClass::ZombieEcho, 50, 150)
+            .with_hostile(RouterId(9), AdversarialClass::LyingTtl, 80, 300)
+            .with_hostile(RouterId(9), AdversarialClass::GarbageBytes, 500, 600)
+            .with_hostile(RouterId(4), AdversarialClass::SpoofedSource, 70, 70)
+            .with_hostile(RouterId(4), AdversarialClass::DuplicateStorm, 90, 10)
+            .with_hostile(RouterId(2), AdversarialClass::DuplicateStorm, 0, u64::MAX)
+            .with_hostile(RouterId(40), AdversarialClass::ZombieEcho, 0, u64::MAX)
+            .with_hostile_always(RouterId(0), AdversarialClass::SpoofedSource);
+        let h = Hostiles::new(&s, n);
+        assert!(!h.is_empty());
+        for r in (0..n as u32).map(RouterId) {
+            assert_eq!(h.mask(r), s.class_mask(r), "mask of {r:?}");
+            for c in AdversarialClass::ALL {
+                for t in [
+                    0,
+                    49,
+                    50,
+                    70,
+                    79,
+                    80,
+                    99,
+                    100,
+                    149,
+                    150,
+                    299,
+                    300,
+                    550,
+                    u64::MAX - 1,
+                ] {
+                    assert_eq!(h.active(r, c, t), s.active(r, c, t), "{r:?} {c:?} at {t}");
+                }
+            }
+        }
+        assert_eq!(h.mask(RouterId(4)), 0, "empty windows set no bit");
+
+        let none = Hostiles::new(&AdversarialSchedule::default(), n);
+        assert!(none.is_empty());
+        let only_empty = AdversarialSchedule::default().with_hostile(
+            RouterId(1),
+            AdversarialClass::LyingTtl,
+            5,
+            5,
+        );
+        assert!(Hostiles::new(&only_empty, n).is_empty());
     }
 
     #[test]

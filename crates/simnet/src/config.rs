@@ -17,13 +17,50 @@ pub enum Scale {
     Full,
 }
 
+/// A scale name that is none of `tiny`, `small`, `full`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnknownScale(pub String);
+
+impl std::fmt::Display for UnknownScale {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "unknown scale {:?} (tiny, small or full)", self.0)
+    }
+}
+
+impl std::error::Error for UnknownScale {}
+
+impl std::str::FromStr for Scale {
+    type Err = UnknownScale;
+
+    fn from_str(s: &str) -> Result<Scale, UnknownScale> {
+        match s {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "full" => Ok(Scale::Full),
+            other => Err(UnknownScale(other.to_string())),
+        }
+    }
+}
+
+impl std::fmt::Display for Scale {
+    /// The name [`FromStr`](std::str::FromStr) parses back.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Full => "full",
+        })
+    }
+}
+
 impl Scale {
-    /// Parses `BEHOLDER_SCALE` environment values.
-    pub fn from_env() -> Scale {
-        match std::env::var("BEHOLDER_SCALE").as_deref() {
-            Ok("tiny") => Scale::Tiny,
-            Ok("full") => Scale::Full,
-            _ => Scale::Small,
+    /// The scale `BEHOLDER_SCALE` names, or `default` when it is unset.
+    /// Anything else — a typo, an empty string, non-UTF-8 — is an
+    /// error, not `default`.
+    pub fn from_env_or(default: Scale) -> Result<Scale, UnknownScale> {
+        match std::env::var_os("BEHOLDER_SCALE") {
+            None => Ok(default),
+            Some(v) => v.to_string_lossy().parse(),
         }
     }
 }
@@ -307,9 +344,14 @@ mod tests {
     }
 
     #[test]
-    fn env_scale_defaults_small() {
-        std::env::remove_var("BEHOLDER_SCALE");
-        assert_eq!(Scale::from_env(), Scale::Small);
+    fn scale_names_parse_and_typos_do_not() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Full] {
+            assert_eq!(scale.to_string().parse(), Ok(scale));
+        }
+        assert_eq!("small".parse(), Ok(Scale::Small));
+        for typo in ["smal", "", "Small", "tiny "] {
+            assert_eq!(typo.parse::<Scale>(), Err(UnknownScale(typo.into())));
+        }
     }
 
     #[test]

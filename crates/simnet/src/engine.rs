@@ -11,16 +11,17 @@
 //! probers never peek at ground truth, so their discoveries are earned the
 //! same way they would be on the real Internet.
 
-use crate::adversarial::{AdversarialClass, AdversarialSchedule, STORM_SPREAD};
+use crate::adversarial::{AdversarialClass, Hostiles, STORM_SPREAD};
 use crate::flow::{self, FlowKey};
 use crate::pathcache::PathCache;
 use crate::ratelimit::TokenBucket;
-use crate::route::{self, DestEntry, ResolvedPath};
+use crate::route::{self, DestEntry, ResolveScratch, ResolvedPath};
 use crate::topology::{HostKind, RouterId, Topology, UnknownAddrPolicy};
 use serde::{Deserialize, Serialize};
+use std::net::Ipv6Addr;
 use std::sync::Arc;
 use v6packet::icmp6::{self, DestUnreachCode, Icmp6Type};
-use v6packet::{ip6, proto_num, tcp, Ipv6Header};
+use v6packet::{ip6, proto_num, tcp};
 
 /// A response scheduled for delivery back at the vantage.
 ///
@@ -233,7 +234,7 @@ impl EngineStats {
     }
 
     /// All hostile actions an injected
-    /// [`AdversarialSchedule`]
+    /// [`AdversarialSchedule`](crate::adversarial::AdversarialSchedule)
     /// performed this campaign, across every class — the adversarial
     /// mirror of [`fault_dropped_total`](Self::fault_dropped_total). A
     /// benign campaign always reports zero; a poisoned one reports
@@ -261,6 +262,16 @@ pub struct Engine {
     path_cache: PathCache,
     /// Resolved paths, indexed by `path_cache` values.
     paths: Vec<ResolvedPath>,
+    /// The hops of every path in `paths`, back to back.
+    hop_arena: Vec<RouterId>,
+    /// Buffers `route::resolve` reuses.
+    resolve_scratch: ResolveScratch,
+    /// What [`Engine::warm`] resolved for the probes it was shown, in
+    /// the order shown; [`Engine::inject_into`] consumes it from
+    /// `ahead_next` on.
+    ahead: Vec<Ahead>,
+    /// First entry of `ahead` no injected probe has matched or passed.
+    ahead_next: usize,
     /// Per-router fragment-identification counters: one monotonic
     /// counter shared by all of a router's interfaces (the speedtrap
     /// alias signal). Seeded per router so counters are unsynchronized.
@@ -275,12 +286,9 @@ pub struct Engine {
     /// virtual clock (see [`Engine::set_fault_offset`]). The
     /// adversarial schedule is evaluated on the same shifted clock.
     fault_offset_us: u64,
-    /// Scheduled hostile responders, copied from the topology config.
-    adversarial: AdversarialSchedule,
-    /// Per-router union of hostile class bits (0 for honest routers) —
-    /// the O(1) filter in front of the schedule's window scan.
-    adv_mask: Vec<u8>,
-    /// `!adversarial.is_empty()`, cached like `has_faults`.
+    /// Scheduled hostile responders, laid out from the topology config.
+    hostiles: Hostiles,
+    /// `!hostiles.is_empty()`, cached like `has_faults`.
     has_adversarial: bool,
     /// Outcome counters.
     pub stats: EngineStats,
@@ -305,26 +313,22 @@ impl Engine {
             .collect();
         let faults = topo.config.faults.clone();
         let has_faults = !faults.is_empty();
-        let adversarial = topo.config.adversarial.clone();
-        let has_adversarial = !adversarial.is_empty();
-        let adv_mask = if has_adversarial {
-            (0..topo.routers.len())
-                .map(|i| adversarial.class_mask(RouterId(i as u32)))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let hostiles = Hostiles::new(&topo.config.adversarial, topo.routers.len());
+        let has_adversarial = !hostiles.is_empty();
         Engine {
             topo,
             buckets,
             path_cache: PathCache::new(),
             paths: Vec::new(),
+            hop_arena: Vec::new(),
+            resolve_scratch: ResolveScratch::default(),
+            ahead: Vec::new(),
+            ahead_next: 0,
             frag_counters,
             faults,
             has_faults,
             fault_offset_us: 0,
-            adversarial,
-            adv_mask,
+            hostiles,
             has_adversarial,
             stats: EngineStats::default(),
         }
@@ -370,18 +374,20 @@ impl Engine {
     /// Resolves (with caching) the forward path a probe with this header
     /// and flow takes, returning its index into the engine's path table
     /// (see [`Self::path`]).
-    pub fn resolve_path_idx(
-        &mut self,
-        vantage_idx: u8,
-        dst: std::net::Ipv6Addr,
-        flow_hash: u64,
-    ) -> u32 {
+    pub fn resolve_path_idx(&mut self, vantage_idx: u8, dst: Ipv6Addr, flow_hash: u64) -> u32 {
         let dst_word = u128::from(dst);
         if let Some(i) = self.path_cache.get(vantage_idx, dst_word, flow_hash) {
             return i;
         }
         let v = &self.topo.vantages[vantage_idx as usize];
-        let p = route::resolve(&self.topo, v, dst, flow_hash);
+        let p = route::resolve(
+            &self.topo,
+            v,
+            dst,
+            flow_hash,
+            &mut self.resolve_scratch,
+            &mut self.hop_arena,
+        );
         let idx = self.paths.len() as u32;
         self.paths.push(p);
         self.path_cache
@@ -392,6 +398,11 @@ impl Engine {
     /// The resolved path behind an index from [`Self::resolve_path_idx`].
     pub fn path(&self, idx: u32) -> &ResolvedPath {
         &self.paths[idx as usize]
+    }
+
+    /// The routers that path crosses, in order.
+    pub fn path_hops(&self, idx: u32) -> &[RouterId] {
+        self.paths[idx as usize].hops(&self.hop_arena)
     }
 
     /// Ground-truth suppression counts straight from the token buckets
@@ -424,25 +435,126 @@ impl Engine {
         }
     }
 
+    /// Shows the engine probes it is about to be given, in injection
+    /// order: `(wire, hop limit)` pairs, where `wire` need only carry
+    /// the headers the engine routes by (addresses, flow label, next
+    /// header, ports) — a prober's per-target template, before the hop
+    /// limit and payload are rendered into it.
+    ///
+    /// A randomized prober touches, per probe, one chain of unrelated
+    /// memory: path-cache slot → path → hop → router → token bucket.
+    /// Probe by probe those misses serialise; here each level is walked
+    /// for the whole batch before the next, so a batch's misses at one
+    /// level overlap, and the in-order [`Self::inject_into`] calls that
+    /// follow find their lines in cache. Paths not resolved yet are
+    /// resolved here.
+    ///
+    /// **No observable effect**: nothing is counted, no token bucket,
+    /// fragment counter or fault/adversarial schedule is consulted, and
+    /// bytes that do not parse as a probe are skipped (they are counted
+    /// when actually injected). Only the order in which paths enter the
+    /// engine's path table can differ, which nothing reports. Showing
+    /// probes that are then never injected, or injecting others in
+    /// between, is harmless.
+    pub fn warm<'a>(&mut self, probes: impl Iterator<Item = (&'a [u8], u8)>) {
+        self.ahead.clear();
+        self.ahead_next = 0;
+        // Level 1: routing key, flow hash, home slot of the path cache.
+        for (wire, ttl) in probes {
+            let Some(key) = RawKey::parse(wire) else {
+                continue;
+            };
+            let (Some(vidx), Some(ports)) = (self.vantage_of(key.src), key.ports) else {
+                continue;
+            };
+            let flow_hash = key.flow_hash(ports);
+            self.path_cache.touch(flow_hash);
+            self.ahead.push(Ahead {
+                key,
+                flow_hash,
+                pidx: 0,
+                hop_at: NO_HOP,
+                vidx,
+                ttl,
+            });
+        }
+        // Level 2: the path's index (resolving it if new), its entry.
+        for k in 0..self.ahead.len() {
+            let Ahead {
+                vidx,
+                key,
+                flow_hash,
+                ..
+            } = self.ahead[k];
+            let pidx = self.resolve_path_idx(vidx, Ipv6Addr::from(key.dst), flow_hash);
+            self.ahead[k].pidx = pidx;
+            prefetch(&self.paths[pidx as usize]);
+        }
+        // Level 3: who answers — the hop the probe expires at (one more
+        // level down, in the hop arena) or the path's end.
+        for a in &mut self.ahead {
+            let p = &self.paths[a.pidx as usize];
+            let ttl = a.ttl as usize;
+            if (1..=p.len()).contains(&ttl) {
+                a.hop_at = p.hop_index(ttl - 1) as u32;
+                prefetch(&self.hop_arena[a.hop_at as usize]);
+            } else if let Some(r) = p.dst_router.or(p.dest.responder()) {
+                touch_router(&self.topo, &self.buckets, r);
+            }
+        }
+        // Level 4: the expiring hop's router and bucket.
+        for a in &self.ahead {
+            if a.hop_at != NO_HOP {
+                let r = self.hop_arena[a.hop_at as usize];
+                touch_router(&self.topo, &self.buckets, r);
+            }
+        }
+    }
+
+    /// What [`Self::warm`] resolved for a probe with this routing key,
+    /// if it is among the entries not yet consumed: vantage and path
+    /// index — exactly what the full lookup would find, since both are
+    /// functions of the key alone. Entries passed over (shown but not
+    /// injected) are dropped.
+    #[inline]
+    fn take_ahead(&mut self, key: &RawKey) -> Option<(u8, u32)> {
+        let rest = &self.ahead[self.ahead_next..];
+        let at = rest.iter().position(|a| a.key == *key)?;
+        self.ahead_next += at + 1;
+        Some((rest[at].vidx, rest[at].pidx))
+    }
+
+    /// Index of the vantage probing from `src`.
+    #[inline]
+    fn vantage_of(&self, src: u128) -> Option<u8> {
+        self.topo
+            .vantages
+            .iter()
+            .position(|v| u128::from(v.addr) == src)
+            .map(|i| i as u8)
+    }
+
     /// Injects a probe at virtual time `now_us`, writing any response
     /// into `out` (cleared and refilled) and returning whether one was
     /// produced.
     ///
-    /// This is the zero-allocation hot path: with a warm path cache and
-    /// a reused `out`, no heap allocation occurs per probe.
+    /// This is the hot path, and the single way in. With a reused `out`
+    /// it allocates nothing for a probe whose path is already resolved;
+    /// the first probe of each `(vantage, destination, flow)` resolves
+    /// its path into the engine's tables, which allocate only as they
+    /// grow. A caller that knows its probes ahead of time shows them to
+    /// [`Self::warm`] first — resolution then happens there, and this
+    /// call skips the lookup it already did; every other caller just
+    /// injects, and pays for resolution and for the memory latency of
+    /// its own probe order here.
     pub fn inject_into(&mut self, wire: &[u8], now_us: u64, out: &mut Delivery) -> bool {
         self.stats.probes += 1;
-        let Some(hdr) = Ipv6Header::decode(wire) else {
+        let Some(key) = RawKey::parse(wire) else {
             self.stats.malformed += 1;
             return false;
         };
-        let Some(vidx) = self
-            .topo
-            .vantages
-            .iter()
-            .position(|v| v.addr == hdr.src)
-            .map(|i| i as u8)
-        else {
+        let ahead = self.take_ahead(&key);
+        let Some(vidx) = ahead.map(|a| a.0).or_else(|| self.vantage_of(key.src)) else {
             self.stats.malformed += 1;
             return false;
         };
@@ -457,41 +569,26 @@ impl Engine {
             return false;
         }
 
-        // Flow key from the transport header.
-        let body = &wire[ip6::HEADER_LEN.min(wire.len())..];
-        let (sport, dport) = match hdr.next_header {
-            proto_num::TCP | proto_num::UDP if body.len() >= 4 => (
-                u16::from_be_bytes([body[0], body[1]]),
-                u16::from_be_bytes([body[2], body[3]]),
-            ),
-            proto_num::ICMP6 if body.len() >= 8 => (
-                u16::from_be_bytes([body[4], body[5]]),
-                u16::from_be_bytes([body[6], body[7]]),
-            ),
-            _ => {
-                self.stats.malformed += 1;
-                return false;
-            }
+        let Some((sport, dport)) = key.ports else {
+            self.stats.malformed += 1;
+            return false;
         };
-        let fk = FlowKey {
-            src: hdr.src,
-            dst: hdr.dst,
-            flow_label: hdr.flow_label,
-            proto: hdr.next_header,
-            sport,
-            dport,
-        };
-        let flow_hash = fk.hash();
-        let pidx = self.resolve_path_idx(vidx, hdr.dst, flow_hash) as usize;
+        let dst = Ipv6Addr::from(key.dst);
+        let pidx = match ahead {
+            Some((_, pidx)) => pidx,
+            None => self.resolve_path_idx(vidx, dst, key.flow_hash((sport, dport))),
+        } as usize;
+        let body = &wire[ip6::HEADER_LEN..];
+        let hop_limit = wire[7];
         let vaddr = self.topo.vantages[vidx as usize].addr;
-        let is_icmp = hdr.next_header == proto_num::ICMP6;
-        let dst_word = u128::from(hdr.dst);
-        let ttl = hdr.hop_limit as usize;
+        let is_icmp = key.next_header == proto_num::ICMP6;
+        let dst_word = key.dst;
+        let ttl = hop_limit as usize;
         // Scalars copied out of the path so `self` stays free for the
         // mutable responder calls below; hop ids are re-read per branch.
-        let (hops_len, firewall_hop, dest) = {
+        let (hops_len, firewall_hop, dest, dst_router) = {
             let p = &self.paths[pidx];
-            (p.len(), p.firewall_hop, p.dest)
+            (p.len(), p.firewall_hop, p.dest, p.dst_router)
         };
 
         // Injected link faults drop the probe at the first traversed
@@ -501,7 +598,7 @@ impl Engine {
             let fnow = now_us.saturating_add(self.fault_offset_us);
             let traversed = ttl.min(hops_len);
             let mut hit = None;
-            for &h in &self.paths[pidx].hops[..traversed] {
+            for &h in &self.paths[pidx].hops(&self.hop_arena)[..traversed] {
                 if let Some(kind) = self.faults.link_down(h, fnow) {
                     hit = Some(kind);
                     break;
@@ -522,7 +619,7 @@ impl Engine {
 
         // Transit loss applies to every probe (hash-keyed, deterministic).
         let dst_fold = (dst_word as u64) ^ ((dst_word >> 64) as u64).rotate_left(32);
-        let loss_key = flow::mix2(dst_fold, (hdr.hop_limit as u64) << 32 | 0x1055);
+        let loss_key = flow::mix2(dst_fold, (hop_limit as u64) << 32 | 0x1055);
         if flow::draw_milli(loss_key, self.topo.config.loss_milli) {
             self.stats.lost += 1;
             return false;
@@ -538,22 +635,20 @@ impl Engine {
             let scan = hops_len.min(ttl.saturating_sub(1));
             let mut hit = None;
             {
-                let hops = &self.paths[pidx].hops;
+                let hops = self.paths[pidx].hops(&self.hop_arena);
                 for (i, &h) in hops[..scan].iter().enumerate() {
-                    let mask = self.adv_mask[h.0 as usize];
+                    let mask = self.hostiles.mask(h);
                     if mask == 0 {
                         continue;
                     }
                     let depth = i + 1;
                     let zombie = mask & AdversarialClass::ZombieEcho.bit() != 0
-                        && self
-                            .adversarial
-                            .active(h, AdversarialClass::ZombieEcho, fnow);
+                        && self.hostiles.active(h, AdversarialClass::ZombieEcho, fnow);
                     let storm = !zombie
                         && mask & AdversarialClass::DuplicateStorm.bit() != 0
                         && ttl <= depth + STORM_SPREAD
                         && self
-                            .adversarial
+                            .hostiles
                             .active(h, AdversarialClass::DuplicateStorm, fnow);
                     if zombie || storm {
                         hit = Some((h, prev_hop_key(hops, i, vidx), depth, zombie));
@@ -597,7 +692,7 @@ impl Engine {
                     return false;
                 }
                 let (router, prev) = {
-                    let hops = &self.paths[pidx].hops;
+                    let hops = self.paths[pidx].hops(&self.hop_arena);
                     (hops[f as usize], prev_hop_key(hops, f as usize, vidx))
                 };
                 return self.router_error(
@@ -620,13 +715,13 @@ impl Engine {
                 .topo
                 .config
                 .vantage_silent_hops
-                .contains(&(vidx, hdr.hop_limit))
+                .contains(&(vidx, hop_limit))
             {
                 self.stats.silent_router += 1;
                 return false;
             }
             let (router, prev) = {
-                let hops = &self.paths[pidx].hops;
+                let hops = self.paths[pidx].hops(&self.hop_arena);
                 (hops[ttl - 1], prev_hop_key(hops, ttl - 1, vidx))
             };
             let info = &self.topo.routers[router.0 as usize];
@@ -674,7 +769,7 @@ impl Engine {
         // probing): the router answers echoes itself; oversized echoes
         // force fragmentation and expose the shared identification
         // counter.
-        if let Some(rid) = self.topo.router_by_iface(hdr.dst) {
+        if let Some(rid) = dst_router {
             let info = &self.topo.routers[rid.0 as usize];
             if !info.responsive {
                 self.stats.silent_router += 1;
@@ -701,7 +796,7 @@ impl Engine {
                 self.stats.frag_echo_replies += 1;
                 v6packet::frag::build_fragmented_echo_reply_into(
                     &mut out.bytes,
-                    hdr.dst,
+                    dst,
                     vaddr,
                     sport,
                     dport,
@@ -713,7 +808,7 @@ impl Engine {
                 return true;
             }
             self.stats.echo_replies += 1;
-            icmp6::build_echo_reply_into(&mut out.bytes, hdr.dst, vaddr, sport, dport, data, 64);
+            icmp6::build_echo_reply_into(&mut out.bytes, dst, vaddr, sport, dport, data, 64);
             self.finish(out, now_us, hops + 1, dst_word);
             return true;
         }
@@ -729,13 +824,13 @@ impl Engine {
                     self.stats.dest_silent += 1;
                     return false;
                 }
-                match hdr.next_header {
+                match key.next_header {
                     proto_num::ICMP6 => {
                         self.stats.echo_replies += 1;
                         let data = &body[8..];
                         icmp6::build_echo_reply_into(
                             &mut out.bytes,
-                            hdr.dst,
+                            dst,
                             vaddr,
                             sport,
                             dport,
@@ -751,7 +846,7 @@ impl Engine {
                         self.stats.du_port += 1;
                         icmp6::build_error_into(
                             &mut out.bytes,
-                            hdr.dst,
+                            dst,
                             vaddr,
                             Icmp6Type::DestUnreachable(DestUnreachCode::PortUnreachable),
                             wire,
@@ -764,7 +859,7 @@ impl Engine {
                         self.stats.tcp_responses += 1;
                         tcp::build_response_into(
                             &mut out.bytes,
-                            hdr.dst,
+                            dst,
                             vaddr,
                             dport,
                             sport,
@@ -778,7 +873,7 @@ impl Engine {
             }
             DestEntry::NoHost { responder } => {
                 let prev = {
-                    let hops = &self.paths[pidx].hops;
+                    let hops = self.paths[pidx].hops(&self.hop_arena);
                     prev_hop_key(hops, hops.len(), vidx)
                 };
                 self.dest_policy_response(
@@ -795,7 +890,7 @@ impl Engine {
             }
             DestEntry::NoSubnet { responder } => {
                 let prev = {
-                    let hops = &self.paths[pidx].hops;
+                    let hops = self.paths[pidx].hops(&self.hop_arena);
                     prev_hop_key(hops, hops.len(), vidx)
                 };
                 self.dest_policy_response(
@@ -816,7 +911,7 @@ impl Engine {
                     return false;
                 }
                 let prev = {
-                    let hops = &self.paths[pidx].hops;
+                    let hops = self.paths[pidx].hops(&self.hop_arena);
                     prev_hop_key(hops, hops.len(), vidx)
                 };
                 let r = self.router_error(
@@ -937,7 +1032,7 @@ impl Engine {
         // Hostile mutation flags, evaluated once the response is sure
         // to be emitted (suppressed responses charge no adv counters).
         let (adv_lie, adv_spoof, adv_garble) = if self.has_adversarial {
-            let mask = self.adv_mask[router.0 as usize];
+            let mask = self.hostiles.mask(router);
             if mask == 0 {
                 (false, false, false)
             } else {
@@ -945,18 +1040,18 @@ impl Engine {
                 (
                     mask & AdversarialClass::LyingTtl.bit() != 0
                         && self
-                            .adversarial
+                            .hostiles
                             .active(router, AdversarialClass::LyingTtl, fnow),
                     // Spoofing only pays off for Time Exceeded — a
                     // spoofed Destination Unreachable names no new hop.
                     mask & AdversarialClass::SpoofedSource.bit() != 0
                         && ty == Icmp6Type::TimeExceeded
                         && self
-                            .adversarial
+                            .hostiles
                             .active(router, AdversarialClass::SpoofedSource, fnow),
                     mask & AdversarialClass::GarbageBytes.bit() != 0
                         && self
-                            .adversarial
+                            .hostiles
                             .active(router, AdversarialClass::GarbageBytes, fnow),
                 )
             }
@@ -1039,6 +1134,107 @@ impl Engine {
         let oneway = hop_count as u64 * lat + flow::jitter_us(flow::mix128(key), lat);
         out.at_us = now_us + 2 * oneway;
     }
+}
+
+/// The header fields a probe is routed by, as they sit on the wire.
+/// Two probes with equal keys take the same path from the same vantage.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RawKey {
+    src: u128,
+    dst: u128,
+    /// The version / traffic class / flow label word.
+    vtf: u32,
+    /// Source and destination port (TCP, UDP) or identifier and
+    /// sequence (ICMPv6); `None` when the transport header is cut short
+    /// or of a protocol the engine does not route.
+    ports: Option<(u16, u16)>,
+    next_header: u8,
+}
+
+impl RawKey {
+    /// `None` unless `wire` starts with a whole IPv6 header.
+    #[inline]
+    fn parse(wire: &[u8]) -> Option<RawKey> {
+        let (hdr, body) = wire.split_first_chunk::<{ ip6::HEADER_LEN }>()?;
+        let word = |at: usize| u128::from_be_bytes(*hdr[at..].first_chunk().expect("in header"));
+        let vtf = u32::from_be_bytes(*hdr.first_chunk().expect("in header"));
+        if vtf >> 28 != 6 {
+            return None;
+        }
+        let next_header = hdr[6];
+        let ports_at = match next_header {
+            proto_num::TCP | proto_num::UDP => Some(0),
+            proto_num::ICMP6 => Some(4),
+            _ => None,
+        };
+        let ports = ports_at.and_then(|at| body.get(at..at + 4)).map(|b| {
+            (
+                u16::from_be_bytes([b[0], b[1]]),
+                u16::from_be_bytes([b[2], b[3]]),
+            )
+        });
+        Some(RawKey {
+            src: word(8),
+            dst: word(24),
+            vtf,
+            ports,
+            next_header,
+        })
+    }
+
+    /// The flow hash per-flow load balancers see.
+    #[inline]
+    fn flow_hash(&self, (sport, dport): (u16, u16)) -> u64 {
+        FlowKey {
+            src: Ipv6Addr::from(self.src),
+            dst: Ipv6Addr::from(self.dst),
+            flow_label: self.vtf & 0xf_ffff,
+            proto: self.next_header,
+            sport,
+            dport,
+        }
+        .hash()
+    }
+}
+
+/// One probe [`Engine::warm`] was shown, and what it resolved for it.
+#[derive(Clone, Copy)]
+struct Ahead {
+    key: RawKey,
+    flow_hash: u64,
+    pidx: u32,
+    /// Hop-arena index of the hop the probe expires at, or [`NO_HOP`].
+    hop_at: u32,
+    vidx: u8,
+    ttl: u8,
+}
+
+const NO_HOP: u32 = u32::MAX;
+
+/// Asks the CPU to start loading `*r` — its first and last byte, so a
+/// value that straddles a cache line gets both; nothing is read. A
+/// no-op off x86-64.
+#[inline(always)]
+pub fn prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is a hint: it accesses no memory
+    // architecturally and cannot fault. Both addresses lie inside `*r`,
+    // a live reference, so the pointer offset stays in bounds.
+    unsafe {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let first = r as *const T as *const i8;
+        _mm_prefetch::<_MM_HINT_T0>(first);
+        _mm_prefetch::<_MM_HINT_T0>(first.add(size_of::<T>().saturating_sub(1)));
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
+}
+
+/// Starts loading the two per-router lines an answering probe touches.
+#[inline]
+fn touch_router(topo: &Topology, buckets: &[TokenBucket], r: RouterId) {
+    prefetch(&topo.routers[r.0 as usize]);
+    prefetch(&buckets[r.0 as usize]);
 }
 
 /// Corrupts a built response deterministically, keyed like every other

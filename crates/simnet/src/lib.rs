@@ -39,6 +39,6 @@ pub mod topology;
 
 pub use adversarial::{AdversarialClass, AdversarialSchedule, HostileWindow, STORM_SPREAD};
 pub use config::{Scale, TopologyConfig};
-pub use engine::{Delivery, Engine, EngineStats};
+pub use engine::{prefetch, Delivery, Engine, EngineStats};
 pub use fault::{FaultSchedule, LinkFault, LinkFaultKind, ResponderDown, VantageOutage};
 pub use topology::{RouterId, Topology, VantageId};

@@ -77,6 +77,13 @@ impl PathCache {
         }
     }
 
+    /// Starts loading the slot a lookup of `flow` begins at; nothing is
+    /// read.
+    #[inline]
+    pub fn touch(&self, flow: u64) {
+        crate::engine::prefetch(&self.slots[flow as usize & self.mask]);
+    }
+
     /// Inserts a new entry (the key must not already be present).
     pub fn insert(&mut self, vidx: u8, dst: u128, flow: u64, idx: u32) {
         debug_assert_ne!(idx, EMPTY);

@@ -42,62 +42,106 @@ pub enum DestEntry {
     },
 }
 
-/// A fully resolved forward path.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+impl DestEntry {
+    /// The router that answers for the destination, unless a host does.
+    pub fn responder(&self) -> Option<RouterId> {
+        match *self {
+            DestEntry::Host(_) => None,
+            DestEntry::NoHost { responder }
+            | DestEntry::NoSubnet { responder }
+            | DestEntry::Unrouted { responder } => Some(responder),
+        }
+    }
+}
+
+/// A fully resolved forward path. The hop list lives in a hop arena
+/// shared by every path resolved into it (the engine owns one): a path
+/// is an `(offset, len)` window onto it, so following a path costs no
+/// pointer chase of its own and resolving one allocates nothing.
+#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct ResolvedPath {
-    /// Routers crossed, in order; `hops[i]` answers TTL `i+1`.
-    pub hops: Vec<RouterId>,
-    /// What a probe that out-lives the path reaches.
-    pub dest: DestEntry,
-    /// Index into `hops` of the destination AS border, when that AS
+    hop_off: u32,
+    hop_len: u16,
+    /// Index into the hops of the destination AS border, when that AS
     /// firewalls UDP/TCP probes toward hosts (§4.2 protocol effects).
     pub firewall_hop: Option<u8>,
+    /// What a probe that out-lives the path reaches.
+    pub dest: DestEntry,
+    /// The router owning the destination address, when the destination
+    /// is a router interface (alias-resolution probing).
+    pub dst_router: Option<RouterId>,
 }
 
 impl ResolvedPath {
     /// Number of router hops.
     pub fn len(&self) -> usize {
-        self.hops.len()
+        self.hop_len as usize
     }
 
     /// True when the path has no hops (cannot happen for generated
     /// topologies, but keeps clippy honest).
     pub fn is_empty(&self) -> bool {
-        self.hops.is_empty()
+        self.hop_len == 0
+    }
+
+    /// Routers crossed, in order; `hops[i]` answers TTL `i+1`. `arena`
+    /// is the hop arena this path was resolved into.
+    pub fn hops<'a>(&self, arena: &'a [RouterId]) -> &'a [RouterId] {
+        &arena[self.hop_off as usize..][..self.hop_len as usize]
+    }
+
+    /// Arena index of the hop answering TTL `i+1` (`i < len`).
+    pub(crate) fn hop_index(&self, i: usize) -> usize {
+        self.hop_off as usize + i
     }
 }
 
-/// Resolves the path from `vantage` to `dst` under flow hash `flow_hash`.
-pub fn resolve(topo: &Topology, vantage: &Vantage, dst: Ipv6Addr, flow_hash: u64) -> ResolvedPath {
-    let mut hops: Vec<RouterId> = vantage.onprem.clone();
+/// Buffers [`resolve`] reuses from call to call.
+#[derive(Debug, Default)]
+pub struct ResolveScratch {
+    /// AS-level path, destination AS first.
+    as_path: Vec<AsIdx>,
+    /// Subnet-plan chain of the destination, leaf first.
+    chain: Vec<SubnetId>,
+}
+
+/// Resolves the path from `vantage` to `dst` under flow hash `flow_hash`,
+/// appending its hops to `arena`. Allocates only when `arena` or
+/// `scratch` have to grow.
+pub fn resolve(
+    topo: &Topology,
+    vantage: &Vantage,
+    dst: Ipv6Addr,
+    flow_hash: u64,
+    scratch: &mut ResolveScratch,
+    arena: &mut Vec<RouterId>,
+) -> ResolvedPath {
+    let hop_off = arena.len();
+    let finish = |arena: &Vec<RouterId>, dest, firewall_hop| ResolvedPath {
+        hop_off: u32::try_from(hop_off).expect("hop arena outgrew u32 offsets"),
+        hop_len: (arena.len() - hop_off) as u16,
+        firewall_hop,
+        dest,
+        dst_router: topo.router_by_iface(dst),
+    };
+    arena.extend_from_slice(&vantage.onprem);
     let v_as = vantage.as_idx;
     let v_border = topo.ases[v_as as usize].border;
 
     // Unrouted destinations die at the vantage AS border.
-    let Some(origin) = topo.bgp.origin(dst) else {
-        hops.push(v_border);
-        return ResolvedPath {
-            hops,
-            dest: DestEntry::Unrouted {
-                responder: v_border,
-            },
-            firewall_hop: None,
+    let Some(dest_as) = topo.bgp.origin(dst).and_then(|o| topo.as_by_asn(o)) else {
+        arena.push(v_border);
+        let dest = DestEntry::Unrouted {
+            responder: v_border,
         };
-    };
-    let Some(dest_as) = topo.as_by_asn(origin) else {
-        hops.push(v_border);
-        return ResolvedPath {
-            hops,
-            dest: DestEntry::Unrouted {
-                responder: v_border,
-            },
-            firewall_hop: None,
-        };
+        return finish(arena, dest, None);
     };
 
     // AS-level path: walk BFS parents from the destination back to us.
     let parents = &topo.as_parents[vantage.id.0 as usize];
-    let mut as_path = vec![dest_as];
+    let as_path = &mut scratch.as_path;
+    as_path.clear();
+    as_path.push(dest_as);
     let mut cur = dest_as;
     while cur != v_as {
         let p = parents[cur as usize];
@@ -108,7 +152,7 @@ pub fn resolve(topo: &Topology, vantage: &Vantage, dst: Ipv6Addr, flow_hash: u64
     as_path.reverse(); // vantage AS first
 
     // Exit our own AS through its border.
-    hops.push(v_border);
+    arena.push(v_border);
 
     // Cross each subsequent AS: entry border (ECMP by flow), and one
     // backbone hop for transit ASes.
@@ -119,15 +163,15 @@ pub fn resolve(topo: &Topology, vantage: &Vantage, dst: Ipv6Addr, flow_hash: u64
             Some(b2) if flow::mix2(flow_hash, a as u64) & 1 == 1 => b2,
             _ => info.border,
         };
-        hops.push(entry);
+        arena.push(entry);
         let is_dest = i == as_path.len() - 1;
         if is_dest {
             if info.fw_blocks_udp_tcp {
-                firewall_hop = Some((hops.len() - 1) as u8);
+                firewall_hop = Some((arena.len() - hop_off - 1) as u8);
             }
             // One backbone hop between the border and the subnet plan.
             if let Some(&c) = info.core.first() {
-                hops.push(c);
+                arena.push(c);
             }
         } else if !info.core.is_empty() {
             // Transit crossing: one backbone hop, chosen by the
@@ -135,7 +179,7 @@ pub fn resolve(topo: &Topology, vantage: &Vantage, dst: Ipv6Addr, flow_hash: u64
             let prev = as_path[i - 1] as u64;
             let next = as_path[i + 1] as u64;
             let pick = flow::mix2(a as u64, prev ^ (next << 32)) as usize % info.core.len();
-            hops.push(info.core[pick]);
+            arena.push(info.core[pick]);
         }
     }
 
@@ -144,26 +188,26 @@ pub fn resolve(topo: &Topology, vantage: &Vantage, dst: Ipv6Addr, flow_hash: u64
     // structure) are unassigned space: the route dies at the border and
     // no interior router is crossed — the breadth-only fate of
     // ::1-per-BGP-prefix probing.
-    let dest_info = &topo.ases[dest_as as usize];
-    let chain = topo.subnet_chain(dst);
-    let mut chain_in_as: Vec<SubnetId> = chain
-        .into_iter()
-        .filter(|s| topo.subnets[s.0 as usize].as_idx == dest_as)
-        .collect();
-    if chain_in_as.len() == 1 && topo.subnets[chain_in_as[0].0 as usize].parent.is_none() {
-        chain_in_as.clear();
+    let chain = &mut scratch.chain;
+    chain.clear();
+    chain.extend(
+        topo.subnet_chain_up(dst)
+            .filter(|s| topo.subnets[s.0 as usize].as_idx == dest_as),
+    );
+    if chain.len() == 1 && topo.subnets[chain[0].0 as usize].parent.is_none() {
+        chain.clear();
     }
-    for s in &chain_in_as {
+    for s in chain.iter().rev() {
         let r = topo.subnets[s.0 as usize].router;
-        if hops.last() != Some(&r) {
-            hops.push(r);
+        if arena.last() != Some(&r) {
+            arena.push(r);
         }
     }
 
     // Classify the destination.
     let dest = if let Some(kind) = topo.host_kind(dst) {
         DestEntry::Host(kind)
-    } else if let Some(&leaf) = chain_in_as.last() {
+    } else if let Some(&leaf) = chain.first() {
         let node = &topo.subnets[leaf.0 as usize];
         match node.kind {
             SubnetKind::Lan | SubnetKind::CpeDelegation { .. } => DestEntry::NoHost {
@@ -175,15 +219,10 @@ pub fn resolve(topo: &Topology, vantage: &Vantage, dst: Ipv6Addr, flow_hash: u64
         }
     } else {
         DestEntry::NoSubnet {
-            responder: dest_info.border,
+            responder: topo.ases[dest_as as usize].border,
         }
     };
-
-    ResolvedPath {
-        hops,
-        dest,
-        firewall_hop,
-    }
+    finish(arena, dest, firewall_hop)
 }
 
 #[cfg(test)]
@@ -196,6 +235,25 @@ mod tests {
         generate(TopologyConfig::tiny(42))
     }
 
+    /// A path resolved into an arena of its own.
+    struct Owned {
+        path: ResolvedPath,
+        hops: Vec<RouterId>,
+    }
+
+    impl Owned {
+        fn len(&self) -> usize {
+            self.path.len()
+        }
+    }
+
+    fn resolve(t: &Topology, v: &Vantage, dst: Ipv6Addr, flow_hash: u64) -> Owned {
+        let mut hops = Vec::new();
+        let path = super::resolve(t, v, dst, flow_hash, &mut Default::default(), &mut hops);
+        assert_eq!(path.hops(&hops), &hops[..]);
+        Owned { path, hops }
+    }
+
     #[test]
     fn host_paths_end_in_host() {
         let t = topo();
@@ -203,7 +261,7 @@ mod tests {
         let mut checked = 0;
         for (addr, kind) in t.hosts().take(100) {
             let p = resolve(&t, v, addr, 1234);
-            assert!(matches!(p.dest, DestEntry::Host(k) if k == kind));
+            assert!(matches!(p.path.dest, DestEntry::Host(k) if k == kind));
             assert!(p.len() >= 3, "path suspiciously short: {}", p.len());
             assert!(p.len() <= 40);
             checked += 1;
@@ -216,7 +274,7 @@ mod tests {
         let t = topo();
         let v = &t.vantages[0];
         let p = resolve(&t, v, "fd00::1".parse().unwrap(), 0);
-        assert!(matches!(p.dest, DestEntry::Unrouted { .. }));
+        assert!(matches!(p.path.dest, DestEntry::Unrouted { .. }));
         assert_eq!(p.len(), v.onprem.len() + 1);
     }
 
@@ -292,7 +350,7 @@ mod tests {
             .unwrap();
         let target = del.prefix.addr(0x1234_5678_1234_5678);
         let p = resolve(&t, v, target, 9);
-        match p.dest {
+        match p.path.dest {
             DestEntry::Host(_) => {} // astronomically unlikely collision
             DestEntry::NoHost { responder } => {
                 assert_eq!(t.routers[responder.0 as usize].role, RouterRole::Cpe);
@@ -313,7 +371,7 @@ mod tests {
             .expect("tiny config should have firewalled stubs") as u32;
         let target = t.ases[fw_as as usize].prefixes[0].addr(1);
         let p = resolve(&t, v, target, 5);
-        let fh = p.firewall_hop.expect("firewall hop must be set") as usize;
+        let fh = p.path.firewall_hop.expect("firewall hop must be set") as usize;
         let border_router = p.hops[fh];
         assert_eq!(t.routers[border_router.0 as usize].as_idx, fw_as);
     }

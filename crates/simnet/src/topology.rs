@@ -393,16 +393,16 @@ impl Topology {
     /// The subnet chain (root → … → most-specific) covering `addr` inside
     /// its AS's plan, if any.
     pub fn subnet_chain(&self, addr: Ipv6Addr) -> Vec<SubnetId> {
-        let Some((_, &leaf)) = self.subnet_trie.longest_match(addr) else {
-            return Vec::new();
-        };
-        let mut chain = vec![leaf];
-        let mut cur = leaf;
-        while let Some(parent) = self.subnets[cur.0 as usize].parent {
-            chain.push(parent);
-            cur = parent;
-        }
+        let mut chain: Vec<SubnetId> = self.subnet_chain_up(addr).collect();
         chain.reverse();
         chain
+    }
+
+    /// [`Self::subnet_chain`] walked the way the plan links it — most-
+    /// specific node first, then each parent up to the root — without
+    /// building the list.
+    pub fn subnet_chain_up(&self, addr: Ipv6Addr) -> impl Iterator<Item = SubnetId> + '_ {
+        let leaf = self.subnet_trie.longest_match(addr).map(|(_, &leaf)| leaf);
+        std::iter::successors(leaf, |cur| self.subnets[cur.0 as usize].parent)
     }
 }

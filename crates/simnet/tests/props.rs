@@ -1,6 +1,7 @@
 //! Property tests for the simulator: the engine must be total (no panic
 //! on any input bytes), conservative (stats account for every probe),
-//! and deterministic.
+//! and deterministic — and showing it probes ahead of time
+//! ([`Engine::warm`]) must change nothing it later does or reports.
 
 use proptest::prelude::*;
 use simnet::config::TopologyConfig;
@@ -8,6 +9,7 @@ use simnet::generate::generate;
 use simnet::Engine;
 use std::sync::Arc;
 use v6packet::probe::{ProbeSpec, Protocol};
+use v6packet::{proto_num, Ipv6Header};
 
 fn topo() -> Arc<simnet::Topology> {
     // One shared topology: generation is deterministic, and the tests
@@ -15,7 +17,128 @@ fn topo() -> Arc<simnet::Topology> {
     Arc::new(generate(TopologyConfig::tiny(7)))
 }
 
+/// An echo request big enough that a router answers it in fragments,
+/// which puts its fragment counter on the wire.
+fn big_echo(src: std::net::Ipv6Addr, dst: std::net::Ipv6Addr) -> Vec<u8> {
+    let mut icmp = vec![0u8; 8 + 1200];
+    icmp[0] = 128;
+    let hdr = Ipv6Header {
+        traffic_class: 0,
+        flow_label: 0,
+        payload_len: icmp.len() as u16,
+        next_header: proto_num::ICMP6,
+        hop_limit: 64,
+        src,
+        dst,
+    };
+    let mut wire = hdr.encode().to_vec();
+    wire.append(&mut icmp);
+    wire
+}
+
+/// What one injection did, comparably.
+fn outcome(e: &mut Engine, wire: &[u8], t: u64) -> Option<(u64, Vec<u8>)> {
+    e.inject(wire, t).map(|d| (d.at_us, d.bytes))
+}
+
 proptest! {
+    /// Looking ahead is side-effect free. Whatever the engine is shown
+    /// — junk, and probes truncated, of another IP version, from no
+    /// known vantage, of an unknown protocol, or perfectly good, each
+    /// with any hop limit — it does not panic, counts nothing, spends
+    /// no token and no fragment identifier, and everything injected
+    /// afterwards comes out as from an engine that was shown nothing.
+    #[test]
+    fn lookahead_has_no_observable_effect(
+        shown in prop::collection::vec(
+            (0u8..6, any::<u128>(), any::<u8>(), prop::collection::vec(any::<u8>(), 0..120)),
+            0..48,
+        ),
+        // Under the 6.7 ms a default bucket takes to earn a token
+        // back, so a token the lookahead spent would still be missing.
+        t0 in 0u64..5_000,
+    ) {
+        let topo = topo();
+        let hosts: Vec<std::net::Ipv6Addr> = topo.hosts().map(|(a, _)| a).collect();
+        let wires: Vec<(Vec<u8>, u8)> = shown
+            .into_iter()
+            .map(|(kind, pick, ttl, junk)| {
+                // Half the hop limits expire in transit, half anywhere.
+                let ttl = if pick & 2 == 0 { ttl % 16 } else { ttl };
+                // Half the destinations are real hosts, half anything.
+                let target = if pick & 1 == 0 {
+                    hosts[(pick >> 1) as usize % hosts.len()]
+                } else {
+                    std::net::Ipv6Addr::from(pick)
+                };
+                let mut wire = ProbeSpec {
+                    src: topo.vantages[(pick >> 8) as usize % 3].addr,
+                    target,
+                    protocol: [Protocol::Icmp6, Protocol::Udp, Protocol::Tcp][(pick >> 16) as usize % 3],
+                    ttl: 1 + ttl % 40,
+                    instance: 1,
+                    elapsed_us: t0 as u32,
+                }
+                .build();
+                match kind {
+                    0 => wire = junk,
+                    1 => {}
+                    2 => wire.truncate((pick >> 24) as usize % wire.len()),
+                    3 => wire[0] ^= 0x20,  // version 4
+                    4 => wire[8] ^= 0xff,  // a source no vantage has
+                    _ => wire[6] = 99,     // a next header nobody routes
+                }
+                (wire, ttl)
+            })
+            .collect();
+
+        // Some shared history first, so buckets are part-drained and a
+        // fragment counter has moved.
+        let src = topo.vantages[0].addr;
+        let te_probe = ProbeSpec {
+            src,
+            target: hosts[0],
+            protocol: Protocol::Icmp6,
+            ttl: 1,
+            instance: 1,
+            elapsed_us: 0,
+        }
+        .build();
+        let frag_probe = big_echo(src, topo.routers[topo.vantages[0].onprem[0].0 as usize].addr);
+        let (mut ahead, mut plain) = (Engine::new(topo.clone()), Engine::new(topo.clone()));
+        for e in [&mut ahead, &mut plain] {
+            for i in 0..8 {
+                e.inject(&te_probe, i);
+            }
+            e.inject(&frag_probe, 10);
+        }
+        prop_assert_eq!(ahead.stats.frag_echo_replies, 1);
+
+        ahead.warm(wires.iter().map(|(w, ttl)| (w.as_slice(), *ttl)));
+        prop_assert_eq!(ahead.stats, plain.stats);
+        prop_assert_eq!(ahead.bucket_suppressed_by_class(), plain.bucket_suppressed_by_class());
+
+        // The next injections agree: a token spent, a fragment
+        // identifier spent, then everything that was shown, in order,
+        // with the hop limit it was shown with — each as a burst deep
+        // enough to drain its responder's bucket, so a single token
+        // missing anywhere the lookahead went would show.
+        let t = 20 + t0;
+        prop_assert_eq!(outcome(&mut ahead, &te_probe, t), outcome(&mut plain, &te_probe, t));
+        prop_assert_eq!(outcome(&mut ahead, &frag_probe, t), outcome(&mut plain, &frag_probe, t));
+        for (i, (w, ttl)) in wires.iter().enumerate() {
+            let mut w = w.clone();
+            if let Some(hop_limit) = w.get_mut(7) {
+                *hop_limit = (*ttl).max(1);
+            }
+            for _ in 0..64 {
+                prop_assert_eq!(outcome(&mut ahead, &w, t), outcome(&mut plain, &w, t), "shown probe {}", i);
+            }
+        }
+        prop_assert_eq!(ahead.stats, plain.stats);
+        prop_assert_eq!(ahead.bucket_suppressed_by_class(), plain.bucket_suppressed_by_class());
+    }
+
     /// Arbitrary bytes never panic the engine and never produce a
     /// response (garbage is not a probe).
     #[test]

@@ -428,6 +428,13 @@ impl ProbeTemplate {
         self.len as usize
     }
 
+    /// The wire bytes as last rendered. Addresses, flow label, protocol
+    /// and ports — everything a network routes the probe by — are the
+    /// target's constants whatever was rendered last.
+    pub fn wire(&self) -> &[u8] {
+        &self.wire[..self.len as usize]
+    }
+
     /// Patches the hop limit, payload ttl/elapsed, and fudge, returning
     /// the ready-to-send wire bytes. Byte-identical to
     /// [`ProbeSpec::build`] with the same fields.
