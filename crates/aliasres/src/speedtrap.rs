@@ -18,10 +18,9 @@ use serde::{Deserialize, Serialize};
 use simnet::{Engine, EngineStats};
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use v6packet::frag::parse_fragmented_echo_reply;
 use v6packet::{csum, ip6, proto_num, Ipv6Header};
-use yarrp6::campaign::RetryPolicy;
+use yarrp6::campaign::{supervise, Attempt, RetryPolicy};
 
 /// Speedtrap parameters.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -371,15 +370,15 @@ pub struct SupervisedAliasRun {
     pub degraded: bool,
 }
 
-/// Runs [`resolve_aliases_budgeted`] under the campaign supervisor's
-/// rules, mirroring `yarrp6::campaign::run_campaign_supervised`: each
-/// attempt probes a **fresh engine** starting at the accumulated
-/// virtual clock, a panicking attempt or a *blackout* (injected-fault
-/// drops with zero fragmented replies — the signature of probing into
-/// an outage window) retries with the policy's exponential backoff on
-/// the virtual clock, and exhausted retries come back `degraded`
-/// instead of panicking. Deterministic: the same inputs and fault
-/// schedule always produce the same outcome.
+/// Runs [`resolve_aliases_budgeted`] under the campaign supervisor
+/// ([`yarrp6::campaign::supervise`] — the same loop streaming campaigns
+/// retry under): each attempt probes a **fresh engine** starting at the
+/// accumulated virtual clock, a panicking attempt or a *blackout*
+/// (injected-fault drops with zero fragmented replies — the signature
+/// of probing into an outage window) retries with the policy's
+/// exponential backoff on the virtual clock, and exhausted retries come
+/// back `degraded` instead of panicking. Deterministic: the same inputs
+/// and fault schedule always produce the same outcome.
 pub fn resolve_aliases_supervised(
     topo: &std::sync::Arc<simnet::Topology>,
     vantage_idx: u8,
@@ -389,13 +388,11 @@ pub fn resolve_aliases_supervised(
     start_us: u64,
     max_probes: u64,
 ) -> SupervisedAliasRun {
-    let max_attempts = policy.max_attempts().max(1);
     let step_us = 1_000_000 / cfg.rate_pps.max(1);
-    let mut stats = EngineStats::default();
-    let mut clock = start_us;
-    let mut attempt = 0u32;
-    loop {
-        let res = catch_unwind(AssertUnwindSafe(|| {
+    let run = supervise(
+        policy,
+        start_us,
+        |clock| {
             let mut engine = Engine::new(topo.clone());
             let sets = resolve_aliases_budgeted(
                 &mut engine,
@@ -405,50 +402,24 @@ pub fn resolve_aliases_supervised(
                 clock,
                 max_probes,
             );
-            (sets, engine.stats)
-        }));
-        attempt += 1;
-        match res {
-            Ok((sets, engine_stats)) => {
-                stats.merge(&engine_stats);
-                clock = clock.saturating_add(sets.probes.saturating_mul(step_us));
-                let blackout =
-                    engine_stats.fault_dropped_total() > 0 && engine_stats.frag_echo_replies == 0;
-                if blackout && policy.retry_blackout && attempt < max_attempts {
-                    clock = clock.saturating_add(policy.backoff_us(attempt - 1));
-                    continue;
-                }
-                return SupervisedAliasRun {
-                    vantage_idx,
-                    sets: Some(sets),
-                    error: None,
-                    stats,
-                    attempts: attempt,
-                    elapsed_us: clock - start_us,
-                    degraded: blackout,
-                };
-            }
-            Err(payload) => {
-                let message = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "opaque panic payload".into());
-                if attempt < max_attempts {
-                    clock = clock.saturating_add(policy.backoff_us(attempt - 1));
-                    continue;
-                }
-                return SupervisedAliasRun {
-                    vantage_idx,
-                    sets: None,
-                    error: Some(message),
-                    stats,
-                    attempts: attempt,
-                    elapsed_us: clock - start_us,
-                    degraded: true,
-                };
-            }
-        }
+            let stats = engine.stats;
+            Ok(Attempt {
+                duration_us: sets.probes.saturating_mul(step_us),
+                blackout: stats.fault_dropped_total() > 0 && stats.frag_echo_replies == 0,
+                stats,
+                output: sets,
+            })
+        },
+        std::convert::identity,
+    );
+    SupervisedAliasRun {
+        vantage_idx,
+        sets: run.result,
+        error: run.error,
+        stats: run.stats,
+        attempts: run.attempts,
+        elapsed_us: run.elapsed_us,
+        degraded: run.degraded,
     }
 }
 

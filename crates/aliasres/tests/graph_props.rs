@@ -12,7 +12,7 @@
 
 use aliasres::{RouterGraph, RouterGraphBuilder};
 use analysis::reference::Trace;
-use analysis::{quarantine_all, stream_campaign, QuarantineConfig, TraceSet};
+use analysis::{quarantine_all, CampaignRunner, QuarantineConfig, TraceSet};
 use proptest::prelude::*;
 use proptest::strategy::FnStrategy;
 use proptest::test_runner::TestRng;
@@ -22,7 +22,7 @@ use std::net::Ipv6Addr;
 use std::sync::Arc;
 use targets::TargetSet;
 use v6packet::probe::Protocol;
-use yarrp6::{StreamConfig, YarrpConfig};
+use yarrp6::YarrpConfig;
 
 /// A small closed address universe keeps collisions (and therefore
 /// links, merges and node fusions) frequent at proptest scale.
@@ -156,6 +156,24 @@ proptest! {
     }
 }
 
+/// One streamed campaign's finished trace set.
+fn campaign_traces(
+    topo: &Arc<simnet::Topology>,
+    vantage: u8,
+    set: &TargetSet,
+    cfg: &YarrpConfig,
+) -> TraceSet {
+    CampaignRunner::new(topo)
+        .targets(set)
+        .vantage(vantage)
+        .config(*cfg)
+        .run()
+        .expect("clean campaign completes")
+        .runs
+        .remove(0)
+        .traces
+}
+
 /// One real campaign per protocol: the incremental graph over streamed
 /// prober output (not hand-built traces) must match the batch golden,
 /// with the topology's ground-truth alias groups merged in.
@@ -170,7 +188,7 @@ fn campaign_golden_all_protocols() {
             protocol,
             ..YarrpConfig::default()
         };
-        let (traces, _) = stream_campaign(&topo, 0, &set, &cfg, &StreamConfig::default());
+        let traces = campaign_traces(&topo, 0, &set, &cfg);
         let mut b = RouterGraphBuilder::new();
         b.ingest(&traces);
         for g in &aliases {
@@ -190,8 +208,8 @@ fn campaign_golden_multi_vantage() {
     let addrs: Vec<Ipv6Addr> = topo.hosts().map(|(a, _)| a).take(80).collect();
     let set = TargetSet::new("alias-golden", addrs);
     let cfg = YarrpConfig::default();
-    let (t0, _) = stream_campaign(&topo, 0, &set, &cfg, &StreamConfig::default());
-    let (t1, _) = stream_campaign(&topo, 1, &set, &cfg, &StreamConfig::default());
+    let t0 = campaign_traces(&topo, 0, &set, &cfg);
+    let t1 = campaign_traces(&topo, 1, &set, &cfg);
     let aliases: Vec<Vec<Ipv6Addr>> = topo.ground_truth_aliases().into_iter().take(16).collect();
 
     let mut b = RouterGraphBuilder::new();
@@ -227,8 +245,8 @@ fn campaign_golden_quarantined_input() {
     let addrs: Vec<Ipv6Addr> = topo.hosts().map(|(a, _)| a).take(80).collect();
     let set = TargetSet::new("alias-golden", addrs);
     let cfg = YarrpConfig::default();
-    let (t0, _) = stream_campaign(&topo, 0, &set, &cfg, &StreamConfig::default());
-    let (t1, _) = stream_campaign(&topo, 1, &set, &cfg, &StreamConfig::default());
+    let t0 = campaign_traces(&topo, 0, &set, &cfg);
+    let t1 = campaign_traces(&topo, 1, &set, &cfg);
     let (scrubbed, _) = quarantine_all(&[&t0, &t1], &QuarantineConfig::default());
     let aliases: Vec<Vec<Ipv6Addr>> = topo.ground_truth_aliases().into_iter().take(16).collect();
 

@@ -22,25 +22,19 @@
 //! the batch path's [`yarrp6::ProbeLog::sort_by_recv`]; everything after that
 //! seam is literally the same `assemble` code the batch path runs.
 //!
-//! [`stream_campaign`] / [`stream_campaigns_parallel`] wire the
-//! builder to the bounded-channel campaign drivers in
-//! `yarrp6::campaign`, returning finished `(TraceSet, EngineStats)`
-//! pairs directly.
+//! [`stream_campaigns_supervised`] wires the builder to the
+//! bounded-channel campaign driver in `yarrp6::campaign`, returning
+//! finished trace sets directly; [`crate::runner::CampaignRunner`] is
+//! the same call for one target set swept over many vantages.
 
 use crate::intern::AddrInterner;
-use crate::runner::CampaignRunner;
 use crate::traces::{assemble, ClassifiedRows, TraceSet, NOT_REACHED};
-use simnet::{EngineStats, Topology};
+use simnet::Topology;
 use std::sync::Arc;
-use targets::TargetSet;
 use v6packet::icmp6::DestUnreachCode;
-use yarrp6::campaign::{
-    run_campaigns_supervised_parallel, run_campaigns_supervised_serial,
-    try_run_campaigns_parallel_streaming, try_run_campaigns_serial_streaming, CampaignSpec,
-    RetryPolicy, SupervisedCampaign,
-};
+use yarrp6::campaign::{run_campaigns_streaming, CampaignSpec, RetryPolicy, SupervisedCampaign};
 use yarrp6::sink::{RecordStream, StreamConfig};
-use yarrp6::{ResponseKind, ResponseRecord, YarrpConfig};
+use yarrp6::{ResponseKind, ResponseRecord};
 
 /// One classified, interned record awaiting assembly: 24 bytes instead
 /// of a 64-byte [`ResponseRecord`], and only for the record classes
@@ -206,94 +200,20 @@ impl TraceSetBuilder {
     }
 }
 
-/// Runs one streaming Yarrp6 campaign: the prober feeds a
-/// [`TraceSetBuilder`] through the bounded chunk channel, so the
-/// campaign's record log never exists in memory. The result is
-/// bit-identical to `TraceSet::from_log(&run_campaign(..).log)`.
-pub fn stream_campaign(
-    topo: &Arc<Topology>,
-    vantage_idx: u8,
-    set: &TargetSet,
-    cfg: &YarrpConfig,
-    stream: &StreamConfig,
-) -> (TraceSet, EngineStats) {
-    let outcome = CampaignRunner::new(topo)
-        .targets(set)
-        .vantage(vantage_idx)
-        .config(*cfg)
-        .streaming(*stream)
-        .run()
-        .unwrap_or_else(|e| panic!("{e}"));
-    let run = outcome
-        .runs
-        .into_iter()
-        .next()
-        .expect("single-vantage campaign produced no run");
-    (run.traces, run.stats)
-}
-
-/// The per-campaign consumer both multi-campaign drivers install: a
-/// fresh identity-stamped [`TraceSetBuilder`] fed chunk by chunk. One
-/// shared factory, so the serial/parallel bit-identical contract can't
-/// drift when the builder setup changes.
-pub(crate) fn builder_consumer(
-    topo: &Arc<Topology>,
-) -> impl Fn(usize, &CampaignSpec<'_>) -> Box<dyn FnOnce(RecordStream) -> TraceSet> + '_ {
-    move |_, spec| {
-        let vantage = topo.vantages[spec.vantage_idx as usize].name.clone();
-        let set_name = spec.set.name.clone();
-        Box::new(move |records: RecordStream| {
-            let mut builder = TraceSetBuilder::new().with_identity(vantage, set_name);
-            records.for_each_chunk(|c| builder.push_chunk(c));
-            builder.finish()
-        })
-    }
-}
-
-/// Runs many streaming campaigns on the parallel work-queue driver;
-/// each worker feeds a per-campaign [`TraceSetBuilder`] and returns
-/// the finished `(TraceSet, EngineStats)` directly — a campaign-scale
-/// sweep holds columnar stores, never record logs.
-pub fn stream_campaigns_parallel(
-    topo: &Arc<Topology>,
-    specs: &[CampaignSpec<'_>],
-    stream: &StreamConfig,
-) -> Vec<(TraceSet, EngineStats)> {
-    try_run_campaigns_parallel_streaming(topo, specs, stream, builder_consumer(topo))
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-        .map(|r| (r.output, r.engine_stats))
-        .collect()
-}
-
-/// Runs many streaming campaigns one after another on the calling
-/// thread (each campaign still overlaps its prober thread with the
-/// builder) — the serial counterpart of [`stream_campaigns_parallel`],
-/// bit-identical per campaign since engines are campaign-isolated (the
-/// two share one consumer factory). The adaptive discovery loop uses
-/// the pair as its serial/parallel round drivers.
-pub fn stream_campaigns_serial(
-    topo: &Arc<Topology>,
-    specs: &[CampaignSpec<'_>],
-    stream: &StreamConfig,
-) -> Vec<(TraceSet, EngineStats)> {
-    try_run_campaigns_serial_streaming(topo, specs, stream, builder_consumer(topo))
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-        .map(|r| (r.output, r.engine_stats))
-        .collect()
-}
-
 /// Runs many streaming campaigns under the campaign supervisor
-/// (`yarrp6::campaign::run_campaign_supervised`): each campaign feeds
-/// a fresh per-attempt [`TraceSetBuilder`], failed or blacked-out
-/// attempts are retried with deterministic virtual-time backoff
-/// starting at `start_us`, and exhausted retries come back as a
+/// (`yarrp6::campaign::supervise`): each campaign's prober feeds a
+/// fresh per-attempt, identity-stamped [`TraceSetBuilder`] through the
+/// bounded chunk channel — a campaign-scale sweep holds columnar
+/// stores, never record logs, and each finished set is bit-identical
+/// to `TraceSet::from_log(&run_campaign(..).log)`. Failed or
+/// blacked-out attempts are retried with deterministic virtual-time
+/// backoff starting at `start_us`, and exhausted retries come back as a
 /// degraded [`SupervisedCampaign`] instead of a panic — so a
 /// multi-round orchestrator keeps every surviving vantage's trace set
-/// when one vantage dies. `parallel` picks the work-queue pool over
-/// the serial driver; the two are bit-identical (supervision clocks
-/// are virtual, campaigns engine-isolated).
+/// when one vantage dies. [`RetryPolicy::NONE`] runs every campaign
+/// exactly once. `parallel` picks the work-queue pool over the calling
+/// thread; the two are bit-identical (supervision clocks are virtual,
+/// campaigns engine-isolated).
 pub fn stream_campaigns_supervised(
     topo: &Arc<Topology>,
     specs: &[CampaignSpec<'_>],
@@ -302,110 +222,23 @@ pub fn stream_campaigns_supervised(
     start_us: u64,
     parallel: bool,
 ) -> Vec<SupervisedCampaign<TraceSet>> {
-    if parallel {
-        run_campaigns_supervised_parallel(
-            topo,
-            specs,
-            stream,
-            policy,
-            start_us,
-            builder_consumer(topo),
-        )
-    } else {
-        run_campaigns_supervised_serial(
-            topo,
-            specs,
-            stream,
-            policy,
-            start_us,
-            builder_consumer(topo),
-        )
-    }
-}
-
-/// A finished multi-vantage streaming campaign: the per-vantage
-/// columnar sets *and* their deterministic cross-vantage union.
-///
-/// `merged` is `TraceSet::merge_all` over the per-vantage sets in
-/// vantage order: its interner is the full union of every vantage's
-/// discovered responders (the paper's union-of-vantages yield), its
-/// trace columns keep the first vantage's trace per shared target, and
-/// every trace carries its source vantage ([`TraceView::vantage`]).
-/// The per-vantage sets are kept alongside because contribution and
-/// overlap statistics ([`crate::metrics::vantage_contributions`],
-/// [`crate::metrics::vantage_jaccard`]) need each vantage's view, not
-/// just the union.
-///
-/// [`TraceView::vantage`]: crate::traces::TraceView::vantage
-#[derive(Clone, Debug)]
-pub struct MultiVantageCampaign {
-    /// The cross-vantage union, merged in vantage order.
-    pub merged: TraceSet,
-    /// Each vantage's own `(TraceSet, EngineStats)`, in input order.
-    pub per_vantage: Vec<(TraceSet, EngineStats)>,
-    /// Engine accounting merged over all vantages.
-    pub stats: EngineStats,
-}
-
-/// Translates a finished [`CampaignRunner`] outcome into the
-/// multi-vantage shape these wrappers have always returned. The
-/// runner's `merged` is `TraceSet::merge_all` in vantage order — the
-/// same fold the pre-runner drivers applied — so the delegation is
-/// bit-identical.
-fn multi_vantage_via_runner(
-    topo: &Arc<Topology>,
-    vantages: &[u8],
-    set: &TargetSet,
-    cfg: &YarrpConfig,
-    stream: &StreamConfig,
-    parallel: bool,
-) -> MultiVantageCampaign {
-    let outcome = CampaignRunner::new(topo)
-        .targets(set)
-        .vantages(vantages)
-        .config(*cfg)
-        .streaming(*stream)
-        .parallel(parallel)
-        .run()
-        .unwrap_or_else(|e| panic!("{e}"));
-    MultiVantageCampaign {
-        merged: outcome.merged,
-        per_vantage: outcome
-            .runs
-            .into_iter()
-            .map(|r| (r.traces, r.stats))
-            .collect(),
-        stats: outcome.stats,
-    }
-}
-
-/// Runs one streaming campaign per vantage over the same target set
-/// (vantages one after another) and merges the finished sets
-/// deterministically in vantage order. Each per-vantage set is
-/// bit-identical to that vantage's [`stream_campaign`] /
-/// `from_log(run_campaign(..))`.
-pub fn stream_multi_vantage(
-    topo: &Arc<Topology>,
-    vantages: &[u8],
-    set: &TargetSet,
-    cfg: &YarrpConfig,
-    stream: &StreamConfig,
-) -> MultiVantageCampaign {
-    multi_vantage_via_runner(topo, vantages, set, cfg, stream, false)
-}
-
-/// The concurrent variant of [`stream_multi_vantage`]: one
-/// prober+builder pair per vantage on the work-queue pool. Campaigns
-/// are engine-isolated and merged in input order, so the result is
-/// bit-identical to the serial driver's.
-pub fn stream_multi_vantage_parallel(
-    topo: &Arc<Topology>,
-    vantages: &[u8],
-    set: &TargetSet,
-    cfg: &YarrpConfig,
-    stream: &StreamConfig,
-) -> MultiVantageCampaign {
-    multi_vantage_via_runner(topo, vantages, set, cfg, stream, true)
+    run_campaigns_streaming(
+        topo,
+        specs,
+        stream,
+        policy,
+        start_us,
+        parallel,
+        |_, spec| {
+            let vantage = topo.vantages[spec.vantage_idx as usize].name.clone();
+            let set_name = spec.set.name.clone();
+            move |records: RecordStream| {
+                let mut builder = TraceSetBuilder::new().with_identity(vantage, set_name);
+                records.for_each_chunk(|c| builder.push_chunk(c));
+                builder.finish()
+            }
+        },
+    )
 }
 
 #[cfg(test)]

@@ -19,9 +19,9 @@
 //! It is also **streaming**: [`builder::TraceSetBuilder`] ingests
 //! record chunks as a campaign produces them and assembles the
 //! identical columnar set without the log ever existing, and
-//! [`builder::stream_campaign`] / [`builder::stream_campaigns_parallel`]
-//! wire that builder to the probers' bounded-channel drivers (those
-//! drivers return the engine's [`simnet::EngineStats`] alongside, like
+//! [`builder::stream_campaigns_supervised`] / [`runner::CampaignRunner`]
+//! wire that builder to the probers' bounded-channel driver (which
+//! returns the engine's [`simnet::EngineStats`] alongside, like
 //! `yarrp6::campaign::run_campaign` does — the analysis passes
 //! themselves still consume only prober-visible data).
 
@@ -38,11 +38,7 @@ pub mod subnets;
 pub mod traces;
 pub mod validate;
 
-pub use builder::{
-    stream_campaign, stream_campaigns_parallel, stream_campaigns_serial,
-    stream_campaigns_supervised, stream_multi_vantage, stream_multi_vantage_parallel,
-    MultiVantageCampaign, TraceSetBuilder,
-};
+pub use builder::{stream_campaigns_supervised, TraceSetBuilder};
 pub use intern::AddrInterner;
 pub use metrics::{
     discovery_curve, hop_responsiveness, vantage_contributions, vantage_jaccard,

@@ -337,9 +337,9 @@ pub fn vantage_union_count<'a>(sets: impl IntoIterator<Item = &'a TraceSet>) -> 
 
 /// Per-vantage contribution rows for a multi-vantage sweep: unique and
 /// exclusive interface counts plus each vantage's share of the union.
-/// Pass the *per-vantage* sets (e.g.
-/// [`crate::builder::MultiVantageCampaign::per_vantage`]) — the merged
-/// union set cannot attribute discoveries back to vantages.
+/// Pass the *per-vantage* sets (e.g. the traces of
+/// [`crate::runner::CampaignOutcome::runs`]) — the merged union set
+/// cannot attribute discoveries back to vantages.
 pub fn vantage_contributions<'a>(
     sets: impl IntoIterator<Item = &'a TraceSet> + Clone,
 ) -> Vec<VantageContribution> {

@@ -1,47 +1,34 @@
-//! One front door for running campaigns: the [`CampaignRunner`]
+//! One front door for a multi-vantage sweep: the [`CampaignRunner`]
 //! builder.
 //!
-//! Five PRs of organic growth left ~28 overlapping
-//! `run_*`/`try_run_*`/`stream_*` entry points across
-//! `yarrp6::campaign` and [`crate::builder`] — every combination of
-//! {single, multi-vantage} × {serial, parallel} × {plain, supervised}
-//! × {batch, streaming} got its own function. This module collapses
-//! the matrix into one builder:
+//! A sweep is one target set probed from N vantages, each campaign
+//! streamed into its own trace builder, the finished sets merged in
+//! vantage order:
 //!
 //! ```ignore
 //! let outcome = CampaignRunner::new(&topo)
 //!     .targets(set)
 //!     .vantages(&[0, 1, 2])
 //!     .parallel(true)
-//!     .supervised(RetryPolicy::default())
-//!     .streaming(StreamConfig::default())
 //!     .run()?;
+//! // outcome.merged, outcome.runs[i].traces, outcome.stats
 //! ```
 //!
-//! `run()` always goes through the streaming pipeline (the record log
-//! never materializes) and always returns `Result` — the panicking
-//! shims live on as deprecated wrappers. The pre-existing entry points
-//! ([`crate::builder::stream_campaign`],
-//! [`crate::builder::stream_multi_vantage`], ...) now delegate here,
-//! which is what pins the runner bit-identical to five PRs of golden,
-//! streaming, and supervised tests.
-//!
-//! [`run_with_sink`](CampaignRunner::run_with_sink) is the escape
-//! hatch for custom record consumers (exporters, counters): same
-//! builder, caller-supplied sink factory instead of the trace
-//! builders.
+//! `run()` is [`stream_campaigns_supervised`] under
+//! [`RetryPolicy::NONE`] with the first failure turned into the `Err`:
+//! the record log never materializes, and every per-vantage set is
+//! bit-identical to `TraceSet::from_log(&run_campaign(..).log)`.
+//! Callers that need retries, a start time on the fault clock, mixed
+//! target sets or partial results call [`stream_campaigns_supervised`]
+//! directly.
 
-use crate::builder::builder_consumer;
-use crate::shard::{ShardedTraceSet, ShardedTraceSetBuilder};
+use crate::builder::stream_campaigns_supervised;
 use crate::traces::TraceSet;
 use simnet::{EngineStats, Topology};
 use std::sync::Arc;
 use targets::TargetSet;
-use yarrp6::campaign::{
-    try_run_campaigns_parallel_streaming, try_run_campaigns_serial_streaming, CampaignError,
-    CampaignSpec, RetryPolicy, StreamedCampaign,
-};
-use yarrp6::sink::{RecordStream, StreamConfig};
+use yarrp6::campaign::{CampaignError, CampaignSpec, RetryPolicy};
+use yarrp6::sink::StreamConfig;
 use yarrp6::YarrpConfig;
 
 /// One campaign's slice of a [`CampaignOutcome`]: the vantage it
@@ -52,34 +39,29 @@ pub struct CampaignRun {
     pub vantage_idx: u8,
     /// The campaign's finished columnar trace set.
     pub traces: TraceSet,
-    /// Engine accounting (all supervised attempts when supervision is
-    /// on — retries burn probes too).
+    /// The campaign's engine accounting.
     pub stats: EngineStats,
-    /// Supervised attempts made (always 1 without supervision).
-    pub attempts: u32,
-    /// The campaign recovered through retries but its final attempt
-    /// was still a blackout, or a sibling attempt failed — only ever
-    /// `true` under supervision.
-    pub degraded: bool,
 }
 
 /// Everything a [`CampaignRunner::run`] produces: per-campaign sets in
-/// vantage order, their deterministic union, merged accounting, and —
-/// when [`sharded`](CampaignRunner::sharded) — the partitioned store.
+/// vantage order, their deterministic union, and merged accounting.
+///
+/// The per-vantage sets are kept alongside the union because
+/// contribution and overlap statistics
+/// ([`crate::metrics::vantage_contributions`],
+/// [`crate::metrics::vantage_jaccard`]) need each vantage's view.
 #[derive(Clone, Debug)]
 pub struct CampaignOutcome {
     /// `TraceSet::merge_all` over the runs in vantage order — the
-    /// union-of-vantages discovery set with per-trace provenance.
+    /// union-of-vantages discovery set: its interner is the full union
+    /// of every vantage's discovered responders, its trace columns keep
+    /// the first vantage's trace per shared target, and every trace
+    /// carries its source vantage ([`crate::traces::TraceView::vantage`]).
     pub merged: TraceSet,
     /// Each campaign's own run, in [`CampaignRunner::vantages`] order.
     pub runs: Vec<CampaignRun>,
-    /// Engine accounting merged over every campaign (and attempt).
+    /// Engine accounting merged over every campaign.
     pub stats: EngineStats,
-    /// The merged store partitioned by target prefix, present when the
-    /// runner was configured [`sharded`](CampaignRunner::sharded). The
-    /// per-campaign records were routed shard-aware at ingest
-    /// ([`ShardedTraceSetBuilder`]); `merged` is its flattened form.
-    pub sharded: Option<ShardedTraceSet>,
 }
 
 /// Builder for a probing campaign (or a multi-vantage sweep of them).
@@ -92,15 +74,12 @@ pub struct CampaignRunner<'a> {
     vantages: Vec<u8>,
     cfg: YarrpConfig,
     stream: StreamConfig,
-    policy: Option<RetryPolicy>,
     parallel: bool,
-    start_us: u64,
-    shards: Option<usize>,
 }
 
 impl<'a> CampaignRunner<'a> {
     /// A runner over `topo` with defaults: vantage 0, default prober
-    /// and stream configs, serial, unsupervised, unsharded.
+    /// and stream configs, serial.
     pub fn new(topo: &'a Arc<Topology>) -> CampaignRunner<'a> {
         CampaignRunner {
             topo,
@@ -108,10 +87,7 @@ impl<'a> CampaignRunner<'a> {
             vantages: vec![0],
             cfg: YarrpConfig::default(),
             stream: StreamConfig::default(),
-            policy: None,
             parallel: false,
-            start_us: 0,
-            shards: None,
         }
     }
 
@@ -154,230 +130,47 @@ impl<'a> CampaignRunner<'a> {
         self
     }
 
-    /// Run every campaign under the supervisor: failures and blackouts
-    /// retry with deterministic virtual-time backoff per `policy`; a
-    /// campaign that recovers comes back flagged
-    /// [`CampaignRun::degraded`], one that exhausts its retries turns
-    /// into the `Err` of [`run`](Self::run).
-    pub fn supervised(mut self, policy: RetryPolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Start the campaigns at this virtual time on the fault
-    /// schedule's clock (meaningful with scheduled outages and
-    /// supervision; 0 — the default — is "now").
-    pub fn start_at(mut self, start_us: u64) -> Self {
-        self.start_us = start_us;
-        self
-    }
-
-    /// Route records into a sharded store at ingest: each campaign
-    /// builds a [`ShardedTraceSet`] over this many shards
-    /// (shard-aware sink routing), and the outcome carries the merged
-    /// sharded store alongside its flat view.
-    pub fn sharded(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
-        self
-    }
-
-    fn specs(&self, set: &'a TargetSet) -> Vec<CampaignSpec<'a>> {
-        self.vantages
-            .iter()
-            .map(|&v| CampaignSpec {
-                vantage_idx: v,
-                set,
-                cfg: self.cfg,
-            })
-            .collect()
-    }
-
     /// Runs the configured campaigns and assembles the outcome. The
-    /// first campaign failure (after retries, when supervised) is the
-    /// `Err`; completed sibling campaigns are dropped with it — use
-    /// [`crate::builder::stream_campaigns_supervised`] directly when
-    /// partial sweeps must survive.
+    /// first campaign failure is the `Err`; completed sibling campaigns
+    /// are dropped with it — use [`stream_campaigns_supervised`]
+    /// directly when partial sweeps must survive.
     ///
     /// # Panics
     ///
     /// When no target set was given ([`targets`](Self::targets)).
     pub fn run(self) -> Result<CampaignOutcome, CampaignError> {
         let set = self.set.expect("CampaignRunner::run without .targets(..)");
-        match self.shards {
-            None => {
-                let runs: Vec<CampaignRun> = self
-                    .execute(set, builder_consumer(self.topo))?
-                    .into_iter()
-                    .map(|r| CampaignRun {
-                        vantage_idx: r.vantage_idx,
-                        traces: r.traces,
-                        stats: r.stats,
-                        attempts: r.attempts,
-                        degraded: r.degraded,
-                    })
-                    .collect();
-                let merged = TraceSet::merge_all(runs.iter().map(|r| &r.traces));
-                let stats = EngineStats::merged(runs.iter().map(|r| &r.stats));
-                Ok(CampaignOutcome {
-                    merged,
-                    runs,
-                    stats,
-                    sharded: None,
-                })
-            }
-            Some(n) => {
-                let topo = self.topo;
-                let sharded_runs = self.execute(set, move |_, spec: &CampaignSpec<'_>| {
-                    let vantage = topo.vantages[spec.vantage_idx as usize].name.clone();
-                    let set_name = spec.set.name.clone();
-                    Box::new(move |records: RecordStream| {
-                        let mut b = ShardedTraceSetBuilder::new(n).with_identity(vantage, set_name);
-                        records.for_each_chunk(|c| b.push_chunk(c));
-                        b.finish()
-                    }) as Box<dyn FnOnce(RecordStream) -> ShardedTraceSet>
-                })?;
-                let per_shard: Vec<ShardedTraceSet> =
-                    sharded_runs.iter().map(|r| r.traces.clone()).collect();
-                let sharded = ShardedTraceSet::merge_all(&per_shard);
-                let merged = sharded.to_trace_set();
-                let stats = EngineStats::merged(sharded_runs.iter().map(|r| &r.stats));
-                let runs = sharded_runs
-                    .into_iter()
-                    .map(|r| CampaignRun {
-                        vantage_idx: r.vantage_idx,
-                        traces: r.traces.to_trace_set(),
-                        stats: r.stats,
-                        attempts: r.attempts,
-                        degraded: r.degraded,
-                    })
-                    .collect();
-                Ok(CampaignOutcome {
-                    merged,
-                    runs,
-                    stats,
-                    sharded: Some(sharded),
-                })
-            }
-        }
+        let specs: Vec<CampaignSpec<'_>> = self
+            .vantages
+            .iter()
+            .map(|&v| CampaignSpec {
+                vantage_idx: v,
+                set,
+                cfg: self.cfg,
+            })
+            .collect();
+        let runs = stream_campaigns_supervised(
+            self.topo,
+            &specs,
+            &self.stream,
+            &RetryPolicy::NONE,
+            0,
+            self.parallel,
+        )
+        .into_iter()
+        .map(|sc| match sc.result {
+            Some(run) => Ok(CampaignRun {
+                vantage_idx: sc.vantage_idx,
+                traces: run.output,
+                stats: sc.stats,
+            }),
+            None => Err(sc.error.expect("failed campaign carries its error")),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+        Ok(CampaignOutcome {
+            merged: TraceSet::merge_all(runs.iter().map(|r| &r.traces)),
+            stats: EngineStats::merged(runs.iter().map(|r| &r.stats)),
+            runs,
+        })
     }
-
-    /// Runs the configured campaigns with a caller-supplied record
-    /// sink instead of the trace builders — the custom-consumer escape
-    /// hatch (exporters, counters, protocol analyzers). `make_sink` is
-    /// called once per campaign with its index and spec; results come
-    /// back in vantage order.
-    ///
-    /// # Panics
-    ///
-    /// When no target set was given ([`targets`](Self::targets)).
-    pub fn run_with_sink<T, C, F>(
-        self,
-        make_sink: F,
-    ) -> Result<Vec<StreamedCampaign<T>>, CampaignError>
-    where
-        T: Send,
-        C: FnOnce(RecordStream) -> T,
-        F: Fn(usize, &CampaignSpec<'_>) -> C + Sync,
-    {
-        let set = self.set.expect("CampaignRunner::run without .targets(..)");
-        let specs = self.specs(set);
-        let results = if self.parallel {
-            try_run_campaigns_parallel_streaming(self.topo, &specs, &self.stream, make_sink)
-        } else {
-            try_run_campaigns_serial_streaming(self.topo, &specs, &self.stream, make_sink)
-        };
-        results.into_iter().collect()
-    }
-
-    /// Shared execution core: runs the specs (supervised or not,
-    /// serial or parallel) through `make_consumer` and normalizes to
-    /// [`GenericRun`]s in input order, first error wins.
-    fn execute<T, C, F>(
-        &self,
-        set: &'a TargetSet,
-        make_consumer: F,
-    ) -> Result<Vec<GenericRun<T>>, CampaignError>
-    where
-        T: Send,
-        C: FnOnce(RecordStream) -> T,
-        F: Fn(usize, &CampaignSpec<'_>) -> C + Sync + Send,
-    {
-        let specs = self.specs(set);
-        match &self.policy {
-            Some(policy) => {
-                let supervised = if self.parallel {
-                    yarrp6::campaign::run_campaigns_supervised_parallel(
-                        self.topo,
-                        &specs,
-                        &self.stream,
-                        policy,
-                        self.start_us,
-                        make_consumer,
-                    )
-                } else {
-                    yarrp6::campaign::run_campaigns_supervised_serial(
-                        self.topo,
-                        &specs,
-                        &self.stream,
-                        policy,
-                        self.start_us,
-                        make_consumer,
-                    )
-                };
-                supervised
-                    .into_iter()
-                    .map(|sc| match sc.result {
-                        Some(run) => Ok(GenericRun {
-                            vantage_idx: sc.vantage_idx,
-                            traces: run.output,
-                            stats: sc.stats,
-                            attempts: sc.attempts,
-                            degraded: sc.degraded,
-                        }),
-                        None => Err(sc.error.expect("failed campaign carries its error")),
-                    })
-                    .collect()
-            }
-            None => {
-                let results = if self.parallel {
-                    try_run_campaigns_parallel_streaming(
-                        self.topo,
-                        &specs,
-                        &self.stream,
-                        make_consumer,
-                    )
-                } else {
-                    try_run_campaigns_serial_streaming(
-                        self.topo,
-                        &specs,
-                        &self.stream,
-                        make_consumer,
-                    )
-                };
-                results
-                    .into_iter()
-                    .zip(&specs)
-                    .map(|(r, spec)| {
-                        r.map(|run| GenericRun {
-                            vantage_idx: spec.vantage_idx,
-                            traces: run.output,
-                            stats: run.engine_stats,
-                            attempts: 1,
-                            degraded: false,
-                        })
-                    })
-                    .collect()
-            }
-        }
-    }
-}
-
-/// [`CampaignRun`] generic over the consumer product (`TraceSet` for
-/// the flat path, [`ShardedTraceSet`] for the sharded one).
-struct GenericRun<T> {
-    vantage_idx: u8,
-    traces: T,
-    stats: EngineStats,
-    attempts: u32,
-    degraded: bool,
 }

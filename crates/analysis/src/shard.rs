@@ -33,9 +33,8 @@ use crate::builder::TraceSetBuilder;
 use crate::intern::AddrInterner;
 use crate::traces::{TraceMeta, TraceSet, TraceView};
 use std::net::Ipv6Addr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use yarrp6::addrset::AddrSet;
+use yarrp6::campaign::pool_map;
 use yarrp6::ResponseRecord;
 
 /// One splitmix64 round — the same mixer `yarrp6::addrset` and
@@ -86,46 +85,12 @@ impl ShardRoute {
     }
 }
 
-/// Runs `f(0..n)` on the work-queue thread pool (the
-/// `yarrp6::campaign` pattern: fixed pool, atomic claim counter,
-/// results restored to input order). Falls back to the calling thread
-/// for a single shard.
-fn fan_out<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(n);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                if tx.send((i, f(i))).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, v) in rx {
-        out[i] = Some(v);
-    }
-    out.into_iter()
+/// Runs `f(0..n)` on the work-queue thread pool
+/// ([`yarrp6::campaign::pool_map`]), results in input order. Falls back
+/// to the calling thread for a single shard.
+fn fan_out<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    pool_map(n, n > 1, f)
+        .into_iter()
         .map(|v| v.expect("shard worker lost"))
         .collect()
 }

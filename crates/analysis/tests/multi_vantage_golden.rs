@@ -1,13 +1,13 @@
 //! Golden equivalence for the multi-vantage orchestration: the
-//! streaming sweep ([`stream_multi_vantage`] /
-//! [`stream_multi_vantage_parallel`]) must be **bit-identical** — per
+//! streaming sweep ([`CampaignRunner`], serial and parallel) must be
+//! **bit-identical** — per
 //! vantage, in the merged union (interner ids included, both raw and
 //! after canonical re-intern), and in the merged engine accounting —
 //! to the batch path (per-vantage `run_campaign` → `from_log` →
 //! `TraceSet::merge_all`), across every probe protocol,
 //! `vary_flow_label`, fill mode, and neighborhood mode.
 
-use analysis::{stream_multi_vantage, stream_multi_vantage_parallel, TraceSet};
+use analysis::{CampaignOutcome, CampaignRunner, TraceSet};
 use simnet::config::TopologyConfig;
 use simnet::{EngineStats, Topology};
 use std::net::Ipv6Addr;
@@ -47,6 +47,24 @@ fn batch(
     (merged, per.into_iter().map(|(ts, _)| ts).collect(), stats)
 }
 
+/// The streaming sweep under test.
+fn sweep(
+    topo: &Arc<Topology>,
+    set: &TargetSet,
+    cfg: &YarrpConfig,
+    stream: &StreamConfig,
+    parallel: bool,
+) -> CampaignOutcome {
+    CampaignRunner::new(topo)
+        .targets(set)
+        .vantages(&VANTAGES)
+        .config(*cfg)
+        .streaming(*stream)
+        .parallel(parallel)
+        .run()
+        .expect("clean sweep completes")
+}
+
 fn assert_sweep_matches(topo: &Arc<Topology>, set: &TargetSet, cfg: &YarrpConfig, label: &str) {
     let stream = StreamConfig {
         chunk_records: 64, // tiny chunks: many channel round-trips
@@ -54,18 +72,12 @@ fn assert_sweep_matches(topo: &Arc<Topology>, set: &TargetSet, cfg: &YarrpConfig
     };
     let (want_merged, want_per, want_stats) = batch(topo, set, cfg);
     for (mode, sweep) in [
-        (
-            "serial",
-            stream_multi_vantage(topo, &VANTAGES, set, cfg, &stream),
-        ),
-        (
-            "parallel",
-            stream_multi_vantage_parallel(topo, &VANTAGES, set, cfg, &stream),
-        ),
+        ("serial", sweep(topo, set, cfg, &stream, false)),
+        ("parallel", sweep(topo, set, cfg, &stream, true)),
     ] {
-        assert_eq!(sweep.per_vantage.len(), 3, "{label} [{mode}]");
-        for (v, ((ts, _), want)) in sweep.per_vantage.iter().zip(&want_per).enumerate() {
-            assert_eq!(ts, want, "{label} [{mode}] vantage {v} diverged");
+        assert_eq!(sweep.runs.len(), 3, "{label} [{mode}]");
+        for (v, (run, want)) in sweep.runs.iter().zip(&want_per).enumerate() {
+            assert_eq!(&run.traces, want, "{label} [{mode}] vantage {v} diverged");
         }
         assert_eq!(
             sweep.merged, want_merged,
@@ -145,15 +157,15 @@ fn multi_vantage_streaming_matches_batch_fill_and_neighborhood() {
 #[test]
 fn merged_union_covers_every_vantage() {
     let (topo, set) = fixture(4712);
-    let sweep = stream_multi_vantage_parallel(
+    let sweep = sweep(
         &topo,
-        &VANTAGES,
         &set,
         &YarrpConfig::default(),
         &StreamConfig::default(),
+        true,
     );
-    let union = analysis::vantage_union_count(sweep.per_vantage.iter().map(|(ts, _)| ts));
-    for (ts, _) in &sweep.per_vantage {
+    let union = analysis::vantage_union_count(sweep.runs.iter().map(|r| &r.traces));
+    for ts in sweep.runs.iter().map(|r| &r.traces) {
         assert!(ts.interface_words().len() as u64 <= union);
         for w in ts.interner().words() {
             assert!(

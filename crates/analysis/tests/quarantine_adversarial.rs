@@ -7,18 +7,13 @@
 //! The clean-input contract rides along: quarantining a campaign with
 //! no hostile responders returns the input verbatim.
 
-use analysis::{
-    quarantine, quarantine_all, stream_campaigns_parallel, stream_campaigns_serial,
-    QuarantineConfig, TraceSet,
-};
+use analysis::{quarantine, quarantine_all, CampaignRunner, QuarantineConfig, TraceSet};
 use simnet::config::TopologyConfig;
 use simnet::{AdversarialClass, AdversarialSchedule, Topology};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use targets::TargetSet;
-use yarrp6::campaign::CampaignSpec;
 use yarrp6::sink::StreamConfig;
-use yarrp6::YarrpConfig;
 
 /// Marks every `stride`-th router permanently hostile, cycling through
 /// `classes`, and returns the poisoned topology.
@@ -45,24 +40,20 @@ fn targets_of(topo: &Topology, n: usize) -> TargetSet {
 }
 
 fn run_all(topo: &Arc<Topology>, set: &TargetSet, parallel: bool) -> Vec<TraceSet> {
-    let cfg = YarrpConfig::default();
-    let specs: Vec<CampaignSpec> = (0..3u8)
-        .map(|v| CampaignSpec {
-            vantage_idx: v,
-            set,
-            cfg,
+    CampaignRunner::new(topo)
+        .targets(set)
+        .vantages(&[0, 1, 2])
+        .streaming(StreamConfig {
+            chunk_records: 64,
+            channel_chunks: 2,
         })
-        .collect();
-    let stream = StreamConfig {
-        chunk_records: 64,
-        channel_chunks: 2,
-    };
-    let run = if parallel {
-        stream_campaigns_parallel(topo, &specs, &stream)
-    } else {
-        stream_campaigns_serial(topo, &specs, &stream)
-    };
-    run.into_iter().map(|(ts, _)| ts).collect()
+        .parallel(parallel)
+        .run()
+        .expect("hostile responders do not fail campaigns")
+        .runs
+        .into_iter()
+        .map(|r| r.traces)
+        .collect()
 }
 
 /// Every interface address a cleaned set still carries must belong to a

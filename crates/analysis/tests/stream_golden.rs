@@ -7,16 +7,16 @@
 //! rewriting — and on adversarial synthetic record streams with
 //! arbitrary chunk boundaries.
 
-use analysis::{stream_campaign, stream_campaigns_parallel, TraceSet, TraceSetBuilder};
+use analysis::{stream_campaigns_supervised, CampaignRunner, TraceSet, TraceSetBuilder};
 use proptest::prelude::*;
 use simnet::config::TopologyConfig;
-use simnet::Topology;
+use simnet::{EngineStats, Topology};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use targets::TargetSet;
 use v6packet::icmp6::DestUnreachCode;
 use v6packet::probe::Protocol;
-use yarrp6::campaign::{run_campaign, CampaignSpec};
+use yarrp6::campaign::{run_campaign, CampaignSpec, RetryPolicy};
 use yarrp6::sink::StreamConfig;
 use yarrp6::yarrp::Neighborhood;
 use yarrp6::{ProbeLog, ResponseKind, ResponseRecord, YarrpConfig};
@@ -32,6 +32,26 @@ fn fixture(seed: u64) -> (Arc<Topology>, TargetSet) {
 /// reproduce.
 fn batch(topo: &Arc<Topology>, v: u8, set: &TargetSet, cfg: &YarrpConfig) -> TraceSet {
     TraceSet::from_log(&run_campaign(topo, v, set, cfg).log)
+}
+
+/// The streaming path under test: one campaign through the runner.
+fn stream_campaign(
+    topo: &Arc<Topology>,
+    v: u8,
+    set: &TargetSet,
+    cfg: &YarrpConfig,
+    stream: &StreamConfig,
+) -> (TraceSet, EngineStats) {
+    let run = CampaignRunner::new(topo)
+        .targets(set)
+        .vantage(v)
+        .config(*cfg)
+        .streaming(*stream)
+        .run()
+        .expect("clean campaign completes")
+        .runs
+        .remove(0);
+    (run.traces, run.stats)
 }
 
 #[test]
@@ -106,12 +126,20 @@ fn parallel_streamed_sweep_matches_batch_sets() {
             cfg,
         })
         .collect();
-    let results = stream_campaigns_parallel(&topo, &specs, &StreamConfig::default());
+    let results = stream_campaigns_supervised(
+        &topo,
+        &specs,
+        &StreamConfig::default(),
+        &RetryPolicy::NONE,
+        0,
+        true,
+    );
     assert_eq!(results.len(), 3);
-    for (v, (ts, stats)) in results.iter().enumerate() {
+    for (v, sc) in results.iter().enumerate() {
+        let ts = sc.output().expect("clean campaign completes");
         let b = run_campaign(&topo, v as u8, &set, &cfg);
         assert_eq!(*ts, TraceSet::from_log(&b.log), "vantage {v}");
-        assert_eq!(*stats, b.engine_stats, "vantage {v}");
+        assert_eq!(sc.stats, b.engine_stats, "vantage {v}");
         assert_eq!(&*ts.vantage, &*b.log.vantage, "vantage name {v}");
         assert_eq!(&*ts.target_set, "stream-golden");
     }

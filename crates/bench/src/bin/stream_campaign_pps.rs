@@ -23,11 +23,12 @@
 //! * `BENCH_STREAM_MIN_RATIO` — fail when streaming/batch end-to-end
 //!   throughput drops below this (the CI regression gate)
 
-use analysis::{stream_campaign, TraceSet};
+use analysis::{CampaignRunner, TraceSet};
 use simnet::config::TopologyConfig;
-use simnet::EngineStats;
+use simnet::{EngineStats, Topology};
 use std::sync::Arc;
 use std::time::Instant;
+use targets::TargetSet;
 use yarrp6::campaign::run_campaign;
 use yarrp6::sink::StreamConfig;
 use yarrp6::{ResponseKind, ResponseRecord, YarrpConfig};
@@ -37,6 +38,27 @@ fn env_usize(name: &str, default: usize) -> usize {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(default)
+}
+
+/// The streaming path under measurement: one campaign through the
+/// runner (prober → bounded channel → `TraceSetBuilder`).
+fn stream_campaign(
+    topo: &Arc<Topology>,
+    vantage: u8,
+    set: &TargetSet,
+    cfg: &YarrpConfig,
+    stream: &StreamConfig,
+) -> (TraceSet, EngineStats) {
+    let run = CampaignRunner::new(topo)
+        .targets(set)
+        .vantage(vantage)
+        .config(*cfg)
+        .streaming(*stream)
+        .run()
+        .expect("a campaign on a fault-free network cannot fail")
+        .runs
+        .remove(0);
+    (run.traces, run.stats)
 }
 
 struct Measurement {

@@ -25,15 +25,12 @@
 //!   below this (the CI smoke gate sets 1.2: vantage diversity must
 //!   keep paying)
 
-use analysis::{
-    stream_multi_vantage_parallel, vantage_contributions, vantage_jaccard, vantage_union_count,
-};
+use analysis::{vantage_contributions, vantage_jaccard, vantage_union_count, CampaignRunner};
 use beholder_bench::fmt::human;
 use simnet::config::TopologyConfig;
 use std::sync::Arc;
 use std::time::Instant;
 use targets::{stride_sample, IidStrategy, TargetCatalog, TargetSet};
-use yarrp6::sink::StreamConfig;
 use yarrp6::YarrpConfig;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -64,11 +61,16 @@ fn main() {
     let per_vantage_budget = set.len() as u64 * yarrp.max_ttl as u64;
 
     let t0 = Instant::now();
-    let sweep =
-        stream_multi_vantage_parallel(&topo, &vantages, &set, &yarrp, &StreamConfig::default());
+    let sweep = CampaignRunner::new(&topo)
+        .targets(&set)
+        .vantages(&vantages)
+        .config(yarrp)
+        .parallel(true)
+        .run()
+        .expect("a sweep on a fault-free network cannot fail");
     let elapsed = t0.elapsed().as_secs_f64();
 
-    let per = || sweep.per_vantage.iter().map(|(ts, _)| ts);
+    let per = || sweep.runs.iter().map(|r| &r.traces);
     let rows = vantage_contributions(per());
     let jac = vantage_jaccard(per());
     let union = vantage_union_count(per());
@@ -80,14 +82,14 @@ fn main() {
         human(set.len() as u64),
         human(per_vantage_budget)
     );
-    for (r, (_, es)) in rows.iter().zip(&sweep.per_vantage) {
+    for (r, run) in rows.iter().zip(&sweep.runs) {
         println!(
             "  {:<9}: {:>7} interfaces ({:>5} exclusive, {:>5.1}% of union), {:>9} probes",
             r.vantage,
             human(r.interfaces),
             human(r.exclusive),
             100.0 * r.union_share,
-            human(es.probes),
+            human(run.stats.probes),
         );
     }
     for i in 0..rows.len() {

@@ -2,40 +2,44 @@
 //!
 //! A campaign is `(vantage, target set, prober config)` run against a
 //! fresh [`Engine`] (fresh token buckets — campaigns are independent, as
-//! the paper launched its 54 campaigns separately). The parallel driver
-//! keeps a fixed pool of worker threads pulling campaign indices from a
-//! shared atomic queue, so a slow campaign never stalls unrelated ones;
-//! the engine is per-campaign so no locking is needed beyond the shared,
-//! read-only topology.
+//! the paper launched its 54 campaigns separately). There are two ways
+//! to run one, and one way to run many of either:
 //!
-//! The **streaming** drivers ([`run_campaign_streaming`],
-//! [`run_campaigns_parallel_streaming`]) run the prober and a consumer
-//! concurrently, connected by the bounded chunk channel of
-//! [`crate::sink`]: the consumer sees fixed-size record chunks as they
-//! are produced and the campaign's full log never exists in memory.
-//! They are generic over the consumer; `analysis::stream_campaign`
-//! feeds an incremental trace builder and returns the finished
-//! `TraceSet` directly.
+//! * **batch** — [`run_campaign`] returns the campaign's whole
+//!   [`ProbeLog`]; [`try_run_campaigns_parallel`] does that for a list
+//!   of [`CampaignSpec`]s.
+//! * **streaming** — [`run_campaigns_streaming`] runs each campaign's
+//!   prober on its own thread, connected by the bounded chunk channel
+//!   of [`crate::sink`] to a caller-supplied consumer: the consumer
+//!   sees fixed-size record chunks as they are produced and the
+//!   campaign's full log never exists in memory. `analysis` installs an
+//!   incremental trace builder as that consumer.
+//!
+//! Many campaigns share one worker pool: a fixed set of threads pulling
+//! campaign indices from a shared atomic queue, so a slow campaign never
+//! stalls unrelated ones; the engine is per-campaign so no locking is
+//! needed beyond the shared, read-only topology. Results come back in
+//! input order and are bit-identical whether the pool or the calling
+//! thread ran them.
 //!
 //! ## Fault tolerance
 //!
-//! Every driver has a `try_` form returning [`CampaignError`] instead
-//! of panicking: a prober-thread panic, a consumer panic, a
-//! disconnected record stream or a lost pool worker each map to a
-//! variant tagged with the failed campaign, so a multi-campaign run
-//! keeps its completed results. On top of the `try_` layer,
-//! [`run_campaign_supervised`] retries a failed or blacked-out campaign
-//! with bounded exponential backoff — *in virtual time*, so a retry
-//! deterministically lands later on the fault schedule's clock (see
-//! [`simnet::fault`]) and a transient outage heals without any wall
-//! clock involved. Exhausted retries return a [`SupervisedCampaign`]
-//! tagged `degraded` with the error preserved, never a panic.
+//! No driver panics on a failed campaign: a prober-thread panic, a
+//! consumer panic, a disconnected record stream or a lost pool worker
+//! each map to a [`CampaignError`] tagged with the failed campaign, so
+//! a multi-campaign run keeps its completed results. Every streaming
+//! campaign runs under [`supervise`], which retries a failed or
+//! blacked-out attempt with bounded exponential backoff — *in virtual
+//! time*, so a retry deterministically lands later on the fault
+//! schedule's clock (see [`simnet::fault`]) and a transient outage
+//! heals without any wall clock involved. Exhausted retries come back
+//! tagged `degraded` with the error preserved. "Unsupervised" is the
+//! same path under [`RetryPolicy::NONE`].
 
 use crate::record::ProbeLog;
 use crate::sink::{RecordStream, StreamConfig};
 use crate::yarrp::{self, YarrpConfig};
 use simnet::{Engine, EngineStats, Topology};
-use std::net::Ipv6Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -50,7 +54,6 @@ pub struct CampaignResult {
     /// The simulator's view.
     pub engine_stats: EngineStats,
 }
-
 /// Why a campaign failed — every variant names the campaign it came
 /// from, so a multi-campaign driver can keep its completed results and
 /// report exactly which `(vantage, target set)` went down.
@@ -137,24 +140,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Shared body of the batch campaign runners: fresh engine, one Yarrp6
-/// run, the set name stamped onto the log.
-fn run_campaign_named(
-    topo: &Arc<Topology>,
-    vantage_idx: u8,
-    set_name: Arc<str>,
-    addrs: &[Ipv6Addr],
-    cfg: &YarrpConfig,
-) -> CampaignResult {
-    let mut engine = Engine::new(topo.clone());
-    let mut log = yarrp::run(&mut engine, vantage_idx, addrs, cfg);
-    log.target_set = set_name;
-    CampaignResult {
-        log,
-        engine_stats: engine.stats,
-    }
-}
-
 /// Runs one Yarrp6 campaign on a fresh engine.
 pub fn run_campaign(
     topo: &Arc<Topology>,
@@ -162,18 +147,88 @@ pub fn run_campaign(
     set: &TargetSet,
     cfg: &YarrpConfig,
 ) -> CampaignResult {
-    run_campaign_named(topo, vantage_idx, set.name.clone(), &set.addrs, cfg)
+    let mut engine = Engine::new(topo.clone());
+    let mut log = yarrp::run(&mut engine, vantage_idx, &set.addrs, cfg);
+    log.target_set = set.name.clone();
+    CampaignResult {
+        log,
+        engine_stats: engine.stats,
+    }
 }
 
-/// Runs one Yarrp6 campaign over raw addresses (trial harness).
-pub fn run_campaign_addrs(
+/// A campaign specification for the many-campaign drivers.
+pub struct CampaignSpec<'a> {
+    /// Vantage index.
+    pub vantage_idx: u8,
+    /// Target set to probe.
+    pub set: &'a TargetSet,
+    /// Prober configuration.
+    pub cfg: YarrpConfig,
+}
+
+/// The workspace's one work queue: maps `f` over `0..n`, results in
+/// index order. With `parallel`, a fixed pool of worker threads (bounded
+/// by the machine) claims indices from a shared atomic counter — unlike
+/// a wave-join, no worker ever idles behind a slow item in its wave: the
+/// pool stays busy until the queue drains. Otherwise `f` runs on the
+/// calling thread. A slot is `None` only when its worker died without
+/// reporting.
+pub fn pool_map<R: Send>(
+    n: usize,
+    parallel: bool,
+    f: impl Fn(usize) -> R + Sync,
+) -> Vec<Option<R>> {
+    if !parallel {
+        return (0..n).map(|i| Some(f(i))).collect();
+    }
+    let workers = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(4)
+        .min(n);
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<(usize, R)>();
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            let (tx, next, f) = (tx.clone(), &next, &f);
+            s.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n || tx.send((i, f(i))).is_err() {
+                    break;
+                }
+            });
+        }
+    });
+    drop(tx);
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (i, r) in rx {
+        out[i] = Some(r);
+    }
+    out
+}
+
+/// Runs many batch campaigns on the worker pool, returning results in
+/// input order: each slot holds either the finished campaign or the
+/// [`CampaignError`] that took it down — one poisoned campaign does
+/// not abort its siblings.
+pub fn try_run_campaigns_parallel(
     topo: &Arc<Topology>,
-    vantage_idx: u8,
-    set_name: &str,
-    addrs: &[Ipv6Addr],
-    cfg: &YarrpConfig,
-) -> CampaignResult {
-    run_campaign_named(topo, vantage_idx, set_name.into(), addrs, cfg)
+    specs: &[CampaignSpec<'_>],
+) -> Vec<Result<CampaignResult, CampaignError>> {
+    pool_map(specs.len(), true, |i| {
+        let spec = &specs[i];
+        catch_unwind(AssertUnwindSafe(|| {
+            run_campaign(topo, spec.vantage_idx, spec.set, &spec.cfg)
+        }))
+        .map_err(|payload| CampaignError::ProberPanic {
+            vantage_idx: spec.vantage_idx,
+            target_set: spec.set.name.clone(),
+            message: panic_message(payload),
+        })
+    })
+    .into_iter()
+    .enumerate()
+    .map(|(i, r)| r.unwrap_or(Err(CampaignError::WorkerLost { campaign: i })))
+    .collect()
 }
 
 /// A finished *streaming* campaign: whatever the consumer produced,
@@ -191,8 +246,9 @@ pub struct StreamedCampaign<T> {
     pub engine_stats: EngineStats,
 }
 
-/// Runs one Yarrp6 campaign with the prober on a spawned thread and
-/// `consume` draining the bounded record stream on the calling thread.
+/// One streaming attempt — the only place a campaign thread is spawned:
+/// the prober runs on a scoped thread while `consume` drains the bounded
+/// record stream on the calling thread.
 ///
 /// The prober blocks when the consumer falls `stream.channel_chunks`
 /// chunks behind (backpressure bounds memory); the consumer's
@@ -201,54 +257,19 @@ pub struct StreamedCampaign<T> {
 /// its final [`ProbeLog::sort_by_recv`]; an order-sensitive consumer
 /// (like `analysis`'s trace builder) accounts for that itself.
 ///
-/// Panics on campaign failure; [`try_run_campaign_streaming`] is the
-/// non-panicking form.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `try_run_campaign_streaming` or `analysis`'s `CampaignRunner`"
-)]
-pub fn run_campaign_streaming<T>(
+/// `start_us` is the attempt's start on the fault schedule's virtual
+/// clock: the engine evaluates its [`simnet::FaultSchedule`] at
+/// `probe send time + start_us` ([`Engine::set_fault_offset`]), so
+/// attempts launched "later" (retries, later adaptive rounds)
+/// deterministically see later parts of scheduled outages.
+fn stream_attempt<T>(
     topo: &Arc<Topology>,
-    vantage_idx: u8,
-    set: &TargetSet,
-    cfg: &YarrpConfig,
-    stream: &StreamConfig,
-    consume: impl FnOnce(RecordStream) -> T,
-) -> StreamedCampaign<T> {
-    try_run_campaign_streaming(topo, vantage_idx, set, cfg, stream, consume)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The non-panicking [`run_campaign_streaming`]: a prober-thread panic
-/// or a consumer that dropped its stream mid-campaign comes back as a
-/// [`CampaignError`] tagged with this campaign's vantage and set.
-pub fn try_run_campaign_streaming<T>(
-    topo: &Arc<Topology>,
-    vantage_idx: u8,
-    set: &TargetSet,
-    cfg: &YarrpConfig,
-    stream: &StreamConfig,
-    consume: impl FnOnce(RecordStream) -> T,
-) -> Result<StreamedCampaign<T>, CampaignError> {
-    try_run_campaign_streaming_at(topo, vantage_idx, set, cfg, stream, 0, consume)
-}
-
-/// [`try_run_campaign_streaming`] with the campaign's start time on the
-/// fault schedule's virtual clock: the engine evaluates its
-/// [`simnet::FaultSchedule`] at `probe send time + start_us`
-/// ([`Engine::set_fault_offset`]), so campaigns launched "later" by the
-/// supervisor (retries, later adaptive rounds) deterministically see
-/// later parts of scheduled outages. With `start_us == 0` (or an empty
-/// schedule) this is exactly [`try_run_campaign_streaming`].
-pub fn try_run_campaign_streaming_at<T>(
-    topo: &Arc<Topology>,
-    vantage_idx: u8,
-    set: &TargetSet,
-    cfg: &YarrpConfig,
+    spec: &CampaignSpec<'_>,
     stream: &StreamConfig,
     start_us: u64,
     consume: impl FnOnce(RecordStream) -> T,
 ) -> Result<StreamedCampaign<T>, CampaignError> {
+    let (vantage_idx, set) = (spec.vantage_idx, spec.set);
     let (sink, records) = RecordStream::channel(stream);
     std::thread::scope(|s| {
         let prober = s.spawn(move || {
@@ -256,7 +277,7 @@ pub fn try_run_campaign_streaming_at<T>(
             engine.set_fault_offset(start_us);
             let mut sink = sink;
             let mut log =
-                yarrp::run_with_sink(&mut engine, vantage_idx, &set.addrs, cfg, &mut sink);
+                yarrp::run_with_sink(&mut engine, vantage_idx, &set.addrs, &spec.cfg, &mut sink);
             let sink_ok = sink.finish().is_ok();
             log.target_set = set.name.clone();
             (log, engine.stats, sink_ok)
@@ -283,265 +304,7 @@ pub fn try_run_campaign_streaming_at<T>(
     })
 }
 
-/// A campaign specification for the parallel driver.
-pub struct CampaignSpec<'a> {
-    /// Vantage index.
-    pub vantage_idx: u8,
-    /// Target set to probe.
-    pub set: &'a TargetSet,
-    /// Prober configuration.
-    pub cfg: YarrpConfig,
-}
-
-/// Runs many campaigns in parallel, returning results in input order.
-///
-/// A fixed pool of worker threads (bounded by the machine) claims
-/// campaign indices from a shared atomic counter. Unlike a wave-join,
-/// no worker ever idles behind a slow campaign in its wave: the pool
-/// stays busy until the queue drains.
-///
-/// Panics on the first failed campaign; [`try_run_campaigns_parallel`]
-/// is the non-panicking form.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `try_run_campaigns_parallel` or `analysis`'s `CampaignRunner`"
-)]
-pub fn run_campaigns_parallel(
-    topo: &Arc<Topology>,
-    specs: &[CampaignSpec<'_>],
-) -> Vec<CampaignResult> {
-    try_run_campaigns_parallel(topo, specs)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-        .collect()
-}
-
-/// The non-panicking [`run_campaigns_parallel`]: each slot holds either
-/// the finished campaign or the [`CampaignError`] that took it down —
-/// one poisoned campaign no longer aborts its siblings.
-pub fn try_run_campaigns_parallel(
-    topo: &Arc<Topology>,
-    specs: &[CampaignSpec<'_>],
-) -> Vec<Result<CampaignResult, CampaignError>> {
-    if specs.is_empty() {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(specs.len());
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Result<CampaignResult, CampaignError>)>();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = specs.get(i) else { break };
-                let res = catch_unwind(AssertUnwindSafe(|| {
-                    run_campaign(topo, spec.vantage_idx, spec.set, &spec.cfg)
-                }))
-                .map_err(|payload| CampaignError::ProberPanic {
-                    vantage_idx: spec.vantage_idx,
-                    target_set: spec.set.name.clone(),
-                    message: panic_message(payload),
-                });
-                if tx.send((i, res)).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut out: Vec<Option<Result<CampaignResult, CampaignError>>> =
-        (0..specs.len()).map(|_| None).collect();
-    for (i, r) in rx {
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .enumerate()
-        .map(|(i, r)| r.unwrap_or(Err(CampaignError::WorkerLost { campaign: i })))
-        .collect()
-}
-
-/// Runs many campaigns one after another, each streaming into its own
-/// consumer, returning results in input order — the serial counterpart
-/// of [`run_campaigns_parallel_streaming`], with the identical
-/// per-campaign behavior (fresh engine, bounded channel, consumer built
-/// by `make_consumer`). Campaign results are deterministic and
-/// engine-isolated, so the two drivers produce bit-identical results;
-/// the adaptive discovery loop pins that equivalence in its tests.
-///
-/// Panics on the first failed campaign;
-/// [`try_run_campaigns_serial_streaming`] is the non-panicking form.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `try_run_campaigns_serial_streaming` or `analysis`'s `CampaignRunner`"
-)]
-pub fn run_campaigns_serial_streaming<T, C, F>(
-    topo: &Arc<Topology>,
-    specs: &[CampaignSpec<'_>],
-    stream: &StreamConfig,
-    make_consumer: F,
-) -> Vec<StreamedCampaign<T>>
-where
-    C: FnOnce(RecordStream) -> T,
-    F: Fn(usize, &CampaignSpec<'_>) -> C,
-{
-    try_run_campaigns_serial_streaming(topo, specs, stream, make_consumer)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-        .collect()
-}
-
-/// The non-panicking [`run_campaigns_serial_streaming`]: per-slot
-/// `Result`s, with prober panics, consumer panics and stream
-/// disconnects all captured as [`CampaignError`]s.
-pub fn try_run_campaigns_serial_streaming<T, C, F>(
-    topo: &Arc<Topology>,
-    specs: &[CampaignSpec<'_>],
-    stream: &StreamConfig,
-    make_consumer: F,
-) -> Vec<Result<StreamedCampaign<T>, CampaignError>>
-where
-    C: FnOnce(RecordStream) -> T,
-    F: Fn(usize, &CampaignSpec<'_>) -> C,
-{
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            catch_unwind(AssertUnwindSafe(|| {
-                let consumer = make_consumer(i, spec);
-                try_run_campaign_streaming(
-                    topo,
-                    spec.vantage_idx,
-                    spec.set,
-                    &spec.cfg,
-                    stream,
-                    consumer,
-                )
-            }))
-            .unwrap_or_else(|payload| {
-                Err(CampaignError::ConsumerPanic {
-                    vantage_idx: spec.vantage_idx,
-                    target_set: spec.set.name.clone(),
-                    message: panic_message(payload),
-                })
-            })
-        })
-        .collect()
-}
-
-/// Runs many campaigns in parallel, each streaming into its own
-/// consumer, returning results in input order.
-///
-/// The worker pool is the same atomic work queue as
-/// [`run_campaigns_parallel`]; each claimed campaign runs as a
-/// [`run_campaign_streaming`] pair (prober thread + the worker thread
-/// consuming), so at no point does any campaign hold its full record
-/// log — peak record memory per campaign is
-/// [`StreamConfig::max_buffered_records`].
-///
-/// `make_consumer` is called on the worker thread once per campaign
-/// (with the campaign's index into `specs`) to create that campaign's
-/// consumer — e.g. a fresh incremental trace builder.
-///
-/// Panics on the first failed campaign;
-/// [`try_run_campaigns_parallel_streaming`] is the non-panicking form.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `try_run_campaigns_parallel_streaming` or `analysis`'s `CampaignRunner`"
-)]
-pub fn run_campaigns_parallel_streaming<T, C, F>(
-    topo: &Arc<Topology>,
-    specs: &[CampaignSpec<'_>],
-    stream: &StreamConfig,
-    make_consumer: F,
-) -> Vec<StreamedCampaign<T>>
-where
-    T: Send,
-    C: FnOnce(RecordStream) -> T,
-    F: Fn(usize, &CampaignSpec<'_>) -> C + Sync,
-{
-    try_run_campaigns_parallel_streaming(topo, specs, stream, make_consumer)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-        .collect()
-}
-
-/// The non-panicking [`run_campaigns_parallel_streaming`]: per-slot
-/// `Result`s in input order. A campaign failure (prober panic, consumer
-/// panic, stream disconnect) fills its own slot with the error; a
-/// worker thread dying outright marks its unreported campaigns
-/// [`CampaignError::WorkerLost`]. Completed campaigns are always kept.
-pub fn try_run_campaigns_parallel_streaming<T, C, F>(
-    topo: &Arc<Topology>,
-    specs: &[CampaignSpec<'_>],
-    stream: &StreamConfig,
-    make_consumer: F,
-) -> Vec<Result<StreamedCampaign<T>, CampaignError>>
-where
-    T: Send,
-    C: FnOnce(RecordStream) -> T,
-    F: Fn(usize, &CampaignSpec<'_>) -> C + Sync,
-{
-    if specs.is_empty() {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(specs.len());
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Result<StreamedCampaign<T>, CampaignError>)>();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let make_consumer = &make_consumer;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = specs.get(i) else { break };
-                let res = catch_unwind(AssertUnwindSafe(|| {
-                    let consumer = make_consumer(i, spec);
-                    try_run_campaign_streaming(
-                        topo,
-                        spec.vantage_idx,
-                        spec.set,
-                        &spec.cfg,
-                        stream,
-                        consumer,
-                    )
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(CampaignError::ConsumerPanic {
-                        vantage_idx: spec.vantage_idx,
-                        target_set: spec.set.name.clone(),
-                        message: panic_message(payload),
-                    })
-                });
-                if tx.send((i, res)).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut out: Vec<Option<Result<StreamedCampaign<T>, CampaignError>>> =
-        (0..specs.len()).map(|_| None).collect();
-    for (i, r) in rx {
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .enumerate()
-        .map(|(i, r)| r.unwrap_or(Err(CampaignError::WorkerLost { campaign: i })))
-        .collect()
-}
-
-/// Retry policy of the campaign supervisor
-/// ([`run_campaign_supervised`]): bounded exponential backoff on the
+/// Retry policy of [`supervise`]: bounded exponential backoff on the
 /// virtual clock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -570,6 +333,14 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// No supervision: one attempt, nothing retried. An "unsupervised"
+    /// campaign is a supervised one under this policy.
+    pub const NONE: RetryPolicy = RetryPolicy {
+        max_retries: 0,
+        base_backoff_us: 0,
+        retry_blackout: false,
+    };
+
     /// Backoff before retry `attempt` (0-based): exponential, capped at
     /// `base << 20` so the virtual clock cannot overflow.
     pub fn backoff_us(&self, attempt: u32) -> u64 {
@@ -582,11 +353,95 @@ impl RetryPolicy {
     }
 }
 
-/// The outcome of one supervised campaign ([`run_campaign_supervised`]):
-/// the last attempt's result (if any attempt completed), the error that
-/// exhausted the retries (if none did), and accounting that covers
-/// *every* attempt — retries inject real probes, so their cost must be
-/// visible to budget keepers.
+/// What one completed attempt reports back to [`supervise`].
+#[derive(Clone, Debug)]
+pub struct Attempt<T> {
+    /// The attempt's product.
+    pub output: T,
+    /// The attempt's engine accounting.
+    pub stats: EngineStats,
+    /// Virtual time the attempt occupied.
+    pub duration_us: u64,
+    /// The attempt completed but probed into an outage: the engine
+    /// charged injected-fault drops and nothing answered.
+    pub blackout: bool,
+}
+
+/// The outcome of [`supervise`]: the last attempt's product (if any
+/// attempt completed), the error that exhausted the retries (if none
+/// did), and accounting that covers *every* attempt — retries inject
+/// real probes, so their cost must be visible to budget keepers.
+#[derive(Clone, Debug)]
+pub struct Supervised<T, E> {
+    /// The final completed attempt's output, or `None` when every
+    /// attempt failed hard.
+    pub result: Option<T>,
+    /// The error that ended the last failed attempt, when `result` is
+    /// `None`.
+    pub error: Option<E>,
+    /// Engine accounting merged over **all completed attempts** —
+    /// blacked-out attempts burn probes too.
+    pub stats: EngineStats,
+    /// Attempts made (1 = first try succeeded).
+    pub attempts: u32,
+    /// Virtual time the whole supervised run occupied: every attempt's
+    /// duration plus every backoff.
+    pub elapsed_us: u64,
+    /// Every retry failed hard, or the final attempt was still a
+    /// blackout.
+    pub degraded: bool,
+}
+
+/// The retry loop behind every supervised measurement (streaming
+/// campaigns here, speedtrap in `aliasres`): `attempt` is called with
+/// its start time on the **virtual** clock — `start_us` for the first,
+/// then where the previous attempt's virtual time plus backoff ended,
+/// so against a [`simnet::FaultSchedule`] the retry sequence is exactly
+/// reproducible. An attempt that returns `Err`, panics (`on_panic` turns
+/// the payload message into the caller's error) or reports a
+/// [blackout](Attempt::blackout) is retried per `policy`; partial
+/// output of a failed attempt is discarded. After
+/// `policy.max_attempts()` the run comes back `degraded` instead of
+/// panicking.
+pub fn supervise<T, E>(
+    policy: &RetryPolicy,
+    start_us: u64,
+    mut attempt: impl FnMut(u64) -> Result<Attempt<T>, E>,
+    on_panic: impl Fn(String) -> E,
+) -> Supervised<T, E> {
+    let max_attempts = policy.max_attempts();
+    let mut stats = EngineStats::default();
+    let mut clock = start_us;
+    let mut attempts = 0u32;
+    loop {
+        let res = catch_unwind(AssertUnwindSafe(|| attempt(clock)))
+            .unwrap_or_else(|payload| Err(on_panic(panic_message(payload))));
+        attempts += 1;
+        let last = attempts == max_attempts;
+        let done = match res {
+            Ok(a) => {
+                stats.merge(&a.stats);
+                clock = clock.saturating_add(a.duration_us);
+                let retry = a.blackout && policy.retry_blackout && !last;
+                (!retry).then_some((Some(a.output), None, a.blackout))
+            }
+            Err(e) => last.then_some((None, Some(e), true)),
+        };
+        if let Some((result, error, degraded)) = done {
+            return Supervised {
+                result,
+                error,
+                stats,
+                attempts,
+                elapsed_us: clock - start_us,
+                degraded,
+            };
+        }
+        clock = clock.saturating_add(policy.backoff_us(attempts - 1));
+    }
+}
+
+/// One campaign's [`Supervised`] outcome, tagged with its vantage.
 #[derive(Clone, Debug)]
 pub struct SupervisedCampaign<T> {
     /// Vantage the campaign probed from.
@@ -597,14 +452,12 @@ pub struct SupervisedCampaign<T> {
     /// The error that ended the last failed attempt, when `result` is
     /// `None`.
     pub error: Option<CampaignError>,
-    /// Engine accounting merged over **all completed attempts** —
-    /// blacked-out attempts burn probes too.
+    /// Engine accounting merged over **all completed attempts**.
     pub stats: EngineStats,
     /// Attempts made (1 = first try succeeded).
     pub attempts: u32,
-    /// Virtual time the whole supervised campaign occupied: every
-    /// attempt's duration plus every backoff. The supervisor's global
-    /// clock advances by this.
+    /// Virtual time the whole supervised campaign occupied. The
+    /// caller's global clock advances by this.
     pub elapsed_us: u64,
     /// The campaign ended degraded: every retry failed hard, or the
     /// final attempt was still a blackout (faults charged, zero
@@ -619,136 +472,26 @@ impl<T> SupervisedCampaign<T> {
     }
 }
 
-/// Runs one streaming campaign under supervision: failed attempts
-/// (prober panic, consumer panic, stream disconnect) and blacked-out
-/// attempts (injected-fault drops, zero responses) are retried with
-/// exponential backoff on the **virtual** clock, each attempt starting
-/// where the previous one's virtual time (plus backoff) ended — so
-/// against a [`simnet::FaultSchedule`] the retry sequence is exactly
-/// reproducible. `make_consumer` is called once per attempt with the
-/// attempt index (a fresh consumer per attempt; partial output from a
-/// failed attempt is discarded). After `policy.max_attempts()` the
-/// campaign comes back `degraded` instead of panicking.
+/// Runs many streaming campaigns, each under [`supervise`], returning
+/// outcomes in input order. Never panics; per-campaign outcomes carry
+/// their own errors, so completed campaigns survive a failed sibling.
 ///
-/// `start_us` is this campaign's start on the supervisor's global
-/// virtual clock (0 when campaigns are not sequenced across rounds).
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_supervised<T, C, F>(
-    topo: &Arc<Topology>,
-    vantage_idx: u8,
-    set: &TargetSet,
-    cfg: &YarrpConfig,
-    stream: &StreamConfig,
-    policy: &RetryPolicy,
-    start_us: u64,
-    make_consumer: F,
-) -> SupervisedCampaign<T>
-where
-    C: FnOnce(RecordStream) -> T,
-    F: Fn(u32) -> C,
-{
-    let max_attempts = policy.max_attempts().max(1);
-    let mut stats = EngineStats::default();
-    let mut clock = start_us;
-    let mut attempt = 0u32;
-    loop {
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            let consume = make_consumer(attempt);
-            try_run_campaign_streaming_at(topo, vantage_idx, set, cfg, stream, clock, consume)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(CampaignError::ConsumerPanic {
-                vantage_idx,
-                target_set: set.name.clone(),
-                message: panic_message(payload),
-            })
-        });
-        attempt += 1;
-        match res {
-            Ok(run) => {
-                stats.merge(&run.engine_stats);
-                clock = clock.saturating_add(run.log.duration_us);
-                let blackout =
-                    run.engine_stats.fault_dropped_total() > 0 && run.engine_stats.responses() == 0;
-                if blackout && policy.retry_blackout && attempt < max_attempts {
-                    clock = clock.saturating_add(policy.backoff_us(attempt - 1));
-                    continue;
-                }
-                return SupervisedCampaign {
-                    vantage_idx,
-                    result: Some(run),
-                    error: None,
-                    stats,
-                    attempts: attempt,
-                    elapsed_us: clock - start_us,
-                    degraded: blackout,
-                };
-            }
-            Err(e) => {
-                if attempt < max_attempts {
-                    clock = clock.saturating_add(policy.backoff_us(attempt - 1));
-                    continue;
-                }
-                return SupervisedCampaign {
-                    vantage_idx,
-                    result: None,
-                    error: Some(e),
-                    stats,
-                    attempts: attempt,
-                    elapsed_us: clock - start_us,
-                    degraded: true,
-                };
-            }
-        }
-    }
-}
-
-/// Runs many supervised campaigns one after another, every campaign
-/// starting at the same `start_us` on the global virtual clock (they
-/// model concurrent vantage campaigns of one round). Never panics;
-/// per-campaign outcomes carry their own errors.
-pub fn run_campaigns_supervised_serial<T, C, F>(
+/// `make_consumer` is called once per attempt (with the campaign's
+/// index into `specs`), on the thread that runs the campaign, to create
+/// that attempt's consumer — e.g. a fresh incremental trace builder.
+/// Every campaign starts at the same `start_us` on the global virtual
+/// clock (they model concurrent vantage campaigns of one round).
+/// `parallel` picks the worker pool over the calling thread; the two are
+/// bit-identical (campaigns are engine-isolated and every attempt's
+/// clock is derived from `start_us`, not from wall time). Peak record
+/// memory per campaign is [`StreamConfig::max_buffered_records`].
+pub fn run_campaigns_streaming<T, C, F>(
     topo: &Arc<Topology>,
     specs: &[CampaignSpec<'_>],
     stream: &StreamConfig,
     policy: &RetryPolicy,
     start_us: u64,
-    make_consumer: F,
-) -> Vec<SupervisedCampaign<T>>
-where
-    C: FnOnce(RecordStream) -> T,
-    F: Fn(usize, &CampaignSpec<'_>) -> C,
-{
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            run_campaign_supervised(
-                topo,
-                spec.vantage_idx,
-                spec.set,
-                &spec.cfg,
-                stream,
-                policy,
-                start_us,
-                |_attempt| make_consumer(i, spec),
-            )
-        })
-        .collect()
-}
-
-/// The work-queue counterpart of [`run_campaigns_supervised_serial`]:
-/// supervised campaigns on the parallel pool, results in input order,
-/// bit-identical to the serial driver (campaigns are engine-isolated
-/// and every attempt's virtual clock is derived from `start_us`, not
-/// from wall time). A worker dying outright yields a degraded
-/// [`CampaignError::WorkerLost`] slot instead of a panic.
-pub fn run_campaigns_supervised_parallel<T, C, F>(
-    topo: &Arc<Topology>,
-    specs: &[CampaignSpec<'_>],
-    stream: &StreamConfig,
-    policy: &RetryPolicy,
-    start_us: u64,
+    parallel: bool,
     make_consumer: F,
 ) -> Vec<SupervisedCampaign<T>>
 where
@@ -756,222 +499,105 @@ where
     C: FnOnce(RecordStream) -> T,
     F: Fn(usize, &CampaignSpec<'_>) -> C + Sync,
 {
-    if specs.is_empty() {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(specs.len());
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, SupervisedCampaign<T>)>();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let make_consumer = &make_consumer;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = specs.get(i) else { break };
-                let res = run_campaign_supervised(
-                    topo,
-                    spec.vantage_idx,
-                    spec.set,
-                    &spec.cfg,
-                    stream,
-                    policy,
-                    start_us,
-                    |_attempt| make_consumer(i, spec),
-                );
-                if tx.send((i, res)).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut out: Vec<Option<SupervisedCampaign<T>>> = (0..specs.len()).map(|_| None).collect();
-    for (i, r) in rx {
-        out[i] = Some(r);
-    }
-    out.into_iter()
+    let run_one = |i: usize| {
+        let spec = &specs[i];
+        supervise(
+            policy,
+            start_us,
+            |clock| {
+                let run = stream_attempt(topo, spec, stream, clock, make_consumer(i, spec))?;
+                Ok(Attempt {
+                    stats: run.engine_stats,
+                    duration_us: run.log.duration_us,
+                    blackout: run.engine_stats.fault_dropped_total() > 0
+                        && run.engine_stats.responses() == 0,
+                    output: run,
+                })
+            },
+            |message| CampaignError::ConsumerPanic {
+                vantage_idx: spec.vantage_idx,
+                target_set: spec.set.name.clone(),
+                message,
+            },
+        )
+    };
+    pool_map(specs.len(), parallel, run_one)
+        .into_iter()
         .zip(specs)
         .enumerate()
-        .map(|(i, (r, spec))| {
-            r.unwrap_or(SupervisedCampaign {
-                vantage_idx: spec.vantage_idx,
+        .map(|(i, (run, spec))| {
+            let run = run.unwrap_or(Supervised {
                 result: None,
                 error: Some(CampaignError::WorkerLost { campaign: i }),
                 stats: EngineStats::default(),
                 attempts: 0,
                 elapsed_us: 0,
                 degraded: true,
-            })
+            });
+            SupervisedCampaign {
+                vantage_idx: spec.vantage_idx,
+                result: run.result,
+                error: run.error,
+                stats: run.stats,
+                attempts: run.attempts,
+                elapsed_us: run.elapsed_us,
+                degraded: run.degraded,
+            }
         })
         .collect()
-}
-
-/// A finished multi-vantage sweep: one streamed campaign per vantage
-/// (in input vantage order) over the *same* target set, plus the
-/// engines' accounting merged across all of them. The per-vantage
-/// campaigns are engine-isolated (fresh token buckets each, as the
-/// paper ran its vantages independently), so serial and parallel
-/// execution produce identical sweeps.
-#[derive(Clone, Debug)]
-pub struct VantageSweep<T> {
-    /// Per-vantage streamed campaigns, in `vantages` order.
-    pub runs: Vec<StreamedCampaign<T>>,
-    /// [`EngineStats`] merged over every vantage's engine.
-    pub stats: EngineStats,
-}
-
-/// Builds the per-vantage campaign specs of a sweep: every vantage
-/// probes the same set with the same prober config.
-fn vantage_specs<'a>(
-    vantages: &[u8],
-    set: &'a TargetSet,
-    cfg: &YarrpConfig,
-) -> Vec<CampaignSpec<'a>> {
-    vantages
-        .iter()
-        .map(|&v| CampaignSpec {
-            vantage_idx: v,
-            set,
-            cfg: *cfg,
-        })
-        .collect()
-}
-
-fn sweep_from<T>(runs: Vec<StreamedCampaign<T>>) -> VantageSweep<T> {
-    let stats = EngineStats::merged(runs.iter().map(|r| &r.engine_stats));
-    VantageSweep { runs, stats }
-}
-
-/// Runs one streaming campaign per vantage over the same target set,
-/// one vantage after another (each campaign still overlaps its prober
-/// thread with its consumer). `make_consumer` is called once per
-/// vantage with `(position, vantage index)`.
-///
-/// The cross-vantage merge itself lives downstream (the consumers'
-/// outputs are whatever `T` is); `analysis::stream_multi_vantage`
-/// installs trace builders and folds the finished sets with
-/// `TraceSet::merge_all`.
-///
-/// Panics on the first failed campaign;
-/// [`try_run_multi_vantage_streaming`] is the non-panicking form.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `try_run_multi_vantage_streaming` or `analysis`'s `CampaignRunner`"
-)]
-pub fn run_multi_vantage_streaming<T, C, F>(
-    topo: &Arc<Topology>,
-    vantages: &[u8],
-    set: &TargetSet,
-    cfg: &YarrpConfig,
-    stream: &StreamConfig,
-    make_consumer: F,
-) -> VantageSweep<T>
-where
-    C: FnOnce(RecordStream) -> T,
-    F: Fn(usize, u8) -> C,
-{
-    try_run_multi_vantage_streaming(topo, vantages, set, cfg, stream, make_consumer)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The non-panicking [`run_multi_vantage_streaming`]: the first failed
-/// vantage campaign comes back as its [`CampaignError`].
-pub fn try_run_multi_vantage_streaming<T, C, F>(
-    topo: &Arc<Topology>,
-    vantages: &[u8],
-    set: &TargetSet,
-    cfg: &YarrpConfig,
-    stream: &StreamConfig,
-    make_consumer: F,
-) -> Result<VantageSweep<T>, CampaignError>
-where
-    C: FnOnce(RecordStream) -> T,
-    F: Fn(usize, u8) -> C,
-{
-    let specs = vantage_specs(vantages, set, cfg);
-    let runs: Result<Vec<_>, _> =
-        try_run_campaigns_serial_streaming(topo, &specs, stream, |i, spec| {
-            make_consumer(i, spec.vantage_idx)
-        })
-        .into_iter()
-        .collect();
-    Ok(sweep_from(runs?))
-}
-
-/// The concurrent variant of [`run_multi_vantage_streaming`]: one
-/// prober+consumer pair per vantage on the work-queue pool, results
-/// still in input vantage order — bit-identical to the serial driver
-/// because each vantage runs against its own fresh engine.
-///
-/// Panics on the first failed campaign;
-/// [`try_run_multi_vantage_streaming_parallel`] is the non-panicking
-/// form.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `try_run_multi_vantage_streaming_parallel` or `analysis`'s `CampaignRunner`"
-)]
-pub fn run_multi_vantage_streaming_parallel<T, C, F>(
-    topo: &Arc<Topology>,
-    vantages: &[u8],
-    set: &TargetSet,
-    cfg: &YarrpConfig,
-    stream: &StreamConfig,
-    make_consumer: F,
-) -> VantageSweep<T>
-where
-    T: Send,
-    C: FnOnce(RecordStream) -> T,
-    F: Fn(usize, u8) -> C + Sync,
-{
-    try_run_multi_vantage_streaming_parallel(topo, vantages, set, cfg, stream, make_consumer)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The non-panicking [`run_multi_vantage_streaming_parallel`]: the
-/// first failed vantage campaign comes back as its [`CampaignError`].
-pub fn try_run_multi_vantage_streaming_parallel<T, C, F>(
-    topo: &Arc<Topology>,
-    vantages: &[u8],
-    set: &TargetSet,
-    cfg: &YarrpConfig,
-    stream: &StreamConfig,
-    make_consumer: F,
-) -> Result<VantageSweep<T>, CampaignError>
-where
-    T: Send,
-    C: FnOnce(RecordStream) -> T,
-    F: Fn(usize, u8) -> C + Sync,
-{
-    let specs = vantage_specs(vantages, set, cfg);
-    let runs: Result<Vec<_>, _> =
-        try_run_campaigns_parallel_streaming(topo, &specs, stream, |i, spec| {
-            make_consumer(i, spec.vantage_idx)
-        })
-        .into_iter()
-        .collect();
-    Ok(sweep_from(runs?))
 }
 
 #[cfg(test)]
 mod tests {
-    // The panicking wrappers are deprecated but stay pinned by these
-    // tests until they are removed outright.
-    #![allow(deprecated)]
     use super::*;
+    use crate::record::ResponseRecord;
     use simnet::config::TopologyConfig;
     use simnet::generate::generate;
     use simnet::FaultSchedule;
+    use std::net::Ipv6Addr;
 
     fn fixture() -> (Arc<Topology>, TargetSet) {
         let topo = Arc::new(generate(TopologyConfig::tiny(42)));
         let addrs: Vec<Ipv6Addr> = topo.hosts().map(|(a, _)| a).take(40).collect();
         let set = TargetSet::new("test-set", addrs);
         (topo, set)
+    }
+
+    fn three_vantages(set: &TargetSet, cfg: YarrpConfig) -> Vec<CampaignSpec<'_>> {
+        (0..3u8)
+            .map(|v| CampaignSpec {
+                vantage_idx: v,
+                set,
+                cfg,
+            })
+            .collect()
+    }
+
+    /// The consumer most tests install: every streamed record, in
+    /// emission order.
+    fn collect(_: usize, _: &CampaignSpec<'_>) -> fn(RecordStream) -> Vec<ResponseRecord> {
+        |records| {
+            let mut all = Vec::new();
+            records.for_each_chunk(|c| all.extend_from_slice(c));
+            all
+        }
+    }
+
+    fn discard(_: usize, _: &CampaignSpec<'_>) -> fn(RecordStream) {
+        |records| records.for_each_chunk(|_| {})
+    }
+
+    /// One streaming campaign through the many-campaign driver.
+    fn stream_one<T: Send, C: FnOnce(RecordStream) -> T>(
+        topo: &Arc<Topology>,
+        spec: CampaignSpec<'_>,
+        stream: &StreamConfig,
+        policy: &RetryPolicy,
+        make_consumer: impl Fn(usize, &CampaignSpec<'_>) -> C + Sync,
+    ) -> SupervisedCampaign<T> {
+        run_campaigns_streaming(topo, &[spec], stream, policy, 0, false, make_consumer)
+            .pop()
+            .expect("one spec, one outcome")
     }
 
     #[test]
@@ -991,15 +617,9 @@ mod tests {
         let serial: Vec<CampaignResult> = (0..3u8)
             .map(|v| run_campaign(&topo, v, &set, &cfg))
             .collect();
-        let specs: Vec<CampaignSpec> = (0..3u8)
-            .map(|v| CampaignSpec {
-                vantage_idx: v,
-                set: &set,
-                cfg,
-            })
-            .collect();
-        let parallel = run_campaigns_parallel(&topo, &specs);
+        let parallel = try_run_campaigns_parallel(&topo, &three_vantages(&set, cfg));
         for (s, p) in serial.iter().zip(&parallel) {
+            let p = p.as_ref().expect("clean campaign completes");
             assert_eq!(s.log.records, p.log.records, "campaign divergence");
             assert_eq!(s.engine_stats, p.engine_stats);
         }
@@ -1014,11 +634,14 @@ mod tests {
             chunk_records: 32,
             channel_chunks: 2,
         };
-        let streamed = run_campaign_streaming(&topo, 0, &set, &cfg, &stream, |records| {
-            let mut all = Vec::new();
-            records.for_each_chunk(|c| all.extend_from_slice(c));
-            all
-        });
+        let spec = CampaignSpec {
+            vantage_idx: 0,
+            set: &set,
+            cfg,
+        };
+        let streamed = stream_one(&topo, spec, &stream, &RetryPolicy::NONE, collect)
+            .result
+            .expect("clean campaign completes");
         // Same records (the batch log is receive-sorted; the stream is
         // emission-ordered), same counters, same engine view.
         let mut collected = streamed.output;
@@ -1036,26 +659,14 @@ mod tests {
     #[test]
     fn serial_streaming_matches_parallel_streaming() {
         let (topo, set) = fixture();
-        let cfg = YarrpConfig::default();
-        let specs: Vec<CampaignSpec> = (0..3u8)
-            .map(|v| CampaignSpec {
-                vantage_idx: v,
-                set: &set,
-                cfg,
-            })
-            .collect();
+        let specs = three_vantages(&set, YarrpConfig::default());
         let stream = StreamConfig::default();
-        let collect = |_: usize, _: &CampaignSpec<'_>| {
-            |records: RecordStream| {
-                let mut all = Vec::new();
-                records.for_each_chunk(|c| all.extend_from_slice(c));
-                all
-            }
-        };
-        let serial = run_campaigns_serial_streaming(&topo, &specs, &stream, collect);
-        let parallel = run_campaigns_parallel_streaming(&topo, &specs, &stream, collect);
+        let none = RetryPolicy::NONE;
+        let serial = run_campaigns_streaming(&topo, &specs, &stream, &none, 0, false, collect);
+        let parallel = run_campaigns_streaming(&topo, &specs, &stream, &none, 0, true, collect);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.into_iter().zip(parallel) {
+            let (s, p) = (s.result.expect("serial"), p.result.expect("parallel"));
             assert_eq!(s.output, p.output);
             assert_eq!(s.engine_stats, p.engine_stats);
             assert_eq!(s.log.probes_sent, p.log.probes_sent);
@@ -1065,62 +676,25 @@ mod tests {
     #[test]
     fn parallel_streaming_matches_parallel_batch() {
         let (topo, set) = fixture();
-        let cfg = YarrpConfig::default();
-        let specs: Vec<CampaignSpec> = (0..3u8)
-            .map(|v| CampaignSpec {
-                vantage_idx: v,
-                set: &set,
-                cfg,
-            })
-            .collect();
-        let batch = run_campaigns_parallel(&topo, &specs);
-        let stream = StreamConfig::default();
-        let streamed = run_campaigns_parallel_streaming(&topo, &specs, &stream, |_, _| {
-            |records: RecordStream| {
-                let mut all = Vec::new();
-                records.for_each_chunk(|c| all.extend_from_slice(c));
-                all
-            }
-        });
+        let specs = three_vantages(&set, YarrpConfig::default());
+        let batch = try_run_campaigns_parallel(&topo, &specs);
+        let streamed = run_campaigns_streaming(
+            &topo,
+            &specs,
+            &StreamConfig::default(),
+            &RetryPolicy::NONE,
+            0,
+            true,
+            collect,
+        );
         assert_eq!(streamed.len(), batch.len());
-        for (s, b) in streamed.into_iter().zip(&batch) {
+        for (s, b) in streamed.into_iter().zip(batch) {
+            let (s, b) = (s.result.expect("streamed"), b.expect("batch"));
             let mut collected = s.output;
             collected.sort_by_key(|r| r.recv_us);
             assert_eq!(collected, b.log.records);
             assert_eq!(s.engine_stats, b.engine_stats);
         }
-    }
-
-    #[test]
-    fn multi_vantage_sweep_matches_per_vantage_campaigns() {
-        let (topo, set) = fixture();
-        let cfg = YarrpConfig::default();
-        let stream = StreamConfig::default();
-        let collect = |_: usize, _: u8| {
-            |records: RecordStream| {
-                let mut all = Vec::new();
-                records.for_each_chunk(|c| all.extend_from_slice(c));
-                all
-            }
-        };
-        let vantages = [0u8, 1, 2];
-        let serial = run_multi_vantage_streaming(&topo, &vantages, &set, &cfg, &stream, collect);
-        let parallel =
-            run_multi_vantage_streaming_parallel(&topo, &vantages, &set, &cfg, &stream, collect);
-        assert_eq!(serial.runs.len(), 3);
-        assert_eq!(serial.stats, parallel.stats);
-        let mut want_stats = EngineStats::default();
-        for (v, (s, p)) in serial.runs.iter().zip(&parallel.runs).enumerate() {
-            assert_eq!(s.output, p.output, "vantage {v}");
-            assert_eq!(s.engine_stats, p.engine_stats, "vantage {v}");
-            // Each vantage's run is exactly the single-campaign run.
-            let batch = run_campaign(&topo, v as u8, &set, &cfg);
-            let mut sorted = s.output.clone();
-            sorted.sort_by_key(|r| r.recv_us);
-            assert_eq!(sorted, batch.log.records, "vantage {v}");
-            want_stats.merge(&batch.engine_stats);
-        }
-        assert_eq!(serial.stats, want_stats, "merged sweep accounting");
     }
 
     #[test]
@@ -1133,20 +707,29 @@ mod tests {
         assert_ne!(a.log.interface_addrs(), c.log.interface_addrs());
     }
 
-    #[test]
-    fn prober_panic_is_a_campaign_error_not_a_crash() {
-        let (topo, set) = fixture();
-        // max_ttl 0 trips the prober's config assert on its thread.
-        let bad = YarrpConfig {
+    /// max_ttl 0 trips the prober's config assert on its thread.
+    fn panicking_config() -> YarrpConfig {
+        YarrpConfig {
             max_ttl: 0,
             fill_max_ttl: 0,
             ..YarrpConfig::default()
+        }
+    }
+
+    #[test]
+    fn prober_panic_is_a_campaign_error_not_a_crash() {
+        let (topo, set) = fixture();
+        let spec = CampaignSpec {
+            vantage_idx: 0,
+            set: &set,
+            cfg: panicking_config(),
         };
-        let res = try_run_campaign_streaming(&topo, 0, &set, &bad, &StreamConfig::default(), |r| {
-            r.for_each_chunk(|_| {})
-        });
-        match res {
-            Err(CampaignError::ProberPanic {
+        let policy = RetryPolicy::NONE;
+        let res = stream_one(&topo, spec, &StreamConfig::default(), &policy, discard);
+        assert!(res.result.is_none());
+        assert!(res.degraded);
+        match res.error {
+            Some(CampaignError::ProberPanic {
                 vantage_idx,
                 target_set,
                 message,
@@ -1166,10 +749,14 @@ mod tests {
             chunk_records: 1, // every record forces a send
             channel_chunks: 1,
         };
-        let res =
-            try_run_campaign_streaming(&topo, 0, &set, &YarrpConfig::default(), &stream, drop);
+        let spec = CampaignSpec {
+            vantage_idx: 0,
+            set: &set,
+            cfg: YarrpConfig::default(),
+        };
+        let res = stream_one(&topo, spec, &stream, &RetryPolicy::NONE, |_, _| drop);
         assert_eq!(
-            res.err(),
+            res.error,
             Some(CampaignError::SinkDisconnected {
                 vantage_idx: 0,
                 target_set: set.name.clone(),
@@ -1178,31 +765,42 @@ mod tests {
     }
 
     #[test]
-    fn try_parallel_keeps_completed_campaigns_around_failures() {
+    fn consumer_panic_is_a_campaign_error_and_is_retried() {
         let (topo, set) = fixture();
-        let good = YarrpConfig::default();
-        let bad = YarrpConfig {
-            max_ttl: 0,
-            fill_max_ttl: 0,
-            ..good
+        let spec = CampaignSpec {
+            vantage_idx: 2,
+            set: &set,
+            cfg: YarrpConfig::default(),
         };
-        let specs = vec![
-            CampaignSpec {
-                vantage_idx: 0,
-                set: &set,
-                cfg: good,
-            },
-            CampaignSpec {
-                vantage_idx: 1,
-                set: &set,
-                cfg: bad,
-            },
-            CampaignSpec {
+        let policy = RetryPolicy {
+            max_retries: 1,
+            ..RetryPolicy::default()
+        };
+        let res = stream_one(&topo, spec, &StreamConfig::default(), &policy, |_, _| {
+            |_: RecordStream| panic!("consumer blew up")
+        });
+        assert_eq!(res.attempts, 2);
+        assert!(res.degraded);
+        assert_eq!(
+            res.elapsed_us,
+            policy.backoff_us(0),
+            "failed attempts take no time"
+        );
+        assert_eq!(
+            res.error,
+            Some(CampaignError::ConsumerPanic {
                 vantage_idx: 2,
-                set: &set,
-                cfg: good,
-            },
-        ];
+                target_set: set.name.clone(),
+                message: "consumer blew up".into(),
+            })
+        );
+    }
+
+    #[test]
+    fn completed_campaigns_are_kept_around_failures() {
+        let (topo, set) = fixture();
+        let mut specs = three_vantages(&set, YarrpConfig::default());
+        specs[1].cfg = panicking_config();
         let out = try_run_campaigns_parallel(&topo, &specs);
         assert!(out[0].is_ok());
         assert!(matches!(
@@ -1211,41 +809,42 @@ mod tests {
         ));
         assert!(out[2].is_ok());
         // Streamed form captures the same failure per slot.
-        let streamed = try_run_campaigns_parallel_streaming(
+        let streamed = run_campaigns_streaming(
             &topo,
             &specs,
             &StreamConfig::default(),
-            |_, _| |r: RecordStream| r.for_each_chunk(|_| {}),
+            &RetryPolicy::NONE,
+            0,
+            true,
+            discard,
         );
-        assert!(streamed[0].is_ok());
-        assert!(streamed[1].is_err());
-        assert!(streamed[2].is_ok());
+        assert!(streamed[0].result.is_some());
+        assert!(matches!(
+            streamed[1].error,
+            Some(CampaignError::ProberPanic { vantage_idx: 1, .. })
+        ));
+        assert!(streamed[2].result.is_some());
     }
 
     #[test]
-    fn supervisor_passthrough_matches_plain_streaming_when_clean() {
+    fn no_retry_policy_matches_default_policy_when_clean() {
         let (topo, set) = fixture();
-        let cfg = YarrpConfig::default();
         let stream = StreamConfig::default();
-        let collect = |records: RecordStream| {
-            let mut all = Vec::new();
-            records.for_each_chunk(|c| all.extend_from_slice(c));
-            all
+        let spec = || CampaignSpec {
+            vantage_idx: 0,
+            set: &set,
+            cfg: YarrpConfig::default(),
         };
-        let plain = run_campaign_streaming(&topo, 0, &set, &cfg, &stream, collect);
-        let sup = run_campaign_supervised(
-            &topo,
-            0,
-            &set,
-            &cfg,
-            &stream,
-            &RetryPolicy::default(),
-            0,
-            |_| collect,
-        );
-        assert_eq!(sup.attempts, 1);
-        assert!(!sup.degraded);
-        assert!(sup.error.is_none());
+        let plain = stream_one(&topo, spec(), &stream, &RetryPolicy::NONE, collect);
+        let sup = stream_one(&topo, spec(), &stream, &RetryPolicy::default(), collect);
+        for run in [&plain, &sup] {
+            assert_eq!(run.attempts, 1);
+            assert!(!run.degraded);
+            assert!(run.error.is_none());
+        }
+        assert_eq!(sup.stats, plain.stats);
+        assert_eq!(sup.elapsed_us, plain.elapsed_us);
+        let plain = plain.result.expect("clean campaign completes");
         let run = sup.result.expect("clean campaign completes");
         assert_eq!(run.output, plain.output);
         assert_eq!(run.engine_stats, plain.engine_stats);
@@ -1259,10 +858,14 @@ mod tests {
         let clean_topo = Arc::new(generate(topo_cfg.clone()));
         let addrs: Vec<Ipv6Addr> = clean_topo.hosts().map(|(a, _)| a).take(40).collect();
         let set = TargetSet::new("test-set", addrs);
-        let yarrp = YarrpConfig {
-            fill_mode: false,
-            max_ttl: 8,
-            ..YarrpConfig::default()
+        let spec = || CampaignSpec {
+            vantage_idx: 0,
+            set: &set,
+            cfg: YarrpConfig {
+                fill_mode: false,
+                max_ttl: 8,
+                ..YarrpConfig::default()
+            },
         };
         // 40 targets × 8 TTLs at 1k pps = 320 ms of campaign. Outage
         // covers attempt 0 entirely; with a 500 ms backoff, attempt 1
@@ -1276,15 +879,14 @@ mod tests {
             retry_blackout: true,
         };
         let stream = StreamConfig::default();
-        let collect = |records: RecordStream| {
-            let mut n = 0usize;
-            records.for_each_chunk(|c| n += c.len());
-            n
+        let count = |_: usize, _: &CampaignSpec<'_>| {
+            |records: RecordStream| {
+                let mut n = 0usize;
+                records.for_each_chunk(|c| n += c.len());
+                n
+            }
         };
-        let sup =
-            run_campaign_supervised(&faulty_topo, 0, &set, &yarrp, &stream, &policy, 0, |_| {
-                collect
-            });
+        let sup = stream_one(&faulty_topo, spec(), &stream, &policy, count);
         assert_eq!(sup.attempts, 2, "blackout attempt then clean retry");
         assert!(!sup.degraded);
         let run = sup.result.expect("retry completes");
@@ -1294,14 +896,13 @@ mod tests {
         // accounting.
         assert_eq!(sup.stats.fault_vantage_outage, run.engine_stats.probes);
         // The healed retry equals the fault-free campaign bit for bit.
-        let clean = run_campaign_streaming(&clean_topo, 0, &set, &yarrp, &stream, collect);
+        let clean = stream_one(&clean_topo, spec(), &stream, &RetryPolicy::NONE, count)
+            .result
+            .expect("clean campaign completes");
         assert_eq!(run.output, clean.output);
         assert_eq!(run.engine_stats, clean.engine_stats);
         // Deterministic: the same supervised campaign replays exactly.
-        let again =
-            run_campaign_supervised(&faulty_topo, 0, &set, &yarrp, &stream, &policy, 0, |_| {
-                collect
-            });
+        let again = stream_one(&faulty_topo, spec(), &stream, &policy, count);
         assert_eq!(again.attempts, sup.attempts);
         assert_eq!(again.stats, sup.stats);
         assert_eq!(again.elapsed_us, sup.elapsed_us);
@@ -1315,20 +916,16 @@ mod tests {
         let topo = Arc::new(generate(topo_cfg));
         let addrs: Vec<Ipv6Addr> = topo.hosts().map(|(a, _)| a).take(20).collect();
         let set = TargetSet::new("test-set", addrs);
+        let spec = CampaignSpec {
+            vantage_idx: 0,
+            set: &set,
+            cfg: YarrpConfig::default(),
+        };
         let policy = RetryPolicy {
             max_retries: 1,
             ..RetryPolicy::default()
         };
-        let sup = run_campaign_supervised(
-            &topo,
-            0,
-            &set,
-            &YarrpConfig::default(),
-            &StreamConfig::default(),
-            &policy,
-            0,
-            |_| |r: RecordStream| r.for_each_chunk(|_| {}),
-        );
+        let sup = stream_one(&topo, spec, &StreamConfig::default(), &policy, discard);
         assert_eq!(sup.attempts, 2);
         assert!(sup.degraded, "permanent outage must end degraded");
         assert!(sup.result.is_some(), "blackout still yields the attempt");
@@ -1349,35 +946,18 @@ mod tests {
             max_ttl: 8,
             ..YarrpConfig::default()
         };
-        let specs: Vec<CampaignSpec> = (0..3u8)
-            .map(|v| CampaignSpec {
-                vantage_idx: v,
-                set: &set,
-                cfg: yarrp,
-            })
-            .collect();
+        let specs = three_vantages(&set, yarrp);
         let stream = StreamConfig::default();
         let policy = RetryPolicy::default();
-        let collect = |_: usize, _: &CampaignSpec<'_>| {
-            |records: RecordStream| {
-                let mut all = Vec::new();
-                records.for_each_chunk(|c| all.extend_from_slice(c));
-                all
-            }
-        };
-        let serial = run_campaigns_supervised_serial(&topo, &specs, &stream, &policy, 0, collect);
-        let parallel =
-            run_campaigns_supervised_parallel(&topo, &specs, &stream, &policy, 0, collect);
+        let serial = run_campaigns_streaming(&topo, &specs, &stream, &policy, 0, false, collect);
+        let parallel = run_campaigns_streaming(&topo, &specs, &stream, &policy, 0, true, collect);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.attempts, p.attempts);
             assert_eq!(s.stats, p.stats);
             assert_eq!(s.degraded, p.degraded);
             assert_eq!(s.elapsed_us, p.elapsed_us);
-            assert_eq!(
-                s.result.as_ref().map(|r| &r.output),
-                p.result.as_ref().map(|r| &r.output)
-            );
+            assert_eq!(s.output(), p.output());
         }
     }
 }

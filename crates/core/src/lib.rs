@@ -24,11 +24,11 @@
 //!   responses go (a buffered [`ProbeLog`], or fixed-size chunks over
 //!   a bounded channel to a concurrent consumer);
 //! * [`campaign`] — drivers that bind probers to vantages and target
-//!   sets: serially, in parallel, and streaming (probe → analyze
-//!   without materializing the log), plus the fault-tolerant layer:
-//!   `try_` drivers returning [`CampaignError`] and a supervisor that
-//!   retries failed or blacked-out campaigns with deterministic
-//!   virtual-time backoff.
+//!   sets: batch (a [`ProbeLog`] per campaign) and streaming (probe →
+//!   analyze without materializing the log), one or many on a worker
+//!   pool, failures reported as [`CampaignError`]s, and [`supervise`],
+//!   the loop that retries failed or blacked-out attempts with
+//!   deterministic virtual-time backoff.
 
 pub mod addrset;
 pub mod campaign;
@@ -40,19 +40,9 @@ pub mod sink;
 pub mod yarrp;
 
 pub use campaign::{
-    run_campaign, run_campaign_supervised, run_campaigns_supervised_parallel,
-    run_campaigns_supervised_serial, try_run_campaign_streaming, try_run_campaign_streaming_at,
-    try_run_campaigns_parallel, try_run_campaigns_parallel_streaming,
-    try_run_campaigns_serial_streaming, try_run_multi_vantage_streaming,
-    try_run_multi_vantage_streaming_parallel, CampaignError, CampaignResult, RetryPolicy,
-    StreamedCampaign, SupervisedCampaign, VantageSweep,
-};
-// The panicking duplicates stay re-exported (with their deprecation)
-// so downstream `use yarrp6::run_campaign_streaming` keeps compiling.
-#[allow(deprecated)]
-pub use campaign::{
-    run_campaign_streaming, run_campaigns_parallel_streaming, run_campaigns_serial_streaming,
-    run_multi_vantage_streaming, run_multi_vantage_streaming_parallel,
+    run_campaign, run_campaigns_streaming, supervise, try_run_campaigns_parallel, Attempt,
+    CampaignError, CampaignResult, CampaignSpec, RetryPolicy, StreamedCampaign, Supervised,
+    SupervisedCampaign,
 };
 pub use record::{DecodeError, DecodeStats, ProbeLog, ResponseKind, ResponseRecord};
 pub use sink::{RecordSink, RecordStream, SinkDisconnected, StreamConfig};

@@ -40,7 +40,8 @@ pub struct Delivery {
 pub struct EngineStats {
     /// Probes injected.
     pub probes: u64,
-    /// Probes that failed to parse as IPv6 or lacked a known vantage.
+    /// Probes that failed to parse as IPv6, lacked a known vantage, or
+    /// carried hop limit 0.
     pub malformed: u64,
     /// Probes lost in transit.
     pub lost: u64,
@@ -553,6 +554,12 @@ impl Engine {
             self.stats.malformed += 1;
             return false;
         };
+        // Hop limit 0 never leaves its sender: no hop to expire at.
+        let hop_limit = wire[7];
+        if hop_limit == 0 {
+            self.stats.malformed += 1;
+            return false;
+        }
         let ahead = self.take_ahead(&key);
         let Some(vidx) = ahead.map(|a| a.0).or_else(|| self.vantage_of(key.src)) else {
             self.stats.malformed += 1;
@@ -579,7 +586,6 @@ impl Engine {
             None => self.resolve_path_idx(vidx, dst, key.flow_hash((sport, dport))),
         } as usize;
         let body = &wire[ip6::HEADER_LEN..];
-        let hop_limit = wire[7];
         let vaddr = self.topo.vantages[vidx as usize].addr;
         let is_icmp = key.next_header == proto_num::ICMP6;
         let dst_word = key.dst;

@@ -129,7 +129,7 @@ proptest! {
         for (i, (w, ttl)) in wires.iter().enumerate() {
             let mut w = w.clone();
             if let Some(hop_limit) = w.get_mut(7) {
-                *hop_limit = (*ttl).max(1);
+                *hop_limit = *ttl;
             }
             for _ in 0..64 {
                 prop_assert_eq!(outcome(&mut ahead, &w, t), outcome(&mut plain, &w, t), "shown probe {}", i);
@@ -149,6 +149,35 @@ proptest! {
         // bytes essentially cannot contain one.
         prop_assert!(out.is_none());
         prop_assert_eq!(e.stats.probes, 1);
+    }
+
+    /// A well-formed probe whose hop limit is 0 cannot leave its
+    /// sender: whatever the protocol and destination, no panic, no
+    /// response, and the probe is accounted as malformed.
+    #[test]
+    fn hop_limit_zero_is_malformed(dst: u128, real_host: bool, vantage in 0usize..3, t: u32) {
+        let topo = topo();
+        let target = if real_host {
+            let hosts: Vec<std::net::Ipv6Addr> = topo.hosts().map(|(a, _)| a).collect();
+            hosts[dst as usize % hosts.len()]
+        } else {
+            std::net::Ipv6Addr::from(dst)
+        };
+        for protocol in [Protocol::Icmp6, Protocol::Udp, Protocol::Tcp] {
+            let mut wire = ProbeSpec {
+                src: topo.vantages[vantage].addr,
+                target,
+                protocol,
+                ttl: 1,
+                instance: 1,
+                elapsed_us: t,
+            }
+            .build();
+            wire[7] = 0;
+            let mut e = Engine::new(topo.clone());
+            prop_assert!(e.inject(&wire, t as u64).is_none(), "{:?}", protocol);
+            prop_assert_eq!((e.stats.probes, e.stats.malformed), (1, 1), "{:?}", protocol);
+        }
     }
 
     /// Well-formed probes to arbitrary destinations never panic, and

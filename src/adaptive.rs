@@ -18,7 +18,7 @@
 //! ```text
 //!        ┌──────────── targets (round n) ────────────┐
 //!        │                                           ▼
-//!  seeds/feedback ◄── interfaces + subnets ◄── stream_campaign(s)
+//!  seeds/feedback ◄── interfaces + subnets ◄── streamed campaigns
 //!   (kIP + 6Gen)        (discovery_delta,       → TraceSetBuilder
 //!        │               IA hack/path-div)            │
 //!        └────────── targets (round n+1) ◄────────────┘
@@ -39,7 +39,7 @@
 //! Campaigns are engine-isolated and results return in input order, so
 //! the two produce bit-identical results — pinned by the `adaptive`
 //! test suite, alongside a golden test that a one-round run equals a
-//! plain [`analysis::stream_campaign`].
+//! plain single-vantage [`analysis::CampaignRunner`] campaign.
 //!
 //! ## Fault tolerance
 //!

@@ -85,11 +85,9 @@ pub mod prelude {
     };
     pub use analysis::{
         discover_by_path_div, ia_hack, quarantine, quarantine_all, read_sharded_snapshot,
-        stream_campaign, stream_campaigns_parallel, stream_campaigns_serial,
-        stream_campaigns_supervised, stream_multi_vantage, stream_multi_vantage_parallel,
-        vantage_contributions, vantage_jaccard, vantage_union_count, write_sharded_snapshot,
-        AsnResolver, CampaignOutcome, CampaignRun, CampaignRunner, CandidateSubnet,
-        MultiVantageCampaign, PathDivParams, QuarantineConfig, QuarantineReport, ShardRoute,
+        stream_campaigns_supervised, vantage_contributions, vantage_jaccard, vantage_union_count,
+        write_sharded_snapshot, AsnResolver, CampaignOutcome, CampaignRun, CampaignRunner,
+        CandidateSubnet, PathDivParams, QuarantineConfig, QuarantineReport, ShardRoute,
         ShardedTraceSet, ShardedTraceSetBuilder, SnapshotError, SnapshotManifest, StoreError,
         TraceSet, TraceSetBuilder, TraceView, VantageContribution,
     };
@@ -102,7 +100,9 @@ pub mod prelude {
     pub use targets::{IidStrategy, TargetCatalog, TargetSet};
     pub use v6addr::{Asn, BgpTable, IidClass, Ipv6Prefix, PrefixTrie};
     pub use v6packet::probe::Protocol;
-    pub use yarrp6::campaign::{run_campaign, CampaignError, RetryPolicy, SupervisedCampaign};
+    pub use yarrp6::campaign::{
+        run_campaign, CampaignError, CampaignSpec, RetryPolicy, SupervisedCampaign,
+    };
     pub use yarrp6::{
         ProbeLog, RecordSink, ResponseKind, ResponseRecord, SinkDisconnected, StreamConfig,
         YarrpConfig,

@@ -4,8 +4,8 @@
 //!   config)` produces identical round-by-round target lists and
 //!   bit-identical final trace sets;
 //! * **golden one-round equivalence** — a single-shard, single-round
-//!   run is exactly one `stream_campaign`, bit for bit (interner ids
-//!   included);
+//!   run is exactly one streamed `CampaignRunner` campaign, bit for
+//!   bit (interner ids included);
 //! * **parallel matches serial** — the work-queue driver reproduces the
 //!   serial driver's entire result.
 
@@ -93,10 +93,19 @@ fn one_round_golden_matches_stream_campaign() {
     assert_eq!(res.traces.len(), 1);
     assert_eq!(res.round_targets[0], set.addrs);
 
-    let (golden_ts, golden_stats) = stream_campaign(&topo, 1, &set, &one.yarrp, &one.stream);
+    let golden = CampaignRunner::new(&topo)
+        .targets(&set)
+        .vantage(1)
+        .config(one.yarrp)
+        .streaming(one.stream)
+        .run()
+        .expect("clean campaign completes")
+        .runs
+        .remove(0);
+    let (golden_ts, golden_stats) = (golden.traces, golden.stats);
     assert_eq!(
         res.traces[0], golden_ts,
-        "one-round adaptive must be bit-identical to stream_campaign"
+        "one-round adaptive must be bit-identical to a plain streamed campaign"
     );
     assert_eq!(res.stats, golden_stats);
     // The interfaces the loop reports are exactly the golden set's

@@ -210,3 +210,86 @@ fn all_vantages_down_stops_cleanly() {
     assert!(res.rounds[0].per_vantage.iter().all(|p| p.degraded));
     assert_eq!(res.unique_interfaces(), 0);
 }
+
+/// One supervisor, two measurements: streaming campaigns and speedtrap
+/// both retry through `yarrp6::campaign::supervise`, so the same policy
+/// against the same outage window must walk the same retry sequence —
+/// equal attempts, equal degraded flag, and a final attempt that starts
+/// at the same virtual time (every earlier attempt plus every backoff).
+#[test]
+fn campaign_and_alias_supervisors_share_one_retry_sequence() {
+    let policy = RetryPolicy {
+        max_retries: 2,
+        base_backoff_us: 250_000,
+        retry_blackout: true,
+    };
+    let alias_cfg = AliasConfig::default();
+    let step_us = 1_000_000 / alias_cfg.rate_pps;
+    // 10 targets × 8 TTLs and 80 interfaces, both at 1k pps: a
+    // blacked-out attempt of either kind sends 80 probes in 80 ms, so
+    // attempts start at 0, 330 ms and 910 ms on the fault clock.
+    let yarrp = YarrpConfig {
+        fill_mode: false,
+        max_ttl: 8,
+        ..YarrpConfig::default()
+    };
+    for (outage_end_us, attempts, degraded) in [
+        (0, 1, false),
+        (200_000, 2, false),
+        (600_000, 3, false),
+        (u64::MAX, 3, true),
+    ] {
+        let tc = TopologyConfig {
+            faults: FaultSchedule::default().with_vantage_outage(0, 0, outage_end_us),
+            ..TopologyConfig::tiny(42)
+        };
+        let topo = Arc::new(beholder::net::generate::generate(tc));
+        let set = TargetSet::new("retry-seq", topo.hosts().map(|(a, _)| a).take(10));
+        let ifaces: Vec<std::net::Ipv6Addr> = topo
+            .routers
+            .iter()
+            .filter(|r| r.responsive)
+            .map(|r| r.addr)
+            .take(80)
+            .collect();
+        assert_eq!(ifaces.len(), 80);
+
+        let spec = CampaignSpec {
+            vantage_idx: 0,
+            set: &set,
+            cfg: yarrp,
+        };
+        let campaign = stream_campaigns_supervised(
+            &topo,
+            &[spec],
+            &StreamConfig::default(),
+            &policy,
+            0,
+            false,
+        )
+        .pop()
+        .expect("one spec, one outcome");
+        let alias = resolve_aliases_supervised(&topo, 0, &ifaces, &alias_cfg, &policy, 0, u64::MAX);
+
+        let label = format!("outage until {outage_end_us}");
+        assert_eq!(campaign.attempts, attempts, "{label}");
+        assert_eq!(alias.attempts, attempts, "{label}");
+        assert_eq!(campaign.degraded, degraded, "{label}");
+        assert_eq!(alias.degraded, degraded, "{label}");
+        let last_campaign_us = campaign.result.as_ref().expect("completes").log.duration_us;
+        let last_alias_us = alias.sets.as_ref().expect("completes").probes * step_us;
+        assert_eq!(
+            campaign.elapsed_us - last_campaign_us,
+            alias.elapsed_us - last_alias_us,
+            "{label}: final attempts start at different virtual times"
+        );
+        if degraded {
+            // Every attempt a blackout: the whole runs coincide.
+            assert_eq!(campaign.elapsed_us, alias.elapsed_us, "{label}");
+            assert_eq!(
+                campaign.elapsed_us,
+                3 * 80 * step_us + policy.backoff_us(0) + policy.backoff_us(1)
+            );
+        }
+    }
+}

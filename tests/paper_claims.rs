@@ -177,14 +177,16 @@ fn vantage_union_beats_best_single_vantage() {
     let addrs: Vec<std::net::Ipv6Addr> = topo.hosts().map(|(a, _)| a).take(600).collect();
     let set = TargetSet::new("vantage-union", addrs);
     // Equal per-vantage budget by construction: same set, same config.
-    let sweep = stream_multi_vantage_parallel(
-        &topo,
-        &[0, 1, 2],
-        &set,
-        &YarrpConfig::default(),
-        &StreamConfig::default(),
-    );
-    let per = || sweep.per_vantage.iter().map(|(ts, _)| ts);
+    let run_sweep = || {
+        CampaignRunner::new(&topo)
+            .targets(&set)
+            .vantages(&[0, 1, 2])
+            .parallel(true)
+            .run()
+            .expect("clean sweep completes")
+    };
+    let sweep = run_sweep();
+    let per = || sweep.runs.iter().map(|r| &r.traces);
     let union = vantage_union_count(per());
     let rows = vantage_contributions(per());
     let best = rows.iter().map(|r| r.interfaces).max().unwrap();
@@ -199,17 +201,11 @@ fn vantage_union_beats_best_single_vantage() {
     }
     // Determinism of the claim: a repeat run reproduces the exact
     // counts (virtual time, engine-isolated campaigns).
-    let again = stream_multi_vantage_parallel(
-        &topo,
-        &[0, 1, 2],
-        &set,
-        &YarrpConfig::default(),
-        &StreamConfig::default(),
-    );
+    let again = run_sweep();
     assert_eq!(sweep.merged, again.merged);
     assert_eq!(
         union,
-        vantage_union_count(again.per_vantage.iter().map(|(ts, _)| ts))
+        vantage_union_count(again.runs.iter().map(|r| &r.traces))
     );
 }
 
