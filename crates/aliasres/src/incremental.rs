@@ -198,6 +198,23 @@ impl RouterGraphBuilder {
         self.observed.iter().filter(|&&o| o).count()
     }
 
+    /// Routers resolved so far: union-find classes with at least one
+    /// observed member. Equal to
+    /// `self.snapshot().observed_node_count()` (pinned by the
+    /// `graph_props` suite) without rendering the graph — one pass over
+    /// the id arrays and a root bitmap.
+    pub fn observed_node_count(&self) -> usize {
+        let mut counted = vec![false; self.parent.len()];
+        let mut nodes = 0;
+        for id in 0..self.parent.len() as u32 {
+            if self.observed[id as usize] {
+                let root = self.find_ro(id) as usize;
+                nodes += usize::from(!std::mem::replace(&mut counted[root], true));
+            }
+        }
+        nodes
+    }
+
     /// Renders the current state as a canonical [`RouterGraph`]: nodes
     /// are the union-find classes restricted to observed or
     /// alias-member interfaces, members sorted within a node, nodes

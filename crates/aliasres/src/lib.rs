@@ -11,6 +11,9 @@
 //! Requests and declares two interfaces aliases when their
 //! identification sequences interleave along one monotonic counter.
 //!
+//! * [`candidates`] — which interfaces a round's discoveries make worth
+//!   probing ([`sibling_candidates`]: shared /64, shared hop), derived
+//!   by merge-join at a cost that follows the round, not the record;
 //! * [`speedtrap`] — the prober and the monotonic-bound alias test,
 //!   plus the budgeted/supervised campaign entry points the adaptive
 //!   loop drives ([`resolve_aliases_supervised`]);
@@ -21,10 +24,12 @@
 //!   bit-identical (after canonicalization) to the batch
 //!   [`RouterGraph::build_multi`] golden.
 
+pub mod candidates;
 pub mod graph;
 pub mod incremental;
 pub mod speedtrap;
 
+pub use candidates::sibling_candidates;
 pub use graph::RouterGraph;
 pub use incremental::{RouterGraphBuilder, RouterGraphParts};
 pub use speedtrap::{

@@ -154,6 +154,43 @@ proptest! {
         }
         prop_assert_eq!(fwd.snapshot(), rev.snapshot());
     }
+
+    /// The builder's router count is the rendered graph's, after every
+    /// step of an interleaved history — groups of interfaces no trace
+    /// ever showed included — and through the checkpoint parts.
+    #[test]
+    fn observed_node_count_matches_the_snapshot(
+        sets in sets_strategy(),
+        groups in groups_strategy(),
+    ) {
+        let mut b = RouterGraphBuilder::new();
+        let check = |b: &RouterGraphBuilder| {
+            prop_assert_eq!(b.observed_node_count(), b.snapshot().observed_node_count());
+            Ok(())
+        };
+        check(&b)?;
+        // Outside the trace universe: a node that must not be counted
+        // until a merge ties it to an observed interface.
+        b.merge_alias_group(&[addr(200), addr(201)]);
+        check(&b)?;
+        let mut gi = groups.iter();
+        for set in &sets {
+            b.ingest(set);
+            check(&b)?;
+            if let Some(g) = gi.next() {
+                b.merge_alias_group(g);
+                check(&b)?;
+            }
+        }
+        for g in gi {
+            b.merge_alias_group(g);
+            check(&b)?;
+        }
+        b.merge_alias_group(&[addr(201), addr(0)]);
+        check(&b)?;
+        let restored = RouterGraphBuilder::from_parts(&b.to_parts()).expect("own parts");
+        prop_assert_eq!(restored.observed_node_count(), b.observed_node_count());
+    }
 }
 
 /// One streamed campaign's finished trace set.

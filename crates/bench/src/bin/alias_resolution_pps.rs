@@ -15,7 +15,11 @@
 //!   each round's own discoveries, alias probes burn the shared
 //!   budget, and the incremental router graph accumulates. Measures
 //!   precision over the inferred graph's multi-member nodes, and the
-//!   resolved-router vs observed-interface collapse.
+//!   resolved-router vs observed-interface collapse. Its kept trace
+//!   sets are then replayed round by round through
+//!   [`sibling_candidates`] with every interface of the round fresh
+//!   (nothing tested yet — the most the rules can be asked), timing
+//!   the derivation per hop cell.
 //!
 //! Asserts (always on): the adaptive arm resolves strictly fewer
 //! routers than it observed interfaces — alias resolution must
@@ -28,16 +32,22 @@
 //! * `BENCH_ALIAS_ROUNDS` — adaptive-phase round cap (default 4)
 //! * `BENCH_ALIAS_MIN_PRECISION` — fail when either phase's precision
 //!   drops below this (the CI smoke gate sets 0.9)
+//! * `BENCH_ALIAS_MAX_CANDIDATES_NS` — fail when candidate derivation
+//!   costs more than this many ns per hop cell (the CI smoke gate sets
+//!   60: the merge-join measures 16–20 at that scale, a set per bucket
+//!   170–250)
 
-use aliasres::{resolve_aliases, AliasConfig, AliasSets};
+use aliasres::{resolve_aliases, sibling_candidates, AliasConfig, AliasSets};
 use beholder::adaptive::{run_adaptive_parallel, AdaptiveConfig};
 use beholder_bench::fmt::human;
 use simnet::config::TopologyConfig;
 use simnet::Engine;
+use std::hint::black_box;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use std::time::Instant;
 use targets::{synthesize::synthesize, IidStrategy};
+use yarrp6::addrset::AddrSet;
 use yarrp6::YarrpConfig;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -150,6 +160,39 @@ fn main() {
         rl.pairs_rejected,
     );
 
+    // Candidate derivation on the adaptive arm's own record: one
+    // vantage on a clean network, so every round kept `shards` sets.
+    assert_eq!(res.traces.len(), res.rounds.len() * cfg.shards);
+    let hop_cells: usize = res
+        .traces
+        .iter()
+        .flat_map(|ts| ts.iter())
+        .map(|tv| tv.hop_cells().len())
+        .sum();
+    let untested = AddrSet::new();
+    let mut reps: Vec<f64> = (0..9)
+        .map(|_| {
+            let mut known = AddrSet::new();
+            let mut spent_ns = 0u128;
+            for round in res.traces.chunks(cfg.shards) {
+                for ts in round {
+                    ts.discovery_delta(&mut known);
+                }
+                let t0 = Instant::now();
+                black_box(sibling_candidates(black_box(&known), round, &untested));
+                spent_ns += t0.elapsed().as_nanos();
+            }
+            spent_ns as f64 / hop_cells.max(1) as f64
+        })
+        .collect();
+    reps.sort_by(f64::total_cmp);
+    let candidates_ns = reps[reps.len() / 2];
+    println!(
+        "  candidates: {candidates_ns:.1} ns per hop cell ({} cells, median of {} replays)",
+        human(hop_cells as u64),
+        reps.len()
+    );
+
     assert!(res.probes() <= budget, "adaptive arm over budget");
     assert!(
         resolved < interfaces,
@@ -161,7 +204,7 @@ fn main() {
     // phases emit a "precision" key, so the tracked headline is the
     // worse of the two.
     let json = format!(
-        "{{\n  \"bench\": \"alias_resolution_pps\",\n  \"scenario\": \"tiled x{tiles}, {routers} routers standalone, budget {budget} adaptive\",\n  \"standalone\": {{ \"probes\": {}, \"pps\": {pps:.0}, \"groups\": {}, \"precision\": {prec_a:.4}, \"recall\": {rec_a:.4} }},\n  \"adaptive\": {{ \"rounds\": {}, \"probes\": {}, \"alias_probes\": {}, \"interfaces\": {interfaces}, \"routers\": {resolved}, \"collapse_ratio\": {:.4}, \"precision\": {prec_b:.4}, \"recall\": {rec_b:.4}, \"pairs_confirmed\": {}, \"pairs_rejected\": {}, \"elapsed_s\": {adaptive_s:.6} }}\n}}\n",
+        "{{\n  \"bench\": \"alias_resolution_pps\",\n  \"scenario\": \"tiled x{tiles}, {routers} routers standalone, budget {budget} adaptive\",\n  \"standalone\": {{ \"probes\": {}, \"pps\": {pps:.0}, \"groups\": {}, \"precision\": {prec_a:.4}, \"recall\": {rec_a:.4} }},\n  \"adaptive\": {{ \"rounds\": {}, \"probes\": {}, \"alias_probes\": {}, \"interfaces\": {interfaces}, \"routers\": {resolved}, \"collapse_ratio\": {:.4}, \"precision\": {prec_b:.4}, \"recall\": {rec_b:.4}, \"pairs_confirmed\": {}, \"pairs_rejected\": {}, \"elapsed_s\": {adaptive_s:.6}, \"candidates_ns_per_hop_cell\": {candidates_ns:.1} }}\n}}\n",
         sets.probes,
         sets.groups.len(),
         res.rounds.len(),
@@ -183,5 +226,17 @@ fn main() {
             std::process::exit(1);
         }
         println!("  precision gate: {worst:.3} >= {min:.2} OK");
+    }
+    if let Ok(max) = std::env::var("BENCH_ALIAS_MAX_CANDIDATES_NS") {
+        let max: f64 = max
+            .parse()
+            .expect("BENCH_ALIAS_MAX_CANDIDATES_NS not a number");
+        if candidates_ns > max {
+            eprintln!(
+                "FAIL: candidate derivation {candidates_ns:.1} ns per hop cell above allowed {max:.0}"
+            );
+            std::process::exit(1);
+        }
+        println!("  candidates gate: {candidates_ns:.1} <= {max:.0} ns per hop cell OK");
     }
 }

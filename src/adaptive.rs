@@ -66,13 +66,31 @@
 //! checkpoint and produces results bit-identical to the uninterrupted
 //! run, pinned by the `checkpoint` test suite.
 //!
+//! ## Between rounds
+//!
+//! The network rate-limits probing, so analysis and feedback are what
+//! a long run pays for — and each between-round stage is sized by the
+//! round just finished, not by the trace record so far. Quarantine,
+//! mining and the router graph take the round's sets only; alias
+//! candidates come from a merge-join over the round's sets plus the
+//! record's distinct interfaces ([`aliasres::sibling_candidates`]);
+//! the round's router count is read off the graph builder's union-find
+//! ([`RouterGraphBuilder::observed_node_count`]), not off a rendered
+//! graph; membership views (known subnets, clean interfaces) are
+//! extended, not rebuilt; and a checkpoint capture shares the kept
+//! sets instead of copying them. The one cumulative input is inherent:
+//! the feedback generators (kIP, 6Gen) cluster *all* discoveries and
+//! probed targets, by the paper's definition of their basis.
+//!
 //! This module lives in the umbrella crate because it is the one place
 //! the whole pipeline meets: it orchestrates `yarrp6` (probers),
 //! `analysis` (trace mining), `seeds`/`targets` (generation) and
 //! `simnet` (the network under test).
 
 use crate::checkpoint::{config_digest, Checkpoint, ResumeError};
-use aliasres::{resolve_aliases_supervised, AliasConfig, RouterGraph, RouterGraphBuilder};
+use aliasres::{
+    resolve_aliases_supervised, sibling_candidates, AliasConfig, RouterGraph, RouterGraphBuilder,
+};
 use analysis::{
     discover_by_path_div, ia_hack, quarantine_all, stream_campaigns_supervised, AsnResolver,
     PathDivParams, QuarantineConfig, ShardedTraceSet, TraceSet,
@@ -81,7 +99,7 @@ use seeds::feedback::{feedback_list, FeedbackParams};
 // The workspace's shared splitmix64, for per-round generation seeds.
 use simnet::flow::mix64 as mix;
 use simnet::{EngineStats, Topology};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use targets::{feedback_targets, stride_sample, IidStrategy, TargetSet};
@@ -476,8 +494,12 @@ pub(crate) struct LoopState {
     pub(crate) rounds: Vec<RoundReport>,
     /// Each finished round's exact target list.
     pub(crate) round_targets: Vec<Vec<Ipv6Addr>>,
-    /// Every completed campaign's trace set.
-    pub(crate) traces: Vec<TraceSet>,
+    /// Every completed campaign's trace set. Shared, never mutated
+    /// once pushed: a [`Checkpoint`] capture bumps reference counts
+    /// instead of copying the ever-growing record, and the sets a
+    /// retained checkpoint holds are the very ones the loop keeps
+    /// reading.
+    pub(crate) traces: Vec<Arc<TraceSet>>,
     /// Merged engine accounting.
     pub(crate) stats: EngineStats,
     /// Probes charged against the budget.
@@ -501,10 +523,9 @@ pub(crate) struct AliasState {
     /// The incrementally maintained router-level graph.
     pub(crate) builder: RouterGraphBuilder,
     /// Interfaces the prober has already tested (listed in a prior
-    /// stage's groups/singletons/unresponsive). Candidates stay
-    /// re-offerable — cross-round pairing needs the old member probed
-    /// alongside the new one — but a round with no *fresh* member in a
-    /// bucket re-probes nobody.
+    /// stage's groups/singletons/unresponsive) — the `tested` input of
+    /// [`aliasres::sibling_candidates`]: candidates stay re-offerable,
+    /// but a bucket with no untested member re-probes nobody.
     pub(crate) probed: AddrSet,
     /// MBT-confirmed pairs over all rounds.
     pub(crate) pairs_confirmed: u64,
@@ -590,7 +611,8 @@ pub fn run_adaptive_delta(
     // re-counted as yield) and its shards seed the kept trace record,
     // so the result's merged view is the updated store.
     prior.discovery_delta(&mut st.seen);
-    st.traces.extend(prior.shards().iter().cloned());
+    st.traces
+        .extend(prior.shards().iter().map(|s| Arc::new(s.clone())));
     // Every stored target — the prior run's initial *and* feedback
     // rounds — is pre-marked probed so no budget re-pays it (feedback
     // generation from the seeded seen-set re-derives much of the prior
@@ -697,6 +719,15 @@ struct DeltaCtx<'a> {
     force: Vec<Ipv6Addr>,
 }
 
+/// The distinct interfaces of `sets`, in first-appearance order.
+fn interfaces_of(sets: &[Arc<TraceSet>]) -> AddrSet {
+    let mut all = AddrSet::new();
+    for ts in sets {
+        ts.discovery_delta(&mut all);
+    }
+    all
+}
+
 fn run_loop(
     topo: &Arc<Topology>,
     cfg: &AdaptiveConfig,
@@ -767,8 +798,14 @@ fn run_loop(
             &topo.asn_equivalences,
         )
     });
-    // Rebuilt (not checkpointed) membership view of `st.subnets`.
+    // Rebuilt (not checkpointed) views of checkpointed state, extended
+    // as the round's sets are kept: membership of `st.subnets`, and
+    // the distinct interfaces of the kept trace record. With the
+    // quarantine off every mined set is kept raw, so those are
+    // `st.seen` itself; with it on the record holds the scrubbed sets
+    // and `clean_seen` tracks their (fewer) interfaces.
     let mut subnet_set: BTreeSet<Ipv6Prefix> = st.subnets.iter().copied().collect();
+    let mut clean_seen = cfg.quarantine_feedback.then(|| interfaces_of(&st.traces));
 
     let stop = loop {
         let round = st.rounds.len();
@@ -1059,8 +1096,12 @@ fn run_loop(
                     }
                 }
             }
-            st.traces.push(ts);
+            if let Some(clean) = clean_seen.as_mut() {
+                ts.discovery_delta(clean);
+            }
+            st.traces.push(Arc::new(ts));
         }
+        let kept = clean_seen.as_ref().unwrap_or(&st.seen);
 
         // Alias-resolution stage (opt-in): extend the incremental
         // router graph with the round's kept sets, derive candidate
@@ -1076,64 +1117,13 @@ fn run_loop(
             for ts in &st.traces[sets_before..] {
                 al.builder.ingest(ts);
             }
-            // Fresh responders: this round's interfaces the prober has
-            // not yet tested. A candidate bucket with no fresh member
-            // was fully adjudicated in an earlier round.
-            let mut fresh = AddrSet::new();
-            for ts in &st.traces[sets_before..] {
-                for &w in ts.interner().words() {
-                    let a = Ipv6Addr::from(w);
-                    if !al.probed.contains(a) {
-                        fresh.insert(a);
-                    }
-                }
-            }
-            let mut cand: BTreeSet<Ipv6Addr> = BTreeSet::new();
-            if !fresh.is_empty() {
-                // Shared-/64 heuristic over the whole trace record:
-                // interfaces numbered out of one /64 are prime
-                // same-router candidates. Old members of a bucket with
-                // a fresh arrival re-probe, so cross-round pairs can
-                // still confirm. Recomputed from checkpointed state —
-                // resume derives it bit-identically.
-                let mut by64: BTreeMap<u64, BTreeSet<Ipv6Addr>> = BTreeMap::new();
-                for ts in &st.traces {
-                    for &w in ts.interner().words() {
-                        by64.entry((w >> 64) as u64)
-                            .or_default()
-                            .insert(Ipv6Addr::from(w));
-                    }
-                }
-                for bucket in by64.values() {
-                    if bucket.len() >= 2 && bucket.iter().any(|&a| fresh.contains(a)) {
-                        cand.extend(bucket.iter().copied());
-                    }
-                }
-                // Shared trace-neighborhood: interfaces answering at
-                // one TTL for targets in one /64 occupy the same
-                // topological position — sibling candidates even
-                // across /64 boundaries.
-                let mut byhop: BTreeMap<(u64, u8), BTreeSet<Ipv6Addr>> = BTreeMap::new();
-                for ts in &st.traces[sets_before..] {
-                    let words = ts.interner().words();
-                    for tv in ts.iter() {
-                        let t64 = (u128::from(tv.target()) >> 64) as u64;
-                        for &(ttl, aid) in tv.hop_cells() {
-                            byhop
-                                .entry((t64, ttl))
-                                .or_default()
-                                .insert(Ipv6Addr::from(words[aid as usize]));
-                        }
-                    }
-                }
-                for bucket in byhop.values() {
-                    if bucket.len() >= 2 && bucket.iter().any(|&a| fresh.contains(a)) {
-                        cand.extend(bucket.iter().copied());
-                    }
-                }
-            }
-            let cand: Vec<Ipv6Addr> = cand.into_iter().collect();
-            let cand = stride_sample(&cand, cfg.alias.max_candidates_per_round);
+            // Candidates stay re-offerable (a cross-round pair needs
+            // the old member probed alongside the new one), but only a
+            // bucket with an untested arrival is offered at all.
+            let cand = stride_sample(
+                &sibling_candidates(kept, &st.traces[sets_before..], &al.probed),
+                cfg.alias.max_candidates_per_round,
+            );
             let remaining = cfg
                 .probe_budget
                 .saturating_sub(st.consumed)
@@ -1177,7 +1167,7 @@ fn run_loop(
             al.probes += alias_probes;
             al.pairs_confirmed += alias_confirmed;
             al.pairs_rejected += alias_rejected;
-            routers = al.builder.snapshot().observed_node_count() as u64;
+            routers = al.builder.observed_node_count() as u64;
         }
 
         st.stats.merge(&round_stats);
@@ -1314,20 +1304,8 @@ fn run_loop(
             // With the quarantine on, *only clean interfaces feed
             // forward*: the kept trace record holds the scrubbed sets,
             // whose interners are exactly the surviving observations —
-            // a condemned responder steers no future targeting. Derived
-            // from checkpointed state, so resume recomputes it
-            // bit-identically.
-            let discovered: Vec<Ipv6Addr> = if cfg.quarantine_feedback {
-                let mut clean = AddrSet::new();
-                for ts in &st.traces {
-                    for &w in ts.interner().words() {
-                        clean.insert(Ipv6Addr::from(w));
-                    }
-                }
-                clean.iter().collect()
-            } else {
-                st.seen.iter().collect()
-            };
+            // a condemned responder steers no future targeting.
+            let discovered: Vec<Ipv6Addr> = kept.iter().collect();
             let probed_targets: Vec<Ipv6Addr> = st.probed.iter().collect();
             let fb = feedback_list(
                 format!("adaptive-fb-r{round}"),
@@ -1361,7 +1339,9 @@ fn run_loop(
     AdaptiveResult {
         rounds: st.rounds,
         round_targets: st.round_targets,
-        traces: st.traces,
+        // Free when no checkpoint was retained; a retained one keeps
+        // its sets and the result takes copies.
+        traces: st.traces.into_iter().map(Arc::unwrap_or_clone).collect(),
         stats: st.stats,
         interfaces: st.seen,
         subnets: st.subnets,

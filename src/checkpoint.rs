@@ -22,6 +22,7 @@ use analysis::{
 use simnet::{EngineStats, Topology};
 use std::net::Ipv6Addr;
 use std::path::Path;
+use std::sync::Arc;
 use v6addr::Ipv6Prefix;
 use yarrp6::addrset::AddrSet;
 
@@ -86,6 +87,10 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
+    /// Snapshots `state`. The trace record is shared, not copied
+    /// (`LoopState::traces` holds `Arc`s and the loop never mutates a
+    /// kept set), so a capture costs the scalars, sets and pool — not
+    /// the record.
     pub(crate) fn capture(digest: u64, state: &LoopState) -> Self {
         Checkpoint {
             digest,
@@ -446,7 +451,7 @@ fn assemble_state(pre: PreTraces, traces: Vec<analysis::TraceSet>, post: PostTra
         subnets: pre.subnets,
         rounds: pre.rounds,
         round_targets: pre.round_targets,
-        traces,
+        traces: traces.into_iter().map(Arc::new).collect(),
         stats: post.stats,
         consumed: post.consumed,
         low_streak: post.low_streak,

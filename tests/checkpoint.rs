@@ -139,6 +139,39 @@ fn resume_under_faults_is_bit_identical() {
 }
 
 #[test]
+fn retained_checkpoint_never_shows_later_rounds() {
+    // A capture shares the trace record with the running loop instead
+    // of copying it. Hold on to round 1's checkpoint *value* while the
+    // loop runs on: nothing later rounds do may show through it.
+    let (topo, set) = fixture(FaultSchedule::default());
+    let cfg = AdaptiveConfig {
+        quarantine_feedback: true,
+        alias_resolution: true,
+        ..cfg()
+    };
+    let mut retained: Option<(Checkpoint, Vec<u8>)> = None;
+    let full = run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
+        if ck.round() == 1 {
+            retained = Some((ck.clone(), ck.to_bytes()));
+        }
+    });
+    assert!(full.rounds.len() > 1, "fixture must run past round 1");
+    let (ck, bytes_at_round_1) = retained.expect("round 1 was checkpointed");
+    assert_eq!(ck.round(), 1);
+    assert_eq!(ck.to_bytes(), bytes_at_round_1);
+    // Resume borrows the retained value (it is not consumed), twice.
+    for parallel in [false, true] {
+        let resumed = resume_adaptive(&topo, &cfg, &ck, parallel).expect("resume");
+        assert_same(&full, &resumed);
+        assert_eq!(
+            full.router_level.as_ref().map(|r| &r.graph),
+            resumed.router_level.as_ref().map(|r| &r.graph)
+        );
+        assert_eq!(ck.to_bytes(), bytes_at_round_1);
+    }
+}
+
+#[test]
 fn checkpoint_bytes_round_trip_and_reject_corruption() {
     let (topo, set) = fixture(FaultSchedule::default());
     let cfg = cfg();
