@@ -29,13 +29,11 @@
 //!
 //! [`to_trace_set`]: ShardedTraceSet::to_trace_set
 
-use crate::builder::TraceSetBuilder;
 use crate::intern::AddrInterner;
 use crate::traces::{TraceMeta, TraceSet, TraceView};
 use std::net::Ipv6Addr;
 use yarrp6::addrset::AddrSet;
 use yarrp6::campaign::pool_map;
-use yarrp6::ResponseRecord;
 
 /// One splitmix64 round — the same mixer `yarrp6::addrset` and
 /// `analysis::intern` use for address words.
@@ -371,84 +369,10 @@ impl ShardedTraceSet {
     }
 }
 
-/// A record-stream consumer that routes each record to a per-shard
-/// [`TraceSetBuilder`] as it arrives — the shard-aware twin of the
-/// flat builder, for sinks that want the campaign to finish already
-/// partitioned. `finish` yields per-shard sets whose **canonical**
-/// forms equal [`ShardedTraceSet::from_set`] of the flat build (id
-/// assignment differs: the flat builder interns in global receive
-/// order, each shard builder in its own).
-pub struct ShardedTraceSetBuilder {
-    route: ShardRoute,
-    builders: Vec<TraceSetBuilder>,
-}
-
-impl ShardedTraceSetBuilder {
-    /// A builder routing over `shards` shards.
-    pub fn new(shards: usize) -> ShardedTraceSetBuilder {
-        let route = ShardRoute::new(shards);
-        ShardedTraceSetBuilder {
-            route,
-            builders: (0..route.shards())
-                .map(|_| TraceSetBuilder::new())
-                .collect(),
-        }
-    }
-
-    /// Stamps the campaign identity on every shard (shards of one set
-    /// share vantage and target-set names).
-    pub fn with_identity(
-        mut self,
-        vantage: std::sync::Arc<str>,
-        target_set: std::sync::Arc<str>,
-    ) -> Self {
-        self.builders = self
-            .builders
-            .into_iter()
-            .map(|b| b.with_identity(vantage.clone(), target_set.clone()))
-            .collect();
-        self
-    }
-
-    /// Routes one record to its target's shard.
-    pub fn push(&mut self, r: &ResponseRecord) {
-        self.builders[self.route.shard_of(r.target)].push(r);
-    }
-
-    /// Routes a chunk record-by-record (routing is per-target, so a
-    /// chunk spans shards).
-    pub fn push_chunk(&mut self, chunk: &[ResponseRecord]) {
-        for r in chunk {
-            self.push(r);
-        }
-    }
-
-    /// Records pushed so far, across all shards.
-    pub fn records_seen(&self) -> u64 {
-        self.builders.iter().map(|b| b.records_seen()).sum()
-    }
-
-    /// Finishes every shard. Checksum-rewritten drop counts (set-level,
-    /// no per-target home) consolidate onto shard 0, matching the
-    /// [`ShardedTraceSet::from_set`] convention.
-    pub fn finish(self) -> ShardedTraceSet {
-        let mut shards: Vec<TraceSet> = self.builders.into_iter().map(|b| b.finish()).collect();
-        let total: u64 = shards.iter().map(|s| s.rewritten_dropped).sum();
-        for s in &mut shards {
-            s.rewritten_dropped = 0;
-        }
-        shards[0].rewritten_dropped = total;
-        ShardedTraceSet {
-            route: self.route,
-            shards,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yarrp6::{ProbeLog, ResponseKind};
+    use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
 
     fn rec(target: &str, responder: &str, ttl: u8, recv_us: u64) -> ResponseRecord {
         ResponseRecord {
@@ -592,28 +516,5 @@ mod tests {
         let prior = ShardedTraceSet::from_set(&TraceSet::from_log(&log), 4);
         let changed = a.changed_targets(&prior);
         assert_eq!(changed.len(), ts.len() - 5);
-    }
-
-    #[test]
-    fn builder_routing_matches_from_set_canonically() {
-        let mut records = Vec::new();
-        for p in 0u64..12 {
-            let t = format!("2001:db8:{p:x}::1");
-            records.push(rec(&t, &format!("2001:db8:ffff::{:x}", p % 5), 1, p));
-        }
-        let mut log = ProbeLog {
-            vantage: "V".into(),
-            target_set: "S".into(),
-            records,
-            ..Default::default()
-        };
-        log.sort_by_recv();
-        let flat = TraceSet::from_log(&log);
-
-        let mut builder = ShardedTraceSetBuilder::new(4).with_identity("V".into(), "S".into());
-        builder.push_chunk(&log.records);
-        let built = builder.finish();
-        let want = ShardedTraceSet::from_set(&flat, 4);
-        assert_eq!(built.canonical(), want.canonical());
     }
 }

@@ -28,6 +28,7 @@
 
 use beholder::adaptive::{run_adaptive_parallel, AdaptiveConfig};
 use beholder_bench::fmt::human;
+use beholder_bench::{env_gate, env_or};
 use seeds::feedback::FeedbackParams;
 use simnet::config::TopologyConfig;
 use std::net::Ipv6Addr;
@@ -36,17 +37,10 @@ use std::time::Instant;
 use targets::{synthesize::synthesize, IidStrategy, TargetSet};
 use yarrp6::YarrpConfig;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let tiles = env_u64("BENCH_ADAPTIVE_TILES", 4) as usize;
-    let budget = env_u64("BENCH_ADAPTIVE_BUDGET", 400_000);
-    let rounds = env_u64("BENCH_ADAPTIVE_ROUNDS", 6) as usize;
+    let tiles = env_or::<usize>("BENCH_ADAPTIVE_TILES", 4);
+    let budget = env_or::<u64>("BENCH_ADAPTIVE_BUDGET", 400_000);
+    let rounds = env_or::<usize>("BENCH_ADAPTIVE_ROUNDS", 6);
 
     let topo = Arc::new(simnet::generate::generate(TopologyConfig::tiled(7, tiles)));
     let catalog = seeds::sources::SeedCatalog::synthesize(&topo, 7);
@@ -178,8 +172,7 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_adaptive.json");
     println!("  wrote {path}");
 
-    if let Ok(min) = std::env::var("BENCH_ADAPTIVE_MIN_RATIO") {
-        let min: f64 = min.parse().expect("BENCH_ADAPTIVE_MIN_RATIO not a number");
+    if let Some(min) = env_gate("BENCH_ADAPTIVE_MIN_RATIO") {
         if yield_ratio < min {
             eprintln!("FAIL: adaptive/static yield {yield_ratio:.3}x below required {min:.2}x");
             std::process::exit(1);

@@ -40,6 +40,7 @@
 use aliasres::{resolve_aliases, sibling_candidates, AliasConfig, AliasSets};
 use beholder::adaptive::{run_adaptive_parallel, AdaptiveConfig};
 use beholder_bench::fmt::human;
+use beholder_bench::{env_gate, env_or};
 use simnet::config::TopologyConfig;
 use simnet::Engine;
 use std::hint::black_box;
@@ -50,18 +51,11 @@ use targets::{synthesize::synthesize, IidStrategy};
 use yarrp6::addrset::AddrSet;
 use yarrp6::YarrpConfig;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let tiles = env_u64("BENCH_ALIAS_TILES", 4) as usize;
-    let routers = env_u64("BENCH_ALIAS_ROUTERS", 64) as usize;
-    let budget = env_u64("BENCH_ALIAS_BUDGET", 300_000);
-    let rounds = env_u64("BENCH_ALIAS_ROUNDS", 4) as usize;
+    let tiles = env_or::<usize>("BENCH_ALIAS_TILES", 4);
+    let routers = env_or::<usize>("BENCH_ALIAS_ROUTERS", 64);
+    let budget = env_or::<u64>("BENCH_ALIAS_BUDGET", 300_000);
+    let rounds = env_or::<usize>("BENCH_ALIAS_ROUNDS", 4);
 
     let topo = Arc::new(simnet::generate::generate(TopologyConfig::tiled(7, tiles)));
 
@@ -218,8 +212,7 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_alias.json");
     println!("  wrote {path}");
 
-    if let Ok(min) = std::env::var("BENCH_ALIAS_MIN_PRECISION") {
-        let min: f64 = min.parse().expect("BENCH_ALIAS_MIN_PRECISION not a number");
+    if let Some(min) = env_gate("BENCH_ALIAS_MIN_PRECISION") {
         let worst = prec_a.min(prec_b);
         if worst < min {
             eprintln!("FAIL: alias precision {worst:.3} below required {min:.2}");
@@ -227,10 +220,7 @@ fn main() {
         }
         println!("  precision gate: {worst:.3} >= {min:.2} OK");
     }
-    if let Ok(max) = std::env::var("BENCH_ALIAS_MAX_CANDIDATES_NS") {
-        let max: f64 = max
-            .parse()
-            .expect("BENCH_ALIAS_MAX_CANDIDATES_NS not a number");
+    if let Some(max) = env_gate("BENCH_ALIAS_MAX_CANDIDATES_NS") {
         if candidates_ns > max {
             eprintln!(
                 "FAIL: candidate derivation {candidates_ns:.1} ns per hop cell above allowed {max:.0}"

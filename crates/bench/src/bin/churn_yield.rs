@@ -25,6 +25,7 @@
 
 use beholder::adaptive::{run_adaptive_parallel, AdaptiveConfig};
 use beholder_bench::fmt::human;
+use beholder_bench::{env_gate, env_or};
 use seeds::feedback::FeedbackParams;
 use simnet::config::TopologyConfig;
 use simnet::topology::RouterId;
@@ -35,18 +36,11 @@ use targets::{synthesize::synthesize, IidStrategy};
 use yarrp6::campaign::RetryPolicy;
 use yarrp6::YarrpConfig;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let tiles = env_u64("BENCH_CHURN_TILES", 4) as usize;
-    let budget = env_u64("BENCH_CHURN_BUDGET", 400_000);
-    let rounds = env_u64("BENCH_CHURN_ROUNDS", 6) as usize;
-    let kill_us = env_u64("BENCH_CHURN_KILL_US", 2_000_000);
+    let tiles = env_or::<usize>("BENCH_CHURN_TILES", 4);
+    let budget = env_or::<u64>("BENCH_CHURN_BUDGET", 400_000);
+    let rounds = env_or::<usize>("BENCH_CHURN_ROUNDS", 6);
+    let kill_us = env_or::<u64>("BENCH_CHURN_KILL_US", 2_000_000);
 
     let yarrp = YarrpConfig {
         fill_mode: false, // exact probe accounting: cost = targets × ttl
@@ -182,8 +176,7 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_churn.json");
     println!("  wrote {path}");
 
-    if let Ok(min) = std::env::var("BENCH_CHURN_MIN_RATIO") {
-        let min: f64 = min.parse().expect("BENCH_CHURN_MIN_RATIO not a number");
+    if let Some(min) = env_gate("BENCH_CHURN_MIN_RATIO") {
         if yield_ratio < min {
             eprintln!("FAIL: churn/fault-free yield {yield_ratio:.3}x below required {min:.2}x");
             std::process::exit(1);

@@ -31,6 +31,7 @@
 
 use beholder::adaptive::{run_adaptive_parallel, AdaptiveConfig};
 use beholder_bench::fmt::human;
+use beholder_bench::{env_gate, env_or};
 use seeds::feedback::FeedbackParams;
 use simnet::config::TopologyConfig;
 use simnet::topology::{RouterId, RouterRole};
@@ -40,18 +41,11 @@ use std::time::Instant;
 use targets::{synthesize::synthesize, IidStrategy};
 use yarrp6::YarrpConfig;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let tiles = env_u64("BENCH_POISONED_TILES", 4) as usize;
-    let budget = env_u64("BENCH_POISONED_BUDGET", 400_000);
-    let rounds = env_u64("BENCH_POISONED_ROUNDS", 6) as usize;
-    let milli = env_u64("BENCH_POISONED_MILLI", 200).clamp(1, 1000);
+    let tiles = env_or::<usize>("BENCH_POISONED_TILES", 4);
+    let budget = env_or::<u64>("BENCH_POISONED_BUDGET", 400_000);
+    let rounds = env_or::<usize>("BENCH_POISONED_ROUNDS", 6);
+    let milli = env_or::<u64>("BENCH_POISONED_MILLI", 200).clamp(1, 1000);
 
     let yarrp = YarrpConfig {
         fill_mode: false, // exact probe accounting: cost = targets × ttl
@@ -206,8 +200,7 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_poisoned.json");
     println!("  wrote {path}");
 
-    if let Ok(min) = std::env::var("BENCH_POISONED_MIN_RATIO") {
-        let min: f64 = min.parse().expect("BENCH_POISONED_MIN_RATIO not a number");
+    if let Some(min) = env_gate("BENCH_POISONED_MIN_RATIO") {
         if yield_ratio < min {
             eprintln!("FAIL: poisoned/clean yield {yield_ratio:.3}x below required {min:.2}x");
             std::process::exit(1);

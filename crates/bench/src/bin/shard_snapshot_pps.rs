@@ -24,18 +24,12 @@ use analysis::{read_sharded_snapshot, write_sharded_snapshot, ShardedTraceSet, T
 use beholder::adaptive::{
     run_adaptive_delta, run_adaptive_parallel, AdaptiveConfig, DeltaSeedConfig,
 };
+use beholder_bench::{env_gate, env_or};
 use simnet::config::TopologyConfig;
 use std::sync::Arc;
 use std::time::Instant;
 use yarrp6::campaign::{try_run_campaigns_parallel, CampaignSpec};
 use yarrp6::YarrpConfig;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Measurement {
     elapsed_s: f64,
@@ -57,10 +51,10 @@ fn measure<T>(units: u64, reps: usize, mut f: impl FnMut() -> T) -> Measurement 
 }
 
 fn main() {
-    let tiles = env_usize("BENCH_SNAPSHOT_TILES", 6).max(1);
-    let shards = env_usize("BENCH_SNAPSHOT_SHARDS", 8).max(1);
-    let n_sets = env_usize("BENCH_SNAPSHOT_SETS", 12).max(2);
-    let reps = env_usize("BENCH_SNAPSHOT_REPS", 3).max(1);
+    let tiles = env_or::<usize>("BENCH_SNAPSHOT_TILES", 6).max(1);
+    let shards = env_or::<usize>("BENCH_SNAPSHOT_SHARDS", 8).max(1);
+    let n_sets = env_or::<usize>("BENCH_SNAPSHOT_SETS", 12).max(2);
+    let reps = env_or::<usize>("BENCH_SNAPSHOT_REPS", 3).max(1);
 
     let topo = Arc::new(simnet::generate::generate(TopologyConfig::tiled(42, tiles)));
     let seeds = seeds::sources::SeedCatalog::synthesize(&topo, 42);
@@ -217,10 +211,7 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_snapshot.json");
     println!("  wrote {path}");
 
-    if let Ok(min) = std::env::var("BENCH_SNAPSHOT_MIN_SPEEDUP") {
-        let min: f64 = min
-            .parse()
-            .expect("BENCH_SNAPSHOT_MIN_SPEEDUP not a number");
+    if let Some(min) = env_gate("BENCH_SNAPSHOT_MIN_SPEEDUP") {
         if speedup < min {
             eprintln!("FAIL: sharded/flat merge_all {speedup:.2}x below required {min:.2}x");
             std::process::exit(1);

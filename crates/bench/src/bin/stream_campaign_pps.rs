@@ -24,6 +24,7 @@
 //!   throughput drops below this (the CI regression gate)
 
 use analysis::{CampaignRunner, TraceSet};
+use beholder_bench::{env_gate, env_or};
 use simnet::config::TopologyConfig;
 use simnet::{EngineStats, Topology};
 use std::sync::Arc;
@@ -32,13 +33,6 @@ use targets::TargetSet;
 use yarrp6::campaign::run_campaign;
 use yarrp6::sink::StreamConfig;
 use yarrp6::{ResponseKind, ResponseRecord, YarrpConfig};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The streaming path under measurement: one campaign through the
 /// runner (prober → bounded channel → `TraceSetBuilder`).
@@ -101,8 +95,8 @@ fn classified_rows(records: &[ResponseRecord]) -> usize {
 
 fn main() {
     let scale = beholder_bench::env_scale(simnet::Scale::Small);
-    let vantages = env_usize("BENCH_STREAM_VANTAGES", 3).clamp(1, 3) as u8;
-    let reps = env_usize("BENCH_STREAM_REPS", 3).max(1);
+    let vantages = env_or::<usize>("BENCH_STREAM_VANTAGES", 3).clamp(1, 3) as u8;
+    let reps = env_or::<usize>("BENCH_STREAM_REPS", 3).max(1);
 
     let topo = Arc::new(simnet::generate::generate(TopologyConfig::at_scale(
         scale, 7,
@@ -112,7 +106,7 @@ fn main() {
     let set = catalog.get("combined-z64").expect("combined-z64");
     let cfg = YarrpConfig::default();
     let stream = StreamConfig {
-        chunk_records: env_usize("BENCH_STREAM_CHUNK", 4096).max(1),
+        chunk_records: env_or::<usize>("BENCH_STREAM_CHUNK", 4096).max(1),
         ..Default::default()
     };
 
@@ -213,8 +207,7 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_stream.json");
     println!("  wrote {path}");
 
-    if let Ok(min) = std::env::var("BENCH_STREAM_MIN_RATIO") {
-        let min: f64 = min.parse().expect("BENCH_STREAM_MIN_RATIO not a number");
+    if let Some(min) = env_gate("BENCH_STREAM_MIN_RATIO") {
         if speedup < min {
             eprintln!("FAIL: streaming/batch throughput {speedup:.2}x below required {min:.2}x");
             std::process::exit(1);

@@ -12,6 +12,7 @@
 //! prober actually sees. Inference runs on the real per-vantage traces.
 
 use analysis::{discover_by_path_div, ia_hack, reference, AsnResolver, PathDivParams, TraceSet};
+use beholder_bench::{env_gate, env_or};
 use simnet::config::TopologyConfig;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -49,10 +50,7 @@ fn splitmix(z: &mut u64) -> u64 {
 }
 
 fn main() {
-    let tiles: u128 = std::env::var("BENCH_ANALYSIS_TILES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
+    let tiles = env_or::<u128>("BENCH_ANALYSIS_TILES", 64);
     let topo = Arc::new(simnet::generate::generate(TopologyConfig::tiny(7)));
     let seeds = seeds::sources::SeedCatalog::synthesize(&topo, 7);
     let catalog = targets::TargetCatalog::build(&seeds, targets::IidStrategy::FixedIid);
@@ -173,10 +171,7 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_analysis.json");
     println!("  wrote {path}");
 
-    if let Ok(min) = std::env::var("BENCH_ANALYSIS_MIN_SPEEDUP") {
-        let min: f64 = min
-            .parse()
-            .expect("BENCH_ANALYSIS_MIN_SPEEDUP not a number");
+    if let Some(min) = env_gate("BENCH_ANALYSIS_MIN_SPEEDUP") {
         let worst = recon_speedup.min(infer_speedup);
         if worst < min {
             eprintln!("FAIL: speedup {worst:.2}x below required {min:.2}x");

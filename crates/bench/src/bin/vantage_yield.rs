@@ -27,23 +27,17 @@
 
 use analysis::{vantage_contributions, vantage_jaccard, vantage_union_count, CampaignRunner};
 use beholder_bench::fmt::human;
+use beholder_bench::{env_gate, env_or};
 use simnet::config::TopologyConfig;
 use std::sync::Arc;
 use std::time::Instant;
 use targets::{stride_sample, IidStrategy, TargetCatalog, TargetSet};
 use yarrp6::YarrpConfig;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let tiles = env_u64("BENCH_VANTAGE_TILES", 4) as usize;
-    let cap = env_u64("BENCH_VANTAGE_TARGETS", 20_000) as usize;
-    let ttl = env_u64("BENCH_VANTAGE_TTL", 12) as u8;
+    let tiles = env_or::<usize>("BENCH_VANTAGE_TILES", 4);
+    let cap = env_or::<usize>("BENCH_VANTAGE_TARGETS", 20_000);
+    let ttl = env_or::<u8>("BENCH_VANTAGE_TTL", 12);
 
     let topo = Arc::new(simnet::generate::generate(TopologyConfig::tiled(42, tiles)));
     let seed_catalog = seeds::sources::SeedCatalog::synthesize(&topo, 42);
@@ -126,8 +120,7 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_vantage.json");
     println!("  wrote {path}");
 
-    if let Ok(min) = std::env::var("BENCH_VANTAGE_MIN_RATIO") {
-        let min: f64 = min.parse().expect("BENCH_VANTAGE_MIN_RATIO not a number");
+    if let Some(min) = env_gate("BENCH_VANTAGE_MIN_RATIO") {
         if yield_ratio < min {
             eprintln!("FAIL: union/best yield {yield_ratio:.3}x below required {min:.2}x");
             std::process::exit(1);

@@ -2,19 +2,6 @@
 //! the paper argues for — *what you probe determines what you see*, so
 //! round *n+1*'s targets are generated from round *n*'s discoveries.
 //!
-//! Each round streams probe campaigns straight into the incremental
-//! [`TraceSetBuilder`](analysis::TraceSetBuilder) (record memory stays
-//! bounded by the chunk channel), mines the finished
-//! [`TraceSet`]s for newly discovered interfaces
-//! ([`TraceSet::discovery_delta`] against one global seen-set) and
-//! inferred subnets (the IA hack, optionally path divergence), feeds
-//! those through the feedback seed generator
-//! ([`seeds::feedback::feedback_list`]: kIP aggregation + 6Gen
-//! expansion) and the feedback target synthesizer
-//! ([`targets::feedback_targets`]), and repeats under a global probe
-//! budget until the marginal yield stays below a floor for
-//! [`AdaptiveConfig::patience`] consecutive rounds.
-//!
 //! ```text
 //!        ┌──────────── targets (round n) ────────────┐
 //!        │                                           ▼
@@ -24,26 +11,65 @@
 //!        └────────── targets (round n+1) ◄────────────┘
 //! ```
 //!
-//! Rounds are **multi-vantage**: every configured vantage probes each
-//! round under one global seen-set, and with
-//! [`AdaptiveConfig::vantage_budgeting`] the loop tracks each
-//! vantage's marginal yield (new interfaces per probe, EWMA-smoothed
-//! with an exploration floor) and reallocates the next round's
-//! target-probe budget toward the vantages that are still earning —
-//! the paper's vantage-diversity observation turned into a feedback
-//! controller.
+//! Rounds are **multi-vantage** (every configured vantage probes each
+//! round under one global seen-set), run under a global probe budget,
+//! and repeat until the marginal yield stays below a floor for
+//! [`AdaptiveConfig::patience`] consecutive rounds. Five behaviours
+//! are opt-in and bit-identical to their absence when off:
+//! [`vantage_budgeting`](AdaptiveConfig::vantage_budgeting),
+//! [`quarantine_feedback`](AdaptiveConfig::quarantine_feedback),
+//! [`alias_resolution`](AdaptiveConfig::alias_resolution),
+//! [`path_div`](AdaptiveConfig::path_div) and
+//! [`delta_seeding`](AdaptiveConfig::delta_seeding).
 //!
-//! Two drivers share one deterministic loop body:
+//! ## Stages
+//!
+//! The loop is a short driver over one state, `LoopState` — everything
+//! the next round reads, owned by the [`Checkpoint`] the round-boundary
+//! observer is shown. A round is the stages below, in order; each is
+//! one private function that takes the state plus the round-local
+//! outputs of earlier stages and returns its own.
+//!
+//! | stage | reads | writes in `LoopState` | belongs to |
+//! |---|---|---|---|
+//! | stop rule | `low_streak`, `rounds`, `alive`, `consumed` | — (ends the loop: yield floor, round cap, all vantages down, budget) | always |
+//! | plan/budget | `pool`, `probed`, `vweights`, `alive`, `consumed`; the delta force queue | `probed` (the round's stride-sampled, budget-capped targets) | always; per-vantage allocation by yield share is `vantage_budgeting`, queue-jumping targets are `delta_seeding` |
+//! | probe | `vclock_us` (campaigns start there on the fault schedule) | — (one supervised outcome per vantage × shard) | always |
+//! | quarantine | the round's raw sets, jointly | — (scrubbed copies for everything that feeds *forward*) | `quarantine_feedback` |
+//! | attribute + mine | `seen` at round start, then the round's sets | `seen` (raw sets: a decoded responder is a real interface), `subnets`, `traces` (scrubbed sets when the quarantine is on) | always; path divergence is `path_div` |
+//! | alias | the round's kept sets, the kept record's interfaces, `alive`, `vclock_us`, `consumed` | `alias` (router graph, tested set, verdict totals) | `alias_resolution` |
+//! | close round | every round-local output above | `stats`, `consumed`, `vclock_us`, `alive`, `vweights`, `rounds`, `round_targets`, `low_streak` | always; the EWMA weight update is `vantage_budgeting` |
+//! | delta canaries | the round's targets and sets, the prior store | `low_streak` (reset when a shard reopens; its targets join the force queue) | `delta_seeding` |
+//! | feedback | the kept record's interfaces, `probed`, `subnets` | `pool` (kIP + 6Gen over *all* discoveries: cumulative by the paper's definition of their basis) | always; skipped when the stop rule already says stop |
+//!
+//! Every other stage is sized by the round just finished, not by the
+//! record so far: alias candidates come from a merge-join over the
+//! round's sets ([`aliasres::sibling_candidates`]), the router count is
+//! read off the graph builder's union-find
+//! ([`RouterGraphBuilder::observed_node_count`]), and the membership
+//! views the stages share (known subnets, the kept record's clean
+//! interfaces) are extended, never rebuilt.
+//!
+//! After feedback the state is a complete resume point and the
+//! observer of [`run_adaptive_checkpointed`] borrows the [`Checkpoint`]
+//! that owns it — nothing is copied to show it. The stop rule reads
+//! state alone, which is what makes that true: the same function
+//! decides at the loop top and decides whether feedback is worth
+//! generating.
+//!
+//! ## Drivers
+//!
 //! [`run_adaptive`] runs each round's campaigns serially,
-//! [`run_adaptive_parallel`] runs them on the work-queue pool.
-//! Campaigns are engine-isolated and results return in input order, so
-//! the two produce bit-identical results — pinned by the `adaptive`
-//! test suite, alongside a golden test that a one-round run equals a
-//! plain single-vantage [`analysis::CampaignRunner`] campaign.
+//! [`run_adaptive_parallel`] on the work-queue pool. Campaigns are
+//! engine-isolated and results return in input order, so the two are
+//! bit-identical — pinned by the `adaptive` suite, alongside a golden
+//! test that a one-round run equals a plain single-vantage
+//! [`analysis::CampaignRunner`] campaign, and by `everything_on` with
+//! every opt-in at once on a faulty, hostile network.
 //!
 //! ## Fault tolerance
 //!
-//! Every round runs under the campaign supervisor
+//! The probe stage runs under the campaign supervisor
 //! ([`analysis::stream_campaigns_supervised`]): a campaign that
 //! panics, loses its record stream or probes into a scheduled blackout
 //! ([`simnet::FaultSchedule`]) is retried with exponential backoff on
@@ -54,33 +80,17 @@
 //! declared **dead**: the budgeter reallocates its share across the
 //! survivors, its [`VantageRound`] entries report
 //! [`degraded`](VantageRound::degraded), and the loop continues
-//! instead of aborting (stopping with
-//! [`StopReason::AllVantagesDown`] only when nobody is left).
+//! (stopping with [`StopReason::AllVantagesDown`] only when nobody is
+//! left). A vantage index the topology does not have, an empty vantage
+//! list or a zero TTL horizon is a configuration error and panics at
+//! loop entry, naming the field; it is never reported as a fault.
 //!
 //! ## Checkpoint/resume
 //!
-//! [`run_adaptive_checkpointed`] emits a [`Checkpoint`] at every round
-//! boundary — a compact hand-rolled snapshot of the whole loop state
-//! (interner-preserving trace sets, budget and EWMA state, the
-//! regenerated pool). [`resume_adaptive`] continues from any such
-//! checkpoint and produces results bit-identical to the uninterrupted
-//! run, pinned by the `checkpoint` test suite.
-//!
-//! ## Between rounds
-//!
-//! The network rate-limits probing, so analysis and feedback are what
-//! a long run pays for — and each between-round stage is sized by the
-//! round just finished, not by the trace record so far. Quarantine,
-//! mining and the router graph take the round's sets only; alias
-//! candidates come from a merge-join over the round's sets plus the
-//! record's distinct interfaces ([`aliasres::sibling_candidates`]);
-//! the round's router count is read off the graph builder's union-find
-//! ([`RouterGraphBuilder::observed_node_count`]), not off a rendered
-//! graph; membership views (known subnets, clean interfaces) are
-//! extended, not rebuilt; and a checkpoint capture shares the kept
-//! sets instead of copying them. The one cumulative input is inherent:
-//! the feedback generators (kIP, 6Gen) cluster *all* discoveries and
-//! probed targets, by the paper's definition of their basis.
+//! [`resume_adaptive`] continues from any round-boundary
+//! [`Checkpoint`] (a byte-deterministic snapshot of `LoopState`) and
+//! produces results bit-identical to the uninterrupted run, pinned by
+//! the `checkpoint` suite.
 //!
 //! This module lives in the umbrella crate because it is the one place
 //! the whole pipeline meets: it orchestrates `yarrp6` (probers),
@@ -105,7 +115,7 @@ use std::sync::Arc;
 use targets::{feedback_targets, stride_sample, IidStrategy, TargetSet};
 use v6addr::Ipv6Prefix;
 use yarrp6::addrset::AddrSet;
-use yarrp6::campaign::{CampaignSpec, RetryPolicy};
+use yarrp6::campaign::{CampaignSpec, RetryPolicy, SupervisedCampaign};
 use yarrp6::{StreamConfig, YarrpConfig};
 
 /// Configuration of the adaptive discovery loop.
@@ -474,9 +484,12 @@ impl AdaptiveResult {
 }
 
 /// The loop's complete cross-round state — everything the next round
-/// reads. Captured at every round boundary by the checkpoint layer
-/// ([`Checkpoint`]); resuming from a snapshot of this state reproduces
-/// the uninterrupted run bit-identically.
+/// reads, and nothing a stage can rebuild. It has one owner: the loop
+/// runs on the state inside the [`Checkpoint`] it shows the
+/// round-boundary observer, so a checkpoint is the loop's state, not a
+/// copy of it, and resuming from one reproduces the uninterrupted run
+/// bit-identically. The only clone is the one a resume makes of the
+/// caller's `&Checkpoint`, once per run.
 #[derive(Clone, Debug)]
 pub(crate) struct LoopState {
     /// EWMA yield weights, one per configured vantage.
@@ -495,10 +508,9 @@ pub(crate) struct LoopState {
     /// Each finished round's exact target list.
     pub(crate) round_targets: Vec<Vec<Ipv6Addr>>,
     /// Every completed campaign's trace set. Shared, never mutated
-    /// once pushed: a [`Checkpoint`] capture bumps reference counts
-    /// instead of copying the ever-growing record, and the sets a
-    /// retained checkpoint holds are the very ones the loop keeps
-    /// reading.
+    /// once pushed: a [`Checkpoint`] an observer cloned and kept holds
+    /// the very sets the loop keeps reading, not copies of the
+    /// ever-growing record.
     pub(crate) traces: Vec<Arc<TraceSet>>,
     /// Merged engine accounting.
     pub(crate) stats: EngineStats,
@@ -512,8 +524,8 @@ pub(crate) struct LoopState {
     /// start on the fault schedule's clock.
     pub(crate) vclock_us: u64,
     /// Alias-stage state; `Some` exactly when
-    /// [`AdaptiveConfig::alias_resolution`] is on (installed at loop
-    /// start, carried through checkpoints).
+    /// [`AdaptiveConfig::alias_resolution`] is on (installed with the
+    /// fresh state, carried through checkpoints).
     pub(crate) alias: Option<AliasState>,
 }
 
@@ -535,24 +547,29 @@ pub(crate) struct AliasState {
     pub(crate) probes: u64,
 }
 
-impl LoopState {
-    fn fresh(initial: &TargetSet, k: usize) -> Self {
-        LoopState {
-            vweights: vec![1.0 / k as f64; k],
-            alive: vec![true; k],
-            seen: AddrSet::new(),
-            probed: AddrSet::new(),
-            subnets: Vec::new(),
-            rounds: Vec::new(),
-            round_targets: Vec::new(),
-            traces: Vec::new(),
-            stats: EngineStats::default(),
-            consumed: 0,
-            low_streak: 0,
-            pool: initial.addrs.clone(),
-            vclock_us: 0,
-            alias: None,
-        }
+/// The state no round has touched yet, inside the checkpoint that will
+/// own it for the run.
+fn fresh(topo: &Topology, initial: &TargetSet, cfg: &AdaptiveConfig) -> Checkpoint {
+    let k = cfg.vantages.len();
+    let state = LoopState {
+        vweights: vec![1.0 / k as f64; k],
+        alive: vec![true; k],
+        seen: AddrSet::new(),
+        probed: AddrSet::new(),
+        subnets: Vec::new(),
+        rounds: Vec::new(),
+        round_targets: Vec::new(),
+        traces: Vec::new(),
+        stats: EngineStats::default(),
+        consumed: 0,
+        low_streak: 0,
+        pool: initial.addrs.clone(),
+        vclock_us: 0,
+        alias: cfg.alias_resolution.then(AliasState::default),
+    };
+    Checkpoint {
+        digest: config_digest(topo, cfg),
+        state,
     }
 }
 
@@ -563,8 +580,7 @@ pub fn run_adaptive(
     initial: &TargetSet,
     cfg: &AdaptiveConfig,
 ) -> AdaptiveResult {
-    let st = LoopState::fresh(initial, cfg.vantages.len().max(1));
-    run_loop(topo, cfg, false, st, None, |_| {})
+    run_loop(topo, cfg, false, fresh(topo, initial, cfg), None, |_| {})
 }
 
 /// Runs the adaptive loop with each round's campaigns executed on the
@@ -576,8 +592,7 @@ pub fn run_adaptive_parallel(
     initial: &TargetSet,
     cfg: &AdaptiveConfig,
 ) -> AdaptiveResult {
-    let st = LoopState::fresh(initial, cfg.vantages.len().max(1));
-    run_loop(topo, cfg, true, st, None, |_| {})
+    run_loop(topo, cfg, true, fresh(topo, initial, cfg), None, |_| {})
 }
 
 /// Runs the adaptive loop seeded from a prior run's persisted sharded
@@ -606,7 +621,8 @@ pub fn run_adaptive_delta(
     parallel: bool,
 ) -> AdaptiveResult {
     let dcfg = cfg.delta_seeding.unwrap_or_default();
-    let mut st = LoopState::fresh(initial, cfg.vantages.len().max(1));
+    let mut ck = fresh(topo, initial, cfg);
+    let st = &mut ck.state;
     // The snapshot's discoveries seed the seen-set (they are not
     // re-counted as yield) and its shards seed the kept trace record,
     // so the result's merged view is the updated store.
@@ -641,14 +657,16 @@ pub fn run_adaptive_delta(
         canaries,
         reopened: vec![false; prior.n_shards()],
     };
-    run_loop(topo, cfg, parallel, st, Some(delta), |_| {})
+    run_loop(topo, cfg, parallel, ck, Some(delta), |_| {})
 }
 
-/// [`run_adaptive`] (or its parallel form) with a [`Checkpoint`]
-/// handed to `on_round` at **every round boundary** — after the
-/// round's mining, budget accounting and pool regeneration, i.e.
-/// exactly the state the next round starts from. Persist
-/// [`Checkpoint::to_bytes`] wherever durability lives; a process
+/// [`run_adaptive`] (or its parallel form) with the loop's
+/// [`Checkpoint`] shown to `on_round` at **every round boundary** —
+/// after the round's mining, budget accounting and pool regeneration,
+/// i.e. exactly the state the next round starts from. The observer
+/// borrows the state the loop runs on (showing it copies nothing);
+/// persist [`Checkpoint::to_bytes`] or [`Checkpoint::save_dir`]
+/// wherever durability lives, or clone it to keep the value. A process
 /// killed between rounds resumes with [`resume_adaptive`]
 /// bit-identically.
 pub fn run_adaptive_checkpointed(
@@ -656,13 +674,16 @@ pub fn run_adaptive_checkpointed(
     initial: &TargetSet,
     cfg: &AdaptiveConfig,
     parallel: bool,
-    mut on_round: impl FnMut(&Checkpoint),
+    on_round: impl FnMut(&Checkpoint),
 ) -> AdaptiveResult {
-    let digest = config_digest(topo, cfg);
-    let st = LoopState::fresh(initial, cfg.vantages.len().max(1));
-    run_loop(topo, cfg, parallel, st, None, |s| {
-        on_round(&Checkpoint::capture(digest, s))
-    })
+    run_loop(
+        topo,
+        cfg,
+        parallel,
+        fresh(topo, initial, cfg),
+        None,
+        on_round,
+    )
 }
 
 /// Continues an adaptive run from a round-boundary [`Checkpoint`].
@@ -681,26 +702,20 @@ pub fn resume_adaptive(
 }
 
 /// [`resume_adaptive`] that keeps checkpointing: `on_round` fires at
-/// every round boundary after the resume point.
+/// every round boundary after the resume point. The caller's
+/// checkpoint is left as it was; the resumed loop runs on a clone of
+/// it (which shares the trace record).
 pub fn resume_adaptive_checkpointed(
     topo: &Arc<Topology>,
     cfg: &AdaptiveConfig,
     ckpt: &Checkpoint,
     parallel: bool,
-    mut on_round: impl FnMut(&Checkpoint),
+    on_round: impl FnMut(&Checkpoint),
 ) -> Result<AdaptiveResult, ResumeError> {
-    let digest = config_digest(topo, cfg);
-    if digest != ckpt.digest() {
+    if config_digest(topo, cfg) != ckpt.digest() {
         return Err(ResumeError::ConfigMismatch);
     }
-    Ok(run_loop(
-        topo,
-        cfg,
-        parallel,
-        ckpt.state().clone(),
-        None,
-        |s| on_round(&Checkpoint::capture(digest, s)),
-    ))
+    Ok(run_loop(topo, cfg, parallel, ckpt.clone(), None, on_round))
 }
 
 /// Cross-round context of a delta-seeded run ([`run_adaptive_delta`]):
@@ -719,296 +734,388 @@ struct DeltaCtx<'a> {
     force: Vec<Ipv6Addr>,
 }
 
-/// The distinct interfaces of `sets`, in first-appearance order.
-fn interfaces_of(sets: &[Arc<TraceSet>]) -> AddrSet {
-    let mut all = AddrSet::new();
-    for ts in sets {
-        ts.discovery_delta(&mut all);
-    }
-    all
+/// Views of checkpointed state that every run rebuilds at loop entry
+/// and the stages extend as rounds finish; never serialized.
+struct Views {
+    /// Membership of `LoopState::subnets`.
+    subnet_set: BTreeSet<Ipv6Prefix>,
+    /// The distinct interfaces of the kept trace record when the
+    /// quarantine is on (the record then holds scrubbed sets). `None`
+    /// with it off: every mined set is kept raw, so those interfaces
+    /// are `LoopState::seen` itself.
+    clean_seen: Option<AddrSet>,
+    /// The public ASN view path divergence reads; `Some` exactly when
+    /// [`AdaptiveConfig::path_div`] is.
+    resolver: Option<AsnResolver>,
 }
 
-fn run_loop(
+impl Views {
+    fn rebuild(topo: &Topology, cfg: &AdaptiveConfig, st: &LoopState) -> Views {
+        Views {
+            subnet_set: st.subnets.iter().copied().collect(),
+            clean_seen: cfg.quarantine_feedback.then(|| {
+                let mut all = AddrSet::new();
+                for ts in &st.traces {
+                    ts.discovery_delta(&mut all);
+                }
+                all
+            }),
+            resolver: cfg.path_div.map(|_| {
+                AsnResolver::new(
+                    topo.bgp.clone(),
+                    topo.rir_extra.clone(),
+                    &topo.asn_equivalences,
+                )
+            }),
+        }
+    }
+
+    /// The interfaces that feed *forward* (alias candidates, feedback
+    /// generation): with the quarantine on only clean ones, so a
+    /// condemned responder steers no later round.
+    fn kept<'a>(&'a self, seen: &'a AddrSet) -> &'a AddrSet {
+        self.clean_seen.as_ref().unwrap_or(seen)
+    }
+}
+
+/// Plan stage output: what the round probes and from where.
+struct RoundPlan {
+    round: usize,
+    /// The round's sorted, deduplicated target list.
+    targets: Vec<Ipv6Addr>,
+    /// Targets allocated to each configured vantage (0 for a dead one).
+    alloc: Vec<usize>,
+    /// Each vantage's shard sets — or, when `uniform`, the one list of
+    /// shard sets every vantage probes.
+    vantage_sets: Vec<Vec<TargetSet>>,
+    uniform: bool,
+}
+
+impl RoundPlan {
+    /// The shard sets vantage position `vi` probes (none when dead).
+    fn sets_of(&self, vi: usize) -> &[TargetSet] {
+        &self.vantage_sets[if self.uniform { 0 } else { vi }]
+    }
+}
+
+/// Probe stage output: one supervised outcome per campaign,
+/// vantage-major, shards within a vantage.
+struct RoundRun {
+    results: Vec<SupervisedCampaign<TraceSet>>,
+    /// Campaign → position in [`AdaptiveConfig::vantages`] (dead
+    /// vantages contribute no campaigns, so `i / shards` would not do).
+    spec_vi: Vec<usize>,
+}
+
+impl RoundRun {
+    /// All of a round's campaigns run concurrently in virtual time; the
+    /// round occupies the slowest one's span, retry backoffs included.
+    fn elapsed_us(&self) -> u64 {
+        self.results
+            .iter()
+            .map(|sc| sc.elapsed_us)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// Attribute stage output: the round's per-vantage accounting so far
+/// (the alias and close stages finish it).
+struct VantageTally {
+    per_v: Vec<VantageRound>,
+    /// Vantages with at least one campaign that came back non-degraded.
+    ok: Vec<bool>,
+}
+
+/// Mine stage output.
+struct Mined {
+    /// Engine accounting of the round's campaigns, every supervised
+    /// attempt included — retries burn real budget.
+    stats: EngineStats,
+    new_interfaces: u64,
+    new_subnets: u64,
+    /// Where the round's kept sets start in `LoopState::traces`.
+    first_set: usize,
+}
+
+/// Alias stage output; all zero when the stage is off or had nothing
+/// to probe.
+#[derive(Default)]
+struct AliasRound {
+    stats: EngineStats,
+    elapsed_us: u64,
+    confirmed: u64,
+    rejected: u64,
+    routers: u64,
+}
+
+/// A configuration no network fault can explain is refused before the
+/// first probe, naming the field — otherwise the supervisor would retry
+/// a vantage the topology does not have and report it *degraded, then
+/// dead*, and a zero TTL horizon would surface as a division by zero.
+fn check_config(topo: &Topology, cfg: &AdaptiveConfig) {
+    assert!(
+        !cfg.vantages.is_empty(),
+        "AdaptiveConfig::vantages is empty: at least one vantage required"
+    );
+    if let Some(v) = cfg
+        .vantages
+        .iter()
+        .find(|&&v| v as usize >= topo.vantages.len())
+    {
+        panic!(
+            "AdaptiveConfig::vantages names vantage {v}, but the topology has {} vantages",
+            topo.vantages.len()
+        );
+    }
+    assert!(
+        cfg.yarrp.max_ttl > 0,
+        "AdaptiveConfig::yarrp.max_ttl is 0: a round could not send a probe"
+    );
+}
+
+/// The stop rule: every way the loop ends that state alone decides
+/// (the fifth, [`StopReason::NoTargets`], is the plan stage coming back
+/// empty). Deciding from state alone is what makes the round-boundary
+/// checkpoint a complete resume point. Order matters: the yield-floor
+/// verdict of the previous round precedes the round cap.
+fn stop_reason(st: &LoopState, cfg: &AdaptiveConfig) -> Option<StopReason> {
+    if st.low_streak > 0 && st.low_streak >= cfg.patience {
+        Some(StopReason::YieldFloor)
+    } else if st.rounds.len() >= cfg.max_rounds {
+        Some(StopReason::MaxRounds)
+    } else if st.alive_count() == 0 {
+        Some(StopReason::AllVantagesDown)
+    } else if st.budget_cap(cfg) == 0 {
+        Some(StopReason::BudgetExhausted)
+    } else {
+        None
+    }
+}
+
+/// Each vantage's share of the next round's allocation. The weights
+/// are an EWMA-smoothed distribution (sum 1); the share is
+/// `floor + (1 - k·floor) · weight` — an affine map that keeps every
+/// vantage at or above the exploration floor exactly while still
+/// summing to 1 (flooring-then-renormalizing would push quiet vantages
+/// back below the floor). With dead vantages the surviving weights
+/// renormalize and the same map runs over the survivor count, so a
+/// dead vantage's share flows to the living.
+fn vantage_shares(cfg: &AdaptiveConfig, vweights: &[f64], alive: &[bool]) -> Vec<f64> {
+    let alive_k = alive.iter().filter(|&&a| a).count();
+    if alive_k == 0 {
+        return vec![0.0; alive.len()];
+    }
+    // All alive: the weights already are the distribution — no
+    // renormalizing division (bit-identical to fault-free releases).
+    let survivor_sum: Option<f64> = (alive_k < alive.len()).then(|| {
+        let living = vweights.iter().zip(alive).filter(|&(_, &a)| a);
+        living.map(|(&w, _)| w).sum()
+    });
+    let floor = cfg.vantage_floor_share.clamp(0.0, 1.0 / alive_k as f64);
+    vweights
+        .iter()
+        .zip(alive)
+        .map(|(&w, &a)| {
+            if !a {
+                return 0.0;
+            }
+            let wn = match survivor_sum {
+                None => w,
+                Some(sum) if sum > 0.0 => w / sum,
+                Some(_) => 1.0 / alive_k as f64,
+            };
+            floor + (1.0 - alive_k as f64 * floor) * wn
+        })
+        .collect()
+}
+
+/// Splits a vantage's targets round-robin into the round's shard sets,
+/// which keeps each shard spread across the address space (the
+/// permutation within a campaign does the rest of the burst-avoidance).
+fn shard_sets(round: usize, shards: usize, vtargets: &[Ipv6Addr]) -> Vec<TargetSet> {
+    (0..shards)
+        .map(|s| {
+            let name: Arc<str> = if shards == 1 {
+                format!("adaptive-r{round}").into()
+            } else {
+                format!("adaptive-r{round}-s{s}").into()
+            };
+            TargetSet::new(name, vtargets.iter().copied().skip(s).step_by(shards))
+        })
+        .collect()
+}
+
+/// Probe stage: the plan's campaigns under the supervisor. They start
+/// at the loop's virtual clock, failures and blackouts retry with
+/// deterministic backoff, and exhausted retries come back degraded,
+/// never as a panic.
+fn probe_round(
     topo: &Arc<Topology>,
     cfg: &AdaptiveConfig,
     parallel: bool,
-    mut st: LoopState,
-    mut delta: Option<DeltaCtx<'_>>,
-    mut on_round: impl FnMut(&LoopState),
-) -> AdaptiveResult {
-    assert!(!cfg.vantages.is_empty(), "at least one vantage required");
-    // Install the alias stage's cross-round state on a fresh run; a
-    // resumed run arrives with it already populated (or absent, when
-    // the stage is off — the checkpoint round-trips both).
-    if cfg.alias_resolution && st.alias.is_none() {
-        st.alias = Some(AliasState::default());
+    start_us: u64,
+    plan: &RoundPlan,
+) -> RoundRun {
+    let mut specs: Vec<CampaignSpec<'_>> = Vec::new();
+    let mut spec_vi: Vec<usize> = Vec::new();
+    for (vi, &v) in cfg.vantages.iter().enumerate() {
+        for set in plan.sets_of(vi) {
+            specs.push(CampaignSpec {
+                vantage_idx: v,
+                set,
+                cfg: cfg.yarrp,
+            });
+            spec_vi.push(vi);
+        }
     }
-    let shards = cfg.shards.max(1);
-    let k = cfg.vantages.len();
-    assert_eq!(st.vweights.len(), k, "state/config vantage count mismatch");
-    // Per-vantage yield weights: an EWMA-smoothed distribution (sums
-    // to 1), updated from marginal yield when vantage budgeting is on;
-    // uniform (and untouched) otherwise. The *allocation share* of a
-    // vantage is `floor + (1 - k·floor) · weight` — an affine map that
-    // keeps every vantage at or above the exploration floor exactly
-    // while still summing to 1 (flooring-then-renormalizing would push
-    // quiet vantages back below the floor). With dead vantages the
-    // surviving weights renormalize and the same affine map runs over
-    // the survivor count — a dead vantage's share flows to the living.
-    let floor = cfg.vantage_floor_share.clamp(0.0, 1.0 / k as f64);
-    let share_of = move |w: f64| floor + (1.0 - k as f64 * floor) * w;
-    let share_vec = |vweights: &[f64], alive: &[bool]| -> Vec<f64> {
-        let alive_k = alive.iter().filter(|&&a| a).count();
-        if alive_k == k {
-            // All alive: the original formula, untouched (bit-identical
-            // to fault-free releases — no renormalizing division).
-            return vweights.iter().map(|&w| share_of(w)).collect();
-        }
-        if alive_k == 0 {
-            return vec![0.0; k];
-        }
-        let wsum: f64 = vweights
-            .iter()
-            .zip(alive)
-            .filter(|&(_, &a)| a)
-            .map(|(&w, _)| w)
-            .sum();
-        let floor_a = cfg.vantage_floor_share.clamp(0.0, 1.0 / alive_k as f64);
-        vweights
-            .iter()
-            .zip(alive)
-            .map(|(&w, &a)| {
-                if !a {
-                    0.0
-                } else {
-                    let wn = if wsum > 0.0 {
-                        w / wsum
-                    } else {
-                        1.0 / alive_k as f64
-                    };
-                    floor_a + (1.0 - alive_k as f64 * floor_a) * wn
-                }
-            })
-            .collect()
-    };
-    let resolver = cfg.path_div.map(|_| {
-        AsnResolver::new(
-            topo.bgp.clone(),
-            topo.rir_extra.clone(),
-            &topo.asn_equivalences,
-        )
-    });
-    // Rebuilt (not checkpointed) views of checkpointed state, extended
-    // as the round's sets are kept: membership of `st.subnets`, and
-    // the distinct interfaces of the kept trace record. With the
-    // quarantine off every mined set is kept raw, so those are
-    // `st.seen` itself; with it on the record holds the scrubbed sets
-    // and `clean_seen` tracks their (fewer) interfaces.
-    let mut subnet_set: BTreeSet<Ipv6Prefix> = st.subnets.iter().copied().collect();
-    let mut clean_seen = cfg.quarantine_feedback.then(|| interfaces_of(&st.traces));
+    let results =
+        stream_campaigns_supervised(topo, &specs, &cfg.stream, &cfg.retry, start_us, parallel);
+    RoundRun { results, spec_vi }
+}
 
-    let stop = loop {
-        let round = st.rounds.len();
-        // Every stop decision happens here at the loop top, from state
-        // alone — that is what makes the round-boundary checkpoint a
-        // complete resume point. Order matters and mirrors the original
-        // control flow: the yield-floor verdict of the previous round
-        // precedes the round cap.
-        if st.low_streak > 0 && st.low_streak >= cfg.patience {
-            break StopReason::YieldFloor;
-        }
-        if round >= cfg.max_rounds {
-            break StopReason::MaxRounds;
-        }
-        let alive_k = st.alive.iter().filter(|&&a| a).count();
-        if alive_k == 0 {
-            break StopReason::AllVantagesDown;
-        }
-        // Nominal per-target probe cost, used only to pre-truncate a
-        // round's list; the budget itself is enforced on actual
-        // injections. Dead vantages don't probe, so they don't count.
-        let per_target = cfg.yarrp.max_ttl as u64 * alive_k as u64;
-        let remaining = cfg.probe_budget.saturating_sub(st.consumed);
-        let budget_cap = (remaining / per_target) as usize;
-        if budget_cap == 0 {
-            break StopReason::BudgetExhausted;
-        }
+/// Quarantine stage (opt-in): scrub hostile-responder artifacts from
+/// the round's trace sets *jointly* — evidence pools across vantages,
+/// so a router lying toward one is condemned toward all — before any
+/// cell reaches subnet inference, the kept trace record or the
+/// feedback generators. The output is index-aligned with the run's
+/// results (`None` where a campaign failed outright) and empty when
+/// the stage is off.
+fn quarantine_round(cfg: &AdaptiveConfig, run: &RoundRun) -> Vec<Option<TraceSet>> {
+    if !cfg.quarantine_feedback {
+        return Vec::new();
+    }
+    let refs: Vec<&TraceSet> = run.results.iter().filter_map(|sc| sc.output()).collect();
+    let (scrubbed, _report) = quarantine_all(&refs, &cfg.quarantine);
+    let mut it = scrubbed.into_iter();
+    run.results
+        .iter()
+        .map(|sc| {
+            sc.output()
+                .map(|_| it.next().expect("scrubbed sets align with results"))
+        })
+        .collect()
+}
 
-        // This round's targets: the unprobed part of the pool, capped
-        // by the round size and the remaining budget. When the pool
-        // overflows the cap, stride-sample it so the round spans the
-        // whole (sorted) pool instead of starving high address space —
+impl LoopState {
+    fn alive_count(&self) -> usize {
+        self.alive.iter().filter(|&&a| a).count()
+    }
+
+    /// How many targets the remaining budget funds at the nominal
+    /// per-target cost `max_ttl × living vantages` (dead vantages
+    /// don't probe, so they don't count). Used only to decide whether
+    /// a round can start and to pre-truncate its list; the budget
+    /// itself is enforced on actual injections. The stop rule rules
+    /// out zero living vantages before asking.
+    fn budget_cap(&self, cfg: &AdaptiveConfig) -> usize {
+        let per_target = cfg.yarrp.max_ttl as u64 * self.alive_count() as u64;
+        (cfg.probe_budget.saturating_sub(self.consumed) / per_target) as usize
+    }
+
+    /// Plan/budget stage: the round's targets and their allocation to
+    /// vantages and shards, or `None` when nothing is left to probe.
+    fn plan_round(
+        &mut self,
+        cfg: &AdaptiveConfig,
+        delta: Option<&mut DeltaCtx<'_>>,
+    ) -> Option<RoundPlan> {
+        let round = self.rounds.len();
+        // The unprobed part of the pool, capped by the round size and
+        // the remaining budget. When the pool overflows the cap it is
+        // stride-sampled, so the round spans the whole (sorted) pool —
         // a lowest-first truncation would spend every round in the
         // same low slabs.
-        let unprobed: Vec<Ipv6Addr> = st
+        let unprobed: Vec<Ipv6Addr> = self
             .pool
             .iter()
             .copied()
-            .filter(|&a| !st.probed.contains(a))
+            .filter(|&a| !self.probed.contains(a))
             .collect();
-        let cap = cfg.round_targets.min(budget_cap);
+        let cap = cfg.round_targets.min(self.budget_cap(cfg));
         // Delta seeding: reopened-shard targets jump the queue — they
         // fill the round up to the cap first (leftovers wait for the
         // next round), the regular pool sample takes what remains.
-        let forced: Vec<Ipv6Addr> = match delta.as_mut() {
-            Some(d) if !d.force.is_empty() => {
-                let take = d.force.len().min(cap);
-                d.force.drain(..take).collect()
-            }
-            _ => Vec::new(),
-        };
-        let targets = if forced.is_empty() {
-            stride_sample(&unprobed, cap)
-        } else {
-            let mut t = forced;
-            t.extend(stride_sample(&unprobed, cap - t.len()));
-            t.sort_unstable();
-            t.dedup();
-            t
-        };
+        let mut targets: Vec<Ipv6Addr> = delta.map_or_else(Vec::new, |d| {
+            let take = d.force.len().min(cap);
+            d.force.drain(..take).collect()
+        });
         if targets.is_empty() {
-            break StopReason::NoTargets;
+            targets = stride_sample(&unprobed, cap);
+        } else {
+            targets.extend(stride_sample(&unprobed, cap - targets.len()));
+            targets.sort_unstable();
+            targets.dedup();
+        }
+        if targets.is_empty() {
+            return None;
         }
         for &t in &targets {
             // Forced re-probes were already marked in a prior round (or
             // at delta seeding); re-inserting is a harmless no-op.
-            st.probed.insert(t);
+            self.probed.insert(t);
         }
 
-        // Per-vantage allocation of the round's `alive_k × |targets|`
+        // Per-vantage allocation of the round's `alive × |targets|`
         // target-probe budget: uniform budgeting gives every living
         // vantage the full list; vantage budgeting splits it by the
         // tracked yield shares (dead vantages hold share 0).
+        let (k, alive_k) = (self.alive.len(), self.alive_count());
         let alloc: Vec<usize> = if cfg.vantage_budgeting && k > 1 {
-            let shares = share_vec(&st.vweights, &st.alive);
-            shares
+            let slots = (alive_k * targets.len()) as f64;
+            vantage_shares(cfg, &self.vweights, &self.alive)
                 .iter()
-                .zip(&st.alive)
-                .map(|(&s, &a)| {
-                    if !a {
-                        0
-                    } else {
-                        ((s * (alive_k * targets.len()) as f64).round() as usize)
-                            .clamp(1, targets.len())
-                    }
+                .zip(&self.alive)
+                .map(|(&s, &a)| match a {
+                    true => ((s * slots).round() as usize).clamp(1, targets.len()),
+                    false => 0,
                 })
                 .collect()
         } else {
-            st.alive
-                .iter()
-                .map(|&a| if a { targets.len() } else { 0 })
-                .collect()
+            let full = |&a: &bool| if a { targets.len() } else { 0 };
+            self.alive.iter().map(full).collect()
         };
 
-        // Round-robin sharding keeps each shard spread across the
-        // address space (and the permutation within a campaign does the
-        // rest of the burst-avoidance). Under vantage budgeting each
-        // vantage first stride-samples its allocated slice of the round
-        // list, so a shrunken allocation still spans the whole space;
-        // with uniform allocations (the default mode, and any round
-        // where every share rounds to the full list) all vantages share
-        // one set of shard sets instead of building k identical copies.
-        let make_shards = |vtargets: &[Ipv6Addr]| -> Vec<TargetSet> {
-            (0..shards)
-                .map(|s| {
-                    let name: Arc<str> = if shards == 1 {
-                        format!("adaptive-r{round}").into()
-                    } else {
-                        format!("adaptive-r{round}-s{s}").into()
-                    };
-                    TargetSet::new(
-                        name,
-                        vtargets
-                            .iter()
-                            .copied()
-                            .enumerate()
-                            .filter(|(i, _)| i % shards == s)
-                            .map(|(_, a)| a),
-                    )
-                })
-                .collect()
-        };
+        // Under vantage budgeting each vantage stride-samples its slice
+        // of the round list, so a shrunken allocation still spans the
+        // whole space; with uniform allocations (the default mode, and
+        // any round where every share rounds to the full list) all
+        // vantages share one list of shard sets instead of building k
+        // identical copies.
+        let shards = cfg.shards.max(1);
         let uniform = alive_k == k && alloc.iter().all(|&n| n >= targets.len());
-        let vantage_sets: Vec<Vec<TargetSet>> = if uniform {
-            vec![make_shards(&targets)]
+        let vantage_sets = if uniform {
+            vec![shard_sets(round, shards, &targets)]
         } else {
             alloc
                 .iter()
-                .map(|&n| {
-                    if n == 0 {
-                        Vec::new()
-                    } else {
-                        make_shards(&stride_sample(&targets, n))
-                    }
+                .map(|&n| match n {
+                    0 => Vec::new(),
+                    n => shard_sets(round, shards, &stride_sample(&targets, n)),
                 })
                 .collect()
         };
-        // Specs plus a campaign → vantage-position map (dead vantages
-        // contribute no campaigns, so `i / shards` no longer works).
-        let mut specs: Vec<CampaignSpec<'_>> = Vec::new();
-        let mut spec_vi: Vec<usize> = Vec::new();
-        for (vi, &v) in cfg.vantages.iter().enumerate() {
-            for set in &vantage_sets[if uniform { 0 } else { vi }] {
-                specs.push(CampaignSpec {
-                    vantage_idx: v,
-                    set,
-                    cfg: cfg.yarrp,
-                });
-                spec_vi.push(vi);
-            }
-        }
+        Some(RoundPlan {
+            round,
+            targets,
+            alloc,
+            vantage_sets,
+            uniform,
+        })
+    }
 
-        // Supervised execution: campaigns start at the loop's virtual
-        // clock, failures and blackouts retry with deterministic
-        // backoff, exhausted retries come back degraded, never a panic.
-        let results = stream_campaigns_supervised(
-            topo,
-            &specs,
-            &cfg.stream,
-            &cfg.retry,
-            st.vclock_us,
-            parallel,
-        );
-        let round_elapsed = results.iter().map(|sc| sc.elapsed_us).max().unwrap_or(0);
-
-        // Quarantine (opt-in): scrub hostile-responder artifacts from
-        // the round's trace sets *jointly* — evidence pools across
-        // vantages, so a router lying toward one is condemned toward
-        // all — before any cell reaches subnet inference, the kept
-        // trace record, or the feedback generators. Discovery
-        // *counting* (seen-set, attribution) stays on the raw sets:
-        // everything past the decoder is a real, checksum-validated
-        // responder. `cleaned` is index-aligned with `results` (None
-        // where a campaign failed outright). Default off: the raw
-        // path below is untouched.
-        let mut cleaned: Vec<Option<TraceSet>> = if cfg.quarantine_feedback {
-            let refs: Vec<&TraceSet> = results
-                .iter()
-                .filter_map(|sc| sc.result.as_ref().map(|run| &run.output))
-                .collect();
-            let (scrubbed, _report) = quarantine_all(&refs, &cfg.quarantine);
-            let mut it = scrubbed.into_iter();
-            results
-                .iter()
-                .map(|sc| {
-                    sc.result
-                        .as_ref()
-                        .map(|_| it.next().expect("scrubbed sets align with results"))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        // Per-vantage yield attribution, *before* the global seen-set
-        // absorbs the round: crediting against the unmutated round-
-        // start state means shared finds credit every vantage that
-        // made them, without order bias — and without cloning the
-        // (ever-growing) seen-set each round.
+    /// Attribute stage: per-vantage yield, credited against the
+    /// unmutated round-start seen-set *before* the mine stage absorbs
+    /// the round — shared finds credit every vantage that made them,
+    /// without order bias and without cloning the ever-growing set.
+    /// Like the seen-set it counts every checksum-validated responder,
+    /// quarantined or not: condemned responders are real interfaces
+    /// whose *reported structure* is untrustworthy.
+    fn attribute(&self, cfg: &AdaptiveConfig, plan: &RoundPlan, run: &RoundRun) -> VantageTally {
         let mut per_v: Vec<VantageRound> = cfg
             .vantages
             .iter()
-            .zip(&alloc)
+            .zip(&plan.alloc)
             .map(|(&v, &n)| VantageRound {
                 vantage: v,
                 targets: n as u64,
@@ -1020,183 +1127,198 @@ fn run_loop(
                 fault_dropped: 0,
             })
             .collect();
+        let mut ok = vec![false; per_v.len()];
         let mut vfresh = AddrSet::new();
         let mut cur_vi = usize::MAX;
-        // A vantage survives the round if at least one of its campaigns
-        // came back non-degraded.
-        let mut v_ok = vec![false; k];
-        for (i, sc) in results.iter().enumerate() {
-            let vi = spec_vi[i];
+        for (sc, &vi) in run.results.iter().zip(&run.spec_vi) {
             if vi != cur_vi {
                 vfresh = AddrSet::new();
                 cur_vi = vi;
             }
-            per_v[vi].probes += sc.stats.probes;
-            per_v[vi].attempts = per_v[vi].attempts.max(sc.attempts);
-            per_v[vi].fault_dropped += sc.stats.fault_dropped_total();
-            if sc.degraded {
-                per_v[vi].degraded = true;
-            } else {
-                v_ok[vi] = true;
-            }
-            if let Some(run) = &sc.result {
-                // Attribution (like the seen-set below) counts every
-                // checksum-validated responder, quarantined or not:
-                // condemned responders are real interfaces whose
-                // *reported structure* is untrustworthy — discovery
-                // accounting keeps them, feedback does not.
-                for &w in run.output.interner().words() {
-                    let a = Ipv6Addr::from(w);
-                    if !st.seen.contains(a) && vfresh.insert(a) {
-                        per_v[vi].new_interfaces += 1;
-                    }
+            let p = &mut per_v[vi];
+            p.probes += sc.stats.probes;
+            p.attempts = p.attempts.max(sc.attempts);
+            p.fault_dropped += sc.stats.fault_dropped_total();
+            p.degraded |= sc.degraded;
+            ok[vi] |= !sc.degraded;
+            let Some(ts) = sc.output() else {
+                continue;
+            };
+            for &w in ts.interner().words() {
+                let a = Ipv6Addr::from(w);
+                if !self.seen.contains(a) && vfresh.insert(a) {
+                    p.new_interfaces += 1;
                 }
             }
         }
+        VantageTally { per_v, ok }
+    }
 
-        // Mine the round: discovery deltas against the global seen-set,
-        // inferred subnets, merged engine accounting (every supervised
-        // attempt's probes count — retries burn real budget).
-        let sets_before = st.traces.len();
-        let mut round_stats = EngineStats::default();
-        let mut new_ifaces = 0u64;
-        let mut new_subnets = 0u64;
-        for (i, sc) in results.into_iter().enumerate() {
-            round_stats.merge(&sc.stats);
-            let Some(run) = sc.result else {
+    /// Mine stage: discovery deltas against the global seen-set,
+    /// inferred subnets, merged engine accounting, and the round's
+    /// sets appended to the kept record. The seen-set absorbs the
+    /// *raw* sets — every responder that survived the panic-free
+    /// decoder is a genuinely observed interface and counts toward
+    /// yield. Structure mining and the kept record use the quarantined
+    /// set when there is one, so subnet inference, path divergence and
+    /// the result's traces then hold only clean cells.
+    fn mine_round(
+        &mut self,
+        topo: &Topology,
+        cfg: &AdaptiveConfig,
+        views: &mut Views,
+        run: RoundRun,
+        mut cleaned: Vec<Option<TraceSet>>,
+    ) -> Mined {
+        let mut mined = Mined {
+            stats: EngineStats::default(),
+            new_interfaces: 0,
+            new_subnets: 0,
+            first_set: self.traces.len(),
+        };
+        for (i, sc) in run.results.into_iter().enumerate() {
+            mined.stats.merge(&sc.stats);
+            let Some(streamed) = sc.result else {
                 continue; // hard failure: no trace set to mine
             };
-            // The seen-set absorbs the *raw* set — every responder
-            // that survived the panic-free decoder (checksum-verified,
-            // quote-consistent) is a genuinely observed interface and
-            // counts toward yield, even when the quarantine condemns
-            // its reported hop structure.
-            new_ifaces += run.output.discovery_delta(&mut st.seen).len() as u64;
-            // Structure mining and the kept trace record use the
-            // quarantined set when the stage is on: subnet inference,
-            // path-divergence and the result's traces then hold only
-            // clean cells.
-            let ts = match cleaned.get_mut(i).and_then(|c| c.take()) {
+            mined.new_interfaces += streamed.output.discovery_delta(&mut self.seen).len() as u64;
+            let ts = match cleaned.get_mut(i).and_then(Option::take) {
                 Some(clean) => clean,
-                None => run.output,
+                None => streamed.output,
             };
-            for cand in ia_hack(&ts) {
-                if subnet_set.insert(cand.prefix) {
-                    st.subnets.push(cand.prefix);
-                    new_subnets += 1;
+            let mut found = ia_hack(&ts);
+            if let (Some(params), Some(res)) = (&cfg.path_div, &views.resolver) {
+                let vantage = &topo.vantages[sc.vantage_idx as usize];
+                let vasn = topo.ases[vantage.as_idx as usize].asn;
+                found.extend(discover_by_path_div(&ts, res, vasn, params));
+            }
+            for cand in found {
+                if views.subnet_set.insert(cand.prefix) {
+                    self.subnets.push(cand.prefix);
+                    mined.new_subnets += 1;
                 }
             }
-            if let (Some(params), Some(res)) = (&cfg.path_div, &resolver) {
-                let v = cfg.vantages[spec_vi[i]];
-                let vasn = topo.ases[topo.vantages[v as usize].as_idx as usize].asn;
-                for cand in discover_by_path_div(&ts, res, vasn, params) {
-                    if subnet_set.insert(cand.prefix) {
-                        st.subnets.push(cand.prefix);
-                        new_subnets += 1;
-                    }
-                }
-            }
-            if let Some(clean) = clean_seen.as_mut() {
+            if let Some(clean) = views.clean_seen.as_mut() {
                 ts.discovery_delta(clean);
             }
-            st.traces.push(Arc::new(ts));
+            self.traces.push(Arc::new(ts));
         }
-        let kept = clean_seen.as_ref().unwrap_or(&st.seen);
+        mined
+    }
 
-        // Alias-resolution stage (opt-in): extend the incremental
-        // router graph with the round's kept sets, derive candidate
-        // sibling interfaces from the discoveries, and speedtrap them
-        // under the supervised campaign rules — on the loop's virtual
-        // clock (after the round's campaigns), charged against the
-        // same global probe budget. Default off: no probe is sent and
-        // none of the round's accounting moves.
-        let mut alias_elapsed = 0u64;
-        let (mut alias_probes, mut alias_confirmed, mut alias_rejected) = (0u64, 0u64, 0u64);
-        let mut routers = 0u64;
-        if let Some(al) = st.alias.as_mut() {
-            for ts in &st.traces[sets_before..] {
-                al.builder.ingest(ts);
-            }
-            // Candidates stay re-offerable (a cross-round pair needs
-            // the old member probed alongside the new one), but only a
-            // bucket with an untested arrival is offered at all.
-            let cand = stride_sample(
-                &sibling_candidates(kept, &st.traces[sets_before..], &al.probed),
-                cfg.alias.max_candidates_per_round,
+    /// Alias stage (opt-in): extend the incremental router graph with
+    /// the round's kept sets, derive candidate sibling interfaces from
+    /// the discoveries, and speedtrap them under the supervised
+    /// campaign rules — on the loop's virtual clock (after the round's
+    /// campaigns), from the first living vantage, charged against the
+    /// same global probe budget. Off: no probe is sent and none of the
+    /// round's accounting moves.
+    fn alias_round(
+        &mut self,
+        topo: &Arc<Topology>,
+        cfg: &AdaptiveConfig,
+        views: &Views,
+        mined: &Mined,
+        round_elapsed: u64,
+        tally: &mut VantageTally,
+    ) -> AliasRound {
+        let Some(al) = self.alias.as_mut() else {
+            return AliasRound::default();
+        };
+        let round_sets = &self.traces[mined.first_set..];
+        for ts in round_sets {
+            al.builder.ingest(ts);
+        }
+        let mut out = AliasRound::default();
+        // Candidates stay re-offerable (a cross-round pair needs the
+        // old member probed alongside the new one), but only a bucket
+        // with an untested arrival is offered at all.
+        let cand = stride_sample(
+            &sibling_candidates(views.kept(&self.seen), round_sets, &al.probed),
+            cfg.alias.max_candidates_per_round,
+        );
+        let remaining = cfg
+            .probe_budget
+            .saturating_sub(self.consumed)
+            .saturating_sub(mined.stats.probes);
+        let cap = cfg.alias.max_probes_per_round.min(remaining);
+        let prober = self.alive.iter().position(|&a| a);
+        if let Some(vi) = prober.filter(|_| !cand.is_empty() && cap > 0) {
+            let run = resolve_aliases_supervised(
+                topo,
+                cfg.vantages[vi],
+                &cand,
+                &cfg.alias.probe,
+                &cfg.retry,
+                self.vclock_us.saturating_add(round_elapsed),
+                cap,
             );
-            let remaining = cfg
-                .probe_budget
-                .saturating_sub(st.consumed)
-                .saturating_sub(round_stats.probes);
-            let cap = cfg.alias.max_probes_per_round.min(remaining);
-            if !cand.is_empty() && cap > 0 {
-                if let Some(vi) = st.alive.iter().position(|&a| a) {
-                    let run = resolve_aliases_supervised(
-                        topo,
-                        cfg.vantages[vi],
-                        &cand,
-                        &cfg.alias.probe,
-                        &cfg.retry,
-                        st.vclock_us.saturating_add(round_elapsed),
-                        cap,
-                    );
-                    round_stats.merge(&run.stats);
-                    alias_probes = run.stats.probes;
-                    alias_elapsed = run.elapsed_us;
-                    per_v[vi].probes += run.stats.probes;
-                    per_v[vi].fault_dropped += run.stats.fault_dropped_total();
-                    per_v[vi].attempts = per_v[vi].attempts.max(run.attempts);
-                    if run.degraded {
-                        per_v[vi].degraded = true;
-                    }
-                    if let Some(sets) = run.sets {
-                        alias_confirmed = sets.pairs_confirmed;
-                        alias_rejected = sets.pairs_rejected;
-                        for g in &sets.groups {
-                            al.builder.merge_alias_group(g);
-                            for &a in g {
-                                al.probed.insert(a);
-                            }
-                        }
-                        for &a in sets.singletons.iter().chain(&sets.unresponsive) {
-                            al.probed.insert(a);
-                        }
-                    }
+            let p = &mut tally.per_v[vi];
+            p.probes += run.stats.probes;
+            p.fault_dropped += run.stats.fault_dropped_total();
+            p.attempts = p.attempts.max(run.attempts);
+            p.degraded |= run.degraded;
+            if let Some(sets) = run.sets {
+                out.confirmed = sets.pairs_confirmed;
+                out.rejected = sets.pairs_rejected;
+                for g in &sets.groups {
+                    al.builder.merge_alias_group(g);
+                }
+                let tested = sets.groups.iter().flatten();
+                for &a in tested.chain(&sets.singletons).chain(&sets.unresponsive) {
+                    al.probed.insert(a);
                 }
             }
-            al.probes += alias_probes;
-            al.pairs_confirmed += alias_confirmed;
-            al.pairs_rejected += alias_rejected;
-            routers = al.builder.observed_node_count() as u64;
+            out.stats = run.stats;
+            out.elapsed_us = run.elapsed_us;
         }
+        al.probes += out.stats.probes;
+        al.pairs_confirmed += out.confirmed;
+        al.pairs_rejected += out.rejected;
+        out.routers = al.builder.observed_node_count() as u64;
+        out
+    }
 
-        st.stats.merge(&round_stats);
-        st.consumed += round_stats.probes;
-        // All of a round's campaigns run concurrently in virtual time;
-        // the round occupies the slowest one's span (including retry
-        // backoffs), the alias stage runs after it, and the next round
-        // starts after both.
-        st.vclock_us = st
+    /// Close-round stage: charge the round to the budget and the
+    /// virtual clock, settle liveness and the budgeter's weights, file
+    /// the report, and update the yield-floor streak the stop rule
+    /// reads.
+    fn close_round(
+        &mut self,
+        cfg: &AdaptiveConfig,
+        plan: RoundPlan,
+        tally: VantageTally,
+        mined: &Mined,
+        alias: AliasRound,
+        round_elapsed: u64,
+    ) {
+        let mut round_stats = mined.stats;
+        round_stats.merge(&alias.stats);
+        self.stats.merge(&round_stats);
+        self.consumed += round_stats.probes;
+        // The alias stage runs after the round's campaigns, and the
+        // next round starts after both.
+        self.vclock_us = self
             .vclock_us
             .saturating_add(round_elapsed)
-            .saturating_add(alias_elapsed);
+            .saturating_add(alias.elapsed_us);
 
         // Liveness: a vantage whose every campaign degraded is dead —
         // its weight zeroes and later rounds exclude it. (A vantage
         // with no campaigns this round keeps its state.)
-        for vi in 0..k {
-            if st.alive[vi] && per_v[vi].degraded && !v_ok[vi] {
-                st.alive[vi] = false;
-                st.vweights[vi] = 0.0;
+        let VantageTally { mut per_v, ok } = tally;
+        for (vi, p) in per_v.iter().enumerate() {
+            if self.alive[vi] && p.degraded && !ok[vi] {
+                self.alive[vi] = false;
+                self.vweights[vi] = 0.0;
             }
         }
-
         // Budget allocator update: shift the next round's allocation
         // toward the vantages that earned their probes this round. The
         // EWMA blends two distributions, so the weights stay a
         // distribution without renormalizing. (Dead vantages yield 0
         // and decay toward 0; the share map renormalizes survivors.)
-        if cfg.vantage_budgeting && k > 1 {
+        if cfg.vantage_budgeting && per_v.len() > 1 {
             let yields: Vec<f64> = per_v
                 .iter()
                 .map(|p| p.new_interfaces as f64 / p.probes.max(1) as f64)
@@ -1204,150 +1326,168 @@ fn run_loop(
             let total: f64 = yields.iter().sum();
             if total > 0.0 {
                 let keep = cfg.vantage_smoothing.clamp(0.0, 1.0);
-                for (w, y) in st.vweights.iter_mut().zip(&yields) {
+                for (w, y) in self.vweights.iter_mut().zip(&yields) {
                     *w = keep * *w + (1.0 - keep) * (y / total);
                 }
             }
         }
-        let next_shares = share_vec(&st.vweights, &st.alive);
+        let next_shares = vantage_shares(cfg, &self.vweights, &self.alive);
         for (p, &s) in per_v.iter_mut().zip(&next_shares) {
             p.next_share = s;
         }
 
-        let yield_per_kprobe = 1000.0 * new_ifaces as f64 / round_stats.probes.max(1) as f64;
-        st.rounds.push(RoundReport {
-            round,
-            targets: targets.len() as u64,
+        let yield_per_kprobe =
+            1000.0 * mined.new_interfaces as f64 / round_stats.probes.max(1) as f64;
+        self.rounds.push(RoundReport {
+            round: plan.round,
+            targets: plan.targets.len() as u64,
             probes: round_stats.probes,
-            new_interfaces: new_ifaces,
-            new_subnets,
+            new_interfaces: mined.new_interfaces,
+            new_subnets: mined.new_subnets,
             yield_per_kprobe,
             rate_limited: round_stats.rate_limited,
             rl_dropped_default: round_stats.rl_dropped_default,
             rl_dropped_aggressive: round_stats.rl_dropped_aggressive,
-            routers,
-            alias_pairs_confirmed: alias_confirmed,
-            alias_pairs_rejected: alias_rejected,
-            alias_probes,
+            routers: alias.routers,
+            alias_pairs_confirmed: alias.confirmed,
+            alias_pairs_rejected: alias.rejected,
+            alias_probes: alias.stats.probes,
             per_vantage: per_v,
         });
-        st.round_targets.push(targets);
-
-        // Stopping rule bookkeeping: marginal yield below the floor
-        // for `patience` consecutive rounds (the break itself happens
-        // at the loop top, off checkpointable state).
+        self.round_targets.push(plan.targets);
         if yield_per_kprobe < cfg.min_yield_per_kprobes {
-            st.low_streak += 1;
+            self.low_streak += 1;
         } else {
-            st.low_streak = 0;
+            self.low_streak = 0;
         }
-
-        // Delta seeding: compare every canary probed this round against
-        // its stored trace. Changed (or vanished) observations reopen
-        // the canary's whole target-prefix shard — its stored targets
-        // queue for forced re-probing — and reset the yield streak so
-        // the floor can't stop the loop before the re-sweep runs.
-        if let Some(d) = delta.as_mut() {
-            let round_list = st
-                .round_targets
-                .last()
-                .expect("round list pushed just above");
-            let this_round = &st.traces[sets_before..];
-            let mut reopened_any = false;
-            for &c in &d.canaries {
-                if round_list.binary_search(&c).is_err() {
-                    continue; // not sampled this round
-                }
-                let changed = match (d.prior.get(c), this_round.iter().find_map(|ts| ts.get(c))) {
-                    (Some(p), Some(f)) => !f.same_observations(&p),
-                    (Some(_), None) => true, // trace vanished entirely
-                    (None, _) => false,      // canaries are prior targets
-                };
-                if changed {
-                    let s = d.prior.route().shard_of(c);
-                    if !d.reopened[s] {
-                        d.reopened[s] = true;
-                        // Canaries re-probe through their own sampling;
-                        // everything else in the shard queues.
-                        d.force.extend(
-                            d.prior
-                                .shard(s)
-                                .targets()
-                                .iter()
-                                .copied()
-                                .filter(|t| d.canaries.binary_search(t).is_err()),
-                        );
-                        reopened_any = true;
-                    }
-                }
-            }
-            if reopened_any {
-                st.low_streak = 0;
-            }
-        }
-
-        // Skip pool regeneration when the loop top is certain to stop —
-        // don't pay for (and then discard) a generation pass.
-        let alive_after = st.alive.iter().filter(|&&a| a).count();
-        let next_per_target = cfg.yarrp.max_ttl as u64 * alive_after.max(1) as u64;
-        let stopping = (st.low_streak > 0 && st.low_streak >= cfg.patience)
-            || st.rounds.len() >= cfg.max_rounds
-            || alive_after == 0
-            || cfg.probe_budget.saturating_sub(st.consumed) < next_per_target;
-        if !stopping {
-            // Feedback: regenerate the pool from *all* discoveries so
-            // far plus everything already probed — the paper's 6Gen
-            // basis ("targets probed plus interfaces discovered");
-            // cumulative input gives the generators their cluster mass,
-            // and the `probed` filter at the top keeps rounds from
-            // re-paying.
-            // With the quarantine on, *only clean interfaces feed
-            // forward*: the kept trace record holds the scrubbed sets,
-            // whose interners are exactly the surviving observations —
-            // a condemned responder steers no future targeting.
-            let discovered: Vec<Ipv6Addr> = kept.iter().collect();
-            let probed_targets: Vec<Ipv6Addr> = st.probed.iter().collect();
-            let fb = feedback_list(
-                format!("adaptive-fb-r{round}"),
-                &discovered,
-                &probed_targets,
-                &st.subnets,
-                &cfg.feedback,
-                mix(cfg.rng_seed ^ round as u64),
-            );
-            st.pool = feedback_targets(
-                format!("adaptive-r{}", round + 1),
-                &fb,
-                cfg.per_prefix_64s,
-                cfg.iid,
-            )
-            .addrs;
-        }
-        // Round boundary: everything the next loop-top reads is now in
-        // `st` — the checkpoint the observer sees is a complete resume
-        // point.
-        on_round(&st);
-    };
-
-    let router_level = st.alias.map(|al| RouterLevelResult {
-        graph: al.builder.snapshot(),
-        interfaces: al.builder.observed_interface_count() as u64,
-        alias_probes: al.probes,
-        pairs_confirmed: al.pairs_confirmed,
-        pairs_rejected: al.pairs_rejected,
-    });
-    AdaptiveResult {
-        rounds: st.rounds,
-        round_targets: st.round_targets,
-        // Free when no checkpoint was retained; a retained one keeps
-        // its sets and the result takes copies.
-        traces: st.traces.into_iter().map(Arc::unwrap_or_clone).collect(),
-        stats: st.stats,
-        interfaces: st.seen,
-        subnets: st.subnets,
-        router_level,
-        stop,
     }
+
+    /// Delta-canary stage: compare every canary probed this round
+    /// against its stored trace. Changed (or vanished) observations
+    /// reopen the canary's whole target-prefix shard — its stored
+    /// targets queue for forced re-probing — and reset the yield streak
+    /// so the floor can't stop the loop before the re-sweep runs.
+    fn reopen_changed_shards(&mut self, d: &mut DeltaCtx<'_>, first_set: usize) {
+        let round_list = self.round_targets.last().expect("a round just closed");
+        let this_round = &self.traces[first_set..];
+        let mut reopened_any = false;
+        for &c in &d.canaries {
+            if round_list.binary_search(&c).is_err() {
+                continue; // not sampled this round
+            }
+            let changed = match (d.prior.get(c), this_round.iter().find_map(|ts| ts.get(c))) {
+                (Some(p), Some(f)) => !f.same_observations(&p),
+                (Some(_), None) => true, // trace vanished entirely
+                (None, _) => false,      // canaries are prior targets
+            };
+            let s = d.prior.route().shard_of(c);
+            if changed && !std::mem::replace(&mut d.reopened[s], true) {
+                // Canaries re-probe through their own sampling;
+                // everything else in the shard queues.
+                let stored = d.prior.shard(s).targets().iter().copied();
+                d.force
+                    .extend(stored.filter(|t| d.canaries.binary_search(t).is_err()));
+                reopened_any = true;
+            }
+        }
+        if reopened_any {
+            self.low_streak = 0;
+        }
+    }
+
+    /// Feedback stage: regenerate the pool from *all* discoveries so
+    /// far plus everything already probed — the paper's 6Gen basis
+    /// ("targets probed plus interfaces discovered"); cumulative input
+    /// gives the generators their cluster mass, and the plan stage's
+    /// `probed` filter keeps rounds from re-paying.
+    fn regenerate_pool(&mut self, cfg: &AdaptiveConfig, views: &Views) {
+        let round = self.rounds.len() - 1;
+        let discovered: Vec<Ipv6Addr> = views.kept(&self.seen).iter().collect();
+        let probed_targets: Vec<Ipv6Addr> = self.probed.iter().collect();
+        let fb = feedback_list(
+            format!("adaptive-fb-r{round}"),
+            &discovered,
+            &probed_targets,
+            &self.subnets,
+            &cfg.feedback,
+            mix(cfg.rng_seed ^ round as u64),
+        );
+        self.pool = feedback_targets(
+            format!("adaptive-r{}", round + 1),
+            &fb,
+            cfg.per_prefix_64s,
+            cfg.iid,
+        )
+        .addrs;
+    }
+
+    fn into_result(self, stop: StopReason) -> AdaptiveResult {
+        let router_level = self.alias.map(|al| RouterLevelResult {
+            graph: al.builder.snapshot(),
+            interfaces: al.builder.observed_interface_count() as u64,
+            alias_probes: al.probes,
+            pairs_confirmed: al.pairs_confirmed,
+            pairs_rejected: al.pairs_rejected,
+        });
+        AdaptiveResult {
+            rounds: self.rounds,
+            round_targets: self.round_targets,
+            // Free unless an observer kept a checkpoint; then that one
+            // keeps its sets and the result takes copies.
+            traces: self.traces.into_iter().map(Arc::unwrap_or_clone).collect(),
+            stats: self.stats,
+            interfaces: self.seen,
+            subnets: self.subnets,
+            router_level,
+            stop,
+        }
+    }
+}
+
+/// The loop: the stage list of the module docs over the state `ck`
+/// owns. `on_round` sees that same checkpoint at every round boundary,
+/// when everything the next loop top reads is in it.
+fn run_loop(
+    topo: &Arc<Topology>,
+    cfg: &AdaptiveConfig,
+    parallel: bool,
+    mut ck: Checkpoint,
+    mut delta: Option<DeltaCtx<'_>>,
+    mut on_round: impl FnMut(&Checkpoint),
+) -> AdaptiveResult {
+    check_config(topo, cfg);
+    assert_eq!(
+        ck.state.vweights.len(),
+        cfg.vantages.len(),
+        "state/config vantage count mismatch"
+    );
+    let mut views = Views::rebuild(topo, cfg, &ck.state);
+    let stop = loop {
+        let st = &mut ck.state;
+        if let Some(stop) = stop_reason(st, cfg) {
+            break stop;
+        }
+        let Some(plan) = st.plan_round(cfg, delta.as_mut()) else {
+            break StopReason::NoTargets;
+        };
+        let run = probe_round(topo, cfg, parallel, st.vclock_us, &plan);
+        let round_elapsed = run.elapsed_us();
+        let cleaned = quarantine_round(cfg, &run);
+        let mut tally = st.attribute(cfg, &plan, &run);
+        let mined = st.mine_round(topo, cfg, &mut views, run, cleaned);
+        let alias = st.alias_round(topo, cfg, &views, &mined, round_elapsed, &mut tally);
+        st.close_round(cfg, plan, tally, &mined, alias, round_elapsed);
+        if let Some(d) = delta.as_mut() {
+            st.reopen_changed_shards(d, mined.first_set);
+        }
+        // Don't pay for (and then discard) a generation pass when the
+        // loop top is certain to stop.
+        if stop_reason(st, cfg).is_none() {
+            st.regenerate_pool(cfg, &views);
+        }
+        on_round(&ck);
+    };
+    ck.state.into_result(stop)
 }
 
 #[cfg(test)]
@@ -1439,5 +1579,40 @@ mod tests {
         let res = run_adaptive(&topo, &set, &cfg);
         assert_eq!(res.stop, StopReason::YieldFloor);
         assert_eq!(res.rounds.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "AdaptiveConfig::vantages is empty")]
+    fn empty_vantage_list_is_a_config_error() {
+        let (topo, set) = fixture();
+        let cfg = AdaptiveConfig {
+            vantages: Vec::new(),
+            ..small_cfg()
+        };
+        run_adaptive(&topo, &set, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "AdaptiveConfig::vantages names vantage 9")]
+    fn unknown_vantage_index_is_a_config_error() {
+        // Not a fault: without the check the supervisor retries the
+        // prober's panic and the loop reports vantage 9 degraded, then
+        // dead, and finishes on vantage 0 alone.
+        let (topo, set) = fixture();
+        assert_eq!(topo.vantages.len(), 3);
+        let cfg = AdaptiveConfig {
+            vantages: vec![0, 9],
+            ..small_cfg()
+        };
+        run_adaptive(&topo, &set, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "AdaptiveConfig::yarrp.max_ttl is 0")]
+    fn zero_max_ttl_is_a_config_error() {
+        let (topo, set) = fixture();
+        let mut cfg = small_cfg();
+        cfg.yarrp.max_ttl = 0;
+        run_adaptive(&topo, &set, &cfg);
     }
 }

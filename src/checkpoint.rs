@@ -1,8 +1,17 @@
-//! Round-boundary checkpoints for the adaptive loop: a compact,
-//! hand-rolled binary snapshot of the loop's complete cross-round
-//! state — the interner-preserving trace sets, the discovery and
-//! probed sets, the budgeter's EWMA weights and liveness mask, the
-//! regenerated target pool and the virtual clock.
+//! Round-boundary checkpoints for the adaptive loop: the loop's
+//! complete cross-round state (`LoopState` — the interner-preserving
+//! trace sets, the discovery and probed sets, the budgeter's EWMA
+//! weights and liveness mask, the regenerated target pool, the virtual
+//! clock, the alias stage's router graph) and a compact, hand-rolled
+//! binary encoding of it.
+//!
+//! A [`Checkpoint`] *is* the state the loop runs on, not a copy taken
+//! of it, so showing one to the round-boundary observer is free. It
+//! has two on-disk forms — one byte string
+//! ([`Checkpoint::to_bytes`]) or a directory whose trace sets are
+//! separate segment files ([`Checkpoint::save_dir`]) — written by one
+//! body writer and read by one body reader that differ only in where
+//! trace set *i*'s bytes go.
 //!
 //! The format rides on [`analysis::snapshot`]'s fixed-width
 //! little-endian primitives: byte-deterministic (the same state always
@@ -17,7 +26,7 @@ use crate::adaptive::{AdaptiveConfig, AliasState, LoopState, RoundReport, Vantag
 use aliasres::{RouterGraphBuilder, RouterGraphParts};
 use analysis::snapshot::{decode_segment, encode_segment, fnv1a};
 use analysis::{
-    read_trace_set, write_trace_set, SnapReader, SnapWriter, SnapshotError, StoreError,
+    read_trace_set, write_trace_set, SnapReader, SnapWriter, SnapshotError, StoreError, TraceSet,
 };
 use simnet::{EngineStats, Topology};
 use std::net::Ipv6Addr;
@@ -74,34 +83,24 @@ impl std::fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
-/// A round-boundary snapshot of the adaptive loop, captured by
-/// [`crate::adaptive::run_adaptive_checkpointed`] after every finished
-/// round. Serialize with [`to_bytes`](Checkpoint::to_bytes), persist
-/// wherever durability lives, and continue a killed run with
+/// The adaptive loop's state at a round boundary, and the state the
+/// loop runs on: every entry point builds (or, on resume, clones) one
+/// `Checkpoint`, the loop advances the `LoopState` inside it, and
+/// [`crate::adaptive::run_adaptive_checkpointed`] shows it to the
+/// observer after every finished round by reference — nothing is
+/// copied to take a checkpoint. Serialize with
+/// [`to_bytes`](Checkpoint::to_bytes) or
+/// [`save_dir`](Checkpoint::save_dir) (or clone it: the trace record
+/// is shared, not copied), and continue a killed run with
 /// [`crate::adaptive::resume_adaptive`] — the resumed run's final
 /// result is bit-identical to the run that was never interrupted.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
-    digest: u64,
-    state: LoopState,
+    pub(crate) digest: u64,
+    pub(crate) state: LoopState,
 }
 
 impl Checkpoint {
-    /// Snapshots `state`. The trace record is shared, not copied
-    /// (`LoopState::traces` holds `Arc`s and the loop never mutates a
-    /// kept set), so a capture costs the scalars, sets and pool — not
-    /// the record.
-    pub(crate) fn capture(digest: u64, state: &LoopState) -> Self {
-        Checkpoint {
-            digest,
-            state: state.clone(),
-        }
-    }
-
-    pub(crate) fn state(&self) -> &LoopState {
-        &self.state
-    }
-
     /// FNV-1a digest of the topology configuration and the adaptive
     /// configuration this checkpoint was captured under.
     pub fn digest(&self) -> u64 {
@@ -126,46 +125,21 @@ impl Checkpoint {
     /// Serializes the checkpoint. Byte-deterministic: the same state
     /// always produces the same bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.u32(MAGIC);
-        w.u32(VERSION);
-        w.u64(self.digest);
-        let st = &self.state;
-        write_pre_traces(&mut w, st);
-        w.u32(st.traces.len() as u32);
-        for ts in &st.traces {
-            write_trace_set(&mut w, ts);
+        let inline = |w: &mut SnapWriter, _, ts: &TraceSet| {
+            write_trace_set(w, ts);
+            Ok::<(), std::convert::Infallible>(())
+        };
+        match self.encode(VERSION, inline) {
+            Ok(bytes) => bytes,
+            Err(never) => match never {},
         }
-        write_post_traces(&mut w, st);
-        w.into_bytes()
     }
 
     /// Deserializes a checkpoint produced by
     /// [`to_bytes`](Checkpoint::to_bytes). Truncated, corrupt or
     /// foreign input is a [`SnapshotError`], never a panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, SnapshotError> {
-        let mut r = SnapReader::new(bytes);
-        if r.u32()? != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        if r.u32()? != VERSION {
-            return Err(SnapshotError::BadValue("unsupported checkpoint version"));
-        }
-        let digest = r.u64()?;
-        let pre = read_pre_traces(&mut r)?;
-        let n = r.u32()? as usize;
-        let mut traces = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            traces.push(read_trace_set(&mut r)?);
-        }
-        let post = read_post_traces(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(SnapshotError::BadValue("trailing bytes after checkpoint"));
-        }
-        Ok(Checkpoint {
-            digest,
-            state: assemble_state(pre, traces, post),
-        })
+        Checkpoint::decode(bytes, VERSION, |r, _| read_trace_set(r))
     }
 
     /// Persists the checkpoint as a **directory**: `checkpoint.bin`
@@ -178,21 +152,13 @@ impl Checkpoint {
     /// sink transfers only the delta).
     pub fn save_dir(&self, dir: &Path) -> Result<(), StoreError> {
         std::fs::create_dir_all(dir)?;
-        let st = &self.state;
-        let mut w = SnapWriter::new();
-        w.u32(MAGIC);
-        w.u32(DIR_VERSION);
-        w.u64(self.digest);
-        write_pre_traces(&mut w, st);
-        w.u32(st.traces.len() as u32);
-        for (i, ts) in st.traces.iter().enumerate() {
+        let bin = self.encode(DIR_VERSION, |w, i, ts| {
             let seg = encode_segment(ts);
             w.u64(seg.len() as u64);
             w.u64(fnv1a(&seg));
-            std::fs::write(dir.join(trace_file(i)), &seg)?;
-        }
-        write_post_traces(&mut w, st);
-        std::fs::write(dir.join(DIR_FILE), w.into_bytes())?;
+            std::fs::write(dir.join(trace_file(i)), &seg)
+        })?;
+        std::fs::write(dir.join(DIR_FILE), bin)?;
         Ok(())
     }
 
@@ -202,23 +168,9 @@ impl Checkpoint {
     /// [`StoreError::Mismatch`] / [`StoreError::Corrupt`], never a
     /// panic or a silently wrong resume.
     pub fn load_dir(dir: &Path) -> Result<Checkpoint, StoreError> {
-        let bytes = std::fs::read(dir.join(DIR_FILE))?;
-        let mut r = SnapReader::new(&bytes);
-        if r.u32()? != MAGIC {
-            return Err(StoreError::Decode(SnapshotError::BadMagic));
-        }
-        if r.u32()? != DIR_VERSION {
-            return Err(StoreError::Decode(SnapshotError::BadValue(
-                "unsupported checkpoint directory version",
-            )));
-        }
-        let digest = r.u64()?;
-        let pre = read_pre_traces(&mut r)?;
-        let n = r.u32()? as usize;
-        let mut traces = Vec::with_capacity(n.min(1 << 16));
-        for i in 0..n {
-            let len = r.u64()?;
-            let fnv = r.u64()?;
+        let bin = std::fs::read(dir.join(DIR_FILE))?;
+        Checkpoint::decode(&bin, DIR_VERSION, |r, i| {
+            let (len, fnv) = (r.u64()?, r.u64()?);
             let seg = std::fs::read(dir.join(trace_file(i)))?;
             if seg.len() as u64 != len {
                 return Err(StoreError::Mismatch("trace segment length"));
@@ -226,177 +178,158 @@ impl Checkpoint {
             if fnv1a(&seg) != fnv {
                 return Err(StoreError::Corrupt { segment: i as u32 });
             }
-            traces.push(decode_segment(&seg)?);
-        }
-        let post = read_post_traces(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(StoreError::Decode(SnapshotError::BadValue(
-                "trailing bytes after checkpoint",
-            )));
-        }
-        Ok(Checkpoint {
-            digest,
-            state: assemble_state(pre, traces, post),
+            Ok(decode_segment(&seg)?)
         })
     }
-}
 
-/// The checkpointed loop fields serialized *before* the trace record,
-/// in encoding order.
-struct PreTraces {
-    vweights: Vec<f64>,
-    alive: Vec<bool>,
-    seen: AddrSet,
-    probed: AddrSet,
-    subnets: Vec<Ipv6Prefix>,
-    rounds: Vec<RoundReport>,
-    round_targets: Vec<Vec<Ipv6Addr>>,
-}
-
-/// The checkpointed loop fields serialized *after* the trace record.
-struct PostTraces {
-    stats: EngineStats,
-    consumed: u64,
-    low_streak: usize,
-    pool: Vec<Ipv6Addr>,
-    vclock_us: u64,
-    alias: Option<AliasState>,
-}
-
-fn write_pre_traces(w: &mut SnapWriter, st: &LoopState) {
-    w.u32(st.vweights.len() as u32);
-    for &v in &st.vweights {
-        w.f64(v);
-    }
-    w.u32(st.alive.len() as u32);
-    for &a in &st.alive {
-        w.bool(a);
-    }
-    write_addr_set(w, &st.seen);
-    write_addr_set(w, &st.probed);
-    w.u32(st.subnets.len() as u32);
-    for p in &st.subnets {
-        w.u128(p.base_word());
-        w.u8(p.len());
-    }
-    w.u32(st.rounds.len() as u32);
-    for r in &st.rounds {
-        write_round(w, r);
-    }
-    w.u32(st.round_targets.len() as u32);
-    for rt in &st.round_targets {
-        write_addrs(w, rt);
-    }
-}
-
-fn read_pre_traces(r: &mut SnapReader<'_>) -> Result<PreTraces, SnapshotError> {
-    let n = r.u32()? as usize;
-    let mut vweights = Vec::with_capacity(n);
-    for _ in 0..n {
-        vweights.push(r.f64()?);
-    }
-    let n = r.u32()? as usize;
-    let mut alive = Vec::with_capacity(n);
-    for _ in 0..n {
-        alive.push(r.bool()?);
-    }
-    if alive.len() != vweights.len() {
-        return Err(SnapshotError::BadValue("alive/weight length mismatch"));
-    }
-    let seen = read_addr_set(r)?;
-    let probed = read_addr_set(r)?;
-    let n = r.u32()? as usize;
-    let mut subnets = Vec::with_capacity(n);
-    for _ in 0..n {
-        let word = r.u128()?;
-        let len = r.u8()?;
-        if len > 128 {
-            return Err(SnapshotError::BadValue("prefix length over 128"));
+    /// The one writer of both formats: header, then `LoopState`'s
+    /// fields in declaration order. The formats differ only in
+    /// `version` and in what `put_trace` leaves in the stream for trace
+    /// set `i` — the set itself, or the table entry of the segment file
+    /// it wrote.
+    fn encode<E>(
+        &self,
+        version: u32,
+        mut put_trace: impl FnMut(&mut SnapWriter, usize, &TraceSet) -> Result<(), E>,
+    ) -> Result<Vec<u8>, E> {
+        let mut w = SnapWriter::new();
+        w.u32(MAGIC);
+        w.u32(version);
+        w.u64(self.digest);
+        let st = &self.state;
+        write_list(&mut w, &st.vweights, |w, &v| w.f64(v));
+        write_list(&mut w, &st.alive, |w, &a| w.bool(a));
+        write_addr_set(&mut w, &st.seen);
+        write_addr_set(&mut w, &st.probed);
+        write_list(&mut w, &st.subnets, |w, p| {
+            w.u128(p.base_word());
+            w.u8(p.len());
+        });
+        write_list(&mut w, &st.rounds, write_round);
+        write_list(&mut w, &st.round_targets, |w, rt| write_addrs(w, rt));
+        w.u32(st.traces.len() as u32);
+        for (i, ts) in st.traces.iter().enumerate() {
+            put_trace(&mut w, i, ts)?;
         }
-        subnets.push(Ipv6Prefix::from_word(word, len));
+        write_stats(&mut w, &st.stats);
+        w.u64(st.consumed);
+        w.u64(st.low_streak as u64);
+        write_addrs(&mut w, &st.pool);
+        w.u64(st.vclock_us);
+        w.bool(st.alias.is_some());
+        if let Some(al) = &st.alias {
+            write_alias_state(&mut w, al);
+        }
+        Ok(w.into_bytes())
     }
-    let n = r.u32()? as usize;
-    let mut rounds = Vec::with_capacity(n);
-    for _ in 0..n {
-        rounds.push(read_round(r)?);
+
+    /// The one reader, mirror of [`encode`](Self::encode): `get_trace`
+    /// turns what the stream holds for trace set `i` back into the set.
+    /// Struct-literal fields are evaluated as written, which is the
+    /// encoding order.
+    fn decode<'a, E: From<SnapshotError>>(
+        bytes: &'a [u8],
+        version: u32,
+        mut get_trace: impl FnMut(&mut SnapReader<'a>, usize) -> Result<TraceSet, E>,
+    ) -> Result<Checkpoint, E> {
+        let r = &mut SnapReader::new(bytes);
+        if r.u32()? != MAGIC {
+            return Err(SnapshotError::BadMagic.into());
+        }
+        if r.u32()? != version {
+            return Err(SnapshotError::BadValue("unsupported checkpoint version").into());
+        }
+        let digest = r.u64()?;
+        let state = LoopState {
+            vweights: read_list(r, SnapReader::f64)?,
+            alive: read_list(r, SnapReader::bool)?,
+            seen: read_addr_set(r)?,
+            probed: read_addr_set(r)?,
+            subnets: read_list(r, read_prefix)?,
+            rounds: read_list(r, read_round)?,
+            round_targets: read_list(r, read_addrs)?,
+            traces: {
+                let mut i = 0;
+                read_list(r, |r| {
+                    i += 1;
+                    get_trace(r, i - 1).map(Arc::new)
+                })?
+            },
+            stats: read_stats(r)?,
+            consumed: r.u64()?,
+            low_streak: r.u64()? as usize,
+            pool: read_addrs(r)?,
+            vclock_us: r.u64()?,
+            alias: match r.bool()? {
+                true => Some(read_alias_state(r)?),
+                false => None,
+            },
+        };
+        if state.alive.len() != state.vweights.len() {
+            return Err(SnapshotError::BadValue("alive/weight length mismatch").into());
+        }
+        if r.remaining() != 0 {
+            return Err(SnapshotError::BadValue("trailing bytes after checkpoint").into());
+        }
+        Ok(Checkpoint { digest, state })
     }
-    let n = r.u32()? as usize;
-    let mut round_targets = Vec::with_capacity(n);
-    for _ in 0..n {
-        round_targets.push(read_addrs(r)?);
-    }
-    Ok(PreTraces {
-        vweights,
-        alive,
-        seen,
-        probed,
-        subnets,
-        rounds,
-        round_targets,
-    })
 }
 
-fn write_post_traces(w: &mut SnapWriter, st: &LoopState) {
-    write_stats(w, &st.stats);
-    w.u64(st.consumed);
-    w.u64(st.low_streak as u64);
-    write_addrs(w, &st.pool);
-    w.u64(st.vclock_us);
-    w.bool(st.alias.is_some());
-    if let Some(al) = &st.alias {
-        write_alias_state(w, al);
+/// A `u32` count, then the items.
+fn write_list<T>(w: &mut SnapWriter, items: &[T], mut put: impl FnMut(&mut SnapWriter, &T)) {
+    w.u32(items.len() as u32);
+    for item in items {
+        put(w, item);
     }
 }
 
-fn read_post_traces(r: &mut SnapReader<'_>) -> Result<PostTraces, SnapshotError> {
-    let stats = read_stats(r)?;
-    let consumed = r.u64()?;
-    let low_streak = r.u64()? as usize;
-    let pool = read_addrs(r)?;
-    let vclock_us = r.u64()?;
-    let alias = if r.bool()? {
-        Some(read_alias_state(r)?)
-    } else {
-        None
-    };
-    Ok(PostTraces {
-        stats,
-        consumed,
-        low_streak,
-        pool,
-        vclock_us,
-        alias,
-    })
+fn read_list<'a, T, E: From<SnapshotError>>(
+    r: &mut SnapReader<'a>,
+    get: impl FnMut(&mut SnapReader<'a>) -> Result<T, E>,
+) -> Result<Vec<T>, E> {
+    let n = r.u32()? as usize;
+    read_n(r, n, get)
+}
+
+/// `n` items with no count of their own. `n` came out of the input:
+/// what is reserved up front is bounded, a short read fails as
+/// truncation.
+fn read_n<'a, T, E>(
+    r: &mut SnapReader<'a>,
+    n: usize,
+    mut get: impl FnMut(&mut SnapReader<'a>) -> Result<T, E>,
+) -> Result<Vec<T>, E> {
+    let mut out = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        out.push(get(r)?);
+    }
+    Ok(out)
+}
+
+fn read_prefix(r: &mut SnapReader<'_>) -> Result<Ipv6Prefix, SnapshotError> {
+    let (word, len) = (r.u128()?, r.u8()?);
+    if len > 128 {
+        return Err(SnapshotError::BadValue("prefix length over 128"));
+    }
+    Ok(Ipv6Prefix::from_word(word, len))
 }
 
 /// The alias stage's cross-round state: the incremental router-graph
 /// builder's raw parts (interner words in id order, union-find arrays,
 /// flags, id-pair links — exact restoration keeps later merges
 /// evolving identically), the tested-interface set, and the verdict
-/// totals.
+/// totals. The four per-interface arrays share the word list's count.
 fn write_alias_state(w: &mut SnapWriter, al: &AliasState) {
     let parts = al.builder.to_parts();
-    w.u32(parts.words.len() as u32);
-    for &word in &parts.words {
-        w.u128(word);
-    }
-    for &p in &parts.parent {
-        w.u32(p);
-    }
-    for &rk in &parts.rank {
-        w.u8(rk);
-    }
-    for &o in &parts.observed {
-        w.bool(o);
-    }
-    for &m in &parts.alias_member {
-        w.bool(m);
-    }
-    w.u32(parts.links.len() as u32);
-    for &(a, b) in &parts.links {
+    write_list(w, &parts.words, |w, &word| w.u128(word));
+    parts.parent.iter().for_each(|&p| w.u32(p));
+    parts.rank.iter().for_each(|&rk| w.u8(rk));
+    parts.observed.iter().for_each(|&o| w.bool(o));
+    parts.alias_member.iter().for_each(|&m| w.bool(m));
+    write_list(w, &parts.links, |w, &(a, b)| {
         w.u32(a);
         w.u32(b);
-    }
+    });
     write_addr_set(w, &al.probed);
     w.u64(al.pairs_confirmed);
     w.u64(al.pairs_rejected);
@@ -404,61 +337,24 @@ fn write_alias_state(w: &mut SnapWriter, al: &AliasState) {
 }
 
 fn read_alias_state(r: &mut SnapReader<'_>) -> Result<AliasState, SnapshotError> {
-    let n = r.u32()? as usize;
-    let mut parts = RouterGraphParts::default();
-    for _ in 0..n {
-        parts.words.push(r.u128()?);
-    }
-    for _ in 0..n {
-        parts.parent.push(r.u32()?);
-    }
-    for _ in 0..n {
-        parts.rank.push(r.u8()?);
-    }
-    for _ in 0..n {
-        parts.observed.push(r.bool()?);
-    }
-    for _ in 0..n {
-        parts.alias_member.push(r.bool()?);
-    }
-    let nl = r.u32()? as usize;
-    for _ in 0..nl {
-        let a = r.u32()?;
-        let b = r.u32()?;
-        parts.links.push((a, b));
-    }
-    let builder = RouterGraphBuilder::from_parts(&parts)
-        .ok_or(SnapshotError::BadValue("inconsistent router-graph state"))?;
-    let probed = read_addr_set(r)?;
-    let pairs_confirmed = r.u64()?;
-    let pairs_rejected = r.u64()?;
-    let probes = r.u64()?;
+    let words: Vec<u128> = read_list(r, SnapReader::u128)?;
+    let n = words.len();
+    let parts = RouterGraphParts {
+        words,
+        parent: read_n(r, n, SnapReader::u32)?,
+        rank: read_n(r, n, SnapReader::u8)?,
+        observed: read_n(r, n, SnapReader::bool)?,
+        alias_member: read_n(r, n, SnapReader::bool)?,
+        links: read_list(r, |r| Ok::<_, SnapshotError>((r.u32()?, r.u32()?)))?,
+    };
     Ok(AliasState {
-        builder,
-        probed,
-        pairs_confirmed,
-        pairs_rejected,
-        probes,
+        builder: RouterGraphBuilder::from_parts(&parts)
+            .ok_or(SnapshotError::BadValue("inconsistent router-graph state"))?,
+        probed: read_addr_set(r)?,
+        pairs_confirmed: r.u64()?,
+        pairs_rejected: r.u64()?,
+        probes: r.u64()?,
     })
-}
-
-fn assemble_state(pre: PreTraces, traces: Vec<analysis::TraceSet>, post: PostTraces) -> LoopState {
-    LoopState {
-        vweights: pre.vweights,
-        alive: pre.alive,
-        seen: pre.seen,
-        probed: pre.probed,
-        subnets: pre.subnets,
-        rounds: pre.rounds,
-        round_targets: pre.round_targets,
-        traces: traces.into_iter().map(Arc::new).collect(),
-        stats: post.stats,
-        consumed: post.consumed,
-        low_streak: post.low_streak,
-        pool: post.pool,
-        vclock_us: post.vclock_us,
-        alias: post.alias,
-    }
 }
 
 /// FNV-1a over the debug renderings of the topology configuration and
@@ -467,29 +363,15 @@ fn assemble_state(pre: PreTraces, traces: Vec<analysis::TraceSet>, post: PostTra
 /// semantic change to either (budget, vantages, fault schedule, retry
 /// policy, …) changes the digest.
 pub(crate) fn config_digest(topo: &Topology, cfg: &AdaptiveConfig) -> u64 {
-    let s = format!("{:?}|{:?}", topo.config, cfg);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    fnv1a(format!("{:?}|{:?}", topo.config, cfg).as_bytes())
 }
 
 fn write_addrs(w: &mut SnapWriter, addrs: &[Ipv6Addr]) {
-    w.u32(addrs.len() as u32);
-    for &a in addrs {
-        w.u128(u128::from(a));
-    }
+    write_list(w, addrs, |w, &a| w.u128(u128::from(a)));
 }
 
 fn read_addrs(r: &mut SnapReader<'_>) -> Result<Vec<Ipv6Addr>, SnapshotError> {
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(Ipv6Addr::from(r.u128()?));
-    }
-    Ok(out)
+    read_list(r, |r| Ok(Ipv6Addr::from(r.u128()?)))
 }
 
 /// Serialized in insertion order; rebuilding by re-inserting in that
@@ -528,8 +410,7 @@ fn write_round(w: &mut SnapWriter, r: &RoundReport) {
     w.u64(r.alias_pairs_confirmed);
     w.u64(r.alias_pairs_rejected);
     w.u64(r.alias_probes);
-    w.u32(r.per_vantage.len() as u32);
-    for p in &r.per_vantage {
+    write_list(w, &r.per_vantage, |w, p| {
         w.u8(p.vantage);
         w.u64(p.targets);
         w.u64(p.probes);
@@ -538,52 +419,36 @@ fn write_round(w: &mut SnapWriter, r: &RoundReport) {
         w.bool(p.degraded);
         w.u32(p.attempts);
         w.u64(p.fault_dropped);
-    }
+    });
 }
 
 fn read_round(r: &mut SnapReader<'_>) -> Result<RoundReport, SnapshotError> {
-    let round = r.u64()? as usize;
-    let targets = r.u64()?;
-    let probes = r.u64()?;
-    let new_interfaces = r.u64()?;
-    let new_subnets = r.u64()?;
-    let yield_per_kprobe = r.f64()?;
-    let rate_limited = r.u64()?;
-    let rl_dropped_default = r.u64()?;
-    let rl_dropped_aggressive = r.u64()?;
-    let routers = r.u64()?;
-    let alias_pairs_confirmed = r.u64()?;
-    let alias_pairs_rejected = r.u64()?;
-    let alias_probes = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut per_vantage = Vec::with_capacity(n.min(256));
-    for _ in 0..n {
-        per_vantage.push(VantageRound {
-            vantage: r.u8()?,
-            targets: r.u64()?,
-            probes: r.u64()?,
-            new_interfaces: r.u64()?,
-            next_share: r.f64()?,
-            degraded: r.bool()?,
-            attempts: r.u32()?,
-            fault_dropped: r.u64()?,
-        });
-    }
     Ok(RoundReport {
-        round,
-        targets,
-        probes,
-        new_interfaces,
-        new_subnets,
-        yield_per_kprobe,
-        rate_limited,
-        rl_dropped_default,
-        rl_dropped_aggressive,
-        routers,
-        alias_pairs_confirmed,
-        alias_pairs_rejected,
-        alias_probes,
-        per_vantage,
+        round: r.u64()? as usize,
+        targets: r.u64()?,
+        probes: r.u64()?,
+        new_interfaces: r.u64()?,
+        new_subnets: r.u64()?,
+        yield_per_kprobe: r.f64()?,
+        rate_limited: r.u64()?,
+        rl_dropped_default: r.u64()?,
+        rl_dropped_aggressive: r.u64()?,
+        routers: r.u64()?,
+        alias_pairs_confirmed: r.u64()?,
+        alias_pairs_rejected: r.u64()?,
+        alias_probes: r.u64()?,
+        per_vantage: read_list(r, |r| {
+            Ok::<_, SnapshotError>(VantageRound {
+                vantage: r.u8()?,
+                targets: r.u64()?,
+                probes: r.u64()?,
+                new_interfaces: r.u64()?,
+                next_share: r.f64()?,
+                degraded: r.bool()?,
+                attempts: r.u32()?,
+                fault_dropped: r.u64()?,
+            })
+        })?,
     })
 }
 

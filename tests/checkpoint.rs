@@ -412,3 +412,43 @@ fn checkpoint_directory_round_trip_and_reject_corruption() {
     assert_eq!(resumed.stats, straight.stats);
     assert_eq!(resumed.stop, straight.stop);
 }
+
+/// Golden `(len, fnv1a)` of the quarantine + alias fixture's encodings,
+/// captured at the commit before the codec was rewritten around one
+/// body writer and one body reader. Round trips only show an encoding
+/// agrees with itself; these show it did not move across commits.
+const PINNED_ROUND_1: (usize, u64) = (85_254, 11_730_058_205_706_831_948);
+const PINNED_LAST_ROUND: (usize, u64) = (230_470, 295_990_156_829_139_876);
+const PINNED_DIR_FILE: (usize, u64) = (56_217, 10_560_436_029_968_677_654);
+const PINNED_SEGMENTS: usize = 12;
+
+#[test]
+fn checkpoint_format_is_pinned() {
+    use analysis::snapshot::fnv1a;
+    let (topo, set) = fixture(FaultSchedule::default());
+    let cfg = AdaptiveConfig {
+        quarantine_feedback: true,
+        alias_resolution: true,
+        ..cfg()
+    };
+    let dir = TempDir::new("pinned");
+    let mut flat: Vec<(usize, u64)> = Vec::new();
+    run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
+        let bytes = ck.to_bytes();
+        flat.push((bytes.len(), fnv1a(&bytes)));
+        ck.save_dir(&dir.0).expect("save_dir");
+    });
+    assert_eq!(flat[0], PINNED_ROUND_1);
+    assert_eq!(*flat.last().unwrap(), PINNED_LAST_ROUND);
+
+    let bin = std::fs::read(dir.0.join("checkpoint.bin")).unwrap();
+    assert_eq!((bin.len(), fnv1a(&bin)), PINNED_DIR_FILE);
+    let segments = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().path().extension() == Some("seg".as_ref()))
+        .count();
+    assert_eq!(segments, PINNED_SEGMENTS);
+    // Both forms hold the same state.
+    let loaded = Checkpoint::load_dir(&dir.0).expect("load_dir").to_bytes();
+    assert_eq!((loaded.len(), fnv1a(&loaded)), PINNED_LAST_ROUND);
+}
