@@ -206,8 +206,7 @@ impl RouterGraph {
     }
 
     /// Original map-based builder over the reference trace set — kept
-    /// for the golden equivalence tests and the analysis benchmark
-    /// baseline.
+    /// for the golden equivalence tests.
     #[doc(hidden)]
     pub fn build_reference(
         traces: &analysis::reference::TraceSet,

@@ -123,17 +123,7 @@ impl AddrInterner {
     #[inline]
     pub fn prefetch(&self, addr: Ipv6Addr) {
         let i = hash_word(u128::from(addr)) as usize & self.mask;
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            core::arch::x86_64::_mm_prefetch(
-                self.slots.as_ptr().add(i) as *const i8,
-                core::arch::x86_64::_MM_HINT_T0,
-            );
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = i;
-        }
+        simnet::prefetch(&self.slots[i]);
     }
 
     /// The id of `addr` if already interned.

@@ -13,8 +13,7 @@
 //! addresses interned to `u32` ids ([`intern`]), and the analysis
 //! passes ([`subnets`], [`metrics`], [`validate`]) are sorted-merge
 //! walks over those columns. The original map-based implementation is
-//! preserved in [`mod@reference`] and pinned bit-identical by golden tests;
-//! `trace_analysis_pps` tracks the speedup between the two.
+//! preserved in [`mod@reference`] and pinned bit-identical by golden tests.
 //!
 //! It is also **streaming**: [`builder::TraceSetBuilder`] ingests
 //! record chunks as a campaign produces them and assembles the

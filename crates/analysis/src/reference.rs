@@ -7,8 +7,8 @@
 //! [`ia_hack`] implementations that re-sort and allocate per call. The
 //! production pipeline ([`crate::traces::TraceSet`]) is pinned
 //! bit-identical to this module by the golden equivalence tests
-//! (`tests/columnar_golden.rs`); it exists for verification and the
-//! `trace_analysis_pps` benchmark baseline, not for production use.
+//! (`tests/columnar_golden.rs`); it exists for verification, not for
+//! production use.
 
 use crate::subnets::{CandidateSubnet, PathDivParams};
 use crate::traces::AsnResolver;

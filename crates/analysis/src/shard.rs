@@ -250,17 +250,11 @@ impl ShardedTraceSet {
         }
     }
 
-    /// Merges many sharded sets: shard `s` of the result is the
-    /// single-pass k-way union over every input's shard `s`, all
-    /// shards in parallel on the work-queue pool. Bit-identical per
-    /// shard to `TraceSet::merge_all`'s pairwise fold — but where the
-    /// fold copies each column O(log k) times, the k-way pass copies
-    /// each surviving cell once, holding one small id-remap table per
-    /// input (cheap precisely because shard interners are a fraction
-    /// of the flat set's — the flat path can't afford k large tables
-    /// hot at once). After [`canonical`](Self::canonical) this equals
-    /// sharding the flat `merge_all` of the unsharded inputs. Panics
-    /// on mixed routes.
+    /// Merges many sharded sets: shard `s` of the result is
+    /// [`TraceSet::merge_all`] over every input's shard `s`, all
+    /// shards in parallel on the work-queue pool. After
+    /// [`canonical`](Self::canonical) this equals sharding the flat
+    /// `merge_all` of the unsharded inputs. Panics on mixed routes.
     pub fn merge_all(sets: &[ShardedTraceSet]) -> ShardedTraceSet {
         let Some(first) = sets.first() else {
             return ShardedTraceSet::from_set(&TraceSet::default(), 1);
@@ -271,8 +265,7 @@ impl ShardedTraceSet {
             "cannot merge sharded sets with different routes"
         );
         let shards = fan_out(route.shards(), |s| {
-            let per_shard: Vec<&TraceSet> = sets.iter().map(|set| &set.shards[s]).collect();
-            TraceSet::merge_kway(&per_shard)
+            TraceSet::merge_all(sets.iter().map(|set| &set.shards[s]))
         });
         ShardedTraceSet { route, shards }
     }

@@ -589,67 +589,19 @@ impl TraceSet {
         });
     }
 
-    /// Union of many sets, equivalent to the left fold
+    /// Union of many sets, bit-identical to the left fold
     /// `a.merge(b).merge(c)…` — earlier sets win trace dedup. Returns
     /// an empty default set for an empty iterator.
     ///
-    /// [`merge`](Self::merge) is associative bit-for-bit (the
-    /// surviving trace per target is the leftmost owner's under any
-    /// grouping, interner ids append in first-appearance order, and
-    /// the identity-name join deduplicates), so this reduces
-    /// *pairwise* — adjacent pairs, then pairs of pairs — copying each
-    /// set's columns O(log k) times instead of the left fold's O(k).
-    /// An adaptive run folding hundreds of per-campaign sets through
-    /// it stays near-linear; the associativity is pinned by the
-    /// `merge_props` property suite.
+    /// One k-way pass: interner ids append in first-appearance,
+    /// input-major order; the leftmost owner wins per-target dedup;
+    /// names and provenance join exactly as the fold would. Each
+    /// surviving cell is copied once and each input word interned
+    /// once, where folding [`merge`](Self::merge) re-copies and
+    /// re-hashes the accumulated set at every step. The `merge_props`
+    /// suite pins it against that fold.
     pub fn merge_all<'a>(sets: impl IntoIterator<Item = &'a TraceSet>) -> TraceSet {
         let refs: Vec<&TraceSet> = sets.into_iter().collect();
-        match refs.len() {
-            0 => TraceSet::default(),
-            1 => refs[0].clone(),
-            _ => {
-                let mut level: Vec<TraceSet> = refs
-                    .chunks(2)
-                    .map(|c| {
-                        if c.len() == 2 {
-                            c[0].merge(c[1])
-                        } else {
-                            c[0].clone()
-                        }
-                    })
-                    .collect();
-                while level.len() > 1 {
-                    level = level
-                        .chunks(2)
-                        .map(|c| {
-                            if c.len() == 2 {
-                                c[0].merge(&c[1])
-                            } else {
-                                c[0].clone()
-                            }
-                        })
-                        .collect();
-                }
-                level.pop().expect("non-empty reduction")
-            }
-        }
-    }
-
-    /// Single-pass k-way union, bit-identical to
-    /// [`merge_all`](Self::merge_all)'s pairwise reduction (pinned by
-    /// the `merge_props` suite): interner ids append in
-    /// first-appearance, input-major order; the leftmost owner wins
-    /// per-target dedup; names and provenance join exactly as the fold
-    /// would. Where the reduction copies every column O(log k) times
-    /// and re-hashes the accumulated interner at each level, this
-    /// copies each surviving cell once and interns each input word
-    /// once — but it holds all k id-remap tables live at once, which
-    /// is what makes it the *sharded* store's merge
-    /// ([`crate::shard::ShardedTraceSet::merge_all`]): per-shard
-    /// interners are a fraction of the flat set's, so the k tables stay
-    /// small and hot. The flat `merge_all` keeps the associative fold
-    /// as the documented reference implementation.
-    pub(crate) fn merge_kway(refs: &[&TraceSet]) -> TraceSet {
         match refs.len() {
             0 => return TraceSet::default(),
             1 => return refs[0].clone(),
@@ -1416,44 +1368,6 @@ mod tests {
             assert_eq!(&*sources[0], "V-B");
             assert_eq!(&**m.view_at(0).vantage(), "V-B");
         }
-    }
-
-    #[test]
-    fn merge_all_pairwise_reduction_equals_left_fold() {
-        // Five sets (odd count exercises the carried chunk), with
-        // repeated vantage names and overlapping targets so dedup,
-        // provenance and name joining are all live.
-        let sets: Vec<TraceSet> = (0..5)
-            .map(|i| {
-                TraceSet::from_log(&log_named(
-                    if i % 2 == 0 { "V-A" } else { "V-B" },
-                    vec![
-                        rec(
-                            &format!("2001:db8::{}", i + 1),
-                            &format!("::{}", i + 1),
-                            ResponseKind::TimeExceeded,
-                            Some(1),
-                        ),
-                        rec("2001:db8::77", "::aa", ResponseKind::TimeExceeded, Some(2)),
-                    ],
-                ))
-            })
-            .collect();
-        let fold = sets[1..]
-            .iter()
-            .fold(sets[0].clone(), |acc, s| acc.merge(s));
-        let pairwise = TraceSet::merge_all(&sets);
-        assert_eq!(pairwise, fold);
-        // Bit-identical including raw interner ids (PartialEq covers
-        // the words; spot-check an id too).
-        assert_eq!(pairwise.interner().words(), fold.interner().words());
-        // Repeated vantage names never duplicate in the joined
-        // identity or the provenance table.
-        assert_eq!(&*pairwise.vantage, "V-A+V-B");
-        assert_eq!(pairwise.sources().len(), 2);
-        // The shared target's trace belongs to the first set.
-        let shared = pairwise.get("2001:db8::77".parse().unwrap()).unwrap();
-        assert_eq!(&**shared.vantage(), "V-A");
     }
 
     #[test]

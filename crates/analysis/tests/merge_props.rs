@@ -10,7 +10,10 @@
 //!   re-interning of both sides (id assignment is the only thing the
 //!   two assembly histories may disagree on);
 //! * merging is commutative and associative up to canonical form;
-//! * merging a set with itself changes nothing.
+//! * merging a set with itself changes nothing;
+//! * `merge_all`'s single k-way pass is **bit-identical** — raw
+//!   interner ids included — to folding `merge` over the same inputs
+//!   ([`fold_oracle`]).
 //!
 //! The algebraic properties hold *because* the per-vantage sets carry
 //! whole traces: `merge`'s first-wins trace dedup only bites on
@@ -88,7 +91,138 @@ fn sorted_and_split(
     (full, chunks)
 }
 
+/// The oracle [`TraceSet::merge_all`] is pinned against: its former
+/// body, the pairwise reduction over [`TraceSet::merge`] — adjacent
+/// pairs, then pairs of pairs. `merge` is associative bit for bit, so
+/// this equals the left fold `a.merge(b).merge(c)…`.
+fn fold_oracle(refs: &[&TraceSet]) -> TraceSet {
+    match refs.len() {
+        0 => TraceSet::default(),
+        1 => refs[0].clone(),
+        _ => {
+            let mut level: Vec<TraceSet> = refs
+                .chunks(2)
+                .map(|c| {
+                    if c.len() == 2 {
+                        c[0].merge(c[1])
+                    } else {
+                        c[0].clone()
+                    }
+                })
+                .collect();
+            while level.len() > 1 {
+                level = level
+                    .chunks(2)
+                    .map(|c| {
+                        if c.len() == 2 {
+                            c[0].merge(&c[1])
+                        } else {
+                            c[0].clone()
+                        }
+                    })
+                    .collect();
+            }
+            level.pop().expect("non-empty reduction")
+        }
+    }
+}
+
+#[test]
+fn merge_all_pairwise_reduction_equals_left_fold() {
+    // Five sets (odd count exercises the carried chunk), with
+    // repeated vantage names and overlapping targets so dedup,
+    // provenance and name joining are all live.
+    let rec = |target: String, responder: String, ttl: u8| ResponseRecord {
+        target: target.parse().unwrap(),
+        responder: responder.parse().unwrap(),
+        kind: ResponseKind::TimeExceeded,
+        probe_ttl: Some(ttl),
+        rtt_us: Some(1),
+        recv_us: 0,
+        target_cksum_ok: true,
+    };
+    let sets: Vec<TraceSet> = (0..5)
+        .map(|i| {
+            TraceSet::from_log(&ProbeLog {
+                vantage: if i % 2 == 0 { "V-A" } else { "V-B" }.into(),
+                target_set: "merge-test".into(),
+                records: vec![
+                    rec(format!("2001:db8::{}", i + 1), format!("::{}", i + 1), 1),
+                    rec("2001:db8::77".into(), "::aa".into(), 2),
+                ],
+                ..Default::default()
+            })
+        })
+        .collect();
+    let fold = sets[1..]
+        .iter()
+        .fold(sets[0].clone(), |acc, s| acc.merge(s));
+    let pairwise = fold_oracle(&sets.iter().collect::<Vec<_>>());
+    assert_eq!(pairwise, fold);
+    assert_eq!(TraceSet::merge_all(&sets), fold);
+    // Bit-identical including raw interner ids (PartialEq covers
+    // the words; spot-check an id too).
+    assert_eq!(pairwise.interner().words(), fold.interner().words());
+    // Repeated vantage names never duplicate in the joined
+    // identity or the provenance table.
+    assert_eq!(&*pairwise.vantage, "V-A+V-B");
+    assert_eq!(pairwise.sources().len(), 2);
+    // The shared target's trace belongs to the first set.
+    let shared = pairwise.get("2001:db8::77".parse().unwrap()).unwrap();
+    assert_eq!(&**shared.vantage(), "V-A");
+}
+
 proptest! {
+    /// `merge_all` against the fold, bit for bit, at every k its
+    /// callers use (vantages ≤ 3, 8 shards, 24 round × vantage sets)
+    /// and the degenerate ones. The inputs draw from one small target
+    /// and responder space independently, so the same target recurs
+    /// across inputs (leftmost must win), losers leave interner words
+    /// no surviving cell references, some inputs are empty, vantage
+    /// names repeat, and every fourth input is itself a two-source
+    /// merge.
+    #[test]
+    fn merge_all_is_bit_identical_to_the_fold(
+        draws in prop::collection::vec(
+            prop::collection::vec((any::<u64>(), 0u64..20_000), 0..40),
+            24..25,
+        ),
+    ) {
+        let sets: Vec<TraceSet> = draws
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let set_of = |vantage: String, flip: u64| {
+                    let records = d
+                        .iter()
+                        .map(|&(w, recv)| synth_record(w ^ flip, recv, true))
+                        .collect();
+                    let mut log = log_of(records);
+                    log.vantage = vantage.into();
+                    log.sort_by_recv();
+                    TraceSet::from_log(&log)
+                };
+                let set = set_of(format!("V{}", i % 3), 0);
+                if i % 4 == 3 {
+                    // Flipped target bits: both sources own traces.
+                    set.merge(&set_of("V-other".into(), 0x15))
+                } else {
+                    set
+                }
+            })
+            .collect();
+        for k in [0usize, 1, 2, 3, 8, 24] {
+            let want = fold_oracle(&sets[..k].iter().collect::<Vec<_>>());
+            let got = TraceSet::merge_all(&sets[..k]);
+            prop_assert!(got == want, "k-way merge_all diverged from the fold at k={k}");
+            // `==` leaves provenance out; compare it trace by trace.
+            prop_assert_eq!(got.sources(), want.sources());
+            for (g, w) in got.iter().zip(want.iter()) {
+                prop_assert_eq!(g.vantage(), w.vantage());
+            }
+        }
+    }
+
     /// The differential contract: per-vantage sets merged in vantage
     /// order are bit-identical (after canonical re-intern) to the
     /// batch `from_log` of the receive-sorted concatenated log —

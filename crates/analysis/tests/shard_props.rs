@@ -100,10 +100,11 @@ proptest! {
         prop_assert!(merged_sharded == merged_flat, "sharded merge_all diverged at k={k}");
     }
 
-    /// The sharded store's single-pass k-way merge is **bit-identical**
-    /// per shard — not merely canonical-equal — to the flat pairwise
-    /// fold over the same per-shard inputs: interner id assignment,
-    /// column layout, names, provenance, everything.
+    /// The sharded store's merge is **bit-identical** per shard — not
+    /// merely canonical-equal — to flat `merge_all` (pinned to the
+    /// pairwise fold in `merge_props`) over the same per-shard inputs:
+    /// interner id assignment, column layout, names, provenance,
+    /// everything.
     #[test]
     fn kway_shard_merge_is_bit_identical_to_pairwise_fold(
         a in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
@@ -120,7 +121,7 @@ proptest! {
             let fold = TraceSet::merge_all(shardeds.iter().map(|set| set.shard(s)));
             prop_assert!(
                 *merged.shard(s) == fold,
-                "k-way merge of shard {s} is not bit-identical to the pairwise fold (k={k})"
+                "merge of shard {s} is not bit-identical to flat merge_all (k={k})"
             );
         }
     }

@@ -275,3 +275,83 @@ fn feedback_rounds_discover_beyond_round_zero() {
         assert!(r.rl_dropped_default + r.rl_dropped_aggressive <= r.rate_limited);
     }
 }
+
+/// The paper's thesis at equal probe budget: the feedback loop
+/// discovers at least as many unique interfaces as the best open-loop
+/// run — the seed-derived targets padded to the full budget with 6Gen
+/// expansion of the seeds themselves. Fill mode off, so a round costs
+/// exactly `targets × max_ttl` and the budgets compare exactly.
+#[test]
+fn adaptive_matches_or_beats_static_at_equal_probe_budget() {
+    let topo = Arc::new(beholder::net::generate::generate(TopologyConfig::tiled(
+        7, 2,
+    )));
+    let catalog = SeedCatalog::synthesize(&topo, 7);
+    let z64 = targets::zn(&catalog.caida, 64);
+    let seed_set = targets::synthesize::synthesize("adaptive-r0", &z64, IidStrategy::FixedIid);
+    let yarrp = YarrpConfig {
+        fill_mode: false,
+        ..YarrpConfig::default()
+    };
+    let per_target = yarrp.max_ttl as u64;
+    let n_targets = (150_000 / per_target) as usize;
+    let rounds = 6;
+
+    // Static arm: every seed target, then open-loop padding up to the
+    // budget.
+    let seed_addrs: Vec<Ipv6Addr> = catalog.caida.addrs().collect();
+    let pad = seeds::sixgen::generate_loose(&seed_addrs, 4 * n_targets, 7);
+    let pad_z64 = targets::transform::zn_addrs(&TargetSet::new("pad", pad), 64);
+    let pad_set = targets::synthesize::synthesize("pad", &pad_z64, IidStrategy::FixedIid);
+    let pad_room = n_targets.saturating_sub(seed_set.len());
+    let padding = pad_set
+        .addrs
+        .iter()
+        .copied()
+        .filter(|a| !seed_set.contains(*a))
+        .take(pad_room);
+    let static_set = TargetSet::new("adaptive-r0", seed_set.addrs.iter().copied().chain(padding));
+    let n_static = static_set.len();
+    // Both arms get exactly what the static arm can use.
+    let budget = n_static as u64 * per_target;
+
+    let static_res = run_adaptive(
+        &topo,
+        &static_set,
+        &AdaptiveConfig {
+            yarrp,
+            probe_budget: budget,
+            round_targets: n_static,
+            max_rounds: 1,
+            min_yield_per_kprobes: 0.0,
+            ..AdaptiveConfig::default()
+        },
+    );
+    let adaptive_res = run_adaptive(
+        &topo,
+        &seed_set,
+        &AdaptiveConfig {
+            yarrp,
+            probe_budget: budget,
+            round_targets: (n_static / rounds).max(1),
+            shards: 4,
+            max_rounds: rounds,
+            min_yield_per_kprobes: 0.0,
+            feedback: FeedbackParams {
+                sixgen_budget: (2 * n_static / rounds).max(2_048),
+                ..FeedbackParams::default()
+            },
+            ..AdaptiveConfig::default()
+        },
+    );
+    assert!(static_res.probes() <= budget, "static arm over budget");
+    assert!(adaptive_res.probes() <= budget, "adaptive arm over budget");
+    let (si, ai) = (
+        static_res.unique_interfaces(),
+        adaptive_res.unique_interfaces(),
+    );
+    assert!(
+        ai >= si,
+        "adaptive {ai} interfaces < static {si} at {budget} probes each"
+    );
+}

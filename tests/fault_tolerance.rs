@@ -1,10 +1,11 @@
 //! Fault tolerance of the adaptive loop (tier-1): under injected
 //! simnet faults the loop **degrades instead of dying**.
 //!
-//! * **kill 1 of 3** — a vantage permanently blacked out mid-run is
-//!   reported degraded in its [`RoundReport`], excluded from later
-//!   rounds (its budget share flows to the survivors), and the run
-//!   still retains ≥ 0.8× the fault-free union interface yield;
+//! * **kill 1 of 3** — a vantage permanently blacked out mid-run,
+//!   while a transit link flaps, is reported degraded in its
+//!   [`RoundReport`], excluded from later rounds (its budget share
+//!   flows to the survivors), and the run still retains ≥ 0.8× the
+//!   fault-free union interface yield;
 //! * **transient outage** — a blackout shorter than the retry backoff
 //!   heals: the supervisor's second attempt lands after the outage and
 //!   the run's discoveries are bit-identical to fault-free;
@@ -15,6 +16,8 @@
 
 use beholder::prelude::*;
 use seeds::feedback::FeedbackParams;
+use simnet::topology::RouterRole;
+use simnet::RouterId;
 use std::sync::Arc;
 
 /// The pinned three-vantage fixture, optionally with a fault schedule
@@ -56,9 +59,22 @@ fn cfg() -> AdaptiveConfig {
     }
 }
 
-/// Permanent loss of vantage 1 partway into round 0.
+/// Permanent loss of vantage 1 partway into round 0, and from the
+/// same instant a transit link (the middle core router's) flapping at
+/// a 100 ms half-period for the rest of the run.
 fn kill_v1() -> FaultSchedule {
-    FaultSchedule::default().with_vantage_outage(1, 1_500_000, u64::MAX)
+    let topo = fixture(FaultSchedule::default()).0;
+    let core: Vec<usize> = (0..topo.routers.len())
+        .filter(|&r| topo.routers[r].role == RouterRole::Core)
+        .collect();
+    FaultSchedule::default()
+        .with_vantage_outage(1, 1_500_000, u64::MAX)
+        .with_link_flap(
+            RouterId(core[core.len() / 2] as u32),
+            1_500_000,
+            u64::MAX,
+            100_000,
+        )
 }
 
 #[test]
@@ -104,6 +120,7 @@ fn killing_one_of_three_vantages_degrades_instead_of_dying() {
         .iter()
         .any(|r| r.per_vantage[1].fault_dropped > 0));
     assert!(faulty.stats.fault_vantage_outage > 0);
+    assert!(faulty.stats.fault_link_flap > 0, "the flap must bite");
 
     // The acceptance bar: the union interface yield survives the loss.
     let ratio = faulty.unique_interfaces() as f64 / baseline.unique_interfaces().max(1) as f64;

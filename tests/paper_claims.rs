@@ -166,7 +166,7 @@ fn fiebig_staleness_visible_in_targets() {
 }
 
 /// §5 / Table 7: vantage diversity pays — the union of the three
-/// vantages discovers strictly more unique interfaces than the best
+/// vantages discovers at least 1.2x the unique interfaces of the best
 /// single vantage, at equal per-vantage budget, deterministically
 /// under a fixed seed.
 #[test]
@@ -176,11 +176,20 @@ fn vantage_union_beats_best_single_vantage() {
     )));
     let addrs: Vec<std::net::Ipv6Addr> = topo.hosts().map(|(a, _)| a).take(600).collect();
     let set = TargetSet::new("vantage-union", addrs);
-    // Equal per-vantage budget by construction: same set, same config.
+    // Equal per-vantage budget by construction: same set, same config
+    // (fill mode off, so every vantage spends exactly targets × max_ttl).
+    // max_ttl 12 is a mid-path budget: the simulated Internet is shallow
+    // enough that TTL 16 lets every vantage exhaust the shared core.
+    let yarrp = YarrpConfig {
+        fill_mode: false,
+        max_ttl: 12,
+        ..YarrpConfig::default()
+    };
     let run_sweep = || {
         CampaignRunner::new(&topo)
             .targets(&set)
             .vantages(&[0, 1, 2])
+            .config(yarrp)
             .parallel(true)
             .run()
             .expect("clean sweep completes")
@@ -191,8 +200,8 @@ fn vantage_union_beats_best_single_vantage() {
     let rows = vantage_contributions(per());
     let best = rows.iter().map(|r| r.interfaces).max().unwrap();
     assert!(
-        union > best,
-        "union {union} must strictly exceed best single vantage {best}"
+        union as f64 >= 1.2 * best as f64,
+        "union {union} must be at least 1.2x the best single vantage {best}"
     );
     // Every vantage contributes something only it saw (the paper's
     // per-vantage exclusive columns are all nonzero).
