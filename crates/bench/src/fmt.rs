@@ -1,6 +1,5 @@
-//! Table formatting helpers for the experiment binaries: the paper
-//! renders counts as `105.2k` / `12.4M`; we match that so outputs read
-//! side-by-side with the tables.
+//! Cell formatting: the paper renders counts as `105.2k` / `12.4M`; we
+//! match that so outputs read side-by-side with its tables.
 
 /// Formats a count the way the paper's tables do.
 pub fn human(n: u64) -> String {
@@ -20,25 +19,6 @@ pub fn human(n: u64) -> String {
 /// Formats a fraction as a percentage.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
-}
-
-/// Prints a header row followed by a separator.
-pub fn header(cols: &[(&str, usize)]) {
-    let mut line = String::new();
-    for (name, w) in cols {
-        line.push_str(&format!("{name:>w$} ", w = w));
-    }
-    println!("{line}");
-    println!("{}", "-".repeat(line.len()));
-}
-
-/// Prints one row with the same widths.
-pub fn row(cols: &[(String, usize)]) {
-    let mut line = String::new();
-    for (v, w) in cols {
-        line.push_str(&format!("{v:>w$} ", w = w));
-    }
-    println!("{line}");
 }
 
 #[cfg(test)]

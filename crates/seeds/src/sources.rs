@@ -27,6 +27,8 @@ pub struct SeedCatalog {
     pub sixgen: SeedList,
     /// TUM collection: fdns ∪ infrastructure names ∪ residential dyndns.
     pub tum: SeedList,
+    /// The subsets `tum` is the union of (Table 2), as drawn.
+    pub tum_parts: Vec<SeedList>,
     /// Random control: uniform prefix, then uniform address within.
     pub random: SeedList,
     /// Union of the six independent lists (Table 1's "Combined").
@@ -62,7 +64,8 @@ impl SeedCatalog {
                 .map(SeedEntry::Prefix),
         );
         let sixgen = sixgen_list(topo, &caida, &mut rng);
-        let tum = tum(topo, &fdns, &mut rng);
+        let tum_parts = tum_subsets(topo, &fdns, &mut rng);
+        let tum = SeedList::union("tum", &tum_parts.iter().collect::<Vec<_>>());
         let random = random_control(topo, &mut rng);
         let combined = SeedList::union(
             "combined",
@@ -77,6 +80,7 @@ impl SeedCatalog {
             cdn_k256,
             sixgen,
             tum,
+            tum_parts,
             random,
             combined,
         }
@@ -223,9 +227,11 @@ pub fn sixgen_list(topo: &Topology, caida: &SeedList, rng: &mut SmallRng) -> See
     SeedList::new("6gen", generated.into_iter().map(SeedEntry::Addr))
 }
 
-/// The TUM collection's subsets (Table 2 analogue): each packaged
-/// separately, unioned by [`tum`].
-pub fn tum_parts(topo: &Topology, fdns: &SeedList, rng: &mut SmallRng) -> Vec<SeedList> {
+/// The TUM collection's subsets (Table 2 analogue): fdns, infrastructure
+/// names (caida-dnsnames / traceroute / openipmap analogues: true router
+/// addresses) and residential dyndns/CT names reaching into CPE space.
+/// [`SeedCatalog::synthesize`] keeps them and unions them into `tum`.
+fn tum_subsets(topo: &Topology, fdns: &SeedList, rng: &mut SmallRng) -> Vec<SeedList> {
     // rapid7-dnsany analogue: the fdns list itself.
     let rapid7 = SeedList::new("rapid7-dnsany", fdns.entries.iter().copied());
     // caida-dnsnames / traceroute / openipmap analogues: infrastructure
@@ -247,17 +253,6 @@ pub fn tum_parts(topo: &Topology, fdns: &SeedList, rng: &mut SmallRng) -> Vec<Se
     }
     let ct = SeedList::new("ct", resi);
     vec![rapid7, traceroute, ct]
-}
-
-/// TUM collection: a union of public sets — fdns, infrastructure names
-/// (caida-dnsnames / traceroute / openipmap analogues: true router
-/// addresses), and residential dyndns/CT names reaching into CPE space.
-pub fn tum(topo: &Topology, fdns: &SeedList, rng: &mut SmallRng) -> SeedList {
-    let parts = tum_parts(topo, fdns, rng);
-    let refs: Vec<&SeedList> = parts.iter().collect();
-    let mut u = SeedList::union("tum", &refs);
-    u.name = "tum".into();
-    u
 }
 
 /// The random control: a uniformly chosen routed prefix, then a uniform
@@ -373,6 +368,15 @@ mod tests {
         let contained = fdns_set.iter().filter(|e| tum_set.contains(**e)).count();
         assert_eq!(contained, fdns_set.len(), "tum must contain all of fdns");
         assert!(cat.tum.len() > cat.fdns.len());
+    }
+
+    #[test]
+    fn tum_is_the_union_of_its_kept_parts() {
+        let (_, cat) = catalog();
+        let refs: Vec<&SeedList> = cat.tum_parts.iter().collect();
+        assert_eq!(SeedList::union("tum", &refs).entries, cat.tum.entries);
+        let sum: usize = cat.tum_parts.iter().map(SeedList::len).sum();
+        assert!(cat.tum.len() <= sum, "union {} > sum {sum}", cat.tum.len());
     }
 
     #[test]

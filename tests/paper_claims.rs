@@ -1,6 +1,7 @@
 //! Integration tests that pin the paper's *qualitative claims* — the
-//! shapes its tables and figures report — at test scale. These are the
-//! contract the experiment binaries rely on.
+//! shapes its tables and figures report — at test scale, on fixtures of
+//! their own. The table-by-table scorecard is `beholder_bench`'s `repro`
+//! (tier-1: `crates/bench/tests/scorecard.rs`).
 
 use beholder::prelude::*;
 use std::sync::Arc;
