@@ -403,6 +403,7 @@ pub fn resolve_aliases_supervised(
                 max_probes,
             );
             let stats = engine.stats;
+            debug_assert_eq!(stats.check(), Ok(()));
             Ok(Attempt {
                 duration_us: sets.probes.saturating_mul(step_us),
                 blackout: stats.fault_dropped_total() > 0 && stats.frag_echo_replies == 0,

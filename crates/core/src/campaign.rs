@@ -150,6 +150,7 @@ pub fn run_campaign(
     let mut engine = Engine::new(topo.clone());
     let mut log = yarrp::run(&mut engine, vantage_idx, &set.addrs, cfg);
     log.target_set = set.name.clone();
+    debug_assert_eq!(engine.stats.check(), Ok(()));
     CampaignResult {
         log,
         engine_stats: engine.stats,
@@ -280,6 +281,7 @@ fn stream_attempt<T>(
                 yarrp::run_with_sink(&mut engine, vantage_idx, &set.addrs, &spec.cfg, &mut sink);
             let sink_ok = sink.finish().is_ok();
             log.target_set = set.name.clone();
+            debug_assert_eq!(engine.stats.check(), Ok(()));
             (log, engine.stats, sink_ok)
         });
         let output = consume(records);

@@ -13,8 +13,8 @@
 //! the very token buckets that are already drained. This implementation
 //! reproduces that behavior faithfully: silence ≠ stop.
 
-use crate::record::{decode_response, ProbeLog, ResponseKind, ResponseRecord};
-use crate::sink::RecordSink;
+use crate::record::{ProbeLog, ResponseKind, ResponseRecord};
+use crate::sink::{Link, RecordSink};
 use serde::{Deserialize, Serialize};
 use simnet::Engine;
 use std::collections::HashSet;
@@ -92,12 +92,12 @@ pub fn run_with_sink<S: RecordSink>(
     // Local stop set: interfaces this monitor has already seen.
     let mut stop_set: HashSet<Ipv6Addr> = HashSet::new();
 
-    let probe = |engine: &mut Engine,
-                 target: Ipv6Addr,
-                 ttl: u8,
-                 now_us: &mut u64,
-                 log: &mut ProbeLog,
-                 sink: &mut S|
+    let mut link = Link::new(engine, cfg.instance);
+    let mut probe = |target: Ipv6Addr,
+                     ttl: u8,
+                     now_us: &mut u64,
+                     log: &mut ProbeLog,
+                     sink: &mut S|
      -> Option<ResponseRecord> {
         let spec = ProbeSpec {
             src,
@@ -107,13 +107,8 @@ pub fn run_with_sink<S: RecordSink>(
             instance: cfg.instance,
             elapsed_us: *now_us as u32,
         };
-        log.probes_sent += 1;
-        let d = engine.inject(&spec.build(), *now_us);
+        let rec = link.exchange(&spec.build(), *now_us, log, sink);
         *now_us += interval_us;
-        let rec = d.and_then(|d| decode_response(&d.bytes, d.at_us, cfg.instance).ok());
-        if let Some(r) = rec {
-            sink.record(r);
-        }
         rec
     };
 
@@ -121,7 +116,7 @@ pub fn run_with_sink<S: RecordSink>(
         // Forward phase: start_ttl .. max_ttl.
         let mut gap = 0u8;
         for ttl in cfg.start_ttl..=cfg.max_ttl {
-            match probe(engine, target, ttl, &mut now_us, &mut log, sink) {
+            match probe(target, ttl, &mut now_us, &mut log, sink) {
                 Some(rec) => {
                     gap = 0;
                     if rec.kind != ResponseKind::TimeExceeded {
@@ -141,7 +136,7 @@ pub fn run_with_sink<S: RecordSink>(
         // Crucially: *silence does not stop backward probing* — the
         // pathology under rate limiting.
         for ttl in (1..cfg.start_ttl).rev() {
-            match probe(engine, target, ttl, &mut now_us, &mut log, sink) {
+            match probe(target, ttl, &mut now_us, &mut log, sink) {
                 Some(rec) => {
                     let hit =
                         rec.kind == ResponseKind::TimeExceeded && !stop_set.insert(rec.responder);

@@ -14,8 +14,8 @@
 //! Headers stay constant per destination (Paris), so ECMP paths are
 //! stable.
 
-use crate::record::{decode_response, ProbeLog, ResponseKind, ResponseRecord};
-use crate::sink::RecordSink;
+use crate::record::{ProbeLog, ResponseKind, ResponseRecord};
+use crate::sink::{Link, RecordSink};
 use serde::{Deserialize, Serialize};
 use simnet::Engine;
 use std::net::Ipv6Addr;
@@ -95,6 +95,7 @@ pub fn run_with_sink<S: RecordSink>(
     };
     let interval_us = 1_000_000 / cfg.rate_pps.max(1);
     let mut now_us = 0u64;
+    let mut link = Link::new(engine, cfg.instance);
 
     for chunk in targets.chunks(cfg.window.max(1)) {
         let mut state = vec![
@@ -117,12 +118,10 @@ pub fn run_with_sink<S: RecordSink>(
                     instance: cfg.instance,
                     elapsed_us: now_us as u32,
                 };
-                log.probes_sent += 1;
-                let delivery = engine.inject(&spec.build(), now_us);
+                let rec = link.exchange(&spec.build(), now_us, &mut log, sink);
                 now_us += interval_us;
-                match delivery.and_then(|d| decode_response(&d.bytes, d.at_us, cfg.instance).ok()) {
+                match rec {
                     Some(rec) => {
-                        sink.record(rec);
                         state[i].gap = 0;
                         // Traceroute semantics: any destination response
                         // or unreachable error terminates the trace.

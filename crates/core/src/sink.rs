@@ -19,7 +19,8 @@
 //! [`RecordStream`] the consumer drains; [`crate::campaign`] runs the
 //! two ends on separate threads.
 
-use crate::record::{DecodeError, ProbeLog, ResponseRecord};
+use crate::record::{decode_response, DecodeError, ProbeLog, ResponseRecord};
+use simnet::{Delivery, Engine};
 use std::sync::mpsc;
 
 /// A destination for decoded response records, fed in emission order.
@@ -33,6 +34,56 @@ pub trait RecordSink {
     /// exposure is visible next to yield.
     #[inline]
     fn note_decode_error(&mut self, _err: DecodeError) {}
+}
+
+/// A prober's end of the wire: the engine it probes through, the
+/// instance byte its probes carry, and the one response buffer every
+/// round trip reuses.
+pub(crate) struct Link<'e> {
+    pub(crate) engine: &'e mut Engine,
+    instance: u8,
+    delivery: Delivery,
+}
+
+impl<'e> Link<'e> {
+    pub(crate) fn new(engine: &'e mut Engine, instance: u8) -> Self {
+        Link {
+            engine,
+            instance,
+            delivery: Delivery::default(),
+        }
+    }
+
+    /// One probe's round trip, the same for every prober: inject `wire`
+    /// at `now_us`, decode what comes back and hand it to `sink`. Every
+    /// reply the engine emits is either recorded or counted as rejected
+    /// — in `log` by class and to the sink — never dropped unseen.
+    /// Returns the record for the prober's own bookkeeping.
+    #[inline]
+    pub(crate) fn exchange<S: RecordSink>(
+        &mut self,
+        wire: &[u8],
+        now_us: u64,
+        log: &mut ProbeLog,
+        sink: &mut S,
+    ) -> Option<ResponseRecord> {
+        log.probes_sent += 1;
+        if !self.engine.inject_into(wire, now_us, &mut self.delivery) {
+            return None;
+        }
+        match decode_response(&self.delivery.bytes, self.delivery.at_us, self.instance) {
+            Ok(rec) => {
+                sink.record(rec);
+                Some(rec)
+            }
+            Err(e) => {
+                log.decode_errors.note(e);
+                sink.note_decode_error(e);
+                log.discarded += 1;
+                None
+            }
+        }
+    }
 }
 
 /// The batch sink: append to the log's record vector.

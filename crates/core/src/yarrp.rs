@@ -24,9 +24,9 @@
 use crate::addrset::AddrSet;
 use crate::perm::Permutation;
 use crate::record::{decode_response, ProbeLog, ResponseKind, ResponseRecord};
-use crate::sink::RecordSink;
+use crate::sink::{Link, RecordSink};
 use serde::{Deserialize, Serialize};
-use simnet::{Delivery, Engine};
+use simnet::Engine;
 use std::net::Ipv6Addr;
 use v6packet::probe::{ProbeSpec, ProbeTemplate, Protocol};
 
@@ -107,14 +107,13 @@ fn patch_flow_label(wire: &mut [u8], now_us: u64) {
 
 /// The prober's per-campaign hot-path state: per-target wire templates
 /// and one reused response buffer. Steady state allocates nothing per
-/// probe — templates render in place and the engine refills `delivery`.
+/// probe — templates render in place and the engine refills the link's
+/// delivery.
 struct HotPath<'e> {
-    engine: &'e mut Engine,
+    link: Link<'e>,
     src: Ipv6Addr,
     /// Per-target templates.
     templates: Vec<ProbeTemplate>,
-    /// Reused response delivery.
-    delivery: Delivery,
     /// Scratch wire for off-template probes (fill chains chasing a
     /// middlebox-rewritten quoted target).
     scratch: [u8; v6packet::probe::MAX_PROBE_LEN],
@@ -146,7 +145,7 @@ impl HotPath<'_> {
             }
         }
         let templates = &self.templates;
-        self.engine.warm(
+        self.link.engine.warm(
             window
                 .iter()
                 .map(|&(tidx, ttl)| (templates[tidx].wire(), ttl)),
@@ -165,26 +164,11 @@ impl HotPath<'_> {
         log: &mut ProbeLog,
         sink: &mut S,
     ) -> Option<ResponseRecord> {
-        log.probes_sent += 1;
         let wire = self.templates[tidx].render(ttl, now_us as u32);
         if cfg.vary_flow_label {
             patch_flow_label(wire, now_us);
         }
-        if !self.engine.inject_into(wire, now_us, &mut self.delivery) {
-            return None;
-        }
-        match decode_response(&self.delivery.bytes, self.delivery.at_us, cfg.instance) {
-            Ok(rec) => {
-                sink.record(rec);
-                Some(rec)
-            }
-            Err(e) => {
-                log.decode_errors.note(e);
-                sink.note_decode_error(e);
-                log.discarded += 1;
-                None
-            }
-        }
+        self.link.exchange(wire, now_us, log, sink)
     }
 
     /// Emits one probe to an arbitrary address via the scratch buffer —
@@ -207,27 +191,12 @@ impl HotPath<'_> {
             instance: cfg.instance,
             elapsed_us: now_us as u32,
         };
-        log.probes_sent += 1;
         let n = spec.build_into(&mut self.scratch);
         let wire = &mut self.scratch[..n];
         if cfg.vary_flow_label {
             patch_flow_label(wire, now_us);
         }
-        if !self.engine.inject_into(wire, now_us, &mut self.delivery) {
-            return None;
-        }
-        match decode_response(&self.delivery.bytes, self.delivery.at_us, cfg.instance) {
-            Ok(rec) => {
-                sink.record(rec);
-                Some(rec)
-            }
-            Err(e) => {
-                log.decode_errors.note(e);
-                sink.note_decode_error(e);
-                log.discarded += 1;
-                None
-            }
-        }
+        self.link.exchange(wire, now_us, log, sink)
     }
 }
 
@@ -281,13 +250,12 @@ pub fn run_with_sink<S: RecordSink>(
     let mut now_us: u64 = 0;
 
     let mut hot = HotPath {
-        engine,
+        link: Link::new(engine, cfg.instance),
         src,
         templates: targets
             .iter()
             .map(|&t| ProbeTemplate::new(src, t, cfg.protocol, cfg.instance))
             .collect(),
-        delivery: Delivery::default(),
         scratch: [0u8; v6packet::probe::MAX_PROBE_LEN],
     };
 

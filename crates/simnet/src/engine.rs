@@ -11,7 +11,10 @@
 //! probers never peek at ground truth, so their discoveries are earned the
 //! same way they would be on the real Internet.
 
+#![warn(clippy::too_many_lines)]
+
 use crate::adversarial::{AdversarialClass, Hostiles, STORM_SPREAD};
+use crate::fault::{FaultSchedule, LinkFaultKind};
 use crate::flow::{self, FlowKey};
 use crate::pathcache::PathCache;
 use crate::ratelimit::TokenBucket;
@@ -36,6 +39,19 @@ pub struct Delivery {
 }
 
 /// Outcome counters, updated per injected probe.
+///
+/// **The partition.** Every injected probe ends in exactly one terminal
+/// bucket, so these fields are disjoint and sum to
+/// [`probes`](Self::probes): `malformed`, `fault_vantage_outage`,
+/// `fault_link_blackhole`, `fault_link_flap`, `lost`, `fw_dropped`,
+/// `silent_router`, `fault_responder_down`, `rate_limited`,
+/// `dest_silent`, and the replies — `time_exceeded`, `echo_replies`,
+/// `frag_echo_replies`, `tcp_responses` and the five `du_*` — which sum
+/// to [`responses`](Self::responses). `rl_dropped_default` and
+/// `rl_dropped_aggressive` split `rate_limited` by limiter class.
+/// `rewritten_quotes` and the `adv_*` fields annotate replies (one
+/// reply can carry several) and are not buckets. [`check`](Self::check)
+/// verifies the identities.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Probes injected.
@@ -45,16 +61,21 @@ pub struct EngineStats {
     pub malformed: u64,
     /// Probes lost in transit.
     pub lost: u64,
-    /// ICMPv6 errors suppressed by token buckets.
+    /// Probes whose ICMPv6 error a token bucket suppressed — exactly
+    /// [`rl_dropped_default`](Self::rl_dropped_default)` + `
+    /// [`rl_dropped_aggressive`](Self::rl_dropped_aggressive), and
+    /// exactly what the buckets themselves counted
+    /// ([`Engine::bucket_suppressed_by_class`]). An error no bucket was
+    /// asked for — the responder is unresponsive, or scheduled away —
+    /// is `silent_router` or `fault_responder_down`, not this.
     pub rate_limited: u64,
     /// Suppressions charged to default-class token buckets
-    /// ([`crate::config::TopologyConfig::default_rl`]). Together with
+    /// ([`crate::config::TopologyConfig::default_rl`]). With
     /// [`rl_dropped_aggressive`](Self::rl_dropped_aggressive) this
-    /// counts every *actual* bucket suppression (`rate_limited` can run
-    /// slightly higher: its destination-zone call sites also absorb
-    /// unresponsive responders), so a consumer (e.g. adaptive-yield
-    /// analysis) can tell "nothing left to find" apart from "routers
-    /// rate-limited us" — and *which* limiter class did the damage.
+    /// splits [`rate_limited`](Self::rate_limited), so a consumer (e.g.
+    /// adaptive-yield analysis) can tell "nothing left to find" apart
+    /// from "routers rate-limited us" — and *which* limiter class did
+    /// the damage.
     pub rl_dropped_default: u64,
     /// Suppressions charged to aggressive-class token buckets
     /// ([`crate::config::TopologyConfig::aggressive_rl`], the §4.2
@@ -62,7 +83,10 @@ pub struct EngineStats {
     pub rl_dropped_aggressive: u64,
     /// Hops that never answer (or answer only ICMPv6).
     pub silent_router: u64,
-    /// UDP/TCP probes eaten by destination-AS firewalls.
+    /// UDP/TCP probes a destination-AS firewall ate without a word. A
+    /// firewall that answers administratively-prohibited is
+    /// [`du_admin`](Self::du_admin); one that tries to and is
+    /// suppressed is the bucket of whatever suppressed it.
     pub fw_dropped: u64,
     /// Time Exceeded responses emitted.
     pub time_exceeded: u64,
@@ -126,68 +150,70 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
+    /// Number of counters.
+    pub const FIELDS: usize = 28;
+
+    /// Every counter, in declaration order — the one list of the field
+    /// names outside the struct itself.
+    fn fields_mut(&mut self) -> [&mut u64; Self::FIELDS] {
+        // A field added to the struct changes its size: this stops
+        // compiling until `FIELDS` and the list below follow, and with
+        // them every encoding built on `to_array`.
+        const { assert!(size_of::<EngineStats>() == 8 * EngineStats::FIELDS) };
+        [
+            &mut self.probes,
+            &mut self.malformed,
+            &mut self.lost,
+            &mut self.rate_limited,
+            &mut self.rl_dropped_default,
+            &mut self.rl_dropped_aggressive,
+            &mut self.silent_router,
+            &mut self.fw_dropped,
+            &mut self.time_exceeded,
+            &mut self.echo_replies,
+            &mut self.tcp_responses,
+            &mut self.du_no_route,
+            &mut self.du_admin,
+            &mut self.du_addr,
+            &mut self.du_port,
+            &mut self.du_reject,
+            &mut self.dest_silent,
+            &mut self.frag_echo_replies,
+            &mut self.rewritten_quotes,
+            &mut self.fault_vantage_outage,
+            &mut self.fault_link_blackhole,
+            &mut self.fault_link_flap,
+            &mut self.fault_responder_down,
+            &mut self.adv_lying_ttl,
+            &mut self.adv_spoofed_source,
+            &mut self.adv_zombie_echo,
+            &mut self.adv_duplicate_storm,
+            &mut self.adv_garbage,
+        ]
+    }
+
+    /// The counters as an array, in declaration order — what codecs
+    /// write.
+    pub fn to_array(mut self) -> [u64; Self::FIELDS] {
+        self.fields_mut().map(|f| *f)
+    }
+
+    /// The inverse of [`to_array`](Self::to_array).
+    pub fn from_array(values: [u64; Self::FIELDS]) -> EngineStats {
+        let mut stats = EngineStats::default();
+        for (f, v) in stats.fields_mut().into_iter().zip(values) {
+            *f = v;
+        }
+        stats
+    }
+
     /// Accumulates another campaign's counters into this one —
     /// multi-campaign aggregation (e.g. a whole Table 7 sweep) without
     /// hand-summing fields at every call site.
     pub fn merge(&mut self, other: &EngineStats) {
-        let EngineStats {
-            probes,
-            malformed,
-            lost,
-            rate_limited,
-            rl_dropped_default,
-            rl_dropped_aggressive,
-            silent_router,
-            fw_dropped,
-            time_exceeded,
-            echo_replies,
-            tcp_responses,
-            du_no_route,
-            du_admin,
-            du_addr,
-            du_port,
-            du_reject,
-            dest_silent,
-            frag_echo_replies,
-            rewritten_quotes,
-            fault_vantage_outage,
-            fault_link_blackhole,
-            fault_link_flap,
-            fault_responder_down,
-            adv_lying_ttl,
-            adv_spoofed_source,
-            adv_zombie_echo,
-            adv_duplicate_storm,
-            adv_garbage,
-        } = other;
-        self.probes += probes;
-        self.malformed += malformed;
-        self.lost += lost;
-        self.rate_limited += rate_limited;
-        self.rl_dropped_default += rl_dropped_default;
-        self.rl_dropped_aggressive += rl_dropped_aggressive;
-        self.silent_router += silent_router;
-        self.fw_dropped += fw_dropped;
-        self.time_exceeded += time_exceeded;
-        self.echo_replies += echo_replies;
-        self.tcp_responses += tcp_responses;
-        self.du_no_route += du_no_route;
-        self.du_admin += du_admin;
-        self.du_addr += du_addr;
-        self.du_port += du_port;
-        self.du_reject += du_reject;
-        self.dest_silent += dest_silent;
-        self.frag_echo_replies += frag_echo_replies;
-        self.rewritten_quotes += rewritten_quotes;
-        self.fault_vantage_outage += fault_vantage_outage;
-        self.fault_link_blackhole += fault_link_blackhole;
-        self.fault_link_flap += fault_link_flap;
-        self.fault_responder_down += fault_responder_down;
-        self.adv_lying_ttl += adv_lying_ttl;
-        self.adv_spoofed_source += adv_spoofed_source;
-        self.adv_zombie_echo += adv_zombie_echo;
-        self.adv_duplicate_storm += adv_duplicate_storm;
-        self.adv_garbage += adv_garbage;
+        for (f, v) in self.fields_mut().into_iter().zip(other.to_array()) {
+            *f += v;
+        }
     }
 
     /// The accumulated counters of many campaigns (field-wise sum).
@@ -199,9 +225,76 @@ impl EngineStats {
         total
     }
 
-    /// Total responses of any kind.
+    /// Counts one probe under the bucket it ended in: the only place a
+    /// terminal counter moves, so the partition holds by construction.
+    #[inline]
+    fn count(&mut self, outcome: Outcome) {
+        self.probes += 1;
+        let bucket = match outcome {
+            Outcome::Malformed => &mut self.malformed,
+            Outcome::VantageOutage => &mut self.fault_vantage_outage,
+            Outcome::LinkDown(LinkFaultKind::Blackhole) => &mut self.fault_link_blackhole,
+            Outcome::LinkDown(LinkFaultKind::Flap) => &mut self.fault_link_flap,
+            Outcome::Lost => &mut self.lost,
+            Outcome::Firewalled => &mut self.fw_dropped,
+            Outcome::Unanswered(Miss::SilentRouter) => &mut self.silent_router,
+            Outcome::Unanswered(Miss::ResponderDown) => &mut self.fault_responder_down,
+            Outcome::Unanswered(Miss::RateLimited { aggressive }) => {
+                self.rate_limited += 1;
+                if aggressive {
+                    &mut self.rl_dropped_aggressive
+                } else {
+                    &mut self.rl_dropped_default
+                }
+            }
+            Outcome::DestSilent => &mut self.dest_silent,
+            Outcome::Answered(reply) => match reply {
+                Reply::TimeExceeded => &mut self.time_exceeded,
+                Reply::Echo => &mut self.echo_replies,
+                Reply::FragEcho => &mut self.frag_echo_replies,
+                Reply::Tcp => &mut self.tcp_responses,
+                Reply::Unreachable(DestUnreachCode::NoRoute) => &mut self.du_no_route,
+                Reply::Unreachable(DestUnreachCode::AdminProhibited) => &mut self.du_admin,
+                Reply::Unreachable(DestUnreachCode::AddrUnreachable) => &mut self.du_addr,
+                Reply::Unreachable(DestUnreachCode::PortUnreachable) => &mut self.du_port,
+                Reply::Unreachable(DestUnreachCode::RejectRoute) => &mut self.du_reject,
+            },
+        };
+        *bucket += 1;
+    }
+
+    /// The identities the counters satisfy, for one engine or any
+    /// [`merge`](Self::merge) of several: the terminal buckets sum to
+    /// [`probes`](Self::probes), and the limiter classes sum to
+    /// [`rate_limited`](Self::rate_limited).
+    pub fn check(&self) -> Result<(), String> {
+        let buckets = self.malformed
+            + self.fault_vantage_outage
+            + self.fault_link_blackhole
+            + self.fault_link_flap
+            + self.lost
+            + self.fw_dropped
+            + self.silent_router
+            + self.fault_responder_down
+            + self.rate_limited
+            + self.dest_silent
+            + self.responses();
+        let classed = self.rl_dropped_default + self.rl_dropped_aggressive;
+        if buckets == self.probes && classed == self.rate_limited {
+            return Ok(());
+        }
+        Err(format!(
+            "terminal buckets sum to {buckets} and limiter classes to {classed}: {self:?}"
+        ))
+    }
+
+    /// Every delivery the engine emitted, of any kind.
     pub fn responses(&self) -> u64 {
-        self.time_exceeded + self.echo_replies + self.tcp_responses + self.dest_unreach_total()
+        self.time_exceeded
+            + self.echo_replies
+            + self.frag_echo_replies
+            + self.tcp_responses
+            + self.dest_unreach_total()
     }
 
     /// All Destination Unreachable responses.
@@ -216,13 +309,13 @@ impl EngineStats {
     }
 
     /// All token-bucket suppressions, by limiter class
-    /// `(default, aggressive)`. Never exceeds
-    /// [`rate_limited`](Self::rate_limited) in sum.
+    /// `(default, aggressive)`: the two sum to
+    /// [`rate_limited`](Self::rate_limited) exactly.
     pub fn rl_dropped_by_class(&self) -> (u64, u64) {
         (self.rl_dropped_default, self.rl_dropped_aggressive)
     }
 
-    /// All packets an injected [`FaultSchedule`](crate::fault::FaultSchedule)
+    /// All packets an injected [`FaultSchedule`]
     /// cost this campaign, across every fault class. A campaign whose
     /// probes all vanished into a vantage outage shows
     /// `fault_vantage_outage == probes` and zero [`responses`](Self::responses)
@@ -252,6 +345,58 @@ impl EngineStats {
     }
 }
 
+/// Where a probe ended: one leaf per terminal bucket of
+/// [`EngineStats`]. Every stage of [`Engine::inject_into`] either passes
+/// the probe on or returns one of these, and the driver counts it once
+/// ([`EngineStats::count`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Outcome {
+    Malformed,
+    VantageOutage,
+    LinkDown(LinkFaultKind),
+    Lost,
+    /// A firewall dropped it and said nothing.
+    Firewalled,
+    DestSilent,
+    /// A router owed a reply and sent none.
+    Unanswered(Miss),
+    /// A delivery was written.
+    Answered(Reply),
+}
+
+/// Why a router that owed a reply sent none.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Miss {
+    SilentRouter,
+    ResponderDown,
+    RateLimited {
+        /// The suppressing bucket's limiter class.
+        aggressive: bool,
+    },
+}
+
+/// The kind of delivery that answered a probe.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Reply {
+    TimeExceeded,
+    Unreachable(DestUnreachCode),
+    Echo,
+    FragEcho,
+    Tcp,
+}
+
+impl Outcome {
+    /// The bucket of an ICMPv6 error attempt ([`Engine::router_error`]):
+    /// `reply` if it was sent, the miss's own bucket otherwise.
+    #[inline]
+    fn of_error(reply: Reply, sent: Result<(), Miss>) -> Outcome {
+        match sent {
+            Ok(()) => Outcome::Answered(reply),
+            Err(miss) => Outcome::Unanswered(miss),
+        }
+    }
+}
+
 /// The simulation engine for one probing campaign.
 pub struct Engine {
     topo: Arc<Topology>,
@@ -278,7 +423,7 @@ pub struct Engine {
     /// alias signal). Seeded per router so counters are unsynchronized.
     frag_counters: Vec<u32>,
     /// Scheduled faults, copied from the topology config.
-    faults: crate::fault::FaultSchedule,
+    faults: FaultSchedule,
     /// `!faults.is_empty()`, cached so the per-probe hot path pays one
     /// branch when no faults are scheduled.
     has_faults: bool,
@@ -548,542 +693,369 @@ impl Engine {
     /// call skips the lookup it already did; every other caller just
     /// injects, and pays for resolution and for the memory latency of
     /// its own probe order here.
+    ///
+    /// The probe runs through the stages below in order; the first to
+    /// end it names the one [`EngineStats`] bucket it is counted under.
     pub fn inject_into(&mut self, wire: &[u8], now_us: u64, out: &mut Delivery) -> bool {
-        self.stats.probes += 1;
-        let Some(key) = RawKey::parse(wire) else {
-            self.stats.malformed += 1;
-            return false;
+        let outcome = match self.parse(wire, now_us) {
+            Err(malformed) => malformed,
+            Ok(p) => self
+                .faulted(&p)
+                .or_else(|| self.lost(&p))
+                .or_else(|| self.intercepted(&p, out))
+                .or_else(|| self.firewalled(&p, out))
+                .unwrap_or_else(|| {
+                    if p.ttl <= p.path.len() {
+                        self.expire_in_transit(&p, out)
+                    } else {
+                        self.reach_destination(&p, out)
+                    }
+                }),
         };
+        self.stats.count(outcome);
+        matches!(outcome, Outcome::Answered(_))
+    }
+
+    /// Stage 1: the probe's routing key, vantage and path, or
+    /// [`Outcome::Malformed`].
+    #[inline]
+    fn parse<'w>(&mut self, wire: &'w [u8], now_us: u64) -> Result<Probe<'w>, Outcome> {
+        let key = RawKey::parse(wire).ok_or(Outcome::Malformed)?;
         // Hop limit 0 never leaves its sender: no hop to expire at.
         let hop_limit = wire[7];
         if hop_limit == 0 {
-            self.stats.malformed += 1;
-            return false;
+            return Err(Outcome::Malformed);
         }
         let ahead = self.take_ahead(&key);
-        let Some(vidx) = ahead.map(|a| a.0).or_else(|| self.vantage_of(key.src)) else {
-            self.stats.malformed += 1;
-            return false;
-        };
-
-        // An injected vantage outage eats the probe at the source.
-        if self.has_faults
-            && self
-                .faults
-                .vantage_down(vidx, now_us.saturating_add(self.fault_offset_us))
-        {
-            self.stats.fault_vantage_outage += 1;
-            return false;
-        }
-
-        let Some((sport, dport)) = key.ports else {
-            self.stats.malformed += 1;
-            return false;
-        };
-        let dst = Ipv6Addr::from(key.dst);
+        let vidx = ahead
+            .map(|a| a.0)
+            .or_else(|| self.vantage_of(key.src))
+            .ok_or(Outcome::Malformed)?;
+        let ports = key.ports.ok_or(Outcome::Malformed)?;
         let pidx = match ahead {
             Some((_, pidx)) => pidx,
-            None => self.resolve_path_idx(vidx, dst, key.flow_hash((sport, dport))),
-        } as usize;
-        let body = &wire[ip6::HEADER_LEN..];
-        let vaddr = self.topo.vantages[vidx as usize].addr;
-        let is_icmp = key.next_header == proto_num::ICMP6;
-        let dst_word = key.dst;
-        let ttl = hop_limit as usize;
-        // Scalars copied out of the path so `self` stays free for the
-        // mutable responder calls below; hop ids are re-read per branch.
-        let (hops_len, firewall_hop, dest, dst_router) = {
-            let p = &self.paths[pidx];
-            (p.len(), p.firewall_hop, p.dest, p.dst_router)
+            None => self.resolve_path_idx(vidx, Ipv6Addr::from(key.dst), key.flow_hash(ports)),
         };
-
-        // Injected link faults drop the probe at the first traversed
-        // hop whose inbound link is down — checked before loss and
-        // firewall draws because a dead link precedes both.
-        if self.has_faults {
-            let fnow = now_us.saturating_add(self.fault_offset_us);
-            let traversed = ttl.min(hops_len);
-            let mut hit = None;
-            for &h in &self.paths[pidx].hops(&self.hop_arena)[..traversed] {
-                if let Some(kind) = self.faults.link_down(h, fnow) {
-                    hit = Some(kind);
-                    break;
-                }
-            }
-            match hit {
-                Some(crate::fault::LinkFaultKind::Blackhole) => {
-                    self.stats.fault_link_blackhole += 1;
-                    return false;
-                }
-                Some(crate::fault::LinkFaultKind::Flap) => {
-                    self.stats.fault_link_flap += 1;
-                    return false;
-                }
-                None => {}
-            }
-        }
-
-        // Transit loss applies to every probe (hash-keyed, deterministic).
-        let dst_fold = (dst_word as u64) ^ ((dst_word >> 64) as u64).rotate_left(32);
-        let loss_key = flow::mix2(dst_fold, (hop_limit as u64) << 32 | 0x1055);
-        if flow::draw_milli(loss_key, self.topo.config.loss_milli) {
-            self.stats.lost += 1;
-            return false;
-        }
-
-        // Hostile in-path interception: a zombie middlebox answers for
-        // every probe passing beyond it; a duplicate-storm responder
-        // shadows the next [`STORM_SPREAD`] hops with stale duplicates.
-        // The shallowest hostile hop wins — nothing deeper (the true
-        // expiring hop, the destination) is ever reached.
-        if self.has_adversarial {
-            let fnow = now_us.saturating_add(self.fault_offset_us);
-            let scan = hops_len.min(ttl.saturating_sub(1));
-            let mut hit = None;
-            {
-                let hops = self.paths[pidx].hops(&self.hop_arena);
-                for (i, &h) in hops[..scan].iter().enumerate() {
-                    let mask = self.hostiles.mask(h);
-                    if mask == 0 {
-                        continue;
-                    }
-                    let depth = i + 1;
-                    let zombie = mask & AdversarialClass::ZombieEcho.bit() != 0
-                        && self.hostiles.active(h, AdversarialClass::ZombieEcho, fnow);
-                    let storm = !zombie
-                        && mask & AdversarialClass::DuplicateStorm.bit() != 0
-                        && ttl <= depth + STORM_SPREAD
-                        && self
-                            .hostiles
-                            .active(h, AdversarialClass::DuplicateStorm, fnow);
-                    if zombie || storm {
-                        hit = Some((h, prev_hop_key(hops, i, vidx), depth, zombie));
-                        break;
-                    }
-                }
-            }
-            if let Some((router, prev, depth, zombie)) = hit {
-                return if self.router_error(
-                    router,
-                    prev,
-                    vaddr,
-                    Icmp6Type::TimeExceeded,
-                    wire,
-                    now_us,
-                    depth,
-                    dst_word,
-                    out,
-                ) {
-                    self.stats.time_exceeded += 1;
-                    if zombie {
-                        self.stats.adv_zombie_echo += 1;
-                    } else {
-                        self.stats.adv_duplicate_storm += 1;
-                    }
-                    true
-                } else {
-                    self.stats.rate_limited += 1;
-                    false
-                };
-            }
-        }
-
-        // Destination-AS firewall eats UDP/TCP probes traveling past it.
-        if let (Some(f), false) = (firewall_hop, is_icmp) {
-            if ttl > f as usize + 1 {
-                self.stats.fw_dropped += 1;
-                // Firewalls mostly drop silently; a minority emit
-                // admin-prohibited, rate limited like any other error.
-                if !flow::draw_milli(flow::mix2(flow::mix128(dst_word), 0xf1a3), 250) {
-                    return false;
-                }
-                let (router, prev) = {
-                    let hops = self.paths[pidx].hops(&self.hop_arena);
-                    (hops[f as usize], prev_hop_key(hops, f as usize, vidx))
-                };
-                return self.router_error(
-                    router,
-                    prev,
-                    vaddr,
-                    Icmp6Type::DestUnreachable(DestUnreachCode::AdminProhibited),
-                    wire,
-                    now_us,
-                    f as usize + 1,
-                    dst_word,
-                    out,
-                );
-            }
-        }
-
-        if ttl <= hops_len {
-            // Expires in transit at hops[ttl-1].
-            if self
-                .topo
-                .config
-                .vantage_silent_hops
-                .contains(&(vidx, hop_limit))
-            {
-                self.stats.silent_router += 1;
-                return false;
-            }
-            let (router, prev) = {
-                let hops = self.paths[pidx].hops(&self.hop_arena);
-                (hops[ttl - 1], prev_hop_key(hops, ttl - 1, vidx))
-            };
-            let info = &self.topo.routers[router.0 as usize];
-            if !info.responsive || (info.icmp_only && !is_icmp) {
-                self.stats.silent_router += 1;
-                return false;
-            }
-            return if self.router_error(
-                router,
-                prev,
-                vaddr,
-                Icmp6Type::TimeExceeded,
-                wire,
-                now_us,
-                ttl,
-                dst_word,
-                out,
-            ) {
-                self.stats.time_exceeded += 1;
-                true
-            } else {
-                self.stats.rate_limited += 1;
-                false
-            };
-        }
-
-        // Reached the destination zone.
-        let cfg = &self.topo.config;
-        let (
-            client_silent_milli,
-            host_fw_milli,
-            nohost_du_milli,
-            nosubnet_du_milli,
-            noroute_du_milli,
-        ) = (
-            cfg.client_silent_milli,
-            cfg.host_fw_milli,
-            cfg.nohost_du_milli,
-            cfg.nosubnet_du_milli,
-            cfg.noroute_du_milli,
-        );
-        let hops = hops_len;
-
-        // Direct probes to a *router interface* (alias-resolution
-        // probing): the router answers echoes itself; oversized echoes
-        // force fragmentation and expose the shared identification
-        // counter.
-        if let Some(rid) = dst_router {
-            let info = &self.topo.routers[rid.0 as usize];
-            if !info.responsive {
-                self.stats.silent_router += 1;
-                return false;
-            }
-            if self.has_faults
-                && self
-                    .faults
-                    .responder_down(rid, now_us.saturating_add(self.fault_offset_us))
-            {
-                self.stats.fault_responder_down += 1;
-                return false;
-            }
-            if !is_icmp {
-                // Routers drop unsolicited TCP/UDP to their interfaces.
-                self.stats.dest_silent += 1;
-                return false;
-            }
-            let data = &body[8..];
-            // The reply's source is the probed interface itself.
-            if data.len() >= 1000 {
-                let id = self.frag_counters[rid.0 as usize];
-                self.frag_counters[rid.0 as usize] = id.wrapping_add(1);
-                self.stats.frag_echo_replies += 1;
-                v6packet::frag::build_fragmented_echo_reply_into(
-                    &mut out.bytes,
-                    dst,
-                    vaddr,
-                    sport,
-                    dport,
-                    data,
-                    64,
-                    id,
-                );
-                self.finish(out, now_us, hops + 1, dst_word);
-                return true;
-            }
-            self.stats.echo_replies += 1;
-            icmp6::build_echo_reply_into(&mut out.bytes, dst, vaddr, sport, dport, data, 64);
-            self.finish(out, now_us, hops + 1, dst_word);
-            return true;
-        }
-
-        match dest {
-            DestEntry::Host(kind) => {
-                let silent_milli = if kind == HostKind::Client {
-                    client_silent_milli
-                } else {
-                    host_fw_milli
-                };
-                if flow::draw_milli(flow::mix2(flow::mix128(dst_word), 0xf00d), silent_milli) {
-                    self.stats.dest_silent += 1;
-                    return false;
-                }
-                match key.next_header {
-                    proto_num::ICMP6 => {
-                        self.stats.echo_replies += 1;
-                        let data = &body[8..];
-                        icmp6::build_echo_reply_into(
-                            &mut out.bytes,
-                            dst,
-                            vaddr,
-                            sport,
-                            dport,
-                            data,
-                            64,
-                        );
-                        self.finish(out, now_us, hops + 1, dst_word);
-                        true
-                    }
-                    proto_num::UDP => {
-                        // No listener on the probe port: port unreachable
-                        // from the host itself.
-                        self.stats.du_port += 1;
-                        icmp6::build_error_into(
-                            &mut out.bytes,
-                            dst,
-                            vaddr,
-                            Icmp6Type::DestUnreachable(DestUnreachCode::PortUnreachable),
-                            wire,
-                            64,
-                        );
-                        self.finish(out, now_us, hops + 1, dst_word);
-                        true
-                    }
-                    _ => {
-                        self.stats.tcp_responses += 1;
-                        tcp::build_response_into(
-                            &mut out.bytes,
-                            dst,
-                            vaddr,
-                            dport,
-                            sport,
-                            tcp::flags::RST | tcp::flags::ACK,
-                            64,
-                        );
-                        self.finish(out, now_us, hops + 1, dst_word);
-                        true
-                    }
-                }
-            }
-            DestEntry::NoHost { responder } => {
-                let prev = {
-                    let hops = self.paths[pidx].hops(&self.hop_arena);
-                    prev_hop_key(hops, hops.len(), vidx)
-                };
-                self.dest_policy_response(
-                    responder,
-                    prev,
-                    vaddr,
-                    wire,
-                    now_us,
-                    hops,
-                    nohost_du_milli,
-                    dst_word,
-                    out,
-                )
-            }
-            DestEntry::NoSubnet { responder } => {
-                let prev = {
-                    let hops = self.paths[pidx].hops(&self.hop_arena);
-                    prev_hop_key(hops, hops.len(), vidx)
-                };
-                self.dest_policy_response(
-                    responder,
-                    prev,
-                    vaddr,
-                    wire,
-                    now_us,
-                    hops,
-                    nosubnet_du_milli,
-                    dst_word,
-                    out,
-                )
-            }
-            DestEntry::Unrouted { responder } => {
-                if !flow::draw_milli(flow::mix2(flow::mix128(dst_word), 0x2042), noroute_du_milli) {
-                    self.stats.dest_silent += 1;
-                    return false;
-                }
-                let prev = {
-                    let hops = self.paths[pidx].hops(&self.hop_arena);
-                    prev_hop_key(hops, hops.len(), vidx)
-                };
-                let r = self.router_error(
-                    responder,
-                    prev,
-                    vaddr,
-                    Icmp6Type::DestUnreachable(DestUnreachCode::NoRoute),
-                    wire,
-                    now_us,
-                    hops,
-                    dst_word,
-                    out,
-                );
-                if r {
-                    self.stats.du_no_route += 1;
-                } else {
-                    self.stats.rate_limited += 1;
-                }
-                r
-            }
-        }
+        Ok(Probe {
+            wire,
+            key,
+            ports,
+            vidx,
+            vaddr: self.topo.vantages[vidx as usize].addr,
+            path: self.paths[pidx as usize],
+            ttl: hop_limit as usize,
+            now_us,
+            fault_us: now_us.saturating_add(self.fault_offset_us),
+        })
     }
 
-    /// Destination-zone policy response for unassigned space.
-    #[allow(clippy::too_many_arguments)]
-    fn dest_policy_response(
-        &mut self,
-        responder: RouterId,
-        prev_key: u64,
-        vaddr: std::net::Ipv6Addr,
-        wire: &[u8],
-        now_us: u64,
-        hops: usize,
-        du_milli: u32,
-        dst_word: u128,
-        out: &mut Delivery,
-    ) -> bool {
-        if !flow::draw_milli(flow::mix2(flow::mix128(dst_word), 0xdead), du_milli) {
-            self.stats.dest_silent += 1;
-            return false;
+    /// Stage 2: injected faults. A vantage outage eats the probe at the
+    /// source; a link fault drops it at the first traversed hop whose
+    /// inbound link is down — before the loss and firewall draws,
+    /// because a dead link precedes both.
+    #[inline]
+    fn faulted(&self, p: &Probe<'_>) -> Option<Outcome> {
+        if !self.has_faults {
+            return None;
         }
-        let as_idx = self.topo.routers[responder.0 as usize].as_idx;
-        let code = match self.topo.ases[as_idx as usize].unknown_policy {
-            UnknownAddrPolicy::AddrUnreachable => DestUnreachCode::AddrUnreachable,
-            UnknownAddrPolicy::AdminProhibited => DestUnreachCode::AdminProhibited,
-            UnknownAddrPolicy::RejectRoute => DestUnreachCode::RejectRoute,
-            UnknownAddrPolicy::Silent => {
-                self.stats.dest_silent += 1;
-                return false;
+        if self.faults.vantage_down(p.vidx, p.fault_us) {
+            return Some(Outcome::VantageOutage);
+        }
+        p.path.hops(&self.hop_arena)[..p.ttl.min(p.path.len())]
+            .iter()
+            .find_map(|&h| self.faults.link_down(h, p.fault_us))
+            .map(Outcome::LinkDown)
+    }
+
+    /// Stage 3: transit loss, for every probe (hash-keyed,
+    /// deterministic).
+    #[inline]
+    fn lost(&self, p: &Probe<'_>) -> Option<Outcome> {
+        let dst = p.key.dst;
+        let dst_fold = (dst as u64) ^ ((dst >> 64) as u64).rotate_left(32);
+        let loss_key = flow::mix2(dst_fold, (p.ttl as u64) << 32 | 0x1055);
+        flow::draw_milli(loss_key, self.topo.config.loss_milli).then_some(Outcome::Lost)
+    }
+
+    /// Stage 4: hostile in-path interception. A zombie middlebox answers
+    /// for every probe passing beyond it; a duplicate-storm responder
+    /// shadows the next [`STORM_SPREAD`] hops with stale duplicates. The
+    /// shallowest hostile hop wins — nothing deeper (the true expiring
+    /// hop, the destination) is ever reached.
+    #[inline]
+    fn intercepted(&mut self, p: &Probe<'_>, out: &mut Delivery) -> Option<Outcome> {
+        if !self.has_adversarial {
+            return None;
+        }
+        let hops = p.path.hops(&self.hop_arena);
+        let scan = p.path.len().min(p.ttl.saturating_sub(1));
+        let (at, zombie) = hops[..scan].iter().enumerate().find_map(|(i, &h)| {
+            let mask = self.hostiles.mask(h);
+            if mask == 0 {
+                return None;
+            }
+            let zombie = mask & AdversarialClass::ZombieEcho.bit() != 0
+                && self
+                    .hostiles
+                    .active(h, AdversarialClass::ZombieEcho, p.fault_us);
+            let storm = !zombie
+                && mask & AdversarialClass::DuplicateStorm.bit() != 0
+                && p.ttl <= i + 1 + STORM_SPREAD
+                && self
+                    .hostiles
+                    .active(h, AdversarialClass::DuplicateStorm, p.fault_us);
+            (zombie || storm).then_some((i, zombie))
+        })?;
+        let sent = self.router_error(p, at, Icmp6Type::TimeExceeded, out);
+        if sent.is_ok() {
+            if zombie {
+                self.stats.adv_zombie_echo += 1;
+            } else {
+                self.stats.adv_duplicate_storm += 1;
+            }
+        }
+        Some(Outcome::of_error(Reply::TimeExceeded, sent))
+    }
+
+    /// Stage 5: a destination-AS firewall eats UDP/TCP probes traveling
+    /// past it. Firewalls mostly drop silently; a minority emit
+    /// admin-prohibited, rate limited like any other error.
+    #[inline]
+    fn firewalled(&mut self, p: &Probe<'_>, out: &mut Delivery) -> Option<Outcome> {
+        let f = p.path.firewall_hop? as usize;
+        if p.is_icmp() || p.ttl <= f + 1 {
+            return None;
+        }
+        if !flow::draw_milli(flow::mix2(flow::mix128(p.key.dst), 0xf1a3), 250) {
+            return Some(Outcome::Firewalled);
+        }
+        let code = DestUnreachCode::AdminProhibited;
+        let sent = self.router_error(p, f, Icmp6Type::DestUnreachable(code), out);
+        Some(Outcome::of_error(Reply::Unreachable(code), sent))
+    }
+
+    /// Stage 6a: the hop limit runs out at `hops[ttl - 1]`, which owes a
+    /// Time Exceeded.
+    #[inline]
+    fn expire_in_transit(&mut self, p: &Probe<'_>, out: &mut Delivery) -> Outcome {
+        let silenced = self
+            .topo
+            .config
+            .vantage_silent_hops
+            .contains(&(p.vidx, p.ttl as u8));
+        let info = &self.topo.routers[p.path.hops(&self.hop_arena)[p.ttl - 1].0 as usize];
+        if silenced || (info.icmp_only && !p.is_icmp()) {
+            return Outcome::Unanswered(Miss::SilentRouter);
+        }
+        let sent = self.router_error(p, p.ttl - 1, Icmp6Type::TimeExceeded, out);
+        Outcome::of_error(Reply::TimeExceeded, sent)
+    }
+
+    /// Stage 6b: the probe out-lives its path and reaches the
+    /// destination zone — a router interface, a live host, or space
+    /// nobody owns.
+    #[inline]
+    fn reach_destination(&mut self, p: &Probe<'_>, out: &mut Delivery) -> Outcome {
+        if let Some(rid) = p.path.dst_router {
+            return self.router_interface_reply(p, rid, out);
+        }
+        let cfg = &self.topo.config;
+        let dst_mix = flow::mix128(p.key.dst);
+        // Who answers for unowned space, how often, and the salt of
+        // that draw.
+        let (responder, du_milli, salt) = match p.path.dest {
+            DestEntry::Host(kind) => return self.host_reply(p, kind, out),
+            DestEntry::NoHost { responder } => (responder, cfg.nohost_du_milli, 0xdead),
+            DestEntry::NoSubnet { responder } => (responder, cfg.nosubnet_du_milli, 0xdead),
+            DestEntry::Unrouted { responder } => (responder, cfg.noroute_du_milli, 0x2042),
+        };
+        if !flow::draw_milli(flow::mix2(dst_mix, salt), du_milli) {
+            return Outcome::DestSilent;
+        }
+        let code = if let DestEntry::Unrouted { .. } = p.path.dest {
+            DestUnreachCode::NoRoute
+        } else {
+            let as_idx = self.topo.routers[responder.0 as usize].as_idx;
+            match self.topo.ases[as_idx as usize].unknown_policy {
+                UnknownAddrPolicy::AddrUnreachable => DestUnreachCode::AddrUnreachable,
+                UnknownAddrPolicy::AdminProhibited => DestUnreachCode::AdminProhibited,
+                UnknownAddrPolicy::RejectRoute => DestUnreachCode::RejectRoute,
+                UnknownAddrPolicy::Silent => return Outcome::DestSilent,
             }
         };
-        let r = self.router_error(
+        let sent = self.router_error_from(
+            p,
             responder,
-            prev_key,
-            vaddr,
+            prev_hop_key(p.path.hops(&self.hop_arena), p.path.len(), p.vidx),
             Icmp6Type::DestUnreachable(code),
-            wire,
-            now_us,
-            hops,
-            dst_word,
+            p.path.len(),
             out,
         );
-        if r {
-            match code {
-                DestUnreachCode::AddrUnreachable => self.stats.du_addr += 1,
-                DestUnreachCode::AdminProhibited => self.stats.du_admin += 1,
-                DestUnreachCode::RejectRoute => self.stats.du_reject += 1,
-                _ => {}
-            }
-        } else {
-            self.stats.rate_limited += 1;
-        }
-        r
+        Outcome::of_error(Reply::Unreachable(code), sent)
     }
 
-    /// Emits an ICMPv6 error from `router` into `out` if its token
-    /// bucket allows; `hop_count` scales the RTT.
-    #[allow(clippy::too_many_arguments)]
+    /// A direct probe to a *router interface* (alias-resolution
+    /// probing): the router answers echoes itself, from the probed
+    /// interface; oversized echoes force fragmentation and expose the
+    /// shared identification counter.
+    fn router_interface_reply(
+        &mut self,
+        p: &Probe<'_>,
+        rid: RouterId,
+        out: &mut Delivery,
+    ) -> Outcome {
+        if !self.topo.routers[rid.0 as usize].responsive {
+            return Outcome::Unanswered(Miss::SilentRouter);
+        }
+        if self.has_faults && self.faults.responder_down(rid, p.fault_us) {
+            return Outcome::Unanswered(Miss::ResponderDown);
+        }
+        if !p.is_icmp() {
+            // Routers drop unsolicited TCP/UDP to their interfaces.
+            return Outcome::DestSilent;
+        }
+        let dst = Ipv6Addr::from(p.key.dst);
+        let (id, seq) = p.ports;
+        let data = &p.wire[ip6::HEADER_LEN + 8..];
+        let reply = if data.len() >= 1000 {
+            let frag_id = self.frag_counters[rid.0 as usize];
+            self.frag_counters[rid.0 as usize] = frag_id.wrapping_add(1);
+            v6packet::frag::build_fragmented_echo_reply_into(
+                &mut out.bytes,
+                dst,
+                p.vaddr,
+                id,
+                seq,
+                data,
+                64,
+                frag_id,
+            );
+            Reply::FragEcho
+        } else {
+            icmp6::build_echo_reply_into(&mut out.bytes, dst, p.vaddr, id, seq, data, 64);
+            Reply::Echo
+        };
+        self.finish(out, p, p.path.len() + 1);
+        Outcome::Answered(reply)
+    }
+
+    /// A live host answers in kind — unless it (or its CPE) filters.
+    fn host_reply(&mut self, p: &Probe<'_>, kind: HostKind, out: &mut Delivery) -> Outcome {
+        let cfg = &self.topo.config;
+        let silent_milli = if kind == HostKind::Client {
+            cfg.client_silent_milli
+        } else {
+            cfg.host_fw_milli
+        };
+        if flow::draw_milli(flow::mix2(flow::mix128(p.key.dst), 0xf00d), silent_milli) {
+            return Outcome::DestSilent;
+        }
+        let dst = Ipv6Addr::from(p.key.dst);
+        let (sport, dport) = p.ports;
+        let reply = match p.key.next_header {
+            proto_num::ICMP6 => {
+                let data = &p.wire[ip6::HEADER_LEN + 8..];
+                icmp6::build_echo_reply_into(&mut out.bytes, dst, p.vaddr, sport, dport, data, 64);
+                Reply::Echo
+            }
+            proto_num::UDP => {
+                // No listener on the probe port: port unreachable from
+                // the host itself.
+                let code = DestUnreachCode::PortUnreachable;
+                icmp6::build_error_into(
+                    &mut out.bytes,
+                    dst,
+                    p.vaddr,
+                    Icmp6Type::DestUnreachable(code),
+                    p.wire,
+                    64,
+                );
+                Reply::Unreachable(code)
+            }
+            _ => {
+                tcp::build_response_into(
+                    &mut out.bytes,
+                    dst,
+                    p.vaddr,
+                    dport,
+                    sport,
+                    tcp::flags::RST | tcp::flags::ACK,
+                    64,
+                );
+                Reply::Tcp
+            }
+        };
+        self.finish(out, p, p.path.len() + 1);
+        Outcome::Answered(reply)
+    }
+
+    /// [`Self::router_error_from`] the router at `hops[at]`, which saw
+    /// the probe arrive from the hop before it, `at + 1` hops out.
+    #[inline]
     fn router_error(
         &mut self,
+        p: &Probe<'_>,
+        at: usize,
+        ty: Icmp6Type,
+        out: &mut Delivery,
+    ) -> Result<(), Miss> {
+        let hops = p.path.hops(&self.hop_arena);
+        let (router, prev_key) = (hops[at], prev_hop_key(hops, at, p.vidx));
+        self.router_error_from(p, router, prev_key, ty, at + 1, out)
+    }
+
+    /// Emits an ICMPv6 error about `p` from `router` into `out`, if the
+    /// router answers at all, has not been scheduled away, and its
+    /// token bucket allows; `hop_count` scales the RTT.
+    fn router_error_from(
+        &mut self,
+        p: &Probe<'_>,
         router: RouterId,
         prev_key: u64,
-        vaddr: std::net::Ipv6Addr,
         ty: Icmp6Type,
-        wire: &[u8],
-        now_us: u64,
         hop_count: usize,
-        dst_word: u128,
         out: &mut Delivery,
-    ) -> bool {
+    ) -> Result<(), Miss> {
         let info = &self.topo.routers[router.0 as usize];
         if !info.responsive {
-            self.stats.silent_router += 1;
-            return false;
+            return Err(Miss::SilentRouter);
         }
-        // A responder scheduled to disappear forwards but never answers
-        // (its Time Exceeded / Destination Unreachable callers then add
-        // their undifferentiated miss counters, like any silent hop).
-        if self.has_faults
-            && self
-                .faults
-                .responder_down(router, now_us.saturating_add(self.fault_offset_us))
-        {
-            self.stats.fault_responder_down += 1;
-            return false;
+        // A responder scheduled to disappear forwards but never answers.
+        if self.has_faults && self.faults.responder_down(router, p.fault_us) {
+            return Err(Miss::ResponderDown);
         }
-        if !self.buckets[router.0 as usize].try_consume(now_us) {
-            // Charge the drop to the bucket's limiter class here, at the
-            // one site where a token bucket actually suppresses; the
-            // callers add the undifferentiated `rate_limited` count.
-            if info.aggressive_rl {
-                self.stats.rl_dropped_aggressive += 1;
-            } else {
-                self.stats.rl_dropped_default += 1;
-            }
-            return false;
+        if !self.buckets[router.0 as usize].try_consume(p.now_us) {
+            return Err(Miss::RateLimited {
+                aggressive: info.aggressive_rl,
+            });
         }
+        let dst_mix = flow::mix128(p.key.dst);
         // Hostile mutation flags, evaluated once the response is sure
         // to be emitted (suppressed responses charge no adv counters).
-        let (adv_lie, adv_spoof, adv_garble) = if self.has_adversarial {
-            let mask = self.hostiles.mask(router);
-            if mask == 0 {
-                (false, false, false)
-            } else {
-                let fnow = now_us.saturating_add(self.fault_offset_us);
-                (
-                    mask & AdversarialClass::LyingTtl.bit() != 0
-                        && self
-                            .hostiles
-                            .active(router, AdversarialClass::LyingTtl, fnow),
-                    // Spoofing only pays off for Time Exceeded — a
-                    // spoofed Destination Unreachable names no new hop.
-                    mask & AdversarialClass::SpoofedSource.bit() != 0
-                        && ty == Icmp6Type::TimeExceeded
-                        && self
-                            .hostiles
-                            .active(router, AdversarialClass::SpoofedSource, fnow),
-                    mask & AdversarialClass::GarbageBytes.bit() != 0
-                        && self
-                            .hostiles
-                            .active(router, AdversarialClass::GarbageBytes, fnow),
-                )
-            }
-        } else {
-            (false, false, false)
+        let hostile = |class: AdversarialClass| {
+            self.has_adversarial
+                && self.hostiles.mask(router) & class.bit() != 0
+                && self.hostiles.active(router, class, p.fault_us)
         };
+        let adv_lie = hostile(AdversarialClass::LyingTtl);
+        // Spoofing only pays off for Time Exceeded — a spoofed
+        // Destination Unreachable names no new hop.
+        let adv_spoof = ty == Icmp6Type::TimeExceeded && hostile(AdversarialClass::SpoofedSource);
+        let adv_garble = hostile(AdversarialClass::GarbageBytes);
         // Interior routers of a middlebox-fronted AS saw a *rewritten*
         // destination; their quotations carry it. The prober's target
         // checksum (in the source port / ICMPv6 id) is how this
         // tampering is detected (paper §4.1).
         let middlebox = self.topo.ases[info.as_idx as usize].middlebox
             && info.role != crate::topology::RouterRole::Border;
-        if middlebox {
-            self.stats.rewritten_quotes += 1;
-        }
         // The source address depends on the arrival direction: multi-
         // interface routers answer from the interface facing the probe.
         // A spoofing responder fabricates a per-probe address in
         // fd00::/8 instead — provably outside the topology's 2001::/16
         // and 2a10::/16 allocations.
         let addr = if adv_spoof {
-            let m = flow::mix2(
-                flow::mix128(dst_word),
-                ((router.0 as u64) << 8) ^ wire.get(7).copied().unwrap_or(0) as u64,
-            );
-            std::net::Ipv6Addr::from(
+            let m = flow::mix2(dst_mix, ((router.0 as u64) << 8) ^ p.ttl as u64);
+            Ipv6Addr::from(
                 (0xfdu128 << 120)
                     | ((m as u128) << 56)
                     | (flow::mix64(m) as u128 & 0x00ff_ffff_ffff_ffff),
@@ -1098,7 +1070,7 @@ impl Engine {
         // value instead of the exhausted 0 — the inconsistency a
         // hardened decoder rejects. A liar rewrites the quoted probe
         // payload's TTL field to a per-(router, target) fabrication.
-        icmp6::build_error_quoted_into(&mut out.bytes, addr, vaddr, ty, wire, 64, |quote| {
+        icmp6::build_error_quoted_into(&mut out.bytes, addr, p.vaddr, ty, p.wire, 64, |quote| {
             if ty == Icmp6Type::TimeExceeded && !adv_spoof {
                 quote[7] = 0;
             }
@@ -1109,36 +1081,57 @@ impl Engine {
                 let tlen = if quote[6] == proto_num::TCP { 20 } else { 8 };
                 let off = 40 + tlen + 5;
                 if off < quote.len() {
-                    quote[off] = 1
-                        + (flow::mix2(flow::mix128(dst_word), (router.0 as u64) ^ 0x11e) % 250)
-                            as u8;
+                    quote[off] = 1 + (flow::mix2(dst_mix, (router.0 as u64) ^ 0x11e) % 250) as u8;
                 }
             }
         });
-        self.finish(out, now_us, hop_count, dst_word);
+        self.finish(out, p, hop_count);
         if adv_garble {
             garble_bytes(
                 &mut out.bytes,
-                flow::mix2(flow::mix128(dst_word), (router.0 as u64) ^ 0x6a5b),
+                flow::mix2(dst_mix, (router.0 as u64) ^ 0x6a5b),
             );
         }
-        if adv_lie {
-            self.stats.adv_lying_ttl += 1;
-        }
-        if adv_spoof {
-            self.stats.adv_spoofed_source += 1;
-        }
-        if adv_garble {
-            self.stats.adv_garbage += 1;
-        }
-        true
+        // Annotations on the reply just written; its bucket is the
+        // caller's to name.
+        self.stats.rewritten_quotes += middlebox as u64;
+        self.stats.adv_lying_ttl += adv_lie as u64;
+        self.stats.adv_spoofed_source += adv_spoof as u64;
+        self.stats.adv_garbage += adv_garble as u64;
+        Ok(())
     }
 
     /// Stamps the delivery time: `out.bytes` is already filled.
-    fn finish(&self, out: &mut Delivery, now_us: u64, hop_count: usize, key: u128) {
+    fn finish(&self, out: &mut Delivery, p: &Probe<'_>, hop_count: usize) {
         let lat = self.topo.config.hop_latency_us;
-        let oneway = hop_count as u64 * lat + flow::jitter_us(flow::mix128(key), lat);
-        out.at_us = now_us + 2 * oneway;
+        let oneway = hop_count as u64 * lat + flow::jitter_us(flow::mix128(p.key.dst), lat);
+        out.at_us = p.now_us + 2 * oneway;
+    }
+}
+
+/// One probe in flight: what [`Engine::parse`] worked out once and
+/// every later stage reads.
+struct Probe<'w> {
+    wire: &'w [u8],
+    key: RawKey,
+    /// Source and destination port, or ICMPv6 identifier and sequence.
+    ports: (u16, u16),
+    vidx: u8,
+    vaddr: Ipv6Addr,
+    /// Its resolved path: a copy, so stages can read it while they
+    /// borrow the engine mutably.
+    path: ResolvedPath,
+    /// The hop limit it was sent with (never 0).
+    ttl: usize,
+    now_us: u64,
+    /// `now_us` on the fault and adversarial schedules' clock.
+    fault_us: u64,
+}
+
+impl Probe<'_> {
+    #[inline]
+    fn is_icmp(&self) -> bool {
+        self.key.next_header == proto_num::ICMP6
     }
 }
 
@@ -1301,95 +1294,24 @@ mod tests {
 
     #[test]
     fn stats_merge_accumulates_every_field() {
-        // Two real campaigns' worth of stats, merged, must equal the
-        // field-wise sums (checked through the derived aggregates so a
-        // future field that `merge` misses fails the destructure, and
-        // the totals here catch arithmetic slips).
-        let mut e1 = engine();
-        let mut e2 = engine();
-        let hosts: Vec<std::net::Ipv6Addr> =
-            e1.topology().hosts().map(|(a, _)| a).take(30).collect();
-        for (i, &h) in hosts.iter().enumerate() {
-            let t = (i as u64) * 1_000;
-            let _ = e1.inject(
-                &spec(&e1, h, (i % 12) as u8 + 1, Protocol::Icmp6).build(),
-                t,
-            );
-            let _ = e2.inject(&spec(&e2, h, (i % 7) as u8 + 1, Protocol::Udp).build(), t);
-        }
-        let mut merged = e1.stats;
-        merged.merge(&e2.stats);
-        assert_eq!(merged.probes, e1.stats.probes + e2.stats.probes);
+        // A distinct value per field: a field the array forgot, or put
+        // in the wrong place, cannot round-trip or double.
+        let values: [u64; EngineStats::FIELDS] = std::array::from_fn(|i| i as u64 + 1);
+        let stats = EngineStats::from_array(values);
+        assert_eq!(stats.to_array(), values);
+        // Array order is declaration order (what the checkpoint writes).
         assert_eq!(
-            merged.responses(),
-            e1.stats.responses() + e2.stats.responses()
+            (stats.probes, stats.malformed, stats.adv_garbage),
+            (1, 2, 28)
         );
-        assert_eq!(
-            merged.dest_unreach_total(),
-            e1.stats.dest_unreach_total() + e2.stats.dest_unreach_total()
-        );
-        assert_eq!(
-            merged.rate_limited + merged.lost + merged.silent_router,
-            e1.stats.rate_limited
-                + e2.stats.rate_limited
-                + e1.stats.lost
-                + e2.stats.lost
-                + e1.stats.silent_router
-                + e2.stats.silent_router
-        );
-        assert_eq!(EngineStats::merged([&e1.stats, &e2.stats]), merged);
+        let mut twice = stats;
+        twice.merge(&stats);
+        assert_eq!(twice.to_array(), values.map(|v| 2 * v));
+        assert_eq!(EngineStats::merged([&stats, &stats]), twice);
         assert_eq!(EngineStats::merged([]), EngineStats::default());
-
-        // The injected-fault counters ride through merge like any other
-        // field (the exhaustive destructure above enforces presence;
-        // this pins the arithmetic and the class total).
-        let faulty = EngineStats {
-            fault_vantage_outage: 1,
-            fault_link_blackhole: 2,
-            fault_link_flap: 3,
-            fault_responder_down: 4,
-            ..EngineStats::default()
-        };
-        let mut twice = faulty;
-        twice.merge(&faulty);
-        assert_eq!(twice.fault_vantage_outage, 2);
-        assert_eq!(twice.fault_link_blackhole, 4);
-        assert_eq!(twice.fault_link_flap, 6);
-        assert_eq!(twice.fault_responder_down, 8);
-        assert_eq!(
-            twice.fault_dropped_total(),
-            2 * faulty.fault_dropped_total()
-        );
-        assert_eq!(faulty.fault_dropped_total(), 10);
-        assert_eq!(
-            merged.fault_dropped_total(),
-            0,
-            "clean runs charge no faults"
-        );
-
-        // And the adversarial counters, plus their rollup.
-        let hostile = EngineStats {
-            adv_lying_ttl: 1,
-            adv_spoofed_source: 2,
-            adv_zombie_echo: 3,
-            adv_duplicate_storm: 4,
-            adv_garbage: 5,
-            ..EngineStats::default()
-        };
-        let mut twice = hostile;
-        twice.merge(&hostile);
-        assert_eq!(twice.adv_lying_ttl, 2);
-        assert_eq!(twice.adv_spoofed_source, 4);
-        assert_eq!(twice.adv_zombie_echo, 6);
-        assert_eq!(twice.adv_duplicate_storm, 8);
-        assert_eq!(twice.adv_garbage, 10);
-        assert_eq!(twice.adversarial_total(), 2 * hostile.adversarial_total());
-        assert_eq!(hostile.adversarial_total(), 15);
-        assert_eq!(
-            merged.adversarial_total(),
-            0,
-            "benign runs charge no adversarial actions"
-        );
+        // The rollups read the fields they name.
+        assert_eq!(stats.fault_dropped_total(), 20 + 21 + 22 + 23);
+        assert_eq!(stats.adversarial_total(), 24 + 25 + 26 + 27 + 28);
     }
 
     #[test]
@@ -1524,9 +1446,8 @@ mod tests {
         assert!(def + agg > 0, "workload must trip rate limiting");
         // The stats' class split is exactly the buckets' own counters.
         assert_eq!((def, agg), e.bucket_suppressed_by_class());
-        // Every classed drop is a rate_limited drop (the reverse can
-        // differ: unresponsive dest responders also land there).
-        assert!(def + agg <= e.stats.rate_limited);
+        // And exactly the undifferentiated count.
+        assert_eq!(def + agg, e.stats.rate_limited);
         // merge carries the class split.
         let mut m = EngineStats::default();
         m.merge(&e.stats);
@@ -1553,27 +1474,19 @@ mod tests {
     fn stats_account_for_every_probe() {
         let mut e = engine();
         let topo = e.topology().clone();
-        let mut n = 0u64;
+        let (mut n, mut answered) = (0u64, 0u64);
         for (host, _) in topo.hosts().take(50) {
             for ttl in 1..=20u8 {
-                let s = spec(&e, host, ttl, Protocol::Icmp6);
-                e.inject(&s.build(), n * 1_000);
-                n += 1;
+                for proto in [Protocol::Icmp6, Protocol::Udp, Protocol::Tcp] {
+                    let s = spec(&e, host, ttl, proto);
+                    answered += e.inject(&s.build(), n * 1_000).is_some() as u64;
+                    n += 1;
+                }
             }
         }
-        let s = e.stats;
-        assert_eq!(s.probes, n);
-        let accounted =
-            s.responses() + s.lost + s.rate_limited + s.silent_router + s.dest_silent + s.malformed;
-        // fw_dropped probes may still produce an admin-prohibited reply
-        // (counted in responses) or be rate-limited; they are not a
-        // disjoint outcome, so accounted >= probes - fw_dropped overlap.
-        assert!(
-            accounted >= s.probes,
-            "unaccounted probes: {} < {}",
-            accounted,
-            s.probes
-        );
+        assert_eq!(e.stats.probes, n);
+        assert_eq!(e.stats.responses(), answered);
+        assert_eq!(e.stats.check(), Ok(()));
     }
 
     #[test]
@@ -1691,17 +1604,7 @@ mod tests {
             .inject(&spec(&e, host, 2, Protocol::Icmp6).build(), 70_000)
             .is_some());
         // Faulted-run bookkeeping still covers every probe.
-        let s = e.stats;
-        let accounted = s.responses()
-            + s.lost
-            + s.rate_limited
-            + s.silent_router
-            + s.dest_silent
-            + s.malformed
-            + s.fault_vantage_outage
-            + s.fault_link_blackhole
-            + s.fault_link_flap;
-        assert!(accounted >= s.probes);
+        assert_eq!(e.stats.check(), Ok(()));
     }
 
     #[test]

@@ -203,13 +203,8 @@ proptest! {
         let delivery = e.inject(&spec.build(), t);
         let s = e.stats;
         prop_assert_eq!(s.probes, 1);
-        let responded = s.responses();
-        let suppressed = s.lost + s.rate_limited + s.silent_router + s.dest_silent + s.malformed;
-        if delivery.is_some() {
-            prop_assert_eq!(responded, 1, "stats: {:?}", s);
-        } else {
-            prop_assert!(suppressed >= 1, "silent but unaccounted: {:?}", s);
-        }
+        prop_assert_eq!(s.check(), Ok(()));
+        prop_assert_eq!(delivery.is_some(), s.responses() == 1, "stats: {:?}", s);
         // Responses arrive strictly after sending.
         if let Some(d) = delivery {
             prop_assert!(d.at_us > t);
@@ -246,6 +241,55 @@ proptest! {
                 prop_assert_eq!(x.bytes, y.bytes);
             }
             _ => prop_assert!(false, "nondeterministic delivery"),
+        }
+    }
+}
+
+/// Conservation at scale, where the rare paths (firewall replies,
+/// unresponsive destination-zone responders, drained buckets of both
+/// classes) all occur: every host and an off-host neighbour of it, at
+/// every TTL, in each protocol. Each probe is in exactly one bucket,
+/// the limiter classes sum to `rate_limited`, and the engine reports
+/// as many responses as it delivered.
+#[test]
+fn every_probe_lands_in_exactly_one_bucket() {
+    for cfg in [
+        TopologyConfig::tiny(42),
+        TopologyConfig::small(42),
+        TopologyConfig::tiled(42, 2),
+    ] {
+        let topo = Arc::new(generate(cfg));
+        let src = topo.vantages[0].addr;
+        for protocol in [Protocol::Icmp6, Protocol::Udp, Protocol::Tcp] {
+            let mut e = Engine::new(topo.clone());
+            let mut out = simnet::Delivery::default();
+            let (mut t, mut delivered) = (0u64, 0u64);
+            for (host, _) in topo.hosts().take(3_000) {
+                let neighbour = std::net::Ipv6Addr::from(u128::from(host) ^ 0x5a5a);
+                for target in [host, neighbour] {
+                    for ttl in 1..=24u8 {
+                        let spec = ProbeSpec {
+                            src,
+                            target,
+                            protocol,
+                            ttl,
+                            instance: 1,
+                            elapsed_us: t as u32,
+                        };
+                        delivered += e.inject_into(&spec.build(), t, &mut out) as u64;
+                        t += 100;
+                    }
+                }
+            }
+            let s = e.stats;
+            assert_eq!(s.check(), Ok(()), "{protocol:?}");
+            assert_eq!(s.responses(), delivered, "{protocol:?}: {s:?}");
+            assert_eq!(
+                s.rl_dropped_by_class(),
+                e.bucket_suppressed_by_class(),
+                "{protocol:?}"
+            );
+            assert!(s.rate_limited > 0 && s.silent_router > 0 && s.dest_silent > 0);
         }
     }
 }

@@ -452,103 +452,17 @@ fn read_round(r: &mut SnapReader<'_>) -> Result<RoundReport, SnapshotError> {
     })
 }
 
-/// Exhaustive destructure: adding a field to [`EngineStats`] without
-/// versioning this encoding becomes a compile error, not silent data
-/// loss.
+/// The counters in [`EngineStats::to_array`] order, which is the struct's
+/// declaration order: adding a field lengthens the array, and with it
+/// this encoding and the pinned golden's lengths.
 fn write_stats(w: &mut SnapWriter, s: &EngineStats) {
-    let EngineStats {
-        probes,
-        malformed,
-        lost,
-        rate_limited,
-        rl_dropped_default,
-        rl_dropped_aggressive,
-        silent_router,
-        fw_dropped,
-        time_exceeded,
-        echo_replies,
-        tcp_responses,
-        du_no_route,
-        du_admin,
-        du_addr,
-        du_port,
-        du_reject,
-        dest_silent,
-        frag_echo_replies,
-        rewritten_quotes,
-        fault_vantage_outage,
-        fault_link_blackhole,
-        fault_link_flap,
-        fault_responder_down,
-        adv_lying_ttl,
-        adv_spoofed_source,
-        adv_zombie_echo,
-        adv_duplicate_storm,
-        adv_garbage,
-    } = *s;
-    for v in [
-        probes,
-        malformed,
-        lost,
-        rate_limited,
-        rl_dropped_default,
-        rl_dropped_aggressive,
-        silent_router,
-        fw_dropped,
-        time_exceeded,
-        echo_replies,
-        tcp_responses,
-        du_no_route,
-        du_admin,
-        du_addr,
-        du_port,
-        du_reject,
-        dest_silent,
-        frag_echo_replies,
-        rewritten_quotes,
-        fault_vantage_outage,
-        fault_link_blackhole,
-        fault_link_flap,
-        fault_responder_down,
-        adv_lying_ttl,
-        adv_spoofed_source,
-        adv_zombie_echo,
-        adv_duplicate_storm,
-        adv_garbage,
-    ] {
-        w.u64(v);
-    }
+    s.to_array().into_iter().for_each(|v| w.u64(v));
 }
 
 fn read_stats(r: &mut SnapReader<'_>) -> Result<EngineStats, SnapshotError> {
-    Ok(EngineStats {
-        probes: r.u64()?,
-        malformed: r.u64()?,
-        lost: r.u64()?,
-        rate_limited: r.u64()?,
-        rl_dropped_default: r.u64()?,
-        rl_dropped_aggressive: r.u64()?,
-        silent_router: r.u64()?,
-        fw_dropped: r.u64()?,
-        time_exceeded: r.u64()?,
-        echo_replies: r.u64()?,
-        tcp_responses: r.u64()?,
-        du_no_route: r.u64()?,
-        du_admin: r.u64()?,
-        du_addr: r.u64()?,
-        du_port: r.u64()?,
-        du_reject: r.u64()?,
-        dest_silent: r.u64()?,
-        frag_echo_replies: r.u64()?,
-        rewritten_quotes: r.u64()?,
-        fault_vantage_outage: r.u64()?,
-        fault_link_blackhole: r.u64()?,
-        fault_link_flap: r.u64()?,
-        fault_responder_down: r.u64()?,
-        adv_lying_ttl: r.u64()?,
-        adv_spoofed_source: r.u64()?,
-        adv_zombie_echo: r.u64()?,
-        adv_duplicate_storm: r.u64()?,
-        adv_garbage: r.u64()?,
-    })
+    let mut values = [0u64; EngineStats::FIELDS];
+    for v in &mut values {
+        *v = r.u64()?;
+    }
+    Ok(EngineStats::from_array(values))
 }

@@ -272,7 +272,10 @@ fn feedback_rounds_discover_beyond_round_zero() {
     );
     // Rate-limit accounting flows through per round.
     for r in &res.rounds {
-        assert!(r.rl_dropped_default + r.rl_dropped_aggressive <= r.rate_limited);
+        assert_eq!(
+            r.rl_dropped_default + r.rl_dropped_aggressive,
+            r.rate_limited
+        );
     }
 }
 

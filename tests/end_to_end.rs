@@ -141,8 +141,12 @@ fn engine_stats_match_prober_view() {
     let res = run_campaign(&topo, 2, set, &YarrpConfig::default());
     // The engine saw exactly the probes the prober sent.
     assert_eq!(res.engine_stats.probes, res.log.probes_sent);
-    // Every prober-recorded response was emitted by the engine.
-    assert!(res.engine_stats.responses() >= res.log.records.len() as u64);
+    // Every response the engine emitted was recorded or counted as
+    // rejected by the decoder.
+    assert_eq!(
+        res.engine_stats.responses(),
+        res.log.records.len() as u64 + res.log.discarded
+    );
 }
 
 #[test]

@@ -145,6 +145,9 @@ fn assert_hostile_and_accounted(topo: &Topology, cfg: &AdaptiveConfig, res: &Ada
     let round_sum: u64 = res.rounds.iter().map(|r| r.probes).sum();
     assert_eq!(round_sum, res.stats.probes);
     assert!(res.stats.probes <= cfg.probe_budget);
+    // Campaign and alias probes of every attempt, merged: each in
+    // exactly one bucket.
+    assert_eq!(res.stats.check(), Ok(()));
     let fabricated = res
         .interfaces
         .iter()
