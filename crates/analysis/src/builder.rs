@@ -17,10 +17,15 @@
 //! [`finish`](TraceSetBuilder::finish) yields a `TraceSet`
 //! bit-identical — interner ids included — to
 //! [`TraceSet::from_log`] on the receive-sorted `ProbeLog` the batch
-//! prober would have returned. The builder buffers `(recv_us, row)`
-//! pairs and applies one stable sort at finish, which commutes with
-//! the batch path's [`yarrp6::ProbeLog::sort_by_recv`]; everything after that
-//! seam is literally the same `assemble` code the batch path runs.
+//! prober would have returned. That log is the emission order under
+//! one stable sort by receive time
+//! ([`yarrp6::ProbeLog::sort_by_recv`]), and the sort decides three
+//! things only: the order responders are first seen in, which row of a
+//! (target, TTL) comes first, and the order of a target's unreachable
+//! rows. The builder buffers rows keyed by receive time and settles
+//! the first per responder at finish and the other two per target,
+//! inside the same `assemble` code the batch path runs; the rows
+//! themselves are never sorted.
 //!
 //! [`stream_campaigns_supervised`] wires the builder to the
 //! bounded-channel campaign driver in `yarrp6::campaign`, returning
@@ -28,7 +33,7 @@
 //! the same call for one target set swept over many vantages.
 
 use crate::intern::AddrInterner;
-use crate::traces::{assemble, ClassifiedRows, TraceSet, NOT_REACHED};
+use crate::traces::{assemble, ClassifiedRows, Row, TraceSet, NOT_REACHED};
 use simnet::Topology;
 use std::sync::Arc;
 use v6packet::icmp6::DestUnreachCode;
@@ -36,46 +41,27 @@ use yarrp6::campaign::{run_campaigns_streaming, CampaignSpec, RetryPolicy, Super
 use yarrp6::sink::{RecordStream, StreamConfig};
 use yarrp6::{ResponseKind, ResponseRecord};
 
-/// One classified, interned record awaiting assembly: 24 bytes instead
-/// of a 64-byte [`ResponseRecord`], and only for the record classes
-/// that reach the hop/unreachable columns.
-#[derive(Clone, Copy)]
-struct PendingRow {
-    /// Receive time — the finish-sort key that reproduces the batch
-    /// path's receive-ordered analysis.
-    recv_us: u64,
-    /// Dense probed-target id.
-    tid: u32,
-    /// Responder id in the builder's ingestion-order scratch interner.
-    rid: u32,
-    /// Originating probe hop limit.
-    ttl: u8,
-    /// Destination Unreachable row (else Time Exceeded).
-    unreach: bool,
-}
-
 /// Builds a [`TraceSet`] incrementally from streamed response records.
 #[derive(Default)]
 pub struct TraceSetBuilder {
     vantage: Arc<str>,
     target_set: Arc<str>,
-    /// Responders in ingestion order; finish re-interns in receive
+    /// Responders in ingestion order; finish renumbers them in receive
     /// order so the final ids match the batch pipeline's exactly.
     scratch: AddrInterner,
     /// Probed targets → dense tids.
     tgt_ids: AddrInterner,
     /// Min destination-response TTL per tid (`NOT_REACHED` = none).
     reached: Vec<u16>,
-    rows: Vec<PendingRow>,
+    /// One classified, interned row per record that reaches the
+    /// hop/unreachable columns — 24 bytes instead of a 64-byte
+    /// [`ResponseRecord`] — keyed by receive time, `rid` in `scratch`.
+    rows: Vec<Row<u64>>,
     rewritten_dropped: u64,
     records_seen: u64,
 }
 
 impl TraceSetBuilder {
-    /// Bytes per buffered classified row — what the streaming bench's
-    /// peak-memory proxy charges per Time-Exceeded/unreachable record.
-    pub const ROW_BYTES: usize = std::mem::size_of::<PendingRow>();
-
     /// An empty builder with blank campaign identity.
     pub fn new() -> Self {
         Self::default()
@@ -106,8 +92,8 @@ impl TraceSetBuilder {
         match r.kind {
             ResponseKind::TimeExceeded => {
                 if let Some(ttl) = r.probe_ttl {
-                    self.rows.push(PendingRow {
-                        recv_us: r.recv_us,
+                    self.rows.push(Row {
+                        key: r.recv_us,
                         tid,
                         rid: self.scratch.intern(r.responder),
                         ttl,
@@ -117,8 +103,8 @@ impl TraceSetBuilder {
             }
             ResponseKind::DestUnreachable(c) if c != DestUnreachCode::PortUnreachable => {
                 if let Some(ttl) = r.probe_ttl {
-                    self.rows.push(PendingRow {
-                        recv_us: r.recv_us,
+                    self.rows.push(Row {
+                        key: r.recv_us,
                         tid,
                         rid: self.scratch.intern(r.responder),
                         ttl,
@@ -158,40 +144,38 @@ impl TraceSetBuilder {
         self.rows.len()
     }
 
-    /// Bytes held by the buffered rows (the peak-memory proxy the
-    /// streaming bench reports against the batch path's full log).
-    pub fn buffered_bytes(&self) -> usize {
-        self.rows.len() * Self::ROW_BYTES
-    }
-
     /// Assembles the final columnar set.
     ///
-    /// One stable sort puts the buffered rows in receive order (ties
-    /// keep ingestion order — exactly the stable
-    /// [`yarrp6::ProbeLog::sort_by_recv`] the batch prober applies), then a
-    /// single pass re-interns responders in that order so final ids
-    /// match [`TraceSet::from_log`]'s, and the shared scatter/emit
-    /// core does the rest.
+    /// [`TraceSet::from_log`] numbers responders as they first appear
+    /// in the receive-sorted log (ties keep ingestion order — the
+    /// stable [`yarrp6::ProbeLog::sort_by_recv`]), which is the order
+    /// of each responder's earliest `(receive time, row)`: one pass
+    /// over the rows finds those, the *responders* are sorted by them,
+    /// and the rows are renumbered where they lie. Order within a
+    /// target is the shared scatter/emit core's to settle, from the
+    /// rows' keys.
     pub fn finish(mut self) -> TraceSet {
-        self.rows.sort_by_key(|r| r.recv_us);
-        let mut interner = AddrInterner::with_capacity(self.scratch.len());
-        let mut hop_rows: Vec<(u32, u32, u8)> = Vec::new();
-        let mut unreach_rows: Vec<(u32, u32, u8)> = Vec::new();
-        for row in &self.rows {
-            let rid = interner.intern(self.scratch.resolve(row.rid));
-            if row.unreach {
-                unreach_rows.push((row.tid, rid, row.ttl));
-            } else {
-                hop_rows.push((row.tid, rid, row.ttl));
-            }
+        let mut first = vec![(u64::MAX, usize::MAX); self.scratch.len()];
+        for (i, row) in self.rows.iter().enumerate() {
+            let seen = &mut first[row.rid as usize];
+            *seen = (*seen).min((row.key, i));
+        }
+        let mut by_first: Vec<u32> = (0..first.len() as u32).collect();
+        by_first.sort_unstable_by_key(|&rid| first[rid as usize]);
+        let mut interner = AddrInterner::with_capacity(by_first.len());
+        let mut renumbered = vec![0u32; by_first.len()];
+        for rid in by_first {
+            renumbered[rid as usize] = interner.intern(self.scratch.resolve(rid));
+        }
+        for row in &mut self.rows {
+            row.rid = renumbered[row.rid as usize];
         }
         assemble(
             ClassifiedRows {
                 interner,
                 tgt_ids: self.tgt_ids,
                 reached: self.reached,
-                hop_rows,
-                unreach_rows,
+                rows: self.rows,
                 rewritten_dropped: self.rewritten_dropped,
             },
             self.vantage,

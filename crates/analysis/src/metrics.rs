@@ -506,6 +506,38 @@ mod tests {
         }
     }
 
+    /// A campaign that runs past 2³² µs of virtual time (71.6 minutes;
+    /// here at one probe a second, so 4 295 probes in): probes carry
+    /// only the low 32 bits of their send time, and an interface first
+    /// seen after the wrap must still be dated after it.
+    #[test]
+    fn curve_keeps_counting_probes_past_the_32_bit_send_clock() {
+        use simnet::{config::TopologyConfig, generate::generate, Engine};
+        let topo = std::sync::Arc::new(generate(TopologyConfig::tiny(42)));
+        let targets: Vec<_> = topo.hosts().map(|(a, _)| a).take(320).collect();
+        let cfg = yarrp6::YarrpConfig {
+            rate_pps: 1,
+            fill_mode: false,
+            ..Default::default()
+        };
+        let log = yarrp6::yarrp::run(&mut Engine::new(topo), 0, &targets, &cfg);
+        assert!(log.duration_us > 1 << 32);
+        // Round trips are far under the second between probes, so in
+        // the receive-ordered log a response to probe n arrives during
+        // second n - 1.
+        let mut seen = std::collections::HashSet::new();
+        let expected: Vec<(u64, u64)> = log
+            .records
+            .iter()
+            .filter(|r| r.kind == ResponseKind::TimeExceeded && seen.insert(r.responder))
+            .enumerate()
+            .map(|(i, r)| (r.recv_us / 1_000_000 + 1, i as u64 + 1))
+            .collect();
+        let after_wrap = expected.iter().filter(|c| c.0 > (1 << 32) / 1_000_000);
+        assert!(after_wrap.count() > 0, "nothing first seen after the wrap");
+        assert_eq!(discovery_curve(&log), expected);
+    }
+
     fn vantage_set(vantage: &str, hops: &[(&str, &str, u8)]) -> TraceSet {
         let mut log = ProbeLog {
             vantage: vantage.into(),

@@ -102,35 +102,67 @@ impl PartialEq for TraceSet {
 /// `reached_at` sentinel in the tid-indexed scratch column.
 pub(crate) const NOT_REACHED: u16 = u16::MAX;
 
-/// Stable counting scatter: buckets `(tid, rid, ttl)` rows into
-/// target-address order (`order[r] = (word, tid)`) in two linear passes
-/// (count, then place), returning the bucketed `(rid, ttl)` payloads
-/// plus the `n + 1` bucket start offsets (rank-indexed). Both passes
-/// index per-tid arrays directly — one random access per row. Within a
-/// bucket the input (record) order is preserved; that stability is what
-/// lets the emit walk apply first-record-wins dedup without any
-/// comparison sort.
-fn scatter_by_rank(rows: &[(u32, u32, u8)], order: &[(u128, u32)]) -> (Vec<(u32, u8)>, Vec<u32>) {
+/// One classified record on its way into the hop or unreachable column.
+/// `key` orders a target's rows where their position in the row vector
+/// does not ([`assemble`]): 12 bytes with the batch path's `()`, 24 with
+/// a receive time.
+#[derive(Clone, Copy)]
+pub(crate) struct Row<K> {
+    pub key: K,
+    /// Dense probed-target id.
+    pub tid: u32,
+    /// Responder id.
+    pub rid: u32,
+    /// Originating probe hop limit.
+    pub ttl: u8,
+    /// Destination Unreachable row (else Time Exceeded).
+    pub unreach: bool,
+}
+
+/// A [`Row`] in its target's bucket.
+#[derive(Clone, Copy, Default)]
+struct Cell<K> {
+    key: K,
+    rid: u32,
+    ttl: u8,
+}
+
+/// Stable counting scatter: buckets rows into target-address order
+/// (`order[r] = (word, tid)`) in two linear passes (count, then place),
+/// Time Exceeded and Destination Unreachable rows apart (`[0]` and
+/// `[1]` of everything returned): the bucketed cells plus the `n + 1`
+/// bucket start offsets (rank-indexed). Both passes index one per-tid
+/// array directly — one random access per row. Within a bucket the
+/// input (record) order is preserved; that stability is what lets the
+/// emit walk break ties for the earlier row without any comparison
+/// sort.
+fn scatter_by_rank<K: Copy + Default>(
+    rows: &[Row<K>],
+    order: &[(u128, u32)],
+) -> ([Vec<Cell<K>>; 2], Vec<[u32; 2]>) {
     let n_targets = order.len();
-    let mut counts = vec![0u32; n_targets];
-    for &(tid, _, _) in rows {
-        counts[tid as usize] += 1;
+    // Row counts by tid, then (same array) write cursors by tid, so the
+    // place pass skips the tid → rank indirection.
+    let mut cur = vec![[0u32; 2]; n_targets];
+    for row in rows {
+        cur[row.tid as usize][row.unreach as usize] += 1;
     }
-    let mut starts = vec![0u32; n_targets + 1];
-    // Write cursors, indexed by tid so the place pass skips the
-    // tid → rank indirection.
-    let mut cur = vec![0u32; n_targets];
-    let mut acc = 0u32;
+    let mut starts = vec![[0u32; 2]; n_targets + 1];
+    let mut acc = [0u32; 2];
     for (r, &(_, tid)) in order.iter().enumerate() {
         starts[r] = acc;
-        cur[tid as usize] = acc;
-        acc += counts[tid as usize];
+        let count = std::mem::replace(&mut cur[tid as usize], acc);
+        acc = [acc[0] + count[0], acc[1] + count[1]];
     }
     starts[n_targets] = acc;
-    let mut out = vec![(0u32, 0u8); rows.len()];
-    for &(tid, rid, ttl) in rows {
-        let slot = &mut cur[tid as usize];
-        out[*slot as usize] = (rid, ttl);
+    let mut out = acc.map(|n| vec![Cell::default(); n as usize]);
+    for row in rows {
+        let slot = &mut cur[row.tid as usize][row.unreach as usize];
+        out[row.unreach as usize][*slot as usize] = Cell {
+            key: row.key,
+            rid: row.rid,
+            ttl: row.ttl,
+        };
         *slot += 1;
     }
     (out, starts)
@@ -139,33 +171,40 @@ fn scatter_by_rank(rows: &[(u32, u32, u8)], order: &[(u128, u32)]) -> (Vec<(u32,
 /// The classified form of a record stream, ready for assembly: the
 /// shared seam between the batch classify pass ([`TraceSet::from_log`])
 /// and the incremental [`crate::builder::TraceSetBuilder`].
-pub(crate) struct ClassifiedRows {
+pub(crate) struct ClassifiedRows<K> {
     /// Responder interner — ids as the final `TraceSet` will carry them
-    /// (first-occurrence order over the classified rows).
+    /// (first-occurrence order over the classified rows, in key order).
     pub interner: AddrInterner,
     /// Probed-target interner: dense `tid`s.
     pub tgt_ids: AddrInterner,
     /// Min destination-response TTL per tid; [`NOT_REACHED`] = none.
     pub reached: Vec<u16>,
-    /// Time-Exceeded rows `(tid, responder id, ttl)`, record order.
-    pub hop_rows: Vec<(u32, u32, u8)>,
-    /// Destination Unreachable rows, record order.
-    pub unreach_rows: Vec<(u32, u32, u8)>,
+    /// Time Exceeded and Destination Unreachable rows.
+    pub rows: Vec<Row<K>>,
     /// Records dropped for failing the target checksum.
     pub rewritten_dropped: u64,
 }
 
 /// Assembles classified rows into the final columnar store: target-
-/// address ordering, the stable counting scatters, and the dedup/emit
-/// walk. Row order is preserved within each target bucket, so "first
-/// row wins per (target, ttl)" falls out without a comparison sort.
-pub(crate) fn assemble(rows: ClassifiedRows, vantage: Arc<str>, target_set: Arc<str>) -> TraceSet {
+/// address ordering, the stable counting scatter, and the dedup/emit
+/// walk.
+///
+/// A target's rows count in ascending `key` order, equal keys in row
+/// order: the first Time Exceeded row wins its (target, ttl), and
+/// Destination Unreachable rows are kept in that order. With `K = ()`
+/// row order is the whole order (a receive-sorted log) and every key
+/// comparison below compiles away; the streaming builder, whose rows
+/// arrive in send order, passes receive times instead of sorting.
+pub(crate) fn assemble<K: Copy + Ord + Default>(
+    rows: ClassifiedRows<K>,
+    vantage: Arc<str>,
+    target_set: Arc<str>,
+) -> TraceSet {
     let ClassifiedRows {
         interner,
         tgt_ids,
         reached,
-        hop_rows,
-        unreach_rows,
+        rows,
         rewritten_dropped,
     } = rows;
     let n_targets = tgt_ids.len();
@@ -185,46 +224,44 @@ pub(crate) fn assemble(rows: ClassifiedRows, vantage: Arc<str>, target_set: Arc<
 
     // Stable counting scatter: bucket rows straight into final
     // trace order, preserving record order within each bucket.
-    let (hops_scratch, hop_starts) = scatter_by_rank(&hop_rows, &order);
-    drop(hop_rows);
-    let (unreach_scratch, unreach_starts) = scatter_by_rank(&unreach_rows, &order);
-    drop(unreach_rows);
+    let ([hop_cells, mut unreach_cells], starts) = scatter_by_rank(&rows, &order);
+    drop(rows);
 
-    // Emit walk. `ttl_slot[t]` holds (owner rank + 1, responder) —
+    // Emit walk. `ttl_slot[t]` holds (owner rank + 1, winning cell) —
     // the epoch trick avoids clearing 256 slots per trace.
-    let mut ttl_slot = [(0u32, 0u32); 256];
+    let mut ttl_slot = [(0u32, Cell::<K>::default()); 256];
     let mut targets = Vec::with_capacity(n_targets);
     let mut metas = Vec::with_capacity(n_targets);
-    let mut hops = Vec::with_capacity(hops_scratch.len());
-    let mut unreach = Vec::with_capacity(unreach_scratch.len());
+    let mut hops = Vec::with_capacity(hop_cells.len());
+    let mut unreach = Vec::with_capacity(unreach_cells.len());
     for (r, &(word, tid)) in order.iter().enumerate() {
         let epoch = r as u32 + 1;
-        let bucket = &hops_scratch[hop_starts[r] as usize..hop_starts[r + 1] as usize];
+        let bucket = &hop_cells[starts[r][0] as usize..starts[r + 1][0] as usize];
         let (mut lo, mut hi) = (usize::MAX, 0usize);
-        for &(rid, ttl) in bucket {
-            let slot = &mut ttl_slot[ttl as usize];
-            // First record wins per (target, ttl): bucket order is
-            // record order, so only an unclaimed slot is written.
-            if slot.0 != epoch {
-                *slot = (epoch, rid);
-                lo = lo.min(ttl as usize);
-                hi = hi.max(ttl as usize);
+        for &cell in bucket {
+            let slot = &mut ttl_slot[cell.ttl as usize];
+            // Bucket order is row order, so an equal key never takes a
+            // claimed slot.
+            if slot.0 != epoch || cell.key < slot.1.key {
+                *slot = (epoch, cell);
+                lo = lo.min(cell.ttl as usize);
+                hi = hi.max(cell.ttl as usize);
             }
         }
         let hop_off = hops.len() as u32;
         if lo != usize::MAX {
-            for (t, &(e, rid)) in ttl_slot.iter().enumerate().take(hi + 1).skip(lo) {
+            for (t, &(e, cell)) in ttl_slot.iter().enumerate().take(hi + 1).skip(lo) {
                 if e == epoch {
-                    hops.push((t as u8, rid));
+                    hops.push((t as u8, cell.rid));
                 }
             }
         }
         let unreach_off = unreach.len() as u32;
-        unreach.extend(
-            unreach_scratch[unreach_starts[r] as usize..unreach_starts[r + 1] as usize]
-                .iter()
-                .map(|&(rid, ttl)| (ttl, rid)),
-        );
+        let bucket = &mut unreach_cells[starts[r][1] as usize..starts[r + 1][1] as usize];
+        if bucket.windows(2).any(|w| w[1].key < w[0].key) {
+            bucket.sort_by_key(|cell| cell.key);
+        }
+        unreach.extend(bucket.iter().map(|cell| (cell.ttl, cell.rid)));
         let at = reached[tid as usize];
         targets.push(Ipv6Addr::from(word));
         metas.push(TraceMeta {
@@ -269,9 +306,17 @@ impl TraceSet {
         let mut interner = AddrInterner::with_capacity(1024);
         let mut tgt_ids = AddrInterner::with_capacity(1024);
         let mut rewritten_dropped = 0u64;
-        // (tid, responder id, ttl) — record order.
-        let mut hop_rows: Vec<(u32, u32, u8)> = Vec::with_capacity(log.records.len() / 2);
-        let mut unreach_rows: Vec<(u32, u32, u8)> = Vec::new();
+        // Record order, which for a log is receive order: no key.
+        let mut rows: Vec<Row<()>> = Vec::with_capacity(log.records.len() / 2);
+        let mut row = |tid, rid, ttl, unreach| {
+            rows.push(Row {
+                key: (),
+                tid,
+                rid,
+                ttl,
+                unreach,
+            })
+        };
         // Min destination-response TTL per tid; NOT_REACHED = none.
         let mut reached: Vec<u16> = Vec::new();
         // Probe the target table a window ahead so slot misses overlap
@@ -293,14 +338,14 @@ impl TraceSet {
             match r.kind {
                 ResponseKind::TimeExceeded => {
                     if let Some(ttl) = r.probe_ttl {
-                        hop_rows.push((tid, interner.intern(r.responder), ttl));
+                        row(tid, interner.intern(r.responder), ttl, false);
                     }
                 }
                 ResponseKind::DestUnreachable(c)
                     if c != v6packet::icmp6::DestUnreachCode::PortUnreachable =>
                 {
                     if let Some(ttl) = r.probe_ttl {
-                        unreach_rows.push((tid, interner.intern(r.responder), ttl));
+                        row(tid, interner.intern(r.responder), ttl, true);
                     }
                 }
                 _ => {
@@ -317,8 +362,7 @@ impl TraceSet {
                 interner,
                 tgt_ids,
                 reached,
-                hop_rows,
-                unreach_rows,
+                rows,
                 rewritten_dropped,
             },
             log.vantage.clone(),

@@ -206,6 +206,30 @@ proptest! {
         prop_assert!(got == want, "builder != batch from_log (chunk {})", chunk_size);
     }
 
+    /// The same with receive times that collide all the time: hop and
+    /// unreachable rows of different responders and targets share them,
+    /// and only ingestion order — the batch sort is stable — says which
+    /// responder was seen first, which row of a (target, TTL) wins, and
+    /// how a target's unreachables line up.
+    #[test]
+    fn tied_receive_times_resolve_by_ingestion_order(
+        draws in prop::collection::vec((any::<u64>(), 0u64..8), 0..600),
+        chunk_size in 1usize..80,
+    ) {
+        let records: Vec<ResponseRecord> =
+            draws.iter().map(|&(w, recv)| synth_record(w, recv)).collect();
+        let mut log = ProbeLog {
+            records: records.clone(),
+            ..Default::default()
+        };
+        log.sort_by_recv();
+        let mut builder = TraceSetBuilder::new();
+        for chunk in records.chunks(chunk_size) {
+            builder.push_chunk(chunk);
+        }
+        prop_assert!(builder.finish() == TraceSet::from_log(&log), "chunk {}", chunk_size);
+    }
+
     /// Splitting one stream at an arbitrary seam never changes the
     /// result: prefix+suffix ingestion equals whole-stream ingestion.
     #[test]

@@ -16,7 +16,7 @@
 use crate::record::{ProbeLog, ResponseKind, ResponseRecord};
 use crate::sink::{Link, RecordSink};
 use serde::{Deserialize, Serialize};
-use simnet::Engine;
+use simnet::{Engine, Flow};
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
 use v6packet::probe::{ProbeSpec, Protocol};
@@ -93,30 +93,33 @@ pub fn run_with_sink<S: RecordSink>(
     let mut stop_set: HashSet<Ipv6Addr> = HashSet::new();
 
     let mut link = Link::new(engine, cfg.instance);
-    let mut probe = |target: Ipv6Addr,
-                     ttl: u8,
-                     now_us: &mut u64,
-                     log: &mut ProbeLog,
-                     sink: &mut S|
+    let spec = |target: Ipv6Addr, ttl: u8, now_us: u64| ProbeSpec {
+        src,
+        target,
+        protocol: cfg.protocol,
+        ttl,
+        instance: cfg.instance,
+        elapsed_us: now_us as u32,
+    };
+    let probe = |link: &mut Link<'_>,
+                 (target, flow): (Ipv6Addr, Flow),
+                 ttl: u8,
+                 now_us: &mut u64,
+                 log: &mut ProbeLog,
+                 sink: &mut S|
      -> Option<ResponseRecord> {
-        let spec = ProbeSpec {
-            src,
-            target,
-            protocol: cfg.protocol,
-            ttl,
-            instance: cfg.instance,
-            elapsed_us: *now_us as u32,
-        };
-        let rec = link.exchange(&spec.build(), *now_us, log, sink);
+        let wire = spec(target, ttl, *now_us).build();
+        let rec = link.exchange(flow, &wire, *now_us, log, sink);
         *now_us += interval_us;
         rec
     };
 
     for &target in targets {
+        let target = (target, link.open(&spec(target, 1, 0).build()));
         // Forward phase: start_ttl .. max_ttl.
         let mut gap = 0u8;
         for ttl in cfg.start_ttl..=cfg.max_ttl {
-            match probe(target, ttl, &mut now_us, &mut log, sink) {
+            match probe(&mut link, target, ttl, &mut now_us, &mut log, sink) {
                 Some(rec) => {
                     gap = 0;
                     if rec.kind != ResponseKind::TimeExceeded {
@@ -136,7 +139,7 @@ pub fn run_with_sink<S: RecordSink>(
         // Crucially: *silence does not stop backward probing* — the
         // pathology under rate limiting.
         for ttl in (1..cfg.start_ttl).rev() {
-            match probe(target, ttl, &mut now_us, &mut log, sink) {
+            match probe(&mut link, target, ttl, &mut now_us, &mut log, sink) {
                 Some(rec) => {
                     let hit =
                         rec.kind == ResponseKind::TimeExceeded && !stop_set.insert(rec.responder);

@@ -165,6 +165,16 @@ impl DecodeStats {
     }
 }
 
+/// Round-trip time of a response received at `recv_us` to a probe that
+/// carried send time `elapsed`. Probes have room for the low 32 bits of
+/// the send time only, so the difference is taken modulo 2³² µs (as
+/// Yarrp does): right for any round trip under 71 minutes, however long
+/// the campaign has run.
+#[inline]
+fn rtt_us(recv_us: u64, elapsed: u32) -> u64 {
+    (recv_us as u32).wrapping_sub(elapsed) as u64
+}
+
 /// Decodes response `bytes` received at `recv_us` for prober `instance`.
 ///
 /// **Total and panic-free**: classifies *any* byte string — hostile,
@@ -244,7 +254,7 @@ pub fn decode_response(
                         responder: outer.src,
                         kind,
                         probe_ttl: Some(d.ttl),
-                        rtt_us: Some(recv_us.saturating_sub(d.elapsed_us as u64)),
+                        rtt_us: Some(rtt_us(recv_us, d.elapsed_us)),
                         recv_us,
                         target_cksum_ok: d.target_cksum_ok,
                     })
@@ -264,7 +274,7 @@ pub fn decode_response(
                         responder: outer.src,
                         kind: ResponseKind::EchoReply,
                         probe_ttl: Some(ttl),
-                        rtt_us: Some(recv_us.saturating_sub(elapsed as u64)),
+                        rtt_us: Some(rtt_us(recv_us, elapsed)),
                         recv_us,
                         target_cksum_ok: true,
                     })
@@ -416,6 +426,39 @@ mod tests {
         assert_eq!(r.target, "2001:db8:1::abcd".parse::<Ipv6Addr>().unwrap());
         assert_eq!(r.probe_ttl, Some(6));
         assert_eq!(r.rtt_us, Some(24_000));
+    }
+
+    /// The send time a probe carries is the clock's low 32 bits: the
+    /// same probe sent just before, just after, and long after the
+    /// clock passes 2³² µs decodes to the same round trip.
+    #[test]
+    fn rtt_survives_the_send_clock_wrapping() {
+        const WRAP: u64 = 1 << 32;
+        for sent in [
+            5_000,
+            WRAP - 5_000,
+            WRAP - 1,
+            WRAP,
+            WRAP + 5_000,
+            3 * WRAP + 7,
+        ] {
+            let s = ProbeSpec {
+                elapsed_us: sent as u32,
+                ..spec(Protocol::Icmp6)
+            };
+            // Received after the wrap even when sent just before it.
+            let recv = sent + 10_976;
+            let quoted = decode_response(&te_from("2001:db8:42::1", &s), recv, 9).unwrap();
+            assert_eq!(
+                (quoted.rtt_us, quoted.recv_us),
+                (Some(10_976), recv),
+                "{sent}"
+            );
+            let probe = s.build();
+            let reply = icmp6::build_echo_reply(s.target, s.src, 0x1111, 80, &probe[48..], 60);
+            let echo = decode_response(&reply, recv, 9).unwrap();
+            assert_eq!((echo.rtt_us, echo.recv_us), (Some(10_976), recv), "{sent}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::record::{ProbeLog, ResponseKind, ResponseRecord};
 use crate::sink::{Link, RecordSink};
 use serde::{Deserialize, Serialize};
-use simnet::Engine;
+use simnet::{Engine, Flow};
 use std::net::Ipv6Addr;
 use v6packet::probe::{ProbeSpec, Protocol};
 
@@ -105,20 +105,25 @@ pub fn run_with_sink<S: RecordSink>(
             };
             chunk.len()
         ];
+        let spec = |target, ttl, now_us: u64| ProbeSpec {
+            src,
+            target,
+            protocol: cfg.protocol,
+            ttl,
+            instance: cfg.instance,
+            elapsed_us: now_us as u32,
+        };
+        let flows: Vec<Flow> = chunk
+            .iter()
+            .map(|&target| link.open(&spec(target, 1, 0).build()))
+            .collect();
         for ttl in 1..=cfg.max_ttl {
             for (i, &target) in chunk.iter().enumerate() {
                 if state[i].done {
                     continue;
                 }
-                let spec = ProbeSpec {
-                    src,
-                    target,
-                    protocol: cfg.protocol,
-                    ttl,
-                    instance: cfg.instance,
-                    elapsed_us: now_us as u32,
-                };
-                let rec = link.exchange(&spec.build(), now_us, &mut log, sink);
+                let wire = spec(target, ttl, now_us).build();
+                let rec = link.exchange(flows[i], &wire, now_us, &mut log, sink);
                 now_us += interval_us;
                 match rec {
                     Some(rec) => {

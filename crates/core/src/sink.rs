@@ -20,7 +20,7 @@
 //! two ends on separate threads.
 
 use crate::record::{decode_response, DecodeError, ProbeLog, ResponseRecord};
-use simnet::{Delivery, Engine};
+use simnet::{Delivery, Engine, Flow};
 use std::sync::mpsc;
 
 /// A destination for decoded response records, fed in emission order.
@@ -54,21 +54,38 @@ impl<'e> Link<'e> {
         }
     }
 
-    /// One probe's round trip, the same for every prober: inject `wire`
-    /// at `now_us`, decode what comes back and hand it to `sink`. Every
-    /// reply the engine emits is either recorded or counted as rejected
-    /// — in `log` by class and to the sink — never dropped unseen.
-    /// Returns the record for the prober's own bookkeeping.
+    /// Opens the flow of a probe this prober built (its routing headers
+    /// are what count; hop limit and payload may change from probe to
+    /// probe).
+    pub(crate) fn open(&mut self, wire: &[u8]) -> Flow {
+        self.engine
+            .open_flow(wire)
+            .expect("a prober's own probe, from its own vantage, routes")
+    }
+
+    /// One probe's round trip, the same for every prober: inject `wire`,
+    /// a probe of `flow`, at `now_us`, decode what comes back and hand
+    /// it to `sink`. Every reply the engine emits is either recorded or
+    /// counted as rejected — in `log` by class and to the sink — never
+    /// dropped unseen. Returns the record for the prober's own
+    /// bookkeeping.
     #[inline]
     pub(crate) fn exchange<S: RecordSink>(
         &mut self,
+        flow: Flow,
         wire: &[u8],
         now_us: u64,
         log: &mut ProbeLog,
         sink: &mut S,
     ) -> Option<ResponseRecord> {
+        // The engine would quietly look a wrong flow up by key; a
+        // prober that hands it one has lost its fast path.
+        debug_assert_eq!(self.engine.open_flow(wire), Some(flow));
         log.probes_sent += 1;
-        if !self.engine.inject_into(wire, now_us, &mut self.delivery) {
+        if !self
+            .engine
+            .inject_flow(flow, wire, now_us, &mut self.delivery)
+        {
             return None;
         }
         match decode_response(&self.delivery.bytes, self.delivery.at_us, self.instance) {

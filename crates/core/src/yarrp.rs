@@ -14,19 +14,21 @@
 //!   window, its probes are skipped (§4.2 closing remark).
 //!
 //! The random order that spares the routers is hard on the prober's own
-//! memory: consecutive probes share nothing. [`run_with_sink`] therefore
-//! looks ahead in its permutation, a window of 64 probes at a time, and
-//! has the engine pull in what those probes will touch
-//! ([`Engine::warm`]) before sending them, in order, as ever. The order
-//! on the wire, and every result, are those of [`run_reference`], which
-//! never looks ahead.
+//! memory: consecutive probes share nothing. What a probe shares with
+//! the other probes of its *target* — its routing headers, so its path —
+//! [`run_with_sink`] therefore settles once per target, up front, in
+//! target order ([`Engine::open_flow`]); and it looks ahead in its
+//! permutation, a window of 64 probes at a time, and has the engine pull
+//! in what those probes will touch ([`Engine::warm`]) before sending
+//! them, in order, as ever. The order on the wire, and every result, are
+//! those of [`run_reference`], which does neither.
 
 use crate::addrset::AddrSet;
 use crate::perm::Permutation;
 use crate::record::{decode_response, ProbeLog, ResponseKind, ResponseRecord};
 use crate::sink::{Link, RecordSink};
 use serde::{Deserialize, Serialize};
-use simnet::Engine;
+use simnet::{Engine, Flow};
 use std::net::Ipv6Addr;
 use v6packet::probe::{ProbeSpec, ProbeTemplate, Protocol};
 
@@ -106,14 +108,19 @@ fn patch_flow_label(wire: &mut [u8], now_us: u64) {
 }
 
 /// The prober's per-campaign hot-path state: per-target wire templates
-/// and one reused response buffer. Steady state allocates nothing per
-/// probe — templates render in place and the engine refills the link's
-/// delivery.
+/// and flows, and one reused response buffer. Steady state allocates
+/// nothing per probe — templates render in place and the engine refills
+/// the link's delivery.
 struct HotPath<'e> {
     link: Link<'e>,
     src: Ipv6Addr,
     /// Per-target templates.
     templates: Vec<ProbeTemplate>,
+    /// The flow every probe of a target belongs to, parallel to
+    /// `templates`. Under the `vary_flow_label` ablation no two probes
+    /// share one: it then holds the flows of the window last looked
+    /// ahead at, by window position.
+    flows: Vec<Flow>,
     /// Scratch wire for off-template probes (fill chains chasing a
     /// middlebox-rewritten quoted target).
     scratch: [u8; v6packet::probe::MAX_PROBE_LEN],
@@ -139,36 +146,50 @@ impl HotPath<'_> {
             // The label is part of what the network routes by, and it
             // is a function of the send time, which is known: the clock
             // ticks once per window entry, skipped or not.
+            self.flows.clear();
             for (k, &(tidx, ttl)) in window.iter().enumerate() {
                 let at = now_us + k as u64 * interval_us;
-                patch_flow_label(self.templates[tidx].render(ttl, at as u32), at);
+                let wire = self.templates[tidx].render(ttl, at as u32);
+                patch_flow_label(wire, at);
+                self.flows.push(self.link.open(wire));
             }
         }
-        let templates = &self.templates;
+        let flows = &self.flows;
+        let by_position = cfg.vary_flow_label;
         self.link.engine.warm(
             window
                 .iter()
-                .map(|&(tidx, ttl)| (templates[tidx].wire(), ttl)),
+                .enumerate()
+                .map(|(k, &(tidx, ttl))| (flows[if by_position { k } else { tidx }], ttl)),
         );
     }
 
     /// Emits one probe to target `tidx`, decoding any response into
-    /// `sink`. Returns the decoded record for fill/neighborhood
-    /// bookkeeping.
+    /// `sink`: the main-sequence probe at position `ahead` of the window
+    /// last looked ahead at, or (`None`) a fill probe. Returns the
+    /// decoded record for fill/neighborhood bookkeeping.
+    #[allow(clippy::too_many_arguments)]
     fn send_probe<S: RecordSink>(
         &mut self,
         tidx: usize,
         ttl: u8,
         now_us: u64,
+        ahead: Option<usize>,
         cfg: &YarrpConfig,
         log: &mut ProbeLog,
         sink: &mut S,
     ) -> Option<ResponseRecord> {
         let wire = self.templates[tidx].render(ttl, now_us as u32);
-        if cfg.vary_flow_label {
+        let flow = if cfg.vary_flow_label {
             patch_flow_label(wire, now_us);
-        }
-        self.link.exchange(wire, now_us, log, sink)
+            match ahead {
+                Some(k) => self.flows[k],
+                None => self.link.open(wire),
+            }
+        } else {
+            self.flows[tidx]
+        };
+        self.link.exchange(flow, wire, now_us, log, sink)
     }
 
     /// Emits one probe to an arbitrary address via the scratch buffer —
@@ -196,7 +217,8 @@ impl HotPath<'_> {
         if cfg.vary_flow_label {
             patch_flow_label(wire, now_us);
         }
-        self.link.exchange(wire, now_us, log, sink)
+        let flow = self.link.open(wire);
+        self.link.exchange(flow, wire, now_us, log, sink)
     }
 }
 
@@ -249,13 +271,24 @@ pub fn run_with_sink<S: RecordSink>(
     let interval_us = 1_000_000 / cfg.rate_pps.max(1);
     let mut now_us: u64 = 0;
 
+    let mut link = Link::new(engine, cfg.instance);
+    let templates: Vec<ProbeTemplate> = targets
+        .iter()
+        .map(|&t| ProbeTemplate::new(src, t, cfg.protocol, cfg.instance))
+        .collect();
+    // One flow per target, opened in target order: neighbouring targets
+    // resolve through neighbouring parts of the topology. (The ablation
+    // has a flow per probe instead, opened as it looks ahead.)
+    let flows = if cfg.vary_flow_label {
+        Vec::with_capacity(LOOKAHEAD)
+    } else {
+        templates.iter().map(|t| link.open(t.wire())).collect()
+    };
     let mut hot = HotPath {
-        link: Link::new(engine, cfg.instance),
+        link,
         src,
-        templates: targets
-            .iter()
-            .map(|&t| ProbeTemplate::new(src, t, cfg.protocol, cfg.instance))
-            .collect(),
+        templates,
+        flows,
         scratch: [0u8; v6packet::probe::MAX_PROBE_LEN],
     };
 
@@ -280,7 +313,7 @@ pub fn run_with_sink<S: RecordSink>(
             break;
         }
         hot.look_ahead(&window, now_us, interval_us, cfg);
-        for &(tidx, ttl) in &window {
+        for (k, &(tidx, ttl)) in window.iter().enumerate() {
             if let Some(nb) = cfg.neighborhood {
                 if ttl <= nb.max_ttl
                     && now_us > nb.window_us
@@ -291,7 +324,7 @@ pub fn run_with_sink<S: RecordSink>(
                 }
             }
 
-            let resp = hot.send_probe(tidx, ttl, now_us, cfg, &mut log, sink);
+            let resp = hot.send_probe(tidx, ttl, now_us, Some(k), cfg, &mut log, sink);
             if let Some(rec) = resp {
                 note_response(&rec, &mut last_new, &mut seen_ifaces);
                 maybe_fill(
@@ -466,7 +499,7 @@ fn maybe_fill<S: RecordSink>(
         // wire would): usually the probed target's template, but a
         // middlebox-rewritten quotation diverges onto the scratch path.
         let rec = if cur.target == targets[tidx] {
-            hot.send_probe(tidx, h + 1, send_at, cfg, log, sink)
+            hot.send_probe(tidx, h + 1, send_at, None, cfg, log, sink)
         } else {
             hot.send_probe_to(cur.target, h + 1, send_at, cfg, log, sink)
         };

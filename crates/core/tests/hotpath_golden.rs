@@ -145,6 +145,37 @@ fn probe_counts_on_every_side_of_the_lookahead_window_match() {
 }
 
 #[test]
+fn per_probe_flows_survive_skipped_probes_across_windows() {
+    // Under `vary_flow_label` every probe has a flow of its own, opened
+    // a window ahead and found again by window position — while
+    // neighborhood mode skips positions, fill probes go out in between,
+    // and the last window is short.
+    let topo = Arc::new(generate(TopologyConfig::tiny(42)));
+    let hosts: Vec<Ipv6Addr> = topo.hosts().map(|(a, _)| a).collect();
+    for (n, max_ttl) in [(WINDOW + 1, 1), (3 * WINDOW + 5, 1), (13, 5)] {
+        for fill_mode in [false, true] {
+            let cfg = YarrpConfig {
+                max_ttl,
+                fill_mode,
+                vary_flow_label: true,
+                neighborhood: Some(yarrp::Neighborhood {
+                    max_ttl,
+                    window_us: 40_000,
+                }),
+                ..Default::default()
+            };
+            let log = yarrp::run(&mut Engine::new(topo.clone()), 1, &hosts[..n], &cfg);
+            let main_sequence = log.probes_sent - log.fills;
+            assert!(
+                main_sequence < (n * max_ttl as usize) as u64,
+                "fixture must skip probes: sent {main_sequence} of {n} x {max_ttl}"
+            );
+            assert_pipelines_match(&topo, 1, &hosts[..n], &cfg);
+        }
+    }
+}
+
+#[test]
 fn pipelines_match_under_a_fault_schedule() {
     // A vantage outage and a flapping first-hop link, both inside the
     // campaign's span (80 targets x 16 TTLs at 1 kpps is 1.28 s).

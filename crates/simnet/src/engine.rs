@@ -15,8 +15,8 @@
 
 use crate::adversarial::{AdversarialClass, Hostiles, STORM_SPREAD};
 use crate::fault::{FaultSchedule, LinkFaultKind};
-use crate::flow::{self, FlowKey};
-use crate::pathcache::PathCache;
+use crate::flow;
+use crate::pathcache::{Flow, FlowTable, RawKey};
 use crate::ratelimit::TokenBucket;
 use crate::route::{self, DestEntry, ResolveScratch, ResolvedPath};
 use crate::topology::{HostKind, RouterId, Topology, UnknownAddrPolicy};
@@ -401,23 +401,12 @@ impl Outcome {
 pub struct Engine {
     topo: Arc<Topology>,
     buckets: Vec<TokenBucket>,
-    /// `(vantage, dst, flow)` → index into `paths`: an open-addressed
-    /// table bucketed directly by the premixed flow hash. A hit costs a
-    /// masked index and one key compare — no SipHash, no `Arc`
-    /// refcount traffic.
-    path_cache: PathCache,
-    /// Resolved paths, indexed by `path_cache` values.
-    paths: Vec<ResolvedPath>,
-    /// The hops of every path in `paths`, back to back.
+    /// Every flow opened so far, with its resolved path.
+    flows: FlowTable,
+    /// The hops of every path in `flows`, back to back.
     hop_arena: Vec<RouterId>,
     /// Buffers `route::resolve` reuses.
     resolve_scratch: ResolveScratch,
-    /// What [`Engine::warm`] resolved for the probes it was shown, in
-    /// the order shown; [`Engine::inject_into`] consumes it from
-    /// `ahead_next` on.
-    ahead: Vec<Ahead>,
-    /// First entry of `ahead` no injected probe has matched or passed.
-    ahead_next: usize,
     /// Per-router fragment-identification counters: one monotonic
     /// counter shared by all of a router's interfaces (the speedtrap
     /// alias signal). Seeded per router so counters are unsynchronized.
@@ -464,12 +453,9 @@ impl Engine {
         Engine {
             topo,
             buckets,
-            path_cache: PathCache::new(),
-            paths: Vec::new(),
+            flows: FlowTable::new(),
             hop_arena: Vec::new(),
             resolve_scratch: ResolveScratch::default(),
-            ahead: Vec::new(),
-            ahead_next: 0,
             frag_counters,
             faults,
             has_faults,
@@ -501,8 +487,9 @@ impl Engine {
         &self.topo
     }
 
-    /// Resets buckets and statistics (keeps path caches — the topology is
-    /// unchanged).
+    /// Resets buckets, fragment counters and statistics. Paths are
+    /// functions of the topology, which is unchanged: every [`Flow`]
+    /// opened before stays open and valid.
     pub fn reset(&mut self) {
         for (b, r) in self.buckets.iter_mut().zip(&self.topo.routers) {
             *b = TokenBucket::new(if r.aggressive_rl {
@@ -517,38 +504,38 @@ impl Engine {
         self.stats = EngineStats::default();
     }
 
-    /// Resolves (with caching) the forward path a probe with this header
-    /// and flow takes, returning its index into the engine's path table
-    /// (see [`Self::path`]).
-    pub fn resolve_path_idx(&mut self, vantage_idx: u8, dst: Ipv6Addr, flow_hash: u64) -> u32 {
-        let dst_word = u128::from(dst);
-        if let Some(i) = self.path_cache.get(vantage_idx, dst_word, flow_hash) {
-            return i;
+    /// Opens the flow `wire` belongs to: parses the headers the network
+    /// routes by (addresses, flow label, next header, ports — a prober's
+    /// per-target template carries them before hop limit and payload
+    /// are rendered into it) and resolves their path, once. `None` for
+    /// bytes [`Self::inject_into`] would count malformed whatever their
+    /// hop limit. Opening counts nothing and consults no bucket, counter
+    /// or schedule; opening the same headers again returns the same
+    /// flow.
+    pub fn open_flow(&mut self, wire: &[u8]) -> Option<Flow> {
+        self.lookup(&RawKey::parse(wire)?)
+    }
+
+    /// The flow of `key`, resolving its path if it is new.
+    #[inline]
+    fn lookup(&mut self, key: &RawKey) -> Option<Flow> {
+        let vantages = &self.topo.vantages;
+        let flow_hash = key.flow_hash(key.ports?);
+        if let Some(flow) = self.flows.find(key, flow_hash, vantages) {
+            return Some(flow);
         }
-        let v = &self.topo.vantages[vantage_idx as usize];
-        let p = route::resolve(
+        let vidx = vantages
+            .iter()
+            .position(|v| u128::from(v.addr) == key.src)?;
+        let path = route::resolve(
             &self.topo,
-            v,
-            dst,
+            &vantages[vidx],
+            Ipv6Addr::from(key.dst),
             flow_hash,
             &mut self.resolve_scratch,
             &mut self.hop_arena,
         );
-        let idx = self.paths.len() as u32;
-        self.paths.push(p);
-        self.path_cache
-            .insert(vantage_idx, dst_word, flow_hash, idx);
-        idx
-    }
-
-    /// The resolved path behind an index from [`Self::resolve_path_idx`].
-    pub fn path(&self, idx: u32) -> &ResolvedPath {
-        &self.paths[idx as usize]
-    }
-
-    /// The routers that path crosses, in order.
-    pub fn path_hops(&self, idx: u32) -> &[RouterId] {
-        self.paths[idx as usize].hops(&self.hop_arena)
+        Some(self.flows.insert(key, vidx as u8, flow_hash, path))
     }
 
     /// Ground-truth suppression counts straight from the token buckets
@@ -581,123 +568,88 @@ impl Engine {
         }
     }
 
-    /// Shows the engine probes it is about to be given, in injection
-    /// order: `(wire, hop limit)` pairs, where `wire` need only carry
-    /// the headers the engine routes by (addresses, flow label, next
-    /// header, ports) — a prober's per-target template, before the hop
-    /// limit and payload are rendered into it.
+    /// Shows the engine probes it is about to be given: the flow and hop
+    /// limit of each.
     ///
     /// A randomized prober touches, per probe, one chain of unrelated
-    /// memory: path-cache slot → path → hop → router → token bucket.
-    /// Probe by probe those misses serialise; here each level is walked
-    /// for the whole batch before the next, so a batch's misses at one
-    /// level overlap, and the in-order [`Self::inject_into`] calls that
-    /// follow find their lines in cache. Paths not resolved yet are
-    /// resolved here.
+    /// memory: flow entry → hop → router → token bucket. Probe by probe
+    /// those misses serialise; here each level is walked for the whole
+    /// batch before the next, so a batch's misses at one level overlap,
+    /// and the [`Self::inject_flow`] calls that follow find their lines
+    /// in cache.
     ///
-    /// **No observable effect**: nothing is counted, no token bucket,
-    /// fragment counter or fault/adversarial schedule is consulted, and
-    /// bytes that do not parse as a probe are skipped (they are counted
-    /// when actually injected). Only the order in which paths enter the
-    /// engine's path table can differ, which nothing reports. Showing
-    /// probes that are then never injected, or injecting others in
-    /// between, is harmless.
-    pub fn warm<'a>(&mut self, probes: impl Iterator<Item = (&'a [u8], u8)>) {
-        self.ahead.clear();
-        self.ahead_next = 0;
-        // Level 1: routing key, flow hash, home slot of the path cache.
-        for (wire, ttl) in probes {
-            let Some(key) = RawKey::parse(wire) else {
-                continue;
-            };
-            let (Some(vidx), Some(ports)) = (self.vantage_of(key.src), key.ports) else {
-                continue;
-            };
-            let flow_hash = key.flow_hash(ports);
-            self.path_cache.touch(flow_hash);
-            self.ahead.push(Ahead {
-                key,
-                flow_hash,
-                pidx: 0,
-                hop_at: NO_HOP,
-                vidx,
-                ttl,
-            });
+    /// **No observable effect**: nothing is written. A flow this engine
+    /// did not open is skipped or warms some other entry; showing probes
+    /// that are then never injected, or injecting others in between, is
+    /// harmless.
+    pub fn warm(&self, probes: impl Iterator<Item = (Flow, u8)> + Clone) {
+        // Level 1: the flow entries.
+        for (flow, _) in probes.clone() {
+            if let Some(entry) = self.flows.get(flow) {
+                prefetch(entry);
+            }
         }
-        // Level 2: the path's index (resolving it if new), its entry.
-        for k in 0..self.ahead.len() {
-            let Ahead {
-                vidx,
-                key,
-                flow_hash,
-                ..
-            } = self.ahead[k];
-            let pidx = self.resolve_path_idx(vidx, Ipv6Addr::from(key.dst), flow_hash);
-            self.ahead[k].pidx = pidx;
-            prefetch(&self.paths[pidx as usize]);
-        }
-        // Level 3: who answers — the hop the probe expires at (one more
-        // level down, in the hop arena) or the path's end.
-        for a in &mut self.ahead {
-            let p = &self.paths[a.pidx as usize];
-            let ttl = a.ttl as usize;
-            if (1..=p.len()).contains(&ttl) {
-                a.hop_at = p.hop_index(ttl - 1) as u32;
-                prefetch(&self.hop_arena[a.hop_at as usize]);
+        // The hop-arena slot of the hop each probe expires at, if any.
+        let expiring = probes.filter_map(|(flow, ttl)| {
+            let p = &self.flows.get(flow)?.path;
+            let ttl = ttl as usize;
+            Some((
+                (1..=p.len()).contains(&ttl).then(|| p.hop_index(ttl - 1)),
+                p,
+            ))
+        });
+        // Level 2: who answers — that hop, one more level down, or the
+        // path's end.
+        for (hop_at, p) in expiring.clone() {
+            if let Some(at) = hop_at {
+                prefetch(&self.hop_arena[at]);
             } else if let Some(r) = p.dst_router.or(p.dest.responder()) {
                 touch_router(&self.topo, &self.buckets, r);
             }
         }
-        // Level 4: the expiring hop's router and bucket.
-        for a in &self.ahead {
-            if a.hop_at != NO_HOP {
-                let r = self.hop_arena[a.hop_at as usize];
-                touch_router(&self.topo, &self.buckets, r);
+        // Level 3: the expiring hop's router and bucket.
+        for (hop_at, _) in expiring {
+            if let Some(at) = hop_at {
+                touch_router(&self.topo, &self.buckets, self.hop_arena[at]);
             }
         }
     }
 
-    /// What [`Self::warm`] resolved for a probe with this routing key,
-    /// if it is among the entries not yet consumed: vantage and path
-    /// index — exactly what the full lookup would find, since both are
-    /// functions of the key alone. Entries passed over (shown but not
-    /// injected) are dropped.
-    #[inline]
-    fn take_ahead(&mut self, key: &RawKey) -> Option<(u8, u32)> {
-        let rest = &self.ahead[self.ahead_next..];
-        let at = rest.iter().position(|a| a.key == *key)?;
-        self.ahead_next += at + 1;
-        Some((rest[at].vidx, rest[at].pidx))
-    }
-
-    /// Index of the vantage probing from `src`.
-    #[inline]
-    fn vantage_of(&self, src: u128) -> Option<u8> {
-        self.topo
-            .vantages
-            .iter()
-            .position(|v| u128::from(v.addr) == src)
-            .map(|i| i as u8)
-    }
-
     /// Injects a probe at virtual time `now_us`, writing any response
     /// into `out` (cleared and refilled) and returning whether one was
-    /// produced.
+    /// produced: [`Self::open_flow`], then [`Self::inject_flow`].
     ///
-    /// This is the hot path, and the single way in. With a reused `out`
-    /// it allocates nothing for a probe whose path is already resolved;
-    /// the first probe of each `(vantage, destination, flow)` resolves
-    /// its path into the engine's tables, which allocate only as they
-    /// grow. A caller that knows its probes ahead of time shows them to
-    /// [`Self::warm`] first — resolution then happens there, and this
-    /// call skips the lookup it already did; every other caller just
-    /// injects, and pays for resolution and for the memory latency of
-    /// its own probe order here.
-    ///
-    /// The probe runs through the stages below in order; the first to
-    /// end it names the one [`EngineStats`] bucket it is counted under.
+    /// With a reused `out` it allocates nothing for a probe whose flow
+    /// is already open; the first probe of each `(vantage, destination,
+    /// flow)` resolves its path into the engine's tables, which allocate
+    /// only as they grow. This caller pays for the lookup, and for the
+    /// memory latency of its own probe order, on every probe.
     pub fn inject_into(&mut self, wire: &[u8], now_us: u64, out: &mut Delivery) -> bool {
-        let outcome = match self.parse(wire, now_us) {
+        let flow = self.open_flow(wire);
+        self.run(flow, wire, now_us, out)
+    }
+
+    /// [`Self::inject_into`] for a caller that opened the probe's flow
+    /// beforehand: the hot path. `flow` is a hint. The wire's own
+    /// routing key is checked against it, and a flow of another probe
+    /// or another engine falls back to the lookup — whatever is passed,
+    /// the result is [`Self::inject_into`]'s.
+    pub fn inject_flow(
+        &mut self,
+        flow: Flow,
+        wire: &[u8],
+        now_us: u64,
+        out: &mut Delivery,
+    ) -> bool {
+        self.run(Some(flow), wire, now_us, out)
+    }
+
+    /// The one way in. The probe runs through the stages below in
+    /// order; the first to end it names the one [`EngineStats`] bucket
+    /// it is counted under. `flow` is `None` when the wire has none.
+    #[inline]
+    fn run(&mut self, flow: Option<Flow>, wire: &[u8], now_us: u64, out: &mut Delivery) -> bool {
+        let outcome = match self.parse(flow, wire, now_us) {
             Err(malformed) => malformed,
             Ok(p) => self
                 .faulted(&p)
@@ -717,32 +669,37 @@ impl Engine {
     }
 
     /// Stage 1: the probe's routing key, vantage and path, or
-    /// [`Outcome::Malformed`].
+    /// [`Outcome::Malformed`]. The path is `flow`'s if `flow` is this
+    /// wire's, and looked up by key otherwise.
     #[inline]
-    fn parse<'w>(&mut self, wire: &'w [u8], now_us: u64) -> Result<Probe<'w>, Outcome> {
+    fn parse<'w>(
+        &mut self,
+        flow: Option<Flow>,
+        wire: &'w [u8],
+        now_us: u64,
+    ) -> Result<Probe<'w>, Outcome> {
         let key = RawKey::parse(wire).ok_or(Outcome::Malformed)?;
         // Hop limit 0 never leaves its sender: no hop to expire at.
         let hop_limit = wire[7];
         if hop_limit == 0 {
             return Err(Outcome::Malformed);
         }
-        let ahead = self.take_ahead(&key);
-        let vidx = ahead
-            .map(|a| a.0)
-            .or_else(|| self.vantage_of(key.src))
-            .ok_or(Outcome::Malformed)?;
-        let ports = key.ports.ok_or(Outcome::Malformed)?;
-        let pidx = match ahead {
-            Some((_, pidx)) => pidx,
-            None => self.resolve_path_idx(vidx, Ipv6Addr::from(key.dst), key.flow_hash(ports)),
+        let flow = flow.ok_or(Outcome::Malformed)?;
+        let hinted = self.flows.get(flow);
+        let entry = match hinted.filter(|e| e.carries(&key, &self.topo.vantages)) {
+            Some(e) => e,
+            None => {
+                let found = self.lookup(&key).ok_or(Outcome::Malformed)?;
+                self.flows.get(found).expect("a flow just looked up")
+            }
         };
         Ok(Probe {
             wire,
             key,
-            ports,
-            vidx,
-            vaddr: self.topo.vantages[vidx as usize].addr,
-            path: self.paths[pidx as usize],
+            ports: key.ports.expect("a flow's key has ports"),
+            vidx: entry.vidx,
+            vaddr: self.topo.vantages[entry.vidx as usize].addr,
+            path: entry.path,
             ttl: hop_limit as usize,
             now_us,
             fault_us: now_us.saturating_add(self.fault_offset_us),
@@ -1135,81 +1092,6 @@ impl Probe<'_> {
     }
 }
 
-/// The header fields a probe is routed by, as they sit on the wire.
-/// Two probes with equal keys take the same path from the same vantage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct RawKey {
-    src: u128,
-    dst: u128,
-    /// The version / traffic class / flow label word.
-    vtf: u32,
-    /// Source and destination port (TCP, UDP) or identifier and
-    /// sequence (ICMPv6); `None` when the transport header is cut short
-    /// or of a protocol the engine does not route.
-    ports: Option<(u16, u16)>,
-    next_header: u8,
-}
-
-impl RawKey {
-    /// `None` unless `wire` starts with a whole IPv6 header.
-    #[inline]
-    fn parse(wire: &[u8]) -> Option<RawKey> {
-        let (hdr, body) = wire.split_first_chunk::<{ ip6::HEADER_LEN }>()?;
-        let word = |at: usize| u128::from_be_bytes(*hdr[at..].first_chunk().expect("in header"));
-        let vtf = u32::from_be_bytes(*hdr.first_chunk().expect("in header"));
-        if vtf >> 28 != 6 {
-            return None;
-        }
-        let next_header = hdr[6];
-        let ports_at = match next_header {
-            proto_num::TCP | proto_num::UDP => Some(0),
-            proto_num::ICMP6 => Some(4),
-            _ => None,
-        };
-        let ports = ports_at.and_then(|at| body.get(at..at + 4)).map(|b| {
-            (
-                u16::from_be_bytes([b[0], b[1]]),
-                u16::from_be_bytes([b[2], b[3]]),
-            )
-        });
-        Some(RawKey {
-            src: word(8),
-            dst: word(24),
-            vtf,
-            ports,
-            next_header,
-        })
-    }
-
-    /// The flow hash per-flow load balancers see.
-    #[inline]
-    fn flow_hash(&self, (sport, dport): (u16, u16)) -> u64 {
-        FlowKey {
-            src: Ipv6Addr::from(self.src),
-            dst: Ipv6Addr::from(self.dst),
-            flow_label: self.vtf & 0xf_ffff,
-            proto: self.next_header,
-            sport,
-            dport,
-        }
-        .hash()
-    }
-}
-
-/// One probe [`Engine::warm`] was shown, and what it resolved for it.
-#[derive(Clone, Copy)]
-struct Ahead {
-    key: RawKey,
-    flow_hash: u64,
-    pidx: u32,
-    /// Hop-arena index of the hop the probe expires at, or [`NO_HOP`].
-    hop_at: u32,
-    vidx: u8,
-    ttl: u8,
-}
-
-const NO_HOP: u32 = u32::MAX;
-
 /// Asks the CPU to start loading `*r` — its first and last byte, so a
 /// value that straddles a cache line gets both; nothing is read. A
 /// no-op off x86-64.
@@ -1426,6 +1308,24 @@ mod tests {
             answered_slow >= 190,
             "slow probing mostly answered: {answered_slow}"
         );
+    }
+
+    #[test]
+    fn flows_outlive_reset() {
+        let mut e = engine();
+        let (host, _) = e.topology().hosts().next().unwrap();
+        let wire = spec(&e, host, 2, Protocol::Icmp6).build();
+        let flow = e.open_flow(&wire).expect("a well-formed probe has a flow");
+        let mut first = Delivery::default();
+        assert!(e.inject_flow(flow, &wire, 0, &mut first));
+        // Reset forgets the probe (its token is back), not its path.
+        e.reset();
+        assert_eq!(e.stats, EngineStats::default());
+        assert_eq!(e.open_flow(&wire), Some(flow));
+        let mut again = Delivery::default();
+        assert!(e.inject_flow(flow, &wire, 0, &mut again));
+        assert_eq!((again.at_us, &again.bytes), (first.at_us, &first.bytes));
+        assert_eq!(e.stats.time_exceeded, 1);
     }
 
     #[test]

@@ -41,4 +41,5 @@ pub use adversarial::{AdversarialClass, AdversarialSchedule, HostileWindow, STOR
 pub use config::{Scale, TopologyConfig};
 pub use engine::{prefetch, Delivery, Engine, EngineStats};
 pub use fault::{FaultSchedule, LinkFault, LinkFaultKind, ResponderDown, VantageOutage};
+pub use pathcache::Flow;
 pub use topology::{RouterId, Topology, VantageId};

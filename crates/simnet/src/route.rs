@@ -44,6 +44,7 @@ pub enum DestEntry {
 
 impl DestEntry {
     /// The router that answers for the destination, unless a host does.
+    #[inline]
     pub fn responder(&self) -> Option<RouterId> {
         match *self {
             DestEntry::Host(_) => None,
@@ -60,8 +61,8 @@ impl DestEntry {
 /// pointer chase of its own and resolving one allocates nothing.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct ResolvedPath {
-    hop_off: u32,
-    hop_len: u16,
+    pub(crate) hop_off: u32,
+    pub(crate) hop_len: u16,
     /// Index into the hops of the destination AS border, when that AS
     /// firewalls UDP/TCP probes toward hosts (§4.2 protocol effects).
     pub firewall_hop: Option<u8>,
@@ -74,6 +75,7 @@ pub struct ResolvedPath {
 
 impl ResolvedPath {
     /// Number of router hops.
+    #[inline]
     pub fn len(&self) -> usize {
         self.hop_len as usize
     }
@@ -91,6 +93,7 @@ impl ResolvedPath {
     }
 
     /// Arena index of the hop answering TTL `i+1` (`i < len`).
+    #[inline]
     pub(crate) fn hop_index(&self, i: usize) -> usize {
         self.hop_off as usize + i
     }

@@ -1,7 +1,8 @@
 //! Property tests for the simulator: the engine must be total (no panic
 //! on any input bytes), conservative (stats account for every probe),
-//! and deterministic — and showing it probes ahead of time
-//! ([`Engine::warm`]) must change nothing it later does or reports.
+//! and deterministic — and neither showing it probes ahead of time
+//! ([`Engine::warm`]) nor handing it flows with them
+//! ([`Engine::inject_flow`]) may change anything it does or reports.
 
 use proptest::prelude::*;
 use simnet::config::TopologyConfig;
@@ -36,9 +37,60 @@ fn big_echo(src: std::net::Ipv6Addr, dst: std::net::Ipv6Addr) -> Vec<u8> {
     wire
 }
 
+/// What the properties below show an engine: per `(kind, pick, ttl,
+/// junk)` draw, a wire and a hop limit. The wire is junk, or a probe —
+/// perfectly good, truncated, of another IP version, from no known
+/// vantage, or of an unknown protocol.
+fn wires(
+    topo: &simnet::Topology,
+    hosts: &[std::net::Ipv6Addr],
+    shown: Vec<(u8, u128, u8, Vec<u8>)>,
+    t0: u64,
+) -> Vec<(Vec<u8>, u8)> {
+    shown
+        .into_iter()
+        .map(|(kind, pick, ttl, junk)| {
+            // Half the hop limits expire in transit, half anywhere.
+            let ttl = if pick & 2 == 0 { ttl % 16 } else { ttl };
+            // Half the destinations are real hosts, half anything.
+            let target = if pick & 1 == 0 {
+                hosts[(pick >> 1) as usize % hosts.len()]
+            } else {
+                std::net::Ipv6Addr::from(pick)
+            };
+            let mut wire = ProbeSpec {
+                src: topo.vantages[(pick >> 8) as usize % 3].addr,
+                target,
+                protocol: [Protocol::Icmp6, Protocol::Udp, Protocol::Tcp]
+                    [(pick >> 16) as usize % 3],
+                ttl: 1 + ttl % 40,
+                instance: 1,
+                elapsed_us: t0 as u32,
+            }
+            .build();
+            match kind {
+                0 => wire = junk,
+                1 => {}
+                2 => wire.truncate((pick >> 24) as usize % wire.len()),
+                3 => wire[0] ^= 0x20, // version 4
+                4 => wire[8] ^= 0xff, // a source no vantage has
+                _ => wire[6] = 99,    // a next header nobody routes
+            }
+            (wire, ttl)
+        })
+        .collect()
+}
+
 /// What one injection did, comparably.
 fn outcome(e: &mut Engine, wire: &[u8], t: u64) -> Option<(u64, Vec<u8>)> {
     e.inject(wire, t).map(|d| (d.at_us, d.bytes))
+}
+
+/// [`outcome`] of an injection that brings a flow along.
+fn outcome_with(e: &mut Engine, flow: simnet::Flow, wire: &[u8], t: u64) -> Option<(u64, Vec<u8>)> {
+    let mut d = simnet::Delivery::default();
+    e.inject_flow(flow, wire, t, &mut d)
+        .then_some((d.at_us, d.bytes))
 }
 
 proptest! {
@@ -60,37 +112,7 @@ proptest! {
     ) {
         let topo = topo();
         let hosts: Vec<std::net::Ipv6Addr> = topo.hosts().map(|(a, _)| a).collect();
-        let wires: Vec<(Vec<u8>, u8)> = shown
-            .into_iter()
-            .map(|(kind, pick, ttl, junk)| {
-                // Half the hop limits expire in transit, half anywhere.
-                let ttl = if pick & 2 == 0 { ttl % 16 } else { ttl };
-                // Half the destinations are real hosts, half anything.
-                let target = if pick & 1 == 0 {
-                    hosts[(pick >> 1) as usize % hosts.len()]
-                } else {
-                    std::net::Ipv6Addr::from(pick)
-                };
-                let mut wire = ProbeSpec {
-                    src: topo.vantages[(pick >> 8) as usize % 3].addr,
-                    target,
-                    protocol: [Protocol::Icmp6, Protocol::Udp, Protocol::Tcp][(pick >> 16) as usize % 3],
-                    ttl: 1 + ttl % 40,
-                    instance: 1,
-                    elapsed_us: t0 as u32,
-                }
-                .build();
-                match kind {
-                    0 => wire = junk,
-                    1 => {}
-                    2 => wire.truncate((pick >> 24) as usize % wire.len()),
-                    3 => wire[0] ^= 0x20,  // version 4
-                    4 => wire[8] ^= 0xff,  // a source no vantage has
-                    _ => wire[6] = 99,     // a next header nobody routes
-                }
-                (wire, ttl)
-            })
-            .collect();
+        let wires = wires(&topo, &hosts, shown, t0);
 
         // Some shared history first, so buckets are part-drained and a
         // fragment counter has moved.
@@ -114,7 +136,11 @@ proptest! {
         }
         prop_assert_eq!(ahead.stats.frag_echo_replies, 1);
 
-        ahead.warm(wires.iter().map(|(w, ttl)| (w.as_slice(), *ttl)));
+        let flows: Vec<_> = wires
+            .iter()
+            .filter_map(|(w, ttl)| Some((ahead.open_flow(w)?, *ttl)))
+            .collect();
+        ahead.warm(flows.iter().copied());
         prop_assert_eq!(ahead.stats, plain.stats);
         prop_assert_eq!(ahead.bucket_suppressed_by_class(), plain.bucket_suppressed_by_class());
 
@@ -137,6 +163,83 @@ proptest! {
         }
         prop_assert_eq!(ahead.stats, plain.stats);
         prop_assert_eq!(ahead.bucket_suppressed_by_class(), plain.bucket_suppressed_by_class());
+    }
+
+    /// A flow is only a hint. Whatever bytes are injected, with
+    /// whatever hop limit, and whichever flow comes with them — the
+    /// wire's own, another probe's, one of a different engine, none of
+    /// these after a `reset()` — the engine delivers, counts and spends
+    /// tokens exactly as its twin that is given the bytes alone.
+    #[test]
+    fn a_flow_never_changes_a_result(
+        shown in prop::collection::vec(
+            (0u8..6, any::<u128>(), any::<u8>(), prop::collection::vec(any::<u8>(), 0..120)),
+            1..48,
+        ),
+        t0 in 0u64..5_000,
+    ) {
+        let topo = topo();
+        let hosts: Vec<std::net::Ipv6Addr> = topo.hosts().map(|(a, _)| a).collect();
+        let picks: Vec<u128> = shown.iter().map(|s| s.1).collect();
+        let wires: Vec<Vec<u8>> = wires(&topo, &hosts, shown, t0)
+            .into_iter()
+            .map(|(mut w, ttl)| {
+                if let Some(hop_limit) = w.get_mut(7) {
+                    *hop_limit = ttl;
+                }
+                w
+            })
+            .collect();
+        let (mut flowed, mut keyed) = (Engine::new(topo.clone()), Engine::new(topo.clone()));
+        // Another engine's flows: the same wires opened in another
+        // order, after some of its own, so positions disagree.
+        let mut other = Engine::new(topo.clone());
+        let spare_wire = ProbeSpec {
+            src: topo.vantages[0].addr,
+            target: hosts[0],
+            protocol: Protocol::Icmp6,
+            ttl: 1,
+            instance: 1,
+            elapsed_us: 0,
+        }
+        .build();
+        let foreign_spare = other.open_flow(&spare_wire).expect("a good probe");
+        let foreign: Vec<Option<simnet::Flow>> = {
+            let mut f: Vec<_> = wires.iter().rev().map(|w| other.open_flow(w)).collect();
+            f.reverse();
+            f
+        };
+        let own_spare = flowed.open_flow(&spare_wire).expect("a good probe");
+        let own: Vec<Option<simnet::Flow>> = wires.iter().map(|w| flowed.open_flow(w)).collect();
+        prop_assert_eq!(flowed.stats, keyed.stats);
+
+        for round in 0..2 {
+            for (i, w) in wires.iter().enumerate() {
+                let flow = match (picks[i] >> 40) % 3 {
+                    // Its own, if it has one: else anyone's.
+                    0 => own[i].unwrap_or(own_spare),
+                    // Another probe's.
+                    1 => own[(i + 1) % own.len()].unwrap_or(own_spare),
+                    // Another engine's.
+                    _ => foreign[i].unwrap_or(foreign_spare),
+                };
+                // A burst deep enough to drain the responder's bucket.
+                let t = 20 + t0 + round;
+                for _ in 0..64 {
+                    prop_assert_eq!(
+                        outcome_with(&mut flowed, flow, w, t),
+                        outcome(&mut keyed, w, t),
+                        "probe {} round {}", i, round
+                    );
+                }
+            }
+            prop_assert_eq!(flowed.stats, keyed.stats);
+            prop_assert_eq!(flowed.stats.check(), Ok(()));
+            prop_assert_eq!(flowed.bucket_suppressed_by_class(), keyed.bucket_suppressed_by_class());
+            // Second round: the same flows, after a reset.
+            flowed.reset();
+            keyed.reset();
+        }
     }
 
     /// Arbitrary bytes never panic the engine and never produce a
