@@ -5,12 +5,13 @@
 //!
 //! The builder rides the columnar [`TraceSet`]: interfaces are already
 //! interned to dense `u32` ids, so node membership is a flat
-//! `Vec<u32>` indexed by interface id instead of a `HashMap<Ipv6Addr,
-//! u32>` probed per hop, and link extraction is one walk over each
-//! trace's contiguous hop slice. Node ids are deterministic (alias
+//! `Vec<u32>` indexed by id instead of an address-keyed map probed per
+//! hop — ids of several sets meet through one pooled interner, filled
+//! once per responder per set — and link extraction is one walk over
+//! each trace's contiguous hop slice. Node ids are deterministic (alias
 //! groups first, then first-touch order over target-sorted traces).
 
-use analysis::TraceSet;
+use analysis::{AddrInterner, TraceSet};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv6Addr;
@@ -34,6 +35,53 @@ pub struct RouterGraph {
     pub unobserved_alias_nodes: u32,
 }
 
+/// Link pairs held before they are sorted, deduplicated and moved to
+/// the link set: 32 KiB however long the walk, sorted in first-level
+/// cache.
+const PAIR_SCRATCH: usize = 1 << 12;
+
+/// The hop-window walk: consecutive responding hops are adjacent
+/// routers. A gap of exactly one silent TTL is bridged (the standard
+/// inference); wider gaps are not. `endpoints` turns a qualifying
+/// window's two interner ids into the ids `links` is kept in (equal
+/// ids: no link) and may be skipped for a window it has already seen.
+///
+/// Target-sorted neighbours share their path prefix, so most windows
+/// repeat the successor their first hop had last time: those are
+/// dropped on sight, and the rest are packed into `u64`s and
+/// deduplicated a scratch-full at a time, so the link set sees each
+/// pair about once instead of once per window.
+pub(crate) fn collect_links(
+    traces: &TraceSet,
+    links: &mut BTreeSet<(u32, u32)>,
+    mut endpoints: impl FnMut(u32, u32) -> (u32, u32),
+) {
+    let mut flush = |pairs: &mut Vec<u64>| {
+        pairs.sort_unstable();
+        pairs.dedup();
+        links.extend(pairs.drain(..).map(|p| ((p >> 32) as u32, p as u32)));
+    };
+    let mut last_next = vec![UNASSIGNED; traces.interner().len()];
+    let mut pairs: Vec<u64> = Vec::with_capacity(PAIR_SCRATCH);
+    for trace in traces.iter() {
+        for w in trace.hop_cells().windows(2) {
+            let (t1, a1) = w[0];
+            let (t2, a2) = w[1];
+            if t2 - t1 > 2 || a1 == a2 || std::mem::replace(&mut last_next[a1 as usize], a2) == a2 {
+                continue;
+            }
+            let (x, y) = endpoints(a1, a2);
+            if x != y {
+                pairs.push((x.min(y) as u64) << 32 | x.max(y) as u64);
+                if pairs.len() == PAIR_SCRATCH {
+                    flush(&mut pairs);
+                }
+            }
+        }
+    }
+    flush(&mut pairs);
+}
+
 impl RouterGraph {
     /// Builds the graph from traces, merging interfaces per `aliases`.
     /// Interfaces outside any alias group become single-interface nodes.
@@ -45,56 +93,7 @@ impl RouterGraph {
     /// [`observed_node_count`](Self::observed_node_count) for router
     /// counts that must not be inflated by probe-only evidence.
     pub fn build(traces: &TraceSet, aliases: &[Vec<Ipv6Addr>]) -> RouterGraph {
-        let interner = traces.interner();
-        let mut nodes: Vec<Vec<Ipv6Addr>> = Vec::with_capacity(aliases.len());
-        // node_of[iface_id] — dense, no address re-hashing on the walk.
-        let mut node_of: Vec<u32> = vec![UNASSIGNED; interner.len()];
-        for group in aliases {
-            let id = nodes.len() as u32;
-            nodes.push(group.clone());
-            for &a in group {
-                // Alias-group members never seen in any trace keep their
-                // node but need no id mapping (no hop will touch them).
-                if let Some(iid) = interner.lookup(a) {
-                    node_of[iid as usize] = id;
-                }
-            }
-        }
-        // Observation tally: an alias node some qualifying hop window
-        // touches is a path-observed router; the rest are probe-only.
-        let mut touched = vec![false; aliases.len()];
-
-        let mut links = BTreeSet::new();
-        for trace in traces.iter() {
-            // Consecutive responding hops are adjacent routers. A gap of
-            // exactly one silent TTL is bridged (the standard inference);
-            // wider gaps are not.
-            for w in trace.hop_cells().windows(2) {
-                let (t1, a1) = w[0];
-                let (t2, a2) = w[1];
-                if t2 - t1 <= 2 && a1 != a2 {
-                    for iid in [a1, a2] {
-                        let n = node_of[iid as usize];
-                        if n == UNASSIGNED {
-                            node_of[iid as usize] = nodes.len() as u32;
-                            nodes.push(vec![interner.resolve(iid)]);
-                        } else if let Some(t) = touched.get_mut(n as usize) {
-                            *t = true;
-                        }
-                    }
-                    let (n1, n2) = (node_of[a1 as usize], node_of[a2 as usize]);
-                    if n1 != n2 {
-                        links.insert((n1.min(n2), n1.max(n2)));
-                    }
-                }
-            }
-        }
-        let unobserved_alias_nodes = touched.iter().filter(|&&t| !t).count() as u32;
-        RouterGraph {
-            nodes,
-            links,
-            unobserved_alias_nodes,
-        }
+        Self::build_multi(&[traces], aliases)
     }
 
     /// [`build`](Self::build) over *several* trace sets walked in
@@ -107,48 +106,43 @@ impl RouterGraph {
     /// links — exactly the incremental ingest semantics, which differ
     /// from building over a first-wins [`TraceSet::merge`].
     pub fn build_multi(sets: &[&TraceSet], aliases: &[Vec<Ipv6Addr>]) -> RouterGraph {
-        let mut node_of: HashMap<Ipv6Addr, u32> = HashMap::new();
+        // One pooled id per address across groups and sets; node
+        // membership is `node_of[pooled id]`, so the walk never hashes.
+        let mut pool = AddrInterner::new();
+        let mut node_of: Vec<u32> = Vec::new();
         let mut nodes: Vec<Vec<Ipv6Addr>> = Vec::with_capacity(aliases.len());
         for group in aliases {
             let id = nodes.len() as u32;
             nodes.push(group.clone());
             for &a in group {
-                node_of.insert(a, id);
+                let p = pool.intern(a) as usize;
+                node_of.resize(pool.len(), UNASSIGNED);
+                node_of[p] = id;
             }
         }
+        // Observation tally: an alias node some qualifying hop window
+        // touches is a path-observed router; the rest are probe-only.
         let mut touched = vec![false; aliases.len()];
         let mut links = BTreeSet::new();
         for traces in sets {
-            let interner = traces.interner();
-            for trace in traces.iter() {
-                for w in trace.hop_cells().windows(2) {
-                    let (t1, a1) = w[0];
-                    let (t2, a2) = w[1];
-                    if t2 - t1 <= 2 && a1 != a2 {
-                        for iid in [a1, a2] {
-                            let addr = interner.resolve(iid);
-                            match node_of.entry(addr) {
-                                std::collections::hash_map::Entry::Vacant(e) => {
-                                    e.insert(nodes.len() as u32);
-                                    nodes.push(vec![addr]);
-                                }
-                                std::collections::hash_map::Entry::Occupied(e) => {
-                                    if let Some(t) = touched.get_mut(*e.get() as usize) {
-                                        *t = true;
-                                    }
-                                }
-                            }
-                        }
-                        let (n1, n2) = (
-                            node_of[&interner.resolve(a1)],
-                            node_of[&interner.resolve(a2)],
-                        );
-                        if n1 != n2 {
-                            links.insert((n1.min(n2), n1.max(n2)));
-                        }
-                    }
+            let pooled: Vec<u32> = traces
+                .interner()
+                .words()
+                .iter()
+                .map(|&w| pool.intern(Ipv6Addr::from(w)))
+                .collect();
+            node_of.resize(pool.len(), UNASSIGNED);
+            let mut node = |iid: u32| {
+                let p = pooled[iid as usize] as usize;
+                if node_of[p] == UNASSIGNED {
+                    node_of[p] = nodes.len() as u32;
+                    nodes.push(vec![pool.resolve(p as u32)]);
+                } else if let Some(t) = touched.get_mut(node_of[p] as usize) {
+                    *t = true;
                 }
-            }
+                node_of[p]
+            };
+            collect_links(traces, &mut links, |a1, a2| (node(a1), node(a2)));
         }
         let unobserved_alias_nodes = touched.iter().filter(|&&t| !t).count() as u32;
         RouterGraph {

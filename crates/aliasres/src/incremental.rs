@@ -18,7 +18,7 @@
 //! &builder.alias_groups()).canonical()` for any ingest order — the
 //! equivalence the `graph_props` suite proves.
 
-use crate::graph::RouterGraph;
+use crate::graph::{collect_links, RouterGraph};
 use analysis::intern::AddrInterner;
 use analysis::TraceSet;
 use std::collections::{BTreeMap, BTreeSet};
@@ -113,18 +113,13 @@ impl RouterGraphBuilder {
             .iter()
             .map(|&w| self.id_of(Ipv6Addr::from(w)))
             .collect();
-        for trace in traces.iter() {
-            for w in trace.hop_cells().windows(2) {
-                let (t1, a1) = w[0];
-                let (t2, a2) = w[1];
-                if t2 - t1 <= 2 && a1 != a2 {
-                    let (x, y) = (map[a1 as usize], map[a2 as usize]);
-                    self.observed[x as usize] = true;
-                    self.observed[y as usize] = true;
-                    self.links.insert((x.min(y), x.max(y)));
-                }
-            }
-        }
+        let observed = &mut self.observed;
+        collect_links(traces, &mut self.links, |a1, a2| {
+            let (x, y) = (map[a1 as usize], map[a2 as usize]);
+            observed[x as usize] = true;
+            observed[y as usize] = true;
+            (x, y)
+        });
     }
 
     /// Unions the group's interfaces into one node. Members never seen
@@ -336,20 +331,25 @@ mod tests {
 
     #[test]
     fn incremental_matches_batch_single_set() {
-        let set = ts(vec![
+        let traces = vec![
             trace("2001:db8::1", &[(1, "::a"), (2, "::b"), (4, "::c")]),
             trace("2001:db8::2", &[(1, "::a"), (2, "::d")]),
-        ]);
+        ];
+        let set = ts(traces.clone());
         let aliases = vec![vec!["::b".parse().unwrap(), "::d".parse().unwrap()]];
         let mut b = RouterGraphBuilder::new();
         b.ingest(&set);
         b.merge_alias_group(&aliases[0]);
         let golden = RouterGraph::build_multi(&[&set], &b.alias_groups()).canonical();
         assert_eq!(b.snapshot(), golden);
+        let mut reference = analysis::reference::TraceSet::default();
+        for t in traces {
+            reference.traces.insert(t.target, t);
+        }
         assert_eq!(
-            RouterGraph::build(&set, &aliases).canonical(),
-            golden,
-            "single-set build_multi must agree with build"
+            RouterGraph::build(&set, &aliases),
+            RouterGraph::build_reference(&reference, &aliases),
+            "the id-indexed build must assign the map-based builder's node ids"
         );
     }
 

@@ -8,7 +8,10 @@
 //!   `builder.snapshot()` is bit-identical to the batch golden
 //!   `RouterGraph::build_multi(&sets, &builder.alias_groups())
 //!   .canonical()` — on random inputs, on real campaign output over
-//!   every probe protocol, across vantages, and on quarantined sets.
+//!   every probe protocol, across vantages, and on quarantined sets;
+//! * **the batch build itself** — `build_multi` walks cells by interner
+//!   id; it is node-id-exact (not merely canonical-equal) to the same
+//!   walk keyed by `Ipv6Addr` in a std map, written out below.
 
 use aliasres::{RouterGraph, RouterGraphBuilder};
 use analysis::reference::Trace;
@@ -18,6 +21,7 @@ use proptest::strategy::FnStrategy;
 use proptest::test_runner::TestRng;
 use simnet::config::TopologyConfig;
 use simnet::generate::generate;
+use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use targets::TargetSet;
@@ -80,6 +84,51 @@ fn groups_strategy() -> impl Strategy<Value = Vec<Vec<Ipv6Addr>>> {
     })
 }
 
+/// `build_multi` by address: alias groups take the first node ids (a
+/// member listed twice belongs to the later group), every other
+/// interface gets a node at its first qualifying hop window, sets and
+/// traces walked in order.
+fn naive_build_multi(sets: &[&TraceSet], aliases: &[Vec<Ipv6Addr>]) -> RouterGraph {
+    let mut nodes: Vec<Vec<Ipv6Addr>> = aliases.to_vec();
+    let mut node_of: HashMap<Ipv6Addr, u32> = HashMap::new();
+    for (id, group) in aliases.iter().enumerate() {
+        for &a in group {
+            node_of.insert(a, id as u32);
+        }
+    }
+    let mut touched: BTreeSet<u32> = BTreeSet::new();
+    let mut links = BTreeSet::new();
+    for set in sets {
+        for trace in set.iter() {
+            let hops: Vec<(u8, Ipv6Addr)> = trace.hops().collect();
+            for w in hops.windows(2) {
+                let ((t1, a1), (t2, a2)) = (w[0], w[1]);
+                if t2 - t1 > 2 || a1 == a2 {
+                    continue;
+                }
+                let [n1, n2] = [a1, a2].map(|a| {
+                    if let Some(&n) = node_of.get(&a) {
+                        touched.insert(n);
+                        return n;
+                    }
+                    nodes.push(vec![a]);
+                    node_of.insert(a, nodes.len() as u32 - 1);
+                    nodes.len() as u32 - 1
+                });
+                if n1 != n2 {
+                    links.insert((n1.min(n2), n1.max(n2)));
+                }
+            }
+        }
+    }
+    let unobserved = (0..aliases.len() as u32).filter(|n| !touched.contains(n));
+    RouterGraph {
+        unobserved_alias_nodes: unobserved.count() as u32,
+        nodes,
+        links,
+    }
+}
+
 /// The golden form: batch build over the same per-campaign sets and
 /// the builder's own resolved partition, canonicalized.
 fn golden(sets: &[TraceSet], b: &RouterGraphBuilder) -> RouterGraph {
@@ -131,6 +180,39 @@ proptest! {
             b.merge_alias_group(g);
         }
         prop_assert_eq!(b.snapshot(), golden(&sets, &b));
+    }
+
+    /// Node ids, member lists, links and the unobserved tally of the
+    /// id-indexed batch build equal the address-keyed walk's: over 1-4
+    /// sets sharing addresses, with groups that overlap each other and
+    /// name members no trace ever showed.
+    #[test]
+    fn build_multi_is_node_id_exact_to_the_address_keyed_walk(
+        sets in FnStrategy(|rng: &mut TestRng| {
+            let n = 1 + (rng.next_u64() % 4) as usize;
+            (0..n).map(|_| gen_trace_set(rng)).collect::<Vec<TraceSet>>()
+        }),
+        groups in FnStrategy(|rng: &mut TestRng| {
+            // Hops come from addresses 0..32: a quarter of the members
+            // drawn here are never observed.
+            let n = (rng.next_u64() % 5) as usize;
+            (0..n)
+                .map(|_| {
+                    let m = 1 + (rng.next_u64() % 4) as usize;
+                    (0..m).map(|_| addr((rng.next_u64() % 40) as u8)).collect()
+                })
+                .collect::<Vec<Vec<Ipv6Addr>>>()
+        }),
+    ) {
+        let refs: Vec<&TraceSet> = sets.iter().collect();
+        prop_assert_eq!(
+            RouterGraph::build_multi(&refs, &groups),
+            naive_build_multi(&refs, &groups)
+        );
+        prop_assert_eq!(
+            RouterGraph::build(&sets[0], &groups),
+            naive_build_multi(&refs[..1], &groups)
+        );
     }
 
     /// Ingesting the same sets in a different order changes nothing
@@ -191,6 +273,22 @@ proptest! {
         let restored = RouterGraphBuilder::from_parts(&b.to_parts()).expect("own parts");
         prop_assert_eq!(restored.observed_node_count(), b.observed_node_count());
     }
+}
+
+#[test]
+fn a_member_of_two_groups_belongs_to_the_later_one() {
+    let set = TraceSet::from_traces(vec![trace_from(9, &[(1, 1), (2, 2), (3, 3)])]);
+    let groups = vec![vec![addr(2), addr(50)], vec![addr(2), addr(3)]];
+    let g = RouterGraph::build_multi(&[&set], &groups);
+    assert_eq!(g, naive_build_multi(&[&set], &groups));
+    // Both groups keep their member lists; the shared interface and its
+    // links go to node 1, so node 0 is never observed and 2-3 is no link.
+    assert_eq!(
+        g.nodes,
+        vec![groups[0].clone(), groups[1].clone(), vec![addr(1)]]
+    );
+    assert_eq!(g.links, BTreeSet::from([(1, 2)]));
+    assert_eq!(g.unobserved_alias_nodes, 1);
 }
 
 /// One streamed campaign's finished trace set.

@@ -23,8 +23,10 @@ use std::net::Ipv6Addr;
 
 const EMPTY: u32 = u32::MAX;
 
+/// One splitmix64 round: the mixer behind every address-word hash in
+/// this crate (`yarrp6::addrset` uses the same one).
 #[inline]
-fn splitmix(mut z: u64) -> u64 {
+pub(crate) fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -188,6 +190,46 @@ impl AddrInterner {
                 id: id as u32,
             };
         }
+    }
+}
+
+/// Re-interns ids of `src` into a fresh interner on first touch: the
+/// new ids follow the caller's cell walk, and an address is hashed once
+/// per responder, not once per cell.
+pub(crate) struct Reintern<'a> {
+    src: &'a AddrInterner,
+    /// `src` id → new id; `EMPTY` until first touched.
+    remap: Vec<u32>,
+    interner: AddrInterner,
+}
+
+impl<'a> Reintern<'a> {
+    pub(crate) fn new(src: &'a AddrInterner) -> Self {
+        Reintern {
+            src,
+            remap: vec![EMPTY; src.len()],
+            interner: AddrInterner::new(),
+        }
+    }
+
+    /// The new id of `src`'s `id`.
+    #[inline]
+    pub(crate) fn id(&mut self, id: u32) -> u32 {
+        let slot = &mut self.remap[id as usize];
+        if *slot == EMPTY {
+            *slot = self.interner.intern(self.src.resolve(id));
+        }
+        *slot
+    }
+
+    /// Has `src`'s `id` been given a new id?
+    pub(crate) fn touched(&self, id: usize) -> bool {
+        self.remap[id] != EMPTY
+    }
+
+    /// The interner built so far.
+    pub(crate) fn finish(self) -> AddrInterner {
+        self.interner
     }
 }
 

@@ -36,9 +36,8 @@
 //! A set with nothing to scrub is returned as a verbatim clone — the
 //! clean-input path is bit-identical, pinned by tests.
 
-use crate::intern::AddrInterner;
+use crate::intern::{AddrInterner, Reintern};
 use crate::traces::{TraceMeta, TraceSet};
-use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 
 /// Thresholds for the quarantine rules. The defaults are conservative
@@ -113,6 +112,30 @@ pub fn quarantine(set: &TraceSet, cfg: &QuarantineConfig) -> (TraceSet, Quaranti
     (cleaned.pop().expect("one input, one output"), report)
 }
 
+/// Rule evidence for one responder, indexed by interner id: per set
+/// while its cells are walked, then pooled by address across sets.
+#[derive(Clone, Copy)]
+struct Evidence {
+    /// Shallowest and deepest hop-cell TTL; `lo > hi` until a hop cell
+    /// is seen (unreachable cells are no span evidence).
+    lo: u8,
+    hi: u8,
+    /// Met the loop rule in some trace.
+    looped: bool,
+    /// The trace (index + 1) `repeats` counts cells of: a new stamp
+    /// restarts the count, so nothing is cleared between traces.
+    stamp: u32,
+    repeats: u32,
+}
+
+const UNSEEN: Evidence = Evidence {
+    lo: u8::MAX,
+    hi: 0,
+    looped: false,
+    stamp: 0,
+    repeats: 0,
+};
+
 /// Quarantines many sets jointly: the loop and span rules pool their
 /// evidence across every set (a router lying toward one vantage is
 /// condemned toward all), then each set is scrubbed independently.
@@ -123,50 +146,60 @@ pub fn quarantine_all(
     sets: &[&TraceSet],
     cfg: &QuarantineConfig,
 ) -> (Vec<TraceSet>, QuarantineReport) {
-    // Pass 1: per-responder evidence, keyed by address word so ids
-    // from different interners pool correctly.
-    let mut span: std::collections::HashMap<u128, (u8, u8)> = std::collections::HashMap::new();
-    let mut looping: BTreeSet<u128> = BTreeSet::new();
-    // Per-trace responder repeat counts; reused across traces with an
-    // epoch so the map is allocated once per set.
+    // Pass 1: evidence per cell by the set's own interner id, pooled by
+    // address once per responder so ids from different interners meet.
+    let mut pool = AddrInterner::new();
+    let mut pooled: Vec<Evidence> = Vec::new();
     for set in sets {
-        let mut seen_in_trace: std::collections::HashMap<u32, u32> =
-            std::collections::HashMap::new();
-        for t in set.iter() {
-            seen_in_trace.clear();
+        let mut seen = vec![UNSEEN; set.interner().len()];
+        for (i, t) in set.iter().enumerate() {
+            let stamp = i as u32 + 1;
             for &(ttl, id) in t.hop_cells() {
-                let w = set.interner().resolve_word(id);
-                let e = span.entry(w).or_insert((ttl, ttl));
-                e.0 = e.0.min(ttl);
-                e.1 = e.1.max(ttl);
-                let c = seen_in_trace.entry(id).or_insert(0);
-                *c += 1;
-                if *c >= cfg.min_loop_repeats {
-                    looping.insert(w);
+                let e = &mut seen[id as usize];
+                e.lo = e.lo.min(ttl);
+                e.hi = e.hi.max(ttl);
+                if e.stamp != stamp {
+                    e.stamp = stamp;
+                    e.repeats = 0;
                 }
+                e.repeats += 1;
+                e.looped |= e.repeats >= cfg.min_loop_repeats;
             }
         }
-    }
-    let mut wide: BTreeSet<u128> = BTreeSet::new();
-    for (&w, &(lo, hi)) in &span {
-        if hi - lo > cfg.max_ttl_span && !looping.contains(&w) {
-            wide.insert(w);
+        for (&w, e) in set.interner().words().iter().zip(&seen) {
+            if e.lo > e.hi {
+                continue;
+            }
+            let p = pool.intern(Ipv6Addr::from(w)) as usize;
+            if p == pooled.len() {
+                pooled.push(UNSEEN);
+            }
+            let all = &mut pooled[p];
+            all.lo = all.lo.min(e.lo);
+            all.hi = all.hi.max(e.hi);
+            all.looped |= e.looped;
         }
     }
-    let condemned: BTreeSet<u128> = looping.union(&wide).copied().collect();
-
-    let mut report = QuarantineReport {
-        looping_responders: looping.len() as u64,
-        wide_span_responders: wide.len() as u64,
-        condemned: condemned.iter().map(|&w| Ipv6Addr::from(w)).collect(),
-        ..QuarantineReport::default()
-    };
+    let mut report = QuarantineReport::default();
+    let mut condemned: Vec<Ipv6Addr> = Vec::new();
+    for (&w, e) in pool.words().iter().zip(&pooled) {
+        if e.looped {
+            report.looping_responders += 1;
+        } else if e.hi - e.lo > cfg.max_ttl_span {
+            report.wide_span_responders += 1;
+        } else {
+            continue;
+        }
+        condemned.push(Ipv6Addr::from(w));
+    }
+    condemned.sort_unstable();
 
     // Pass 2: scrub each set.
     let cleaned = sets
         .iter()
         .map(|set| scrub(set, cfg, &condemned, &mut report))
         .collect();
+    report.condemned = condemned;
     (cleaned, report)
 }
 
@@ -179,53 +212,42 @@ pub fn quarantine_all(
 fn scrub(
     set: &TraceSet,
     cfg: &QuarantineConfig,
-    condemned: &BTreeSet<u128>,
+    condemned: &[Ipv6Addr],
     report: &mut QuarantineReport,
 ) -> TraceSet {
+    // The verdict by this set's interner id: one lookup per condemned
+    // address, none per cell.
+    let mut bad = vec![false; set.interner().len()];
+    for &a in condemned {
+        if let Some(id) = set.interner().lookup(a) {
+            bad[id as usize] = true;
+        }
+    }
     let keep_hop = |ttl: u8, id: u32, reached_at: Option<u8>| -> Option<bool> {
         // Some(true)=keep, Some(false)=implausible drop, None=condemned.
-        let w = set.interner().resolve_word(id);
-        if condemned.contains(&w) {
+        if bad[id as usize] {
             return None;
         }
         let beyond = matches!(reached_at, Some(r) if ttl > r);
         Some(ttl <= cfg.max_plausible_ttl && !beyond)
     };
-    let keep_unreach = |ttl: u8, id: u32| -> bool {
-        let w = set.interner().resolve_word(id);
-        !condemned.contains(&w) && ttl <= cfg.max_plausible_ttl
-    };
+    let keep_unreach =
+        |ttl: u8, id: u32| -> bool { !bad[id as usize] && ttl <= cfg.max_plausible_ttl };
 
     // Dry pass: is there anything to drop at all?
-    let mut dirty = false;
-    'scan: for t in set.iter() {
+    let clean = set.iter().all(|t| {
         let r = t.reached_at();
-        for &(ttl, id) in t.hop_cells() {
-            if keep_hop(ttl, id, r) != Some(true) {
-                dirty = true;
-                break 'scan;
-            }
-        }
-        for &(ttl, id) in t.unreachable_cells() {
-            if !keep_unreach(ttl, id) {
-                dirty = true;
-                break 'scan;
-            }
-        }
-    }
-    if !dirty {
+        let mut hops = t.hop_cells().iter();
+        hops.all(|&(ttl, id)| keep_hop(ttl, id, r) == Some(true))
+            && t.unreachable_cells()
+                .iter()
+                .all(|&(ttl, id)| keep_unreach(ttl, id))
+    });
+    if clean {
         return set.clone();
     }
 
-    let mut interner = AddrInterner::with_capacity(set.interner().len());
-    let mut remap: Vec<u32> = vec![u32::MAX; set.interner().len()];
-    let intern = |id: u32, interner: &mut AddrInterner, remap: &mut Vec<u32>| -> u32 {
-        let slot = &mut remap[id as usize];
-        if *slot == u32::MAX {
-            *slot = interner.intern(set.interner().resolve(id));
-        }
-        *slot
-    };
+    let mut ids = Reintern::new(set.interner());
 
     let mut out = TraceSet {
         vantage: set.vantage.clone(),
@@ -246,8 +268,7 @@ fn scrub(
         for &(ttl, id) in t.hop_cells() {
             match keep_hop(ttl, id, r) {
                 Some(true) => {
-                    let nid = intern(id, &mut interner, &mut remap);
-                    out.hops.push((ttl, nid));
+                    out.hops.push((ttl, ids.id(id)));
                 }
                 Some(false) => {
                     report.implausible_hops_dropped += 1;
@@ -262,8 +283,7 @@ fn scrub(
         let unreach_off = out.unreach.len() as u32;
         for &(ttl, id) in t.unreachable_cells() {
             if keep_unreach(ttl, id) {
-                let nid = intern(id, &mut interner, &mut remap);
-                out.unreach.push((ttl, nid));
+                out.unreach.push((ttl, ids.id(id)));
             } else {
                 report.unreach_dropped += 1;
                 touched = true;
@@ -280,7 +300,7 @@ fn scrub(
             reached_at: r,
         });
     }
-    out.interner = interner;
+    out.interner = ids.finish();
     out
 }
 

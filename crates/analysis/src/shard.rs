@@ -29,21 +29,11 @@
 //!
 //! [`to_trace_set`]: ShardedTraceSet::to_trace_set
 
-use crate::intern::AddrInterner;
+use crate::intern::{splitmix, AddrInterner, Reintern};
 use crate::traces::{TraceMeta, TraceSet, TraceView};
 use std::net::Ipv6Addr;
 use yarrp6::addrset::AddrSet;
 use yarrp6::campaign::pool_map;
-
-/// One splitmix64 round — the same mixer `yarrp6::addrset` and
-/// `analysis::intern` use for address words.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The fixed prefix→shard routing function.
 ///
@@ -79,7 +69,7 @@ impl ShardRoute {
         if self.shards == 1 {
             return 0;
         }
-        (mix64((u128::from(addr) >> 64) as u64) % self.shards as u64) as usize
+        (splitmix((u128::from(addr) >> 64) as u64) % self.shards as u64) as usize
     }
 }
 
@@ -122,7 +112,7 @@ impl ShardedTraceSet {
         for (i, &t) in ts.targets.iter().enumerate() {
             buckets[route.shard_of(t)].push(i);
         }
-        let mut shards: Vec<TraceSet> = fan_out(n, |s| {
+        let (mut shards, touched): (Vec<TraceSet>, Vec<Vec<bool>>) = fan_out(n, |s| {
             let mut out = TraceSet {
                 vantage: ts.vantage.clone(),
                 target_set: ts.target_set.clone(),
@@ -135,19 +125,18 @@ impl ShardedTraceSet {
                 sources: ts.sources.clone(),
                 prov: Vec::new(),
             };
+            let mut ids = Reintern::new(&ts.interner);
             for &i in &buckets[s] {
                 let m = &ts.metas[i];
                 let hop_off = out.hops.len() as u32;
                 for &(ttl, id) in &ts.hops[m.hop_off as usize..(m.hop_off + m.hop_len) as usize] {
-                    let nid = out.interner.intern(ts.interner.resolve(id));
-                    out.hops.push((ttl, nid));
+                    out.hops.push((ttl, ids.id(id)));
                 }
                 let unreach_off = out.unreach.len() as u32;
                 for &(ttl, id) in
                     &ts.unreach[m.unreach_off as usize..(m.unreach_off + m.unreach_len) as usize]
                 {
-                    let nid = out.interner.intern(ts.interner.resolve(id));
-                    out.unreach.push((ttl, nid));
+                    out.unreach.push((ttl, ids.id(id)));
                 }
                 out.targets.push(ts.targets[i]);
                 out.metas.push(TraceMeta {
@@ -161,24 +150,20 @@ impl ShardedTraceSet {
                     out.prov.push(ts.prov[i]);
                 }
             }
-            out
-        });
+            let touched = (0..ts.interner.len()).map(|id| ids.touched(id)).collect();
+            out.interner = ids.finish();
+            (out, touched)
+        })
+        .into_iter()
+        .unzip();
         // Interner words referenced by no surviving row — dedup losers
         // kept deliberately by `merge`/`canonical` because they are
         // real observed responders (`discovery_delta` counts them) —
         // have no target to route by; they live in shard 0, beside
         // `rewritten_dropped`, sorted ascending for determinism.
-        let mut referenced = vec![false; ts.interner.len()];
-        for &(_, id) in ts.hops.iter().chain(&ts.unreach) {
-            referenced[id as usize] = true;
-        }
-        let mut orphans: Vec<u128> = ts
-            .interner
-            .words()
-            .iter()
-            .zip(&referenced)
-            .filter(|&(_, &r)| !r)
-            .map(|(&w, _)| w)
+        let mut orphans: Vec<u128> = (0..ts.interner.len())
+            .filter(|&id| !touched.iter().any(|t| t[id]))
+            .map(|id| ts.interner.words()[id])
             .collect();
         orphans.sort_unstable();
         for w in orphans {

@@ -63,6 +63,16 @@ impl SnapWriter {
         Self::default()
     }
 
+    /// Makes room for `n` more bytes in one allocation.
+    pub fn reserve(&mut self, n: usize) {
+        self.buf.reserve(n);
+    }
+
+    /// Appends bytes already encoded elsewhere.
+    pub fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// The bytes written so far.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -179,9 +189,30 @@ impl<'a> SnapReader<'a> {
     }
 }
 
+/// The exact number of bytes [`write_trace_set`] appends for `ts`: the
+/// layout is fixed-width but for the strings and `reached_at`.
+pub fn trace_set_encoded_len(ts: &TraceSet) -> usize {
+    let str_len = |s: &str| 4 + s.len();
+    let reached = ts.metas.iter().filter(|m| m.reached_at.is_some()).count();
+    str_len(&ts.vantage)
+        + str_len(&ts.target_set)
+        + 8
+        + (4 + 16 * ts.interner.len())
+        + (4 + 16 * ts.targets.len())
+        + (17 * ts.metas.len() + reached)
+        + (4 + 5 * ts.hops.len())
+        + (4 + 5 * ts.unreach.len())
+        + (4 + ts.sources.iter().map(|s| str_len(s)).sum::<usize>())
+        + (4 + 4 * ts.prov.len())
+}
+
 /// Serializes a [`TraceSet`] — columns verbatim, interner as its word
 /// list in id order. Inverse of [`read_trace_set`].
 pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
+    // One reservation, not a doubling buffer copied on the way up.
+    let len = trace_set_encoded_len(ts);
+    w.reserve(len);
+    let end = w.buf.len() + len;
     w.str(&ts.vantage);
     w.str(&ts.target_set);
     w.u64(ts.rewritten_dropped);
@@ -225,6 +256,7 @@ pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
     for &p in &ts.prov {
         w.u32(p);
     }
+    debug_assert_eq!(w.buf.len(), end, "trace_set_encoded_len is exact");
 }
 
 /// Deserializes a [`TraceSet`] written by [`write_trace_set`]. The

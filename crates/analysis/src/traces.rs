@@ -22,7 +22,7 @@
 //! The original map-based implementation survives as
 //! [`crate::reference`], pinned bit-identical by golden tests.
 
-use crate::intern::AddrInterner;
+use crate::intern::{AddrInterner, Reintern};
 use crate::reference;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -764,39 +764,26 @@ impl TraceSet {
     /// `PartialEq`. The trace columns, targets, and counters are
     /// untouched apart from the id rewrite.
     pub fn canonical(&self) -> TraceSet {
-        const UNMAPPED: u32 = u32::MAX;
-        let mut interner = AddrInterner::with_capacity(self.interner.len());
-        let mut remap = vec![UNMAPPED; self.interner.len()];
+        let mut ids = Reintern::new(&self.interner);
         let mut hops = Vec::with_capacity(self.hops.len());
         let mut unreach = Vec::with_capacity(self.unreach.len());
         for m in &self.metas {
             for &(ttl, id) in &self.hops[m.hop_off as usize..(m.hop_off + m.hop_len) as usize] {
-                let slot = &mut remap[id as usize];
-                if *slot == UNMAPPED {
-                    *slot = interner.intern(self.interner.resolve(id));
-                }
-                hops.push((ttl, *slot));
+                hops.push((ttl, ids.id(id)));
             }
             for &(ttl, id) in
                 &self.unreach[m.unreach_off as usize..(m.unreach_off + m.unreach_len) as usize]
             {
-                let slot = &mut remap[id as usize];
-                if *slot == UNMAPPED {
-                    *slot = interner.intern(self.interner.resolve(id));
-                }
-                unreach.push((ttl, *slot));
+                unreach.push((ttl, ids.id(id)));
             }
         }
         // Unreferenced remainder in a history-free order.
-        let mut rest: Vec<u128> = self
-            .interner
-            .words()
-            .iter()
-            .zip(&remap)
-            .filter(|&(_, &r)| r == UNMAPPED)
-            .map(|(&w, _)| w)
+        let mut rest: Vec<u128> = (0..self.interner.len())
+            .filter(|&id| !ids.touched(id))
+            .map(|id| self.interner.words()[id])
             .collect();
         rest.sort_unstable();
+        let mut interner = ids.finish();
         for w in rest {
             interner.intern(Ipv6Addr::from(w));
         }

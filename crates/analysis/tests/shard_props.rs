@@ -48,6 +48,10 @@ fn set_of(draws: &[(u64, u64)], allow_tamper: bool) -> TraceSet {
         .iter()
         .map(|&(w, recv)| synth_record(w, recv, allow_tamper))
         .collect();
+    set_of_records(records)
+}
+
+fn set_of_records(records: Vec<ResponseRecord>) -> TraceSet {
     let mut log = ProbeLog {
         vantage: "V".into(),
         target_set: "S".into(),
@@ -123,6 +127,54 @@ proptest! {
                 *merged.shard(s) == fold,
                 "merge of shard {s} is not bit-identical to flat merge_all (k={k})"
             );
+        }
+    }
+
+    /// Shard interner ids are assigned at first touch of the shard's
+    /// own walk (traces in target order, hop cells then unreachable
+    /// cells), and words no surviving row references — a merge's dedup
+    /// losers, which have no target to route by — trail shard 0 in
+    /// ascending order.
+    #[test]
+    fn shard_ids_follow_the_walk_and_orphans_trail_shard_zero(
+        a in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
+        b in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
+        k in 1usize..6,
+    ) {
+        // The losing side answers from responders of its own, so a lost
+        // trace usually leaves a word behind.
+        let losers = b
+            .iter()
+            .map(|&(w, recv)| {
+                let mut r = synth_record(w, recv, true);
+                r.responder = Ipv6Addr::from(u128::from(r.responder) | 1 << 32);
+                r
+            })
+            .collect();
+        let flat = TraceSet::merge_all(&[set_of(&a, true), set_of_records(losers)]);
+        let referenced: std::collections::BTreeSet<u128> = flat
+            .iter()
+            .flat_map(|t| t.hops().chain(t.unreachable()).map(|(_, r)| u128::from(r)).collect::<Vec<_>>())
+            .collect();
+        let mut orphans: Vec<u128> = flat
+            .interner()
+            .words()
+            .iter()
+            .copied()
+            .filter(|w| !referenced.contains(w))
+            .collect();
+        orphans.sort_unstable();
+        let sharded = ShardedTraceSet::from_set(&flat, k);
+        for (s, shard) in sharded.shards().iter().enumerate() {
+            let mut next = 0u32;
+            for t in shard.iter() {
+                for &(_, id) in t.hop_cells().iter().chain(t.unreachable_cells()) {
+                    prop_assert!(id <= next, "shard {s}: id {id} before {next} was handed out");
+                    next += u32::from(id == next);
+                }
+            }
+            let tail = &shard.interner().words()[next as usize..];
+            prop_assert_eq!(tail, if s == 0 { &orphans[..] } else { &[][..] }, "shard {}", s);
         }
     }
 

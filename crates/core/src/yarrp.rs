@@ -317,7 +317,7 @@ pub fn run_with_sink<S: RecordSink>(
             if let Some(nb) = cfg.neighborhood {
                 if ttl <= nb.max_ttl
                     && now_us > nb.window_us
-                    && now_us - last_new[ttl as usize] > nb.window_us
+                    && now_us.saturating_sub(last_new[ttl as usize]) > nb.window_us
                 {
                     now_us += interval_us;
                     continue;
@@ -383,7 +383,7 @@ pub fn run_reference(
         if let Some(nb) = cfg.neighborhood {
             if ttl <= nb.max_ttl
                 && now_us > nb.window_us
-                && now_us - last_new[ttl as usize] > nb.window_us
+                && now_us.saturating_sub(last_new[ttl as usize]) > nb.window_us
             {
                 now_us += interval_us;
                 continue;

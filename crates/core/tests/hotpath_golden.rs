@@ -230,3 +230,51 @@ fn pipelines_match_under_an_adversarial_schedule() {
         "fixture must fire all five classes: {by_class:?}"
     );
 }
+
+#[test]
+fn neighborhood_window_shorter_than_a_round_trip_does_not_underflow() {
+    // `last_new` holds a *receive* time, which for one round trip lies
+    // ahead of the send clock: the idle time is then zero, not negative.
+    // With one TTL per target every probe asks the same first hop, which
+    // is new exactly once, so the main sequence is sent for as long as
+    // the first answer's receive time plus the window lasts.
+    let topo = Arc::new(generate(TopologyConfig::tiny(42)));
+    let hosts: Vec<Ipv6Addr> = topo.hosts().map(|(a, _)| a).take(200).collect();
+    let (window_us, interval_us) = (500, 100);
+    let cfg = YarrpConfig {
+        max_ttl: 1,
+        fill_mode: false,
+        rate_pps: 1_000_000 / interval_us,
+        neighborhood: Some(yarrp::Neighborhood {
+            max_ttl: 1,
+            window_us,
+        }),
+        ..Default::default()
+    };
+    let log = yarrp::run(&mut Engine::new(topo.clone()), 1, &hosts, &cfg);
+    // The only new interface: the answer to the earliest-sent probe.
+    let first = log
+        .records
+        .iter()
+        .min_by_key(|r| r.recv_us - r.rtt_us.expect("a Time Exceeded quotes its probe"))
+        .expect("the first hop answers");
+    assert!(
+        log.records.iter().all(|r| r.responder == first.responder),
+        "fixture: one first hop"
+    );
+    assert!(
+        first.recv_us > window_us + interval_us,
+        "fixture: the window must be shorter than a round trip"
+    );
+    // Probe k goes out at k * interval: sent while that is within the
+    // window of the only new interface, skipped from then on.
+    assert_eq!(
+        log.probes_sent,
+        (first.recv_us + window_us) / interval_us + 1
+    );
+    assert!(
+        log.probes_sent < hosts.len() as u64,
+        "fixture: the rest is skipped"
+    );
+    assert_pipelines_match(&topo, 1, &hosts, &cfg);
+}

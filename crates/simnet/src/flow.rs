@@ -28,6 +28,33 @@ pub fn mix128(x: u128) -> u64 {
     mix2(x as u64, (x >> 64) as u64)
 }
 
+/// Hasher for the topology's integer-keyed, get-only tables: splitmix
+/// instead of SipHash. Their keys are generated by this program, never
+/// read from input, so there is no crafted collision to resist.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct MixHasher(u64);
+
+impl std::hash::Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix64(self.0 ^ b as u64);
+        }
+    }
+    fn write_u32(&mut self, x: u32) {
+        self.0 = mix64(self.0 ^ x as u64);
+    }
+    fn write_u128(&mut self, x: u128) {
+        self.0 ^= mix128(x);
+    }
+}
+
+/// A `HashMap` hashed by [`MixHasher`].
+pub(crate) type MixMap<K, V> =
+    std::collections::HashMap<K, V, std::hash::BuildHasherDefault<MixHasher>>;
+
 /// The 5-tuple a per-flow load balancer hashes. For Yarrp6 probes every
 /// field is constant per target (paper §4.1), so ECMP path choice is
 /// stable per target.

@@ -12,6 +12,7 @@
 //! configs yields identical topologies (asserted by tests).
 
 use crate::config::TopologyConfig;
+use crate::flow::MixMap;
 use crate::topology::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -766,7 +767,7 @@ impl Gen {
         }
 
         // Interface address → router.
-        let mut iface_index = std::collections::HashMap::new();
+        let mut iface_index = MixMap::default();
         for (i, r) in self.routers.iter().enumerate() {
             for a in r.all_addrs() {
                 iface_index.insert(u128::from(a), RouterId(i as u32));
@@ -774,7 +775,7 @@ impl Gen {
         }
 
         // ASN (primary and sibling) → AS index.
-        let mut asn_index = std::collections::HashMap::new();
+        let mut asn_index = MixMap::default();
         for (i, a) in self.ases.iter().enumerate() {
             asn_index.insert(a.asn.0, i as AsIdx);
             if let Some(sib) = a.sibling_asn {

@@ -7,6 +7,7 @@
 //! through packets.
 
 use crate::config::TopologyConfig;
+use crate::flow::MixMap;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -248,9 +249,9 @@ pub struct Topology {
     /// Declared sibling-ASN pairs: the §6 equivalence augmentation.
     pub asn_equivalences: Vec<(Asn, Asn)>,
     /// ASN (including siblings) → owning AS index.
-    pub(crate) asn_index: std::collections::HashMap<u32, AsIdx>,
+    pub(crate) asn_index: MixMap<u32, AsIdx>,
     /// Interface address → owning router (for direct-probing lookups).
-    pub(crate) iface_index: std::collections::HashMap<u128, RouterId>,
+    pub(crate) iface_index: MixMap<u128, RouterId>,
 }
 
 impl Topology {

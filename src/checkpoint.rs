@@ -24,7 +24,7 @@
 
 use crate::adaptive::{AdaptiveConfig, AliasState, LoopState, RoundReport, VantageRound};
 use aliasres::{RouterGraphBuilder, RouterGraphParts};
-use analysis::snapshot::{decode_segment, encode_segment, fnv1a};
+use analysis::snapshot::{decode_segment, encode_segment, fnv1a, trace_set_encoded_len};
 use analysis::{
     read_trace_set, write_trace_set, SnapReader, SnapWriter, SnapshotError, StoreError, TraceSet,
 };
@@ -129,7 +129,9 @@ impl Checkpoint {
             write_trace_set(w, ts);
             Ok::<(), std::convert::Infallible>(())
         };
-        match self.encode(VERSION, inline) {
+        let traces = self.state.traces.iter();
+        let room = traces.map(|ts| trace_set_encoded_len(ts)).sum();
+        match self.encode(VERSION, room, inline) {
             Ok(bytes) => bytes,
             Err(never) => match never {},
         }
@@ -152,7 +154,7 @@ impl Checkpoint {
     /// sink transfers only the delta).
     pub fn save_dir(&self, dir: &Path) -> Result<(), StoreError> {
         std::fs::create_dir_all(dir)?;
-        let bin = self.encode(DIR_VERSION, |w, i, ts| {
+        let bin = self.encode(DIR_VERSION, 16 * self.state.traces.len(), |w, i, ts| {
             let seg = encode_segment(ts);
             w.u64(seg.len() as u64);
             w.u64(fnv1a(&seg));
@@ -186,17 +188,33 @@ impl Checkpoint {
     /// fields in declaration order. The formats differ only in
     /// `version` and in what `put_trace` leaves in the stream for trace
     /// set `i` — the set itself, or the table entry of the segment file
-    /// it wrote.
+    /// it wrote. `room` is how many bytes `put_trace` writes over all
+    /// sets — nearly all of the flat form — so the stream is allocated
+    /// once at its exact length instead of doubling its way up: what
+    /// follows the trace sets is encoded first, into a buffer of its
+    /// own, and appended.
     fn encode<E>(
         &self,
         version: u32,
+        room: usize,
         mut put_trace: impl FnMut(&mut SnapWriter, usize, &TraceSet) -> Result<(), E>,
     ) -> Result<Vec<u8>, E> {
+        let st = &self.state;
+        let mut tail = SnapWriter::new();
+        write_stats(&mut tail, &st.stats);
+        tail.u64(st.consumed);
+        tail.u64(st.low_streak as u64);
+        write_addrs(&mut tail, &st.pool);
+        tail.u64(st.vclock_us);
+        tail.bool(st.alias.is_some());
+        if let Some(al) = &st.alias {
+            write_alias_state(&mut tail, al);
+        }
+
         let mut w = SnapWriter::new();
         w.u32(MAGIC);
         w.u32(version);
         w.u64(self.digest);
-        let st = &self.state;
         write_list(&mut w, &st.vweights, |w, &v| w.f64(v));
         write_list(&mut w, &st.alive, |w, &a| w.bool(a));
         write_addr_set(&mut w, &st.seen);
@@ -208,18 +226,11 @@ impl Checkpoint {
         write_list(&mut w, &st.rounds, write_round);
         write_list(&mut w, &st.round_targets, |w, rt| write_addrs(w, rt));
         w.u32(st.traces.len() as u32);
+        w.reserve(room + tail.bytes().len());
         for (i, ts) in st.traces.iter().enumerate() {
             put_trace(&mut w, i, ts)?;
         }
-        write_stats(&mut w, &st.stats);
-        w.u64(st.consumed);
-        w.u64(st.low_streak as u64);
-        write_addrs(&mut w, &st.pool);
-        w.u64(st.vclock_us);
-        w.bool(st.alias.is_some());
-        if let Some(al) = &st.alias {
-            write_alias_state(&mut w, al);
-        }
+        w.raw(tail.bytes());
         Ok(w.into_bytes())
     }
 
