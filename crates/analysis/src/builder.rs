@@ -32,7 +32,7 @@
 //! finished trace sets directly; [`crate::runner::CampaignRunner`] is
 //! the same call for one target set swept over many vantages.
 
-use crate::intern::AddrInterner;
+use crate::intern::{hashed_ahead, AddrInterner};
 use crate::traces::{assemble, ClassifiedRows, Row, TraceSet, NOT_REACHED};
 use simnet::Topology;
 use std::sync::Arc;
@@ -75,17 +75,31 @@ impl TraceSetBuilder {
         self
     }
 
+    /// Sizes the target tables for a campaign over `n` targets, so they
+    /// are allocated once instead of doubling their way up.
+    pub fn for_targets(mut self, n: usize) -> Self {
+        self.tgt_ids = AddrInterner::with_room_for(n);
+        self.reached = Vec::with_capacity(n);
+        self
+    }
+
     /// Ingests one record. Chunk ingestion
     /// ([`push_chunk`](Self::push_chunk)) is preferred on the hot
     /// path — it overlaps interner probes via prefetch.
     #[inline]
     pub fn push(&mut self, r: &ResponseRecord) {
+        self.push_hashed(r, AddrInterner::hash_of(r.target));
+    }
+
+    /// [`Self::push`] given the hash of `r.target`.
+    #[inline]
+    fn push_hashed(&mut self, r: &ResponseRecord, target_hash: u64) {
         self.records_seen += 1;
         if !r.target_cksum_ok {
             self.rewritten_dropped += 1;
             return;
         }
-        let tid = self.tgt_ids.intern(r.target);
+        let tid = self.tgt_ids.intern_hashed(r.target, target_hash);
         if tid as usize == self.reached.len() {
             self.reached.push(NOT_REACHED);
         }
@@ -124,12 +138,11 @@ impl TraceSetBuilder {
     /// Ingests a chunk, prefetching the target-interner slot a window
     /// ahead (the same overlap trick as the batch classify pass).
     pub fn push_chunk(&mut self, chunk: &[ResponseRecord]) {
-        const PREFETCH: usize = 8;
-        for (i, r) in chunk.iter().enumerate() {
-            if let Some(ahead) = chunk.get(i + PREFETCH) {
-                self.tgt_ids.prefetch(ahead.target);
+        for (r, hash, ahead) in hashed_ahead(chunk, |r| r.target) {
+            if let Some(ahead) = ahead {
+                self.tgt_ids.prefetch_hashed(ahead);
             }
-            self.push(r);
+            self.push_hashed(r, hash);
         }
     }
 
@@ -216,8 +229,11 @@ pub fn stream_campaigns_supervised(
         |_, spec| {
             let vantage = topo.vantages[spec.vantage_idx as usize].name.clone();
             let set_name = spec.set.name.clone();
+            let n_targets = spec.set.len();
             move |records: RecordStream| {
-                let mut builder = TraceSetBuilder::new().with_identity(vantage, set_name);
+                let mut builder = TraceSetBuilder::new()
+                    .with_identity(vantage, set_name)
+                    .for_targets(n_targets);
                 records.for_each_chunk(|c| builder.push_chunk(c));
                 builder.finish()
             }

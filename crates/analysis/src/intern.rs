@@ -73,7 +73,20 @@ impl AddrInterner {
 
     /// An empty interner pre-sized for about `n` distinct addresses.
     pub fn with_capacity(n: usize) -> Self {
-        let cap = (n * 2).next_power_of_two().max(64);
+        Self::with_slots(n, n * 2)
+    }
+
+    /// An empty interner that takes exactly `n` distinct addresses
+    /// without growing: the table doubling would have ended at,
+    /// allocated once. For the big tables — a campaign's targets —
+    /// whose count is known and whose size is the process's.
+    pub fn with_room_for(n: usize) -> Self {
+        // `intern` doubles at three quarters full.
+        Self::with_slots(n, n + n / 3 + 1)
+    }
+
+    fn with_slots(n: usize, slots: usize) -> Self {
+        let cap = slots.next_power_of_two().max(64);
         AddrInterner {
             words: Vec::with_capacity(n),
             slots: vec![FREE; cap],
@@ -91,11 +104,27 @@ impl AddrInterner {
         self.words.is_empty()
     }
 
+    /// The bucket hash of `addr`, the same in every interner: what
+    /// [`Self::intern_hashed`] and [`Self::prefetch_hashed`] take, for a
+    /// caller that needs it more than once.
+    #[inline]
+    pub fn hash_of(addr: Ipv6Addr) -> u64 {
+        hash_word(u128::from(addr))
+    }
+
     /// Interns `addr`, returning its stable dense id.
     #[inline]
     pub fn intern(&mut self, addr: Ipv6Addr) -> u32 {
+        self.intern_hashed(addr, Self::hash_of(addr))
+    }
+
+    /// [`Self::intern`] given `hash`, which must be
+    /// [`Self::hash_of`]`(addr)`.
+    #[inline]
+    pub fn intern_hashed(&mut self, addr: Ipv6Addr, hash: u64) -> u32 {
         let w = u128::from(addr);
-        let mut i = hash_word(w) as usize & self.mask;
+        debug_assert_eq!(hash, hash_word(w));
+        let mut i = hash as usize & self.mask;
         loop {
             let s = self.slots[i];
             if s.id == EMPTY {
@@ -117,15 +146,15 @@ impl AddrInterner {
         }
     }
 
-    /// Hints the CPU to pull `addr`'s home slot into cache. The classify
-    /// pass batches a window of prefetches ahead of its probes, so slot
-    /// misses overlap instead of serializing — the main reason the
-    /// columnar ingest outruns a per-record `HashMap` probe, whose
-    /// bucket address is unknowable outside the map.
+    /// Hints the CPU to pull the home slot of the address hashing to
+    /// `hash` into cache. The classify pass batches a window of
+    /// prefetches ahead of its probes (`hashed_ahead`), so slot misses
+    /// overlap instead of serializing — the main reason the columnar
+    /// ingest outruns a per-record `HashMap` probe, whose bucket address
+    /// is unknowable outside the map.
     #[inline]
-    pub fn prefetch(&self, addr: Ipv6Addr) {
-        let i = hash_word(u128::from(addr)) as usize & self.mask;
-        simnet::prefetch(&self.slots[i]);
+    pub fn prefetch_hashed(&self, hash: u64) {
+        simnet::prefetch(&self.slots[hash as usize & self.mask]);
     }
 
     /// The id of `addr` if already interned.
@@ -191,6 +220,32 @@ impl AddrInterner {
             };
         }
     }
+}
+
+/// How far ahead of its probe a target-table slot is prefetched.
+const AHEAD: usize = 8;
+
+/// Each of `items` with the [`AddrInterner::hash_of`] of its address —
+/// and, beside it, the hash of the item [`AHEAD`] further on, for the
+/// caller to [`AddrInterner::prefetch_hashed`]. An address is hashed
+/// once for both: the hash waits in a ring until its item comes up.
+pub(crate) fn hashed_ahead<T>(
+    items: &[T],
+    addr: impl Fn(&T) -> Ipv6Addr,
+) -> impl Iterator<Item = (&T, u64, Option<u64>)> {
+    let mut ring = [0u64; AHEAD];
+    for (slot, item) in ring.iter_mut().zip(items) {
+        *slot = AddrInterner::hash_of(addr(item));
+    }
+    items.iter().enumerate().map(move |(i, item)| {
+        let slot = &mut ring[i % AHEAD];
+        let hash = *slot;
+        let ahead = items.get(i + AHEAD).map(|next| {
+            *slot = AddrInterner::hash_of(addr(next));
+            *slot
+        });
+        (item, hash, ahead)
+    })
 }
 
 /// Re-interns ids of `src` into a fresh interner on first touch: the
@@ -267,6 +322,22 @@ mod tests {
             let addr = Ipv6Addr::from(0x2001_0db8_u128 << 96 | i as u128);
             assert_eq!(it.lookup(addr), Some(i));
             assert_eq!(it.resolve(i), addr);
+        }
+    }
+
+    #[test]
+    fn room_for_n_is_the_table_doubling_ends_at() {
+        let addr = |i: usize| Ipv6Addr::from(0x2001_0db8_u128 << 96 | i as u128);
+        for n in [0, 1, 47, 48, 49, 1535, 1536, 1537, 20_000] {
+            let mut sized = AddrInterner::with_room_for(n);
+            let mut grown = AddrInterner::new();
+            let slots = sized.slots.len();
+            for i in 0..n {
+                sized.intern(addr(i));
+                grown.intern(addr(i));
+            }
+            assert_eq!(sized.slots.len(), slots, "{n} addresses grew the table");
+            assert_eq!(slots, grown.slots.len(), "{n} addresses");
         }
     }
 

@@ -29,7 +29,7 @@
 
 use crate::traces::{AsnResolver, TraceSet, TraceView};
 use serde::{Deserialize, Serialize};
-use v6addr::{bits, dpl, Asn, Ipv6Prefix};
+use v6addr::{bits, dpl, Asn, Finger, Ipv6Prefix};
 
 /// The discoverByPathDiv gate parameters (§6 defaults).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -123,8 +123,14 @@ pub fn discover_by_path_div(
         return Vec::new();
     }
     let ids = IdAsns::resolve(ts, resolver, vantage_asn);
-    // Target origins, one lookup per trace.
-    let tgt_origin: Vec<Option<Asn>> = ts.targets().iter().map(|&t| resolver.origin(t)).collect();
+    // Target origins, one lookup per trace; the targets ascend, so each
+    // lookup resumes from the last.
+    let mut finger = Finger::default();
+    let tgt_origin: Vec<Option<Asn>> = ts
+        .targets()
+        .iter()
+        .map(|&t| resolver.origin_from(&mut finger, t))
+        .collect();
 
     // Per-target best (max) DPL bound; 0 = no divergence found (a real
     // bound is always >= 1).

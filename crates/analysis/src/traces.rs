@@ -22,11 +22,11 @@
 //! The original map-based implementation survives as
 //! [`crate::reference`], pinned bit-identical by golden tests.
 
-use crate::intern::{AddrInterner, Reintern};
+use crate::intern::{hashed_ahead, AddrInterner, Reintern};
 use crate::reference;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
-use v6addr::{Asn, BgpTable, Ipv6Prefix};
+use v6addr::{Asn, BgpTable, Finger, Ipv6Prefix};
 use yarrp6::addrset::AddrSet;
 use yarrp6::{ProbeLog, ResponseKind};
 
@@ -303,8 +303,13 @@ impl TraceSet {
     /// * Destination Unreachable rows ride the same scatter; their
     ///   bucket order *is* the required record order, copied verbatim.
     pub fn from_log(log: &ProbeLog) -> Self {
+        // The log says how many targets were probed; no log has more
+        // distinct ones than records.
+        let n_targets = usize::try_from(log.traces)
+            .unwrap_or(usize::MAX)
+            .min(log.records.len());
         let mut interner = AddrInterner::with_capacity(1024);
-        let mut tgt_ids = AddrInterner::with_capacity(1024);
+        let mut tgt_ids = AddrInterner::with_room_for(n_targets);
         let mut rewritten_dropped = 0u64;
         // Record order, which for a log is receive order: no key.
         let mut rows: Vec<Row<()>> = Vec::with_capacity(log.records.len() / 2);
@@ -318,20 +323,19 @@ impl TraceSet {
             })
         };
         // Min destination-response TTL per tid; NOT_REACHED = none.
-        let mut reached: Vec<u16> = Vec::new();
+        let mut reached: Vec<u16> = Vec::with_capacity(n_targets);
         // Probe the target table a window ahead so slot misses overlap
         // instead of serializing (a HashMap cannot expose its bucket
         // address to do this).
-        const PREFETCH: usize = 8;
-        for (i, r) in log.records.iter().enumerate() {
-            if let Some(ahead) = log.records.get(i + PREFETCH) {
-                tgt_ids.prefetch(ahead.target);
+        for (r, hash, ahead) in hashed_ahead(&log.records, |r| r.target) {
+            if let Some(ahead) = ahead {
+                tgt_ids.prefetch_hashed(ahead);
             }
             if !r.target_cksum_ok {
                 rewritten_dropped += 1;
                 continue;
             }
-            let tid = tgt_ids.intern(r.target);
+            let tid = tgt_ids.intern_hashed(r.target, hash);
             if tid as usize == reached.len() {
                 reached.push(NOT_REACHED);
             }
@@ -1006,12 +1010,24 @@ impl AsnResolver {
 
     /// Origin ASN under the augmented view.
     pub fn origin(&self, addr: Ipv6Addr) -> Option<Asn> {
-        self.bgp.origin(addr).or_else(|| {
-            self.extra
-                .iter()
-                .find(|(p, _)| p.contains_addr(addr))
-                .map(|&(_, a)| a)
-        })
+        self.bgp.origin(addr).or_else(|| self.registry_origin(addr))
+    }
+
+    /// [`Self::origin`] with the BGP lookup resumed from `finger` (see
+    /// [`v6addr::PrefixTrie::longest_match_from`]): for a caller whose
+    /// addresses come sorted.
+    pub fn origin_from(&self, finger: &mut Finger, addr: Ipv6Addr) -> Option<Asn> {
+        self.bgp
+            .origin_from(finger, addr)
+            .or_else(|| self.registry_origin(addr))
+    }
+
+    /// Origin by the registry-only prefixes alone.
+    fn registry_origin(&self, addr: Ipv6Addr) -> Option<Asn> {
+        self.extra
+            .iter()
+            .find(|(p, _)| p.contains_addr(addr))
+            .map(|&(_, a)| a)
     }
 
     /// Are two ASNs the same organization?

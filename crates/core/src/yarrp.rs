@@ -292,11 +292,7 @@ pub fn run_with_sink<S: RecordSink>(
         scratch: [0u8; v6packet::probe::MAX_PROBE_LEN],
     };
 
-    // Neighborhood state. The seen-interface counter is the
-    // open-addressed `AddrSet` — one splitmix probe per response instead
-    // of a SipHash `HashSet` insert on the hot path.
-    let mut last_new = vec![0u64; 256];
-    let mut seen_ifaces = AddrSet::new();
+    let mut newest = cfg.neighborhood.map(Newest::new);
 
     // The permutation is walked a window at a time: looked ahead as a
     // whole, then sent probe by probe, in order, exactly as if it had
@@ -314,19 +310,14 @@ pub fn run_with_sink<S: RecordSink>(
         }
         hot.look_ahead(&window, now_us, interval_us, cfg);
         for (k, &(tidx, ttl)) in window.iter().enumerate() {
-            if let Some(nb) = cfg.neighborhood {
-                if ttl <= nb.max_ttl
-                    && now_us > nb.window_us
-                    && now_us.saturating_sub(last_new[ttl as usize]) > nb.window_us
-                {
-                    now_us += interval_us;
-                    continue;
-                }
+            if newest.as_ref().is_some_and(|n| n.went_quiet(ttl, now_us)) {
+                now_us += interval_us;
+                continue;
             }
 
             let resp = hot.send_probe(tidx, ttl, now_us, Some(k), cfg, &mut log, sink);
             if let Some(rec) = resp {
-                note_response(&rec, &mut last_new, &mut seen_ifaces);
+                note_response(&rec, &mut newest);
                 maybe_fill(
                     &mut hot,
                     targets,
@@ -335,8 +326,7 @@ pub fn run_with_sink<S: RecordSink>(
                     cfg,
                     &mut log,
                     sink,
-                    &mut last_new,
-                    &mut seen_ifaces,
+                    &mut newest,
                 );
             }
             now_us += interval_us;
@@ -374,24 +364,18 @@ pub fn run_reference(
     };
     let interval_us = 1_000_000 / cfg.rate_pps.max(1);
     let mut now_us: u64 = 0;
-    let mut last_new = vec![0u64; 256];
-    let mut seen_ifaces = AddrSet::new();
+    let mut newest = cfg.neighborhood.map(Newest::new);
 
     for v in perm.iter() {
         let target = targets[(v / ttl_span) as usize];
         let ttl = (v % ttl_span) as u8 + 1;
-        if let Some(nb) = cfg.neighborhood {
-            if ttl <= nb.max_ttl
-                && now_us > nb.window_us
-                && now_us.saturating_sub(last_new[ttl as usize]) > nb.window_us
-            {
-                now_us += interval_us;
-                continue;
-            }
+        if newest.as_ref().is_some_and(|n| n.went_quiet(ttl, now_us)) {
+            now_us += interval_us;
+            continue;
         }
         let resp = send_probe_reference(engine, src, target, ttl, now_us, cfg, &mut log);
         if let Some(rec) = resp {
-            note_response(&rec, &mut last_new, &mut seen_ifaces);
+            note_response(&rec, &mut newest);
             // Fill chains, naive pipeline.
             if cfg.fill_mode {
                 let mut cur = rec;
@@ -412,7 +396,7 @@ pub fn run_reference(
                     ) else {
                         break;
                     };
-                    note_response(&next, &mut last_new, &mut seen_ifaces);
+                    note_response(&next, &mut newest);
                     cur = next;
                 }
             }
@@ -463,10 +447,41 @@ fn send_probe_reference(
     }
 }
 
-fn note_response(rec: &ResponseRecord, last_new: &mut [u64], seen: &mut AddrSet) {
-    if rec.kind == ResponseKind::TimeExceeded && seen.insert(rec.responder) {
+/// Neighborhood-mode state, kept only while the mode is on — the skip
+/// is its one reader: when each TTL last yielded an interface not seen
+/// before. The seen set is the open-addressed `AddrSet`, one splitmix
+/// probe per Time Exceeded.
+struct Newest {
+    mode: Neighborhood,
+    /// Receive time of the last new interface, by probe TTL.
+    last_new: [u64; 256],
+    seen: AddrSet,
+}
+
+impl Newest {
+    fn new(mode: Neighborhood) -> Self {
+        Newest {
+            mode,
+            last_new: [0; 256],
+            seen: AddrSet::new(),
+        }
+    }
+
+    /// Has `ttl` gone a whole window without a new interface by
+    /// `now_us`? Its probes are then skipped.
+    fn went_quiet(&self, ttl: u8, now_us: u64) -> bool {
+        ttl <= self.mode.max_ttl
+            && now_us > self.mode.window_us
+            && now_us.saturating_sub(self.last_new[ttl as usize]) > self.mode.window_us
+    }
+}
+
+/// Tells neighborhood mode, if it is on, of a response.
+fn note_response(rec: &ResponseRecord, newest: &mut Option<Newest>) {
+    let Some(n) = newest else { return };
+    if rec.kind == ResponseKind::TimeExceeded && n.seen.insert(rec.responder) {
         if let Some(ttl) = rec.probe_ttl {
-            last_new[ttl as usize] = rec.recv_us;
+            n.last_new[ttl as usize] = rec.recv_us;
         }
     }
 }
@@ -483,8 +498,7 @@ fn maybe_fill<S: RecordSink>(
     cfg: &YarrpConfig,
     log: &mut ProbeLog,
     sink: &mut S,
-    last_new: &mut [u64],
-    seen: &mut AddrSet,
+    newest: &mut Option<Newest>,
 ) {
     if !cfg.fill_mode {
         return;
@@ -504,7 +518,7 @@ fn maybe_fill<S: RecordSink>(
             hot.send_probe_to(cur.target, h + 1, send_at, cfg, log, sink)
         };
         let Some(rec) = rec else { break };
-        note_response(&rec, last_new, seen);
+        note_response(&rec, newest);
         cur = rec;
     }
 }

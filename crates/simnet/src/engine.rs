@@ -1092,9 +1092,10 @@ impl Probe<'_> {
     }
 }
 
-/// Asks the CPU to start loading `*r` — its first and last byte, so a
-/// value that straddles a cache line gets both; nothing is read. A
-/// no-op off x86-64.
+/// Asks the CPU to start loading `*r`; nothing is read. One prefetch
+/// per line `*r` can lie on: a value no larger than its alignment
+/// cannot straddle two, so it gets one; any other gets its first and
+/// last byte. A no-op off x86-64.
 #[inline(always)]
 pub fn prefetch<T>(r: &T) {
     #[cfg(target_arch = "x86_64")]
@@ -1105,7 +1106,9 @@ pub fn prefetch<T>(r: &T) {
         use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         let first = r as *const T as *const i8;
         _mm_prefetch::<_MM_HINT_T0>(first);
-        _mm_prefetch::<_MM_HINT_T0>(first.add(size_of::<T>().saturating_sub(1)));
+        if size_of::<T>() > align_of::<T>() {
+            _mm_prefetch::<_MM_HINT_T0>(first.add(size_of::<T>() - 1));
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = r;

@@ -16,7 +16,11 @@ use serde::{Deserialize, Serialize};
 /// [`TokenBucket::try_consume`] at a non-decreasing timestamp takes one
 /// token or reports exhaustion. Fractional accrual is tracked in
 /// token-microseconds so no refill is lost to rounding.
+///
+/// One cache line per bucket: randomized probing lands every probe on
+/// another router's bucket, so a bucket is a miss, and must be one miss.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[repr(align(64))]
 pub struct TokenBucket {
     rate_pps: u64,
     burst: u64,
@@ -26,6 +30,8 @@ pub struct TokenBucket {
     /// Messages suppressed by exhaustion (observability).
     pub suppressed: u64,
 }
+
+const _: () = assert!(size_of::<TokenBucket>() == 64);
 
 impl TokenBucket {
     /// A full bucket of the given class, at virtual time zero.

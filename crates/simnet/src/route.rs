@@ -18,6 +18,7 @@ use crate::flow;
 use crate::topology::*;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv6Addr;
+use v6addr::Finger;
 
 /// What lies at the end of a resolved path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -99,13 +100,23 @@ impl ResolvedPath {
     }
 }
 
-/// Buffers [`resolve`] reuses from call to call.
+/// What [`resolve`] keeps from call to call: its buffers, and where its
+/// three ordered lookups — BGP origin, subnet plan, host population —
+/// last ended. Destinations resolved in address order share most of
+/// their leading bits, so each lookup resumes where the last one left
+/// off; in any other order it finds its own way, to the same answer.
 #[derive(Debug, Default)]
 pub struct ResolveScratch {
     /// AS-level path, destination AS first.
     as_path: Vec<AsIdx>,
     /// Subnet-plan chain of the destination, leaf first.
     chain: Vec<SubnetId>,
+    /// Last descent of `Topology::bgp`.
+    bgp: Finger,
+    /// Last descent of `Topology::subnet_trie`.
+    subnet: Finger,
+    /// Last position in `Topology::host_words`.
+    host: usize,
 }
 
 /// Resolves the path from `vantage` to `dst` under flow hash `flow_hash`,
@@ -132,7 +143,8 @@ pub fn resolve(
     let v_border = topo.ases[v_as as usize].border;
 
     // Unrouted destinations die at the vantage AS border.
-    let Some(dest_as) = topo.bgp.origin(dst).and_then(|o| topo.as_by_asn(o)) else {
+    let origin = topo.bgp.origin_from(&mut scratch.bgp, dst);
+    let Some(dest_as) = origin.and_then(|o| topo.as_by_asn(o)) else {
         arena.push(v_border);
         let dest = DestEntry::Unrouted {
             responder: v_border,
@@ -194,7 +206,7 @@ pub fn resolve(
     let chain = &mut scratch.chain;
     chain.clear();
     chain.extend(
-        topo.subnet_chain_up(dst)
+        topo.subnet_chain_up_from(&mut scratch.subnet, dst)
             .filter(|s| topo.subnets[s.0 as usize].as_idx == dest_as),
     );
     if chain.len() == 1 && topo.subnets[chain[0].0 as usize].parent.is_none() {
@@ -208,7 +220,7 @@ pub fn resolve(
     }
 
     // Classify the destination.
-    let dest = if let Some(kind) = topo.host_kind(dst) {
+    let dest = if let Some(kind) = topo.host_kind_from(&mut scratch.host, dst) {
         DestEntry::Host(kind)
     } else if let Some(&leaf) = chain.first() {
         let node = &topo.subnets[leaf.0 as usize];

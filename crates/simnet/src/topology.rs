@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
-use v6addr::{Asn, BgpTable, Ipv6Prefix, PrefixTrie};
+use v6addr::{Asn, BgpTable, Finger, Ipv6Prefix, PrefixTrie};
 
 /// Index into [`Topology::ases`].
 pub type AsIdx = u32;
@@ -115,7 +115,12 @@ pub enum RouterRole {
 /// (grouping interfaces back into routers) is its own research problem,
 /// and the per-router fragment-identification counter is the signal
 /// speedtrap-style resolution exploits.
+///
+/// One cache line per router: a probe that expires at a router reads
+/// its record once, from memory no earlier probe had reason to touch,
+/// so the record must not straddle two lines.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[repr(align(64))]
 pub struct RouterInfo {
     /// Primary interface address (always present).
     pub addr: Ipv6Addr,
@@ -132,6 +137,8 @@ pub struct RouterInfo {
     /// Responds only to ICMPv6 probes (the §4.2 stateful-security hop).
     pub icmp_only: bool,
 }
+
+const _: () = assert!(size_of::<RouterInfo>() == 64);
 
 impl RouterInfo {
     /// The interface address used when answering a probe that arrived
@@ -264,6 +271,16 @@ impl Topology {
     pub fn host_kind(&self, addr: Ipv6Addr) -> Option<HostKind> {
         self.host_words
             .binary_search(&u128::from(addr))
+            .ok()
+            .map(|i| self.host_kinds[i])
+    }
+
+    /// [`Self::host_kind`] for lookups that come in runs of nearby
+    /// addresses: `cursor` is where the last search ended, and the next
+    /// one gallops out from there instead of bisecting the whole
+    /// population. Any cursor value gives [`Self::host_kind`]'s answer.
+    pub fn host_kind_from(&self, cursor: &mut usize, addr: Ipv6Addr) -> Option<HostKind> {
+        search_from(&self.host_words, cursor, u128::from(addr))
             .ok()
             .map(|i| self.host_kinds[i])
     }
@@ -404,6 +421,100 @@ impl Topology {
     /// building the list.
     pub fn subnet_chain_up(&self, addr: Ipv6Addr) -> impl Iterator<Item = SubnetId> + '_ {
         let leaf = self.subnet_trie.longest_match(addr).map(|(_, &leaf)| leaf);
+        self.chain_up(leaf)
+    }
+
+    /// [`Self::subnet_chain_up`] with the leaf found from `finger` (see
+    /// [`PrefixTrie::longest_match_from`]).
+    pub fn subnet_chain_up_from(
+        &self,
+        finger: &mut Finger,
+        addr: Ipv6Addr,
+    ) -> impl Iterator<Item = SubnetId> + '_ {
+        let leaf = self
+            .subnet_trie
+            .longest_match_from(finger, u128::from(addr))
+            .map(|(_, &leaf)| leaf);
+        self.chain_up(leaf)
+    }
+
+    fn chain_up(&self, leaf: Option<SubnetId>) -> impl Iterator<Item = SubnetId> + '_ {
         std::iter::successors(leaf, |cur| self.subnets[cur.0 as usize].parent)
+    }
+}
+
+/// `sorted.binary_search(&w)` started at `*cursor` — an exponential
+/// search outwards from it, then a bisection of the bracket found — and
+/// leaving `*cursor` at the result. `sorted` is strictly ascending.
+pub(crate) fn search_from(sorted: &[u128], cursor: &mut usize, w: u128) -> Result<usize, usize> {
+    let n = sorted.len();
+    let at = (*cursor).min(n);
+    let mut step = 1;
+    // `sorted[..lo] < w <= sorted[hi..]`, and `sorted[hi]` may be `w`.
+    let (lo, hi) = if at < n && sorted[at] < w {
+        let mut lo = at + 1;
+        while lo + step <= n && sorted[lo + step - 1] < w {
+            lo += step;
+            step *= 2;
+        }
+        (lo, (lo + step).min(n))
+    } else {
+        let mut hi = at;
+        while hi >= step && sorted[hi - step] >= w {
+            hi -= step;
+            step *= 2;
+        }
+        (hi.saturating_sub(step - 1), (hi + 1).min(n))
+    };
+    let found = match sorted[lo..hi].binary_search(&w) {
+        Ok(i) => Ok(lo + i),
+        Err(i) => Err(lo + i),
+    };
+    let (Ok(at) | Err(at)) = found;
+    *cursor = at;
+    found
+}
+
+#[cfg(test)]
+mod tests {
+    use super::search_from;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The cursor is a hint: from wherever it points — inside the
+        /// slice, at its end, far past it — and in whatever order the
+        /// lookups come (as drawn, ascending, descending, each twice),
+        /// a search ends where `binary_search` does, cursor included.
+        #[test]
+        fn search_from_is_binary_search(
+            words in prop::collection::btree_set(any::<u128>(), 0..200),
+            lookups in prop::collection::vec((any::<usize>(), any::<u128>(), 0u32..=128), 1..80),
+            start: usize,
+            order in 0u8..4,
+        ) {
+            let sorted: Vec<u128> = words.into_iter().collect();
+            // Half the lookups hit a stored word, the rest land near one.
+            let mut lookups: Vec<u128> = lookups
+                .into_iter()
+                .map(|(pick, noise, keep)| match sorted.get(pick % (sorted.len() + 1)) {
+                    Some(&w) if pick & 1 == 0 => w,
+                    Some(&w) => w ^ noise.checked_shr(keep).unwrap_or(0),
+                    None => noise,
+                })
+                .collect();
+            match order {
+                0 => {}
+                1 => lookups.sort_unstable(),
+                2 => lookups.sort_unstable_by(|x, y| y.cmp(x)),
+                _ => lookups = lookups.iter().flat_map(|&w| [w, w]).collect(),
+            }
+            let mut cursor = start;
+            for w in lookups {
+                let want = sorted.binary_search(&w);
+                prop_assert_eq!(search_from(&sorted, &mut cursor, w), want);
+                let (Ok(at) | Err(at)) = want;
+                prop_assert_eq!(cursor, at);
+            }
+        }
     }
 }

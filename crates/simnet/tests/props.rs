@@ -242,6 +242,53 @@ proptest! {
         }
     }
 
+    /// What `route::resolve` remembers between calls — where its BGP,
+    /// subnet-plan and host lookups last ended — is a head start, not
+    /// an input: one scratch reused over a run of destinations, in
+    /// address order or any other, resolves each exactly as a scratch
+    /// that has never seen a destination does.
+    #[test]
+    fn a_reused_scratch_resolves_like_a_fresh_one(
+        dsts in prop::collection::vec((0u8..4, any::<u128>(), 0u32..=128), 1..120),
+        sorted: bool,
+        vantage in 0usize..3,
+        flow_hash: u64,
+    ) {
+        use simnet::route::{resolve, ResolveScratch};
+        let topo = topo();
+        let hosts = &topo.host_words;
+        let ifaces: Vec<std::net::Ipv6Addr> = topo.router_addrs().collect();
+        // Hosts, addresses near hosts (same LAN, same plan branch, same
+        // AS), router interfaces, and anything at all.
+        let mut dsts: Vec<u128> = dsts
+            .into_iter()
+            .map(|(kind, pick, keep)| match kind {
+                0 => hosts[pick as usize % hosts.len()],
+                1 => hosts[pick as usize % hosts.len()] ^ (pick >> 64).checked_shr(keep).unwrap_or(0),
+                2 => ifaces[pick as usize % ifaces.len()].into(),
+                _ => pick,
+            })
+            .collect();
+        if sorted {
+            dsts.sort_unstable();
+        }
+        let v = &topo.vantages[vantage];
+        let mut reused = ResolveScratch::default();
+        let mut arena = Vec::new();
+        for dst in dsts {
+            let dst = std::net::Ipv6Addr::from(dst);
+            let got = resolve(&topo, v, dst, flow_hash, &mut reused, &mut arena);
+            let mut fresh_arena = Vec::new();
+            let want = resolve(&topo, v, dst, flow_hash, &mut ResolveScratch::default(), &mut fresh_arena);
+            prop_assert_eq!(got.hops(&arena), want.hops(&fresh_arena), "hops to {}", dst);
+            prop_assert_eq!(
+                (got.firewall_hop, got.dest, got.dst_router),
+                (want.firewall_hop, want.dest, want.dst_router),
+                "end of the path to {}", dst
+            );
+        }
+    }
+
     /// Arbitrary bytes never panic the engine and never produce a
     /// response (garbage is not a probe).
     #[test]

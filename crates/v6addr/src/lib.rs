@@ -30,7 +30,7 @@ pub mod trie;
 pub use bgp::{Asn, BgpTable};
 pub use iid::IidClass;
 pub use prefix::Ipv6Prefix;
-pub use trie::PrefixTrie;
+pub use trie::{Finger, PrefixTrie};
 
 use std::net::Ipv6Addr;
 

@@ -11,12 +11,29 @@
 //! fast enough and easy to verify. Nodes live in a flat arena (`Vec`)
 //! addressed by `u32` indices to keep the structure cache-friendly and
 //! allocation-light.
+//!
+//! One bit per level makes a cold longest-prefix match 48–64 dependent
+//! loads. Callers that look addresses up *in order* (a prober opening
+//! one flow per sorted target) keep a [`Finger`] and pay only for the
+//! levels below where consecutive addresses part.
 
 use crate::bits;
 use crate::prefix::Ipv6Prefix;
 use std::net::Ipv6Addr;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const NIL: u32 = u32::MAX;
+
+/// "No prefix matched" in [`Finger::best`] (depths stop at 128).
+const NO_MATCH: u8 = u8::MAX;
+
+/// A trie identity no trie in this process has had. `Relaxed`: only
+/// the number's uniqueness matters, it publishes nothing else.
+fn fresh_id() -> u64 {
+    // 0 is never issued: it is the identity a new `Finger` names.
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 #[derive(Clone, Debug)]
 struct Node<T> {
@@ -34,10 +51,61 @@ impl<T> Node<T> {
 }
 
 /// Binary trie keyed by [`Ipv6Prefix`], storing one `T` per prefix.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PrefixTrie<T> {
     nodes: Vec<Node<T>>,
     len: usize,
+    /// `(identity, generation)`: which trie this is — no two share an
+    /// identity, a clone gets its own — and how many times it has been
+    /// modified. A [`Finger`] trusts the path it kept only in the trie
+    /// that stamped it, as it stood then.
+    stamp: (u64, u64),
+}
+
+impl<T: Clone> Clone for PrefixTrie<T> {
+    fn clone(&self) -> Self {
+        PrefixTrie {
+            nodes: self.nodes.clone(),
+            len: self.len,
+            stamp: (fresh_id(), 0),
+        }
+    }
+}
+
+/// Where the last [`PrefixTrie::longest_match_from`] went, so the next
+/// one starts where the two addresses part instead of at the root.
+/// Lookups in address order share most of their leading bits, and so
+/// most of their descent.
+///
+/// A finger is a hint, never an answer: one carried to another trie, or
+/// kept across an `insert` or `remove`, is recognised by the trie's
+/// stamp and costs one full descent.
+#[derive(Clone, Debug)]
+pub struct Finger {
+    /// Stamp of the trie `path` was walked in.
+    stamp: (u64, u64),
+    /// The address word last looked up.
+    last: u128,
+    /// How deep that descent got: `path[..=reached]` is valid.
+    reached: u8,
+    /// `path[d]` is the node `d` bits of `last` lead to.
+    path: [u32; 129],
+    /// `best[d]` is the depth of the deepest node of `path[..=d]` that
+    /// holds a value, or [`NO_MATCH`].
+    best: [u8; 129],
+}
+
+impl Default for Finger {
+    fn default() -> Self {
+        Finger {
+            // No trie carries it, so the first lookup starts at the root.
+            stamp: (0, 0),
+            last: 0,
+            reached: 0,
+            path: [0; 129],
+            best: [NO_MATCH; 129],
+        }
+    }
 }
 
 impl<T> Default for PrefixTrie<T> {
@@ -52,6 +120,7 @@ impl<T> PrefixTrie<T> {
         PrefixTrie {
             nodes: vec![Node::new()],
             len: 0,
+            stamp: (fresh_id(), 0),
         }
     }
 
@@ -68,6 +137,7 @@ impl<T> PrefixTrie<T> {
     /// Inserts `value` at `prefix`, returning the previous value if the
     /// prefix was already present.
     pub fn insert(&mut self, prefix: Ipv6Prefix, value: T) -> Option<T> {
+        self.stamp.1 += 1;
         let mut node = 0u32;
         let word = prefix.base_word();
         for depth in 0..prefix.len() {
@@ -124,6 +194,7 @@ impl<T> PrefixTrie<T> {
         let old = self.nodes[n as usize].value.take();
         if old.is_some() {
             self.len -= 1;
+            self.stamp.1 += 1;
         }
         old
     }
@@ -134,22 +205,81 @@ impl<T> PrefixTrie<T> {
         self.longest_match_word(bits::to_u128(addr))
     }
 
-    /// Longest-prefix match on a raw address word.
-    pub fn longest_match_word(&self, word: u128) -> Option<(Ipv6Prefix, &T)> {
-        let mut node = 0u32;
-        let mut best: Option<(u8, &T)> = self.nodes[0].value.as_ref().map(|v| (0, v));
-        for depth in 0..128u8 {
+    /// The descent every longest-prefix match is: from `node`, which
+    /// `depth` bits of `word` lead to, follow `word` while it has
+    /// children, telling `enter` each node entered and its depth.
+    /// Returns the depth it stopped at.
+    #[inline]
+    fn descend<'a>(
+        &'a self,
+        word: u128,
+        mut depth: u8,
+        mut node: u32,
+        mut enter: impl FnMut(u8, u32, &'a Option<T>),
+    ) -> u8 {
+        while depth < 128 {
             let b = bits::bit(word, depth) as usize;
             let next = self.nodes[node as usize].child[b];
             if next == NIL {
                 break;
             }
             node = next;
-            if let Some(v) = self.nodes[node as usize].value.as_ref() {
-                best = Some((depth + 1, v));
-            }
+            depth += 1;
+            enter(depth, node, &self.nodes[node as usize].value);
         }
+        depth
+    }
+
+    /// Longest-prefix match on a raw address word.
+    pub fn longest_match_word(&self, word: u128) -> Option<(Ipv6Prefix, &T)> {
+        let mut best: Option<(u8, &T)> = self.nodes[0].value.as_ref().map(|v| (0, v));
+        self.descend(word, 0, 0, |depth, _, value| {
+            if let Some(v) = value {
+                best = Some((depth, v));
+            }
+        });
         best.map(|(len, v)| (Ipv6Prefix::from_word(word, len), v))
+    }
+
+    /// [`Self::longest_match_word`], resumed from `finger`: the descent
+    /// starts below the bits `word` shares with the finger's last
+    /// lookup, and leaves the finger at `word`. Any finger gives the
+    /// plain answer, in any order of lookups; one last used on this
+    /// trie as it now stands gives it sooner.
+    pub fn longest_match_from(&self, finger: &mut Finger, word: u128) -> Option<(Ipv6Prefix, &T)> {
+        let from = if finger.stamp == self.stamp {
+            bits::common_prefix_len(finger.last, word).min(finger.reached)
+        } else {
+            finger.stamp = self.stamp;
+            finger.path[0] = 0;
+            finger.best[0] = if self.nodes[0].value.is_some() {
+                0
+            } else {
+                NO_MATCH
+            };
+            0
+        };
+        finger.last = word;
+        let mut best = finger.best[from as usize];
+        let Finger {
+            path, best: bests, ..
+        } = finger;
+        let reached = self.descend(word, from, path[from as usize], |depth, node, value| {
+            if value.is_some() {
+                best = depth;
+            }
+            path[depth as usize] = node;
+            bests[depth as usize] = best;
+        });
+        finger.reached = reached;
+        if best == NO_MATCH {
+            return None;
+        }
+        let value = self.nodes[finger.path[best as usize] as usize]
+            .value
+            .as_ref()
+            .expect("the finger's best depth holds a value");
+        Some((Ipv6Prefix::from_word(word, best), value))
     }
 
     /// True if any stored prefix covers `addr`.

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use std::net::Ipv6Addr;
-use v6addr::{bits, dpl, prefix::Ipv6Prefix, trie::PrefixTrie};
+use v6addr::{bits, dpl, prefix::Ipv6Prefix, trie::PrefixTrie, Finger};
 
 proptest! {
     /// mask(len) has exactly `len` leading ones.
@@ -84,6 +84,72 @@ proptest! {
                 prop_assert_eq!(*wp, gp);
             }
             (w, g) => prop_assert!(false, "mismatch: want {:?} got {:?}", w, g.map(|x| x.0)),
+        }
+    }
+
+    /// A finger changes how fast a longest-prefix match is found, never
+    /// which: whatever the order of the lookups (as drawn, ascending,
+    /// descending, each one twice), with `insert`s and `remove`s between
+    /// them, and with the one finger passed back and forth between two
+    /// tries that started as clones and then diverged.
+    #[test]
+    fn longest_match_from_is_longest_match_word(
+        entries in prop::collection::vec((any::<u128>(), 0u8..=128), 1..40),
+        steps in prop::collection::vec((0u8..10, any::<usize>(), any::<u128>(), 0u32..=128), 1..160),
+        order in 0u8..4,
+    ) {
+        let mut next_value = 0u32;
+        let mut value = || {
+            next_value += 1;
+            next_value
+        };
+        let mut a = PrefixTrie::new();
+        for &(w, l) in &entries {
+            a.insert(Ipv6Prefix::from_word(w, l), value());
+        }
+        // Lookups stay near what is stored — an entry's word with its
+        // low bits redrawn — so consecutive ones share long prefixes and
+        // descents go deep.
+        let near = |pick: usize, noise: u128, keep: u32| {
+            entries[pick % entries.len()].0 ^ noise.checked_shr(keep).unwrap_or(0)
+        };
+        let mut lookups: Vec<u128> = steps
+            .iter()
+            .filter(|s| s.0 >= 3)
+            .map(|&(_, pick, noise, keep)| near(pick, noise, keep))
+            .collect();
+        match order {
+            0 => {}
+            1 => lookups.sort_unstable(),
+            2 => lookups.sort_unstable_by(|x, y| y.cmp(x)),
+            _ => lookups = lookups.iter().flat_map(|&w| [w, w]).collect(),
+        }
+        let mut lookups = lookups.into_iter();
+
+        let mut b = a.clone();
+        let mut on_a = true;
+        let mut finger = Finger::default();
+        for &(op, pick, noise, keep) in &steps {
+            let trie = if on_a { &mut a } else { &mut b };
+            match op {
+                0 => {
+                    let p = Ipv6Prefix::from_word(near(pick, noise, keep), (pick % 129) as u8);
+                    trie.insert(p, value());
+                }
+                1 => {
+                    let (w, l) = entries[pick % entries.len()];
+                    trie.remove(&Ipv6Prefix::from_word(w, l));
+                }
+                2 => on_a = !on_a,
+                _ => {
+                    // Twice as many are on hand when each comes twice.
+                    for w in lookups.by_ref().take(if order == 3 { 2 } else { 1 }) {
+                        let got = trie.longest_match_from(&mut finger, w).map(|(p, &v)| (p, v));
+                        let want = trie.longest_match_word(w).map(|(p, &v)| (p, v));
+                        prop_assert_eq!(got, want, "word {:032x}", w);
+                    }
+                }
+            }
         }
     }
 
