@@ -372,13 +372,16 @@ pub struct SupervisedAliasRun {
 
 /// Runs [`resolve_aliases_budgeted`] under the campaign supervisor
 /// ([`yarrp6::campaign::supervise`] — the same loop streaming campaigns
-/// retry under): each attempt probes a **fresh engine** starting at the
-/// accumulated virtual clock, a panicking attempt or a *blackout*
-/// (injected-fault drops with zero fragmented replies — the signature
-/// of probing into an outage window) retries with the policy's
-/// exponential backoff on the virtual clock, and exhausted retries come
-/// back `degraded` instead of panicking. Deterministic: the same inputs
-/// and fault schedule always produce the same outcome.
+/// retry under). The call builds one engine and every attempt starts
+/// from its [`Engine::reset`] — full buckets, reseeded fragment
+/// counters, zero statistics, every flow still open, so a retry
+/// re-resolves no path — at the accumulated virtual clock. A panicking
+/// attempt or a *blackout* (injected-fault drops with zero fragmented
+/// replies — the signature of probing into an outage window) retries
+/// with the policy's exponential backoff on the virtual clock, and
+/// exhausted retries come back `degraded` instead of panicking.
+/// Deterministic: the same inputs and fault schedule always produce the
+/// same outcome.
 pub fn resolve_aliases_supervised(
     topo: &std::sync::Arc<simnet::Topology>,
     vantage_idx: u8,
@@ -389,11 +392,12 @@ pub fn resolve_aliases_supervised(
     max_probes: u64,
 ) -> SupervisedAliasRun {
     let step_us = 1_000_000 / cfg.rate_pps.max(1);
+    let mut engine = Engine::new(topo.clone());
     let run = supervise(
         policy,
         start_us,
         |clock| {
-            let mut engine = Engine::new(topo.clone());
+            engine.reset();
             let sets = resolve_aliases_budgeted(
                 &mut engine,
                 vantage_idx,

@@ -33,7 +33,9 @@
 //! Condemnation is *global*: once an address is condemned anywhere,
 //! every cell it owns is scrubbed from every set
 //! ([`quarantine_all`] evaluates the rules jointly across vantages).
-//! A set with nothing to scrub is returned as a verbatim clone — the
+//! A set with nothing to scrub is not rebuilt: [`quarantine_changed`]
+//! reports it as `None` (the caller keeps its original), and
+//! [`quarantine_all`] fills that slot with a verbatim clone — the
 //! clean-input path is bit-identical, pinned by tests.
 
 use crate::intern::{AddrInterner, Reintern};
@@ -141,11 +143,28 @@ const UNSEEN: Evidence = Evidence {
 /// condemned toward all), then each set is scrubbed independently.
 /// Outputs are index-aligned with inputs; a set that loses nothing is
 /// returned as a verbatim clone (bit-identical, including interner id
-/// assignment).
+/// assignment). [`quarantine_changed`] is the same pass without those
+/// clones, for a caller that still holds the inputs.
 pub fn quarantine_all(
     sets: &[&TraceSet],
     cfg: &QuarantineConfig,
 ) -> (Vec<TraceSet>, QuarantineReport) {
+    let (changed, report) = quarantine_changed(sets, cfg);
+    let cleaned = changed
+        .into_iter()
+        .zip(sets)
+        .map(|(c, &set)| c.unwrap_or_else(|| set.clone()))
+        .collect();
+    (cleaned, report)
+}
+
+/// [`quarantine_all`] for a caller that owns its inputs: a slot is
+/// `Some` only where the pass dropped at least one cell, and `None`
+/// means *the input is the output* — nothing is copied to say so.
+pub fn quarantine_changed(
+    sets: &[&TraceSet],
+    cfg: &QuarantineConfig,
+) -> (Vec<Option<TraceSet>>, QuarantineReport) {
     // Pass 1: evidence per cell by the set's own interner id, pooled by
     // address once per responder so ids from different interners meet.
     let mut pool = AddrInterner::new();
@@ -203,18 +222,18 @@ pub fn quarantine_all(
     (cleaned, report)
 }
 
-/// Rebuilds one set without the condemned/implausible cells. When no
-/// cell is dropped the input is cloned verbatim; otherwise the
-/// surviving cells are re-interned in walk order (traces in target
-/// order, hops then unreachables), so the cleaned interner holds *only*
-/// addresses still backed by an observation — nothing condemned can
-/// leak out through `discovery_delta` or `interface_words`.
+/// Rebuilds one set without the condemned/implausible cells, or
+/// returns `None` when no cell is dropped. The surviving cells are
+/// re-interned in walk order (traces in target order, hops then
+/// unreachables), so the cleaned interner holds *only* addresses still
+/// backed by an observation — nothing condemned can leak out through
+/// `discovery_delta` or `interface_words`.
 fn scrub(
     set: &TraceSet,
     cfg: &QuarantineConfig,
     condemned: &[Ipv6Addr],
     report: &mut QuarantineReport,
-) -> TraceSet {
+) -> Option<TraceSet> {
     // The verdict by this set's interner id: one lookup per condemned
     // address, none per cell.
     let mut bad = vec![false; set.interner().len()];
@@ -244,7 +263,7 @@ fn scrub(
                 .all(|&(ttl, id)| keep_unreach(ttl, id))
     });
     if clean {
-        return set.clone();
+        return None;
     }
 
     let mut ids = Reintern::new(set.interner());
@@ -301,7 +320,7 @@ fn scrub(
         });
     }
     out.interner = ids.finish();
-    out
+    Some(out)
 }
 
 #[cfg(test)]

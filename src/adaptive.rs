@@ -35,12 +35,25 @@
 //! | stop rule | `low_streak`, `rounds`, `alive`, `consumed` | — (ends the loop: yield floor, round cap, all vantages down, budget) | always |
 //! | plan/budget | `pool`, `probed`, `vweights`, `alive`, `consumed`; the delta force queue | `probed` (the round's stride-sampled, budget-capped targets) | always; per-vantage allocation by yield share is `vantage_budgeting`, queue-jumping targets are `delta_seeding` |
 //! | probe | `vclock_us` (campaigns start there on the fault schedule) | — (one supervised outcome per vantage × shard) | always |
-//! | quarantine | the round's raw sets, jointly | — (scrubbed copies for everything that feeds *forward*) | `quarantine_feedback` |
+//! | quarantine | the round's raw sets, jointly | — (a scrubbed replacement for each set that lost cells, for everything that feeds *forward*; an untouched set is not copied) | `quarantine_feedback` |
 //! | attribute + mine | `seen` at round start, then the round's sets | `seen` (raw sets: a decoded responder is a real interface), `subnets`, `traces` (scrubbed sets when the quarantine is on) | always; path divergence is `path_div` |
-//! | alias | the round's kept sets, the kept record's interfaces, `alive`, `vclock_us`, `consumed` | `alias` (router graph, tested set, verdict totals) | `alias_resolution` |
+//! | alias ‖ | the round's kept sets, the kept record's interfaces, `alive`, `vclock_us`, `consumed` | `alias` (router graph, tested set, verdict totals) | `alias_resolution` |
+//! | feedback ‖ | the kept record's interfaces, `probed`, `subnets` | — (returns the next pool: kIP + 6Gen over *all* discoveries, cumulative by the paper's definition of their basis) | always; not started when the round cap decides the stop |
 //! | close round | every round-local output above | `stats`, `consumed`, `vclock_us`, `alive`, `vweights`, `rounds`, `round_targets`, `low_streak` | always; the EWMA weight update is `vantage_budgeting` |
 //! | delta canaries | the round's targets and sets, the prior store | `low_streak` (reset when a shard reopens; its targets join the force queue) | `delta_seeding` |
-//! | feedback | the kept record's interfaces, `probed`, `subnets` | `pool` (kIP + 6Gen over *all* discoveries: cumulative by the paper's definition of their basis) | always; skipped when the stop rule already says stop |
+//! | install pool | the stop rule, the generated pool | `pool` — or nothing: if the stop rule now stops, the pool is dropped | always |
+//!
+//! The two `‖` rows are the round tail's **two lanes**: they read the
+//! same finished round and nothing of each other, `LoopState::lanes`
+//! hands each its disjoint borrows of the state, and `join` runs them —
+//! side by side under the parallel drivers, one after the other under
+//! the serial ones, with the same results. That makes feedback
+//! *speculative*: it is generated before the round closes, when only
+//! the round cap is known to stop the loop (then it is not started);
+//! a yield-floor, budget or all-vantages-down stop discards the one
+//! pass generated beside its last alias stage. The mine stage is three
+//! passes — account serially, run the subnet miners per set on the
+//! campaign pool, fold serially in campaign order.
 //!
 //! Every other stage is sized by the round just finished, not by the
 //! record so far: alias candidates come from a merge-join over the
@@ -50,19 +63,24 @@
 //! views the stages share (known subnets, the kept record's clean
 //! interfaces) are extended, never rebuilt.
 //!
-//! After feedback the state is a complete resume point and the
-//! observer of [`run_adaptive_checkpointed`] borrows the [`Checkpoint`]
-//! that owns it — nothing is copied to show it. The stop rule reads
-//! state alone, which is what makes that true: the same function
-//! decides at the loop top and decides whether feedback is worth
-//! generating.
+//! Once the pool is installed (or dropped) the state is a complete
+//! resume point and the observer of [`run_adaptive_checkpointed`]
+//! borrows the [`Checkpoint`] that owns it — nothing is copied to show
+//! it. The stop rule reads state alone, which is what makes that true:
+//! the same function decides at the loop top and decides whether the
+//! generated pool is kept.
 //!
 //! ## Drivers
 //!
-//! [`run_adaptive`] runs each round's campaigns serially,
-//! [`run_adaptive_parallel`] on the work-queue pool. Campaigns are
-//! engine-isolated and results return in input order, so the two are
-//! bit-identical — pinned by the `adaptive` suite, alongside a golden
+//! [`run_adaptive`] runs each round's campaigns one at a time and its
+//! subnet miners and two tail lanes in turn on the calling thread;
+//! [`run_adaptive_parallel`] runs campaigns and miners on the
+//! work-queue pool and the lanes side by side. It is one code path:
+//! the drivers differ only inside `pool_map` and `join`. Campaigns are
+//! engine-isolated, miners are pure per set, pool results return in
+//! input order and the lanes share no mutable state, so the two are
+//! bit-identical, checkpoint bytes at every round boundary included —
+//! pinned by the `adaptive` suite, alongside a golden
 //! test that a one-round run equals a plain single-vantage
 //! [`analysis::CampaignRunner`] campaign, and by `everything_on` with
 //! every opt-in at once on a faulty, hostile network.
@@ -102,8 +120,8 @@ use aliasres::{
     resolve_aliases_supervised, sibling_candidates, AliasConfig, RouterGraph, RouterGraphBuilder,
 };
 use analysis::{
-    discover_by_path_div, ia_hack, quarantine_all, stream_campaigns_supervised, AsnResolver,
-    PathDivParams, QuarantineConfig, ShardedTraceSet, TraceSet,
+    discover_by_path_div, ia_hack, quarantine_changed, stream_campaigns_supervised, AsnResolver,
+    CandidateSubnet, PathDivParams, QuarantineConfig, ShardedTraceSet, TraceSet,
 };
 use seeds::feedback::{feedback_list, FeedbackParams};
 // The workspace's shared splitmix64, for per-round generation seeds.
@@ -115,7 +133,7 @@ use std::sync::Arc;
 use targets::{feedback_targets, stride_sample, IidStrategy, TargetSet};
 use v6addr::Ipv6Prefix;
 use yarrp6::addrset::AddrSet;
-use yarrp6::campaign::{CampaignSpec, RetryPolicy, SupervisedCampaign};
+use yarrp6::campaign::{pool_map, CampaignSpec, RetryPolicy, SupervisedCampaign};
 use yarrp6::{StreamConfig, YarrpConfig};
 
 /// Configuration of the adaptive discovery loop.
@@ -573,8 +591,9 @@ fn fresh(topo: &Topology, initial: &TargetSet, cfg: &AdaptiveConfig) -> Checkpoi
     }
 }
 
-/// Runs the adaptive loop with each round's campaigns executed
-/// serially. See the module docs for the loop structure.
+/// Runs the adaptive loop serially: one campaign at a time, and the
+/// stages between campaigns in turn on the calling thread. See the
+/// module docs for the loop structure.
 pub fn run_adaptive(
     topo: &Arc<Topology>,
     initial: &TargetSet,
@@ -583,10 +602,12 @@ pub fn run_adaptive(
     run_loop(topo, cfg, false, fresh(topo, initial, cfg), None, |_| {})
 }
 
-/// Runs the adaptive loop with each round's campaigns executed on the
-/// work-queue thread pool. Bit-identical to [`run_adaptive`] (campaigns
-/// are engine-isolated and return in input order); the discovery
-/// mining between rounds is always on the calling thread.
+/// Runs the adaptive loop with each round's campaigns and per-set
+/// subnet miners on the work-queue thread pool, and the round tail's
+/// two lanes — the alias stage and feedback generation — side by side.
+/// Bit-identical to [`run_adaptive`]: campaigns are engine-isolated,
+/// miners are pure, both return in input order and are folded on the
+/// calling thread, and the lanes borrow disjoint state.
 pub fn run_adaptive_parallel(
     topo: &Arc<Topology>,
     initial: &TargetSet,
@@ -979,22 +1000,87 @@ fn probe_round(
 /// so a router lying toward one is condemned toward all — before any
 /// cell reaches subnet inference, the kept trace record or the
 /// feedback generators. The output is index-aligned with the run's
-/// results (`None` where a campaign failed outright) and empty when
-/// the stage is off.
+/// results: `Some` is the scrubbed replacement of a set that lost
+/// cells; `None` is a set the pass left alone (the mine stage keeps
+/// the original — nothing is copied to say "unchanged") or a campaign
+/// that failed outright. Empty when the stage is off.
 fn quarantine_round(cfg: &AdaptiveConfig, run: &RoundRun) -> Vec<Option<TraceSet>> {
     if !cfg.quarantine_feedback {
         return Vec::new();
     }
     let refs: Vec<&TraceSet> = run.results.iter().filter_map(|sc| sc.output()).collect();
-    let (scrubbed, _report) = quarantine_all(&refs, &cfg.quarantine);
+    let (scrubbed, _report) = quarantine_changed(&refs, &cfg.quarantine);
     let mut it = scrubbed.into_iter();
     run.results
         .iter()
         .map(|sc| {
             sc.output()
-                .map(|_| it.next().expect("scrubbed sets align with results"))
+                .and_then(|_| it.next().expect("scrubbed sets align with results"))
         })
         .collect()
+}
+
+/// Runs a round's two independent lanes and returns both results: `b`
+/// on a scoped thread beside `a` when `parallel`, `a` then `b` on the
+/// calling thread when not. The lanes borrow disjoint state (the borrow
+/// checker is the proof), so the results are the same either way. A
+/// panic in either lane is the caller's panic once both have ended.
+fn join<A, B: Send>(parallel: bool, a: impl FnOnce() -> A, b: impl FnOnce() -> B + Send) -> (A, B) {
+    if !parallel {
+        return (a(), b());
+    }
+    std::thread::scope(|s| {
+        let lane_b = s.spawn(b);
+        let ra = a();
+        match lane_b.join() {
+            Ok(rb) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
+/// The subnets one kept set implies: the IA hack always, path
+/// divergence when configured. A pure function of the set, so the mine
+/// stage maps it over the round's sets on the campaign pool.
+fn mine_set(
+    topo: &Topology,
+    cfg: &AdaptiveConfig,
+    resolver: Option<&AsnResolver>,
+    vantage_idx: u8,
+    ts: &TraceSet,
+) -> Vec<CandidateSubnet> {
+    let mut found = ia_hack(ts);
+    if let (Some(params), Some(res)) = (&cfg.path_div, resolver) {
+        let vantage = &topo.vantages[vantage_idx as usize];
+        let vasn = topo.ases[vantage.as_idx as usize].asn;
+        found.extend(discover_by_path_div(ts, res, vasn, params));
+    }
+    found
+}
+
+/// Lane A of the round tail: what the alias stage borrows of
+/// [`LoopState`] — `alias` to write, the rest to read.
+struct AliasLane<'a> {
+    alias: Option<&'a mut AliasState>,
+    /// The round's kept sets.
+    round_sets: &'a [Arc<TraceSet>],
+    /// The interfaces that feed forward ([`Views::kept`]).
+    kept: &'a AddrSet,
+    consumed: u64,
+    alive: &'a [bool],
+    vclock_us: u64,
+}
+
+/// Lane B of the round tail: what feedback generation reads of
+/// [`LoopState`]. It writes nothing: the pool is returned, and the
+/// driver installs it only if the loop goes on.
+struct FeedbackLane<'a> {
+    /// The round being closed (`rounds.len()` before its report is
+    /// filed).
+    round: usize,
+    kept: &'a AddrSet,
+    probed: &'a AddrSet,
+    subnets: &'a [Ipv6Prefix],
 }
 
 impl LoopState {
@@ -1162,10 +1248,17 @@ impl LoopState {
     /// yield. Structure mining and the kept record use the quarantined
     /// set when there is one, so subnet inference, path divergence and
     /// the result's traces then hold only clean cells.
+    ///
+    /// Three passes: the accounting is serial (each set's delta is
+    /// against the seen-set the earlier ones extended), the subnet
+    /// miners are pure per set and run on the campaign pool, and the
+    /// fold back into the state is serial in campaign order — so the
+    /// discovery order of `subnets` is the one-thread order.
     fn mine_round(
         &mut self,
         topo: &Topology,
         cfg: &AdaptiveConfig,
+        parallel: bool,
         views: &mut Views,
         run: RoundRun,
         mut cleaned: Vec<Option<TraceSet>>,
@@ -1176,23 +1269,23 @@ impl LoopState {
             new_subnets: 0,
             first_set: self.traces.len(),
         };
+        let mut kept: Vec<(u8, TraceSet)> = Vec::with_capacity(run.results.len());
         for (i, sc) in run.results.into_iter().enumerate() {
             mined.stats.merge(&sc.stats);
             let Some(streamed) = sc.result else {
                 continue; // hard failure: no trace set to mine
             };
             mined.new_interfaces += streamed.output.discovery_delta(&mut self.seen).len() as u64;
-            let ts = match cleaned.get_mut(i).and_then(Option::take) {
-                Some(clean) => clean,
-                None => streamed.output,
-            };
-            let mut found = ia_hack(&ts);
-            if let (Some(params), Some(res)) = (&cfg.path_div, &views.resolver) {
-                let vantage = &topo.vantages[sc.vantage_idx as usize];
-                let vasn = topo.ases[vantage.as_idx as usize].asn;
-                found.extend(discover_by_path_div(&ts, res, vasn, params));
-            }
-            for cand in found {
+            let clean = cleaned.get_mut(i).and_then(Option::take);
+            kept.push((sc.vantage_idx, clean.unwrap_or(streamed.output)));
+        }
+        let resolver = views.resolver.as_ref();
+        let found = pool_map(kept.len(), parallel, |i| {
+            let (vantage_idx, ts) = &kept[i];
+            mine_set(topo, cfg, resolver, *vantage_idx, ts)
+        });
+        for ((_, ts), found) in kept.into_iter().zip(found) {
+            for cand in found.expect("a mining worker died without reporting") {
                 if views.subnet_set.insert(cand.prefix) {
                     self.subnets.push(cand.prefix);
                     mined.new_subnets += 1;
@@ -1206,77 +1299,29 @@ impl LoopState {
         mined
     }
 
-    /// Alias stage (opt-in): extend the incremental router graph with
-    /// the round's kept sets, derive candidate sibling interfaces from
-    /// the discoveries, and speedtrap them under the supervised
-    /// campaign rules — on the loop's virtual clock (after the round's
-    /// campaigns), from the first living vantage, charged against the
-    /// same global probe budget. Off: no probe is sent and none of the
-    /// round's accounting moves.
-    fn alias_round(
-        &mut self,
-        topo: &Arc<Topology>,
-        cfg: &AdaptiveConfig,
-        views: &Views,
+    /// Splits the state into the round tail's two lanes — disjoint
+    /// borrows, which is what lets [`join`] run them side by side.
+    fn lanes<'a>(
+        &'a mut self,
+        views: &'a Views,
         mined: &Mined,
-        round_elapsed: u64,
-        tally: &mut VantageTally,
-    ) -> AliasRound {
-        let Some(al) = self.alias.as_mut() else {
-            return AliasRound::default();
+    ) -> (AliasLane<'a>, FeedbackLane<'a>) {
+        let kept = views.kept(&self.seen);
+        let alias = AliasLane {
+            alias: self.alias.as_mut(),
+            round_sets: &self.traces[mined.first_set..],
+            kept,
+            consumed: self.consumed,
+            alive: &self.alive,
+            vclock_us: self.vclock_us,
         };
-        let round_sets = &self.traces[mined.first_set..];
-        for ts in round_sets {
-            al.builder.ingest(ts);
-        }
-        let mut out = AliasRound::default();
-        // Candidates stay re-offerable (a cross-round pair needs the
-        // old member probed alongside the new one), but only a bucket
-        // with an untested arrival is offered at all.
-        let cand = stride_sample(
-            &sibling_candidates(views.kept(&self.seen), round_sets, &al.probed),
-            cfg.alias.max_candidates_per_round,
-        );
-        let remaining = cfg
-            .probe_budget
-            .saturating_sub(self.consumed)
-            .saturating_sub(mined.stats.probes);
-        let cap = cfg.alias.max_probes_per_round.min(remaining);
-        let prober = self.alive.iter().position(|&a| a);
-        if let Some(vi) = prober.filter(|_| !cand.is_empty() && cap > 0) {
-            let run = resolve_aliases_supervised(
-                topo,
-                cfg.vantages[vi],
-                &cand,
-                &cfg.alias.probe,
-                &cfg.retry,
-                self.vclock_us.saturating_add(round_elapsed),
-                cap,
-            );
-            let p = &mut tally.per_v[vi];
-            p.probes += run.stats.probes;
-            p.fault_dropped += run.stats.fault_dropped_total();
-            p.attempts = p.attempts.max(run.attempts);
-            p.degraded |= run.degraded;
-            if let Some(sets) = run.sets {
-                out.confirmed = sets.pairs_confirmed;
-                out.rejected = sets.pairs_rejected;
-                for g in &sets.groups {
-                    al.builder.merge_alias_group(g);
-                }
-                let tested = sets.groups.iter().flatten();
-                for &a in tested.chain(&sets.singletons).chain(&sets.unresponsive) {
-                    al.probed.insert(a);
-                }
-            }
-            out.stats = run.stats;
-            out.elapsed_us = run.elapsed_us;
-        }
-        al.probes += out.stats.probes;
-        al.pairs_confirmed += out.confirmed;
-        al.pairs_rejected += out.rejected;
-        out.routers = al.builder.observed_node_count() as u64;
-        out
+        let feedback = FeedbackLane {
+            round: self.rounds.len(),
+            kept,
+            probed: &self.probed,
+            subnets: &self.subnets,
+        };
+        (alias, feedback)
     }
 
     /// Close-round stage: charge the round to the budget and the
@@ -1395,32 +1440,6 @@ impl LoopState {
         }
     }
 
-    /// Feedback stage: regenerate the pool from *all* discoveries so
-    /// far plus everything already probed — the paper's 6Gen basis
-    /// ("targets probed plus interfaces discovered"); cumulative input
-    /// gives the generators their cluster mass, and the plan stage's
-    /// `probed` filter keeps rounds from re-paying.
-    fn regenerate_pool(&mut self, cfg: &AdaptiveConfig, views: &Views) {
-        let round = self.rounds.len() - 1;
-        let discovered: Vec<Ipv6Addr> = views.kept(&self.seen).iter().collect();
-        let probed_targets: Vec<Ipv6Addr> = self.probed.iter().collect();
-        let fb = feedback_list(
-            format!("adaptive-fb-r{round}"),
-            &discovered,
-            &probed_targets,
-            &self.subnets,
-            &cfg.feedback,
-            mix(cfg.rng_seed ^ round as u64),
-        );
-        self.pool = feedback_targets(
-            format!("adaptive-r{}", round + 1),
-            &fb,
-            cfg.per_prefix_64s,
-            cfg.iid,
-        )
-        .addrs;
-    }
-
     fn into_result(self, stop: StopReason) -> AdaptiveResult {
         let router_level = self.alias.map(|al| RouterLevelResult {
             graph: al.builder.snapshot(),
@@ -1441,6 +1460,107 @@ impl LoopState {
             router_level,
             stop,
         }
+    }
+}
+
+impl AliasLane<'_> {
+    /// Alias stage (opt-in): extend the incremental router graph with
+    /// the round's kept sets, derive candidate sibling interfaces from
+    /// the discoveries, and speedtrap them under the supervised
+    /// campaign rules — on the loop's virtual clock (after the round's
+    /// campaigns), from the first living vantage, charged against the
+    /// same global probe budget. Off: no probe is sent and none of the
+    /// round's accounting moves.
+    fn run(
+        self,
+        topo: &Arc<Topology>,
+        cfg: &AdaptiveConfig,
+        mined: &Mined,
+        round_elapsed: u64,
+        tally: &mut VantageTally,
+    ) -> AliasRound {
+        let Some(al) = self.alias else {
+            return AliasRound::default();
+        };
+        for ts in self.round_sets {
+            al.builder.ingest(ts);
+        }
+        let mut out = AliasRound::default();
+        // Candidates stay re-offerable (a cross-round pair needs the
+        // old member probed alongside the new one), but only a bucket
+        // with an untested arrival is offered at all.
+        let cand = stride_sample(
+            &sibling_candidates(self.kept, self.round_sets, &al.probed),
+            cfg.alias.max_candidates_per_round,
+        );
+        let remaining = cfg
+            .probe_budget
+            .saturating_sub(self.consumed)
+            .saturating_sub(mined.stats.probes);
+        let cap = cfg.alias.max_probes_per_round.min(remaining);
+        let prober = self.alive.iter().position(|&a| a);
+        if let Some(vi) = prober.filter(|_| !cand.is_empty() && cap > 0) {
+            let run = resolve_aliases_supervised(
+                topo,
+                cfg.vantages[vi],
+                &cand,
+                &cfg.alias.probe,
+                &cfg.retry,
+                self.vclock_us.saturating_add(round_elapsed),
+                cap,
+            );
+            let p = &mut tally.per_v[vi];
+            p.probes += run.stats.probes;
+            p.fault_dropped += run.stats.fault_dropped_total();
+            p.attempts = p.attempts.max(run.attempts);
+            p.degraded |= run.degraded;
+            if let Some(sets) = run.sets {
+                out.confirmed = sets.pairs_confirmed;
+                out.rejected = sets.pairs_rejected;
+                for g in &sets.groups {
+                    al.builder.merge_alias_group(g);
+                }
+                let tested = sets.groups.iter().flatten();
+                for &a in tested.chain(&sets.singletons).chain(&sets.unresponsive) {
+                    al.probed.insert(a);
+                }
+            }
+            out.stats = run.stats;
+            out.elapsed_us = run.elapsed_us;
+        }
+        al.probes += out.stats.probes;
+        al.pairs_confirmed += out.confirmed;
+        al.pairs_rejected += out.rejected;
+        out.routers = al.builder.observed_node_count() as u64;
+        out
+    }
+}
+
+impl FeedbackLane<'_> {
+    /// Feedback stage: the next round's pool, generated from *all*
+    /// discoveries so far plus everything already probed — the paper's
+    /// 6Gen basis ("targets probed plus interfaces discovered");
+    /// cumulative input gives the generators their cluster mass, and
+    /// the plan stage's `probed` filter keeps rounds from re-paying.
+    fn generate(self, cfg: &AdaptiveConfig) -> Vec<Ipv6Addr> {
+        let round = self.round;
+        let discovered: Vec<Ipv6Addr> = self.kept.iter().collect();
+        let probed_targets: Vec<Ipv6Addr> = self.probed.iter().collect();
+        let fb = feedback_list(
+            format!("adaptive-fb-r{round}"),
+            &discovered,
+            &probed_targets,
+            self.subnets,
+            &cfg.feedback,
+            mix(cfg.rng_seed ^ round as u64),
+        );
+        feedback_targets(
+            format!("adaptive-r{}", round + 1),
+            &fb,
+            cfg.per_prefix_64s,
+            cfg.iid,
+        )
+        .addrs
     }
 }
 
@@ -1474,16 +1594,25 @@ fn run_loop(
         let round_elapsed = run.elapsed_us();
         let cleaned = quarantine_round(cfg, &run);
         let mut tally = st.attribute(cfg, &plan, &run);
-        let mined = st.mine_round(topo, cfg, &mut views, run, cleaned);
-        let alias = st.alias_round(topo, cfg, &views, &mined, round_elapsed, &mut tally);
+        let mined = st.mine_round(topo, cfg, parallel, &mut views, run, cleaned);
+        // The round tail's two lanes read the same finished round and
+        // nothing of each other. The pool is generated before the round
+        // closes, so it is speculative: only the round cap is decided
+        // already (then no pass is started); any other stop discards
+        // the one pass it was generated beside.
+        let speculate = st.rounds.len() + 1 < cfg.max_rounds;
+        let (alias_lane, feedback_lane) = st.lanes(&views, &mined);
+        let (alias, pool) = join(
+            parallel && speculate,
+            || alias_lane.run(topo, cfg, &mined, round_elapsed, &mut tally),
+            || speculate.then(|| feedback_lane.generate(cfg)),
+        );
         st.close_round(cfg, plan, tally, &mined, alias, round_elapsed);
         if let Some(d) = delta.as_mut() {
             st.reopen_changed_shards(d, mined.first_set);
         }
-        // Don't pay for (and then discard) a generation pass when the
-        // loop top is certain to stop.
         if stop_reason(st, cfg).is_none() {
-            st.regenerate_pool(cfg, &views);
+            st.pool = pool.expect("only the round cap skips generation, and it stops the loop");
         }
         on_round(&ck);
     };
@@ -1579,6 +1708,48 @@ mod tests {
         let res = run_adaptive(&topo, &set, &cfg);
         assert_eq!(res.stop, StopReason::YieldFloor);
         assert_eq!(res.rounds.len(), 2);
+    }
+
+    #[test]
+    fn join_gives_the_same_pair_on_one_thread_or_two() {
+        let caller = std::thread::current().id();
+        for parallel in [false, true] {
+            let mut written = 0;
+            let (a, b) = join(
+                parallel,
+                || {
+                    written = 7; // lane a may borrow mutably
+                    (1, std::thread::current().id())
+                },
+                || (2, std::thread::current().id()),
+            );
+            assert_eq!((a.0, b.0, written), (1, 2, 7));
+            // Lane a never leaves the caller; lane b leaves it exactly
+            // when asked to — the serial driver spawns nothing here.
+            assert_eq!(a.1, caller);
+            assert_eq!(b.1 != caller, parallel);
+        }
+    }
+
+    #[test]
+    fn a_panicking_lane_panics_the_caller_of_join() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for parallel in [false, true] {
+            for lane in ["a", "b"] {
+                let joined = catch_unwind(AssertUnwindSafe(|| {
+                    join(
+                        parallel,
+                        || assert!(lane != "a", "lane a failed"),
+                        || assert!(lane != "b", "lane b failed"),
+                    )
+                }));
+                // Returning at all is half the contract: the healthy
+                // lane is joined, not waited on forever.
+                let payload = joined.expect_err("must panic");
+                let message = payload.downcast_ref::<&str>().expect("a literal message");
+                assert_eq!(*message, format!("lane {lane} failed"));
+            }
+        }
     }
 
     #[test]

@@ -452,3 +452,50 @@ fn checkpoint_format_is_pinned() {
     let loaded = Checkpoint::load_dir(&dir.0).expect("load_dir").to_bytes();
     assert_eq!((loaded.len(), fnv1a(&loaded)), PINNED_LAST_ROUND);
 }
+
+/// Golden `(len, fnv1a)` of the *final* checkpoint of two runs that end
+/// on a stop the loop cannot know before the round closes, captured at
+/// the commit before feedback generation became speculative. The pool
+/// generated beside such a round's alias stage is dropped, so the last
+/// checkpoint still carries the pool the round was planned from. No
+/// result can show a leak (nothing reads the pool after the stop); only
+/// these bytes can.
+const PINNED_YIELD_FLOOR_LAST: (usize, u64) = (158_441, 7_475_253_908_518_151_844);
+const PINNED_BUDGET_LAST: (usize, u64) = (258_115, 8_323_124_362_037_187_076);
+
+#[test]
+fn a_discarded_pool_never_reaches_the_last_checkpoint() {
+    use analysis::snapshot::fnv1a;
+    let (topo, set) = fixture(FaultSchedule::default());
+    let base = AdaptiveConfig {
+        quarantine_feedback: true,
+        alias_resolution: true,
+        max_rounds: 6,
+        ..cfg()
+    };
+    let yield_floor = AdaptiveConfig {
+        min_yield_per_kprobes: 1e9, // unreachable floor
+        patience: 2,
+        ..base.clone()
+    };
+    let budget = AdaptiveConfig {
+        probe_budget: 30_000,
+        ..base
+    };
+    for (cfg, stop, pinned) in [
+        (yield_floor, StopReason::YieldFloor, PINNED_YIELD_FLOOR_LAST),
+        (budget, StopReason::BudgetExhausted, PINNED_BUDGET_LAST),
+    ] {
+        for parallel in [false, true] {
+            let mut last = (0, 0);
+            let res = run_adaptive_checkpointed(&topo, &set, &cfg, parallel, |ck| {
+                let bytes = ck.to_bytes();
+                last = (bytes.len(), fnv1a(&bytes));
+            });
+            assert_eq!(res.stop, stop);
+            // Stopped short of the cap, so the last round did speculate.
+            assert!(res.rounds.len() < cfg.max_rounds);
+            assert_eq!(last, pinned, "{stop:?}, parallel = {parallel}");
+        }
+    }
+}

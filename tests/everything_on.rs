@@ -6,7 +6,10 @@
 //! across all five adversarial classes. Each feature is pinned alone
 //! elsewhere; this suite pins that they compose:
 //!
-//! * serial == parallel, bit for bit, router graph included;
+//! * serial == parallel, bit for bit, router graph included — and the
+//!   checkpoint bytes at **every** round boundary, which also hold what
+//!   no result shows (the next round's pool, the alias stage's tested
+//!   set, the virtual clock);
 //! * kill-and-resume from **every** round boundary reproduces the
 //!   uninterrupted run and every later checkpoint's bytes;
 //! * no fabricated interface reaches the result and the probe
@@ -190,6 +193,17 @@ fn all_features_compose_under_faults_and_adversaries() {
     });
     assert_same(&serial, &full);
     assert_eq!(snaps.len(), full.rounds.len());
+    // The parallel driver runs the round tail as two lanes and the
+    // miners on the pool; the serial one runs them in turn. Same state
+    // at every boundary, not only the same result at the end.
+    let mut serial_snaps: Vec<Vec<u8>> = Vec::new();
+    run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
+        serial_snaps.push(ck.to_bytes());
+    });
+    assert!(
+        serial_snaps == snaps,
+        "serial and parallel checkpoints diverged"
+    );
 
     // Kill-and-resume from every boundary: the same result, and the
     // same bytes at every later boundary.
