@@ -6,10 +6,12 @@
 //! [`TraceSet`] the batch path builds from a full
 //! [`yarrp6::ProbeLog`] — so a
 //! campaign-scale sweep never materializes its log. Per record the
-//! builder keeps at most one 24-byte classified row (targets and
-//! responders are interned to dense ids on ingestion); destination
-//! responses and checksum-failed records fold into counters
-//! immediately and keep no row at all.
+//! builder keeps at most one 16-byte row (targets and responders are
+//! interned to dense ids on ingestion, and packed with the hop limit
+//! and the class beside the receive time), in a vector that past 64 Ki
+//! rows grows by an eighth at a time, so it never holds much more than
+//! the rows themselves; destination responses and checksum-failed
+//! records fold into counters immediately and keep no row at all.
 //!
 //! **Equivalence contract** (pinned by golden + property tests in
 //! `tests/stream_golden.rs`): feeding the builder a campaign's records
@@ -41,6 +43,12 @@ use yarrp6::campaign::{run_campaigns_streaming, CampaignSpec, RetryPolicy, Super
 use yarrp6::sink::{RecordStream, StreamConfig};
 use yarrp6::{ResponseKind, ResponseRecord};
 
+/// Rows up to which the builder's row vector doubles; past it, it grows
+/// by an eighth. A doubled vector of a campaign's rows is up to half
+/// spare capacity at the moment it matters — when `finish` allocates
+/// the columns beside it.
+const DOUBLING_ROWS: usize = 1 << 16;
+
 /// Builds a [`TraceSet`] incrementally from streamed response records.
 #[derive(Default)]
 pub struct TraceSetBuilder {
@@ -54,7 +62,7 @@ pub struct TraceSetBuilder {
     /// Min destination-response TTL per tid (`NOT_REACHED` = none).
     reached: Vec<u16>,
     /// One classified, interned row per record that reaches the
-    /// hop/unreachable columns — 24 bytes instead of a 64-byte
+    /// hop/unreachable columns — 16 bytes instead of a 64-byte
     /// [`ResponseRecord`] — keyed by receive time, `rid` in `scratch`.
     rows: Vec<Row<u64>>,
     rewritten_dropped: u64,
@@ -106,24 +114,14 @@ impl TraceSetBuilder {
         match r.kind {
             ResponseKind::TimeExceeded => {
                 if let Some(ttl) = r.probe_ttl {
-                    self.rows.push(Row {
-                        key: r.recv_us,
-                        tid,
-                        rid: self.scratch.intern(r.responder),
-                        ttl,
-                        unreach: false,
-                    });
+                    let rid = self.scratch.intern(r.responder);
+                    self.push_row(Row::new(r.recv_us, tid, rid, ttl, false));
                 }
             }
             ResponseKind::DestUnreachable(c) if c != DestUnreachCode::PortUnreachable => {
                 if let Some(ttl) = r.probe_ttl {
-                    self.rows.push(Row {
-                        key: r.recv_us,
-                        tid,
-                        rid: self.scratch.intern(r.responder),
-                        ttl,
-                        unreach: true,
-                    });
+                    let rid = self.scratch.intern(r.responder);
+                    self.push_row(Row::new(r.recv_us, tid, rid, ttl, true));
                 }
             }
             _ => {
@@ -133,6 +131,17 @@ impl TraceSetBuilder {
                 self.reached[tid as usize] = self.reached[tid as usize].min(at);
             }
         }
+    }
+
+    /// Appends a row, growing a full vector by its own rule past
+    /// [`DOUBLING_ROWS`].
+    #[inline]
+    fn push_row(&mut self, row: Row<u64>) {
+        let len = self.rows.len();
+        if len == self.rows.capacity() && len >= DOUBLING_ROWS {
+            self.rows.reserve_exact(len / 8);
+        }
+        self.rows.push(row);
     }
 
     /// Ingests a chunk, prefetching the target-interner slot a window
@@ -170,7 +179,7 @@ impl TraceSetBuilder {
     pub fn finish(mut self) -> TraceSet {
         let mut first = vec![(u64::MAX, usize::MAX); self.scratch.len()];
         for (i, row) in self.rows.iter().enumerate() {
-            let seen = &mut first[row.rid as usize];
+            let seen = &mut first[row.rid() as usize];
             *seen = (*seen).min((row.key, i));
         }
         let mut by_first: Vec<u32> = (0..first.len() as u32).collect();
@@ -181,7 +190,7 @@ impl TraceSetBuilder {
             renumbered[rid as usize] = interner.intern(self.scratch.resolve(rid));
         }
         for row in &mut self.rows {
-            row.rid = renumbered[row.rid as usize];
+            row.set_rid(renumbered[row.rid() as usize]);
         }
         assemble(
             ClassifiedRows {
@@ -355,6 +364,23 @@ mod tests {
             t.hops().collect::<Vec<_>>(),
             vec![(2u8, "::a".parse::<Ipv6Addr>().unwrap())]
         );
+    }
+
+    #[test]
+    fn a_large_row_vector_holds_at_most_an_eighth_to_spare() {
+        let mut b = TraceSetBuilder::new();
+        let mut r = rec("2001:db8::1", "::a", ResponseKind::TimeExceeded, Some(1), 0);
+        for i in 0..8 * DOUBLING_ROWS as u64 {
+            r.recv_us = i;
+            b.push(&r);
+            // Whatever capacity doubling left behind is outgrown by twice
+            // the threshold: from there on every growth was an eighth.
+            let (len, cap) = (b.rows.len(), b.rows.capacity());
+            if len > 2 * DOUBLING_ROWS {
+                assert!(cap <= len + len / 8, "{len} rows hold room for {cap}");
+            }
+        }
+        assert_eq!(b.pending_rows(), 8 * DOUBLING_ROWS);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!     .vantages(&[0, 1, 2])
 //!     .parallel(true)
 //!     .run()?;
-//! // outcome.merged, outcome.runs[i].traces, outcome.stats
+//! // outcome.merged(), outcome.runs[i].traces, outcome.stats
 //! ```
 //!
 //! `run()` is [`stream_campaigns_supervised`] under
@@ -44,24 +44,31 @@ pub struct CampaignRun {
 }
 
 /// Everything a [`CampaignRunner::run`] produces: per-campaign sets in
-/// vantage order, their deterministic union, and merged accounting.
+/// vantage order and merged accounting; their deterministic union is
+/// [`merged`](Self::merged), computed when asked for.
 ///
-/// The per-vantage sets are kept alongside the union because
-/// contribution and overlap statistics
-/// ([`crate::metrics::vantage_contributions`],
-/// [`crate::metrics::vantage_jaccard`]) need each vantage's view.
+/// The per-vantage sets are what is kept because contribution and
+/// overlap statistics ([`crate::metrics::vantage_contributions`],
+/// [`crate::metrics::vantage_jaccard`]) need each vantage's view, and a
+/// single-vantage sweep's union is a copy of its only set.
 #[derive(Clone, Debug)]
 pub struct CampaignOutcome {
+    /// Each campaign's own run, in [`CampaignRunner::vantages`] order.
+    pub runs: Vec<CampaignRun>,
+    /// Engine accounting merged over every campaign.
+    pub stats: EngineStats,
+}
+
+impl CampaignOutcome {
     /// `TraceSet::merge_all` over the runs in vantage order — the
     /// union-of-vantages discovery set: its interner is the full union
     /// of every vantage's discovered responders, its trace columns keep
     /// the first vantage's trace per shared target, and every trace
     /// carries its source vantage ([`crate::traces::TraceView::vantage`]).
-    pub merged: TraceSet,
-    /// Each campaign's own run, in [`CampaignRunner::vantages`] order.
-    pub runs: Vec<CampaignRun>,
-    /// Engine accounting merged over every campaign.
-    pub stats: EngineStats,
+    /// Merges on every call.
+    pub fn merged(&self) -> TraceSet {
+        TraceSet::merge_all(self.runs.iter().map(|r| &r.traces))
+    }
 }
 
 /// Builder for a probing campaign (or a multi-vantage sweep of them).
@@ -168,7 +175,6 @@ impl<'a> CampaignRunner<'a> {
         })
         .collect::<Result<Vec<_>, _>>()?;
         Ok(CampaignOutcome {
-            merged: TraceSet::merge_all(runs.iter().map(|r| &r.traces)),
             stats: EngineStats::merged(runs.iter().map(|r| &r.stats)),
             runs,
         })

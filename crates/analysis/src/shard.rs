@@ -76,7 +76,7 @@ impl ShardRoute {
 /// Runs `f(0..n)` on the work-queue thread pool
 /// ([`yarrp6::campaign::pool_map`]), results in input order. Falls back
 /// to the calling thread for a single shard.
-fn fan_out<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+pub(crate) fn fan_out<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     pool_map(n, n > 1, f)
         .into_iter()
         .map(|v| v.expect("shard worker lost"))

@@ -361,7 +361,7 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
 // persisting the same store twice produces identical files, so
 // day-over-day diffs of a snapshot directory are real topology diffs.
 
-use crate::shard::{ShardRoute, ShardedTraceSet};
+use crate::shard::{fan_out, ShardRoute, ShardedTraceSet};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -534,7 +534,8 @@ impl From<SnapshotError> for StoreError {
 }
 
 /// Persists a sharded store under `dir` (created if absent):
-/// `manifest.snap` plus one segment file per shard. Returns the
+/// `manifest.snap` plus one segment file per shard, the segments
+/// encoded, checksummed and written on the worker pool. Returns the
 /// manifest it wrote. Byte-deterministic — equal stores produce
 /// identical directories.
 pub fn write_sharded_snapshot(
@@ -542,16 +543,16 @@ pub fn write_sharded_snapshot(
     set: &ShardedTraceSet,
 ) -> Result<SnapshotManifest, StoreError> {
     std::fs::create_dir_all(dir)?;
-    let mut segments = Vec::with_capacity(set.n_shards());
-    for (s, shard) in set.shards().iter().enumerate() {
-        let bytes = encode_segment(shard);
-        segments.push(SegmentInfo {
+    let segments = fan_out(set.n_shards(), |s| {
+        let bytes = encode_segment(set.shard(s));
+        std::fs::File::create(dir.join(segment_file(s)))?.write_all(&bytes)?;
+        Ok(SegmentInfo {
             len: bytes.len() as u64,
             fnv: fnv1a(&bytes),
-        });
-        let mut f = std::fs::File::create(dir.join(segment_file(s)))?;
-        f.write_all(&bytes)?;
-    }
+        })
+    })
+    .into_iter()
+    .collect::<std::io::Result<Vec<_>>>()?;
     let manifest = SnapshotManifest {
         n_shards: set.n_shards() as u32,
         segments,

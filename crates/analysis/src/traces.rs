@@ -104,19 +104,79 @@ pub(crate) const NOT_REACHED: u16 = u16::MAX;
 
 /// One classified record on its way into the hop or unreachable column.
 /// `key` orders a target's rows where their position in the row vector
-/// does not ([`assemble`]): 12 bytes with the batch path's `()`, 24 with
-/// a receive time.
+/// does not ([`assemble`]). The four fields pack into two words — 8
+/// bytes with the batch path's `()` key, 16 with a receive time — so
+/// the ids have less than 32 bits each: [`Row::new`] checks them.
 #[derive(Clone, Copy)]
 pub(crate) struct Row<K> {
     pub key: K,
-    /// Dense probed-target id.
-    pub tid: u32,
-    /// Responder id.
-    pub rid: u32,
-    /// Originating probe hop limit.
-    pub ttl: u8,
+    /// Dense probed-target id, and in the top bit whether this is a
     /// Destination Unreachable row (else Time Exceeded).
-    pub unreach: bool,
+    tid_unreach: u32,
+    /// Responder id, and in the low byte the originating probe hop limit.
+    rid_ttl: u32,
+}
+
+impl<K> Row<K> {
+    /// Target ids a row can carry.
+    pub(crate) const TID_LIMIT: u32 = 1 << 31;
+    /// Responder ids a row can carry.
+    pub(crate) const RID_LIMIT: u32 = 1 << 24;
+
+    /// Packs a row.
+    ///
+    /// # Panics
+    ///
+    /// When `tid` or `rid` does not fit — more than 2³¹ probed targets
+    /// or 2²⁴ distinct responders in one campaign.
+    #[inline]
+    pub(crate) fn new(key: K, tid: u32, rid: u32, ttl: u8, unreach: bool) -> Self {
+        assert!(
+            tid < Self::TID_LIMIT,
+            "one campaign's rows hold at most 2^31 probed targets"
+        );
+        assert!(
+            rid < Self::RID_LIMIT,
+            "one campaign's rows hold at most 2^24 distinct responders"
+        );
+        Row {
+            key,
+            tid_unreach: tid | (unreach as u32) << 31,
+            rid_ttl: rid << 8 | ttl as u32,
+        }
+    }
+
+    /// Dense probed-target id.
+    #[inline]
+    pub(crate) fn tid(&self) -> u32 {
+        self.tid_unreach & (Self::TID_LIMIT - 1)
+    }
+
+    /// Destination Unreachable row (else Time Exceeded).
+    #[inline]
+    pub(crate) fn unreach(&self) -> bool {
+        self.tid_unreach >> 31 != 0
+    }
+
+    /// Responder id.
+    #[inline]
+    pub(crate) fn rid(&self) -> u32 {
+        self.rid_ttl >> 8
+    }
+
+    /// Originating probe hop limit.
+    #[inline]
+    pub(crate) fn ttl(&self) -> u8 {
+        self.rid_ttl as u8
+    }
+
+    /// Replaces the responder id by one known to fit (the builder's
+    /// renumbering permutes ids that already do).
+    #[inline]
+    pub(crate) fn set_rid(&mut self, rid: u32) {
+        debug_assert!(rid < Self::RID_LIMIT);
+        self.rid_ttl = rid << 8 | self.rid_ttl & 0xff;
+    }
 }
 
 /// A [`Row`] in its target's bucket.
@@ -145,7 +205,7 @@ fn scatter_by_rank<K: Copy + Default>(
     // place pass skips the tid → rank indirection.
     let mut cur = vec![[0u32; 2]; n_targets];
     for row in rows {
-        cur[row.tid as usize][row.unreach as usize] += 1;
+        cur[row.tid() as usize][row.unreach() as usize] += 1;
     }
     let mut starts = vec![[0u32; 2]; n_targets + 1];
     let mut acc = [0u32; 2];
@@ -157,11 +217,11 @@ fn scatter_by_rank<K: Copy + Default>(
     starts[n_targets] = acc;
     let mut out = acc.map(|n| vec![Cell::default(); n as usize]);
     for row in rows {
-        let slot = &mut cur[row.tid as usize][row.unreach as usize];
-        out[row.unreach as usize][*slot as usize] = Cell {
+        let slot = &mut cur[row.tid() as usize][row.unreach() as usize];
+        out[row.unreach() as usize][*slot as usize] = Cell {
             key: row.key,
-            rid: row.rid,
-            ttl: row.ttl,
+            rid: row.rid(),
+            ttl: row.ttl(),
         };
         *slot += 1;
     }
@@ -294,7 +354,7 @@ impl TraceSet {
     /// * targets are interned to dense `tid`s, so the destination-
     ///   response class updates a flat `reached_at[tid]` min-column —
     ///   no rows at all;
-    /// * Time-Exceeded hops become 12-byte `(tid, responder id, ttl)`
+    /// * Time-Exceeded hops become 8-byte `(tid, responder id, ttl)`
     ///   rows, bucketed by the target's *rank* (position in address
     ///   order) with one counting scatter; the scatter is stable, so
     ///   each bucket keeps record order and "first record wins per
@@ -313,15 +373,7 @@ impl TraceSet {
         let mut rewritten_dropped = 0u64;
         // Record order, which for a log is receive order: no key.
         let mut rows: Vec<Row<()>> = Vec::with_capacity(log.records.len() / 2);
-        let mut row = |tid, rid, ttl, unreach| {
-            rows.push(Row {
-                key: (),
-                tid,
-                rid,
-                ttl,
-                unreach,
-            })
-        };
+        let mut row = |tid, rid, ttl, unreach| rows.push(Row::new((), tid, rid, ttl, unreach));
         // Min destination-response TTL per tid; NOT_REACHED = none.
         let mut reached: Vec<u16> = Vec::with_capacity(n_targets);
         // Probe the target table a window ahead so slot misses overlap
@@ -1056,6 +1108,37 @@ mod tests {
             recv_us: 0,
             target_cksum_ok: true,
         }
+    }
+
+    #[test]
+    fn a_row_is_two_words_and_keeps_every_field() {
+        assert_eq!(size_of::<Row<u64>>(), 16);
+        assert_eq!(size_of::<Row<()>>(), 8);
+        let (tid, rid) = (Row::<u64>::TID_LIMIT - 1, Row::<u64>::RID_LIMIT - 1);
+        assert_eq!((tid, rid), ((1 << 31) - 1, (1 << 24) - 1));
+        for (tid, rid) in [(tid, rid), (0, rid), (tid, 0), (0, 0)] {
+            for ttl in [0, 255] {
+                for unreach in [false, true] {
+                    let mut row = Row::new(u64::MAX, tid, rid, ttl, unreach);
+                    let fields = |r: &Row<u64>| (r.key, r.tid(), r.rid(), r.ttl(), r.unreach());
+                    assert_eq!(fields(&row), (u64::MAX, tid, rid, ttl, unreach));
+                    row.set_rid(rid ^ 1);
+                    assert_eq!(fields(&row), (u64::MAX, tid, rid ^ 1, ttl, unreach));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^24 distinct responders")]
+    fn a_responder_id_past_the_row_limit_panics() {
+        Row::new((), 0, 1 << 24, 1, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^31 probed targets")]
+    fn a_target_id_past_the_row_limit_panics() {
+        Row::new((), 1 << 31, 0, 1, false);
     }
 
     #[test]

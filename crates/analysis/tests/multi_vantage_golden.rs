@@ -79,12 +79,13 @@ fn assert_sweep_matches(topo: &Arc<Topology>, set: &TargetSet, cfg: &YarrpConfig
         for (v, (run, want)) in sweep.runs.iter().zip(&want_per).enumerate() {
             assert_eq!(&run.traces, want, "{label} [{mode}] vantage {v} diverged");
         }
+        let merged = sweep.merged();
         assert_eq!(
-            sweep.merged, want_merged,
+            merged, want_merged,
             "{label} [{mode}] merged union diverged"
         );
         assert_eq!(
-            sweep.merged.canonical(),
+            merged.canonical(),
             want_merged.canonical(),
             "{label} [{mode}] canonical forms diverged"
         );
@@ -94,11 +95,11 @@ fn assert_sweep_matches(topo: &Arc<Topology>, set: &TargetSet, cfg: &YarrpConfig
         );
         // The merged identity is the `+`-joined vantage list, and every
         // trace resolves its provenance to one of the three vantages.
-        assert_eq!(&*sweep.merged.vantage, "EU-NET+US-EDU-1+US-EDU-2");
-        assert_eq!(sweep.merged.sources().len(), 3);
-        for t in sweep.merged.iter() {
+        assert_eq!(&*merged.vantage, "EU-NET+US-EDU-1+US-EDU-2");
+        assert_eq!(merged.sources().len(), 3);
+        for t in merged.iter() {
             assert!(
-                sweep.merged.sources().contains(t.vantage()),
+                merged.sources().contains(t.vantage()),
                 "{label} [{mode}] trace provenance outside the sweep"
             );
         }
@@ -165,11 +166,12 @@ fn merged_union_covers_every_vantage() {
         true,
     );
     let union = analysis::vantage_union_count(sweep.runs.iter().map(|r| &r.traces));
+    let merged = sweep.merged();
     for ts in sweep.runs.iter().map(|r| &r.traces) {
         assert!(ts.interface_words().len() as u64 <= union);
         for w in ts.interner().words() {
             assert!(
-                sweep.merged.interner().lookup(Ipv6Addr::from(*w)).is_some(),
+                merged.interner().lookup(Ipv6Addr::from(*w)).is_some(),
                 "merged interner missing a per-vantage discovery"
             );
         }

@@ -279,10 +279,15 @@ fn stream_attempt<T>(
             let mut sink = sink;
             let mut log =
                 yarrp::run_with_sink(&mut engine, vantage_idx, &set.addrs, &spec.cfg, &mut sink);
-            let sink_ok = sink.finish().is_ok();
             log.target_set = set.name.clone();
             debug_assert_eq!(engine.stats.check(), Ok(()));
-            (log, engine.stats, sink_ok)
+            // The stream ends at `finish`, and there the consumer
+            // starts on its own product (a trace builder assembles its
+            // columns): the engine — flows, hop arena, key index — goes
+            // first, so the two never share the heap.
+            let engine_stats = engine.stats;
+            drop(engine);
+            (log, engine_stats, sink.finish().is_ok())
         });
         let output = consume(records);
         // Joining explicitly (instead of letting the scope re-panic)

@@ -15,13 +15,16 @@
 //!
 //! The random order that spares the routers is hard on the prober's own
 //! memory: consecutive probes share nothing. What a probe shares with
-//! the other probes of its *target* — its routing headers, so its path —
-//! [`run_with_sink`] therefore settles once per target, up front, in
-//! target order ([`Engine::open_flow`]); and it looks ahead in its
-//! permutation, a window of 64 probes at a time, and has the engine pull
-//! in what those probes will touch ([`Engine::warm`]) before sending
-//! them, in order, as ever. The order on the wire, and every result, are
-//! those of [`run_reference`], which does neither.
+//! the other probes of its *target* is its flow — the path its routing
+//! headers resolve to — and [`run_with_sink`] settles that once per
+//! target, up front, in target order ([`Engine::open_flow`]). Nothing
+//! else is kept per target: the prober is stateless, so the wire is one
+//! [`ProbeTemplate`] per campaign, re-aimed at each probe's target and
+//! rendered in place. It also looks ahead in its permutation, a window
+//! of 64 probes at a time, and has the engine pull in what those probes
+//! will touch ([`Engine::warm`]) before sending them, in order, as ever.
+//! The order on the wire, and every result, are those of
+//! [`run_reference`], which does neither.
 
 use crate::addrset::AddrSet;
 use crate::perm::Permutation;
@@ -107,29 +110,44 @@ fn patch_flow_label(wire: &mut [u8], now_us: u64) {
     wire[0..4].copy_from_slice(&vtf.to_be_bytes());
 }
 
-/// The prober's per-campaign hot-path state: per-target wire templates
-/// and flows, and one reused response buffer. Steady state allocates
-/// nothing per probe — templates render in place and the engine refills
-/// the link's delivery.
-struct HotPath<'e> {
+/// The wire of the probe to `target` with hop limit `ttl` sent at
+/// `now_us`: the campaign's template, re-aimed and rendered in place.
+#[inline]
+fn wire_of<'w>(
+    template: &'w mut ProbeTemplate,
+    target: Ipv6Addr,
+    ttl: u8,
+    now_us: u64,
+    cfg: &YarrpConfig,
+) -> &'w mut [u8] {
+    template.aim(target);
+    let wire = template.render(ttl, now_us as u32);
+    if cfg.vary_flow_label {
+        patch_flow_label(wire, now_us);
+    }
+    wire
+}
+
+/// The prober's per-campaign hot-path state: the campaign's one wire
+/// template, a flow per target, and one reused response buffer. Steady
+/// state allocates nothing per probe — the template is re-aimed and
+/// rendered in place and the engine refills the link's delivery.
+struct HotPath<'e, 't> {
     link: Link<'e>,
-    src: Ipv6Addr,
-    /// Per-target templates.
-    templates: Vec<ProbeTemplate>,
+    targets: &'t [Ipv6Addr],
+    /// Every probe's wire: aimed at its target, then rendered.
+    template: ProbeTemplate,
     /// The flow every probe of a target belongs to, parallel to
-    /// `templates`. Under the `vary_flow_label` ablation no two probes
+    /// `targets`. Under the `vary_flow_label` ablation no two probes
     /// share one: it then holds the flows of the window last looked
     /// ahead at, by window position.
     flows: Vec<Flow>,
-    /// Scratch wire for off-template probes (fill chains chasing a
-    /// middlebox-rewritten quoted target).
-    scratch: [u8; v6packet::probe::MAX_PROBE_LEN],
 }
 
-impl HotPath<'_> {
+impl HotPath<'_, '_> {
     /// Gets `window` — the next main-sequence `(target index, TTL)`
     /// pairs, the first due at `now_us`, one every `interval_us` — into
-    /// cache before any of it is sent: the templates here, everything a
+    /// cache before any of it is sent: the targets here, everything a
     /// probe touches inside the engine through [`Engine::warm`]. Sends
     /// nothing and changes no result.
     fn look_ahead(
@@ -140,7 +158,7 @@ impl HotPath<'_> {
         cfg: &YarrpConfig,
     ) {
         for &(tidx, _) in window {
-            simnet::prefetch(&self.templates[tidx]);
+            simnet::prefetch(&self.targets[tidx]);
         }
         if cfg.vary_flow_label {
             // The label is part of what the network routes by, and it
@@ -149,8 +167,7 @@ impl HotPath<'_> {
             self.flows.clear();
             for (k, &(tidx, ttl)) in window.iter().enumerate() {
                 let at = now_us + k as u64 * interval_us;
-                let wire = self.templates[tidx].render(ttl, at as u32);
-                patch_flow_label(wire, at);
+                let wire = wire_of(&mut self.template, self.targets[tidx], ttl, at, cfg);
                 self.flows.push(self.link.open(wire));
             }
         }
@@ -179,22 +196,18 @@ impl HotPath<'_> {
         log: &mut ProbeLog,
         sink: &mut S,
     ) -> Option<ResponseRecord> {
-        let wire = self.templates[tidx].render(ttl, now_us as u32);
-        let flow = if cfg.vary_flow_label {
-            patch_flow_label(wire, now_us);
-            match ahead {
-                Some(k) => self.flows[k],
-                None => self.link.open(wire),
-            }
-        } else {
-            self.flows[tidx]
+        let wire = wire_of(&mut self.template, self.targets[tidx], ttl, now_us, cfg);
+        let flow = match (cfg.vary_flow_label, ahead) {
+            (false, _) => self.flows[tidx],
+            (true, Some(k)) => self.flows[k],
+            (true, None) => self.link.open(wire),
         };
         self.link.exchange(flow, wire, now_us, log, sink)
     }
 
-    /// Emits one probe to an arbitrary address via the scratch buffer —
-    /// the rare fill-chain case where the quoted target was rewritten
-    /// and matches no template. Still allocation-free.
+    /// Emits one probe to an arbitrary address — the rare fill-chain
+    /// case where the quoted target was rewritten and is no target of
+    /// the campaign, so no flow of it is open.
     fn send_probe_to<S: RecordSink>(
         &mut self,
         target: Ipv6Addr,
@@ -204,19 +217,7 @@ impl HotPath<'_> {
         log: &mut ProbeLog,
         sink: &mut S,
     ) -> Option<ResponseRecord> {
-        let spec = ProbeSpec {
-            src: self.src,
-            target,
-            protocol: cfg.protocol,
-            ttl,
-            instance: cfg.instance,
-            elapsed_us: now_us as u32,
-        };
-        let n = spec.build_into(&mut self.scratch);
-        let wire = &mut self.scratch[..n];
-        if cfg.vary_flow_label {
-            patch_flow_label(wire, now_us);
-        }
+        let wire = wire_of(&mut self.template, target, ttl, now_us, cfg);
         let flow = self.link.open(wire);
         self.link.exchange(flow, wire, now_us, log, sink)
     }
@@ -272,24 +273,26 @@ pub fn run_with_sink<S: RecordSink>(
     let mut now_us: u64 = 0;
 
     let mut link = Link::new(engine, cfg.instance);
-    let templates: Vec<ProbeTemplate> = targets
-        .iter()
-        .map(|&t| ProbeTemplate::new(src, t, cfg.protocol, cfg.instance))
-        .collect();
+    let mut template = ProbeTemplate::new(src, Ipv6Addr::UNSPECIFIED, cfg.protocol, cfg.instance);
     // One flow per target, opened in target order: neighbouring targets
     // resolve through neighbouring parts of the topology. (The ablation
     // has a flow per probe instead, opened as it looks ahead.)
     let flows = if cfg.vary_flow_label {
         Vec::with_capacity(LOOKAHEAD)
     } else {
-        templates.iter().map(|t| link.open(t.wire())).collect()
+        targets
+            .iter()
+            .map(|&t| {
+                template.aim(t);
+                link.open(template.wire())
+            })
+            .collect()
     };
     let mut hot = HotPath {
         link,
-        src,
-        templates,
+        targets,
+        template,
         flows,
-        scratch: [0u8; v6packet::probe::MAX_PROBE_LEN],
     };
 
     let mut newest = cfg.neighborhood.map(Newest::new);
@@ -318,16 +321,7 @@ pub fn run_with_sink<S: RecordSink>(
             let resp = hot.send_probe(tidx, ttl, now_us, Some(k), cfg, &mut log, sink);
             if let Some(rec) = resp {
                 note_response(&rec, &mut newest);
-                maybe_fill(
-                    &mut hot,
-                    targets,
-                    tidx,
-                    rec,
-                    cfg,
-                    &mut log,
-                    sink,
-                    &mut newest,
-                );
+                maybe_fill(&mut hot, tidx, rec, cfg, &mut log, sink, &mut newest);
             }
             now_us += interval_us;
         }
@@ -489,10 +483,8 @@ fn note_response(rec: &ResponseRecord, newest: &mut Option<Newest>) {
 /// Fill mode: chase the path tail past `max_ttl` while hops keep
 /// answering. Fill probes are sent when the triggering response arrives
 /// (the prober reacts on receipt), so they ride the same virtual clock.
-#[allow(clippy::too_many_arguments)]
 fn maybe_fill<S: RecordSink>(
-    hot: &mut HotPath<'_>,
-    targets: &[Ipv6Addr],
+    hot: &mut HotPath<'_, '_>,
     tidx: usize,
     trigger: ResponseRecord,
     cfg: &YarrpConfig,
@@ -510,9 +502,9 @@ fn maybe_fill<S: RecordSink>(
         let send_at = cur.recv_us;
         log.fills += 1;
         // Fill chases the *quoted* target (as the stateless prober on the
-        // wire would): usually the probed target's template, but a
-        // middlebox-rewritten quotation diverges onto the scratch path.
-        let rec = if cur.target == targets[tidx] {
+        // wire would): usually the probed target, whose flow is open,
+        // but a middlebox-rewritten quotation diverges from it.
+        let rec = if cur.target == hot.targets[tidx] {
             hot.send_probe(tidx, h + 1, send_at, None, cfg, log, sink)
         } else {
             hot.send_probe_to(cur.target, h + 1, send_at, cfg, log, sink)

@@ -19,6 +19,7 @@ use std::net::Ipv6Addr;
 use std::sync::Arc;
 use v6packet::probe::Protocol;
 use yarrp6::yarrp::{self, YarrpConfig};
+use yarrp6::{ResponseKind, ResponseRecord};
 
 fn assert_pipelines_match(
     topo: &Arc<Topology>,
@@ -96,6 +97,47 @@ fn template_pipeline_matches_naive_on_middlebox_topology() {
             ..Default::default()
         };
         assert_pipelines_match(&topo, 1, &targets, &cfg);
+    }
+}
+
+#[test]
+fn fill_chains_that_leave_the_targets_and_come_back_match() {
+    // The prober has one wire template, re-aimed probe by probe. Here a
+    // fill chain follows a rewritten quotation to an address that is no
+    // target of the campaign, and the next probes are the targets' own
+    // again: a template left aimed where the last probe went would show.
+    let mut tcfg = TopologyConfig::tiny(42);
+    tcfg.middlebox_milli = 400;
+    let topo = Arc::new(generate(tcfg));
+    let targets: Vec<Ipv6Addr> = topo.hosts().map(|(a, _)| a).take(60).collect();
+    for vary_flow_label in [false, true] {
+        let cfg = YarrpConfig {
+            max_ttl: 4,
+            vary_flow_label,
+            ..Default::default()
+        };
+        let log = yarrp::run_reference(&mut Engine::new(topo.clone()), 2, &targets, &cfg);
+        let sent_at = |r: &ResponseRecord| r.recv_us - r.rtt_us.expect("a quoted probe");
+        // A Time Exceeded at fill depth whose quotation names a stranger
+        // sends the next fill probe after the stranger.
+        let left = log
+            .records
+            .iter()
+            .filter(|r| {
+                r.kind == ResponseKind::TimeExceeded
+                    && r.probe_ttl.is_some_and(|h| h >= cfg.max_ttl)
+                    && !targets.contains(&r.target)
+            })
+            .map(sent_at)
+            .min()
+            .expect("fixture: a fill chain must leave the campaign's targets");
+        assert!(
+            log.records
+                .iter()
+                .any(|r| targets.contains(&r.target) && r.rtt_us.is_some() && sent_at(r) > left),
+            "fixture: probes to the campaign's targets must follow"
+        );
+        assert_pipelines_match(&topo, 2, &targets, &cfg);
     }
 }
 

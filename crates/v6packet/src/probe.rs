@@ -175,6 +175,15 @@ fn checksum_offset(protocol: Protocol) -> usize {
     }
 }
 
+/// Offset of the target checksum (TCP/UDP source port, ICMPv6
+/// identifier) within the transport header.
+fn ident_offset(protocol: Protocol) -> usize {
+    match protocol {
+        Protocol::Icmp6 => 4,
+        Protocol::Udp | Protocol::Tcp => 0,
+    }
+}
+
 /// The fudge restoring the canonical per-target sum for given variable
 /// fields.
 ///
@@ -387,7 +396,7 @@ impl ProbeSpec {
     }
 }
 
-/// A cached per-target wire image for the zero-allocation hot path.
+/// A cached wire image for the zero-allocation hot path.
 ///
 /// By the Paris-checksum design (paper §4.1) everything except the hop
 /// limit, the payload's `ttl`/`elapsed` fields, and the cancelling
@@ -395,15 +404,21 @@ impl ProbeSpec {
 /// template holds the fully built packet and [`render`](Self::render)
 /// patches those fields in place — an incremental ones'-complement
 /// update instead of a fresh checksum pass, and zero heap traffic.
+///
+/// Of the rest only the destination and its checksum depend on the
+/// target, so a prober needs one template per campaign, not one per
+/// target: [`aim`](Self::aim) turns it to the next target in place.
 #[derive(Clone, Debug)]
 pub struct ProbeTemplate {
     wire: [u8; MAX_PROBE_LEN],
     len: u16,
+    /// Wire offset of the target checksum (source port / identifier).
+    ident_off: u16,
     payload_off: u16,
 }
 
 impl ProbeTemplate {
-    /// Builds the per-target template.
+    /// Builds the template, aimed at `target`.
     pub fn new(src: Ipv6Addr, target: Ipv6Addr, protocol: Protocol, instance: u8) -> Self {
         let spec = ProbeSpec {
             src,
@@ -418,8 +433,23 @@ impl ProbeTemplate {
         ProbeTemplate {
             wire,
             len: len as u16,
+            ident_off: (ip6::HEADER_LEN + ident_offset(protocol)) as u16,
             payload_off: (ip6::HEADER_LEN + protocol.transport_len()) as u16,
         }
+    }
+
+    /// Re-aims the template at `target`, leaving the wire as
+    /// [`Self::new`] for `target` would have built it but for the
+    /// fields [`render`](Self::render) patches: the destination and the
+    /// target checksum are rewritten. The transport checksum needs no
+    /// second pass — the target checksum is the complement of the
+    /// destination's own sum, so the two cancel in it and it is the
+    /// same for every target of a campaign.
+    #[inline]
+    pub fn aim(&mut self, target: Ipv6Addr) {
+        self.wire[ip6::HEADER_LEN - 16..ip6::HEADER_LEN].copy_from_slice(&target.octets());
+        let at = self.ident_off as usize;
+        self.wire[at..at + 2].copy_from_slice(&csum::addr_checksum(target).to_be_bytes());
     }
 
     /// Wire length of the rendered probe.
@@ -468,10 +498,7 @@ pub fn decode_quotation(quote: &[u8]) -> Result<DecodedProbe, DecodeError> {
         return Err(DecodeError::Truncated);
     }
     let body = &quote[ip6::HEADER_LEN..];
-    let sport_off = match protocol {
-        Protocol::Icmp6 => 4,
-        Protocol::Udp | Protocol::Tcp => 0,
-    };
+    let sport_off = ident_offset(protocol);
     let carried_ck = u16::from_be_bytes([body[sport_off], body[sport_off + 1]]);
     let p = tlen;
     let magic = u32::from_be_bytes([body[p], body[p + 1], body[p + 2], body[p + 3]]);

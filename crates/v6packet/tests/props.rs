@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::net::Ipv6Addr;
 use v6packet::csum::verify_transport;
 use v6packet::icmp6::{self, DestUnreachCode, Icmp6Type};
-use v6packet::probe::{decode_quotation, ProbeSpec, Protocol};
+use v6packet::probe::{decode_quotation, ProbeSpec, ProbeTemplate, Protocol};
 use v6packet::{ip6, Ipv6Header};
 
 fn protocols() -> impl Strategy<Value = Protocol> {
@@ -14,6 +14,19 @@ fn protocols() -> impl Strategy<Value = Protocol> {
         Just(Protocol::Icmp6),
         Just(Protocol::Udp),
         Just(Protocol::Tcp)
+    ]
+}
+
+/// Target addresses: mostly arbitrary, with the words whose
+/// ones'-complement sums are the two zeros (0 and 0xffff) mixed in.
+fn targets() -> impl Strategy<Value = u128> {
+    prop_oneof![
+        any::<u128>(),
+        any::<u128>(),
+        Just(0u128),
+        Just(u128::MAX),
+        Just(0xffffu128),
+        Just((0xfffeu128 << 112) | 1)
     ]
 }
 
@@ -106,5 +119,35 @@ proptest! {
         prop_assert!(!verify_transport(
             hdr.src, hdr.dst, spec.protocol.next_header(), &bad[ip6::HEADER_LEN..]
         ));
+    }
+
+    /// One template re-aimed from target to target (a draw with `stay`
+    /// re-aims at the target it already has) is the template built
+    /// afresh for each, and what it renders is the naive build.
+    #[test]
+    fn one_template_aimed_from_target_to_target_is_a_fresh_one_each_time(
+        src: u128,
+        protocol in protocols(),
+        instance: u8,
+        steps in prop::collection::vec(
+            (targets(), any::<bool>(), 1u8..=255, any::<u32>()), 1..24
+        ),
+    ) {
+        let src = Ipv6Addr::from(src);
+        let mut target = Ipv6Addr::from(steps[0].0);
+        // `aimed` is never rendered, so its whole wire stays comparable.
+        let mut aimed = ProbeTemplate::new(src, target, protocol, instance);
+        let mut sent = aimed.clone();
+        for &(next, stay, ttl, elapsed_us) in &steps {
+            if !stay {
+                target = Ipv6Addr::from(next);
+            }
+            aimed.aim(target);
+            let fresh = ProbeTemplate::new(src, target, protocol, instance);
+            prop_assert_eq!(aimed.wire(), fresh.wire());
+            sent.aim(target);
+            let spec = ProbeSpec { src, target, protocol, ttl, instance, elapsed_us };
+            prop_assert_eq!(&*sent.render(ttl, elapsed_us), &spec.build()[..]);
+        }
     }
 }

@@ -57,7 +57,7 @@ fn main() {
         }
         // The outcome's union is merged deterministically in vantage
         // order — the paper's union-of-vantages yield per set.
-        all.extend(outcome.merged.interface_addrs());
+        all.extend(outcome.merged().interface_addrs());
     }
 
     // Union across everything: the paper's ALL row.

@@ -69,13 +69,14 @@ fn main() {
     }
 
     // The merged union knows which vantage earned each trace.
+    let merged = sweep.merged();
     println!(
         "\nmerged: {} ({} traces, {} sources)",
-        sweep.merged.vantage,
-        sweep.merged.len(),
-        sweep.merged.sources().len()
+        merged.vantage,
+        merged.len(),
+        merged.sources().len()
     );
-    if let Some(t) = sweep.merged.iter().next() {
+    if let Some(t) = merged.iter().next() {
         println!("  first trace {} came from {}", t.target(), t.vantage());
     }
 

@@ -212,7 +212,7 @@ fn vantage_union_beats_best_single_vantage() {
     // Determinism of the claim: a repeat run reproduces the exact
     // counts (virtual time, engine-isolated campaigns).
     let again = run_sweep();
-    assert_eq!(sweep.merged, again.merged);
+    assert_eq!(sweep.merged(), again.merged());
     assert_eq!(
         union,
         vantage_union_count(again.runs.iter().map(|r| &r.traces))
