@@ -199,60 +199,6 @@ impl RouterGraph {
         self.nodes.len() - self.unobserved_alias_nodes as usize
     }
 
-    /// Original map-based builder over the reference trace set — kept
-    /// for the golden equivalence tests.
-    #[doc(hidden)]
-    pub fn build_reference(
-        traces: &analysis::reference::TraceSet,
-        aliases: &[Vec<Ipv6Addr>],
-    ) -> RouterGraph {
-        let mut node_of: HashMap<Ipv6Addr, u32> = HashMap::new();
-        let mut nodes: Vec<Vec<Ipv6Addr>> = Vec::new();
-        for group in aliases {
-            let id = nodes.len() as u32;
-            nodes.push(group.clone());
-            for &a in group {
-                node_of.insert(a, id);
-            }
-        }
-        let intern =
-            |a: Ipv6Addr, nodes: &mut Vec<Vec<Ipv6Addr>>, node_of: &mut HashMap<Ipv6Addr, u32>| {
-                *node_of.entry(a).or_insert_with(|| {
-                    let id = nodes.len() as u32;
-                    nodes.push(vec![a]);
-                    id
-                })
-            };
-
-        let mut touched = vec![false; aliases.len()];
-        let mut links = BTreeSet::new();
-        for trace in traces.traces.values() {
-            let hops: Vec<(u8, Ipv6Addr)> = trace.hops.iter().map(|(&t, &a)| (t, a)).collect();
-            for w in hops.windows(2) {
-                let (t1, a1) = w[0];
-                let (t2, a2) = w[1];
-                if t2 - t1 <= 2 && a1 != a2 {
-                    let n1 = intern(a1, &mut nodes, &mut node_of);
-                    let n2 = intern(a2, &mut nodes, &mut node_of);
-                    for n in [n1, n2] {
-                        if let Some(t) = touched.get_mut(n as usize) {
-                            *t = true;
-                        }
-                    }
-                    if n1 != n2 {
-                        links.insert((n1.min(n2), n1.max(n2)));
-                    }
-                }
-            }
-        }
-        let unobserved_alias_nodes = touched.iter().filter(|&&t| !t).count() as u32;
-        RouterGraph {
-            nodes,
-            links,
-            unobserved_alias_nodes,
-        }
-    }
-
     /// Number of router nodes observed in links.
     pub fn connected_node_count(&self) -> usize {
         let mut seen = BTreeSet::new();
@@ -294,19 +240,8 @@ impl RouterGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use analysis::reference::Trace;
-
-    fn trace(target: &str, hops: &[(u8, &str)]) -> Trace {
-        let mut t = Trace::new(target.parse().unwrap());
-        for &(ttl, h) in hops {
-            t.hops.insert(ttl, h.parse().unwrap());
-        }
-        t
-    }
-
-    fn ts(traces: Vec<Trace>) -> TraceSet {
-        TraceSet::from_traces(traces)
-    }
+    use testkit::fixtures::trace;
+    use testkit::trace_set as ts;
 
     #[test]
     fn links_from_consecutive_hops() {
@@ -391,21 +326,5 @@ mod tests {
         let h = g.degree_histogram();
         assert_eq!(h[&1], 2); // ::a and ::c
         assert_eq!(h[&2], 1); // ::b
-    }
-
-    #[test]
-    fn matches_reference_builder() {
-        let t1 = trace("2001:db8::1", &[(1, "::a"), (2, "::b"), (4, "::c")]);
-        let t2 = trace("2001:db8::2", &[(1, "::a"), (2, "::d")]);
-        let aliases = vec![vec!["::b".parse().unwrap(), "::d".parse().unwrap()]];
-        let col = RouterGraph::build(&ts(vec![t1.clone(), t2.clone()]), &aliases);
-        let mut rset = analysis::reference::TraceSet::default();
-        for t in [t1, t2] {
-            rset.traces.insert(t.target, t);
-        }
-        let refg = RouterGraph::build_reference(&rset, &aliases);
-        assert_eq!(col.link_addr_pairs(), refg.link_addr_pairs());
-        assert_eq!(col.connected_node_count(), refg.connected_node_count());
-        assert_eq!(col.degree_histogram(), refg.degree_histogram());
     }
 }

@@ -315,43 +315,8 @@ impl RouterGraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use analysis::reference::Trace;
-
-    fn trace(target: &str, hops: &[(u8, &str)]) -> Trace {
-        let mut t = Trace::new(target.parse().unwrap());
-        for &(ttl, h) in hops {
-            t.hops.insert(ttl, h.parse().unwrap());
-        }
-        t
-    }
-
-    fn ts(traces: Vec<Trace>) -> TraceSet {
-        TraceSet::from_traces(traces)
-    }
-
-    #[test]
-    fn incremental_matches_batch_single_set() {
-        let traces = vec![
-            trace("2001:db8::1", &[(1, "::a"), (2, "::b"), (4, "::c")]),
-            trace("2001:db8::2", &[(1, "::a"), (2, "::d")]),
-        ];
-        let set = ts(traces.clone());
-        let aliases = vec![vec!["::b".parse().unwrap(), "::d".parse().unwrap()]];
-        let mut b = RouterGraphBuilder::new();
-        b.ingest(&set);
-        b.merge_alias_group(&aliases[0]);
-        let golden = RouterGraph::build_multi(&[&set], &b.alias_groups()).canonical();
-        assert_eq!(b.snapshot(), golden);
-        let mut reference = analysis::reference::TraceSet::default();
-        for t in traces {
-            reference.traces.insert(t.target, t);
-        }
-        assert_eq!(
-            RouterGraph::build(&set, &aliases),
-            RouterGraph::build_reference(&reference, &aliases),
-            "the id-indexed build must assign the map-based builder's node ids"
-        );
-    }
+    use testkit::fixtures::trace;
+    use testkit::trace_set as ts;
 
     #[test]
     fn alias_merge_fuses_previously_recorded_links() {

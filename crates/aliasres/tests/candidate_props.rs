@@ -8,12 +8,13 @@
 //! everything already tested, nothing tested yet.
 
 use aliasres::sibling_candidates;
-use analysis::reference::Trace;
 use analysis::TraceSet;
 use proptest::prelude::*;
 use proptest::strategy::FnStrategy;
 use proptest::test_runner::TestRng;
 use std::net::Ipv6Addr;
+use testkit::oracle::Trace;
+use testkit::trace_set;
 use yarrp6::addrset::AddrSet;
 
 #[cfg(test)]
@@ -104,7 +105,7 @@ fn gen_iface(rng: &mut TestRng) -> Ipv6Addr {
 /// 2 target /64s of 3 targets each, 0..4 hops at TTLs 1..3.
 fn gen_set(rng: &mut TestRng) -> TraceSet {
     let n = (rng.next_u64() % 5) as usize;
-    TraceSet::from_traces((0..n).map(|_| {
+    trace_set((0..n).map(|_| {
         let mut t = Trace::new(target(rng.next_u64() % 2, rng.next_u64() % 3));
         for _ in 0..rng.next_u64() % 4 {
             t.hops
@@ -201,7 +202,7 @@ fn trace(t: Ipv6Addr, hops: &[(u8, Ipv6Addr)]) -> Trace {
 fn nothing_fresh_offers_nothing() {
     // A /64 pair and a hop pair, both adjudicated in an earlier round.
     let (a, b) = (iface(0, 0), iface(0, 1));
-    let round = [TraceSet::from_traces([
+    let round = [trace_set([
         trace(target(0, 0), &[(3, a)]),
         trace(target(0, 1), &[(3, b)]),
     ])];
@@ -217,11 +218,8 @@ fn each_rule_reads_its_own_input() {
     // this round at a TTL nobody shares, so the hop rule is silent and
     // the /64 rule alone offers both.
     let (old, new, lone) = (iface(0, 0), iface(0, 1), iface(1, 0));
-    let earlier = TraceSet::from_traces([trace(target(0, 0), &[(2, old)])]);
-    let round = [TraceSet::from_traces([trace(
-        target(1, 0),
-        &[(3, new), (4, lone)],
-    )])];
+    let earlier = trace_set([trace(target(0, 0), &[(2, old)])]);
+    let round = [trace_set([trace(target(1, 0), &[(3, new), (4, lone)])])];
     let known = known_of(&[earlier, round[0].clone()]);
     let tested = addr_set(&[old]);
     assert_eq!(sibling_candidates(&known, &round, &tested), [old, new]);
@@ -235,19 +233,13 @@ fn one_address_seen_by_every_shard_is_not_a_pair() {
     // one /64: one distinct address, no candidate — until a second
     // address joins the bucket from another target of that /64.
     let (a, b) = (iface(0, 0), iface(2, 1));
-    let shard = |i| TraceSet::from_traces([trace(target(0, i), &[(3, a)])]);
+    let shard = |i| trace_set([trace(target(0, i), &[(3, a)])]);
     let none = AddrSet::new();
     let round = [shard(0), shard(1), shard(0)];
     assert!(sibling_candidates(&none, &round, &none).is_empty());
-    let joined = [
-        shard(0),
-        TraceSet::from_traces([trace(target(0, 2), &[(3, b)])]),
-    ];
+    let joined = [shard(0), trace_set([trace(target(0, 2), &[(3, b)])])];
     assert_eq!(sibling_candidates(&none, &joined, &none), [a, b]);
     // Same TTL, different target /64: different position, no pair.
-    let apart = [
-        shard(0),
-        TraceSet::from_traces([trace(target(1, 2), &[(3, b)])]),
-    ];
+    let apart = [shard(0), trace_set([trace(target(1, 2), &[(3, b)])])];
     assert!(sibling_candidates(&none, &apart, &none).is_empty());
 }

@@ -14,7 +14,6 @@
 //!   walk keyed by `Ipv6Addr` in a std map, written out below.
 
 use aliasres::{RouterGraph, RouterGraphBuilder};
-use analysis::reference::Trace;
 use analysis::{quarantine_all, CampaignRunner, QuarantineConfig, TraceSet};
 use proptest::prelude::*;
 use proptest::strategy::FnStrategy;
@@ -25,6 +24,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use targets::TargetSet;
+use testkit::oracle::Trace;
+use testkit::trace_set;
 use v6packet::probe::Protocol;
 use yarrp6::YarrpConfig;
 
@@ -56,7 +57,7 @@ fn gen_trace_set(rng: &mut TestRng) -> TraceSet {
             trace_from(target, &hops)
         })
         .collect::<Vec<_>>();
-    TraceSet::from_traces(traces)
+    trace_set(traces)
 }
 
 fn trace_set_strategy() -> impl Strategy<Value = TraceSet> {
@@ -277,7 +278,7 @@ proptest! {
 
 #[test]
 fn a_member_of_two_groups_belongs_to_the_later_one() {
-    let set = TraceSet::from_traces(vec![trace_from(9, &[(1, 1), (2, 2), (3, 3)])]);
+    let set = trace_set(vec![trace_from(9, &[(1, 1), (2, 2), (3, 3)])]);
     let groups = vec![vec![addr(2), addr(50)], vec![addr(2), addr(3)]];
     let g = RouterGraph::build_multi(&[&set], &groups);
     assert_eq!(g, naive_build_multi(&[&set], &groups));

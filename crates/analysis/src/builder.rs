@@ -35,13 +35,12 @@
 //! the same call for one target set swept over many vantages.
 
 use crate::intern::{hashed_ahead, AddrInterner};
-use crate::traces::{assemble, ClassifiedRows, Row, TraceSet, NOT_REACHED};
+use crate::traces::{assemble, ClassifiedRows, Row, TraceSet};
 use simnet::Topology;
 use std::sync::Arc;
-use v6packet::icmp6::DestUnreachCode;
 use yarrp6::campaign::{run_campaigns_streaming, CampaignSpec, RetryPolicy, SupervisedCampaign};
 use yarrp6::sink::{RecordStream, StreamConfig};
-use yarrp6::{ResponseKind, ResponseRecord};
+use yarrp6::ResponseRecord;
 
 /// Rows up to which the builder's row vector doubles; past it, it grows
 /// by an eighth. A doubled vector of a campaign's rows is up to half
@@ -54,18 +53,13 @@ const DOUBLING_ROWS: usize = 1 << 16;
 pub struct TraceSetBuilder {
     vantage: Arc<str>,
     target_set: Arc<str>,
-    /// Responders in ingestion order; finish renumbers them in receive
-    /// order so the final ids match the batch pipeline's exactly.
-    scratch: AddrInterner,
-    /// Probed targets → dense tids.
-    tgt_ids: AddrInterner,
-    /// Min destination-response TTL per tid (`NOT_REACHED` = none).
-    reached: Vec<u16>,
-    /// One classified, interned row per record that reaches the
-    /// hop/unreachable columns — 16 bytes instead of a 64-byte
-    /// [`ResponseRecord`] — keyed by receive time, `rid` in `scratch`.
-    rows: Vec<Row<u64>>,
-    rewritten_dropped: u64,
+    /// Everything ingested so far, classified: one interned row per
+    /// record that reaches the hop/unreachable columns — 16 bytes
+    /// instead of a 64-byte [`ResponseRecord`] — keyed by receive time.
+    /// Its responder interner is in ingestion order; finish renumbers
+    /// it in receive order so the final ids match the batch pipeline's
+    /// exactly.
+    classified: ClassifiedRows<u64>,
     records_seen: u64,
 }
 
@@ -86,8 +80,8 @@ impl TraceSetBuilder {
     /// Sizes the target tables for a campaign over `n` targets, so they
     /// are allocated once instead of doubling their way up.
     pub fn for_targets(mut self, n: usize) -> Self {
-        self.tgt_ids = AddrInterner::with_room_for(n);
-        self.reached = Vec::with_capacity(n);
+        self.classified.tgt_ids = AddrInterner::with_room_for(n);
+        self.classified.reached = Vec::with_capacity(n);
         self
     }
 
@@ -103,33 +97,8 @@ impl TraceSetBuilder {
     #[inline]
     fn push_hashed(&mut self, r: &ResponseRecord, target_hash: u64) {
         self.records_seen += 1;
-        if !r.target_cksum_ok {
-            self.rewritten_dropped += 1;
-            return;
-        }
-        let tid = self.tgt_ids.intern_hashed(r.target, target_hash);
-        if tid as usize == self.reached.len() {
-            self.reached.push(NOT_REACHED);
-        }
-        match r.kind {
-            ResponseKind::TimeExceeded => {
-                if let Some(ttl) = r.probe_ttl {
-                    let rid = self.scratch.intern(r.responder);
-                    self.push_row(Row::new(r.recv_us, tid, rid, ttl, false));
-                }
-            }
-            ResponseKind::DestUnreachable(c) if c != DestUnreachCode::PortUnreachable => {
-                if let Some(ttl) = r.probe_ttl {
-                    let rid = self.scratch.intern(r.responder);
-                    self.push_row(Row::new(r.recv_us, tid, rid, ttl, true));
-                }
-            }
-            _ => {
-                // Destination responded (echo reply, TCP, port
-                // unreachable from the host).
-                let at = r.probe_ttl.unwrap_or(u8::MAX) as u16;
-                self.reached[tid as usize] = self.reached[tid as usize].min(at);
-            }
+        if let Some(row) = self.classified.classify(r, target_hash, r.recv_us) {
+            self.push_row(row);
         }
     }
 
@@ -137,11 +106,12 @@ impl TraceSetBuilder {
     /// [`DOUBLING_ROWS`].
     #[inline]
     fn push_row(&mut self, row: Row<u64>) {
-        let len = self.rows.len();
-        if len == self.rows.capacity() && len >= DOUBLING_ROWS {
-            self.rows.reserve_exact(len / 8);
+        let rows = &mut self.classified.rows;
+        let len = rows.len();
+        if len == rows.capacity() && len >= DOUBLING_ROWS {
+            rows.reserve_exact(len / 8);
         }
-        self.rows.push(row);
+        rows.push(row);
     }
 
     /// Ingests a chunk, prefetching the target-interner slot a window
@@ -149,7 +119,7 @@ impl TraceSetBuilder {
     pub fn push_chunk(&mut self, chunk: &[ResponseRecord]) {
         for (r, hash, ahead) in hashed_ahead(chunk, |r| r.target) {
             if let Some(ahead) = ahead {
-                self.tgt_ids.prefetch_hashed(ahead);
+                self.classified.tgt_ids.prefetch_hashed(ahead);
             }
             self.push_hashed(r, hash);
         }
@@ -163,7 +133,7 @@ impl TraceSetBuilder {
     /// Classified rows currently buffered — the builder's whole
     /// per-record memory; everything else is per-unique-address.
     pub fn pending_rows(&self) -> usize {
-        self.rows.len()
+        self.classified.rows.len()
     }
 
     /// Assembles the final columnar set.
@@ -176,33 +146,25 @@ impl TraceSetBuilder {
     /// and the rows are renumbered where they lie. Order within a
     /// target is the shared scatter/emit core's to settle, from the
     /// rows' keys.
-    pub fn finish(mut self) -> TraceSet {
-        let mut first = vec![(u64::MAX, usize::MAX); self.scratch.len()];
-        for (i, row) in self.rows.iter().enumerate() {
+    pub fn finish(self) -> TraceSet {
+        let mut classified = self.classified;
+        let scratch = std::mem::take(&mut classified.interner);
+        let mut first = vec![(u64::MAX, usize::MAX); scratch.len()];
+        for (i, row) in classified.rows.iter().enumerate() {
             let seen = &mut first[row.rid() as usize];
             *seen = (*seen).min((row.key, i));
         }
         let mut by_first: Vec<u32> = (0..first.len() as u32).collect();
         by_first.sort_unstable_by_key(|&rid| first[rid as usize]);
-        let mut interner = AddrInterner::with_capacity(by_first.len());
+        classified.interner = AddrInterner::with_capacity(by_first.len());
         let mut renumbered = vec![0u32; by_first.len()];
         for rid in by_first {
-            renumbered[rid as usize] = interner.intern(self.scratch.resolve(rid));
+            renumbered[rid as usize] = classified.interner.intern(scratch.resolve(rid));
         }
-        for row in &mut self.rows {
+        for row in &mut classified.rows {
             row.set_rid(renumbered[row.rid() as usize]);
         }
-        assemble(
-            ClassifiedRows {
-                interner,
-                tgt_ids: self.tgt_ids,
-                reached: self.reached,
-                rows: self.rows,
-                rewritten_dropped: self.rewritten_dropped,
-            },
-            self.vantage,
-            self.target_set,
-        )
+        assemble(classified, self.vantage, self.target_set)
     }
 }
 
@@ -254,25 +216,9 @@ pub fn stream_campaigns_supervised(
 mod tests {
     use super::*;
     use std::net::Ipv6Addr;
-    use yarrp6::ProbeLog;
-
-    fn rec(
-        target: &str,
-        responder: &str,
-        kind: ResponseKind,
-        ttl: Option<u8>,
-        recv_us: u64,
-    ) -> ResponseRecord {
-        ResponseRecord {
-            target: target.parse().unwrap(),
-            responder: responder.parse().unwrap(),
-            kind,
-            probe_ttl: ttl,
-            rtt_us: Some(1),
-            recv_us,
-            target_cksum_ok: true,
-        }
-    }
+    use testkit::fixtures::rec_at as rec;
+    use v6packet::icmp6::DestUnreachCode;
+    use yarrp6::{ProbeLog, ResponseKind};
 
     /// The batch comparator: what the prober's receive-sorted log
     /// analyzes to.
@@ -375,7 +321,7 @@ mod tests {
             b.push(&r);
             // Whatever capacity doubling left behind is outgrown by twice
             // the threshold: from there on every growth was an eighth.
-            let (len, cap) = (b.rows.len(), b.rows.capacity());
+            let (len, cap) = (b.classified.rows.len(), b.classified.rows.capacity());
             if len > 2 * DOUBLING_ROWS {
                 assert!(cap <= len + len / 8, "{len} rows hold room for {cap}");
             }

@@ -12,8 +12,9 @@
 //! of a campaign in one flat, target-sorted arena with responder
 //! addresses interned to `u32` ids ([`intern`]), and the analysis
 //! passes ([`subnets`], [`metrics`], [`validate`]) are sorted-merge
-//! walks over those columns. The original map-based implementation is
-//! preserved in [`mod@reference`] and pinned bit-identical by golden tests.
+//! walks over those columns. The original map-based implementation lives
+//! on as an oracle in the dev-only `testkit` crate (`testkit::oracle`),
+//! which the golden tests pin this one bit-identical to.
 //!
 //! It is also **streaming**: [`builder::TraceSetBuilder`] ingests
 //! record chunks as a campaign produces them and assembles the
@@ -29,7 +30,6 @@ pub mod export;
 pub mod intern;
 pub mod metrics;
 pub mod quarantine;
-pub mod reference;
 pub mod runner;
 pub mod shard;
 pub mod snapshot;

@@ -327,19 +327,8 @@ fn scrub(
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use testkit::fixtures::rec;
     use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
-
-    fn rec(target: &str, responder: &str, kind: ResponseKind, ttl: Option<u8>) -> ResponseRecord {
-        ResponseRecord {
-            target: target.parse().unwrap(),
-            responder: responder.parse().unwrap(),
-            kind,
-            probe_ttl: ttl,
-            rtt_us: Some(1),
-            recv_us: 0,
-            target_cksum_ok: true,
-        }
-    }
 
     fn set_of(records: Vec<ResponseRecord>) -> TraceSet {
         TraceSet::from_log(&ProbeLog {

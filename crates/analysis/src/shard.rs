@@ -2,14 +2,14 @@
 //!
 //! A single flat `TraceSet` serves one campaign well, but a
 //! longitudinal store accumulating many campaigns wants two things the
-//! flat layout can't give: `merge`/`canonical` that scale across cores,
+//! flat layout can't give: `merge_all`/`canonical` that scale across cores,
 //! and an on-disk unit small enough to rewrite incrementally
 //! ([`crate::snapshot`]'s per-shard segments). [`ShardedTraceSet`]
 //! provides both by routing every target through a **fixed
 //! prefix→shard function** ([`ShardRoute`]): all addresses in one /64
 //! land in the same shard (a trace never straddles shards, and the
 //! same target routes identically in every set), so per-shard
-//! `merge`/`merge_all`/`canonical` are independent and fan out across
+//! `merge_all`/`canonical` are independent and fan out across
 //! the same work-queue pattern the campaign drivers use.
 //!
 //! Each shard is a complete, self-contained `TraceSet` — its own
@@ -216,30 +216,14 @@ impl ShardedTraceSet {
         self.shards[self.route.shard_of(target)].get(target)
     }
 
-    /// Merges with `other` shard-by-shard in parallel. Sound because
-    /// the shared route puts any given target in the same shard on
-    /// both sides, so per-shard [`TraceSet::merge`] sees exactly the
-    /// conflicts the flat merge would. Panics when the routes differ —
-    /// re-shard one side first.
-    pub fn merge(&self, other: &ShardedTraceSet) -> ShardedTraceSet {
-        assert_eq!(
-            self.route, other.route,
-            "cannot merge sharded sets with different routes"
-        );
-        let shards = fan_out(self.shards.len(), |s| {
-            self.shards[s].merge(&other.shards[s])
-        });
-        ShardedTraceSet {
-            route: self.route,
-            shards,
-        }
-    }
-
     /// Merges many sharded sets: shard `s` of the result is
     /// [`TraceSet::merge_all`] over every input's shard `s`, all
-    /// shards in parallel on the work-queue pool. After
-    /// [`canonical`](Self::canonical) this equals sharding the flat
-    /// `merge_all` of the unsharded inputs. Panics on mixed routes.
+    /// shards in parallel on the work-queue pool. Sound because the
+    /// shared route puts any given target in the same shard of every
+    /// input, so a shard's merge sees exactly the conflicts the flat
+    /// merge would: after [`canonical`](Self::canonical) this equals
+    /// sharding the flat `merge_all` of the unsharded inputs. Panics on
+    /// mixed routes — re-shard first.
     pub fn merge_all(sets: &[ShardedTraceSet]) -> ShardedTraceSet {
         let Some(first) = sets.first() else {
             return ShardedTraceSet::from_set(&TraceSet::default(), 1);
@@ -350,19 +334,8 @@ impl ShardedTraceSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
-
-    fn rec(target: &str, responder: &str, ttl: u8, recv_us: u64) -> ResponseRecord {
-        ResponseRecord {
-            target: target.parse().unwrap(),
-            responder: responder.parse().unwrap(),
-            kind: ResponseKind::TimeExceeded,
-            probe_ttl: Some(ttl),
-            rtt_us: Some(1),
-            recv_us,
-            target_cksum_ok: true,
-        }
-    }
+    use testkit::fixtures::te as rec;
+    use yarrp6::ProbeLog;
 
     fn sample_set() -> TraceSet {
         // Targets across several /64s so the route actually splits.

@@ -596,19 +596,8 @@ fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
-
-    fn rec(target: &str, responder: &str, kind: ResponseKind, ttl: Option<u8>) -> ResponseRecord {
-        ResponseRecord {
-            target: target.parse().unwrap(),
-            responder: responder.parse().unwrap(),
-            kind,
-            probe_ttl: ttl,
-            rtt_us: Some(1),
-            recv_us: 0,
-            target_cksum_ok: true,
-        }
-    }
+    use testkit::fixtures::rec;
+    use yarrp6::{ProbeLog, ResponseKind};
 
     fn sample() -> TraceSet {
         let a = TraceSet::from_log(&ProbeLog {

@@ -24,8 +24,9 @@
 //! slices with two cursors, and all per-address ASN lookups are resolved
 //! once per unique interned address up front. The only allocation per
 //! call is the output vector plus one reused LCS scratch buffer — the
-//! original per-pair `hop_vec()` materializations live on in
-//! [`crate::reference`] and are pinned equivalent by golden tests.
+//! original per-pair `hop_vec()` materializations live on as oracles in
+//! the dev-only `testkit` crate (`testkit::oracle::discover_by_path_div`,
+//! `ia_hack`) and are pinned equivalent by golden tests.
 
 use crate::traces::{AsnResolver, TraceSet, TraceView};
 use serde::{Deserialize, Serialize};
@@ -320,16 +321,15 @@ pub fn by_prefix_length(cands: &[CandidateSubnet]) -> std::collections::BTreeMap
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
     use std::collections::BTreeMap;
+    use testkit::fixtures::te;
+    use yarrp6::{ProbeLog, ResponseRecord};
 
-    /// Hand-built trace: hops at ttl 1.. from a list.
-    fn trace(target: &str, hops: &[&str]) -> reference::Trace {
-        let mut t = reference::Trace::new(target.parse().unwrap());
-        for (i, h) in hops.iter().enumerate() {
-            t.hops.insert(i as u8 + 1, h.parse().unwrap());
-        }
-        t
+    /// Hand-built trace: hops at ttl 1.. from a list, as the Time
+    /// Exceeded records they would arrive in.
+    fn trace(target: &str, hops: &[&str]) -> Vec<ResponseRecord> {
+        let hop = |(i, h): (usize, &&str)| te(target, h, i as u8 + 1, 0);
+        hops.iter().enumerate().map(hop).collect()
     }
 
     fn resolver() -> AsnResolver {
@@ -340,8 +340,11 @@ mod tests {
         AsnResolver::new(bgp, vec![], &[])
     }
 
-    fn ts(traces: Vec<reference::Trace>) -> TraceSet {
-        TraceSet::from_traces(traces)
+    fn ts(traces: Vec<Vec<ResponseRecord>>) -> TraceSet {
+        TraceSet::from_log(&ProbeLog {
+            records: traces.concat(),
+            ..Default::default()
+        })
     }
 
     #[test]
@@ -420,9 +423,10 @@ mod tests {
 
     #[test]
     fn missing_hop_in_lcs_rejected() {
-        let mut a = trace("2001:db8:0:1::aa", &[]);
-        a.hops.insert(1, "2620:1::1".parse().unwrap());
-        a.hops.insert(3, "2001:db8:ff::10".parse().unwrap()); // gap at 2
+        let a = vec![
+            te("2001:db8:0:1::aa", "2620:1::1", 1, 0),
+            te("2001:db8:0:1::aa", "2001:db8:ff::10", 3, 0), // gap at 2
+        ];
         let b = trace(
             "2001:db8:0:2::bb",
             &["2620:1::1", "2001:db8:ff::1", "2001:db8:ff::20"],
@@ -467,8 +471,7 @@ mod tests {
 
     #[test]
     fn ia_hack_finds_gateway_64() {
-        let mut t = trace("2001:db8:0:7::abcd", &["2620:1::1", "2001:db8:0:7::1"]);
-        t.reached_at = None;
+        let t = trace("2001:db8:0:7::abcd", &["2620:1::1", "2001:db8:0:7::1"]);
         let cands = ia_hack(&ts(vec![t]));
         assert_eq!(cands.len(), 1);
         assert!(cands[0].exact);

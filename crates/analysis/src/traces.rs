@@ -19,16 +19,17 @@
 //!
 //! [`TraceView`] is the per-trace accessor; it mirrors the old `Trace`
 //! API (`path_len`, `last_hop`, `hop_vec`, ...) over the flat store.
-//! The original map-based implementation survives as
-//! [`crate::reference`], pinned bit-identical by golden tests.
+//! The original map-based implementation survives as an oracle in the
+//! dev-only `testkit` crate (`testkit::oracle::TraceSet`), which the
+//! golden tests pin this store bit-identical to.
 
 use crate::intern::{hashed_ahead, AddrInterner, Reintern};
-use crate::reference;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use v6addr::{Asn, BgpTable, Finger, Ipv6Prefix};
+use v6packet::icmp6::DestUnreachCode;
 use yarrp6::addrset::AddrSet;
-use yarrp6::{ProbeLog, ResponseKind};
+use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
 
 /// Per-trace metadata: ranges into the shared hop/unreachable columns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -231,9 +232,12 @@ fn scatter_by_rank<K: Copy + Default>(
 /// The classified form of a record stream, ready for assembly: the
 /// shared seam between the batch classify pass ([`TraceSet::from_log`])
 /// and the incremental [`crate::builder::TraceSetBuilder`].
+#[derive(Default)]
 pub(crate) struct ClassifiedRows<K> {
-    /// Responder interner — ids as the final `TraceSet` will carry them
-    /// (first-occurrence order over the classified rows, in key order).
+    /// Responder interner — at assembly, ids as the final `TraceSet`
+    /// will carry them (first-occurrence order over the classified
+    /// rows, in key order). The streaming builder numbers responders as
+    /// it meets them and renumbers at finish.
     pub interner: AddrInterner,
     /// Probed-target interner: dense `tid`s.
     pub tgt_ids: AddrInterner,
@@ -243,6 +247,45 @@ pub(crate) struct ClassifiedRows<K> {
     pub rows: Vec<Row<K>>,
     /// Records dropped for failing the target checksum.
     pub rewritten_dropped: u64,
+}
+
+impl<K> ClassifiedRows<K> {
+    /// Reads one record, whose target hashes to `target_hash`, into
+    /// everything but `rows` — the one place a record's class is
+    /// decided. A record failing the target checksum is counted and
+    /// names no target. A destination response (echo reply, TCP, port
+    /// unreachable from the host) lowers its target's `reached` TTL. A
+    /// Time Exceeded or any other Destination Unreachable that quotes
+    /// its hop limit is the row returned, ordered by `key`, for the
+    /// caller to append to `rows` by its own growth rule.
+    #[inline]
+    pub(crate) fn classify(
+        &mut self,
+        r: &ResponseRecord,
+        target_hash: u64,
+        key: K,
+    ) -> Option<Row<K>> {
+        if !r.target_cksum_ok {
+            self.rewritten_dropped += 1;
+            return None;
+        }
+        let tid = self.tgt_ids.intern_hashed(r.target, target_hash);
+        if tid as usize == self.reached.len() {
+            self.reached.push(NOT_REACHED);
+        }
+        let unreach = match r.kind {
+            ResponseKind::TimeExceeded => false,
+            ResponseKind::DestUnreachable(c) if c != DestUnreachCode::PortUnreachable => true,
+            _ => {
+                let at = r.probe_ttl.unwrap_or(u8::MAX) as u16;
+                self.reached[tid as usize] = self.reached[tid as usize].min(at);
+                return None;
+            }
+        };
+        let ttl = r.probe_ttl?;
+        let rid = self.interner.intern(r.responder);
+        Some(Row::new(key, tid, rid, ttl, unreach))
+    }
 }
 
 /// Assembles classified rows into the final columnar store: target-
@@ -368,95 +411,26 @@ impl TraceSet {
         let n_targets = usize::try_from(log.traces)
             .unwrap_or(usize::MAX)
             .min(log.records.len());
-        let mut interner = AddrInterner::with_capacity(1024);
-        let mut tgt_ids = AddrInterner::with_room_for(n_targets);
-        let mut rewritten_dropped = 0u64;
         // Record order, which for a log is receive order: no key.
-        let mut rows: Vec<Row<()>> = Vec::with_capacity(log.records.len() / 2);
-        let mut row = |tid, rid, ttl, unreach| rows.push(Row::new((), tid, rid, ttl, unreach));
-        // Min destination-response TTL per tid; NOT_REACHED = none.
-        let mut reached: Vec<u16> = Vec::with_capacity(n_targets);
+        let mut classified = ClassifiedRows::<()> {
+            interner: AddrInterner::with_capacity(1024),
+            tgt_ids: AddrInterner::with_room_for(n_targets),
+            reached: Vec::with_capacity(n_targets),
+            rows: Vec::with_capacity(log.records.len() / 2),
+            rewritten_dropped: 0,
+        };
         // Probe the target table a window ahead so slot misses overlap
         // instead of serializing (a HashMap cannot expose its bucket
         // address to do this).
         for (r, hash, ahead) in hashed_ahead(&log.records, |r| r.target) {
             if let Some(ahead) = ahead {
-                tgt_ids.prefetch_hashed(ahead);
+                classified.tgt_ids.prefetch_hashed(ahead);
             }
-            if !r.target_cksum_ok {
-                rewritten_dropped += 1;
-                continue;
-            }
-            let tid = tgt_ids.intern_hashed(r.target, hash);
-            if tid as usize == reached.len() {
-                reached.push(NOT_REACHED);
-            }
-            match r.kind {
-                ResponseKind::TimeExceeded => {
-                    if let Some(ttl) = r.probe_ttl {
-                        row(tid, interner.intern(r.responder), ttl, false);
-                    }
-                }
-                ResponseKind::DestUnreachable(c)
-                    if c != v6packet::icmp6::DestUnreachCode::PortUnreachable =>
-                {
-                    if let Some(ttl) = r.probe_ttl {
-                        row(tid, interner.intern(r.responder), ttl, true);
-                    }
-                }
-                _ => {
-                    // Destination responded (echo reply, TCP, port
-                    // unreachable from the host).
-                    let at = r.probe_ttl.unwrap_or(u8::MAX) as u16;
-                    reached[tid as usize] = reached[tid as usize].min(at);
-                }
+            if let Some(row) = classified.classify(r, hash, ()) {
+                classified.rows.push(row);
             }
         }
-
-        assemble(
-            ClassifiedRows {
-                interner,
-                tgt_ids,
-                reached,
-                rows,
-                rewritten_dropped,
-            },
-            log.vantage.clone(),
-            log.target_set.clone(),
-        )
-    }
-
-    /// Builds a columnar set from hand-constructed [`reference::Trace`]s
-    /// (tests, conversions). Duplicate targets: last one wins, matching
-    /// `HashMap::insert`.
-    pub fn from_traces(traces: impl IntoIterator<Item = reference::Trace>) -> Self {
-        let mut by_target: std::collections::BTreeMap<u128, reference::Trace> =
-            std::collections::BTreeMap::new();
-        for t in traces {
-            by_target.insert(u128::from(t.target), t);
-        }
-        let mut set = TraceSet::default();
-        for (tw, t) in by_target {
-            let hop_off = set.hops.len() as u32;
-            for (&ttl, &addr) in &t.hops {
-                let id = set.interner.intern(addr);
-                set.hops.push((ttl, id));
-            }
-            let unreach_off = set.unreach.len() as u32;
-            for &(ttl, addr) in &t.unreachable {
-                let id = set.interner.intern(addr);
-                set.unreach.push((ttl, id));
-            }
-            set.targets.push(Ipv6Addr::from(tw));
-            set.metas.push(TraceMeta {
-                hop_off,
-                hop_len: set.hops.len() as u32 - hop_off,
-                unreach_off,
-                unreach_len: set.unreach.len() as u32 - unreach_off,
-                reached_at: t.reached_at,
-            });
-        }
-        set
+        assemble(classified, log.vantage.clone(), log.target_set.clone())
     }
 
     /// Number of traces with at least one response.
@@ -542,7 +516,8 @@ impl TraceSet {
             .collect()
     }
 
-    /// Unions two columnar sets into one — the cross-vantage merge.
+    /// Unions two columnar sets into one — the cross-vantage merge,
+    /// [`merge_all`](Self::merge_all) over the two.
     ///
     /// * **Interner union with id remapping**: the result's interner
     ///   keeps `self`'s ids verbatim and appends `other`'s unseen
@@ -553,9 +528,8 @@ impl TraceSet {
     /// * **First-wins per-target trace dedup**: where both sets probed
     ///   the same target, `self`'s whole trace (hops, unreachables,
     ///   `reached_at`) is kept and `other`'s is dropped from the trace
-    ///   columns. `merge_all` folds left, so earlier operands win —
-    ///   deterministic for the multi-vantage drivers, which merge in
-    ///   vantage order.
+    ///   columns. Among many sets the earliest wins — deterministic for
+    ///   the multi-vantage drivers, which merge in vantage order.
     /// * **Provenance**: every trace in the result carries the vantage
     ///   it came from ([`TraceView::vantage`]); the provenance table is
     ///   the name-deduplicated concatenation of both sides' sources.
@@ -570,87 +544,12 @@ impl TraceSet {
     /// a` when `rewritten_dropped` is zero; the tamper counter is
     /// additive).
     pub fn merge(&self, other: &TraceSet) -> TraceSet {
-        // Interner union: self's ids are stable; other's ids remap.
-        let mut interner = self.interner.clone();
-        let id_remap: Vec<u32> = other
-            .interner
-            .words()
-            .iter()
-            .map(|&w| interner.intern(Ipv6Addr::from(w)))
-            .collect();
-
-        // Provenance tables, deduplicated by name. A traceless side
-        // contributes no provenance entry (nothing in the result can
-        // point at it — keeps `TraceSet::default()` from planting a
-        // phantom nameless vantage in the table); its prov remap is
-        // then never indexed.
-        let mut sources = if self.is_empty() {
-            Vec::new()
-        } else {
-            self.sources()
-        };
-        let src_remap: Vec<u32> = if other.is_empty() {
-            Vec::new()
-        } else {
-            other
-                .sources()
-                .iter()
-                .map(|name| match sources.iter().position(|s| s == name) {
-                    Some(i) => i as u32,
-                    None => {
-                        sources.push(name.clone());
-                        (sources.len() - 1) as u32
-                    }
-                })
-                .collect()
-        };
-
-        let mut out = TraceSet {
-            vantage: join_names(&self.vantage, &other.vantage),
-            target_set: join_names(&self.target_set, &other.target_set),
-            rewritten_dropped: self.rewritten_dropped + other.rewritten_dropped,
-            interner,
-            targets: Vec::with_capacity(self.targets.len() + other.targets.len()),
-            metas: Vec::with_capacity(self.targets.len() + other.targets.len()),
-            hops: Vec::with_capacity(self.hops.len() + other.hops.len()),
-            unreach: Vec::with_capacity(self.unreach.len() + other.unreach.len()),
-            sources,
-            prov: Vec::with_capacity(self.targets.len() + other.targets.len()),
-        };
-
-        // Sorted two-pointer walk over both target columns.
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.targets.len() || j < other.targets.len() {
-            let sw = self.targets.get(i).map(|&t| u128::from(t));
-            let ow = other.targets.get(j).map(|&t| u128::from(t));
-            match (sw, ow) {
-                (Some(s), Some(o)) if s == o => {
-                    // First wins: self's trace, other's dropped (its
-                    // responders stay in the interner regardless).
-                    out.push_merged_trace(self, i, None, &src_remap);
-                    i += 1;
-                    j += 1;
-                }
-                (Some(s), Some(o)) if s < o => {
-                    out.push_merged_trace(self, i, None, &src_remap);
-                    i += 1;
-                }
-                (Some(_), None) => {
-                    out.push_merged_trace(self, i, None, &src_remap);
-                    i += 1;
-                }
-                _ => {
-                    out.push_merged_trace(other, j, Some(&id_remap), &src_remap);
-                    j += 1;
-                }
-            }
-        }
-        out
+        Self::merge_all([self, other])
     }
 
     /// Appends `src`'s trace at `idx` to `self`'s columns. `id_remap`
-    /// is `Some` for the *other* operand (whose interner ids and
-    /// provenance indices must be translated), `None` for the first.
+    /// is `Some` for every input but the first (whose interner ids and
+    /// provenance indices are the result's own, untranslated).
     fn push_merged_trace(
         &mut self,
         src: &TraceSet,
@@ -689,17 +588,17 @@ impl TraceSet {
         });
     }
 
-    /// Union of many sets, bit-identical to the left fold
-    /// `a.merge(b).merge(c)…` — earlier sets win trace dedup. Returns
-    /// an empty default set for an empty iterator.
+    /// Union of many sets, the left fold `a.merge(b).merge(c)…` in one
+    /// pass — earlier sets win trace dedup. Returns an empty default
+    /// set for an empty iterator.
     ///
-    /// One k-way pass: interner ids append in first-appearance,
+    /// One k-way walk: interner ids append in first-appearance,
     /// input-major order; the leftmost owner wins per-target dedup;
-    /// names and provenance join exactly as the fold would. Each
-    /// surviving cell is copied once and each input word interned
-    /// once, where folding [`merge`](Self::merge) re-copies and
-    /// re-hashes the accumulated set at every step. The `merge_props`
-    /// suite pins it against that fold.
+    /// names and provenance join in input order. Each surviving cell
+    /// is copied once and each input word interned once, where a fold
+    /// re-copies and re-hashes the accumulated set at every step. The
+    /// `merge_props` suite pins it against that fold written out over
+    /// addresses (`testkit::oracle::merge_fold`).
     pub fn merge_all<'a>(sets: impl IntoIterator<Item = &'a TraceSet>) -> TraceSet {
         let refs: Vec<&TraceSet> = sets.into_iter().collect();
         match refs.len() {
@@ -1096,19 +995,7 @@ impl AsnResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yarrp6::ResponseRecord;
-
-    fn rec(target: &str, responder: &str, kind: ResponseKind, ttl: Option<u8>) -> ResponseRecord {
-        ResponseRecord {
-            target: target.parse().unwrap(),
-            responder: responder.parse().unwrap(),
-            kind,
-            probe_ttl: ttl,
-            rtt_us: Some(1),
-            recv_us: 0,
-            target_cksum_ok: true,
-        }
-    }
+    use testkit::fixtures::rec;
 
     #[test]
     fn a_row_is_two_words_and_keeps_every_field() {

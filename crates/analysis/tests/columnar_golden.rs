@@ -3,12 +3,12 @@
 //! probe protocol and on adversarial synthetic logs (checksum failures,
 //! missing TTLs, duplicate records, out-of-order arrival).
 
-use analysis::reference;
 use analysis::{discover_by_path_div, ia_hack, AsnResolver, PathDivParams, TraceSet};
 use simnet::config::TopologyConfig;
 use simnet::Topology;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
+use testkit::oracle as reference;
 use v6packet::icmp6::DestUnreachCode;
 use v6packet::probe::Protocol;
 use yarrp6::campaign::run_campaign;
@@ -335,7 +335,7 @@ fn from_traces_round_trips_reference_traces() {
     let set = targets::TargetSet::new("golden-rt", addrs);
     let res = run_campaign(&topo, 0, &set, &YarrpConfig::default());
     let refset = reference::TraceSet::from_log(&res.log);
-    let col = TraceSet::from_traces(refset.traces.values().cloned());
+    let col = testkit::trace_set(refset.traces.values().cloned());
     for (view, rt) in col.iter().zip(refset.iter_sorted()) {
         assert_eq!(view.target(), rt.target);
         assert_eq!(

@@ -12,8 +12,10 @@
 //! * merging is commutative and associative up to canonical form;
 //! * merging a set with itself changes nothing;
 //! * `merge_all`'s single k-way pass is **bit-identical** — raw
-//!   interner ids included — to folding `merge` over the same inputs
-//!   ([`fold_oracle`]).
+//!   interner ids and per-trace provenance included — to the left fold
+//!   of a two-set union keyed by address, which shares no code with it
+//!   (`testkit::oracle::merge_fold`), and to the pairwise reduction
+//!   over the two-set `merge` ([`fold_oracle`]).
 //!
 //! The algebraic properties hold *because* the per-vantage sets carry
 //! whole traces: `merge`'s first-wins trace dedup only bites on
@@ -22,39 +24,9 @@
 
 use analysis::TraceSet;
 use proptest::prelude::*;
-use std::net::Ipv6Addr;
-use v6packet::icmp6::DestUnreachCode;
+use testkit::fixtures::synth_record;
+use testkit::oracle::{merge_fold, Merged};
 use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
-
-/// Decodes one synthetic record from two drawn words, covering every
-/// response class the classify pass distinguishes: Time Exceeded,
-/// Destination Unreachable codes, Echo Reply, TCP, checksum failures,
-/// missing TTLs, and the degenerate ttl 0.
-fn synth_record(w: u64, recv_us: u64, allow_tamper: bool) -> ResponseRecord {
-    let target = Ipv6Addr::from((0x2001_0db8_u128 << 96) | (w & 0x1f) as u128);
-    let responder = Ipv6Addr::from((0x2001_0db8_ffff_u128 << 80) | ((w >> 5) & 0xf) as u128);
-    let kind = match (w >> 9) % 8 {
-        0..=2 => ResponseKind::TimeExceeded,
-        3 => ResponseKind::DestUnreachable(DestUnreachCode::NoRoute),
-        4 => ResponseKind::DestUnreachable(DestUnreachCode::AdminProhibited),
-        5 => ResponseKind::DestUnreachable(DestUnreachCode::PortUnreachable),
-        6 => ResponseKind::EchoReply,
-        _ => ResponseKind::Tcp,
-    };
-    let probe_ttl = match (w >> 12) % 10 {
-        0 => None,
-        _ => Some(((w >> 16) % 20) as u8),
-    };
-    ResponseRecord {
-        target,
-        responder,
-        kind,
-        probe_ttl,
-        rtt_us: Some(w % 10_000),
-        recv_us,
-        target_cksum_ok: !allow_tamper || !(w >> 21).is_multiple_of(10),
-    }
-}
 
 fn log_of(records: Vec<ResponseRecord>) -> ProbeLog {
     ProbeLog {
@@ -91,10 +63,10 @@ fn sorted_and_split(
     (full, chunks)
 }
 
-/// The oracle [`TraceSet::merge_all`] is pinned against: its former
-/// body, the pairwise reduction over [`TraceSet::merge`] — adjacent
-/// pairs, then pairs of pairs. `merge` is associative bit for bit, so
-/// this equals the left fold `a.merge(b).merge(c)…`.
+/// The pairwise reduction over [`TraceSet::merge`] — adjacent pairs,
+/// then pairs of pairs. `merge` is the k-way walk at k = 2 and is
+/// associative bit for bit, so this equals the left fold
+/// `a.merge(b).merge(c)…` and the one k-way pass.
 fn fold_oracle(refs: &[&TraceSet]) -> TraceSet {
     match refs.len() {
         0 => TraceSet::default(),
@@ -160,6 +132,7 @@ fn merge_all_pairwise_reduction_equals_left_fold() {
     let pairwise = fold_oracle(&sets.iter().collect::<Vec<_>>());
     assert_eq!(pairwise, fold);
     assert_eq!(TraceSet::merge_all(&sets), fold);
+    assert_eq!(Merged::of(&fold), merge_fold(&sets));
     // Bit-identical including raw interner ids (PartialEq covers
     // the words; spot-check an id too).
     assert_eq!(pairwise.interner().words(), fold.interner().words());
@@ -173,7 +146,7 @@ fn merge_all_pairwise_reduction_equals_left_fold() {
 }
 
 proptest! {
-    /// `merge_all` against the fold, bit for bit, at every k its
+    /// `merge_all` against the address-keyed fold, bit for bit, at every k its
     /// callers use (vantages ≤ 3, 8 shards, 24 round × vantage sets)
     /// and the degenerate ones. The inputs draw from one small target
     /// and responder space independently, so the same target recurs
@@ -212,14 +185,15 @@ proptest! {
             })
             .collect();
         for k in [0usize, 1, 2, 3, 8, 24] {
-            let want = fold_oracle(&sets[..k].iter().collect::<Vec<_>>());
             let got = TraceSet::merge_all(&sets[..k]);
-            prop_assert!(got == want, "k-way merge_all diverged from the fold at k={k}");
-            // `==` leaves provenance out; compare it trace by trace.
-            prop_assert_eq!(got.sources(), want.sources());
-            for (g, w) in got.iter().zip(want.iter()) {
-                prop_assert_eq!(g.vantage(), w.vantage());
-            }
+            // The model spells out every column, the interner in id
+            // order and each trace's provenance.
+            prop_assert!(
+                Merged::of(&got) == merge_fold(&sets[..k]),
+                "k-way merge_all diverged from the address-keyed fold at k={k}"
+            );
+            let want = fold_oracle(&sets[..k].iter().collect::<Vec<_>>());
+            prop_assert!(got == want, "k-way merge_all diverged from the pairwise merge at k={k}");
         }
     }
 

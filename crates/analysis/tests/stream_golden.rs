@@ -14,12 +14,11 @@ use simnet::{EngineStats, Topology};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use targets::TargetSet;
-use v6packet::icmp6::DestUnreachCode;
 use v6packet::probe::Protocol;
 use yarrp6::campaign::{run_campaign, CampaignSpec, RetryPolicy};
 use yarrp6::sink::StreamConfig;
 use yarrp6::yarrp::Neighborhood;
-use yarrp6::{ProbeLog, ResponseKind, ResponseRecord, YarrpConfig};
+use yarrp6::{ProbeLog, ResponseRecord, YarrpConfig};
 
 fn fixture(seed: u64) -> (Arc<Topology>, TargetSet) {
     let topo = Arc::new(simnet::generate::generate(TopologyConfig::tiny(seed)));
@@ -145,34 +144,10 @@ fn parallel_streamed_sweep_matches_batch_sets() {
     }
 }
 
-/// Decodes one synthetic record from two drawn words, covering every
-/// response class: Time Exceeded, all Destination Unreachable codes the
-/// decoder produces, Echo Reply, TCP, checksum failures, missing TTLs,
-/// and the degenerate ttl 0.
+/// Every response class the decoder produces, checksum failures
+/// included.
 fn synth_record(w: u64, recv_us: u64) -> ResponseRecord {
-    let target = Ipv6Addr::from((0x2001_0db8_u128 << 96) | (w & 0x1f) as u128);
-    let responder = Ipv6Addr::from((0x2001_0db8_ffff_u128 << 80) | ((w >> 5) & 0xf) as u128);
-    let kind = match (w >> 9) % 8 {
-        0..=2 => ResponseKind::TimeExceeded,
-        3 => ResponseKind::DestUnreachable(DestUnreachCode::NoRoute),
-        4 => ResponseKind::DestUnreachable(DestUnreachCode::AdminProhibited),
-        5 => ResponseKind::DestUnreachable(DestUnreachCode::PortUnreachable),
-        6 => ResponseKind::EchoReply,
-        _ => ResponseKind::Tcp,
-    };
-    let probe_ttl = match (w >> 12) % 10 {
-        0 => None,
-        _ => Some(((w >> 16) % 20) as u8),
-    };
-    ResponseRecord {
-        target,
-        responder,
-        kind,
-        probe_ttl,
-        rtt_us: Some(w % 10_000),
-        recv_us,
-        target_cksum_ok: !(w >> 21).is_multiple_of(10),
-    }
+    testkit::fixtures::synth_record(w, recv_us, true)
 }
 
 proptest! {

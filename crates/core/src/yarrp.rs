@@ -23,17 +23,19 @@
 //! rendered in place. It also looks ahead in its permutation, a window
 //! of 64 probes at a time, and has the engine pull in what those probes
 //! will touch ([`Engine::warm`]) before sending them, in order, as ever.
-//! The order on the wire, and every result, are those of
-//! [`run_reference`], which does neither.
+//! The order on the wire, and every result, are those of the naive
+//! pipeline that does neither — the Yarrp6 oracle of the dev-only
+//! `testkit` crate (`testkit::oracle`), which `tests/hotpath_golden.rs`
+//! pins this one to.
 
 use crate::addrset::AddrSet;
 use crate::perm::Permutation;
-use crate::record::{decode_response, ProbeLog, ResponseKind, ResponseRecord};
+use crate::record::{ProbeLog, ResponseKind, ResponseRecord};
 use crate::sink::{Link, RecordSink};
 use serde::{Deserialize, Serialize};
 use simnet::{Engine, Flow};
 use std::net::Ipv6Addr;
-use v6packet::probe::{ProbeSpec, ProbeTemplate, Protocol};
+use v6packet::probe::{ProbeTemplate, Protocol};
 
 /// Neighborhood-mode parameters.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -226,7 +228,8 @@ impl HotPath<'_, '_> {
 /// Runs a Yarrp6 campaign from `vantage_idx` against `targets`,
 /// collecting records into a [`ProbeLog`] sorted by receive time — the
 /// batch shape. Implemented over [`run_with_sink`] with a `Vec` sink;
-/// the golden tests pin it bit-identical to [`run_reference`].
+/// the golden tests pin it bit-identical to the naive pipeline of
+/// `testkit::oracle`.
 pub fn run(
     engine: &mut Engine,
     vantage_idx: u8,
@@ -328,117 +331,6 @@ pub fn run_with_sink<S: RecordSink>(
     }
     log.duration_us = now_us;
     log
-}
-
-/// The naive reference pipeline: full [`ProbeSpec::build`] per probe and
-/// the allocating [`Engine::inject`]. Kept (and exercised by the golden
-/// determinism test) to pin the hot path's bit-identical contract; not
-/// for production use.
-#[doc(hidden)]
-pub fn run_reference(
-    engine: &mut Engine,
-    vantage_idx: u8,
-    targets: &[Ipv6Addr],
-    cfg: &YarrpConfig,
-) -> ProbeLog {
-    assert!(cfg.max_ttl >= 1 && cfg.fill_max_ttl >= cfg.max_ttl);
-    let src = engine.topology().vantages[vantage_idx as usize].addr;
-    let vantage_name = engine.topology().vantages[vantage_idx as usize]
-        .name
-        .clone();
-    let ttl_span = cfg.max_ttl as u64;
-    let n = targets.len() as u64 * ttl_span;
-    let perm = Permutation::new(n, cfg.perm_seed);
-
-    let mut log = ProbeLog {
-        vantage: vantage_name,
-        prober: "yarrp6".into(),
-        traces: targets.len() as u64,
-        ..Default::default()
-    };
-    let interval_us = 1_000_000 / cfg.rate_pps.max(1);
-    let mut now_us: u64 = 0;
-    let mut newest = cfg.neighborhood.map(Newest::new);
-
-    for v in perm.iter() {
-        let target = targets[(v / ttl_span) as usize];
-        let ttl = (v % ttl_span) as u8 + 1;
-        if newest.as_ref().is_some_and(|n| n.went_quiet(ttl, now_us)) {
-            now_us += interval_us;
-            continue;
-        }
-        let resp = send_probe_reference(engine, src, target, ttl, now_us, cfg, &mut log);
-        if let Some(rec) = resp {
-            note_response(&rec, &mut newest);
-            // Fill chains, naive pipeline.
-            if cfg.fill_mode {
-                let mut cur = rec;
-                while let Some(h) = cur.probe_ttl.filter(|&h| {
-                    h >= cfg.max_ttl
-                        && h < cfg.fill_max_ttl
-                        && cur.kind == ResponseKind::TimeExceeded
-                }) {
-                    log.fills += 1;
-                    let Some(next) = send_probe_reference(
-                        engine,
-                        src,
-                        cur.target,
-                        h + 1,
-                        cur.recv_us,
-                        cfg,
-                        &mut log,
-                    ) else {
-                        break;
-                    };
-                    note_response(&next, &mut newest);
-                    cur = next;
-                }
-            }
-        }
-        now_us += interval_us;
-    }
-    log.duration_us = now_us;
-    log.sort_by_recv();
-    log
-}
-
-/// One naive-pipeline probe (see [`run_reference`]).
-fn send_probe_reference(
-    engine: &mut Engine,
-    src: Ipv6Addr,
-    target: Ipv6Addr,
-    ttl: u8,
-    now_us: u64,
-    cfg: &YarrpConfig,
-    log: &mut ProbeLog,
-) -> Option<ResponseRecord> {
-    let spec = ProbeSpec {
-        src,
-        target,
-        protocol: cfg.protocol,
-        ttl,
-        instance: cfg.instance,
-        elapsed_us: now_us as u32,
-    };
-    log.probes_sent += 1;
-    let mut wire = spec.build();
-    if cfg.vary_flow_label {
-        let label = (now_us as u32).wrapping_mul(0x9e37_79b9) >> 12 & 0xf_ffff;
-        let vtf = u32::from_be_bytes([wire[0], wire[1], wire[2], wire[3]]) & !0xf_ffff | label;
-        wire[0..4].copy_from_slice(&vtf.to_be_bytes());
-    }
-    let delivery = engine.inject(&wire, now_us)?;
-    match decode_response(&delivery.bytes, delivery.at_us, cfg.instance) {
-        Ok(rec) => {
-            log.records.push(rec);
-            Some(rec)
-        }
-        Err(e) => {
-            log.decode_errors.note(e);
-            log.discarded += 1;
-            None
-        }
-    }
 }
 
 /// Neighborhood-mode state, kept only while the mode is on — the skip

@@ -1,6 +1,8 @@
 //! Golden determinism: the template/buffer-reuse hot path must produce
-//! records **bit-identical** to the naive `ProbeSpec::build` + allocating
-//! `Engine::inject` pipeline — for every protocol, with the
+//! records **bit-identical** to the naive pipeline
+//! (`testkit::oracle::run_reference`: a packet encoded from scratch per
+//! probe, the allocating `Engine::inject`, bookkeeping of its own that
+//! shares nothing with `yarrp.rs`) — for every protocol, with the
 //! `vary_flow_label` ablation on and off, through fill chains, and on
 //! middlebox-heavy topologies where fill chases rewritten quoted targets.
 //!
@@ -17,6 +19,7 @@ use simnet::generate::generate;
 use simnet::{AdversarialClass, AdversarialSchedule, Engine, FaultSchedule, RouterId, Topology};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
+use testkit::oracle::run_reference;
 use v6packet::probe::Protocol;
 use yarrp6::yarrp::{self, YarrpConfig};
 use yarrp6::{ResponseKind, ResponseRecord};
@@ -29,7 +32,7 @@ fn assert_pipelines_match(
 ) {
     let (mut hot_engine, mut naive_engine) = (Engine::new(topo.clone()), Engine::new(topo.clone()));
     let hot = yarrp::run(&mut hot_engine, vantage, targets, cfg);
-    let naive = yarrp::run_reference(&mut naive_engine, vantage, targets, cfg);
+    let naive = run_reference(&mut naive_engine, vantage, targets, cfg);
     let label = format!(
         "proto={} vary_flow_label={} max_ttl={} targets={}",
         cfg.protocol,
@@ -116,7 +119,7 @@ fn fill_chains_that_leave_the_targets_and_come_back_match() {
             vary_flow_label,
             ..Default::default()
         };
-        let log = yarrp::run_reference(&mut Engine::new(topo.clone()), 2, &targets, &cfg);
+        let log = run_reference(&mut Engine::new(topo.clone()), 2, &targets, &cfg);
         let sent_at = |r: &ResponseRecord| r.recv_us - r.rtt_us.expect("a quoted probe");
         // A Time Exceeded at fill depth whose quotation names a stranger
         // sends the next fill probe after the stranger.
@@ -145,14 +148,31 @@ fn fill_chains_that_leave_the_targets_and_come_back_match() {
 fn neighborhood_mode_pipelines_match() {
     let topo = Arc::new(generate(TopologyConfig::tiny(42)));
     let targets: Vec<Ipv6Addr> = topo.hosts().map(|(a, _)| a).take(80).collect();
-    let cfg = YarrpConfig {
-        neighborhood: Some(yarrp::Neighborhood {
-            max_ttl: 4,
-            window_us: 2_000_000,
-        }),
-        ..Default::default()
-    };
-    assert_pipelines_match(&topo, 0, &targets, &cfg);
+    // 80 targets x 16 TTLs at 1 kpps is 1.28 virtual seconds: the window
+    // has to be well inside that for a TTL to go quiet at all. With only
+    // the near hops subject to skipping, nothing new turns up at them
+    // once the window has passed; with every TTL subject, the deep ones
+    // keep yielding interfaces whose answers are still in flight when
+    // their TTL's next probe is due — a receive time ahead of the send
+    // clock, which the two sides account for in code they do not share.
+    for skip_up_to in [4, 16] {
+        let cfg = YarrpConfig {
+            neighborhood: Some(yarrp::Neighborhood {
+                max_ttl: skip_up_to,
+                window_us: 200_000,
+            }),
+            ..Default::default()
+        };
+        let log = yarrp::run(&mut Engine::new(topo.clone()), 0, &targets, &cfg);
+        let main_sequence = log.probes_sent - log.fills;
+        assert!(
+            main_sequence < targets.len() as u64 * cfg.max_ttl as u64,
+            "fixture must skip probes: sent {main_sequence} of {} x {}",
+            targets.len(),
+            cfg.max_ttl
+        );
+        assert_pipelines_match(&topo, 0, &targets, &cfg);
+    }
 }
 
 /// The prober's lookahead window (`LOOKAHEAD` in `yarrp.rs`, private).

@@ -1,25 +1,26 @@
-//! The original map-based analysis pipeline, kept as the golden
-//! reference for the columnar one.
+//! The map-based analysis pipeline the columnar one is pinned against.
 //!
 //! [`Trace`]/[`TraceSet`] here are the `HashMap<Ipv6Addr, Trace>` +
 //! per-trace `BTreeMap<u8, Ipv6Addr>` structures the analysis layer
 //! started with, together with the original [`discover_by_path_div`] /
-//! [`ia_hack`] implementations that re-sort and allocate per call. The
-//! production pipeline ([`crate::traces::TraceSet`]) is pinned
-//! bit-identical to this module by the golden equivalence tests
-//! (`tests/columnar_golden.rs`); it exists for verification, not for
-//! production use.
+//! [`ia_hack`] implementations that re-sort and allocate per call.
+//! [`analysis::TraceSet`] and the miners of [`analysis::subnets`] are
+//! pinned bit-identical to this module by `analysis`'s
+//! `tests/columnar_golden.rs`.
+//!
+//! [`trace_set`] goes the other way: hand-built [`Trace`]s in, the
+//! library's columnar set out, through the library's own front door.
 
-use crate::subnets::{CandidateSubnet, PathDivParams};
-use crate::traces::AsnResolver;
-use serde::{Deserialize, Serialize};
+use analysis::subnets::{CandidateSubnet, PathDivParams};
+use analysis::AsnResolver;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv6Addr;
 use v6addr::{bits, dpl, Asn, Ipv6Prefix};
-use yarrp6::{ProbeLog, ResponseKind};
+use v6packet::icmp6::DestUnreachCode;
+use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
 
 /// One reconstructed trace (map-based reference layout).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Trace {
     /// The probed destination.
     pub target: Ipv6Addr,
@@ -100,9 +101,7 @@ impl TraceSet {
                         t.hops.entry(ttl).or_insert(r.responder);
                     }
                 }
-                ResponseKind::DestUnreachable(c)
-                    if c != v6packet::icmp6::DestUnreachCode::PortUnreachable =>
-                {
+                ResponseKind::DestUnreachable(c) if c != DestUnreachCode::PortUnreachable => {
                     if let Some(ttl) = r.probe_ttl {
                         t.unreachable.push((ttl, r.responder));
                     }
@@ -289,4 +288,151 @@ pub fn ia_hack(ts: &TraceSet) -> Vec<CandidateSubnet> {
     out.sort_by_key(|c| c.prefix.base_word());
     out.dedup();
     out
+}
+
+/// The columnar [`analysis::TraceSet`] holding exactly `traces`, built
+/// the only way the library builds one: [`analysis::TraceSet::from_log`]
+/// over records synthesized per trace. Of two traces toward one target
+/// the last wins, as `HashMap::insert` would have it.
+///
+/// Traces go in target order and each contributes its hops (TTL
+/// ascending), then its unreachables (as listed), then its destination
+/// response — so responders are interned trace by trace, hops before
+/// unreachables. The set carries no campaign identity and no dropped
+/// records.
+pub fn trace_set(traces: impl IntoIterator<Item = Trace>) -> analysis::TraceSet {
+    let mut by_target: BTreeMap<u128, Trace> = BTreeMap::new();
+    for t in traces {
+        by_target.insert(u128::from(t.target), t);
+    }
+    let mut log = ProbeLog {
+        traces: by_target.len() as u64,
+        ..Default::default()
+    };
+    for t in by_target.into_values() {
+        let record = |responder, kind, probe_ttl| ResponseRecord {
+            target: t.target,
+            responder,
+            kind,
+            probe_ttl,
+            rtt_us: Some(1),
+            recv_us: 0,
+            target_cksum_ok: true,
+        };
+        let before = log.records.len();
+        for (&ttl, &hop) in &t.hops {
+            log.records
+                .push(record(hop, ResponseKind::TimeExceeded, Some(ttl)));
+        }
+        for &(ttl, responder) in &t.unreachable {
+            let kind = ResponseKind::DestUnreachable(DestUnreachCode::NoRoute);
+            log.records.push(record(responder, kind, Some(ttl)));
+        }
+        if let Some(at) = t.reached_at {
+            log.records
+                .push(record(t.target, ResponseKind::EchoReply, Some(at)));
+        }
+        if log.records.len() == before {
+            // A trace that heard nothing is still a trace: a Time
+            // Exceeded that quotes no hop limit names its target and
+            // adds no cell.
+            log.records
+                .push(record(t.target, ResponseKind::TimeExceeded, None));
+        }
+    }
+    analysis::TraceSet::from_log(&log)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn addr(s: &str) -> Ipv6Addr {
+        s.parse().unwrap()
+    }
+
+    /// Hand-built trace: hops at ttl 1.. from a list.
+    fn trace(target: &str, hops: &[&str]) -> Trace {
+        let mut t = Trace::new(addr(target));
+        for (i, h) in hops.iter().enumerate() {
+            t.hops.insert(i as u8 + 1, addr(h));
+        }
+        t
+    }
+
+    #[test]
+    fn trace_set_holds_the_traces_in_target_order_with_ids_in_walk_order() {
+        // The pair `analysis::subnets`' tests diverge, given in reverse.
+        let a = trace(
+            "2001:db8:0:1::aa",
+            &["2620:1::1", "2001:db8:ff::1", "2001:db8:ff::10"],
+        );
+        let mut b = trace(
+            "2001:db8:0:2::bb",
+            &["2620:1::1", "2001:db8:ff::1", "2001:db8:ff::20"],
+        );
+        b.unreachable.push((4, addr("2001:db8:ff::30")));
+        b.unreachable.push((4, addr("2620:1::1")));
+        b.reached_at = Some(5);
+        let set = trace_set([b.clone(), a.clone()]);
+
+        assert_eq!(set.targets(), [a.target, b.target]);
+        // Ids: trace by trace, hops before unreachables, a known
+        // address keeping its id.
+        let words: Vec<Ipv6Addr> = set
+            .interner()
+            .words()
+            .iter()
+            .map(|&w| Ipv6Addr::from(w))
+            .collect();
+        let want = [
+            "2620:1::1",
+            "2001:db8:ff::1",
+            "2001:db8:ff::10",
+            "2001:db8:ff::20",
+            "2001:db8:ff::30",
+        ];
+        assert_eq!(words, want.map(addr));
+        for (view, t) in set.iter().zip([&a, &b]) {
+            let hops: Vec<_> = t.hops.iter().map(|(&ttl, &h)| (ttl, h)).collect();
+            assert_eq!(view.hops().collect::<Vec<_>>(), hops);
+            assert_eq!(view.unreachable().collect::<Vec<_>>(), t.unreachable);
+            assert_eq!(view.reached_at(), t.reached_at);
+        }
+        assert_eq!(set.view_at(1).hop_cells(), [(1, 0), (2, 1), (3, 3)]);
+        assert_eq!(set.view_at(1).unreachable_cells(), [(4, 4), (4, 0)]);
+        assert_eq!((&*set.vantage, &*set.target_set), ("", ""));
+        assert_eq!(set.rewritten_dropped, 0);
+    }
+
+    #[test]
+    fn trace_set_keeps_gaps_and_the_last_of_two_traces_to_one_target() {
+        let mut gapped = Trace::new(addr("2001:db8:0:1::aa"));
+        gapped.hops.insert(1, addr("2620:1::1"));
+        gapped.hops.insert(3, addr("2001:db8:ff::10")); // gap at 2
+        let earlier = trace("2001:db8:0:1::aa", &["2620:2::1", "2620:2::2"]);
+        let set = trace_set([earlier, gapped.clone()]);
+        assert_eq!(set.len(), 1);
+        let view = set.view_at(0);
+        assert_eq!(
+            view.hop_vec(),
+            [gapped.hops.get(&1), None, gapped.hops.get(&3)].map(|h| h.copied())
+        );
+        // The loser left nothing behind, not even an interned address.
+        assert_eq!(set.interner().len(), 2);
+    }
+
+    #[test]
+    fn a_trace_that_heard_nothing_is_still_a_trace() {
+        let mut reached = Trace::new(addr("2001:db8::2"));
+        reached.reached_at = Some(255);
+        let set = trace_set([Trace::new(addr("2001:db8::1")), reached]);
+        assert_eq!(set.len(), 2);
+        assert!(set.interner().is_empty());
+        let silent = set.view_at(0);
+        assert!(silent.hop_cells().is_empty() && silent.unreachable_cells().is_empty());
+        assert_eq!((silent.reached_at(), silent.path_len()), (None, None));
+        assert_eq!(set.view_at(1).reached_at(), Some(255));
+        assert!(trace_set([]).is_empty());
+    }
 }

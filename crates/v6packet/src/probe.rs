@@ -201,87 +201,13 @@ fn fudge_for(instance: u8, ttl: u8, elapsed_us: u32) -> u16 {
 }
 
 impl ProbeSpec {
-    /// Serializes the probe to wire bytes, computing the fudge so the
-    /// transport checksum is the per-target constant described in the
-    /// module docs.
-    ///
-    /// This is the *naive* allocating path, kept as the reference the
-    /// hot paths ([`build_into`](Self::build_into), [`ProbeTemplate`])
-    /// are tested bit-identical against.
+    /// Serializes the probe to freshly allocated wire bytes:
+    /// [`build_into`](Self::build_into) into a `Vec`. The probers that
+    /// send few probes call this; the Yarrp6 hot path renders a
+    /// [`ProbeTemplate`] in place instead.
     pub fn build(&self) -> Vec<u8> {
-        let tlen = self.protocol.transport_len();
-        let payload_len = tlen + PAYLOAD_LEN;
-        let target_ck = csum::addr_checksum(self.target);
-
-        // Transport + Yarrp6 payload, checksum and fudge zeroed.
-        let mut body = vec![0u8; payload_len];
-        match self.protocol {
-            Protocol::Icmp6 => {
-                body[0] = 128; // Echo Request
-                body[4..6].copy_from_slice(&target_ck.to_be_bytes());
-                body[6..8].copy_from_slice(&DST_PORT.to_be_bytes());
-            }
-            Protocol::Udp => {
-                body[0..2].copy_from_slice(&target_ck.to_be_bytes());
-                body[2..4].copy_from_slice(&DST_PORT.to_be_bytes());
-                body[4..6].copy_from_slice(&(payload_len as u16).to_be_bytes());
-            }
-            Protocol::Tcp => {
-                body[0..2].copy_from_slice(&target_ck.to_be_bytes());
-                body[2..4].copy_from_slice(&DST_PORT.to_be_bytes());
-                body[12] = 5 << 4; // data offset: 5 words
-                body[13] = 0x02; // SYN
-                body[14..16].copy_from_slice(&0xffffu16.to_be_bytes());
-            }
-        }
-        let p = tlen;
-        body[p..p + 4].copy_from_slice(&YARRP6_MAGIC.to_be_bytes());
-        body[p + 4] = self.instance;
-        body[p + 5] = self.ttl;
-        body[p + 6..p + 10].copy_from_slice(&self.elapsed_us.to_be_bytes());
-        // fudge at p+10..p+12 currently zero.
-
-        // Canonical sum: same packet with ttl = 0 and elapsed = 0.
-        let nh = self.protocol.next_header();
-        let mut canon = Summer::new();
-        csum::pseudo_header(&mut canon, self.src, self.target, payload_len as u32, nh);
-        canon.add_bytes(&body[..p + 4]); // through magic
-        canon.add_u16(self.instance as u16); // (instance, ttl=0) word
-        canon.add_u32(0); // elapsed = 0
-        canon.add_u16(0); // fudge = 0
-        let canon_sum = canon.fold();
-
-        // Actual sum with real ttl/elapsed, fudge still zero.
-        let mut actual = Summer::new();
-        csum::pseudo_header(&mut actual, self.src, self.target, payload_len as u32, nh);
-        actual.add_bytes(&body);
-        let actual_sum = actual.fold();
-
-        // fudge makes the folded sum equal the canonical sum again.
-        let fudge = csum::ones_complement_sub(canon_sum, actual_sum);
-        body[p + 10..p + 12].copy_from_slice(&fudge.to_be_bytes());
-
-        // The checksum over a packet summing to canon must be !canon.
-        let cksum = !canon_sum;
-        let ck_off = match self.protocol {
-            Protocol::Icmp6 => 2,
-            Protocol::Udp => 6,
-            Protocol::Tcp => 16,
-        };
-        body[ck_off..ck_off + 2].copy_from_slice(&cksum.to_be_bytes());
-
-        let hdr = Ipv6Header {
-            traffic_class: 0,
-            flow_label: 0,
-            payload_len: payload_len as u16,
-            next_header: nh,
-            hop_limit: self.ttl,
-            src: self.src,
-            dst: self.target,
-        };
-        let mut out = Vec::with_capacity(ip6::HEADER_LEN + payload_len);
-        out.extend_from_slice(&hdr.encode());
-        out.extend_from_slice(&body);
+        let mut out = vec![0u8; self.protocol.probe_len()];
+        self.build_into(&mut out);
         out
     }
 
@@ -330,10 +256,13 @@ impl ProbeSpec {
         s.fold()
     }
 
-    /// Serializes the probe into `out`, returning the wire length. One
-    /// checksum pass over the constants (via [`Self::canonical_sum`]);
-    /// the variable fields are cancelled incrementally by the fudge.
-    /// Byte-identical to [`Self::build`].
+    /// Serializes the probe into `out`, returning the wire length,
+    /// with the fudge that makes the transport checksum the per-target
+    /// constant described in the module docs. One checksum pass over
+    /// the constants (via [`Self::canonical_sum`]); the variable fields
+    /// are cancelled incrementally by the fudge. Pinned byte-identical
+    /// to the encoder that sums the whole packet twice
+    /// (`testkit::oracle::build_probe`, in `tests/props.rs`).
     pub fn build_into(&self, out: &mut [u8]) -> usize {
         let tlen = self.protocol.transport_len();
         let payload_len = tlen + PAYLOAD_LEN;
@@ -580,32 +509,6 @@ mod tests {
                         spec(proto, ttl, elapsed).flow_checksum(),
                         base,
                         "{proto} ttl={ttl} elapsed={elapsed}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn build_into_and_template_match_naive_build() {
-        for proto in [Protocol::Icmp6, Protocol::Udp, Protocol::Tcp] {
-            let mut tmpl = ProbeTemplate::new(
-                "2001:db8:f00::1".parse().unwrap(),
-                "2001:db8:1:2::abcd".parse().unwrap(),
-                proto,
-                7,
-            );
-            for ttl in [1u8, 2, 9, 16, 64, 255] {
-                for elapsed in [0u32, 1, 123_456, 0xffff, 0x1_0000, u32::MAX] {
-                    let s = spec(proto, ttl, elapsed);
-                    let naive = s.build();
-                    let mut buf = [0u8; MAX_PROBE_LEN];
-                    let n = s.build_into(&mut buf);
-                    assert_eq!(&buf[..n], &naive[..], "{proto} build_into ttl={ttl}");
-                    assert_eq!(
-                        tmpl.render(ttl, elapsed),
-                        &naive[..],
-                        "{proto} template ttl={ttl} elapsed={elapsed}"
                     );
                 }
             }

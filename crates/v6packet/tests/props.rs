@@ -1,13 +1,54 @@
 //! Property tests: every randomly-parameterized probe is checksum-valid,
 //! flow-constant, and decodes back to its spec — including after being
-//! quoted inside an ICMPv6 error.
+//! quoted inside an ICMPv6 error — and the library's one encoder and
+//! its template are byte-identical to the naive encoder that sums the
+//! whole packet twice (`testkit::oracle::build_probe`).
 
 use proptest::prelude::*;
 use std::net::Ipv6Addr;
+use testkit::oracle::build_probe;
 use v6packet::csum::verify_transport;
 use v6packet::icmp6::{self, DestUnreachCode, Icmp6Type};
-use v6packet::probe::{decode_quotation, ProbeSpec, ProbeTemplate, Protocol};
+use v6packet::probe::{decode_quotation, ProbeSpec, ProbeTemplate, Protocol, MAX_PROBE_LEN};
 use v6packet::{ip6, Ipv6Header};
+
+fn spec(proto: Protocol, ttl: u8, elapsed: u32) -> ProbeSpec {
+    ProbeSpec {
+        src: "2001:db8:f00::1".parse().unwrap(),
+        target: "2001:db8:1:2::abcd".parse().unwrap(),
+        protocol: proto,
+        ttl,
+        instance: 7,
+        elapsed_us: elapsed,
+    }
+}
+
+#[test]
+fn build_into_and_template_match_naive_build() {
+    for proto in [Protocol::Icmp6, Protocol::Udp, Protocol::Tcp] {
+        let mut tmpl = ProbeTemplate::new(
+            "2001:db8:f00::1".parse().unwrap(),
+            "2001:db8:1:2::abcd".parse().unwrap(),
+            proto,
+            7,
+        );
+        for ttl in [1u8, 2, 9, 16, 64, 255] {
+            for elapsed in [0u32, 1, 123_456, 0xffff, 0x1_0000, u32::MAX] {
+                let s = spec(proto, ttl, elapsed);
+                let naive = build_probe(&s);
+                assert_eq!(s.build(), naive, "{proto} build ttl={ttl}");
+                let mut buf = [0u8; MAX_PROBE_LEN];
+                let n = s.build_into(&mut buf);
+                assert_eq!(&buf[..n], &naive[..], "{proto} build_into ttl={ttl}");
+                assert_eq!(
+                    tmpl.render(ttl, elapsed),
+                    &naive[..],
+                    "{proto} template ttl={ttl} elapsed={elapsed}"
+                );
+            }
+        }
+    }
+}
 
 fn protocols() -> impl Strategy<Value = Protocol> {
     prop_oneof![
@@ -147,7 +188,7 @@ proptest! {
             prop_assert_eq!(aimed.wire(), fresh.wire());
             sent.aim(target);
             let spec = ProbeSpec { src, target, protocol, ttl, instance, elapsed_us };
-            prop_assert_eq!(&*sent.render(ttl, elapsed_us), &spec.build()[..]);
+            prop_assert_eq!(&*sent.render(ttl, elapsed_us), &build_probe(&spec)[..]);
         }
     }
 }

@@ -874,6 +874,9 @@ struct AliasRound {
 /// first probe, naming the field — otherwise the supervisor would retry
 /// a vantage the topology does not have and report it *degraded, then
 /// dead*, and a zero TTL horizon would surface as a division by zero.
+/// A fill horizon below the TTL horizon is the same kind of error: every
+/// prober thread would refuse it by panicking, which the supervisor
+/// cannot tell from a crash.
 fn check_config(topo: &Topology, cfg: &AdaptiveConfig) {
     assert!(
         !cfg.vantages.is_empty(),
@@ -892,6 +895,13 @@ fn check_config(topo: &Topology, cfg: &AdaptiveConfig) {
     assert!(
         cfg.yarrp.max_ttl > 0,
         "AdaptiveConfig::yarrp.max_ttl is 0: a round could not send a probe"
+    );
+    assert!(
+        cfg.yarrp.fill_max_ttl >= cfg.yarrp.max_ttl,
+        "AdaptiveConfig::yarrp.fill_max_ttl is {}, below yarrp.max_ttl {}: \
+         fill probes start where the main sequence ends",
+        cfg.yarrp.fill_max_ttl,
+        cfg.yarrp.max_ttl
     );
 }
 
@@ -1784,6 +1794,15 @@ mod tests {
         let (topo, set) = fixture();
         let mut cfg = small_cfg();
         cfg.yarrp.max_ttl = 0;
+        run_adaptive(&topo, &set, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "AdaptiveConfig::yarrp.fill_max_ttl is 32, below yarrp.max_ttl 40")]
+    fn fill_horizon_below_max_ttl_is_a_config_error() {
+        let (topo, set) = fixture();
+        let mut cfg = small_cfg();
+        cfg.yarrp.max_ttl = 40;
         run_adaptive(&topo, &set, &cfg);
     }
 }

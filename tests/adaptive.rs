@@ -13,15 +13,15 @@ use beholder::prelude::*;
 use seeds::feedback::FeedbackParams;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
+use testkit::fixtures::z64_targets;
 
 fn fixture() -> (Arc<Topology>, TargetSet) {
-    let topo = Arc::new(beholder::net::generate::generate(TopologyConfig::tiled(
-        42, 2,
-    )));
-    let seeds = SeedCatalog::synthesize(&topo, 42);
-    let z64 = targets::zn(&seeds.caida, 64);
-    let set = targets::synthesize::synthesize("adaptive-r0", &z64, IidStrategy::FixedIid);
-    (topo, set)
+    z64_targets(
+        TopologyConfig::tiled(42, 2),
+        42,
+        |c| &c.caida,
+        "adaptive-r0",
+    )
 }
 
 fn cfg() -> AdaptiveConfig {

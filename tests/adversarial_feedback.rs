@@ -13,38 +13,12 @@
 
 use beholder::prelude::*;
 use seeds::feedback::FeedbackParams;
-use simnet::topology::RouterRole;
-use simnet::RouterId;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
-
-/// `TopologyConfig::tiled(seed, 2)` with every fifth router hostile,
-/// cycling through all five adversarial classes — 20% poisoned.
-fn hostile_config(seed: u64) -> TopologyConfig {
-    let base = TopologyConfig::tiled(seed, 2);
-    let clean = beholder::net::generate::generate(base.clone());
-    let mut sched = AdversarialSchedule::default();
-    let mut k = 0usize;
-    for r in 0..clean.routers.len() {
-        if r % 5 == 0 {
-            sched = sched.with_hostile_always(
-                RouterId(r as u32),
-                AdversarialClass::ALL[k % AdversarialClass::ALL.len()],
-            );
-            k += 1;
-        }
-    }
-    let mut cfg = base;
-    cfg.adversarial = sched;
-    cfg
-}
+use testkit::fixtures::{hostile_config, hostile_edge, z64_targets};
 
 fn fixture(topo_cfg: TopologyConfig) -> (Arc<Topology>, TargetSet) {
-    let topo = Arc::new(beholder::net::generate::generate(topo_cfg));
-    let seeds = SeedCatalog::synthesize(&topo, 42);
-    let z64 = targets::zn(&seeds.caida, 64);
-    let set = targets::synthesize::synthesize("adv-fb-r0", &z64, IidStrategy::FixedIid);
-    (topo, set)
+    z64_targets(topo_cfg, 42, |c| &c.caida, "adv-fb-r0")
 }
 
 fn loop_cfg(quarantine_feedback: bool) -> AdaptiveConfig {
@@ -103,28 +77,13 @@ fn quarantined_run_on_hostile_topology_has_zero_fabricated_interfaces() {
 #[test]
 fn poisoned_run_retains_most_of_the_clean_yield() {
     let base = TopologyConfig::tiled(7, 2);
-    let edge_hostile = beholder::net::generate::generate(base.clone())
-        .routers
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| {
-            matches!(
-                r.role,
-                RouterRole::Distribution | RouterRole::LanGateway | RouterRole::Cpe
-            )
-        })
-        .step_by(5)
-        .zip(AdversarialClass::ALL.iter().cycle())
-        .fold(AdversarialSchedule::default(), |sched, ((r, _), &class)| {
-            sched.with_hostile_always(RouterId(r as u32), class)
-        });
+    let edge_hostile = hostile_edge(&beholder::net::generate::generate(base.clone()));
     let arm = |adversarial: AdversarialSchedule, quarantine_feedback: bool| {
-        let topo = Arc::new(beholder::net::generate::generate(TopologyConfig {
+        let tc = TopologyConfig {
             adversarial,
             ..base.clone()
-        }));
-        let z64 = targets::zn(&SeedCatalog::synthesize(&topo, 7).combined, 64);
-        let set = targets::synthesize::synthesize("adv-fb-r0", &z64, IidStrategy::FixedIid);
+        };
+        let (topo, set) = z64_targets(tc, 7, |c| &c.combined, "adv-fb-r0");
         let cfg = AdaptiveConfig {
             yarrp: YarrpConfig {
                 fill_mode: false,

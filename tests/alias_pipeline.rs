@@ -16,15 +16,11 @@ use beholder::prelude::*;
 use seeds::feedback::FeedbackParams;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
+use testkit::fixtures::z64_targets;
 
 fn fixture(tile_seed: u64, tiles: usize) -> (Arc<Topology>, TargetSet) {
-    let topo = Arc::new(beholder::net::generate::generate(TopologyConfig::tiled(
-        tile_seed, tiles,
-    )));
-    let seeds = SeedCatalog::synthesize(&topo, tile_seed);
-    let z64 = targets::zn(&seeds.caida, 64);
-    let set = targets::synthesize::synthesize("adaptive-r0", &z64, IidStrategy::FixedIid);
-    (topo, set)
+    let tc = TopologyConfig::tiled(tile_seed, tiles);
+    z64_targets(tc, tile_seed, |c| &c.caida, "adaptive-r0")
 }
 
 fn alias_cfg() -> AdaptiveConfig {

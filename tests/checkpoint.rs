@@ -17,17 +17,14 @@ use proptest::prelude::*;
 use seeds::feedback::FeedbackParams;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
+use testkit::fixtures::z64_targets;
 
 fn fixture(faults: FaultSchedule) -> (Arc<Topology>, TargetSet) {
     let tc = TopologyConfig {
         faults,
         ..TopologyConfig::tiled(42, 2)
     };
-    let topo = Arc::new(beholder::net::generate::generate(tc));
-    let seeds = SeedCatalog::synthesize(&topo, 42);
-    let z64 = targets::zn(&seeds.caida, 64);
-    let set = targets::synthesize::synthesize("adaptive-r0", &z64, IidStrategy::FixedIid);
-    (topo, set)
+    z64_targets(tc, 42, |c| &c.caida, "adaptive-r0")
 }
 
 fn cfg() -> AdaptiveConfig {

@@ -15,6 +15,7 @@
 
 use beholder::prelude::*;
 use std::sync::Arc;
+use testkit::fixtures::z64_targets;
 
 fn fixture() -> (Arc<Topology>, TargetSet) {
     // Rate limiting is the one schedule-dependent response path (token
@@ -29,11 +30,7 @@ fn fixture() -> (Arc<Topology>, TargetSet) {
         burst: 1_000_000,
     };
     tc.aggressive_frac = 0.0;
-    let topo = Arc::new(beholder::net::generate::generate(tc));
-    let seeds = SeedCatalog::synthesize(&topo, 42);
-    let z64 = targets::zn(&seeds.caida, 64);
-    let set = targets::synthesize::synthesize("delta-r0", &z64, IidStrategy::FixedIid);
-    (topo, set)
+    z64_targets(tc, 42, |c| &c.caida, "delta-r0")
 }
 
 /// Round cap far above the initial set so the fresh run covers it in

@@ -18,38 +18,15 @@
 
 use beholder::prelude::*;
 use seeds::feedback::FeedbackParams;
-use simnet::topology::RouterRole;
 use simnet::RouterId;
 use std::sync::Arc;
+use testkit::fixtures::{hostile_edge, z64_targets};
 
 /// Virtual time at which vantage 1 dies for good and the link flap
 /// starts: inside round 0, so the supervisor sees the outage begin,
 /// retries into it, and the budgeter renormalises afterwards.
 const FAULTS_FROM_US: u64 = 500_000;
 const FLAP_PERIOD_US: u64 = 100_000;
-
-/// Every fifth access-network router hostile, cycling through all five
-/// classes.
-fn hostile_edge(layout: &Topology) -> AdversarialSchedule {
-    layout
-        .routers
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| {
-            matches!(
-                r.role,
-                RouterRole::Distribution | RouterRole::LanGateway | RouterRole::Cpe
-            )
-        })
-        .step_by(5)
-        .enumerate()
-        .fold(AdversarialSchedule::default(), |sched, (k, (i, _))| {
-            sched.with_hostile_always(
-                RouterId(i as u32),
-                AdversarialClass::ALL[k % AdversarialClass::ALL.len()],
-            )
-        })
-}
 
 fn fixture() -> (Arc<Topology>, TargetSet) {
     let mut tc = TopologyConfig::tiled(42, 2);
@@ -65,13 +42,9 @@ fn fixture() -> (Arc<Topology>, TargetSet) {
             u64::MAX,
             FLAP_PERIOD_US,
         );
-    let topo = Arc::new(beholder::net::generate::generate(tc));
-    let seeds = SeedCatalog::synthesize(&topo, 42);
     // The combined list reaches host space, so paths cross the
     // LAN-gateway and CPE edge where the hostile routers live.
-    let z64 = targets::zn(&seeds.combined, 64);
-    let set = targets::synthesize::synthesize("adaptive-r0", &z64, IidStrategy::FixedIid);
-    (topo, set)
+    z64_targets(tc, 42, |c| &c.combined, "adaptive-r0")
 }
 
 fn cfg() -> AdaptiveConfig {

@@ -19,6 +19,7 @@ use seeds::feedback::FeedbackParams;
 use simnet::topology::RouterRole;
 use simnet::RouterId;
 use std::sync::Arc;
+use testkit::fixtures::z64_targets;
 
 /// The pinned three-vantage fixture, optionally with a fault schedule
 /// attached. Faults live on the topology config, so the same seed with
@@ -28,11 +29,7 @@ fn fixture(faults: FaultSchedule) -> (Arc<Topology>, TargetSet) {
         faults,
         ..TopologyConfig::tiled(42, 2)
     };
-    let topo = Arc::new(beholder::net::generate::generate(tc));
-    let seeds = SeedCatalog::synthesize(&topo, 42);
-    let z64 = targets::zn(&seeds.caida, 64);
-    let set = targets::synthesize::synthesize("adaptive-r0", &z64, IidStrategy::FixedIid);
-    (topo, set)
+    z64_targets(tc, 42, |c| &c.caida, "adaptive-r0")
 }
 
 fn cfg() -> AdaptiveConfig {
