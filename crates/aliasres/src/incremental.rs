@@ -19,7 +19,7 @@
 //! equivalence the `graph_props` suite proves.
 
 use crate::graph::{collect_links, RouterGraph};
-use analysis::intern::AddrInterner;
+use analysis::AddrInterner;
 use analysis::TraceSet;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
@@ -173,16 +173,6 @@ impl RouterGraphBuilder {
             .collect();
         groups.sort();
         groups
-    }
-
-    /// Alias-group members that never appeared in a qualifying hop
-    /// window of any ingested trace.
-    pub fn unobserved_alias_members(&self) -> u64 {
-        self.alias_member
-            .iter()
-            .zip(&self.observed)
-            .filter(|&(&am, &ob)| am && !ob)
-            .count() as u64
     }
 
     /// Interfaces that appeared in a qualifying hop window — the
@@ -339,9 +329,15 @@ mod tests {
     fn unobserved_members_are_counted_not_hidden() {
         let set = ts(vec![trace("2001:db8::1", &[(1, "::a"), (2, "::b")])]);
         let mut b = RouterGraphBuilder::new();
+        // Alias-group members that never appeared in a qualifying hop
+        // window of any ingested trace.
+        let unobserved = |b: &RouterGraphBuilder| {
+            let members = b.alias_member.iter().zip(&b.observed);
+            members.filter(|&(&am, &ob)| am && !ob).count()
+        };
         b.ingest(&set);
         b.merge_alias_group(&["::dead".parse().unwrap(), "::beef".parse().unwrap()]);
-        assert_eq!(b.unobserved_alias_members(), 2);
+        assert_eq!(unobserved(&b), 2);
         let g = b.snapshot();
         assert_eq!(g.nodes.len(), 3);
         assert_eq!(g.unobserved_alias_nodes, 1);
@@ -350,7 +346,7 @@ mod tests {
         b.merge_alias_group(&["::a".parse().unwrap(), "::cafe".parse().unwrap()]);
         let g = b.snapshot();
         assert_eq!(g.unobserved_alias_nodes, 1);
-        assert_eq!(b.unobserved_alias_members(), 3);
+        assert_eq!(unobserved(&b), 3);
     }
 
     #[test]

@@ -11,22 +11,24 @@
 //! Requests and declares two interfaces aliases when their
 //! identification sequences interleave along one monotonic counter.
 //!
-//! * [`candidates`] — which interfaces a round's discoveries make worth
-//!   probing ([`sibling_candidates`]: shared /64, shared hop), derived
+//! * [`sibling_candidates`] — which interfaces a round's discoveries
+//!   make worth probing (shared /64, shared hop), derived
 //!   by merge-join at a cost that follows the round, not the record;
 //! * [`speedtrap`] — the prober and the monotonic-bound alias test,
 //!   plus the budgeted/supervised campaign entry points the adaptive
 //!   loop drives ([`resolve_aliases_supervised`]);
-//! * [`graph`] — collapsing an interface-level trace set into a
+//! * [`RouterGraph`] — collapsing an interface-level trace set into a
 //!   router-level graph using resolved aliases (ITDK-style);
-//! * [`incremental`] — the per-round [`RouterGraphBuilder`]: union-find
+//! * [`RouterGraphBuilder`] — the per-round builder: union-find
 //!   alias merges and appended links over a shared interner, pinned
 //!   bit-identical (after canonicalization) to the batch
 //!   [`RouterGraph::build_multi`] golden.
 
-pub mod candidates;
-pub mod graph;
-pub mod incremental;
+#![warn(unreachable_pub)]
+
+mod candidates;
+mod graph;
+mod incremental;
 pub mod speedtrap;
 
 pub use candidates::sibling_candidates;
@@ -34,5 +36,4 @@ pub use graph::RouterGraph;
 pub use incremental::{RouterGraphBuilder, RouterGraphParts};
 pub use speedtrap::{
     resolve_aliases, resolve_aliases_budgeted, resolve_aliases_supervised, AliasConfig, AliasSets,
-    SupervisedAliasRun,
 };

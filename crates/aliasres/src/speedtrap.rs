@@ -15,12 +15,12 @@
 //!    Verified pairs are merged with union-find.
 
 use serde::{Deserialize, Serialize};
-use simnet::{Engine, EngineStats};
+use simnet::Engine;
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use v6packet::frag::parse_fragmented_echo_reply;
 use v6packet::{csum, ip6, proto_num, Ipv6Header};
-use yarrp6::campaign::{supervise, Attempt, RetryPolicy};
+use yarrp6::campaign::{supervise, Attempt, RetryPolicy, Supervised};
 
 /// Speedtrap parameters.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -344,32 +344,6 @@ pub fn resolve_aliases_budgeted(
     }
 }
 
-/// The outcome of one supervised alias-resolution campaign
-/// ([`resolve_aliases_supervised`]): the final completed attempt's
-/// sets (if any), engine accounting merged over **every** attempt
-/// (retries burn budget too), and the virtual-time span the whole
-/// campaign occupied.
-#[derive(Clone, Debug)]
-pub struct SupervisedAliasRun {
-    /// Vantage the probing ran from.
-    pub vantage_idx: u8,
-    /// The final completed attempt's sets, or `None` when every attempt
-    /// failed hard (panic).
-    pub sets: Option<AliasSets>,
-    /// The panic message that ended the last failed attempt.
-    pub error: Option<String>,
-    /// Engine accounting merged over all attempts.
-    pub stats: EngineStats,
-    /// Attempts made (1 = first try succeeded).
-    pub attempts: u32,
-    /// Virtual time the supervised campaign occupied: every attempt's
-    /// probing span plus every backoff.
-    pub elapsed_us: u64,
-    /// Exhausted retries, or the final attempt was still a blackout
-    /// (fault drops charged, zero fragmented replies).
-    pub degraded: bool,
-}
-
 /// Runs [`resolve_aliases_budgeted`] under the campaign supervisor
 /// ([`yarrp6::campaign::supervise`] — the same loop streaming campaigns
 /// retry under). The call builds one engine and every attempt starts
@@ -379,9 +353,12 @@ pub struct SupervisedAliasRun {
 /// attempt or a *blackout* (injected-fault drops with zero fragmented
 /// replies — the signature of probing into an outage window) retries
 /// with the policy's exponential backoff on the virtual clock, and
-/// exhausted retries come back `degraded` instead of panicking.
-/// Deterministic: the same inputs and fault schedule always produce the
-/// same outcome.
+/// exhausted retries come back `degraded` instead of panicking. The
+/// outcome carries the final completed attempt's sets (if any), the
+/// panic message that ended the last failed one, engine accounting
+/// merged over **every** attempt (retries burn budget too) and the
+/// virtual-time span the whole campaign occupied. Deterministic: the
+/// same inputs and fault schedule always produce the same outcome.
 pub fn resolve_aliases_supervised(
     topo: &std::sync::Arc<simnet::Topology>,
     vantage_idx: u8,
@@ -390,10 +367,10 @@ pub fn resolve_aliases_supervised(
     policy: &RetryPolicy,
     start_us: u64,
     max_probes: u64,
-) -> SupervisedAliasRun {
+) -> Supervised<AliasSets, String> {
     let step_us = 1_000_000 / cfg.rate_pps.max(1);
     let mut engine = Engine::new(topo.clone());
-    let run = supervise(
+    supervise(
         policy,
         start_us,
         |clock| {
@@ -416,16 +393,7 @@ pub fn resolve_aliases_supervised(
             })
         },
         std::convert::identity,
-    );
-    SupervisedAliasRun {
-        vantage_idx,
-        sets: run.result,
-        error: run.error,
-        stats: run.stats,
-        attempts: run.attempts,
-        elapsed_us: run.elapsed_us,
-        degraded: run.degraded,
-    }
+    )
 }
 
 #[cfg(test)]

@@ -8,15 +8,13 @@
 //! anything an attempt touches (statistics, fragment counters, token
 //! buckets) would show as a different run.
 
-use aliasres::{
-    resolve_aliases_budgeted, resolve_aliases_supervised, AliasConfig, SupervisedAliasRun,
-};
+use aliasres::{resolve_aliases_budgeted, resolve_aliases_supervised, AliasConfig, AliasSets};
 use simnet::config::TopologyConfig;
 use simnet::generate::generate;
 use simnet::{Engine, FaultSchedule, Topology};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
-use yarrp6::campaign::{supervise, Attempt, RetryPolicy};
+use yarrp6::campaign::{supervise, Attempt, RetryPolicy, Supervised};
 
 /// The per-attempt form, as `speedtrap.rs` carried it.
 fn fresh_engine_per_attempt(
@@ -26,9 +24,9 @@ fn fresh_engine_per_attempt(
     policy: &RetryPolicy,
     start_us: u64,
     max_probes: u64,
-) -> SupervisedAliasRun {
+) -> Supervised<AliasSets, String> {
     let step_us = 1_000_000 / cfg.rate_pps.max(1);
-    let run = supervise(
+    supervise(
         policy,
         start_us,
         |clock| {
@@ -43,16 +41,7 @@ fn fresh_engine_per_attempt(
             })
         },
         std::convert::identity,
-    );
-    SupervisedAliasRun {
-        vantage_idx: 0,
-        sets: run.result,
-        error: run.error,
-        stats: run.stats,
-        attempts: run.attempts,
-        elapsed_us: run.elapsed_us,
-        degraded: run.degraded,
-    }
+    )
 }
 
 #[test]
@@ -84,7 +73,7 @@ fn a_reset_engine_retries_exactly_like_a_fresh_one() {
             // Every field, the sets' lists included: `Debug` prints
             // them all and neither type is `PartialEq`.
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
-            let answered = got.sets.is_some_and(|s| !s.groups.is_empty());
+            let answered = got.result.is_some_and(|s| !s.groups.is_empty());
             assert_eq!(answered, !degraded, "outage until {outage_until}");
         }
     }

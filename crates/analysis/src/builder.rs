@@ -79,21 +79,13 @@ impl TraceSetBuilder {
 
     /// Sizes the target tables for a campaign over `n` targets, so they
     /// are allocated once instead of doubling their way up.
-    pub fn for_targets(mut self, n: usize) -> Self {
+    pub(crate) fn for_targets(mut self, n: usize) -> Self {
         self.classified.tgt_ids = AddrInterner::with_room_for(n);
         self.classified.reached = Vec::with_capacity(n);
         self
     }
 
-    /// Ingests one record. Chunk ingestion
-    /// ([`push_chunk`](Self::push_chunk)) is preferred on the hot
-    /// path — it overlaps interner probes via prefetch.
-    #[inline]
-    pub fn push(&mut self, r: &ResponseRecord) {
-        self.push_hashed(r, AddrInterner::hash_of(r.target));
-    }
-
-    /// [`Self::push`] given the hash of `r.target`.
+    /// Ingests one record, given the hash of `r.target`.
     #[inline]
     fn push_hashed(&mut self, r: &ResponseRecord, target_hash: u64) {
         self.records_seen += 1;
@@ -128,12 +120,6 @@ impl TraceSetBuilder {
     /// Records ingested so far (including dropped/destination ones).
     pub fn records_seen(&self) -> u64 {
         self.records_seen
-    }
-
-    /// Classified rows currently buffered — the builder's whole
-    /// per-record memory; everything else is per-unique-address.
-    pub fn pending_rows(&self) -> usize {
-        self.classified.rows.len()
     }
 
     /// Assembles the final columnar set.
@@ -318,7 +304,7 @@ mod tests {
         let mut r = rec("2001:db8::1", "::a", ResponseKind::TimeExceeded, Some(1), 0);
         for i in 0..8 * DOUBLING_ROWS as u64 {
             r.recv_us = i;
-            b.push(&r);
+            b.push_chunk(std::slice::from_ref(&r));
             // Whatever capacity doubling left behind is outgrown by twice
             // the threshold: from there on every growth was an eighth.
             let (len, cap) = (b.classified.rows.len(), b.classified.rows.capacity());
@@ -326,7 +312,7 @@ mod tests {
                 assert!(cap <= len + len / 8, "{len} rows hold room for {cap}");
             }
         }
-        assert_eq!(b.pending_rows(), 8 * DOUBLING_ROWS);
+        assert_eq!(b.classified.rows.len(), 8 * DOUBLING_ROWS);
     }
 
     #[test]
@@ -334,8 +320,8 @@ mod tests {
         let mut bad = rec("2001:db8::9", "::a", ResponseKind::TimeExceeded, Some(1), 5);
         bad.target_cksum_ok = false;
         let mut b = TraceSetBuilder::new();
-        b.push(&bad);
-        assert_eq!(b.pending_rows(), 0);
+        b.push_chunk(&[bad]);
+        assert_eq!(b.classified.rows.len(), 0);
         let ts = b.finish();
         assert_eq!(ts.rewritten_dropped, 1);
         assert!(ts.is_empty());

@@ -1,5 +1,5 @@
-//! Dataset export/import — the release artifacts the paper ships
-//! (targets, discovered topology, subnet inferences) \[7\].
+//! Dataset export — the release artifacts the paper ships (targets,
+//! discovered interfaces, probe logs) \[7\].
 //!
 //! Formats are deliberately plain: line-oriented text with `#` comments
 //! for address lists, and header-bearing CSV for response records, so
@@ -8,15 +8,11 @@
 //! parsing crates are needed; the writers emit nothing that requires
 //! quoting.
 
-use crate::subnets::CandidateSubnet;
-use crate::traces::TraceSet;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::Ipv6Addr;
 use std::path::Path;
 use std::str::FromStr;
-use v6addr::Ipv6Prefix;
-use v6packet::icmp6::DestUnreachCode;
-use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
+use yarrp6::{ProbeLog, ResponseKind};
 
 /// Writes an address list (targets or seeds), one per line.
 pub fn write_addrs(path: &Path, name: &str, addrs: &[Ipv6Addr]) -> io::Result<()> {
@@ -60,16 +56,6 @@ fn kind_to_str(kind: ResponseKind) -> (&'static str, u8) {
     }
 }
 
-fn kind_from_str(s: &str, code: u8) -> Option<ResponseKind> {
-    Some(match s {
-        "te" => ResponseKind::TimeExceeded,
-        "du" => ResponseKind::DestUnreachable(DestUnreachCode::from_code(code)?),
-        "echo" => ResponseKind::EchoReply,
-        "tcp" => ResponseKind::Tcp,
-        _ => return None,
-    })
-}
-
 /// Writes a probe log as CSV (header + one row per response).
 pub fn write_log_csv(path: &Path, log: &ProbeLog) -> io::Result<()> {
     let mut w = BufWriter::new(std::fs::File::create(path)?);
@@ -105,131 +91,11 @@ pub fn write_log_csv(path: &Path, log: &ProbeLog) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads the records of a CSV probe log back (metadata comments are
-/// ignored; counters are not reconstructed).
-pub fn read_log_csv(path: &Path) -> io::Result<Vec<ResponseRecord>> {
-    let r = BufReader::new(std::fs::File::open(path)?);
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut out = Vec::new();
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') || t.starts_with("target,") {
-            continue;
-        }
-        let f: Vec<&str> = t.split(',').collect();
-        if f.len() != 8 {
-            return Err(bad(format!("line {}: {} fields", lineno + 1, f.len())));
-        }
-        let parse_addr =
-            |s: &str| Ipv6Addr::from_str(s).map_err(|e| bad(format!("line {}: {e}", lineno + 1)));
-        let kind = kind_from_str(f[2], f[3].parse().unwrap_or(255))
-            .ok_or_else(|| bad(format!("line {}: bad kind {}", lineno + 1, f[2])))?;
-        out.push(ResponseRecord {
-            target: parse_addr(f[0])?,
-            responder: parse_addr(f[1])?,
-            kind,
-            probe_ttl: if f[4].is_empty() {
-                None
-            } else {
-                Some(
-                    f[4].parse()
-                        .map_err(|e| bad(format!("line {}: {e}", lineno + 1)))?,
-                )
-            },
-            rtt_us: if f[5].is_empty() {
-                None
-            } else {
-                Some(
-                    f[5].parse()
-                        .map_err(|e| bad(format!("line {}: {e}", lineno + 1)))?,
-                )
-            },
-            recv_us: f[6]
-                .parse()
-                .map_err(|e| bad(format!("line {}: {e}", lineno + 1)))?,
-            target_cksum_ok: f[7] == "1",
-        });
-    }
-    Ok(out)
-}
-
-/// Writes reconstructed traces as CSV: one `target,ttl,hop` row per
-/// responding hop, traces in target order. A single walk over the
-/// columnar store — rows come out grouped and sorted without building
-/// any intermediate map.
-pub fn write_traces_csv(path: &Path, ts: &TraceSet) -> io::Result<()> {
-    let mut w = BufWriter::new(std::fs::File::create(path)?);
-    writeln!(w, "# vantage={} set={}", ts.vantage, ts.target_set)?;
-    writeln!(
-        w,
-        "# traces={} rewritten_dropped={}",
-        ts.len(),
-        ts.rewritten_dropped
-    )?;
-    writeln!(w, "target,ttl,hop,reached_at")?;
-    for t in ts.iter() {
-        let reached = t.reached_at().map(|r| r.to_string()).unwrap_or_default();
-        for (ttl, hop) in t.hops() {
-            writeln!(w, "{},{},{},{}", t.target(), ttl, hop, reached)?;
-        }
-    }
-    w.flush()
-}
-
-/// Writes the distinct responder addresses of a trace set (router
-/// interfaces plus Destination Unreachable sources), straight out of
-/// the shared interner — no fresh per-export `HashSet` — sorted.
-pub fn write_responders(path: &Path, ts: &TraceSet) -> io::Result<()> {
-    let mut addrs: Vec<Ipv6Addr> = ts.interner().addrs();
-    addrs.sort_unstable();
-    write_addrs(path, "responders", &addrs)
-}
-
-/// Writes inferred subnets, one `prefix,exact` per line.
-pub fn write_subnets(path: &Path, cands: &[CandidateSubnet]) -> io::Result<()> {
-    let mut w = BufWriter::new(std::fs::File::create(path)?);
-    writeln!(
-        w,
-        "# beholder candidate subnets (prefix length = inferred minimum)"
-    )?;
-    writeln!(w, "prefix,exact")?;
-    for c in cands {
-        writeln!(w, "{},{}", c.prefix, u8::from(c.exact))?;
-    }
-    w.flush()
-}
-
-/// Reads a subnet list written by [`write_subnets`].
-pub fn read_subnets(path: &Path) -> io::Result<Vec<CandidateSubnet>> {
-    let r = BufReader::new(std::fs::File::open(path)?);
-    let mut out = Vec::new();
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') || t.starts_with("prefix,") {
-            continue;
-        }
-        let (p, e) = t.split_once(',').ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("line {}", lineno + 1))
-        })?;
-        let prefix = Ipv6Prefix::from_str(p).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("line {}: {e}", lineno + 1),
-            )
-        })?;
-        out.push(CandidateSubnet {
-            prefix,
-            exact: e == "1",
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use v6packet::icmp6::DestUnreachCode;
+    use yarrp6::ResponseRecord;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -283,72 +149,19 @@ mod tests {
             target_cksum_ok: false,
         });
         write_log_csv(&path, &log).unwrap();
-        let back = read_log_csv(&path).unwrap();
-        assert_eq!(back, log.records);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn subnets_roundtrip() {
-        let path = tmp("subnets");
-        let cands = vec![
-            CandidateSubnet {
-                prefix: "2001:db8::/48".parse().unwrap(),
-                exact: false,
-            },
-            CandidateSubnet {
-                prefix: "2001:db8:1:2::/64".parse().unwrap(),
-                exact: true,
-            },
-        ];
-        write_subnets(&path, &cands).unwrap();
-        assert_eq!(read_subnets(&path).unwrap(), cands);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn traces_and_responders_export() {
-        let mut log = ProbeLog {
-            vantage: "V".into(),
-            target_set: "S".into(),
-            ..Default::default()
-        };
-        log.records.push(ResponseRecord {
-            target: "2001:db8::1".parse().unwrap(),
-            responder: "2001:db8:f::2".parse().unwrap(),
-            kind: ResponseKind::TimeExceeded,
-            probe_ttl: Some(2),
-            rtt_us: Some(5),
-            recv_us: 10,
-            target_cksum_ok: true,
-        });
-        log.records.push(ResponseRecord {
-            target: "2001:db8::1".parse().unwrap(),
-            responder: "2001:db8:f::1".parse().unwrap(),
-            kind: ResponseKind::TimeExceeded,
-            probe_ttl: Some(1),
-            rtt_us: Some(5),
-            recv_us: 11,
-            target_cksum_ok: true,
-        });
-        let ts = TraceSet::from_log(&log);
-        let tpath = tmp("traces");
-        write_traces_csv(&tpath, &ts).unwrap();
-        let text = std::fs::read_to_string(&tpath).unwrap();
-        assert!(text.contains("2001:db8::1,1,2001:db8:f::1,"));
-        assert!(text.contains("2001:db8::1,2,2001:db8:f::2,"));
-        std::fs::remove_file(&tpath).unwrap();
-        let rpath = tmp("responders");
-        write_responders(&rpath, &ts).unwrap();
-        let back = read_addrs(&rpath).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
-            back,
-            vec![
-                "2001:db8:f::1".parse::<Ipv6Addr>().unwrap(),
-                "2001:db8:f::2".parse::<Ipv6Addr>().unwrap(),
+            lines,
+            [
+                "# vantage=EU-NET set=caida-z64 prober=yarrp6",
+                "# probes=2 fills=0 traces=0 duration_us=0",
+                "target,responder,kind,code,probe_ttl,rtt_us,recv_us,cksum_ok",
+                "2001:db8::1,2001:db8:f::1,te,0,3,12000,99,1",
+                "2001:db8::2,2001:db8::2,du,4,,,150,0",
             ]
         );
-        std::fs::remove_file(&rpath).unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -360,8 +173,17 @@ mod tests {
         let res = yarrp6::campaign::run_campaign(&topo, 0, &set, &yarrp6::YarrpConfig::default());
         let path = tmp("campaign");
         write_log_csv(&path, &res.log).unwrap();
-        let back = read_log_csv(&path).unwrap();
-        assert_eq!(back, res.log.records);
+        let text = std::fs::read_to_string(&path).unwrap();
+        // Two metadata comments, the header, then one row per record.
+        assert_eq!(text.lines().count(), 3 + res.log.records.len());
+        let rows = text.lines().skip(3);
+        for (row, r) in rows.zip(&res.log.records) {
+            let fields: Vec<&str> = row.split(',').collect();
+            assert_eq!(fields.len(), 8);
+            assert_eq!(fields[0].parse::<Ipv6Addr>().unwrap(), r.target);
+            assert_eq!(fields[1].parse::<Ipv6Addr>().unwrap(), r.responder);
+            assert_eq!(fields[6].parse::<u64>().unwrap(), r.recv_us);
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }

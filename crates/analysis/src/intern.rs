@@ -80,7 +80,7 @@ impl AddrInterner {
     /// without growing: the table doubling would have ended at,
     /// allocated once. For the big tables — a campaign's targets —
     /// whose count is known and whose size is the process's.
-    pub fn with_room_for(n: usize) -> Self {
+    pub(crate) fn with_room_for(n: usize) -> Self {
         // `intern` doubles at three quarters full.
         Self::with_slots(n, n + n / 3 + 1)
     }
@@ -108,7 +108,7 @@ impl AddrInterner {
     /// [`Self::intern_hashed`] and [`Self::prefetch_hashed`] take, for a
     /// caller that needs it more than once.
     #[inline]
-    pub fn hash_of(addr: Ipv6Addr) -> u64 {
+    pub(crate) fn hash_of(addr: Ipv6Addr) -> u64 {
         hash_word(u128::from(addr))
     }
 
@@ -121,7 +121,7 @@ impl AddrInterner {
     /// [`Self::intern`] given `hash`, which must be
     /// [`Self::hash_of`]`(addr)`.
     #[inline]
-    pub fn intern_hashed(&mut self, addr: Ipv6Addr, hash: u64) -> u32 {
+    pub(crate) fn intern_hashed(&mut self, addr: Ipv6Addr, hash: u64) -> u32 {
         let w = u128::from(addr);
         debug_assert_eq!(hash, hash_word(w));
         let mut i = hash as usize & self.mask;
@@ -153,7 +153,7 @@ impl AddrInterner {
     /// ingest outruns a per-record `HashMap` probe, whose bucket address
     /// is unknowable outside the map.
     #[inline]
-    pub fn prefetch_hashed(&self, hash: u64) {
+    pub(crate) fn prefetch_hashed(&self, hash: u64) {
         simnet::prefetch(&self.slots[hash as usize & self.mask]);
     }
 

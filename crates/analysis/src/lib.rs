@@ -8,33 +8,35 @@
 //! only in [`validate`] where the paper, too, compares against operator
 //! truth data.
 //!
-//! The pipeline is **columnar**: [`traces::TraceSet`] stores all hops
+//! The pipeline is **columnar**: [`TraceSet`] stores all hops
 //! of a campaign in one flat, target-sorted arena with responder
-//! addresses interned to `u32` ids ([`intern`]), and the analysis
+//! addresses interned to `u32` ids ([`AddrInterner`]), and the analysis
 //! passes ([`subnets`], [`metrics`], [`validate`]) are sorted-merge
 //! walks over those columns. The original map-based implementation lives
 //! on as an oracle in the dev-only `testkit` crate (`testkit::oracle`),
 //! which the golden tests pin this one bit-identical to.
 //!
-//! It is also **streaming**: [`builder::TraceSetBuilder`] ingests
+//! It is also **streaming**: [`TraceSetBuilder`] ingests
 //! record chunks as a campaign produces them and assembles the
 //! identical columnar set without the log ever existing, and
-//! [`builder::stream_campaigns_supervised`] / [`runner::CampaignRunner`]
+//! [`stream_campaigns_supervised`] / [`CampaignRunner`]
 //! wire that builder to the probers' bounded-channel driver (which
 //! returns the engine's [`simnet::EngineStats`] alongside, like
 //! `yarrp6::campaign::run_campaign` does — the analysis passes
 //! themselves still consume only prober-visible data).
 
-pub mod builder;
+#![warn(unreachable_pub)]
+
+mod builder;
 pub mod export;
-pub mod intern;
+mod intern;
 pub mod metrics;
-pub mod quarantine;
-pub mod runner;
-pub mod shard;
+mod quarantine;
+mod runner;
+mod shard;
 pub mod snapshot;
 pub mod subnets;
-pub mod traces;
+mod traces;
 pub mod validate;
 
 pub use builder::{stream_campaigns_supervised, TraceSetBuilder};

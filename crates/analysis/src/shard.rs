@@ -59,7 +59,7 @@ impl ShardRoute {
     }
 
     /// Number of shards this route spreads over.
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.shards as usize
     }
 
@@ -71,16 +71,6 @@ impl ShardRoute {
         }
         (splitmix((u128::from(addr) >> 64) as u64) % self.shards as u64) as usize
     }
-}
-
-/// Runs `f(0..n)` on the work-queue thread pool
-/// ([`yarrp6::campaign::pool_map`]), results in input order. Falls back
-/// to the calling thread for a single shard.
-pub(crate) fn fan_out<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    pool_map(n, n > 1, f)
-        .into_iter()
-        .map(|v| v.expect("shard worker lost"))
-        .collect()
 }
 
 /// A [`TraceSet`] partitioned into independent per-shard stores by the
@@ -104,7 +94,7 @@ impl ShardedTraceSet {
     }
 
     /// [`from_set`](Self::from_set) with an explicit route.
-    pub fn with_route(ts: &TraceSet, route: ShardRoute) -> ShardedTraceSet {
+    pub(crate) fn with_route(ts: &TraceSet, route: ShardRoute) -> ShardedTraceSet {
         let n = route.shards();
         // Bucket trace indices first so each shard's build is a single
         // in-order walk (and can fan out if ever needed).
@@ -112,7 +102,7 @@ impl ShardedTraceSet {
         for (i, &t) in ts.targets.iter().enumerate() {
             buckets[route.shard_of(t)].push(i);
         }
-        let (mut shards, touched): (Vec<TraceSet>, Vec<Vec<bool>>) = fan_out(n, |s| {
+        let (mut shards, touched): (Vec<TraceSet>, Vec<Vec<bool>>) = pool_map(n, n > 1, |s| {
             let mut out = TraceSet {
                 vantage: ts.vantage.clone(),
                 target_set: ts.target_set.clone(),
@@ -221,7 +211,7 @@ impl ShardedTraceSet {
     /// shards in parallel on the work-queue pool. Sound because the
     /// shared route puts any given target in the same shard of every
     /// input, so a shard's merge sees exactly the conflicts the flat
-    /// merge would: after [`canonical`](Self::canonical) this equals
+    /// merge would: after [`TraceSet::canonical`] this equals
     /// sharding the flat `merge_all` of the unsharded inputs. Panics on
     /// mixed routes — re-shard first.
     pub fn merge_all(sets: &[ShardedTraceSet]) -> ShardedTraceSet {
@@ -233,22 +223,10 @@ impl ShardedTraceSet {
             sets.iter().all(|s| s.route == route),
             "cannot merge sharded sets with different routes"
         );
-        let shards = fan_out(route.shards(), |s| {
+        let shards = pool_map(route.shards(), route.shards() > 1, |s| {
             TraceSet::merge_all(sets.iter().map(|set| &set.shards[s]))
         });
         ShardedTraceSet { route, shards }
-    }
-
-    /// Canonicalizes every shard ([`TraceSet::canonical`]) in
-    /// parallel: each shard's interner ids are reassigned by its
-    /// deterministic trace walk, making sets from different assembly
-    /// histories comparable shard-by-shard.
-    pub fn canonical(&self) -> ShardedTraceSet {
-        let shards = fan_out(self.shards.len(), |s| self.shards[s].canonical());
-        ShardedTraceSet {
-            route: self.route,
-            shards,
-        }
     }
 
     /// Folds the shards back into one flat [`TraceSet`]
@@ -276,58 +254,12 @@ impl ShardedTraceSet {
     /// may share responders — a router's interface is reachable on
     /// paths toward many prefixes — so this dedups).
     pub fn interface_words(&self) -> Vec<u128> {
-        let per: Vec<Vec<u128>> = fan_out(self.shards.len(), |s| self.shards[s].interface_words());
+        let n = self.shards.len();
+        let per: Vec<Vec<u128>> = pool_map(n, n > 1, |s| self.shards[s].interface_words());
         let mut all: Vec<u128> = per.into_iter().flatten().collect();
         all.sort_unstable();
         all.dedup();
         all
-    }
-
-    /// [`interface_words`](Self::interface_words) as addresses.
-    pub fn interface_addrs(&self) -> Vec<Ipv6Addr> {
-        self.interface_words()
-            .into_iter()
-            .map(Ipv6Addr::from)
-            .collect()
-    }
-
-    /// Interfaces in `self` that a prior snapshot had not seen — the
-    /// day-over-day discovery delta between two persisted stores.
-    pub fn interfaces_since(&self, prior: &ShardedTraceSet) -> Vec<Ipv6Addr> {
-        let mut seen = AddrSet::new();
-        prior.discovery_delta(&mut seen);
-        self.discovery_delta(&mut seen)
-    }
-
-    /// Targets whose observed trace differs between `prior` and
-    /// `self` — changed path, changed reachability, or a target only
-    /// one side knows. Sorted ascending. This is the snapshot-vs-
-    /// snapshot form of change detection the delta-seeded adaptive
-    /// loop keys on.
-    pub fn changed_targets(&self, prior: &ShardedTraceSet) -> Vec<Ipv6Addr> {
-        let mut changed = Vec::new();
-        for shard in &self.shards {
-            for view in shard.iter() {
-                match prior.get(view.target()) {
-                    Some(old) => {
-                        if !view.same_observations(&old) {
-                            changed.push(view.target());
-                        }
-                    }
-                    None => changed.push(view.target()),
-                }
-            }
-        }
-        for shard in &prior.shards {
-            for view in shard.iter() {
-                if self.get(view.target()).is_none() {
-                    changed.push(view.target());
-                }
-            }
-        }
-        changed.sort_unstable();
-        changed.dedup();
-        changed
     }
 }
 
@@ -444,28 +376,5 @@ mod tests {
         assert_eq!(fresh.len(), ts.interner().len());
         // Second walk discovers nothing.
         assert!(sharded.discovery_delta(&mut seen).is_empty());
-    }
-
-    #[test]
-    fn changed_targets_detects_differences() {
-        let ts = sample_set();
-        let a = ShardedTraceSet::from_set(&ts, 4);
-        assert!(a.changed_targets(&a).is_empty());
-        // A prior missing some targets: those count as changed.
-        let mut log = ProbeLog {
-            vantage: "V".into(),
-            target_set: "S".into(),
-            ..Default::default()
-        };
-        for v in ts.iter().take(5) {
-            for (ttl, hop) in v.hops() {
-                log.records
-                    .push(rec(&v.target().to_string(), &hop.to_string(), ttl, 0));
-            }
-        }
-        log.sort_by_recv();
-        let prior = ShardedTraceSet::from_set(&TraceSet::from_log(&log), 4);
-        let changed = a.changed_targets(&prior);
-        assert_eq!(changed.len(), ts.len() - 5);
     }
 }

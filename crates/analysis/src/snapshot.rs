@@ -115,7 +115,7 @@ impl SnapWriter {
     }
 
     /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
@@ -183,7 +183,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<&'a str, SnapshotError> {
+    pub(crate) fn str(&mut self) -> Result<&'a str, SnapshotError> {
         let len = self.u32()? as usize;
         std::str::from_utf8(self.take(len)?).map_err(|_| SnapshotError::Utf8)
     }
@@ -319,6 +319,21 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
         }
         unreach.push((ttl, id));
     }
+    // Every later slice of a trace's cells trusts these ranges, and `get`
+    // binary-searches the targets: check both here, in u64 so a range
+    // whose end overflows u32 is rejected rather than wrapped.
+    let fits = |off: u32, len: u32, n: usize| u64::from(off) + u64::from(len) <= n as u64;
+    for m in &metas {
+        if !fits(m.hop_off, m.hop_len, n_hops) {
+            return Err(SnapshotError::BadValue("trace hop range"));
+        }
+        if !fits(m.unreach_off, m.unreach_len, n_unreach) {
+            return Err(SnapshotError::BadValue("trace unreach range"));
+        }
+    }
+    if targets.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(SnapshotError::BadValue("target order"));
+    }
     let n_sources = r.u32()? as usize;
     let mut sources: Vec<Arc<str>> = Vec::with_capacity(n_sources);
     for _ in 0..n_sources {
@@ -361,17 +376,18 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
 // persisting the same store twice produces identical files, so
 // day-over-day diffs of a snapshot directory are real topology diffs.
 
-use crate::shard::{fan_out, ShardRoute, ShardedTraceSet};
+use crate::shard::{ShardRoute, ShardedTraceSet};
 use std::io::{Read, Write};
 use std::path::Path;
+use yarrp6::campaign::pool_map;
 
 /// Manifest magic: `"BSNP"`.
-pub const STORE_MAGIC: u32 = 0x4253_4e50;
+pub(crate) const STORE_MAGIC: u32 = 0x4253_4e50;
 /// Segment magic: `"BSEG"`.
-pub const SEGMENT_MAGIC: u32 = 0x4253_4547;
+pub(crate) const SEGMENT_MAGIC: u32 = 0x4253_4547;
 /// On-disk format version. Bump on any layout change; readers reject
 /// other versions rather than guessing.
-pub const STORE_VERSION: u32 = 1;
+pub(crate) const STORE_VERSION: u32 = 1;
 
 /// Manifest file name inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "manifest.snap";
@@ -408,7 +424,7 @@ pub struct SegmentInfo {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotManifest {
     /// Shard count — the [`ShardRoute`] parameter (the routing
-    /// function itself is versioned by [`STORE_VERSION`]).
+    /// function itself is versioned by `STORE_VERSION`).
     pub n_shards: u32,
     /// Per-shard integrity entries, in shard order.
     pub segments: Vec<SegmentInfo>,
@@ -416,7 +432,7 @@ pub struct SnapshotManifest {
 
 impl SnapshotManifest {
     /// The route this snapshot's shards were partitioned by.
-    pub fn route(&self) -> ShardRoute {
+    pub(crate) fn route(&self) -> ShardRoute {
         ShardRoute::new(self.n_shards as usize)
     }
 }
@@ -436,7 +452,7 @@ pub fn encode_manifest(m: &SnapshotManifest) -> Vec<u8> {
 
 /// Decodes and validates a manifest: magic, version, a segment entry
 /// per shard, nothing trailing.
-pub fn decode_manifest(bytes: &[u8]) -> Result<SnapshotManifest, SnapshotError> {
+pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<SnapshotManifest, SnapshotError> {
     let mut r = SnapReader::new(bytes);
     if r.u32()? != STORE_MAGIC {
         return Err(SnapshotError::BadMagic);
@@ -543,7 +559,7 @@ pub fn write_sharded_snapshot(
     set: &ShardedTraceSet,
 ) -> Result<SnapshotManifest, StoreError> {
     std::fs::create_dir_all(dir)?;
-    let segments = fan_out(set.n_shards(), |s| {
+    let segments = pool_map(set.n_shards(), set.n_shards() > 1, |s| {
         let bytes = encode_segment(set.shard(s));
         std::fs::File::create(dir.join(segment_file(s)))?.write_all(&bytes)?;
         Ok(SegmentInfo {
@@ -685,6 +701,37 @@ mod tests {
             read_trace_set(&mut r),
             Err(SnapshotError::BadValue("hop interner id"))
         );
+    }
+
+    #[test]
+    fn corrupt_trace_metadata_is_rejected() {
+        let read = |ts: &TraceSet| {
+            let mut w = SnapWriter::new();
+            write_trace_set(&mut w, ts);
+            read_trace_set(&mut SnapReader::new(&w.into_bytes()))
+        };
+        let last = sample().len() - 1;
+        type Corrupt = fn(&mut TraceSet);
+        let cases: [(Corrupt, &str); 5] = [
+            (|ts| ts.metas[0].hop_len += 100, "trace hop range"),
+            (|ts| ts.metas[0].hop_off = u32::MAX, "trace hop range"),
+            (|ts| ts.metas[1].unreach_len += 1, "trace unreach range"),
+            (
+                |ts| ts.metas[1].unreach_off = u32::MAX,
+                "trace unreach range",
+            ),
+            (|ts| ts.targets.swap(0, 1), "target order"),
+        ];
+        for (corrupt, what) in cases {
+            let mut ts = sample();
+            corrupt(&mut ts);
+            assert_eq!(read(&ts), Err(SnapshotError::BadValue(what)));
+        }
+        // The last trace's ranges end exactly at their columns' ends.
+        let ts = sample();
+        let m = ts.metas[last];
+        assert_eq!((m.hop_off + m.hop_len) as usize, ts.hops.len());
+        assert_eq!(read(&ts), Ok(ts));
     }
 
     #[test]

@@ -826,7 +826,7 @@ impl<'a> TraceView<'a> {
 
     /// Position of this trace in target order.
     #[inline]
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         self.idx
     }
 
@@ -967,7 +967,7 @@ impl AsnResolver {
     /// [`Self::origin`] with the BGP lookup resumed from `finger` (see
     /// [`v6addr::PrefixTrie::longest_match_from`]): for a caller whose
     /// addresses come sorted.
-    pub fn origin_from(&self, finger: &mut Finger, addr: Ipv6Addr) -> Option<Asn> {
+    pub(crate) fn origin_from(&self, finger: &mut Finger, addr: Ipv6Addr) -> Option<Asn> {
         self.bgp
             .origin_from(finger, addr)
             .or_else(|| self.registry_origin(addr))
@@ -984,11 +984,6 @@ impl AsnResolver {
     /// Are two ASNs the same organization?
     pub fn same_org(&self, a: Asn, b: Asn) -> bool {
         self.bgp.same_org(a, b)
-    }
-
-    /// The underlying BGP table.
-    pub fn bgp(&self) -> &BgpTable {
-        &self.bgp
     }
 }
 

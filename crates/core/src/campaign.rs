@@ -25,13 +25,13 @@
 //! ## Fault tolerance
 //!
 //! No driver panics on a failed campaign: a prober-thread panic, a
-//! consumer panic, a disconnected record stream or a lost pool worker
-//! each map to a [`CampaignError`] tagged with the failed campaign, so
-//! a multi-campaign run keeps its completed results. Every streaming
+//! consumer panic or a disconnected record stream each map to a
+//! [`CampaignError`] tagged with the failed campaign, so a
+//! multi-campaign run keeps its completed results. Every streaming
 //! campaign runs under [`supervise`], which retries a failed or
 //! blacked-out attempt with bounded exponential backoff — *in virtual
 //! time*, so a retry deterministically lands later on the fault
-//! schedule's clock (see [`simnet::fault`]) and a transient outage
+//! schedule's clock (see [`simnet::FaultSchedule`]) and a transient outage
 //! heals without any wall clock involved. Exhausted retries come back
 //! tagged `degraded` with the error preserved. "Unsupervised" is the
 //! same path under [`RetryPolicy::NONE`].
@@ -86,11 +86,6 @@ pub enum CampaignError {
         /// Name of the target set being probed.
         target_set: Arc<str>,
     },
-    /// A pool worker died without reporting this campaign's result.
-    WorkerLost {
-        /// Index of the campaign into the driver's spec list.
-        campaign: usize,
-    },
 }
 
 impl std::fmt::Display for CampaignError {
@@ -119,9 +114,6 @@ impl std::fmt::Display for CampaignError {
                 f,
                 "record stream disconnected mid-campaign (vantage {vantage_idx}, set {target_set})"
             ),
-            CampaignError::WorkerLost { campaign } => {
-                write!(f, "worker pool lost campaign #{campaign} without a result")
-            }
         }
     }
 }
@@ -172,15 +164,12 @@ pub struct CampaignSpec<'a> {
 /// by the machine) claims indices from a shared atomic counter — unlike
 /// a wave-join, no worker ever idles behind a slow item in its wave: the
 /// pool stays busy until the queue drains. Otherwise `f` runs on the
-/// calling thread. A slot is `None` only when its worker died without
-/// reporting.
-pub fn pool_map<R: Send>(
-    n: usize,
-    parallel: bool,
-    f: impl Fn(usize) -> R + Sync,
-) -> Vec<Option<R>> {
+/// calling thread. A panic in `f` panics the caller either way: the
+/// scope re-raises a worker's panic once every worker has stopped, so
+/// a result that comes back has every slot filled.
+pub fn pool_map<R: Send>(n: usize, parallel: bool, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     if !parallel {
-        return (0..n).map(|i| Some(f(i))).collect();
+        return (0..n).map(f).collect();
     }
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -204,7 +193,9 @@ pub fn pool_map<R: Send>(
     for (i, r) in rx {
         out[i] = Some(r);
     }
-    out
+    out.into_iter()
+        .map(|r| r.expect("the scope returned, so every worker sent its items"))
+        .collect()
 }
 
 /// Runs many batch campaigns on the worker pool, returning results in
@@ -226,10 +217,6 @@ pub fn try_run_campaigns_parallel(
             message: panic_message(payload),
         })
     })
-    .into_iter()
-    .enumerate()
-    .map(|(i, r)| r.unwrap_or(Err(CampaignError::WorkerLost { campaign: i })))
-    .collect()
 }
 
 /// A finished *streaming* campaign: whatever the consumer produced,
@@ -355,7 +342,7 @@ impl RetryPolicy {
     }
 
     /// Total attempts the supervisor makes (`max_retries + 1`).
-    pub fn max_attempts(&self) -> u32 {
+    pub(crate) fn max_attempts(&self) -> u32 {
         self.max_retries.saturating_add(1)
     }
 }
@@ -491,7 +478,8 @@ impl<T> SupervisedCampaign<T> {
 /// `parallel` picks the worker pool over the calling thread; the two are
 /// bit-identical (campaigns are engine-isolated and every attempt's
 /// clock is derived from `start_us`, not from wall time). Peak record
-/// memory per campaign is [`StreamConfig::max_buffered_records`].
+/// memory per campaign is `chunk_records × (channel_chunks + 2)` (the
+/// prober's chunk, the channel, the consumer's chunk).
 pub fn run_campaigns_streaming<T, C, F>(
     topo: &Arc<Topology>,
     specs: &[CampaignSpec<'_>],
@@ -531,25 +519,14 @@ where
     pool_map(specs.len(), parallel, run_one)
         .into_iter()
         .zip(specs)
-        .enumerate()
-        .map(|(i, (run, spec))| {
-            let run = run.unwrap_or(Supervised {
-                result: None,
-                error: Some(CampaignError::WorkerLost { campaign: i }),
-                stats: EngineStats::default(),
-                attempts: 0,
-                elapsed_us: 0,
-                degraded: true,
-            });
-            SupervisedCampaign {
-                vantage_idx: spec.vantage_idx,
-                result: run.result,
-                error: run.error,
-                stats: run.stats,
-                attempts: run.attempts,
-                elapsed_us: run.elapsed_us,
-                degraded: run.degraded,
-            }
+        .map(|(run, spec)| SupervisedCampaign {
+            vantage_idx: spec.vantage_idx,
+            result: run.result,
+            error: run.error,
+            stats: run.stats,
+            attempts: run.attempts,
+            elapsed_us: run.elapsed_us,
+            degraded: run.degraded,
         })
         .collect()
 }
@@ -615,6 +592,16 @@ mod tests {
         assert_eq!(&*res.log.vantage, "EU-NET");
         assert!(res.engine_stats.probes >= res.log.probes_sent);
         assert!(!res.log.records.is_empty());
+    }
+
+    /// On the pool the scope re-raises a worker's panic after joining
+    /// the others, so no caller ever sees a slot without a result.
+    #[test]
+    fn a_panicking_item_panics_the_caller() {
+        for parallel in [false, true] {
+            let run = || pool_map(8, parallel, |i| if i == 5 { panic!("item {i}") } else { i });
+            assert!(catch_unwind(run).is_err(), "parallel = {parallel}");
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub fn run(
 /// Runs a Doubletree campaign, emitting records into `sink` in
 /// emission order; the returned [`ProbeLog`] carries only the
 /// send-side counters (its `records` stays empty).
-pub fn run_with_sink<S: RecordSink>(
+pub(crate) fn run_with_sink<S: RecordSink>(
     engine: &mut Engine,
     vantage_idx: u8,
     targets: &[Ipv6Addr],

@@ -30,6 +30,8 @@
 //!   the loop that retries failed or blacked-out attempts with
 //!   deterministic virtual-time backoff.
 
+#![warn(unreachable_pub)]
+
 pub mod addrset;
 pub mod campaign;
 pub mod doubletree;
@@ -41,8 +43,7 @@ pub mod yarrp;
 
 pub use campaign::{
     run_campaign, run_campaigns_streaming, supervise, try_run_campaigns_parallel, Attempt,
-    CampaignError, CampaignResult, CampaignSpec, RetryPolicy, StreamedCampaign, Supervised,
-    SupervisedCampaign,
+    CampaignError, CampaignSpec, RetryPolicy, Supervised, SupervisedCampaign,
 };
 pub use record::{DecodeError, DecodeStats, ProbeLog, ResponseKind, ResponseRecord};
 pub use sink::{RecordSink, RecordStream, SinkDisconnected, StreamConfig};

@@ -57,16 +57,6 @@ impl Permutation {
         }
     }
 
-    /// Domain size.
-    pub fn len(&self) -> u64 {
-        self.n
-    }
-
-    /// True for the empty domain.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     fn feistel(&self, x: u64) -> u64 {
         let half_mask = (1u64 << self.half_bits) - 1;
         let mut l = (x >> self.half_bits) & half_mask;
@@ -177,7 +167,6 @@ mod tests {
     #[test]
     fn empty_domain() {
         let p = Permutation::new(0, 1);
-        assert!(p.is_empty());
         assert_eq!(p.iter().count(), 0);
     }
 

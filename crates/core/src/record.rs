@@ -27,7 +27,7 @@ pub enum ResponseKind {
 
 impl ResponseKind {
     /// Did the *destination itself* respond?
-    pub fn is_destination(&self) -> bool {
+    pub(crate) fn is_destination(&self) -> bool {
         matches!(
             self,
             ResponseKind::EchoReply
@@ -143,25 +143,6 @@ impl DecodeStats {
             not_ours,
         } = *self;
         truncated + bad_version + checksum_mismatch + quote_inconsistent + malformed + not_ours
-    }
-
-    /// Accumulates another campaign's counters (exhaustive destructure:
-    /// a new class that `merge` misses is a compile error).
-    pub fn merge(&mut self, other: &DecodeStats) {
-        let DecodeStats {
-            truncated,
-            bad_version,
-            checksum_mismatch,
-            quote_inconsistent,
-            malformed,
-            not_ours,
-        } = other;
-        self.truncated += truncated;
-        self.bad_version += bad_version;
-        self.checksum_mismatch += checksum_mismatch;
-        self.quote_inconsistent += quote_inconsistent;
-        self.malformed += malformed;
-        self.not_ours += not_ours;
     }
 }
 
@@ -350,11 +331,6 @@ impl ProbeLog {
             .filter(|r| r.kind == ResponseKind::TimeExceeded)
             .map(|r| r.responder)
             .collect()
-    }
-
-    /// Distinct sources of *any* ICMPv6/TCP response.
-    pub fn responder_addrs(&self) -> std::collections::BTreeSet<Ipv6Addr> {
-        self.records.iter().map(|r| r.responder).collect()
     }
 
     /// Count of non-Time-Exceeded responses (Table 3's "Other ICMPv6").
@@ -598,9 +574,7 @@ mod tests {
         assert_eq!(st.truncated, 1);
         assert_eq!(st.not_ours, 2);
         assert_eq!(st.total(), 3);
-        let mut other = DecodeStats::default();
-        other.note(DecodeError::ChecksumMismatch);
-        st.merge(&other);
+        st.note(DecodeError::ChecksumMismatch);
         assert_eq!(st.total(), 4);
         assert_eq!(st.checksum_mismatch, 1);
     }
@@ -621,7 +595,6 @@ mod tests {
         log.records.push(mk("::a", ResponseKind::TimeExceeded, 10));
         log.records.push(mk("::b", ResponseKind::EchoReply, 20));
         assert_eq!(log.interface_addrs().len(), 1);
-        assert_eq!(log.responder_addrs().len(), 2);
         assert_eq!(log.other_responses(), 1);
         assert_eq!(log.reached_targets().len(), 1);
         log.sort_by_recv();

@@ -148,14 +148,6 @@ impl Default for StreamConfig {
     }
 }
 
-impl StreamConfig {
-    /// Upper bound on records buffered anywhere in the pipeline at
-    /// once (prober chunk + channel + consumer chunk).
-    pub fn max_buffered_records(&self) -> usize {
-        self.chunk_records * (self.channel_chunks + 2)
-    }
-}
-
 /// The consumer end of a streaming pipeline disappeared (its
 /// [`RecordStream`] was dropped) before the prober finished: at least
 /// one record chunk could not be delivered. Surfaced by
@@ -220,12 +212,6 @@ impl ChunkSender {
         if self.tx.send(full).is_err() {
             self.disconnected = true;
         }
-    }
-
-    /// Has the consumer dropped its [`RecordStream`] mid-stream? Once
-    /// true, records handed to this sink are discarded.
-    pub fn is_disconnected(&self) -> bool {
-        self.disconnected
     }
 
     /// Flushes the trailing partial chunk and closes the stream; the
@@ -358,7 +344,7 @@ mod tests {
         for i in 0..64 {
             sink.record(rec(i));
         }
-        assert!(sink.is_disconnected());
+        assert!(sink.disconnected);
         assert_eq!(sink.finish(), Err(SinkDisconnected));
     }
 
@@ -377,7 +363,7 @@ mod tests {
         for i in 0..10 {
             sink.record(rec(i));
         }
-        assert!(!sink.is_disconnected());
+        assert!(!sink.disconnected);
         assert!(sink.finish().is_ok());
         assert_eq!(consumer.join().unwrap(), 10);
     }

@@ -9,7 +9,7 @@
 //! same generator machinery the static pipeline uses, but over live
 //! measurement output:
 //!
-//! * **kIP aggregation** ([`crate::kip`]) over the discovered
+//! * **kIP aggregation** (`kip`) over the discovered
 //!   interfaces' /64s: dense discovery regions merge into covering
 //!   prefixes whose *unprobed gaps* are the next round's best guesses —
 //!   the aggregation the CDN uses for anonymity doubles as a locality

@@ -21,7 +21,7 @@ use v6addr::{bits, Ipv6Prefix};
 /// exactly once. Every aggregate covers ≥ `min(k, population-in-region)`
 /// actives; when the whole population is smaller than `k` a single
 /// covering prefix is emitted.
-pub fn kip_aggregate(client_64s: &[Ipv6Prefix], k: usize) -> Vec<Ipv6Prefix> {
+pub(crate) fn kip_aggregate(client_64s: &[Ipv6Prefix], k: usize) -> Vec<Ipv6Prefix> {
     assert!(k >= 1, "k must be positive");
     let mut words: Vec<u128> = client_64s
         .iter()

@@ -24,8 +24,10 @@
 //! (kIP aggregation + 6Gen expansion over discovered interfaces), which
 //! is what the adaptive multi-round orchestrator feeds between rounds.
 
+#![warn(unreachable_pub)]
+
 pub mod feedback;
-pub mod kip;
+mod kip;
 pub mod sixgen;
 pub mod sources;
 
@@ -46,7 +48,7 @@ pub enum SeedEntry {
 
 impl SeedEntry {
     /// The entry as a prefix (addresses become /128s).
-    pub fn as_prefix(&self) -> Ipv6Prefix {
+    pub(crate) fn as_prefix(&self) -> Ipv6Prefix {
         match self {
             SeedEntry::Addr(a) => Ipv6Prefix::truncating(*a, 128),
             SeedEntry::Prefix(p) => *p,
@@ -103,7 +105,7 @@ impl SeedList {
     }
 
     /// Union of several lists (the paper's "Combined" row).
-    pub fn union(name: impl Into<String>, lists: &[&SeedList]) -> SeedList {
+    pub(crate) fn union(name: impl Into<String>, lists: &[&SeedList]) -> SeedList {
         SeedList::new(name, lists.iter().flat_map(|l| l.entries.iter().copied()))
     }
 }

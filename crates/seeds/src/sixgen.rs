@@ -11,9 +11,7 @@
 //! Deduplication is sort-based (draw, sort, dedup) with a **bounded
 //! rejection loop**: when duplicate draws leave the output short of the
 //! budget, up to `REFILL_ROUNDS` extra proportional rounds redraw only
-//! the deficit. Per-draw work is constant — tight mode precomputes each
-//! cluster's per-position choice lists once instead of rebuilding a
-//! `Vec` of observed values on every nybble of every draw.
+//! the deficit.
 //!
 //! The paper feeds 6Gen with CAIDA probing results (targets probed plus
 //! interfaces discovered) and observes a characteristic discovery curve:
@@ -59,13 +57,11 @@ fn cluster_bounds(words: &[u128]) -> Vec<(usize, usize)> {
 
 /// Draws `deficit` fresh words proportionally to cluster weights,
 /// merges them into `out`, and sort-dedups once per round.
-fn refill<C>(
+fn refill(
     out: &mut Vec<u128>,
     budget: usize,
-    clusters: &[C],
-    weight: impl Fn(&C) -> usize,
+    clusters: &[Cluster],
     total_weight: usize,
-    draw: impl Fn(&C, &mut SmallRng) -> u128,
     rng: &mut SmallRng,
 ) {
     let mut rounds = 0;
@@ -74,12 +70,12 @@ fn refill<C>(
         let deficit = budget - out.len();
         let before = out.len();
         for c in clusters {
-            let share = ((weight(c) as f64 / total_weight as f64) * deficit as f64).ceil() as usize;
+            let share = ((c.members as f64 / total_weight as f64) * deficit as f64).ceil() as usize;
             for _ in 0..share {
                 if out.len() - before >= deficit {
                     break;
                 }
-                out.push(draw(c, rng));
+                out.push(c.draw(rng));
             }
         }
         out.sort_unstable();
@@ -128,89 +124,6 @@ impl Cluster {
     }
 }
 
-/// A tight-mode cluster: per-position *observed value* choice lists,
-/// built once so every draw is table lookups (the old per-draw
-/// `Vec<u32>` rebuild made large budgets quadratic-ish).
-#[derive(Clone, Debug)]
-struct TightCluster {
-    /// choices[pos] = sorted observed nybble values at that position.
-    choices: Vec<Vec<u8>>,
-    members: usize,
-}
-
-impl TightCluster {
-    fn from_members(words: &[u128]) -> Self {
-        let mut observed = [0u16; 32];
-        for &w in words {
-            for (pos, o) in observed.iter_mut().enumerate() {
-                *o |= 1 << ((w >> (124 - 4 * pos)) & 0xf);
-            }
-        }
-        let choices = observed
-            .iter()
-            .map(|&mask| (0..16u8).filter(|v| mask & (1 << v) != 0).collect())
-            .collect();
-        TightCluster {
-            choices,
-            members: words.len(),
-        }
-    }
-
-    fn draw(&self, rng: &mut SmallRng) -> u128 {
-        let mut w = 0u128;
-        for (pos, choices) in self.choices.iter().enumerate() {
-            let nyb = choices[rng.gen_range(0..choices.len())] as u128;
-            w |= nyb << (124 - 4 * pos);
-        }
-        w
-    }
-}
-
-/// Generates up to `budget` addresses from `seeds` in *tight*-clustering
-/// mode: each nybble position draws only from the **observed values** at
-/// that position (the paper's `2::[1-4]:0` style ranges), instead of the
-/// full min..max span loose mode wildcards over. Tight mode generates
-/// fewer, higher-confidence candidates.
-pub fn generate_tight(seeds: &[Ipv6Addr], budget: usize, rng_seed: u64) -> Vec<Ipv6Addr> {
-    let words = seed_words(seeds);
-    if words.is_empty() || budget == 0 {
-        return Vec::new();
-    }
-    // Same clustering as loose mode; clusters need >= 2 members.
-    let clusters: Vec<TightCluster> = cluster_bounds(&words)
-        .into_iter()
-        .filter(|&(s, e)| e - s >= 2)
-        .map(|(s, e)| TightCluster::from_members(&words[s..e]))
-        .collect();
-    if clusters.is_empty() {
-        return Vec::new();
-    }
-    let mut rng = SmallRng::seed_from_u64(rng_seed);
-    let mut out: Vec<u128> = Vec::with_capacity(budget);
-    for c in &clusters {
-        let share = (budget * c.members / words.len()).max(1);
-        for _ in 0..share {
-            if out.len() >= budget {
-                break;
-            }
-            out.push(c.draw(&mut rng));
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    let total: usize = clusters.iter().map(|c| c.members).sum();
-    refill(
-        &mut out,
-        budget,
-        &clusters,
-        |c| c.members,
-        total,
-        |c, rng| c.draw(rng),
-        &mut rng,
-    );
-    out.into_iter().map(Ipv6Addr::from).collect()
-}
-
 /// Generates up to `budget` addresses from `seeds` in loose-clustering
 /// mode. Deterministic for a given `(seeds, budget, rng_seed)`.
 pub fn generate_loose(seeds: &[Ipv6Addr], budget: usize, rng_seed: u64) -> Vec<Ipv6Addr> {
@@ -240,15 +153,7 @@ pub fn generate_loose(seeds: &[Ipv6Addr], budget: usize, rng_seed: u64) -> Vec<I
     }
     out.sort_unstable();
     out.dedup();
-    refill(
-        &mut out,
-        budget,
-        &clusters,
-        |c| c.members,
-        total_members,
-        |c, rng| c.draw(rng),
-        &mut rng,
-    );
+    refill(&mut out, budget, &clusters, total_members, &mut rng);
     out.into_iter().map(Ipv6Addr::from).collect()
 }
 
@@ -335,34 +240,6 @@ mod tests {
         let small = generate_loose(&narrow, 1_000, 9);
         assert!(small.len() <= 16);
         assert!(!small.is_empty());
-    }
-
-    #[test]
-    fn tight_mode_only_emits_observed_nybbles() {
-        let seeds = vec![a("2001:db8::1001"), a("2001:db8::4001")];
-        let out = generate_tight(&seeds, 300, 5);
-        assert!(!out.is_empty());
-        for addr in &out {
-            let w = u128::from(*addr);
-            // Nybble 28 (0-indexed from the top) observed values: 1, 4.
-            let nyb = (w >> 12) & 0xf;
-            assert!(nyb == 1 || nyb == 4, "unobserved nybble {nyb:x} in {addr}");
-        }
-        // Loose mode would also generate 2 and 3 there.
-        let loose = generate_loose(&seeds, 300, 5);
-        let loose_nybbles: std::collections::HashSet<u128> =
-            loose.iter().map(|&x| (u128::from(x) >> 12) & 0xf).collect();
-        assert!(loose_nybbles.len() > 2, "loose mode should span the range");
-    }
-
-    #[test]
-    fn tight_mode_deterministic_and_bounded() {
-        let seeds = vec![a("2001:db8::1"), a("2001:db8::2"), a("2001:db8::9")];
-        let x = generate_tight(&seeds, 50, 1);
-        let y = generate_tight(&seeds, 50, 1);
-        assert_eq!(x, y);
-        assert!(x.len() <= 50);
-        assert!(generate_tight(&[], 50, 1).is_empty());
     }
 
     #[test]

@@ -117,7 +117,7 @@ fn hosts_by_as(topo: &Topology) -> Vec<Vec<(Ipv6Addr, HostKind)>> {
 
 /// CAIDA: for every routed prefix of length ≤ 48, the ::1 address plus
 /// one uniformly random address (Ark's per-prefix pair).
-pub fn caida(topo: &Topology, rng: &mut SmallRng) -> SeedList {
+pub(crate) fn caida(topo: &Topology, rng: &mut SmallRng) -> SeedList {
     let mut entries = Vec::new();
     for (prefix, _) in topo.bgp.prefixes_up_to(48) {
         entries.push(SeedEntry::Addr(prefix.addr(1)));
@@ -132,7 +132,7 @@ pub fn caida(topo: &Topology, rng: &mut SmallRng) -> SeedList {
 /// yields *every* named host, the LAN gateways, dense sequential
 /// enumeration inside each /64 — and stale zones pointing at unrouted
 /// space (Table 5 shows barely half of Fiebig targets are routed).
-pub fn fiebig(topo: &Topology, rng: &mut SmallRng) -> SeedList {
+pub(crate) fn fiebig(topo: &Topology, rng: &mut SmallRng) -> SeedList {
     let by_as = hosts_by_as(topo);
     let mut entries = Vec::new();
     for (i, info) in topo.ases.iter().enumerate() {
@@ -171,7 +171,7 @@ pub fn fiebig(topo: &Topology, rng: &mut SmallRng) -> SeedList {
 
 /// Rapid7 forward-DNS ANY: server names dominate, across nearly all ASes;
 /// 6to4 hosts surface here (Table 5's 6to4 column).
-pub fn fdns(topo: &Topology, rng: &mut SmallRng) -> SeedList {
+pub(crate) fn fdns(topo: &Topology, rng: &mut SmallRng) -> SeedList {
     let mut entries = Vec::new();
     for (addr, kind) in topo.hosts() {
         let p = match kind {
@@ -195,7 +195,7 @@ pub fn fdns(topo: &Topology, rng: &mut SmallRng) -> SeedList {
 
 /// Farsight passive DNS: what resolvers actually asked for — broad ASN
 /// coverage at a lower per-AS rate than fdns.
-pub fn dnsdb(topo: &Topology, rng: &mut SmallRng) -> SeedList {
+pub(crate) fn dnsdb(topo: &Topology, rng: &mut SmallRng) -> SeedList {
     let mut entries = Vec::new();
     for (addr, kind) in topo.hosts() {
         let p = match kind {
@@ -215,7 +215,7 @@ pub fn dnsdb(topo: &Topology, rng: &mut SmallRng) -> SeedList {
 /// targets CAIDA probed plus the interfaces that probing discovered
 /// (approximated here by a thin sample of true router addresses, as the
 /// paper used CAIDA's actual measurement output).
-pub fn sixgen_list(topo: &Topology, caida: &SeedList, rng: &mut SmallRng) -> SeedList {
+pub(crate) fn sixgen_list(topo: &Topology, caida: &SeedList, rng: &mut SmallRng) -> SeedList {
     let mut input: Vec<Ipv6Addr> = caida.addrs().collect();
     for r in &topo.routers {
         if rng.gen_bool(0.05) {
@@ -257,7 +257,7 @@ fn tum_subsets(topo: &Topology, fdns: &SeedList, rng: &mut SmallRng) -> Vec<Seed
 
 /// The random control: a uniformly chosen routed prefix, then a uniform
 /// address inside it. Sized like the combined host population.
-pub fn random_control(topo: &Topology, rng: &mut SmallRng) -> SeedList {
+pub(crate) fn random_control(topo: &Topology, rng: &mut SmallRng) -> SeedList {
     let prefixes: Vec<Ipv6Prefix> = topo.bgp.iter().map(|(p, _)| p).collect();
     let n = (topo.host_count() * 2).max(1_000);
     let mut entries = Vec::with_capacity(n);

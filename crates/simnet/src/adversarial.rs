@@ -44,7 +44,7 @@ use serde::{Deserialize, Serialize};
 /// How many TTLs past its own depth a [`AdversarialClass::DuplicateStorm`]
 /// responder keeps answering for, spraying stale duplicates over the
 /// neighboring rows of the trace.
-pub const STORM_SPREAD: usize = 2;
+pub(crate) const STORM_SPREAD: usize = 2;
 
 /// The hostile behavior a scheduled responder exhibits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -57,7 +57,7 @@ pub enum AdversarialClass {
     /// Intercepts every probe passing beyond it and answers Time
     /// Exceeded with its own address, at any TTL.
     ZombieEcho,
-    /// Also answers probes addressed up to [`STORM_SPREAD`] TTLs past
+    /// Also answers probes addressed up to `STORM_SPREAD` TTLs past
     /// it, shadowing the true hops there with stale duplicates.
     DuplicateStorm,
     /// Emits truncated or bit-flipped response bytes.
@@ -117,7 +117,7 @@ pub struct AdversarialSchedule {
 
 impl AdversarialSchedule {
     /// No hostile responders at all — the engine skips evaluation.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.hostiles.is_empty()
     }
 
@@ -144,13 +144,6 @@ impl AdversarialSchedule {
         self.with_hostile(router, class, 0, u64::MAX)
     }
 
-    /// Is `router` exhibiting `class` at `now_us`?
-    pub fn active(&self, router: RouterId, class: AdversarialClass, now_us: u64) -> bool {
-        self.hostiles.iter().any(|h| {
-            h.router == router && h.class == class && h.from_us <= now_us && now_us < h.until_us
-        })
-    }
-
     /// Union of the class bits `router` ever exhibits, over all windows:
     /// the definition [`Hostiles`] is tested against.
     #[cfg(test)]
@@ -164,8 +157,7 @@ impl AdversarialSchedule {
 
 /// A schedule laid out for the engine, which asks about one router at a
 /// time, once or more per probe, and is built once per campaign: the
-/// windows sorted by router, and every router's class bits. Answers
-/// exactly as [`AdversarialSchedule::active`] does.
+/// windows sorted by router, and every router's class bits.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Hostiles {
     /// The schedule's non-empty windows, sorted by router.
@@ -224,8 +216,9 @@ mod tests {
     fn empty_schedule_is_a_no_op() {
         let s = AdversarialSchedule::default();
         assert!(s.is_empty());
+        let h = Hostiles::new(&s, 1);
         for c in AdversarialClass::ALL {
-            assert!(!s.active(RouterId(0), c, 0));
+            assert!(!h.active(RouterId(0), c, 0));
         }
         assert_eq!(s.class_mask(RouterId(0)), 0);
     }
@@ -236,16 +229,17 @@ mod tests {
         let s =
             AdversarialSchedule::default().with_hostile(r, AdversarialClass::LyingTtl, 100, 200);
         assert!(!s.is_empty());
-        assert!(!s.active(r, AdversarialClass::LyingTtl, 99));
-        assert!(s.active(r, AdversarialClass::LyingTtl, 100));
-        assert!(s.active(r, AdversarialClass::LyingTtl, 199));
-        assert!(!s.active(r, AdversarialClass::LyingTtl, 200));
+        let h = Hostiles::new(&s, 8);
+        assert!(!h.active(r, AdversarialClass::LyingTtl, 99));
+        assert!(h.active(r, AdversarialClass::LyingTtl, 100));
+        assert!(h.active(r, AdversarialClass::LyingTtl, 199));
+        assert!(!h.active(r, AdversarialClass::LyingTtl, 200));
         assert!(
-            !s.active(r, AdversarialClass::ZombieEcho, 150),
+            !h.active(r, AdversarialClass::ZombieEcho, 150),
             "other classes unaffected"
         );
         assert!(
-            !s.active(RouterId(6), AdversarialClass::LyingTtl, 150),
+            !h.active(RouterId(6), AdversarialClass::LyingTtl, 150),
             "other routers unaffected"
         );
     }
@@ -268,7 +262,7 @@ mod tests {
         // A degenerate (empty) window contributes nothing.
         let s = AdversarialSchedule::default().with_hostile(r, AdversarialClass::LyingTtl, 50, 50);
         assert_eq!(s.class_mask(r), 0);
-        assert!(!s.active(r, AdversarialClass::LyingTtl, 50));
+        assert!(!Hostiles::new(&s, 16).active(r, AdversarialClass::LyingTtl, 50));
     }
 
     #[test]
@@ -289,6 +283,12 @@ mod tests {
             .with_hostile_always(RouterId(0), AdversarialClass::SpoofedSource);
         let h = Hostiles::new(&s, n);
         assert!(!h.is_empty());
+        // The schedule's own meaning: any window of that router and class
+        // covering `t`.
+        let scheduled = |r: RouterId, c: AdversarialClass, t: u64| {
+            let mut windows = s.hostiles.iter();
+            windows.any(|w| w.router == r && w.class == c && w.from_us <= t && t < w.until_us)
+        };
         for r in (0..n as u32).map(RouterId) {
             assert_eq!(h.mask(r), s.class_mask(r), "mask of {r:?}");
             for c in AdversarialClass::ALL {
@@ -308,7 +308,7 @@ mod tests {
                     550,
                     u64::MAX - 1,
                 ] {
-                    assert_eq!(h.active(r, c, t), s.active(r, c, t), "{r:?} {c:?} at {t}");
+                    assert_eq!(h.active(r, c, t), scheduled(r, c, t), "{r:?} {c:?} at {t}");
                 }
             }
         }
@@ -330,8 +330,9 @@ mod tests {
         let r = RouterId(1);
         let s =
             AdversarialSchedule::default().with_hostile_always(r, AdversarialClass::DuplicateStorm);
-        assert!(s.active(r, AdversarialClass::DuplicateStorm, 0));
-        assert!(s.active(r, AdversarialClass::DuplicateStorm, u64::MAX - 1));
+        let h = Hostiles::new(&s, 2);
+        assert!(h.active(r, AdversarialClass::DuplicateStorm, 0));
+        assert!(h.active(r, AdversarialClass::DuplicateStorm, u64::MAX - 1));
     }
 
     #[test]

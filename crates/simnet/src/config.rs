@@ -160,13 +160,13 @@ pub struct TopologyConfig {
     pub middlebox_milli: u32,
     /// Scheduled faults on the virtual clock: vantage outage windows,
     /// link blackhole/flap events and mid-campaign responder
-    /// disappearances (see [`crate::fault`]). Empty by default — the
+    /// disappearances (see [`FaultSchedule`]). Empty by default — the
     /// engine's hot path then skips fault evaluation entirely, keeping
     /// fault-free campaigns bit-identical to earlier releases.
     pub faults: FaultSchedule,
     /// Scheduled hostile responders on the virtual clock: lying quotes,
     /// spoofed sources, zombie middleboxes, duplicate storms and
-    /// garbage emitters (see [`crate::adversarial`]). Empty by default
+    /// garbage emitters (see [`AdversarialSchedule`]). Empty by default
     /// — the engine's hot path then skips adversarial evaluation
     /// entirely, keeping benign campaigns bit-identical to earlier
     /// releases.
@@ -252,7 +252,7 @@ impl TopologyConfig {
     }
 
     /// Preset for `Scale::Full`.
-    pub fn full(seed: u64) -> Self {
+    pub(crate) fn full(seed: u64) -> Self {
         TopologyConfig {
             n_tier1: 10,
             n_tier2: 120,
@@ -309,12 +309,6 @@ impl TopologyConfig {
             Scale::Full => Self::full(seed),
         }
     }
-
-    /// Total AS count this config will generate (tier1 + tier2 + hub +
-    /// stubs + CPE ISPs).
-    pub fn total_ases(&self) -> usize {
-        self.n_tier1 + self.n_tier2 + 1 + self.n_stub + self.cpe_isps.len()
-    }
 }
 
 #[cfg(test)]
@@ -326,8 +320,9 @@ mod tests {
         let t = TopologyConfig::tiny(1);
         let s = TopologyConfig::small(1);
         let f = TopologyConfig::full(1);
-        assert!(t.total_ases() < s.total_ases());
-        assert!(s.total_ases() < f.total_ases());
+        for (a, b) in [(&t, &s), (&s, &f)] {
+            assert!(a.n_tier1 < b.n_tier1 && a.n_tier2 < b.n_tier2 && a.n_stub < b.n_stub);
+        }
         assert!(t.cpe_isps[0].subscribers < s.cpe_isps[0].subscribers);
         assert!(s.cpe_isps[0].subscribers < f.cpe_isps[0].subscribers);
     }
@@ -337,8 +332,11 @@ mod tests {
         let t1 = TopologyConfig::tiled(1, 1);
         let t4 = TopologyConfig::tiled(1, 4);
         assert_eq!(t4.n_stub, 4 * t1.n_stub);
-        assert!(t4.total_ases() > t1.total_ases());
-        assert!(t1.total_ases() >= TopologyConfig::tiny(1).total_ases());
+        assert!(t4.n_tier2 > t1.n_tier2);
+        let tiny = TopologyConfig::tiny(1);
+        assert!(
+            t1.n_tier1 >= tiny.n_tier1 && t1.n_tier2 >= tiny.n_tier2 && t1.n_stub >= tiny.n_stub
+        );
         // Zero clamps to one tile instead of generating a degenerate net.
         assert_eq!(TopologyConfig::tiled(1, 0).n_stub, 40);
     }

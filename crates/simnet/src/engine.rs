@@ -120,15 +120,15 @@ pub struct EngineStats {
     /// Quotations whose destination a middlebox rewrote.
     pub rewritten_quotes: u64,
     /// Probes dropped at the source because their vantage was inside an
-    /// injected outage window ([`crate::fault::VantageOutage`]).
+    /// injected outage window ([`FaultSchedule::with_vantage_outage`]).
     pub fault_vantage_outage: u64,
     /// Probes dropped in transit on an injected link blackhole
-    /// ([`crate::fault::LinkFault`] with `flap_period_us == 0`).
+    /// ([`FaultSchedule::with_link_flap`] with `flap_period_us == 0`).
     pub fault_link_blackhole: u64,
     /// Probes dropped in a down half-cycle of an injected link flap.
     pub fault_link_flap: u64,
     /// Responses suppressed because the responder was scheduled to
-    /// disappear mid-campaign ([`crate::fault::ResponderDown`]).
+    /// disappear mid-campaign ([`FaultSchedule::with_responder_down`]).
     pub fault_responder_down: u64,
     /// Responses whose quoted probe TTL a hostile responder rewrote
     /// ([`crate::adversarial::AdversarialClass::LyingTtl`]).
@@ -298,14 +298,8 @@ impl EngineStats {
     }
 
     /// All Destination Unreachable responses.
-    pub fn dest_unreach_total(&self) -> u64 {
+    pub(crate) fn dest_unreach_total(&self) -> u64 {
         self.du_no_route + self.du_admin + self.du_addr + self.du_port + self.du_reject
-    }
-
-    /// Non-Time-Exceeded ICMPv6 responses — the paper's depth signal
-    /// (Table 3's "Other ICMPv6" column).
-    pub fn other_icmp6(&self) -> u64 {
-        self.echo_replies + self.dest_unreach_total()
     }
 
     /// All token-bucket suppressions, by limiter class
@@ -477,11 +471,6 @@ impl Engine {
         self.fault_offset_us = offset_us;
     }
 
-    /// The configured fault-clock offset (see [`Self::set_fault_offset`]).
-    pub fn fault_offset(&self) -> u64 {
-        self.fault_offset_us
-    }
-
     /// The topology under test.
     pub fn topology(&self) -> &Arc<Topology> {
         &self.topo
@@ -539,7 +528,7 @@ impl Engine {
     }
 
     /// Ground-truth suppression counts straight from the token buckets
-    /// ([`crate::ratelimit::TokenBucket::suppressed`]), summed by
+    /// (each `TokenBucket`'s `suppressed`), summed by
     /// limiter class `(default, aggressive)`. Always equals
     /// [`EngineStats::rl_dropped_by_class`] — exposed so per-round
     /// consumers can audit the stats against the buckets themselves.
@@ -1439,7 +1428,7 @@ mod tests {
         // clock sees the window already over.
         e.reset();
         e.set_fault_offset(100_000);
-        assert_eq!(e.fault_offset(), 100_000);
+        assert_eq!(e.fault_offset_us, 100_000);
         assert!(e
             .inject(&spec(&e, host, 1, Protocol::Icmp6).build(), 0)
             .is_some());
@@ -1453,7 +1442,7 @@ mod tests {
         let first = clean.topology().vantages[0].onprem[0];
 
         let mut cfg = base.clone();
-        cfg.faults = crate::fault::FaultSchedule::default().with_link_blackhole(first, 0, u64::MAX);
+        cfg.faults = crate::fault::FaultSchedule::default().with_link_flap(first, 0, u64::MAX, 0);
         let mut e = Engine::new(Arc::new(generate(cfg)));
         let (host, _) = e.topology().hosts().next().unwrap();
         // Every probe from vantage 0 crosses its first on-prem hop.

@@ -75,7 +75,7 @@ pub struct ResponderDown {
 /// Which kind of link fault dropped a probe — callers charge the
 /// matching [`EngineStats`](crate::engine::EngineStats) counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkFaultKind {
+pub(crate) enum LinkFaultKind {
     /// The link was hard down (`flap_period_us == 0`).
     Blackhole,
     /// The link was in a down half-cycle of its flap wave.
@@ -87,7 +87,7 @@ pub enum LinkFaultKind {
 /// Attach one to [`TopologyConfig::faults`](crate::config::TopologyConfig::faults);
 /// the engine evaluates it per probe. The default (empty) schedule is a
 /// guaranteed no-op: the engine's hot path skips all fault checks when
-/// [`FaultSchedule::is_empty`] holds, so fault-free campaigns stay
+/// the schedule is empty, so fault-free campaigns stay
 /// bit-identical to builds without this module.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultSchedule {
@@ -101,7 +101,7 @@ pub struct FaultSchedule {
 
 impl FaultSchedule {
     /// No scheduled faults at all — the engine skips fault evaluation.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.vantage_outages.is_empty()
             && self.link_faults.is_empty()
             && self.responder_downs.is_empty()
@@ -117,19 +117,9 @@ impl FaultSchedule {
         self
     }
 
-    /// Adds a link blackhole window (builder style).
-    pub fn with_link_blackhole(mut self, router: RouterId, from_us: u64, until_us: u64) -> Self {
-        self.link_faults.push(LinkFault {
-            router,
-            from_us,
-            until_us,
-            flap_period_us: 0,
-        });
-        self
-    }
-
     /// Adds a flapping link (builder style): down/up square wave with
-    /// half-period `flap_period_us`, starting down at `from_us`.
+    /// half-period `flap_period_us`, starting down at `from_us`; a zero
+    /// period is a blackhole for the whole window.
     pub fn with_link_flap(
         mut self,
         router: RouterId,
@@ -154,7 +144,7 @@ impl FaultSchedule {
     }
 
     /// Is `vantage` inside a dark window at `now_us`?
-    pub fn vantage_down(&self, vantage: u8, now_us: u64) -> bool {
+    pub(crate) fn vantage_down(&self, vantage: u8, now_us: u64) -> bool {
         self.vantage_outages
             .iter()
             .any(|o| o.vantage == vantage && o.from_us <= now_us && now_us < o.until_us)
@@ -162,7 +152,7 @@ impl FaultSchedule {
 
     /// Is `router`'s inbound link down at `now_us` — and if so, which
     /// fault kind gets the drop?
-    pub fn link_down(&self, router: RouterId, now_us: u64) -> Option<LinkFaultKind> {
+    pub(crate) fn link_down(&self, router: RouterId, now_us: u64) -> Option<LinkFaultKind> {
         for f in &self.link_faults {
             if f.router != router || now_us < f.from_us || now_us >= f.until_us {
                 continue;
@@ -179,7 +169,7 @@ impl FaultSchedule {
     }
 
     /// Has `router` stopped answering by `now_us`?
-    pub fn responder_down(&self, router: RouterId, now_us: u64) -> bool {
+    pub(crate) fn responder_down(&self, router: RouterId, now_us: u64) -> bool {
         self.responder_downs
             .iter()
             .any(|d| d.router == router && now_us >= d.after_us)
@@ -214,7 +204,7 @@ mod tests {
     fn blackhole_and_flap_semantics() {
         let r = RouterId(7);
         let s = FaultSchedule::default()
-            .with_link_blackhole(r, 1_000, 2_000)
+            .with_link_flap(r, 1_000, 2_000, 0)
             .with_link_flap(RouterId(8), 0, 10_000, 100);
         assert_eq!(s.link_down(r, 1_500), Some(LinkFaultKind::Blackhole));
         assert_eq!(s.link_down(r, 2_000), None);

@@ -18,13 +18,13 @@ pub fn mix64(mut x: u64) -> u64 {
 
 /// Combines two words into one mixed word.
 #[inline]
-pub fn mix2(a: u64, b: u64) -> u64 {
+pub(crate) fn mix2(a: u64, b: u64) -> u64 {
     mix64(a ^ mix64(b))
 }
 
 /// Hashes a 128-bit word.
 #[inline]
-pub fn mix128(x: u128) -> u64 {
+pub(crate) fn mix128(x: u128) -> u64 {
     mix2(x as u64, (x >> 64) as u64)
 }
 
@@ -59,7 +59,7 @@ pub(crate) type MixMap<K, V> =
 /// field is constant per target (paper §4.1), so ECMP path choice is
 /// stable per target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct FlowKey {
+pub(crate) struct FlowKey {
     /// Source address.
     pub src: Ipv6Addr,
     /// Destination address.
@@ -82,7 +82,7 @@ impl FlowKey {
     /// which is plenty for ECMP bit draws and cache bucketing — and this
     /// sits on the per-probe hot path, so rounds are budgeted.
     #[inline]
-    pub fn hash(&self) -> u64 {
+    pub(crate) fn hash(&self) -> u64 {
         let src = u128::from(self.src);
         let dst = u128::from(self.dst);
         let s = (src as u64) ^ ((src >> 64) as u64).rotate_left(32);
@@ -95,20 +95,13 @@ impl FlowKey {
 /// A deterministic Bernoulli draw: true with probability `milli`/1000,
 /// keyed by `key`.
 #[inline]
-pub fn draw_milli(key: u64, milli: u32) -> bool {
+pub(crate) fn draw_milli(key: u64, milli: u32) -> bool {
     (mix64(key) % 1000) < milli as u64
-}
-
-/// A deterministic Bernoulli draw with an f64 probability, keyed by `key`.
-#[inline]
-pub fn draw_frac(key: u64, frac: f64) -> bool {
-    let threshold = (frac.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
-    mix64(key) <= threshold
 }
 
 /// Deterministic jitter in `[0, span_us)`, keyed by `key`.
 #[inline]
-pub fn jitter_us(key: u64, span_us: u64) -> u64 {
+pub(crate) fn jitter_us(key: u64, span_us: u64) -> u64 {
     if span_us == 0 {
         0
     } else {
@@ -159,7 +152,7 @@ mod tests {
         let hits = (0..n).filter(|&i| draw_milli(i, 100)).count();
         // 10% ± 2% over 10k draws.
         assert!((800..=1200).contains(&hits), "hits={hits}");
-        let all = (0..n).filter(|&i| draw_frac(i, 1.0)).count();
+        let all = (0..n).filter(|&i| draw_milli(i, 1000)).count();
         assert_eq!(all as u64, n);
         let none = (0..n).filter(|&i| draw_milli(i, 0)).count();
         assert_eq!(none, 0);

@@ -845,8 +845,11 @@ mod tests {
     #[test]
     fn as_counts_match_config() {
         let t = topo();
-        // total_ases() + 6to4 relay + three vantage ASes.
-        assert_eq!(t.ases.len(), t.config.total_ases() + 4);
+        // tier1 + tier2 + hub + stubs + CPE ISPs + 6to4 relay + three
+        // vantage ASes.
+        let c = &t.config;
+        let configured = c.n_tier1 + c.n_tier2 + 1 + c.n_stub + c.cpe_isps.len();
+        assert_eq!(t.ases.len(), configured + 4);
         assert_eq!(t.vantages.len(), 3);
     }
 
@@ -866,7 +869,7 @@ mod tests {
         for (addr, _) in t.hosts().take(500) {
             assert!(t.bgp.is_routed(addr), "{addr} unrouted");
             assert!(
-                !t.subnet_chain(addr).is_empty(),
+                t.subnet_trie.longest_match(addr).is_some(),
                 "{addr} outside subnet plan"
             );
         }
@@ -896,7 +899,10 @@ mod tests {
     fn subnet_chains_descend() {
         let t = topo();
         let (addr, _) = t.hosts().next().unwrap();
-        let chain = t.subnet_chain(addr);
+        let mut chain: Vec<_> = t
+            .subnet_chain_up_from(&mut v6addr::Finger::default(), addr)
+            .collect();
+        chain.reverse();
         assert!(chain.len() >= 2);
         // Prefix lengths strictly increase along the chain.
         let mut last = 0;

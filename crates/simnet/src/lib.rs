@@ -26,20 +26,22 @@
 //! serialized probe packet and returns the serialized response (if any),
 //! exactly as a raw socket would — the prober on top stays honest.
 
-pub mod adversarial;
+#![warn(unreachable_pub)]
+
+mod adversarial;
 pub mod config;
-pub mod engine;
-pub mod fault;
+mod engine;
+mod fault;
 pub mod flow;
 pub mod generate;
-pub mod pathcache;
-pub mod ratelimit;
+mod pathcache;
+mod ratelimit;
 pub mod route;
 pub mod topology;
 
-pub use adversarial::{AdversarialClass, AdversarialSchedule, HostileWindow, STORM_SPREAD};
+pub use adversarial::{AdversarialClass, AdversarialSchedule};
 pub use config::{Scale, TopologyConfig};
 pub use engine::{prefetch, Delivery, Engine, EngineStats};
-pub use fault::{FaultSchedule, LinkFault, LinkFaultKind, ResponderDown, VantageOutage};
+pub use fault::FaultSchedule;
 pub use pathcache::Flow;
-pub use topology::{RouterId, Topology, VantageId};
+pub use topology::{RouterId, Topology};

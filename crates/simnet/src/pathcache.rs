@@ -48,7 +48,7 @@ pub(crate) struct RawKey {
 impl RawKey {
     /// `None` unless `wire` starts with a whole IPv6 header.
     #[inline]
-    pub fn parse(wire: &[u8]) -> Option<RawKey> {
+    pub(crate) fn parse(wire: &[u8]) -> Option<RawKey> {
         let (hdr, body) = wire.split_first_chunk::<{ ip6::HEADER_LEN }>()?;
         let word = |at: usize| u128::from_be_bytes(*hdr[at..].first_chunk().expect("in header"));
         let vtf = u32::from_be_bytes(*hdr.first_chunk().expect("in header"));
@@ -78,7 +78,7 @@ impl RawKey {
 
     /// The flow hash per-flow load balancers see.
     #[inline]
-    pub fn flow_hash(&self, (sport, dport): (u16, u16)) -> u64 {
+    pub(crate) fn flow_hash(&self, (sport, dport): (u16, u16)) -> u64 {
         FlowKey {
             src: Ipv6Addr::from(self.src),
             dst: Ipv6Addr::from(self.dst),
@@ -112,7 +112,7 @@ impl Entry {
     /// Is a probe with routing key `key` one of this flow? (`vantages`
     /// are the topology's: the entry names its own by index.)
     #[inline]
-    pub fn carries(&self, key: &RawKey, vantages: &[Vantage]) -> bool {
+    pub(crate) fn carries(&self, key: &RawKey, vantages: &[Vantage]) -> bool {
         self.dst == key.dst
             && self.vtf == key.vtf
             && Some(self.ports) == key.ports
@@ -141,7 +141,7 @@ pub(crate) struct FlowTable {
 
 impl FlowTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let cap = 1024;
         FlowTable {
             entries: Vec::new(),
@@ -152,13 +152,13 @@ impl FlowTable {
 
     /// The entry behind `flow`, if this table has one there.
     #[inline]
-    pub fn get(&self, flow: Flow) -> Option<&Entry> {
+    pub(crate) fn get(&self, flow: Flow) -> Option<&Entry> {
         self.entries.get(flow.0 as usize)
     }
 
     /// Looks up the flow of `key`, whose flow hash is `flow_hash`.
     #[inline]
-    pub fn find(&self, key: &RawKey, flow_hash: u64, vantages: &[Vantage]) -> Option<Flow> {
+    pub(crate) fn find(&self, key: &RawKey, flow_hash: u64, vantages: &[Vantage]) -> Option<Flow> {
         let tag = (flow_hash >> 32) as u32;
         let mut i = flow_hash as usize & self.mask;
         loop {
@@ -175,7 +175,13 @@ impl FlowTable {
 
     /// Appends the flow of `key` (which has ports, and must not already
     /// be present) with its resolved `path`.
-    pub fn insert(&mut self, key: &RawKey, vidx: u8, flow_hash: u64, path: ResolvedPath) -> Flow {
+    pub(crate) fn insert(
+        &mut self,
+        key: &RawKey,
+        vidx: u8,
+        flow_hash: u64,
+        path: ResolvedPath,
+    ) -> Flow {
         let at = u32::try_from(self.entries.len()).expect("flow table outgrew u32 positions");
         assert_ne!(at, EMPTY);
         if (self.entries.len() + 1) * 4 > self.index.len() * 3 {

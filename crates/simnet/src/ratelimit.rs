@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// another router's bucket, so a bucket is a miss, and must be one miss.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 #[repr(align(64))]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     rate_pps: u64,
     burst: u64,
     /// Tokens × 1e6 (token-microseconds) currently available.
@@ -35,7 +35,7 @@ const _: () = assert!(size_of::<TokenBucket>() == 64);
 
 impl TokenBucket {
     /// A full bucket of the given class, at virtual time zero.
-    pub fn new(class: RateLimitClass) -> Self {
+    pub(crate) fn new(class: RateLimitClass) -> Self {
         TokenBucket {
             rate_pps: class.rate_pps as u64,
             burst: class.burst as u64,
@@ -56,7 +56,7 @@ impl TokenBucket {
     /// Attempts to take one token at virtual time `now_us`. Out-of-order
     /// timestamps are treated as "now" (no refill, no error): responses in
     /// flight may interleave.
-    pub fn try_consume(&mut self, now_us: u64) -> bool {
+    pub(crate) fn try_consume(&mut self, now_us: u64) -> bool {
         self.refill(now_us);
         if self.tokens_e6 >= 1_000_000 {
             self.tokens_e6 -= 1_000_000;
@@ -65,11 +65,6 @@ impl TokenBucket {
             self.suppressed += 1;
             false
         }
-    }
-
-    /// Tokens currently available (floored).
-    pub fn available(&self) -> u64 {
-        self.tokens_e6 / 1_000_000
     }
 }
 

@@ -46,7 +46,7 @@ pub enum DestEntry {
 impl DestEntry {
     /// The router that answers for the destination, unless a host does.
     #[inline]
-    pub fn responder(&self) -> Option<RouterId> {
+    pub(crate) fn responder(&self) -> Option<RouterId> {
         match *self {
             DestEntry::Host(_) => None,
             DestEntry::NoHost { responder }
@@ -77,14 +77,8 @@ pub struct ResolvedPath {
 impl ResolvedPath {
     /// Number of router hops.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.hop_len as usize
-    }
-
-    /// True when the path has no hops (cannot happen for generated
-    /// topologies, but keeps clippy honest).
-    pub fn is_empty(&self) -> bool {
-        self.hop_len == 0
     }
 
     /// Routers crossed, in order; `hops[i]` answers TTL `i+1`. `arena`

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use v6addr::{Asn, BgpTable, Finger, Ipv6Prefix, PrefixTrie};
 
 /// Index into [`Topology::ases`].
-pub type AsIdx = u32;
+pub(crate) type AsIdx = u32;
 
 /// Index into [`Topology::routers`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -143,7 +143,7 @@ const _: () = assert!(size_of::<RouterInfo>() == 64);
 impl RouterInfo {
     /// The interface address used when answering a probe that arrived
     /// from `prev` (a stable per-direction choice).
-    pub fn response_addr(&self, router_id: RouterId, prev: u64) -> Ipv6Addr {
+    pub(crate) fn response_addr(&self, router_id: RouterId, prev: u64) -> Ipv6Addr {
         if self.alt_addrs.is_empty() {
             return self.addr;
         }
@@ -157,7 +157,7 @@ impl RouterInfo {
     }
 
     /// All interface addresses of this router.
-    pub fn all_addrs(&self) -> impl Iterator<Item = Ipv6Addr> + '_ {
+    pub(crate) fn all_addrs(&self) -> impl Iterator<Item = Ipv6Addr> + '_ {
         std::iter::once(self.addr).chain(self.alt_addrs.iter().copied())
     }
 }
@@ -262,24 +262,12 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Does a host exist at `addr`?
-    pub fn host_exists(&self, addr: Ipv6Addr) -> bool {
-        self.host_words.binary_search(&u128::from(addr)).is_ok()
-    }
-
-    /// The host's class, if one exists at `addr`.
-    pub fn host_kind(&self, addr: Ipv6Addr) -> Option<HostKind> {
-        self.host_words
-            .binary_search(&u128::from(addr))
-            .ok()
-            .map(|i| self.host_kinds[i])
-    }
-
-    /// [`Self::host_kind`] for lookups that come in runs of nearby
-    /// addresses: `cursor` is where the last search ended, and the next
-    /// one gallops out from there instead of bisecting the whole
-    /// population. Any cursor value gives [`Self::host_kind`]'s answer.
-    pub fn host_kind_from(&self, cursor: &mut usize, addr: Ipv6Addr) -> Option<HostKind> {
+    /// The host's class, if one exists at `addr`, for lookups that come
+    /// in runs of nearby addresses: `cursor` is where the last search
+    /// ended, and the next one gallops out from there instead of
+    /// bisecting the whole population. Any cursor value gives the same
+    /// answer.
+    pub(crate) fn host_kind_from(&self, cursor: &mut usize, addr: Ipv6Addr) -> Option<HostKind> {
         search_from(&self.host_words, cursor, u128::from(addr))
             .ok()
             .map(|i| self.host_kinds[i])
@@ -380,53 +368,16 @@ impl Topology {
             .collect()
     }
 
-    /// Resolves the vantage whose source address is `addr`.
-    pub fn vantage_by_addr(&self, addr: Ipv6Addr) -> Option<&Vantage> {
-        self.vantages.iter().find(|v| v.addr == addr)
-    }
-
     /// The AS that owns `asn` (primary or sibling).
     pub fn as_by_asn(&self, asn: Asn) -> Option<AsIdx> {
         self.asn_index.get(&asn.0).copied()
     }
 
-    /// The AS hosting `router`.
-    pub fn router_as(&self, router: RouterId) -> &AsInfo {
-        &self.ases[self.routers[router.0 as usize].as_idx as usize]
-    }
-
-    /// Origin ASN of an address under the *augmented* view: BGP plus
-    /// registry-only infra prefixes. Mirrors what the paper's analysis
-    /// does when a hop address is not covered by BGP.
-    pub fn origin_augmented(&self, addr: Ipv6Addr) -> Option<Asn> {
-        if let Some(asn) = self.bgp.origin(addr) {
-            return Some(asn);
-        }
-        self.rir_extra
-            .iter()
-            .find(|(p, _)| p.contains_addr(addr))
-            .map(|&(_, a)| a)
-    }
-
-    /// The subnet chain (root → … → most-specific) covering `addr` inside
-    /// its AS's plan, if any.
-    pub fn subnet_chain(&self, addr: Ipv6Addr) -> Vec<SubnetId> {
-        let mut chain: Vec<SubnetId> = self.subnet_chain_up(addr).collect();
-        chain.reverse();
-        chain
-    }
-
-    /// [`Self::subnet_chain`] walked the way the plan links it — most-
-    /// specific node first, then each parent up to the root — without
-    /// building the list.
-    pub fn subnet_chain_up(&self, addr: Ipv6Addr) -> impl Iterator<Item = SubnetId> + '_ {
-        let leaf = self.subnet_trie.longest_match(addr).map(|(_, &leaf)| leaf);
-        self.chain_up(leaf)
-    }
-
-    /// [`Self::subnet_chain_up`] with the leaf found from `finger` (see
+    /// The subnet chain covering `addr` inside its AS's plan, walked the
+    /// way the plan links it — most-specific node first, then each parent
+    /// up to the root — with the leaf found from `finger` (see
     /// [`PrefixTrie::longest_match_from`]).
-    pub fn subnet_chain_up_from(
+    pub(crate) fn subnet_chain_up_from(
         &self,
         finger: &mut Finger,
         addr: Ipv6Addr,
@@ -435,10 +386,6 @@ impl Topology {
             .subnet_trie
             .longest_match_from(finger, u128::from(addr))
             .map(|(_, &leaf)| leaf);
-        self.chain_up(leaf)
-    }
-
-    fn chain_up(&self, leaf: Option<SubnetId>) -> impl Iterator<Item = SubnetId> + '_ {
         std::iter::successors(leaf, |cur| self.subnets[cur.0 as usize].parent)
     }
 }

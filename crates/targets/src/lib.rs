@@ -12,10 +12,12 @@
 //!   `known`;
 //! * [`TargetSet`] — a deduplicated target list with the
 //!   characterization machinery behind Table 5, Figure 2 and Figure 3;
-//! * [`pipeline`] — builds the full 18-set catalog (9 sources × z48/z64)
+//! * [`TargetCatalog`] — the full 18-set catalog (9 sources × z48/z64)
 //!   used by the probing campaigns.
 
-pub mod pipeline;
+#![warn(unreachable_pub)]
+
+mod pipeline;
 pub mod synthesize;
 pub mod transform;
 

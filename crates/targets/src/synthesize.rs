@@ -15,7 +15,7 @@ use std::net::Ipv6Addr;
 use v6addr::{bits, Ipv6Prefix};
 
 /// The paper's fixed pseudo-random IID: `1234:5678:1234:5678`.
-pub const FIXED_IID: u64 = 0x1234_5678_1234_5678;
+pub(crate) const FIXED_IID: u64 = 0x1234_5678_1234_5678;
 
 /// IID selection strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -29,17 +29,6 @@ pub enum IidStrategy {
         /// RNG seed for reproducibility.
         seed: u64,
     },
-}
-
-impl IidStrategy {
-    /// Short name as used in table rows.
-    pub fn name(&self) -> &'static str {
-        match self {
-            IidStrategy::LowByte1 => "lowbyte1",
-            IidStrategy::FixedIid => "fixediid",
-            IidStrategy::Random { .. } => "random",
-        }
-    }
 }
 
 /// Synthesizes one target per intermediate prefix.

@@ -75,7 +75,7 @@ impl BgpTable {
     }
 
     /// The canonical representative of `asn`'s equivalence class.
-    pub fn representative(&self, asn: Asn) -> Asn {
+    pub(crate) fn representative(&self, asn: Asn) -> Asn {
         let mut cur = asn;
         while let Some(&next) = self.equivalents.get(&cur) {
             cur = next;

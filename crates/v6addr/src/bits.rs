@@ -8,7 +8,7 @@ use std::net::Ipv6Addr;
 
 /// Converts an [`Ipv6Addr`] to its `u128` word (network bit order).
 #[inline]
-pub fn to_u128(addr: Ipv6Addr) -> u128 {
+pub(crate) fn to_u128(addr: Ipv6Addr) -> u128 {
     u128::from(addr)
 }
 
@@ -47,7 +47,7 @@ pub fn bit(word: u128, idx: u8) -> bool {
 
 /// Returns `word` with bit `idx` (0 = most significant) set to `value`.
 #[inline]
-pub fn with_bit(word: u128, idx: u8, value: bool) -> u128 {
+pub(crate) fn with_bit(word: u128, idx: u8, value: bool) -> u128 {
     debug_assert!(idx < 128);
     let m = 1u128 << (127 - idx as u32);
     if value {

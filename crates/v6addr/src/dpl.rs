@@ -95,11 +95,6 @@ impl DplCdf {
         cum as f64 / self.total as f64
     }
 
-    /// The number of addresses the CDF covers.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Median DPL (smallest `l` with CDF ≥ 0.5), or `None` when empty.
     pub fn median(&self) -> Option<u8> {
         if self.total == 0 {

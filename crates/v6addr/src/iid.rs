@@ -51,7 +51,7 @@ pub fn classify(addr: Ipv6Addr) -> IidClass {
 }
 
 /// Classifies a raw 64-bit IID.
-pub fn classify_iid(iid: u64) -> IidClass {
+pub(crate) fn classify_iid(iid: u64) -> IidClass {
     // EUI-64: bytes 3 and 4 of the IID are 0xff 0xfe.
     if (iid >> 24) & 0xffff == 0xfffe {
         return IidClass::Eui64;

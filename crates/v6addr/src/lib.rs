@@ -12,20 +12,19 @@
 //!   [`Asn`]s, with the "equivalent ASN" augmentation from §6 of the paper;
 //! * [`dpl`] — *Discriminating Prefix Length* computations (§3.4.1);
 //! * [`iid`] — the `addr6`-style interface-identifier classifier used for
-//!   Table 1 and Table 7 (EUI-64 / low-byte / embedded-IPv4 / random);
-//! * [`entropy`] — Entropy/IP-style per-nybble entropy profiling and
-//!   segmentation, for reasoning about address-set structure.
+//!   Table 1 and Table 7 (EUI-64 / low-byte / embedded-IPv4 / random).
 //!
 //! All address math is done on `u128` in network bit order (bit 0 is the
 //! most significant bit of the address).
 
-pub mod bgp;
+#![warn(unreachable_pub)]
+
+mod bgp;
 pub mod bits;
 pub mod dpl;
-pub mod entropy;
 pub mod iid;
-pub mod prefix;
-pub mod trie;
+mod prefix;
+mod trie;
 
 pub use bgp::{Asn, BgpTable};
 pub use iid::IidClass;

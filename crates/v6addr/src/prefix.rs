@@ -10,7 +10,7 @@ use std::str::FromStr;
 /// A canonical IPv6 prefix.
 ///
 /// Invariants: `len <= 128`, and all bits of `base` below the prefix length
-/// are zero. Construction through [`Ipv6Prefix::new`] enforces canonical
+/// are zero. Parsing (`"2001:db8::/32".parse()`) enforces canonical
 /// form (rejecting set host bits), while [`Ipv6Prefix::truncating`] masks
 /// them away — the common case when deriving a covering prefix from an
 /// address.
@@ -45,7 +45,7 @@ impl std::error::Error for PrefixError {}
 
 impl Ipv6Prefix {
     /// Creates a prefix, rejecting non-canonical bases.
-    pub fn new(base: Ipv6Addr, len: u8) -> Result<Self, PrefixError> {
+    pub(crate) fn new(base: Ipv6Addr, len: u8) -> Result<Self, PrefixError> {
         if len > 128 {
             return Err(PrefixError::LengthOutOfRange(len as u16));
         }
@@ -86,16 +86,10 @@ impl Ipv6Prefix {
     }
 
     /// The prefix length in bits. (`is_empty` would be meaningless — a
-    /// /0 is the default route, not an empty prefix — see
-    /// [`Self::is_default`].)
+    /// /0 is the default route, not an empty prefix.)
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> u8 {
         self.len
-    }
-
-    /// True for the zero-length (default route) prefix.
-    pub fn is_default(&self) -> bool {
-        self.len == 0
     }
 
     /// Does this prefix cover `addr`?

@@ -175,18 +175,6 @@ impl<T> PrefixTrie<T> {
         Some(node)
     }
 
-    /// Exact-match lookup.
-    pub fn get(&self, prefix: &Ipv6Prefix) -> Option<&T> {
-        self.find_node(prefix)
-            .and_then(|n| self.nodes[n as usize].value.as_ref())
-    }
-
-    /// Exact-match mutable lookup.
-    pub fn get_mut(&mut self, prefix: &Ipv6Prefix) -> Option<&mut T> {
-        self.find_node(prefix)
-            .and_then(|n| self.nodes[n as usize].value.as_mut())
-    }
-
     /// Removes the value at `prefix`, if present. Interior nodes are left
     /// in place (tombstone-free removal is not needed by this workload).
     pub fn remove(&mut self, prefix: &Ipv6Prefix) -> Option<T> {
@@ -283,7 +271,7 @@ impl<T> PrefixTrie<T> {
     }
 
     /// True if any stored prefix covers `addr`.
-    pub fn covers(&self, addr: Ipv6Addr) -> bool {
+    pub(crate) fn covers(&self, addr: Ipv6Addr) -> bool {
         self.longest_match(addr).is_some()
     }
 
@@ -294,16 +282,6 @@ impl<T> PrefixTrie<T> {
             trie: self,
             stack: vec![(0u32, 0u128, 0u8)],
         }
-    }
-
-    /// Visits every stored prefix covered by `root` (including `root`
-    /// itself if stored).
-    pub fn iter_within<'a>(&'a self, root: &Ipv6Prefix) -> Iter<'a, T> {
-        let stack = match self.find_node(root) {
-            Some(n) => vec![(n, root.base_word(), root.len())],
-            None => Vec::new(),
-        };
-        Iter { trie: self, stack }
     }
 }
 
@@ -366,8 +344,9 @@ mod tests {
         assert_eq!(t.insert(p("2001:db8::/32"), 1), None);
         assert_eq!(t.insert(p("2001:db8::/32"), 2), Some(1));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get(&p("2001:db8::/32")), Some(&2));
-        assert_eq!(t.get(&p("2001:db8::/33")), None);
+        let all: Vec<_> = t.iter().collect();
+        assert_eq!(all, [(p("2001:db8::/32"), &2)]);
+        assert_eq!(t.remove(&p("2001:db8::/33")), None);
         assert_eq!(t.remove(&p("2001:db8::/32")), Some(2));
         assert!(t.is_empty());
         assert_eq!(t.remove(&p("2001:db8::/32")), None);
@@ -425,15 +404,6 @@ mod tests {
                 p("3fff::/20"),
             ]
         );
-        let within: Vec<_> = t
-            .iter_within(&p("2001:db8::/32"))
-            .map(|(pf, _)| pf)
-            .collect();
-        assert_eq!(
-            within,
-            vec![p("2001:db8::/32"), p("2001:db8::/48"), p("2001:db8:1::/48")]
-        );
-        assert_eq!(t.iter_within(&p("4000::/8")).count(), 0);
     }
 
     #[test]

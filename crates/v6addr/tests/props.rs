@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use std::net::Ipv6Addr;
-use v6addr::{bits, dpl, prefix::Ipv6Prefix, trie::PrefixTrie, Finger};
+use v6addr::{bits, dpl, Finger, Ipv6Prefix, PrefixTrie};
 
 proptest! {
     /// mask(len) has exactly `len` leading ones.

@@ -59,7 +59,7 @@ impl Summer {
     }
 
     /// The checksum: ones' complement of the folded sum.
-    pub fn checksum(&self) -> u16 {
+    pub(crate) fn checksum(&self) -> u16 {
         !self.fold()
     }
 }

@@ -20,29 +20,14 @@ use crate::proto_num;
 use std::net::Ipv6Addr;
 
 /// Next Header value of the Fragment extension header.
-pub const FRAGMENT_NH: u8 = 44;
+pub(crate) const FRAGMENT_NH: u8 = 44;
 
 /// Length of the Fragment header.
-pub const FRAG_HEADER_LEN: usize = 8;
+pub(crate) const FRAG_HEADER_LEN: usize = 8;
 
 /// Builds a fragmented (atomic-fragment) ICMPv6 Echo Reply carrying
-/// `ident`/`seq`/`data`, with fragment identification `frag_id`.
-pub fn build_fragmented_echo_reply(
-    src: Ipv6Addr,
-    dst: Ipv6Addr,
-    ident: u16,
-    seq: u16,
-    data: &[u8],
-    hop_limit: u8,
-    frag_id: u32,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    build_fragmented_echo_reply_into(&mut out, src, dst, ident, seq, data, hop_limit, frag_id);
-    out
-}
-
-/// [`build_fragmented_echo_reply`] into a reusable buffer (cleared
-/// first).
+/// `ident`/`seq`/`data`, with fragment identification `frag_id`, into a
+/// reusable buffer (cleared first).
 #[allow(clippy::too_many_arguments)]
 pub fn build_fragmented_echo_reply_into(
     out: &mut Vec<u8>,
@@ -140,9 +125,12 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let pkt = build_fragmented_echo_reply(
-            a("2001:db8::1"),
-            a("2001:db8::2"),
+        let (src, dst) = (a("2001:db8::1"), a("2001:db8::2"));
+        let mut pkt = Vec::new();
+        build_fragmented_echo_reply_into(
+            &mut pkt,
+            src,
+            dst,
             0xbeef,
             7,
             b"speedtrap",
@@ -161,7 +149,8 @@ mod tests {
     fn rejects_non_fragment_and_corruption() {
         let plain = crate::icmp6::build_echo_reply(a("::1"), a("::2"), 1, 2, b"x", 64);
         assert!(parse_fragmented_echo_reply(&plain).is_none());
-        let mut pkt = build_fragmented_echo_reply(a("::1"), a("::2"), 1, 2, b"x", 64, 9);
+        let mut pkt = Vec::new();
+        build_fragmented_echo_reply_into(&mut pkt, a("::1"), a("::2"), 1, 2, b"x", 64, 9);
         let n = pkt.len() - 1;
         pkt[n] ^= 0xff;
         assert!(parse_fragmented_echo_reply(&pkt).is_none());
@@ -169,7 +158,8 @@ mod tests {
 
     #[test]
     fn rejects_nonzero_offset() {
-        let mut pkt = build_fragmented_echo_reply(a("::1"), a("::2"), 1, 2, b"x", 64, 9);
+        let mut pkt = Vec::new();
+        build_fragmented_echo_reply_into(&mut pkt, a("::1"), a("::2"), 1, 2, b"x", 64, 9);
         pkt[ip6::HEADER_LEN + 2] = 0x01; // offset != 0
         assert!(parse_fragmented_echo_reply(&pkt).is_none());
     }

@@ -52,7 +52,7 @@ impl DestUnreachCode {
     }
 
     /// Parses a wire code value.
-    pub fn from_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_code(code: u8) -> Option<Self> {
         Some(match code {
             0 => DestUnreachCode::NoRoute,
             1 => DestUnreachCode::AdminProhibited,
@@ -79,7 +79,7 @@ impl fmt::Display for DestUnreachCode {
 
 impl Icmp6Type {
     /// `(type, code)` wire values.
-    pub fn type_code(self) -> (u8, u8) {
+    pub(crate) fn type_code(self) -> (u8, u8) {
         match self {
             Icmp6Type::DestUnreachable(c) => (1, c.code()),
             Icmp6Type::TimeExceeded => (3, 0),
@@ -100,7 +100,7 @@ impl Icmp6Type {
     }
 
     /// Error messages carry a quotation; informational ones do not.
-    pub fn is_error(self) -> bool {
+    pub(crate) fn is_error(self) -> bool {
         matches!(
             self,
             Icmp6Type::DestUnreachable(_) | Icmp6Type::TimeExceeded
@@ -125,7 +125,7 @@ pub struct Icmp6Message {
 /// Builds a complete ICMPv6 *error* packet (IPv6 header + ICMPv6) from
 /// router `src` back to `dst`, quoting `invoking_packet` (a full IPv6
 /// packet as received). The quotation is truncated so the whole error
-/// stays within [`MIN_MTU`].
+/// stays within the minimum IPv6 MTU (1280 bytes).
 pub fn build_error(
     src: Ipv6Addr,
     dst: Ipv6Addr,
@@ -139,7 +139,7 @@ pub fn build_error(
 }
 
 /// [`build_error`] into a reusable buffer (cleared first): the hot-path
-/// variant — no allocation once `out` has grown to [`MIN_MTU`].
+/// variant — no allocation once `out` has grown to the minimum MTU.
 pub fn build_error_into(
     out: &mut Vec<u8>,
     src: Ipv6Addr,

@@ -19,6 +19,8 @@
 //! rather than panics, since real responses traverse middleboxes that
 //! rewrite and truncate.
 
+#![warn(unreachable_pub)]
+
 pub mod csum;
 pub mod frag;
 pub mod icmp6;
@@ -26,9 +28,9 @@ pub mod ip6;
 pub mod probe;
 pub mod tcp;
 
-pub use icmp6::{Icmp6Message, Icmp6Type};
+pub use icmp6::Icmp6Type;
 pub use ip6::Ipv6Header;
-pub use probe::{DecodeError, DecodedProbe, ProbeSpec, Protocol, YARRP6_MAGIC};
+pub use probe::{DecodeError, ProbeSpec, Protocol, YARRP6_MAGIC};
 
 /// Protocol numbers for the IPv6 Next Header field.
 pub mod proto_num {
@@ -42,4 +44,4 @@ pub mod proto_num {
 
 /// Minimum IPv6 MTU; an ICMPv6 error message must not exceed it
 /// (RFC 4443 §2.4(c)).
-pub const MIN_MTU: usize = 1280;
+pub(crate) const MIN_MTU: usize = 1280;

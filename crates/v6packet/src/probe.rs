@@ -73,12 +73,12 @@ impl Protocol {
     }
 
     /// Total probe length on the wire.
-    pub fn probe_len(self) -> usize {
+    pub(crate) fn probe_len(self) -> usize {
         ip6::HEADER_LEN + self.transport_len() + PAYLOAD_LEN
     }
 
     /// Parses from a Next Header value.
-    pub fn from_next_header(nh: u8) -> Option<Self> {
+    pub(crate) fn from_next_header(nh: u8) -> Option<Self> {
         Some(match nh {
             proto_num::ICMP6 => Protocol::Icmp6,
             proto_num::UDP => Protocol::Udp,
@@ -215,7 +215,7 @@ impl ProbeSpec {
     /// ones'-complement sum over pseudo-header and body — the per-target
     /// constant every probe's transport sum is fudged back to. Computed
     /// directly from the handful of nonzero words; no packet is built.
-    pub fn canonical_sum(&self) -> u16 {
+    pub(crate) fn canonical_sum(&self) -> u16 {
         let tlen = self.protocol.transport_len();
         let payload_len = tlen + PAYLOAD_LEN;
         let target_ck = csum::addr_checksum(self.target);
@@ -259,7 +259,7 @@ impl ProbeSpec {
     /// Serializes the probe into `out`, returning the wire length,
     /// with the fudge that makes the transport checksum the per-target
     /// constant described in the module docs. One checksum pass over
-    /// the constants (via [`Self::canonical_sum`]); the variable fields
+    /// the constants (via `canonical_sum`); the variable fields
     /// are cancelled incrementally by the fudge. Pinned byte-identical
     /// to the encoder that sums the whole packet twice
     /// (`testkit::oracle::build_probe`, in `tests/props.rs`).
@@ -379,12 +379,6 @@ impl ProbeTemplate {
         self.wire[ip6::HEADER_LEN - 16..ip6::HEADER_LEN].copy_from_slice(&target.octets());
         let at = self.ident_off as usize;
         self.wire[at..at + 2].copy_from_slice(&csum::addr_checksum(target).to_be_bytes());
-    }
-
-    /// Wire length of the rendered probe.
-    #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> usize {
-        self.len as usize
     }
 
     /// The wire bytes as last rendered. Addresses, flow label, protocol

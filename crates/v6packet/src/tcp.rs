@@ -16,8 +16,6 @@ use std::net::Ipv6Addr;
 pub mod flags {
     /// Connection reset.
     pub const RST: u8 = 0x04;
-    /// Synchronize.
-    pub const SYN: u8 = 0x02;
     /// Acknowledge.
     pub const ACK: u8 = 0x10;
 }

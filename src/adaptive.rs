@@ -1295,7 +1295,7 @@ impl LoopState {
             mine_set(topo, cfg, resolver, *vantage_idx, ts)
         });
         for ((_, ts), found) in kept.into_iter().zip(found) {
-            for cand in found.expect("a mining worker died without reporting") {
+            for cand in found {
                 if views.subnet_set.insert(cand.prefix) {
                     self.subnets.push(cand.prefix);
                     mined.new_subnets += 1;
@@ -1524,7 +1524,7 @@ impl AliasLane<'_> {
             p.fault_dropped += run.stats.fault_dropped_total();
             p.attempts = p.attempts.max(run.attempts);
             p.degraded |= run.degraded;
-            if let Some(sets) = run.sets {
+            if let Some(sets) = run.result {
                 out.confirmed = sets.pairs_confirmed;
                 out.rejected = sets.pairs_rejected;
                 for g in &sets.groups {

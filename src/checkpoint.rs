@@ -103,7 +103,7 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// FNV-1a digest of the topology configuration and the adaptive
     /// configuration this checkpoint was captured under.
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         self.digest
     }
 

@@ -59,6 +59,7 @@
 //! assert!(!result.log.interface_addrs().is_empty());
 //! ```
 
+#![warn(unreachable_pub)]
 // Keeps the adaptive loop a list of stages: a function under `src/`
 // that outgrows `too-many-lines-threshold` (clippy.toml) fails CI's
 // lint job.
@@ -87,7 +88,7 @@ pub mod prelude {
     pub use crate::checkpoint::{Checkpoint, ResumeError};
     pub use aliasres::{
         resolve_aliases, resolve_aliases_budgeted, resolve_aliases_supervised, AliasConfig,
-        AliasSets, RouterGraph, RouterGraphBuilder, SupervisedAliasRun,
+        AliasSets, RouterGraph, RouterGraphBuilder,
     };
     pub use analysis::{
         discover_by_path_div, ia_hack, quarantine, quarantine_all, read_sharded_snapshot,

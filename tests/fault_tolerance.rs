@@ -291,7 +291,7 @@ fn campaign_and_alias_supervisors_share_one_retry_sequence() {
         assert_eq!(campaign.degraded, degraded, "{label}");
         assert_eq!(alias.degraded, degraded, "{label}");
         let last_campaign_us = campaign.result.as_ref().expect("completes").log.duration_us;
-        let last_alias_us = alias.sets.as_ref().expect("completes").probes * step_us;
+        let last_alias_us = alias.result.as_ref().expect("completes").probes * step_us;
         assert_eq!(
             campaign.elapsed_us - last_campaign_us,
             alias.elapsed_us - last_alias_us,
