@@ -263,8 +263,10 @@ impl RouterGraphBuilder {
 
     /// Rebuilds a builder from [`to_parts`](Self::to_parts) output.
     /// Returns `None` when the parts are inconsistent (length
-    /// mismatches, out-of-range ids, duplicate words) — corrupt input
-    /// is refused, never a panic later.
+    /// mismatches, out-of-range ids, duplicate words, links out of
+    /// order, a parent whose rank is not above its child's) — corrupt
+    /// input is refused, never a panic or an endless `find` later, and
+    /// what is accepted is exactly what `to_parts` returns again.
     pub fn from_parts(parts: &RouterGraphParts) -> Option<RouterGraphBuilder> {
         let n = parts.words.len();
         if parts.parent.len() != n
@@ -281,16 +283,24 @@ impl RouterGraphBuilder {
         if interner.len() != n {
             return None; // duplicate words
         }
-        if parts.parent.iter().any(|&p| p as usize >= n) {
+        // Union by rank and path halving only ever point a node at one of
+        // higher rank, so ranks rise strictly along every parent chain:
+        // the check that each parent is an id and the forest has no cycle.
+        let rank = &parts.rank;
+        let rank_rises = |(x, &p): (usize, &u32)| {
+            let p = p as usize;
+            p == x || rank.get(p).is_some_and(|&rp| rp > rank[x])
+        };
+        if !parts.parent.iter().enumerate().all(rank_rises) {
             return None;
         }
-        let mut links = BTreeSet::new();
-        for &(a, b) in &parts.links {
-            if a >= b || b as usize >= n {
-                return None;
-            }
-            links.insert((a, b));
+        // `to_parts` lists the link set in order, each pair once.
+        if parts.links.windows(2).any(|w| w[0] >= w[1])
+            || parts.links.iter().any(|&(a, b)| a >= b || b as usize >= n)
+        {
+            return None;
         }
+        let links = parts.links.iter().copied().collect();
         Some(RouterGraphBuilder {
             interner,
             parent: parts.parent.clone(),
@@ -371,6 +381,17 @@ mod tests {
         assert!(RouterGraphBuilder::from_parts(&bad).is_none());
         let mut bad = parts.clone();
         bad.links.push((5, 5));
+        assert!(RouterGraphBuilder::from_parts(&bad).is_none());
+        // Links a set would reorder or fold re-encode differently.
+        let mut bad = parts.clone();
+        bad.links.push(bad.links[0]);
+        assert!(RouterGraphBuilder::from_parts(&bad).is_none());
+        let mut bad = parts.clone();
+        bad.links.reverse();
+        assert!(RouterGraphBuilder::from_parts(&bad).is_none());
+        // A parent cycle, which `find` would walk forever.
+        let mut bad = parts.clone();
+        (bad.parent[0], bad.parent[2]) = (2, 0);
         assert!(RouterGraphBuilder::from_parts(&bad).is_none());
         let mut bad = parts;
         bad.words.push(bad.words[0]);

@@ -182,6 +182,18 @@ impl<'a> SnapReader<'a> {
         }
     }
 
+    /// Reads a `u32` count of items at least `size` bytes each. A count
+    /// the rest of the buffer cannot hold is [`SnapshotError::Truncated`]
+    /// before anything is sized by it: a corrupt count never reserves
+    /// more than the input could fill.
+    pub(crate) fn count(&mut self, size: usize) -> Result<usize, SnapshotError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(size) > self.remaining() {
+            return Err(SnapshotError::Truncated);
+        }
+        Ok(n)
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub(crate) fn str(&mut self) -> Result<&'a str, SnapshotError> {
         let len = self.u32()? as usize;
@@ -267,7 +279,7 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
     let vantage: Arc<str> = r.str()?.into();
     let target_set: Arc<str> = r.str()?.into();
     let rewritten_dropped = r.u64()?;
-    let n_words = r.u32()? as usize;
+    let n_words = r.count(16)?;
     let mut interner = AddrInterner::with_capacity(n_words);
     for _ in 0..n_words {
         interner.intern(Ipv6Addr::from(r.u128()?));
@@ -275,7 +287,8 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
     if interner.len() != n_words {
         return Err(SnapshotError::BadValue("duplicate interner word"));
     }
-    let n_targets = r.u32()? as usize;
+    // A target is its word and a meta of at least 17 bytes.
+    let n_targets = r.count(16 + 17)?;
     let mut targets = Vec::with_capacity(n_targets);
     for _ in 0..n_targets {
         targets.push(Ipv6Addr::from(r.u128()?));
@@ -299,7 +312,7 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
             reached_at,
         });
     }
-    let n_hops = r.u32()? as usize;
+    let n_hops = r.count(5)?;
     let mut hops = Vec::with_capacity(n_hops);
     for _ in 0..n_hops {
         let ttl = r.u8()?;
@@ -309,7 +322,7 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
         }
         hops.push((ttl, id));
     }
-    let n_unreach = r.u32()? as usize;
+    let n_unreach = r.count(5)?;
     let mut unreach = Vec::with_capacity(n_unreach);
     for _ in 0..n_unreach {
         let ttl = r.u8()?;
@@ -334,12 +347,12 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
     if targets.windows(2).any(|w| w[0] >= w[1]) {
         return Err(SnapshotError::BadValue("target order"));
     }
-    let n_sources = r.u32()? as usize;
+    let n_sources = r.count(4)?;
     let mut sources: Vec<Arc<str>> = Vec::with_capacity(n_sources);
     for _ in 0..n_sources {
         sources.push(r.str()?.into());
     }
-    let n_prov = r.u32()? as usize;
+    let n_prov = r.count(4)?;
     let mut prov = Vec::with_capacity(n_prov);
     for _ in 0..n_prov {
         let p = r.u32()?;
@@ -701,6 +714,37 @@ mod tests {
             read_trace_set(&mut r),
             Err(SnapshotError::BadValue("hop interner id"))
         );
+    }
+
+    #[test]
+    fn a_count_the_input_cannot_hold_is_truncation() {
+        // Each count sizes an allocation before its items are read; at
+        // u32::MAX it would ask for more memory than any machine has.
+        let cases: [fn(&mut SnapWriter); 3] = [
+            |w| w.u32(u32::MAX), // interner words
+            |w| {
+                w.u32(0);
+                w.u32(u32::MAX); // targets
+            },
+            |w| {
+                w.u32(0);
+                w.u32(0);
+                w.u32(u32::MAX); // hop cells
+            },
+        ];
+        for counts in cases {
+            let mut w = SnapWriter::new();
+            w.str("v");
+            w.str("t");
+            w.u64(0);
+            counts(&mut w);
+            w.raw(&[0; 64]);
+            let bytes = w.into_bytes();
+            assert_eq!(
+                read_trace_set(&mut SnapReader::new(&bytes)),
+                Err(SnapshotError::Truncated)
+            );
+        }
     }
 
     #[test]

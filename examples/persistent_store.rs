@@ -28,7 +28,6 @@ fn main() {
         max_rounds: 3,
         min_yield_per_kprobes: 0.5,
         patience: 1,
-        delta_seeding: Some(DeltaSeedConfig { canary_targets: 64 }),
         ..AdaptiveConfig::default()
     };
 

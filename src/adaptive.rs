@@ -14,13 +14,13 @@
 //! Rounds are **multi-vantage** (every configured vantage probes each
 //! round under one global seen-set), run under a global probe budget,
 //! and repeat until the marginal yield stays below a floor for
-//! [`AdaptiveConfig::patience`] consecutive rounds. Five behaviours
+//! [`AdaptiveConfig::patience`] consecutive rounds. Four behaviours
 //! are opt-in and bit-identical to their absence when off:
 //! [`vantage_budgeting`](AdaptiveConfig::vantage_budgeting),
 //! [`quarantine_feedback`](AdaptiveConfig::quarantine_feedback),
-//! [`alias_resolution`](AdaptiveConfig::alias_resolution),
-//! [`path_div`](AdaptiveConfig::path_div) and
-//! [`delta_seeding`](AdaptiveConfig::delta_seeding).
+//! [`alias_resolution`](AdaptiveConfig::alias_resolution) and
+//! [`path_div`](AdaptiveConfig::path_div). Delta seeding is an entry
+//! point of its own, [`run_adaptive_delta`].
 //!
 //! ## Stages
 //!
@@ -33,14 +33,14 @@
 //! | stage | reads | writes in `LoopState` | belongs to |
 //! |---|---|---|---|
 //! | stop rule | `low_streak`, `rounds`, `alive`, `consumed` | — (ends the loop: yield floor, round cap, all vantages down, budget) | always |
-//! | plan/budget | `pool`, `probed`, `vweights`, `alive`, `consumed`; the delta force queue | `probed` (the round's stride-sampled, budget-capped targets) | always; per-vantage allocation by yield share is `vantage_budgeting`, queue-jumping targets are `delta_seeding` |
+//! | plan/budget | `pool`, `probed`, `vweights`, `alive`, `consumed`; the delta force queue | `probed` (the round's stride-sampled, budget-capped targets) | always; per-vantage allocation by yield share is `vantage_budgeting`, queue-jumping targets are [`run_adaptive_delta`]'s |
 //! | probe | `vclock_us` (campaigns start there on the fault schedule) | — (one supervised outcome per vantage × shard) | always |
 //! | quarantine | the round's raw sets, jointly | — (a scrubbed replacement for each set that lost cells, for everything that feeds *forward*; an untouched set is not copied) | `quarantine_feedback` |
 //! | attribute + mine | `seen` at round start, then the round's sets | `seen` (raw sets: a decoded responder is a real interface), `subnets`, `traces` (scrubbed sets when the quarantine is on) | always; path divergence is `path_div` |
 //! | alias ‖ | the round's kept sets, the kept record's interfaces, `alive`, `vclock_us`, `consumed` | `alias` (router graph, tested set, verdict totals) | `alias_resolution` |
 //! | feedback ‖ | the kept record's interfaces, `probed`, `subnets` | — (returns the next pool: kIP + 6Gen over *all* discoveries, cumulative by the paper's definition of their basis) | always; not started when the round cap decides the stop |
 //! | close round | every round-local output above | `stats`, `consumed`, `vclock_us`, `alive`, `vweights`, `rounds`, `round_targets`, `low_streak` | always; the EWMA weight update is `vantage_budgeting` |
-//! | delta canaries | the round's targets and sets, the prior store | `low_streak` (reset when a shard reopens; its targets join the force queue) | `delta_seeding` |
+//! | delta canaries | the round's targets and sets, the prior store | `low_streak` (reset when a shard reopens; its targets join the force queue) | [`run_adaptive_delta`] |
 //! | install pool | the stop rule, the generated pool | `pool` — or nothing: if the stop rule now stops, the pool is dropped | always |
 //!
 //! The two `‖` rows are the round tail's **two lanes**: they read the
@@ -229,12 +229,6 @@ pub struct AdaptiveConfig {
     /// Knobs for the alias stage; read only when
     /// [`alias_resolution`](Self::alias_resolution) is on.
     pub alias: AliasStageConfig,
-    /// Opt-in delta seeding (read by [`run_adaptive_delta`]): resume
-    /// discovery from a prior run's persisted sharded store, spending
-    /// budget only where the topology changed. `None` (the default)
-    /// leaves every other entry point bit-identical to earlier
-    /// releases — the field only matters to the delta driver.
-    pub delta_seeding: Option<DeltaSeedConfig>,
 }
 
 /// Knobs for the per-round alias-resolution stage
@@ -264,23 +258,6 @@ impl Default for AliasStageConfig {
     }
 }
 
-/// Knobs for [`run_adaptive_delta`]'s snapshot-seeded mode.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DeltaSeedConfig {
-    /// How many already-known targets to re-probe as *canaries*: a
-    /// stride-sampled subset of the prior snapshot's targets whose
-    /// observations are compared against the stored ones. A canary
-    /// whose trace changed reopens its whole target-prefix shard for
-    /// re-probing (and resets the yield-floor streak).
-    pub canary_targets: usize,
-}
-
-impl Default for DeltaSeedConfig {
-    fn default() -> Self {
-        DeltaSeedConfig { canary_targets: 64 }
-    }
-}
-
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
@@ -306,7 +283,6 @@ impl Default for AdaptiveConfig {
             quarantine: QuarantineConfig::default(),
             alias_resolution: false,
             alias: AliasStageConfig::default(),
-            delta_seeding: None,
         }
     }
 }
@@ -616,20 +592,24 @@ pub fn run_adaptive_parallel(
     run_loop(topo, cfg, true, fresh(topo, initial, cfg), None, |_| {})
 }
 
+/// How many already-known targets [`run_adaptive_delta`] re-probes as
+/// canaries: a stride-sampled subset of the prior store's targets whose
+/// observations are compared against the stored ones.
+const CANARY_TARGETS: usize = 64;
+
 /// Runs the adaptive loop seeded from a prior run's persisted sharded
 /// store ([`ShardedTraceSet`], typically loaded with
 /// [`analysis::read_sharded_snapshot`]): everything the snapshot
 /// already discovered counts as seen, every target it already holds a
 /// trace for is pre-marked probed, and budget flows only to *new*
-/// targets — plus a stride-sampled set of **canaries**
-/// ([`DeltaSeedConfig::canary_targets`]) re-probed to detect topology
-/// change. A canary whose observations differ from the stored trace
-/// reopens its whole target-prefix shard (every stored target in the
-/// canary's [`ShardRoute`](analysis::ShardRoute) shard is re-queued)
-/// and resets the yield-floor streak, so changed regions are re-swept
-/// at full intensity while unchanged regions cost only their canaries.
+/// targets — plus a stride-sampled set of 64 **canaries** re-probed to
+/// detect topology change. A canary whose observations differ from the
+/// stored trace reopens its whole target-prefix shard (every stored
+/// target in the canary's [`ShardRoute`](analysis::ShardRoute) shard is
+/// re-queued) and resets the yield-floor streak, so changed regions are
+/// re-swept at full intensity while unchanged regions cost only their
+/// canaries.
 ///
-/// Reads [`AdaptiveConfig::delta_seeding`] (its default when `None`).
 /// The result's `traces` include the prior shards (the merged view is
 /// the updated store); `stats`/`probes()` count only this run's
 /// probing. Delta runs are not checkpointable — the snapshot, not the
@@ -641,7 +621,6 @@ pub fn run_adaptive_delta(
     prior: &ShardedTraceSet,
     parallel: bool,
 ) -> AdaptiveResult {
-    let dcfg = cfg.delta_seeding.unwrap_or_default();
     let mut ck = fresh(topo, initial, cfg);
     let st = &mut ck.state;
     // The snapshot's discoveries seed the seen-set (they are not
@@ -663,7 +642,7 @@ pub fn run_adaptive_delta(
         .flat_map(|s| s.targets().iter().copied())
         .collect();
     known.sort_unstable();
-    let canaries = stride_sample(&known, dcfg.canary_targets.max(1));
+    let canaries = stride_sample(&known, CANARY_TARGETS);
     for &t in &known {
         if canaries.binary_search(&t).is_err() {
             st.probed.insert(t);
@@ -686,10 +665,9 @@ pub fn run_adaptive_delta(
 /// after the round's mining, budget accounting and pool regeneration,
 /// i.e. exactly the state the next round starts from. The observer
 /// borrows the state the loop runs on (showing it copies nothing);
-/// persist [`Checkpoint::to_bytes`] or [`Checkpoint::save_dir`]
-/// wherever durability lives, or clone it to keep the value. A process
-/// killed between rounds resumes with [`resume_adaptive`]
-/// bit-identically.
+/// persist [`Checkpoint::to_bytes`] wherever durability lives, or
+/// clone it to keep the value. A process killed between rounds resumes
+/// with [`resume_adaptive`] bit-identically.
 pub fn run_adaptive_checkpointed(
     topo: &Arc<Topology>,
     initial: &TargetSet,

@@ -7,58 +7,39 @@
 //!
 //! A [`Checkpoint`] *is* the state the loop runs on, not a copy taken
 //! of it, so showing one to the round-boundary observer is free. It
-//! has two on-disk forms — one byte string
-//! ([`Checkpoint::to_bytes`]) or a directory whose trace sets are
-//! separate segment files ([`Checkpoint::save_dir`]) — written by one
-//! body writer and read by one body reader that differ only in where
-//! trace set *i*'s bytes go.
+//! has one encoding, a byte string ([`Checkpoint::to_bytes`] /
+//! [`Checkpoint::from_bytes`]): a magic/version header, the state's
+//! fields in declaration order, and an 8-byte trailer that checksums
+//! every byte before it, so a damaged checkpoint is refused before its
+//! body is read.
 //!
 //! The format rides on [`analysis::snapshot`]'s fixed-width
 //! little-endian primitives: byte-deterministic (the same state always
-//! encodes to the same bytes) and versioned by a magic/version header.
-//! A checkpoint is only meaningful under the exact topology and
-//! configuration it was captured under, so it carries an FNV-1a digest
-//! of both; [`crate::adaptive::resume_adaptive`] refuses a mismatch
-//! with [`ResumeError::ConfigMismatch`] instead of producing a
-//! silently-divergent run.
+//! encodes to the same bytes, and a decoded state re-encodes to the
+//! bytes it came from). A checkpoint is only meaningful under the exact
+//! topology and configuration it was captured under, so it carries an
+//! FNV-1a digest of both; [`crate::adaptive::resume_adaptive`] refuses
+//! a mismatch with [`ResumeError::ConfigMismatch`] instead of producing
+//! a silently-divergent run.
 
 use crate::adaptive::{AdaptiveConfig, AliasState, LoopState, RoundReport, VantageRound};
 use aliasres::{RouterGraphBuilder, RouterGraphParts};
-use analysis::snapshot::{decode_segment, encode_segment, fnv1a, trace_set_encoded_len};
-use analysis::{
-    read_trace_set, write_trace_set, SnapReader, SnapWriter, SnapshotError, StoreError, TraceSet,
-};
+use analysis::snapshot::{fnv1a, trace_set_encoded_len};
+use analysis::{read_trace_set, write_trace_set, SnapReader, SnapWriter, SnapshotError};
 use simnet::{EngineStats, Topology};
 use std::net::Ipv6Addr;
-use std::path::Path;
 use std::sync::Arc;
 use v6addr::Ipv6Prefix;
 use yarrp6::addrset::AddrSet;
 
 /// `"BHCK"` — beholder checkpoint.
 const MAGIC: u32 = 0x4248_434B;
-/// Version 3: [`RoundReport`] gained the router-level counters and the
-/// loop state carries the alias stage's cross-round state (incremental
-/// router-graph builder, tested-interface set, pair verdict totals).
-/// Older checkpoints are refused — the alias stage's absence from them
-/// is indistinguishable from "stage off", and resuming a stage-on run
-/// without its graph would silently diverge.
-const VERSION: u32 = 3;
-/// The directory format ([`Checkpoint::save_dir`]): instead of
-/// inlining every trace set, `checkpoint.bin` holds the loop scalars
-/// plus a segment table (length + FNV-1a per trace set), and each
-/// trace set lives in its own `trace-NNNN.seg` file alongside — the
-/// same per-segment encoding the persistent sharded store uses, so a
-/// later round appends new segment files without rewriting the old
-/// ones.
-const DIR_VERSION: u32 = 4;
-/// The scalar/table file of the directory format.
-const DIR_FILE: &str = "checkpoint.bin";
-
-/// Segment file name of the `i`-th trace set in the directory format.
-fn trace_file(i: usize) -> String {
-    format!("trace-{i:04}.seg")
-}
+/// Version 5: the encoding ends in a [`checksum`] trailer. Version 4
+/// numbered a directory form that no longer exists and is never
+/// reused; any other version, v3 included, is refused by number.
+const VERSION: u32 = 5;
+/// Bytes of the trailing checksum.
+const TRAILER: usize = 8;
 
 /// Why a resume was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,8 +70,7 @@ impl std::error::Error for ResumeError {}
 /// [`crate::adaptive::run_adaptive_checkpointed`] shows it to the
 /// observer after every finished round by reference — nothing is
 /// copied to take a checkpoint. Serialize with
-/// [`to_bytes`](Checkpoint::to_bytes) or
-/// [`save_dir`](Checkpoint::save_dir) (or clone it: the trace record
+/// [`to_bytes`](Checkpoint::to_bytes) (or clone it: the trace record
 /// is shared, not copied), and continue a killed run with
 /// [`crate::adaptive::resume_adaptive`] — the resumed run's final
 /// result is bit-identical to the run that was never interrupted.
@@ -122,83 +102,14 @@ impl Checkpoint {
         self.state.seen.len()
     }
 
-    /// Serializes the checkpoint. Byte-deterministic: the same state
-    /// always produces the same bytes.
+    /// Serializes the checkpoint: header, then `LoopState`'s fields in
+    /// declaration order, then the 8-byte checksum of all of that.
+    /// Byte-deterministic: the same state always produces the same
+    /// bytes. The trace sets are nearly all of it, so from their count
+    /// on the stream is reserved once at its exact length, trailer
+    /// included, instead of doubling its way up: what follows the trace
+    /// sets is encoded first, into a buffer of its own, and appended.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let inline = |w: &mut SnapWriter, _, ts: &TraceSet| {
-            write_trace_set(w, ts);
-            Ok::<(), std::convert::Infallible>(())
-        };
-        let traces = self.state.traces.iter();
-        let room = traces.map(|ts| trace_set_encoded_len(ts)).sum();
-        match self.encode(VERSION, room, inline) {
-            Ok(bytes) => bytes,
-            Err(never) => match never {},
-        }
-    }
-
-    /// Deserializes a checkpoint produced by
-    /// [`to_bytes`](Checkpoint::to_bytes). Truncated, corrupt or
-    /// foreign input is a [`SnapshotError`], never a panic.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, SnapshotError> {
-        Checkpoint::decode(bytes, VERSION, |r, _| read_trace_set(r))
-    }
-
-    /// Persists the checkpoint as a **directory**: `checkpoint.bin`
-    /// holds the loop scalars plus a segment table, and each trace set
-    /// is its own `trace-NNNN.seg` file (the persistent store's
-    /// segment encoding). Since the trace record only ever grows by
-    /// appending campaign sets, successive round-boundary saves rewrite
-    /// the small scalar file and *add* segment files — earlier rounds'
-    /// segments are byte-identical and need no rewrite (an rsync-style
-    /// sink transfers only the delta).
-    pub fn save_dir(&self, dir: &Path) -> Result<(), StoreError> {
-        std::fs::create_dir_all(dir)?;
-        let bin = self.encode(DIR_VERSION, 16 * self.state.traces.len(), |w, i, ts| {
-            let seg = encode_segment(ts);
-            w.u64(seg.len() as u64);
-            w.u64(fnv1a(&seg));
-            std::fs::write(dir.join(trace_file(i)), &seg)
-        })?;
-        std::fs::write(dir.join(DIR_FILE), bin)?;
-        Ok(())
-    }
-
-    /// Loads a checkpoint saved by [`save_dir`](Self::save_dir),
-    /// verifying every segment's recorded length and FNV-1a before
-    /// decoding — a truncated or bit-flipped segment file is
-    /// [`StoreError::Mismatch`] / [`StoreError::Corrupt`], never a
-    /// panic or a silently wrong resume.
-    pub fn load_dir(dir: &Path) -> Result<Checkpoint, StoreError> {
-        let bin = std::fs::read(dir.join(DIR_FILE))?;
-        Checkpoint::decode(&bin, DIR_VERSION, |r, i| {
-            let (len, fnv) = (r.u64()?, r.u64()?);
-            let seg = std::fs::read(dir.join(trace_file(i)))?;
-            if seg.len() as u64 != len {
-                return Err(StoreError::Mismatch("trace segment length"));
-            }
-            if fnv1a(&seg) != fnv {
-                return Err(StoreError::Corrupt { segment: i as u32 });
-            }
-            Ok(decode_segment(&seg)?)
-        })
-    }
-
-    /// The one writer of both formats: header, then `LoopState`'s
-    /// fields in declaration order. The formats differ only in
-    /// `version` and in what `put_trace` leaves in the stream for trace
-    /// set `i` — the set itself, or the table entry of the segment file
-    /// it wrote. `room` is how many bytes `put_trace` writes over all
-    /// sets — nearly all of the flat form — so the stream is allocated
-    /// once at its exact length instead of doubling its way up: what
-    /// follows the trace sets is encoded first, into a buffer of its
-    /// own, and appended.
-    fn encode<E>(
-        &self,
-        version: u32,
-        room: usize,
-        mut put_trace: impl FnMut(&mut SnapWriter, usize, &TraceSet) -> Result<(), E>,
-    ) -> Result<Vec<u8>, E> {
         let st = &self.state;
         let mut tail = SnapWriter::new();
         write_stats(&mut tail, &st.stats);
@@ -213,7 +124,7 @@ impl Checkpoint {
 
         let mut w = SnapWriter::new();
         w.u32(MAGIC);
-        w.u32(version);
+        w.u32(VERSION);
         w.u64(self.digest);
         write_list(&mut w, &st.vweights, |w, &v| w.f64(v));
         write_list(&mut w, &st.alive, |w, &a| w.bool(a));
@@ -226,29 +137,36 @@ impl Checkpoint {
         write_list(&mut w, &st.rounds, write_round);
         write_list(&mut w, &st.round_targets, |w, rt| write_addrs(w, rt));
         w.u32(st.traces.len() as u32);
-        w.reserve(room + tail.bytes().len());
-        for (i, ts) in st.traces.iter().enumerate() {
-            put_trace(&mut w, i, ts)?;
+        let room: usize = st.traces.iter().map(|ts| trace_set_encoded_len(ts)).sum();
+        w.reserve(room + tail.bytes().len() + TRAILER);
+        for ts in &st.traces {
+            write_trace_set(&mut w, ts);
         }
         w.raw(tail.bytes());
-        Ok(w.into_bytes())
+        let sum = checksum(w.bytes());
+        w.u64(sum);
+        w.into_bytes()
     }
 
-    /// The one reader, mirror of [`encode`](Self::encode): `get_trace`
-    /// turns what the stream holds for trace set `i` back into the set.
-    /// Struct-literal fields are evaluated as written, which is the
-    /// encoding order.
-    fn decode<'a, E: From<SnapshotError>>(
-        bytes: &'a [u8],
-        version: u32,
-        mut get_trace: impl FnMut(&mut SnapReader<'a>, usize) -> Result<TraceSet, E>,
-    ) -> Result<Checkpoint, E> {
-        let r = &mut SnapReader::new(bytes);
+    /// Deserializes a checkpoint produced by
+    /// [`to_bytes`](Checkpoint::to_bytes), checking in order the magic
+    /// ([`SnapshotError::BadMagic`]), the version, the trailer and only
+    /// then the body — so a checkpoint of another version is refused by
+    /// number and a damaged one by its checksum, before a field of it is
+    /// trusted. Truncated, corrupt or foreign input is a
+    /// [`SnapshotError`], never a panic. Struct-literal fields are
+    /// evaluated as written, which is the encoding order.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, SnapshotError> {
+        let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(TRAILER));
+        let r = &mut SnapReader::new(body);
         if r.u32()? != MAGIC {
-            return Err(SnapshotError::BadMagic.into());
+            return Err(SnapshotError::BadMagic);
         }
-        if r.u32()? != version {
-            return Err(SnapshotError::BadValue("unsupported checkpoint version").into());
+        if r.u32()? != VERSION {
+            return Err(SnapshotError::BadValue("unsupported checkpoint version"));
+        }
+        if SnapReader::new(trailer).u64()? != checksum(body) {
+            return Err(SnapshotError::BadValue("checkpoint checksum"));
         }
         let digest = r.u64()?;
         let state = LoopState {
@@ -259,13 +177,7 @@ impl Checkpoint {
             subnets: read_list(r, read_prefix)?,
             rounds: read_list(r, read_round)?,
             round_targets: read_list(r, read_addrs)?,
-            traces: {
-                let mut i = 0;
-                read_list(r, |r| {
-                    i += 1;
-                    get_trace(r, i - 1).map(Arc::new)
-                })?
-            },
+            traces: read_list(r, |r| read_trace_set(r).map(Arc::new))?,
             stats: read_stats(r)?,
             consumed: r.u64()?,
             low_streak: r.u64()? as usize,
@@ -277,13 +189,31 @@ impl Checkpoint {
             },
         };
         if state.alive.len() != state.vweights.len() {
-            return Err(SnapshotError::BadValue("alive/weight length mismatch").into());
+            return Err(SnapshotError::BadValue("alive/weight length mismatch"));
         }
         if r.remaining() != 0 {
-            return Err(SnapshotError::BadValue("trailing bytes after checkpoint").into());
+            return Err(SnapshotError::BadValue("trailing bytes after checkpoint"));
         }
         Ok(Checkpoint { digest, state })
     }
+}
+
+/// The trailer: FNV-1a over `bytes` as little-endian `u64` words, then
+/// byte by byte over the tail past the last whole word. Word-wide, it
+/// keeps pace with the encoder, where bytewise [`fnv1a`] would not. Each
+/// step (xor a word, multiply by an odd prime) is a bijection of the
+/// state, so a corruption confined to one word always changes the sum.
+fn checksum(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ u64::from_le_bytes(word.try_into().unwrap())).wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+    h
 }
 
 /// A `u32` count, then the items.
@@ -294,10 +224,10 @@ fn write_list<T>(w: &mut SnapWriter, items: &[T], mut put: impl FnMut(&mut SnapW
     }
 }
 
-fn read_list<'a, T, E: From<SnapshotError>>(
+fn read_list<'a, T>(
     r: &mut SnapReader<'a>,
-    get: impl FnMut(&mut SnapReader<'a>) -> Result<T, E>,
-) -> Result<Vec<T>, E> {
+    get: impl FnMut(&mut SnapReader<'a>) -> Result<T, SnapshotError>,
+) -> Result<Vec<T>, SnapshotError> {
     let n = r.u32()? as usize;
     read_n(r, n, get)
 }
@@ -305,11 +235,11 @@ fn read_list<'a, T, E: From<SnapshotError>>(
 /// `n` items with no count of their own. `n` came out of the input:
 /// what is reserved up front is bounded, a short read fails as
 /// truncation.
-fn read_n<'a, T, E>(
+fn read_n<'a, T>(
     r: &mut SnapReader<'a>,
     n: usize,
-    mut get: impl FnMut(&mut SnapReader<'a>) -> Result<T, E>,
-) -> Result<Vec<T>, E> {
+    mut get: impl FnMut(&mut SnapReader<'a>) -> Result<T, SnapshotError>,
+) -> Result<Vec<T>, SnapshotError> {
     let mut out = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         out.push(get(r)?);
@@ -317,12 +247,19 @@ fn read_n<'a, T, E>(
     Ok(out)
 }
 
+/// A prefix is stored as its base word and length. A base with host
+/// bits set is refused rather than masked: it would decode to a prefix
+/// that re-encodes to other bytes.
 fn read_prefix(r: &mut SnapReader<'_>) -> Result<Ipv6Prefix, SnapshotError> {
     let (word, len) = (r.u128()?, r.u8()?);
     if len > 128 {
         return Err(SnapshotError::BadValue("prefix length over 128"));
     }
-    Ok(Ipv6Prefix::from_word(word, len))
+    let p = Ipv6Prefix::from_word(word, len);
+    if p.base_word() != word {
+        return Err(SnapshotError::BadValue("prefix host bits set"));
+    }
+    Ok(p)
 }
 
 /// The alias stage's cross-round state: the incremental router-graph
@@ -356,7 +293,7 @@ fn read_alias_state(r: &mut SnapReader<'_>) -> Result<AliasState, SnapshotError>
         rank: read_n(r, n, SnapReader::u8)?,
         observed: read_n(r, n, SnapReader::bool)?,
         alias_member: read_n(r, n, SnapReader::bool)?,
-        links: read_list(r, |r| Ok::<_, SnapshotError>((r.u32()?, r.u32()?)))?,
+        links: read_list(r, |r| Ok((r.u32()?, r.u32()?)))?,
     };
     Ok(AliasState {
         builder: RouterGraphBuilder::from_parts(&parts)
@@ -449,7 +386,7 @@ fn read_round(r: &mut SnapReader<'_>) -> Result<RoundReport, SnapshotError> {
         alias_pairs_rejected: r.u64()?,
         alias_probes: r.u64()?,
         per_vantage: read_list(r, |r| {
-            Ok::<_, SnapshotError>(VantageRound {
+            Ok(VantageRound {
                 vantage: r.u8()?,
                 targets: r.u64()?,
                 probes: r.u64()?,
@@ -476,4 +413,31 @@ fn read_stats(r: &mut SnapReader<'_>) -> Result<EngineStats, SnapshotError> {
         *v = r.u64()?;
     }
     Ok(EngineStats::from_array(values))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_prefix_with_host_bits_is_refused() {
+        let read = |word: u128, len: u8| {
+            let mut w = SnapWriter::new();
+            w.u128(word);
+            w.u8(len);
+            read_prefix(&mut SnapReader::new(w.bytes()))
+        };
+        let base = 0x2001_0db8_u128 << 96;
+        assert_eq!(read(base, 32), Ok(Ipv6Prefix::from_word(base, 32)));
+        // Masking the host bit away would decode a prefix that encodes
+        // to other bytes.
+        assert_eq!(
+            read(base | 1, 32),
+            Err(SnapshotError::BadValue("prefix host bits set"))
+        );
+        assert_eq!(
+            read(base, 129),
+            Err(SnapshotError::BadValue("prefix length over 128"))
+        );
+    }
 }

@@ -82,8 +82,7 @@ pub mod prelude {
     pub use crate::adaptive::{
         resume_adaptive, resume_adaptive_checkpointed, run_adaptive, run_adaptive_checkpointed,
         run_adaptive_delta, run_adaptive_parallel, AdaptiveConfig, AdaptiveResult,
-        AliasStageConfig, DeltaSeedConfig, RoundReport, RouterLevelResult, StopReason,
-        VantageRound,
+        AliasStageConfig, RoundReport, RouterLevelResult, StopReason, VantageRound,
     };
     pub use crate::checkpoint::{Checkpoint, ResumeError};
     pub use aliasres::{

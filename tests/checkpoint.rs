@@ -7,16 +7,21 @@
 //! * **bytes are deterministic** — `to_bytes ∘ from_bytes` is the
 //!   identity on the encoding, and truncated/corrupt input is a clean
 //!   [`SnapshotError`], never a panic;
+//! * **bytes are sealed** — every truncation and every flipped bit is
+//!   refused (the trailer checksum catches what no range check can),
+//!   older versions are refused by number, and behind the seal the
+//!   body decoder accepts only bytes it would write itself;
 //! * **foreign checkpoints are refused** — a digest mismatch (other
 //!   config, other topology) is [`ResumeError::ConfigMismatch`];
 //! * **properties** — seeded small runs pin the round-trip and the
 //!   determinism of supervised retries under fuzzed fault schedules.
 
+use analysis::{write_trace_set, SnapWriter};
 use beholder::prelude::*;
 use proptest::prelude::*;
 use seeds::feedback::FeedbackParams;
 use std::net::Ipv6Addr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use testkit::fixtures::z64_targets;
 
 fn fixture(faults: FaultSchedule) -> (Arc<Topology>, TargetSet) {
@@ -337,87 +342,166 @@ proptest! {
     }
 }
 
-/// A unique scratch directory removed on drop, even on panic.
-struct TempDir(std::path::PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("beholder-ck-{}-{}", name, std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
+/// The checkpoint trailer, computed again here so a test can reseal
+/// bytes it edited: FNV-1a over little-endian `u64` words, then byte by
+/// byte over the tail.
+fn reseal(bytes: &mut [u8]) {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let (body, trailer) = bytes.split_at_mut(bytes.len() - 8);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut words = body.chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ u64::from_le_bytes(word.try_into().unwrap())).wrapping_mul(PRIME);
     }
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+    trailer.copy_from_slice(&h.to_le_bytes());
 }
 
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+/// The first checkpoint of a `small_run` (≈32 KB) and the run's
+/// result: small enough to corrupt at every byte.
+fn small_checkpoint() -> (Vec<u8>, AdaptiveResult) {
+    let mut snaps = Vec::new();
+    let (_, _, res) = small_run(1, FaultSchedule::default(), false, &mut snaps);
+    (snaps.swap_remove(0), res)
 }
 
 #[test]
-fn checkpoint_directory_round_trip_and_reject_corruption() {
-    let (topo, set) = fixture(FaultSchedule::default());
-    let cfg = cfg();
-    let dir = TempDir::new("round-trip");
-    let mut last: Option<Vec<u8>> = None;
-    run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
-        ck.save_dir(&dir.0).expect("save_dir");
-        last = Some(ck.to_bytes());
-    });
-    let flat = last.expect("at least one checkpoint");
+fn every_truncation_and_bit_flip_is_refused() {
+    let (bytes, _) = small_checkpoint();
+    for cut in 0..bytes.len() {
+        assert!(
+            Checkpoint::from_bytes(&bytes[..cut]).is_err(),
+            "a {cut}-byte prefix decoded"
+        );
+    }
+    // Debug builds flip one bit of each byte, optimised builds all eight.
+    let mut bad = bytes.clone();
+    for i in 0..bytes.len() {
+        let bits = if cfg!(debug_assertions) {
+            i % 8..i % 8 + 1
+        } else {
+            0..8
+        };
+        for bit in bits {
+            bad[i] ^= 1 << bit;
+            assert!(
+                Checkpoint::from_bytes(&bad).is_err(),
+                "bit {bit} of byte {i} flipped, and it decoded"
+            );
+            bad[i] ^= 1 << bit;
+        }
+    }
+    reseal(&mut bad);
+    assert!(bad == bytes, "the test's trailer is the codec's");
+}
 
-    // The directory decodes to the same state the flat encoding holds:
-    // resuming from either is indistinguishable, so compare the bytes.
-    let ck = Checkpoint::load_dir(&dir.0).expect("load_dir");
-    assert_eq!(ck.to_bytes(), flat, "directory round trip diverged");
-    assert!(
-        dir.0.join("trace-0000.seg").is_file(),
-        "per-trace segments expected"
+/// Offset of the first hop cell inside one `write_trace_set` encoding:
+/// two strings, a `u64`, the interner words, the targets, a meta per
+/// target (17 bytes, 18 with a `reached_at`), then the hop count.
+fn first_hop_cell(set: &[u8]) -> usize {
+    let count = |at: usize| u32::from_le_bytes(set[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = 4 + count(0);
+    at += 4 + count(at) + 8;
+    at += 4 + 16 * count(at);
+    let targets = count(at);
+    at += 4 + 16 * targets;
+    for _ in 0..targets {
+        at += 16;
+        at += if set[at] == 1 { 2 } else { 1 };
+    }
+    assert!(count(at) > 0, "the set has hop cells");
+    at + 4
+}
+
+#[test]
+fn a_flipped_hop_cell_fails_the_checksum() {
+    // A hop cell's TTL takes any value, so no range check of the body
+    // can see this edit: only the seal does.
+    let (bytes, res) = small_checkpoint();
+    let mut w = SnapWriter::new();
+    write_trace_set(&mut w, &res.traces[0]);
+    let set = w.into_bytes();
+    let at = bytes
+        .windows(set.len())
+        .position(|w| w == set)
+        .expect("the checkpoint holds the set inline");
+    let mut bad = bytes.clone();
+    bad[at + first_hop_cell(&set)] ^= 0x01;
+    assert_eq!(
+        Checkpoint::from_bytes(&bad).unwrap_err(),
+        SnapshotError::BadValue("checkpoint checksum")
     );
+    // Resealed, the same edit decodes to another state.
+    reseal(&mut bad);
+    let other = Checkpoint::from_bytes(&bad).expect("the body decoder accepts the edit");
+    assert!(other.to_bytes() == bad);
+}
 
-    // A truncated trace segment fails the manifest length check.
-    let seg = dir.0.join("trace-0000.seg");
-    let bytes = std::fs::read(&seg).unwrap();
-    std::fs::write(&seg, &bytes[..bytes.len() - 1]).unwrap();
-    assert!(matches!(
-        Checkpoint::load_dir(&dir.0),
-        Err(StoreError::Mismatch(_))
-    ));
+#[test]
+fn older_versions_are_refused_by_number() {
+    let (bytes, _) = small_checkpoint();
+    // Version 3 had no trailer; version 4 was the directory form's.
+    for version in [3u32, 4] {
+        let mut old = bytes.clone();
+        old[4..8].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            Checkpoint::from_bytes(&old).unwrap_err(),
+            SnapshotError::BadValue("unsupported checkpoint version")
+        );
+    }
+}
 
-    // Same length, flipped bit: the checksum names the segment.
-    let mut rot = bytes.clone();
-    let mid = rot.len() / 2;
-    rot[mid] ^= 0x10;
-    std::fs::write(&seg, &rot).unwrap();
-    assert!(matches!(
-        Checkpoint::load_dir(&dir.0),
-        Err(StoreError::Corrupt { segment: 0 })
-    ));
+/// The first checkpoint of the quarantine + alias fixture: every part
+/// of the state (subnets, alias parts, trace sets) is non-empty.
+fn sealed_checkpoint() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let (topo, set) = fixture(FaultSchedule::default());
+        let cfg = AdaptiveConfig {
+            quarantine_feedback: true,
+            alias_resolution: true,
+            max_rounds: 1,
+            ..cfg()
+        };
+        let mut first = None;
+        run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
+            first.get_or_insert_with(|| ck.to_bytes());
+        });
+        first.expect("one checkpoint")
+    })
+}
 
-    // A deleted segment is an I/O error, not a panic.
-    std::fs::remove_file(&seg).unwrap();
-    assert!(matches!(
-        Checkpoint::load_dir(&dir.0),
-        Err(StoreError::Io(_))
-    ));
-
-    // Restore and confirm the directory loads (and resumes) again.
-    std::fs::write(&seg, &bytes).unwrap();
-    let ck = Checkpoint::load_dir(&dir.0).expect("restored directory must load");
-    let resumed = resume_adaptive(&topo, &cfg, &ck, false).expect("resume from dir");
-    let straight = run_adaptive(&topo, &set, &cfg);
-    assert_eq!(resumed.stats, straight.stats);
-    assert_eq!(resumed.stop, straight.stop);
+proptest! {
+    /// Behind the seal the body decoder stands on its own: resealed
+    /// after random edits anywhere between the version and the trailer,
+    /// a checkpoint decodes to an error or to a state that re-encodes to
+    /// exactly the input — never a panic, never a second spelling of
+    /// one state.
+    #[test]
+    fn prop_resealed_edits_decode_canonically(
+        edits in prop::collection::vec((any::<u64>(), 1u8..=255), 1..4),
+    ) {
+        let mut bytes = sealed_checkpoint().to_vec();
+        let body = bytes.len() - 16;
+        for &(at, x) in &edits {
+            bytes[8 + (at % body as u64) as usize] ^= x;
+        }
+        reseal(&mut bytes);
+        if let Ok(ck) = Checkpoint::from_bytes(&bytes) {
+            prop_assert!(ck.to_bytes() == bytes, "a decoded checkpoint re-encodes to other bytes");
+        }
+    }
 }
 
 /// Golden `(len, fnv1a)` of the quarantine + alias fixture's encodings,
-/// captured at the commit before the codec was rewritten around one
-/// body writer and one body reader. Round trips only show an encoding
+/// re-pinned when the trailer arrived: each is the version 3 encoding
+/// of the same run with only the version and digest words rewritten
+/// and the 8-byte checksum appended. Round trips only show an encoding
 /// agrees with itself; these show it did not move across commits.
-const PINNED_ROUND_1: (usize, u64) = (85_254, 11_730_058_205_706_831_948);
-const PINNED_LAST_ROUND: (usize, u64) = (230_470, 295_990_156_829_139_876);
-const PINNED_DIR_FILE: (usize, u64) = (56_217, 10_560_436_029_968_677_654);
-const PINNED_SEGMENTS: usize = 12;
+const PINNED_ROUND_1: (usize, u64) = (85_262, 17_415_760_415_644_148_315);
+const PINNED_LAST_ROUND: (usize, u64) = (230_478, 15_732_654_363_362_157_813);
 
 #[test]
 fn checkpoint_format_is_pinned() {
@@ -428,26 +512,13 @@ fn checkpoint_format_is_pinned() {
         alias_resolution: true,
         ..cfg()
     };
-    let dir = TempDir::new("pinned");
     let mut flat: Vec<(usize, u64)> = Vec::new();
     run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
         let bytes = ck.to_bytes();
         flat.push((bytes.len(), fnv1a(&bytes)));
-        ck.save_dir(&dir.0).expect("save_dir");
     });
     assert_eq!(flat[0], PINNED_ROUND_1);
     assert_eq!(*flat.last().unwrap(), PINNED_LAST_ROUND);
-
-    let bin = std::fs::read(dir.0.join("checkpoint.bin")).unwrap();
-    assert_eq!((bin.len(), fnv1a(&bin)), PINNED_DIR_FILE);
-    let segments = std::fs::read_dir(&dir.0)
-        .unwrap()
-        .filter(|e| e.as_ref().unwrap().path().extension() == Some("seg".as_ref()))
-        .count();
-    assert_eq!(segments, PINNED_SEGMENTS);
-    // Both forms hold the same state.
-    let loaded = Checkpoint::load_dir(&dir.0).expect("load_dir").to_bytes();
-    assert_eq!((loaded.len(), fnv1a(&loaded)), PINNED_LAST_ROUND);
 }
 
 /// Golden `(len, fnv1a)` of the *final* checkpoint of two runs that end
@@ -457,8 +528,8 @@ fn checkpoint_format_is_pinned() {
 /// checkpoint still carries the pool the round was planned from. No
 /// result can show a leak (nothing reads the pool after the stop); only
 /// these bytes can.
-const PINNED_YIELD_FLOOR_LAST: (usize, u64) = (158_441, 7_475_253_908_518_151_844);
-const PINNED_BUDGET_LAST: (usize, u64) = (258_115, 8_323_124_362_037_187_076);
+const PINNED_YIELD_FLOOR_LAST: (usize, u64) = (158_449, 10_894_837_199_655_271_320);
+const PINNED_BUDGET_LAST: (usize, u64) = (258_123, 975_147_306_510_372_682);
 
 #[test]
 fn a_discarded_pool_never_reaches_the_last_checkpoint() {

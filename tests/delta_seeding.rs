@@ -19,7 +19,7 @@ use testkit::fixtures::z64_targets;
 
 fn fixture() -> (Arc<Topology>, TargetSet) {
     // Rate limiting is the one schedule-dependent response path (token
-    // buckets drain differently under a 48-canary round than under a
+    // buckets drain differently under a 64-canary round than under a
     // full sweep); neutralizing it makes observations a pure function
     // of (target, ttl), which is what lets an unchanged world re-probe
     // to identical canary observations. Loss/unresponsiveness are
@@ -48,7 +48,6 @@ fn cfg() -> AdaptiveConfig {
         // feedback targets from the seeded discovery set.
         min_yield_per_kprobes: 0.5,
         patience: 1,
-        delta_seeding: Some(DeltaSeedConfig { canary_targets: 48 }),
         ..AdaptiveConfig::default()
     }
 }

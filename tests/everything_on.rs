@@ -199,12 +199,9 @@ fn all_features_compose_under_faults_and_adversaries() {
 #[test]
 fn all_features_compose_under_delta_seeding() {
     let (topo, set) = fixture();
-    let first = run_adaptive(&topo, &set, &cfg());
+    let cfg = cfg();
+    let first = run_adaptive(&topo, &set, &cfg);
     let prior = ShardedTraceSet::from_set(&first.merged_traces(), 8);
-    let cfg = AdaptiveConfig {
-        delta_seeding: Some(DeltaSeedConfig { canary_targets: 48 }),
-        ..cfg()
-    };
     let a = run_adaptive_delta(&topo, &set, &cfg, &prior, false);
     let b = run_adaptive_delta(&topo, &set, &cfg, &prior, true);
     assert_same(&a, &b);
