@@ -393,7 +393,7 @@ fn campaign_golden_quarantined_input() {
     for g in &aliases {
         b.merge_alias_group(g);
     }
-    let refs: Vec<&TraceSet> = scrubbed.iter().collect();
+    let refs: Vec<&TraceSet> = scrubbed.iter().map(|c| &**c).collect();
     let golden = RouterGraph::build_multi(&refs, &b.alias_groups()).canonical();
     assert_eq!(b.snapshot(), golden);
 }

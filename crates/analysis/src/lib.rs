@@ -45,9 +45,7 @@ pub use metrics::{
     discovery_curve, hop_responsiveness, vantage_contributions, vantage_jaccard,
     vantage_union_count, CampaignMetrics, VantageContribution,
 };
-pub use quarantine::{
-    quarantine, quarantine_all, quarantine_changed, QuarantineConfig, QuarantineReport,
-};
+pub use quarantine::{quarantine_all, QuarantineConfig, QuarantineReport};
 pub use runner::{CampaignOutcome, CampaignRun, CampaignRunner};
 pub use shard::{ShardRoute, ShardedTraceSet};
 pub use snapshot::{

@@ -33,13 +33,13 @@
 //! Condemnation is *global*: once an address is condemned anywhere,
 //! every cell it owns is scrubbed from every set
 //! ([`quarantine_all`] evaluates the rules jointly across vantages).
-//! A set with nothing to scrub is not rebuilt: [`quarantine_changed`]
-//! reports it as `None` (the caller keeps its original), and
-//! [`quarantine_all`] fills that slot with a verbatim clone — the
-//! clean-input path is bit-identical, pinned by tests.
+//! A set with nothing to scrub is neither rebuilt nor copied: its slot
+//! is `Cow::Borrowed` from the input itself, so the clean-input path is
+//! bit-identical by construction and costs no memory.
 
 use crate::intern::{AddrInterner, Reintern};
 use crate::traces::{TraceMeta, TraceSet};
+use std::borrow::Cow;
 use std::net::Ipv6Addr;
 
 /// Thresholds for the quarantine rules. The defaults are conservative
@@ -92,8 +92,8 @@ pub struct QuarantineReport {
 }
 
 impl QuarantineReport {
-    /// Did the pass remove anything at all? A clean report guarantees
-    /// the returned sets are verbatim clones of their inputs.
+    /// Did the pass remove anything at all? A report is clean exactly
+    /// when every returned slot is borrowed from its input.
     pub fn is_clean(&self) -> bool {
         self.condemned.is_empty()
             && self.condemned_hops_dropped == 0
@@ -105,13 +105,6 @@ impl QuarantineReport {
     pub fn cells_dropped(&self) -> u64 {
         self.condemned_hops_dropped + self.implausible_hops_dropped + self.unreach_dropped
     }
-}
-
-/// Quarantines one set in isolation: rule evidence comes only from the
-/// set itself. Equivalent to `quarantine_all(&[set], cfg)`.
-pub fn quarantine(set: &TraceSet, cfg: &QuarantineConfig) -> (TraceSet, QuarantineReport) {
-    let (mut cleaned, report) = quarantine_all(&[set], cfg);
-    (cleaned.pop().expect("one input, one output"), report)
 }
 
 /// Rule evidence for one responder, indexed by interner id: per set
@@ -141,30 +134,14 @@ const UNSEEN: Evidence = Evidence {
 /// Quarantines many sets jointly: the loop and span rules pool their
 /// evidence across every set (a router lying toward one vantage is
 /// condemned toward all), then each set is scrubbed independently.
-/// Outputs are index-aligned with inputs; a set that loses nothing is
-/// returned as a verbatim clone (bit-identical, including interner id
-/// assignment). [`quarantine_changed`] is the same pass without those
-/// clones, for a caller that still holds the inputs.
-pub fn quarantine_all(
-    sets: &[&TraceSet],
+/// Outputs are index-aligned with inputs: a slot is `Cow::Owned` only
+/// where the pass dropped at least one cell, and a set that loses
+/// nothing comes back `Cow::Borrowed` — the input itself, nothing
+/// copied to say "unchanged".
+pub fn quarantine_all<'a>(
+    sets: &[&'a TraceSet],
     cfg: &QuarantineConfig,
-) -> (Vec<TraceSet>, QuarantineReport) {
-    let (changed, report) = quarantine_changed(sets, cfg);
-    let cleaned = changed
-        .into_iter()
-        .zip(sets)
-        .map(|(c, &set)| c.unwrap_or_else(|| set.clone()))
-        .collect();
-    (cleaned, report)
-}
-
-/// [`quarantine_all`] for a caller that owns its inputs: a slot is
-/// `Some` only where the pass dropped at least one cell, and `None`
-/// means *the input is the output* — nothing is copied to say so.
-pub fn quarantine_changed(
-    sets: &[&TraceSet],
-    cfg: &QuarantineConfig,
-) -> (Vec<Option<TraceSet>>, QuarantineReport) {
+) -> (Vec<Cow<'a, TraceSet>>, QuarantineReport) {
     // Pass 1: evidence per cell by the set's own interner id, pooled by
     // address once per responder so ids from different interners meet.
     let mut pool = AddrInterner::new();
@@ -216,7 +193,7 @@ pub fn quarantine_changed(
     // Pass 2: scrub each set.
     let cleaned = sets
         .iter()
-        .map(|set| scrub(set, cfg, &condemned, &mut report))
+        .map(|&set| scrub(set, cfg, &condemned, &mut report).map_or(Cow::Borrowed(set), Cow::Owned))
         .collect();
     report.condemned = condemned;
     (cleaned, report)
@@ -352,11 +329,10 @@ mod tests {
             ),
             rec("2001:db8::2", "::a", ResponseKind::TimeExceeded, Some(1)),
         ]);
-        let (cleaned, report) = quarantine(&set, &QuarantineConfig::default());
+        let (cleaned, report) = quarantine_all(&[&set], &QuarantineConfig::default());
         assert!(report.is_clean());
-        assert_eq!(cleaned, set);
-        // Bit-identity includes interner id assignment.
-        assert_eq!(cleaned.interner().words(), set.interner().words());
+        // Not a copy: the input itself, interner ids and all.
+        assert!(matches!(cleaned[0], Cow::Borrowed(s) if std::ptr::eq(s, &set)));
     }
 
     #[test]
@@ -371,7 +347,8 @@ mod tests {
             // goes too.
             rec("2001:db8::2", "::bad", ResponseKind::TimeExceeded, Some(2)),
         ]);
-        let (cleaned, report) = quarantine(&set, &QuarantineConfig::default());
+        let (cleaned, report) = quarantine_all(&[&set], &QuarantineConfig::default());
+        let cleaned = &cleaned[0];
         assert_eq!(report.looping_responders, 1);
         assert_eq!(report.condemned, vec!["::bad".parse::<Ipv6Addr>().unwrap()]);
         assert_eq!(report.condemned_hops_dropped, 4);
@@ -406,7 +383,8 @@ mod tests {
             ));
         }
         let set = set_of(records);
-        let (cleaned, report) = quarantine(&set, &QuarantineConfig::default());
+        let (cleaned, report) = quarantine_all(&[&set], &QuarantineConfig::default());
+        let cleaned = &cleaned[0];
         assert_eq!(report.looping_responders, 0);
         assert_eq!(report.wide_span_responders, 1);
         assert_eq!(
@@ -439,7 +417,8 @@ mod tests {
             ),
             rec("2001:db8::2", "::a", ResponseKind::TimeExceeded, Some(2)),
         ]);
-        let (cleaned, report) = quarantine(&set, &QuarantineConfig::default());
+        let (cleaned, report) = quarantine_all(&[&set], &QuarantineConfig::default());
+        let cleaned = &cleaned[0];
         assert!(report.condemned.is_empty());
         assert_eq!(report.implausible_hops_dropped, 2);
         assert_eq!(report.traces_touched, 2);
@@ -477,9 +456,9 @@ mod tests {
             vec!["::feed".parse::<Ipv6Addr>().unwrap()]
         );
         // Solo quarantine of B alone would have kept the zombie.
-        let (solo, solo_report) = quarantine(&b, &QuarantineConfig::default());
+        let (solo, solo_report) = quarantine_all(&[&b], &QuarantineConfig::default());
         assert!(solo_report.is_clean());
-        assert_eq!(solo.interface_addrs().len(), 2);
+        assert_eq!(solo[0].interface_addrs().len(), 2);
     }
 
     #[test]
@@ -500,9 +479,9 @@ mod tests {
                 Some(3),
             ),
         ]);
-        let (cleaned, report) = quarantine(&set, &QuarantineConfig::default());
+        let (cleaned, report) = quarantine_all(&[&set], &QuarantineConfig::default());
         assert_eq!(report.unreach_dropped, 1);
-        let t = cleaned.get("2001:db8::2".parse().unwrap()).unwrap();
+        let t = cleaned[0].get("2001:db8::2".parse().unwrap()).unwrap();
         assert_eq!(t.unreachable().count(), 1);
         assert_eq!(
             t.unreachable().next().unwrap().1,
@@ -518,11 +497,10 @@ mod tests {
             rec("2001:db8::1", "::bad", ResponseKind::TimeExceeded, Some(3)),
         ]);
         let cfg = QuarantineConfig::default();
-        let (once, r1) = quarantine(&set, &cfg);
-        let (twice, r2) = quarantine(&once, &cfg);
+        let (once, r1) = quarantine_all(&[&set], &cfg);
+        let (twice, r2) = quarantine_all(&[&once[0]], &cfg);
         assert!(!r1.is_clean());
         assert!(r2.is_clean());
-        assert_eq!(twice, once);
-        assert_eq!(twice.interner().words(), once.interner().words());
+        assert!(matches!(twice[0], Cow::Borrowed(s) if std::ptr::eq(s, &*once[0])));
     }
 }

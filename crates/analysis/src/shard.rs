@@ -103,20 +103,31 @@ impl ShardedTraceSet {
             buckets[route.shard_of(t)].push(i);
         }
         let (mut shards, touched): (Vec<TraceSet>, Vec<Vec<bool>>) = pool_map(n, n > 1, |s| {
+            // Every column is reserved at its final length, summed from
+            // the bucket's metas, so none grows by doubling.
+            let bucket = &buckets[s];
+            let (n_hops, n_unreach) = bucket.iter().fold((0usize, 0usize), |(h, u), &i| {
+                let m = &ts.metas[i];
+                (h + m.hop_len as usize, u + m.unreach_len as usize)
+            });
+            assert!(
+                n_hops <= u32::MAX as usize && n_unreach <= u32::MAX as usize,
+                "one shard holds at most 2^32 - 1 hop and 2^32 - 1 unreachable cells"
+            );
             let mut out = TraceSet {
                 vantage: ts.vantage.clone(),
                 target_set: ts.target_set.clone(),
                 rewritten_dropped: if s == 0 { ts.rewritten_dropped } else { 0 },
                 interner: AddrInterner::new(),
-                targets: Vec::with_capacity(buckets[s].len()),
-                metas: Vec::with_capacity(buckets[s].len()),
-                hops: Vec::new(),
-                unreach: Vec::new(),
+                targets: Vec::with_capacity(bucket.len()),
+                metas: Vec::with_capacity(bucket.len()),
+                hops: Vec::with_capacity(n_hops),
+                unreach: Vec::with_capacity(n_unreach),
                 sources: ts.sources.clone(),
-                prov: Vec::new(),
+                prov: Vec::with_capacity(if ts.prov.is_empty() { 0 } else { bucket.len() }),
             };
             let mut ids = Reintern::new(&ts.interner);
-            for &i in &buckets[s] {
+            for &i in bucket {
                 let m = &ts.metas[i];
                 let hop_off = out.hops.len() as u32;
                 for &(ttl, id) in &ts.hops[m.hop_off as usize..(m.hop_off + m.hop_len) as usize] {
@@ -311,6 +322,20 @@ mod tests {
                 for &t in shard.targets() {
                     assert_eq!(sharded.route().shard_of(t), s);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn every_shard_column_is_reserved_at_its_final_length() {
+        let ts = sample_set();
+        // A merged set carries a provenance column; one campaign's is
+        // empty.
+        let merged = TraceSet::merge_all([&ts, &ts]);
+        assert_eq!(merged.prov.len(), ts.len());
+        for set in [&ts, &merged] {
+            for shard in ShardedTraceSet::from_set(set, 8).shards() {
+                assert_eq!(shard.spare_capacity(), [0; 5]);
             }
         }
     }

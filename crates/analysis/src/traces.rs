@@ -549,7 +549,9 @@ impl TraceSet {
 
     /// Appends `src`'s trace at `idx` to `self`'s columns. `id_remap`
     /// is `Some` for every input but the first (whose interner ids and
-    /// provenance indices are the result's own, untranslated).
+    /// provenance indices are the result's own, untranslated). The
+    /// `u32` offsets cannot wrap: `merge_all` checked the final column
+    /// lengths before the first call.
     fn push_merged_trace(
         &mut self,
         src: &TraceSet,
@@ -595,7 +597,8 @@ impl TraceSet {
     /// One k-way walk: interner ids append in first-appearance,
     /// input-major order; the leftmost owner wins per-target dedup;
     /// names and provenance join in input order. Each surviving cell
-    /// is copied once and each input word interned once, where a fold
+    /// is copied once, into a column reserved at exactly its final
+    /// length, and each input word interned once, where a fold
     /// re-copies and re-hashes the accumulated set at every step. The
     /// `merge_props` suite pins it against that fold written out over
     /// addresses (`testkit::oracle::merge_fold`).
@@ -655,7 +658,20 @@ impl TraceSet {
             })
             .collect();
 
-        let n_targets: usize = refs.iter().map(|s| s.targets.len()).sum();
+        // The owner walk runs twice: once to size every column at
+        // exactly what survives dedup (inputs over the same targets
+        // would otherwise reserve their sum), once to copy.
+        let (mut n_targets, mut n_hops, mut n_unreach) = (0usize, 0usize, 0usize);
+        for (i, idx) in owner_walk(&refs) {
+            let m = refs[i].metas[idx];
+            n_targets += 1;
+            n_hops += m.hop_len as usize;
+            n_unreach += m.unreach_len as usize;
+        }
+        assert!(
+            n_hops <= u32::MAX as usize && n_unreach <= u32::MAX as usize,
+            "one trace set holds at most 2^32 - 1 hop and 2^32 - 1 unreachable cells"
+        );
         let mut out = TraceSet {
             vantage,
             target_set,
@@ -663,44 +679,13 @@ impl TraceSet {
             interner,
             targets: Vec::with_capacity(n_targets),
             metas: Vec::with_capacity(n_targets),
-            hops: Vec::with_capacity(refs.iter().map(|s| s.hops.len()).sum()),
-            unreach: Vec::with_capacity(refs.iter().map(|s| s.unreach.len()).sum()),
+            hops: Vec::with_capacity(n_hops),
+            unreach: Vec::with_capacity(n_unreach),
             sources,
             prov: Vec::with_capacity(n_targets),
         };
-
-        // Sorted k-pointer walk: each step takes the smallest pending
-        // target; the lowest-index input holding it owns the surviving
-        // trace (leftmost wins, as in the fold) and every input at that
-        // target advances.
-        let mut cursors = vec![0usize; refs.len()];
-        loop {
-            let mut min: Option<u128> = None;
-            for (s, &c) in refs.iter().zip(&cursors) {
-                if let Some(&t) = s.targets.get(c) {
-                    let w = u128::from(t);
-                    if min.is_none_or(|m| w < m) {
-                        min = Some(w);
-                    }
-                }
-            }
-            let Some(min) = min else { break };
-            let mut owner: Option<usize> = None;
-            for (i, (s, c)) in refs.iter().zip(&mut cursors).enumerate() {
-                if s.targets.get(*c).is_some_and(|&t| u128::from(t) == min) {
-                    if owner.is_none() {
-                        owner = Some(i);
-                    }
-                    *c += 1;
-                }
-            }
-            let i = owner.expect("min target has an owner");
-            out.push_merged_trace(
-                refs[i],
-                cursors[i] - 1,
-                id_remaps[i].as_deref(),
-                &src_remaps[i],
-            );
+        for (i, idx) in owner_walk(&refs) {
+            out.push_merged_trace(refs[i], idx, id_remaps[i].as_deref(), &src_remaps[i]);
         }
         out
     }
@@ -775,6 +760,51 @@ impl TraceSet {
             .ok()
             .map(|idx| TraceView { set: self, idx })
     }
+
+    /// Reserved but unused slots of the `targets`, `metas`, `hops`,
+    /// `unreach` and `prov` columns, in that order.
+    #[cfg(test)]
+    pub(crate) fn spare_capacity(&self) -> [usize; 5] {
+        [
+            self.targets.capacity() - self.targets.len(),
+            self.metas.capacity() - self.metas.len(),
+            self.hops.capacity() - self.hops.len(),
+            self.unreach.capacity() - self.unreach.len(),
+            self.prov.capacity() - self.prov.len(),
+        ]
+    }
+}
+
+/// The k-way owner walk of [`TraceSet::merge_all`]: `(input, index)` of
+/// every surviving trace, in target order. Each step takes the smallest
+/// pending target; the lowest-index input holding it owns the surviving
+/// trace (leftmost wins, as in the fold) and every input at that target
+/// advances.
+fn owner_walk<'s>(sets: &'s [&'s TraceSet]) -> impl Iterator<Item = (usize, usize)> + 's {
+    let mut cursors = vec![0usize; sets.len()];
+    std::iter::from_fn(move || {
+        let mut min: Option<u128> = None;
+        for (s, &c) in sets.iter().zip(&cursors) {
+            if let Some(&t) = s.targets.get(c) {
+                let w = u128::from(t);
+                if min.is_none_or(|m| w < m) {
+                    min = Some(w);
+                }
+            }
+        }
+        let min = min?;
+        let mut owner: Option<usize> = None;
+        for (i, (s, c)) in sets.iter().zip(&mut cursors).enumerate() {
+            if s.targets.get(*c).is_some_and(|&t| u128::from(t) == min) {
+                if owner.is_none() {
+                    owner = Some(i);
+                }
+                *c += 1;
+            }
+        }
+        let i = owner.expect("min target has an owner");
+        Some((i, cursors[i] - 1))
+    })
 }
 
 /// Joins two campaign-identity names for a merged set: the
@@ -1359,6 +1389,32 @@ mod tests {
         assert_eq!(m, a.merge(&b).merge(&c));
         let names: Vec<String> = m.iter().map(|t| t.vantage().to_string()).collect();
         assert_eq!(names, vec!["A", "B", "C"]);
+    }
+
+    #[test]
+    fn merge_all_reserves_exactly_what_survives_dedup() {
+        // Three vantages over the same four targets: the first owns every
+        // trace, so a third of the inputs' cells survive.
+        let te = ResponseKind::TimeExceeded;
+        let du = ResponseKind::DestUnreachable(DestUnreachCode::NoRoute);
+        let sets: Vec<TraceSet> = ["a", "b", "c"]
+            .map(|v| {
+                let records = (1..=4)
+                    .flat_map(|t| {
+                        let (target, hop) = (format!("2001:db8::{t}"), format!("::{v}{t}"));
+                        [
+                            rec(&target, &hop, te, Some(1)),
+                            rec(&target, &hop, te, Some(2)),
+                            rec(&target, "::f", du, Some(3)),
+                        ]
+                    })
+                    .collect();
+                TraceSet::from_log(&log_named(v, records))
+            })
+            .into();
+        let m = TraceSet::merge_all(&sets);
+        assert_eq!((m.len(), m.hops.len(), m.unreach.len()), (4, 8, 4));
+        assert_eq!(m.spare_capacity(), [0; 5]);
     }
 
     #[test]

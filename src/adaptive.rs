@@ -120,13 +120,14 @@ use aliasres::{
     resolve_aliases_supervised, sibling_candidates, AliasConfig, RouterGraph, RouterGraphBuilder,
 };
 use analysis::{
-    discover_by_path_div, ia_hack, quarantine_changed, stream_campaigns_supervised, AsnResolver,
+    discover_by_path_div, ia_hack, quarantine_all, stream_campaigns_supervised, AsnResolver,
     CandidateSubnet, PathDivParams, QuarantineConfig, ShardedTraceSet, TraceSet,
 };
 use seeds::feedback::{feedback_list, FeedbackParams};
 // The workspace's shared splitmix64, for per-round generation seeds.
 use simnet::flow::mix64 as mix;
 use simnet::{EngineStats, Topology};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -991,14 +992,18 @@ fn probe_round(
 /// results: `Some` is the scrubbed replacement of a set that lost
 /// cells; `None` is a set the pass left alone (the mine stage keeps
 /// the original — nothing is copied to say "unchanged") or a campaign
-/// that failed outright. Empty when the stage is off.
+/// that failed outright. Empty when the stage is off. The borrowed
+/// slots cannot outlive this call: the mine stage consumes `run`.
 fn quarantine_round(cfg: &AdaptiveConfig, run: &RoundRun) -> Vec<Option<TraceSet>> {
     if !cfg.quarantine_feedback {
         return Vec::new();
     }
     let refs: Vec<&TraceSet> = run.results.iter().filter_map(|sc| sc.output()).collect();
-    let (scrubbed, _report) = quarantine_changed(&refs, &cfg.quarantine);
-    let mut it = scrubbed.into_iter();
+    let (scrubbed, _report) = quarantine_all(&refs, &cfg.quarantine);
+    let mut it = scrubbed.into_iter().map(|c| match c {
+        Cow::Owned(t) => Some(t),
+        Cow::Borrowed(_) => None,
+    });
     run.results
         .iter()
         .map(|sc| {

@@ -90,7 +90,7 @@ pub mod prelude {
         AliasSets, RouterGraph, RouterGraphBuilder,
     };
     pub use analysis::{
-        discover_by_path_div, ia_hack, quarantine, quarantine_all, read_sharded_snapshot,
+        discover_by_path_div, ia_hack, quarantine_all, read_sharded_snapshot,
         stream_campaigns_supervised, vantage_contributions, vantage_jaccard, vantage_union_count,
         write_sharded_snapshot, AsnResolver, CampaignOutcome, CampaignRun, CampaignRunner,
         CandidateSubnet, PathDivParams, QuarantineConfig, QuarantineReport, ShardRoute,
