@@ -104,7 +104,7 @@ impl RouterGraph {
     /// normalization on both sides). Per-campaign sets are walked as
     /// given, so two campaigns tracing the same target both contribute
     /// links — exactly the incremental ingest semantics, which differ
-    /// from building over a first-wins [`TraceSet::merge`].
+    /// from building over a first-wins [`TraceSet::merge_all`].
     pub fn build_multi(sets: &[&TraceSet], aliases: &[Vec<Ipv6Addr>]) -> RouterGraph {
         // One pooled id per address across groups and sets; node
         // membership is `node_of[pooled id]`, so the walk never hashes.

@@ -34,6 +34,4 @@ pub mod speedtrap;
 pub use candidates::sibling_candidates;
 pub use graph::RouterGraph;
 pub use incremental::{RouterGraphBuilder, RouterGraphParts};
-pub use speedtrap::{
-    resolve_aliases, resolve_aliases_budgeted, resolve_aliases_supervised, AliasConfig, AliasSets,
-};
+pub use speedtrap::{resolve_aliases, resolve_aliases_supervised, AliasConfig, AliasSets};

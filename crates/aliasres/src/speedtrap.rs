@@ -191,27 +191,16 @@ fn sample(
     (r.header.src == iface).then_some(r.frag_id)
 }
 
-/// Runs speedtrap from `vantage_idx` over `interfaces`.
-/// Unlimited-budget wrapper around [`resolve_aliases_budgeted`]
-/// starting at virtual time 0 — the original entry point, bit-identical
-/// to earlier releases.
+/// Runs speedtrap from `vantage_idx` over `interfaces` under a probe
+/// budget on an explicit virtual clock: probing starts at `start_us`
+/// (so a fault schedule sees alias probes where they really land —
+/// after the round's campaigns) and stops, phase by phase, once
+/// `max_probes` probes are spent. A truncated run marks
+/// [`AliasSets::truncated`]; interfaces the budget never reached appear
+/// in no output list, so callers re-offer them later instead of
+/// mistaking them for unresponsive. An unbudgeted run is
+/// `start_us = 0, max_probes = u64::MAX`.
 pub fn resolve_aliases(
-    engine: &mut Engine,
-    vantage_idx: u8,
-    interfaces: &[Ipv6Addr],
-    cfg: &AliasConfig,
-) -> AliasSets {
-    resolve_aliases_budgeted(engine, vantage_idx, interfaces, cfg, 0, u64::MAX)
-}
-
-/// [`resolve_aliases`] under a probe budget on an explicit virtual
-/// clock: probing starts at `start_us` (so a fault schedule sees alias
-/// probes where they really land — after the round's campaigns) and
-/// stops, phase by phase, once `max_probes` probes are spent. A
-/// truncated run marks [`AliasSets::truncated`]; interfaces the budget
-/// never reached appear in no output list, so callers re-offer them
-/// later instead of mistaking them for unresponsive.
-pub fn resolve_aliases_budgeted(
     engine: &mut Engine,
     vantage_idx: u8,
     interfaces: &[Ipv6Addr],
@@ -344,7 +333,7 @@ pub fn resolve_aliases_budgeted(
     }
 }
 
-/// Runs [`resolve_aliases_budgeted`] under the campaign supervisor
+/// Runs [`resolve_aliases`] under the campaign supervisor
 /// ([`yarrp6::campaign::supervise`] — the same loop streaming campaigns
 /// retry under). The call builds one engine and every attempt starts
 /// from its [`Engine::reset`] — full buckets, reseeded fragment
@@ -375,14 +364,8 @@ pub fn resolve_aliases_supervised(
         start_us,
         |clock| {
             engine.reset();
-            let sets = resolve_aliases_budgeted(
-                &mut engine,
-                vantage_idx,
-                interfaces,
-                cfg,
-                clock,
-                max_probes,
-            );
+            let sets =
+                resolve_aliases(&mut engine, vantage_idx, interfaces, cfg, clock, max_probes);
             let stats = engine.stats;
             debug_assert_eq!(stats.check(), Ok(()));
             Ok(Attempt {
@@ -467,7 +450,7 @@ mod tests {
     fn resolves_aliases_with_high_precision_and_recall() {
         let mut e = engine();
         let (ifaces, truth) = candidate_ifaces(&e, 40);
-        let sets = resolve_aliases(&mut e, 0, &ifaces, &AliasConfig::default());
+        let sets = resolve_aliases(&mut e, 0, &ifaces, &AliasConfig::default(), 0, u64::MAX);
         assert!(!sets.groups.is_empty(), "no alias groups inferred");
         let (precision, recall) = sets.score(&truth);
         assert!(precision > 0.95, "precision {precision}");
@@ -488,7 +471,7 @@ mod tests {
             .take(60)
             .collect();
         let truth = e.topology().ground_truth_aliases();
-        let sets = resolve_aliases(&mut e, 0, &ifaces, &AliasConfig::default());
+        let sets = resolve_aliases(&mut e, 0, &ifaces, &AliasConfig::default(), 0, u64::MAX);
         let (precision, _) = sets.score(&truth);
         assert!(
             precision > 0.9,

@@ -31,7 +31,14 @@ fn campaign_graph_matches_reference() {
     // Real alias groups from speedtrap over the discovered interfaces.
     let ifaces: Vec<Ipv6Addr> = res.log.interface_addrs().into_iter().collect();
     let mut engine = Engine::new(topo.clone());
-    let aliases = resolve_aliases(&mut engine, 1, &ifaces, &AliasConfig::default());
+    let aliases = resolve_aliases(
+        &mut engine,
+        1,
+        &ifaces,
+        &AliasConfig::default(),
+        0,
+        u64::MAX,
+    );
 
     for groups in [&[][..], &aliases.groups[..]] {
         let colg = RouterGraph::build(&col, groups);

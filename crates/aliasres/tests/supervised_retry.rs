@@ -8,7 +8,7 @@
 //! anything an attempt touches (statistics, fragment counters, token
 //! buckets) would show as a different run.
 
-use aliasres::{resolve_aliases_budgeted, resolve_aliases_supervised, AliasConfig, AliasSets};
+use aliasres::{resolve_aliases, resolve_aliases_supervised, AliasConfig, AliasSets};
 use simnet::config::TopologyConfig;
 use simnet::generate::generate;
 use simnet::{Engine, FaultSchedule, Topology};
@@ -31,7 +31,7 @@ fn fresh_engine_per_attempt(
         start_us,
         |clock| {
             let mut engine = Engine::new(topo.clone());
-            let sets = resolve_aliases_budgeted(&mut engine, 0, interfaces, cfg, clock, max_probes);
+            let sets = resolve_aliases(&mut engine, 0, interfaces, cfg, clock, max_probes);
             let stats = engine.stats;
             Ok(Attempt {
                 duration_us: sets.probes.saturating_mul(step_us),

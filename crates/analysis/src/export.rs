@@ -8,10 +8,9 @@
 //! parsing crates are needed; the writers emit nothing that requires
 //! quoting.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::net::Ipv6Addr;
 use std::path::Path;
-use std::str::FromStr;
 use yarrp6::{ProbeLog, ResponseKind};
 
 /// Writes an address list (targets or seeds), one per line.
@@ -23,28 +22,6 @@ pub fn write_addrs(path: &Path, name: &str, addrs: &[Ipv6Addr]) -> io::Result<()
         writeln!(w, "{a}")?;
     }
     w.flush()
-}
-
-/// Reads an address list written by [`write_addrs`] (or any file with
-/// one address per line; `#` comments and blank lines are skipped).
-pub fn read_addrs(path: &Path) -> io::Result<Vec<Ipv6Addr>> {
-    let r = BufReader::new(std::fs::File::open(path)?);
-    let mut out = Vec::new();
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let a = Ipv6Addr::from_str(t).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("line {}: {e}", lineno + 1),
-            )
-        })?;
-        out.push(a);
-    }
-    Ok(out)
 }
 
 fn kind_to_str(kind: ResponseKind) -> (&'static str, u8) {
@@ -108,15 +85,17 @@ mod tests {
         let path = tmp("addrs");
         let addrs: Vec<Ipv6Addr> = vec!["2001:db8::1".parse().unwrap(), "::1".parse().unwrap()];
         write_addrs(&path, "test", &addrs).unwrap();
-        assert_eq!(read_addrs(&path).unwrap(), addrs);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn addrs_rejects_garbage() {
-        let path = tmp("bad-addrs");
-        std::fs::write(&path, "2001:db8::1\nnot-an-address\n").unwrap();
-        assert!(read_addrs(&path).is_err());
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "# beholder address list: test",
+                "# count: 2",
+                "2001:db8::1",
+                "::1"
+            ]
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -9,13 +9,12 @@
 
 use crate::traces::TraceSet;
 use serde::{Deserialize, Serialize};
-use std::net::Ipv6Addr;
 use v6addr::iid::{classify, IidClass};
 use v6addr::Asn;
 use yarrp6::{ProbeLog, ResponseKind};
 
 /// One campaign's Table 7 row (without the cross-campaign exclusives,
-/// which need the whole grid — see [`exclusive_features`]).
+/// which need the whole grid).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct CampaignMetrics {
     /// Campaign identity.
@@ -56,26 +55,11 @@ fn percentile<T: Copy + Ord>(sorted: &[T], p: f64) -> Option<T> {
     Some(sorted[idx])
 }
 
-/// Unique Time-Exceeded sources of a log, sorted — the flat-pass
-/// equivalent of [`ProbeLog::interface_addrs`] (one sort instead of a
-/// `BTreeSet` node per record).
-fn sorted_interface_addrs(log: &ProbeLog) -> Vec<Ipv6Addr> {
-    let mut ifaces: Vec<Ipv6Addr> = log
-        .records
-        .iter()
-        .filter(|r| r.kind == ResponseKind::TimeExceeded)
-        .map(|r| r.responder)
-        .collect();
-    ifaces.sort_unstable();
-    ifaces.dedup();
-    ifaces
-}
-
 impl CampaignMetrics {
     /// Computes the row for one campaign.
     pub fn compute(log: &ProbeLog, bgp: &v6addr::BgpTable) -> CampaignMetrics {
         let ts = TraceSet::from_log(log);
-        let ifaces = sorted_interface_addrs(log);
+        let ifaces = log.interface_addrs();
 
         let mut pfxs: Vec<v6addr::Ipv6Prefix> = Vec::new();
         let mut asns: Vec<u32> = Vec::new();
@@ -223,20 +207,6 @@ pub fn discovery_curve(log: &ProbeLog) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Cross-campaign exclusive features (Figure 6 insets / Table 7
-/// "Excl" columns): for each campaign, how many interfaces / prefixes /
-/// ASNs no *other* campaign in the grid discovered. Computed by sorted
-/// merge over per-campaign sorted feature lists.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct ExclusiveFeatures {
-    /// Interfaces unique to this campaign.
-    pub interfaces: u64,
-    /// BGP prefixes unique to this campaign.
-    pub prefixes: u64,
-    /// ASNs unique to this campaign.
-    pub asns: u64,
-}
-
 /// Counts, for each sorted per-campaign list, how many of its elements
 /// appear in no other campaign's list.
 fn exclusive_counts<T: Copy + Ord>(per_log: &[Vec<T>]) -> Vec<u64> {
@@ -259,41 +229,6 @@ fn exclusive_counts<T: Copy + Ord>(per_log: &[Vec<T>]) -> Vec<u64> {
     per_log
         .iter()
         .map(|v| v.iter().filter(|x| unique.binary_search(x).is_ok()).count() as u64)
-        .collect()
-}
-
-/// Computes exclusives for each log against the others.
-pub fn exclusive_features(logs: &[&ProbeLog], bgp: &v6addr::BgpTable) -> Vec<ExclusiveFeatures> {
-    let mut ifaces_per: Vec<Vec<Ipv6Addr>> = Vec::with_capacity(logs.len());
-    let mut pfxs_per: Vec<Vec<(u128, u8)>> = Vec::with_capacity(logs.len());
-    let mut asns_per: Vec<Vec<u32>> = Vec::with_capacity(logs.len());
-    for log in logs {
-        let ifaces = sorted_interface_addrs(log);
-        let mut pfxs: Vec<(u128, u8)> = Vec::new();
-        let mut asns: Vec<u32> = Vec::new();
-        for &a in &ifaces {
-            if let Some((p, asn)) = bgp.lookup(a) {
-                pfxs.push((p.base_word(), p.len()));
-                asns.push(asn.0);
-            }
-        }
-        pfxs.sort_unstable();
-        pfxs.dedup();
-        asns.sort_unstable();
-        asns.dedup();
-        ifaces_per.push(ifaces);
-        pfxs_per.push(pfxs);
-        asns_per.push(asns);
-    }
-    let i_excl = exclusive_counts(&ifaces_per);
-    let p_excl = exclusive_counts(&pfxs_per);
-    let a_excl = exclusive_counts(&asns_per);
-    (0..logs.len())
-        .map(|k| ExclusiveFeatures {
-            interfaces: i_excl[k],
-            prefixes: p_excl[k],
-            asns: a_excl[k],
-        })
         .collect()
 }
 
@@ -585,36 +520,5 @@ mod tests {
         assert_eq!(jac[0][1], jac[1][0]);
         // B∩C = {b}, B∪C = {b,c}.
         assert!((jac[1][2] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exclusives_across_campaigns() {
-        let log1 = sample_log();
-        let mut log2 = ProbeLog {
-            traces: 1,
-            ..Default::default()
-        };
-        log2.records.push(rec(
-            "2001:db8::9",
-            "2001:db8:f::1",
-            ResponseKind::TimeExceeded,
-            1,
-            5,
-        ));
-        log2.records.push(rec(
-            "2001:db8::9",
-            "2001:db8:f::9",
-            ResponseKind::TimeExceeded,
-            2,
-            6,
-        ));
-        let b = bgp();
-        let ex = exclusive_features(&[&log1, &log2], &b);
-        // log1 exclusively has ::2 and the EUI hop; log2 exclusively ::9.
-        assert_eq!(ex[0].interfaces, 2);
-        assert_eq!(ex[1].interfaces, 1);
-        // The /32 prefix is shared.
-        assert_eq!(ex[0].prefixes, 0);
-        assert_eq!(ex[1].prefixes, 0);
     }
 }

@@ -158,7 +158,7 @@ impl ShardedTraceSet {
         .into_iter()
         .unzip();
         // Interner words referenced by no surviving row — dedup losers
-        // kept deliberately by `merge`/`canonical` because they are
+        // kept deliberately by `merge_all`/`canonical` because they are
         // real observed responders (`discovery_delta` counts them) —
         // have no target to route by; they live in shard 0, beside
         // `rewritten_dropped`, sorted ascending for determinism.

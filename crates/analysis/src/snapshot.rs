@@ -655,7 +655,7 @@ mod tests {
             )],
             ..Default::default()
         });
-        a.merge(&b)
+        TraceSet::merge_all([&a, &b])
     }
 
     #[test]

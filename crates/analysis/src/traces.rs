@@ -53,7 +53,7 @@ pub struct TraceSet {
     /// Records dropped because the quoted destination failed the target
     /// checksum (middlebox rewriting detected): their "target" is not
     /// an address we probed, so including them would fabricate traces.
-    /// Additive under [`merge`](Self::merge) — a union of campaigns
+    /// Additive under [`merge_all`](Self::merge_all) — a union of campaigns
     /// saw the sum of their tampered records.
     pub rewritten_dropped: u64,
     /// Interned responder/interface addresses shared by all stages.
@@ -516,37 +516,6 @@ impl TraceSet {
             .collect()
     }
 
-    /// Unions two columnar sets into one — the cross-vantage merge,
-    /// [`merge_all`](Self::merge_all) over the two.
-    ///
-    /// * **Interner union with id remapping**: the result's interner
-    ///   keeps `self`'s ids verbatim and appends `other`'s unseen
-    ///   addresses in `other`'s id order, so the merged set's interner
-    ///   is the *full* union of both campaigns' discovered responders —
-    ///   including responders whose traces lose the dedup below. Union
-    ///   discovery yield is therefore never undercounted.
-    /// * **First-wins per-target trace dedup**: where both sets probed
-    ///   the same target, `self`'s whole trace (hops, unreachables,
-    ///   `reached_at`) is kept and `other`'s is dropped from the trace
-    ///   columns. Among many sets the earliest wins — deterministic for
-    ///   the multi-vantage drivers, which merge in vantage order.
-    /// * **Provenance**: every trace in the result carries the vantage
-    ///   it came from ([`TraceView::vantage`]); the provenance table is
-    ///   the name-deduplicated concatenation of both sides' sources.
-    /// * `rewritten_dropped` adds; the `vantage`/`target_set` names
-    ///   join with `+` when they differ.
-    ///
-    /// Merging is commutative and associative *up to canonical form*
-    /// ([`canonical`](Self::canonical)) whenever the operands' target
-    /// sets are disjoint or agree on shared traces; with conflicting
-    /// shared targets the first operand's trace wins by design. Merging
-    /// a set with itself returns the same observations (`a.merge(&a) ==
-    /// a` when `rewritten_dropped` is zero; the tamper counter is
-    /// additive).
-    pub fn merge(&self, other: &TraceSet) -> TraceSet {
-        Self::merge_all([self, other])
-    }
-
     /// Appends `src`'s trace at `idx` to `self`'s columns. `id_remap`
     /// is `Some` for every input but the first (whose interner ids and
     /// provenance indices are the result's own, untranslated). The
@@ -590,18 +559,41 @@ impl TraceSet {
         });
     }
 
-    /// Union of many sets, the left fold `a.merge(b).merge(c)…` in one
-    /// pass — earlier sets win trace dedup. Returns an empty default
-    /// set for an empty iterator.
+    /// Unions columnar sets into one — the cross-vantage merge. Returns
+    /// an empty default set for an empty iterator.
     ///
-    /// One k-way walk: interner ids append in first-appearance,
-    /// input-major order; the leftmost owner wins per-target dedup;
-    /// names and provenance join in input order. Each surviving cell
-    /// is copied once, into a column reserved at exactly its final
-    /// length, and each input word interned once, where a fold
-    /// re-copies and re-hashes the accumulated set at every step. The
-    /// `merge_props` suite pins it against that fold written out over
-    /// addresses (`testkit::oracle::merge_fold`).
+    /// * **Interner union with id remapping**: the result's interner
+    ///   keeps the first set's ids verbatim and appends each later set's
+    ///   unseen addresses in that set's id order (first appearance,
+    ///   input-major), so the merged interner is the *full* union of
+    ///   every campaign's discovered responders — including responders
+    ///   whose traces lose the dedup below. Union discovery yield is
+    ///   therefore never undercounted.
+    /// * **First-wins per-target trace dedup**: where several sets
+    ///   probed the same target, the earliest set's whole trace (hops,
+    ///   unreachables, `reached_at`) is kept and the others are dropped
+    ///   from the trace columns — deterministic for the multi-vantage
+    ///   drivers, which merge in vantage order.
+    /// * **Provenance**: every trace in the result carries the vantage
+    ///   it came from ([`TraceView::vantage`]); the provenance table is
+    ///   the name-deduplicated concatenation of the inputs' sources.
+    /// * `rewritten_dropped` adds; the `vantage`/`target_set` names
+    ///   join with `+` when they differ.
+    ///
+    /// Merging is commutative and associative *up to canonical form*
+    /// ([`canonical`](Self::canonical)) whenever the operands' target
+    /// sets are disjoint or agree on shared traces; with conflicting
+    /// shared targets the first operand's trace wins by design. Merging
+    /// a set with itself returns the same observations
+    /// (`merge_all([&a, &a]) == a` when `rewritten_dropped` is zero; the
+    /// tamper counter is additive).
+    ///
+    /// One k-way walk, equal to the left fold of the two-set union:
+    /// each surviving cell is copied once, into a column reserved at
+    /// exactly its final length, and each input word interned once,
+    /// where a fold re-copies and re-hashes the accumulated set at every
+    /// step. The `merge_props` suite pins it against that fold written
+    /// out over addresses (`testkit::oracle::merge_fold`).
     pub fn merge_all<'a>(sets: impl IntoIterator<Item = &'a TraceSet>) -> TraceSet {
         let refs: Vec<&TraceSet> = sets.into_iter().collect();
         match refs.len() {
@@ -1235,7 +1227,7 @@ mod tests {
                 rec("2001:db8::1", "::a", ResponseKind::TimeExceeded, Some(3)),
             ],
         ));
-        let m = a.merge(&b);
+        let m = TraceSet::merge_all([&a, &b]);
         assert_eq!(m.len(), 2);
         assert_eq!(&*m.vantage, "V-A+V-B");
         assert_eq!(&*m.target_set, "merge-test");
@@ -1280,7 +1272,7 @@ mod tests {
                 Some(2),
             )],
         ));
-        let m = a.merge(&b);
+        let m = TraceSet::merge_all([&a, &b]);
         assert_eq!(m.len(), 1);
         let t = m.view_at(0);
         // a's trace wins wholesale...
@@ -1297,7 +1289,7 @@ mod tests {
             vec!["::a".parse::<Ipv6Addr>().unwrap()]
         );
         // Reversed merge order flips the winner.
-        let r = b.merge(&a);
+        let r = TraceSet::merge_all([&b, &a]);
         assert_eq!(
             r.view_at(0).hops().collect::<Vec<_>>(),
             vec![(2, "::b".parse::<Ipv6Addr>().unwrap())]
@@ -1317,14 +1309,15 @@ mod tests {
             ),
         ];
         let a = TraceSet::from_log(&log_named("V", records.clone()));
-        assert_eq!(a.merge(&a), a, "self-merge must be a no-op");
-        assert_eq!(&*a.merge(&a).vantage, "V");
+        let aa = TraceSet::merge_all([&a, &a]);
+        assert_eq!(aa, a, "self-merge must be a no-op");
+        assert_eq!(&*aa.vantage, "V");
 
         // The tamper counter is additive by design.
         records[0].target_cksum_ok = false;
         let d = TraceSet::from_log(&log_named("V", records));
         assert_eq!(d.rewritten_dropped, 1);
-        assert_eq!(d.merge(&d).rewritten_dropped, 2);
+        assert_eq!(TraceSet::merge_all([&d, &d]).rewritten_dropped, 2);
     }
 
     #[test]
@@ -1386,7 +1379,7 @@ mod tests {
         let m = TraceSet::merge_all([&a, &b, &c]);
         assert_eq!(m.len(), 3);
         assert_eq!(&*m.vantage, "A+B+C");
-        assert_eq!(m, a.merge(&b).merge(&c));
+        assert_eq!(m, TraceSet::merge_all([&TraceSet::merge_all([&a, &b]), &c]));
         let names: Vec<String> = m.iter().map(|t| t.vantage().to_string()).collect();
         assert_eq!(names, vec!["A", "B", "C"]);
     }
@@ -1428,7 +1421,11 @@ mod tests {
                 Some(1),
             )],
         ));
-        for m in [TraceSet::default().merge(&b), b.merge(&TraceSet::default())] {
+        let empty = TraceSet::default();
+        for m in [
+            TraceSet::merge_all([&empty, &b]),
+            TraceSet::merge_all([&b, &empty]),
+        ] {
             assert_eq!(m, b, "empty side must not change observations");
             assert_eq!(&*m.vantage, "V-B");
             let sources = m.sources();

@@ -197,7 +197,7 @@ fn randomized_synthetic_logs_match_reference() {
 #[test]
 fn metrics_match_map_based_reference() {
     use analysis::metrics::{discovery_curve, hop_responsiveness, CampaignMetrics};
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeSet;
     use v6addr::iid::{classify, IidClass};
 
     let (topo, addrs) = fixture(99);
@@ -208,7 +208,13 @@ fn metrics_match_map_based_reference() {
     let refset = reference::TraceSet::from_log(&log);
 
     // interface_addrs / prefixes / ASNs — original BTreeSet derivation.
-    let ifaces = log.interface_addrs();
+    let ifaces: BTreeSet<Ipv6Addr> = log
+        .records
+        .iter()
+        .filter(|r| r.kind == ResponseKind::TimeExceeded)
+        .map(|r| r.responder)
+        .collect();
+    assert!(log.interface_addrs().iter().eq(&ifaces));
     let mut pfxs = BTreeSet::new();
     let mut asns = BTreeSet::new();
     for &a in &ifaces {
@@ -304,29 +310,6 @@ fn metrics_match_map_based_reference() {
         }
     }
     assert_eq!(discovery_curve(&log), curve);
-
-    // exclusive_features — original count-map derivation, across the
-    // three vantages.
-    let logs: Vec<yarrp6::ProbeLog> = (0..3u8)
-        .map(|v| run_campaign(&topo, v, &set, &YarrpConfig::default()).log)
-        .collect();
-    let log_refs: Vec<&yarrp6::ProbeLog> = logs.iter().collect();
-    let got = analysis::metrics::exclusive_features(&log_refs, bgp);
-    let mut iface_count: BTreeMap<Ipv6Addr, u32> = BTreeMap::new();
-    let per_log: Vec<BTreeSet<Ipv6Addr>> = logs
-        .iter()
-        .map(|l| {
-            let ifaces = l.interface_addrs();
-            for &a in &ifaces {
-                *iface_count.entry(a).or_default() += 1;
-            }
-            ifaces
-        })
-        .collect();
-    for (k, ifaces) in per_log.iter().enumerate() {
-        let excl = ifaces.iter().filter(|a| iface_count[a] == 1).count() as u64;
-        assert_eq!(got[k].interfaces, excl, "vantage {k} exclusives");
-    }
 }
 
 #[test]

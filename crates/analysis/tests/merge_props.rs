@@ -1,4 +1,4 @@
-//! Property + differential suite pinning [`TraceSet::merge`].
+//! Property + differential suite pinning [`TraceSet::merge_all`].
 //!
 //! The central contract: take any fuzzed record stream, receive-sort
 //! it (what a batch prober's log looks like), and split it across `k`
@@ -15,10 +15,10 @@
 //!   interner ids and per-trace provenance included — to the left fold
 //!   of a two-set union keyed by address, which shares no code with it
 //!   (`testkit::oracle::merge_fold`), and to the pairwise reduction
-//!   over the two-set `merge` ([`fold_oracle`]).
+//!   over two-set `merge_all`s ([`fold_oracle`]).
 //!
 //! The algebraic properties hold *because* the per-vantage sets carry
-//! whole traces: `merge`'s first-wins trace dedup only bites on
+//! whole traces: `merge_all`'s first-wins trace dedup only bites on
 //! conflicting shared targets, where the multi-vantage drivers resolve
 //! by vantage order (pinned by unit tests in `analysis::traces`).
 
@@ -41,7 +41,7 @@ fn log_of(records: Vec<ResponseRecord>) -> ProbeLog {
 /// partitions the records across `k` per-vantage logs **by target**
 /// (hash of the target word), preserving the global receive order
 /// inside each partition — each vantage holds whole traces, the shape
-/// `merge` is specified over.
+/// `merge_all` is specified over.
 fn sorted_and_split(
     draws: &[(u64, u64)],
     k: usize,
@@ -63,10 +63,10 @@ fn sorted_and_split(
     (full, chunks)
 }
 
-/// The pairwise reduction over [`TraceSet::merge`] — adjacent pairs,
-/// then pairs of pairs. `merge` is the k-way walk at k = 2 and is
-/// associative bit for bit, so this equals the left fold
-/// `a.merge(b).merge(c)…` and the one k-way pass.
+/// The pairwise reduction over two-set [`TraceSet::merge_all`]s —
+/// adjacent pairs, then pairs of pairs. The two-set union is
+/// associative bit for bit, so this equals the left fold and the one
+/// k-way pass.
 fn fold_oracle(refs: &[&TraceSet]) -> TraceSet {
     match refs.len() {
         0 => TraceSet::default(),
@@ -76,7 +76,7 @@ fn fold_oracle(refs: &[&TraceSet]) -> TraceSet {
                 .chunks(2)
                 .map(|c| {
                     if c.len() == 2 {
-                        c[0].merge(c[1])
+                        TraceSet::merge_all(c.iter().copied())
                     } else {
                         c[0].clone()
                     }
@@ -87,7 +87,7 @@ fn fold_oracle(refs: &[&TraceSet]) -> TraceSet {
                     .chunks(2)
                     .map(|c| {
                         if c.len() == 2 {
-                            c[0].merge(&c[1])
+                            TraceSet::merge_all(c)
                         } else {
                             c[0].clone()
                         }
@@ -128,7 +128,7 @@ fn merge_all_pairwise_reduction_equals_left_fold() {
         .collect();
     let fold = sets[1..]
         .iter()
-        .fold(sets[0].clone(), |acc, s| acc.merge(s));
+        .fold(sets[0].clone(), |acc, s| TraceSet::merge_all([&acc, s]));
     let pairwise = fold_oracle(&sets.iter().collect::<Vec<_>>());
     assert_eq!(pairwise, fold);
     assert_eq!(TraceSet::merge_all(&sets), fold);
@@ -178,7 +178,7 @@ proptest! {
                 let set = set_of(format!("V{}", i % 3), 0);
                 if i % 4 == 3 {
                     // Flipped target bits: both sources own traces.
-                    set.merge(&set_of("V-other".into(), 0x15))
+                    TraceSet::merge_all([&set, &set_of("V-other".into(), 0x15)])
                 } else {
                     set
                 }
@@ -229,10 +229,10 @@ proptest! {
         let reference = TraceSet::merge_all(&s).canonical();
         prop_assert!(rotated == reference, "rotation {rot} diverged");
         // Right-associated grouping.
-        let right = s[0].merge(&s[1].merge(&s[2])).canonical();
+        let right = TraceSet::merge_all([&s[0], &TraceSet::merge_all([&s[1], &s[2]])]).canonical();
         prop_assert!(right == reference, "right association diverged");
         // Full reversal.
-        let reversed = s[2].merge(&s[1]).merge(&s[0]).canonical();
+        let reversed = TraceSet::merge_all([&TraceSet::merge_all([&s[2], &s[1]]), &s[0]]).canonical();
         prop_assert!(reversed == reference, "reversal diverged");
     }
 
@@ -248,7 +248,7 @@ proptest! {
         let mut log = log_of(records);
         log.sort_by_recv();
         let a = TraceSet::from_log(&log);
-        prop_assert!(a.merge(&a) == a, "self-merge must be a no-op");
+        prop_assert!(TraceSet::merge_all([&a, &a]) == a, "self-merge must be a no-op");
     }
 
     /// The canonical form is a fixed point: canonicalizing twice equals

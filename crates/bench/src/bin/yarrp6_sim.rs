@@ -12,8 +12,8 @@
 //! Examples:
 //!
 //! ```sh
-//! cargo run --release -p beholder-bench --bin yarrp6_sim -- --set cdn-k32-z64
-//! cargo run --release -p beholder-bench --bin yarrp6_sim -- \
+//! cargo run --release -p beholder_bench --bin yarrp6_sim -- --set cdn-k32-z64
+//! cargo run --release -p beholder_bench --bin yarrp6_sim -- \
 //!     --scale tiny --set caida-z64 --rate 2000 --out-csv /tmp/run.csv
 //! ```
 
@@ -187,8 +187,7 @@ fn main() {
         );
     }
     if let Some(path) = &args.out_ifaces {
-        let v: Vec<std::net::Ipv6Addr> = ifaces.into_iter().collect();
-        analysis::export::write_addrs(path, "interfaces", &v).expect("write ifaces");
-        eprintln!("# wrote {} interfaces to {}", v.len(), path.display());
+        analysis::export::write_addrs(path, "interfaces", &ifaces).expect("write ifaces");
+        eprintln!("# wrote {} interfaces to {}", ifaces.len(), path.display());
     }
 }

@@ -215,7 +215,14 @@ pub fn alias(ctx: &mut Ctx) -> Report {
     let ifaces: BTreeSet<Ipv6Addr> = logs.iter().flat_map(|l| l.interface_addrs()).collect();
     let ifaces: Vec<Ipv6Addr> = ifaces.into_iter().collect();
     let mut engine = Engine::new(ctx.topo.clone());
-    let sets = resolve_aliases(&mut engine, 1, &ifaces, &AliasConfig::default());
+    let sets = resolve_aliases(
+        &mut engine,
+        1,
+        &ifaces,
+        &AliasConfig::default(),
+        0,
+        u64::MAX,
+    );
     let (precision, recall) = sets.score(&ctx.topo.ground_truth_aliases());
     // ITDK-style graphs from one vantage's traces.
     let traces = TraceSet::from_log(&logs[1]);

@@ -7,7 +7,7 @@ mod trials;
 
 use crate::{Ctx, Experiment};
 use analysis::{discover_by_path_div, AsnResolver, CandidateSubnet, PathDivParams, TraceSet};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Every table and figure `repro` knows.
 #[rustfmt::skip]
@@ -56,13 +56,17 @@ fn source(name: &str) -> &str {
     name.trim_end_matches("-z64")
 }
 
-/// For each set, how many of its members no other set holds.
-fn exclusive<T: Ord + Copy>(sets: &[&BTreeSet<T>]) -> Vec<u64> {
+/// For each set (its members unique: a `BTreeSet` or a sorted, deduped
+/// `Vec`), how many of its members no other set holds.
+fn exclusive<T: Ord + Copy, S>(sets: &[&S]) -> Vec<u64>
+where
+    for<'s> &'s S: IntoIterator<Item = &'s T>,
+{
     let mut holders: BTreeMap<T, u32> = BTreeMap::new();
-    for &x in sets.iter().flat_map(|s| s.iter()) {
+    for &x in sets.iter().flat_map(|&s| s) {
         *holders.entry(x).or_default() += 1;
     }
-    let alone = |s: &&BTreeSet<T>| s.iter().filter(|x| holders[x] == 1).count() as u64;
+    let alone = |&s: &&S| s.into_iter().filter(|x| holders[x] == 1).count() as u64;
     sets.iter().map(alone).collect()
 }
 

@@ -1,12 +1,20 @@
 //! The whole reproduction at `Scale::Tiny`, as a tier-1 suite: every
 //! claim's status is the one the repository declares, so a paper claim
 //! that stops reproducing — or a recorded gap that closes — fails here
-//! before it fails CI's `repro` run at `small`.
+//! before it fails CI's `repro` run at `small`. The rendered text is
+//! pinned too, so a change that moves any printed number fails here even
+//! when no claim changes status.
 
+use analysis::snapshot::fnv1a;
 use beholder_bench::report::{mismatches, Declared};
 use beholder_bench::{repro, EXPERIMENTS};
 use simnet::Scale;
 use std::collections::BTreeSet;
+
+/// `(len, fnv1a)` of the whole `tiny` report — what `BEHOLDER_SCALE=tiny
+/// repro` prints. Re-pin only for a change that means to move a number,
+/// and say which numbers moved and why.
+const TINY_REPORT: (usize, u64) = (27_288, 0xafe2_dbf1_0ec4_45b2);
 
 #[test]
 fn every_claim_has_its_declared_status_and_the_run_is_deterministic() {
@@ -22,6 +30,11 @@ fn every_claim_has_its_declared_status_and_the_run_is_deterministic() {
     });
     assert!(first.0 == second.0, "two runs rendered different output");
     let (text, claims) = first;
+    assert_eq!(
+        (text.len(), fnv1a(text.as_bytes())),
+        TINY_REPORT,
+        "the tiny report's bytes moved"
+    );
 
     // Claim ids are `experiment.claim`: which experiments state something.
     let mut stated = BTreeSet::new();

@@ -12,9 +12,14 @@
 //! probing backward* (it never sees the stop-set interface), hammering
 //! the very token buckets that are already drained. This implementation
 //! reproduces that behavior faithfully: silence ≠ stop.
+//!
+//! Only the protocol and the rate are settings; the starting TTL
+//! (`START_TTL`, 8), the forward limit (`MAX_TTL`, 16), the forward gap
+//! limit (`GAP_LIMIT`, 5) and the instance byte (`INSTANCE`, 3) are
+//! constants of the module.
 
 use crate::record::{ProbeLog, ResponseKind, ResponseRecord};
-use crate::sink::{Link, RecordSink};
+use crate::sink::Link;
 use serde::{Deserialize, Serialize};
 use simnet::{Engine, Flow};
 use std::collections::HashSet;
@@ -28,26 +33,23 @@ pub struct DoubletreeConfig {
     pub protocol: Protocol,
     /// Probe rate (packets/second).
     pub rate_pps: u64,
-    /// The intermediate starting TTL (h) — per-vantage heuristic the
-    /// paper criticizes as requiring manual tuning.
-    pub start_ttl: u8,
-    /// Forward probing stops here.
-    pub max_ttl: u8,
-    /// Consecutive silent forward hops before abandoning.
-    pub gap_limit: u8,
-    /// Instance byte.
-    pub instance: u8,
 }
+
+/// The intermediate starting TTL (h) — per-vantage heuristic the paper
+/// criticizes as requiring manual tuning.
+const START_TTL: u8 = 8;
+/// Forward probing stops here.
+const MAX_TTL: u8 = 16;
+/// Consecutive silent forward hops before abandoning.
+const GAP_LIMIT: u8 = 5;
+/// Instance byte the prober's probes carry.
+const INSTANCE: u8 = 3;
 
 impl Default for DoubletreeConfig {
     fn default() -> Self {
         DoubletreeConfig {
             protocol: Protocol::Icmp6,
             rate_pps: 1_000,
-            start_ttl: 8,
-            max_ttl: 16,
-            gap_limit: 5,
-            instance: 3,
         }
     }
 }
@@ -59,23 +61,6 @@ pub fn run(
     vantage_idx: u8,
     targets: &[Ipv6Addr],
     cfg: &DoubletreeConfig,
-) -> ProbeLog {
-    let mut records: Vec<ResponseRecord> = Vec::new();
-    let mut log = run_with_sink(engine, vantage_idx, targets, cfg, &mut records);
-    log.records = records;
-    log.sort_by_recv();
-    log
-}
-
-/// Runs a Doubletree campaign, emitting records into `sink` in
-/// emission order; the returned [`ProbeLog`] carries only the
-/// send-side counters (its `records` stays empty).
-pub(crate) fn run_with_sink<S: RecordSink>(
-    engine: &mut Engine,
-    vantage_idx: u8,
-    targets: &[Ipv6Addr],
-    cfg: &DoubletreeConfig,
-    sink: &mut S,
 ) -> ProbeLog {
     let src = engine.topology().vantages[vantage_idx as usize].addr;
     let vantage_name = engine.topology().vantages[vantage_idx as usize]
@@ -91,14 +76,15 @@ pub(crate) fn run_with_sink<S: RecordSink>(
     let mut now_us = 0u64;
     // Local stop set: interfaces this monitor has already seen.
     let mut stop_set: HashSet<Ipv6Addr> = HashSet::new();
+    let mut records: Vec<ResponseRecord> = Vec::new();
 
-    let mut link = Link::new(engine, cfg.instance);
+    let mut link = Link::new(engine, INSTANCE);
     let spec = |target: Ipv6Addr, ttl: u8, now_us: u64| ProbeSpec {
         src,
         target,
         protocol: cfg.protocol,
         ttl,
-        instance: cfg.instance,
+        instance: INSTANCE,
         elapsed_us: now_us as u32,
     };
     let probe = |link: &mut Link<'_>,
@@ -106,20 +92,20 @@ pub(crate) fn run_with_sink<S: RecordSink>(
                  ttl: u8,
                  now_us: &mut u64,
                  log: &mut ProbeLog,
-                 sink: &mut S|
+                 records: &mut Vec<ResponseRecord>|
      -> Option<ResponseRecord> {
         let wire = spec(target, ttl, *now_us).build();
-        let rec = link.exchange(flow, &wire, *now_us, log, sink);
+        let rec = link.exchange(flow, &wire, *now_us, log, records);
         *now_us += interval_us;
         rec
     };
 
     for &target in targets {
         let target = (target, link.open(&spec(target, 1, 0).build()));
-        // Forward phase: start_ttl .. max_ttl.
+        // Forward phase: START_TTL ..= MAX_TTL.
         let mut gap = 0u8;
-        for ttl in cfg.start_ttl..=cfg.max_ttl {
-            match probe(&mut link, target, ttl, &mut now_us, &mut log, sink) {
+        for ttl in START_TTL..=MAX_TTL {
+            match probe(&mut link, target, ttl, &mut now_us, &mut log, &mut records) {
                 Some(rec) => {
                     gap = 0;
                     if rec.kind != ResponseKind::TimeExceeded {
@@ -129,17 +115,17 @@ pub(crate) fn run_with_sink<S: RecordSink>(
                 }
                 None => {
                     gap += 1;
-                    if gap >= cfg.gap_limit {
+                    if gap >= GAP_LIMIT {
                         break;
                     }
                 }
             }
         }
-        // Backward phase: start_ttl-1 down to 1; stop on a stop-set hit.
+        // Backward phase: START_TTL-1 down to 1; stop on a stop-set hit.
         // Crucially: *silence does not stop backward probing* — the
         // pathology under rate limiting.
-        for ttl in (1..cfg.start_ttl).rev() {
-            match probe(&mut link, target, ttl, &mut now_us, &mut log, sink) {
+        for ttl in (1..START_TTL).rev() {
+            match probe(&mut link, target, ttl, &mut now_us, &mut log, &mut records) {
                 Some(rec) => {
                     let hit =
                         rec.kind == ResponseKind::TimeExceeded && !stop_set.insert(rec.responder);
@@ -152,6 +138,8 @@ pub(crate) fn run_with_sink<S: RecordSink>(
         }
     }
     log.duration_us = now_us;
+    log.records = records;
+    log.sort_by_recv();
     log
 }
 
@@ -175,8 +163,8 @@ mod tests {
             ..Default::default()
         };
         let dt = run(&mut Engine::new(t.clone()), 0, &targets, &cfg);
-        // Full tracing would need max_ttl probes per target.
-        let full = targets.len() as u64 * cfg.max_ttl as u64;
+        // Full tracing would need MAX_TTL probes per target.
+        let full = targets.len() as u64 * u64::from(MAX_TTL);
         assert!(
             dt.probes_sent < full * 3 / 4,
             "doubletree sent {} of {} full probes",
@@ -209,12 +197,11 @@ mod tests {
         let t = topo();
         let targets: Vec<Ipv6Addr> = t.hosts().map(|(a, _)| a).take(300).collect();
         let near_probes = |rate: u64| {
-            // gap_limit 16: forward probing always runs to max_ttl, so
-            // any probe-count difference is the backward pathology.
-            // Vantage 1 avoids the vantage-0 silent-hop quirk.
+            // Silence can only cut forward probing short (GAP_LIMIT), so
+            // a faster run sends more probes only through the backward
+            // pathology. Vantage 1 avoids the vantage-0 silent-hop quirk.
             let cfg = DoubletreeConfig {
                 rate_pps: rate,
-                gap_limit: 16,
                 ..Default::default()
             };
             let mut e = Engine::new(t.clone());

@@ -20,9 +20,9 @@
 //!   per-TTL synchronized bursts the paper observed (§4.2, Fig. 5);
 //! * [`doubletree`] — the Doubletree comparator (§4.2), including its
 //!   backward-probing pathology under rate limiting;
-//! * [`sink`] — record sinks: probers are generic over where decoded
-//!   responses go (a buffered [`ProbeLog`], or fixed-size chunks over
-//!   a bounded channel to a concurrent consumer);
+//! * [`sink`] — record sinks: where decoded responses go (a buffered
+//!   `Vec` filed into a [`ProbeLog`], or fixed-size chunks over a
+//!   bounded channel to a concurrent consumer);
 //! * [`campaign`] — drivers that bind probers to vantages and target
 //!   sets: batch (a [`ProbeLog`] per campaign) and streaming (probe →
 //!   analyze without materializing the log), one or many on a worker

@@ -323,14 +323,19 @@ pub struct ProbeLog {
 }
 
 impl ProbeLog {
-    /// Unique interface addresses: distinct sources of Time Exceeded
-    /// messages (the paper's §4.2 definition, Table 7's "Rtr Int Addrs").
-    pub fn interface_addrs(&self) -> std::collections::BTreeSet<Ipv6Addr> {
-        self.records
+    /// Unique interface addresses, sorted: distinct sources of Time
+    /// Exceeded messages (the paper's §4.2 definition, Table 7's "Rtr
+    /// Int Addrs"). One flat sort, no per-record set node.
+    pub fn interface_addrs(&self) -> Vec<Ipv6Addr> {
+        let mut ifaces: Vec<Ipv6Addr> = self
+            .records
             .iter()
             .filter(|r| r.kind == ResponseKind::TimeExceeded)
             .map(|r| r.responder)
-            .collect()
+            .collect();
+        ifaces.sort_unstable();
+        ifaces.dedup();
+        ifaces
     }
 
     /// Count of non-Time-Exceeded responses (Table 3's "Other ICMPv6").
@@ -431,7 +436,8 @@ mod tests {
                 "{sent}"
             );
             let probe = s.build();
-            let reply = icmp6::build_echo_reply(s.target, s.src, 0x1111, 80, &probe[48..], 60);
+            let mut reply = Vec::new();
+            icmp6::build_echo_reply_into(&mut reply, s.target, s.src, 0x1111, 80, &probe[48..], 60);
             let echo = decode_response(&reply, recv, 9).unwrap();
             assert_eq!((echo.rtt_us, echo.recv_us), (Some(10_976), recv), "{sent}");
         }
@@ -439,11 +445,13 @@ mod tests {
 
     #[test]
     fn wrong_instance_rejected() {
-        // Bare build_error leaves the quoted hop limit unexhausted, but
+        // Bare build_error_into leaves the quoted hop limit unexhausted, but
         // the instance check comes first: another prober's traffic is
         // NotOurs even when the quote is also inconsistent.
         let probe = spec(Protocol::Icmp6).build();
-        let err = icmp6::build_error(
+        let mut err = Vec::new();
+        icmp6::build_error_into(
+            &mut err,
             "::1".parse().unwrap(),
             "2001:db8:f::1".parse().unwrap(),
             Icmp6Type::TimeExceeded,
@@ -458,7 +466,9 @@ mod tests {
         // Same packet, *our* instance: a Time Exceeded quoting a probe
         // whose hop limit never reached zero can only be fabricated.
         let probe = spec(Protocol::Icmp6).build();
-        let err = icmp6::build_error(
+        let mut err = Vec::new();
+        icmp6::build_error_into(
+            &mut err,
             "2001:db8:42::1".parse().unwrap(),
             "2001:db8:f::1".parse().unwrap(),
             Icmp6Type::TimeExceeded,
@@ -476,7 +486,9 @@ mod tests {
         // Destination Unreachable is sent by a node the probe *reached*,
         // so its quotation legitimately carries a non-zero hop limit.
         let probe = spec(Protocol::Icmp6).build();
-        let err = icmp6::build_error(
+        let mut err = Vec::new();
+        icmp6::build_error_into(
+            &mut err,
             "2001:db8:1::abcd".parse().unwrap(),
             "2001:db8:f::1".parse().unwrap(),
             Icmp6Type::DestUnreachable(DestUnreachCode::NoRoute),
@@ -522,7 +534,8 @@ mod tests {
         let s = spec(Protocol::Icmp6);
         let probe = s.build();
         let data = &probe[40 + 8..];
-        let reply = icmp6::build_echo_reply(s.target, s.src, 0x1111, 80, data, 60);
+        let mut reply = Vec::new();
+        icmp6::build_echo_reply_into(&mut reply, s.target, s.src, 0x1111, 80, data, 60);
         let r = decode_response(&reply, 9_000, 9).unwrap();
         assert_eq!(r.kind, ResponseKind::EchoReply);
         assert_eq!(r.target, s.target);
@@ -534,7 +547,8 @@ mod tests {
     fn tcp_rst_decodes_without_state() {
         let s = spec(Protocol::Tcp);
         let ck = v6packet::csum::addr_checksum(s.target);
-        let rst = tcp::build_response(s.target, s.src, 80, ck, tcp::flags::RST, 60);
+        let mut rst = Vec::new();
+        tcp::build_response_into(&mut rst, s.target, s.src, 80, ck, tcp::flags::RST, 60);
         let r = decode_response(&rst, 5_000, 9).unwrap();
         assert_eq!(r.kind, ResponseKind::Tcp);
         assert_eq!(r.target, s.target);
@@ -549,7 +563,9 @@ mod tests {
         // not recorded with a warning bit.
         let s = spec(Protocol::Tcp);
         let ck = v6packet::csum::addr_checksum(s.target);
-        let rst = tcp::build_response(s.target, s.src, 80, ck.wrapping_add(1), tcp::flags::RST, 60);
+        let mut rst = Vec::new();
+        let dport = ck.wrapping_add(1);
+        tcp::build_response_into(&mut rst, s.target, s.src, 80, dport, tcp::flags::RST, 60);
         assert_eq!(
             decode_response(&rst, 0, 9),
             Err(DecodeError::ChecksumMismatch)

@@ -12,10 +12,11 @@
 //! The prober is *stateful*, like traceroute: it stops a trace when the
 //! destination answers or after `gap_limit` consecutive silent hops.
 //! Headers stay constant per destination (Paris), so ECMP paths are
-//! stable.
+//! stable. The window (`WINDOW`, 1 000 traces) and the instance byte
+//! (`INSTANCE`, 2) are constants of the module.
 
 use crate::record::{ProbeLog, ResponseKind, ResponseRecord};
-use crate::sink::{Link, RecordSink};
+use crate::sink::Link;
 use serde::{Deserialize, Serialize};
 use simnet::{Engine, Flow};
 use std::net::Ipv6Addr;
@@ -30,13 +31,14 @@ pub struct SequentialConfig {
     pub rate_pps: u64,
     /// Maximum TTL per trace.
     pub max_ttl: u8,
-    /// Concurrent traces advanced in lockstep.
-    pub window: usize,
     /// Consecutive silent hops before a trace is abandoned.
     pub gap_limit: u8,
-    /// Instance byte.
-    pub instance: u8,
 }
+
+/// Concurrent traces advanced in lockstep.
+const WINDOW: usize = 1_000;
+/// Instance byte the prober's probes carry.
+const INSTANCE: u8 = 2;
 
 impl Default for SequentialConfig {
     fn default() -> Self {
@@ -44,9 +46,7 @@ impl Default for SequentialConfig {
             protocol: Protocol::Icmp6,
             rate_pps: 1_000,
             max_ttl: 16,
-            window: 1_000,
             gap_limit: 5,
-            instance: 2,
         }
     }
 }
@@ -66,23 +66,6 @@ pub fn run(
     targets: &[Ipv6Addr],
     cfg: &SequentialConfig,
 ) -> ProbeLog {
-    let mut records: Vec<ResponseRecord> = Vec::new();
-    let mut log = run_with_sink(engine, vantage_idx, targets, cfg, &mut records);
-    log.records = records;
-    log.sort_by_recv();
-    log
-}
-
-/// Runs a sequential campaign, emitting records into `sink` in
-/// emission order; the returned [`ProbeLog`] carries only the
-/// send-side counters (its `records` stays empty).
-pub(crate) fn run_with_sink<S: RecordSink>(
-    engine: &mut Engine,
-    vantage_idx: u8,
-    targets: &[Ipv6Addr],
-    cfg: &SequentialConfig,
-    sink: &mut S,
-) -> ProbeLog {
     let src = engine.topology().vantages[vantage_idx as usize].addr;
     let vantage_name = engine.topology().vantages[vantage_idx as usize]
         .name
@@ -95,9 +78,10 @@ pub(crate) fn run_with_sink<S: RecordSink>(
     };
     let interval_us = 1_000_000 / cfg.rate_pps.max(1);
     let mut now_us = 0u64;
-    let mut link = Link::new(engine, cfg.instance);
+    let mut records: Vec<ResponseRecord> = Vec::new();
+    let mut link = Link::new(engine, INSTANCE);
 
-    for chunk in targets.chunks(cfg.window.max(1)) {
+    for chunk in targets.chunks(WINDOW) {
         let mut state = vec![
             TraceState {
                 done: false,
@@ -110,7 +94,7 @@ pub(crate) fn run_with_sink<S: RecordSink>(
             target,
             protocol: cfg.protocol,
             ttl,
-            instance: cfg.instance,
+            instance: INSTANCE,
             elapsed_us: now_us as u32,
         };
         let flows: Vec<Flow> = chunk
@@ -123,7 +107,7 @@ pub(crate) fn run_with_sink<S: RecordSink>(
                     continue;
                 }
                 let wire = spec(target, ttl, now_us).build();
-                let rec = link.exchange(flows[i], &wire, now_us, &mut log, sink);
+                let rec = link.exchange(flows[i], &wire, now_us, &mut log, &mut records);
                 now_us += interval_us;
                 match rec {
                     Some(rec) => {
@@ -145,6 +129,8 @@ pub(crate) fn run_with_sink<S: RecordSink>(
         }
     }
     log.duration_us = now_us;
+    log.records = records;
+    log.sort_by_recv();
     log
 }
 
@@ -202,7 +188,6 @@ mod tests {
         let targets: Vec<Ipv6Addr> = t.hosts().map(|(a, _)| a).take(400).collect();
         let seq_cfg = SequentialConfig {
             rate_pps: 2_000,
-            window: 400,
             gap_limit: 16, // keep tracing so the comparison is probe-fair
             ..Default::default()
         };

@@ -1,13 +1,14 @@
 //! Record sinks: where probers put decoded responses.
 //!
-//! The probers ([`crate::yarrp`], [`crate::sequential`],
-//! [`crate::doubletree`]) are generic over a [`RecordSink`]; every
-//! decoded [`ResponseRecord`] is handed to the sink in **emission
-//! order** (the order the prober observed it, which is send order, not
-//! arrival order). Three sinks cover the repo's shapes:
+//! Every prober's round trip ([`crate::yarrp`], [`crate::sequential`],
+//! [`crate::doubletree`]) hands each decoded [`ResponseRecord`] to a
+//! [`RecordSink`] in **emission order** (the order the prober observed
+//! it, which is send order, not arrival order). Yarrp6 takes the sink
+//! from its caller; the two comparison probers fill a `Vec`. Two sinks
+//! cover the repo's shapes:
 //!
-//! * [`ProbeLog`] / `Vec<ResponseRecord>` — the batch shape: buffer
-//!   everything, analyze afterwards;
+//! * `Vec<ResponseRecord>` — the batch shape: buffer everything,
+//!   analyze afterwards;
 //! * [`ChunkSender`] — the streaming shape: fixed-size record chunks
 //!   over a **bounded** channel to a concurrent consumer, so a
 //!   campaign's full log never exists in memory. Backpressure is the
@@ -19,21 +20,16 @@
 //! [`RecordStream`] the consumer drains; [`crate::campaign`] runs the
 //! two ends on separate threads.
 
-use crate::record::{decode_response, DecodeError, ProbeLog, ResponseRecord};
+use crate::record::{decode_response, ProbeLog, ResponseRecord};
 use simnet::{Delivery, Engine, Flow};
 use std::sync::mpsc;
 
 /// A destination for decoded response records, fed in emission order.
+/// Rejected responses never reach a sink: the prober counts them by
+/// class in its [`ProbeLog`]'s `decode_errors`.
 pub trait RecordSink {
     /// Accepts one decoded record.
     fn record(&mut self, rec: ResponseRecord);
-
-    /// Observes one *rejected* response — a packet the decoder refused
-    /// to turn into a record. Default is a no-op; stat-keeping sinks
-    /// (like [`ProbeLog`]) count these per class so hostile-input
-    /// exposure is visible next to yield.
-    #[inline]
-    fn note_decode_error(&mut self, _err: DecodeError) {}
 }
 
 /// A prober's end of the wire: the engine it probes through, the
@@ -66,8 +62,7 @@ impl<'e> Link<'e> {
     /// One probe's round trip, the same for every prober: inject `wire`,
     /// a probe of `flow`, at `now_us`, decode what comes back and hand
     /// it to `sink`. Every reply the engine emits is either recorded or
-    /// counted as rejected — in `log` by class and to the sink — never
-    /// dropped unseen. Returns the record for the prober's own
+    /// counted as rejected in `log`, by class — never dropped unseen. Returns the record for the prober's own
     /// bookkeeping.
     #[inline]
     pub(crate) fn exchange<S: RecordSink>(
@@ -95,7 +90,6 @@ impl<'e> Link<'e> {
             }
             Err(e) => {
                 log.decode_errors.note(e);
-                sink.note_decode_error(e);
                 log.discarded += 1;
                 None
             }
@@ -103,20 +97,7 @@ impl<'e> Link<'e> {
     }
 }
 
-/// The batch sink: append to the log's record vector.
-impl RecordSink for ProbeLog {
-    #[inline]
-    fn record(&mut self, rec: ResponseRecord) {
-        self.records.push(rec);
-    }
-
-    #[inline]
-    fn note_decode_error(&mut self, err: DecodeError) {
-        self.decode_errors.note(err);
-    }
-}
-
-/// The minimal batch sink.
+/// The batch sink.
 impl RecordSink for Vec<ResponseRecord> {
     #[inline]
     fn record(&mut self, rec: ResponseRecord) {
@@ -366,14 +347,5 @@ mod tests {
         assert!(!sink.disconnected);
         assert!(sink.finish().is_ok());
         assert_eq!(consumer.join().unwrap(), 10);
-    }
-
-    #[test]
-    fn probe_log_and_vec_are_sinks() {
-        let mut log = ProbeLog::default();
-        log.record(rec(1));
-        let mut v: Vec<ResponseRecord> = Vec::new();
-        v.record(rec(1));
-        assert_eq!(log.records, v);
     }
 }

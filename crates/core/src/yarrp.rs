@@ -518,7 +518,7 @@ mod tests {
         assert!(nb.records.len() < full.records.len());
         let fi = full.interface_addrs();
         let ni = nb.interface_addrs();
-        let missing = fi.difference(&ni).count();
+        let missing = fi.iter().filter(|a| ni.binary_search(a).is_err()).count();
         assert!(
             missing <= fi.len() / 5,
             "neighborhood lost too much: {missing}/{}",

@@ -116,7 +116,7 @@ proptest! {
         assert_conserved("sequential", &e.stats, &log)?;
 
         let mut e = Engine::new(topo);
-        let dcfg = DoubletreeConfig { protocol, rate_pps: RATE_PPS, ..Default::default() };
+        let dcfg = DoubletreeConfig { protocol, rate_pps: RATE_PPS };
         let log = doubletree::run(&mut e, vantage, &targets, &dcfg);
         assert_conserved("doubletree", &e.stats, &log)?;
     }

@@ -163,7 +163,9 @@ proptest! {
     #[test]
     fn unexhausted_quote_always_rejected(spec in specs(), router: u128, recv_us: u64) {
         let probe = spec.build();
-        let err = icmp6::build_error(
+        let mut err = Vec::new();
+        icmp6::build_error_into(
+            &mut err,
             Ipv6Addr::from(router),
             spec.src,
             Icmp6Type::TimeExceeded,

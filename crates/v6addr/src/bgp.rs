@@ -124,14 +124,6 @@ impl BgpTable {
     pub fn prefixes_up_to(&self, max_len: u8) -> Vec<(Ipv6Prefix, Asn)> {
         self.iter().filter(|(p, _)| p.len() <= max_len).collect()
     }
-
-    /// The number of distinct origin ASNs present in the table.
-    pub fn asn_count(&self) -> usize {
-        let mut asns: Vec<u32> = self.iter().map(|(_, a)| a.0).collect();
-        asns.sort_unstable();
-        asns.dedup();
-        asns.len()
-    }
 }
 
 impl FromIterator<(Ipv6Prefix, Asn)> for BgpTable {
@@ -197,14 +189,5 @@ mod tests {
         let sel = t.prefixes_up_to(48);
         assert_eq!(sel.len(), 2);
         assert!(sel.iter().all(|(pf, _)| pf.len() <= 48));
-    }
-
-    #[test]
-    fn asn_count_dedups() {
-        let mut t = BgpTable::new();
-        t.announce(p("2001:db8::/32"), Asn(1));
-        t.announce(p("3fff::/20"), Asn(1));
-        t.announce(p("2002::/16"), Asn(2));
-        assert_eq!(t.asn_count(), 2);
     }
 }

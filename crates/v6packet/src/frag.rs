@@ -147,7 +147,8 @@ mod tests {
 
     #[test]
     fn rejects_non_fragment_and_corruption() {
-        let plain = crate::icmp6::build_echo_reply(a("::1"), a("::2"), 1, 2, b"x", 64);
+        let mut plain = Vec::new();
+        crate::icmp6::build_echo_reply_into(&mut plain, a("::1"), a("::2"), 1, 2, b"x", 64);
         assert!(parse_fragmented_echo_reply(&plain).is_none());
         let mut pkt = Vec::new();
         build_fragmented_echo_reply_into(&mut pkt, a("::1"), a("::2"), 1, 2, b"x", 64, 9);

@@ -123,23 +123,10 @@ pub struct Icmp6Message {
 }
 
 /// Builds a complete ICMPv6 *error* packet (IPv6 header + ICMPv6) from
-/// router `src` back to `dst`, quoting `invoking_packet` (a full IPv6
-/// packet as received). The quotation is truncated so the whole error
-/// stays within the minimum IPv6 MTU (1280 bytes).
-pub fn build_error(
-    src: Ipv6Addr,
-    dst: Ipv6Addr,
-    ty: Icmp6Type,
-    invoking_packet: &[u8],
-    hop_limit: u8,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    build_error_into(&mut out, src, dst, ty, invoking_packet, hop_limit);
-    out
-}
-
-/// [`build_error`] into a reusable buffer (cleared first): the hot-path
-/// variant — no allocation once `out` has grown to the minimum MTU.
+/// router `src` back to `dst` into `out` (cleared first), quoting
+/// `invoking_packet` (a full IPv6 packet as received). The quotation is
+/// truncated so the whole error stays within the minimum IPv6 MTU (1280
+/// bytes); no allocation once `out` has grown to that size.
 pub fn build_error_into(
     out: &mut Vec<u8>,
     src: Ipv6Addr,
@@ -188,23 +175,9 @@ pub fn build_error_quoted_into(
     out[ip6::HEADER_LEN + 2..ip6::HEADER_LEN + 4].copy_from_slice(&ck.to_be_bytes());
 }
 
-/// Builds a complete Echo Reply packet answering an echo request with
-/// identifier `ident`, sequence `seq` and `data` (the request's payload,
-/// returned verbatim per RFC 4443 §4.2).
-pub fn build_echo_reply(
-    src: Ipv6Addr,
-    dst: Ipv6Addr,
-    ident: u16,
-    seq: u16,
-    data: &[u8],
-    hop_limit: u8,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    build_echo_reply_into(&mut out, src, dst, ident, seq, data, hop_limit);
-    out
-}
-
-/// [`build_echo_reply`] into a reusable buffer (cleared first).
+/// Builds a complete Echo Reply packet into `out` (cleared first),
+/// answering an echo request with identifier `ident`, sequence `seq` and
+/// `data` (the request's payload, returned verbatim per RFC 4443 §4.2).
 #[allow(clippy::too_many_arguments)]
 pub fn build_echo_reply_into(
     out: &mut Vec<u8>,
@@ -280,7 +253,9 @@ mod tests {
     #[test]
     fn error_roundtrip() {
         let invoking = vec![0xabu8; 100];
-        let pkt = build_error(
+        let mut pkt = Vec::new();
+        build_error_into(
+            &mut pkt,
             addr("2001:db8::a"),
             addr("2001:db8::b"),
             Icmp6Type::TimeExceeded,
@@ -297,7 +272,9 @@ mod tests {
     #[test]
     fn error_quotation_truncated_to_min_mtu() {
         let invoking = vec![0u8; 4000];
-        let pkt = build_error(
+        let mut pkt = Vec::new();
+        build_error_into(
+            &mut pkt,
             addr("::1"),
             addr("::2"),
             Icmp6Type::DestUnreachable(DestUnreachCode::NoRoute),
@@ -312,7 +289,8 @@ mod tests {
     #[test]
     fn echo_reply_roundtrip() {
         let data = b"yarrp6 payload".to_vec();
-        let pkt = build_echo_reply(addr("::1"), addr("::2"), 0x1234, 80, &data, 55);
+        let mut pkt = Vec::new();
+        build_echo_reply_into(&mut pkt, addr("::1"), addr("::2"), 0x1234, 80, &data, 55);
         let (hdr, msg) = parse(&pkt).unwrap();
         assert_eq!(hdr.hop_limit, 55);
         assert_eq!(msg.ty, Icmp6Type::EchoReply);
@@ -323,7 +301,8 @@ mod tests {
 
     #[test]
     fn corrupted_checksum_rejected() {
-        let mut pkt = build_echo_reply(addr("::1"), addr("::2"), 1, 2, b"x", 64);
+        let mut pkt = Vec::new();
+        build_echo_reply_into(&mut pkt, addr("::1"), addr("::2"), 1, 2, b"x", 64);
         let n = pkt.len() - 1;
         pkt[n] ^= 0x55;
         assert!(parse(&pkt).is_none());

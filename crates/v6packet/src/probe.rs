@@ -594,7 +594,9 @@ mod tests {
         // A router at hop 4 quotes the probe with hop limit exhausted.
         let mut expired = probe.clone();
         expired[7] = 0;
-        let err = icmp6::build_error(
+        let mut err = Vec::new();
+        icmp6::build_error_into(
+            &mut err,
             "2001:db8:beef::1".parse().unwrap(),
             s.src,
             Icmp6TypeAlias::TimeExceeded,

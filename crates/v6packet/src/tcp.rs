@@ -32,21 +32,8 @@ pub struct TcpSegment {
 }
 
 /// Builds a complete IPv6+TCP response segment (20-byte header, no
-/// options, no payload) from `src` back to `dst`.
-pub fn build_response(
-    src: Ipv6Addr,
-    dst: Ipv6Addr,
-    sport: u16,
-    dport: u16,
-    flags: u8,
-    hop_limit: u8,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    build_response_into(&mut out, src, dst, sport, dport, flags, hop_limit);
-    out
-}
-
-/// [`build_response`] into a reusable buffer (cleared first).
+/// options, no payload) from `src` back to `dst` into `out` (cleared
+/// first).
 #[allow(clippy::too_many_arguments)]
 pub fn build_response_into(
     out: &mut Vec<u8>,
@@ -108,7 +95,9 @@ mod tests {
 
     #[test]
     fn rst_roundtrip() {
-        let pkt = build_response(
+        let mut pkt = Vec::new();
+        build_response_into(
+            &mut pkt,
             "2001:db8::1".parse().unwrap(),
             "2001:db8::2".parse().unwrap(),
             80,
@@ -125,7 +114,9 @@ mod tests {
 
     #[test]
     fn rejects_corruption_and_non_tcp() {
-        let mut pkt = build_response(
+        let mut pkt = Vec::new();
+        build_response_into(
+            &mut pkt,
             "::1".parse().unwrap(),
             "::2".parse().unwrap(),
             80,

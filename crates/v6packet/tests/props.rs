@@ -137,7 +137,8 @@ proptest! {
             4 => Icmp6Type::DestUnreachable(DestUnreachCode::PortUnreachable),
             _ => Icmp6Type::DestUnreachable(DestUnreachCode::RejectRoute),
         };
-        let err = icmp6::build_error(Ipv6Addr::from(router), spec.src, ty, &probe, 64);
+        let mut err = Vec::new();
+        icmp6::build_error_into(&mut err, Ipv6Addr::from(router), spec.src, ty, &probe, 64);
         let (outer, msg) = icmp6::parse(&err).unwrap();
         prop_assert_eq!(outer.src, Ipv6Addr::from(router));
         prop_assert_eq!(msg.ty, ty);

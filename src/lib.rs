@@ -86,8 +86,8 @@ pub mod prelude {
     };
     pub use crate::checkpoint::{Checkpoint, ResumeError};
     pub use aliasres::{
-        resolve_aliases, resolve_aliases_budgeted, resolve_aliases_supervised, AliasConfig,
-        AliasSets, RouterGraph, RouterGraphBuilder,
+        resolve_aliases, resolve_aliases_supervised, AliasConfig, AliasSets, RouterGraph,
+        RouterGraphBuilder,
     };
     pub use analysis::{
         discover_by_path_div, ia_hack, quarantine_all, read_sharded_snapshot,
