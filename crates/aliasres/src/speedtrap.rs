@@ -30,23 +30,21 @@ pub struct AliasConfig {
     pub probe_size: usize,
     /// Probe rate on the virtual clock (pps).
     pub rate_pps: u64,
-    /// Identifier distance below which two interfaces become MBT
-    /// candidates.
-    pub cluster_window: u32,
-    /// Maximum identifier span accepted by one MBT triple.
-    pub mbt_span: u32,
-    /// Hop limit for direct probes.
-    pub hop_limit: u8,
 }
+
+/// Identifier distance below which two interfaces become MBT
+/// candidates.
+const CLUSTER_WINDOW: u32 = 64;
+/// Maximum identifier span accepted by one MBT triple.
+const MBT_SPAN: u32 = 64;
+/// Hop limit for direct probes.
+const HOP_LIMIT: u8 = 64;
 
 impl Default for AliasConfig {
     fn default() -> Self {
         AliasConfig {
             probe_size: 1200,
             rate_pps: 1_000,
-            cluster_window: 64,
-            mbt_span: 64,
-            hop_limit: 64,
         }
     }
 }
@@ -144,7 +142,7 @@ impl AliasSets {
 
 /// Builds an oversized Echo Request to `target` (raw, not a Yarrp6 probe
 /// — alias resolution is a follow-on measurement with its own packets).
-fn build_big_echo(src: Ipv6Addr, target: Ipv6Addr, size: usize, seq: u16, hlim: u8) -> Vec<u8> {
+fn build_big_echo(src: Ipv6Addr, target: Ipv6Addr, size: usize, seq: u16) -> Vec<u8> {
     let mut icmp = vec![0u8; 8 + size];
     icmp[0] = 128;
     let ident = csum::addr_checksum(target);
@@ -161,7 +159,7 @@ fn build_big_echo(src: Ipv6Addr, target: Ipv6Addr, size: usize, seq: u16, hlim: 
         flow_label: 0,
         payload_len: icmp.len() as u16,
         next_header: proto_num::ICMP6,
-        hop_limit: hlim,
+        hop_limit: HOP_LIMIT,
         src,
         dst: target,
     };
@@ -182,7 +180,7 @@ fn sample(
     probes: &mut u64,
     seq: u16,
 ) -> Option<u32> {
-    let wire = build_big_echo(src, iface, cfg.probe_size, seq, cfg.hop_limit);
+    let wire = build_big_echo(src, iface, cfg.probe_size, seq);
     *probes += 1;
     let d = engine.inject(&wire, *now_us);
     *now_us += 1_000_000 / cfg.rate_pps.max(1);
@@ -237,7 +235,7 @@ pub fn resolve_aliases(
     let mut start = 0usize;
     for i in 1..=samples.len() {
         let boundary =
-            i == samples.len() || samples[i].1.wrapping_sub(samples[i - 1].1) > cfg.cluster_window;
+            i == samples.len() || samples[i].1.wrapping_sub(samples[i - 1].1) > CLUSTER_WINDOW;
         if boundary {
             clusters.push(&samples[start..i]);
             start = i;
@@ -286,7 +284,7 @@ pub fn resolve_aliases(
         let s3 = sample(engine, src, a, cfg, &mut now_us, &mut probes, 102);
         if let (Some(i1), Some(i2), Some(i3)) = (s1, s2, s3) {
             let monotonic = i1 < i2 && i2 < i3;
-            let tight = i3.wrapping_sub(i1) <= cfg.mbt_span;
+            let tight = i3.wrapping_sub(i1) <= MBT_SPAN;
             if monotonic && tight {
                 pairs_confirmed += 1;
                 let ra = find(&mut parent, a);

@@ -40,7 +40,7 @@ fn main() {
         initial.len(),
         cfg.probe_budget
     );
-    let res = run_adaptive_parallel(&topo, &initial, &cfg);
+    let res = run_adaptive_checkpointed(&topo, &initial, &cfg, true, |_| {});
 
     println!(
         "{:>5} {:>8} {:>9} {:>10} {:>9} {:>12} {:>12}",
@@ -61,7 +61,7 @@ fn main() {
     println!(
         "\nstopped: {:?} after {} probes — {} unique interfaces, {} inferred subnets",
         res.stop,
-        res.probes(),
+        res.stats.probes,
         res.unique_interfaces(),
         res.subnets.len()
     );

@@ -87,7 +87,6 @@ fn main() {
     let acfg = AdaptiveConfig {
         vantages: vec![0, 1, 2],
         vantage_budgeting: true,
-        vantage_floor_share: 0.10,
         probe_budget: 200_000,
         round_targets: 1_500,
         shards: 2,
@@ -95,11 +94,11 @@ fn main() {
         min_yield_per_kprobes: 0.0,
         ..AdaptiveConfig::default()
     };
-    let res = run_adaptive_parallel(&topo, &initial, &acfg);
+    let res = run_adaptive_checkpointed(&topo, &initial, &acfg, true, |_| {});
     println!(
         "\nadaptive multi-vantage: {} rounds, {} probes, {} unique interfaces ({:?})",
         res.rounds.len(),
-        res.probes(),
+        res.stats.probes,
         res.unique_interfaces(),
         res.stop
     );

@@ -32,11 +32,11 @@ fn main() {
     };
 
     // --- Day 0: a fresh adaptive sweep.
-    let fresh = run_adaptive_parallel(&topo, &initial, &cfg);
+    let fresh = run_adaptive_checkpointed(&topo, &initial, &cfg, true, |_| {});
     println!(
         "fresh sweep: {} rounds, {} probes, {} unique interfaces",
         fresh.rounds.len(),
-        fresh.probes(),
+        fresh.stats.probes,
         fresh.unique_interfaces()
     );
 
@@ -68,15 +68,15 @@ fn main() {
         "delta sweep against the unchanged snapshot: {} rounds, {} probes, \
          {} unique interfaces ({:?})",
         delta.rounds.len(),
-        delta.probes(),
+        delta.stats.probes,
         delta.unique_interfaces(),
         delta.stop
     );
     println!(
         "probe cost: {} fresh vs {} delta ({:.1}% of the fresh sweep)",
-        fresh.probes(),
-        delta.probes(),
-        100.0 * delta.probes() as f64 / fresh.probes() as f64
+        fresh.stats.probes,
+        delta.stats.probes,
+        100.0 * delta.stats.probes as f64 / fresh.stats.probes as f64
     );
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -46,8 +46,8 @@
 //! The two `‖` rows are the round tail's **two lanes**: they read the
 //! same finished round and nothing of each other, `LoopState::lanes`
 //! hands each its disjoint borrows of the state, and `join` runs them —
-//! side by side under the parallel drivers, one after the other under
-//! the serial ones, with the same results. That makes feedback
+//! side by side under the parallel driver, one after the other under
+//! the serial one, with the same results. That makes feedback
 //! *speculative*: it is generated before the round closes, when only
 //! the round cap is known to stop the loop (then it is not started);
 //! a yield-floor, budget or all-vantages-down stop discards the one
@@ -64,18 +64,25 @@
 //! interfaces) are extended, never rebuilt.
 //!
 //! Once the pool is installed (or dropped) the state is a complete
-//! resume point and the observer of [`run_adaptive_checkpointed`]
-//! borrows the [`Checkpoint`] that owns it — nothing is copied to show
-//! it. The stop rule reads state alone, which is what makes that true:
+//! resume point and the round-boundary observer borrows the
+//! [`Checkpoint`] that owns it — nothing is copied to show it. The stop
+//! rule reads state alone, which is what makes that true:
 //! the same function decides at the loop top and decides whether the
 //! generated pool is kept.
 //!
-//! ## Drivers
+//! ## Entry points and drivers
 //!
-//! [`run_adaptive`] runs each round's campaigns one at a time and its
-//! subnet miners and two tail lanes in turn on the calling thread;
-//! [`run_adaptive_parallel`] runs campaigns and miners on the
-//! work-queue pool and the lanes side by side. It is one code path:
+//! A run starts one of three ways, and each has one entry point:
+//! [`run_adaptive_checkpointed`] starts fresh from an initial target
+//! set, [`resume_adaptive`] continues from a [`Checkpoint`], and
+//! [`run_adaptive_delta`] starts from a prior run's persisted store.
+//! Each takes `parallel`; the first two also take the round-boundary
+//! observer (`|_| {}` when nothing watches).
+//!
+//! The serial driver (`parallel = false`) runs each round's campaigns
+//! one at a time and its subnet miners and two tail lanes in turn on
+//! the calling thread; the parallel driver runs campaigns and miners on
+//! the work-queue pool and the lanes side by side. It is one code path:
 //! the drivers differ only inside `pool_map` and `join`. Campaigns are
 //! engine-isolated, miners are pure per set, pool results return in
 //! input order and the lanes share no mutable state, so the two are
@@ -107,8 +114,12 @@
 //!
 //! [`resume_adaptive`] continues from any round-boundary
 //! [`Checkpoint`] (a byte-deterministic snapshot of `LoopState`) and
-//! produces results bit-identical to the uninterrupted run, pinned by
-//! the `checkpoint` suite.
+//! produces results bit-identical to the uninterrupted run, its
+//! observer shown the same checkpoints the uninterrupted run's was from
+//! that round on — pinned by the `checkpoint` suite. A checkpoint taken
+//! under another topology or configuration, or whose state does not fit
+//! the configuration offered, is refused with
+//! [`ResumeError::ConfigMismatch`].
 //!
 //! This module lives in the umbrella crate because it is the one place
 //! the whole pipeline meets: it orchestrates `yarrp6` (probers),
@@ -157,14 +168,6 @@ pub struct AdaptiveConfig {
     /// the original uniform behavior, bit-identical to earlier
     /// releases.
     pub vantage_budgeting: bool,
-    /// Floor share of the per-round allocation any single vantage
-    /// keeps under vantage budgeting (exploration: a vantage that went
-    /// quiet can still prove itself again). Clamped to `1/len(vantages)`.
-    pub vantage_floor_share: f64,
-    /// EWMA smoothing for the per-vantage yield weights: the fraction
-    /// of the previous weight retained each round (0 = follow the last
-    /// round only, 1 = never move).
-    pub vantage_smoothing: f64,
     /// Global probe budget: once the engines' cumulative probe count
     /// reaches it, no further round starts, and each round's target
     /// list is pre-truncated so its nominal cost
@@ -236,8 +239,7 @@ pub struct AdaptiveConfig {
 /// ([`AdaptiveConfig::alias_resolution`]).
 #[derive(Clone, Copy, Debug)]
 pub struct AliasStageConfig {
-    /// Speedtrap prober parameters (probe size, rate, cluster window,
-    /// MBT span).
+    /// Speedtrap prober parameters (probe size and rate).
     pub probe: AliasConfig,
     /// Cap on candidate interfaces offered to the prober per round
     /// (stride-sampled when the derived candidate set overflows, so
@@ -266,8 +268,6 @@ impl Default for AdaptiveConfig {
             stream: StreamConfig::default(),
             vantages: vec![0],
             vantage_budgeting: false,
-            vantage_floor_share: 0.10,
-            vantage_smoothing: 0.5,
             probe_budget: 1_000_000,
             round_targets: 4_096,
             shards: 1,
@@ -462,11 +462,6 @@ impl AdaptiveResult {
         self.interfaces.len()
     }
 
-    /// Probes consumed over the whole run.
-    pub fn probes(&self) -> u64 {
-        self.stats.probes
-    }
-
     /// The cross-vantage, cross-round union of every campaign's trace
     /// set ([`TraceSet::merge_all`] in execution order — rounds in
     /// order, vantage-major within a round), with per-trace vantage
@@ -568,31 +563,6 @@ fn fresh(topo: &Topology, initial: &TargetSet, cfg: &AdaptiveConfig) -> Checkpoi
     }
 }
 
-/// Runs the adaptive loop serially: one campaign at a time, and the
-/// stages between campaigns in turn on the calling thread. See the
-/// module docs for the loop structure.
-pub fn run_adaptive(
-    topo: &Arc<Topology>,
-    initial: &TargetSet,
-    cfg: &AdaptiveConfig,
-) -> AdaptiveResult {
-    run_loop(topo, cfg, false, fresh(topo, initial, cfg), None, |_| {})
-}
-
-/// Runs the adaptive loop with each round's campaigns and per-set
-/// subnet miners on the work-queue thread pool, and the round tail's
-/// two lanes — the alias stage and feedback generation — side by side.
-/// Bit-identical to [`run_adaptive`]: campaigns are engine-isolated,
-/// miners are pure, both return in input order and are folded on the
-/// calling thread, and the lanes borrow disjoint state.
-pub fn run_adaptive_parallel(
-    topo: &Arc<Topology>,
-    initial: &TargetSet,
-    cfg: &AdaptiveConfig,
-) -> AdaptiveResult {
-    run_loop(topo, cfg, true, fresh(topo, initial, cfg), None, |_| {})
-}
-
 /// How many already-known targets [`run_adaptive_delta`] re-probes as
 /// canaries: a stride-sampled subset of the prior store's targets whose
 /// observations are compared against the stored ones.
@@ -612,9 +582,9 @@ const CANARY_TARGETS: usize = 64;
 /// canaries.
 ///
 /// The result's `traces` include the prior shards (the merged view is
-/// the updated store); `stats`/`probes()` count only this run's
-/// probing. Delta runs are not checkpointable — the snapshot, not the
-/// checkpoint layer, is the durability story here.
+/// the updated store); `stats` counts only this run's probing. Delta
+/// runs are not checkpointable — the snapshot, not the checkpoint
+/// layer, is the durability story here.
 pub fn run_adaptive_delta(
     topo: &Arc<Topology>,
     initial: &TargetSet,
@@ -661,14 +631,20 @@ pub fn run_adaptive_delta(
     run_loop(topo, cfg, parallel, ck, Some(delta), |_| {})
 }
 
-/// [`run_adaptive`] (or its parallel form) with the loop's
-/// [`Checkpoint`] shown to `on_round` at **every round boundary** —
-/// after the round's mining, budget accounting and pool regeneration,
-/// i.e. exactly the state the next round starts from. The observer
-/// borrows the state the loop runs on (showing it copies nothing);
-/// persist [`Checkpoint::to_bytes`] wherever durability lives, or
-/// clone it to keep the value. A process killed between rounds resumes
-/// with [`resume_adaptive`] bit-identically.
+/// Runs the adaptive loop from `initial`: a fresh run. With
+/// `parallel` each round's campaigns and per-set subnet miners run on
+/// the work-queue thread pool and the round tail's two lanes side by
+/// side; without it everything runs in turn on the calling thread. The
+/// two are bit-identical (module docs, "Entry points and drivers").
+///
+/// The loop's [`Checkpoint`] is shown to `on_round` at **every round
+/// boundary** — after the round's mining, budget accounting and pool
+/// regeneration, i.e. exactly the state the next round starts from.
+/// The observer borrows the state the loop runs on (showing it copies
+/// nothing); persist [`Checkpoint::to_bytes`] wherever durability
+/// lives, or clone it to keep the value, or pass `|_| {}`. A process
+/// killed between rounds resumes with [`resume_adaptive`]
+/// bit-identically.
 pub fn run_adaptive_checkpointed(
     topo: &Arc<Topology>,
     initial: &TargetSet,
@@ -686,33 +662,31 @@ pub fn run_adaptive_checkpointed(
     )
 }
 
-/// Continues an adaptive run from a round-boundary [`Checkpoint`].
-/// The final [`AdaptiveResult`] — merged trace set, stats, reports —
-/// is bit-identical to the run that was never interrupted, provided
-/// `topo` and `cfg` are the ones the checkpoint was taken under
-/// (enforced by digest; a mismatch is a [`ResumeError`], not a corrupt
-/// result).
+/// Continues an adaptive run from a round-boundary [`Checkpoint`], with
+/// `parallel` and `on_round` as in [`run_adaptive_checkpointed`]:
+/// `on_round` fires at every round boundary after the resume point. The
+/// final [`AdaptiveResult`] — merged trace set, stats, reports — is
+/// bit-identical to the run that was never interrupted, provided `topo`
+/// and `cfg` are the ones the checkpoint was taken under. That is
+/// enforced twice, and either failure is
+/// [`ResumeError::ConfigMismatch`], not a corrupt result or a panic: the
+/// digest must match, and the state must fit `cfg` — one budgeter
+/// weight per configured vantage, alias state exactly when
+/// [`AdaptiveConfig::alias_resolution`] is on. The caller's checkpoint
+/// is left as it was; the resumed loop runs on a clone of it (which
+/// shares the trace record).
 pub fn resume_adaptive(
-    topo: &Arc<Topology>,
-    cfg: &AdaptiveConfig,
-    ckpt: &Checkpoint,
-    parallel: bool,
-) -> Result<AdaptiveResult, ResumeError> {
-    resume_adaptive_checkpointed(topo, cfg, ckpt, parallel, |_| {})
-}
-
-/// [`resume_adaptive`] that keeps checkpointing: `on_round` fires at
-/// every round boundary after the resume point. The caller's
-/// checkpoint is left as it was; the resumed loop runs on a clone of
-/// it (which shares the trace record).
-pub fn resume_adaptive_checkpointed(
     topo: &Arc<Topology>,
     cfg: &AdaptiveConfig,
     ckpt: &Checkpoint,
     parallel: bool,
     on_round: impl FnMut(&Checkpoint),
 ) -> Result<AdaptiveResult, ResumeError> {
-    if config_digest(topo, cfg) != ckpt.digest() {
+    // The decoder holds the liveness list to the weights' length.
+    let st = &ckpt.state;
+    let fits =
+        st.vweights.len() == cfg.vantages.len() && st.alias.is_some() == cfg.alias_resolution;
+    if config_digest(topo, cfg) != ckpt.digest() || !fits {
         return Err(ResumeError::ConfigMismatch);
     }
     Ok(run_loop(topo, cfg, parallel, ckpt.clone(), None, on_round))
@@ -903,6 +877,16 @@ fn stop_reason(st: &LoopState, cfg: &AdaptiveConfig) -> Option<StopReason> {
     }
 }
 
+/// Floor share of the per-round allocation any single vantage keeps
+/// under vantage budgeting (exploration: a vantage that went quiet can
+/// still prove itself again). Clamped to `1/alive vantages`.
+const VANTAGE_FLOOR_SHARE: f64 = 0.10;
+
+/// EWMA smoothing for the per-vantage yield weights under vantage
+/// budgeting: the fraction of the previous weight retained each round
+/// (0 = follow the last round only, 1 = never move).
+const VANTAGE_SMOOTHING: f64 = 0.5;
+
 /// Each vantage's share of the next round's allocation. The weights
 /// are an EWMA-smoothed distribution (sum 1); the share is
 /// `floor + (1 - k·floor) · weight` — an affine map that keeps every
@@ -911,7 +895,7 @@ fn stop_reason(st: &LoopState, cfg: &AdaptiveConfig) -> Option<StopReason> {
 /// back below the floor). With dead vantages the surviving weights
 /// renormalize and the same map runs over the survivor count, so a
 /// dead vantage's share flows to the living.
-fn vantage_shares(cfg: &AdaptiveConfig, vweights: &[f64], alive: &[bool]) -> Vec<f64> {
+fn vantage_shares(vweights: &[f64], alive: &[bool]) -> Vec<f64> {
     let alive_k = alive.iter().filter(|&&a| a).count();
     if alive_k == 0 {
         return vec![0.0; alive.len()];
@@ -922,7 +906,7 @@ fn vantage_shares(cfg: &AdaptiveConfig, vweights: &[f64], alive: &[bool]) -> Vec
         let living = vweights.iter().zip(alive).filter(|&(_, &a)| a);
         living.map(|(&w, _)| w).sum()
     });
-    let floor = cfg.vantage_floor_share.clamp(0.0, 1.0 / alive_k as f64);
+    let floor = VANTAGE_FLOOR_SHARE.min(1.0 / alive_k as f64);
     vweights
         .iter()
         .zip(alive)
@@ -1142,7 +1126,7 @@ impl LoopState {
         let (k, alive_k) = (self.alive.len(), self.alive_count());
         let alloc: Vec<usize> = if cfg.vantage_budgeting && k > 1 {
             let slots = (alive_k * targets.len()) as f64;
-            vantage_shares(cfg, &self.vweights, &self.alive)
+            vantage_shares(&self.vweights, &self.alive)
                 .iter()
                 .zip(&self.alive)
                 .map(|(&s, &a)| match a {
@@ -1363,13 +1347,12 @@ impl LoopState {
                 .collect();
             let total: f64 = yields.iter().sum();
             if total > 0.0 {
-                let keep = cfg.vantage_smoothing.clamp(0.0, 1.0);
                 for (w, y) in self.vweights.iter_mut().zip(&yields) {
-                    *w = keep * *w + (1.0 - keep) * (y / total);
+                    *w = VANTAGE_SMOOTHING * *w + (1.0 - VANTAGE_SMOOTHING) * (y / total);
                 }
             }
         }
-        let next_shares = vantage_shares(cfg, &self.vweights, &self.alive);
+        let next_shares = vantage_shares(&self.vweights, &self.alive);
         for (p, &s) in per_v.iter_mut().zip(&next_shares) {
             p.next_share = s;
         }
@@ -1569,11 +1552,6 @@ fn run_loop(
     mut on_round: impl FnMut(&Checkpoint),
 ) -> AdaptiveResult {
     check_config(topo, cfg);
-    assert_eq!(
-        ck.state.vweights.len(),
-        cfg.vantages.len(),
-        "state/config vantage count mismatch"
-    );
     let mut views = Views::rebuild(topo, cfg, &ck.state);
     let stop = loop {
         let st = &mut ck.state;
@@ -1638,7 +1616,7 @@ mod tests {
     #[test]
     fn loop_runs_and_accounts() {
         let (topo, set) = fixture();
-        let res = run_adaptive(&topo, &set, &small_cfg());
+        let res = run_adaptive_checkpointed(&topo, &set, &small_cfg(), false, |_| {});
         assert!(!res.rounds.is_empty());
         assert!(res.unique_interfaces() > 0);
         assert_eq!(res.rounds.len(), res.round_targets.len());
@@ -1672,7 +1650,7 @@ mod tests {
             min_yield_per_kprobes: 0.0,
             ..AdaptiveConfig::default()
         };
-        let res = run_adaptive(&topo, &set, &cfg);
+        let res = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
         // Each round is pre-truncated to the nominal remainder, so the
         // overshoot is at most one round's fill-mode surplus.
         let nominal: u64 = res
@@ -1698,7 +1676,7 @@ mod tests {
             patience: 2,
             ..AdaptiveConfig::default()
         };
-        let res = run_adaptive(&topo, &set, &cfg);
+        let res = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
         assert_eq!(res.stop, StopReason::YieldFloor);
         assert_eq!(res.rounds.len(), 2);
     }
@@ -1753,7 +1731,7 @@ mod tests {
             vantages: Vec::new(),
             ..small_cfg()
         };
-        run_adaptive(&topo, &set, &cfg);
+        run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
     }
 
     #[test]
@@ -1768,7 +1746,7 @@ mod tests {
             vantages: vec![0, 9],
             ..small_cfg()
         };
-        run_adaptive(&topo, &set, &cfg);
+        run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
     }
 
     #[test]
@@ -1777,7 +1755,7 @@ mod tests {
         let (topo, set) = fixture();
         let mut cfg = small_cfg();
         cfg.yarrp.max_ttl = 0;
-        run_adaptive(&topo, &set, &cfg);
+        run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
     }
 
     #[test]
@@ -1786,6 +1764,6 @@ mod tests {
         let (topo, set) = fixture();
         let mut cfg = small_cfg();
         cfg.yarrp.max_ttl = 40;
-        run_adaptive(&topo, &set, &cfg);
+        run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
     }
 }

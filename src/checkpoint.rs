@@ -19,8 +19,9 @@
 //! bytes it came from). A checkpoint is only meaningful under the exact
 //! topology and configuration it was captured under, so it carries an
 //! FNV-1a digest of both; [`crate::adaptive::resume_adaptive`] refuses
-//! a mismatch with [`ResumeError::ConfigMismatch`] instead of producing
-//! a silently-divergent run.
+//! a mismatch, or a state that does not fit the configuration, with
+//! [`ResumeError::ConfigMismatch`] instead of producing a
+//! silently-divergent run.
 
 use crate::adaptive::{AdaptiveConfig, AliasState, LoopState, RoundReport, VantageRound};
 use aliasres::{RouterGraphBuilder, RouterGraphParts};
@@ -45,7 +46,10 @@ const TRAILER: usize = 8;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResumeError {
     /// The checkpoint was captured under a different topology or
-    /// adaptive configuration than the one offered for the resume.
+    /// adaptive configuration than the one offered for the resume (the
+    /// digests differ), or its state does not fit that configuration:
+    /// a vantage count other than the configuration's, or alias state
+    /// present exactly when alias resolution is off.
     ConfigMismatch,
 }
 
@@ -67,9 +71,10 @@ impl std::error::Error for ResumeError {}
 /// The adaptive loop's state at a round boundary, and the state the
 /// loop runs on: every entry point builds (or, on resume, clones) one
 /// `Checkpoint`, the loop advances the `LoopState` inside it, and
-/// [`crate::adaptive::run_adaptive_checkpointed`] shows it to the
-/// observer after every finished round by reference — nothing is
-/// copied to take a checkpoint. Serialize with
+/// [`crate::adaptive::run_adaptive_checkpointed`] and
+/// [`crate::adaptive::resume_adaptive`] show it to their observer after
+/// every finished round by reference — nothing is copied to take a
+/// checkpoint. Serialize with
 /// [`to_bytes`](Checkpoint::to_bytes) (or clone it: the trace record
 /// is shared, not copied), and continue a killed run with
 /// [`crate::adaptive::resume_adaptive`] — the resumed run's final

@@ -44,8 +44,8 @@ fn cfg() -> AdaptiveConfig {
 #[test]
 fn seeded_determinism_round_by_round() {
     let (topo, set) = fixture();
-    let a = run_adaptive(&topo, &set, &cfg());
-    let b = run_adaptive(&topo, &set, &cfg());
+    let a = run_adaptive_checkpointed(&topo, &set, &cfg(), false, |_| {});
+    let b = run_adaptive_checkpointed(&topo, &set, &cfg(), false, |_| {});
     assert_eq!(
         a.round_targets, b.round_targets,
         "round-by-round target lists diverged"
@@ -68,7 +68,7 @@ fn seeded_determinism_round_by_round() {
         rng_seed: 1,
         ..cfg()
     };
-    let c = run_adaptive(&topo, &set, &other);
+    let c = run_adaptive_checkpointed(&topo, &set, &other, false, |_| {});
     assert_eq!(a.round_targets[0], c.round_targets[0]);
     assert_ne!(
         a.round_targets[1..],
@@ -88,7 +88,7 @@ fn one_round_golden_matches_stream_campaign() {
         probe_budget: u64::MAX,
         ..AdaptiveConfig::default()
     };
-    let res = run_adaptive(&topo, &set, &one);
+    let res = run_adaptive_checkpointed(&topo, &set, &one, false, |_| {});
     assert_eq!(res.rounds.len(), 1);
     assert_eq!(res.traces.len(), 1);
     assert_eq!(res.round_targets[0], set.addrs);
@@ -117,8 +117,8 @@ fn one_round_golden_matches_stream_campaign() {
 #[test]
 fn parallel_matches_serial() {
     let (topo, set) = fixture();
-    let serial = run_adaptive(&topo, &set, &cfg());
-    let parallel = run_adaptive_parallel(&topo, &set, &cfg());
+    let serial = run_adaptive_checkpointed(&topo, &set, &cfg(), false, |_| {});
+    let parallel = run_adaptive_checkpointed(&topo, &set, &cfg(), true, |_| {});
     assert_eq!(serial.round_targets, parallel.round_targets);
     assert_eq!(serial.traces.len(), parallel.traces.len());
     for (s, p) in serial.traces.iter().zip(&parallel.traces) {
@@ -140,8 +140,6 @@ fn budgeting_cfg() -> AdaptiveConfig {
     AdaptiveConfig {
         vantages: vec![0, 1, 2],
         vantage_budgeting: true,
-        vantage_floor_share: 0.05,
-        vantage_smoothing: 0.25,
         probe_budget: 200_000,
         round_targets: 250,
         shards: 2,
@@ -159,9 +157,9 @@ fn budgeting_cfg() -> AdaptiveConfig {
 fn vantage_budgeting_is_deterministic_and_parallel_matches_serial() {
     let (topo, set) = fixture();
     let cfg = budgeting_cfg();
-    let a = run_adaptive(&topo, &set, &cfg);
-    let b = run_adaptive(&topo, &set, &cfg);
-    let p = run_adaptive_parallel(&topo, &set, &cfg);
+    let a = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
+    let b = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
+    let p = run_adaptive_checkpointed(&topo, &set, &cfg, true, |_| {});
     assert_eq!(a.round_targets, b.round_targets);
     assert_eq!(a.round_targets, p.round_targets);
     for ((x, y), z) in a.rounds.iter().zip(&b.rounds).zip(&p.rounds) {
@@ -177,7 +175,7 @@ fn vantage_budgeting_is_deterministic_and_parallel_matches_serial() {
 #[test]
 fn vantage_budgeting_shifts_allocation_toward_yield() {
     let (topo, set) = fixture();
-    let res = run_adaptive(&topo, &set, &budgeting_cfg());
+    let res = run_adaptive_checkpointed(&topo, &set, &budgeting_cfg(), false, |_| {});
     assert!(res.rounds.len() >= 2, "need at least two rounds");
     let k = 3usize;
     for r in &res.rounds {
@@ -227,7 +225,7 @@ fn vantage_budgeting_shifts_allocation_toward_yield() {
 #[test]
 fn uniform_rounds_report_uniform_vantage_stats() {
     let (topo, set) = fixture();
-    let res = run_adaptive(&topo, &set, &cfg());
+    let res = run_adaptive_checkpointed(&topo, &set, &cfg(), false, |_| {});
     for r in &res.rounds {
         assert_eq!(r.per_vantage.len(), 2);
         for pv in &r.per_vantage {
@@ -245,7 +243,7 @@ fn uniform_rounds_report_uniform_vantage_stats() {
 #[test]
 fn merged_traces_union_all_discoveries() {
     let (topo, set) = fixture();
-    let res = run_adaptive(&topo, &set, &cfg());
+    let res = run_adaptive_checkpointed(&topo, &set, &cfg(), false, |_| {});
     let merged = res.merged_traces();
     // Every interface the loop counted is in the merged union's
     // interner, and vice versa.
@@ -260,7 +258,7 @@ fn merged_traces_union_all_discoveries() {
 #[test]
 fn feedback_rounds_discover_beyond_round_zero() {
     let (topo, set) = fixture();
-    let res = run_adaptive(&topo, &set, &cfg());
+    let res = run_adaptive_checkpointed(&topo, &set, &cfg(), false, |_| {});
     assert!(
         res.rounds.len() > 1,
         "fixture must sustain more than one round"
@@ -318,7 +316,7 @@ fn adaptive_matches_or_beats_static_at_equal_probe_budget() {
     // Both arms get exactly what the static arm can use.
     let budget = n_static as u64 * per_target;
 
-    let static_res = run_adaptive(
+    let static_res = run_adaptive_checkpointed(
         &topo,
         &static_set,
         &AdaptiveConfig {
@@ -329,8 +327,10 @@ fn adaptive_matches_or_beats_static_at_equal_probe_budget() {
             min_yield_per_kprobes: 0.0,
             ..AdaptiveConfig::default()
         },
+        false,
+        |_| {},
     );
-    let adaptive_res = run_adaptive(
+    let adaptive_res = run_adaptive_checkpointed(
         &topo,
         &seed_set,
         &AdaptiveConfig {
@@ -346,9 +346,14 @@ fn adaptive_matches_or_beats_static_at_equal_probe_budget() {
             },
             ..AdaptiveConfig::default()
         },
+        false,
+        |_| {},
     );
-    assert!(static_res.probes() <= budget, "static arm over budget");
-    assert!(adaptive_res.probes() <= budget, "adaptive arm over budget");
+    assert!(static_res.stats.probes <= budget, "static arm over budget");
+    assert!(
+        adaptive_res.stats.probes <= budget,
+        "adaptive arm over budget"
+    );
     let (si, ai) = (
         static_res.unique_interfaces(),
         adaptive_res.unique_interfaces(),

@@ -51,7 +51,7 @@ fn assert_no_fabricated(topo: &Topology, interfaces: impl IntoIterator<Item = Ip
 #[test]
 fn quarantined_run_on_hostile_topology_has_zero_fabricated_interfaces() {
     let (topo, set) = fixture(hostile_config(42));
-    let res = run_adaptive(&topo, &set, &loop_cfg(true));
+    let res = run_adaptive_checkpointed(&topo, &set, &loop_cfg(true), false, |_| {});
     assert!(
         !res.interfaces.is_empty(),
         "hostile run discovered nothing at all"
@@ -98,7 +98,7 @@ fn poisoned_run_retains_most_of_the_clean_yield() {
             },
             ..loop_cfg(quarantine_feedback)
         };
-        let res = run_adaptive(&topo, &set, &cfg);
+        let res = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
         assert_no_fabricated(&topo, res.interfaces.iter());
         res.unique_interfaces()
     };
@@ -116,12 +116,12 @@ fn poisoned_run_retains_most_of_the_clean_yield() {
 fn quarantined_loop_is_deterministic_and_parallel_matches_serial() {
     let (topo, set) = fixture(hostile_config(43));
     let cfg = loop_cfg(true);
-    let a = run_adaptive(&topo, &set, &cfg);
-    let b = run_adaptive(&topo, &set, &cfg);
+    let a = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
+    let b = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
     assert_eq!(a.round_targets, b.round_targets);
     assert_eq!(a.traces, b.traces);
     assert_eq!(a.stats, b.stats);
-    let p = run_adaptive_parallel(&topo, &set, &cfg);
+    let p = run_adaptive_checkpointed(&topo, &set, &cfg, true, |_| {});
     assert_eq!(a.round_targets, p.round_targets);
     assert_eq!(a.traces, p.traces);
     assert_eq!(a.stats, p.stats);
@@ -134,8 +134,8 @@ fn quarantined_loop_is_deterministic_and_parallel_matches_serial() {
 #[test]
 fn clean_topology_makes_quarantine_invisible() {
     let (topo, set) = fixture(TopologyConfig::tiled(42, 2));
-    let off = run_adaptive(&topo, &set, &loop_cfg(false));
-    let on = run_adaptive(&topo, &set, &loop_cfg(true));
+    let off = run_adaptive_checkpointed(&topo, &set, &loop_cfg(false), false, |_| {});
+    let on = run_adaptive_checkpointed(&topo, &set, &loop_cfg(true), false, |_| {});
     assert_eq!(off.round_targets, on.round_targets, "feedback diverged");
     assert_eq!(off.traces, on.traces, "trace sets diverged");
     for (x, y) in off.traces.iter().zip(&on.traces) {
@@ -171,13 +171,13 @@ fn hostile_run_quarantine_actually_condemns() {
     // responders were scrubbed out of everything that feeds forward),
     // while with the flag off the two are identical.
     let (topo, set) = fixture(hostile_config(42));
-    let raw = run_adaptive(&topo, &set, &loop_cfg(false));
+    let raw = run_adaptive_checkpointed(&topo, &set, &loop_cfg(false), false, |_| {});
     assert_eq!(
         kept_responders(&raw).len(),
         raw.interfaces.len(),
         "with quarantine off the kept traces are the raw observations"
     );
-    let cleaned = run_adaptive(&topo, &set, &loop_cfg(true));
+    let cleaned = run_adaptive_checkpointed(&topo, &set, &loop_cfg(true), false, |_| {});
     assert!(
         kept_responders(&cleaned).len() < cleaned.interfaces.len(),
         "quarantine condemned nothing on a 20%-hostile topology \

@@ -45,7 +45,7 @@ fn alias_cfg() -> AdaptiveConfig {
 #[test]
 fn alias_stage_collapses_interfaces_with_high_precision() {
     let (topo, set) = fixture(7, 2);
-    let res = run_adaptive_parallel(&topo, &set, &alias_cfg());
+    let res = run_adaptive_checkpointed(&topo, &set, &alias_cfg(), true, |_| {});
     let rl = res
         .router_level
         .as_ref()
@@ -105,7 +105,7 @@ fn alias_stage_collapses_interfaces_with_high_precision() {
     assert!(res.rounds.windows(2).all(|w| w[0].routers <= w[1].routers));
 
     // Alias probes burn the shared budget.
-    assert!(res.probes() <= alias_cfg().probe_budget);
+    assert!(res.stats.probes <= alias_cfg().probe_budget);
     assert_eq!(res.stats.probes, res.rounds.iter().map(|r| r.probes).sum());
 
     // The graph never invents interfaces: every observed member was
@@ -128,7 +128,7 @@ fn alias_off_yields_no_router_level_view() {
         alias_resolution: false,
         ..alias_cfg()
     };
-    let res = run_adaptive_parallel(&topo, &set, &cfg);
+    let res = run_adaptive_checkpointed(&topo, &set, &cfg, true, |_| {});
     assert!(res.router_level.is_none());
     for r in &res.rounds {
         assert_eq!(r.routers, 0);
@@ -184,16 +184,21 @@ fn alias_state_survives_checkpoint_resume_bit_identically() {
         full.router_level.is_some(),
         "checkpointed run must still build the router-level view"
     );
-    assert_same(&full, &run_adaptive(&topo, &set, &cfg));
+    assert_same(
+        &full,
+        &run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {}),
+    );
 
     for (i, bytes) in snaps.iter().enumerate() {
         let ck = Checkpoint::from_bytes(bytes).expect("checkpoint must deserialize");
         assert_eq!(ck.round(), i + 1);
         // The encoding (alias arrays included) round-trips exactly.
         assert_eq!(&ck.to_bytes(), bytes, "snapshot bytes not deterministic");
-        let resumed = resume_adaptive(&topo, &cfg, &ck, false).expect("resume must be accepted");
+        let resumed =
+            resume_adaptive(&topo, &cfg, &ck, false, |_| {}).expect("resume must be accepted");
         assert_same(&full, &resumed);
-        let resumed_par = resume_adaptive(&topo, &cfg, &ck, true).expect("resume (parallel)");
+        let resumed_par =
+            resume_adaptive(&topo, &cfg, &ck, true, |_| {}).expect("resume (parallel)");
         assert_same(&full, &resumed_par);
     }
 }

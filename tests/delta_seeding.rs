@@ -63,7 +63,7 @@ fn snapshot_of(res: &AdaptiveResult) -> ShardedTraceSet {
 #[test]
 fn unchanged_snapshot_probes_fewer_targets_for_equal_discovery() {
     let (topo, set) = fixture();
-    let fresh = run_adaptive(&topo, &set, &cfg());
+    let fresh = run_adaptive_checkpointed(&topo, &set, &cfg(), false, |_| {});
     let prior = snapshot_of(&fresh);
     let delta = run_adaptive_delta(&topo, &set, &cfg(), &prior, false);
     assert!(
@@ -83,7 +83,8 @@ fn unchanged_snapshot_probes_fewer_targets_for_equal_discovery() {
 #[test]
 fn delta_runs_are_deterministic_serial_and_parallel() {
     let (topo, set) = fixture();
-    let prior = snapshot_of(&run_adaptive(&topo, &set, &cfg()));
+    let fresh = run_adaptive_checkpointed(&topo, &set, &cfg(), false, |_| {});
+    let prior = snapshot_of(&fresh);
     let a = run_adaptive_delta(&topo, &set, &cfg(), &prior, false);
     let b = run_adaptive_delta(&topo, &set, &cfg(), &prior, true);
     assert_eq!(a.round_targets, b.round_targets);
@@ -102,7 +103,8 @@ fn delta_runs_are_deterministic_serial_and_parallel() {
 #[test]
 fn changed_observations_reopen_their_shards() {
     let (topo, set) = fixture();
-    let unchanged_prior = snapshot_of(&run_adaptive(&topo, &set, &cfg()));
+    let fresh = run_adaptive_checkpointed(&topo, &set, &cfg(), false, |_| {});
+    let unchanged_prior = snapshot_of(&fresh);
     // A snapshot taken with a much shorter TTL horizon: every stored
     // path is a truncated version of what a canary re-probe sees, so
     // canaries disagree and their shards must be re-swept.
@@ -113,7 +115,8 @@ fn changed_observations_reopen_their_shards() {
         },
         ..cfg()
     };
-    let stale_prior = snapshot_of(&run_adaptive(&topo, &set, &short));
+    let stale = run_adaptive_checkpointed(&topo, &set, &short, false, |_| {});
+    let stale_prior = snapshot_of(&stale);
 
     let calm = run_adaptive_delta(&topo, &set, &cfg(), &unchanged_prior, false);
     let resweep = run_adaptive_delta(&topo, &set, &cfg(), &stale_prior, false);

@@ -145,8 +145,11 @@ fn all_features_compose_under_faults_and_adversaries() {
     let (topo, set) = fixture();
     let cfg = cfg();
 
-    let serial = run_adaptive(&topo, &set, &cfg);
-    assert_same(&serial, &run_adaptive_parallel(&topo, &set, &cfg));
+    let serial = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
+    assert_same(
+        &serial,
+        &run_adaptive_checkpointed(&topo, &set, &cfg, true, |_| {}),
+    );
     assert_hostile_and_accounted(&topo, &cfg, &serial);
     assert!(serial.rounds.len() > 2, "fixture must run several rounds");
     // The outage begins inside round 0 (probes eaten, campaigns still
@@ -185,13 +188,13 @@ fn all_features_compose_under_faults_and_adversaries() {
         assert_eq!(ck.round(), i + 1);
         assert_eq!(&ck.to_bytes(), bytes);
         let mut later: Vec<Vec<u8>> = Vec::new();
-        let resumed = resume_adaptive_checkpointed(&topo, &cfg, &ck, i % 2 == 0, |ck| {
+        let resumed = resume_adaptive(&topo, &cfg, &ck, i % 2 == 0, |ck| {
             later.push(ck.to_bytes());
         })
         .expect("resume must be accepted");
         assert_same(&full, &resumed);
         assert_eq!(later.as_slice(), &snaps[i + 1..]);
-        let plain = resume_adaptive(&topo, &cfg, &ck, i % 2 == 1).expect("resume");
+        let plain = resume_adaptive(&topo, &cfg, &ck, i % 2 == 1, |_| {}).expect("resume");
         assert_same(&full, &plain);
     }
 }
@@ -200,7 +203,7 @@ fn all_features_compose_under_faults_and_adversaries() {
 fn all_features_compose_under_delta_seeding() {
     let (topo, set) = fixture();
     let cfg = cfg();
-    let first = run_adaptive(&topo, &set, &cfg);
+    let first = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
     let prior = ShardedTraceSet::from_set(&first.merged_traces(), 8);
     let a = run_adaptive_delta(&topo, &set, &cfg, &prior, false);
     let b = run_adaptive_delta(&topo, &set, &cfg, &prior, true);

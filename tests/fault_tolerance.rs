@@ -36,8 +36,6 @@ fn cfg() -> AdaptiveConfig {
     AdaptiveConfig {
         vantages: vec![0, 1, 2],
         vantage_budgeting: true,
-        vantage_floor_share: 0.05,
-        vantage_smoothing: 0.25,
         probe_budget: 400_000,
         round_targets: 250,
         shards: 2,
@@ -80,9 +78,9 @@ fn killing_one_of_three_vantages_degrades_instead_of_dying() {
     let (faulty_topo, _) = fixture(kill_v1());
     let cfg = cfg();
 
-    let baseline = run_adaptive(&fault_free_topo, &set, &cfg);
+    let baseline = run_adaptive_checkpointed(&fault_free_topo, &set, &cfg, false, |_| {});
     // Completes without panicking, all rounds accounted.
-    let faulty = run_adaptive(&faulty_topo, &set, &cfg);
+    let faulty = run_adaptive_checkpointed(&faulty_topo, &set, &cfg, false, |_| {});
     assert!(!faulty.rounds.is_empty());
 
     // The dead vantage is reported degraded in some round's report.
@@ -134,9 +132,9 @@ fn killing_one_of_three_vantages_degrades_instead_of_dying() {
 fn faulty_runs_are_deterministic_and_parallel_matches_serial() {
     let (topo, set) = fixture(kill_v1());
     let cfg = cfg();
-    let a = run_adaptive(&topo, &set, &cfg);
-    let b = run_adaptive(&topo, &set, &cfg);
-    let p = run_adaptive_parallel(&topo, &set, &cfg);
+    let a = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
+    let b = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
+    let p = run_adaptive_checkpointed(&topo, &set, &cfg, true, |_| {});
     assert_eq!(a.round_targets, b.round_targets);
     assert_eq!(a.round_targets, p.round_targets);
     for ((x, y), z) in a.rounds.iter().zip(&b.rounds).zip(&p.rounds) {
@@ -192,8 +190,8 @@ fn transient_outage_heals_through_retry() {
         ..AdaptiveConfig::default()
     };
 
-    let baseline = run_adaptive(&topo_ok, &set, &cfg);
-    let healed = run_adaptive(&topo_fault, &set, &cfg);
+    let baseline = run_adaptive_checkpointed(&topo_ok, &set, &cfg, false, |_| {});
+    let healed = run_adaptive_checkpointed(&topo_fault, &set, &cfg, false, |_| {});
 
     // Second attempt, not degraded, nobody reported dead.
     assert_eq!(healed.rounds[0].per_vantage[0].attempts, 2);
@@ -218,7 +216,7 @@ fn all_vantages_down_stops_cleanly() {
         .with_vantage_outage(1, 0, u64::MAX)
         .with_vantage_outage(2, 0, u64::MAX);
     let (topo, set) = fixture(schedule);
-    let res = run_adaptive(&topo, &set, &cfg());
+    let res = run_adaptive_checkpointed(&topo, &set, &cfg(), false, |_| {});
     assert_eq!(res.stop, StopReason::AllVantagesDown);
     assert_eq!(res.rounds.len(), 1, "one fully-degraded round, then stop");
     assert!(res.rounds[0].per_vantage.iter().all(|p| p.degraded));
