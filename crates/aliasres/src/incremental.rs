@@ -276,7 +276,7 @@ impl RouterGraphBuilder {
         {
             return None;
         }
-        let mut interner = AddrInterner::with_capacity(n);
+        let mut interner = AddrInterner::with_room_for(n);
         for &w in &parts.words {
             interner.intern(Ipv6Addr::from(w));
         }

@@ -142,7 +142,7 @@ impl TraceSetBuilder {
         }
         let mut by_first: Vec<u32> = (0..first.len() as u32).collect();
         by_first.sort_unstable_by_key(|&rid| first[rid as usize]);
-        classified.interner = AddrInterner::with_capacity(by_first.len());
+        classified.interner = AddrInterner::with_room_for(by_first.len());
         let mut renumbered = vec![0u32; by_first.len()];
         for rid in by_first {
             renumbered[rid as usize] = classified.interner.intern(scratch.resolve(rid));
@@ -313,6 +313,32 @@ mod tests {
             }
         }
         assert_eq!(b.classified.rows.len(), 8 * DOUBLING_ROWS);
+    }
+
+    #[test]
+    fn a_finished_or_read_back_interner_is_allocated_once() {
+        // 40 responders fit the 64 slots doubling ends at; two slots an
+        // address, rounded up, would be 128.
+        use crate::snapshot::{read_trace_set, write_trace_set, SnapReader, SnapWriter};
+        use testkit::fixtures::te;
+        let records: Vec<ResponseRecord> = (1..=40u8)
+            .map(|i| te("2001:db8::1", &format!("::{i:x}"), i, i.into()))
+            .collect();
+        let mut b = TraceSetBuilder::new();
+        b.push_chunk(&records);
+        let built = b.finish();
+        let mut w = SnapWriter::new();
+        write_trace_set(&mut w, &built);
+        let bytes = w.into_bytes();
+        let read = read_trace_set(&mut SnapReader::new(&bytes)).unwrap();
+        for ts in [&built, &read] {
+            let n = ts.interner().len();
+            assert_eq!(n, 40);
+            assert_eq!(
+                ts.interner().slots(),
+                AddrInterner::with_room_for(n).slots()
+            );
+        }
     }
 
     #[test]

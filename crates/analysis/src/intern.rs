@@ -12,12 +12,20 @@
 //! [`AddrInterner::map_ids`] and then looked up by index.
 //!
 //! The table is purpose-built open addressing in the style of
-//! `simnet::pathcache`: one `Vec<u32>` of slots over a `Vec<Ipv6Addr>`
-//! arena, a splitmix-mixed fold of the 128-bit address as the bucket
-//! hash, linear probing, no per-entry allocation. Ids are assigned in
-//! first-insertion order and are **stable**: re-interning an address
+//! `simnet::pathcache`, over a `Vec<u128>` arena of address words in id
+//! order: a splitmix-mixed fold of the 128-bit word as the bucket hash,
+//! linear probing, no per-entry allocation. Its slots are two columns,
+//! 20 bytes a slot: `keys`, each slot's address word, and `ids`, its id
+//! or `EMPTY`. A probe reads the id before the key, so the all-zero
+//! address `::` never matches a free slot's zero key. Ids are assigned
+//! in first-insertion order and are **stable**: re-interning an address
 //! always returns the id of its first insertion, and ids of earlier
 //! inserts never move when the table grows.
+//!
+//! One sizing rule: the table doubles at three quarters full, and an
+//! interner whose final size is known — a set finished, read back or
+//! rebuilt from parts — is allocated once at
+//! [`AddrInterner::with_room_for`], the table doubling would end at.
 
 use std::net::Ipv6Addr;
 
@@ -39,23 +47,18 @@ fn hash_word(w: u128) -> u64 {
     splitmix((w >> 64) as u64 ^ w as u64)
 }
 
-/// One slot: the address word inline with its id, so a probe touches a
-/// single cache line instead of chasing `slot → arena` per comparison.
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    word: u128,
-    id: u32,
-}
-
-const FREE: Slot = Slot { word: 0, id: EMPTY };
-
 /// Open-addressed `Ipv6Addr → u32` interner over a dense address arena.
+///
+/// Slot `i` is `(keys[i], ids[i])`: two columns of one power-of-two
+/// length, where a `{u128, u32}` slot struct would pad to 32 bytes.
 #[derive(Clone, Debug)]
 pub struct AddrInterner {
     /// Arena: `words[id]` is the interned address word (insertion order).
     words: Vec<u128>,
-    /// Slot table; `id == EMPTY` marks a free slot.
-    slots: Vec<Slot>,
+    /// The address word of each occupied slot; zero in a free one.
+    keys: Vec<u128>,
+    /// The id of each occupied slot; `EMPTY` marks a free slot.
+    ids: Vec<u32>,
     mask: usize,
 }
 
@@ -68,28 +71,20 @@ impl Default for AddrInterner {
 impl AddrInterner {
     /// An empty interner.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// An empty interner pre-sized for about `n` distinct addresses.
-    pub fn with_capacity(n: usize) -> Self {
-        Self::with_slots(n, n * 2)
+        Self::with_room_for(0)
     }
 
     /// An empty interner that takes exactly `n` distinct addresses
     /// without growing: the table doubling would have ended at,
-    /// allocated once. For the big tables — a campaign's targets —
-    /// whose count is known and whose size is the process's.
-    pub(crate) fn with_room_for(n: usize) -> Self {
+    /// allocated once. How every interner whose final size is known is
+    /// made.
+    pub fn with_room_for(n: usize) -> Self {
         // `intern` doubles at three quarters full.
-        Self::with_slots(n, n + n / 3 + 1)
-    }
-
-    fn with_slots(n: usize, slots: usize) -> Self {
-        let cap = slots.next_power_of_two().max(64);
+        let cap = (n + n / 3 + 1).next_power_of_two().max(64);
         AddrInterner {
             words: Vec::with_capacity(n),
-            slots: vec![FREE; cap],
+            keys: vec![0; cap],
+            ids: vec![EMPTY; cap],
             mask: cap - 1,
         }
     }
@@ -124,54 +119,58 @@ impl AddrInterner {
     pub(crate) fn intern_hashed(&mut self, addr: Ipv6Addr, hash: u64) -> u32 {
         let w = u128::from(addr);
         debug_assert_eq!(hash, hash_word(w));
-        let mut i = hash as usize & self.mask;
-        loop {
-            let s = self.slots[i];
-            if s.id == EMPTY {
+        match self.probe(w, hash) {
+            Ok(id) => id,
+            Err(i) => {
                 let new_id = self.words.len() as u32;
-                self.slots[i] = Slot {
-                    word: w,
-                    id: new_id,
-                };
+                self.keys[i] = w;
+                self.ids[i] = new_id;
                 self.words.push(w);
-                if self.words.len() * 4 >= self.slots.len() * 3 {
+                if self.words.len() * 4 >= self.ids.len() * 3 {
                     self.grow();
                 }
-                return new_id;
+                new_id
             }
-            if s.word == w {
-                return s.id;
+        }
+    }
+
+    /// Walks the probe run of `w` from the home slot of `hash`: `Ok` with
+    /// the id of the slot holding `w`, or `Err` with the free slot that
+    /// ends the run.
+    #[inline]
+    fn probe(&self, w: u128, hash: u64) -> Result<u32, usize> {
+        let mut i = hash as usize & self.mask;
+        loop {
+            // The id first: a free slot's key is zero, the word of `::`.
+            let id = self.ids[i];
+            if id == EMPTY {
+                return Err(i);
+            }
+            if self.keys[i] == w {
+                return Ok(id);
             }
             i = (i + 1) & self.mask;
         }
     }
 
     /// Hints the CPU to pull the home slot of the address hashing to
-    /// `hash` into cache. The classify pass batches a window of
-    /// prefetches ahead of its probes (`hashed_ahead`), so slot misses
-    /// overlap instead of serializing — the main reason the columnar
-    /// ingest outruns a per-record `HashMap` probe, whose bucket address
-    /// is unknowable outside the map.
+    /// `hash` — its key and its id — into cache. The classify pass
+    /// batches a window of prefetches ahead of its probes
+    /// (`hashed_ahead`), so slot misses overlap instead of serializing —
+    /// the main reason the columnar ingest outruns a per-record `HashMap`
+    /// probe, whose bucket address is unknowable outside the map.
     #[inline]
     pub(crate) fn prefetch_hashed(&self, hash: u64) {
-        simnet::prefetch(&self.slots[hash as usize & self.mask]);
+        let i = hash as usize & self.mask;
+        simnet::prefetch(&self.keys[i]);
+        simnet::prefetch(&self.ids[i]);
     }
 
     /// The id of `addr` if already interned.
     #[inline]
     pub fn lookup(&self, addr: Ipv6Addr) -> Option<u32> {
         let w = u128::from(addr);
-        let mut i = hash_word(w) as usize & self.mask;
-        loop {
-            let s = self.slots[i];
-            if s.id == EMPTY {
-                return None;
-            }
-            if s.word == w {
-                return Some(s.id);
-            }
-            i = (i + 1) & self.mask;
-        }
+        self.probe(w, hash_word(w)).ok()
     }
 
     /// The address behind `id` (panics on an id never returned by
@@ -205,19 +204,19 @@ impl AddrInterner {
     }
 
     fn grow(&mut self) {
-        let cap = self.slots.len() * 2;
+        let cap = self.ids.len() * 2;
         self.mask = cap - 1;
-        self.slots.clear();
-        self.slots.resize(cap, FREE);
+        self.keys.clear();
+        self.keys.resize(cap, 0);
+        self.ids.clear();
+        self.ids.resize(cap, EMPTY);
         for (id, &w) in self.words.iter().enumerate() {
             let mut i = hash_word(w) as usize & self.mask;
-            while self.slots[i].id != EMPTY {
+            while self.ids[i] != EMPTY {
                 i = (i + 1) & self.mask;
             }
-            self.slots[i] = Slot {
-                word: w,
-                id: id as u32,
-            };
+            self.keys[i] = w;
+            self.ids[i] = id as u32;
         }
     }
 }
@@ -289,6 +288,14 @@ impl<'a> Reintern<'a> {
 }
 
 #[cfg(test)]
+impl AddrInterner {
+    /// Slots in the table.
+    pub(crate) fn slots(&self) -> usize {
+        self.ids.len()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -311,7 +318,7 @@ mod tests {
 
     #[test]
     fn survives_growth() {
-        let mut it = AddrInterner::with_capacity(0);
+        let mut it = AddrInterner::new();
         let n = 10_000u32;
         for i in 0..n {
             let id = it.intern(Ipv6Addr::from(0x2001_0db8_u128 << 96 | i as u128));
@@ -331,14 +338,52 @@ mod tests {
         for n in [0, 1, 47, 48, 49, 1535, 1536, 1537, 20_000] {
             let mut sized = AddrInterner::with_room_for(n);
             let mut grown = AddrInterner::new();
-            let slots = sized.slots.len();
+            let slots = sized.slots();
             for i in 0..n {
                 sized.intern(addr(i));
                 grown.intern(addr(i));
             }
-            assert_eq!(sized.slots.len(), slots, "{n} addresses grew the table");
-            assert_eq!(slots, grown.slots.len(), "{n} addresses");
+            assert_eq!(sized.slots(), slots, "{n} addresses grew the table");
+            assert_eq!(slots, grown.slots(), "{n} addresses");
         }
+    }
+
+    #[test]
+    fn the_zero_word_never_matches_a_free_slot() {
+        // A free slot's key is zero, the word of `::`.
+        let zero = Ipv6Addr::UNSPECIFIED;
+        let mut it = AddrInterner::new();
+        assert_eq!(it.lookup(zero), None);
+        assert_eq!(it.intern(zero), 0);
+        assert_eq!(it.intern(zero), 0);
+        assert_eq!((it.len(), it.lookup(zero)), (1, Some(0)));
+        assert_eq!(it.resolve(0), zero);
+        let mut other = AddrInterner::new();
+        other.intern(a("2001:db8::1"));
+        assert_eq!(other.lookup(zero), None);
+    }
+
+    #[test]
+    fn a_probe_run_wraps_past_the_last_slot() {
+        // Words whose home slots in a 64-slot table are the last two: the
+        // run fills slots 62 and 63, then wraps to slot 0 onwards.
+        let mut homed_last = (1u128..).filter(|&w| hash_word(w) as usize % 64 >= 62);
+        let words: Vec<u128> = homed_last.by_ref().take(12).collect();
+        let absent = homed_last.next().unwrap();
+        let mut it = AddrInterner::new();
+        for (id, &w) in words.iter().enumerate() {
+            assert_eq!(it.intern(Ipv6Addr::from(w)), id as u32);
+        }
+        assert_eq!(it.slots(), 64);
+        let occupied: Vec<usize> = (0..64).filter(|&i| it.ids[i] != EMPTY).collect();
+        assert_eq!(occupied, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 62, 63]);
+        for (id, &w) in words.iter().enumerate() {
+            assert_eq!(it.lookup(Ipv6Addr::from(w)), Some(id as u32));
+            assert_eq!(it.intern(Ipv6Addr::from(w)), id as u32);
+        }
+        assert_eq!(it.lookup(Ipv6Addr::from(absent)), None);
+        assert_eq!(it.lookup(Ipv6Addr::UNSPECIFIED), None);
+        assert_eq!(it.len(), words.len());
     }
 
     #[test]

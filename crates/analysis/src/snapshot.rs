@@ -280,7 +280,7 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
     let target_set: Arc<str> = r.str()?.into();
     let rewritten_dropped = r.u64()?;
     let n_words = r.count(16)?;
-    let mut interner = AddrInterner::with_capacity(n_words);
+    let mut interner = AddrInterner::with_room_for(n_words);
     for _ in 0..n_words {
         interner.intern(Ipv6Addr::from(r.u128()?));
     }

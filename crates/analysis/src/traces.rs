@@ -413,7 +413,9 @@ impl TraceSet {
             .min(log.records.len());
         // Record order, which for a log is receive order: no key.
         let mut classified = ClassifiedRows::<()> {
-            interner: AddrInterner::with_capacity(1024),
+            // Responders are counted only by reading the log: start at
+            // the table a thousand would fill.
+            interner: AddrInterner::with_room_for(1024),
             tgt_ids: AddrInterner::with_room_for(n_targets),
             reached: Vec::with_capacity(n_targets),
             rows: Vec::with_capacity(log.records.len() / 2),
