@@ -122,7 +122,7 @@ pub fn sibling_candidates<S: Borrow<TraceSet>>(
                     ts.view_at(idx)
                         .hop_cells()
                         .iter()
-                        .map(|&(ttl, aid)| (ttl, words[aid as usize])),
+                        .map(|(ttl, aid)| (ttl, words[aid as usize])),
                 );
                 idx += 1;
             }

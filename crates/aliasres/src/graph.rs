@@ -64,9 +64,8 @@ pub(crate) fn collect_links(
     let mut last_next = vec![UNASSIGNED; traces.interner().len()];
     let mut pairs: Vec<u64> = Vec::with_capacity(PAIR_SCRATCH);
     for trace in traces.iter() {
-        for w in trace.hop_cells().windows(2) {
-            let (t1, a1) = w[0];
-            let (t2, a2) = w[1];
+        let cells = trace.hop_cells();
+        for ((t1, a1), (t2, a2)) in cells.iter().zip(cells.iter().skip(1)) {
             if t2 - t1 > 2 || a1 == a2 || std::mem::replace(&mut last_next[a1 as usize], a2) == a2 {
                 continue;
             }

@@ -58,7 +58,7 @@ mod oracle {
                 let words = ts.interner().words();
                 for tv in ts.iter() {
                     let t64 = (u128::from(tv.target()) >> 64) as u64;
-                    for &(ttl, aid) in tv.hop_cells() {
+                    for (ttl, aid) in tv.hop_cells() {
                         byhop
                             .entry((t64, ttl))
                             .or_default()

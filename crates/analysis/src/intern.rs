@@ -258,11 +258,14 @@ pub(crate) struct Reintern<'a> {
 }
 
 impl<'a> Reintern<'a> {
-    pub(crate) fn new(src: &'a AddrInterner) -> Self {
+    /// A re-interner whose new interner takes `room` addresses without
+    /// growing ([`AddrInterner::with_room_for`]): `src.len()` when every
+    /// address ends up in it, less when the caller keeps a subset.
+    pub(crate) fn new(src: &'a AddrInterner, room: usize) -> Self {
         Reintern {
             src,
             remap: vec![EMPTY; src.len()],
-            interner: AddrInterner::new(),
+            interner: AddrInterner::with_room_for(room),
         }
     }
 

@@ -9,7 +9,7 @@
 //! truth data.
 //!
 //! The pipeline is **columnar**: [`TraceSet`] stores all hops
-//! of a campaign in one flat, target-sorted arena with responder
+//! of a campaign in flat, target-sorted columns with responder
 //! addresses interned to `u32` ids ([`AddrInterner`]), and the analysis
 //! passes ([`subnets`], [`metrics`], [`validate`]) are sorted-merge
 //! walks over those columns. The original map-based implementation lives
@@ -53,4 +53,4 @@ pub use snapshot::{
     SnapWriter, SnapshotError, SnapshotManifest, StoreError,
 };
 pub use subnets::{discover_by_path_div, ia_hack, CandidateSubnet, PathDivParams};
-pub use traces::{AsnResolver, TraceSet, TraceView};
+pub use traces::{AsnResolver, CellIter, Cells, TraceSet, TraceView};

@@ -91,9 +91,10 @@ impl CampaignMetrics {
                     return false;
                 };
                 t.hop_cells()
+                    .ids()
                     .iter()
-                    .chain(t.unreachable_cells())
-                    .any(|&(_, id)| id_origin[id as usize] == Some(tasn))
+                    .chain(t.unreachable_cells().ids())
+                    .any(|&id| id_origin[id as usize] == Some(tasn))
             })
             .count();
 
@@ -105,7 +106,7 @@ impl CampaignMetrics {
         let mut offsets: Vec<i16> = Vec::new();
         for t in ts.iter() {
             let Some(plen) = t.path_len() else { continue };
-            for &(ttl, id) in t.hop_cells() {
+            for (ttl, id) in t.hop_cells() {
                 if id_eui64[id as usize] {
                     if !eui_seen[id as usize] {
                         eui_seen[id as usize] = true;

@@ -150,7 +150,7 @@ pub fn quarantine_all<'a>(
         let mut seen = vec![UNSEEN; set.interner().len()];
         for (i, t) in set.iter().enumerate() {
             let stamp = i as u32 + 1;
-            for &(ttl, id) in t.hop_cells() {
+            for (ttl, id) in t.hop_cells() {
                 let e = &mut seen[id as usize];
                 e.lo = e.lo.min(ttl);
                 e.hi = e.hi.max(ttl);
@@ -234,16 +234,17 @@ fn scrub(
     let clean = set.iter().all(|t| {
         let r = t.reached_at();
         let mut hops = t.hop_cells().iter();
-        hops.all(|&(ttl, id)| keep_hop(ttl, id, r) == Some(true))
+        hops.all(|(ttl, id)| keep_hop(ttl, id, r) == Some(true))
             && t.unreachable_cells()
                 .iter()
-                .all(|&(ttl, id)| keep_unreach(ttl, id))
+                .all(|(ttl, id)| keep_unreach(ttl, id))
     });
     if clean {
         return None;
     }
 
-    let mut ids = Reintern::new(set.interner());
+    // Sized for every address: a scrub drops few.
+    let mut ids = Reintern::new(set.interner(), set.interner().len());
 
     let mut out = TraceSet {
         vantage: set.vantage.clone(),
@@ -252,19 +253,22 @@ fn scrub(
         interner: AddrInterner::new(),
         targets: set.targets.clone(),
         metas: Vec::with_capacity(set.metas.len()),
-        hops: Vec::with_capacity(set.hops.len()),
-        unreach: Vec::with_capacity(set.unreach.len()),
+        hop_ttls: Vec::with_capacity(set.hop_ids.len()),
+        hop_ids: Vec::with_capacity(set.hop_ids.len()),
+        unreach_ttls: Vec::with_capacity(set.unreach_ids.len()),
+        unreach_ids: Vec::with_capacity(set.unreach_ids.len()),
         sources: set.sources.clone(),
         prov: set.prov.clone(),
     };
     for t in set.iter() {
         let r = t.reached_at();
-        let hop_off = out.hops.len() as u32;
+        let hop_off = out.hop_ids.len() as u32;
         let mut touched = false;
-        for &(ttl, id) in t.hop_cells() {
+        for (ttl, id) in t.hop_cells() {
             match keep_hop(ttl, id, r) {
                 Some(true) => {
-                    out.hops.push((ttl, ids.id(id)));
+                    out.hop_ttls.push(ttl);
+                    out.hop_ids.push(ids.id(id));
                 }
                 Some(false) => {
                     report.implausible_hops_dropped += 1;
@@ -276,10 +280,11 @@ fn scrub(
                 }
             }
         }
-        let unreach_off = out.unreach.len() as u32;
-        for &(ttl, id) in t.unreachable_cells() {
+        let unreach_off = out.unreach_ids.len() as u32;
+        for (ttl, id) in t.unreachable_cells() {
             if keep_unreach(ttl, id) {
-                out.unreach.push((ttl, ids.id(id)));
+                out.unreach_ttls.push(ttl);
+                out.unreach_ids.push(ids.id(id));
             } else {
                 report.unreach_dropped += 1;
                 touched = true;
@@ -290,9 +295,9 @@ fn scrub(
         }
         out.metas.push(TraceMeta {
             hop_off,
-            hop_len: out.hops.len() as u32 - hop_off,
+            hop_len: out.hop_ids.len() as u32 - hop_off,
             unreach_off,
-            unreach_len: out.unreach.len() as u32 - unreach_off,
+            unreach_len: out.unreach_ids.len() as u32 - unreach_off,
             reached_at: r,
         });
     }

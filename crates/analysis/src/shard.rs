@@ -19,7 +19,7 @@
 //! (property-tested in `tests/shard_props.rs`) is
 //!
 //! ```text
-//! ShardedTraceSet::from_set(&ts, k).to_trace_set().canonical() == ts.canonical()
+//! ShardedTraceSet::from_set(&ts, k).to_trace_set().canonical() == ts.clone().canonical()
 //! ```
 //!
 //! for any shard count, and likewise sharded `merge_all` against flat
@@ -121,24 +121,27 @@ impl ShardedTraceSet {
                 interner: AddrInterner::new(),
                 targets: Vec::with_capacity(bucket.len()),
                 metas: Vec::with_capacity(bucket.len()),
-                hops: Vec::with_capacity(n_hops),
-                unreach: Vec::with_capacity(n_unreach),
+                hop_ttls: Vec::with_capacity(n_hops),
+                hop_ids: Vec::with_capacity(n_hops),
+                unreach_ttls: Vec::with_capacity(n_unreach),
+                unreach_ids: Vec::with_capacity(n_unreach),
                 sources: ts.sources.clone(),
                 prov: Vec::with_capacity(if ts.prov.is_empty() { 0 } else { bucket.len() }),
             };
-            let mut ids = Reintern::new(&ts.interner);
+            // A shard keeps a subset of the responders: its interner grows.
+            let mut ids = Reintern::new(&ts.interner, 0);
             for &i in bucket {
                 let m = &ts.metas[i];
-                let hop_off = out.hops.len() as u32;
-                for &(ttl, id) in &ts.hops[m.hop_off as usize..(m.hop_off + m.hop_len) as usize] {
-                    out.hops.push((ttl, ids.id(id)));
-                }
-                let unreach_off = out.unreach.len() as u32;
-                for &(ttl, id) in
-                    &ts.unreach[m.unreach_off as usize..(m.unreach_off + m.unreach_len) as usize]
-                {
-                    out.unreach.push((ttl, ids.id(id)));
-                }
+                let (hops, unreach) = (m.hop_range(), m.unreach_range());
+                let hop_off = out.hop_ids.len() as u32;
+                out.hop_ttls.extend_from_slice(&ts.hop_ttls[hops.clone()]);
+                out.hop_ids
+                    .extend(ts.hop_ids[hops].iter().map(|&id| ids.id(id)));
+                let unreach_off = out.unreach_ids.len() as u32;
+                out.unreach_ttls
+                    .extend_from_slice(&ts.unreach_ttls[unreach.clone()]);
+                out.unreach_ids
+                    .extend(ts.unreach_ids[unreach].iter().map(|&id| ids.id(id)));
                 out.targets.push(ts.targets[i]);
                 out.metas.push(TraceMeta {
                     hop_off,
@@ -243,7 +246,7 @@ impl ShardedTraceSet {
     /// Folds the shards back into one flat [`TraceSet`]
     /// (`merge_all` in shard order — the shards' target sets are
     /// disjoint, so this is a pure union). Canonical forms satisfy
-    /// `from_set(&ts, k).to_trace_set().canonical() == ts.canonical()`.
+    /// `from_set(&ts, k).to_trace_set().canonical() == ts.clone().canonical()`.
     pub fn to_trace_set(&self) -> TraceSet {
         TraceSet::merge_all(&self.shards)
     }
@@ -314,7 +317,7 @@ mod tests {
             assert_eq!(sharded.len(), ts.len());
             assert_eq!(
                 sharded.to_trace_set().canonical(),
-                ts.canonical(),
+                ts.clone().canonical(),
                 "shard count {k}"
             );
             // Every shard holds only its own targets.
@@ -335,7 +338,7 @@ mod tests {
         assert_eq!(merged.prov.len(), ts.len());
         for set in [&ts, &merged] {
             for shard in ShardedTraceSet::from_set(set, 8).shards() {
-                assert_eq!(shard.spare_capacity(), [0; 5]);
+                assert_eq!(shard.spare_capacity(), [0; 7]);
             }
         }
     }

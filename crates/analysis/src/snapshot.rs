@@ -212,8 +212,8 @@ pub fn trace_set_encoded_len(ts: &TraceSet) -> usize {
         + (4 + 16 * ts.interner.len())
         + (4 + 16 * ts.targets.len())
         + (17 * ts.metas.len() + reached)
-        + (4 + 5 * ts.hops.len())
-        + (4 + 5 * ts.unreach.len())
+        + (4 + 5 * ts.hop_ids.len())
+        + (4 + 5 * ts.unreach_ids.len())
         + (4 + ts.sources.iter().map(|s| str_len(s)).sum::<usize>())
         + (4 + 4 * ts.prov.len())
 }
@@ -250,16 +250,8 @@ pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
             None => w.u8(0),
         }
     }
-    w.u32(ts.hops.len() as u32);
-    for &(ttl, id) in &ts.hops {
-        w.u8(ttl);
-        w.u32(id);
-    }
-    w.u32(ts.unreach.len() as u32);
-    for &(ttl, id) in &ts.unreach {
-        w.u8(ttl);
-        w.u32(id);
-    }
+    write_cells(w, &ts.hop_ttls, &ts.hop_ids);
+    write_cells(w, &ts.unreach_ttls, &ts.unreach_ids);
     w.u32(ts.sources.len() as u32);
     for s in &ts.sources {
         w.str(s);
@@ -271,10 +263,48 @@ pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
     debug_assert_eq!(w.buf.len(), end, "trace_set_encoded_len is exact");
 }
 
+/// Appends a cell column pair as its count, then `(ttl, id)` cell by
+/// cell: 5 bytes a cell.
+fn write_cells(w: &mut SnapWriter, ttls: &[u8], ids: &[u32]) {
+    w.u32(ids.len() as u32);
+    for (&ttl, &id) in ttls.iter().zip(ids) {
+        w.u8(ttl);
+        w.u32(id);
+    }
+}
+
+/// Reads what [`write_cells`] wrote back into its two columns; an id
+/// the interner's `n_words` cannot resolve is a `BadValue(what)`.
+fn read_cells(
+    r: &mut SnapReader<'_>,
+    n_words: usize,
+    what: &'static str,
+) -> Result<(Vec<u8>, Vec<u32>), SnapshotError> {
+    let n = r.count(5)?;
+    let mut ttls = Vec::with_capacity(n);
+    let mut ids = Vec::with_capacity(n);
+    for _ in 0..n {
+        ttls.push(r.u8()?);
+        let id = r.u32()?;
+        if id as usize >= n_words {
+            return Err(SnapshotError::BadValue(what));
+        }
+        ids.push(id);
+    }
+    Ok((ttls, ids))
+}
+
 /// Deserializes a [`TraceSet`] written by [`write_trace_set`]. The
 /// interner is rebuilt by re-interning the stored word list in order —
 /// ids are insertion-order stable, so the result is bit-identical to
 /// the original (`PartialEq`, interner ids, provenance and all).
+///
+/// What every set the library builds holds is also what decoding
+/// demands, because the views trust it: ids the interner resolves,
+/// targets strictly ascending, trace ranges that tile their columns in
+/// trace order (each starts where the previous trace's ends, the last
+/// ends at the column's end), and hop TTLs strictly ascending within a
+/// trace. Anything else is a [`SnapshotError::BadValue`].
 pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError> {
     let vantage: Arc<str> = r.str()?.into();
     let target_set: Arc<str> = r.str()?.into();
@@ -312,37 +342,35 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
             reached_at,
         });
     }
-    let n_hops = r.count(5)?;
-    let mut hops = Vec::with_capacity(n_hops);
-    for _ in 0..n_hops {
-        let ttl = r.u8()?;
-        let id = r.u32()?;
-        if id as usize >= n_words {
-            return Err(SnapshotError::BadValue("hop interner id"));
-        }
-        hops.push((ttl, id));
-    }
-    let n_unreach = r.count(5)?;
-    let mut unreach = Vec::with_capacity(n_unreach);
-    for _ in 0..n_unreach {
-        let ttl = r.u8()?;
-        let id = r.u32()?;
-        if id as usize >= n_words {
-            return Err(SnapshotError::BadValue("unreach interner id"));
-        }
-        unreach.push((ttl, id));
-    }
+    let (hop_ttls, hop_ids) = read_cells(r, n_words, "hop interner id")?;
+    let (unreach_ttls, unreach_ids) = read_cells(r, n_words, "unreach interner id")?;
     // Every later slice of a trace's cells trusts these ranges, and `get`
-    // binary-searches the targets: check both here, in u64 so a range
-    // whose end overflows u32 is rejected rather than wrapped.
-    let fits = |off: u32, len: u32, n: usize| u64::from(off) + u64::from(len) <= n as u64;
+    // binary-searches the targets: check both here, the ends in u64 so
+    // a range whose end overflows u32 is rejected rather than wrapped.
+    let (mut hop_end, mut unreach_end) = (0u64, 0u64);
     for m in &metas {
-        if !fits(m.hop_off, m.hop_len, n_hops) {
+        if u64::from(m.hop_off) != hop_end {
             return Err(SnapshotError::BadValue("trace hop range"));
         }
-        if !fits(m.unreach_off, m.unreach_len, n_unreach) {
+        if u64::from(m.unreach_off) != unreach_end {
             return Err(SnapshotError::BadValue("trace unreach range"));
         }
+        hop_end += u64::from(m.hop_len);
+        unreach_end += u64::from(m.unreach_len);
+    }
+    if hop_end != hop_ids.len() as u64 {
+        return Err(SnapshotError::BadValue("trace hop range"));
+    }
+    if unreach_end != unreach_ids.len() as u64 {
+        return Err(SnapshotError::BadValue("trace unreach range"));
+    }
+    // `path_len`, `last_hop` and `hop_vec` read a trace's deepest hop
+    // off its last cell.
+    if metas
+        .iter()
+        .any(|m| hop_ttls[m.hop_range()].windows(2).any(|w| w[0] >= w[1]))
+    {
+        return Err(SnapshotError::BadValue("hop ttl order"));
     }
     if targets.windows(2).any(|w| w[0] >= w[1]) {
         return Err(SnapshotError::BadValue("target order"));
@@ -368,8 +396,10 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
         interner,
         targets,
         metas,
-        hops,
-        unreach,
+        hop_ttls,
+        hop_ids,
+        unreach_ttls,
+        unreach_ids,
         sources,
         prov,
     })
@@ -774,8 +804,97 @@ mod tests {
         // The last trace's ranges end exactly at their columns' ends.
         let ts = sample();
         let m = ts.metas[last];
-        assert_eq!((m.hop_off + m.hop_len) as usize, ts.hops.len());
+        assert_eq!((m.hop_off + m.hop_len) as usize, ts.hop_ids.len());
         assert_eq!(read(&ts), Ok(ts));
+    }
+
+    /// A set written field by field — one interner word, a target per
+    /// `(hop_off, hop_len, unreach_off, unreach_len)` range, the given
+    /// cells — so a test can state what the library never builds.
+    fn raw_set(ranges: &[[u32; 4]], hops: &[(u8, u32)], unreach: &[(u8, u32)]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.str("v");
+        w.str("t");
+        w.u64(0);
+        w.u32(1);
+        w.u128(0xa);
+        w.u32(ranges.len() as u32);
+        for i in 0..ranges.len() {
+            w.u128(0x2001_0db8 << 96 | i as u128);
+        }
+        for range in ranges {
+            range.iter().for_each(|&v| w.u32(v));
+            w.u8(0); // not reached
+        }
+        for cells in [hops, unreach] {
+            w.u32(cells.len() as u32);
+            for &(ttl, id) in cells {
+                w.u8(ttl);
+                w.u32(id);
+            }
+        }
+        w.u32(0); // no sources
+        w.u32(0); // no provenance
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<TraceSet, SnapshotError> {
+        read_trace_set(&mut SnapReader::new(bytes))
+    }
+
+    #[test]
+    fn hop_ttls_out_of_order_within_a_trace_are_rejected() {
+        let hops = |ttls: [u8; 2]| ttls.map(|ttl| (ttl, 0));
+        // Two two-hop traces. Ascending within each, in any order across
+        // them.
+        let two = [[0, 2, 0, 0], [2, 2, 0, 0]];
+        let ok = [(3, 0), (5, 0), (1, 0), (2, 0)];
+        let ts = decode(&raw_set(&two, &ok, &[])).unwrap();
+        assert_eq!(ts.view_at(0).hop_vec().len(), 5);
+        assert_eq!(ts.view_at(0).path_len(), Some(5));
+        // One edit that put a trace's deepest hop first, and one that
+        // repeats a TTL.
+        for bad in [hops([9, 5]), hops([5, 5])] {
+            for at in [0, 2] {
+                let mut cells = ok;
+                cells[at..at + 2].copy_from_slice(&bad);
+                assert_eq!(
+                    decode(&raw_set(&two, &cells, &[])).unwrap_err(),
+                    SnapshotError::BadValue("hop ttl order"),
+                    "{cells:?}"
+                );
+            }
+        }
+        // Unreachable cells keep record order: any TTLs go.
+        let du = [[0, 0, 0, 2]];
+        assert!(decode(&raw_set(&du, &[], &[(9, 0), (5, 0)])).is_ok());
+    }
+
+    #[test]
+    fn cell_ranges_that_do_not_tile_their_column_are_rejected() {
+        let cells = [(1, 0), (2, 0), (3, 0)];
+        let tiled = [[0, 1, 0, 1], [1, 2, 1, 2]];
+        assert!(decode(&raw_set(&tiled, &cells, &cells)).is_ok());
+        let hop = SnapshotError::BadValue("trace hop range");
+        let unreach = SnapshotError::BadValue("trace unreach range");
+        let cases: [([[u32; 4]; 2], SnapshotError); 8] = [
+            // A gap, an overlap, trace order reversed, a cell no trace owns.
+            ([[0, 1, 0, 1], [2, 1, 1, 2]], hop),
+            ([[0, 2, 0, 1], [1, 2, 1, 2]], hop),
+            ([[1, 2, 0, 1], [0, 1, 1, 2]], hop),
+            ([[0, 1, 0, 1], [1, 1, 1, 2]], hop),
+            ([[0, 1, 0, 1], [1, 2, 2, 1]], unreach),
+            ([[0, 1, 0, 2], [1, 2, 1, 2]], unreach),
+            ([[0, 1, 1, 2], [1, 2, 0, 1]], unreach),
+            ([[0, 1, 0, 1], [1, 2, 1, 1]], unreach),
+        ];
+        for (ranges, err) in cases {
+            assert_eq!(
+                decode(&raw_set(&ranges, &cells, &cells)).unwrap_err(),
+                err,
+                "{ranges:?}"
+            );
+        }
     }
 
     #[test]

@@ -186,12 +186,12 @@ fn divergence_bound(
         return None;
     }
 
-    let ca = a.hop_cells();
-    let cb = b.hop_cells();
+    let (ta, ia) = (a.hop_cells().ttls(), a.hop_cells().ids());
+    let (tb, ib) = (b.hop_cells().ttls(), b.hop_cells().ids());
     // Conceptual hop arrays run over ttl 1..=deepest; the walk visits
     // each position once, advancing both cursors monotonically.
-    let deepest_a = ca.last().map_or(0, |&(t, _)| t as usize);
-    let deepest_b = cb.last().map_or(0, |&(t, _)| t as usize);
+    let deepest_a = ta.last().map_or(0, |&t| t as usize);
+    let deepest_b = tb.last().map_or(0, |&t| t as usize);
     let limit = deepest_a.min(deepest_b);
 
     // LCS: common prefix of the hop sequences. A position where both
@@ -205,14 +205,14 @@ fn divergence_bound(
     let mut pos = 0usize;
     while pos < limit {
         let ttl = pos as u8 + 1;
-        while pa < ca.len() && ca[pa].0 < ttl {
+        while pa < ta.len() && ta[pa] < ttl {
             pa += 1;
         }
-        while pb < cb.len() && cb[pb].0 < ttl {
+        while pb < tb.len() && tb[pb] < ttl {
             pb += 1;
         }
-        let xa = (pa < ca.len() && ca[pa].0 == ttl).then(|| ca[pa].1);
-        let xb = (pb < cb.len() && cb[pb].0 == ttl).then(|| cb[pb].1);
+        let xa = (pa < ta.len() && ta[pa] == ttl).then(|| ia[pa]);
+        let xb = (pb < tb.len() && tb[pb] == ttl).then(|| ib[pb]);
         match (xa, xb) {
             (Some(x), Some(y)) if x == y => {
                 lcs_buf.push(x);
@@ -253,15 +253,15 @@ fn divergence_bound(
     // DS: both suffixes non-empty (z = 0) and long enough, counting only
     // responding hops from the divergence point on. In the flat layout
     // the divergent suffix is simply the tail of each hop slice.
-    let ds_a = &ca[ca.partition_point(|&(t, _)| (t as usize) <= div)..];
-    let ds_b = &cb[cb.partition_point(|&(t, _)| (t as usize) <= div)..];
+    let ds_a = &ia[ta.partition_point(|&t| (t as usize) <= div)..];
+    let ds_b = &ib[tb.partition_point(|&t| (t as usize) <= div)..];
     if ds_a.len() < params.min_ds || ds_b.len() < params.min_ds {
         return None;
     }
     // S: enough DS hops inside the target's organization, on each side.
-    let count_in_org = |ds: &[(u8, u32)], asn: Asn| {
+    let count_in_org = |ds: &[u32], asn: Asn| {
         ds.iter()
-            .filter(|&&(_, h)| in_org(ids, resolver, h, asn))
+            .filter(|&&h| in_org(ids, resolver, h, asn))
             .count()
     };
     if count_in_org(ds_a, asn_a) < params.ds_asn_matches
@@ -287,7 +287,7 @@ pub fn ia_hack(ts: &TraceSet) -> Vec<CandidateSubnet> {
     let mut out: Vec<CandidateSubnet> = Vec::new();
     let interner = ts.interner();
     for t in ts.iter() {
-        let Some(&(_, last_id)) = t.hop_cells().last() else {
+        let Some((_, last_id)) = t.hop_cells().last() else {
             continue;
         };
         let lw = interner.resolve_word(last_id);

@@ -9,10 +9,12 @@
 //!   scatter** over dense interned target ids — no comparison sort
 //!   over the record volume and no `HashMap`/`BTreeMap` node
 //!   insertions;
-//! * all hop cells live contiguously in a single `Vec<(ttl, iface_id)>`,
-//!   each trace owning an `(offset, len)` range — iteration is a slice
-//!   walk, already in target order, so no `iter_sorted()` re-sort per
-//!   analysis pass;
+//! * all hop cells live contiguously in two parallel columns — hop
+//!   limits (`u8`) and interface ids (`u32`), 5 bytes a cell where a
+//!   `(u8, u32)` tuple pads to 8 — each trace owning an `(offset, len)`
+//!   range of both, the ranges tiling the columns in trace order:
+//!   iteration is a slice walk, already in target order, so no
+//!   `iter_sorted()` re-sort per analysis pass;
 //! * responder addresses are interned once into a shared
 //!   [`AddrInterner`] ([`crate::intern`]); hops carry dense `u32` ids
 //!   and downstream stages cache per-address derived values by id.
@@ -24,7 +26,10 @@
 //! golden tests pin this store bit-identical to.
 
 use crate::intern::{hashed_ahead, AddrInterner, Reintern};
+use std::iter::{Copied, Zip};
 use std::net::Ipv6Addr;
+use std::ops::Range;
+use std::slice;
 use std::sync::Arc;
 use v6addr::{Asn, BgpTable, Finger, Ipv6Prefix};
 use v6packet::icmp6::DestUnreachCode;
@@ -32,6 +37,8 @@ use yarrp6::addrset::AddrSet;
 use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
 
 /// Per-trace metadata: ranges into the shared hop/unreachable columns.
+/// In every set, trace `i`'s ranges start where trace `i - 1`'s end, so
+/// each column is the concatenation of its traces' cells in trace order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct TraceMeta {
     pub(crate) hop_off: u32,
@@ -39,6 +46,20 @@ pub(crate) struct TraceMeta {
     pub(crate) unreach_off: u32,
     pub(crate) unreach_len: u32,
     pub(crate) reached_at: Option<u8>,
+}
+
+impl TraceMeta {
+    /// This trace's slice of the hop columns.
+    #[inline]
+    pub(crate) fn hop_range(&self) -> Range<usize> {
+        self.hop_off as usize..(self.hop_off + self.hop_len) as usize
+    }
+
+    /// This trace's slice of the unreachable columns.
+    #[inline]
+    pub(crate) fn unreach_range(&self) -> Range<usize> {
+        self.unreach_off as usize..(self.unreach_off + self.unreach_len) as usize
+    }
 }
 
 /// All traces of one campaign in columnar form, sorted by target.
@@ -62,12 +83,17 @@ pub struct TraceSet {
     pub(crate) targets: Vec<Ipv6Addr>,
     /// Parallel to `targets`.
     pub(crate) metas: Vec<TraceMeta>,
-    /// All hop cells `(ttl, iface_id)`, contiguous per trace, ttl
+    /// The hop limit of every hop cell, contiguous per trace, strictly
     /// ascending within a trace.
-    pub(crate) hops: Vec<(u8, u32)>,
-    /// All Destination Unreachable cells `(ttl, responder_id)`,
-    /// contiguous per trace, record order within a trace.
-    pub(crate) unreach: Vec<(u8, u32)>,
+    pub(crate) hop_ttls: Vec<u8>,
+    /// The interface id of every hop cell, parallel to `hop_ttls`.
+    pub(crate) hop_ids: Vec<u32>,
+    /// The hop limit of every Destination Unreachable cell, contiguous
+    /// per trace, record order within a trace.
+    pub(crate) unreach_ttls: Vec<u8>,
+    /// The responder id of every Destination Unreachable cell, parallel
+    /// to `unreach_ttls`.
+    pub(crate) unreach_ids: Vec<u32>,
     /// Vantage-provenance table: the distinct source vantage names a
     /// merged set was assembled from. Empty for a single-campaign set
     /// (every trace then comes from [`vantage`](Self::vantage)).
@@ -94,8 +120,10 @@ impl PartialEq for TraceSet {
             && self.rewritten_dropped == other.rewritten_dropped
             && self.targets == other.targets
             && self.metas == other.metas
-            && self.hops == other.hops
-            && self.unreach == other.unreach
+            && self.hop_ttls == other.hop_ttls
+            && self.hop_ids == other.hop_ids
+            && self.unreach_ttls == other.unreach_ttls
+            && self.unreach_ids == other.unreach_ids
             && self.interner.words() == other.interner.words()
     }
 }
@@ -165,12 +193,6 @@ impl<K> Row<K> {
         self.rid_ttl >> 8
     }
 
-    /// Originating probe hop limit.
-    #[inline]
-    pub(crate) fn ttl(&self) -> u8 {
-        self.rid_ttl as u8
-    }
-
     /// Replaces the responder id by one known to fit (the builder's
     /// renumbering permutes ids that already do).
     #[inline]
@@ -180,12 +202,35 @@ impl<K> Row<K> {
     }
 }
 
-/// A [`Row`] in its target's bucket.
+/// A [`Row`] in its target's bucket: the key beside the row's packed
+/// responder id and hop limit, at 4-byte alignment — 12 bytes with a
+/// receive-time key, where `{K, u32, u8}` pads to 16, and 4 with the
+/// batch path's `()`. A packed field is read by value (the accessors),
+/// never borrowed.
 #[derive(Clone, Copy, Default)]
+#[repr(C, packed(4))]
 struct Cell<K> {
     key: K,
-    rid: u32,
-    ttl: u8,
+    rid_ttl: u32,
+}
+
+const _: () = assert!(size_of::<Cell<u64>>() == 12 && size_of::<Cell<()>>() == 4);
+
+impl<K: Copy> Cell<K> {
+    #[inline]
+    fn key(self) -> K {
+        self.key
+    }
+
+    #[inline]
+    fn rid(self) -> u32 {
+        self.rid_ttl >> 8
+    }
+
+    #[inline]
+    fn ttl(self) -> u8 {
+        self.rid_ttl as u8
+    }
 }
 
 /// Stable counting scatter: buckets rows into target-address order
@@ -221,8 +266,7 @@ fn scatter_by_rank<K: Copy + Default>(
         let slot = &mut cur[row.tid() as usize][row.unreach() as usize];
         out[row.unreach() as usize][*slot as usize] = Cell {
             key: row.key,
-            rid: row.rid(),
-            ttl: row.ttl(),
+            rid_ttl: row.rid_ttl,
         };
         *slot += 1;
     }
@@ -335,43 +379,48 @@ pub(crate) fn assemble<K: Copy + Ord + Default>(
     let mut ttl_slot = [(0u32, Cell::<K>::default()); 256];
     let mut targets = Vec::with_capacity(n_targets);
     let mut metas = Vec::with_capacity(n_targets);
-    let mut hops = Vec::with_capacity(hop_cells.len());
-    let mut unreach = Vec::with_capacity(unreach_cells.len());
+    let mut hop_ttls = Vec::with_capacity(hop_cells.len());
+    let mut hop_ids = Vec::with_capacity(hop_cells.len());
+    let mut unreach_ttls = Vec::with_capacity(unreach_cells.len());
+    let mut unreach_ids = Vec::with_capacity(unreach_cells.len());
     for (r, &(word, tid)) in order.iter().enumerate() {
         let epoch = r as u32 + 1;
         let bucket = &hop_cells[starts[r][0] as usize..starts[r + 1][0] as usize];
         let (mut lo, mut hi) = (usize::MAX, 0usize);
         for &cell in bucket {
-            let slot = &mut ttl_slot[cell.ttl as usize];
+            let ttl = cell.ttl() as usize;
+            let slot = &mut ttl_slot[ttl];
             // Bucket order is row order, so an equal key never takes a
             // claimed slot.
-            if slot.0 != epoch || cell.key < slot.1.key {
+            if slot.0 != epoch || cell.key() < slot.1.key() {
                 *slot = (epoch, cell);
-                lo = lo.min(cell.ttl as usize);
-                hi = hi.max(cell.ttl as usize);
+                lo = lo.min(ttl);
+                hi = hi.max(ttl);
             }
         }
-        let hop_off = hops.len() as u32;
+        let hop_off = hop_ids.len() as u32;
         if lo != usize::MAX {
             for (t, &(e, cell)) in ttl_slot.iter().enumerate().take(hi + 1).skip(lo) {
                 if e == epoch {
-                    hops.push((t as u8, cell.rid));
+                    hop_ttls.push(t as u8);
+                    hop_ids.push(cell.rid());
                 }
             }
         }
-        let unreach_off = unreach.len() as u32;
+        let unreach_off = unreach_ids.len() as u32;
         let bucket = &mut unreach_cells[starts[r][1] as usize..starts[r + 1][1] as usize];
-        if bucket.windows(2).any(|w| w[1].key < w[0].key) {
-            bucket.sort_by_key(|cell| cell.key);
+        if bucket.windows(2).any(|w| w[1].key() < w[0].key()) {
+            bucket.sort_by_key(|cell| cell.key());
         }
-        unreach.extend(bucket.iter().map(|cell| (cell.ttl, cell.rid)));
+        unreach_ttls.extend(bucket.iter().map(|cell| cell.ttl()));
+        unreach_ids.extend(bucket.iter().map(|cell| cell.rid()));
         let at = reached[tid as usize];
         targets.push(Ipv6Addr::from(word));
         metas.push(TraceMeta {
             hop_off,
-            hop_len: hops.len() as u32 - hop_off,
+            hop_len: hop_ids.len() as u32 - hop_off,
             unreach_off,
-            unreach_len: unreach.len() as u32 - unreach_off,
+            unreach_len: unreach_ids.len() as u32 - unreach_off,
             reached_at: (at != NOT_REACHED).then_some(at as u8),
         });
     }
@@ -383,8 +432,10 @@ pub(crate) fn assemble<K: Copy + Ord + Default>(
         interner,
         targets,
         metas,
-        hops,
-        unreach,
+        hop_ttls,
+        hop_ids,
+        unreach_ttls,
+        unreach_ids,
         sources: Vec::new(),
         prov: Vec::new(),
     }
@@ -399,12 +450,15 @@ impl TraceSet {
     ///   no rows at all;
     /// * Time-Exceeded hops become 8-byte `(tid, responder id, ttl)`
     ///   rows, bucketed by the target's *rank* (position in address
-    ///   order) with one counting scatter; the scatter is stable, so
-    ///   each bucket keeps record order and "first record wins per
-    ///   (target, ttl)" — the map pipeline's exact semantics — falls
-    ///   out of a 256-slot TTL scratch, no per-bucket sort;
+    ///   order) with one counting scatter into 4-byte cells; the
+    ///   scatter is stable, so each bucket keeps record order and
+    ///   "first record wins per (target, ttl)" — the map pipeline's
+    ///   exact semantics — falls out of a 256-slot TTL scratch, no
+    ///   per-bucket sort;
     /// * Destination Unreachable rows ride the same scatter; their
-    ///   bucket order *is* the required record order, copied verbatim.
+    ///   bucket order *is* the required record order, copied verbatim;
+    /// * the winners land in the set's split cell columns, a `u8` hop
+    ///   limit and a `u32` id apiece — 5 bytes a cell.
     pub fn from_log(log: &ProbeLog) -> Self {
         // The log says how many targets were probed; no log has more
         // distinct ones than records.
@@ -495,7 +549,7 @@ impl TraceSet {
     /// bitmap; no address re-hashing.
     pub fn interface_words(&self) -> Vec<u128> {
         let mut seen = vec![false; self.interner.len()];
-        for &(_, id) in &self.hops {
+        for &id in &self.hop_ids {
             seen[id as usize] = true;
         }
         let mut out: Vec<u128> = self
@@ -531,24 +585,20 @@ impl TraceSet {
         src_remap: &[u32],
     ) {
         let m = src.metas[idx];
-        let hop_off = self.hops.len() as u32;
-        for &(ttl, id) in &src.hops[m.hop_off as usize..(m.hop_off + m.hop_len) as usize] {
-            self.hops
-                .push((ttl, id_remap.map_or(id, |r| r[id as usize])));
-        }
-        let unreach_off = self.unreach.len() as u32;
-        for &(ttl, id) in
-            &src.unreach[m.unreach_off as usize..(m.unreach_off + m.unreach_len) as usize]
-        {
-            self.unreach
-                .push((ttl, id_remap.map_or(id, |r| r[id as usize])));
-        }
+        let (hops, unreach) = (m.hop_range(), m.unreach_range());
+        let hop_off = self.hop_ids.len() as u32;
+        self.hop_ttls.extend_from_slice(&src.hop_ttls[hops.clone()]);
+        extend_ids(&mut self.hop_ids, &src.hop_ids[hops], id_remap);
+        let unreach_off = self.unreach_ids.len() as u32;
+        self.unreach_ttls
+            .extend_from_slice(&src.unreach_ttls[unreach.clone()]);
+        extend_ids(&mut self.unreach_ids, &src.unreach_ids[unreach], id_remap);
         self.targets.push(src.targets[idx]);
         self.metas.push(TraceMeta {
             hop_off,
-            hop_len: self.hops.len() as u32 - hop_off,
+            hop_len: m.hop_len,
             unreach_off,
-            unreach_len: self.unreach.len() as u32 - unreach_off,
+            unreach_len: m.unreach_len,
             reached_at: m.reached_at,
         });
         // A single-campaign source has an empty prov column: all its
@@ -673,8 +723,10 @@ impl TraceSet {
             interner,
             targets: Vec::with_capacity(n_targets),
             metas: Vec::with_capacity(n_targets),
-            hops: Vec::with_capacity(n_hops),
-            unreach: Vec::with_capacity(n_unreach),
+            hop_ttls: Vec::with_capacity(n_hops),
+            hop_ids: Vec::with_capacity(n_hops),
+            unreach_ttls: Vec::with_capacity(n_unreach),
+            unreach_ids: Vec::with_capacity(n_unreach),
             sources,
             prov: Vec::with_capacity(n_targets),
         };
@@ -697,18 +749,19 @@ impl TraceSet {
     /// assignment; their canonical forms compare bit-identical under
     /// `PartialEq`. The trace columns, targets, and counters are
     /// untouched apart from the id rewrite.
-    pub fn canonical(&self) -> TraceSet {
-        let mut ids = Reintern::new(&self.interner);
-        let mut hops = Vec::with_capacity(self.hops.len());
-        let mut unreach = Vec::with_capacity(self.unreach.len());
+    ///
+    /// Consumes the set: the id columns are rewritten in place (each
+    /// cell belongs to exactly one trace's range), everything else is
+    /// moved, and only the new interner is allocated — once, at its
+    /// final size. A caller that keeps its input canonicalizes a clone.
+    pub fn canonical(mut self) -> TraceSet {
+        let mut ids = Reintern::new(&self.interner, self.interner.len());
         for m in &self.metas {
-            for &(ttl, id) in &self.hops[m.hop_off as usize..(m.hop_off + m.hop_len) as usize] {
-                hops.push((ttl, ids.id(id)));
+            for id in &mut self.hop_ids[m.hop_range()] {
+                *id = ids.id(*id);
             }
-            for &(ttl, id) in
-                &self.unreach[m.unreach_off as usize..(m.unreach_off + m.unreach_len) as usize]
-            {
-                unreach.push((ttl, ids.id(id)));
+            for id in &mut self.unreach_ids[m.unreach_range()] {
+                *id = ids.id(*id);
             }
         }
         // Unreferenced remainder in a history-free order.
@@ -721,18 +774,8 @@ impl TraceSet {
         for w in rest {
             interner.intern(Ipv6Addr::from(w));
         }
-        TraceSet {
-            vantage: self.vantage.clone(),
-            target_set: self.target_set.clone(),
-            rewritten_dropped: self.rewritten_dropped,
-            interner,
-            targets: self.targets.clone(),
-            metas: self.metas.clone(),
-            hops,
-            unreach,
-            sources: self.sources.clone(),
-            prov: self.prov.clone(),
-        }
+        self.interner = interner;
+        self
     }
 
     /// Iterates traces in target order — a slice walk, no re-sort.
@@ -754,18 +797,13 @@ impl TraceSet {
             .ok()
             .map(|idx| TraceView { set: self, idx })
     }
+}
 
-    /// Reserved but unused slots of the `targets`, `metas`, `hops`,
-    /// `unreach` and `prov` columns, in that order.
-    #[cfg(test)]
-    pub(crate) fn spare_capacity(&self) -> [usize; 5] {
-        [
-            self.targets.capacity() - self.targets.len(),
-            self.metas.capacity() - self.metas.len(),
-            self.hops.capacity() - self.hops.len(),
-            self.unreach.capacity() - self.unreach.len(),
-            self.prov.capacity() - self.prov.len(),
-        ]
+/// Appends `ids`, each translated through `remap` when there is one.
+fn extend_ids(out: &mut Vec<u32>, ids: &[u32], remap: Option<&[u32]>) {
+    match remap {
+        None => out.extend_from_slice(ids),
+        Some(r) => out.extend(ids.iter().map(|&id| r[id as usize])),
     }
 }
 
@@ -829,6 +867,72 @@ fn join_names(a: &Arc<str>, b: &Arc<str>) -> Arc<str> {
     }
 }
 
+/// One trace's hop or Destination Unreachable cells, `(ttl, id)`,
+/// read from the set's two parallel columns. Ids resolve through
+/// [`TraceSet::interner`]; id equality is address equality.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Cells<'a> {
+    ttls: &'a [u8],
+    ids: &'a [u32],
+}
+
+impl<'a> Cells<'a> {
+    /// Number of cells.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when the trace has no such cell.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The cells as `(ttl, id)`, in column order.
+    #[inline]
+    pub fn iter(&self) -> CellIter<'a> {
+        self.ttls.iter().copied().zip(self.ids.iter().copied())
+    }
+
+    /// The last cell — for hop cells, the deepest.
+    #[inline]
+    pub fn last(&self) -> Option<(u8, u32)> {
+        Some((*self.ttls.last()?, *self.ids.last()?))
+    }
+
+    /// The cells' hop limits.
+    #[inline]
+    pub fn ttls(&self) -> &'a [u8] {
+        self.ttls
+    }
+
+    /// The cells' ids, parallel to [`ttls`](Self::ttls).
+    #[inline]
+    pub fn ids(&self) -> &'a [u32] {
+        self.ids
+    }
+}
+
+/// The iterator of [`Cells::iter`].
+pub type CellIter<'a> = Zip<Copied<slice::Iter<'a, u8>>, Copied<slice::Iter<'a, u32>>>;
+
+impl<'a> IntoIterator for Cells<'a> {
+    type Item = (u8, u32);
+    type IntoIter = CellIter<'a>;
+
+    #[inline]
+    fn into_iter(self) -> CellIter<'a> {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for Cells<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A borrowed view of one trace inside the flat store.
 #[derive(Clone, Copy)]
 pub struct TraceView<'a> {
@@ -871,12 +975,14 @@ impl<'a> TraceView<'a> {
         }
     }
 
-    /// The raw hop cells `(ttl, iface_id)`, ttl ascending. Ids resolve
-    /// through [`TraceSet::interner`]; id equality is address equality.
+    /// The raw hop cells `(ttl, iface_id)`, ttl strictly ascending.
     #[inline]
-    pub fn hop_cells(&self) -> &'a [(u8, u32)] {
-        let m = self.meta();
-        &self.set.hops[m.hop_off as usize..(m.hop_off + m.hop_len) as usize]
+    pub fn hop_cells(&self) -> Cells<'a> {
+        let r = self.meta().hop_range();
+        Cells {
+            ttls: &self.set.hop_ttls[r.clone()],
+            ids: &self.set.hop_ids[r],
+        }
     }
 
     /// Hops as `(ttl, address)`, ttl ascending.
@@ -884,15 +990,18 @@ impl<'a> TraceView<'a> {
         let interner = &self.set.interner;
         self.hop_cells()
             .iter()
-            .map(move |&(ttl, id)| (ttl, interner.resolve(id)))
+            .map(move |(ttl, id)| (ttl, interner.resolve(id)))
     }
 
     /// The raw Destination Unreachable cells `(ttl, responder_id)`, in
     /// record order.
     #[inline]
-    pub fn unreachable_cells(&self) -> &'a [(u8, u32)] {
-        let m = self.meta();
-        &self.set.unreach[m.unreach_off as usize..(m.unreach_off + m.unreach_len) as usize]
+    pub fn unreachable_cells(&self) -> Cells<'a> {
+        let r = self.meta().unreach_range();
+        Cells {
+            ttls: &self.set.unreach_ttls[r.clone()],
+            ids: &self.set.unreach_ids[r],
+        }
     }
 
     /// Destination Unreachable responses as `(ttl, responder)`.
@@ -900,7 +1009,7 @@ impl<'a> TraceView<'a> {
         let interner = &self.set.interner;
         self.unreachable_cells()
             .iter()
-            .map(move |&(ttl, id)| (ttl, interner.resolve(id)))
+            .map(move |(ttl, id)| (ttl, interner.resolve(id)))
     }
 
     /// Estimated path length in router hops: the TTL of the destination
@@ -908,14 +1017,14 @@ impl<'a> TraceView<'a> {
     /// bound).
     pub fn path_len(&self) -> Option<u8> {
         self.reached_at()
-            .or_else(|| self.hop_cells().last().map(|&(t, _)| t))
+            .or_else(|| self.hop_cells().ttls().last().copied())
     }
 
     /// The deepest responding hop address (the "last hop" of §6).
     pub fn last_hop(&self) -> Option<(u8, Ipv6Addr)> {
         self.hop_cells()
             .last()
-            .map(|&(t, id)| (t, self.set.interner.resolve(id)))
+            .map(|(t, id)| (t, self.set.interner.resolve(id)))
     }
 
     /// The hop sequence `ttl=1..=k` with gaps as `None`, up to the
@@ -924,11 +1033,11 @@ impl<'a> TraceView<'a> {
     /// this.
     pub fn hop_vec(&self) -> Vec<Option<Ipv6Addr>> {
         let cells = self.hop_cells();
-        let Some(&(max, _)) = cells.last() else {
+        let Some(&max) = cells.ttls().last() else {
             return Vec::new();
         };
         let mut out = vec![None; max as usize];
-        for &(ttl, id) in cells {
+        for (ttl, id) in cells {
             // The sequence starts at ttl 1; a (nonsensical but
             // representable) ttl-0 hop is dropped here, as the map
             // reference's `(1..=max)` range did.
@@ -1012,6 +1121,39 @@ impl AsnResolver {
 }
 
 #[cfg(test)]
+impl TraceSet {
+    /// Reserved but unused slots of the `targets`, `metas`,
+    /// `hop_ttls`, `hop_ids`, `unreach_ttls`, `unreach_ids` and `prov`
+    /// columns, in that order.
+    pub(crate) fn spare_capacity(&self) -> [usize; 7] {
+        fn spare<T>(v: &Vec<T>) -> usize {
+            v.capacity() - v.len()
+        }
+        [
+            spare(&self.targets),
+            spare(&self.metas),
+            spare(&self.hop_ttls),
+            spare(&self.hop_ids),
+            spare(&self.unreach_ttls),
+            spare(&self.unreach_ids),
+            spare(&self.prov),
+        ]
+    }
+
+    /// Bytes the four cell columns hold, by capacity: what a set's
+    /// cells cost the heap.
+    pub(crate) fn cell_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        bytes(&self.hop_ttls)
+            + bytes(&self.hop_ids)
+            + bytes(&self.unreach_ttls)
+            + bytes(&self.unreach_ids)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use testkit::fixtures::rec;
@@ -1026,7 +1168,8 @@ mod tests {
             for ttl in [0, 255] {
                 for unreach in [false, true] {
                     let mut row = Row::new(u64::MAX, tid, rid, ttl, unreach);
-                    let fields = |r: &Row<u64>| (r.key, r.tid(), r.rid(), r.ttl(), r.unreach());
+                    let fields =
+                        |r: &Row<u64>| (r.key, r.tid(), r.rid(), r.rid_ttl as u8, r.unreach());
                     assert_eq!(fields(&row), (u64::MAX, tid, rid, ttl, unreach));
                     row.set_rid(rid ^ 1);
                     assert_eq!(fields(&row), (u64::MAX, tid, rid ^ 1, ttl, unreach));
@@ -1198,7 +1341,7 @@ mod tests {
         );
         // Both traces' hop cells share one interned id for ::a.
         assert_eq!(ts.interner().len(), 1);
-        let ids: Vec<u32> = ts.iter().map(|t| t.hop_cells()[0].1).collect();
+        let ids: Vec<u32> = ts.iter().map(|t| t.hop_cells().ids()[0]).collect();
         assert_eq!(ids, vec![0, 0]);
     }
 
@@ -1335,7 +1478,7 @@ mod tests {
             ],
         ));
         assert_eq!(ts.interner().resolve(0), "::b".parse::<Ipv6Addr>().unwrap());
-        let c = ts.canonical();
+        let c = ts.clone().canonical();
         // Walk order visits ::1's trace first, so ::a takes id 0.
         assert_eq!(c.interner().resolve(0), "::a".parse::<Ipv6Addr>().unwrap());
         assert_eq!(c.interner().resolve(1), "::b".parse::<Ipv6Addr>().unwrap());
@@ -1345,7 +1488,7 @@ mod tests {
             assert_eq!(t.hops().collect::<Vec<_>>(), u.hops().collect::<Vec<_>>());
         }
         // Canonicalizing is itself idempotent.
-        assert_eq!(c.canonical(), c);
+        assert_eq!(c.clone().canonical(), c);
     }
 
     #[test]
@@ -1408,8 +1551,138 @@ mod tests {
             })
             .into();
         let m = TraceSet::merge_all(&sets);
-        assert_eq!((m.len(), m.hops.len(), m.unreach.len()), (4, 8, 4));
-        assert_eq!(m.spare_capacity(), [0; 5]);
+        assert_eq!((m.len(), m.hop_ids.len(), m.unreach_ids.len()), (4, 8, 4));
+        assert_eq!(m.spare_capacity(), [0; 7]);
+    }
+
+    #[test]
+    fn every_kind_of_set_holds_a_cell_in_5_bytes() {
+        use crate::builder::TraceSetBuilder;
+        use crate::quarantine::{quarantine_all, QuarantineConfig};
+        use crate::shard::ShardedTraceSet;
+        use crate::snapshot::{read_trace_set, write_trace_set, SnapReader, SnapWriter};
+        use std::borrow::Cow;
+
+        // Three hops at distinct TTLs and one unreachable per target, so
+        // no cell loses a dedup and leaves a reserved slot; the hop at
+        // TTL 50 is past the quarantine's plausible depth.
+        let te = ResponseKind::TimeExceeded;
+        let du = ResponseKind::DestUnreachable(DestUnreachCode::NoRoute);
+        let records = |v: &str| -> Vec<ResponseRecord> {
+            (1..=4)
+                .flat_map(|t| {
+                    let target = format!("2001:db8:{t}::1");
+                    [
+                        rec(&target, "::a", te, Some(1)),
+                        rec(&target, &format!("::{v}{t}"), te, Some(2)),
+                        rec(&target, "::f", du, Some(3)),
+                    ]
+                })
+                .chain([rec("2001:db8:1::1", "::c", te, Some(50))])
+                .collect()
+        };
+        let cells = |ts: &TraceSet| ts.hop_ids.len() + ts.unreach_ids.len();
+        let five_bytes = |ts: &TraceSet, reserved: usize, what: &str| {
+            assert!(cells(ts) > 0, "{what} holds cells");
+            assert_eq!(ts.cell_bytes(), 5 * (cells(ts) + reserved), "{what}");
+        };
+
+        let mut builder = TraceSetBuilder::new();
+        builder.push_chunk(&records("a"));
+        let finished = builder.finish();
+        five_bytes(&finished, 0, "finished");
+        let other = TraceSet::from_log(&log_named("B", records("b")));
+        five_bytes(&other, 0, "from_log");
+        let merged = TraceSet::merge_all([&finished, &other]);
+        five_bytes(&merged, 0, "merged");
+        for shard in ShardedTraceSet::from_set(&merged, 3).shards() {
+            if !shard.is_empty() {
+                five_bytes(shard, 0, "shard");
+            }
+        }
+        let (cleaned, report) = quarantine_all(&[&merged], &QuarantineConfig::default());
+        let Cow::Owned(scrubbed) = &cleaned[0] else {
+            panic!("the TTL-50 hop is dropped");
+        };
+        // A scrub reserves its input's cells and drops some of them.
+        assert_eq!(report.cells_dropped(), 1);
+        five_bytes(scrubbed, 1, "quarantined");
+        let mut w = SnapWriter::new();
+        write_trace_set(&mut w, &merged);
+        let back = read_trace_set(&mut SnapReader::new(w.bytes())).unwrap();
+        five_bytes(&back, 0, "read back");
+        five_bytes(&back.canonical(), 0, "canonical");
+    }
+
+    /// A set over one target's records, for looking at its cells.
+    fn one_trace(records: Vec<ResponseRecord>) -> TraceSet {
+        TraceSet::from_log(&log_named("V", records))
+    }
+
+    #[test]
+    fn cells_of_a_trace_with_none() {
+        let ts = one_trace(vec![rec(
+            "2001:db8::1",
+            "2001:db8::1",
+            ResponseKind::EchoReply,
+            Some(6),
+        )]);
+        let t = ts.view_at(0);
+        for cells in [t.hop_cells(), t.unreachable_cells()] {
+            assert!(cells.is_empty());
+            assert_eq!(cells.len(), 0);
+            assert_eq!(cells.last(), None);
+            assert_eq!(cells.iter().next(), None);
+            assert!(cells.ttls().is_empty() && cells.ids().is_empty());
+            assert_eq!(format!("{cells:?}"), "[]");
+        }
+        assert_eq!((t.path_len(), t.last_hop()), (Some(6), None));
+        assert!(t.hop_vec().is_empty());
+    }
+
+    #[test]
+    fn cells_of_an_unreachable_only_trace() {
+        let du = ResponseKind::DestUnreachable(DestUnreachCode::NoRoute);
+        let ts = one_trace(vec![
+            rec("2001:db8::1", "::f", du, Some(7)),
+            rec("2001:db8::1", "::e", du, Some(3)),
+        ]);
+        let t = ts.view_at(0);
+        assert!(t.hop_cells().is_empty());
+        let cells = t.unreachable_cells();
+        // Record order, not TTL order.
+        assert_eq!(cells.iter().collect::<Vec<_>>(), [(7, 0), (3, 1)]);
+        assert_eq!((cells.len(), cells.last()), (2, Some((3, 1))));
+        assert_eq!((cells.ttls(), cells.ids()), (&[7, 3][..], &[0, 1][..]));
+        assert_eq!((t.path_len(), t.last_hop()), (None, None));
+    }
+
+    #[test]
+    fn cells_iterate_and_compare_across_sets() {
+        let te = ResponseKind::TimeExceeded;
+        let records = vec![
+            rec("2001:db8::1", "::a", te, Some(1)),
+            rec("2001:db8::1", "::b", te, Some(4)),
+            rec("2001:db8::1", "::a", te, Some(2)),
+        ];
+        let ts = one_trace(records.clone());
+        let cells = ts.view_at(0).hop_cells();
+        assert_eq!(cells.iter().collect::<Vec<_>>(), [(1, 0), (2, 0), (4, 1)]);
+        assert_eq!(cells.into_iter().next_back(), cells.last());
+        assert_eq!(cells.last(), Some((4, 1)));
+        assert_eq!(
+            (cells.ttls(), cells.ids()),
+            (&[1, 2, 4][..], &[0, 0, 1][..])
+        );
+        assert_eq!(format!("{cells:?}"), "[(1, 0), (2, 0), (4, 1)]");
+        // Equal cells in another set compare equal; a moved hop does not.
+        let same = one_trace(records.clone());
+        assert_eq!(same.view_at(0).hop_cells(), cells);
+        let mut moved = records;
+        moved[2].probe_ttl = Some(3);
+        let moved = one_trace(moved);
+        assert_ne!(moved.view_at(0).hop_cells(), cells);
+        assert_eq!(moved.view_at(0).hop_cells().ids(), cells.ids());
     }
 
     #[test]

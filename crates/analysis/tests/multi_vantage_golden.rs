@@ -85,8 +85,8 @@ fn assert_sweep_matches(topo: &Arc<Topology>, set: &TargetSet, cfg: &YarrpConfig
             "{label} [{mode}] merged union diverged"
         );
         assert_eq!(
-            merged.canonical(),
-            want_merged.canonical(),
+            merged.clone().canonical(),
+            want_merged.clone().canonical(),
             "{label} [{mode}] canonical forms diverged"
         );
         assert_eq!(

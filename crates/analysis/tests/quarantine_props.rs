@@ -34,8 +34,8 @@ fn columns(ts: &TraceSet) -> Columns {
                 (
                     t.target(),
                     t.reached_at(),
-                    t.hop_cells().to_vec(),
-                    t.unreachable_cells().to_vec(),
+                    t.hop_cells().iter().collect(),
+                    t.unreachable_cells().iter().collect(),
                 )
             })
             .collect(),

@@ -168,7 +168,7 @@ proptest! {
         for (s, shard) in sharded.shards().iter().enumerate() {
             let mut next = 0u32;
             for t in shard.iter() {
-                for &(_, id) in t.hop_cells().iter().chain(t.unreachable_cells()) {
+                for (_, id) in t.hop_cells().iter().chain(t.unreachable_cells()) {
                     prop_assert!(id <= next, "shard {s}: id {id} before {next} was handed out");
                     next += u32::from(id == next);
                 }

@@ -3,18 +3,21 @@
 //! directory, a faithful round trip, and — because a longitudinal
 //! store is only as good as its failure modes — loud rejection of
 //! truncation, bit rot, version skew, missing files, and segments
-//! whose targets route to the wrong shard.
+//! whose targets route to the wrong shard — and a set decoded from
+//! edited bytes is one every view can read.
 
 use analysis::snapshot::{
     decode_segment, encode_manifest, encode_segment, fnv1a, segment_file, SegmentInfo,
     MANIFEST_FILE,
 };
 use analysis::{
-    read_sharded_snapshot, write_sharded_snapshot, ShardedTraceSet, SnapshotError,
-    SnapshotManifest, StoreError, TraceSet,
+    read_sharded_snapshot, read_trace_set, write_sharded_snapshot, write_trace_set,
+    ShardedTraceSet, SnapReader, SnapWriter, SnapshotError, SnapshotManifest, StoreError, TraceSet,
 };
+use proptest::prelude::*;
 use std::net::Ipv6Addr;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use v6packet::icmp6::DestUnreachCode;
 use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
 
@@ -228,5 +231,78 @@ fn misrouted_segment_is_rejected() {
     match read_sharded_snapshot(dir.path()) {
         Err(StoreError::Mismatch(what)) => assert_eq!(what, "target routed to wrong shard"),
         other => panic!("expected misroute rejection, got {other:?}"),
+    }
+}
+
+/// An encoded set of 40 traces, most several hops deep (so an edited
+/// hop limit can fall out of order), some with an unreachable cell or a
+/// destination response.
+fn sample_set_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let mut records = Vec::new();
+        for t in 0..40u32 {
+            let target = Ipv6Addr::from(0x2001_0db8_u128 << 96 | (t as u128) << 64 | 1);
+            let record = |responder: u128, kind, ttl: u32| ResponseRecord {
+                target,
+                responder: Ipv6Addr::from(0x2001_0db8_ffff_u128 << 80 | responder),
+                kind,
+                probe_ttl: Some(ttl as u8),
+                rtt_us: Some(1),
+                recv_us: u64::from(t * 16 + ttl),
+                target_cksum_ok: true,
+            };
+            for ttl in (1..=6).filter(|ttl| (t * 7 + ttl) % 5 != 0) {
+                let responder = u128::from(t % 7 * 16 + ttl);
+                records.push(record(responder, ResponseKind::TimeExceeded, ttl));
+            }
+            if t % 3 == 0 {
+                let code = DestUnreachCode::NoRoute;
+                records.push(record(0xff, ResponseKind::DestUnreachable(code), 7));
+            }
+            if t % 2 == 0 {
+                records.push(record(0, ResponseKind::EchoReply, 8));
+            }
+        }
+        let log = ProbeLog {
+            vantage: "edit-v".into(),
+            target_set: "edit-s".into(),
+            records,
+            ..Default::default()
+        };
+        let mut w = SnapWriter::new();
+        write_trace_set(&mut w, &TraceSet::from_log(&log));
+        w.into_bytes()
+    })
+}
+
+proptest! {
+    /// A set decoded from edited bytes is one the views can read, not
+    /// only one that re-encodes: after random edits anywhere, decoding
+    /// fails, or it yields a set that writes back exactly the bytes it
+    /// read, whose every trace agrees with itself on its hop sequence,
+    /// path length and last hop, and which canonicalizes.
+    #[test]
+    fn prop_edited_trace_set_bytes_decode_to_a_usable_set(
+        edits in prop::collection::vec((any::<u64>(), 1u8..=255), 1..4),
+    ) {
+        let mut bytes = sample_set_bytes().to_vec();
+        for &(at, x) in &edits {
+            let n = bytes.len();
+            bytes[(at % n as u64) as usize] ^= x;
+        }
+        let mut r = SnapReader::new(&bytes);
+        if let Ok(ts) = read_trace_set(&mut r) {
+            let read = bytes.len() - r.remaining();
+            let mut w = SnapWriter::new();
+            write_trace_set(&mut w, &ts);
+            prop_assert!(w.bytes() == &bytes[..read], "a decoded set re-encodes to other bytes");
+            for t in ts.iter() {
+                let deepest = t.last_hop().map(|(ttl, _)| ttl);
+                prop_assert_eq!(t.hop_vec().len(), deepest.map_or(0, usize::from));
+                prop_assert_eq!(t.path_len(), t.reached_at().or(deepest));
+            }
+            prop_assert_eq!(ts.clone().canonical().len(), ts.len());
+        }
     }
 }

@@ -399,8 +399,17 @@ mod tests {
             assert_eq!(view.unreachable().collect::<Vec<_>>(), t.unreachable);
             assert_eq!(view.reached_at(), t.reached_at);
         }
-        assert_eq!(set.view_at(1).hop_cells(), [(1, 0), (2, 1), (3, 3)]);
-        assert_eq!(set.view_at(1).unreachable_cells(), [(4, 4), (4, 0)]);
+        assert_eq!(
+            set.view_at(1).hop_cells().iter().collect::<Vec<_>>(),
+            [(1, 0), (2, 1), (3, 3)]
+        );
+        assert_eq!(
+            set.view_at(1)
+                .unreachable_cells()
+                .iter()
+                .collect::<Vec<_>>(),
+            [(4, 4), (4, 0)]
+        );
         assert_eq!((&*set.vantage, &*set.target_set), ("", ""));
         assert_eq!(set.rewritten_dropped, 0);
     }

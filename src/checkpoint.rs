@@ -26,7 +26,7 @@
 use crate::adaptive::{AdaptiveConfig, AliasState, LoopState, RoundReport, VantageRound};
 use aliasres::{RouterGraphBuilder, RouterGraphParts};
 use analysis::snapshot::{fnv1a, trace_set_encoded_len};
-use analysis::{read_trace_set, write_trace_set, SnapReader, SnapWriter, SnapshotError};
+use analysis::{read_trace_set, write_trace_set, SnapReader, SnapWriter, SnapshotError, TraceSet};
 use simnet::{EngineStats, Topology};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -105,6 +105,13 @@ impl Checkpoint {
     /// Interfaces discovered so far.
     pub fn interfaces(&self) -> usize {
         self.state.seen.len()
+    }
+
+    /// Every campaign's trace set so far, in the order the run's
+    /// [`AdaptiveResult::traces`](crate::adaptive::AdaptiveResult::traces)
+    /// lists them.
+    pub fn traces(&self) -> impl ExactSizeIterator<Item = &TraceSet> {
+        self.state.traces.iter().map(|t| &**t)
     }
 
     /// Serializes the checkpoint: header, then `LoopState`'s fields in

@@ -519,7 +519,9 @@ proptest! {
     /// after random edits anywhere between the version and the trailer,
     /// a checkpoint decodes to an error or to a state that re-encodes to
     /// exactly the input — never a panic, never a second spelling of
-    /// one state.
+    /// one state — and whose every trace reads through the views: the
+    /// hop sequence, path length and last hop agree, and each set
+    /// canonicalizes.
     #[test]
     fn prop_resealed_edits_decode_canonically(
         edits in prop::collection::vec((any::<u64>(), 1u8..=255), 1..4),
@@ -532,6 +534,14 @@ proptest! {
         reseal(&mut bytes);
         if let Ok(ck) = Checkpoint::from_bytes(&bytes) {
             prop_assert!(ck.to_bytes() == bytes, "a decoded checkpoint re-encodes to other bytes");
+            for set in ck.traces() {
+                for t in set.iter() {
+                    let deepest = t.last_hop().map(|(ttl, _)| ttl);
+                    prop_assert_eq!(t.hop_vec().len(), deepest.map_or(0, usize::from));
+                    prop_assert_eq!(t.path_len(), t.reached_at().or(deepest));
+                }
+                prop_assert_eq!(set.clone().canonical().len(), set.len());
+            }
         }
     }
 }
