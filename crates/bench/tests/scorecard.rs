@@ -5,16 +5,43 @@
 //! pinned too, so a change that moves any printed number fails here even
 //! when no claim changes status.
 
-use analysis::snapshot::fnv1a;
 use beholder_bench::report::{mismatches, Declared};
 use beholder_bench::{repro, EXPERIMENTS};
 use simnet::Scale;
 use std::collections::BTreeSet;
 
-/// `(len, fnv1a)` of the whole `tiny` report — what `BEHOLDER_SCALE=tiny
-/// repro` prints. Re-pin only for a change that means to move a number,
+/// The whole `tiny` report — what `BEHOLDER_SCALE=tiny repro` prints.
+/// Re-pin only for a change that means to move a number: run this suite,
+/// read the differences it prints, copy the file it names over this one,
 /// and say which numbers moved and why.
-const TINY_REPORT: (usize, u64) = (27_288, 0xafe2_dbf1_0ec4_45b2);
+const TINY_REPORT: &str = include_str!("tiny_report.md");
+
+/// Where a run that differs from [`TINY_REPORT`] leaves its text.
+const NEW_REPORT: &str = concat!(env!("CARGO_TARGET_TMPDIR"), "/tiny_report.md");
+
+/// The first `n` lines where `new` differs from `old`, each with its
+/// line number; empty when the two are equal.
+fn first_differences(old: &str, new: &str, n: usize) -> String {
+    let (mut old, mut new) = (old.split('\n'), new.split('\n'));
+    let mut out = String::new();
+    let mut shown = 0;
+    for line in 1.. {
+        let (a, b) = (old.next(), new.next());
+        if a.is_none() && b.is_none() || shown == n {
+            break;
+        }
+        if a != b {
+            let none = "(no such line)";
+            out.push_str(&format!(
+                "line {line}:\n  pinned: {}\n  now:    {}\n",
+                a.unwrap_or(none),
+                b.unwrap_or(none)
+            ));
+            shown += 1;
+        }
+    }
+    out
+}
 
 #[test]
 fn every_claim_has_its_declared_status_and_the_run_is_deterministic() {
@@ -30,11 +57,13 @@ fn every_claim_has_its_declared_status_and_the_run_is_deterministic() {
     });
     assert!(first.0 == second.0, "two runs rendered different output");
     let (text, claims) = first;
-    assert_eq!(
-        (text.len(), fnv1a(text.as_bytes())),
-        TINY_REPORT,
-        "the tiny report's bytes moved"
-    );
+    if text != TINY_REPORT {
+        std::fs::write(NEW_REPORT, &text).expect("write the new report");
+        panic!(
+            "the tiny report moved; the new text is in {NEW_REPORT}\n{}",
+            first_differences(TINY_REPORT, &text, 5)
+        );
+    }
 
     // Claim ids are `experiment.claim`: which experiments state something.
     let mut stated = BTreeSet::new();
