@@ -244,6 +244,18 @@ pub fn fig5(ctx: &mut Ctx) -> Report {
         worst_seq < 0.7 && worst_rand <= 0.05,
         format!("near hops vs 20 pps: sequential at best {worst_seq:.2}x, randomized off by at most {worst_rand:.3}"),
     );
+    // Hop 1 at 2000 pps, both vantages: (sequential, randomized). An
+    // absolute level needs a burst that drains hop 1's token bucket, and
+    // tiny's caida-z64 set is too small to drain it, so the claim starts
+    // at small.
+    let hop1 = [&curves[2], &curves[5]].map(|(s, y)| (s[0], y[0]));
+    r.claim(
+        "fig5.hop1-at-2000pps",
+        "at 2000 pps randomized probing keeps hop 1 above 0.8 responsiveness while sequential probing's falls below 0.4",
+        hop1.iter().all(|&(s, y)| y > 0.8 && s < 0.4),
+        format!("hop 1 at 2000 pps (sequential, randomized) by vantage: {hop1:.2?}"),
+    )
+    .from_small();
     r
 }
 

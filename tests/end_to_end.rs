@@ -1,6 +1,8 @@
 //! End-to-end integration: synthetic Internet → seeds → targets →
-//! Yarrp6 campaign → analysis, asserting the paper's headline phenomena
-//! hold across crate boundaries.
+//! Yarrp6 campaign → analysis. Each test pins a mechanism that crosses
+//! crate boundaries against the topology's ground truth. The paper's
+//! claims are stated once, on `beholder_bench`'s scorecard
+//! (`crates/bench/tests/scorecard.rs`).
 
 use beholder::prelude::*;
 use std::sync::Arc;
@@ -33,47 +35,11 @@ fn full_pipeline_discovers_topology() {
 }
 
 #[test]
-fn discovery_is_deterministic_end_to_end() {
-    let (topo, _, catalog) = fixture();
-    let set = catalog.get("fdns-z64").unwrap();
-    let cfg = YarrpConfig::default();
-    let a = run_campaign(&topo, 1, set, &cfg);
-    let b = run_campaign(&topo, 1, set, &cfg);
-    assert_eq!(a.log.records, b.log.records);
-    assert_eq!(a.engine_stats, b.engine_stats);
-}
-
-#[test]
-fn deeper_target_sets_find_more_than_bgp_breadth() {
-    // The paper's central target-selection claim: BGP-::1 probing
-    // (caida) provides breadth but misses subnet depth; hitlist-derived
-    // z64 sets find strictly more interfaces.
-    let (topo, _, catalog) = fixture();
-    let cfg = YarrpConfig::default();
-    let caida = run_campaign(&topo, 0, catalog.get("caida-z64").unwrap(), &cfg);
-    let fdns = run_campaign(&topo, 0, catalog.get("fdns-z64").unwrap(), &cfg);
-    assert!(
-        fdns.log.interface_addrs().len() > caida.log.interface_addrs().len(),
-        "fdns {} <= caida {}",
-        fdns.log.interface_addrs().len(),
-        caida.log.interface_addrs().len()
-    );
-}
-
-#[test]
 fn cdn_campaign_reveals_eui64_cpe_cloud() {
     let (topo, _, catalog) = fixture();
     let set = catalog.get("cdn-k32-z64").unwrap();
     let res = run_campaign(&topo, 0, set, &YarrpConfig::default());
-    let m = analysis::metrics::CampaignMetrics::compute(&res.log, &topo.bgp);
-    assert!(
-        m.eui64_frac > 0.3,
-        "CPE cloud not visible: EUI-64 fraction {}",
-        m.eui64_frac
-    );
-    // EUI-64 hops sit at or near the end of their paths.
-    assert!(m.eui64_offset_median >= -2);
-    // And the OUIs match the configured CPE manufacturers.
+    // The EUI-64 interfaces carry the configured CPE manufacturers' OUIs.
     let ouis: std::collections::BTreeSet<u32> = res
         .log
         .interface_addrs()
@@ -86,20 +52,6 @@ fn cdn_campaign_reveals_eui64_cpe_cloud() {
         ouis.iter().filter(|o| configured.contains(o)).count() >= 1,
         "no configured OUI among discovered EUI-64 addresses"
     );
-}
-
-#[test]
-fn z64_supersets_z48_discovery() {
-    let (topo, _, catalog) = fixture();
-    let cfg = YarrpConfig::default();
-    for src in ["fdns", "dnsdb"] {
-        let z48 = run_campaign(&topo, 0, catalog.get(&format!("{src}-z48")).unwrap(), &cfg);
-        let z64 = run_campaign(&topo, 0, catalog.get(&format!("{src}-z64")).unwrap(), &cfg);
-        assert!(
-            z64.log.interface_addrs().len() >= z48.log.interface_addrs().len(),
-            "{src}: z64 < z48"
-        );
-    }
 }
 
 #[test]
