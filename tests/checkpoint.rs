@@ -22,6 +22,7 @@ use proptest::prelude::*;
 use seeds::feedback::FeedbackParams;
 use std::net::Ipv6Addr;
 use std::sync::{Arc, OnceLock};
+use testkit::checkpoint::Pin;
 use testkit::fixtures::z64_targets;
 
 fn fixture(faults: FaultSchedule) -> (Arc<Topology>, TargetSet) {
@@ -546,46 +547,83 @@ proptest! {
     }
 }
 
-/// Golden `(len, fnv1a)` of the quarantine + alias fixture's encodings.
-/// Round trips only show an encoding agrees with itself; these show it
-/// did not move across commits. Re-pinned when five settings no caller
+/// Golden per-section `(len, fnv1a)` tables of the quarantine + alias
+/// fixture's encodings, cut by `testkit::checkpoint::SECTIONS`, the
+/// whole file last. Round trips only show an encoding agrees with
+/// itself; these show it did not move across commits, and a failure
+/// names each section that did. Re-pinned when five settings no caller
 /// set became constants: the configuration digest (bytes 8..16) and the
 /// trailer moved, every other byte is the earlier encoding's.
-const PINNED_ROUND_1: (usize, u64) = (85_262, 679_348_668_955_671_265);
-const PINNED_LAST_ROUND: (usize, u64) = (230_478, 12_690_182_006_393_465_100);
+const PINNED_ROUND_1: [Pin; 7] = [
+    (8, 14575297493530825540),
+    (8, 12423028813639569097),
+    (11680, 16841678237369303818),
+    (51545, 1657036827857007548),
+    (22013, 17459024915408495208),
+    (8, 7475995594549545157),
+    (85262, 679348668955671265),
+];
+const PINNED_LAST_ROUND: [Pin; 7] = [
+    (8, 14575297493530825540),
+    (8, 12423028813639569097),
+    (31930, 10789972682340099125),
+    (174445, 5400268344556512074),
+    (24079, 5488450794231528233),
+    (8, 12278224556562335020),
+    (230478, 12690182006393465100),
+];
+
+/// Fails unless every section of `bytes` matches its row of `pinned`,
+/// printing each section that moved with its byte range.
+fn assert_pinned(bytes: &[u8], pinned: &[Pin; 7], what: &str) {
+    let ck = Checkpoint::from_bytes(bytes).expect("a pinned checkpoint decodes");
+    let moved = testkit::checkpoint::moved(bytes, ck.traces(), pinned);
+    assert!(moved.is_empty(), "{what}: the checkpoint moved\n{moved}");
+}
 
 #[test]
 fn checkpoint_format_is_pinned() {
-    use analysis::snapshot::fnv1a;
     let (topo, set) = fixture(FaultSchedule::default());
     let cfg = AdaptiveConfig {
         quarantine_feedback: true,
         alias_resolution: true,
         ..cfg()
     };
-    let mut flat: Vec<(usize, u64)> = Vec::new();
-    run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
-        let bytes = ck.to_bytes();
-        flat.push((bytes.len(), fnv1a(&bytes)));
-    });
-    assert_eq!(flat[0], PINNED_ROUND_1);
-    assert_eq!(*flat.last().unwrap(), PINNED_LAST_ROUND);
+    let mut flat: Vec<Vec<u8>> = Vec::new();
+    run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| flat.push(ck.to_bytes()));
+    assert_pinned(&flat[0], &PINNED_ROUND_1, "round 1");
+    assert_pinned(flat.last().unwrap(), &PINNED_LAST_ROUND, "last round");
 }
 
-/// Golden `(len, fnv1a)` of the *final* checkpoint of two runs that end
-/// on a stop the loop cannot know before the round closes, captured at
-/// the commit before feedback generation became speculative. The pool
-/// generated beside such a round's alias stage is dropped, so the last
-/// checkpoint still carries the pool the round was planned from. No
+/// Golden per-section tables of the *final* checkpoint of two runs that
+/// end on a stop the loop cannot know before the round closes, captured
+/// at the commit before feedback generation became speculative. The
+/// pool generated beside such a round's alias stage is dropped, so the
+/// last checkpoint still carries the pool the round was planned from. No
 /// result can show a leak (nothing reads the pool after the stop); only
 /// these bytes can. Re-pinned with the two above, digest and trailer
 /// only.
-const PINNED_YIELD_FLOOR_LAST: (usize, u64) = (158_449, 9_651_542_548_531_809_033);
-const PINNED_BUDGET_LAST: (usize, u64) = (258_123, 12_885_968_112_251_585_211);
+const PINNED_YIELD_FLOOR_LAST: [Pin; 7] = [
+    (8, 14575297493530825540),
+    (8, 16338742832451936537),
+    (21868, 13998143686229167596),
+    (113176, 13772754850656237468),
+    (23381, 8518166908374885749),
+    (8, 16948820761061648378),
+    (158449, 9651542548531809033),
+];
+const PINNED_BUDGET_LAST: [Pin; 7] = [
+    (8, 14575297493530825540),
+    (8, 10288825219387128118),
+    (35400, 2441658802334854235),
+    (197928, 9913236104759855858),
+    (24771, 4765088284613555682),
+    (8, 17980827357219932721),
+    (258123, 12885968112251585211),
+];
 
 #[test]
 fn a_discarded_pool_never_reaches_the_last_checkpoint() {
-    use analysis::snapshot::fnv1a;
     let (topo, set) = fixture(FaultSchedule::default());
     let base = AdaptiveConfig {
         quarantine_feedback: true,
@@ -607,15 +645,14 @@ fn a_discarded_pool_never_reaches_the_last_checkpoint() {
         (budget, StopReason::BudgetExhausted, PINNED_BUDGET_LAST),
     ] {
         for parallel in [false, true] {
-            let mut last = (0, 0);
+            let mut last = Vec::new();
             let res = run_adaptive_checkpointed(&topo, &set, &cfg, parallel, |ck| {
-                let bytes = ck.to_bytes();
-                last = (bytes.len(), fnv1a(&bytes));
+                last = ck.to_bytes();
             });
             assert_eq!(res.stop, stop);
             // Stopped short of the cap, so the last round did speculate.
             assert!(res.rounds.len() < cfg.max_rounds);
-            assert_eq!(last, pinned, "{stop:?}, parallel = {parallel}");
+            assert_pinned(&last, &pinned, &format!("{stop:?}, parallel = {parallel}"));
         }
     }
 }
