@@ -13,10 +13,16 @@
 //! [`write_trace_set`] / [`read_trace_set`] snapshot a
 //! [`TraceSet`] *bit-identically*: the interner is stored as its word
 //! column in id order and rebuilt by re-interning in that order (ids
-//! are first-insertion-order stable, so every hop cell's `u32` id
-//! resolves to the same address after a round-trip), and the
-//! provenance columns ride along so merges after a resume behave
-//! exactly as they would have in the uninterrupted run.
+//! are first-insertion-order stable, so every hop cell's id resolves to
+//! the same address after a round-trip), and the provenance columns
+//! ride along so merges after a resume behave exactly as they would
+//! have in the uninterrupted run. Each packed column is fixed width per
+//! set, at the width its data needs: a cell is its hop limit and its id
+//! in the fewest whole bytes that hold the set's largest id, and a
+//! trace's lengths are in the fewest bytes that hold the set's longest,
+//! behind one width byte. Offsets are not stored; the decoder rebuilds
+//! them as running sums. Every width is the minimal one, so a set has
+//! one encoding.
 
 use crate::intern::AddrInterner;
 use crate::traces::{TraceMeta, TraceSet};
@@ -201,28 +207,76 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// The exact number of bytes [`write_trace_set`] appends for `ts`: the
-/// layout is fixed-width but for the strings and `reached_at`.
-pub fn trace_set_encoded_len(ts: &TraceSet) -> usize {
-    let str_len = |s: &str| 4 + s.len();
-    let reached = ts.metas.iter().filter(|m| m.reached_at.is_some()).count();
-    str_len(&ts.vantage)
-        + str_len(&ts.target_set)
-        + 8
-        + (4 + 16 * ts.interner.len())
-        + (4 + 16 * ts.targets.len())
-        + (17 * ts.metas.len() + reached)
-        + (4 + 5 * ts.hop_ids.len())
-        + (4 + 5 * ts.unreach_ids.len())
-        + (4 + ts.sources.iter().map(|s| str_len(s)).sum::<usize>())
-        + (4 + 4 * ts.prov.len())
+/// The fewest whole bytes, at least one, that hold `v`.
+fn width_of(v: u32) -> usize {
+    (4 - v.leading_zeros() as usize / 8).max(1)
 }
 
-/// Serializes a [`TraceSet`] — columns verbatim, interner as its word
-/// list in id order. Inverse of [`read_trace_set`].
+/// The width of every id of a set with `n_words` interner words: the
+/// fewest bytes that hold its largest id, `n_words - 1`. It follows
+/// from the word count, which is decoded first, so no byte carries it.
+fn id_width(n_words: usize) -> usize {
+    width_of(n_words.saturating_sub(1) as u32)
+}
+
+/// What sizes a set's encoding beyond its column lengths: the width of
+/// each packed column, and how many traces carry a `reached_at`.
+struct Widths {
+    hop_len: usize,
+    unreach_len: usize,
+    id: usize,
+    reached: usize,
+}
+
+impl Widths {
+    fn of(ts: &TraceSet) -> Widths {
+        let (mut hop, mut unreach, mut reached) = (0, 0, 0);
+        for m in &ts.metas {
+            hop = hop.max(m.hop_len);
+            unreach = unreach.max(m.unreach_len);
+            reached += usize::from(m.reached_at.is_some());
+        }
+        Widths {
+            hop_len: width_of(hop),
+            unreach_len: width_of(unreach),
+            id: id_width(ts.interner.len()),
+            reached,
+        }
+    }
+
+    /// The exact length of `ts`'s encoding, these its widths.
+    fn encoded_len(&self, ts: &TraceSet) -> usize {
+        let str_len = |s: &str| 4 + s.len();
+        let n = ts.metas.len();
+        str_len(&ts.vantage)
+            + str_len(&ts.target_set)
+            + 8
+            + (4 + 16 * ts.interner.len())
+            + (4 + 16 * n)
+            + (1 + self.hop_len * n)
+            + (1 + self.unreach_len * n)
+            + (n + self.reached)
+            + (4 + (1 + self.id) * ts.hop_ids.len())
+            + (4 + (1 + self.id) * ts.unreach_ids.len())
+            + (4 + ts.sources.iter().map(|s| str_len(s)).sum::<usize>())
+            + (4 + 4 * ts.prov.len())
+    }
+}
+
+/// The exact number of bytes [`write_trace_set`] appends for `ts`.
+pub fn trace_set_encoded_len(ts: &TraceSet) -> usize {
+    Widths::of(ts).encoded_len(ts)
+}
+
+/// Serializes a [`TraceSet`]: the interner as its word list in id
+/// order, the targets, each trace's hop and unreachable lengths as two
+/// packed columns behind a width byte each, a `reached_at` per trace,
+/// then the two cell columns, each as its count, its hop limits and its
+/// packed ids. Inverse of [`read_trace_set`].
 pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
+    let widths = Widths::of(ts);
     // One reservation, not a doubling buffer copied on the way up.
-    let len = trace_set_encoded_len(ts);
+    let len = widths.encoded_len(ts);
     w.reserve(len);
     let end = w.buf.len() + len;
     w.str(&ts.vantage);
@@ -237,11 +291,13 @@ pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
     for &t in &ts.targets {
         w.u128(u128::from(t));
     }
+    write_lens(w, widths.hop_len, ts.metas.iter().map(|m| m.hop_len));
+    write_lens(
+        w,
+        widths.unreach_len,
+        ts.metas.iter().map(|m| m.unreach_len),
+    );
     for m in &ts.metas {
-        w.u32(m.hop_off);
-        w.u32(m.hop_len);
-        w.u32(m.unreach_off);
-        w.u32(m.unreach_len);
         match m.reached_at {
             Some(at) => {
                 w.u8(1);
@@ -250,8 +306,14 @@ pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
             None => w.u8(0),
         }
     }
-    write_cells(w, &ts.hop_ttls, &ts.hop_ids);
-    write_cells(w, &ts.unreach_ttls, &ts.unreach_ids);
+    for (ttls, ids) in [
+        (&ts.hop_ttls, &ts.hop_ids),
+        (&ts.unreach_ttls, &ts.unreach_ids),
+    ] {
+        w.u32(ids.len() as u32);
+        w.raw(ttls);
+        write_packed(w, widths.id, ids.iter().copied());
+    }
     w.u32(ts.sources.len() as u32);
     for s in &ts.sources {
         w.str(s);
@@ -263,33 +325,87 @@ pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
     debug_assert_eq!(w.buf.len(), end, "trace_set_encoded_len is exact");
 }
 
-/// Appends a cell column pair as its count, then `(ttl, id)` cell by
-/// cell: 5 bytes a cell.
-fn write_cells(w: &mut SnapWriter, ttls: &[u8], ids: &[u32]) {
-    w.u32(ids.len() as u32);
-    for (&ttl, &id) in ttls.iter().zip(ids) {
-        w.u8(ttl);
-        w.u32(id);
+/// Appends each value's low `width` bytes, little-endian. The width is
+/// matched once, and each arm is a loop specialised to it.
+fn write_packed(w: &mut SnapWriter, width: usize, values: impl Iterator<Item = u32>) {
+    fn put<const W: usize>(buf: &mut Vec<u8>, values: impl Iterator<Item = u32>) {
+        for v in values {
+            buf.extend_from_slice(&v.to_le_bytes()[..W]);
+        }
+    }
+    match width {
+        1 => put::<1>(&mut w.buf, values),
+        2 => put::<2>(&mut w.buf, values),
+        3 => put::<3>(&mut w.buf, values),
+        _ => put::<4>(&mut w.buf, values),
     }
 }
 
-/// Reads what [`write_cells`] wrote back into its two columns; an id
-/// the interner's `n_words` cannot resolve is a `BadValue(what)`.
+/// Reads `n` values of `width` bytes each, as [`write_packed`] wrote
+/// them. `width` is in `1..=4`; the caller checked it.
+fn read_packed(r: &mut SnapReader<'_>, n: usize, width: usize) -> Result<Vec<u32>, SnapshotError> {
+    fn get<const W: usize>(bytes: &[u8]) -> Vec<u32> {
+        let value = |c: &[u8]| {
+            let mut v = [0; 4];
+            v[..W].copy_from_slice(c);
+            u32::from_le_bytes(v)
+        };
+        bytes.chunks_exact(W).map(value).collect()
+    }
+    let bytes = r.take(n * width)?;
+    Ok(match width {
+        1 => get::<1>(bytes),
+        2 => get::<2>(bytes),
+        3 => get::<3>(bytes),
+        _ => get::<4>(bytes),
+    })
+}
+
+/// Appends a length column: its width byte, then each length at that
+/// width.
+fn write_lens(w: &mut SnapWriter, width: usize, lens: impl Iterator<Item = u32>) {
+    w.u8(width as u8);
+    write_packed(w, width, lens);
+}
+
+/// Reads a length column: its width byte, then `n` lengths at that
+/// width. A width outside `1..=4`, or wider than the longest length
+/// needs, is a `BadValue(what)`: each set has one spelling.
+fn read_lens(
+    r: &mut SnapReader<'_>,
+    n: usize,
+    what: &'static str,
+) -> Result<Vec<u32>, SnapshotError> {
+    let width = usize::from(r.u8()?);
+    if !(1..=4).contains(&width) {
+        return Err(SnapshotError::BadValue(what));
+    }
+    let lens = read_packed(r, n, width)?;
+    if width != width_of(lens.iter().copied().max().unwrap_or(0)) {
+        return Err(SnapshotError::BadValue(what));
+    }
+    Ok(lens)
+}
+
+/// Reads a cell column pair: its count, the hop limits, the ids at the
+/// set's id width. An id the interner's `n_words` cannot resolve is a
+/// `BadValue(what)`.
 fn read_cells(
     r: &mut SnapReader<'_>,
     n_words: usize,
     what: &'static str,
 ) -> Result<(Vec<u8>, Vec<u32>), SnapshotError> {
-    let n = r.count(5)?;
-    let mut ttls = Vec::with_capacity(n);
-    let mut ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        ttls.push(r.u8()?);
-        let id = r.u32()?;
-        if id as usize >= n_words {
-            return Err(SnapshotError::BadValue(what));
-        }
-        ids.push(id);
+    let width = id_width(n_words);
+    let n = r.count(1 + width)?;
+    let ttls = r.take(n)?.to_vec();
+    let ids = read_packed(r, n, width)?;
+    if ids
+        .iter()
+        .copied()
+        .max()
+        .is_some_and(|id| id as usize >= n_words)
+    {
+        return Err(SnapshotError::BadValue(what));
     }
     Ok((ttls, ids))
 }
@@ -301,10 +417,11 @@ fn read_cells(
 ///
 /// What every set the library builds holds is also what decoding
 /// demands, because the views trust it: ids the interner resolves,
-/// targets strictly ascending, trace ranges that tile their columns in
-/// trace order (each starts where the previous trace's ends, the last
-/// ends at the column's end), and hop TTLs strictly ascending within a
-/// trace. Anything else is a [`SnapshotError::BadValue`].
+/// targets strictly ascending, trace lengths that sum to their
+/// column's length (each trace's range starts where the previous
+/// trace's ends), and hop TTLs strictly ascending within a trace. So
+/// does the one spelling of each set: every length width the minimal
+/// one. Anything else is a [`SnapshotError::BadValue`].
 pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError> {
     let vantage: Arc<str> = r.str()?.into();
     let target_set: Arc<str> = r.str()?.into();
@@ -317,51 +434,46 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
     if interner.len() != n_words {
         return Err(SnapshotError::BadValue("duplicate interner word"));
     }
-    // A target is its word and a meta of at least 17 bytes.
-    let n_targets = r.count(16 + 17)?;
+    // A target is its word, two lengths and a `reached_at` tag, at
+    // least a byte each.
+    let n_targets = r.count(16 + 3)?;
     let mut targets = Vec::with_capacity(n_targets);
     for _ in 0..n_targets {
         targets.push(Ipv6Addr::from(r.u128()?));
     }
+    let hop_lens = read_lens(r, n_targets, "hop length width")?;
+    let unreach_lens = read_lens(r, n_targets, "unreach length width")?;
+    // Every later slice of a trace's cells trusts these ranges: each
+    // offset is the sum of the lengths before it, and a sum past `u32`
+    // is refused rather than wrapped.
+    let (mut hop_end, mut unreach_end) = (0u32, 0u32);
     let mut metas = Vec::with_capacity(n_targets);
-    for _ in 0..n_targets {
-        let hop_off = r.u32()?;
-        let hop_len = r.u32()?;
-        let unreach_off = r.u32()?;
-        let unreach_len = r.u32()?;
+    for (&hop_len, &unreach_len) in hop_lens.iter().zip(&unreach_lens) {
         let reached_at = match r.u8()? {
             0 => None,
             1 => Some(r.u8()?),
             _ => return Err(SnapshotError::BadValue("reached_at tag")),
         };
         metas.push(TraceMeta {
-            hop_off,
+            hop_off: hop_end,
             hop_len,
-            unreach_off,
+            unreach_off: unreach_end,
             unreach_len,
             reached_at,
         });
+        hop_end = hop_end
+            .checked_add(hop_len)
+            .ok_or(SnapshotError::BadValue("trace hop lengths past u32"))?;
+        unreach_end = unreach_end
+            .checked_add(unreach_len)
+            .ok_or(SnapshotError::BadValue("trace unreach lengths past u32"))?;
     }
     let (hop_ttls, hop_ids) = read_cells(r, n_words, "hop interner id")?;
     let (unreach_ttls, unreach_ids) = read_cells(r, n_words, "unreach interner id")?;
-    // Every later slice of a trace's cells trusts these ranges, and `get`
-    // binary-searches the targets: check both here, the ends in u64 so
-    // a range whose end overflows u32 is rejected rather than wrapped.
-    let (mut hop_end, mut unreach_end) = (0u64, 0u64);
-    for m in &metas {
-        if u64::from(m.hop_off) != hop_end {
-            return Err(SnapshotError::BadValue("trace hop range"));
-        }
-        if u64::from(m.unreach_off) != unreach_end {
-            return Err(SnapshotError::BadValue("trace unreach range"));
-        }
-        hop_end += u64::from(m.hop_len);
-        unreach_end += u64::from(m.unreach_len);
-    }
-    if hop_end != hop_ids.len() as u64 {
+    if hop_end as usize != hop_ids.len() {
         return Err(SnapshotError::BadValue("trace hop range"));
     }
-    if unreach_end != unreach_ids.len() as u64 {
+    if unreach_end as usize != unreach_ids.len() {
         return Err(SnapshotError::BadValue("trace unreach range"));
     }
     // `path_len`, `last_hop` and `hop_vec` read a trace's deepest hop
@@ -372,6 +484,7 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
     {
         return Err(SnapshotError::BadValue("hop ttl order"));
     }
+    // `get` binary-searches the targets.
     if targets.windows(2).any(|w| w[0] >= w[1]) {
         return Err(SnapshotError::BadValue("target order"));
     }
@@ -412,10 +525,10 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
 // `manifest.snap` plus one `shard-NNNN.seg` per shard. The manifest
 // records the format version, the routing parameters, and each
 // segment's byte length and FNV-1a checksum; each segment is the
-// shard's raw column dump (interner word table, target words, metas,
-// hop/unreachable cells — the `write_trace_set` layout, which is
-// already offset-addressable and mmap-friendly: no varints, no
-// compression, fixed-width cells). Writes are byte-deterministic:
+// shard's raw column dump (interner word table, target words, trace
+// lengths, hop/unreachable cells — the `write_trace_set` layout: no
+// varints, no compression, each column fixed width per set). Writes
+// are byte-deterministic:
 // persisting the same store twice produces identical files, so
 // day-over-day diffs of a snapshot directory are real topology diffs.
 
@@ -429,8 +542,9 @@ pub(crate) const STORE_MAGIC: u32 = 0x4253_4e50;
 /// Segment magic: `"BSEG"`.
 pub(crate) const SEGMENT_MAGIC: u32 = 0x4253_4547;
 /// On-disk format version. Bump on any layout change; readers reject
-/// other versions rather than guessing.
-pub(crate) const STORE_VERSION: u32 = 1;
+/// other versions rather than guessing. Version 2 packs each trace-set
+/// column at its set's width; version 1 stored 4-byte ids and offsets.
+pub(crate) const STORE_VERSION: u32 = 2;
 
 /// Manifest file name inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "manifest.snap";
@@ -726,24 +840,213 @@ mod tests {
         }
     }
 
-    #[test]
-    fn corrupt_ids_are_rejected() {
-        // An empty-interner set whose hop column references id 0.
+    /// `ts`'s encoding.
+    fn encode(ts: &TraceSet) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        write_trace_set(&mut w, ts);
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<TraceSet, SnapshotError> {
+        read_trace_set(&mut SnapReader::new(bytes))
+    }
+
+    /// The fewest bytes that hold `v`, spelled out.
+    fn min_width(v: u32) -> u8 {
+        match v {
+            0..=0xff => 1,
+            0x100..=0xffff => 2,
+            0x1_0000..=0xff_ffff => 3,
+            _ => 4,
+        }
+    }
+
+    /// A set written field by field, so a test can state what the
+    /// library never builds: `n_words` interner words, a target per
+    /// `[hop_len, unreach_len]` pair, the two length columns behind the
+    /// width bytes `len_widths`, no trace reached, and the given
+    /// `(ttl, id)` cells with ids at the width `n_words` implies.
+    fn raw(
+        n_words: u32,
+        len_widths: [u8; 2],
+        lens: &[[u32; 2]],
+        hops: &[(u8, u32)],
+        unreach: &[(u8, u32)],
+    ) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.str("v");
         w.str("t");
         w.u64(0);
-        w.u32(0); // no interner words
-        w.u32(0); // no targets
-        w.u32(1); // one hop cell
-        w.u8(1);
-        w.u32(0); // id 0 — out of range
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
+        w.u32(n_words);
+        for i in 0..n_words {
+            w.u128(0xa + u128::from(i));
+        }
+        w.u32(lens.len() as u32);
+        for i in 0..lens.len() {
+            w.u128(0x2001_0db8 << 96 | i as u128);
+        }
+        for (k, &width) in len_widths.iter().enumerate() {
+            w.u8(width);
+            for len in lens {
+                w.raw(&len[k].to_le_bytes()[..usize::from(width).min(4)]);
+            }
+        }
+        lens.iter().for_each(|_| w.u8(0)); // not reached
+        let id_width = usize::from(min_width(n_words.saturating_sub(1)));
+        for cells in [hops, unreach] {
+            w.u32(cells.len() as u32);
+            cells.iter().for_each(|&(ttl, _)| w.u8(ttl));
+            cells
+                .iter()
+                .for_each(|&(_, id)| w.raw(&id.to_le_bytes()[..id_width]));
+        }
+        w.u32(0); // no sources
+        w.u32(0); // no provenance
+        w.into_bytes()
+    }
+
+    /// [`raw`] with one interner word and minimal length widths.
+    fn raw_set(lens: &[[u32; 2]], hops: &[(u8, u32)], unreach: &[(u8, u32)]) -> Vec<u8> {
+        let widest = |k: usize| min_width(lens.iter().map(|l| l[k]).max().unwrap_or(0));
+        raw(1, [widest(0), widest(1)], lens, hops, unreach)
+    }
+
+    #[test]
+    fn corrupt_ids_are_rejected() {
+        let bad = |what| Err(SnapshotError::BadValue(what));
+        // An empty interner resolves no id: a hop cell naming id 0.
         assert_eq!(
-            read_trace_set(&mut r),
-            Err(SnapshotError::BadValue("hop interner id"))
+            decode(&raw(0, [1, 1], &[[1, 0]], &[(1, 0)], &[])),
+            bad("hop interner id")
         );
+        // At ids of 1, 2 and 3 bytes, the largest id the word count
+        // allows decodes, and every larger id the width can spell is
+        // refused, in either column. At 256 and 65 536 words no larger
+        // id fits the width.
+        for n_words in [1, 255, 256, 257, 65_536, 65_537] {
+            let width = min_width(n_words - 1);
+            let set = |hop: u32, unreach: u32| {
+                decode(&raw(
+                    n_words,
+                    [1, 1],
+                    &[[1, 1]],
+                    &[(1, hop)],
+                    &[(1, unreach)],
+                ))
+            };
+            assert!(set(n_words - 1, 0).is_ok(), "{n_words} words");
+            assert!(set(0, n_words - 1).is_ok(), "{n_words} words");
+            let widest = u32::MAX >> (32 - 8 * u32::from(width));
+            for id in [n_words, widest] {
+                if (n_words..=widest).contains(&id) {
+                    assert_eq!(set(id, 0), bad("hop interner id"), "{n_words} words");
+                    assert_eq!(set(0, id), bad("unreach interner id"), "{n_words} words");
+                }
+            }
+        }
+        // 4-byte ids need over 2^24 words, so their column reader is
+        // called on its own.
+        let n_words = (1 << 24) + 1;
+        assert_eq!(id_width(n_words), 4);
+        let cells = |id: u32| {
+            let mut w = SnapWriter::new();
+            w.u32(1);
+            w.u8(7);
+            w.u32(id);
+            w.into_bytes()
+        };
+        let read = |id| read_cells(&mut SnapReader::new(&cells(id)), n_words, "id");
+        assert_eq!(read(1 << 24), Ok((vec![7], vec![1 << 24])));
+        assert_eq!(read((1 << 24) + 1), Err(SnapshotError::BadValue("id")));
+        assert_eq!(read(u32::MAX), Err(SnapshotError::BadValue("id")));
+    }
+
+    #[test]
+    fn sets_at_every_id_width_boundary_round_trip_bit_identically() {
+        for (n, width) in [(256u32, 1), (257, 2), (65_536, 2), (65_537, 3)] {
+            // `n` responders, 250 hops a target.
+            let records: Vec<_> = (0..n)
+                .map(|i| {
+                    rec(
+                        &format!("2001:db8::{:x}", i / 250),
+                        &format!("2001:db8:ffff::{:x}:{:x}", i >> 16, i & 0xffff),
+                        ResponseKind::TimeExceeded,
+                        Some((i % 250) as u8 + 1),
+                    )
+                })
+                .collect();
+            let ts = TraceSet::from_log(&ProbeLog {
+                vantage: "V".into(),
+                target_set: "wide".into(),
+                records,
+                ..Default::default()
+            });
+            assert_eq!(ts.interner.len(), n as usize);
+            assert_eq!(id_width(n as usize), width, "{n} words");
+            let bytes = encode(&ts);
+            assert_eq!(bytes.len(), trace_set_encoded_len(&ts));
+            let back = decode(&bytes).unwrap();
+            assert_eq!(back, ts, "{n} words");
+            assert_eq!(back.interner().words(), ts.interner().words());
+            assert_eq!(encode(&back), bytes, "{n} words");
+        }
+    }
+
+    #[test]
+    fn lengths_of_255_and_256_cross_the_length_width() {
+        for (n, width) in [(255u32, 1), (256, 2)] {
+            // One trace: hop limits 0.. ascending, as many unreachable
+            // cells.
+            let cells: Vec<(u8, u32)> = (0..n).map(|ttl| (ttl as u8, 0)).collect();
+            let bytes = raw(1, [width, width], &[[n, n]], &cells, &cells);
+            let ts = decode(&bytes).unwrap();
+            assert_eq!(ts.view_at(0).hop_cells().len(), n as usize);
+            assert_eq!(ts.view_at(0).unreachable_cells().len(), n as usize);
+            assert_eq!(encode(&ts), bytes, "{n} cells");
+            assert_eq!(trace_set_encoded_len(&ts), bytes.len());
+        }
+        // 65 536 cells take a third byte.
+        let cells = vec![(1, 0); 1 << 16];
+        let bytes = raw(1, [1, 3], &[[0, 1 << 16]], &[], &cells);
+        assert_eq!(encode(&decode(&bytes).unwrap()), bytes);
+    }
+
+    #[test]
+    fn a_length_width_that_is_not_minimal_is_refused() {
+        let cells = [(1, 0), (2, 0)];
+        let lens = [[2, 1], [0, 1]];
+        assert!(decode(&raw(1, [1, 1], &lens, &cells, &cells)).is_ok());
+        let hop = Err(SnapshotError::BadValue("hop length width"));
+        let unreach = Err(SnapshotError::BadValue("unreach length width"));
+        for wider in 2..=4 {
+            assert_eq!(decode(&raw(1, [wider, 1], &lens, &cells, &cells)), hop);
+            assert_eq!(decode(&raw(1, [1, wider], &lens, &cells, &cells)), unreach);
+        }
+        // 255 fits one byte, so two is not minimal.
+        let long: Vec<(u8, u32)> = (0..255).map(|ttl| (ttl, 0)).collect();
+        assert!(decode(&raw(1, [1, 1], &[[255, 0]], &long, &[])).is_ok());
+        assert_eq!(decode(&raw(1, [2, 1], &[[255, 0]], &long, &[])), hop);
+        // With no traces the width is still one byte.
+        assert!(decode(&raw(1, [1, 1], &[], &[], &[])).is_ok());
+        assert_eq!(decode(&raw(1, [1, 2], &[], &[], &[])), unreach);
+    }
+
+    #[test]
+    fn a_length_width_of_0_or_5_is_refused() {
+        let cells = [(1, 0), (2, 0)];
+        let lens = [[2, 1], [0, 1]];
+        for width in [0, 5, 255] {
+            assert_eq!(
+                decode(&raw(1, [width, 1], &lens, &cells, &cells)),
+                Err(SnapshotError::BadValue("hop length width")),
+                "width {width}"
+            );
+            assert_eq!(
+                decode(&raw(1, [1, width], &lens, &cells, &cells)),
+                Err(SnapshotError::BadValue("unreach length width")),
+                "width {width}"
+            );
+        }
     }
 
     #[test]
@@ -759,6 +1062,8 @@ mod tests {
             |w| {
                 w.u32(0);
                 w.u32(0);
+                w.u8(1); // hop length width
+                w.u8(1); // unreach length width
                 w.u32(u32::MAX); // hop cells
             },
         ];
@@ -779,20 +1084,22 @@ mod tests {
 
     #[test]
     fn corrupt_trace_metadata_is_rejected() {
-        let read = |ts: &TraceSet| {
-            let mut w = SnapWriter::new();
-            write_trace_set(&mut w, ts);
-            read_trace_set(&mut SnapReader::new(&w.into_bytes()))
-        };
+        let read = |ts: &TraceSet| decode(&encode(ts));
         let last = sample().len() - 1;
         type Corrupt = fn(&mut TraceSet);
         let cases: [(Corrupt, &str); 5] = [
             (|ts| ts.metas[0].hop_len += 100, "trace hop range"),
-            (|ts| ts.metas[0].hop_off = u32::MAX, "trace hop range"),
+            (
+                |ts| ts.metas[0].hop_len = u32::MAX,
+                "trace hop lengths past u32",
+            ),
             (|ts| ts.metas[1].unreach_len += 1, "trace unreach range"),
             (
-                |ts| ts.metas[1].unreach_off = u32::MAX,
-                "trace unreach range",
+                |ts| {
+                    ts.metas[0].unreach_len = u32::MAX;
+                    ts.metas[1].unreach_len = 1;
+                },
+                "trace unreach lengths past u32",
             ),
             (|ts| ts.targets.swap(0, 1), "target order"),
         ];
@@ -808,46 +1115,12 @@ mod tests {
         assert_eq!(read(&ts), Ok(ts));
     }
 
-    /// A set written field by field — one interner word, a target per
-    /// `(hop_off, hop_len, unreach_off, unreach_len)` range, the given
-    /// cells — so a test can state what the library never builds.
-    fn raw_set(ranges: &[[u32; 4]], hops: &[(u8, u32)], unreach: &[(u8, u32)]) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.str("v");
-        w.str("t");
-        w.u64(0);
-        w.u32(1);
-        w.u128(0xa);
-        w.u32(ranges.len() as u32);
-        for i in 0..ranges.len() {
-            w.u128(0x2001_0db8 << 96 | i as u128);
-        }
-        for range in ranges {
-            range.iter().for_each(|&v| w.u32(v));
-            w.u8(0); // not reached
-        }
-        for cells in [hops, unreach] {
-            w.u32(cells.len() as u32);
-            for &(ttl, id) in cells {
-                w.u8(ttl);
-                w.u32(id);
-            }
-        }
-        w.u32(0); // no sources
-        w.u32(0); // no provenance
-        w.into_bytes()
-    }
-
-    fn decode(bytes: &[u8]) -> Result<TraceSet, SnapshotError> {
-        read_trace_set(&mut SnapReader::new(bytes))
-    }
-
     #[test]
     fn hop_ttls_out_of_order_within_a_trace_are_rejected() {
         let hops = |ttls: [u8; 2]| ttls.map(|ttl| (ttl, 0));
         // Two two-hop traces. Ascending within each, in any order across
         // them.
-        let two = [[0, 2, 0, 0], [2, 2, 0, 0]];
+        let two = [[2, 0], [2, 0]];
         let ok = [(3, 0), (5, 0), (1, 0), (2, 0)];
         let ts = decode(&raw_set(&two, &ok, &[])).unwrap();
         assert_eq!(ts.view_at(0).hop_vec().len(), 5);
@@ -866,33 +1139,31 @@ mod tests {
             }
         }
         // Unreachable cells keep record order: any TTLs go.
-        let du = [[0, 0, 0, 2]];
+        let du = [[0, 2]];
         assert!(decode(&raw_set(&du, &[], &[(9, 0), (5, 0)])).is_ok());
     }
 
     #[test]
     fn cell_ranges_that_do_not_tile_their_column_are_rejected() {
+        // Offsets are the running sums of the lengths, so two ways are
+        // left to break the tiling: lengths that do not sum to their
+        // column's length, and a sum past u32.
         let cells = [(1, 0), (2, 0), (3, 0)];
-        let tiled = [[0, 1, 0, 1], [1, 2, 1, 2]];
-        assert!(decode(&raw_set(&tiled, &cells, &cells)).is_ok());
-        let hop = SnapshotError::BadValue("trace hop range");
-        let unreach = SnapshotError::BadValue("trace unreach range");
-        let cases: [([[u32; 4]; 2], SnapshotError); 8] = [
-            // A gap, an overlap, trace order reversed, a cell no trace owns.
-            ([[0, 1, 0, 1], [2, 1, 1, 2]], hop),
-            ([[0, 2, 0, 1], [1, 2, 1, 2]], hop),
-            ([[1, 2, 0, 1], [0, 1, 1, 2]], hop),
-            ([[0, 1, 0, 1], [1, 1, 1, 2]], hop),
-            ([[0, 1, 0, 1], [1, 2, 2, 1]], unreach),
-            ([[0, 1, 0, 2], [1, 2, 1, 2]], unreach),
-            ([[0, 1, 1, 2], [1, 2, 0, 1]], unreach),
-            ([[0, 1, 0, 1], [1, 2, 1, 1]], unreach),
+        assert!(decode(&raw_set(&[[1, 1], [2, 2]], &cells, &cells)).is_ok());
+        let cases: [([[u32; 2]; 2], &str); 6] = [
+            // A cell no trace owns, a trace past the column's end.
+            ([[1, 1], [1, 2]], "trace hop range"),
+            ([[1, 1], [3, 2]], "trace hop range"),
+            ([[1, 1], [2, 1]], "trace unreach range"),
+            ([[1, 2], [2, 2]], "trace unreach range"),
+            ([[u32::MAX, 1], [1, 2]], "trace hop lengths past u32"),
+            ([[1, u32::MAX], [2, 1]], "trace unreach lengths past u32"),
         ];
-        for (ranges, err) in cases {
+        for (lens, what) in cases {
             assert_eq!(
-                decode(&raw_set(&ranges, &cells, &cells)).unwrap_err(),
-                err,
-                "{ranges:?}"
+                decode(&raw_set(&lens, &cells, &cells)).unwrap_err(),
+                SnapshotError::BadValue(what),
+                "{lens:?}"
             );
         }
     }

@@ -189,6 +189,56 @@ fn segment_version_skew_is_rejected() {
 }
 
 #[test]
+fn store_version_1_segments_and_manifests_are_refused() {
+    // Version 1 stored 4-byte ids and each trace's offsets.
+    let v1 = 1u32.to_le_bytes();
+    let dir = TempDir::new("store-v1");
+    write_sharded_snapshot(dir.path(), &sample_store(2)).unwrap();
+    let manifest = dir.path().join(MANIFEST_FILE);
+    let current = std::fs::read(&manifest).unwrap();
+    let mut old = current.clone();
+    old[4..8].copy_from_slice(&v1);
+    std::fs::write(&manifest, &old).unwrap();
+    match read_sharded_snapshot(dir.path()) {
+        Err(StoreError::Decode(SnapshotError::BadValue("store version"))) => {}
+        other => panic!("expected a version 1 manifest refused, got {other:?}"),
+    }
+    // A version 1 segment under a manifest that vouches for its bytes.
+    let seg = dir.path().join(segment_file(0));
+    let mut bytes = std::fs::read(&seg).unwrap();
+    bytes[4..8].copy_from_slice(&v1);
+    std::fs::write(&seg, &bytes).unwrap();
+    let mut m = SnapshotManifest {
+        n_shards: 2,
+        segments: (0..2)
+            .map(|s| {
+                let b = std::fs::read(dir.path().join(segment_file(s))).unwrap();
+                SegmentInfo {
+                    len: b.len() as u64,
+                    fnv: fnv1a(&b),
+                }
+            })
+            .collect(),
+    };
+    std::fs::write(&manifest, encode_manifest(&m)).unwrap();
+    match read_sharded_snapshot(dir.path()) {
+        Err(StoreError::Decode(SnapshotError::BadValue("store version"))) => {}
+        other => panic!("expected a version 1 segment refused, got {other:?}"),
+    }
+    assert_eq!(
+        decode_segment(&bytes).unwrap_err(),
+        SnapshotError::BadValue("store version")
+    );
+    // The same manifest at the current version, for contrast, and the
+    // segment put back: the store reads again.
+    bytes[4..8].copy_from_slice(&current[4..8]);
+    std::fs::write(&seg, &bytes).unwrap();
+    m.segments[0].fnv = fnv1a(&bytes);
+    std::fs::write(&manifest, encode_manifest(&m)).unwrap();
+    assert!(read_sharded_snapshot(dir.path()).unwrap() == sample_store(2));
+}
+
+#[test]
 fn missing_segment_is_an_io_error() {
     let dir = TempDir::new("missing");
     write_sharded_snapshot(dir.path(), &sample_store(3)).unwrap();
@@ -276,17 +326,63 @@ fn sample_set_bytes() -> &'static [u8] {
     })
 }
 
+/// An encoded set whose ids and trace lengths are two bytes wide: 556
+/// responders, one trace of 256 hops (hop limits 0 to 255), one of 300
+/// unreachable cells, and eight short traces beside them.
+fn wide_sample_set_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let target = |t: u32| Ipv6Addr::from(0x2001_0db8_u128 << 96 | u128::from(t) << 64 | 1);
+        let record = |t: u32, responder: u32, kind, ttl: u8| ResponseRecord {
+            target: target(t),
+            responder: Ipv6Addr::from(0x2001_0db8_ffff_u128 << 80 | u128::from(responder)),
+            kind,
+            probe_ttl: Some(ttl),
+            rtt_us: Some(1),
+            recv_us: 0,
+            target_cksum_ok: true,
+        };
+        let unreach = ResponseKind::DestUnreachable(DestUnreachCode::NoRoute);
+        let mut records: Vec<_> = (0..=255u8)
+            .map(|ttl| record(0, u32::from(ttl), ResponseKind::TimeExceeded, ttl))
+            .collect();
+        records.extend((0..300).map(|k| record(1, 256 + k, unreach, (k % 8) as u8 + 1)));
+        for t in 2..10 {
+            for ttl in 1..=3 {
+                let responder = t * 37 + u32::from(ttl);
+                records.push(record(t, responder, ResponseKind::TimeExceeded, ttl));
+            }
+        }
+        let log = ProbeLog {
+            vantage: "wide-v".into(),
+            target_set: "wide-s".into(),
+            records,
+            ..Default::default()
+        };
+        let ts = TraceSet::from_log(&log);
+        assert_eq!(ts.interner().len(), 556);
+        assert_eq!(ts.view_at(0).hop_cells().len(), 256);
+        assert_eq!(ts.view_at(1).unreachable_cells().len(), 300);
+        let mut w = SnapWriter::new();
+        write_trace_set(&mut w, &ts);
+        w.into_bytes()
+    })
+}
+
 proptest! {
     /// A set decoded from edited bytes is one the views can read, not
     /// only one that re-encodes: after random edits anywhere, decoding
     /// fails, or it yields a set that writes back exactly the bytes it
     /// read, whose every trace agrees with itself on its hop sequence,
-    /// path length and last hop, and which canonicalizes.
+    /// path length and last hop, and which canonicalizes. The edits land
+    /// on a set of one-byte ids and lengths, or on one of two-byte ones.
     #[test]
     fn prop_edited_trace_set_bytes_decode_to_a_usable_set(
+        wide in any::<bool>(),
         edits in prop::collection::vec((any::<u64>(), 1u8..=255), 1..4),
     ) {
-        let mut bytes = sample_set_bytes().to_vec();
+        let sample = if wide { wide_sample_set_bytes() } else { sample_set_bytes() };
+        let mut bytes = sample.to_vec();
         for &(at, x) in &edits {
             let n = bytes.len();
             bytes[(at % n as u64) as usize] ^= x;

@@ -13,8 +13,8 @@
 //! every byte before it, so a damaged checkpoint is refused before its
 //! body is read.
 //!
-//! The format rides on [`analysis::snapshot`]'s fixed-width
-//! little-endian primitives: byte-deterministic (the same state always
+//! The format rides on [`analysis::snapshot`]'s little-endian
+//! primitives and trace-set columns: byte-deterministic (the same state always
 //! encodes to the same bytes, and a decoded state re-encodes to the
 //! bytes it came from). A checkpoint is only meaningful under the exact
 //! topology and configuration it was captured under, so it carries an
@@ -35,10 +35,12 @@ use yarrp6::addrset::AddrSet;
 
 /// `"BHCK"` — beholder checkpoint.
 const MAGIC: u32 = 0x4248_434B;
-/// Version 5: the encoding ends in a [`checksum`] trailer. Version 4
-/// numbered a directory form that no longer exists and is never
-/// reused; any other version, v3 included, is refused by number.
-const VERSION: u32 = 5;
+/// Version 6: each trace set packs its ids and trace lengths at the
+/// width its data needs, and stores no offsets. Version 5 had the same
+/// [`checksum`] trailer over 4-byte ids and stored offsets; version 4
+/// numbered a directory form that no longer exists and is never reused.
+/// Any other version, v3 and v5 included, is refused by number.
+const VERSION: u32 = 6;
 /// Bytes of the trailing checksum.
 const TRAILER: usize = 8;
 

@@ -439,9 +439,11 @@ fn a_state_that_does_not_fit_its_config_is_refused() {
     assert_eq!(resume(&aliased), Err(ResumeError::ConfigMismatch));
 }
 
-/// Offset of the first hop cell inside one `write_trace_set` encoding:
-/// two strings, a `u64`, the interner words, the targets, a meta per
-/// target (17 bytes, 18 with a `reached_at`), then the hop count.
+/// Offset of the first hop cell's hop limit inside one
+/// `write_trace_set` encoding: two strings, a `u64`, the interner words,
+/// the targets, two length columns (a width byte, then a length per
+/// target at that width), a `reached_at` tag per target (and its value
+/// when set), the hop count, then the hop limits.
 fn first_hop_cell(set: &[u8]) -> usize {
     let count = |at: usize| u32::from_le_bytes(set[at..at + 4].try_into().unwrap()) as usize;
     let mut at = 4 + count(0);
@@ -449,8 +451,10 @@ fn first_hop_cell(set: &[u8]) -> usize {
     at += 4 + 16 * count(at);
     let targets = count(at);
     at += 4 + 16 * targets;
+    for _lengths in 0..2 {
+        at += 1 + targets * usize::from(set[at]);
+    }
     for _ in 0..targets {
-        at += 16;
         at += if set[at] == 1 { 2 } else { 1 };
     }
     assert!(count(at) > 0, "the set has hop cells");
@@ -484,8 +488,9 @@ fn a_flipped_hop_cell_fails_the_checksum() {
 #[test]
 fn older_versions_are_refused_by_number() {
     let (bytes, _) = small_checkpoint();
-    // Version 3 had no trailer; version 4 was the directory form's.
-    for version in [3u32, 4] {
+    // Version 3 had no trailer; version 4 was the directory form's;
+    // version 5 stored 4-byte ids and each trace's offsets.
+    for version in [3u32, 4, 5] {
         let mut old = bytes.clone();
         old[4..8].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -552,25 +557,27 @@ proptest! {
 /// whole file last. Round trips only show an encoding agrees with
 /// itself; these show it did not move across commits, and a failure
 /// names each section that did. Re-pinned when five settings no caller
-/// set became constants: the configuration digest (bytes 8..16) and the
-/// trailer moved, every other byte is the earlier encoding's.
+/// set became constants (the configuration digest and the trailer
+/// moved), and at version 6, when each trace set came to pack its
+/// columns at its data's width: the header, trace-set and trailer rows
+/// moved, every other row is the earlier encoding's.
 const PINNED_ROUND_1: [Pin; 7] = [
-    (8, 14575297493530825540),
+    (8, 12264955390154574071),
     (8, 12423028813639569097),
     (11680, 16841678237369303818),
-    (51545, 1657036827857007548),
+    (32074, 1589441370363418015),
     (22013, 17459024915408495208),
-    (8, 7475995594549545157),
-    (85262, 679348668955671265),
+    (8, 5237018447664711877),
+    (65791, 16904157508247487133),
 ];
 const PINNED_LAST_ROUND: [Pin; 7] = [
-    (8, 14575297493530825540),
+    (8, 12264955390154574071),
     (8, 12423028813639569097),
     (31930, 10789972682340099125),
-    (174445, 5400268344556512074),
+    (103450, 15400127147573457236),
     (24079, 5488450794231528233),
-    (8, 12278224556562335020),
-    (230478, 12690182006393465100),
+    (8, 14744992088741145212),
+    (159483, 5999793130289780565),
 ];
 
 /// Fails unless every section of `bytes` matches its row of `pinned`,
@@ -601,25 +608,24 @@ fn checkpoint_format_is_pinned() {
 /// pool generated beside such a round's alias stage is dropped, so the
 /// last checkpoint still carries the pool the round was planned from. No
 /// result can show a leak (nothing reads the pool after the stop); only
-/// these bytes can. Re-pinned with the two above, digest and trailer
-/// only.
+/// these bytes can. Re-pinned with the two above, and in the same rows.
 const PINNED_YIELD_FLOOR_LAST: [Pin; 7] = [
-    (8, 14575297493530825540),
+    (8, 12264955390154574071),
     (8, 16338742832451936537),
     (21868, 13998143686229167596),
-    (113176, 13772754850656237468),
+    (67868, 16074873006462091221),
     (23381, 8518166908374885749),
-    (8, 16948820761061648378),
-    (158449, 9651542548531809033),
+    (8, 2242790443265547690),
+    (113141, 17320298577120435275),
 ];
 const PINNED_BUDGET_LAST: [Pin; 7] = [
-    (8, 14575297493530825540),
+    (8, 12264955390154574071),
     (8, 10288825219387128118),
     (35400, 2441658802334854235),
-    (197928, 9913236104759855858),
+    (118466, 5618706987418968516),
     (24771, 4765088284613555682),
-    (8, 17980827357219932721),
-    (258123, 12885968112251585211),
+    (8, 15954674159994993054),
+    (178661, 7447495016704405099),
 ];
 
 #[test]
