@@ -14,12 +14,13 @@
 //! body is read.
 //!
 //! The format rides on [`analysis::snapshot`]'s little-endian
-//! primitives and trace-set columns: byte-deterministic (the same state always
-//! encodes to the same bytes, and a decoded state re-encodes to the
-//! bytes it came from). A checkpoint is only meaningful under the exact
-//! topology and configuration it was captured under, so it carries an
-//! FNV-1a digest of both; [`crate::adaptive::resume_adaptive`] refuses
-//! a mismatch, or a state that does not fit the configuration, with
+//! primitives and trace-set columns: byte-deterministic (the same state
+//! always encodes to the same bytes, and a decoded state re-encodes to
+//! the bytes it came from). A checkpoint is only meaningful under the
+//! exact topology and configuration it was captured under, so it
+//! carries an FNV-1a digest of both;
+//! [`crate::adaptive::resume_adaptive`] refuses a mismatch, or a state
+//! that does not fit the configuration, with
 //! [`ResumeError::ConfigMismatch`] instead of producing a
 //! silently-divergent run.
 
