@@ -27,24 +27,17 @@
 //! rebuilt from parts — is allocated once at
 //! [`AddrInterner::with_room_for`], the table doubling would end at.
 
+use simnet::flow::mix64;
 use std::net::Ipv6Addr;
+use std::sync::Arc;
 
 const EMPTY: u32 = u32::MAX;
 
-/// One splitmix64 round: the mixer behind every address-word hash in
-/// this crate (`yarrp6::addrset` uses the same one).
-#[inline]
-pub(crate) fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Bucket hash for an address word: fold the halves, one splitmix round.
+/// Bucket hash for an address word: fold the halves, one splitmix round
+/// (`yarrp6::addrset` hashes the same way).
 #[inline]
 fn hash_word(w: u128) -> u64 {
-    splitmix((w >> 64) as u64 ^ w as u64)
+    mix64((w >> 64) as u64 ^ w as u64)
 }
 
 /// Open-addressed `Ipv6Addr → u32` interner over a dense address arena.
@@ -247,6 +240,29 @@ pub(crate) fn hashed_ahead<T>(
     })
 }
 
+/// The union step of a merge: one table holding every word of
+/// `tables` (at least one), and each table's id map into it. The union
+/// extends the first table, copied only once another is interned into
+/// it, so a table that *is* the first maps to `None`: its ids are the
+/// union's. Each other table appends its unseen words in its id order.
+pub(crate) fn union<'t>(
+    tables: impl IntoIterator<Item = &'t Arc<AddrInterner>>,
+) -> (Arc<AddrInterner>, Vec<Option<Vec<u32>>>) {
+    let mut tables = tables.into_iter().peekable();
+    let first = *tables.peek().expect("a union of at least one table");
+    let mut out = Arc::clone(first);
+    let remaps = tables
+        .map(|t| {
+            (!Arc::ptr_eq(t, first)).then(|| {
+                let u = Arc::make_mut(&mut out);
+                let add = |&w: &u128| u.intern(Ipv6Addr::from(w));
+                t.words().iter().map(add).collect()
+            })
+        })
+        .collect();
+    (out, remaps)
+}
+
 /// Re-interns ids of `src` into a fresh interner on first touch: the
 /// new ids follow the caller's cell walk, and an address is hashed once
 /// per responder, not once per cell.
@@ -258,14 +274,13 @@ pub(crate) struct Reintern<'a> {
 }
 
 impl<'a> Reintern<'a> {
-    /// A re-interner whose new interner takes `room` addresses without
-    /// growing ([`AddrInterner::with_room_for`]): `src.len()` when every
-    /// address ends up in it, less when the caller keeps a subset.
-    pub(crate) fn new(src: &'a AddrInterner, room: usize) -> Self {
+    /// A re-interner whose new interner takes every address of `src`
+    /// without growing ([`AddrInterner::with_room_for`]).
+    pub(crate) fn new(src: &'a AddrInterner) -> Self {
         Reintern {
             src,
             remap: vec![EMPTY; src.len()],
-            interner: AddrInterner::with_room_for(room),
+            interner: AddrInterner::with_room_for(src.len()),
         }
     }
 

@@ -244,13 +244,13 @@ fn scrub(
     }
 
     // Sized for every address: a scrub drops few.
-    let mut ids = Reintern::new(set.interner(), set.interner().len());
+    let mut ids = Reintern::new(set.interner());
 
     let mut out = TraceSet {
         vantage: set.vantage.clone(),
         target_set: set.target_set.clone(),
         rewritten_dropped: set.rewritten_dropped,
-        interner: AddrInterner::new(),
+        interner: Default::default(),
         targets: set.targets.clone(),
         metas: Vec::with_capacity(set.metas.len()),
         hop_ttls: Vec::with_capacity(set.hop_ids.len()),
@@ -301,7 +301,7 @@ fn scrub(
             reached_at: r,
         });
     }
-    out.interner = ids.finish();
+    out.interner = ids.finish().into();
     Some(out)
 }
 

@@ -12,26 +12,26 @@
 //! `merge_all`/`canonical` are independent and fan out across
 //! the same work-queue pattern the campaign drivers use.
 //!
-//! Each shard is a complete, self-contained `TraceSet` — its own
-//! interner, its own (sorted) target subset — so every existing
-//! analysis pass runs on a shard unchanged. [`to_trace_set`] folds the
-//! disjoint shards back into one flat set; the pinned contract
-//! (property-tested in `tests/shard_props.rs`) is
+//! Each shard is a complete `TraceSet` over its (sorted) target subset,
+//! so every analysis pass runs on a shard unchanged, and all shards
+//! share **one** address table (a router interface lies on the paths
+//! toward many prefixes). Ids mean the same in every shard, so sharding
+//! copies id columns verbatim, and the contracts (property-tested in
+//! `tests/shard_props.rs`) are exact, with no canonical form:
 //!
 //! ```text
-//! ShardedTraceSet::from_set(&ts, k).to_trace_set().canonical() == ts.clone().canonical()
+//! ShardedTraceSet::from_set(&ts, k).to_trace_set() == ts
+//! ShardedTraceSet::merge_all(&[from_set(&a, k), from_set(&b, k)])
+//!     == from_set(&TraceSet::merge_all([&a, &b]), k)
 //! ```
 //!
-//! for any shard count, and likewise sharded `merge_all` against flat
-//! `merge_all`. Only interner id *assignment* may differ between the
-//! two assembly histories, which is exactly what [`TraceSet::canonical`]
-//! normalizes.
-//!
-//! [`to_trace_set`]: ShardedTraceSet::to_trace_set
+//! for any shard count.
 
-use crate::intern::{splitmix, AddrInterner, Reintern};
-use crate::traces::{TraceMeta, TraceSet, TraceView};
+use crate::intern::{union, AddrInterner};
+use crate::traces::{interface_words, TraceSet, TraceView};
+use simnet::flow::mix64;
 use std::net::Ipv6Addr;
+use std::sync::Arc;
 use yarrp6::addrset::AddrSet;
 use yarrp6::campaign::pool_map;
 
@@ -58,18 +58,13 @@ impl ShardRoute {
         }
     }
 
-    /// Number of shards this route spreads over.
-    pub(crate) fn shards(&self) -> usize {
-        self.shards as usize
-    }
-
     /// The shard `addr` routes to. Constant per /64 prefix.
     #[inline]
     pub fn shard_of(&self, addr: Ipv6Addr) -> usize {
         if self.shards == 1 {
             return 0;
         }
-        (splitmix((u128::from(addr) >> 64) as u64) % self.shards as u64) as usize
+        (mix64((u128::from(addr) >> 64) as u64) % self.shards as u64) as usize
     }
 }
 
@@ -78,31 +73,27 @@ impl ShardRoute {
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardedTraceSet {
     route: ShardRoute,
-    /// One complete `TraceSet` per shard; shard `s` holds exactly the
-    /// targets with `route.shard_of(t) == s`, each with its own
-    /// interner. `rewritten_dropped` (a set-level counter with no
-    /// per-target home) lives on shard 0 by convention.
+    /// One `TraceSet` per shard, all sharing one interner; shard `s`
+    /// holds exactly the targets with `route.shard_of(t) == s`.
+    /// `rewritten_dropped` (a set-level counter with no per-target
+    /// home) lives on shard 0 by convention.
     shards: Vec<TraceSet>,
 }
 
 impl ShardedTraceSet {
-    /// Partitions `ts` into `shards` shards. Each shard re-interns its
-    /// own responders in trace-walk order; shard target lists stay
-    /// sorted because a subsequence of a sorted list is sorted.
+    /// Partitions `ts` into `shards` shards that share its table, each
+    /// trace's cells copied verbatim. Shard target lists stay sorted
+    /// because a subsequence of a sorted list is sorted.
     pub fn from_set(ts: &TraceSet, shards: usize) -> ShardedTraceSet {
-        Self::with_route(ts, ShardRoute::new(shards))
-    }
-
-    /// [`from_set`](Self::from_set) with an explicit route.
-    pub(crate) fn with_route(ts: &TraceSet, route: ShardRoute) -> ShardedTraceSet {
-        let n = route.shards();
+        let route = ShardRoute::new(shards);
+        let n = route.shards as usize;
         // Bucket trace indices first so each shard's build is a single
         // in-order walk (and can fan out if ever needed).
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, &t) in ts.targets.iter().enumerate() {
             buckets[route.shard_of(t)].push(i);
         }
-        let (mut shards, touched): (Vec<TraceSet>, Vec<Vec<bool>>) = pool_map(n, n > 1, |s| {
+        let shards = pool_map(n, n > 1, |s| {
             // Every column is reserved at its final length, summed from
             // the bucket's metas, so none grows by doubling.
             let bucket = &buckets[s];
@@ -110,15 +101,11 @@ impl ShardedTraceSet {
                 let m = &ts.metas[i];
                 (h + m.hop_len as usize, u + m.unreach_len as usize)
             });
-            assert!(
-                n_hops <= u32::MAX as usize && n_unreach <= u32::MAX as usize,
-                "one shard holds at most 2^32 - 1 hop and 2^32 - 1 unreachable cells"
-            );
             let mut out = TraceSet {
                 vantage: ts.vantage.clone(),
                 target_set: ts.target_set.clone(),
                 rewritten_dropped: if s == 0 { ts.rewritten_dropped } else { 0 },
-                interner: AddrInterner::new(),
+                interner: Arc::clone(&ts.interner),
                 targets: Vec::with_capacity(bucket.len()),
                 metas: Vec::with_capacity(bucket.len()),
                 hop_ttls: Vec::with_capacity(n_hops),
@@ -128,65 +115,31 @@ impl ShardedTraceSet {
                 sources: ts.sources.clone(),
                 prov: Vec::with_capacity(if ts.prov.is_empty() { 0 } else { bucket.len() }),
             };
-            // A shard keeps a subset of the responders: its interner grows.
-            let mut ids = Reintern::new(&ts.interner, 0);
             for &i in bucket {
-                let m = &ts.metas[i];
-                let (hops, unreach) = (m.hop_range(), m.unreach_range());
-                let hop_off = out.hop_ids.len() as u32;
-                out.hop_ttls.extend_from_slice(&ts.hop_ttls[hops.clone()]);
-                out.hop_ids
-                    .extend(ts.hop_ids[hops].iter().map(|&id| ids.id(id)));
-                let unreach_off = out.unreach_ids.len() as u32;
-                out.unreach_ttls
-                    .extend_from_slice(&ts.unreach_ttls[unreach.clone()]);
-                out.unreach_ids
-                    .extend(ts.unreach_ids[unreach].iter().map(|&id| ids.id(id)));
-                out.targets.push(ts.targets[i]);
-                out.metas.push(TraceMeta {
-                    hop_off,
-                    hop_len: m.hop_len,
-                    unreach_off,
-                    unreach_len: m.unreach_len,
-                    reached_at: m.reached_at,
-                });
-                if !ts.prov.is_empty() {
-                    out.prov.push(ts.prov[i]);
-                }
+                out.push_trace(ts, i, None);
+                out.prov.extend(ts.prov.get(i));
             }
-            let touched = (0..ts.interner.len()).map(|id| ids.touched(id)).collect();
-            out.interner = ids.finish();
-            (out, touched)
-        })
-        .into_iter()
-        .unzip();
-        // Interner words referenced by no surviving row — dedup losers
-        // kept deliberately by `merge_all`/`canonical` because they are
-        // real observed responders (`discovery_delta` counts them) —
-        // have no target to route by; they live in shard 0, beside
-        // `rewritten_dropped`, sorted ascending for determinism.
-        let mut orphans: Vec<u128> = (0..ts.interner.len())
-            .filter(|&id| !touched.iter().any(|t| t[id]))
-            .map(|id| ts.interner.words()[id])
-            .collect();
-        orphans.sort_unstable();
-        for w in orphans {
-            shards[0].interner.intern(Ipv6Addr::from(w));
-        }
+            out
+        });
         ShardedTraceSet { route, shards }
     }
 
     /// Reassembles a sharded set from already-partitioned shards (the
     /// snapshot reader's path). The caller guarantees each shard's
-    /// targets route to it.
+    /// targets route to it, and that every shard shares one table.
     pub(crate) fn from_parts(route: ShardRoute, shards: Vec<TraceSet>) -> ShardedTraceSet {
-        debug_assert_eq!(route.shards(), shards.len());
+        debug_assert_eq!(route.shards as usize, shards.len());
         ShardedTraceSet { route, shards }
     }
 
     /// The routing function this set was partitioned by.
     pub fn route(&self) -> ShardRoute {
         self.route
+    }
+
+    /// The address table every shard shares.
+    pub(crate) fn table(&self) -> &Arc<AddrInterner> {
+        &self.shards[0].interner
     }
 
     /// Number of shards.
@@ -220,60 +173,51 @@ impl ShardedTraceSet {
         self.shards[self.route.shard_of(target)].get(target)
     }
 
-    /// Merges many sharded sets: shard `s` of the result is
-    /// [`TraceSet::merge_all`] over every input's shard `s`, all
-    /// shards in parallel on the work-queue pool. Sound because the
+    /// Merges many sharded sets: the union of their tables is built
+    /// once, and shard `s` of the result is the owner walk of
+    /// [`TraceSet::merge_all`] over every input's shard `s` against it,
+    /// all shards in parallel on the work-queue pool. Sound because the
     /// shared route puts any given target in the same shard of every
     /// input, so a shard's merge sees exactly the conflicts the flat
-    /// merge would: after [`TraceSet::canonical`] this equals
-    /// sharding the flat `merge_all` of the unsharded inputs. Panics on
-    /// mixed routes — re-shard first.
+    /// merge would: this equals sharding the flat `merge_all` of the
+    /// unsharded inputs, ids included. Panics on mixed routes —
+    /// re-shard first.
     pub fn merge_all(sets: &[ShardedTraceSet]) -> ShardedTraceSet {
-        let Some(first) = sets.first() else {
-            return ShardedTraceSet::from_set(&TraceSet::default(), 1);
-        };
-        let route = first.route;
+        match sets {
+            [] => return ShardedTraceSet::from_set(&TraceSet::default(), 1),
+            [one] => return one.clone(),
+            _ => {}
+        }
+        let route = sets[0].route;
         assert!(
             sets.iter().all(|s| s.route == route),
             "cannot merge sharded sets with different routes"
         );
-        let shards = pool_map(route.shards(), route.shards() > 1, |s| {
-            TraceSet::merge_all(sets.iter().map(|set| &set.shards[s]))
+        let (table, id_remaps) = union(sets.iter().map(|s| s.table()));
+        let shards = pool_map(route.shards as usize, route.shards > 1, |s| {
+            let refs: Vec<&TraceSet> = sets.iter().map(|set| &set.shards[s]).collect();
+            TraceSet::merge_walk(&refs, Arc::clone(&table), &id_remaps)
         });
         ShardedTraceSet { route, shards }
     }
 
-    /// Folds the shards back into one flat [`TraceSet`]
-    /// (`merge_all` in shard order — the shards' target sets are
-    /// disjoint, so this is a pure union). Canonical forms satisfy
-    /// `from_set(&ts, k).to_trace_set().canonical() == ts.clone().canonical()`.
+    /// Folds the shards back into one flat [`TraceSet`] sharing the
+    /// store's table: `merge_all` in shard order, which over disjoint
+    /// targets and one table concatenates the columns. Exactly
+    /// `from_set(&ts, k).to_trace_set() == ts`.
     pub fn to_trace_set(&self) -> TraceSet {
         TraceSet::merge_all(&self.shards)
     }
 
-    /// Walks every shard's interner in shard order, inserting into
-    /// `seen` and returning the addresses not previously present —
-    /// [`TraceSet::discovery_delta`] lifted over the sharded store.
-    /// Deterministic, but the order is shard-major (not the flat set's
-    /// first-discovery order).
+    /// [`TraceSet::discovery_delta`] over the store's one table.
     pub fn discovery_delta(&self, seen: &mut AddrSet) -> Vec<Ipv6Addr> {
-        let mut fresh = Vec::new();
-        for shard in &self.shards {
-            fresh.extend(shard.discovery_delta(seen));
-        }
-        fresh
+        self.shards[0].discovery_delta(seen)
     }
 
-    /// All distinct interface words across shards, ascending (shards
-    /// may share responders — a router's interface is reachable on
-    /// paths toward many prefixes — so this dedups).
+    /// All distinct interface words across shards, ascending: the words
+    /// of the one table that some shard's hop cell names.
     pub fn interface_words(&self) -> Vec<u128> {
-        let n = self.shards.len();
-        let per: Vec<Vec<u128>> = pool_map(n, n > 1, |s| self.shards[s].interface_words());
-        let mut all: Vec<u128> = per.into_iter().flatten().collect();
-        all.sort_unstable();
-        all.dedup();
-        all
+        interface_words(self.table(), self.shards.iter().map(|s| &s.hop_ids[..]))
     }
 }
 

@@ -244,14 +244,19 @@ impl Widths {
         }
     }
 
-    /// The exact length of `ts`'s encoding, these its widths.
-    fn encoded_len(&self, ts: &TraceSet) -> usize {
+    /// The exact length of `ts`'s encoding, these its widths, with its
+    /// word table or without.
+    fn encoded_len(&self, ts: &TraceSet, with_table: bool) -> usize {
         let str_len = |s: &str| 4 + s.len();
         let n = ts.metas.len();
         str_len(&ts.vantage)
             + str_len(&ts.target_set)
             + 8
-            + (4 + 16 * ts.interner.len())
+            + if with_table {
+                4 + 16 * ts.interner.len()
+            } else {
+                0
+            }
             + (4 + 16 * n)
             + (1 + self.hop_len * n)
             + (1 + self.unreach_len * n)
@@ -265,7 +270,7 @@ impl Widths {
 
 /// The exact number of bytes [`write_trace_set`] appends for `ts`.
 pub fn trace_set_encoded_len(ts: &TraceSet) -> usize {
-    Widths::of(ts).encoded_len(ts)
+    Widths::of(ts).encoded_len(ts, true)
 }
 
 /// Serializes a [`TraceSet`]: the interner as its word list in id
@@ -274,18 +279,30 @@ pub fn trace_set_encoded_len(ts: &TraceSet) -> usize {
 /// then the two cell columns, each as its count, its hop limits and its
 /// packed ids. Inverse of [`read_trace_set`].
 pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
+    write_set(w, ts, true);
+}
+
+/// Appends a word table: its count, then its words in id order.
+fn write_words(w: &mut SnapWriter, table: &AddrInterner) {
+    w.u32(table.len() as u32);
+    for &word in table.words() {
+        w.u128(word);
+    }
+}
+
+/// [`write_trace_set`], the word table left out unless `with_table`: a
+/// store segment's set shares the store's.
+fn write_set(w: &mut SnapWriter, ts: &TraceSet, with_table: bool) {
     let widths = Widths::of(ts);
     // One reservation, not a doubling buffer copied on the way up.
-    let len = widths.encoded_len(ts);
+    let len = widths.encoded_len(ts, with_table);
     w.reserve(len);
     let end = w.buf.len() + len;
     w.str(&ts.vantage);
     w.str(&ts.target_set);
     w.u64(ts.rewritten_dropped);
-    let words = ts.interner.words();
-    w.u32(words.len() as u32);
-    for &word in words {
-        w.u128(word);
+    if with_table {
+        write_words(w, &ts.interner);
     }
     w.u32(ts.targets.len() as u32);
     for &t in &ts.targets {
@@ -322,7 +339,7 @@ pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
     for &p in &ts.prov {
         w.u32(p);
     }
-    debug_assert_eq!(w.buf.len(), end, "trace_set_encoded_len is exact");
+    debug_assert_eq!(w.buf.len(), end, "the encoded length is exact");
 }
 
 /// Appends each value's low `width` bytes, little-endian. The width is
@@ -423,17 +440,36 @@ fn read_cells(
 /// does the one spelling of each set: every length width the minimal
 /// one. Anything else is a [`SnapshotError::BadValue`].
 pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError> {
+    read_set(r, None)
+}
+
+/// Reads a word table, re-interned in order; a repeated word is refused.
+fn read_words(r: &mut SnapReader<'_>) -> Result<AddrInterner, SnapshotError> {
+    let n_words = r.count(16)?;
+    let mut table = AddrInterner::with_room_for(n_words);
+    for _ in 0..n_words {
+        table.intern(Ipv6Addr::from(r.u128()?));
+    }
+    if table.len() != n_words {
+        return Err(SnapshotError::BadValue("duplicate interner word"));
+    }
+    Ok(table)
+}
+
+/// Reads what [`write_set`] wrote: with its own word table when `table`
+/// is `None`, else sharing `table`, which its ids must resolve in.
+fn read_set(
+    r: &mut SnapReader<'_>,
+    table: Option<&Arc<AddrInterner>>,
+) -> Result<TraceSet, SnapshotError> {
     let vantage: Arc<str> = r.str()?.into();
     let target_set: Arc<str> = r.str()?.into();
     let rewritten_dropped = r.u64()?;
-    let n_words = r.count(16)?;
-    let mut interner = AddrInterner::with_room_for(n_words);
-    for _ in 0..n_words {
-        interner.intern(Ipv6Addr::from(r.u128()?));
-    }
-    if interner.len() != n_words {
-        return Err(SnapshotError::BadValue("duplicate interner word"));
-    }
+    let interner = match table {
+        Some(table) => Arc::clone(table),
+        None => Arc::new(read_words(r)?),
+    };
+    let n_words = interner.len();
     // A target is its word, two lengths and a `reached_at` tag, at
     // least a byte each.
     let n_targets = r.count(16 + 3)?;
@@ -522,32 +558,34 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
 // Persistent sharded store: a versioned multi-shard on-disk format.
 //
 // A [`crate::shard::ShardedTraceSet`] persists as a directory —
-// `manifest.snap` plus one `shard-NNNN.seg` per shard. The manifest
-// records the format version, the routing parameters, and each
-// segment's byte length and FNV-1a checksum; each segment is the
-// shard's raw column dump (interner word table, target words, trace
-// lengths, hop/unreachable cells — the `write_trace_set` layout: no
-// varints, no compression, each column fixed width per set). Writes
-// are byte-deterministic:
+// `manifest.snap`, `table.seg` and one `shard-NNNN.seg` per shard. The
+// manifest records the format version, the routing parameters, and
+// each segment's byte length and FNV-1a checksum. The table segment is
+// the word table every shard shares, written once; a shard segment is
+// the `write_trace_set` layout without it. Writes are byte-deterministic:
 // persisting the same store twice produces identical files, so
 // day-over-day diffs of a snapshot directory are real topology diffs.
 
 use crate::shard::{ShardRoute, ShardedTraceSet};
-use std::io::{Read, Write};
 use std::path::Path;
 use yarrp6::campaign::pool_map;
 
 /// Manifest magic: `"BSNP"`.
 pub(crate) const STORE_MAGIC: u32 = 0x4253_4e50;
-/// Segment magic: `"BSEG"`.
+/// Shard segment magic: `"BSEG"`.
 pub(crate) const SEGMENT_MAGIC: u32 = 0x4253_4547;
+/// Table segment magic: `"BTAB"`.
+pub(crate) const TABLE_MAGIC: u32 = 0x4254_4142;
 /// On-disk format version. Bump on any layout change; readers reject
-/// other versions rather than guessing. Version 2 packs each trace-set
-/// column at its set's width; version 1 stored 4-byte ids and offsets.
-pub(crate) const STORE_VERSION: u32 = 2;
+/// other versions rather than guessing. Version 3 writes the word table
+/// once; 2 gave each shard segment its own; 1 had 4-byte ids and offsets.
+pub(crate) const STORE_VERSION: u32 = 3;
 
 /// Manifest file name inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "manifest.snap";
+
+/// The word table's segment file name inside a snapshot directory.
+pub const TABLE_FILE: &str = "table.seg";
 
 /// The name of shard `s`'s segment file.
 pub fn segment_file(s: usize) -> String {
@@ -583,82 +621,86 @@ pub struct SnapshotManifest {
     /// Shard count — the [`ShardRoute`] parameter (the routing
     /// function itself is versioned by `STORE_VERSION`).
     pub n_shards: u32,
-    /// Per-shard integrity entries, in shard order.
+    /// Integrity entries: each shard segment's in order, then the table's.
     pub segments: Vec<SegmentInfo>,
 }
 
-impl SnapshotManifest {
-    /// The route this snapshot's shards were partitioned by.
-    pub(crate) fn route(&self) -> ShardRoute {
-        ShardRoute::new(self.n_shards as usize)
+/// A store file: magic, version, then what `body` writes.
+fn encode_file(magic: u32, body: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.u32(magic);
+    w.u32(STORE_VERSION);
+    body(&mut w);
+    w.into_bytes()
+}
+
+/// Decodes what [`encode_file`] wrote, `body` reading the payload: any
+/// version but this build's is refused by number, and trailing bytes
+/// are a `BadValue(what)`.
+fn decode_file<T>(
+    bytes: &[u8],
+    magic: u32,
+    what: &'static str,
+    body: impl FnOnce(&mut SnapReader<'_>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let mut r = SnapReader::new(bytes);
+    if r.u32()? != magic {
+        return Err(SnapshotError::BadMagic);
     }
+    if r.u32()? != STORE_VERSION {
+        return Err(SnapshotError::BadValue("store version"));
+    }
+    let value = body(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(SnapshotError::BadValue(what));
+    }
+    Ok(value)
 }
 
 /// Encodes a manifest. Byte-deterministic.
 pub fn encode_manifest(m: &SnapshotManifest) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.u32(STORE_MAGIC);
-    w.u32(STORE_VERSION);
-    w.u32(m.n_shards);
-    for seg in &m.segments {
-        w.u64(seg.len);
-        w.u64(seg.fnv);
-    }
-    w.into_bytes()
+    encode_file(STORE_MAGIC, |w| {
+        w.u32(m.n_shards);
+        for seg in &m.segments {
+            w.u64(seg.len);
+            w.u64(seg.fnv);
+        }
+    })
 }
 
-/// Decodes and validates a manifest: magic, version, a segment entry
-/// per shard, nothing trailing.
+/// Decodes a manifest: a segment entry per shard, then the table's. A
+/// shard count the file cannot hold is `Truncated` before it sizes anything.
 pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<SnapshotManifest, SnapshotError> {
-    let mut r = SnapReader::new(bytes);
-    if r.u32()? != STORE_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if r.u32()? != STORE_VERSION {
-        return Err(SnapshotError::BadValue("store version"));
-    }
-    let n_shards = r.u32()?;
-    if n_shards == 0 {
-        return Err(SnapshotError::BadValue("shard count"));
-    }
-    let mut segments = Vec::with_capacity(n_shards as usize);
-    for _ in 0..n_shards {
-        segments.push(SegmentInfo {
-            len: r.u64()?,
-            fnv: r.u64()?,
-        });
-    }
-    if r.remaining() != 0 {
-        return Err(SnapshotError::BadValue("trailing manifest bytes"));
-    }
-    Ok(SnapshotManifest { n_shards, segments })
+    decode_file(bytes, STORE_MAGIC, "trailing manifest bytes", |r| {
+        let n_shards = r.count(16)?;
+        if n_shards == 0 {
+            return Err(SnapshotError::BadValue("shard count"));
+        }
+        let mut segments = Vec::with_capacity(n_shards + 1);
+        for _ in 0..=n_shards {
+            let (len, fnv) = (r.u64()?, r.u64()?);
+            segments.push(SegmentInfo { len, fnv });
+        }
+        let n_shards = n_shards as u32;
+        Ok(SnapshotManifest { n_shards, segments })
+    })
 }
 
-/// Encodes one shard as a standalone segment: magic, version, then the
-/// [`write_trace_set`] column dump. Byte-deterministic.
+/// Encodes one shard as a segment: the [`write_trace_set`] layout
+/// without its word table. Byte-deterministic.
 pub fn encode_segment(ts: &TraceSet) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.u32(SEGMENT_MAGIC);
-    w.u32(STORE_VERSION);
-    write_trace_set(&mut w, ts);
-    w.into_bytes()
+    encode_file(SEGMENT_MAGIC, |w| write_set(w, ts, false))
 }
 
-/// Decodes one segment, rejecting wrong magic/version and trailing
-/// bytes.
-pub fn decode_segment(bytes: &[u8]) -> Result<TraceSet, SnapshotError> {
-    let mut r = SnapReader::new(bytes);
-    if r.u32()? != SEGMENT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if r.u32()? != STORE_VERSION {
-        return Err(SnapshotError::BadValue("store version"));
-    }
-    let ts = read_trace_set(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(SnapshotError::BadValue("trailing segment bytes"));
-    }
-    Ok(ts)
+/// Decodes one shard segment against the store's `table`, rejecting
+/// ids the table cannot resolve.
+pub(crate) fn decode_segment(
+    bytes: &[u8],
+    table: &Arc<AddrInterner>,
+) -> Result<TraceSet, SnapshotError> {
+    decode_file(bytes, SEGMENT_MAGIC, "trailing segment bytes", |r| {
+        read_set(r, Some(table))
+    })
 }
 
 /// Why a persistent snapshot failed to load or save.
@@ -673,6 +715,8 @@ pub enum StoreError {
         /// The shard whose segment is damaged.
         segment: u32,
     },
+    /// The word table's segment is unreadable or not the manifest's.
+    Table(&'static str),
     /// Manifest and directory disagree (a segment's length changed, a
     /// target routed to the wrong shard, ...); the payload names the
     /// inconsistency.
@@ -687,6 +731,7 @@ impl std::fmt::Display for StoreError {
             StoreError::Corrupt { segment } => {
                 write!(f, "snapshot segment {segment} failed its checksum")
             }
+            StoreError::Table(what) => write!(f, "snapshot word table: {what}"),
             StoreError::Mismatch(what) => write!(f, "snapshot inconsistent: {what}"),
         }
     }
@@ -707,31 +752,32 @@ impl From<SnapshotError> for StoreError {
 }
 
 /// Persists a sharded store under `dir` (created if absent):
-/// `manifest.snap` plus one segment file per shard, the segments
-/// encoded, checksummed and written on the worker pool. Returns the
-/// manifest it wrote. Byte-deterministic — equal stores produce
-/// identical directories.
+/// `manifest.snap`, one segment file per shard, encoded, checksummed
+/// and written on the worker pool, and the word table's segment.
+/// Returns the manifest it wrote. Byte-deterministic — equal stores
+/// produce identical directories.
 pub fn write_sharded_snapshot(
     dir: &Path,
     set: &ShardedTraceSet,
 ) -> Result<SnapshotManifest, StoreError> {
     std::fs::create_dir_all(dir)?;
-    let segments = pool_map(set.n_shards(), set.n_shards() > 1, |s| {
-        let bytes = encode_segment(set.shard(s));
-        std::fs::File::create(dir.join(segment_file(s)))?.write_all(&bytes)?;
-        Ok(SegmentInfo {
-            len: bytes.len() as u64,
-            fnv: fnv1a(&bytes),
-        })
+    let write = |name: &str, bytes: Vec<u8>| -> std::io::Result<SegmentInfo> {
+        std::fs::write(dir.join(name), &bytes)?;
+        let (len, fnv) = (bytes.len() as u64, fnv1a(&bytes));
+        Ok(SegmentInfo { len, fnv })
+    };
+    let mut segments = pool_map(set.n_shards(), set.n_shards() > 1, |s| {
+        write(&segment_file(s), encode_segment(set.shard(s)))
     })
     .into_iter()
     .collect::<std::io::Result<Vec<_>>>()?;
+    let table = encode_file(TABLE_MAGIC, |w| write_words(w, set.table()));
+    segments.push(write(TABLE_FILE, table)?);
     let manifest = SnapshotManifest {
         n_shards: set.n_shards() as u32,
         segments,
     };
-    let mut f = std::fs::File::create(dir.join(MANIFEST_FILE))?;
-    f.write_all(&encode_manifest(&manifest))?;
+    std::fs::write(dir.join(MANIFEST_FILE), encode_manifest(&manifest))?;
     Ok(manifest)
 }
 
@@ -739,31 +785,36 @@ pub fn write_sharded_snapshot(
 /// and checksum against the manifest before decoding, and every
 /// decoded target's shard against the routing function — a snapshot
 /// that would merge under the wrong route is rejected, not repaired.
+/// The word table is decoded once, and every shard shares it.
 pub fn read_sharded_snapshot(dir: &Path) -> Result<ShardedTraceSet, StoreError> {
-    let manifest = decode_manifest(&read_file(&dir.join(MANIFEST_FILE))?)?;
-    let route = manifest.route();
-    let mut shards = Vec::with_capacity(manifest.n_shards as usize);
-    for (s, seg) in manifest.segments.iter().enumerate() {
-        let bytes = read_file(&dir.join(segment_file(s)))?;
+    let manifest = decode_manifest(&std::fs::read(dir.join(MANIFEST_FILE))?)?;
+    let route = ShardRoute::new(manifest.n_shards as usize);
+    let (table_info, shard_infos) = manifest.segments.split_last().expect("a table entry");
+    let bytes = std::fs::read(dir.join(TABLE_FILE)).map_err(|_| StoreError::Table("unreadable"))?;
+    if bytes.len() as u64 != table_info.len {
+        return Err(StoreError::Table("length"));
+    }
+    if fnv1a(&bytes) != table_info.fnv {
+        return Err(StoreError::Table("checksum"));
+    }
+    let table = decode_file(&bytes, TABLE_MAGIC, "trailing table bytes", read_words)?;
+    let table = Arc::new(table);
+    let mut shards = Vec::with_capacity(shard_infos.len());
+    for (s, seg) in shard_infos.iter().enumerate() {
+        let bytes = std::fs::read(dir.join(segment_file(s)))?;
         if bytes.len() as u64 != seg.len {
             return Err(StoreError::Mismatch("segment length"));
         }
         if fnv1a(&bytes) != seg.fnv {
             return Err(StoreError::Corrupt { segment: s as u32 });
         }
-        let ts = decode_segment(&bytes)?;
+        let ts = decode_segment(&bytes, &table)?;
         if ts.targets().iter().any(|&t| route.shard_of(t) != s) {
             return Err(StoreError::Mismatch("target routed to wrong shard"));
         }
         shards.push(ts);
     }
     Ok(ShardedTraceSet::from_parts(route, shards))
-}
-
-fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
-    let mut buf = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut buf)?;
-    Ok(buf)
 }
 
 #[cfg(test)]
@@ -1166,6 +1217,25 @@ mod tests {
                 "{lens:?}"
             );
         }
+    }
+
+    #[test]
+    fn every_shard_of_a_store_shares_one_table() {
+        let shared = |set: &ShardedTraceSet| {
+            let table = &set.shard(0).interner;
+            set.shards().iter().all(|s| Arc::ptr_eq(&s.interner, table))
+        };
+        let (a, b) = (sample(), TraceSet::merge_all([&sample(), &sample()]));
+        let sharded = ShardedTraceSet::from_set(&a, 4);
+        assert!(shared(&sharded) && Arc::ptr_eq(sharded.table(), &a.interner));
+        let merged = ShardedTraceSet::merge_all(&[sharded, ShardedTraceSet::from_set(&b, 4)]);
+        assert!(shared(&merged));
+        let dir = std::env::temp_dir().join(format!("beholder-one-table-{}", std::process::id()));
+        write_sharded_snapshot(&dir, &merged).unwrap();
+        let back = read_sharded_snapshot(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        let back = back.unwrap();
+        assert!(shared(&back) && back == merged);
     }
 
     #[test]

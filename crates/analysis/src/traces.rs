@@ -25,7 +25,7 @@
 //! dev-only `testkit` crate (`testkit::oracle::TraceSet`), which the
 //! golden tests pin this store bit-identical to.
 
-use crate::intern::{hashed_ahead, AddrInterner, Reintern};
+use crate::intern::{hashed_ahead, union, AddrInterner, Reintern};
 use std::iter::{Copied, Zip};
 use std::net::Ipv6Addr;
 use std::ops::Range;
@@ -77,8 +77,9 @@ pub struct TraceSet {
     /// Additive under [`merge_all`](Self::merge_all) — a union of campaigns
     /// saw the sum of their tampered records.
     pub rewritten_dropped: u64,
-    /// Interned responder/interface addresses shared by all stages.
-    pub(crate) interner: AddrInterner,
+    /// Interned responder/interface addresses shared by all stages, and
+    /// by every shard of a store. A table is never mutated once shared.
+    pub(crate) interner: Arc<AddrInterner>,
     /// Probed destinations, ascending by address word.
     pub(crate) targets: Vec<Ipv6Addr>,
     /// Parallel to `targets`.
@@ -429,7 +430,7 @@ pub(crate) fn assemble<K: Copy + Ord + Default>(
         vantage,
         target_set,
         rewritten_dropped,
-        interner,
+        interner: Arc::new(interner),
         targets,
         metas,
         hop_ttls,
@@ -548,20 +549,7 @@ impl TraceSet {
     /// ascending. One flat pass over the hop column plus a per-id
     /// bitmap; no address re-hashing.
     pub fn interface_words(&self) -> Vec<u128> {
-        let mut seen = vec![false; self.interner.len()];
-        for &id in &self.hop_ids {
-            seen[id as usize] = true;
-        }
-        let mut out: Vec<u128> = self
-            .interner
-            .words()
-            .iter()
-            .zip(&seen)
-            .filter(|&(_, &s)| s)
-            .map(|(&w, _)| w)
-            .collect();
-        out.sort_unstable();
-        out
+        interface_words(&self.interner, [&self.hop_ids[..]])
     }
 
     /// [`interface_words`](Self::interface_words) as addresses.
@@ -572,18 +560,11 @@ impl TraceSet {
             .collect()
     }
 
-    /// Appends `src`'s trace at `idx` to `self`'s columns. `id_remap`
-    /// is `Some` for every input but the first (whose interner ids and
-    /// provenance indices are the result's own, untranslated). The
-    /// `u32` offsets cannot wrap: `merge_all` checked the final column
-    /// lengths before the first call.
-    fn push_merged_trace(
-        &mut self,
-        src: &TraceSet,
-        idx: usize,
-        id_remap: Option<&[u32]>,
-        src_remap: &[u32],
-    ) {
+    /// Appends `src`'s trace at `idx` but its provenance to `self`'s
+    /// columns, its ids translated through `id_remap` when there is one.
+    /// The `u32` offsets cannot wrap: the caller checked the final column
+    /// lengths first.
+    pub(crate) fn push_trace(&mut self, src: &TraceSet, idx: usize, id_remap: Option<&[u32]>) {
         let m = src.metas[idx];
         let (hops, unreach) = (m.hop_range(), m.unreach_range());
         let hop_off = self.hop_ids.len() as u32;
@@ -601,14 +582,6 @@ impl TraceSet {
             unreach_len: m.unreach_len,
             reached_at: m.reached_at,
         });
-        // A single-campaign source has an empty prov column: all its
-        // traces come from its sources()[0].
-        let p = src.prov.get(idx).copied().unwrap_or(0);
-        self.prov.push(if id_remap.is_some() {
-            src_remap[p as usize]
-        } else {
-            p
-        });
     }
 
     /// Unions columnar sets into one — the cross-vantage merge. Returns
@@ -620,7 +593,8 @@ impl TraceSet {
     ///   input-major), so the merged interner is the *full* union of
     ///   every campaign's discovered responders — including responders
     ///   whose traces lose the dedup below. Union discovery yield is
-    ///   therefore never undercounted.
+    ///   therefore never undercounted. A set sharing the first set's
+    ///   table (shards of one store) is copied without a remap.
     /// * **First-wins per-target trace dedup**: where several sets
     ///   probed the same target, the earliest set's whole trace (hops,
     ///   unreachables, `reached_at`) is kept and the others are dropped
@@ -640,12 +614,13 @@ impl TraceSet {
     /// (`merge_all([&a, &a]) == a` when `rewritten_dropped` is zero; the
     /// tamper counter is additive).
     ///
-    /// One k-way walk, equal to the left fold of the two-set union:
-    /// each surviving cell is copied once, into a column reserved at
-    /// exactly its final length, and each input word interned once,
-    /// where a fold re-copies and re-hashes the accumulated set at every
-    /// step. The `merge_props` suite pins it against that fold written
-    /// out over addresses (`testkit::oracle::merge_fold`).
+    /// One union of the tables, then one k-way walk, equal to the left
+    /// fold of the two-set union: each surviving cell is copied once,
+    /// into a column reserved at exactly its final length, and each
+    /// input word interned once, where a fold re-copies and re-hashes
+    /// the accumulated set at every step. The `merge_props` suite pins
+    /// it against that fold written out over addresses
+    /// (`testkit::oracle::merge_fold`).
     pub fn merge_all<'a>(sets: impl IntoIterator<Item = &'a TraceSet>) -> TraceSet {
         let refs: Vec<&TraceSet> = sets.into_iter().collect();
         match refs.len() {
@@ -653,6 +628,18 @@ impl TraceSet {
             1 => return refs[0].clone(),
             _ => {}
         }
+        let (interner, id_remaps) = union(refs.iter().map(|s| &s.interner));
+        Self::merge_walk(&refs, interner, &id_remaps)
+    }
+
+    /// The owner walk of [`merge_all`](Self::merge_all) over `refs` into
+    /// `interner`, the [`union`] of their tables, through its `id_remaps`.
+    /// The sharded merge walks each shard against one union.
+    pub(crate) fn merge_walk(
+        refs: &[&TraceSet],
+        interner: Arc<AddrInterner>,
+        id_remaps: &[Option<Vec<u32>>],
+    ) -> TraceSet {
         // Names and tamper counter fold left; `join_names` dedups, so
         // any grouping agrees.
         let mut vantage = refs[0].vantage.clone();
@@ -663,22 +650,6 @@ impl TraceSet {
             target_set = join_names(&target_set, &s.target_set);
             rewritten_dropped += s.rewritten_dropped;
         }
-
-        // Interner union: input 0's ids are verbatim, later inputs get
-        // a remap table in their own id order — the fold's
-        // first-appearance order.
-        let mut interner = refs[0].interner.clone();
-        let id_remaps: Vec<Option<Vec<u32>>> = std::iter::once(None)
-            .chain(refs[1..].iter().map(|s| {
-                Some(
-                    s.interner
-                        .words()
-                        .iter()
-                        .map(|&w| interner.intern(Ipv6Addr::from(w)))
-                        .collect(),
-                )
-            }))
-            .collect();
 
         // Provenance tables dedup by name in input order; a traceless
         // input contributes nothing (its remap is never indexed).
@@ -706,7 +677,7 @@ impl TraceSet {
         // exactly what survives dedup (inputs over the same targets
         // would otherwise reserve their sum), once to copy.
         let (mut n_targets, mut n_hops, mut n_unreach) = (0usize, 0usize, 0usize);
-        for (i, idx) in owner_walk(&refs) {
+        for (i, idx) in owner_walk(refs) {
             let m = refs[i].metas[idx];
             n_targets += 1;
             n_hops += m.hop_len as usize;
@@ -730,8 +701,12 @@ impl TraceSet {
             sources,
             prov: Vec::with_capacity(n_targets),
         };
-        for (i, idx) in owner_walk(&refs) {
-            out.push_merged_trace(refs[i], idx, id_remaps[i].as_deref(), &src_remaps[i]);
+        for (i, idx) in owner_walk(refs) {
+            out.push_trace(refs[i], idx, id_remaps[i].as_deref());
+            // A single-campaign source has an empty prov column: all its
+            // traces come from its sources()[0].
+            let p = refs[i].prov.get(idx).copied().unwrap_or(0);
+            out.prov.push(src_remaps[i][p as usize]);
         }
         out
     }
@@ -755,7 +730,7 @@ impl TraceSet {
     /// moved, and only the new interner is allocated — once, at its
     /// final size. A caller that keeps its input canonicalizes a clone.
     pub fn canonical(mut self) -> TraceSet {
-        let mut ids = Reintern::new(&self.interner, self.interner.len());
+        let mut ids = Reintern::new(&self.interner);
         for m in &self.metas {
             for id in &mut self.hop_ids[m.hop_range()] {
                 *id = ids.id(*id);
@@ -774,7 +749,7 @@ impl TraceSet {
         for w in rest {
             interner.intern(Ipv6Addr::from(w));
         }
-        self.interner = interner;
+        self.interner = Arc::new(interner);
         self
     }
 
@@ -805,6 +780,21 @@ fn extend_ids(out: &mut Vec<u32>, ids: &[u32], remap: Option<&[u32]>) {
         None => out.extend_from_slice(ids),
         Some(r) => out.extend(ids.iter().map(|&id| r[id as usize])),
     }
+}
+
+/// The distinct words of `table` some id of `hop_ids` names, ascending.
+pub(crate) fn interface_words<'a>(
+    table: &AddrInterner,
+    hop_ids: impl IntoIterator<Item = &'a [u32]>,
+) -> Vec<u128> {
+    let mut seen = vec![false; table.len()];
+    for &id in hop_ids.into_iter().flatten() {
+        seen[id as usize] = true;
+    }
+    let words = table.words().iter().zip(&seen);
+    let mut out: Vec<u128> = words.filter_map(|(&w, &s)| s.then_some(w)).collect();
+    out.sort_unstable();
+    out
 }
 
 /// The k-way owner walk of [`TraceSet::merge_all`]: `(input, index)` of

@@ -62,6 +62,22 @@ fn set_of_records(records: Vec<ResponseRecord>) -> TraceSet {
     TraceSet::from_log(&log)
 }
 
+/// A set from `draws` whose responders are its own, disjoint from
+/// `set_of`'s: merged after a `set_of` set, a trace it loses to the
+/// dedup usually leaves a word no surviving cell references.
+fn losing_side(draws: &[(u64, u64)]) -> TraceSet {
+    set_of_records(
+        draws
+            .iter()
+            .map(|&(w, recv)| {
+                let mut r = synth_record(w, recv, true);
+                r.responder = Ipv6Addr::from(u128::from(r.responder) | 1 << 32);
+                r
+            })
+            .collect(),
+    )
+}
+
 proptest! {
     /// The central contract: shard any set, merge the shards back
     /// down, canonicalize — bit-identical to the canonical flat set,
@@ -130,52 +146,62 @@ proptest! {
         }
     }
 
-    /// Shard interner ids are assigned at first touch of the shard's
-    /// own walk (traces in target order, hop cells then unreachable
-    /// cells), and words no surviving row references — a merge's dedup
-    /// losers, which have no target to route by — trail shard 0 in
-    /// ascending order.
+    /// Every shard shares its set's table, so sharding copies each
+    /// trace's cells verbatim, ids included, and keeps every word of the
+    /// table — a merge's dedup losers, referenced by no surviving cell,
+    /// too — in the flat set's id order.
     #[test]
-    fn shard_ids_follow_the_walk_and_orphans_trail_shard_zero(
+    fn shards_copy_ids_verbatim_and_keep_every_word(
         a in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
         b in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
         k in 1usize..6,
     ) {
-        // The losing side answers from responders of its own, so a lost
-        // trace usually leaves a word behind.
-        let losers = b
-            .iter()
-            .map(|&(w, recv)| {
-                let mut r = synth_record(w, recv, true);
-                r.responder = Ipv6Addr::from(u128::from(r.responder) | 1 << 32);
-                r
-            })
-            .collect();
-        let flat = TraceSet::merge_all(&[set_of(&a, true), set_of_records(losers)]);
-        let referenced: std::collections::BTreeSet<u128> = flat
-            .iter()
-            .flat_map(|t| t.hops().chain(t.unreachable()).map(|(_, r)| u128::from(r)).collect::<Vec<_>>())
-            .collect();
-        let mut orphans: Vec<u128> = flat
-            .interner()
-            .words()
-            .iter()
-            .copied()
-            .filter(|w| !referenced.contains(w))
-            .collect();
-        orphans.sort_unstable();
+        let flat = TraceSet::merge_all(&[set_of(&a, true), losing_side(&b)]);
         let sharded = ShardedTraceSet::from_set(&flat, k);
         for (s, shard) in sharded.shards().iter().enumerate() {
-            let mut next = 0u32;
+            prop_assert_eq!(shard.interner().words(), flat.interner().words(), "shard {}", s);
             for t in shard.iter() {
-                for (_, id) in t.hop_cells().iter().chain(t.unreachable_cells()) {
-                    prop_assert!(id <= next, "shard {s}: id {id} before {next} was handed out");
-                    next += u32::from(id == next);
-                }
+                let want = flat.get(t.target()).expect("a shard's target is the set's");
+                prop_assert_eq!(t.hop_cells(), want.hop_cells());
+                prop_assert_eq!(t.unreachable_cells(), want.unreachable_cells());
             }
-            let tail = &shard.interner().words()[next as usize..];
-            prop_assert_eq!(tail, if s == 0 { &orphans[..] } else { &[][..] }, "shard {}", s);
         }
+    }
+
+    /// The exact round trip: sharding then flattening returns the set,
+    /// interner ids and all, with no canonical form on either side —
+    /// for one campaign's set and for a merge that left words no trace
+    /// references.
+    #[test]
+    fn shard_then_flatten_is_exact(
+        a in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
+        b in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
+        k in 1usize..9,
+    ) {
+        let one = set_of(&a, true);
+        let merged = TraceSet::merge_all(&[one.clone(), losing_side(&b)]);
+        for ts in [one, merged] {
+            let back = ShardedTraceSet::from_set(&ts, k).to_trace_set();
+            prop_assert!(back == ts, "{k}-shard round trip is not exact");
+        }
+    }
+
+    /// The exact merge: merging sharded sets equals sharding the flat
+    /// merge of the sets, interner ids and all, with no canonical form
+    /// on either side.
+    #[test]
+    fn sharded_merge_is_sharding_the_flat_merge(
+        a in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
+        b in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
+        k in 1usize..6,
+    ) {
+        let (a, b) = (set_of(&a, true), losing_side(&b));
+        let sharded = ShardedTraceSet::merge_all(&[
+            ShardedTraceSet::from_set(&a, k),
+            ShardedTraceSet::from_set(&b, k),
+        ]);
+        let flat = ShardedTraceSet::from_set(&TraceSet::merge_all([&a, &b]), k);
+        prop_assert!(sharded == flat, "sharded merge diverged from the flat one at k={k}");
     }
 
     /// Discovery is partition-independent: the sharded store's

@@ -2,13 +2,13 @@
 //! ([`analysis::snapshot`]): byte-determinism of the written
 //! directory, a faithful round trip, and — because a longitudinal
 //! store is only as good as its failure modes — loud rejection of
-//! truncation, bit rot, version skew, missing files, and segments
-//! whose targets route to the wrong shard — and a set decoded from
-//! edited bytes is one every view can read.
+//! truncation, bit rot, version skew, missing files, segments whose
+//! targets route to the wrong shard or whose ids the word table cannot
+//! resolve — and a set decoded from edited bytes is one every view can
+//! read.
 
 use analysis::snapshot::{
-    decode_segment, encode_manifest, encode_segment, fnv1a, segment_file, SegmentInfo,
-    MANIFEST_FILE,
+    encode_manifest, fnv1a, segment_file, SegmentInfo, MANIFEST_FILE, TABLE_FILE,
 };
 use analysis::{
     read_sharded_snapshot, read_trace_set, write_sharded_snapshot, write_trace_set,
@@ -88,6 +88,31 @@ fn patch(path: &Path, offset: usize, f: impl FnOnce(&mut u8)) {
     std::fs::write(path, bytes).unwrap();
 }
 
+/// Rewrites `dir`'s manifest for the `n_shards` segments and the table
+/// its files hold now, so every length and checksum vouches for them.
+fn remanifest(dir: &Path, n_shards: u32) {
+    let info = |name: &str| {
+        let b = std::fs::read(dir.join(name)).unwrap();
+        SegmentInfo {
+            len: b.len() as u64,
+            fnv: fnv1a(&b),
+        }
+    };
+    let mut segments: Vec<SegmentInfo> = (0..n_shards as usize)
+        .map(|s| info(&segment_file(s)))
+        .collect();
+    segments.push(info(TABLE_FILE));
+    let m = SnapshotManifest { n_shards, segments };
+    std::fs::write(dir.join(MANIFEST_FILE), encode_manifest(&m)).unwrap();
+}
+
+/// Sets the store version, bytes 4..8 of every store file, to `v`.
+fn set_version(path: &Path, v: u32) {
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[4..8].copy_from_slice(&v.to_le_bytes());
+    std::fs::write(path, bytes).unwrap();
+}
+
 #[test]
 fn round_trip_is_faithful() {
     let dir = TempDir::new("round-trip");
@@ -121,6 +146,7 @@ fn writes_are_byte_deterministic() {
     write_sharded_snapshot(&a, &store).unwrap();
     write_sharded_snapshot(&b, &store).unwrap();
     let mut files: Vec<String> = (0..4).map(segment_file).collect();
+    files.push(TABLE_FILE.to_string());
     files.push(MANIFEST_FILE.to_string());
     for f in files {
         assert_eq!(
@@ -177,65 +203,126 @@ fn manifest_version_and_magic_skew_are_rejected() {
 
 #[test]
 fn segment_version_skew_is_rejected() {
-    let shard = sample_store(1).shard(0).clone();
-    let mut bytes = encode_segment(&shard);
-    bytes[4] ^= 0xff;
-    match decode_segment(&bytes) {
-        Err(SnapshotError::BadValue("store version")) => {}
+    let dir = TempDir::new("segment-skew");
+    write_sharded_snapshot(dir.path(), &sample_store(1)).unwrap();
+    // The version of shard 0's segment, under a manifest that vouches
+    // for its bytes.
+    let seg = dir.path().join(segment_file(0));
+    patch(&seg, 4, |b| *b ^= 0xff);
+    remanifest(dir.path(), 1);
+    match read_sharded_snapshot(dir.path()) {
+        Err(StoreError::Decode(SnapshotError::BadValue("store version"))) => {}
         other => panic!("expected version rejection, got {other:?}"),
     }
-    bytes[4] ^= 0xff;
-    assert!(decode_segment(&bytes).unwrap() == shard);
+    patch(&seg, 4, |b| *b ^= 0xff);
+    remanifest(dir.path(), 1);
+    assert!(read_sharded_snapshot(dir.path()).unwrap() == sample_store(1));
 }
 
 #[test]
-fn store_version_1_segments_and_manifests_are_refused() {
-    // Version 1 stored 4-byte ids and each trace's offsets.
-    let v1 = 1u32.to_le_bytes();
-    let dir = TempDir::new("store-v1");
+fn store_versions_1_and_2_are_refused_by_number() {
+    // Version 1 stored 4-byte ids and each trace's offsets; version 2
+    // gave every shard segment a word table of its own.
+    let dir = TempDir::new("store-old");
+    let version = |name: &str| {
+        write_sharded_snapshot(dir.path(), &sample_store(2)).unwrap();
+        let bytes = std::fs::read(dir.path().join(name)).unwrap();
+        u32::from_le_bytes(bytes[4..8].try_into().unwrap())
+    };
+    assert_eq!(version(MANIFEST_FILE), 3);
+    for old in [1, 2] {
+        // Each kind of store file at the old version, under a manifest
+        // that vouches for its bytes.
+        for name in [
+            MANIFEST_FILE.to_string(),
+            segment_file(1),
+            TABLE_FILE.to_string(),
+        ] {
+            write_sharded_snapshot(dir.path(), &sample_store(2)).unwrap();
+            set_version(&dir.path().join(&name), old);
+            if name != MANIFEST_FILE {
+                remanifest(dir.path(), 2);
+            }
+            match read_sharded_snapshot(dir.path()) {
+                Err(StoreError::Decode(SnapshotError::BadValue("store version"))) => {}
+                other => panic!("expected a version {old} {name} refused, got {other:?}"),
+            }
+        }
+    }
+    // The last edit undone: the store reads again.
+    set_version(&dir.path().join(TABLE_FILE), 3);
+    remanifest(dir.path(), 2);
+    assert!(read_sharded_snapshot(dir.path()).unwrap() == sample_store(2));
+}
+
+#[test]
+fn a_shard_count_the_manifest_cannot_hold_is_truncation() {
+    // The count sizes the segment table before any entry is read; at
+    // u32::MAX that would ask for 68 GB.
+    let dir = TempDir::new("shard-count");
     write_sharded_snapshot(dir.path(), &sample_store(2)).unwrap();
     let manifest = dir.path().join(MANIFEST_FILE);
-    let current = std::fs::read(&manifest).unwrap();
-    let mut old = current.clone();
-    old[4..8].copy_from_slice(&v1);
-    std::fs::write(&manifest, &old).unwrap();
-    match read_sharded_snapshot(dir.path()) {
-        Err(StoreError::Decode(SnapshotError::BadValue("store version"))) => {}
-        other => panic!("expected a version 1 manifest refused, got {other:?}"),
+    let written = std::fs::read(&manifest).unwrap();
+    for (count, bytes) in [
+        (u32::MAX, written[..12].to_vec()),
+        (u32::MAX, written.clone()),
+        // Two shards' entries and the table's: one more shard than that.
+        (3, written.clone()),
+    ] {
+        let mut bytes = bytes;
+        bytes[8..12].copy_from_slice(&count.to_le_bytes());
+        std::fs::write(&manifest, &bytes).unwrap();
+        match read_sharded_snapshot(dir.path()) {
+            Err(StoreError::Decode(SnapshotError::Truncated)) => {}
+            other => panic!("expected a count of {count} truncated, got {other:?}"),
+        }
     }
-    // A version 1 segment under a manifest that vouches for its bytes.
-    let seg = dir.path().join(segment_file(0));
-    let mut bytes = std::fs::read(&seg).unwrap();
-    bytes[4..8].copy_from_slice(&v1);
-    std::fs::write(&seg, &bytes).unwrap();
-    let mut m = SnapshotManifest {
-        n_shards: 2,
-        segments: (0..2)
-            .map(|s| {
-                let b = std::fs::read(dir.path().join(segment_file(s))).unwrap();
-                SegmentInfo {
-                    len: b.len() as u64,
-                    fnv: fnv1a(&b),
-                }
-            })
-            .collect(),
-    };
-    std::fs::write(&manifest, encode_manifest(&m)).unwrap();
-    match read_sharded_snapshot(dir.path()) {
-        Err(StoreError::Decode(SnapshotError::BadValue("store version"))) => {}
-        other => panic!("expected a version 1 segment refused, got {other:?}"),
-    }
-    assert_eq!(
-        decode_segment(&bytes).unwrap_err(),
-        SnapshotError::BadValue("store version")
-    );
-    // The same manifest at the current version, for contrast, and the
-    // segment put back: the store reads again.
-    bytes[4..8].copy_from_slice(&current[4..8]);
-    std::fs::write(&seg, &bytes).unwrap();
-    m.segments[0].fnv = fnv1a(&bytes);
-    std::fs::write(&manifest, encode_manifest(&m)).unwrap();
+    std::fs::write(&manifest, &written).unwrap();
     assert!(read_sharded_snapshot(dir.path()).unwrap() == sample_store(2));
+}
+
+#[test]
+fn a_damaged_table_segment_is_named_as_the_table() {
+    let dir = TempDir::new("table");
+    let table = dir.path().join(TABLE_FILE);
+    let expect = |what: &str| match read_sharded_snapshot(dir.path()) {
+        Err(StoreError::Table(got)) => assert_eq!(got, what),
+        other => panic!("expected the table's {what} refused, got {other:?}"),
+    };
+    write_sharded_snapshot(dir.path(), &sample_store(3)).unwrap();
+    let bytes = std::fs::read(&table).unwrap();
+    std::fs::write(&table, &bytes[..bytes.len() - 1]).unwrap();
+    expect("length");
+    std::fs::write(&table, &bytes).unwrap();
+    patch(&table, bytes.len() - 3, |b| *b ^= 0x40);
+    expect("checksum");
+    std::fs::remove_file(&table).unwrap();
+    expect("unreadable");
+}
+
+#[test]
+fn a_shard_id_the_table_cannot_resolve_is_refused() {
+    let dir = TempDir::new("short-table");
+    let store = sample_store(3);
+    write_sharded_snapshot(dir.path(), &store).unwrap();
+    // A table of the first half of the words: ids stay one byte wide,
+    // and the shards name words past its end.
+    let words = store.shard(0).interner().words();
+    assert!((2..=256).contains(&words.len()));
+    let half = &words[..words.len() / 2];
+    let table = dir.path().join(TABLE_FILE);
+    let mut w = SnapWriter::new();
+    w.raw(&std::fs::read(&table).unwrap()[..8]);
+    w.u32(half.len() as u32);
+    half.iter().for_each(|&word| w.u128(word));
+    std::fs::write(&table, w.bytes()).unwrap();
+    remanifest(dir.path(), 3);
+    match read_sharded_snapshot(dir.path()) {
+        Err(StoreError::Decode(SnapshotError::BadValue(
+            "hop interner id" | "unreach interner id",
+        ))) => {}
+        other => panic!("expected an unresolvable id refused, got {other:?}"),
+    }
 }
 
 #[test]
@@ -264,20 +351,7 @@ fn misrouted_segment_is_rejected() {
     let (b0, b1) = (std::fs::read(&f0).unwrap(), std::fs::read(&f1).unwrap());
     std::fs::write(&f0, &b1).unwrap();
     std::fs::write(&f1, &b0).unwrap();
-    let manifest = SnapshotManifest {
-        n_shards: 2,
-        segments: vec![
-            SegmentInfo {
-                len: b1.len() as u64,
-                fnv: fnv1a(&b1),
-            },
-            SegmentInfo {
-                len: b0.len() as u64,
-                fnv: fnv1a(&b0),
-            },
-        ],
-    };
-    std::fs::write(dir.path().join(MANIFEST_FILE), encode_manifest(&manifest)).unwrap();
+    remanifest(dir.path(), 2);
     match read_sharded_snapshot(dir.path()) {
         Err(StoreError::Mismatch(what)) => assert_eq!(what, "target routed to wrong shard"),
         other => panic!("expected misroute rejection, got {other:?}"),

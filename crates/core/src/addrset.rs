@@ -7,16 +7,14 @@
 //! folded 128-bit word with one splitmix round and probes linearly, in
 //! the same style as `simnet::pathcache` and `analysis::intern`.
 
+use simnet::flow::mix64;
 use std::net::Ipv6Addr;
 
 const EMPTY: u32 = u32::MAX;
 
 #[inline]
 fn hash_word(w: u128) -> u64 {
-    let mut z = ((w >> 64) as u64 ^ w as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64((w >> 64) as u64 ^ w as u64)
 }
 
 /// Open-addressed insert-only set of `Ipv6Addr`.
