@@ -572,8 +572,10 @@ use yarrp6::campaign::pool_map;
 
 /// Manifest magic: `"BSNP"`.
 pub(crate) const STORE_MAGIC: u32 = 0x4253_4e50;
-/// Shard segment magic: `"BSEG"`.
+/// Standalone segment magic: `"BSEG"`.
 pub(crate) const SEGMENT_MAGIC: u32 = 0x4253_4547;
+/// Shard segment magic: `"BSHD"`.
+pub(crate) const SHARD_MAGIC: u32 = 0x4253_4844;
 /// Table segment magic: `"BTAB"`.
 pub(crate) const TABLE_MAGIC: u32 = 0x4254_4142;
 /// On-disk format version. Bump on any layout change; readers reject
@@ -585,7 +587,7 @@ pub(crate) const STORE_VERSION: u32 = 3;
 pub const MANIFEST_FILE: &str = "manifest.snap";
 
 /// The word table's segment file name inside a snapshot directory.
-pub const TABLE_FILE: &str = "table.seg";
+pub(crate) const TABLE_FILE: &str = "table.seg";
 
 /// The name of shard `s`'s segment file.
 pub fn segment_file(s: usize) -> String {
@@ -686,21 +688,16 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<SnapshotManifest, Snapshot
     })
 }
 
-/// Encodes one shard as a segment: the [`write_trace_set`] layout
-/// without its word table. Byte-deterministic.
+/// Encodes one set as a standalone segment: magic, version, then the
+/// [`write_trace_set`] layout, word table included. Byte-deterministic.
 pub fn encode_segment(ts: &TraceSet) -> Vec<u8> {
-    encode_file(SEGMENT_MAGIC, |w| write_set(w, ts, false))
+    encode_file(SEGMENT_MAGIC, |w| write_trace_set(w, ts))
 }
 
-/// Decodes one shard segment against the store's `table`, rejecting
-/// ids the table cannot resolve.
-pub(crate) fn decode_segment(
-    bytes: &[u8],
-    table: &Arc<AddrInterner>,
-) -> Result<TraceSet, SnapshotError> {
-    decode_file(bytes, SEGMENT_MAGIC, "trailing segment bytes", |r| {
-        read_set(r, Some(table))
-    })
+/// Decodes what [`encode_segment`] wrote.
+pub fn decode_segment(bytes: &[u8]) -> Result<TraceSet, SnapshotError> {
+    let trailing = "trailing segment bytes";
+    decode_file(bytes, SEGMENT_MAGIC, trailing, read_trace_set)
 }
 
 /// Why a persistent snapshot failed to load or save.
@@ -767,7 +764,8 @@ pub fn write_sharded_snapshot(
         Ok(SegmentInfo { len, fnv })
     };
     let mut segments = pool_map(set.n_shards(), set.n_shards() > 1, |s| {
-        write(&segment_file(s), encode_segment(set.shard(s)))
+        let shard = encode_file(SHARD_MAGIC, |w| write_set(w, set.shard(s), false));
+        write(&segment_file(s), shard)
     })
     .into_iter()
     .collect::<std::io::Result<Vec<_>>>()?;
@@ -808,7 +806,9 @@ pub fn read_sharded_snapshot(dir: &Path) -> Result<ShardedTraceSet, StoreError> 
         if fnv1a(&bytes) != seg.fnv {
             return Err(StoreError::Corrupt { segment: s as u32 });
         }
-        let ts = decode_segment(&bytes, &table)?;
+        let ts = decode_file(&bytes, SHARD_MAGIC, "trailing segment bytes", |r| {
+            read_set(r, Some(&table))
+        })?;
         if ts.targets().iter().any(|&t| route.shard_of(t) != s) {
             return Err(StoreError::Mismatch("target routed to wrong shard"));
         }

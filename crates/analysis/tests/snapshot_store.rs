@@ -8,7 +8,8 @@
 //! read.
 
 use analysis::snapshot::{
-    encode_manifest, fnv1a, segment_file, SegmentInfo, MANIFEST_FILE, TABLE_FILE,
+    decode_segment, encode_manifest, encode_segment, fnv1a, segment_file, SegmentInfo,
+    MANIFEST_FILE,
 };
 use analysis::{
     read_sharded_snapshot, read_trace_set, write_sharded_snapshot, write_trace_set,
@@ -18,6 +19,9 @@ use proptest::prelude::*;
 use std::net::Ipv6Addr;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
+
+/// The word table's segment inside a snapshot directory.
+const TABLE_FILE: &str = "table.seg";
 use v6packet::icmp6::DestUnreachCode;
 use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
 
@@ -46,6 +50,11 @@ impl Drop for TempDir {
 /// A deterministic synthetic store spread over several /64 prefixes so
 /// every shard of a small route is non-empty.
 fn sample_store(shards: usize) -> ShardedTraceSet {
+    ShardedTraceSet::from_set(&TraceSet::from_log(&sample_log(0)), shards)
+}
+
+/// [`sample_store`]'s log, every responder address XORed with `salt`.
+fn sample_log(salt: u128) -> ProbeLog {
     let mut records = Vec::new();
     let mut x = 0x9e37_79b9u64;
     for i in 0..400u64 {
@@ -56,7 +65,8 @@ fn sample_store(shards: usize) -> ShardedTraceSet {
         let target = Ipv6Addr::from(
             (0x2001_0db8_u128 << 96) | (prefix as u128) << 64 | (x >> 32 & 0x3f) as u128,
         );
-        let responder = Ipv6Addr::from((0x2001_0db8_ffff_u128 << 80) | (x >> 16 & 0xff) as u128);
+        let responder = (0x2001_0db8_ffff_u128 << 80) | (x >> 16 & 0xff) as u128;
+        let responder = Ipv6Addr::from(responder ^ salt);
         let kind = match x % 5 {
             0..=2 => ResponseKind::TimeExceeded,
             3 => ResponseKind::DestUnreachable(DestUnreachCode::NoRoute),
@@ -79,7 +89,7 @@ fn sample_store(shards: usize) -> ShardedTraceSet {
         ..Default::default()
     };
     log.sort_by_recv();
-    ShardedTraceSet::from_set(&TraceSet::from_log(&log), shards)
+    log
 }
 
 fn patch(path: &Path, offset: usize, f: impl FnOnce(&mut u8)) {
@@ -203,20 +213,29 @@ fn manifest_version_and_magic_skew_are_rejected() {
 
 #[test]
 fn segment_version_skew_is_rejected() {
-    let dir = TempDir::new("segment-skew");
-    write_sharded_snapshot(dir.path(), &sample_store(1)).unwrap();
-    // The version of shard 0's segment, under a manifest that vouches
-    // for its bytes.
-    let seg = dir.path().join(segment_file(0));
-    patch(&seg, 4, |b| *b ^= 0xff);
-    remanifest(dir.path(), 1);
-    match read_sharded_snapshot(dir.path()) {
-        Err(StoreError::Decode(SnapshotError::BadValue("store version"))) => {}
+    let shard = sample_store(1).shard(0).clone();
+    let mut bytes = encode_segment(&shard);
+    bytes[4] ^= 0xff;
+    match decode_segment(&bytes) {
+        Err(SnapshotError::BadValue("store version")) => {}
         other => panic!("expected version rejection, got {other:?}"),
     }
-    patch(&seg, 4, |b| *b ^= 0xff);
-    remanifest(dir.path(), 1);
-    assert!(read_sharded_snapshot(dir.path()).unwrap() == sample_store(1));
+    bytes[4] ^= 0xff;
+    assert!(decode_segment(&bytes).unwrap() == shard);
+}
+
+#[test]
+fn a_standalone_segment_covers_every_address() {
+    // Renaming every responder keeps the id pattern, so only the word
+    // table tells the two sets apart: a standalone segment, and any
+    // digest of one, must carry it.
+    let a = TraceSet::from_log(&sample_log(0));
+    let b = TraceSet::from_log(&sample_log(1 << 40));
+    assert!(a.interner().words() != b.interner().words());
+    let (ea, eb) = (encode_segment(&a), encode_segment(&b));
+    assert_eq!(ea.len(), eb.len());
+    assert!(ea != eb, "two sets apart only in their words encode alike");
+    assert!(decode_segment(&ea).unwrap() == a && decode_segment(&eb).unwrap() == b);
 }
 
 #[test]
