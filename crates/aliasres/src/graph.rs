@@ -3,20 +3,21 @@
 //! links — the paper's §7.2 goal ("produce router-level topologies and
 //! facilitate comparative graph analyses").
 //!
-//! The builder rides the columnar [`TraceSet`]: interfaces are already
-//! interned to dense `u32` ids, so node membership is a flat
-//! `Vec<u32>` indexed by id instead of an address-keyed map probed per
-//! hop — ids of several sets meet through one pooled interner, filled
-//! once per responder per set — and link extraction is one walk over
-//! each trace's contiguous hop slice. Node ids are deterministic (alias
-//! groups first, then first-touch order over target-sorted traces).
+//! There is one builder,
+//! [`RouterGraphBuilder`](crate::incremental::RouterGraphBuilder):
+//! [`RouterGraph::build`] and [`RouterGraph::build_multi`] ingest the
+//! sets into a fresh one, merge the alias groups and render its
+//! snapshot. Link extraction ([`collect_links`]) is one walk over each
+//! trace's contiguous hop slice, by interner id.
 
-use analysis::{AddrInterner, TraceSet};
+use crate::incremental::RouterGraphBuilder;
+use analysis::TraceSet;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv6Addr;
 
-const UNASSIGNED: u32 = u32::MAX;
+/// No id: an empty slot of an id-indexed column.
+pub(crate) const UNASSIGNED: u32 = u32::MAX;
 
 /// A router-level topology graph.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -83,7 +84,9 @@ pub(crate) fn collect_links(
 
 impl RouterGraph {
     /// Builds the graph from traces, merging interfaces per `aliases`.
-    /// Interfaces outside any alias group become single-interface nodes.
+    /// Interfaces outside any alias group become single-interface nodes,
+    /// and groups that share a member are one node. The graph is in
+    /// [`canonical`](Self::canonical) form.
     ///
     /// Alias-group members never seen in any trace stay in their node
     /// and the node is tallied in
@@ -95,67 +98,27 @@ impl RouterGraph {
         Self::build_multi(&[traces], aliases)
     }
 
-    /// [`build`](Self::build) over *several* trace sets walked in
-    /// order, with one shared interface→node map across them — the
-    /// batch golden the incremental
-    /// [`RouterGraphBuilder`](crate::incremental::RouterGraphBuilder)
-    /// is pinned against (after [`canonical`](Self::canonical)
-    /// normalization on both sides). Per-campaign sets are walked as
-    /// given, so two campaigns tracing the same target both contribute
-    /// links — exactly the incremental ingest semantics, which differ
+    /// [`build`](Self::build) over *several* trace sets ingested in
+    /// order. Per-campaign sets are walked as given, so two campaigns
+    /// tracing the same target both contribute links, which differs
     /// from building over a first-wins [`TraceSet::merge_all`].
     pub fn build_multi(sets: &[&TraceSet], aliases: &[Vec<Ipv6Addr>]) -> RouterGraph {
-        // One pooled id per address across groups and sets; node
-        // membership is `node_of[pooled id]`, so the walk never hashes.
-        let mut pool = AddrInterner::new();
-        let mut node_of: Vec<u32> = Vec::new();
-        let mut nodes: Vec<Vec<Ipv6Addr>> = Vec::with_capacity(aliases.len());
+        let mut builder = RouterGraphBuilder::new();
+        for set in sets {
+            builder.ingest(set);
+        }
         for group in aliases {
-            let id = nodes.len() as u32;
-            nodes.push(group.clone());
-            for &a in group {
-                let p = pool.intern(a) as usize;
-                node_of.resize(pool.len(), UNASSIGNED);
-                node_of[p] = id;
-            }
+            builder.merge_alias_group(group);
         }
-        // Observation tally: an alias node some qualifying hop window
-        // touches is a path-observed router; the rest are probe-only.
-        let mut touched = vec![false; aliases.len()];
-        let mut links = BTreeSet::new();
-        for traces in sets {
-            let pooled: Vec<u32> = traces
-                .interner()
-                .words()
-                .iter()
-                .map(|&w| pool.intern(Ipv6Addr::from(w)))
-                .collect();
-            node_of.resize(pool.len(), UNASSIGNED);
-            let mut node = |iid: u32| {
-                let p = pooled[iid as usize] as usize;
-                if node_of[p] == UNASSIGNED {
-                    node_of[p] = nodes.len() as u32;
-                    nodes.push(vec![pool.resolve(p as u32)]);
-                } else if let Some(t) = touched.get_mut(node_of[p] as usize) {
-                    *t = true;
-                }
-                node_of[p]
-            };
-            collect_links(traces, &mut links, |a1, a2| (node(a1), node(a2)));
-        }
-        let unobserved_alias_nodes = touched.iter().filter(|&&t| !t).count() as u32;
-        RouterGraph {
-            nodes,
-            links,
-            unobserved_alias_nodes,
-        }
+        builder.snapshot()
     }
 
     /// The node-id-independent normal form: members sorted within each
     /// node, nodes sorted by member list, links remapped accordingly.
     /// Two graphs over the same observations built by different
     /// interning or ingest orders canonicalize to equal values — the
-    /// comparison surface of the incremental-vs-batch golden tests.
+    /// comparison surface of the builder-vs-oracle tests. A built graph
+    /// is already canonical.
     pub fn canonical(&self) -> RouterGraph {
         let mut sorted: Vec<Vec<Ipv6Addr>> = self
             .nodes

@@ -1,28 +1,33 @@
-//! Incremental router-graph construction over interner ids: the
-//! per-round form of [`RouterGraph::build`] the adaptive loop uses.
+//! Router-graph construction over interner ids: the one builder,
+//! behind both the adaptive loop's per-round graph and
+//! [`RouterGraph::build`].
 //!
-//! [`RouterGraphBuilder`] owns one [`AddrInterner`] whose dense ids are
+//! [`RouterGraphBuilder`] holds one address table whose dense ids are
 //! stable across rounds, a union-find forest over those ids (alias
 //! merges), the accumulated link set, and per-interface observation
 //! flags. Each adaptive round feeds it the round's kept trace sets
 //! ([`ingest`](RouterGraphBuilder::ingest) appends links) and the
 //! round's freshly verified alias groups
 //! ([`merge_alias_group`](RouterGraphBuilder::merge_alias_group) unions
-//! nodes) — no per-round rebuild of the whole graph.
+//! nodes) — no per-round rebuild of the whole graph. A set's ids meet
+//! the builder's through one [`union`] of the two tables: an empty
+//! builder adopts the first set's table without copying it, and a set
+//! that shares the builder's table (a shard of the same store) costs no
+//! hashing at all.
 //!
+//! Aliasing is an equivalence: groups that share a member are one
+//! router, whatever order they arrive in.
 //! [`snapshot`](RouterGraphBuilder::snapshot) renders the current state
 //! as a **canonical** [`RouterGraph`] (members sorted within a node,
-//! nodes sorted by their first member, links node-id remapped), which
-//! is pinned bit-identical to the batch golden:
-//! `builder.snapshot() == RouterGraph::build_multi(&sets,
-//! &builder.alias_groups()).canonical()` for any ingest order — the
-//! equivalence the `graph_props` suite proves.
+//! nodes sorted by their first member, links node-id remapped). The
+//! `graph_props` suite pins it to an address-keyed oracle
+//! (`testkit::oracle::build_reference`) for any ingest and merge order.
 
-use crate::graph::{collect_links, RouterGraph};
-use analysis::AddrInterner;
-use analysis::TraceSet;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::graph::{collect_links, RouterGraph, UNASSIGNED};
+use analysis::{union, AddrInterner, TraceSet};
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
+use std::sync::Arc;
 
 /// The raw fields of a [`RouterGraphBuilder`], for byte-deterministic
 /// serialization (the adaptive checkpoint layer): interner words in id
@@ -47,11 +52,19 @@ pub struct RouterGraphParts {
     pub links: Vec<(u32, u32)>,
 }
 
+/// One union-find class of interface ids, as a node would render it.
+struct Class {
+    members: Vec<Ipv6Addr>,
+    root: u32,
+    /// Some member took part in a qualifying hop window.
+    observed: bool,
+}
+
 /// Incrementally maintained router-level graph state. See the module
-/// docs for the update model and the batch-equivalence contract.
+/// docs for the update model and the oracle contract.
 #[derive(Clone, Debug, Default)]
 pub struct RouterGraphBuilder {
-    interner: AddrInterner,
+    interner: Arc<AddrInterner>,
     parent: Vec<u32>,
     rank: Vec<u8>,
     /// Links at *interface* granularity (lo id < hi id); collapsed to
@@ -68,15 +81,23 @@ impl RouterGraphBuilder {
         RouterGraphBuilder::default()
     }
 
-    /// Interns `addr`, growing the union-find arrays alongside.
+    /// Grows the per-id arrays to the table: each new id its own class.
+    fn grow(&mut self) {
+        let n = self.interner.len();
+        self.parent.extend(self.parent.len() as u32..n as u32);
+        self.rank.resize(n, 0);
+        self.observed.resize(n, false);
+        self.alias_member.resize(n, false);
+    }
+
+    /// The id of `addr`, interned if new (the table is copied first
+    /// only if it is shared and `addr` is new to it).
     fn id_of(&mut self, addr: Ipv6Addr) -> u32 {
-        let id = self.interner.intern(addr);
-        while self.parent.len() <= id as usize {
-            self.parent.push(self.parent.len() as u32);
-            self.rank.push(0);
-            self.observed.push(false);
-            self.alias_member.push(false);
-        }
+        let id = self
+            .interner
+            .lookup(addr)
+            .unwrap_or_else(|| Arc::make_mut(&mut self.interner).intern(addr));
+        self.grow();
         id
     }
 
@@ -99,23 +120,21 @@ impl RouterGraphBuilder {
     }
 
     /// Appends the trace set's links: consecutive responding hops with
-    /// at most one silent TTL between them (`t2 - t1 <= 2`) — the same
-    /// rule as [`RouterGraph::build`]. Both endpoints of every
-    /// qualifying window are marked *observed*; interfaces that appear
-    /// only outside qualifying windows stay unobserved and join the
-    /// snapshot only if an alias group names them.
+    /// at most one silent TTL between them (`t2 - t1 <= 2`). Both
+    /// endpoints of every qualifying window are marked *observed*;
+    /// interfaces that appear only outside qualifying windows stay
+    /// unobserved and join the snapshot only if an alias group names
+    /// them.
     pub fn ingest(&mut self, traces: &TraceSet) {
-        // Local-id → own-id map, built once per set (the trace walk
-        // then never re-hashes an address).
-        let map: Vec<u32> = traces
-            .interner()
-            .words()
-            .iter()
-            .map(|&w| self.id_of(Ipv6Addr::from(w)))
-            .collect();
+        // The set's id map into the builder's table, built once per set
+        // (the trace walk then never re-hashes an address); `None` when
+        // the ids are the builder's own.
+        let map = union(&mut self.interner, [traces.interner()]).swap_remove(0);
+        self.grow();
+        let id = |a: u32| map.as_ref().map_or(a, |m| m[a as usize]);
         let observed = &mut self.observed;
         collect_links(traces, &mut self.links, |a1, a2| {
-            let (x, y) = (map[a1 as usize], map[a2 as usize]);
+            let (x, y) = (id(a1), id(a2));
             observed[x as usize] = true;
             observed[y as usize] = true;
             (x, y)
@@ -150,29 +169,44 @@ impl RouterGraphBuilder {
         }
     }
 
-    /// The current alias partition: every union-find class holding at
-    /// least one alias member, members sorted, classes sorted. Feeding
-    /// this to [`RouterGraph::build_multi`] over the ingested sets
-    /// reproduces [`snapshot`](Self::snapshot) — the golden contract.
-    pub fn alias_groups(&self) -> Vec<Vec<Ipv6Addr>> {
-        let mut by_root: BTreeMap<u32, Vec<Ipv6Addr>> = BTreeMap::new();
-        for id in 0..self.parent.len() as u32 {
-            if self.alias_member[id as usize] {
-                by_root
-                    .entry(self.find_ro(id))
-                    .or_default()
-                    .push(self.interner.resolve(id));
+    /// The union-find classes of the ids `keep` admits, in canonical
+    /// order: each class's members sorted, classes by their smallest
+    /// member (classes are disjoint, so that is their member lists'
+    /// order). Also returns, for each class root, its class's index.
+    fn classes(&self, keep: impl Fn(usize) -> bool) -> (Vec<Class>, Vec<u32>) {
+        let mut index_of = vec![UNASSIGNED; self.parent.len()];
+        let mut classes: Vec<Class> = Vec::new();
+        for id in (0..self.parent.len()).filter(|&id| keep(id)) {
+            let root = self.find_ro(id as u32);
+            let slot = &mut index_of[root as usize];
+            if *slot == UNASSIGNED {
+                *slot = classes.len() as u32;
+                classes.push(Class {
+                    members: Vec::new(),
+                    root,
+                    observed: false,
+                });
             }
+            let class = &mut classes[*slot as usize];
+            class.members.push(self.interner.resolve(id as u32));
+            class.observed |= self.observed[id];
         }
-        let mut groups: Vec<Vec<Ipv6Addr>> = by_root
-            .into_values()
-            .map(|mut g| {
-                g.sort_unstable();
-                g
-            })
-            .collect();
-        groups.sort();
-        groups
+        for class in &mut classes {
+            class.members.sort_unstable();
+        }
+        classes.sort_unstable_by_key(|c| c.members[0]);
+        for (i, c) in classes.iter().enumerate() {
+            index_of[c.root as usize] = i as u32;
+        }
+        (classes, index_of)
+    }
+
+    /// The current alias partition: every union-find class holding at
+    /// least one alias member, its alias members sorted, classes sorted.
+    /// Groups that share a member have merged into one.
+    pub fn alias_groups(&self) -> Vec<Vec<Ipv6Addr>> {
+        let (classes, _) = self.classes(|id| self.alias_member[id]);
+        classes.into_iter().map(|c| c.members).collect()
     }
 
     /// Interfaces that appeared in a qualifying hop window — the
@@ -206,46 +240,20 @@ impl RouterGraphBuilder {
     /// sorted by their first member, links remapped to node ids with
     /// intra-node links dropped.
     pub fn snapshot(&self) -> RouterGraph {
-        let mut by_root: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for id in 0..self.parent.len() as u32 {
-            if self.observed[id as usize] || self.alias_member[id as usize] {
-                by_root.entry(self.find_ro(id)).or_default().push(id);
-            }
-        }
-        // (sorted members, root, any-member-observed) per node, sorted
-        // by member list — the canonical node order.
-        let mut raw: Vec<(Vec<Ipv6Addr>, u32, bool)> = by_root
-            .into_iter()
-            .map(|(root, ids)| {
-                let mut members: Vec<Ipv6Addr> =
-                    ids.iter().map(|&i| self.interner.resolve(i)).collect();
-                members.sort_unstable();
-                let obs = ids.iter().any(|&i| self.observed[i as usize]);
-                (members, root, obs)
-            })
-            .collect();
-        raw.sort();
-        let node_of_root: BTreeMap<u32, u32> = raw
+        let (classes, node_of_root) = self.classes(|id| self.observed[id] || self.alias_member[id]);
+        let node = |id: u32| node_of_root[self.find_ro(id) as usize];
+        // Collected whole: the set sorts once and builds in bulk.
+        let links = self
+            .links
             .iter()
-            .enumerate()
-            .map(|(i, &(_, root, _))| (root, i as u32))
+            .map(|&(x, y)| (node(x), node(y)))
+            .filter(|(nx, ny)| nx != ny)
+            .map(|(nx, ny)| (nx.min(ny), nx.max(ny)))
             .collect();
-        let unobserved = raw.iter().filter(|&&(_, _, obs)| !obs).count() as u32;
-        let nodes: Vec<Vec<Ipv6Addr>> = raw.into_iter().map(|(m, _, _)| m).collect();
-        let mut links = BTreeSet::new();
-        for &(x, y) in &self.links {
-            let (nx, ny) = (
-                node_of_root[&self.find_ro(x)],
-                node_of_root[&self.find_ro(y)],
-            );
-            if nx != ny {
-                links.insert((nx.min(ny), nx.max(ny)));
-            }
-        }
         RouterGraph {
-            nodes,
+            unobserved_alias_nodes: classes.iter().filter(|c| !c.observed).count() as u32,
+            nodes: classes.into_iter().map(|c| c.members).collect(),
             links,
-            unobserved_alias_nodes: unobserved,
         }
     }
 
@@ -302,7 +310,7 @@ impl RouterGraphBuilder {
         }
         let links = parts.links.iter().copied().collect();
         Some(RouterGraphBuilder {
-            interner,
+            interner: Arc::new(interner),
             parent: parts.parent.clone(),
             rank: parts.rank.clone(),
             links,
@@ -315,6 +323,7 @@ impl RouterGraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use analysis::ShardedTraceSet;
     use testkit::fixtures::trace;
     use testkit::trace_set as ts;
 
@@ -357,6 +366,32 @@ mod tests {
         let g = b.snapshot();
         assert_eq!(g.unobserved_alias_nodes, 1);
         assert_eq!(unobserved(&b), 3);
+    }
+
+    #[test]
+    fn the_shards_of_one_store_share_the_builders_table() {
+        let set = ts((1..=8).map(|p| {
+            let hops = [(1, "::a"), (2, if p % 2 == 0 { "::b" } else { "::c" })];
+            trace(&format!("2001:db8:{p}::1"), &hops)
+        }));
+        let store = ShardedTraceSet::from_set(&set, 4);
+        assert!(store.shards().iter().filter(|s| !s.is_empty()).count() > 1);
+        let mut b = RouterGraphBuilder::new();
+        for shard in store.shards() {
+            b.ingest(shard);
+        }
+        let table = store.shards()[0].interner();
+        assert!(
+            Arc::ptr_eq(&b.interner, table),
+            "the store's one table, adopted"
+        );
+        // Merging interfaces the table holds copies nothing.
+        let aliases = [vec!["::b".parse().unwrap(), "::c".parse().unwrap()]];
+        b.merge_alias_group(&aliases[0]);
+        assert!(Arc::ptr_eq(&b.interner, table));
+        let shards: Vec<&TraceSet> = store.shards().iter().collect();
+        assert_eq!(b.snapshot(), RouterGraph::build_multi(&shards, &aliases));
+        assert_eq!(b.snapshot(), RouterGraph::build(&set, &aliases));
     }
 
     #[test]

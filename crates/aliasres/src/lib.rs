@@ -19,10 +19,9 @@
 //!   loop drives ([`resolve_aliases_supervised`]);
 //! * [`RouterGraph`] — collapsing an interface-level trace set into a
 //!   router-level graph using resolved aliases (ITDK-style);
-//! * [`RouterGraphBuilder`] — the per-round builder: union-find
-//!   alias merges and appended links over a shared interner, pinned
-//!   bit-identical (after canonicalization) to the batch
-//!   [`RouterGraph::build_multi`] golden.
+//! * [`RouterGraphBuilder`] — the one builder, per round in the loop
+//!   and behind [`RouterGraph::build`]: union-find alias merges and
+//!   appended links over one address table.
 
 #![warn(unreachable_pub)]
 

@@ -1,9 +1,8 @@
-//! Golden equivalence for the router-level graph builder: the columnar
-//! id-indexed build must produce the same graph (canonicalized to
-//! address pairs — node numbering is interning-order-dependent) as the
-//! original map-based builder (`testkit::oracle::build_reference`), on
-//! real campaign traces with and without alias merging, and on
-//! hand-built traces where the two must agree node id for node id.
+//! Golden equivalence for the router-level graph builder: the id-indexed
+//! build must produce the address-keyed oracle's graph
+//! (`testkit::oracle::build_reference`, canonicalized — its node
+//! numbering follows its own walk), on real campaign traces with and
+//! without alias merging, and on hand-built traces.
 
 use aliasres::speedtrap::{resolve_aliases, AliasConfig};
 use aliasres::{RouterGraph, RouterGraphBuilder};
@@ -13,7 +12,7 @@ use simnet::Engine;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use testkit::fixtures::trace;
-use testkit::oracle::{self as reference, build_reference};
+use testkit::oracle::build_reference;
 use testkit::trace_set as ts;
 use yarrp6::campaign::run_campaign;
 use yarrp6::YarrpConfig;
@@ -26,7 +25,6 @@ fn campaign_graph_matches_reference() {
     let res = run_campaign(&topo, 1, &set, &YarrpConfig::default());
 
     let col = TraceSet::from_log(&res.log);
-    let refset = reference::TraceSet::from_log(&res.log);
 
     // Real alias groups from speedtrap over the discovered interfaces.
     let ifaces: Vec<Ipv6Addr> = res.log.interface_addrs().into_iter().collect();
@@ -42,11 +40,11 @@ fn campaign_graph_matches_reference() {
 
     for groups in [&[][..], &aliases.groups[..]] {
         let colg = RouterGraph::build(&col, groups);
-        let refg = build_reference(&refset, groups);
+        let refg = build_reference(&[&col], groups);
         assert_eq!(colg.link_addr_pairs(), refg.link_addr_pairs());
         assert_eq!(colg.connected_node_count(), refg.connected_node_count());
         assert_eq!(colg.degree_histogram(), refg.degree_histogram());
-        assert_eq!(colg.nodes.len(), refg.nodes.len());
+        assert_eq!(colg, refg.canonical());
     }
 }
 
@@ -55,12 +53,9 @@ fn matches_reference_builder() {
     let t1 = trace("2001:db8::1", &[(1, "::a"), (2, "::b"), (4, "::c")]);
     let t2 = trace("2001:db8::2", &[(1, "::a"), (2, "::d")]);
     let aliases = vec![vec!["::b".parse().unwrap(), "::d".parse().unwrap()]];
-    let col = RouterGraph::build(&ts(vec![t1.clone(), t2.clone()]), &aliases);
-    let mut rset = reference::TraceSet::default();
-    for t in [t1, t2] {
-        rset.traces.insert(t.target, t);
-    }
-    let refg = build_reference(&rset, &aliases);
+    let set = ts(vec![t1, t2]);
+    let col = RouterGraph::build(&set, &aliases);
+    let refg = build_reference(&[&set], &aliases);
     assert_eq!(col.link_addr_pairs(), refg.link_addr_pairs());
     assert_eq!(col.connected_node_count(), refg.connected_node_count());
     assert_eq!(col.degree_histogram(), refg.degree_histogram());
@@ -72,20 +67,16 @@ fn incremental_matches_batch_single_set() {
         trace("2001:db8::1", &[(1, "::a"), (2, "::b"), (4, "::c")]),
         trace("2001:db8::2", &[(1, "::a"), (2, "::d")]),
     ];
-    let set = ts(traces.clone());
+    let set = ts(traces);
     let aliases = vec![vec!["::b".parse().unwrap(), "::d".parse().unwrap()]];
     let mut b = RouterGraphBuilder::new();
     b.ingest(&set);
     b.merge_alias_group(&aliases[0]);
-    let golden = RouterGraph::build_multi(&[&set], &b.alias_groups()).canonical();
+    let golden = build_reference(&[&set], &aliases).canonical();
     assert_eq!(b.snapshot(), golden);
-    let mut reference = reference::TraceSet::default();
-    for t in traces {
-        reference.traces.insert(t.target, t);
-    }
     assert_eq!(
         RouterGraph::build(&set, &aliases),
-        build_reference(&reference, &aliases),
-        "the id-indexed build must assign the map-based builder's node ids"
+        golden,
+        "the batch build is the builder's snapshot"
     );
 }

@@ -1,17 +1,18 @@
-//! The incremental router graph's two contracts, pinned:
+//! The router-graph builder's contracts, pinned:
 //!
 //! * **order independence** — union-find alias merging yields the same
 //!   partition (and the same canonical graph) whatever order groups
 //!   and trace sets arrive in, even though the internal parent arrays
 //!   differ;
-//! * **batch equivalence** — for any ingest history,
-//!   `builder.snapshot()` is bit-identical to the batch golden
-//!   `RouterGraph::build_multi(&sets, &builder.alias_groups())
-//!   .canonical()` — on random inputs, on real campaign output over
-//!   every probe protocol, across vantages, and on quarantined sets;
-//! * **the batch build itself** — `build_multi` walks cells by interner
-//!   id; it is node-id-exact (not merely canonical-equal) to the same
-//!   walk keyed by `Ipv6Addr` in a std map, written out below.
+//! * **the oracle** — for any ingest history, `builder.snapshot()` is
+//!   bit-identical to the address-keyed
+//!   `testkit::oracle::build_reference(&sets, &groups).canonical()`,
+//!   which merges groups that share a member into one class — on
+//!   random inputs, on real campaign output over every probe protocol,
+//!   across vantages, and on quarantined sets;
+//! * **one builder** — `RouterGraph::build` and `build_multi` are the
+//!   builder's snapshot, so they meet the same oracle, and an interface
+//!   listed in several groups is in exactly one node.
 
 use aliasres::{RouterGraph, RouterGraphBuilder};
 use analysis::{quarantine_all, CampaignRunner, QuarantineConfig, TraceSet};
@@ -20,11 +21,11 @@ use proptest::strategy::FnStrategy;
 use proptest::test_runner::TestRng;
 use simnet::config::TopologyConfig;
 use simnet::generate::generate;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use targets::TargetSet;
-use testkit::oracle::Trace;
+use testkit::oracle::{build_reference, Trace};
 use testkit::trace_set;
 use v6packet::probe::Protocol;
 use yarrp6::YarrpConfig;
@@ -85,56 +86,10 @@ fn groups_strategy() -> impl Strategy<Value = Vec<Vec<Ipv6Addr>>> {
     })
 }
 
-/// `build_multi` by address: alias groups take the first node ids (a
-/// member listed twice belongs to the later group), every other
-/// interface gets a node at its first qualifying hop window, sets and
-/// traces walked in order.
-fn naive_build_multi(sets: &[&TraceSet], aliases: &[Vec<Ipv6Addr>]) -> RouterGraph {
-    let mut nodes: Vec<Vec<Ipv6Addr>> = aliases.to_vec();
-    let mut node_of: HashMap<Ipv6Addr, u32> = HashMap::new();
-    for (id, group) in aliases.iter().enumerate() {
-        for &a in group {
-            node_of.insert(a, id as u32);
-        }
-    }
-    let mut touched: BTreeSet<u32> = BTreeSet::new();
-    let mut links = BTreeSet::new();
-    for set in sets {
-        for trace in set.iter() {
-            let hops: Vec<(u8, Ipv6Addr)> = trace.hops().collect();
-            for w in hops.windows(2) {
-                let ((t1, a1), (t2, a2)) = (w[0], w[1]);
-                if t2 - t1 > 2 || a1 == a2 {
-                    continue;
-                }
-                let [n1, n2] = [a1, a2].map(|a| {
-                    if let Some(&n) = node_of.get(&a) {
-                        touched.insert(n);
-                        return n;
-                    }
-                    nodes.push(vec![a]);
-                    node_of.insert(a, nodes.len() as u32 - 1);
-                    nodes.len() as u32 - 1
-                });
-                if n1 != n2 {
-                    links.insert((n1.min(n2), n1.max(n2)));
-                }
-            }
-        }
-    }
-    let unobserved = (0..aliases.len() as u32).filter(|n| !touched.contains(n));
-    RouterGraph {
-        unobserved_alias_nodes: unobserved.count() as u32,
-        nodes,
-        links,
-    }
-}
-
-/// The golden form: batch build over the same per-campaign sets and
-/// the builder's own resolved partition, canonicalized.
-fn golden(sets: &[TraceSet], b: &RouterGraphBuilder) -> RouterGraph {
-    let refs: Vec<&TraceSet> = sets.iter().collect();
-    RouterGraph::build_multi(&refs, &b.alias_groups()).canonical()
+/// The golden form: the address-keyed oracle over the same
+/// per-campaign sets and the same groups, canonicalized.
+fn golden(sets: &[&TraceSet], groups: &[Vec<Ipv6Addr>]) -> RouterGraph {
+    build_reference(sets, groups).canonical()
 }
 
 proptest! {
@@ -161,7 +116,7 @@ proptest! {
     }
 
     /// Interleaving ingests and merges arbitrarily still matches the
-    /// all-at-once batch golden.
+    /// all-at-once oracle.
     #[test]
     fn incremental_matches_batch_on_random_input(
         sets in sets_strategy(),
@@ -180,15 +135,16 @@ proptest! {
         for g in gi {
             b.merge_alias_group(g);
         }
-        prop_assert_eq!(b.snapshot(), golden(&sets, &b));
+        let refs: Vec<&TraceSet> = sets.iter().collect();
+        prop_assert_eq!(b.snapshot(), golden(&refs, &groups));
     }
 
-    /// Node ids, member lists, links and the unobserved tally of the
-    /// id-indexed batch build equal the address-keyed walk's: over 1-4
-    /// sets sharing addresses, with groups that overlap each other and
-    /// name members no trace ever showed.
+    /// Nodes, links and the unobserved tally of `build_multi` and
+    /// `build` equal the address-keyed oracle's, canonicalized: over
+    /// 1-4 sets sharing addresses, with single-member groups, groups
+    /// that overlap each other and members no trace ever showed.
     #[test]
-    fn build_multi_is_node_id_exact_to_the_address_keyed_walk(
+    fn build_multi_matches_the_address_keyed_oracle(
         sets in FnStrategy(|rng: &mut TestRng| {
             let n = 1 + (rng.next_u64() % 4) as usize;
             (0..n).map(|_| gen_trace_set(rng)).collect::<Vec<TraceSet>>()
@@ -206,14 +162,38 @@ proptest! {
         }),
     ) {
         let refs: Vec<&TraceSet> = sets.iter().collect();
-        prop_assert_eq!(
-            RouterGraph::build_multi(&refs, &groups),
-            naive_build_multi(&refs, &groups)
-        );
-        prop_assert_eq!(
-            RouterGraph::build(&sets[0], &groups),
-            naive_build_multi(&refs[..1], &groups)
-        );
+        prop_assert_eq!(RouterGraph::build_multi(&refs, &groups), golden(&refs, &groups));
+        prop_assert_eq!(RouterGraph::build(&sets[0], &groups), golden(&refs[..1], &groups));
+    }
+
+    /// Groups that overlap or repeat a member, over a universe of
+    /// eight addresses so most do: every interface is in exactly one
+    /// node, and `build` is the builder's snapshot.
+    #[test]
+    fn overlapping_groups_put_every_interface_in_one_node(
+        set in trace_set_strategy(),
+        groups in FnStrategy(|rng: &mut TestRng| {
+            let n = 1 + (rng.next_u64() % 5) as usize;
+            (0..n)
+                .map(|_| {
+                    let m = 1 + (rng.next_u64() % 4) as usize;
+                    (0..m).map(|_| addr((rng.next_u64() % 8) as u8)).collect()
+                })
+                .collect::<Vec<Vec<Ipv6Addr>>>()
+        }),
+    ) {
+        let g = RouterGraph::build(&set, &groups);
+        let mut members: Vec<Ipv6Addr> = g.nodes.iter().flatten().copied().collect();
+        let listed = members.len();
+        members.sort_unstable();
+        members.dedup();
+        prop_assert_eq!(members.len(), listed, "an interface in two nodes: {:?}", g.nodes);
+        let mut b = RouterGraphBuilder::new();
+        b.ingest(&set);
+        for group in &groups {
+            b.merge_alias_group(group);
+        }
+        prop_assert_eq!(g, b.snapshot());
     }
 
     /// Ingesting the same sets in a different order changes nothing
@@ -277,19 +257,19 @@ proptest! {
 }
 
 #[test]
-fn a_member_of_two_groups_belongs_to_the_later_one() {
+fn a_member_of_two_groups_joins_them_into_one_router() {
     let set = trace_set(vec![trace_from(9, &[(1, 1), (2, 2), (3, 3)])]);
     let groups = vec![vec![addr(2), addr(50)], vec![addr(2), addr(3)]];
     let g = RouterGraph::build_multi(&[&set], &groups);
-    assert_eq!(g, naive_build_multi(&[&set], &groups));
-    // Both groups keep their member lists; the shared interface and its
-    // links go to node 1, so node 0 is never observed and 2-3 is no link.
+    assert_eq!(g, golden(&[&set], &groups));
+    // The shared interface ties both groups into one observed router;
+    // its link to 3 is inside that node, so 1 links to it once.
     assert_eq!(
         g.nodes,
-        vec![groups[0].clone(), groups[1].clone(), vec![addr(1)]]
+        vec![vec![addr(1)], vec![addr(2), addr(3), addr(50)]]
     );
-    assert_eq!(g.links, BTreeSet::from([(1, 2)]));
-    assert_eq!(g.unobserved_alias_nodes, 1);
+    assert_eq!(g.links, BTreeSet::from([(0, 1)]));
+    assert_eq!(g.unobserved_alias_nodes, 0);
 }
 
 /// One streamed campaign's finished trace set.
@@ -311,7 +291,7 @@ fn campaign_traces(
 }
 
 /// One real campaign per protocol: the incremental graph over streamed
-/// prober output (not hand-built traces) must match the batch golden,
+/// prober output (not hand-built traces) must match the oracle,
 /// with the topology's ground-truth alias groups merged in.
 #[test]
 fn campaign_golden_all_protocols() {
@@ -330,14 +310,16 @@ fn campaign_golden_all_protocols() {
         for g in &aliases {
             b.merge_alias_group(g);
         }
-        let refs = [&traces];
-        let golden = RouterGraph::build_multi(&refs, &b.alias_groups()).canonical();
-        assert_eq!(b.snapshot(), golden, "protocol {protocol:?}");
+        assert_eq!(
+            b.snapshot(),
+            golden(&[&traces], &aliases),
+            "protocol {protocol:?}"
+        );
     }
 }
 
 /// Multi-vantage: per-campaign ingest across two vantages equals the
-/// batch golden over both sets — and the two ingest orders agree.
+/// oracle over both sets — and the two ingest orders agree.
 #[test]
 fn campaign_golden_multi_vantage() {
     let topo = Arc::new(generate(TopologyConfig::tiny(42)));
@@ -354,9 +336,8 @@ fn campaign_golden_multi_vantage() {
     for g in &aliases {
         b.merge_alias_group(g);
     }
-    let refs = [&t0, &t1];
-    let golden = RouterGraph::build_multi(&refs, &b.alias_groups()).canonical();
-    assert_eq!(b.snapshot(), golden);
+    let want = golden(&[&t0, &t1], &aliases);
+    assert_eq!(b.snapshot(), want);
 
     let mut rev = RouterGraphBuilder::new();
     rev.ingest(&t1);
@@ -364,17 +345,13 @@ fn campaign_golden_multi_vantage() {
     for g in &aliases {
         rev.merge_alias_group(g);
     }
-    assert_eq!(
-        rev.snapshot(),
-        golden,
-        "vantage ingest order must not matter"
-    );
+    assert_eq!(rev.snapshot(), want, "vantage ingest order must not matter");
 }
 
 /// Quarantine-scrubbed campaign output flows through the same
 /// equivalence: what the adaptive loop ingests with
-/// `quarantine_feedback` on still matches the batch golden over the
-/// scrubbed sets.
+/// `quarantine_feedback` on still matches the oracle over the scrubbed
+/// sets.
 #[test]
 fn campaign_golden_quarantined_input() {
     let topo = Arc::new(generate(TopologyConfig::tiny(42)));
@@ -394,6 +371,5 @@ fn campaign_golden_quarantined_input() {
         b.merge_alias_group(g);
     }
     let refs: Vec<&TraceSet> = scrubbed.iter().map(|c| &**c).collect();
-    let golden = RouterGraph::build_multi(&refs, &b.alias_groups()).canonical();
-    assert_eq!(b.snapshot(), golden);
+    assert_eq!(b.snapshot(), golden(&refs, &aliases));
 }

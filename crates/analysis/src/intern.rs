@@ -240,27 +240,33 @@ pub(crate) fn hashed_ahead<T>(
     })
 }
 
-/// The union step of a merge: one table holding every word of
-/// `tables` (at least one), and each table's id map into it. The union
-/// extends the first table, copied only once another is interned into
-/// it, so a table that *is* the first maps to `None`: its ids are the
-/// union's. Each other table appends its unseen words in its id order.
-pub(crate) fn union<'t>(
+/// The one place where ids of different tables meet: extends `table`
+/// with every word of `tables` and returns each one's id map into it.
+/// Each table appends its unseen words in its id order, so ids already
+/// in `table` never move. A table that *is* `table` maps to `None`: its
+/// ids are the union's. While `table` is empty it is skipped: the next
+/// table is adopted as-is, shared and not copied, and maps to `None`.
+/// `table` is copied only when it is shared and a word must be added.
+///
+/// A merge starts from its first input's table; the router-graph
+/// builder extends its own; the quarantine pools evidence by union id.
+pub fn union<'t>(
+    table: &mut Arc<AddrInterner>,
     tables: impl IntoIterator<Item = &'t Arc<AddrInterner>>,
-) -> (Arc<AddrInterner>, Vec<Option<Vec<u32>>>) {
-    let mut tables = tables.into_iter().peekable();
-    let first = *tables.peek().expect("a union of at least one table");
-    let mut out = Arc::clone(first);
-    let remaps = tables
+) -> Vec<Option<Vec<u32>>> {
+    tables
+        .into_iter()
         .map(|t| {
-            (!Arc::ptr_eq(t, first)).then(|| {
-                let u = Arc::make_mut(&mut out);
+            if table.is_empty() {
+                *table = Arc::clone(t);
+            }
+            (!Arc::ptr_eq(t, table)).then(|| {
+                let u = Arc::make_mut(table);
                 let add = |&w: &u128| u.intern(Ipv6Addr::from(w));
                 t.words().iter().map(add).collect()
             })
         })
-        .collect();
-    (out, remaps)
+        .collect()
 }
 
 /// Re-interns ids of `src` into a fresh interner on first touch: the

@@ -40,7 +40,7 @@ mod traces;
 pub mod validate;
 
 pub use builder::{stream_campaigns_supervised, TraceSetBuilder};
-pub use intern::AddrInterner;
+pub use intern::{union, AddrInterner};
 pub use metrics::{
     discovery_curve, hop_responsiveness, vantage_contributions, vantage_jaccard,
     vantage_union_count, CampaignMetrics, VantageContribution,

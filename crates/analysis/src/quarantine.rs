@@ -33,14 +33,18 @@
 //! Condemnation is *global*: once an address is condemned anywhere,
 //! every cell it owns is scrubbed from every set
 //! ([`quarantine_all`] evaluates the rules jointly across vantages).
+//! The sets' tables meet through one [`union`]: evidence and verdicts
+//! are indexed by union id and read through each set's id map, so the
+//! shards of one store, which share a table, need no map at all.
 //! A set with nothing to scrub is neither rebuilt nor copied: its slot
 //! is `Cow::Borrowed` from the input itself, so the clean-input path is
 //! bit-identical by construction and costs no memory.
 
-use crate::intern::{AddrInterner, Reintern};
+use crate::intern::{union, Reintern};
 use crate::traces::{TraceMeta, TraceSet};
 use std::borrow::Cow;
 use std::net::Ipv6Addr;
+use std::sync::Arc;
 
 /// Thresholds for the quarantine rules. The defaults are conservative
 /// for this simulator's topologies (depths well under 24) and for
@@ -107,8 +111,8 @@ impl QuarantineReport {
     }
 }
 
-/// Rule evidence for one responder, indexed by interner id: per set
-/// while its cells are walked, then pooled by address across sets.
+/// Rule evidence for one responder, indexed by union id and pooled
+/// across every set's cells.
 #[derive(Clone, Copy)]
 struct Evidence {
     /// Shallowest and deepest hop-cell TTL; `lo > hi` until a hop cell
@@ -117,8 +121,9 @@ struct Evidence {
     hi: u8,
     /// Met the loop rule in some trace.
     looped: bool,
-    /// The trace (index + 1) `repeats` counts cells of: a new stamp
-    /// restarts the count, so nothing is cleared between traces.
+    /// The trace (position across all sets, + 1) `repeats` counts cells
+    /// of: a new stamp restarts the count, so nothing is cleared between
+    /// traces.
     stamp: u32,
     repeats: u32,
 }
@@ -142,16 +147,16 @@ pub fn quarantine_all<'a>(
     sets: &[&'a TraceSet],
     cfg: &QuarantineConfig,
 ) -> (Vec<Cow<'a, TraceSet>>, QuarantineReport) {
-    // Pass 1: evidence per cell by the set's own interner id, pooled by
-    // address once per responder so ids from different interners meet.
-    let mut pool = AddrInterner::new();
-    let mut pooled: Vec<Evidence> = Vec::new();
-    for set in sets {
-        let mut seen = vec![UNSEEN; set.interner().len()];
-        for (i, t) in set.iter().enumerate() {
-            let stamp = i as u32 + 1;
+    // Pass 1: evidence per cell, by union id.
+    let mut table = Arc::default();
+    let maps = union(&mut table, sets.iter().map(|s| s.interner()));
+    let mut evidence = vec![UNSEEN; table.len()];
+    let mut stamp = 0;
+    for (set, map) in sets.iter().zip(&maps) {
+        for t in set.iter() {
+            stamp += 1;
             for (ttl, id) in t.hop_cells() {
-                let e = &mut seen[id as usize];
+                let e = &mut evidence[union_id(map, id)];
                 e.lo = e.lo.min(ttl);
                 e.hi = e.hi.max(ttl);
                 if e.stamp != stamp {
@@ -162,41 +167,44 @@ pub fn quarantine_all<'a>(
                 e.looped |= e.repeats >= cfg.min_loop_repeats;
             }
         }
-        for (&w, e) in set.interner().words().iter().zip(&seen) {
-            if e.lo > e.hi {
-                continue;
-            }
-            let p = pool.intern(Ipv6Addr::from(w)) as usize;
-            if p == pooled.len() {
-                pooled.push(UNSEEN);
-            }
-            let all = &mut pooled[p];
-            all.lo = all.lo.min(e.lo);
-            all.hi = all.hi.max(e.hi);
-            all.looped |= e.looped;
-        }
     }
     let mut report = QuarantineReport::default();
     let mut condemned: Vec<Ipv6Addr> = Vec::new();
-    for (&w, e) in pool.words().iter().zip(&pooled) {
-        if e.looped {
-            report.looping_responders += 1;
-        } else if e.hi - e.lo > cfg.max_ttl_span {
-            report.wide_span_responders += 1;
-        } else {
-            continue;
-        }
-        condemned.push(Ipv6Addr::from(w));
-    }
+    let bad: Vec<bool> = table
+        .words()
+        .iter()
+        .zip(&evidence)
+        .map(|(&w, e)| {
+            if e.looped {
+                report.looping_responders += 1;
+            } else if e.lo <= e.hi && e.hi - e.lo > cfg.max_ttl_span {
+                report.wide_span_responders += 1;
+            } else {
+                return false;
+            }
+            condemned.push(Ipv6Addr::from(w));
+            true
+        })
+        .collect();
     condemned.sort_unstable();
 
     // Pass 2: scrub each set.
     let cleaned = sets
         .iter()
-        .map(|&set| scrub(set, cfg, &condemned, &mut report).map_or(Cow::Borrowed(set), Cow::Owned))
+        .zip(&maps)
+        .map(|(&set, map)| {
+            let bad = |id: u32| bad[union_id(map, id)];
+            scrub(set, cfg, bad, &mut report).map_or(Cow::Borrowed(set), Cow::Owned)
+        })
         .collect();
     report.condemned = condemned;
     (cleaned, report)
+}
+
+/// Where a set's `id` sits in the union, through the set's id map.
+#[inline]
+fn union_id(map: &Option<Vec<u32>>, id: u32) -> usize {
+    map.as_ref().map_or(id, |m| m[id as usize]) as usize
 }
 
 /// Rebuilds one set without the condemned/implausible cells, or
@@ -204,31 +212,23 @@ pub fn quarantine_all<'a>(
 /// re-interned in walk order (traces in target order, hops then
 /// unreachables), so the cleaned interner holds *only* addresses still
 /// backed by an observation — nothing condemned can leak out through
-/// `discovery_delta` or `interface_words`.
+/// `discovery_delta` or `interface_words`. `bad(id)` is the verdict on
+/// the set's own `id`.
 fn scrub(
     set: &TraceSet,
     cfg: &QuarantineConfig,
-    condemned: &[Ipv6Addr],
+    bad: impl Fn(u32) -> bool,
     report: &mut QuarantineReport,
 ) -> Option<TraceSet> {
-    // The verdict by this set's interner id: one lookup per condemned
-    // address, none per cell.
-    let mut bad = vec![false; set.interner().len()];
-    for &a in condemned {
-        if let Some(id) = set.interner().lookup(a) {
-            bad[id as usize] = true;
-        }
-    }
     let keep_hop = |ttl: u8, id: u32, reached_at: Option<u8>| -> Option<bool> {
         // Some(true)=keep, Some(false)=implausible drop, None=condemned.
-        if bad[id as usize] {
+        if bad(id) {
             return None;
         }
         let beyond = matches!(reached_at, Some(r) if ttl > r);
         Some(ttl <= cfg.max_plausible_ttl && !beyond)
     };
-    let keep_unreach =
-        |ttl: u8, id: u32| -> bool { !bad[id as usize] && ttl <= cfg.max_plausible_ttl };
+    let keep_unreach = |ttl: u8, id: u32| -> bool { !bad(id) && ttl <= cfg.max_plausible_ttl };
 
     // Dry pass: is there anything to drop at all?
     let clean = set.iter().all(|t| {

@@ -193,7 +193,8 @@ impl ShardedTraceSet {
             sets.iter().all(|s| s.route == route),
             "cannot merge sharded sets with different routes"
         );
-        let (table, id_remaps) = union(sets.iter().map(|s| s.table()));
+        let mut table = Arc::clone(sets[0].table());
+        let id_remaps = union(&mut table, sets.iter().map(|s| s.table()));
         let shards = pool_map(route.shards as usize, route.shards > 1, |s| {
             let refs: Vec<&TraceSet> = sets.iter().map(|set| &set.shards[s]).collect();
             TraceSet::merge_walk(&refs, Arc::clone(&table), &id_remaps)

@@ -505,8 +505,9 @@ impl TraceSet {
         &self.targets
     }
 
-    /// The shared interface-address interner.
-    pub fn interner(&self) -> &AddrInterner {
+    /// The interface-address table. Sets may share one (the shards of
+    /// a store do), and [`union`] maps a shared table without hashing.
+    pub fn interner(&self) -> &Arc<AddrInterner> {
         &self.interner
     }
 
@@ -628,7 +629,8 @@ impl TraceSet {
             1 => return refs[0].clone(),
             _ => {}
         }
-        let (interner, id_remaps) = union(refs.iter().map(|s| &s.interner));
+        let mut interner = Arc::clone(&refs[0].interner);
+        let id_remaps = union(&mut interner, refs.iter().map(|s| &s.interner));
         Self::merge_walk(&refs, interner, &id_remaps)
     }
 

@@ -6,7 +6,7 @@
 //! set's ids) shows as a difference in the cleaned columns or the
 //! report.
 
-use analysis::{quarantine_all, QuarantineConfig, QuarantineReport, TraceSet};
+use analysis::{quarantine_all, QuarantineConfig, QuarantineReport, ShardedTraceSet, TraceSet};
 use proptest::prelude::*;
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
@@ -222,6 +222,11 @@ proptest! {
             .collect();
         let refs: Vec<&TraceSet> = sets.iter().collect();
         let cfg = QuarantineConfig { min_loop_repeats, max_ttl_span, max_plausible_ttl };
+        assert_matches_oracle(&refs, &cfg);
+        // The shards of the first set share its table: their ids meet
+        // without a map, the other sets' through one.
+        let store = ShardedTraceSet::from_set(&sets[0], 3);
+        let refs: Vec<&TraceSet> = store.shards().iter().chain(&sets[1..]).collect();
         assert_matches_oracle(&refs, &cfg);
     }
 }

@@ -5,7 +5,7 @@
 //! | oracle | pins | in |
 //! |---|---|---|
 //! | [`Trace`], [`TraceSet`], [`discover_by_path_div`], [`ia_hack`] | `analysis::TraceSet::from_log` and the subnet miners | `analysis/tests/columnar_golden.rs` |
-//! | [`build_reference`] | `aliasres::RouterGraph::build` | `aliasres/tests/graph_golden.rs` |
+//! | [`build_reference`] | `aliasres::RouterGraphBuilder`, `RouterGraph::build` | `aliasres/tests/graph_props.rs`, `graph_golden.rs` |
 //! | [`run_reference`] | `yarrp6::yarrp::run` | `core/tests/hotpath_golden.rs` |
 //! | [`build_probe`] | `ProbeSpec::build_into`, `ProbeTemplate` | `v6packet/tests/props.rs` |
 //! | [`merge_fold`] over [`Merged`] | `analysis::TraceSet::merge_all` | `analysis/tests/merge_props.rs` |

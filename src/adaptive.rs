@@ -728,9 +728,16 @@ impl Views {
         Views {
             subnet_set: st.subnets.iter().copied().collect(),
             clean_seen: cfg.quarantine_feedback.then(|| {
+                // A delta run's record starts with the prior store's
+                // shards, which share one table: walk it once.
                 let mut all = AddrSet::new();
+                let mut last = None;
                 for ts in &st.traces {
-                    ts.discovery_delta(&mut all);
+                    let table = ts.interner();
+                    if !last.is_some_and(|l| Arc::ptr_eq(l, table)) {
+                        ts.discovery_delta(&mut all);
+                    }
+                    last = Some(table);
                 }
                 all
             }),
