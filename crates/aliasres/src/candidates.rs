@@ -58,21 +58,23 @@ fn emit_fresh_runs<K: Copy + Eq>(sorted: &[(K, u128)], fresh: &AddrSet, out: &mu
 /// round's included (the union of the kept sets' interners — the
 /// shared-/64 rule buckets it by /64), `round` is this round's kept
 /// sets (the shared-hop rule buckets their hop cells by
-/// `(target /64, TTL)`), `tested` is what the prober has already
-/// adjudicated. The round's interfaces outside `tested` are *fresh*;
-/// an address belongs to the result when one of those buckets holds
-/// it, at least one other address and at least one fresh one. With
-/// nothing fresh the result is empty and only the round's interners
-/// are read.
+/// `(target /64, TTL)`), `arrivals` is the round's distinct interfaces
+/// (the words of the round's sets' own interners: the adaptive loop's
+/// sets read a table that holds the whole record, so it passes what
+/// they held before), and `tested` is what the prober has already
+/// adjudicated. The arrivals outside `tested` are *fresh*; an address
+/// belongs to the result when one of those buckets holds it, at least
+/// one other address and at least one fresh one. With nothing fresh
+/// the result is empty and no set is read.
 pub fn sibling_candidates<S: Borrow<TraceSet>>(
     known: &AddrSet,
     round: &[S],
+    arrivals: &[Ipv6Addr],
     tested: &AddrSet,
 ) -> Vec<Ipv6Addr> {
     let round: Vec<&TraceSet> = round.iter().map(Borrow::borrow).collect();
     let mut fresh = AddrSet::new();
-    for &w in round.iter().flat_map(|ts| ts.interner().words()) {
-        let a = Ipv6Addr::from(w);
+    for &a in arrivals {
         if !tested.contains(a) {
             fresh.insert(a);
         }

@@ -10,10 +10,11 @@
 //! round's freshly verified alias groups
 //! ([`merge_alias_group`](RouterGraphBuilder::merge_alias_group) unions
 //! nodes) — no per-round rebuild of the whole graph. A set's ids meet
-//! the builder's through one [`union`] of the two tables: an empty
-//! builder adopts the first set's table without copying it, and a set
-//! that shares the builder's table (a shard of the same store) costs no
-//! hashing at all.
+//! the builder's through one [`union`] of the two tables: a set whose
+//! table is a prefix of the builder's, or extends it, costs no hashing
+//! at all (an empty builder, the shards of one store, the adaptive
+//! loop's rounds, each on a table that extends the last), and in the
+//! second case the builder adopts the set's table without copying it.
 //!
 //! Aliasing is an equivalence: groups that share a member are one
 //! router, whatever order they arrive in.
@@ -79,6 +80,13 @@ impl RouterGraphBuilder {
     /// An empty builder.
     pub fn new() -> Self {
         RouterGraphBuilder::default()
+    }
+
+    /// The address table the builder's ids index. A set whose table
+    /// extends it is ingested by adopting that table, so after a round
+    /// of the adaptive loop it is the round's table itself.
+    pub fn interner(&self) -> &Arc<AddrInterner> {
+        &self.interner
     }
 
     /// Grows the per-id arrays to the table: each new id its own class.

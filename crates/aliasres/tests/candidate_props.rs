@@ -8,11 +8,12 @@
 //! everything already tested, nothing tested yet.
 
 use aliasres::sibling_candidates;
-use analysis::TraceSet;
+use analysis::{union, TraceSet};
 use proptest::prelude::*;
 use proptest::strategy::FnStrategy;
 use proptest::test_runner::TestRng;
 use std::net::Ipv6Addr;
+use std::sync::Arc;
 use testkit::oracle::Trace;
 use testkit::trace_set;
 use yarrp6::addrset::AddrSet;
@@ -171,6 +172,12 @@ fn known_of(history: &[TraceSet]) -> AddrSet {
     known
 }
 
+/// What the adaptive loop hands over as `arrivals`: the distinct
+/// words of the round's sets' own interners.
+fn arrivals_of(round: &[TraceSet]) -> Vec<Ipv6Addr> {
+    known_of(round).iter().collect()
+}
+
 fn addr_set(addrs: &[Ipv6Addr]) -> AddrSet {
     let mut set = AddrSet::new();
     for &a in addrs {
@@ -183,11 +190,19 @@ proptest! {
     #[test]
     fn merge_join_matches_the_map_of_sets(case in case_strategy()) {
         let known = known_of(&case.history);
+        let arrivals = arrivals_of(&case.round);
+        // The loop's shape: the round's sets rebased onto a table that
+        // already holds the record's words.
+        let mut table = Arc::default();
+        union(&mut table, case.history.iter().map(|ts| ts.interner()));
+        let mut rebased = case.round.clone();
+        TraceSet::rebase(&mut table, &mut rebased);
         for tested in &case.tested {
             let tested = addr_set(tested);
-            let got = sibling_candidates(&known, &case.round, &tested);
+            let got = sibling_candidates(&known, &case.round, &arrivals, &tested);
             prop_assert_eq!(&got, &oracle::sibling_candidates(&case.history, &case.round, &tested));
             prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted, deduplicated");
+            prop_assert_eq!(&sibling_candidates(&known, &rebased, &arrivals, &tested), &got);
         }
     }
 }
@@ -206,10 +221,16 @@ fn nothing_fresh_offers_nothing() {
         trace(target(0, 0), &[(3, a)]),
         trace(target(0, 1), &[(3, b)]),
     ])];
-    let known = known_of(&round);
-    assert_eq!(sibling_candidates(&known, &round, &AddrSet::new()), [a, b]);
-    assert_eq!(sibling_candidates(&known, &round, &addr_set(&[a])), [a, b]);
-    assert!(sibling_candidates(&known, &round, &addr_set(&[a, b])).is_empty());
+    let (known, arrivals) = (known_of(&round), arrivals_of(&round));
+    assert_eq!(
+        sibling_candidates(&known, &round, &arrivals, &AddrSet::new()),
+        [a, b]
+    );
+    assert_eq!(
+        sibling_candidates(&known, &round, &arrivals, &addr_set(&[a])),
+        [a, b]
+    );
+    assert!(sibling_candidates(&known, &round, &arrivals, &addr_set(&[a, b])).is_empty());
 }
 
 #[test]
@@ -221,10 +242,13 @@ fn each_rule_reads_its_own_input() {
     let earlier = trace_set([trace(target(0, 0), &[(2, old)])]);
     let round = [trace_set([trace(target(1, 0), &[(3, new), (4, lone)])])];
     let known = known_of(&[earlier, round[0].clone()]);
-    let tested = addr_set(&[old]);
-    assert_eq!(sibling_candidates(&known, &round, &tested), [old, new]);
+    let (tested, arrivals) = (addr_set(&[old]), arrivals_of(&round));
+    assert_eq!(
+        sibling_candidates(&known, &round, &arrivals, &tested),
+        [old, new]
+    );
     // Without the record only the hop rule runs, and it has nothing.
-    assert!(sibling_candidates(&AddrSet::new(), &round, &tested).is_empty());
+    assert!(sibling_candidates(&AddrSet::new(), &round, &arrivals, &tested).is_empty());
 }
 
 #[test]
@@ -235,11 +259,11 @@ fn one_address_seen_by_every_shard_is_not_a_pair() {
     let (a, b) = (iface(0, 0), iface(2, 1));
     let shard = |i| trace_set([trace(target(0, i), &[(3, a)])]);
     let none = AddrSet::new();
-    let round = [shard(0), shard(1), shard(0)];
-    assert!(sibling_candidates(&none, &round, &none).is_empty());
+    let offer = |round: &[TraceSet]| sibling_candidates(&none, round, &arrivals_of(round), &none);
+    assert!(offer(&[shard(0), shard(1), shard(0)]).is_empty());
     let joined = [shard(0), trace_set([trace(target(0, 2), &[(3, b)])])];
-    assert_eq!(sibling_candidates(&none, &joined, &none), [a, b]);
+    assert_eq!(offer(&joined), [a, b]);
     // Same TTL, different target /64: different position, no pair.
     let apart = [shard(0), trace_set([trace(target(1, 2), &[(3, b)])])];
-    assert!(sibling_candidates(&none, &apart, &none).is_empty());
+    assert!(offer(&apart).is_empty());
 }

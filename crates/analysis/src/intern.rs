@@ -243,13 +243,19 @@ pub(crate) fn hashed_ahead<T>(
 /// The one place where ids of different tables meet: extends `table`
 /// with every word of `tables` and returns each one's id map into it.
 /// Each table appends its unseen words in its id order, so ids already
-/// in `table` never move. A table that *is* `table` maps to `None`: its
-/// ids are the union's. While `table` is empty it is skipped: the next
-/// table is adopted as-is, shared and not copied, and maps to `None`.
-/// `table` is copied only when it is shared and a word must be added.
+/// in `table` never move.
+///
+/// One rule spares the hashing: when one table's words are a prefix of
+/// the other's, their ids agree and the longer table is the union. Such
+/// a table maps to `None`, and when it is the longer one `table` becomes
+/// it, shared and not copied. That covers a table that *is* `table`, an
+/// empty `table`, and a chain of tables each extending the last (the
+/// adaptive loop's rounds). Any other table is looked up word by word,
+/// and `table` is copied only when it is shared and a word is missing.
 ///
 /// A merge starts from its first input's table; the router-graph
-/// builder extends its own; the quarantine pools evidence by union id.
+/// builder extends its own; the quarantine pools evidence by union id;
+/// the adaptive loop rebases each round's sets onto one table.
 pub fn union<'t>(
     table: &mut Arc<AddrInterner>,
     tables: impl IntoIterator<Item = &'t Arc<AddrInterner>>,
@@ -257,16 +263,31 @@ pub fn union<'t>(
     tables
         .into_iter()
         .map(|t| {
-            if table.is_empty() {
+            if is_prefix(table, t) {
                 *table = Arc::clone(t);
+                return None;
             }
-            (!Arc::ptr_eq(t, table)).then(|| {
-                let u = Arc::make_mut(table);
-                let add = |&w: &u128| u.intern(Ipv6Addr::from(w));
-                t.words().iter().map(add).collect()
-            })
+            if is_prefix(t, table) {
+                return None;
+            }
+            let map = t.words().iter().map(|&w| {
+                let addr = Ipv6Addr::from(w);
+                match Arc::get_mut(table) {
+                    Some(own) => own.intern(addr),
+                    None => table
+                        .lookup(addr)
+                        .unwrap_or_else(|| Arc::make_mut(table).intern(addr)),
+                }
+            });
+            Some(map.collect())
         })
         .collect()
+}
+
+/// Are `a`'s words a prefix of `b`'s (the same table, or equal words,
+/// included)?
+fn is_prefix(a: &Arc<AddrInterner>, b: &Arc<AddrInterner>) -> bool {
+    Arc::ptr_eq(a, b) || b.words().starts_with(a.words())
 }
 
 /// Re-interns ids of `src` into a fresh interner on first touch: the
@@ -408,6 +429,41 @@ mod tests {
         assert_eq!(it.lookup(Ipv6Addr::from(absent)), None);
         assert_eq!(it.lookup(Ipv6Addr::UNSPECIFIED), None);
         assert_eq!(it.len(), words.len());
+    }
+
+    fn table(words: &[&str]) -> Arc<AddrInterner> {
+        let mut it = AddrInterner::new();
+        for w in words {
+            it.intern(a(w));
+        }
+        Arc::new(it)
+    }
+
+    #[test]
+    fn a_union_that_adds_nothing_copies_nothing() {
+        let shared = table(&["::1", "::2", "::3"]);
+        let mut u = Arc::clone(&shared);
+        // Every word present, none a prefix: looked up, never cloned.
+        let maps = union(&mut u, [&table(&["::3", "::1"])]);
+        assert_eq!(maps, [Some(vec![2, 0])]);
+        assert!(Arc::ptr_eq(&u, &shared), "nothing added, nothing copied");
+        // The first miss copies the shared table once; the original stays.
+        let maps = union(&mut u, [&table(&["::2", "::4"]), &table(&["::5"])]);
+        assert_eq!(maps, [Some(vec![1, 3]), Some(vec![4])]);
+        assert!(!Arc::ptr_eq(&u, &shared));
+        assert_eq!((shared.len(), u.len()), (3, 5));
+    }
+
+    #[test]
+    fn prefix_related_tables_are_the_longer_one() {
+        let short = table(&["::1", "::2"]);
+        let long = table(&["::1", "::2", "::3"]);
+        let mut u = Arc::clone(&short);
+        assert_eq!(union(&mut u, [&long, &short]), [None, None]);
+        assert!(Arc::ptr_eq(&u, &long), "the longer table, adopted");
+        let mut empty = Arc::default();
+        assert_eq!(union(&mut empty, [&short]), [None]);
+        assert!(Arc::ptr_eq(&empty, &short));
     }
 
     #[test]

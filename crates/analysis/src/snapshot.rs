@@ -23,6 +23,12 @@
 //! behind one width byte. Offsets are not stored; the decoder rebuilds
 //! them as running sums. Every width is the minimal one, so a set has
 //! one encoding.
+//!
+//! [`write_trace_chain`] / [`read_trace_chain`] snapshot a list of sets
+//! whose tables form a prefix chain (each table's words start with the
+//! previous one's) and write each word once: per set, its table's
+//! length, the words past the previous set's, then the set without its
+//! table. The adaptive checkpoint's trace record is such a chain.
 
 use crate::intern::AddrInterner;
 use crate::traces::{TraceMeta, TraceSet};
@@ -268,11 +274,6 @@ impl Widths {
     }
 }
 
-/// The exact number of bytes [`write_trace_set`] appends for `ts`.
-pub fn trace_set_encoded_len(ts: &TraceSet) -> usize {
-    Widths::of(ts).encoded_len(ts, true)
-}
-
 /// Serializes a [`TraceSet`]: the interner as its word list in id
 /// order, the targets, each trace's hop and unreachable lengths as two
 /// packed columns behind a width byte each, a `reached_at` per trace,
@@ -441,6 +442,79 @@ fn read_cells(
 /// one. Anything else is a [`SnapshotError::BadValue`].
 pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError> {
     read_set(r, None)
+}
+
+/// The exact number of bytes [`write_trace_chain`] appends for `sets`.
+pub fn trace_chain_encoded_len<'a>(sets: impl IntoIterator<Item = &'a TraceSet>) -> usize {
+    let mut prev = 0;
+    sets.into_iter()
+        .map(|ts| {
+            let n = ts.interner.len();
+            let added = n.saturating_sub(std::mem::replace(&mut prev, n));
+            4 + 16 * added + Widths::of(ts).encoded_len(ts, false)
+        })
+        .sum()
+}
+
+/// Serializes a chain of trace sets, each reading a table whose words
+/// start with the previous set's (the adaptive loop's record: one table
+/// per round, each a prefix of the next). Each word is written once:
+/// per set, the length of its table, the words past the previous set's
+/// length, then the set in the [`write_trace_set`] layout without its
+/// table. Sets that share a table write no words after the first, so a
+/// run of sets and their new words is one contiguous span. Panics if a
+/// table does not extend the previous one. Inverse of
+/// [`read_trace_chain`]; the count of sets is the caller's to write.
+pub fn write_trace_chain<'a>(w: &mut SnapWriter, sets: impl IntoIterator<Item = &'a TraceSet>) {
+    let mut prev: Option<&Arc<AddrInterner>> = None;
+    for ts in sets {
+        let table = &ts.interner;
+        let done = prev.map_or(&[][..], |p| p.words());
+        assert!(
+            prev.is_some_and(|p| Arc::ptr_eq(p, table)) || table.words().starts_with(done),
+            "each table of a trace chain extends the previous one"
+        );
+        w.u32(table.len() as u32);
+        for &word in &table.words()[done.len()..] {
+            w.u128(word);
+        }
+        write_set(w, ts, false);
+        prev = Some(table);
+    }
+}
+
+/// Deserializes `n` sets written by [`write_trace_chain`]. Sets of one
+/// table length share one table, and each longer table is the previous
+/// one extended, so the decoded chain holds what the encoded one did. A
+/// table length below the previous set's, one past what the input
+/// holds, a word repeated across the increments or an id at or past its
+/// set's table length is a [`SnapshotError::BadValue`]; each set is
+/// checked as [`read_trace_set`] checks one.
+pub fn read_trace_chain(r: &mut SnapReader<'_>, n: usize) -> Result<Vec<TraceSet>, SnapshotError> {
+    let mut table: Arc<AddrInterner> = Arc::default();
+    // Not reserved from `n`, which came out of the input.
+    let mut sets = Vec::new();
+    for _ in 0..n {
+        let len = r.u32()? as usize;
+        let added = len.checked_sub(table.len()).ok_or(SnapshotError::BadValue(
+            "trace table length below the previous set's",
+        ))?;
+        if added.saturating_mul(16) > r.remaining() {
+            return Err(SnapshotError::BadValue("trace table length past the input"));
+        }
+        if added > 0 {
+            let mut next = AddrInterner::clone(&table);
+            for _ in 0..added {
+                next.intern(Ipv6Addr::from(r.u128()?));
+            }
+            if next.len() != len {
+                return Err(SnapshotError::BadValue("duplicate interner word"));
+            }
+            table = Arc::new(next);
+        }
+        sets.push(read_set(r, Some(&table))?);
+    }
+    Ok(sets)
 }
 
 /// Reads a word table, re-interned in order; a repeated word is refused.
@@ -1035,7 +1109,7 @@ mod tests {
             assert_eq!(ts.interner.len(), n as usize);
             assert_eq!(id_width(n as usize), width, "{n} words");
             let bytes = encode(&ts);
-            assert_eq!(bytes.len(), trace_set_encoded_len(&ts));
+            assert_eq!(bytes.len(), Widths::of(&ts).encoded_len(&ts, true));
             let back = decode(&bytes).unwrap();
             assert_eq!(back, ts, "{n} words");
             assert_eq!(back.interner().words(), ts.interner().words());
@@ -1054,7 +1128,7 @@ mod tests {
             assert_eq!(ts.view_at(0).hop_cells().len(), n as usize);
             assert_eq!(ts.view_at(0).unreachable_cells().len(), n as usize);
             assert_eq!(encode(&ts), bytes, "{n} cells");
-            assert_eq!(trace_set_encoded_len(&ts), bytes.len());
+            assert_eq!(Widths::of(&ts).encoded_len(&ts, true), bytes.len());
         }
         // 65 536 cells take a third byte.
         let cells = vec![(1, 0); 1 << 16];
@@ -1236,6 +1310,138 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let back = back.unwrap();
         assert!(shared(&back) && back == merged);
+    }
+
+    /// Two rounds of a loop's record: `sample` and a one-trace set on one
+    /// table, then a set that adds a word, on the next.
+    fn chain() -> Vec<TraceSet> {
+        let set = |target: &str, hop: &str| {
+            TraceSet::from_log(&ProbeLog {
+                vantage: "V".into(),
+                target_set: "chain".into(),
+                records: vec![rec(target, hop, ResponseKind::TimeExceeded, Some(1))],
+                ..Default::default()
+            })
+        };
+        let mut sets = vec![
+            sample(),
+            set("2001:db8::5", "::a"),
+            set("2001:db8::7", "::d"),
+        ];
+        let mut table = Arc::default();
+        let (first, last) = sets.split_at_mut(2);
+        TraceSet::rebase(&mut table, first.iter_mut());
+        TraceSet::rebase(&mut table, last.iter_mut());
+        sets
+    }
+
+    fn encode_chain(sets: &[TraceSet]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        write_trace_chain(&mut w, sets);
+        w.into_bytes()
+    }
+
+    fn decode_chain(bytes: &[u8], n: usize) -> Result<Vec<TraceSet>, SnapshotError> {
+        let mut r = SnapReader::new(bytes);
+        let sets = read_trace_chain(&mut r, n)?;
+        assert_eq!(r.remaining(), 0);
+        Ok(sets)
+    }
+
+    #[test]
+    fn a_trace_chain_writes_each_word_once_and_round_trips() {
+        let sets = chain();
+        let (first, last) = (&sets[0].interner, &sets[2].interner);
+        assert!(Arc::ptr_eq(first, &sets[1].interner) && (first.len(), last.len()) == (3, 4));
+        let bytes = encode_chain(&sets);
+        assert_eq!(bytes.len(), trace_chain_encoded_len(&sets));
+        let own: usize = sets
+            .iter()
+            .map(|s| Widths::of(s).encoded_len(s, false))
+            .sum();
+        assert_eq!(
+            bytes.len(),
+            own + 3 * 4 + 16 * 4,
+            "three lengths, four words"
+        );
+        let back = decode_chain(&bytes, 3).unwrap();
+        assert_eq!(back, sets);
+        assert!(Arc::ptr_eq(&back[0].interner, &back[1].interner));
+        assert!(back[2]
+            .interner
+            .words()
+            .starts_with(back[0].interner.words()));
+        assert_eq!(encode_chain(&back), bytes);
+        for cut in 0..bytes.len() {
+            assert!(read_trace_chain(&mut SnapReader::new(&bytes[..cut]), 3).is_err());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "each table of a trace chain extends the previous one")]
+    fn a_table_that_does_not_extend_the_last_is_not_a_chain() {
+        let mut sets = chain();
+        sets.swap(0, 2);
+        encode_chain(&sets);
+    }
+
+    /// One chain entry written field by field: a table length, the
+    /// words it adds, then a set of one trace with the given hop cells
+    /// at ids as wide as `len` implies.
+    fn entry(w: &mut SnapWriter, len: u32, words: &[u128], hops: &[(u8, u32)]) {
+        w.u32(len);
+        words.iter().for_each(|&word| w.u128(word));
+        w.str("v");
+        w.str("t");
+        w.u64(0);
+        w.u32(1);
+        w.u128(0x2001_0db8 << 96);
+        w.u8(1);
+        w.u8(hops.len() as u8);
+        w.u8(1);
+        w.u8(0);
+        w.u8(0); // not reached
+        let id_width = usize::from(min_width(len.saturating_sub(1)));
+        w.u32(hops.len() as u32);
+        hops.iter().for_each(|&(ttl, _)| w.u8(ttl));
+        hops.iter()
+            .for_each(|&(_, id)| w.raw(&id.to_le_bytes()[..id_width]));
+        w.u32(0); // no unreachable cells
+        w.u32(0); // no sources
+        w.u32(0); // no provenance
+    }
+
+    #[test]
+    fn corrupt_trace_chains_are_refused() {
+        type Entry<'a> = (u32, &'a [u128], &'a [(u8, u32)]);
+        // Two entries: the first reads [0xa, 0xb], the second as given.
+        let chain = |first: Entry<'_>, second: Entry<'_>| {
+            let mut w = SnapWriter::new();
+            for (len, words, hops) in [first, second] {
+                entry(&mut w, len, words, hops);
+            }
+            decode_chain(&w.into_bytes(), 2)
+        };
+        let first: Entry<'_> = (2, &[0xa, 0xb], &[(1, 1)]);
+        let sets = chain(first, (3, &[0xc], &[(1, 2)])).unwrap();
+        assert!(sets[1]
+            .interner
+            .words()
+            .starts_with(sets[0].interner.words()));
+        let bad = |what| Err(SnapshotError::BadValue(what));
+        let below = "trace table length below the previous set's";
+        assert_eq!(chain(first, (1, &[], &[(1, 0)])), bad(below));
+        let past = "trace table length past the input";
+        assert_eq!(chain(first, (1000, &[0xc], &[(1, 2)])), bad(past));
+        // A word the first set's increment already added.
+        let repeat = "duplicate interner word";
+        assert_eq!(chain(first, (3, &[0xa], &[(1, 2)])), bad(repeat));
+        // Id 2 is in the second set's table, not in the first's.
+        let beyond: Entry<'_> = (2, &[0xa, 0xb], &[(1, 2)]);
+        assert_eq!(
+            chain(beyond, (3, &[0xc], &[(1, 2)])),
+            bad("hop interner id")
+        );
     }
 
     #[test]

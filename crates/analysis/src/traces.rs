@@ -506,7 +506,9 @@ impl TraceSet {
     }
 
     /// The interface-address table. Sets may share one (the shards of
-    /// a store do), and [`union`] maps a shared table without hashing.
+    /// a store do, and so do the sets [`rebase`](Self::rebase) moves),
+    /// and [`union`] maps a shared table, or one that extends another,
+    /// without hashing.
     pub fn interner(&self) -> &Arc<AddrInterner> {
         &self.interner
     }
@@ -632,6 +634,29 @@ impl TraceSet {
         let mut interner = Arc::clone(&refs[0].interner);
         let id_remaps = union(&mut interner, refs.iter().map(|s| &s.interner));
         Self::merge_walk(&refs, interner, &id_remaps)
+    }
+
+    /// Moves `sets` onto one table: one [`union`] extends `table` by
+    /// their tables, then each set's ids are remapped through its map
+    /// and the set shares `table`. Returns the maps, in input order
+    /// (`None`: the set's table is a prefix of the union, and its ids
+    /// stand). Every cell resolves to the address it did, so no view of
+    /// a set changes; only its interner holds more words.
+    pub fn rebase<'s>(
+        table: &mut Arc<AddrInterner>,
+        sets: impl IntoIterator<Item = &'s mut TraceSet>,
+    ) -> Vec<Option<Vec<u32>>> {
+        let mut sets: Vec<&mut TraceSet> = sets.into_iter().collect();
+        let maps = union(table, sets.iter().map(|s| &s.interner));
+        for (set, map) in sets.iter_mut().zip(&maps) {
+            if let Some(m) = map {
+                for id in set.hop_ids.iter_mut().chain(&mut set.unreach_ids) {
+                    *id = m[*id as usize];
+                }
+            }
+            set.interner = Arc::clone(table);
+        }
+        maps
     }
 
     /// The owner walk of [`merge_all`](Self::merge_all) over `refs` into
@@ -1387,6 +1412,45 @@ mod tests {
         assert_eq!(m.interner().resolve(0), "::a".parse::<Ipv6Addr>().unwrap());
         assert_eq!(m.interner().resolve(1), "::b".parse::<Ipv6Addr>().unwrap());
         assert_eq!(m.sources().len(), 2);
+    }
+
+    #[test]
+    fn rebased_sets_share_one_table_and_read_the_same_addresses() {
+        let te = ResponseKind::TimeExceeded;
+        let a = TraceSet::from_log(&log_named(
+            "V-A",
+            vec![
+                rec("2001:db8::1", "::a", te, Some(1)),
+                rec("2001:db8::1", "::b", te, Some(2)),
+            ],
+        ));
+        let b = TraceSet::from_log(&log_named(
+            "V-B",
+            vec![
+                rec("2001:db8::2", "::c", te, Some(1)),
+                rec("2001:db8::2", "::a", te, Some(2)),
+            ],
+        ));
+        let hops = |s: &TraceSet| -> Vec<Vec<(u8, Ipv6Addr)>> {
+            s.iter().map(|t| t.hops().collect()).collect()
+        };
+        let before = [hops(&a), hops(&b)];
+        let prior = Arc::clone(a.interner());
+        let (mut a2, mut b2) = (a.clone(), b.clone());
+        let mut table = Arc::clone(&prior);
+        let maps = TraceSet::rebase(&mut table, [&mut a2, &mut b2]);
+        assert_eq!(maps, [None, Some(vec![2, 0])]);
+        assert_eq!([hops(&a2), hops(&b2)], before);
+        assert!(Arc::ptr_eq(a2.interner(), &table) && Arc::ptr_eq(b2.interner(), &table));
+        // The table before is a prefix of the one after, left as it was.
+        assert!(table.words().starts_with(prior.words()) && prior.len() == 2);
+        // A set rebased onto its own table comes back unchanged.
+        let maps = TraceSet::rebase(&mut table, [&mut a2]);
+        assert_eq!(maps, [None]);
+        assert_eq!(
+            TraceSet::merge_all([&a2, &b2]),
+            TraceSet::merge_all([&a, &b])
+        );
     }
 
     #[test]

@@ -1,16 +1,86 @@
 //! Property tests for the shared address interner: id ↔ address
-//! round-trips, stable ids under re-insertion, dense id assignment.
+//! round-trips, stable ids under re-insertion, dense id assignment, and
+//! [`union`], where the ids of different tables meet.
 
-use analysis::AddrInterner;
+use analysis::{union, AddrInterner};
 use proptest::prelude::*;
 use std::net::Ipv6Addr;
+use std::sync::Arc;
 
 /// An address word, `::` half the time: a free slot's key is zero too.
 fn word() -> impl Strategy<Value = u128> {
     prop_oneof![Just(0u128), any::<u128>()]
 }
 
+/// A table's words, drawn from a pool of 12 so that tables overlap.
+fn words() -> impl Strategy<Value = Vec<u128>> {
+    prop::collection::vec(0u128..12, 0..10)
+}
+
+fn table(words: &[u128]) -> Arc<AddrInterner> {
+    let mut it = AddrInterner::new();
+    for &w in words {
+        it.intern(Ipv6Addr::from(w));
+    }
+    Arc::new(it)
+}
+
 proptest! {
+    /// Every id map resolves to its input's words, a `None` map through
+    /// the input's own ids, and the union holds nothing else.
+    #[test]
+    fn union_maps_resolve_to_their_inputs_words(
+        start in words(),
+        tables in prop::collection::vec(words(), 0..6),
+    ) {
+        let (start, tables) = (table(&start), tables.iter().map(|w| table(w)).collect::<Vec<_>>());
+        let mut u = Arc::clone(&start);
+        let maps = union(&mut u, &tables);
+        prop_assert_eq!(maps.len(), tables.len());
+        for (t, map) in tables.iter().zip(&maps) {
+            for (id, &w) in t.words().iter().enumerate() {
+                let at = map.as_ref().map_or(id as u32, |m| m[id]);
+                prop_assert_eq!(u.resolve_word(at), w);
+            }
+        }
+        let mut all: Vec<u128> = start.words().to_vec();
+        all.extend(tables.iter().flat_map(|t| t.words().iter().copied()));
+        all.sort_unstable();
+        all.dedup();
+        let mut held = u.words().to_vec();
+        held.sort_unstable();
+        prop_assert_eq!(held, all);
+    }
+
+    /// Prefix-related tables map to `None` in either order, and the
+    /// union is then the longer table itself, not a copy.
+    #[test]
+    fn prefix_related_tables_map_to_none(t in words(), n in 0usize..10) {
+        let t = table(&t);
+        let short = table(&t.words()[..n.min(t.len())]);
+        for (first, second) in [(&short, &t), (&t, &short)] {
+            let mut u = Arc::clone(first);
+            prop_assert_eq!(union(&mut u, [second]), [None]);
+            let longer = if first.len() <= second.len() { second } else { first };
+            prop_assert!(Arc::ptr_eq(&u, longer));
+        }
+    }
+
+    /// Ids already in `table` never move: the union's words start with
+    /// the table's. A union that adds nothing and adopts no table is
+    /// `table` itself, not a copy.
+    #[test]
+    fn union_never_moves_an_id(start in words(), tables in prop::collection::vec(words(), 0..6)) {
+        let (start, tables) = (table(&start), tables.iter().map(|w| table(w)).collect::<Vec<_>>());
+        let mut u = Arc::clone(&start);
+        union(&mut u, &tables);
+        prop_assert!(u.words().starts_with(start.words()));
+        let adopts = tables.iter().any(|t| t.words().starts_with(start.words()));
+        if u.len() == start.len() && !adopts {
+            prop_assert!(Arc::ptr_eq(&u, &start));
+        }
+    }
+
     /// Every interned address resolves back to itself, and lookup
     /// agrees with intern.
     #[test]

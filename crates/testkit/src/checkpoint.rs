@@ -3,13 +3,14 @@
 //!
 //! This crate never depends on the umbrella crate, so the caller
 //! decodes (`Checkpoint::from_bytes(bytes)?.traces()`) and hands the
-//! decoded sets in. Their span is found by re-encoding them with
-//! [`write_trace_set`] and locating those bytes in the checkpoint. The
-//! fixed parts are the encoding's own: an 8-byte magic and version, an
-//! 8-byte configuration digest, and an 8-byte trailer.
+//! decoded sets in. Their span is found by re-encoding them as the
+//! checkpoint does, one chain ([`write_trace_chain`]), and locating
+//! those bytes in the checkpoint. The fixed parts are the encoding's
+//! own: an 8-byte magic and version, an 8-byte configuration digest,
+//! and an 8-byte trailer.
 
-use analysis::snapshot::fnv1a;
-use analysis::{write_trace_set, SnapWriter, TraceSet};
+use analysis::snapshot::{fnv1a, write_trace_chain};
+use analysis::{SnapWriter, TraceSet};
 use std::fmt::Write as _;
 use std::ops::Range;
 
@@ -37,9 +38,7 @@ pub fn sections<'a>(
     sets: impl IntoIterator<Item = &'a TraceSet>,
 ) -> [Range<usize>; 7] {
     let mut w = SnapWriter::new();
-    for ts in sets {
-        write_trace_set(&mut w, ts);
-    }
+    write_trace_chain(&mut w, sets);
     let sets = w.into_bytes();
     assert!(!sets.is_empty(), "a checkpoint with no trace sets");
     let start = 16

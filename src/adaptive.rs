@@ -63,6 +63,25 @@
 //! views the stages share (known subnets, the kept record's clean
 //! interfaces) are extended, never rebuilt.
 //!
+//! ## The record's table chain
+//!
+//! Each campaign interns its responders into a table of its own while
+//! it streams. At the round boundary, after the subnet miners (which
+//! read a set's own ids), the mine stage moves the round's kept sets
+//! onto one table ([`TraceSet::rebase`]): one [`analysis::union`] of
+//! their tables, starting from the last kept set's, then each set's ids
+//! remapped and the shared table handed to every set. So each round's
+//! table is a prefix of the next round's and the record holds one table
+//! a round, not one a campaign; the last set's table holds every word
+//! of the record, in the order the rounds met them. Nothing a set's
+//! views read moves. Downstream, tables related by a prefix meet
+//! without hashing: the alias builder adopts each round's table, and
+//! the merged view and a resumed record map every set to `None`. Two
+//! readers want a round's own words rather than the record's: the alias
+//! candidates' fresh arrivals (the words the sets' own tables held,
+//! read off the rebase's id maps) and the quarantine's kept interfaces
+//! (the id range the round appended to the table).
+//!
 //! Once the pool is installed (or dropped) the state is a complete
 //! resume point and the round-boundary observer borrows the
 //! [`Checkpoint`] that owns it — nothing is copied to show it. The stop
@@ -131,8 +150,8 @@ use aliasres::{
     resolve_aliases_supervised, sibling_candidates, AliasConfig, RouterGraph, RouterGraphBuilder,
 };
 use analysis::{
-    discover_by_path_div, ia_hack, quarantine_all, stream_campaigns_supervised, AsnResolver,
-    CandidateSubnet, PathDivParams, QuarantineConfig, ShardedTraceSet, TraceSet,
+    discover_by_path_div, ia_hack, quarantine_all, stream_campaigns_supervised, AddrInterner,
+    AsnResolver, CandidateSubnet, PathDivParams, QuarantineConfig, ShardedTraceSet, TraceSet,
 };
 use seeds::feedback::{feedback_list, FeedbackParams};
 // The workspace's shared splitmix64, for per-round generation seeds.
@@ -500,7 +519,9 @@ pub(crate) struct LoopState {
     /// Every completed campaign's trace set. Shared, never mutated
     /// once pushed: a [`Checkpoint`] an observer cloned and kept holds
     /// the very sets the loop keeps reading, not copies of the
-    /// ever-growing record.
+    /// ever-growing record. A round's sets share one table, which
+    /// extends the previous round's (module docs, "The record's table
+    /// chain").
     pub(crate) traces: Vec<Arc<TraceSet>>,
     /// Merged engine accounting.
     pub(crate) stats: EngineStats,
@@ -728,16 +749,12 @@ impl Views {
         Views {
             subnet_set: st.subnets.iter().copied().collect(),
             clean_seen: cfg.quarantine_feedback.then(|| {
-                // A delta run's record starts with the prior store's
-                // shards, which share one table: walk it once.
+                // The record's tables form a prefix chain, so the last
+                // one holds every word of the record, in the order the
+                // rounds met them.
                 let mut all = AddrSet::new();
-                let mut last = None;
-                for ts in &st.traces {
-                    let table = ts.interner();
-                    if !last.is_some_and(|l| Arc::ptr_eq(l, table)) {
-                        ts.discovery_delta(&mut all);
-                    }
-                    last = Some(table);
+                if let Some(ts) = st.traces.last() {
+                    insert_words(&mut all, ts.interner().words());
                 }
                 all
             }),
@@ -756,6 +773,12 @@ impl Views {
     /// condemned responder steers no later round.
     fn kept<'a>(&'a self, seen: &'a AddrSet) -> &'a AddrSet {
         self.clean_seen.as_ref().unwrap_or(seen)
+    }
+}
+
+fn insert_words(set: &mut AddrSet, words: &[u128]) {
+    for &w in words {
+        set.insert(Ipv6Addr::from(w));
     }
 }
 
@@ -817,6 +840,9 @@ struct Mined {
     new_subnets: u64,
     /// Where the round's kept sets start in `LoopState::traces`.
     first_set: usize,
+    /// The distinct interfaces of the round's kept sets: the words their
+    /// own tables held before the rebase.
+    arrivals: Vec<Ipv6Addr>,
 }
 
 /// Alias stage output; all zero when the stage is off or had nothing
@@ -1023,6 +1049,28 @@ fn join<A, B: Send>(parallel: bool, a: impl FnOnce() -> A, b: impl FnOnce() -> B
     })
 }
 
+/// Moves a round's kept sets onto `table`, the record's, extended by
+/// their words ([`TraceSet::rebase`]), and returns the round's arrivals:
+/// the words the sets' own tables held, read off their id maps. Each
+/// round's table is then a prefix of the next one's, and the record
+/// holds one table a round instead of one a campaign.
+fn rebase_round(table: &mut Arc<AddrInterner>, sets: &mut [TraceSet]) -> Vec<Ipv6Addr> {
+    let own: Vec<usize> = sets.iter().map(|ts| ts.interner().len()).collect();
+    let maps = TraceSet::rebase(table, sets.iter_mut());
+    let mut arrived = vec![false; table.len()];
+    for (map, n) in maps.iter().zip(own) {
+        match map {
+            Some(m) => m.iter().for_each(|&id| arrived[id as usize] = true),
+            None => arrived[..n].fill(true),
+        }
+    }
+    let words = table.words().iter().zip(&arrived);
+    words
+        .filter(|(_, &a)| a)
+        .map(|(&w, _)| Ipv6Addr::from(w))
+        .collect()
+}
+
 /// The subnets one kept set implies: the IA hack always, path
 /// divergence when configured. A pure function of the set, so the mine
 /// stage maps it over the round's sets on the campaign pool.
@@ -1048,6 +1096,8 @@ struct AliasLane<'a> {
     alias: Option<&'a mut AliasState>,
     /// The round's kept sets.
     round_sets: &'a [Arc<TraceSet>],
+    /// Their distinct interfaces ([`Mined::arrivals`]).
+    arrivals: &'a [Ipv6Addr],
     /// The interfaces that feed forward ([`Views::kept`]).
     kept: &'a AddrSet,
     consumed: u64,
@@ -1237,7 +1287,9 @@ impl LoopState {
     /// against the seen-set the earlier ones extended), the subnet
     /// miners are pure per set and run on the campaign pool, and the
     /// fold back into the state is serial in campaign order — so the
-    /// discovery order of `subnets` is the one-thread order.
+    /// discovery order of `subnets` is the one-thread order. The fold
+    /// ends by rebasing the round's sets onto one table that extends
+    /// the record's (module docs, "The record's table chain").
     fn mine_round(
         &mut self,
         topo: &Topology,
@@ -1252,6 +1304,7 @@ impl LoopState {
             new_interfaces: 0,
             new_subnets: 0,
             first_set: self.traces.len(),
+            arrivals: Vec::new(),
         };
         let mut kept: Vec<(u8, TraceSet)> = Vec::with_capacity(run.results.len());
         for (i, sc) in run.results.into_iter().enumerate() {
@@ -1268,18 +1321,26 @@ impl LoopState {
             let (vantage_idx, ts) = &kept[i];
             mine_set(topo, cfg, resolver, *vantage_idx, ts)
         });
-        for ((_, ts), found) in kept.into_iter().zip(found) {
-            for cand in found {
-                if views.subnet_set.insert(cand.prefix) {
-                    self.subnets.push(cand.prefix);
-                    mined.new_subnets += 1;
-                }
+        for cand in found.into_iter().flatten() {
+            if views.subnet_set.insert(cand.prefix) {
+                self.subnets.push(cand.prefix);
+                mined.new_subnets += 1;
             }
-            if let Some(clean) = views.clean_seen.as_mut() {
-                ts.discovery_delta(clean);
-            }
-            self.traces.push(Arc::new(ts));
         }
+        // The record's table: the last set's, which every earlier
+        // set's is a prefix of.
+        let mut table = self
+            .traces
+            .last()
+            .map_or_else(Arc::default, |ts| Arc::clone(ts.interner()));
+        let known = table.len();
+        let mut sets: Vec<TraceSet> = kept.into_iter().map(|(_, ts)| ts).collect();
+        mined.arrivals = rebase_round(&mut table, &mut sets);
+        if let Some(clean) = views.clean_seen.as_mut() {
+            // The words the round appended to the record's table.
+            insert_words(clean, &table.words()[known..]);
+        }
+        self.traces.extend(sets.into_iter().map(Arc::new));
         mined
     }
 
@@ -1288,12 +1349,13 @@ impl LoopState {
     fn lanes<'a>(
         &'a mut self,
         views: &'a Views,
-        mined: &Mined,
+        mined: &'a Mined,
     ) -> (AliasLane<'a>, FeedbackLane<'a>) {
         let kept = views.kept(&self.seen);
         let alias = AliasLane {
             alias: self.alias.as_mut(),
             round_sets: &self.traces[mined.first_set..],
+            arrivals: &mined.arrivals,
             kept,
             consumed: self.consumed,
             alive: &self.alive,
@@ -1473,7 +1535,7 @@ impl AliasLane<'_> {
         // old member probed alongside the new one), but only a bucket
         // with an untested arrival is offered at all.
         let cand = stride_sample(
-            &sibling_candidates(self.kept, self.round_sets, &al.probed),
+            &sibling_candidates(self.kept, self.round_sets, self.arrivals, &al.probed),
             cfg.alias.max_candidates_per_round,
         );
         let remaining = cfg
@@ -1645,6 +1707,47 @@ mod tests {
                 assert_eq!(pv.fault_dropped, 0);
             }
         }
+    }
+
+    #[test]
+    fn a_round_shares_one_table_that_extends_the_last_rounds() {
+        let (topo, set) = fixture();
+        let cfg = AdaptiveConfig {
+            vantages: vec![0, 1],
+            shards: 2,
+            quarantine_feedback: true,
+            alias_resolution: true,
+            ..small_cfg()
+        };
+        // What each round boundary shows, for the run and for a resume.
+        let check = |ck: &Checkpoint, prev: &mut Option<Arc<AddrInterner>>, sets: &mut usize| {
+            let st = &ck.state;
+            let round = &st.traces[*sets..];
+            *sets = st.traces.len();
+            let table = round[0].interner();
+            assert_eq!(round.len(), 4, "two vantages of two shards");
+            assert!(round.iter().all(|ts| Arc::ptr_eq(ts.interner(), table)));
+            if let Some(prev) = prev.replace(Arc::clone(table)) {
+                assert!(table.len() > prev.len() && table.words().starts_with(prev.words()));
+            }
+            let builder = &st.alias.as_ref().expect("alias state").builder;
+            assert!(Arc::ptr_eq(builder.interner(), table));
+        };
+        let (mut prev, mut sets) = (None, 0);
+        let mut first = None;
+        let res = run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
+            check(ck, &mut prev, &mut sets);
+            first.get_or_insert_with(|| ck.to_bytes());
+        });
+        assert_eq!(res.rounds.len(), 3);
+        // A resumed record is a chain too, and its builder adopts the
+        // next round's table.
+        let ck = Checkpoint::from_bytes(&first.unwrap()).unwrap();
+        let (mut prev, mut sets) = (Some(Arc::clone(ck.state.traces[0].interner())), 4);
+        resume_adaptive(&topo, &cfg, &ck, false, |ck| {
+            check(ck, &mut prev, &mut sets)
+        })
+        .unwrap();
     }
 
     #[test]

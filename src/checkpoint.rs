@@ -16,7 +16,13 @@
 //! The format rides on [`analysis::snapshot`]'s little-endian
 //! primitives and trace-set columns: byte-deterministic (the same state
 //! always encodes to the same bytes, and a decoded state re-encodes to
-//! the bytes it came from). A checkpoint is only meaningful under the
+//! the bytes it came from). The trace record is one table chain (each
+//! round's sets share a table that extends the last round's; see
+//! [`crate::adaptive`]), so it is written as one
+//! ([`write_trace_chain`]): each word once, then each set's columns
+//! without a word table. Decoding rebuilds the chain, one table per
+//! table length, so a resumed record shares its tables as the running
+//! one did. A checkpoint is only meaningful under the
 //! exact topology and configuration it was captured under, so it
 //! carries an FNV-1a digest of both;
 //! [`crate::adaptive::resume_adaptive`] refuses a mismatch, or a state
@@ -26,8 +32,8 @@
 
 use crate::adaptive::{AdaptiveConfig, AliasState, LoopState, RoundReport, VantageRound};
 use aliasres::{RouterGraphBuilder, RouterGraphParts};
-use analysis::snapshot::{fnv1a, trace_set_encoded_len};
-use analysis::{read_trace_set, write_trace_set, SnapReader, SnapWriter, SnapshotError, TraceSet};
+use analysis::snapshot::{fnv1a, read_trace_chain, trace_chain_encoded_len, write_trace_chain};
+use analysis::{SnapReader, SnapWriter, SnapshotError, TraceSet};
 use simnet::{EngineStats, Topology};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -36,12 +42,15 @@ use yarrp6::addrset::AddrSet;
 
 /// `"BHCK"` — beholder checkpoint.
 const MAGIC: u32 = 0x4248_434B;
-/// Version 6: each trace set packs its ids and trace lengths at the
-/// width its data needs, and stores no offsets. Version 5 had the same
-/// [`checksum`] trailer over 4-byte ids and stored offsets; version 4
-/// numbered a directory form that no longer exists and is never reused.
-/// Any other version, v3 and v5 included, is refused by number.
-const VERSION: u32 = 6;
+/// Version 7: the trace sets are one chain ([`write_trace_chain`]), each
+/// word written once: a set's table length, the words past the previous
+/// set's, then its columns. Version 6 wrote each set's own word table,
+/// its ids and trace lengths packed at the width its data needs, and no
+/// offsets. Version 5 had the same [`checksum`] trailer over 4-byte ids
+/// and stored offsets; version 4 numbered a directory form that no
+/// longer exists and is never reused. Any other version, v3, v5 and v6
+/// included, is refused by number.
+const VERSION: u32 = 7;
 /// Bytes of the trailing checksum.
 const TRAILER: usize = 8;
 
@@ -152,11 +161,9 @@ impl Checkpoint {
         write_list(&mut w, &st.rounds, write_round);
         write_list(&mut w, &st.round_targets, |w, rt| write_addrs(w, rt));
         w.u32(st.traces.len() as u32);
-        let room: usize = st.traces.iter().map(|ts| trace_set_encoded_len(ts)).sum();
-        w.reserve(room + tail.bytes().len() + TRAILER);
-        for ts in &st.traces {
-            write_trace_set(&mut w, ts);
-        }
+        let sets = || st.traces.iter().map(|ts| &**ts);
+        w.reserve(trace_chain_encoded_len(sets()) + tail.bytes().len() + TRAILER);
+        write_trace_chain(&mut w, sets());
         w.raw(tail.bytes());
         let sum = checksum(w.bytes());
         w.u64(sum);
@@ -192,7 +199,10 @@ impl Checkpoint {
             subnets: read_list(r, read_prefix)?,
             rounds: read_list(r, read_round)?,
             round_targets: read_list(r, read_addrs)?,
-            traces: read_list(r, |r| read_trace_set(r).map(Arc::new))?,
+            traces: {
+                let n = r.u32()? as usize;
+                read_trace_chain(r, n)?.into_iter().map(Arc::new).collect()
+            },
             stats: read_stats(r)?,
             consumed: r.u64()?,
             low_streak: r.u64()? as usize,

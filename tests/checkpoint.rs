@@ -16,7 +16,8 @@
 //! * **properties** — seeded small runs pin the round-trip and the
 //!   determinism of supervised retries under fuzzed fault schedules.
 
-use analysis::{write_trace_set, SnapWriter};
+use analysis::snapshot::write_trace_chain;
+use analysis::SnapWriter;
 use beholder::prelude::*;
 use proptest::prelude::*;
 use seeds::feedback::FeedbackParams;
@@ -439,16 +440,17 @@ fn a_state_that_does_not_fit_its_config_is_refused() {
     assert_eq!(resume(&aliased), Err(ResumeError::ConfigMismatch));
 }
 
-/// Offset of the first hop cell's hop limit inside one
-/// `write_trace_set` encoding: two strings, a `u64`, the interner words,
-/// the targets, two length columns (a width byte, then a length per
-/// target at that width), a `reached_at` tag per target (and its value
-/// when set), the hop count, then the hop limits.
+/// Offset of the first hop cell's hop limit inside the first set's entry
+/// of a checkpoint's trace chain: its table length and as many words
+/// (the first set adds them all), two strings, a `u64`, the targets,
+/// two length columns (a width byte, then a length per target at that
+/// width), a `reached_at` tag per target (and its value when set), the
+/// hop count, then the hop limits.
 fn first_hop_cell(set: &[u8]) -> usize {
     let count = |at: usize| u32::from_le_bytes(set[at..at + 4].try_into().unwrap()) as usize;
-    let mut at = 4 + count(0);
+    let mut at = 4 + 16 * count(0);
+    at += 4 + count(at);
     at += 4 + count(at) + 8;
-    at += 4 + 16 * count(at);
     let targets = count(at);
     at += 4 + 16 * targets;
     for _lengths in 0..2 {
@@ -467,7 +469,7 @@ fn a_flipped_hop_cell_fails_the_checksum() {
     // can see this edit: only the seal does.
     let (bytes, res) = small_checkpoint();
     let mut w = SnapWriter::new();
-    write_trace_set(&mut w, &res.traces[0]);
+    write_trace_chain(&mut w, [&res.traces[0]]);
     let set = w.into_bytes();
     let at = bytes
         .windows(set.len())
@@ -489,8 +491,9 @@ fn a_flipped_hop_cell_fails_the_checksum() {
 fn older_versions_are_refused_by_number() {
     let (bytes, _) = small_checkpoint();
     // Version 3 had no trailer; version 4 was the directory form's;
-    // version 5 stored 4-byte ids and each trace's offsets.
-    for version in [3u32, 4, 5] {
+    // version 5 stored 4-byte ids and each trace's offsets; version 6
+    // wrote each trace set's own word table.
+    for version in [3u32, 4, 5, 6] {
         let mut old = bytes.clone();
         old[4..8].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -558,26 +561,28 @@ proptest! {
 /// itself; these show it did not move across commits, and a failure
 /// names each section that did. Re-pinned when five settings no caller
 /// set became constants (the configuration digest and the trailer
-/// moved), and at version 6, when each trace set came to pack its
-/// columns at its data's width: the header, trace-set and trailer rows
-/// moved, every other row is the earlier encoding's.
+/// moved), at version 6, when each trace set came to pack its columns at
+/// its data's width, and at version 7, when the trace sets became one
+/// chain that writes each word once: each time the header, trace-set
+/// and trailer rows moved, and every other row is the earlier
+/// encoding's.
 const PINNED_ROUND_1: [Pin; 7] = [
-    (8, 12264955390154574071),
+    (8, 737240042140290150),
     (8, 12423028813639569097),
     (11680, 16841678237369303818),
-    (32074, 1589441370363418015),
+    (26239, 4119344121731836369),
     (22013, 17459024915408495208),
-    (8, 5237018447664711877),
-    (65791, 16904157508247487133),
+    (8, 5571502885030847561),
+    (59956, 10377768040367982788),
 ];
 const PINNED_LAST_ROUND: [Pin; 7] = [
-    (8, 12264955390154574071),
+    (8, 737240042140290150),
     (8, 12423028813639569097),
     (31930, 10789972682340099125),
-    (103450, 15400127147573457236),
+    (84891, 152533821684981968),
     (24079, 5488450794231528233),
-    (8, 14744992088741145212),
-    (159483, 5999793130289780565),
+    (8, 99532787782573452),
+    (140924, 17049875506287011232),
 ];
 
 /// Fails unless every section of `bytes` matches its row of `pinned`,
@@ -610,22 +615,22 @@ fn checkpoint_format_is_pinned() {
 /// result can show a leak (nothing reads the pool after the stop); only
 /// these bytes can. Re-pinned with the two above, and in the same rows.
 const PINNED_YIELD_FLOOR_LAST: [Pin; 7] = [
-    (8, 12264955390154574071),
+    (8, 737240042140290150),
     (8, 16338742832451936537),
     (21868, 13998143686229167596),
-    (67868, 16074873006462091221),
+    (55720, 1616552360226540325),
     (23381, 8518166908374885749),
-    (8, 2242790443265547690),
-    (113141, 17320298577120435275),
+    (8, 12392866815777884858),
+    (100993, 7954380186412797936),
 ];
 const PINNED_BUDGET_LAST: [Pin; 7] = [
-    (8, 12264955390154574071),
+    (8, 737240042140290150),
     (8, 10288825219387128118),
     (35400, 2441658802334854235),
-    (118466, 5618706987418968516),
+    (94672, 6111195075515308688),
     (24771, 4765088284613555682),
-    (8, 15954674159994993054),
-    (178661, 7447495016704405099),
+    (8, 6883340372116335041),
+    (154867, 5378910391539791199),
 ];
 
 #[test]
