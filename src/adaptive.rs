@@ -1750,6 +1750,60 @@ mod tests {
         .unwrap();
     }
 
+    /// What a result derives equals what it is derived from: the probes
+    /// charged are the rounds' probes, the alias totals are the rounds'
+    /// verdicts, and with the quarantine off the interfaces, in
+    /// discovery order, are the words of the record's last table.
+    fn assert_accounted(res: &AdaptiveResult, quarantine: bool) {
+        let sum = |f: fn(&RoundReport) -> u64| res.rounds.iter().map(f).sum::<u64>();
+        assert_eq!(res.stats.probes, sum(|r| r.probes));
+        let rl = res.router_level.as_ref().expect("alias resolution is on");
+        assert_eq!(rl.alias_probes, sum(|r| r.alias_probes));
+        assert_eq!(rl.pairs_confirmed, sum(|r| r.alias_pairs_confirmed));
+        assert_eq!(rl.pairs_rejected, sum(|r| r.alias_pairs_rejected));
+        if !quarantine {
+            let table = res.traces.last().map_or(&[][..], |ts| ts.interner().words());
+            let words: Vec<Ipv6Addr> = table.iter().map(|&w| Ipv6Addr::from(w)).collect();
+            assert_eq!(res.interfaces.iter().collect::<Vec<_>>(), words);
+        }
+    }
+
+    /// The same identity at a round boundary, plus the budget's charge.
+    fn assert_boundary_accounted(ck: &Checkpoint, quarantine: bool) {
+        let res = ck.state.clone().into_result(StopReason::MaxRounds);
+        assert_eq!(ck.consumed_probes(), res.stats.probes);
+        assert_accounted(&res, quarantine);
+    }
+
+    #[test]
+    fn every_round_boundary_accounts_for_itself() {
+        let (topo, set) = fixture();
+        for quarantine_feedback in [false, true] {
+            let cfg = AdaptiveConfig {
+                vantages: vec![0, 1],
+                vantage_budgeting: true,
+                shards: 2,
+                path_div: Some(PathDivParams::default()),
+                quarantine_feedback,
+                alias_resolution: true,
+                ..small_cfg()
+            };
+            let check = |ck: &Checkpoint| assert_boundary_accounted(ck, quarantine_feedback);
+            let mut first = None;
+            let fresh = run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
+                check(ck);
+                first.get_or_insert_with(|| ck.clone());
+            });
+            assert_accounted(&fresh, quarantine_feedback);
+            let resumed = resume_adaptive(&topo, &cfg, &first.unwrap(), true, check).unwrap();
+            assert_accounted(&resumed, quarantine_feedback);
+            let prior = ShardedTraceSet::from_set(&fresh.merged_traces(), 4);
+            let delta = run_adaptive_delta(&topo, &set, &cfg, &prior, false);
+            assert!(!delta.rounds.is_empty());
+            assert_accounted(&delta, quarantine_feedback);
+        }
+    }
+
     #[test]
     fn budget_is_respected() {
         let (topo, set) = fixture();
