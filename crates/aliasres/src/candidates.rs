@@ -54,8 +54,8 @@ fn emit_fresh_runs<K: Copy + Eq>(sorted: &[(K, u128)], fresh: &AddrSet, out: &mu
 /// The interfaces to offer the alias prober after a round, sorted
 /// ascending and deduplicated.
 ///
-/// `known` is every distinct interface of the kept trace record, this
-/// round's included (the union of the kept sets' interners — the
+/// `known` is every distinct interface word of the kept trace record,
+/// this round's included (the union of the kept sets' interners — the
 /// shared-/64 rule buckets it by /64), `round` is this round's kept
 /// sets (the shared-hop rule buckets their hop cells by
 /// `(target /64, TTL)`), `arrivals` is the round's distinct interfaces
@@ -67,7 +67,7 @@ fn emit_fresh_runs<K: Copy + Eq>(sorted: &[(K, u128)], fresh: &AddrSet, out: &mu
 /// one other address and at least one fresh one. With nothing fresh
 /// the result is empty and no set is read.
 pub fn sibling_candidates<S: Borrow<TraceSet>>(
-    known: &AddrSet,
+    known: &[u128],
     round: &[S],
     arrivals: &[Ipv6Addr],
     tested: &AddrSet,
@@ -92,7 +92,7 @@ pub fn sibling_candidates<S: Borrow<TraceSet>>(
     }
     let mut by64: Vec<(u64, u128)> = known
         .iter()
-        .map(u128::from)
+        .copied()
         .filter(|&w| fresh64.contains(net64(w)))
         .map(|w| (hi64(w), w))
         .collect();

@@ -163,19 +163,19 @@ fn case_strategy() -> impl Strategy<Value = Case> {
 }
 
 /// What the adaptive loop hands over as `known`: the distinct
-/// interfaces of the record's sets, in first-appearance order.
-fn known_of(history: &[TraceSet]) -> AddrSet {
+/// interface words of the record's sets, in first-appearance order.
+fn known_of(history: &[TraceSet]) -> Vec<u128> {
     let mut known = AddrSet::new();
     for ts in history {
         ts.discovery_delta(&mut known);
     }
-    known
+    known.iter().map(u128::from).collect()
 }
 
 /// What the adaptive loop hands over as `arrivals`: the distinct
 /// words of the round's sets' own interners.
 fn arrivals_of(round: &[TraceSet]) -> Vec<Ipv6Addr> {
-    known_of(round).iter().collect()
+    known_of(round).into_iter().map(Ipv6Addr::from).collect()
 }
 
 fn addr_set(addrs: &[Ipv6Addr]) -> AddrSet {
@@ -248,7 +248,7 @@ fn each_rule_reads_its_own_input() {
         [old, new]
     );
     // Without the record only the hop rule runs, and it has nothing.
-    assert!(sibling_candidates(&AddrSet::new(), &round, &arrivals, &tested).is_empty());
+    assert!(sibling_candidates(&[], &round, &arrivals, &tested).is_empty());
 }
 
 #[test]
@@ -259,7 +259,7 @@ fn one_address_seen_by_every_shard_is_not_a_pair() {
     let (a, b) = (iface(0, 0), iface(2, 1));
     let shard = |i| trace_set([trace(target(0, i), &[(3, a)])]);
     let none = AddrSet::new();
-    let offer = |round: &[TraceSet]| sibling_candidates(&none, round, &arrivals_of(round), &none);
+    let offer = |round: &[TraceSet]| sibling_candidates(&[], round, &arrivals_of(round), &none);
     assert!(offer(&[shard(0), shard(1), shard(0)]).is_empty());
     let joined = [shard(0), trace_set([trace(target(0, 2), &[(3, b)])])];
     assert_eq!(offer(&joined), [a, b]);

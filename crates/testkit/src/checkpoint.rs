@@ -7,7 +7,12 @@
 //! checkpoint does, one chain ([`write_trace_chain`]), and locating
 //! those bytes in the checkpoint. The fixed parts are the encoding's
 //! own: an 8-byte magic and version, an 8-byte configuration digest,
-//! and an 8-byte trailer.
+//! and an 8-byte trailer. The scalars before the trace sets are the
+//! budgeter's weights and liveness, the discovery set, the subnets, the
+//! round reports and the round target lists; the tail after them is
+//! the stats, the low-yield streak, the pool, the virtual clock, the
+//! delta state (a flag, then the prior shard count, the reopen latches
+//! and the force queue) and the alias state.
 
 use analysis::snapshot::{fnv1a, write_trace_chain};
 use analysis::{SnapWriter, TraceSet};

@@ -63,7 +63,8 @@ fn main() {
     // --- Day 1: reload and sweep only the delta.
     let prior = read_sharded_snapshot(&dir).expect("snapshot read");
     assert!(prior == store, "round trip must be exact");
-    let delta = run_adaptive_delta(&topo, &initial, &cfg, &prior, true);
+    let start = Checkpoint::delta(&topo, &initial, &cfg, &prior);
+    let delta = resume_adaptive(&topo, &cfg, &start, true, |_| {}).expect("resume");
     println!(
         "delta sweep against the unchanged snapshot: {} rounds, {} probes, \
          {} unique interfaces ({:?})",

@@ -19,28 +19,30 @@
 //! [`vantage_budgeting`](AdaptiveConfig::vantage_budgeting),
 //! [`quarantine_feedback`](AdaptiveConfig::quarantine_feedback),
 //! [`alias_resolution`](AdaptiveConfig::alias_resolution) and
-//! [`path_div`](AdaptiveConfig::path_div). Delta seeding is an entry
-//! point of its own, [`run_adaptive_delta`].
+//! [`path_div`](AdaptiveConfig::path_div). Delta seeding is a starting
+//! checkpoint of its own, [`Checkpoint::delta`].
 //!
 //! ## Stages
 //!
 //! The loop is a short driver over one state, `LoopState` — everything
-//! the next round reads, owned by the [`Checkpoint`] the round-boundary
-//! observer is shown. A round is the stages below, in order; each is
-//! one private function that takes the state plus the round-local
+//! the next round reads, each fact once, owned by the [`Checkpoint`]
+//! the round-boundary observer is shown — plus the views every run
+//! rebuilds from it at loop entry (known subnets, probed targets, a
+//! delta run's canaries). A round is the stages below, in order; each
+//! is one private function that takes the state plus the round-local
 //! outputs of earlier stages and returns its own.
 //!
 //! | stage | reads | writes in `LoopState` | belongs to |
 //! |---|---|---|---|
-//! | stop rule | `low_streak`, `rounds`, `alive`, `consumed` | — (ends the loop: yield floor, round cap, all vantages down, budget) | always |
-//! | plan/budget | `pool`, `probed`, `vweights`, `alive`, `consumed`; the delta force queue | `probed` (the round's stride-sampled, budget-capped targets) | always; per-vantage allocation by yield share is `vantage_budgeting`, queue-jumping targets are [`run_adaptive_delta`]'s |
+//! | stop rule | `low_streak`, `rounds`, `alive`, `stats` (its probe count is the budget's charge) | — (ends the loop: yield floor, round cap, all vantages down, budget) | always |
+//! | plan/budget | `pool`, `vweights`, `alive`, `stats`, the probed view; `delta`'s force queue | `delta`'s force queue (drained up to the round cap); the probed view gains the round's stride-sampled, budget-capped targets | always; per-vantage allocation by yield share is `vantage_budgeting`, queue-jumping targets are a delta run's |
 //! | probe | `vclock_us` (campaigns start there on the fault schedule) | — (one supervised outcome per vantage × shard) | always |
 //! | quarantine | the round's raw sets, jointly | — (a scrubbed replacement for each set that lost cells, for everything that feeds *forward*; an untouched set is not copied) | `quarantine_feedback` |
 //! | attribute + mine | `seen` at round start, then the round's sets | `seen` (raw sets: a decoded responder is a real interface), `subnets`, `traces` (scrubbed sets when the quarantine is on) | always; path divergence is `path_div` |
-//! | alias ‖ | the round's kept sets, the kept record's interfaces, `alive`, `vclock_us`, `consumed` | `alias` (router graph, tested set, verdict totals) | `alias_resolution` |
-//! | feedback ‖ | the kept record's interfaces, `probed`, `subnets` | — (returns the next pool: kIP + 6Gen over *all* discoveries, cumulative by the paper's definition of their basis) | always; not started when the round cap decides the stop |
-//! | close round | every round-local output above | `stats`, `consumed`, `vclock_us`, `alive`, `vweights`, `rounds`, `round_targets`, `low_streak` | always; the EWMA weight update is `vantage_budgeting` |
-//! | delta canaries | the round's targets and sets, the prior store | `low_streak` (reset when a shard reopens; its targets join the force queue) | [`run_adaptive_delta`] |
+//! | alias ‖ | the round's kept sets, the record's table words, `alive`, `vclock_us`, `stats` | `alias` (router graph, tested set) | `alias_resolution` |
+//! | feedback ‖ | the record's table words, the probed view, `subnets` | — (returns the next pool: kIP + 6Gen over *all* discoveries, cumulative by the paper's definition of their basis) | always; not started when the round cap decides the stop |
+//! | close round | every round-local output above | `stats`, `vclock_us`, `alive`, `vweights`, `rounds`, `round_targets`, `low_streak` | always; the EWMA weight update is `vantage_budgeting` |
+//! | delta canaries | the round's targets and sets, the prior shards (the record's first sets), the canary view | `delta`'s latches and force queue (a changed canary reopens its shard once; the shard's targets queue), `low_streak` (reset when a shard reopens) | a delta run ([`Checkpoint::delta`]) |
 //! | install pool | the stop rule, the generated pool | `pool` — or nothing: if the stop rule now stops, the pool is dropped | always |
 //!
 //! The two `‖` rows are the round tail's **two lanes**: they read the
@@ -59,9 +61,9 @@
 //! record so far: alias candidates come from a merge-join over the
 //! round's sets ([`aliasres::sibling_candidates`]), the router count is
 //! read off the graph builder's union-find
-//! ([`RouterGraphBuilder::observed_node_count`]), and the membership
-//! views the stages share (known subnets, the kept record's clean
-//! interfaces) are extended, never rebuilt.
+//! ([`RouterGraphBuilder::observed_node_count`]), the membership views
+//! the stages share (known subnets, probed targets) are extended, never
+//! rebuilt, and the kept record's interfaces are its table's words.
 //!
 //! ## The record's table chain
 //!
@@ -76,11 +78,11 @@
 //! of the record, in the order the rounds met them. Nothing a set's
 //! views read moves. Downstream, tables related by a prefix meet
 //! without hashing: the alias builder adopts each round's table, and
-//! the merged view and a resumed record map every set to `None`. Two
-//! readers want a round's own words rather than the record's: the alias
-//! candidates' fresh arrivals (the words the sets' own tables held,
-//! read off the rebase's id maps) and the quarantine's kept interfaces
-//! (the id range the round appended to the table).
+//! the merged view and a resumed record map every set to `None`. Both
+//! lanes read the kept interfaces as the last table's words (with the
+//! quarantine off, `seen`'s, in order: `discovery_delta` and `union`
+//! walk the same sets alike); only the alias candidates' fresh arrivals
+//! are a round's own words, read off the rebase's id maps.
 //!
 //! Once the pool is installed (or dropped) the state is a complete
 //! resume point and the round-boundary observer borrows the
@@ -91,11 +93,10 @@
 //!
 //! ## Entry points and drivers
 //!
-//! A run starts one of three ways, and each has one entry point:
-//! [`run_adaptive_checkpointed`] starts fresh from an initial target
-//! set, [`resume_adaptive`] continues from a [`Checkpoint`], and
-//! [`run_adaptive_delta`] starts from a prior run's persisted store.
-//! Each takes `parallel`; the first two also take the round-boundary
+//! A run starts fresh ([`run_adaptive_checkpointed`], from an initial
+//! target set) or from a [`Checkpoint`] ([`resume_adaptive`]), which a
+//! run seeded from a prior run's persisted store builds with
+//! [`Checkpoint::delta`]. Both take `parallel` and the round-boundary
 //! observer (`|_| {}` when nothing watches).
 //!
 //! The serial driver (`parallel = false`) runs each round's campaigns
@@ -135,10 +136,13 @@
 //! [`Checkpoint`] (a byte-deterministic snapshot of `LoopState`) and
 //! produces results bit-identical to the uninterrupted run, its
 //! observer shown the same checkpoints the uninterrupted run's was from
-//! that round on — pinned by the `checkpoint` suite. A checkpoint taken
-//! under another topology or configuration, or whose state does not fit
-//! the configuration offered, is refused with
-//! [`ResumeError::ConfigMismatch`].
+//! that round on — pinned by the `checkpoint` suite, and for delta runs
+//! by the `delta_seeding` suite. A checkpoint taken under another
+//! topology or configuration, or whose state does not fit the
+//! configuration offered, is refused with
+//! [`ResumeError::ConfigMismatch`]. The state holds nothing a run can
+//! derive (`LoopState` lists what is derived), so the checkpoint
+//! writes nothing twice.
 //!
 //! This module lives in the umbrella crate because it is the one place
 //! the whole pipeline meets: it orchestrates `yarrp6` (probers),
@@ -151,7 +155,8 @@ use aliasres::{
 };
 use analysis::{
     discover_by_path_div, ia_hack, quarantine_all, stream_campaigns_supervised, AddrInterner,
-    AsnResolver, CandidateSubnet, PathDivParams, QuarantineConfig, ShardedTraceSet, TraceSet,
+    AsnResolver, CandidateSubnet, PathDivParams, QuarantineConfig, ShardRoute, ShardedTraceSet,
+    TraceSet,
 };
 use seeds::feedback::{feedback_list, FeedbackParams};
 // The workspace's shared splitmix64, for per-round generation seeds.
@@ -493,7 +498,12 @@ impl AdaptiveResult {
 }
 
 /// The loop's complete cross-round state — everything the next round
-/// reads, and nothing a stage can rebuild. It has one owner: the loop
+/// reads, each fact once, and nothing a stage can rebuild: the probed
+/// targets are the round target lists (after a delta run's stored
+/// targets but the canaries), the budget's charge is the stats' probe
+/// count, the alias totals are the round reports' sums, the kept
+/// interfaces are the last set's table, and a delta run's canaries
+/// come from its prior shards. It has one owner: the loop
 /// runs on the state inside the [`Checkpoint`] it shows the
 /// round-boundary observer, so a checkpoint is the loop's state, not a
 /// copy of it, and resuming from one reproduces the uninterrupted run
@@ -508,8 +518,6 @@ pub(crate) struct LoopState {
     pub(crate) alive: Vec<bool>,
     /// Interfaces discovered so far, in discovery order.
     pub(crate) seen: AddrSet,
-    /// Targets already probed (never re-paid).
-    pub(crate) probed: AddrSet,
     /// Subnets inferred so far, in discovery order.
     pub(crate) subnets: Vec<Ipv6Prefix>,
     /// Finished round reports.
@@ -523,10 +531,9 @@ pub(crate) struct LoopState {
     /// extends the previous round's (module docs, "The record's table
     /// chain").
     pub(crate) traces: Vec<Arc<TraceSet>>,
-    /// Merged engine accounting.
+    /// Merged engine accounting; its probe count is what the budget
+    /// has been charged.
     pub(crate) stats: EngineStats,
-    /// Probes charged against the budget.
-    pub(crate) consumed: u64,
     /// Consecutive rounds below the yield floor.
     pub(crate) low_streak: usize,
     /// The candidate pool the next round samples its targets from.
@@ -534,6 +541,9 @@ pub(crate) struct LoopState {
     /// Accumulated virtual time: where the next round's campaigns
     /// start on the fault schedule's clock.
     pub(crate) vclock_us: u64,
+    /// Delta-seeding state; `Some` exactly when the run started from
+    /// [`Checkpoint::delta`].
+    pub(crate) delta: Option<DeltaState>,
     /// Alias-stage state; `Some` exactly when
     /// [`AdaptiveConfig::alias_resolution`] is on (installed with the
     /// fresh state, carried through checkpoints).
@@ -550,12 +560,19 @@ pub(crate) struct AliasState {
     /// [`aliasres::sibling_candidates`]: candidates stay re-offerable,
     /// but a bucket with no untested member re-probes nobody.
     pub(crate) probed: AddrSet,
-    /// MBT-confirmed pairs over all rounds.
-    pub(crate) pairs_confirmed: u64,
-    /// MBT-rejected pairs over all rounds.
-    pub(crate) pairs_rejected: u64,
-    /// Alias probes charged against the budget over all rounds.
-    pub(crate) probes: u64,
+}
+
+/// Cross-round state of a delta-seeded run ([`Checkpoint::delta`]),
+/// whose prior store's shards are the record's first sets.
+#[derive(Clone, Debug)]
+pub(crate) struct DeltaState {
+    /// How many prior shards lead the trace record.
+    pub(crate) shards: usize,
+    /// Reopen-once latch per prior shard.
+    pub(crate) reopened: Vec<bool>,
+    /// Targets queued for forced re-probing (the canaries, then
+    /// reopened shards), drained up to the round cap each round.
+    pub(crate) force: Vec<Ipv6Addr>,
 }
 
 /// The state no round has touched yet, inside the checkpoint that will
@@ -566,16 +583,15 @@ fn fresh(topo: &Topology, initial: &TargetSet, cfg: &AdaptiveConfig) -> Checkpoi
         vweights: vec![1.0 / k as f64; k],
         alive: vec![true; k],
         seen: AddrSet::new(),
-        probed: AddrSet::new(),
         subnets: Vec::new(),
         rounds: Vec::new(),
         round_targets: Vec::new(),
         traces: Vec::new(),
         stats: EngineStats::default(),
-        consumed: 0,
         low_streak: 0,
         pool: initial.addrs.clone(),
         vclock_us: 0,
+        delta: None,
         alias: cfg.alias_resolution.then(AliasState::default),
     };
     Checkpoint {
@@ -584,72 +600,62 @@ fn fresh(topo: &Topology, initial: &TargetSet, cfg: &AdaptiveConfig) -> Checkpoi
     }
 }
 
-/// How many already-known targets [`run_adaptive_delta`] re-probes as
+/// How many already-known targets a delta-seeded run re-probes as
 /// canaries: a stride-sampled subset of the prior store's targets whose
 /// observations are compared against the stored ones.
 const CANARY_TARGETS: usize = 64;
 
-/// Runs the adaptive loop seeded from a prior run's persisted sharded
-/// store ([`ShardedTraceSet`], typically loaded with
-/// [`analysis::read_sharded_snapshot`]): everything the snapshot
-/// already discovered counts as seen, every target it already holds a
-/// trace for is pre-marked probed, and budget flows only to *new*
-/// targets — plus a stride-sampled set of 64 **canaries** re-probed to
-/// detect topology change. A canary whose observations differ from the
-/// stored trace reopens its whole target-prefix shard (every stored
-/// target in the canary's [`ShardRoute`](analysis::ShardRoute) shard is
-/// re-queued) and resets the yield-floor streak, so changed regions are
-/// re-swept at full intensity while unchanged regions cost only their
-/// canaries.
-///
-/// The result's `traces` include the prior shards (the merged view is
-/// the updated store); `stats` counts only this run's probing. Delta
-/// runs are not checkpointable — the snapshot, not the checkpoint
-/// layer, is the durability story here.
-pub fn run_adaptive_delta(
-    topo: &Arc<Topology>,
-    initial: &TargetSet,
-    cfg: &AdaptiveConfig,
-    prior: &ShardedTraceSet,
-    parallel: bool,
-) -> AdaptiveResult {
-    let mut ck = fresh(topo, initial, cfg);
-    let st = &mut ck.state;
-    // The snapshot's discoveries seed the seen-set (they are not
-    // re-counted as yield) and its shards seed the kept trace record,
-    // so the result's merged view is the updated store.
-    prior.discovery_delta(&mut st.seen);
-    st.traces
-        .extend(prior.shards().iter().map(|s| Arc::new(s.clone())));
-    // Every stored target — the prior run's initial *and* feedback
-    // rounds — is pre-marked probed so no budget re-pays it (feedback
-    // generation from the seeded seen-set re-derives much of the prior
-    // run's target space; without this the delta run would re-sweep
-    // it). Canaries are exempted: they stay probeable for change
-    // detection. Shard target lists are disjoint, so one sort yields
-    // the stride-sampling order.
+/// The prior store's targets, sorted (shard target lists are disjoint),
+/// and the canaries stride-sampled from them.
+fn prior_targets(prior: &[Arc<TraceSet>]) -> (Vec<Ipv6Addr>, Vec<Ipv6Addr>) {
     let mut known: Vec<Ipv6Addr> = prior
-        .shards()
         .iter()
         .flat_map(|s| s.targets().iter().copied())
         .collect();
     known.sort_unstable();
     let canaries = stride_sample(&known, CANARY_TARGETS);
-    for &t in &known {
-        if canaries.binary_search(&t).is_err() {
-            st.probed.insert(t);
-        }
+    (known, canaries)
+}
+
+impl Checkpoint {
+    /// The starting checkpoint of a run seeded from a prior run's
+    /// persisted sharded store ([`ShardedTraceSet`], typically loaded
+    /// with [`analysis::read_sharded_snapshot`]); run it with
+    /// [`resume_adaptive`]. Everything the snapshot already discovered
+    /// counts as seen, every target it already holds a trace for is
+    /// pre-marked probed, and budget flows only to *new* targets — plus
+    /// a stride-sampled set of 64 **canaries** re-probed to detect
+    /// topology change. A canary whose observations differ from the
+    /// stored trace re-queues its whole [`ShardRoute`] shard and resets
+    /// the yield-floor streak, so changed regions are re-swept at full
+    /// intensity while unchanged regions cost only their canaries. The
+    /// run's `traces` begin with the prior shards (the merged view is
+    /// the updated store); `stats` counts only this run's probing.
+    pub fn delta(
+        topo: &Topology,
+        initial: &TargetSet,
+        cfg: &AdaptiveConfig,
+        prior: &ShardedTraceSet,
+    ) -> Checkpoint {
+        let mut ck = fresh(topo, initial, cfg);
+        let st = &mut ck.state;
+        // The snapshot's discoveries seed the seen-set (they are not
+        // re-counted as yield) and its shards seed the kept trace record,
+        // so the result's merged view is the updated store.
+        prior.discovery_delta(&mut st.seen);
+        st.traces
+            .extend(prior.shards().iter().map(|s| Arc::new(s.clone())));
+        // The canaries ride the force queue into round 0: most stored
+        // targets are feedback-round derivations outside `initial`'s
+        // pool, so sampling the pool alone would re-probe almost none.
+        let (_, canaries) = prior_targets(&st.traces);
+        st.delta = Some(DeltaState {
+            shards: prior.n_shards(),
+            reopened: vec![false; prior.n_shards()],
+            force: canaries,
+        });
+        ck
     }
-    // The canaries ride the force queue into round 0: most stored
-    // targets are feedback-round derivations outside `initial`'s pool,
-    // so sampling the pool alone would re-probe almost none of them.
-    let delta = DeltaCtx {
-        prior,
-        force: canaries.clone(),
-        canaries,
-        reopened: vec![false; prior.n_shards()],
-    };
-    run_loop(topo, cfg, parallel, ck, Some(delta), |_| {})
 }
 
 /// Runs the adaptive loop from `initial`: a fresh run. With
@@ -673,18 +679,12 @@ pub fn run_adaptive_checkpointed(
     parallel: bool,
     on_round: impl FnMut(&Checkpoint),
 ) -> AdaptiveResult {
-    run_loop(
-        topo,
-        cfg,
-        parallel,
-        fresh(topo, initial, cfg),
-        None,
-        on_round,
-    )
+    run_loop(topo, cfg, parallel, fresh(topo, initial, cfg), on_round)
 }
 
-/// Continues an adaptive run from a round-boundary [`Checkpoint`], with
-/// `parallel` and `on_round` as in [`run_adaptive_checkpointed`]:
+/// Continues an adaptive run from a [`Checkpoint`] — a round boundary
+/// of an earlier run, or a delta run's start ([`Checkpoint::delta`]) —
+/// with `parallel` and `on_round` as in [`run_adaptive_checkpointed`]:
 /// `on_round` fires at every round boundary after the resume point. The
 /// final [`AdaptiveResult`] — merged trace set, stats, reports — is
 /// bit-identical to the run that was never interrupted, provided `topo`
@@ -707,26 +707,10 @@ pub fn resume_adaptive(
     let st = &ckpt.state;
     let fits =
         st.vweights.len() == cfg.vantages.len() && st.alias.is_some() == cfg.alias_resolution;
-    if config_digest(topo, cfg) != ckpt.digest() || !fits {
+    if config_digest(topo, cfg) != ckpt.digest || !fits {
         return Err(ResumeError::ConfigMismatch);
     }
-    Ok(run_loop(topo, cfg, parallel, ckpt.clone(), None, on_round))
-}
-
-/// Cross-round context of a delta-seeded run ([`run_adaptive_delta`]):
-/// the prior store the canaries compare against, which shards have
-/// already been reopened, and the reopened targets queued for the next
-/// round. `None` everywhere else — the plain loop never looks at it.
-struct DeltaCtx<'a> {
-    prior: &'a ShardedTraceSet,
-    /// Stride-sampled known targets re-probed for change detection
-    /// (sorted — a subset of the sorted initial list).
-    canaries: Vec<Ipv6Addr>,
-    /// Reopen-once latch per prior shard.
-    reopened: Vec<bool>,
-    /// Targets queued for forced re-probing (reopened shards), drained
-    /// up to the round cap each round.
-    force: Vec<Ipv6Addr>,
+    Ok(run_loop(topo, cfg, parallel, ckpt.clone(), on_round))
 }
 
 /// Views of checkpointed state that every run rebuilds at loop entry
@@ -734,11 +718,12 @@ struct DeltaCtx<'a> {
 struct Views {
     /// Membership of `LoopState::subnets`.
     subnet_set: BTreeSet<Ipv6Prefix>,
-    /// The distinct interfaces of the kept trace record when the
-    /// quarantine is on (the record then holds scrubbed sets). `None`
-    /// with it off: every mined set is kept raw, so those interfaces
-    /// are `LoopState::seen` itself.
-    clean_seen: Option<AddrSet>,
+    /// Targets already probed (never re-paid), in the order the run
+    /// first marked them: a delta run's stored targets but the
+    /// canaries, then each round's targets.
+    probed: AddrSet,
+    /// A delta run's canaries, sorted; empty for any other run.
+    canaries: Vec<Ipv6Addr>,
     /// The public ASN view path divergence reads; `Some` exactly when
     /// [`AdaptiveConfig::path_div`] is.
     resolver: Option<AsnResolver>,
@@ -746,18 +731,22 @@ struct Views {
 
 impl Views {
     fn rebuild(topo: &Topology, cfg: &AdaptiveConfig, st: &LoopState) -> Views {
+        let (known, canaries) = match &st.delta {
+            Some(d) => prior_targets(&st.traces[..d.shards]),
+            None => Default::default(),
+        };
+        // A delta run's stored targets count as probed, so no budget
+        // re-pays them (feedback from the seeded seen-set re-derives
+        // much of them); the canaries stay probeable.
+        let mut probed = AddrSet::new();
+        let stored = known.iter().filter(|t| canaries.binary_search(t).is_err());
+        for &t in stored.chain(st.round_targets.iter().flatten()) {
+            probed.insert(t);
+        }
         Views {
             subnet_set: st.subnets.iter().copied().collect(),
-            clean_seen: cfg.quarantine_feedback.then(|| {
-                // The record's tables form a prefix chain, so the last
-                // one holds every word of the record, in the order the
-                // rounds met them.
-                let mut all = AddrSet::new();
-                if let Some(ts) = st.traces.last() {
-                    insert_words(&mut all, ts.interner().words());
-                }
-                all
-            }),
+            probed,
+            canaries,
             resolver: cfg.path_div.map(|_| {
                 AsnResolver::new(
                     topo.bgp.clone(),
@@ -767,24 +756,10 @@ impl Views {
             }),
         }
     }
-
-    /// The interfaces that feed *forward* (alias candidates, feedback
-    /// generation): with the quarantine on only clean ones, so a
-    /// condemned responder steers no later round.
-    fn kept<'a>(&'a self, seen: &'a AddrSet) -> &'a AddrSet {
-        self.clean_seen.as_ref().unwrap_or(seen)
-    }
-}
-
-fn insert_words(set: &mut AddrSet, words: &[u128]) {
-    for &w in words {
-        set.insert(Ipv6Addr::from(w));
-    }
 }
 
 /// Plan stage output: what the round probes and from where.
 struct RoundPlan {
-    round: usize,
     /// The round's sorted, deduplicated target list.
     targets: Vec<Ipv6Addr>,
     /// Targets allocated to each configured vantage (0 for a dead one).
@@ -1098,9 +1073,10 @@ struct AliasLane<'a> {
     round_sets: &'a [Arc<TraceSet>],
     /// Their distinct interfaces ([`Mined::arrivals`]).
     arrivals: &'a [Ipv6Addr],
-    /// The interfaces that feed forward ([`Views::kept`]).
-    kept: &'a AddrSet,
-    consumed: u64,
+    /// The interfaces that feed forward: the record's table's words.
+    kept: &'a [u128],
+    /// Probes the budget was charged before this round.
+    charged: u64,
     alive: &'a [bool],
     vclock_us: u64,
 }
@@ -1112,7 +1088,7 @@ struct FeedbackLane<'a> {
     /// The round being closed (`rounds.len()` before its report is
     /// filed).
     round: usize,
-    kept: &'a AddrSet,
+    kept: &'a [u128],
     probed: &'a AddrSet,
     subnets: &'a [Ipv6Prefix],
 }
@@ -1130,16 +1106,12 @@ impl LoopState {
     /// out zero living vantages before asking.
     fn budget_cap(&self, cfg: &AdaptiveConfig) -> usize {
         let per_target = cfg.yarrp.max_ttl as u64 * self.alive_count() as u64;
-        (cfg.probe_budget.saturating_sub(self.consumed) / per_target) as usize
+        (cfg.probe_budget.saturating_sub(self.stats.probes) / per_target) as usize
     }
 
     /// Plan/budget stage: the round's targets and their allocation to
     /// vantages and shards, or `None` when nothing is left to probe.
-    fn plan_round(
-        &mut self,
-        cfg: &AdaptiveConfig,
-        delta: Option<&mut DeltaCtx<'_>>,
-    ) -> Option<RoundPlan> {
+    fn plan_round(&mut self, cfg: &AdaptiveConfig, probed: &mut AddrSet) -> Option<RoundPlan> {
         let round = self.rounds.len();
         // The unprobed part of the pool, capped by the round size and
         // the remaining budget. When the pool overflows the cap it is
@@ -1150,13 +1122,13 @@ impl LoopState {
             .pool
             .iter()
             .copied()
-            .filter(|&a| !self.probed.contains(a))
+            .filter(|&a| !probed.contains(a))
             .collect();
         let cap = cfg.round_targets.min(self.budget_cap(cfg));
         // Delta seeding: reopened-shard targets jump the queue — they
         // fill the round up to the cap first (leftovers wait for the
         // next round), the regular pool sample takes what remains.
-        let mut targets: Vec<Ipv6Addr> = delta.map_or_else(Vec::new, |d| {
+        let mut targets: Vec<Ipv6Addr> = self.delta.as_mut().map_or_else(Vec::new, |d| {
             let take = d.force.len().min(cap);
             d.force.drain(..take).collect()
         });
@@ -1173,7 +1145,7 @@ impl LoopState {
         for &t in &targets {
             // Forced re-probes were already marked in a prior round (or
             // at delta seeding); re-inserting is a harmless no-op.
-            self.probed.insert(t);
+            probed.insert(t);
         }
 
         // Per-vantage allocation of the round's `alive × |targets|`
@@ -1216,7 +1188,6 @@ impl LoopState {
                 .collect()
         };
         Some(RoundPlan {
-            round,
             targets,
             alloc,
             vantage_sets,
@@ -1333,13 +1304,8 @@ impl LoopState {
             .traces
             .last()
             .map_or_else(Arc::default, |ts| Arc::clone(ts.interner()));
-        let known = table.len();
         let mut sets: Vec<TraceSet> = kept.into_iter().map(|(_, ts)| ts).collect();
         mined.arrivals = rebase_round(&mut table, &mut sets);
-        if let Some(clean) = views.clean_seen.as_mut() {
-            // The words the round appended to the record's table.
-            insert_words(clean, &table.words()[known..]);
-        }
         self.traces.extend(sets.into_iter().map(Arc::new));
         mined
     }
@@ -1351,20 +1317,24 @@ impl LoopState {
         views: &'a Views,
         mined: &'a Mined,
     ) -> (AliasLane<'a>, FeedbackLane<'a>) {
-        let kept = views.kept(&self.seen);
+        // The last set's table holds the record's words, in order.
+        let kept = self
+            .traces
+            .last()
+            .map_or(&[][..], |ts| ts.interner().words());
         let alias = AliasLane {
             alias: self.alias.as_mut(),
             round_sets: &self.traces[mined.first_set..],
             arrivals: &mined.arrivals,
             kept,
-            consumed: self.consumed,
+            charged: self.stats.probes,
             alive: &self.alive,
             vclock_us: self.vclock_us,
         };
         let feedback = FeedbackLane {
             round: self.rounds.len(),
             kept,
-            probed: &self.probed,
+            probed: &views.probed,
             subnets: &self.subnets,
         };
         (alias, feedback)
@@ -1386,7 +1356,6 @@ impl LoopState {
         let mut round_stats = mined.stats;
         round_stats.merge(&alias.stats);
         self.stats.merge(&round_stats);
-        self.consumed += round_stats.probes;
         // The alias stage runs after the round's campaigns, and the
         // next round starts after both.
         self.vclock_us = self
@@ -1429,7 +1398,7 @@ impl LoopState {
         let yield_per_kprobe =
             1000.0 * mined.new_interfaces as f64 / round_stats.probes.max(1) as f64;
         self.rounds.push(RoundReport {
-            round: plan.round,
+            round: self.rounds.len(),
             targets: plan.targets.len() as u64,
             probes: round_stats.probes,
             new_interfaces: mined.new_interfaces,
@@ -1457,26 +1426,31 @@ impl LoopState {
     /// reopen the canary's whole target-prefix shard — its stored
     /// targets queue for forced re-probing — and reset the yield streak
     /// so the floor can't stop the loop before the re-sweep runs.
-    fn reopen_changed_shards(&mut self, d: &mut DeltaCtx<'_>, first_set: usize) {
+    fn reopen_changed_shards(&mut self, canaries: &[Ipv6Addr], first_set: usize) {
+        let Some(d) = self.delta.as_mut() else {
+            return;
+        };
         let round_list = self.round_targets.last().expect("a round just closed");
+        let prior = &self.traces[..d.shards];
         let this_round = &self.traces[first_set..];
+        let route = ShardRoute::new(d.shards);
         let mut reopened_any = false;
-        for &c in &d.canaries {
+        for &c in canaries {
             if round_list.binary_search(&c).is_err() {
                 continue; // not sampled this round
             }
-            let changed = match (d.prior.get(c), this_round.iter().find_map(|ts| ts.get(c))) {
+            let s = route.shard_of(c);
+            let changed = match (prior[s].get(c), this_round.iter().find_map(|ts| ts.get(c))) {
                 (Some(p), Some(f)) => !f.same_observations(&p),
                 (Some(_), None) => true, // trace vanished entirely
                 (None, _) => false,      // canaries are prior targets
             };
-            let s = d.prior.route().shard_of(c);
             if changed && !std::mem::replace(&mut d.reopened[s], true) {
                 // Canaries re-probe through their own sampling;
                 // everything else in the shard queues.
-                let stored = d.prior.shard(s).targets().iter().copied();
+                let stored = prior[s].targets().iter().copied();
                 d.force
-                    .extend(stored.filter(|t| d.canaries.binary_search(t).is_err()));
+                    .extend(stored.filter(|t| canaries.binary_search(t).is_err()));
                 reopened_any = true;
             }
         }
@@ -1486,12 +1460,13 @@ impl LoopState {
     }
 
     fn into_result(self, stop: StopReason) -> AdaptiveResult {
+        let sum = |f: fn(&RoundReport) -> u64| self.rounds.iter().map(f).sum();
         let router_level = self.alias.map(|al| RouterLevelResult {
             graph: al.builder.snapshot(),
             interfaces: al.builder.observed_interface_count() as u64,
-            alias_probes: al.probes,
-            pairs_confirmed: al.pairs_confirmed,
-            pairs_rejected: al.pairs_rejected,
+            alias_probes: sum(|r| r.alias_probes),
+            pairs_confirmed: sum(|r| r.alias_pairs_confirmed),
+            pairs_rejected: sum(|r| r.alias_pairs_rejected),
         });
         AdaptiveResult {
             rounds: self.rounds,
@@ -1540,7 +1515,7 @@ impl AliasLane<'_> {
         );
         let remaining = cfg
             .probe_budget
-            .saturating_sub(self.consumed)
+            .saturating_sub(self.charged)
             .saturating_sub(mined.stats.probes);
         let cap = cfg.alias.max_probes_per_round.min(remaining);
         let prober = self.alive.iter().position(|&a| a);
@@ -1573,9 +1548,6 @@ impl AliasLane<'_> {
             out.stats = run.stats;
             out.elapsed_us = run.elapsed_us;
         }
-        al.probes += out.stats.probes;
-        al.pairs_confirmed += out.confirmed;
-        al.pairs_rejected += out.rejected;
         out.routers = al.builder.observed_node_count() as u64;
         out
     }
@@ -1589,7 +1561,7 @@ impl FeedbackLane<'_> {
     /// the plan stage's `probed` filter keeps rounds from re-paying.
     fn generate(self, cfg: &AdaptiveConfig) -> Vec<Ipv6Addr> {
         let round = self.round;
-        let discovered: Vec<Ipv6Addr> = self.kept.iter().collect();
+        let discovered: Vec<Ipv6Addr> = self.kept.iter().map(|&w| Ipv6Addr::from(w)).collect();
         let probed_targets: Vec<Ipv6Addr> = self.probed.iter().collect();
         let fb = feedback_list(
             format!("adaptive-fb-r{round}"),
@@ -1617,7 +1589,6 @@ fn run_loop(
     cfg: &AdaptiveConfig,
     parallel: bool,
     mut ck: Checkpoint,
-    mut delta: Option<DeltaCtx<'_>>,
     mut on_round: impl FnMut(&Checkpoint),
 ) -> AdaptiveResult {
     check_config(topo, cfg);
@@ -1627,7 +1598,7 @@ fn run_loop(
         if let Some(stop) = stop_reason(st, cfg) {
             break stop;
         }
-        let Some(plan) = st.plan_round(cfg, delta.as_mut()) else {
+        let Some(plan) = st.plan_round(cfg, &mut views.probed) else {
             break StopReason::NoTargets;
         };
         let run = probe_round(topo, cfg, parallel, st.vclock_us, &plan);
@@ -1648,9 +1619,7 @@ fn run_loop(
             || speculate.then(|| feedback_lane.generate(cfg)),
         );
         st.close_round(cfg, plan, tally, &mined, alias, round_elapsed);
-        if let Some(d) = delta.as_mut() {
-            st.reopen_changed_shards(d, mined.first_set);
-        }
+        st.reopen_changed_shards(&views.canaries, mined.first_set);
         if stop_reason(st, cfg).is_none() {
             st.pool = pool.expect("only the round cap skips generation, and it stops the loop");
         }
@@ -1762,7 +1731,10 @@ mod tests {
         assert_eq!(rl.pairs_confirmed, sum(|r| r.alias_pairs_confirmed));
         assert_eq!(rl.pairs_rejected, sum(|r| r.alias_pairs_rejected));
         if !quarantine {
-            let table = res.traces.last().map_or(&[][..], |ts| ts.interner().words());
+            let table = res
+                .traces
+                .last()
+                .map_or(&[][..], |ts| ts.interner().words());
             let words: Vec<Ipv6Addr> = table.iter().map(|&w| Ipv6Addr::from(w)).collect();
             assert_eq!(res.interfaces.iter().collect::<Vec<_>>(), words);
         }
@@ -1798,7 +1770,8 @@ mod tests {
             let resumed = resume_adaptive(&topo, &cfg, &first.unwrap(), true, check).unwrap();
             assert_accounted(&resumed, quarantine_feedback);
             let prior = ShardedTraceSet::from_set(&fresh.merged_traces(), 4);
-            let delta = run_adaptive_delta(&topo, &set, &cfg, &prior, false);
+            let start = Checkpoint::delta(&topo, &set, &cfg, &prior);
+            let delta = resume_adaptive(&topo, &cfg, &start, false, check).unwrap();
             assert!(!delta.rounds.is_empty());
             assert_accounted(&delta, quarantine_feedback);
         }

@@ -1,9 +1,12 @@
 //! Round-boundary checkpoints for the adaptive loop: the loop's
 //! complete cross-round state (`LoopState` — the interner-preserving
-//! trace sets, the discovery and probed sets, the budgeter's EWMA
-//! weights and liveness mask, the regenerated target pool, the virtual
-//! clock, the alias stage's router graph) and a compact, hand-rolled
-//! binary encoding of it.
+//! trace sets, the discovery set, the round reports and target lists,
+//! the budgeter's EWMA weights and liveness mask, the regenerated
+//! target pool, the virtual clock, a delta run's latches and force
+//! queue, the alias stage's router graph) and a compact, hand-rolled
+//! binary encoding of it. The state holds each fact once, so nothing
+//! is written twice: what the loop derives, it derives from what is
+//! written, which the decoder holds to the shape the loop writes.
 //!
 //! A [`Checkpoint`] *is* the state the loop runs on, not a copy taken
 //! of it, so showing one to the round-boundary observer is free. It
@@ -30,10 +33,12 @@
 //! [`ResumeError::ConfigMismatch`] instead of producing a
 //! silently-divergent run.
 
-use crate::adaptive::{AdaptiveConfig, AliasState, LoopState, RoundReport, VantageRound};
+use crate::adaptive::{
+    AdaptiveConfig, AliasState, DeltaState, LoopState, RoundReport, VantageRound,
+};
 use aliasres::{RouterGraphBuilder, RouterGraphParts};
 use analysis::snapshot::{fnv1a, read_trace_chain, trace_chain_encoded_len, write_trace_chain};
-use analysis::{SnapReader, SnapWriter, SnapshotError, TraceSet};
+use analysis::{ShardRoute, SnapReader, SnapWriter, SnapshotError, TraceSet};
 use simnet::{EngineStats, Topology};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -42,15 +47,17 @@ use yarrp6::addrset::AddrSet;
 
 /// `"BHCK"` — beholder checkpoint.
 const MAGIC: u32 = 0x4248_434B;
-/// Version 7: the trace sets are one chain ([`write_trace_chain`]), each
-/// word written once: a set's table length, the words past the previous
-/// set's, then its columns. Version 6 wrote each set's own word table,
-/// its ids and trace lengths packed at the width its data needs, and no
-/// offsets. Version 5 had the same [`checksum`] trailer over 4-byte ids
-/// and stored offsets; version 4 numbered a directory form that no
-/// longer exists and is never reused. Any other version, v3, v5 and v6
+/// Version 8 writes each fact once (no probed set, charged probes or
+/// alias totals) and a delta run's state in the tail. Version 7 made
+/// the trace sets one chain ([`write_trace_chain`]), each word written
+/// once: a set's table length, the words past the previous set's, then
+/// its columns. Version 6 wrote each set's own word table, its ids and
+/// trace lengths packed at the width its data needs, and no offsets.
+/// Version 5 had the same [`checksum`] trailer over 4-byte ids and
+/// stored offsets; version 4 numbered a directory form that no longer
+/// exists and is never reused. Any other version, v3 and v5 to v7
 /// included, is refused by number.
-const VERSION: u32 = 7;
+const VERSION: u32 = 8;
 /// Bytes of the trailing checksum.
 const TRAILER: usize = 8;
 
@@ -93,17 +100,13 @@ impl std::error::Error for ResumeError {}
 /// result is bit-identical to the run that was never interrupted.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
+    /// FNV-1a digest of the topology configuration and the adaptive
+    /// configuration this checkpoint was captured under.
     pub(crate) digest: u64,
     pub(crate) state: LoopState,
 }
 
 impl Checkpoint {
-    /// FNV-1a digest of the topology configuration and the adaptive
-    /// configuration this checkpoint was captured under.
-    pub(crate) fn digest(&self) -> u64 {
-        self.digest
-    }
-
     /// Rounds completed at capture time (the next round to run).
     pub fn round(&self) -> usize {
         self.state.rounds.len()
@@ -111,7 +114,7 @@ impl Checkpoint {
 
     /// Probes charged against the budget so far.
     pub fn consumed_probes(&self) -> u64 {
-        self.state.consumed
+        self.state.stats.probes
     }
 
     /// Interfaces discovered so far.
@@ -137,10 +140,15 @@ impl Checkpoint {
         let st = &self.state;
         let mut tail = SnapWriter::new();
         write_stats(&mut tail, &st.stats);
-        tail.u64(st.consumed);
         tail.u64(st.low_streak as u64);
         write_addrs(&mut tail, &st.pool);
         tail.u64(st.vclock_us);
+        tail.bool(st.delta.is_some());
+        if let Some(d) = &st.delta {
+            tail.u32(d.shards as u32);
+            write_list(&mut tail, &d.reopened, |w, &r| w.bool(r));
+            write_addrs(&mut tail, &d.force);
+        }
         tail.bool(st.alias.is_some());
         if let Some(al) = &st.alias {
             write_alias_state(&mut tail, al);
@@ -153,7 +161,6 @@ impl Checkpoint {
         write_list(&mut w, &st.vweights, |w, &v| w.f64(v));
         write_list(&mut w, &st.alive, |w, &a| w.bool(a));
         write_addr_set(&mut w, &st.seen);
-        write_addr_set(&mut w, &st.probed);
         write_list(&mut w, &st.subnets, |w, p| {
             w.u128(p.base_word());
             w.u8(p.len());
@@ -195,7 +202,6 @@ impl Checkpoint {
             vweights: read_list(r, SnapReader::f64)?,
             alive: read_list(r, SnapReader::bool)?,
             seen: read_addr_set(r)?,
-            probed: read_addr_set(r)?,
             subnets: read_list(r, read_prefix)?,
             rounds: read_list(r, read_round)?,
             round_targets: read_list(r, read_addrs)?,
@@ -204,21 +210,26 @@ impl Checkpoint {
                 read_trace_chain(r, n)?.into_iter().map(Arc::new).collect()
             },
             stats: read_stats(r)?,
-            consumed: r.u64()?,
             low_streak: r.u64()? as usize,
             pool: read_addrs(r)?,
             vclock_us: r.u64()?,
+            delta: match r.bool()? {
+                true => Some(DeltaState {
+                    shards: r.u32()? as usize,
+                    reopened: read_list(r, SnapReader::bool)?,
+                    force: read_addrs(r)?,
+                }),
+                false => None,
+            },
             alias: match r.bool()? {
                 true => Some(read_alias_state(r)?),
                 false => None,
             },
         };
-        if state.alive.len() != state.vweights.len() {
-            return Err(SnapshotError::BadValue("alive/weight length mismatch"));
-        }
         if r.remaining() != 0 {
             return Err(SnapshotError::BadValue("trailing bytes after checkpoint"));
         }
+        check_shape(&state)?;
         Ok(Checkpoint { digest, state })
     }
 }
@@ -287,11 +298,42 @@ fn read_prefix(r: &mut SnapReader<'_>) -> Result<Ipv6Prefix, SnapshotError> {
     Ok(p)
 }
 
+/// The loop indexes and derives its views from a decoded state, so it
+/// must have the shape the loop writes: a liveness flag per weight, a
+/// strictly ascending target list per round, and a delta run's shards
+/// leading the record, a latch each, each target in the shard it
+/// routes to.
+fn check_shape(st: &LoopState) -> Result<(), SnapshotError> {
+    let ascending = |rt: &Vec<Ipv6Addr>| rt.windows(2).all(|w| w[0] < w[1]);
+    let routed = |d: &DeltaState| {
+        let route = ShardRoute::new(d.shards);
+        let mut prior = st.traces[..d.shards].iter().enumerate();
+        prior.all(|(s, set)| set.targets().iter().all(|&t| route.shard_of(t) == s))
+    };
+    let delta = st.delta.as_ref();
+    let refusal = if st.alive.len() != st.vweights.len() {
+        "alive/weight length mismatch"
+    } else if st.round_targets.len() != st.rounds.len() {
+        "round target lists and rounds differ in count"
+    } else if !st.round_targets.iter().all(ascending) {
+        "round targets not strictly ascending"
+    } else if delta.is_some_and(|d| d.shards > st.traces.len()) {
+        "delta shards past the trace record"
+    } else if delta.is_some_and(|d| d.reopened.len() != d.shards) {
+        "reopen latches not one per prior shard"
+    } else if !delta.is_none_or(routed) {
+        "prior shard holds another shard's target"
+    } else {
+        return Ok(());
+    };
+    Err(SnapshotError::BadValue(refusal))
+}
+
 /// The alias stage's cross-round state: the incremental router-graph
 /// builder's raw parts (interner words in id order, union-find arrays,
 /// flags, id-pair links — exact restoration keeps later merges
-/// evolving identically), the tested-interface set, and the verdict
-/// totals. The four per-interface arrays share the word list's count.
+/// evolving identically) and the tested-interface set. The four
+/// per-interface arrays share the word list's count.
 fn write_alias_state(w: &mut SnapWriter, al: &AliasState) {
     let parts = al.builder.to_parts();
     write_list(w, &parts.words, |w, &word| w.u128(word));
@@ -304,9 +346,6 @@ fn write_alias_state(w: &mut SnapWriter, al: &AliasState) {
         w.u32(b);
     });
     write_addr_set(w, &al.probed);
-    w.u64(al.pairs_confirmed);
-    w.u64(al.pairs_rejected);
-    w.u64(al.probes);
 }
 
 fn read_alias_state(r: &mut SnapReader<'_>) -> Result<AliasState, SnapshotError> {
@@ -324,9 +363,6 @@ fn read_alias_state(r: &mut SnapReader<'_>) -> Result<AliasState, SnapshotError>
         builder: RouterGraphBuilder::from_parts(&parts)
             .ok_or(SnapshotError::BadValue("inconsistent router-graph state"))?,
         probed: read_addr_set(r)?,
-        pairs_confirmed: r.u64()?,
-        pairs_rejected: r.u64()?,
-        probes: r.u64()?,
     })
 }
 
@@ -443,6 +479,78 @@ fn read_stats(r: &mut SnapReader<'_>) -> Result<EngineStats, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::{resume_adaptive, run_adaptive_checkpointed};
+    use analysis::ShardedTraceSet;
+    use simnet::config::TopologyConfig;
+    use simnet::generate::generate;
+    use targets::TargetSet;
+
+    /// The first round boundary of a delta run against a four-shard
+    /// store of a fresh run: every list the decoder checks is non-empty.
+    fn delta_checkpoint() -> Checkpoint {
+        let topo = Arc::new(generate(TopologyConfig::tiny(42)));
+        let addrs: Vec<Ipv6Addr> = topo.hosts().map(|(a, _)| a).take(60).collect();
+        let set = TargetSet::new("adaptive-r0", addrs);
+        let cfg = AdaptiveConfig {
+            probe_budget: 60_000,
+            round_targets: 200,
+            max_rounds: 3,
+            min_yield_per_kprobes: 0.0,
+            ..AdaptiveConfig::default()
+        };
+        let fresh = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
+        let prior = ShardedTraceSet::from_set(&fresh.merged_traces(), 4);
+        let start = Checkpoint::delta(&topo, &set, &cfg, &prior);
+        let mut first = None;
+        resume_adaptive(&topo, &cfg, &start, false, |ck| {
+            first.get_or_insert_with(|| ck.clone());
+        })
+        .unwrap();
+        first.expect("a delta run probes its canaries")
+    }
+
+    #[test]
+    fn the_lists_the_loop_derives_from_are_checked() {
+        let base = delta_checkpoint();
+        assert!(Checkpoint::from_bytes(&base.to_bytes()).is_ok());
+        type Edit = fn(&mut LoopState);
+        let cases: [(Edit, &str); 5] = [
+            (
+                |st| st.round_targets.push(Vec::new()),
+                "round target lists and rounds differ in count",
+            ),
+            (
+                |st| st.round_targets[0].swap(0, 1),
+                "round targets not strictly ascending",
+            ),
+            (
+                |st| {
+                    let n = st.traces.len() + 1;
+                    let d = st.delta.as_mut().unwrap();
+                    (d.shards, d.reopened) = (n, vec![false; n]);
+                },
+                "delta shards past the trace record",
+            ),
+            (
+                |st| {
+                    st.delta.as_mut().unwrap().reopened.pop();
+                },
+                "reopen latches not one per prior shard",
+            ),
+            (
+                |st| st.traces.swap(0, 1),
+                "prior shard holds another shard's target",
+            ),
+        ];
+        for (edit, refusal) in cases {
+            let mut ck = base.clone();
+            edit(&mut ck.state);
+            assert_eq!(
+                Checkpoint::from_bytes(&ck.to_bytes()).unwrap_err(),
+                SnapshotError::BadValue(refusal)
+            );
+        }
+    }
 
     #[test]
     fn a_prefix_with_host_bits_is_refused() {

@@ -33,11 +33,11 @@
 //! a vantage whose campaigns all degrade is declared dead and its
 //! budget share flows to the survivors), and the state it runs on is a
 //! [`checkpoint::Checkpoint`], shown to an observer at every round
-//! boundary. A run starts one of three ways, each with one entry point:
-//! fresh ([`adaptive::run_adaptive_checkpointed`]), from a checkpoint,
-//! which continues a killed run bit-identically
-//! ([`adaptive::resume_adaptive`]), or from a prior run's persisted
-//! store ([`adaptive::run_adaptive_delta`]).
+//! boundary. A run starts fresh
+//! ([`adaptive::run_adaptive_checkpointed`]) or from a checkpoint
+//! ([`adaptive::resume_adaptive`]): one a killed run left, which it
+//! continues bit-identically, or one seeded from a prior run's
+//! persisted store ([`checkpoint::Checkpoint::delta`]).
 //!
 //! With [`adaptive::AdaptiveConfig::alias_resolution`] on (default
 //! off, bit-identical without it), each round additionally feeds its
@@ -83,8 +83,8 @@ pub use yarrp6 as probe;
 /// The commonly-used types, one `use` away.
 pub mod prelude {
     pub use crate::adaptive::{
-        resume_adaptive, run_adaptive_checkpointed, run_adaptive_delta, AdaptiveConfig,
-        AdaptiveResult, AliasStageConfig, RoundReport, RouterLevelResult, StopReason, VantageRound,
+        resume_adaptive, run_adaptive_checkpointed, AdaptiveConfig, AdaptiveResult,
+        AliasStageConfig, RoundReport, RouterLevelResult, StopReason, VantageRound,
     };
     pub use crate::checkpoint::{Checkpoint, ResumeError};
     pub use aliasres::{

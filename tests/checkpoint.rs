@@ -429,12 +429,12 @@ fn a_state_that_does_not_fit_its_config_is_refused() {
 
     // Alias state in a checkpoint of a run without alias resolution:
     // the flag that ends the body set, then an empty alias state (no
-    // interfaces, no links, nothing tested, three zero totals).
+    // interfaces, no links, nothing tested).
     let flag = bytes.len() - 9;
     assert_eq!(bytes[flag], 0, "the run kept no alias state");
     let mut aliased = bytes[..flag].to_vec();
     aliased.push(1);
-    aliased.extend([0u8; 4 + 4 + 4 + 3 * 8]);
+    aliased.extend([0u8; 4 + 4 + 4]);
     aliased.extend([0u8; 8]);
     reseal(&mut aliased);
     assert_eq!(resume(&aliased), Err(ResumeError::ConfigMismatch));
@@ -492,8 +492,10 @@ fn older_versions_are_refused_by_number() {
     let (bytes, _) = small_checkpoint();
     // Version 3 had no trailer; version 4 was the directory form's;
     // version 5 stored 4-byte ids and each trace's offsets; version 6
-    // wrote each trace set's own word table.
-    for version in [3u32, 4, 5, 6] {
+    // wrote each trace set's own word table; version 7 wrote the probed
+    // set, the charged probes and the alias totals beside what they
+    // are derived from.
+    for version in [3u32, 4, 5, 6, 7] {
         let mut old = bytes.clone();
         old[4..8].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -503,11 +505,13 @@ fn older_versions_are_refused_by_number() {
     }
 }
 
-/// The first checkpoint of the quarantine + alias fixture: every part
-/// of the state (subnets, alias parts, trace sets) is non-empty.
-fn sealed_checkpoint() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
+/// The first checkpoint of the quarantine + alias fixture, fresh or
+/// delta-seeded from a four-shard store of the fresh run: every part of
+/// the state (subnets, alias parts, trace sets, the delta run's prior
+/// shards and latches) is non-empty.
+fn sealed_checkpoint(delta: bool) -> &'static [u8] {
+    static BYTES: OnceLock<[Vec<u8>; 2]> = OnceLock::new();
+    let both = BYTES.get_or_init(|| {
         let (topo, set) = fixture(FaultSchedule::default());
         let cfg = AdaptiveConfig {
             quarantine_feedback: true,
@@ -515,27 +519,35 @@ fn sealed_checkpoint() -> &'static [u8] {
             max_rounds: 1,
             ..cfg()
         };
-        let mut first = None;
-        run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
-            first.get_or_insert_with(|| ck.to_bytes());
+        let (mut fresh, mut seeded) = (None, None);
+        let res = run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
+            fresh.get_or_insert_with(|| ck.to_bytes());
         });
-        first.expect("one checkpoint")
-    })
+        let prior = ShardedTraceSet::from_set(&res.merged_traces(), 4);
+        let start = Checkpoint::delta(&topo, &set, &cfg, &prior);
+        resume_adaptive(&topo, &cfg, &start, false, |ck| {
+            seeded.get_or_insert_with(|| ck.to_bytes());
+        })
+        .expect("a delta checkpoint fits its config");
+        [fresh, seeded].map(|ck| ck.expect("one checkpoint"))
+    });
+    &both[usize::from(delta)]
 }
 
 proptest! {
     /// Behind the seal the body decoder stands on its own: resealed
     /// after random edits anywhere between the version and the trailer,
-    /// a checkpoint decodes to an error or to a state that re-encodes to
-    /// exactly the input — never a panic, never a second spelling of
-    /// one state — and whose every trace reads through the views: the
-    /// hop sequence, path length and last hop agree, and each set
-    /// canonicalizes.
+    /// a checkpoint — fresh or delta-seeded, half the time each —
+    /// decodes to an error or to a state that re-encodes to exactly the
+    /// input — never a panic, never a second spelling of one state —
+    /// and whose every trace reads through the views: the hop sequence,
+    /// path length and last hop agree, and each set canonicalizes.
     #[test]
     fn prop_resealed_edits_decode_canonically(
+        delta in any::<bool>(),
         edits in prop::collection::vec((any::<u64>(), 1u8..=255), 1..4),
     ) {
-        let mut bytes = sealed_checkpoint().to_vec();
+        let mut bytes = sealed_checkpoint(delta).to_vec();
         let body = bytes.len() - 16;
         for &(at, x) in &edits {
             bytes[8 + (at % body as u64) as usize] ^= x;
@@ -565,24 +577,27 @@ proptest! {
 /// its data's width, and at version 7, when the trace sets became one
 /// chain that writes each word once: each time the header, trace-set
 /// and trailer rows moved, and every other row is the earlier
-/// encoding's.
+/// encoding's. Re-pinned at version 8, when the state stopped writing
+/// what it derives (the probed set, the charged probes, the alias
+/// totals) and gained a delta flag: the header, pre-trace scalars, tail
+/// and trailer rows moved, and the trace-set row is version 7's.
 const PINNED_ROUND_1: [Pin; 7] = [
-    (8, 737240042140290150),
+    (8, 16873642012473590297),
     (8, 12423028813639569097),
-    (11680, 16841678237369303818),
+    (8124, 17098350007521863252),
     (26239, 4119344121731836369),
-    (22013, 17459024915408495208),
-    (8, 5571502885030847561),
-    (59956, 10377768040367982788),
+    (21982, 5295593821825544208),
+    (8, 6889166339579039643),
+    (56369, 4164882896996690813),
 ];
 const PINNED_LAST_ROUND: [Pin; 7] = [
-    (8, 737240042140290150),
+    (8, 16873642012473590297),
     (8, 12423028813639569097),
-    (31930, 10789972682340099125),
+    (18774, 16731170457270871891),
     (84891, 152533821684981968),
-    (24079, 5488450794231528233),
-    (8, 99532787782573452),
-    (140924, 17049875506287011232),
+    (24048, 5906535448145846058),
+    (8, 9206127022085468604),
+    (127737, 9879280422793340508),
 ];
 
 /// Fails unless every section of `bytes` matches its row of `pinned`,
@@ -615,22 +630,22 @@ fn checkpoint_format_is_pinned() {
 /// result can show a leak (nothing reads the pool after the stop); only
 /// these bytes can. Re-pinned with the two above, and in the same rows.
 const PINNED_YIELD_FLOOR_LAST: [Pin; 7] = [
-    (8, 737240042140290150),
+    (8, 16873642012473590297),
     (8, 16338742832451936537),
-    (21868, 13998143686229167596),
+    (13512, 568657900183527575),
     (55720, 1616552360226540325),
-    (23381, 8518166908374885749),
-    (8, 12392866815777884858),
-    (100993, 7954380186412797936),
+    (23350, 8528205768696631758),
+    (8, 11296053540614267070),
+    (92606, 17275396683626720059),
 ];
 const PINNED_BUDGET_LAST: [Pin; 7] = [
-    (8, 737240042140290150),
+    (8, 16873642012473590297),
     (8, 10288825219387128118),
-    (35400, 2441658802334854235),
+    (20660, 13941818331833800039),
     (94672, 6111195075515308688),
-    (24771, 4765088284613555682),
-    (8, 6883340372116335041),
-    (154867, 5378910391539791199),
+    (24740, 1379974028722737477),
+    (8, 9770641972415399727),
+    (140096, 9062836708534223019),
 ];
 
 #[test]

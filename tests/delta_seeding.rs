@@ -1,5 +1,6 @@
-//! Contracts of snapshot-seeded delta discovery
-//! ([`beholder::adaptive::run_adaptive_delta`]):
+//! Contracts of snapshot-seeded delta discovery: a delta run is
+//! [`beholder::checkpoint::Checkpoint::delta`], a starting checkpoint,
+//! run with [`beholder::adaptive::resume_adaptive`]:
 //!
 //! * **unchanged world, cheaper sweep** — against a snapshot of its
 //!   own prior run, the delta loop probes strictly fewer targets than
@@ -11,7 +12,10 @@
 //! * **changed world, reopened shards** — a snapshot whose stored
 //!   observations disagree with what the canaries re-probe forces the
 //!   mismatched shards back into the target pool, costing more than
-//!   the unchanged case.
+//!   the unchanged case;
+//! * **resumable** — resumed from any of its round-boundary
+//!   checkpoints, serial or parallel, a delta run equals the
+//!   uninterrupted one, checkpoint bytes included.
 
 use beholder::prelude::*;
 use std::sync::Arc;
@@ -60,12 +64,26 @@ fn snapshot_of(res: &AdaptiveResult) -> ShardedTraceSet {
     ShardedTraceSet::from_set(&res.merged_traces(), 8)
 }
 
+/// A delta run against `prior`, unobserved: its starting checkpoint,
+/// resumed.
+fn run_delta(
+    topo: &Arc<Topology>,
+    set: &TargetSet,
+    cfg: &AdaptiveConfig,
+    prior: &ShardedTraceSet,
+    parallel: bool,
+) -> AdaptiveResult {
+    let start = Checkpoint::delta(topo, set, cfg, prior);
+    resume_adaptive(topo, cfg, &start, parallel, |_| {})
+        .expect("a delta checkpoint fits its config")
+}
+
 #[test]
 fn unchanged_snapshot_probes_fewer_targets_for_equal_discovery() {
     let (topo, set) = fixture();
     let fresh = run_adaptive_checkpointed(&topo, &set, &cfg(), false, |_| {});
     let prior = snapshot_of(&fresh);
-    let delta = run_adaptive_delta(&topo, &set, &cfg(), &prior, false);
+    let delta = run_delta(&topo, &set, &cfg(), &prior, false);
     assert!(
         targets_probed(&delta) < targets_probed(&fresh),
         "delta against an unchanged snapshot must probe strictly fewer targets \
@@ -85,8 +103,8 @@ fn delta_runs_are_deterministic_serial_and_parallel() {
     let (topo, set) = fixture();
     let fresh = run_adaptive_checkpointed(&topo, &set, &cfg(), false, |_| {});
     let prior = snapshot_of(&fresh);
-    let a = run_adaptive_delta(&topo, &set, &cfg(), &prior, false);
-    let b = run_adaptive_delta(&topo, &set, &cfg(), &prior, true);
+    let a = run_delta(&topo, &set, &cfg(), &prior, false);
+    let b = run_delta(&topo, &set, &cfg(), &prior, true);
     assert_eq!(a.round_targets, b.round_targets);
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.stop, b.stop);
@@ -118,8 +136,8 @@ fn changed_observations_reopen_their_shards() {
     let stale = run_adaptive_checkpointed(&topo, &set, &short, false, |_| {});
     let stale_prior = snapshot_of(&stale);
 
-    let calm = run_adaptive_delta(&topo, &set, &cfg(), &unchanged_prior, false);
-    let resweep = run_adaptive_delta(&topo, &set, &cfg(), &stale_prior, false);
+    let calm = run_delta(&topo, &set, &cfg(), &unchanged_prior, false);
+    let resweep = run_delta(&topo, &set, &cfg(), &stale_prior, false);
     assert!(
         targets_probed(&resweep) > targets_probed(&calm),
         "disagreeing canaries must reopen shards and probe more targets \
@@ -127,4 +145,58 @@ fn changed_observations_reopen_their_shards() {
         targets_probed(&resweep),
         targets_probed(&calm)
     );
+}
+
+#[test]
+fn a_delta_run_resumes_from_every_round_boundary() {
+    let (topo, set) = fixture();
+    // A stale snapshot reopens shards, so the run goes on past its
+    // canary round with latches set and targets queued.
+    let short = AdaptiveConfig {
+        yarrp: YarrpConfig {
+            max_ttl: 4,
+            ..YarrpConfig::default()
+        },
+        ..cfg()
+    };
+    let prior = snapshot_of(&run_adaptive_checkpointed(
+        &topo,
+        &set,
+        &short,
+        false,
+        |_| {},
+    ));
+    let start = Checkpoint::delta(&topo, &set, &cfg(), &prior);
+    let mut snaps: Vec<Vec<u8>> = Vec::new();
+    let full = resume_adaptive(&topo, &cfg(), &start, false, |ck| snaps.push(ck.to_bytes()))
+        .expect("a delta checkpoint fits its config");
+    assert!(
+        full.rounds.len() > 1,
+        "the stale snapshot must reopen shards"
+    );
+    assert_eq!(snaps.len(), full.rounds.len());
+    for (i, bytes) in snaps.iter().enumerate() {
+        let ck = Checkpoint::from_bytes(bytes).expect("a delta checkpoint decodes");
+        assert_eq!(&ck.to_bytes(), bytes);
+        for parallel in [false, true] {
+            let mut later: Vec<Vec<u8>> = Vec::new();
+            let resumed = resume_adaptive(&topo, &cfg(), &ck, parallel, |ck| {
+                later.push(ck.to_bytes());
+            })
+            .expect("resume must be accepted");
+            assert_eq!(resumed.rounds, full.rounds);
+            assert_eq!(resumed.round_targets, full.round_targets);
+            assert_eq!(resumed.stats, full.stats);
+            assert!(resumed.traces == full.traces, "trace sets diverged");
+            assert_eq!(
+                resumed.interfaces.iter().collect::<Vec<_>>(),
+                full.interfaces.iter().collect::<Vec<_>>()
+            );
+            assert!(
+                later == snaps[i + 1..],
+                "resumed at round {}, parallel = {parallel}: checkpoint stream diverged",
+                i + 1
+            );
+        }
+    }
 }

@@ -205,8 +205,9 @@ fn all_features_compose_under_delta_seeding() {
     let cfg = cfg();
     let first = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
     let prior = ShardedTraceSet::from_set(&first.merged_traces(), 8);
-    let a = run_adaptive_delta(&topo, &set, &cfg, &prior, false);
-    let b = run_adaptive_delta(&topo, &set, &cfg, &prior, true);
+    let start = Checkpoint::delta(&topo, &set, &cfg, &prior);
+    let a = resume_adaptive(&topo, &cfg, &start, false, |_| {}).expect("resume");
+    let b = resume_adaptive(&topo, &cfg, &start, true, |_| {}).expect("resume");
     assert_same(&a, &b);
     assert_hostile_and_accounted(&topo, &cfg, &a);
     assert!(!a.rounds.is_empty());
