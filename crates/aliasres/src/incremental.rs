@@ -23,35 +23,20 @@
 //! nodes sorted by their first member, links node-id remapped). The
 //! `graph_props` suite pins it to an address-keyed oracle
 //! (`testkit::oracle::build_reference`) for any ingest and merge order.
+//!
+//! The builder's layout is its own: nothing outside this module reads
+//! or writes its forest. What a graph *is* is the sets it ingested and
+//! its alias partition, [`alias_groups`](RouterGraphBuilder::alias_groups),
+//! so a fresh builder that ingests the same sets and merges those
+//! groups has the same snapshot, counts and partition (pinned by
+//! `graph_props`). That is how the adaptive loop's checkpoint restores
+//! one.
 
 use crate::graph::{collect_links, RouterGraph, UNASSIGNED};
 use analysis::{union, AddrInterner, TraceSet};
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
-
-/// The raw fields of a [`RouterGraphBuilder`], for byte-deterministic
-/// serialization (the adaptive checkpoint layer): interner words in id
-/// order, union-find arrays, per-id flags, and the link set as id
-/// pairs. Rebuilding with [`RouterGraphBuilder::from_parts`] restores
-/// the exact builder — including the union-find's internal parent
-/// structure, so later merges evolve identically to an uninterrupted
-/// run.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RouterGraphParts {
-    /// Interned addresses, in id order.
-    pub words: Vec<u128>,
-    /// Union-find parent per id.
-    pub parent: Vec<u32>,
-    /// Union-find rank per id.
-    pub rank: Vec<u8>,
-    /// Id took part in a qualifying hop window.
-    pub observed: Vec<bool>,
-    /// Id belongs to a merged alias group.
-    pub alias_member: Vec<bool>,
-    /// Links as interface-id pairs (lo < hi).
-    pub links: Vec<(u32, u32)>,
-}
 
 /// One union-find class of interface ids, as a node would render it.
 struct Class {
@@ -264,68 +249,6 @@ impl RouterGraphBuilder {
             links,
         }
     }
-
-    /// Serializes the builder into its raw parts (checkpointing).
-    pub fn to_parts(&self) -> RouterGraphParts {
-        RouterGraphParts {
-            words: self.interner.words().to_vec(),
-            parent: self.parent.clone(),
-            rank: self.rank.clone(),
-            observed: self.observed.clone(),
-            alias_member: self.alias_member.clone(),
-            links: self.links.iter().copied().collect(),
-        }
-    }
-
-    /// Rebuilds a builder from [`to_parts`](Self::to_parts) output.
-    /// Returns `None` when the parts are inconsistent (length
-    /// mismatches, out-of-range ids, duplicate words, links out of
-    /// order, a parent whose rank is not above its child's) — corrupt
-    /// input is refused, never a panic or an endless `find` later, and
-    /// what is accepted is exactly what `to_parts` returns again.
-    pub fn from_parts(parts: &RouterGraphParts) -> Option<RouterGraphBuilder> {
-        let n = parts.words.len();
-        if parts.parent.len() != n
-            || parts.rank.len() != n
-            || parts.observed.len() != n
-            || parts.alias_member.len() != n
-        {
-            return None;
-        }
-        let mut interner = AddrInterner::with_room_for(n);
-        for &w in &parts.words {
-            interner.intern(Ipv6Addr::from(w));
-        }
-        if interner.len() != n {
-            return None; // duplicate words
-        }
-        // Union by rank and path halving only ever point a node at one of
-        // higher rank, so ranks rise strictly along every parent chain:
-        // the check that each parent is an id and the forest has no cycle.
-        let rank = &parts.rank;
-        let rank_rises = |(x, &p): (usize, &u32)| {
-            let p = p as usize;
-            p == x || rank.get(p).is_some_and(|&rp| rp > rank[x])
-        };
-        if !parts.parent.iter().enumerate().all(rank_rises) {
-            return None;
-        }
-        // `to_parts` lists the link set in order, each pair once.
-        if parts.links.windows(2).any(|w| w[0] >= w[1])
-            || parts.links.iter().any(|&(a, b)| a >= b || b as usize >= n)
-        {
-            return None;
-        }
-        let links = parts.links.iter().copied().collect();
-        Some(RouterGraphBuilder {
-            interner: Arc::new(interner),
-            parent: parts.parent.clone(),
-            rank: parts.rank.clone(),
-            links,
-            observed: parts.observed.clone(),
-            alias_member: parts.alias_member.clone(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -400,51 +323,5 @@ mod tests {
         let shards: Vec<&TraceSet> = store.shards().iter().collect();
         assert_eq!(b.snapshot(), RouterGraph::build_multi(&shards, &aliases));
         assert_eq!(b.snapshot(), RouterGraph::build(&set, &aliases));
-    }
-
-    #[test]
-    fn parts_round_trip_exactly() {
-        let set = ts(vec![trace(
-            "2001:db8::1",
-            &[(1, "::a"), (2, "::b"), (3, "::c")],
-        )]);
-        let mut b = RouterGraphBuilder::new();
-        b.ingest(&set);
-        b.merge_alias_group(&["::b".parse().unwrap(), "::9".parse().unwrap()]);
-        let parts = b.to_parts();
-        let rb = RouterGraphBuilder::from_parts(&parts).expect("valid parts");
-        assert_eq!(rb.to_parts(), parts);
-        assert_eq!(rb.snapshot(), b.snapshot());
-        // Corrupt variants are refused.
-        let mut bad = parts.clone();
-        bad.parent.push(0);
-        assert!(RouterGraphBuilder::from_parts(&bad).is_none());
-        let mut bad = parts.clone();
-        bad.parent[0] = 999;
-        assert!(RouterGraphBuilder::from_parts(&bad).is_none());
-        let mut bad = parts.clone();
-        bad.links.push((5, 5));
-        assert!(RouterGraphBuilder::from_parts(&bad).is_none());
-        // Links a set would reorder or fold re-encode differently.
-        let mut bad = parts.clone();
-        bad.links.push(bad.links[0]);
-        assert!(RouterGraphBuilder::from_parts(&bad).is_none());
-        let mut bad = parts.clone();
-        bad.links.reverse();
-        assert!(RouterGraphBuilder::from_parts(&bad).is_none());
-        // A parent cycle, which `find` would walk forever.
-        let mut bad = parts.clone();
-        (bad.parent[0], bad.parent[2]) = (2, 0);
-        assert!(RouterGraphBuilder::from_parts(&bad).is_none());
-        let mut bad = parts;
-        bad.words.push(bad.words[0]);
-        bad.parent.push(bad.parent.len() as u32);
-        bad.rank.push(0);
-        bad.observed.push(false);
-        bad.alias_member.push(false);
-        assert!(
-            RouterGraphBuilder::from_parts(&bad).is_none(),
-            "duplicate words must be refused"
-        );
     }
 }

@@ -32,5 +32,5 @@ pub mod speedtrap;
 
 pub use candidates::sibling_candidates;
 pub use graph::RouterGraph;
-pub use incremental::{RouterGraphBuilder, RouterGraphParts};
+pub use incremental::RouterGraphBuilder;
 pub use speedtrap::{resolve_aliases, resolve_aliases_supervised, AliasConfig, AliasSets};

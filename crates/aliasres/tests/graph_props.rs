@@ -12,7 +12,10 @@
 //!   across vantages, and on quarantined sets;
 //! * **one builder** — `RouterGraph::build` and `build_multi` are the
 //!   builder's snapshot, so they meet the same oracle, and an interface
-//!   listed in several groups is in exactly one node.
+//!   listed in several groups is in exactly one node;
+//! * **the rebuild** — a fresh builder that ingests the same sets and
+//!   merges `alias_groups()` has the same snapshot, counts and groups
+//!   (what a checkpoint restores the loop's builder from).
 
 use aliasres::{RouterGraph, RouterGraphBuilder};
 use analysis::{quarantine_all, CampaignRunner, QuarantineConfig, TraceSet};
@@ -220,7 +223,8 @@ proptest! {
 
     /// The builder's router count is the rendered graph's, after every
     /// step of an interleaved history — groups of interfaces no trace
-    /// ever showed included — and through the checkpoint parts.
+    /// ever showed included — and a builder rebuilt from the same sets
+    /// and its alias groups renders and counts what it does.
     #[test]
     fn observed_node_count_matches_the_snapshot(
         sets in sets_strategy(),
@@ -251,8 +255,19 @@ proptest! {
         }
         b.merge_alias_group(&[addr(201), addr(0)]);
         check(&b)?;
-        let restored = RouterGraphBuilder::from_parts(&b.to_parts()).expect("own parts");
-        prop_assert_eq!(restored.observed_node_count(), b.observed_node_count());
+        // The rebuild a checkpoint makes: the same sets, then the
+        // builder's own partition.
+        let mut rebuilt = RouterGraphBuilder::new();
+        for set in &sets {
+            rebuilt.ingest(set);
+        }
+        for g in b.alias_groups() {
+            rebuilt.merge_alias_group(&g);
+        }
+        prop_assert_eq!(rebuilt.snapshot(), b.snapshot());
+        prop_assert_eq!(rebuilt.observed_interface_count(), b.observed_interface_count());
+        prop_assert_eq!(rebuilt.observed_node_count(), b.observed_node_count());
+        prop_assert_eq!(rebuilt.alias_groups(), b.alias_groups());
     }
 }
 

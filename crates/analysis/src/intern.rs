@@ -23,8 +23,8 @@
 //! inserts never move when the table grows.
 //!
 //! One sizing rule: the table doubles at three quarters full, and an
-//! interner whose final size is known — a set finished, read back or
-//! rebuilt from parts — is allocated once at
+//! interner whose final size is known — a set finished or read back —
+//! is allocated once at
 //! [`AddrInterner::with_room_for`], the table doubling would end at.
 
 use simnet::flow::mix64;
@@ -71,7 +71,7 @@ impl AddrInterner {
     /// without growing: the table doubling would have ended at,
     /// allocated once. How every interner whose final size is known is
     /// made.
-    pub fn with_room_for(n: usize) -> Self {
+    pub(crate) fn with_room_for(n: usize) -> Self {
         // `intern` doubles at three quarters full.
         let cap = (n + n / 3 + 1).next_power_of_two().max(64);
         AddrInterner {

@@ -3,9 +3,11 @@
 //! A single flat `TraceSet` serves one campaign well, but a
 //! longitudinal store accumulating many campaigns wants two things the
 //! flat layout can't give: `merge_all`/`canonical` that scale across cores,
-//! and an on-disk unit small enough to rewrite incrementally
-//! ([`crate::snapshot`]'s per-shard segments). [`ShardedTraceSet`]
-//! provides both by routing every target through a **fixed
+//! and an on-disk layout of independent units ([`crate::snapshot`]'s
+//! per-shard segments, encoded in parallel and each checked on its own
+//! at load; [`write_sharded_snapshot`](crate::write_sharded_snapshot)
+//! still rewrites every segment, so no write is incremental yet).
+//! [`ShardedTraceSet`] provides both by routing every target through a **fixed
 //! prefix→shard function** ([`ShardRoute`]): all addresses in one /64
 //! land in the same shard (a trace never straddles shards, and the
 //! same target routes identically in every set), so per-shard

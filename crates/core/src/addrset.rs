@@ -6,6 +6,22 @@
 //! pays SipHash plus hasher machinery per probe. This set hashes the
 //! folded 128-bit word with one splitmix round and probes linearly, in
 //! the same style as `simnet::pathcache` and `analysis::intern`.
+//!
+//! A slot here is a 4-byte index into the insertion-ordered words, and
+//! a probe reads the word through it; `analysis::AddrInterner` keeps
+//! each slot's word inline beside its id (20 bytes a slot). The two are
+//! not folded into one layout because each choice pays where its set
+//! is hot. Measured with the `benchmark/` harness on a 2-core Xeon,
+//! 8 alternating pairs at `--reps 3`, seeds 211–218:
+//!
+//! * id-only interner slots cut peak heap on every workload (8/8 pairs
+//!   each: `sweep` 74.30 → 69.06 MB, `store` 159.5 → 153.2 MB, `loop`
+//!   72.19 → 70.09 MB) but cut `store`'s `probes_per_s` by 21 %
+//!   (better in only 2/8 pairs): its union and merge walks probe the
+//!   interner by the million, and the extra arena read per probe costs
+//!   more than the smaller table saves;
+//! * inline keys here would add ≈ 4.2 MB to `loop`, whose probed set
+//!   holds 104 160 targets: 16 bytes more in each of 262 144 slots.
 
 use simnet::flow::mix64;
 use std::net::Ipv6Addr;

@@ -11,8 +11,10 @@
 //! budgeter's weights and liveness, the discovery set, the subnets, the
 //! round reports and the round target lists; the tail after them is
 //! the stats, the low-yield streak, the pool, the virtual clock, the
-//! delta state (a flag, then the prior shard count, the reopen latches
-//! and the force queue) and the alias state.
+//! delta state (a flag, then the prior store's shard count, the reopen
+//! latches and the force queue) and the alias state (a flag, then the
+//! alias groups and the tested set; the decoder rebuilds the router
+//! graph from those and the trace sets).
 
 use analysis::snapshot::{fnv1a, write_trace_chain};
 use analysis::{SnapWriter, TraceSet};

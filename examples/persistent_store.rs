@@ -81,4 +81,17 @@ fn main() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+
+    // What this example claims, checked: the unchanged world yields
+    // nothing new, and the delta run's record leads with the store it
+    // was seeded from, as one set.
+    assert_eq!(
+        delta.unique_interfaces(),
+        fresh.unique_interfaces(),
+        "an unchanged world ends at the fresh sweep's interface count"
+    );
+    assert!(
+        delta.traces[0] == prior.to_trace_set(),
+        "the delta run's record begins with the prior store"
+    );
 }

@@ -42,7 +42,7 @@
 //! | alias ‖ | the round's kept sets, the record's table words, `alive`, `vclock_us`, `stats` | `alias` (router graph, tested set) | `alias_resolution` |
 //! | feedback ‖ | the record's table words, the probed view, `subnets` | — (returns the next pool: kIP + 6Gen over *all* discoveries, cumulative by the paper's definition of their basis) | always; not started when the round cap decides the stop |
 //! | close round | every round-local output above | `stats`, `vclock_us`, `alive`, `vweights`, `rounds`, `round_targets`, `low_streak` | always; the EWMA weight update is `vantage_budgeting` |
-//! | delta canaries | the round's targets and sets, the prior shards (the record's first sets), the canary view | `delta`'s latches and force queue (a changed canary reopens its shard once; the shard's targets queue), `low_streak` (reset when a shard reopens) | a delta run ([`Checkpoint::delta`]) |
+//! | delta canaries | the round's targets and sets, the prior store (the record's first set), the canary view | `delta`'s latches and force queue (a changed canary reopens its [`ShardRoute`] shard once; the stored targets routed to it queue), `low_streak` (reset when a shard reopens) | a delta run ([`Checkpoint::delta`]) |
 //! | install pool | the stop rule, the generated pool | `pool` — or nothing: if the stop rule now stops, the pool is dropped | always |
 //!
 //! The two `‖` rows are the round tail's **two lanes**: they read the
@@ -427,7 +427,8 @@ pub struct AdaptiveResult {
     /// Every campaign's trace set, rounds in order, vantage-major
     /// within a round, shards within a vantage. A campaign that failed
     /// hard (exhausted supervisor retries without one completed
-    /// attempt) contributes no set.
+    /// attempt) contributes no set. A delta run's list leads with one
+    /// more set, the prior store ([`Checkpoint::delta`]).
     pub traces: Vec<TraceSet>,
     /// Engine accounting accumulated over all campaigns (every
     /// supervised attempt) via [`EngineStats::merge`].
@@ -502,12 +503,13 @@ impl AdaptiveResult {
 /// targets are the round target lists (after a delta run's stored
 /// targets but the canaries), the budget's charge is the stats' probe
 /// count, the alias totals are the round reports' sums, the kept
-/// interfaces are the last set's table, and a delta run's canaries
-/// come from its prior shards. It has one owner: the loop
-/// runs on the state inside the [`Checkpoint`] it shows the
-/// round-boundary observer, so a checkpoint is the loop's state, not a
-/// copy of it, and resuming from one reproduces the uninterrupted run
-/// bit-identically. The only clone is the one a resume makes of the
+/// interfaces are the last set's table, a delta run's canaries come
+/// from its prior set, and the router graph is the record's sets plus
+/// its alias partition (which is all a checkpoint writes of it). It has
+/// one owner: the loop runs on the state inside the [`Checkpoint`] it
+/// shows the round-boundary observer, so a checkpoint is the loop's
+/// state, not a copy of it, and resuming from one reproduces the
+/// uninterrupted run bit-identically. The only clone is the one a resume makes of the
 /// caller's `&Checkpoint`, once per run.
 #[derive(Clone, Debug)]
 pub(crate) struct LoopState {
@@ -553,7 +555,10 @@ pub(crate) struct LoopState {
 /// Cross-round state of the alias-resolution stage.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct AliasState {
-    /// The incrementally maintained router-level graph.
+    /// The incrementally maintained router-level graph: every set of
+    /// the record after a delta run's prior set, ingested in record
+    /// order, and the alias groups merged into it. A checkpoint writes
+    /// only its partition and rebuilds the rest from the record.
     pub(crate) builder: RouterGraphBuilder,
     /// Interfaces the prober has already tested (listed in a prior
     /// stage's groups/singletons/unresponsive) — the `tested` input of
@@ -563,10 +568,11 @@ pub(crate) struct AliasState {
 }
 
 /// Cross-round state of a delta-seeded run ([`Checkpoint::delta`]),
-/// whose prior store's shards are the record's first sets.
+/// whose prior store is the record's first set.
 #[derive(Clone, Debug)]
 pub(crate) struct DeltaState {
-    /// How many prior shards lead the trace record.
+    /// The prior store's shard count: its [`ShardRoute`] is the unit a
+    /// changed canary reopens.
     pub(crate) shards: usize,
     /// Reopen-once latch per prior shard.
     pub(crate) reopened: Vec<bool>,
@@ -605,16 +611,9 @@ fn fresh(topo: &Topology, initial: &TargetSet, cfg: &AdaptiveConfig) -> Checkpoi
 /// observations are compared against the stored ones.
 const CANARY_TARGETS: usize = 64;
 
-/// The prior store's targets, sorted (shard target lists are disjoint),
-/// and the canaries stride-sampled from them.
-fn prior_targets(prior: &[Arc<TraceSet>]) -> (Vec<Ipv6Addr>, Vec<Ipv6Addr>) {
-    let mut known: Vec<Ipv6Addr> = prior
-        .iter()
-        .flat_map(|s| s.targets().iter().copied())
-        .collect();
-    known.sort_unstable();
-    let canaries = stride_sample(&known, CANARY_TARGETS);
-    (known, canaries)
+/// The canaries: stride-sampled from the prior store's targets.
+fn canaries(prior: &TraceSet) -> Vec<Ipv6Addr> {
+    stride_sample(prior.targets(), CANARY_TARGETS)
 }
 
 impl Checkpoint {
@@ -629,8 +628,9 @@ impl Checkpoint {
     /// stored trace re-queues its whole [`ShardRoute`] shard and resets
     /// the yield-floor streak, so changed regions are re-swept at full
     /// intensity while unchanged regions cost only their canaries. The
-    /// run's `traces` begin with the prior shards (the merged view is
-    /// the updated store); `stats` counts only this run's probing.
+    /// run's `traces` begin with the prior store as one set
+    /// ([`ShardedTraceSet::to_trace_set`]; the merged view is the
+    /// updated store); `stats` counts only this run's probing.
     pub fn delta(
         topo: &Topology,
         initial: &TargetSet,
@@ -640,20 +640,19 @@ impl Checkpoint {
         let mut ck = fresh(topo, initial, cfg);
         let st = &mut ck.state;
         // The snapshot's discoveries seed the seen-set (they are not
-        // re-counted as yield) and its shards seed the kept trace record,
-        // so the result's merged view is the updated store.
+        // re-counted as yield) and the store, as one set, leads the kept
+        // trace record, so the result's merged view is the updated store.
         prior.discovery_delta(&mut st.seen);
-        st.traces
-            .extend(prior.shards().iter().map(|s| Arc::new(s.clone())));
+        let prior_set = prior.to_trace_set();
         // The canaries ride the force queue into round 0: most stored
         // targets are feedback-round derivations outside `initial`'s
         // pool, so sampling the pool alone would re-probe almost none.
-        let (_, canaries) = prior_targets(&st.traces);
         st.delta = Some(DeltaState {
             shards: prior.n_shards(),
             reopened: vec![false; prior.n_shards()],
-            force: canaries,
+            force: canaries(&prior_set),
         });
+        st.traces.push(Arc::new(prior_set));
         ck
     }
 }
@@ -732,8 +731,8 @@ struct Views {
 impl Views {
     fn rebuild(topo: &Topology, cfg: &AdaptiveConfig, st: &LoopState) -> Views {
         let (known, canaries) = match &st.delta {
-            Some(d) => prior_targets(&st.traces[..d.shards]),
-            None => Default::default(),
+            Some(_) => (st.traces[0].targets(), canaries(&st.traces[0])),
+            None => (&[][..], Vec::new()),
         };
         // A delta run's stored targets count as probed, so no budget
         // re-pays them (feedback from the seeded seen-set re-derives
@@ -764,17 +763,8 @@ struct RoundPlan {
     targets: Vec<Ipv6Addr>,
     /// Targets allocated to each configured vantage (0 for a dead one).
     alloc: Vec<usize>,
-    /// Each vantage's shard sets — or, when `uniform`, the one list of
-    /// shard sets every vantage probes.
+    /// Each vantage's shard sets (none when dead).
     vantage_sets: Vec<Vec<TargetSet>>,
-    uniform: bool,
-}
-
-impl RoundPlan {
-    /// The shard sets vantage position `vi` probes (none when dead).
-    fn sets_of(&self, vi: usize) -> &[TargetSet] {
-        &self.vantage_sets[if self.uniform { 0 } else { vi }]
-    }
 }
 
 /// Probe stage output: one supervised outcome per campaign,
@@ -962,7 +952,7 @@ fn probe_round(
     let mut specs: Vec<CampaignSpec<'_>> = Vec::new();
     let mut spec_vi: Vec<usize> = Vec::new();
     for (vi, &v) in cfg.vantages.iter().enumerate() {
-        for set in plan.sets_of(vi) {
+        for set in &plan.vantage_sets[vi] {
             specs.push(CampaignSpec {
                 vantage_idx: v,
                 set,
@@ -1151,9 +1141,11 @@ impl LoopState {
         // Per-vantage allocation of the round's `alive × |targets|`
         // target-probe budget: uniform budgeting gives every living
         // vantage the full list; vantage budgeting splits it by the
-        // tracked yield shares (dead vantages hold share 0).
-        let (k, alive_k) = (self.alive.len(), self.alive_count());
-        let alloc: Vec<usize> = if cfg.vantage_budgeting && k > 1 {
+        // tracked yield shares (dead vantages hold share 0). One vantage
+        // keeps its weight at 1 and its share at `0.1 + 0.9 == 1`: the
+        // whole list.
+        let alive_k = self.alive_count();
+        let alloc: Vec<usize> = if cfg.vantage_budgeting {
             let slots = (alive_k * targets.len()) as f64;
             vantage_shares(&self.vweights, &self.alive)
                 .iter()
@@ -1168,30 +1160,21 @@ impl LoopState {
             self.alive.iter().map(full).collect()
         };
 
-        // Under vantage budgeting each vantage stride-samples its slice
-        // of the round list, so a shrunken allocation still spans the
-        // whole space; with uniform allocations (the default mode, and
-        // any round where every share rounds to the full list) all
-        // vantages share one list of shard sets instead of building k
-        // identical copies.
+        // Each vantage stride-samples its slice of the round list, so a
+        // shrunken allocation still spans the whole space; a full
+        // allocation samples the list whole.
         let shards = cfg.shards.max(1);
-        let uniform = alive_k == k && alloc.iter().all(|&n| n >= targets.len());
-        let vantage_sets = if uniform {
-            vec![shard_sets(round, shards, &targets)]
-        } else {
-            alloc
-                .iter()
-                .map(|&n| match n {
-                    0 => Vec::new(),
-                    n => shard_sets(round, shards, &stride_sample(&targets, n)),
-                })
-                .collect()
-        };
+        let vantage_sets = alloc
+            .iter()
+            .map(|&n| match n {
+                0 => Vec::new(),
+                n => shard_sets(round, shards, &stride_sample(&targets, n)),
+            })
+            .collect();
         Some(RoundPlan {
             targets,
             alloc,
             vantage_sets,
-            uniform,
         })
     }
 
@@ -1377,8 +1360,9 @@ impl LoopState {
         // toward the vantages that earned their probes this round. The
         // EWMA blends two distributions, so the weights stay a
         // distribution without renormalizing. (Dead vantages yield 0
-        // and decay toward 0; the share map renormalizes survivors.)
-        if cfg.vantage_budgeting && per_v.len() > 1 {
+        // and decay toward 0; the share map renormalizes survivors. One
+        // vantage's weight stays exactly 1: `0.5 · 1 + 0.5 · y / y`.)
+        if cfg.vantage_budgeting {
             let yields: Vec<f64> = per_v
                 .iter()
                 .map(|p| p.new_interfaces as f64 / p.probes.max(1) as f64)
@@ -1431,7 +1415,7 @@ impl LoopState {
             return;
         };
         let round_list = self.round_targets.last().expect("a round just closed");
-        let prior = &self.traces[..d.shards];
+        let prior = &self.traces[0];
         let this_round = &self.traces[first_set..];
         let route = ShardRoute::new(d.shards);
         let mut reopened_any = false;
@@ -1440,7 +1424,7 @@ impl LoopState {
                 continue; // not sampled this round
             }
             let s = route.shard_of(c);
-            let changed = match (prior[s].get(c), this_round.iter().find_map(|ts| ts.get(c))) {
+            let changed = match (prior.get(c), this_round.iter().find_map(|ts| ts.get(c))) {
                 (Some(p), Some(f)) => !f.same_observations(&p),
                 (Some(_), None) => true, // trace vanished entirely
                 (None, _) => false,      // canaries are prior targets
@@ -1448,9 +1432,10 @@ impl LoopState {
             if changed && !std::mem::replace(&mut d.reopened[s], true) {
                 // Canaries re-probe through their own sampling;
                 // everything else in the shard queues.
-                let stored = prior[s].targets().iter().copied();
+                let stored = prior.targets().iter().copied();
+                let queued = stored.filter(|&t| route.shard_of(t) == s);
                 d.force
-                    .extend(stored.filter(|t| canaries.binary_search(t).is_err()));
+                    .extend(queued.filter(|t| canaries.binary_search(t).is_err()));
                 reopened_any = true;
             }
         }

@@ -1,12 +1,16 @@
 //! Round-boundary checkpoints for the adaptive loop: the loop's
 //! complete cross-round state (`LoopState` — the interner-preserving
-//! trace sets, the discovery set, the round reports and target lists,
-//! the budgeter's EWMA weights and liveness mask, the regenerated
-//! target pool, the virtual clock, a delta run's latches and force
-//! queue, the alias stage's router graph) and a compact, hand-rolled
-//! binary encoding of it. The state holds each fact once, so nothing
-//! is written twice: what the loop derives, it derives from what is
-//! written, which the decoder holds to the shape the loop writes.
+//! trace sets, a delta run's prior store first among them as one set,
+//! the discovery set, the round reports and target lists, the
+//! budgeter's EWMA weights and liveness mask, the regenerated target
+//! pool, the virtual clock, a delta run's shard count, latches and
+//! force queue, the alias stage's partition and tested set) and a
+//! compact, hand-rolled binary encoding of it. The state holds each
+//! fact once, so nothing is written twice: what the loop derives, it
+//! derives from what is written, which the decoder holds to the shape
+//! the loop writes. The router graph is such a derivation: the decoder
+//! rebuilds it through the builder's own API, from the record's sets
+//! and the written alias groups, so only `aliasres` knows its layout.
 //!
 //! A [`Checkpoint`] *is* the state the loop runs on, not a copy taken
 //! of it, so showing one to the round-boundary observer is free. It
@@ -36,10 +40,11 @@
 use crate::adaptive::{
     AdaptiveConfig, AliasState, DeltaState, LoopState, RoundReport, VantageRound,
 };
-use aliasres::{RouterGraphBuilder, RouterGraphParts};
+use aliasres::RouterGraphBuilder;
 use analysis::snapshot::{fnv1a, read_trace_chain, trace_chain_encoded_len, write_trace_chain};
-use analysis::{ShardRoute, SnapReader, SnapWriter, SnapshotError, TraceSet};
+use analysis::{SnapReader, SnapWriter, SnapshotError, TraceSet};
 use simnet::{EngineStats, Topology};
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use v6addr::Ipv6Prefix;
@@ -47,17 +52,20 @@ use yarrp6::addrset::AddrSet;
 
 /// `"BHCK"` — beholder checkpoint.
 const MAGIC: u32 = 0x4248_434B;
-/// Version 8 writes each fact once (no probed set, charged probes or
-/// alias totals) and a delta run's state in the tail. Version 7 made
-/// the trace sets one chain ([`write_trace_chain`]), each word written
-/// once: a set's table length, the words past the previous set's, then
-/// its columns. Version 6 wrote each set's own word table, its ids and
+/// Version 9 writes the alias stage's partition where version 8 wrote
+/// the router-graph builder's forest (interner words, union-find
+/// arrays, flags, links), and a delta run's prior store as one set
+/// where version 8 wrote one set per shard. Version 8 wrote each fact
+/// once (no probed set, charged probes or alias totals) and a delta
+/// run's state in the tail. Version 7 made the trace sets one chain
+/// ([`write_trace_chain`]), each word written once: a set's table
+/// length, the words past the previous set's, then its columns. Version 6 wrote each set's own word table, its ids and
 /// trace lengths packed at the width its data needs, and no offsets.
 /// Version 5 had the same [`checksum`] trailer over 4-byte ids and
 /// stored offsets; version 4 numbered a directory form that no longer
-/// exists and is never reused. Any other version, v3 and v5 to v7
+/// exists and is never reused. Any other version, v3 and v5 to v8
 /// included, is refused by number.
-const VERSION: u32 = 8;
+const VERSION: u32 = 9;
 /// Bytes of the trailing checksum.
 const TRAILER: usize = 8;
 
@@ -198,7 +206,7 @@ impl Checkpoint {
             return Err(SnapshotError::BadValue("checkpoint checksum"));
         }
         let digest = r.u64()?;
-        let state = LoopState {
+        let mut state = LoopState {
             vweights: read_list(r, SnapReader::f64)?,
             alive: read_list(r, SnapReader::bool)?,
             seen: read_addr_set(r)?,
@@ -221,11 +229,11 @@ impl Checkpoint {
                 }),
                 false => None,
             },
-            alias: match r.bool()? {
-                true => Some(read_alias_state(r)?),
-                false => None,
-            },
+            alias: None,
         };
+        if r.bool()? {
+            state.alias = Some(read_alias_state(r, &state)?);
+        }
         if r.remaining() != 0 {
             return Err(SnapshotError::BadValue("trailing bytes after checkpoint"));
         }
@@ -260,22 +268,14 @@ fn write_list<T>(w: &mut SnapWriter, items: &[T], mut put: impl FnMut(&mut SnapW
     }
 }
 
-fn read_list<'a, T>(
-    r: &mut SnapReader<'a>,
-    get: impl FnMut(&mut SnapReader<'a>) -> Result<T, SnapshotError>,
-) -> Result<Vec<T>, SnapshotError> {
-    let n = r.u32()? as usize;
-    read_n(r, n, get)
-}
-
-/// `n` items with no count of their own. `n` came out of the input:
+/// A `u32` count, then the items. The count came out of the input:
 /// what is reserved up front is bounded, a short read fails as
 /// truncation.
-fn read_n<'a, T>(
+fn read_list<'a, T>(
     r: &mut SnapReader<'a>,
-    n: usize,
     mut get: impl FnMut(&mut SnapReader<'a>) -> Result<T, SnapshotError>,
 ) -> Result<Vec<T>, SnapshotError> {
+    let n = r.u32()? as usize;
     let mut out = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         out.push(get(r)?);
@@ -299,69 +299,65 @@ fn read_prefix(r: &mut SnapReader<'_>) -> Result<Ipv6Prefix, SnapshotError> {
 }
 
 /// The loop indexes and derives its views from a decoded state, so it
-/// must have the shape the loop writes: a liveness flag per weight, a
-/// strictly ascending target list per round, and a delta run's shards
-/// leading the record, a latch each, each target in the shard it
-/// routes to.
+/// must have the shape the loop writes: a liveness flag per weight,
+/// each subnet once, a strictly ascending pool and target list per
+/// round, and a delta run's prior set leading the record, routed over
+/// at least one shard with a latch each.
 fn check_shape(st: &LoopState) -> Result<(), SnapshotError> {
-    let ascending = |rt: &Vec<Ipv6Addr>| rt.windows(2).all(|w| w[0] < w[1]);
-    let routed = |d: &DeltaState| {
-        let route = ShardRoute::new(d.shards);
-        let mut prior = st.traces[..d.shards].iter().enumerate();
-        prior.all(|(s, set)| set.targets().iter().all(|&t| route.shard_of(t) == s))
-    };
+    let ascending = |xs: &[Ipv6Addr]| xs.windows(2).all(|w| w[0] < w[1]);
+    let mut subnets = BTreeSet::new();
     let delta = st.delta.as_ref();
     let refusal = if st.alive.len() != st.vweights.len() {
         "alive/weight length mismatch"
+    } else if !st.subnets.iter().all(|&p| subnets.insert(p)) {
+        "repeated subnet"
     } else if st.round_targets.len() != st.rounds.len() {
         "round target lists and rounds differ in count"
-    } else if !st.round_targets.iter().all(ascending) {
+    } else if !st.round_targets.iter().all(|rt| ascending(rt)) {
         "round targets not strictly ascending"
-    } else if delta.is_some_and(|d| d.shards > st.traces.len()) {
-        "delta shards past the trace record"
+    } else if !ascending(&st.pool) {
+        "pool not strictly ascending"
+    } else if delta.is_some() && st.traces.is_empty() {
+        "a delta run's record begins with its prior set"
+    } else if delta.is_some_and(|d| d.shards == 0) {
+        "a delta run's route has no shard"
     } else if delta.is_some_and(|d| d.reopened.len() != d.shards) {
         "reopen latches not one per prior shard"
-    } else if !delta.is_none_or(routed) {
-        "prior shard holds another shard's target"
     } else {
         return Ok(());
     };
     Err(SnapshotError::BadValue(refusal))
 }
 
-/// The alias stage's cross-round state: the incremental router-graph
-/// builder's raw parts (interner words in id order, union-find arrays,
-/// flags, id-pair links — exact restoration keeps later merges
-/// evolving identically) and the tested-interface set. The four
-/// per-interface arrays share the word list's count.
+/// The alias stage's cross-round state: the router graph's alias
+/// partition ([`RouterGraphBuilder::alias_groups`]) and the tested set.
+/// The rest of the graph is the record's: the builder ingested every
+/// set after a delta run's prior set, so the decoder rebuilds it from
+/// those, in record order, and then merges the groups.
 fn write_alias_state(w: &mut SnapWriter, al: &AliasState) {
-    let parts = al.builder.to_parts();
-    write_list(w, &parts.words, |w, &word| w.u128(word));
-    parts.parent.iter().for_each(|&p| w.u32(p));
-    parts.rank.iter().for_each(|&rk| w.u8(rk));
-    parts.observed.iter().for_each(|&o| w.bool(o));
-    parts.alias_member.iter().for_each(|&m| w.bool(m));
-    write_list(w, &parts.links, |w, &(a, b)| {
-        w.u32(a);
-        w.u32(b);
-    });
+    write_list(w, &al.builder.alias_groups(), |w, g| write_addrs(w, g));
     write_addr_set(w, &al.probed);
 }
 
-fn read_alias_state(r: &mut SnapReader<'_>) -> Result<AliasState, SnapshotError> {
-    let words: Vec<u128> = read_list(r, SnapReader::u128)?;
-    let n = words.len();
-    let parts = RouterGraphParts {
-        words,
-        parent: read_n(r, n, SnapReader::u32)?,
-        rank: read_n(r, n, SnapReader::u8)?,
-        observed: read_n(r, n, SnapReader::bool)?,
-        alias_member: read_n(r, n, SnapReader::bool)?,
-        links: read_list(r, |r| Ok((r.u32()?, r.u32()?)))?,
-    };
+/// Refuses a group list the rebuilt builder would not return as its
+/// partition (unsorted, overlapping or empty groups): it would
+/// re-encode to other bytes.
+fn read_alias_state(r: &mut SnapReader<'_>, st: &LoopState) -> Result<AliasState, SnapshotError> {
+    let groups = read_list(r, read_addrs)?;
+    let mut builder = RouterGraphBuilder::new();
+    for set in st.traces.iter().skip(usize::from(st.delta.is_some())) {
+        builder.ingest(set);
+    }
+    for g in &groups {
+        builder.merge_alias_group(g);
+    }
+    if builder.alias_groups() != groups {
+        return Err(SnapshotError::BadValue(
+            "alias groups not the rebuilt partition",
+        ));
+    }
     Ok(AliasState {
-        builder: RouterGraphBuilder::from_parts(&parts)
-            .ok_or(SnapshotError::BadValue("inconsistent router-graph state"))?,
+        builder,
         probed: read_addr_set(r)?,
     })
 }
@@ -514,7 +510,14 @@ mod tests {
         let base = delta_checkpoint();
         assert!(Checkpoint::from_bytes(&base.to_bytes()).is_ok());
         type Edit = fn(&mut LoopState);
-        let cases: [(Edit, &str); 5] = [
+        let cases: [(Edit, &str); 7] = [
+            (
+                |st| {
+                    let p = Ipv6Prefix::from_word(0x2001_0db8_u128 << 96, 32);
+                    st.subnets.extend([p, p]);
+                },
+                "repeated subnet",
+            ),
             (
                 |st| st.round_targets.push(Vec::new()),
                 "round target lists and rounds differ in count",
@@ -523,23 +526,23 @@ mod tests {
                 |st| st.round_targets[0].swap(0, 1),
                 "round targets not strictly ascending",
             ),
+            (|st| st.pool.push(st.pool[0]), "pool not strictly ascending"),
+            (
+                |st| st.traces.clear(),
+                "a delta run's record begins with its prior set",
+            ),
             (
                 |st| {
-                    let n = st.traces.len() + 1;
                     let d = st.delta.as_mut().unwrap();
-                    (d.shards, d.reopened) = (n, vec![false; n]);
+                    (d.shards, d.reopened) = (0, Vec::new());
                 },
-                "delta shards past the trace record",
+                "a delta run's route has no shard",
             ),
             (
                 |st| {
                     st.delta.as_mut().unwrap().reopened.pop();
                 },
                 "reopen latches not one per prior shard",
-            ),
-            (
-                |st| st.traces.swap(0, 1),
-                "prior shard holds another shard's target",
             ),
         ];
         for (edit, refusal) in cases {
@@ -548,6 +551,34 @@ mod tests {
             assert_eq!(
                 Checkpoint::from_bytes(&ck.to_bytes()).unwrap_err(),
                 SnapshotError::BadValue(refusal)
+            );
+        }
+    }
+
+    #[test]
+    fn only_the_rebuilt_partition_decodes_as_alias_groups() {
+        let st = delta_checkpoint().state;
+        let a = |i: u16| Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, i);
+        let read = |groups: &[Vec<Ipv6Addr>]| {
+            let mut w = SnapWriter::new();
+            write_list(&mut w, groups, |w, g| write_addrs(w, g));
+            write_addr_set(&mut w, &AddrSet::new());
+            let al = read_alias_state(&mut SnapReader::new(w.bytes()), &st)?;
+            Ok(al.builder.alias_groups())
+        };
+        let canonical = vec![vec![a(1), a(2)], vec![a(3), a(4), a(5)]];
+        assert_eq!(read(&canonical), Ok(canonical.clone()));
+        for groups in [
+            vec![vec![a(2), a(1)]],
+            vec![vec![a(3), a(4)], vec![a(1), a(2)]],
+            vec![vec![a(1), a(2)], vec![a(2), a(3)]],
+            vec![vec![]],
+        ] {
+            assert_eq!(
+                read(&groups),
+                Err(SnapshotError::BadValue(
+                    "alias groups not the rebuilt partition"
+                ))
             );
         }
     }

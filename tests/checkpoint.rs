@@ -429,12 +429,12 @@ fn a_state_that_does_not_fit_its_config_is_refused() {
 
     // Alias state in a checkpoint of a run without alias resolution:
     // the flag that ends the body set, then an empty alias state (no
-    // interfaces, no links, nothing tested).
+    // alias groups, nothing tested).
     let flag = bytes.len() - 9;
     assert_eq!(bytes[flag], 0, "the run kept no alias state");
     let mut aliased = bytes[..flag].to_vec();
     aliased.push(1);
-    aliased.extend([0u8; 4 + 4 + 4]);
+    aliased.extend([0u8; 4 + 4]);
     aliased.extend([0u8; 8]);
     reseal(&mut aliased);
     assert_eq!(resume(&aliased), Err(ResumeError::ConfigMismatch));
@@ -494,8 +494,9 @@ fn older_versions_are_refused_by_number() {
     // version 5 stored 4-byte ids and each trace's offsets; version 6
     // wrote each trace set's own word table; version 7 wrote the probed
     // set, the charged probes and the alias totals beside what they
-    // are derived from.
-    for version in [3u32, 4, 5, 6, 7] {
+    // are derived from; version 8 wrote the router-graph builder's
+    // forest and a delta run's prior store shard by shard.
+    for version in [3u32, 4, 5, 6, 7, 8] {
         let mut old = bytes.clone();
         old[4..8].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -507,8 +508,9 @@ fn older_versions_are_refused_by_number() {
 
 /// The first checkpoint of the quarantine + alias fixture, fresh or
 /// delta-seeded from a four-shard store of the fresh run: every part of
-/// the state (subnets, alias parts, trace sets, the delta run's prior
-/// shards and latches) is non-empty.
+/// the state (subnets, alias groups, trace sets, the delta run's prior
+/// set and latches) is non-empty. Each is the run's only round, so the
+/// run's router graph is the checkpoint's.
 fn sealed_checkpoint(delta: bool) -> &'static [u8] {
     static BYTES: OnceLock<[Vec<u8>; 2]> = OnceLock::new();
     let both = BYTES.get_or_init(|| {
@@ -520,15 +522,29 @@ fn sealed_checkpoint(delta: bool) -> &'static [u8] {
             ..cfg()
         };
         let (mut fresh, mut seeded) = (None, None);
+        // An alias group is a node of more than one interface.
+        let grouped = |res: &AdaptiveResult| {
+            let graph = &res
+                .router_level
+                .as_ref()
+                .expect("alias resolution is on")
+                .graph;
+            assert!(
+                graph.nodes.iter().any(|n| n.len() > 1),
+                "the checkpoint holds an alias group"
+            );
+        };
         let res = run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
             fresh.get_or_insert_with(|| ck.to_bytes());
         });
+        grouped(&res);
         let prior = ShardedTraceSet::from_set(&res.merged_traces(), 4);
         let start = Checkpoint::delta(&topo, &set, &cfg, &prior);
-        resume_adaptive(&topo, &cfg, &start, false, |ck| {
+        let seeded_res = resume_adaptive(&topo, &cfg, &start, false, |ck| {
             seeded.get_or_insert_with(|| ck.to_bytes());
         })
         .expect("a delta checkpoint fits its config");
+        grouped(&seeded_res);
         [fresh, seeded].map(|ck| ck.expect("one checkpoint"))
     });
     &both[usize::from(delta)]
@@ -581,23 +597,26 @@ proptest! {
 /// what it derives (the probed set, the charged probes, the alias
 /// totals) and gained a delta flag: the header, pre-trace scalars, tail
 /// and trailer rows moved, and the trace-set row is version 7's.
+/// Re-pinned at version 9, when the alias state became the partition
+/// the decoder rebuilds the router graph from: the header, tail and
+/// trailer rows moved, and every other row is version 8's.
 const PINNED_ROUND_1: [Pin; 7] = [
-    (8, 16873642012473590297),
+    (8, 5345926664459306376),
     (8, 12423028813639569097),
     (8124, 17098350007521863252),
     (26239, 4119344121731836369),
-    (21982, 5295593821825544208),
-    (8, 6889166339579039643),
-    (56369, 4164882896996690813),
+    (13838, 15805825004169618340),
+    (8, 4720680507052819169),
+    (48225, 17651422815223335660),
 ];
 const PINNED_LAST_ROUND: [Pin; 7] = [
-    (8, 16873642012473590297),
+    (8, 5345926664459306376),
     (8, 12423028813639569097),
     (18774, 16731170457270871891),
     (84891, 152533821684981968),
-    (24048, 5906535448145846058),
-    (8, 9206127022085468604),
-    (127737, 9879280422793340508),
+    (14502, 1966818285951231370),
+    (8, 9218932687657165381),
+    (118191, 15713791070110842182),
 ];
 
 /// Fails unless every section of `bytes` matches its row of `pinned`,
@@ -630,22 +649,22 @@ fn checkpoint_format_is_pinned() {
 /// result can show a leak (nothing reads the pool after the stop); only
 /// these bytes can. Re-pinned with the two above, and in the same rows.
 const PINNED_YIELD_FLOOR_LAST: [Pin; 7] = [
-    (8, 16873642012473590297),
+    (8, 5345926664459306376),
     (8, 16338742832451936537),
     (13512, 568657900183527575),
     (55720, 1616552360226540325),
-    (23350, 8528205768696631758),
-    (8, 11296053540614267070),
-    (92606, 17275396683626720059),
+    (14374, 7188293949205612528),
+    (8, 1187199432444424389),
+    (83630, 17208241237856641395),
 ];
 const PINNED_BUDGET_LAST: [Pin; 7] = [
-    (8, 16873642012473590297),
+    (8, 5345926664459306376),
     (8, 10288825219387128118),
     (20660, 13941818331833800039),
     (94672, 6111195075515308688),
-    (24740, 1379974028722737477),
-    (8, 9770641972415399727),
-    (140096, 9062836708534223019),
+    (15046, 7935278299366144559),
+    (8, 7169329562499927921),
+    (130402, 7791910118205359686),
 ];
 
 #[test]

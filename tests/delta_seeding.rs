@@ -151,12 +151,16 @@ fn changed_observations_reopen_their_shards() {
 fn a_delta_run_resumes_from_every_round_boundary() {
     let (topo, set) = fixture();
     // A stale snapshot reopens shards, so the run goes on past its
-    // canary round with latches set and targets queued.
+    // canary round with latches set and targets queued. It was taken
+    // from a vantage the delta run does not probe from, so some of its
+    // links are never seen again: a resume that fed them to the router
+    // graph would count other routers.
     let short = AdaptiveConfig {
         yarrp: YarrpConfig {
             max_ttl: 4,
             ..YarrpConfig::default()
         },
+        vantages: vec![1],
         ..cfg()
     };
     let prior = snapshot_of(&run_adaptive_checkpointed(
@@ -166,37 +170,49 @@ fn a_delta_run_resumes_from_every_round_boundary() {
         false,
         |_| {},
     ));
-    let start = Checkpoint::delta(&topo, &set, &cfg(), &prior);
-    let mut snaps: Vec<Vec<u8>> = Vec::new();
-    let full = resume_adaptive(&topo, &cfg(), &start, false, |ck| snaps.push(ck.to_bytes()))
-        .expect("a delta checkpoint fits its config");
-    assert!(
-        full.rounds.len() > 1,
-        "the stale snapshot must reopen shards"
-    );
-    assert_eq!(snaps.len(), full.rounds.len());
-    for (i, bytes) in snaps.iter().enumerate() {
-        let ck = Checkpoint::from_bytes(bytes).expect("a delta checkpoint decodes");
-        assert_eq!(&ck.to_bytes(), bytes);
-        for parallel in [false, true] {
-            let mut later: Vec<Vec<u8>> = Vec::new();
-            let resumed = resume_adaptive(&topo, &cfg(), &ck, parallel, |ck| {
-                later.push(ck.to_bytes());
-            })
-            .expect("resume must be accepted");
-            assert_eq!(resumed.rounds, full.rounds);
-            assert_eq!(resumed.round_targets, full.round_targets);
-            assert_eq!(resumed.stats, full.stats);
-            assert!(resumed.traces == full.traces, "trace sets diverged");
-            assert_eq!(
-                resumed.interfaces.iter().collect::<Vec<_>>(),
-                full.interfaces.iter().collect::<Vec<_>>()
-            );
-            assert!(
-                later == snaps[i + 1..],
-                "resumed at round {}, parallel = {parallel}: checkpoint stream diverged",
-                i + 1
-            );
+    // Once plain, once with the router graph a resume rebuilds from the
+    // record's sets after the prior one (scrubbed sets, with the
+    // quarantine on).
+    let aliased = AdaptiveConfig {
+        alias_resolution: true,
+        quarantine_feedback: true,
+        ..cfg()
+    };
+    for cfg in [cfg(), aliased] {
+        let start = Checkpoint::delta(&topo, &set, &cfg, &prior);
+        let mut snaps: Vec<Vec<u8>> = Vec::new();
+        let full = resume_adaptive(&topo, &cfg, &start, false, |ck| snaps.push(ck.to_bytes()))
+            .expect("a delta checkpoint fits its config");
+        assert!(
+            full.rounds.len() > 1,
+            "the stale snapshot must reopen shards"
+        );
+        assert_eq!(snaps.len(), full.rounds.len());
+        let graph = |res: &AdaptiveResult| res.router_level.as_ref().map(|r| r.graph.clone());
+        for (i, bytes) in snaps.iter().enumerate() {
+            let ck = Checkpoint::from_bytes(bytes).expect("a delta checkpoint decodes");
+            assert_eq!(&ck.to_bytes(), bytes);
+            for parallel in [false, true] {
+                let mut later: Vec<Vec<u8>> = Vec::new();
+                let resumed = resume_adaptive(&topo, &cfg, &ck, parallel, |ck| {
+                    later.push(ck.to_bytes());
+                })
+                .expect("resume must be accepted");
+                assert_eq!(resumed.rounds, full.rounds);
+                assert_eq!(resumed.round_targets, full.round_targets);
+                assert_eq!(resumed.stats, full.stats);
+                assert!(resumed.traces == full.traces, "trace sets diverged");
+                assert_eq!(
+                    resumed.interfaces.iter().collect::<Vec<_>>(),
+                    full.interfaces.iter().collect::<Vec<_>>()
+                );
+                assert!(graph(&resumed) == graph(&full), "router graphs diverged");
+                assert!(
+                    later == snaps[i + 1..],
+                    "resumed at round {}, parallel = {parallel}: checkpoint stream diverged",
+                    i + 1
+                );
+            }
         }
     }
 }
