@@ -257,8 +257,6 @@ fn scrub(
         hop_ids: Vec::with_capacity(set.hop_ids.len()),
         unreach_ttls: Vec::with_capacity(set.unreach_ids.len()),
         unreach_ids: Vec::with_capacity(set.unreach_ids.len()),
-        sources: set.sources.clone(),
-        prov: set.prov.clone(),
     };
     for t in set.iter() {
         let r = t.reached_at();

@@ -63,9 +63,10 @@ impl CampaignOutcome {
     /// `TraceSet::merge_all` over the runs in vantage order — the
     /// union-of-vantages discovery set: its interner is the full union
     /// of every vantage's discovered responders, its trace columns keep
-    /// the first vantage's trace per shared target, and every trace
-    /// carries its source vantage ([`crate::traces::TraceView::vantage`]).
-    /// Merges on every call.
+    /// the first vantage's trace per shared target, and its `vantage` is
+    /// the `+`-joined vantage names. It does not say which vantage found
+    /// a trace: per-vantage questions read [`runs`](Self::runs), each
+    /// set named by its `vantage` field. Merges on every call.
     pub fn merged(&self) -> TraceSet {
         TraceSet::merge_all(self.runs.iter().map(|r| &r.traces))
     }

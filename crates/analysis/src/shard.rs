@@ -114,12 +114,9 @@ impl ShardedTraceSet {
                 hop_ids: Vec::with_capacity(n_hops),
                 unreach_ttls: Vec::with_capacity(n_unreach),
                 unreach_ids: Vec::with_capacity(n_unreach),
-                sources: ts.sources.clone(),
-                prov: Vec::with_capacity(if ts.prov.is_empty() { 0 } else { bucket.len() }),
             };
             for &i in bucket {
                 out.push_trace(ts, i, None);
-                out.prov.extend(ts.prov.get(i));
             }
             out
         });
@@ -279,14 +276,8 @@ mod tests {
     #[test]
     fn every_shard_column_is_reserved_at_its_final_length() {
         let ts = sample_set();
-        // A merged set carries a provenance column; one campaign's is
-        // empty.
-        let merged = TraceSet::merge_all([&ts, &ts]);
-        assert_eq!(merged.prov.len(), ts.len());
-        for set in [&ts, &merged] {
-            for shard in ShardedTraceSet::from_set(set, 8).shards() {
-                assert_eq!(shard.spare_capacity(), [0; 7]);
-            }
+        for shard in ShardedTraceSet::from_set(&ts, 8).shards() {
+            assert_eq!(shard.spare_capacity(), [0; 6]);
         }
     }
 

@@ -14,9 +14,11 @@
 //! [`TraceSet`] *bit-identically*: the interner is stored as its word
 //! column in id order and rebuilt by re-interning in that order (ids
 //! are first-insertion-order stable, so every hop cell's id resolves to
-//! the same address after a round-trip), and the provenance columns
-//! ride along so merges after a resume behave exactly as they would
-//! have in the uninterrupted run. Each packed column is fixed width per
+//! the same address after a round-trip), so merges after a resume
+//! behave exactly as they would have in the uninterrupted run. A set
+//! holds its campaign names, not which vantage earned each trace; the
+//! per-vantage sets are what answers per-vantage questions. Each packed
+//! column is fixed width per
 //! set, at the width its data needs: a cell is its hop limit and its id
 //! in the fewest whole bytes that hold the set's largest id, and a
 //! trace's lengths are in the fewest bytes that hold the set's longest,
@@ -269,8 +271,6 @@ impl Widths {
             + (n + self.reached)
             + (4 + (1 + self.id) * ts.hop_ids.len())
             + (4 + (1 + self.id) * ts.unreach_ids.len())
-            + (4 + ts.sources.iter().map(|s| str_len(s)).sum::<usize>())
-            + (4 + 4 * ts.prov.len())
     }
 }
 
@@ -331,14 +331,6 @@ fn write_set(w: &mut SnapWriter, ts: &TraceSet, with_table: bool) {
         w.u32(ids.len() as u32);
         w.raw(ttls);
         write_packed(w, widths.id, ids.iter().copied());
-    }
-    w.u32(ts.sources.len() as u32);
-    for s in &ts.sources {
-        w.str(s);
-    }
-    w.u32(ts.prov.len() as u32);
-    for &p in &ts.prov {
-        w.u32(p);
     }
     debug_assert_eq!(w.buf.len(), end, "the encoded length is exact");
 }
@@ -431,7 +423,7 @@ fn read_cells(
 /// Deserializes a [`TraceSet`] written by [`write_trace_set`]. The
 /// interner is rebuilt by re-interning the stored word list in order —
 /// ids are insertion-order stable, so the result is bit-identical to
-/// the original (`PartialEq`, interner ids, provenance and all).
+/// the original (`PartialEq`, interner ids and all).
 ///
 /// What every set the library builds holds is also what decoding
 /// demands, because the views trust it: ids the interner resolves,
@@ -598,20 +590,6 @@ fn read_set(
     if targets.windows(2).any(|w| w[0] >= w[1]) {
         return Err(SnapshotError::BadValue("target order"));
     }
-    let n_sources = r.count(4)?;
-    let mut sources: Vec<Arc<str>> = Vec::with_capacity(n_sources);
-    for _ in 0..n_sources {
-        sources.push(r.str()?.into());
-    }
-    let n_prov = r.count(4)?;
-    let mut prov = Vec::with_capacity(n_prov);
-    for _ in 0..n_prov {
-        let p = r.u32()?;
-        if p as usize >= n_sources {
-            return Err(SnapshotError::BadValue("provenance index"));
-        }
-        prov.push(p);
-    }
     Ok(TraceSet {
         vantage,
         target_set,
@@ -623,8 +601,6 @@ fn read_set(
         hop_ids,
         unreach_ttls,
         unreach_ids,
-        sources,
-        prov,
     })
 }
 
@@ -653,9 +629,10 @@ pub(crate) const SHARD_MAGIC: u32 = 0x4253_4844;
 /// Table segment magic: `"BTAB"`.
 pub(crate) const TABLE_MAGIC: u32 = 0x4254_4142;
 /// On-disk format version. Bump on any layout change; readers reject
-/// other versions rather than guessing. Version 3 writes the word table
-/// once; 2 gave each shard segment its own; 1 had 4-byte ids and offsets.
-pub(crate) const STORE_VERSION: u32 = 3;
+/// other versions rather than guessing. Version 4 drops the per-trace
+/// provenance lists; 3 wrote the word table once; 2 gave each shard
+/// segment its own; 1 had 4-byte ids and offsets.
+pub(crate) const STORE_VERSION: u32 = 4;
 
 /// Manifest file name inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "manifest.snap";
@@ -938,9 +915,7 @@ mod tests {
         assert_eq!(r.remaining(), 0);
         assert_eq!(back, ts);
         assert_eq!(back.interner().words(), ts.interner().words());
-        assert_eq!(back.sources(), ts.sources());
         for (x, y) in back.iter().zip(ts.iter()) {
-            assert_eq!(x.vantage(), y.vantage());
             assert_eq!(x.hop_cells(), y.hop_cells());
             assert_eq!(x.unreachable_cells(), y.unreachable_cells());
         }
@@ -1025,8 +1000,6 @@ mod tests {
                 .iter()
                 .for_each(|&(_, id)| w.raw(&id.to_le_bytes()[..id_width]));
         }
-        w.u32(0); // no sources
-        w.u32(0); // no provenance
         w.into_bytes()
     }
 
@@ -1407,8 +1380,6 @@ mod tests {
         hops.iter()
             .for_each(|&(_, id)| w.raw(&id.to_le_bytes()[..id_width]));
         w.u32(0); // no unreachable cells
-        w.u32(0); // no sources
-        w.u32(0); // no provenance
     }
 
     #[test]

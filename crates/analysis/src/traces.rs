@@ -95,25 +95,14 @@ pub struct TraceSet {
     /// The responder id of every Destination Unreachable cell, parallel
     /// to `unreach_ttls`.
     pub(crate) unreach_ids: Vec<u32>,
-    /// Vantage-provenance table: the distinct source vantage names a
-    /// merged set was assembled from. Empty for a single-campaign set
-    /// (every trace then comes from [`vantage`](Self::vantage)).
-    pub(crate) sources: Vec<Arc<str>>,
-    /// Per-trace provenance column, parallel to `targets`: index into
-    /// `sources`. Empty when `sources` is empty.
-    pub(crate) prov: Vec<u32>,
 }
 
 /// Bit-for-bit equality of the flat stores, *including* interner id
 /// assignment — the pinned contract between the batch classify pass
 /// and the streaming [`crate::builder::TraceSetBuilder`], and between
-/// the multi-vantage streaming and batch merge paths.
-///
-/// The vantage-provenance columns (`sources`/`prov`) are reporting
-/// metadata, not observations, and are deliberately excluded: a merged
-/// set and a `from_log` of the equivalent concatenated log must compare
-/// equal even though only the former knows which vantage earned which
-/// trace.
+/// the multi-vantage streaming and batch merge paths. Every field
+/// takes part: a set holds observations and the names of the campaigns
+/// they came from, nothing per trace about which vantage earned it.
 impl PartialEq for TraceSet {
     fn eq(&self, other: &Self) -> bool {
         self.vantage == other.vantage
@@ -437,8 +426,6 @@ pub(crate) fn assemble<K: Copy + Ord + Default>(
         hop_ids,
         unreach_ttls,
         unreach_ids,
-        sources: Vec::new(),
-        prov: Vec::new(),
     }
 }
 
@@ -534,17 +521,6 @@ impl TraceSet {
         fresh
     }
 
-    /// The distinct source vantage names of this set, materialized:
-    /// a single-campaign set reports `[vantage]`, a merged set its
-    /// provenance table (first-contribution order).
-    pub fn sources(&self) -> Vec<Arc<str>> {
-        if self.sources.is_empty() {
-            vec![self.vantage.clone()]
-        } else {
-            self.sources.clone()
-        }
-    }
-
     /// Unique *interface* address words of this set — the distinct
     /// responders referenced by Time-Exceeded hop cells (the paper's
     /// "Rtr Int Addrs"; Destination Unreachable responders are in the
@@ -563,8 +539,7 @@ impl TraceSet {
             .collect()
     }
 
-    /// Appends `src`'s trace at `idx` but its provenance to `self`'s
-    /// columns, its ids translated through `id_remap` when there is one.
+    /// Appends `src`'s trace at `idx` to `self`'s columns, its ids translated through `id_remap` when there is one.
     /// The `u32` offsets cannot wrap: the caller checked the final column
     /// lengths first.
     pub(crate) fn push_trace(&mut self, src: &TraceSet, idx: usize, id_remap: Option<&[u32]>) {
@@ -603,11 +578,11 @@ impl TraceSet {
     ///   unreachables, `reached_at`) is kept and the others are dropped
     ///   from the trace columns — deterministic for the multi-vantage
     ///   drivers, which merge in vantage order.
-    /// * **Provenance**: every trace in the result carries the vantage
-    ///   it came from ([`TraceView::vantage`]); the provenance table is
-    ///   the name-deduplicated concatenation of the inputs' sources.
     /// * `rewritten_dropped` adds; the `vantage`/`target_set` names
-    ///   join with `+` when they differ.
+    ///   join with `+` when they differ. That joined name is all the
+    ///   result knows of its inputs: a trace does not record which one
+    ///   it came from. Per-vantage answers (each vantage's interfaces,
+    ///   what only it found) come from the inputs themselves.
     ///
     /// Merging is commutative and associative *up to canonical form*
     /// ([`canonical`](Self::canonical)) whenever the operands' target
@@ -678,28 +653,6 @@ impl TraceSet {
             rewritten_dropped += s.rewritten_dropped;
         }
 
-        // Provenance tables dedup by name in input order; a traceless
-        // input contributes nothing (its remap is never indexed).
-        let mut sources: Vec<Arc<str>> = Vec::new();
-        let src_remaps: Vec<Vec<u32>> = refs
-            .iter()
-            .map(|s| {
-                if s.is_empty() {
-                    return Vec::new();
-                }
-                s.sources()
-                    .iter()
-                    .map(|name| match sources.iter().position(|n| n == name) {
-                        Some(i) => i as u32,
-                        None => {
-                            sources.push(name.clone());
-                            (sources.len() - 1) as u32
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-
         // The owner walk runs twice: once to size every column at
         // exactly what survives dedup (inputs over the same targets
         // would otherwise reserve their sum), once to copy.
@@ -725,15 +678,9 @@ impl TraceSet {
             hop_ids: Vec::with_capacity(n_hops),
             unreach_ttls: Vec::with_capacity(n_unreach),
             unreach_ids: Vec::with_capacity(n_unreach),
-            sources,
-            prov: Vec::with_capacity(n_targets),
         };
         for (i, idx) in owner_walk(refs) {
             out.push_trace(refs[i], idx, id_remaps[i].as_deref());
-            // A single-campaign source has an empty prov column: all its
-            // traces come from its sources()[0].
-            let p = refs[i].prov.get(idx).copied().unwrap_or(0);
-            out.prov.push(src_remaps[i][p as usize]);
         }
         out
     }
@@ -981,17 +928,6 @@ impl<'a> TraceView<'a> {
         self.meta().reached_at
     }
 
-    /// The vantage this trace was observed from: the per-trace
-    /// provenance of a merged set, or the set-wide campaign vantage for
-    /// a single-campaign set.
-    #[inline]
-    pub fn vantage(&self) -> &'a Arc<str> {
-        match self.set.prov.get(self.idx) {
-            Some(&p) => &self.set.sources[p as usize],
-            None => &self.set.vantage,
-        }
-    }
-
     /// The raw hop cells `(ttl, iface_id)`, ttl strictly ascending.
     #[inline]
     pub fn hop_cells(&self) -> Cells<'a> {
@@ -1140,9 +1076,9 @@ impl AsnResolver {
 #[cfg(test)]
 impl TraceSet {
     /// Reserved but unused slots of the `targets`, `metas`,
-    /// `hop_ttls`, `hop_ids`, `unreach_ttls`, `unreach_ids` and `prov`
-    /// columns, in that order.
-    pub(crate) fn spare_capacity(&self) -> [usize; 7] {
+    /// `hop_ttls`, `hop_ids`, `unreach_ttls` and `unreach_ids` columns,
+    /// in that order.
+    pub(crate) fn spare_capacity(&self) -> [usize; 6] {
         fn spare<T>(v: &Vec<T>) -> usize {
             v.capacity() - v.len()
         }
@@ -1153,7 +1089,6 @@ impl TraceSet {
             spare(&self.hop_ids),
             spare(&self.unreach_ttls),
             spare(&self.unreach_ids),
-            spare(&self.prov),
         ]
     }
 
@@ -1396,7 +1331,6 @@ mod tests {
         // Targets sorted; ::1 (from b) precedes ::9 (from a).
         let t1 = m.view_at(0);
         assert_eq!(t1.target(), "2001:db8::1".parse::<Ipv6Addr>().unwrap());
-        assert_eq!(&**t1.vantage(), "V-B");
         assert_eq!(
             t1.hops().collect::<Vec<_>>(),
             vec![
@@ -1405,13 +1339,15 @@ mod tests {
             ]
         );
         let t9 = m.view_at(1);
-        assert_eq!(&**t9.vantage(), "V-A");
+        assert_eq!(
+            t9.hops().collect::<Vec<_>>(),
+            vec![(1, "::a".parse::<Ipv6Addr>().unwrap())]
+        );
         // Interner: a's ids first (::a = 0), b's new words after
         // (::b = 1); b's ::a remapped onto a's id.
         assert_eq!(m.interner().len(), 2);
         assert_eq!(m.interner().resolve(0), "::a".parse::<Ipv6Addr>().unwrap());
         assert_eq!(m.interner().resolve(1), "::b".parse::<Ipv6Addr>().unwrap());
-        assert_eq!(m.sources().len(), 2);
     }
 
     #[test]
@@ -1481,7 +1417,6 @@ mod tests {
             t.hops().collect::<Vec<_>>(),
             vec![(1, "::a".parse::<Ipv6Addr>().unwrap())]
         );
-        assert_eq!(&**t.vantage(), "V-A");
         // ...but b's responder still counts toward union discovery.
         assert_eq!(m.interner().len(), 2);
         // The hop-referenced interfaces exclude the dedup loser.
@@ -1581,8 +1516,13 @@ mod tests {
         assert_eq!(m.len(), 3);
         assert_eq!(&*m.vantage, "A+B+C");
         assert_eq!(m, TraceSet::merge_all([&TraceSet::merge_all([&a, &b]), &c]));
-        let names: Vec<String> = m.iter().map(|t| t.vantage().to_string()).collect();
-        assert_eq!(names, vec!["A", "B", "C"]);
+        // Each trace is its one holder's.
+        let hops: Vec<Vec<(u8, Ipv6Addr)>> = m.iter().map(|t| t.hops().collect()).collect();
+        let owners: Vec<Vec<(u8, Ipv6Addr)>> = [&a, &b, &c]
+            .iter()
+            .map(|s| s.view_at(0).hops().collect())
+            .collect();
+        assert_eq!(hops, owners);
     }
 
     #[test]
@@ -1608,7 +1548,16 @@ mod tests {
             .into();
         let m = TraceSet::merge_all(&sets);
         assert_eq!((m.len(), m.hop_ids.len(), m.unreach_ids.len()), (4, 8, 4));
-        assert_eq!(m.spare_capacity(), [0; 7]);
+        assert_eq!(m.spare_capacity(), [0; 6]);
+        // The inputs' hops differ at every target; the first holder's
+        // survive.
+        for (t, first) in m.iter().zip(sets[0].iter()) {
+            assert_eq!(
+                t.hops().collect::<Vec<_>>(),
+                first.hops().collect::<Vec<_>>()
+            );
+            assert_eq!(t.reached_at(), first.reached_at());
+        }
     }
 
     #[test]
@@ -1758,11 +1707,7 @@ mod tests {
             TraceSet::merge_all([&b, &empty]),
         ] {
             assert_eq!(m, b, "empty side must not change observations");
-            assert_eq!(&*m.vantage, "V-B");
-            let sources = m.sources();
-            assert_eq!(sources.len(), 1, "no phantom nameless vantage");
-            assert_eq!(&*sources[0], "V-B");
-            assert_eq!(&**m.view_at(0).vantage(), "V-B");
+            assert_eq!(&*m.vantage, "V-B", "no phantom nameless vantage");
         }
     }
 

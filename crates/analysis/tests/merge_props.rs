@@ -12,7 +12,7 @@
 //! * merging is commutative and associative up to canonical form;
 //! * merging a set with itself changes nothing;
 //! * `merge_all`'s single k-way pass is **bit-identical** — raw
-//!   interner ids and per-trace provenance included — to the left fold
+//!   interner ids included — to the left fold
 //!   of a two-set union keyed by address, which shares no code with it
 //!   (`testkit::oracle::merge_fold`), and to the pairwise reduction
 //!   over two-set `merge_all`s ([`fold_oracle`]).
@@ -20,7 +20,11 @@
 //! The algebraic properties hold *because* the per-vantage sets carry
 //! whole traces: `merge_all`'s first-wins trace dedup only bites on
 //! conflicting shared targets, where the multi-vantage drivers resolve
-//! by vantage order (pinned by unit tests in `analysis::traces`).
+//! by vantage order (pinned by unit tests in `analysis::traces`). A
+//! merged set does not record which input a trace came from, so the
+//! first holder's ownership is checked by content: inputs that share a
+//! target hold different traces there, and the survivor's hops are the
+//! first holder's.
 
 use analysis::TraceSet;
 use proptest::prelude::*;
@@ -102,8 +106,8 @@ fn fold_oracle(refs: &[&TraceSet]) -> TraceSet {
 #[test]
 fn merge_all_pairwise_reduction_equals_left_fold() {
     // Five sets (odd count exercises the carried chunk), with
-    // repeated vantage names and overlapping targets so dedup,
-    // provenance and name joining are all live.
+    // repeated vantage names and one target every set traces through a
+    // hop of its own, so dedup and name joining are both live.
     let rec = |target: String, responder: String, ttl: u8| ResponseRecord {
         target: target.parse().unwrap(),
         responder: responder.parse().unwrap(),
@@ -120,7 +124,7 @@ fn merge_all_pairwise_reduction_equals_left_fold() {
                 target_set: "merge-test".into(),
                 records: vec![
                     rec(format!("2001:db8::{}", i + 1), format!("::{}", i + 1), 1),
-                    rec("2001:db8::77".into(), "::aa".into(), 2),
+                    rec("2001:db8::77".into(), format!("::a{i}"), 2),
                 ],
                 ..Default::default()
             })
@@ -136,13 +140,16 @@ fn merge_all_pairwise_reduction_equals_left_fold() {
     // Bit-identical including raw interner ids (PartialEq covers
     // the words; spot-check an id too).
     assert_eq!(pairwise.interner().words(), fold.interner().words());
-    // Repeated vantage names never duplicate in the joined
-    // identity or the provenance table.
+    // Repeated vantage names never duplicate in the joined identity.
     assert_eq!(&*pairwise.vantage, "V-A+V-B");
-    assert_eq!(pairwise.sources().len(), 2);
-    // The shared target's trace belongs to the first set.
+    // The shared target's trace is the first set's.
     let shared = pairwise.get("2001:db8::77".parse().unwrap()).unwrap();
-    assert_eq!(&**shared.vantage(), "V-A");
+    let first = sets[0].get("2001:db8::77".parse().unwrap()).unwrap();
+    assert_eq!(
+        shared.hops().collect::<Vec<_>>(),
+        vec![(2, "::a0".parse().unwrap())]
+    );
+    assert!(shared.same_observations(&first));
 }
 
 proptest! {
@@ -186,8 +193,8 @@ proptest! {
             .collect();
         for k in [0usize, 1, 2, 3, 8, 24] {
             let got = TraceSet::merge_all(&sets[..k]);
-            // The model spells out every column, the interner in id
-            // order and each trace's provenance.
+            // The model spells out every column and the interner in id
+            // order.
             prop_assert!(
                 Merged::of(&got) == merge_fold(&sets[..k]),
                 "k-way merge_all diverged from the address-keyed fold at k={k}"

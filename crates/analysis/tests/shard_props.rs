@@ -123,8 +123,7 @@ proptest! {
     /// The sharded store's merge is **bit-identical** per shard — not
     /// merely canonical-equal — to flat `merge_all` (pinned to the
     /// pairwise fold in `merge_props`) over the same per-shard inputs:
-    /// interner id assignment, column layout, names, provenance,
-    /// everything.
+    /// interner id assignment, column layout, names, everything.
     #[test]
     fn kway_shard_merge_is_bit_identical_to_pairwise_fold(
         a in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),

@@ -239,17 +239,18 @@ fn a_standalone_segment_covers_every_address() {
 }
 
 #[test]
-fn store_versions_1_and_2_are_refused_by_number() {
+fn older_store_versions_are_refused_by_number() {
     // Version 1 stored 4-byte ids and each trace's offsets; version 2
-    // gave every shard segment a word table of its own.
+    // gave every shard segment a word table of its own; version 3 wrote
+    // two provenance lists after each set's cells.
     let dir = TempDir::new("store-old");
     let version = |name: &str| {
         write_sharded_snapshot(dir.path(), &sample_store(2)).unwrap();
         let bytes = std::fs::read(dir.path().join(name)).unwrap();
         u32::from_le_bytes(bytes[4..8].try_into().unwrap())
     };
-    assert_eq!(version(MANIFEST_FILE), 3);
-    for old in [1, 2] {
+    assert_eq!(version(MANIFEST_FILE), 4);
+    for old in [1, 2, 3] {
         // Each kind of store file at the old version, under a manifest
         // that vouches for its bytes.
         for name in [
@@ -269,7 +270,7 @@ fn store_versions_1_and_2_are_refused_by_number() {
         }
     }
     // The last edit undone: the store reads again.
-    set_version(&dir.path().join(TABLE_FILE), 3);
+    set_version(&dir.path().join(TABLE_FILE), 4);
     remanifest(dir.path(), 2);
     assert!(read_sharded_snapshot(dir.path()).unwrap() == sample_store(2));
 }

@@ -21,10 +21,10 @@
 use crate::record::{ProbeLog, ResponseKind, ResponseRecord};
 use crate::sink::Link;
 use serde::{Deserialize, Serialize};
-use simnet::{Engine, Flow};
+use simnet::Engine;
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
-use v6packet::probe::{ProbeSpec, Protocol};
+use v6packet::probe::{ProbeTemplate, Protocol};
 
 /// Doubletree configuration.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -79,33 +79,23 @@ pub fn run(
     let mut records: Vec<ResponseRecord> = Vec::new();
 
     let mut link = Link::new(engine, INSTANCE);
-    let spec = |target: Ipv6Addr, ttl: u8, now_us: u64| ProbeSpec {
-        src,
-        target,
-        protocol: cfg.protocol,
-        ttl,
-        instance: INSTANCE,
-        elapsed_us: now_us as u32,
-    };
-    let probe = |link: &mut Link<'_>,
-                 (target, flow): (Ipv6Addr, Flow),
-                 ttl: u8,
-                 now_us: &mut u64,
-                 log: &mut ProbeLog,
-                 records: &mut Vec<ResponseRecord>|
-     -> Option<ResponseRecord> {
-        let wire = spec(target, ttl, *now_us).build();
-        let rec = link.exchange(flow, &wire, *now_us, log, records);
-        *now_us += interval_us;
-        rec
-    };
+    // One wire for the campaign, aimed at each target in turn: a
+    // target's probes all go out before the next one's.
+    let mut template = ProbeTemplate::new(src, Ipv6Addr::UNSPECIFIED, cfg.protocol, INSTANCE);
 
     for &target in targets {
-        let target = (target, link.open(&spec(target, 1, 0).build()));
+        template.aim(target);
+        let flow = link.open(template.wire());
+        let mut probe = |ttl: u8| -> Option<ResponseRecord> {
+            let wire = template.render(ttl, now_us as u32);
+            let rec = link.exchange(flow, wire, now_us, &mut log, &mut records);
+            now_us += interval_us;
+            rec
+        };
         // Forward phase: START_TTL ..= MAX_TTL.
         let mut gap = 0u8;
         for ttl in START_TTL..=MAX_TTL {
-            match probe(&mut link, target, ttl, &mut now_us, &mut log, &mut records) {
+            match probe(ttl) {
                 Some(rec) => {
                     gap = 0;
                     if rec.kind != ResponseKind::TimeExceeded {
@@ -125,7 +115,7 @@ pub fn run(
         // Crucially: *silence does not stop backward probing* — the
         // pathology under rate limiting.
         for ttl in (1..START_TTL).rev() {
-            match probe(&mut link, target, ttl, &mut now_us, &mut log, &mut records) {
+            match probe(ttl) {
                 Some(rec) => {
                     let hit =
                         rec.kind == ResponseKind::TimeExceeded && !stop_set.insert(rec.responder);

@@ -20,7 +20,7 @@ use crate::sink::Link;
 use serde::{Deserialize, Serialize};
 use simnet::{Engine, Flow};
 use std::net::Ipv6Addr;
-use v6packet::probe::{ProbeSpec, Protocol};
+use v6packet::probe::{ProbeTemplate, Protocol};
 
 /// Sequential prober configuration.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -80,6 +80,8 @@ pub fn run(
     let mut now_us = 0u64;
     let mut records: Vec<ResponseRecord> = Vec::new();
     let mut link = Link::new(engine, INSTANCE);
+    // One wire for the campaign, aimed at each probe's target.
+    let mut template = ProbeTemplate::new(src, Ipv6Addr::UNSPECIFIED, cfg.protocol, INSTANCE);
 
     for chunk in targets.chunks(WINDOW) {
         let mut state = vec![
@@ -89,25 +91,21 @@ pub fn run(
             };
             chunk.len()
         ];
-        let spec = |target, ttl, now_us: u64| ProbeSpec {
-            src,
-            target,
-            protocol: cfg.protocol,
-            ttl,
-            instance: INSTANCE,
-            elapsed_us: now_us as u32,
-        };
         let flows: Vec<Flow> = chunk
             .iter()
-            .map(|&target| link.open(&spec(target, 1, 0).build()))
+            .map(|&target| {
+                template.aim(target);
+                link.open(template.wire())
+            })
             .collect();
         for ttl in 1..=cfg.max_ttl {
             for (i, &target) in chunk.iter().enumerate() {
                 if state[i].done {
                     continue;
                 }
-                let wire = spec(target, ttl, now_us).build();
-                let rec = link.exchange(flows[i], &wire, now_us, &mut log, &mut records);
+                template.aim(target);
+                let wire = template.render(ttl, now_us as u32);
+                let rec = link.exchange(flows[i], wire, now_us, &mut log, &mut records);
                 now_us += interval_us;
                 match rec {
                     Some(rec) => {

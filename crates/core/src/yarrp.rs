@@ -141,8 +141,8 @@ struct HotPath<'e, 't> {
     template: ProbeTemplate,
     /// The flow every probe of a target belongs to, parallel to
     /// `targets`. Under the `vary_flow_label` ablation no two probes
-    /// share one: it then holds the flows of the window last looked
-    /// ahead at, by window position.
+    /// share a flow, and each probe's is opened where it is sent; these
+    /// then only say what to warm.
     flows: Vec<Flow>,
 }
 
@@ -152,57 +152,35 @@ impl HotPath<'_, '_> {
     /// cache before any of it is sent: the targets here, everything a
     /// probe touches inside the engine through [`Engine::warm`]. Sends
     /// nothing and changes no result.
-    fn look_ahead(
-        &mut self,
-        window: &[(usize, u8)],
-        now_us: u64,
-        interval_us: u64,
-        cfg: &YarrpConfig,
-    ) {
+    fn look_ahead(&mut self, window: &[(usize, u8)]) {
         for &(tidx, _) in window {
             simnet::prefetch(&self.targets[tidx]);
         }
-        if cfg.vary_flow_label {
-            // The label is part of what the network routes by, and it
-            // is a function of the send time, which is known: the clock
-            // ticks once per window entry, skipped or not.
-            self.flows.clear();
-            for (k, &(tidx, ttl)) in window.iter().enumerate() {
-                let at = now_us + k as u64 * interval_us;
-                let wire = wire_of(&mut self.template, self.targets[tidx], ttl, at, cfg);
-                self.flows.push(self.link.open(wire));
-            }
-        }
         let flows = &self.flows;
-        let by_position = cfg.vary_flow_label;
-        self.link.engine.warm(
-            window
-                .iter()
-                .enumerate()
-                .map(|(k, &(tidx, ttl))| (flows[if by_position { k } else { tidx }], ttl)),
-        );
+        self.link
+            .engine
+            .warm(window.iter().map(|&(tidx, ttl)| (flows[tidx], ttl)));
     }
 
     /// Emits one probe to target `tidx`, decoding any response into
-    /// `sink`: the main-sequence probe at position `ahead` of the window
-    /// last looked ahead at, or (`None`) a fill probe. Returns the
-    /// decoded record for fill/neighborhood bookkeeping.
-    #[allow(clippy::too_many_arguments)]
+    /// `sink`. Returns the decoded record for fill/neighborhood
+    /// bookkeeping.
     fn send_probe<S: RecordSink>(
         &mut self,
         tidx: usize,
         ttl: u8,
         now_us: u64,
-        ahead: Option<usize>,
         cfg: &YarrpConfig,
         log: &mut ProbeLog,
         sink: &mut S,
     ) -> Option<ResponseRecord> {
         let wire = wire_of(&mut self.template, self.targets[tidx], ttl, now_us, cfg);
-        let flow = match (cfg.vary_flow_label, ahead) {
-            (false, _) => self.flows[tidx],
-            (true, Some(k)) => self.flows[k],
-            (true, None) => self.link.open(wire),
+        // The ablation's label is part of what the network routes by,
+        // so its probe's flow is its own.
+        let flow = if cfg.vary_flow_label {
+            self.link.open(wire)
+        } else {
+            self.flows[tidx]
         };
         self.link.exchange(flow, wire, now_us, log, sink)
     }
@@ -278,19 +256,14 @@ pub fn run_with_sink<S: RecordSink>(
     let mut link = Link::new(engine, cfg.instance);
     let mut template = ProbeTemplate::new(src, Ipv6Addr::UNSPECIFIED, cfg.protocol, cfg.instance);
     // One flow per target, opened in target order: neighbouring targets
-    // resolve through neighbouring parts of the topology. (The ablation
-    // has a flow per probe instead, opened as it looks ahead.)
-    let flows = if cfg.vary_flow_label {
-        Vec::with_capacity(LOOKAHEAD)
-    } else {
-        targets
-            .iter()
-            .map(|&t| {
-                template.aim(t);
-                link.open(template.wire())
-            })
-            .collect()
-    };
+    // resolve through neighbouring parts of the topology.
+    let flows = targets
+        .iter()
+        .map(|&t| {
+            template.aim(t);
+            link.open(template.wire())
+        })
+        .collect();
     let mut hot = HotPath {
         link,
         targets,
@@ -314,14 +287,14 @@ pub fn run_with_sink<S: RecordSink>(
         if window.is_empty() {
             break;
         }
-        hot.look_ahead(&window, now_us, interval_us, cfg);
-        for (k, &(tidx, ttl)) in window.iter().enumerate() {
+        hot.look_ahead(&window);
+        for &(tidx, ttl) in &window {
             if newest.as_ref().is_some_and(|n| n.went_quiet(ttl, now_us)) {
                 now_us += interval_us;
                 continue;
             }
 
-            let resp = hot.send_probe(tidx, ttl, now_us, Some(k), cfg, &mut log, sink);
+            let resp = hot.send_probe(tidx, ttl, now_us, cfg, &mut log, sink);
             if let Some(rec) = resp {
                 note_response(&rec, &mut newest);
                 maybe_fill(&mut hot, tidx, rec, cfg, &mut log, sink, &mut newest);
@@ -397,7 +370,7 @@ fn maybe_fill<S: RecordSink>(
         // wire would): usually the probed target, whose flow is open,
         // but a middlebox-rewritten quotation diverges from it.
         let rec = if cur.target == hot.targets[tidx] {
-            hot.send_probe(tidx, h + 1, send_at, None, cfg, log, sink)
+            hot.send_probe(tidx, h + 1, send_at, cfg, log, sink)
         } else {
             hot.send_probe_to(cur.target, h + 1, send_at, cfg, log, sink)
         };

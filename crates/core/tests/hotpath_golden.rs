@@ -209,9 +209,9 @@ fn probe_counts_on_every_side_of_the_lookahead_window_match() {
 #[test]
 fn per_probe_flows_survive_skipped_probes_across_windows() {
     // Under `vary_flow_label` every probe has a flow of its own, opened
-    // a window ahead and found again by window position — while
-    // neighborhood mode skips positions, fill probes go out in between,
-    // and the last window is short.
+    // where it is sent, while the look-ahead warms the targets' flows —
+    // with neighborhood mode skipping positions, fill probes going out
+    // in between, and the last window short.
     let topo = Arc::new(generate(TopologyConfig::tiny(42)));
     let hosts: Vec<Ipv6Addr> = topo.hosts().map(|(a, _)| a).collect();
     for (n, max_ttl) in [(WINDOW + 1, 1), (3 * WINDOW + 5, 1), (13, 5)] {

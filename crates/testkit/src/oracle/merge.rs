@@ -3,12 +3,17 @@
 //!
 //! A [`Merged`] is everything a trace set says, spelled in addresses
 //! and names instead of columns and ids. [`Merged::of`] reads a set
-//! through its public readers only — `iter()`, `interner()`,
-//! `sources()` and the three public fields — and [`merge_fold`] unions
-//! such models two at a time in a `BTreeMap` keyed by target. Nothing
-//! here touches the library's merge code or its column layout, so
+//! through its public readers only — `iter()`, `interner()` and the
+//! three public fields — and [`merge_fold`] unions such models two at a
+//! time in a `BTreeMap` keyed by target. Nothing here touches the
+//! library's merge code or its column layout, so
 //! `Merged::of(&TraceSet::merge_all(sets)) == merge_fold(sets)` compares
 //! two implementations that share no line.
+//!
+//! A merged set does not record which input each trace came from, so
+//! first-wins ownership is pinned by content: a surviving trace's
+//! hops, unreachables and `reached_at` are its first holder's. Which
+//! vantage found what is read off the per-vantage sets themselves.
 
 use analysis::TraceSet;
 use std::collections::{BTreeMap, HashSet};
@@ -17,8 +22,6 @@ use std::net::Ipv6Addr;
 /// One trace of a [`Merged`] model.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MergedTrace {
-    /// The vantage the trace was observed from.
-    pub vantage: String,
     /// `(ttl, interface)`, TTL ascending.
     pub hops: Vec<(u8, Ipv6Addr)>,
     /// `(ttl, responder)`, in the set's order.
@@ -29,8 +32,7 @@ pub struct MergedTrace {
 
 /// A trace set as plain values. Two sets with equal models are equal
 /// column for column, interner ids included (`responders` is the
-/// interner in id order), and agree on every trace's provenance too,
-/// which `TraceSet`'s own `==` leaves out.
+/// interner in id order).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Merged {
     /// `+`-joined campaign vantage names.
@@ -41,8 +43,6 @@ pub struct Merged {
     pub rewritten_dropped: u64,
     /// Every responder any input knew, in interner-id order.
     pub responders: Vec<Ipv6Addr>,
-    /// Distinct source vantage names, first contribution first.
-    pub sources: Vec<String>,
     /// Target word → its trace.
     pub traces: BTreeMap<u128, MergedTrace>,
 }
@@ -56,17 +56,10 @@ impl Merged {
             target_set: set.target_set.to_string(),
             rewritten_dropped: set.rewritten_dropped,
             responders: words.iter().map(|&w| Ipv6Addr::from(w)).collect(),
-            // A set without traces is no source of anything.
-            sources: if set.is_empty() {
-                Vec::new()
-            } else {
-                set.sources().iter().map(|s| s.to_string()).collect()
-            },
             traces: set
                 .iter()
                 .map(|t| {
                     let trace = MergedTrace {
-                        vantage: t.vantage().to_string(),
                         hops: t.hops().collect(),
                         unreachable: t.unreachable().collect(),
                         reached_at: t.reached_at(),
@@ -88,11 +81,6 @@ impl Merged {
         let known: HashSet<Ipv6Addr> = self.responders.iter().copied().collect();
         let fresh = other.responders.iter().filter(|a| !known.contains(a));
         self.responders.extend(fresh);
-        for name in other.sources {
-            if !self.sources.contains(&name) {
-                self.sources.push(name);
-            }
-        }
         for (target, trace) in other.traces {
             self.traces.entry(target).or_insert(trace);
         }

@@ -202,9 +202,8 @@ fn fudge_for(instance: u8, ttl: u8, elapsed_us: u32) -> u16 {
 
 impl ProbeSpec {
     /// Serializes the probe to freshly allocated wire bytes:
-    /// [`build_into`](Self::build_into) into a `Vec`. The probers that
-    /// send few probes call this; the Yarrp6 hot path renders a
-    /// [`ProbeTemplate`] in place instead.
+    /// [`build_into`](Self::build_into) into a `Vec`. The probers render
+    /// a [`ProbeTemplate`] in place instead.
     pub fn build(&self) -> Vec<u8> {
         let mut out = vec![0u8; self.protocol.probe_len()];
         self.build_into(&mut out);
@@ -314,14 +313,6 @@ impl ProbeSpec {
         let ck_off = checksum_offset(self.protocol);
         body[ck_off..ck_off + 2].copy_from_slice(&(!canon_sum).to_be_bytes());
         total
-    }
-
-    /// The constant transport checksum all probes to `target` carry — what
-    /// a per-flow load balancer hashes. Exposed for tests and for the
-    /// simulator's ECMP flow keys. Derived from the canonical sum; no
-    /// packet is built.
-    pub fn flow_checksum(&self) -> u16 {
-        !self.canonical_sum()
     }
 }
 
@@ -493,14 +484,22 @@ mod tests {
         }
     }
 
+    /// The transport checksum field of a probe's wire.
+    fn checksum_field(wire: &[u8], proto: Protocol) -> u16 {
+        let off = ip6::HEADER_LEN + checksum_offset(proto);
+        u16::from_be_bytes([wire[off], wire[off + 1]])
+    }
+
     #[test]
     fn checksum_constant_across_ttl_and_time() {
         for proto in [Protocol::Icmp6, Protocol::Udp, Protocol::Tcp] {
-            let base = spec(proto, 1, 0).flow_checksum();
+            let s = spec(proto, 1, 0);
+            let mut tmpl = ProbeTemplate::new(s.src, s.target, proto, s.instance);
+            let base = checksum_field(tmpl.render(1, 0), proto);
             for ttl in [1u8, 2, 16, 32, 255] {
                 for elapsed in [0u32, 1, 999_999, u32::MAX] {
                     assert_eq!(
-                        spec(proto, ttl, elapsed).flow_checksum(),
+                        checksum_field(tmpl.render(ttl, elapsed), proto),
                         base,
                         "{proto} ttl={ttl} elapsed={elapsed}"
                     );
@@ -511,13 +510,13 @@ mod tests {
 
     #[test]
     fn flow_checksum_matches_wire_checksum_field() {
+        // Every probe to a target carries the complement of its
+        // canonical sum, the per-target constant the fudge restores.
         for proto in [Protocol::Icmp6, Protocol::Udp, Protocol::Tcp] {
             let s = spec(proto, 9, 123_456);
-            let pkt = s.build();
-            let off = ip6::HEADER_LEN + super::checksum_offset(proto);
             assert_eq!(
-                s.flow_checksum(),
-                u16::from_be_bytes([pkt[off], pkt[off + 1]]),
+                checksum_field(&s.build(), proto),
+                !s.canonical_sum(),
                 "{proto}"
             );
         }
@@ -576,9 +575,12 @@ mod tests {
         let a = spec(Protocol::Icmp6, 1, 0);
         let mut b = a;
         b.target = "2001:db8:1:3::abcd".parse().unwrap();
-        assert_eq!(a.flow_checksum(), b.flow_checksum());
         let pa = a.build();
         let pb = b.build();
+        assert_eq!(
+            checksum_field(&pa, Protocol::Icmp6),
+            checksum_field(&pb, Protocol::Icmp6)
+        );
         // ICMPv6 identifier at transport offset 4.
         assert_ne!(
             &pa[ip6::HEADER_LEN + 4..ip6::HEADER_LEN + 6],

@@ -1,9 +1,12 @@
 //! Multi-vantage discovery, end to end: probe the same target set
-//! from all three vantages concurrently, merge the per-vantage trace
-//! sets into one union with per-trace provenance, report each
-//! vantage's contribution and overlap (the paper's vantage tables),
-//! then run the adaptive loop with vantage-aware budgeting so probes
-//! drift toward the vantages that keep earning.
+//! from all three vantages concurrently, report each vantage's
+//! contribution and overlap from the per-vantage trace sets (the
+//! paper's vantage tables), merge them into one union that keeps the
+//! first vantage's trace per target, then run the adaptive loop with
+//! vantage-aware budgeting so probes drift toward the vantages that
+//! keep earning. The merged set says nothing per trace about which
+//! vantage found it; the per-vantage sets answer that, and the example
+//! asserts how their counts bound the union's.
 //!
 //! ```sh
 //! cargo run --release --example multi_vantage
@@ -51,6 +54,11 @@ fn main() {
             100.0 * r.union_share
         );
     }
+    let exclusive: u64 = rows.iter().map(|r| r.exclusive).sum();
+    assert!(
+        rows.iter().all(|r| r.interfaces <= union) && exclusive <= union,
+        "a vantage's interfaces, and all exclusive ones together, fit in the union"
+    );
     let best = rows.iter().map(|r| r.interfaces).max().unwrap();
     println!(
         "  union {:>5} interfaces = {:.2}x the best single vantage\n",
@@ -68,17 +76,24 @@ fn main() {
         }
     }
 
-    // The merged union knows which vantage earned each trace.
+    // The merged union: every responder any vantage saw, the first
+    // vantage's trace per target. Its hops are a subset of the
+    // per-vantage union; its table holds that union and more (the
+    // unreachable responders, the hops of traces it dropped).
     let merged = sweep.merged();
+    let (kept, table) = (merged.interface_addrs().len(), merged.interner().len());
     println!(
-        "\nmerged: {} ({} traces, {} sources)",
+        "\nmerged: {} ({} traces, {} interfaces on kept traces, {} responders)",
         merged.vantage,
         merged.len(),
-        merged.sources().len()
+        kept,
+        table
     );
-    if let Some(t) = merged.iter().next() {
-        println!("  first trace {} came from {}", t.target(), t.vantage());
-    }
+    assert_eq!(&*merged.vantage, "EU-NET+US-EDU-1+US-EDU-2");
+    assert!(
+        kept as u64 <= union && union <= table as u64,
+        "kept interfaces {kept} <= per-vantage union {union} <= responders {table}"
+    );
 
     // --- Adaptive loop with vantage-aware budgeting: allocations
     // follow each vantage's marginal yield across rounds.

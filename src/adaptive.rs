@@ -403,6 +403,12 @@ pub struct RoundReport {
     pub per_vantage: Vec<VantageRound>,
 }
 
+/// A round's marginal yield, [`RoundReport::yield_per_kprobe`]: new
+/// interfaces per thousand probes.
+pub(crate) fn yield_per_kprobe(new_interfaces: u64, probes: u64) -> f64 {
+    1000.0 * new_interfaces as f64 / probes.max(1) as f64
+}
+
 impl RoundReport {
     /// The vantages that ended this round degraded (at least one
     /// campaign exhausted its retries or stayed blacked out).
@@ -489,10 +495,11 @@ impl AdaptiveResult {
 
     /// The cross-vantage, cross-round union of every campaign's trace
     /// set ([`TraceSet::merge_all`] in execution order — rounds in
-    /// order, vantage-major within a round), with per-trace vantage
-    /// provenance. The merged interner is the loop's full discovery
-    /// union; the trace columns keep the earliest campaign's trace per
-    /// target.
+    /// order, vantage-major within a round). The merged interner is the
+    /// loop's full discovery union; the trace columns keep the earliest
+    /// campaign's trace per target and do not say which campaign that
+    /// was. Per-vantage questions read [`traces`](Self::traces), each
+    /// set named by its `vantage` field.
     pub fn merged_traces(&self) -> TraceSet {
         TraceSet::merge_all(&self.traces)
     }
@@ -1379,8 +1386,7 @@ impl LoopState {
             p.next_share = s;
         }
 
-        let yield_per_kprobe =
-            1000.0 * mined.new_interfaces as f64 / round_stats.probes.max(1) as f64;
+        let yield_per_kprobe = yield_per_kprobe(mined.new_interfaces, round_stats.probes);
         self.rounds.push(RoundReport {
             round: self.rounds.len(),
             targets: plan.targets.len() as u64,

@@ -38,7 +38,7 @@
 //! silently-divergent run.
 
 use crate::adaptive::{
-    AdaptiveConfig, AliasState, DeltaState, LoopState, RoundReport, VantageRound,
+    yield_per_kprobe, AdaptiveConfig, AliasState, DeltaState, LoopState, RoundReport, VantageRound,
 };
 use aliasres::RouterGraphBuilder;
 use analysis::snapshot::{fnv1a, read_trace_chain, trace_chain_encoded_len, write_trace_chain};
@@ -52,7 +52,12 @@ use yarrp6::addrset::AddrSet;
 
 /// `"BHCK"` — beholder checkpoint.
 const MAGIC: u32 = 0x4248_434B;
-/// Version 9 writes the alias stage's partition where version 8 wrote
+/// Version 10 writes trace sets without the per-trace provenance lists
+/// ([`analysis::snapshot`]'s layout lost them), and round reports
+/// without the four fields the loop derives from others: the round
+/// index (its position), the target count (its round list's length),
+/// the yield per kiloprobe and the rate-limited total (its limiter
+/// classes' sum). Version 9 wrote the alias stage's partition where version 8 wrote
 /// the router-graph builder's forest (interner words, union-find
 /// arrays, flags, links), and a delta run's prior store as one set
 /// where version 8 wrote one set per shard. Version 8 wrote each fact
@@ -63,9 +68,9 @@ const MAGIC: u32 = 0x4248_434B;
 /// trace lengths packed at the width its data needs, and no offsets.
 /// Version 5 had the same [`checksum`] trailer over 4-byte ids and
 /// stored offsets; version 4 numbered a directory form that no longer
-/// exists and is never reused. Any other version, v3 and v5 to v8
+/// exists and is never reused. Any other version, v3 and v5 to v9
 /// included, is refused by number.
-const VERSION: u32 = 9;
+const VERSION: u32 = 10;
 /// Bytes of the trailing checksum.
 const TRAILER: usize = 8;
 
@@ -231,6 +236,16 @@ impl Checkpoint {
             },
             alias: None,
         };
+        // A report's index and target count are its place in the lists.
+        for (i, (report, targets)) in state
+            .rounds
+            .iter_mut()
+            .zip(&state.round_targets)
+            .enumerate()
+        {
+            report.round = i;
+            report.targets = targets.len() as u64;
+        }
         if r.bool()? {
             state.alias = Some(read_alias_state(r, &state)?);
         }
@@ -299,16 +314,23 @@ fn read_prefix(r: &mut SnapReader<'_>) -> Result<Ipv6Prefix, SnapshotError> {
 }
 
 /// The loop indexes and derives its views from a decoded state, so it
-/// must have the shape the loop writes: a liveness flag per weight,
-/// each subnet once, a strictly ascending pool and target list per
-/// round, and a delta run's prior set leading the record, routed over
-/// at least one shard with a latch each.
+/// must have the shape the loop writes: a liveness flag and a
+/// per-vantage report entry per weight, each subnet once, a strictly
+/// ascending pool and target list per round, and a delta run's prior
+/// set leading the record, routed over at least one shard with a latch
+/// each.
 fn check_shape(st: &LoopState) -> Result<(), SnapshotError> {
     let ascending = |xs: &[Ipv6Addr]| xs.windows(2).all(|w| w[0] < w[1]);
     let mut subnets = BTreeSet::new();
     let delta = st.delta.as_ref();
     let refusal = if st.alive.len() != st.vweights.len() {
         "alive/weight length mismatch"
+    } else if st
+        .rounds
+        .iter()
+        .any(|r| r.per_vantage.len() != st.vweights.len())
+    {
+        "per-vantage reports/weight length mismatch"
     } else if !st.subnets.iter().all(|&p| subnets.insert(p)) {
         "repeated subnet"
     } else if st.round_targets.len() != st.rounds.len() {
@@ -401,14 +423,12 @@ fn read_addr_set(r: &mut SnapReader<'_>) -> Result<AddrSet, SnapshotError> {
     Ok(set)
 }
 
+/// A report without the fields the loop derives from others: its
+/// index, target count, yield and rate-limited total.
 fn write_round(w: &mut SnapWriter, r: &RoundReport) {
-    w.u64(r.round as u64);
-    w.u64(r.targets);
     w.u64(r.probes);
     w.u64(r.new_interfaces);
     w.u64(r.new_subnets);
-    w.f64(r.yield_per_kprobe);
-    w.u64(r.rate_limited);
     w.u64(r.rl_dropped_default);
     w.u64(r.rl_dropped_aggressive);
     w.u64(r.routers);
@@ -427,17 +447,26 @@ fn write_round(w: &mut SnapWriter, r: &RoundReport) {
     });
 }
 
+/// What [`write_round`] wrote, the derived fields derived as the loop
+/// does: the yield and the rate-limited total here, the index and the
+/// target count by [`Checkpoint::from_bytes`] from the lists.
 fn read_round(r: &mut SnapReader<'_>) -> Result<RoundReport, SnapshotError> {
+    let probes = r.u64()?;
+    let new_interfaces = r.u64()?;
+    let new_subnets = r.u64()?;
+    let rl_dropped_default = r.u64()?;
+    let rl_dropped_aggressive = r.u64()?;
     Ok(RoundReport {
-        round: r.u64()? as usize,
-        targets: r.u64()?,
-        probes: r.u64()?,
-        new_interfaces: r.u64()?,
-        new_subnets: r.u64()?,
-        yield_per_kprobe: r.f64()?,
-        rate_limited: r.u64()?,
-        rl_dropped_default: r.u64()?,
-        rl_dropped_aggressive: r.u64()?,
+        // Set from the lists once both are read.
+        round: 0,
+        targets: 0,
+        probes,
+        new_interfaces,
+        new_subnets,
+        yield_per_kprobe: yield_per_kprobe(new_interfaces, probes),
+        rate_limited: rl_dropped_default.saturating_add(rl_dropped_aggressive),
+        rl_dropped_default,
+        rl_dropped_aggressive,
         routers: r.u64()?,
         alias_pairs_confirmed: r.u64()?,
         alias_pairs_rejected: r.u64()?,
@@ -510,7 +539,13 @@ mod tests {
         let base = delta_checkpoint();
         assert!(Checkpoint::from_bytes(&base.to_bytes()).is_ok());
         type Edit = fn(&mut LoopState);
-        let cases: [(Edit, &str); 7] = [
+        let cases: [(Edit, &str); 8] = [
+            (
+                |st| {
+                    st.rounds[0].per_vantage.pop();
+                },
+                "per-vantage reports/weight length mismatch",
+            ),
             (
                 |st| {
                     let p = Ipv6Prefix::from_word(0x2001_0db8_u128 << 96, 32);

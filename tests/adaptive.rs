@@ -251,8 +251,13 @@ fn merged_traces_union_all_discoveries() {
     for a in res.interfaces.iter() {
         assert!(merged.interner().lookup(a).is_some());
     }
-    // Provenance spans the vantages that probed.
-    assert!(!merged.sources().is_empty());
+    // The merged name joins every vantage that probed, each the name
+    // of a per-vantage set.
+    let names: Vec<&str> = merged.vantage.split('+').collect();
+    assert!(!names.is_empty());
+    for ts in &res.traces {
+        assert!(names.contains(&&*ts.vantage));
+    }
 }
 
 #[test]

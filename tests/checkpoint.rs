@@ -412,18 +412,35 @@ fn a_state_that_does_not_fit_its_config_is_refused() {
     assert_eq!(resume(bytes), Ok(()));
 
     // One vantage fewer in the state than in the config: the last
-    // weight and the last liveness flag dropped. Bytes 16..20 count the
-    // weights, 8 bytes each; the flags' count and a byte a flag follow.
+    // weight, the last liveness flag and each round report's last
+    // per-vantage entry dropped. Bytes 16..20 count the weights, 8
+    // bytes each; the flags' count and a byte a flag follow; then the
+    // discovery set (16 bytes an address) and the subnets (17 bytes a
+    // prefix), each behind its count; then the reports, each nine
+    // counters and its per-vantage entries (46 bytes each) behind their
+    // count.
     let k = cfg.vantages.len();
     let count = (k as u32 - 1).to_le_bytes();
-    let weights = 20..20 + 8 * k;
-    let alive = weights.end + 4..weights.end + 4 + k;
+    let count_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
     let mut short = bytes[..16].to_vec();
-    short.extend(count);
-    short.extend(&bytes[weights.start..weights.end - 8]);
-    short.extend(count);
-    short.extend(&bytes[alive.start..alive.end - 1]);
-    short.extend(&bytes[alive.end..]);
+    let mut at = 16;
+    for width in [8, 1] {
+        short.extend(count);
+        short.extend(&bytes[at + 4..at + 4 + width * (k - 1)]);
+        at += 4 + width * k;
+    }
+    let seen_end = at + 4 + 16 * count_at(at);
+    let reports = seen_end + 4 + 17 * count_at(seen_end);
+    short.extend(&bytes[at..reports + 4]);
+    at = reports + 4;
+    for _ in 0..count_at(reports) {
+        assert_eq!(count_at(at + 72), k, "a report's per-vantage count");
+        short.extend(&bytes[at..at + 72]);
+        short.extend(count);
+        short.extend(&bytes[at + 76..at + 76 + 46 * (k - 1)]);
+        at += 76 + 46 * k;
+    }
+    short.extend(&bytes[at..]);
     reseal(&mut short);
     assert_eq!(resume(&short), Err(ResumeError::ConfigMismatch));
 
@@ -495,8 +512,10 @@ fn older_versions_are_refused_by_number() {
     // wrote each trace set's own word table; version 7 wrote the probed
     // set, the charged probes and the alias totals beside what they
     // are derived from; version 8 wrote the router-graph builder's
-    // forest and a delta run's prior store shard by shard.
-    for version in [3u32, 4, 5, 6, 7, 8] {
+    // forest and a delta run's prior store shard by shard; version 9
+    // wrote two provenance lists per trace set and four round-report
+    // fields the loop derives.
+    for version in [3u32, 4, 5, 6, 7, 8, 9] {
         let mut old = bytes.clone();
         old[4..8].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -599,24 +618,28 @@ proptest! {
 /// and trailer rows moved, and the trace-set row is version 7's.
 /// Re-pinned at version 9, when the alias state became the partition
 /// the decoder rebuilds the router graph from: the header, tail and
-/// trailer rows moved, and every other row is version 8's.
+/// trailer rows moved, and every other row is version 8's. Re-pinned at
+/// version 10, when trace sets lost their provenance lists (8 bytes a
+/// set) and round reports the four fields the loop derives (32 bytes a
+/// round): the header, pre-trace scalars, trace-set and trailer rows
+/// moved, and the config digest and tail rows are version 9's.
 const PINNED_ROUND_1: [Pin; 7] = [
-    (8, 5345926664459306376),
+    (8, 3035584561083054907),
     (8, 12423028813639569097),
-    (8124, 17098350007521863252),
-    (26239, 4119344121731836369),
+    (8092, 4345599837432682095),
+    (26207, 6007800465457257297),
     (13838, 15805825004169618340),
-    (8, 4720680507052819169),
-    (48225, 17651422815223335660),
+    (8, 13320886932539926783),
+    (48161, 4205062259340199914),
 ];
 const PINNED_LAST_ROUND: [Pin; 7] = [
-    (8, 5345926664459306376),
+    (8, 3035584561083054907),
     (8, 12423028813639569097),
-    (18774, 16731170457270871891),
-    (84891, 152533821684981968),
+    (18678, 7340103671600431927),
+    (84795, 14089843524446264176),
     (14502, 1966818285951231370),
-    (8, 9218932687657165381),
-    (118191, 15713791070110842182),
+    (8, 11366029224695890734),
+    (117999, 11543566492467907156),
 ];
 
 /// Fails unless every section of `bytes` matches its row of `pinned`,
@@ -649,22 +672,22 @@ fn checkpoint_format_is_pinned() {
 /// result can show a leak (nothing reads the pool after the stop); only
 /// these bytes can. Re-pinned with the two above, and in the same rows.
 const PINNED_YIELD_FLOOR_LAST: [Pin; 7] = [
-    (8, 5345926664459306376),
+    (8, 3035584561083054907),
     (8, 16338742832451936537),
-    (13512, 568657900183527575),
-    (55720, 1616552360226540325),
+    (13448, 15711635806003666477),
+    (55656, 1458560021468691557),
     (14374, 7188293949205612528),
-    (8, 1187199432444424389),
-    (83630, 17208241237856641395),
+    (8, 10255298552820243855),
+    (83502, 1254613679692909000),
 ];
 const PINNED_BUDGET_LAST: [Pin; 7] = [
-    (8, 5345926664459306376),
+    (8, 3035584561083054907),
     (8, 10288825219387128118),
-    (20660, 13941818331833800039),
-    (94672, 6111195075515308688),
+    (20532, 7290916853497758361),
+    (94544, 6262277711903326960),
     (15046, 7935278299366144559),
-    (8, 7169329562499927921),
-    (130402, 7791910118205359686),
+    (8, 8504717365369095675),
+    (130146, 9591829404511709497),
 ];
 
 #[test]
