@@ -82,6 +82,12 @@ impl AddrInterner {
         }
     }
 
+    /// Drops the word column's spare capacity. Ids and slots stay as
+    /// they are.
+    pub(crate) fn shrink_words(&mut self) {
+        self.words.shrink_to_fit();
+    }
+
     /// Number of distinct addresses interned.
     pub fn len(&self) -> usize {
         self.words.len()
@@ -337,6 +343,11 @@ impl AddrInterner {
     /// Slots in the table.
     pub(crate) fn slots(&self) -> usize {
         self.ids.len()
+    }
+
+    /// Reserved but unused slots of the word column.
+    pub(crate) fn spare_words(&self) -> usize {
+        self.words.capacity() - self.words.len()
     }
 }
 

@@ -9,6 +9,7 @@
 
 use crate::traces::TraceSet;
 use serde::{Deserialize, Serialize};
+use std::net::Ipv6Addr;
 use v6addr::iid::{classify, IidClass};
 use v6addr::Asn;
 use yarrp6::{ProbeLog, ResponseKind};
@@ -56,10 +57,21 @@ fn percentile<T: Copy + Ord>(sorted: &[T], p: f64) -> Option<T> {
 }
 
 impl CampaignMetrics {
-    /// Computes the row for one campaign.
-    pub fn compute(log: &ProbeLog, bgp: &v6addr::BgpTable) -> CampaignMetrics {
-        let ts = TraceSet::from_log(log);
-        let ifaces = log.interface_addrs();
+    /// Computes the row for one target set from its campaigns' `logs`,
+    /// one per vantage (a single campaign is one log), named by the
+    /// `+`-joined vantages and the target set.
+    ///
+    /// Each log is one set of traces: a trace is one path, from one
+    /// vantage, so a target probed from several vantages is several
+    /// traces, and their paths, of different lengths, never mix. The
+    /// per-trace samples (reach, path length, EUI-64 offset) pool over
+    /// every log's traces; the address counts (interfaces, their
+    /// prefixes and ASNs, EUI-64 interfaces) are over the union of the
+    /// logs' addresses.
+    pub fn compute(logs: &[&ProbeLog], bgp: &v6addr::BgpTable) -> CampaignMetrics {
+        let mut ifaces: Vec<Ipv6Addr> = logs.iter().flat_map(|l| l.interface_addrs()).collect();
+        ifaces.sort_unstable();
+        ifaces.dedup();
 
         let mut pfxs: Vec<v6addr::Ipv6Prefix> = Vec::new();
         let mut asns: Vec<u32> = Vec::new();
@@ -74,61 +86,74 @@ impl CampaignMetrics {
         asns.sort_unstable();
         asns.dedup();
 
-        // Per-unique-address facts, once per interned id.
-        let id_origin: Vec<Option<Asn>> = ts.interner().map_ids(|a| bgp.origin(a));
-        let id_eui64: Vec<bool> = ts.interner().map_ids(|a| classify(a) == IidClass::Eui64);
-
-        let mut path_lens: Vec<u8> = ts.iter().filter_map(|t| t.path_len()).collect();
-        path_lens.sort_unstable();
-
-        let reached = ts
-            .iter()
-            .filter(|t| {
-                if t.reached_at().is_some() {
-                    return true;
-                }
-                let Some(tasn) = bgp.origin(t.target()) else {
-                    return false;
-                };
-                t.hop_cells()
-                    .ids()
-                    .iter()
-                    .chain(t.unreachable_cells().ids())
-                    .any(|&id| id_origin[id as usize] == Some(tasn))
-            })
-            .count();
-
-        // EUI-64 interfaces and their path offsets. Offset is relative to
-        // the trace's path length: 0 means last hop on path. Uniqueness
-        // is tracked per interned id, not by re-hashing addresses.
-        let mut eui_seen = vec![false; ts.interner().len()];
-        let mut eui_count = 0u64;
+        let (mut traces, mut reached) = (0usize, 0usize);
+        let mut path_lens: Vec<u8> = Vec::new();
+        let mut eui_words: Vec<u128> = Vec::new();
         let mut offsets: Vec<i16> = Vec::new();
-        for t in ts.iter() {
-            let Some(plen) = t.path_len() else { continue };
-            for (ttl, id) in t.hop_cells() {
-                if id_eui64[id as usize] {
-                    if !eui_seen[id as usize] {
-                        eui_seen[id as usize] = true;
-                        eui_count += 1;
+        for log in logs {
+            let ts = TraceSet::from_log(log);
+            traces += ts.len();
+            // Per-unique-address facts, once per interned id.
+            let id_origin: Vec<Option<Asn>> = ts.interner().map_ids(|a| bgp.origin(a));
+            let id_eui64: Vec<bool> = ts.interner().map_ids(|a| classify(a) == IidClass::Eui64);
+
+            path_lens.extend(ts.iter().filter_map(|t| t.path_len()));
+
+            reached += ts
+                .iter()
+                .filter(|t| {
+                    if t.reached_at().is_some() {
+                        return true;
                     }
-                    offsets.push(ttl as i16 - plen as i16);
+                    let Some(tasn) = bgp.origin(t.target()) else {
+                        return false;
+                    };
+                    t.hop_cells()
+                        .ids()
+                        .iter()
+                        .chain(t.unreachable_cells().ids())
+                        .any(|&id| id_origin[id as usize] == Some(tasn))
+                })
+                .count();
+
+            // EUI-64 interfaces and their path offsets. Offset is
+            // relative to the trace's path length: 0 means last hop on
+            // path. Uniqueness within a log is tracked per interned id,
+            // not by re-hashing addresses.
+            let mut eui_seen = vec![false; ts.interner().len()];
+            for t in ts.iter() {
+                let Some(plen) = t.path_len() else { continue };
+                for (ttl, id) in t.hop_cells() {
+                    if id_eui64[id as usize] {
+                        if !eui_seen[id as usize] {
+                            eui_seen[id as usize] = true;
+                            eui_words.push(ts.interner().resolve_word(id));
+                        }
+                        offsets.push(ttl as i16 - plen as i16);
+                    }
                 }
             }
         }
+        path_lens.sort_unstable();
         offsets.sort_unstable();
+        // An EUI-64 interface two vantages crossed counts once.
+        eui_words.sort_unstable();
+        eui_words.dedup();
+        let eui_count = eui_words.len() as u64;
 
+        let vantages: Vec<&str> = logs.iter().map(|l| &*l.vantage).collect();
+        let target_set = logs.first().map_or("", |l| &*l.target_set);
         CampaignMetrics {
-            name: format!("{} {}", log.vantage, log.target_set),
-            probes: log.probes_sent,
-            targets: log.traces,
+            name: format!("{} {target_set}", vantages.join("+")),
+            probes: logs.iter().map(|l| l.probes_sent).sum(),
+            targets: logs.iter().map(|l| l.traces).sum(),
             interface_addrs: ifaces.len() as u64,
             int_bgp_prefixes: pfxs.len() as u64,
             int_asns: asns.len() as u64,
-            reach_frac: if ts.is_empty() {
+            reach_frac: if traces == 0 {
                 0.0
             } else {
-                reached as f64 / ts.len() as f64
+                reached as f64 / traces as f64
             },
             path_len_p95: percentile(&path_lens, 0.95).unwrap_or(0),
             path_len_median: percentile(&path_lens, 0.5).unwrap_or(0),
@@ -410,7 +435,7 @@ mod tests {
 
     #[test]
     fn metrics_row() {
-        let m = CampaignMetrics::compute(&sample_log(), &bgp());
+        let m = CampaignMetrics::compute(&[&sample_log()], &bgp());
         assert_eq!(m.interface_addrs, 3);
         assert_eq!(m.int_bgp_prefixes, 1);
         assert_eq!(m.int_asns, 1);
@@ -422,6 +447,57 @@ mod tests {
         assert_eq!(m.eui64_offset_median, -1);
         // Path lengths are [1, 4]; the median index rounds up to 4.
         assert_eq!(m.path_len_median, 4);
+    }
+
+    #[test]
+    fn vantages_pool_their_traces_and_never_mix_paths() {
+        // Two vantages trace one target: one crosses an EUI-64 interface
+        // at hop 3 of 4, the other crosses the same interface at hop 5
+        // of 6. As one log the target's trace would hold both hops
+        // against the shorter path (offsets -1 and +1).
+        let eui = "2001:db8:f:0:0211:22ff:fe33:4455";
+        let log = |vantage: &str, hop: u8| {
+            let mut log = ProbeLog {
+                vantage: vantage.into(),
+                target_set: "S".into(),
+                probes_sent: 10,
+                traces: 1,
+                ..Default::default()
+            };
+            log.records.extend([
+                rec(
+                    "2001:db8::1",
+                    "2001:db8:a::1",
+                    ResponseKind::TimeExceeded,
+                    1,
+                    10,
+                ),
+                rec("2001:db8::1", eui, ResponseKind::TimeExceeded, hop, 20),
+                rec(
+                    "2001:db8::1",
+                    "2001:db8::1",
+                    ResponseKind::EchoReply,
+                    hop + 1,
+                    30,
+                ),
+            ]);
+            log
+        };
+        let (a, b) = (log("A", 3), log("B", 5));
+        let m = CampaignMetrics::compute(&[&a, &b], &bgp());
+        assert_eq!(m.name, "A+B S");
+        assert_eq!((m.probes, m.targets), (20, 2));
+        // Two traces, one per vantage, at their own lengths.
+        assert_eq!(m.reach_frac, 1.0);
+        assert_eq!((m.path_len_median, m.path_len_p95), (6, 6));
+        // Both crossings sit one hop before the end; the interface is
+        // one address.
+        assert_eq!((m.eui64_offset_p5, m.eui64_offset_median), (-1, -1));
+        assert_eq!((m.eui64_addrs, m.interface_addrs), (1, 2));
+        assert_eq!(m.eui64_frac, 0.5);
+        // One vantage alone is that vantage's campaign.
+        let solo = CampaignMetrics::compute(&[&a], &bgp());
+        assert_eq!((solo.name.as_str(), solo.path_len_median), ("A S", 4));
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! bit-identical by construction and costs no memory.
 
 use crate::intern::{union, Reintern};
-use crate::traces::{TraceMeta, TraceSet};
+use crate::traces::TraceSet;
 use std::borrow::Cow;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -246,21 +246,15 @@ fn scrub(
     // Sized for every address: a scrub drops few.
     let mut ids = Reintern::new(set.interner());
 
-    let mut out = TraceSet {
-        vantage: set.vantage.clone(),
-        target_set: set.target_set.clone(),
-        rewritten_dropped: set.rewritten_dropped,
-        interner: Default::default(),
-        targets: set.targets.clone(),
-        metas: Vec::with_capacity(set.metas.len()),
-        hop_ttls: Vec::with_capacity(set.hop_ids.len()),
-        hop_ids: Vec::with_capacity(set.hop_ids.len()),
-        unreach_ttls: Vec::with_capacity(set.unreach_ids.len()),
-        unreach_ids: Vec::with_capacity(set.unreach_ids.len()),
-    };
+    let mut out = TraceSet::reserved(
+        set.vantage.clone(),
+        set.target_set.clone(),
+        set.rewritten_dropped,
+        Default::default(),
+        [set.len(), set.hop_ids.len(), set.unreach_ids.len()],
+    );
     for t in set.iter() {
         let r = t.reached_at();
-        let hop_off = out.hop_ids.len() as u32;
         let mut touched = false;
         for (ttl, id) in t.hop_cells() {
             match keep_hop(ttl, id, r) {
@@ -278,7 +272,6 @@ fn scrub(
                 }
             }
         }
-        let unreach_off = out.unreach_ids.len() as u32;
         for (ttl, id) in t.unreachable_cells() {
             if keep_unreach(ttl, id) {
                 out.unreach_ttls.push(ttl);
@@ -291,13 +284,7 @@ fn scrub(
         if touched {
             report.traces_touched += 1;
         }
-        out.metas.push(TraceMeta {
-            hop_off,
-            hop_len: out.hop_ids.len() as u32 - hop_off,
-            unreach_off,
-            unreach_len: out.unreach_ids.len() as u32 - unreach_off,
-            reached_at: r,
-        });
+        out.end_trace(t.target(), r);
     }
     out.interner = ids.finish().into();
     Some(out)

@@ -97,24 +97,18 @@ impl ShardedTraceSet {
         }
         let shards = pool_map(n, n > 1, |s| {
             // Every column is reserved at its final length, summed from
-            // the bucket's metas, so none grows by doubling.
+            // the bucket's traces, so none grows by doubling.
             let bucket = &buckets[s];
             let (n_hops, n_unreach) = bucket.iter().fold((0usize, 0usize), |(h, u), &i| {
-                let m = &ts.metas[i];
-                (h + m.hop_len as usize, u + m.unreach_len as usize)
+                (h + ts.hop_range(i).len(), u + ts.unreach_range(i).len())
             });
-            let mut out = TraceSet {
-                vantage: ts.vantage.clone(),
-                target_set: ts.target_set.clone(),
-                rewritten_dropped: if s == 0 { ts.rewritten_dropped } else { 0 },
-                interner: Arc::clone(&ts.interner),
-                targets: Vec::with_capacity(bucket.len()),
-                metas: Vec::with_capacity(bucket.len()),
-                hop_ttls: Vec::with_capacity(n_hops),
-                hop_ids: Vec::with_capacity(n_hops),
-                unreach_ttls: Vec::with_capacity(n_unreach),
-                unreach_ids: Vec::with_capacity(n_unreach),
-            };
+            let mut out = TraceSet::reserved(
+                ts.vantage.clone(),
+                ts.target_set.clone(),
+                if s == 0 { ts.rewritten_dropped } else { 0 },
+                Arc::clone(&ts.interner),
+                [bucket.len(), n_hops, n_unreach],
+            );
             for &i in bucket {
                 out.push_trace(ts, i, None);
             }
@@ -277,7 +271,7 @@ mod tests {
     fn every_shard_column_is_reserved_at_its_final_length() {
         let ts = sample_set();
         for shard in ShardedTraceSet::from_set(&ts, 8).shards() {
-            assert_eq!(shard.spare_capacity(), [0; 6]);
+            assert_eq!(shard.spare_capacity(), [0; 8]);
         }
     }
 

@@ -22,9 +22,10 @@
 //! set, at the width its data needs: a cell is its hop limit and its id
 //! in the fewest whole bytes that hold the set's largest id, and a
 //! trace's lengths are in the fewest bytes that hold the set's longest,
-//! behind one width byte. Offsets are not stored; the decoder rebuilds
-//! them as running sums. Every width is the minimal one, so a set has
-//! one encoding.
+//! behind one width byte. A set holds where each trace's cells end; the
+//! encoding holds the lengths, the differences of those ends, and the
+//! decoder turns them back into ends as running sums. Every width is the
+//! minimal one, so a set has one encoding.
 //!
 //! [`write_trace_chain`] / [`read_trace_chain`] snapshot a list of sets
 //! whose tables form a prefix chain (each table's words start with the
@@ -33,7 +34,7 @@
 //! table. The adaptive checkpoint's trace record is such a chain.
 
 use crate::intern::AddrInterner;
-use crate::traces::{TraceMeta, TraceSet};
+use crate::traces::{cell_range, trace_lens, TraceSet};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
@@ -238,17 +239,12 @@ struct Widths {
 
 impl Widths {
     fn of(ts: &TraceSet) -> Widths {
-        let (mut hop, mut unreach, mut reached) = (0, 0, 0);
-        for m in &ts.metas {
-            hop = hop.max(m.hop_len);
-            unreach = unreach.max(m.unreach_len);
-            reached += usize::from(m.reached_at.is_some());
-        }
+        let longest = |ends| trace_lens(ends).max().unwrap_or(0);
         Widths {
-            hop_len: width_of(hop),
-            unreach_len: width_of(unreach),
+            hop_len: width_of(longest(&ts.hop_ends)),
+            unreach_len: width_of(longest(&ts.unreach_ends)),
             id: id_width(ts.interner.len()),
-            reached,
+            reached: ts.reached.iter().filter(|at| at.is_some()).count(),
         }
     }
 
@@ -256,7 +252,7 @@ impl Widths {
     /// word table or without.
     fn encoded_len(&self, ts: &TraceSet, with_table: bool) -> usize {
         let str_len = |s: &str| 4 + s.len();
-        let n = ts.metas.len();
+        let n = ts.targets.len();
         str_len(&ts.vantage)
             + str_len(&ts.target_set)
             + 8
@@ -309,14 +305,10 @@ fn write_set(w: &mut SnapWriter, ts: &TraceSet, with_table: bool) {
     for &t in &ts.targets {
         w.u128(u128::from(t));
     }
-    write_lens(w, widths.hop_len, ts.metas.iter().map(|m| m.hop_len));
-    write_lens(
-        w,
-        widths.unreach_len,
-        ts.metas.iter().map(|m| m.unreach_len),
-    );
-    for m in &ts.metas {
-        match m.reached_at {
+    write_lens(w, widths.hop_len, trace_lens(&ts.hop_ends));
+    write_lens(w, widths.unreach_len, trace_lens(&ts.unreach_ends));
+    for &reached_at in &ts.reached {
+        match reached_at {
             Some(at) => {
                 w.u8(1);
                 w.u8(at);
@@ -543,32 +535,29 @@ fn read_set(
     for _ in 0..n_targets {
         targets.push(Ipv6Addr::from(r.u128()?));
     }
-    let hop_lens = read_lens(r, n_targets, "hop length width")?;
-    let unreach_lens = read_lens(r, n_targets, "unreach length width")?;
-    // Every later slice of a trace's cells trusts these ranges: each
-    // offset is the sum of the lengths before it, and a sum past `u32`
-    // is refused rather than wrapped.
+    // The length columns are decoded in place into the end columns:
+    // each trace's end is the sum of its length and the lengths before
+    // it, and a sum past `u32` is refused rather than wrapped. Ends
+    // built so never decrease, so the ranges tile their columns once
+    // the last end is the column's length.
+    let mut hop_ends = read_lens(r, n_targets, "hop length width")?;
+    let mut unreach_ends = read_lens(r, n_targets, "unreach length width")?;
     let (mut hop_end, mut unreach_end) = (0u32, 0u32);
-    let mut metas = Vec::with_capacity(n_targets);
-    for (&hop_len, &unreach_len) in hop_lens.iter().zip(&unreach_lens) {
-        let reached_at = match r.u8()? {
+    let mut reached = Vec::with_capacity(n_targets);
+    for (hop, unreach) in hop_ends.iter_mut().zip(&mut unreach_ends) {
+        reached.push(match r.u8()? {
             0 => None,
             1 => Some(r.u8()?),
             _ => return Err(SnapshotError::BadValue("reached_at tag")),
-        };
-        metas.push(TraceMeta {
-            hop_off: hop_end,
-            hop_len,
-            unreach_off: unreach_end,
-            unreach_len,
-            reached_at,
         });
         hop_end = hop_end
-            .checked_add(hop_len)
+            .checked_add(*hop)
             .ok_or(SnapshotError::BadValue("trace hop lengths past u32"))?;
+        *hop = hop_end;
         unreach_end = unreach_end
-            .checked_add(unreach_len)
+            .checked_add(*unreach)
             .ok_or(SnapshotError::BadValue("trace unreach lengths past u32"))?;
+        *unreach = unreach_end;
     }
     let (hop_ttls, hop_ids) = read_cells(r, n_words, "hop interner id")?;
     let (unreach_ttls, unreach_ids) = read_cells(r, n_words, "unreach interner id")?;
@@ -580,10 +569,11 @@ fn read_set(
     }
     // `path_len`, `last_hop` and `hop_vec` read a trace's deepest hop
     // off its last cell.
-    if metas
-        .iter()
-        .any(|m| hop_ttls[m.hop_range()].windows(2).any(|w| w[0] >= w[1]))
-    {
+    if (0..n_targets).any(|idx| {
+        hop_ttls[cell_range(&hop_ends, idx)]
+            .windows(2)
+            .any(|w| w[0] >= w[1])
+    }) {
         return Err(SnapshotError::BadValue("hop ttl order"));
     }
     // `get` binary-searches the targets.
@@ -596,7 +586,9 @@ fn read_set(
         rewritten_dropped,
         interner,
         targets,
-        metas,
+        hop_ends,
+        unreach_ends,
+        reached,
         hop_ttls,
         hop_ids,
         unreach_ttls,
@@ -1183,22 +1175,15 @@ mod tests {
     #[test]
     fn corrupt_trace_metadata_is_rejected() {
         let read = |ts: &TraceSet| decode(&encode(ts));
-        let last = sample().len() - 1;
+        // `sample`: two traces, of two hops and of one, no unreachables.
         type Corrupt = fn(&mut TraceSet);
-        let cases: [(Corrupt, &str); 5] = [
-            (|ts| ts.metas[0].hop_len += 100, "trace hop range"),
+        let cases: [(Corrupt, &str); 3] = [
+            // The first trace 100 hops longer, the second as it was.
             (
-                |ts| ts.metas[0].hop_len = u32::MAX,
-                "trace hop lengths past u32",
+                |ts| ts.hop_ends.iter_mut().for_each(|end| *end += 100),
+                "trace hop range",
             ),
-            (|ts| ts.metas[1].unreach_len += 1, "trace unreach range"),
-            (
-                |ts| {
-                    ts.metas[0].unreach_len = u32::MAX;
-                    ts.metas[1].unreach_len = 1;
-                },
-                "trace unreach lengths past u32",
-            ),
+            (|ts| ts.unreach_ends[1] += 1, "trace unreach range"),
             (|ts| ts.targets.swap(0, 1), "target order"),
         ];
         for (corrupt, what) in cases {
@@ -1206,10 +1191,21 @@ mod tests {
             corrupt(&mut ts);
             assert_eq!(read(&ts), Err(SnapshotError::BadValue(what)));
         }
+        // Lengths whose sum passes u32 have no ends to hold them, so
+        // only the bytes can spell them: a first trace of u32::MAX hop
+        // or unreachable cells.
+        let hops = [(1, 0), (2, 0), (4, 0)];
+        let cases = [
+            ([[u32::MAX, 0], [1, 0]], "trace hop lengths past u32"),
+            ([[2, u32::MAX], [1, 1]], "trace unreach lengths past u32"),
+        ];
+        for (lens, what) in cases {
+            let bytes = raw_set(&lens, &hops, &[]);
+            assert_eq!(decode(&bytes), Err(SnapshotError::BadValue(what)));
+        }
         // The last trace's ranges end exactly at their columns' ends.
         let ts = sample();
-        let m = ts.metas[last];
-        assert_eq!((m.hop_off + m.hop_len) as usize, ts.hop_ids.len());
+        ts.assert_tiled();
         assert_eq!(read(&ts), Ok(ts));
     }
 

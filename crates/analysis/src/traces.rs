@@ -11,10 +11,12 @@
 //!   insertions;
 //! * all hop cells live contiguously in two parallel columns — hop
 //!   limits (`u8`) and interface ids (`u32`), 5 bytes a cell where a
-//!   `(u8, u32)` tuple pads to 8 — each trace owning an `(offset, len)`
-//!   range of both, the ranges tiling the columns in trace order:
-//!   iteration is a slice walk, already in target order, so no
-//!   `iter_sorted()` re-sort per analysis pass;
+//!   `(u8, u32)` tuple pads to 8 — laid out in trace order, so a trace
+//!   is known by where its cells *end*: trace `i` owns
+//!   `ends[i - 1]..ends[i]` (from 0 for the first), and the ranges tile
+//!   the columns by construction. With its `reached_at` that is 10
+//!   bytes of metadata a trace. Iteration is a slice walk, already in
+//!   target order, so no `iter_sorted()` re-sort per analysis pass;
 //! * responder addresses are interned once into a shared
 //!   [`AddrInterner`] ([`crate::intern`]); hops carry dense `u32` ids
 //!   and downstream stages cache per-address derived values by id.
@@ -36,33 +38,33 @@ use v6packet::icmp6::DestUnreachCode;
 use yarrp6::addrset::AddrSet;
 use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
 
-/// Per-trace metadata: ranges into the shared hop/unreachable columns.
-/// In every set, trace `i`'s ranges start where trace `i - 1`'s end, so
-/// each column is the concatenation of its traces' cells in trace order.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct TraceMeta {
-    pub(crate) hop_off: u32,
-    pub(crate) hop_len: u32,
-    pub(crate) unreach_off: u32,
-    pub(crate) unreach_len: u32,
-    pub(crate) reached_at: Option<u8>,
+/// Trace `idx`'s cells in a column whose traces end at `ends`: from
+/// where the previous trace ends (0 for the first) to its own end.
+#[inline]
+pub(crate) fn cell_range(ends: &[u32], idx: usize) -> Range<usize> {
+    let start = match idx {
+        0 => 0,
+        _ => ends[idx - 1],
+    };
+    start as usize..ends[idx] as usize
 }
 
-impl TraceMeta {
-    /// This trace's slice of the hop columns.
-    #[inline]
-    pub(crate) fn hop_range(&self) -> Range<usize> {
-        self.hop_off as usize..(self.hop_off + self.hop_len) as usize
-    }
-
-    /// This trace's slice of the unreachable columns.
-    #[inline]
-    pub(crate) fn unreach_range(&self) -> Range<usize> {
-        self.unreach_off as usize..(self.unreach_off + self.unreach_len) as usize
-    }
+/// The lengths of the traces whose cells end at `ends`.
+pub(crate) fn trace_lens(ends: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    ends.iter().scan(0, |start, &end| {
+        let len = end - *start;
+        *start = end;
+        Some(len)
+    })
 }
 
 /// All traces of one campaign in columnar form, sorted by target.
+///
+/// A trace is a row across the target and metadata columns; its cells
+/// are a range of the cell columns, which hold every trace's cells in
+/// trace order, so the row stores only where that range ends
+/// (`cell_range`). The ranges tile their columns by construction:
+/// every constructor appends a trace's cells and then ends it.
 #[derive(Clone, Debug, Default)]
 pub struct TraceSet {
     /// Campaign identity, carried through for reporting (shared, not
@@ -82,8 +84,14 @@ pub struct TraceSet {
     pub(crate) interner: Arc<AddrInterner>,
     /// Probed destinations, ascending by address word.
     pub(crate) targets: Vec<Ipv6Addr>,
-    /// Parallel to `targets`.
-    pub(crate) metas: Vec<TraceMeta>,
+    /// Where each trace's hop cells end, parallel to `targets`:
+    /// non-decreasing, the last one the hop columns' length.
+    pub(crate) hop_ends: Vec<u32>,
+    /// Where each trace's unreachable cells end, as `hop_ends`.
+    pub(crate) unreach_ends: Vec<u32>,
+    /// The smallest hop limit the destination answered at, parallel to
+    /// `targets`.
+    pub(crate) reached: Vec<Option<u8>>,
     /// The hop limit of every hop cell, contiguous per trace, strictly
     /// ascending within a trace.
     pub(crate) hop_ttls: Vec<u8>,
@@ -109,7 +117,9 @@ impl PartialEq for TraceSet {
             && self.target_set == other.target_set
             && self.rewritten_dropped == other.rewritten_dropped
             && self.targets == other.targets
-            && self.metas == other.metas
+            && self.hop_ends == other.hop_ends
+            && self.unreach_ends == other.unreach_ends
+            && self.reached == other.reached
             && self.hop_ttls == other.hop_ttls
             && self.hop_ids == other.hop_ids
             && self.unreach_ttls == other.unreach_ttls
@@ -367,12 +377,13 @@ pub(crate) fn assemble<K: Copy + Ord + Default>(
     // Emit walk. `ttl_slot[t]` holds (owner rank + 1, winning cell) —
     // the epoch trick avoids clearing 256 slots per trace.
     let mut ttl_slot = [(0u32, Cell::<K>::default()); 256];
-    let mut targets = Vec::with_capacity(n_targets);
-    let mut metas = Vec::with_capacity(n_targets);
-    let mut hop_ttls = Vec::with_capacity(hop_cells.len());
-    let mut hop_ids = Vec::with_capacity(hop_cells.len());
-    let mut unreach_ttls = Vec::with_capacity(unreach_cells.len());
-    let mut unreach_ids = Vec::with_capacity(unreach_cells.len());
+    let mut out = TraceSet::reserved(
+        vantage,
+        target_set,
+        rewritten_dropped,
+        Arc::new(interner),
+        [n_targets, hop_cells.len(), unreach_cells.len()],
+    );
     for (r, &(word, tid)) in order.iter().enumerate() {
         let epoch = r as u32 + 1;
         let bucket = &hop_cells[starts[r][0] as usize..starts[r + 1][0] as usize];
@@ -388,45 +399,28 @@ pub(crate) fn assemble<K: Copy + Ord + Default>(
                 hi = hi.max(ttl);
             }
         }
-        let hop_off = hop_ids.len() as u32;
         if lo != usize::MAX {
             for (t, &(e, cell)) in ttl_slot.iter().enumerate().take(hi + 1).skip(lo) {
                 if e == epoch {
-                    hop_ttls.push(t as u8);
-                    hop_ids.push(cell.rid());
+                    out.hop_ttls.push(t as u8);
+                    out.hop_ids.push(cell.rid());
                 }
             }
         }
-        let unreach_off = unreach_ids.len() as u32;
         let bucket = &mut unreach_cells[starts[r][1] as usize..starts[r + 1][1] as usize];
         if bucket.windows(2).any(|w| w[1].key() < w[0].key()) {
             bucket.sort_by_key(|cell| cell.key());
         }
-        unreach_ttls.extend(bucket.iter().map(|cell| cell.ttl()));
-        unreach_ids.extend(bucket.iter().map(|cell| cell.rid()));
+        out.unreach_ttls
+            .extend(bucket.iter().map(|cell| cell.ttl()));
+        out.unreach_ids.extend(bucket.iter().map(|cell| cell.rid()));
         let at = reached[tid as usize];
-        targets.push(Ipv6Addr::from(word));
-        metas.push(TraceMeta {
-            hop_off,
-            hop_len: hop_ids.len() as u32 - hop_off,
-            unreach_off,
-            unreach_len: unreach_ids.len() as u32 - unreach_off,
-            reached_at: (at != NOT_REACHED).then_some(at as u8),
-        });
+        out.end_trace(
+            Ipv6Addr::from(word),
+            (at != NOT_REACHED).then_some(at as u8),
+        );
     }
-
-    TraceSet {
-        vantage,
-        target_set,
-        rewritten_dropped,
-        interner: Arc::new(interner),
-        targets,
-        metas,
-        hop_ttls,
-        hop_ids,
-        unreach_ttls,
-        unreach_ids,
-    }
+    out
 }
 
 impl TraceSet {
@@ -539,27 +533,64 @@ impl TraceSet {
             .collect()
     }
 
-    /// Appends `src`'s trace at `idx` to `self`'s columns, its ids translated through `id_remap` when there is one.
-    /// The `u32` offsets cannot wrap: the caller checked the final column
-    /// lengths first.
+    /// An empty set on `interner` whose columns are reserved for
+    /// `[traces, hop cells, unreachable cells]`.
+    pub(crate) fn reserved(
+        vantage: Arc<str>,
+        target_set: Arc<str>,
+        rewritten_dropped: u64,
+        interner: Arc<AddrInterner>,
+        [n_targets, n_hops, n_unreach]: [usize; 3],
+    ) -> TraceSet {
+        TraceSet {
+            vantage,
+            target_set,
+            rewritten_dropped,
+            interner,
+            targets: Vec::with_capacity(n_targets),
+            hop_ends: Vec::with_capacity(n_targets),
+            unreach_ends: Vec::with_capacity(n_targets),
+            reached: Vec::with_capacity(n_targets),
+            hop_ttls: Vec::with_capacity(n_hops),
+            hop_ids: Vec::with_capacity(n_hops),
+            unreach_ttls: Vec::with_capacity(n_unreach),
+            unreach_ids: Vec::with_capacity(n_unreach),
+        }
+    }
+
+    /// Ends the trace toward `target`: it owns every cell appended since
+    /// the previous trace ended. The `u32` ends cannot wrap: every
+    /// constructor's columns hold fewer than 2³² cells.
+    #[inline]
+    pub(crate) fn end_trace(&mut self, target: Ipv6Addr, reached_at: Option<u8>) {
+        self.targets.push(target);
+        self.hop_ends.push(self.hop_ids.len() as u32);
+        self.unreach_ends.push(self.unreach_ids.len() as u32);
+        self.reached.push(reached_at);
+    }
+
+    /// Trace `idx`'s range of the hop columns.
+    #[inline]
+    pub(crate) fn hop_range(&self, idx: usize) -> Range<usize> {
+        cell_range(&self.hop_ends, idx)
+    }
+
+    /// Trace `idx`'s range of the unreachable columns.
+    #[inline]
+    pub(crate) fn unreach_range(&self, idx: usize) -> Range<usize> {
+        cell_range(&self.unreach_ends, idx)
+    }
+
+    /// Appends `src`'s trace at `idx` to `self`'s columns, its ids
+    /// translated through `id_remap` when there is one.
     pub(crate) fn push_trace(&mut self, src: &TraceSet, idx: usize, id_remap: Option<&[u32]>) {
-        let m = src.metas[idx];
-        let (hops, unreach) = (m.hop_range(), m.unreach_range());
-        let hop_off = self.hop_ids.len() as u32;
+        let (hops, unreach) = (src.hop_range(idx), src.unreach_range(idx));
         self.hop_ttls.extend_from_slice(&src.hop_ttls[hops.clone()]);
         extend_ids(&mut self.hop_ids, &src.hop_ids[hops], id_remap);
-        let unreach_off = self.unreach_ids.len() as u32;
         self.unreach_ttls
             .extend_from_slice(&src.unreach_ttls[unreach.clone()]);
         extend_ids(&mut self.unreach_ids, &src.unreach_ids[unreach], id_remap);
-        self.targets.push(src.targets[idx]);
-        self.metas.push(TraceMeta {
-            hop_off,
-            hop_len: m.hop_len,
-            unreach_off,
-            unreach_len: m.unreach_len,
-            reached_at: m.reached_at,
-        });
+        self.end_trace(src.targets[idx], src.reached[idx]);
     }
 
     /// Unions columnar sets into one — the cross-vantage merge. Returns
@@ -617,12 +648,19 @@ impl TraceSet {
     /// (`None`: the set's table is a prefix of the union, and its ids
     /// stand). Every cell resolves to the address it did, so no view of
     /// a set changes; only its interner holds more words.
+    ///
+    /// A table the union extended is held at its length: the copy of a
+    /// shared table is exact, so its first new word doubles its word
+    /// column, and once shared it never grows again.
     pub fn rebase<'s>(
         table: &mut Arc<AddrInterner>,
         sets: impl IntoIterator<Item = &'s mut TraceSet>,
     ) -> Vec<Option<Vec<u32>>> {
         let mut sets: Vec<&mut TraceSet> = sets.into_iter().collect();
         let maps = union(table, sets.iter().map(|s| &s.interner));
+        if let Some(own) = Arc::get_mut(table) {
+            own.shrink_words();
+        }
         for (set, map) in sets.iter_mut().zip(&maps) {
             if let Some(m) = map {
                 for id in set.hop_ids.iter_mut().chain(&mut set.unreach_ids) {
@@ -658,27 +696,21 @@ impl TraceSet {
         // would otherwise reserve their sum), once to copy.
         let (mut n_targets, mut n_hops, mut n_unreach) = (0usize, 0usize, 0usize);
         for (i, idx) in owner_walk(refs) {
-            let m = refs[i].metas[idx];
             n_targets += 1;
-            n_hops += m.hop_len as usize;
-            n_unreach += m.unreach_len as usize;
+            n_hops += refs[i].hop_range(idx).len();
+            n_unreach += refs[i].unreach_range(idx).len();
         }
         assert!(
             n_hops <= u32::MAX as usize && n_unreach <= u32::MAX as usize,
             "one trace set holds at most 2^32 - 1 hop and 2^32 - 1 unreachable cells"
         );
-        let mut out = TraceSet {
+        let mut out = TraceSet::reserved(
             vantage,
             target_set,
             rewritten_dropped,
             interner,
-            targets: Vec::with_capacity(n_targets),
-            metas: Vec::with_capacity(n_targets),
-            hop_ttls: Vec::with_capacity(n_hops),
-            hop_ids: Vec::with_capacity(n_hops),
-            unreach_ttls: Vec::with_capacity(n_unreach),
-            unreach_ids: Vec::with_capacity(n_unreach),
-        };
+            [n_targets, n_hops, n_unreach],
+        );
         for (i, idx) in owner_walk(refs) {
             out.push_trace(refs[i], idx, id_remaps[i].as_deref());
         }
@@ -705,11 +737,11 @@ impl TraceSet {
     /// final size. A caller that keeps its input canonicalizes a clone.
     pub fn canonical(mut self) -> TraceSet {
         let mut ids = Reintern::new(&self.interner);
-        for m in &self.metas {
-            for id in &mut self.hop_ids[m.hop_range()] {
+        for idx in 0..self.targets.len() {
+            for id in &mut self.hop_ids[cell_range(&self.hop_ends, idx)] {
                 *id = ids.id(*id);
             }
-            for id in &mut self.unreach_ids[m.unreach_range()] {
+            for id in &mut self.unreach_ids[cell_range(&self.unreach_ends, idx)] {
                 *id = ids.id(*id);
             }
         }
@@ -897,7 +929,9 @@ impl std::fmt::Debug for Cells<'_> {
     }
 }
 
-/// A borrowed view of one trace inside the flat store.
+/// A borrowed view of one trace inside the flat store: its row of the
+/// set's per-trace columns, and through its ends its ranges of the cell
+/// columns.
 #[derive(Clone, Copy)]
 pub struct TraceView<'a> {
     set: &'a TraceSet,
@@ -905,11 +939,6 @@ pub struct TraceView<'a> {
 }
 
 impl<'a> TraceView<'a> {
-    #[inline]
-    fn meta(&self) -> &'a TraceMeta {
-        &self.set.metas[self.idx]
-    }
-
     /// The probed destination.
     #[inline]
     pub fn target(&self) -> Ipv6Addr {
@@ -925,13 +954,13 @@ impl<'a> TraceView<'a> {
     /// Smallest TTL at which the destination itself answered, if any.
     #[inline]
     pub fn reached_at(&self) -> Option<u8> {
-        self.meta().reached_at
+        self.set.reached[self.idx]
     }
 
     /// The raw hop cells `(ttl, iface_id)`, ttl strictly ascending.
     #[inline]
     pub fn hop_cells(&self) -> Cells<'a> {
-        let r = self.meta().hop_range();
+        let r = self.set.hop_range(self.idx);
         Cells {
             ttls: &self.set.hop_ttls[r.clone()],
             ids: &self.set.hop_ids[r],
@@ -950,7 +979,7 @@ impl<'a> TraceView<'a> {
     /// record order.
     #[inline]
     pub fn unreachable_cells(&self) -> Cells<'a> {
-        let r = self.meta().unreach_range();
+        let r = self.set.unreach_range(self.idx);
         Cells {
             ttls: &self.set.unreach_ttls[r.clone()],
             ids: &self.set.unreach_ids[r],
@@ -1075,16 +1104,18 @@ impl AsnResolver {
 
 #[cfg(test)]
 impl TraceSet {
-    /// Reserved but unused slots of the `targets`, `metas`,
-    /// `hop_ttls`, `hop_ids`, `unreach_ttls` and `unreach_ids` columns,
-    /// in that order.
-    pub(crate) fn spare_capacity(&self) -> [usize; 6] {
+    /// Reserved but unused slots of the `targets`, `hop_ends`,
+    /// `unreach_ends`, `reached`, `hop_ttls`, `hop_ids`, `unreach_ttls`
+    /// and `unreach_ids` columns, in that order.
+    pub(crate) fn spare_capacity(&self) -> [usize; 8] {
         fn spare<T>(v: &Vec<T>) -> usize {
             v.capacity() - v.len()
         }
         [
             spare(&self.targets),
-            spare(&self.metas),
+            spare(&self.hop_ends),
+            spare(&self.unreach_ends),
+            spare(&self.reached),
             spare(&self.hop_ttls),
             spare(&self.hop_ids),
             spare(&self.unreach_ttls),
@@ -1102,6 +1133,49 @@ impl TraceSet {
             + bytes(&self.hop_ids)
             + bytes(&self.unreach_ttls)
             + bytes(&self.unreach_ids)
+    }
+
+    /// Bytes the target and per-trace metadata columns hold, by
+    /// capacity: what a set's traces cost the heap beyond their cells.
+    pub(crate) fn trace_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        bytes(&self.targets)
+            + bytes(&self.hop_ends)
+            + bytes(&self.unreach_ends)
+            + bytes(&self.reached)
+    }
+
+    /// Panics unless the columns are laid out as every constructor lays
+    /// them out: one row per trace in each per-trace column, cell columns
+    /// of equal length in pairs, and ends that never decrease and stop at
+    /// their cell column's length.
+    pub(crate) fn assert_tiled(&self) {
+        let n = self.targets.len();
+        let rows = [
+            self.hop_ends.len(),
+            self.unreach_ends.len(),
+            self.reached.len(),
+        ];
+        assert_eq!(rows, [n; 3], "one row per trace");
+        for (ends, ttls, ids, what) in [
+            (&self.hop_ends, &self.hop_ttls, &self.hop_ids, "hop"),
+            (
+                &self.unreach_ends,
+                &self.unreach_ttls,
+                &self.unreach_ids,
+                "unreach",
+            ),
+        ] {
+            assert_eq!(ttls.len(), ids.len(), "{what} columns");
+            assert!(
+                ends.windows(2).all(|w| w[0] <= w[1]),
+                "{what} ends decrease"
+            );
+            let last = ends.last().map_or(0, |&end| end as usize);
+            assert_eq!(last, ids.len(), "{what} ends stop at the column's end");
+        }
     }
 }
 
@@ -1383,10 +1457,49 @@ mod tests {
         // A set rebased onto its own table comes back unchanged.
         let maps = TraceSet::rebase(&mut table, [&mut a2]);
         assert_eq!(maps, [None]);
+        assert!(Arc::ptr_eq(a2.interner(), &table));
         assert_eq!(
             TraceSet::merge_all([&a2, &b2]),
             TraceSet::merge_all([&a, &b])
         );
+    }
+
+    #[test]
+    fn a_rebased_round_table_holds_no_spare_words() {
+        // Three rounds of a loop's record: each round's sets move onto a
+        // table that extends the last round's, which its sets still
+        // share, so the union copies it before adding a word. At these
+        // sizes the copy's word vector, doubled, would end with spare
+        // words in every round.
+        let te = ResponseKind::TimeExceeded;
+        let words = |n: u32, v: u32| 5 + 3 * v + n;
+        let round = |n: u32| -> Vec<TraceSet> {
+            (0..2)
+                .map(|v| {
+                    let records = (0..words(n, v))
+                        .map(|i| {
+                            let target = format!("2001:db8::{n}:{v}:{i}");
+                            rec(&target, &format!("::{n}:{v}:{i}"), te, Some(1))
+                        })
+                        .collect();
+                    TraceSet::from_log(&log_named("V", records))
+                })
+                .collect()
+        };
+        let mut table = Arc::default();
+        let (mut record, mut total) = (Vec::new(), 0);
+        for n in 0..3 {
+            let mut sets = round(n);
+            let before = sets.iter().map(|s| s.interface_addrs()).collect::<Vec<_>>();
+            TraceSet::rebase(&mut table, sets.iter_mut());
+            total += words(n, 0) + words(n, 1);
+            assert_eq!(table.len(), total as usize);
+            assert_eq!(table.spare_words(), 0, "round {n}");
+            let after = sets.iter().map(|s| s.interface_addrs()).collect::<Vec<_>>();
+            assert_eq!(after, before, "round {n}");
+            assert!(sets.iter().all(|s| Arc::ptr_eq(s.interner(), &table)));
+            record.extend(sets);
+        }
     }
 
     #[test]
@@ -1548,7 +1661,7 @@ mod tests {
             .into();
         let m = TraceSet::merge_all(&sets);
         assert_eq!((m.len(), m.hop_ids.len(), m.unreach_ids.len()), (4, 8, 4));
-        assert_eq!(m.spare_capacity(), [0; 6]);
+        assert_eq!(m.spare_capacity(), [0; 8]);
         // The inputs' hops differ at every target; the first holder's
         // survive.
         for (t, first) in m.iter().zip(sets[0].iter()) {
@@ -1560,8 +1673,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_kind_of_set_holds_a_cell_in_5_bytes() {
+    /// Calls `check` on one set of every kind the library builds, named,
+    /// with the cells it reserved and dropped: `from_log`, the streaming
+    /// builder, a merge, its shards, a quarantine scrub, a snapshot read
+    /// back, a rebase and a canonical form. Each is checked as built,
+    /// never through a clone, which would drop its spare capacity.
+    fn every_kind_of_set(check: impl Fn(&str, &TraceSet, usize)) {
         use crate::builder::TraceSetBuilder;
         use crate::quarantine::{quarantine_all, QuarantineConfig};
         use crate::shard::ShardedTraceSet;
@@ -1586,23 +1703,17 @@ mod tests {
                 .chain([rec("2001:db8:1::1", "::c", te, Some(50))])
                 .collect()
         };
-        let cells = |ts: &TraceSet| ts.hop_ids.len() + ts.unreach_ids.len();
-        let five_bytes = |ts: &TraceSet, reserved: usize, what: &str| {
-            assert!(cells(ts) > 0, "{what} holds cells");
-            assert_eq!(ts.cell_bytes(), 5 * (cells(ts) + reserved), "{what}");
-        };
-
         let mut builder = TraceSetBuilder::new();
         builder.push_chunk(&records("a"));
         let finished = builder.finish();
-        five_bytes(&finished, 0, "finished");
         let other = TraceSet::from_log(&log_named("B", records("b")));
-        five_bytes(&other, 0, "from_log");
         let merged = TraceSet::merge_all([&finished, &other]);
-        five_bytes(&merged, 0, "merged");
+        check("finished", &finished, 0);
+        check("from_log", &other, 0);
+        check("merged", &merged, 0);
         for shard in ShardedTraceSet::from_set(&merged, 3).shards() {
             if !shard.is_empty() {
-                five_bytes(shard, 0, "shard");
+                check("shard", shard, 0);
             }
         }
         let (cleaned, report) = quarantine_all(&[&merged], &QuarantineConfig::default());
@@ -1611,12 +1722,48 @@ mod tests {
         };
         // A scrub reserves its input's cells and drops some of them.
         assert_eq!(report.cells_dropped(), 1);
-        five_bytes(scrubbed, 1, "quarantined");
+        check("quarantined", scrubbed, 1);
         let mut w = SnapWriter::new();
         write_trace_set(&mut w, &merged);
         let back = read_trace_set(&mut SnapReader::new(w.bytes())).unwrap();
-        five_bytes(&back, 0, "read back");
-        five_bytes(&back.canonical(), 0, "canonical");
+        check("read back", &back, 0);
+        let (mut a, mut b) = (finished, other);
+        TraceSet::rebase(&mut Arc::default(), [&mut a, &mut b]);
+        check("rebased", &b, 0);
+        check("canonical", &back.canonical(), 0);
+    }
+
+    #[test]
+    fn every_kind_of_set_holds_a_cell_in_5_bytes() {
+        every_kind_of_set(|what, ts, reserved| {
+            let cells = ts.hop_ids.len() + ts.unreach_ids.len();
+            assert!(cells > 0, "{what} holds cells");
+            assert_eq!(ts.cell_bytes(), 5 * (cells + reserved), "{what}");
+        });
+    }
+
+    #[test]
+    fn every_kind_of_set_holds_a_trace_in_26_bytes() {
+        // A 16-byte target, two 4-byte cell ends and a 2-byte `reached_at`.
+        let row = size_of::<Ipv6Addr>() + 2 * size_of::<u32>() + size_of::<Option<u8>>();
+        assert_eq!(row, 26);
+        every_kind_of_set(|what, ts, _| {
+            assert!(!ts.is_empty(), "{what} holds traces");
+            assert_eq!(ts.trace_bytes(), 26 * ts.len(), "{what}");
+        });
+    }
+
+    #[test]
+    fn every_kind_of_set_tiles_its_cell_columns() {
+        every_kind_of_set(|what, ts, _| {
+            ts.assert_tiled();
+            // The views read every cell, each through one trace.
+            let views = ts
+                .iter()
+                .map(|t| t.hop_cells().len() + t.unreachable_cells().len());
+            let cells = ts.hop_ids.len() + ts.unreach_ids.len();
+            assert_eq!(views.sum::<usize>(), cells, "{what}");
+        });
     }
 
     /// A set over one target's records, for looking at its cells.

@@ -204,7 +204,7 @@ fn metrics_match_map_based_reference() {
     let set = targets::TargetSet::new("golden-metrics", addrs);
     let log = run_campaign(&topo, 2, &set, &YarrpConfig::default()).log;
     let bgp = &topo.bgp;
-    let m = CampaignMetrics::compute(&log, bgp);
+    let m = CampaignMetrics::compute(&[&log], bgp);
     let refset = reference::TraceSet::from_log(&log);
 
     // interface_addrs / prefixes / ASNs — original BTreeSet derivation.
