@@ -496,3 +496,74 @@ proptest! {
         }
     }
 }
+
+/// The store [`a_written_store_is_pinned_byte_for_byte`] writes:
+/// `sample_log(0)`'s set merged with one over the same targets whose
+/// responders are renamed, so every trace of the second loses the dedup
+/// and its words stay in the table, referenced by no cell.
+fn pinned_store(shards: usize) -> ShardedTraceSet {
+    let [a, b] = [0, 1 << 40].map(|salt| TraceSet::from_log(&sample_log(salt)));
+    ShardedTraceSet::merge_all(&[
+        ShardedTraceSet::from_set(&a, shards),
+        ShardedTraceSet::from_set(&b, shards),
+    ])
+}
+
+/// Every file of a written store, as `(name, length, fnv1a)`: the
+/// manifest, the table, then each shard's segment in order.
+type Pin = &'static [(&'static str, u64, u64)];
+
+#[test]
+fn a_written_store_is_pinned_byte_for_byte() {
+    let pins: [(usize, Pin); 3] = [(1, PIN_1), (3, PIN_3), (8, PIN_8)];
+    for (k, pin) in pins {
+        let dir = TempDir::new(&format!("pinned-{k}"));
+        write_sharded_snapshot(dir.path(), &pinned_store(k)).unwrap();
+        let mut files = vec![MANIFEST_FILE.to_string(), TABLE_FILE.to_string()];
+        files.extend((0..k).map(segment_file));
+        let got: Vec<(String, u64, u64)> = files
+            .into_iter()
+            .map(|name| {
+                let bytes = std::fs::read(dir.path().join(&name)).unwrap();
+                let (len, fnv) = (bytes.len() as u64, fnv1a(&bytes));
+                (name, len, fnv)
+            })
+            .collect();
+        let want: Vec<(String, u64, u64)> = pin
+            .iter()
+            .map(|&(name, len, fnv)| (name.to_string(), len, fnv))
+            .collect();
+        if got != want {
+            let rows: String = got
+                .iter()
+                .map(|(name, len, fnv)| format!("    ({name:?}, {len}, {fnv:#018x}),\n"))
+                .collect();
+            panic!("the {k}-shard store's files moved; now:\n{rows}");
+        }
+    }
+}
+
+const PIN_1: Pin = &[
+    ("manifest.snap", 44, 0x1e8df321cc48ad50),
+    ("table.seg", 5932, 0x173eb543ea20c540),
+    ("shard-0000.seg", 7135, 0x2ab7a80499278837),
+];
+const PIN_3: Pin = &[
+    ("manifest.snap", 76, 0x9bf34c4d351f2d97),
+    ("table.seg", 5932, 0x173eb543ea20c540),
+    ("shard-0000.seg", 927, 0xaabe71b0f010be68),
+    ("shard-0001.seg", 4066, 0x739f8d5ff351e003),
+    ("shard-0002.seg", 2258, 0xd1ca414f3fd3ce73),
+];
+const PIN_8: Pin = &[
+    ("manifest.snap", 156, 0x0b4f02cb470513e9),
+    ("table.seg", 5932, 0x173eb543ea20c540),
+    ("shard-0000.seg", 433, 0x1bf8a262a854b738),
+    ("shard-0001.seg", 477, 0x94e17897341947a0),
+    ("shard-0002.seg", 478, 0xe4a4d6f2164e33ea),
+    ("shard-0003.seg", 885, 0xaaf065962f28634e),
+    ("shard-0004.seg", 1385, 0x84b00e3c76efe622),
+    ("shard-0005.seg", 1950, 0x6b4977304cf73b52),
+    ("shard-0006.seg", 499, 0x661a929a3bba765d),
+    ("shard-0007.seg", 1434, 0x0127dbfd861a3b2e),
+];
