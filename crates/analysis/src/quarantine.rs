@@ -41,7 +41,7 @@
 //! bit-identical by construction and costs no memory.
 
 use crate::intern::{union, Reintern};
-use crate::traces::TraceSet;
+use crate::traces::{Columns, TraceSet};
 use std::borrow::Cow;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -246,13 +246,11 @@ fn scrub(
     // Sized for every address: a scrub drops few.
     let mut ids = Reintern::new(set.interner());
 
-    let mut out = TraceSet::reserved(
-        set.vantage.clone(),
-        set.target_set.clone(),
-        set.rewritten_dropped,
-        Default::default(),
-        [set.len(), set.hop_ids.len(), set.unreach_ids.len()],
-    );
+    let mut out = Columns::reserved([
+        set.len(),
+        set.cols.hop_ids.len(),
+        set.cols.unreach_ids.len(),
+    ]);
     for t in set.iter() {
         let r = t.reached_at();
         let mut touched = false;
@@ -286,8 +284,13 @@ fn scrub(
         }
         out.end_trace(t.target(), r);
     }
-    out.interner = ids.finish().into();
-    Some(out)
+    Some(TraceSet {
+        vantage: set.vantage.clone(),
+        target_set: set.target_set.clone(),
+        rewritten_dropped: set.rewritten_dropped,
+        interner: ids.finish().into(),
+        cols: Arc::new(out),
+    })
 }
 
 #[cfg(test)]

@@ -1,41 +1,43 @@
 //! Sharding the columnar [`TraceSet`] by target prefix.
 //!
-//! A single flat `TraceSet` serves one campaign well, but a
-//! longitudinal store accumulating many campaigns wants two things the
-//! flat layout can't give: `merge_all`/`canonical` that scale across cores,
-//! and an on-disk layout of independent units ([`crate::snapshot`]'s
-//! per-shard segments, encoded in parallel and each checked on its own
-//! at load; [`write_sharded_snapshot`](crate::write_sharded_snapshot)
-//! still rewrites every segment, so no write is incremental yet).
-//! [`ShardedTraceSet`] provides both by routing every target through a **fixed
-//! prefix→shard function** ([`ShardRoute`]): all addresses in one /64
-//! land in the same shard (a trace never straddles shards, and the
-//! same target routes identically in every set), so per-shard
-//! `merge_all`/`canonical` are independent and fan out across
-//! the same work-queue pattern the campaign drivers use.
+//! A longitudinal store accumulating many campaigns wants an on-disk
+//! layout of independent units ([`crate::snapshot`]'s per-shard
+//! segments, encoded in parallel and each checked on its own at load;
+//! [`write_sharded_snapshot`](crate::write_sharded_snapshot) still
+//! rewrites every segment, so no write is incremental yet). A
+//! [`ShardedTraceSet`] is the store in memory: **one** `TraceSet` plus
+//! the fixed prefix→shard function ([`ShardRoute`]) that cuts it into
+//! those units. All addresses in one /64 land in the same shard (a
+//! trace never straddles shards, and the same target routes
+//! identically in every set), so the route is all a store needs to
+//! know of its shards. A shard is built only when asked for
+//! ([`ShardedTraceSet::shard`]): the writer builds each one to encode
+//! it, and the reader merges the decoded ones back into one set.
 //!
-//! Each shard is a complete `TraceSet` over its (sorted) target subset,
+//! A shard is a complete `TraceSet` over its (sorted) target subset,
 //! so every analysis pass runs on a shard unchanged, and all shards
-//! share **one** address table (a router interface lies on the paths
-//! toward many prefixes). Ids mean the same in every shard, so sharding
-//! copies id columns verbatim, and the contracts (property-tested in
-//! `tests/shard_props.rs`) are exact, with no canonical form:
+//! share the store's **one** address table (a router interface lies on
+//! the paths toward many prefixes). Ids mean the same in every shard,
+//! so a shard copies id columns verbatim, and the contracts
+//! (property-tested in `tests/shard_props.rs`) are exact, with no
+//! canonical form:
 //!
 //! ```text
 //! ShardedTraceSet::from_set(&ts, k).to_trace_set() == ts
+//! TraceSet::merge_all(shards s = 0..k of from_set(&ts, k)) == ts
 //! ShardedTraceSet::merge_all(&[from_set(&a, k), from_set(&b, k)])
 //!     == from_set(&TraceSet::merge_all([&a, &b]), k)
 //! ```
 //!
-//! for any shard count.
+//! for any shard count. `from_set` and `to_trace_set` are clones, O(1)
+//! ([`TraceSet`]'s columns are shared), and the merge is
+//! [`TraceSet::merge_all`].
 
-use crate::intern::{union, AddrInterner};
-use crate::traces::{interface_words, TraceSet, TraceView};
+use crate::traces::{Columns, TraceSet, TraceView};
 use simnet::flow::mix64;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use yarrp6::addrset::AddrSet;
-use yarrp6::campaign::pool_map;
 
 /// The fixed prefix→shard routing function.
 ///
@@ -45,8 +47,8 @@ use yarrp6::campaign::pool_map;
 /// (locality for subnet inference), while the mixer spreads clustered
 /// prefix allocations evenly across shards. The function is pure and
 /// versioned by the snapshot format: two processes with the same shard
-/// count route identically, which is what makes per-shard merge of
-/// independently built sets sound.
+/// count route identically, which is what lets a reader check every
+/// decoded segment against it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardRoute {
     shards: u32,
@@ -70,148 +72,116 @@ impl ShardRoute {
     }
 }
 
-/// A [`TraceSet`] partitioned into independent per-shard stores by the
-/// fixed [`ShardRoute`]. See the module docs for the contracts.
+/// A [`TraceSet`] and the fixed [`ShardRoute`] that partitions it into
+/// shards. See the module docs for the contracts.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardedTraceSet {
     route: ShardRoute,
-    /// One `TraceSet` per shard, all sharing one interner; shard `s`
-    /// holds exactly the targets with `route.shard_of(t) == s`.
-    /// `rewritten_dropped` (a set-level counter with no per-target
-    /// home) lives on shard 0 by convention.
-    shards: Vec<TraceSet>,
+    /// The whole store; shard `s` is its traces whose targets route to
+    /// `s`.
+    pub(crate) set: TraceSet,
 }
 
 impl ShardedTraceSet {
-    /// Partitions `ts` into `shards` shards that share its table, each
-    /// trace's cells copied verbatim. Shard target lists stay sorted
-    /// because a subsequence of a sorted list is sorted.
+    /// The store of `ts` under a route of `shards` shards: a clone of
+    /// `ts`, which shares its columns and table.
     pub fn from_set(ts: &TraceSet, shards: usize) -> ShardedTraceSet {
-        let route = ShardRoute::new(shards);
-        let n = route.shards as usize;
-        // Bucket trace indices first so each shard's build is a single
-        // in-order walk (and can fan out if ever needed).
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, &t) in ts.targets.iter().enumerate() {
-            buckets[route.shard_of(t)].push(i);
+        ShardedTraceSet {
+            route: ShardRoute::new(shards),
+            set: ts.clone(),
         }
-        let shards = pool_map(n, n > 1, |s| {
-            // Every column is reserved at its final length, summed from
-            // the bucket's traces, so none grows by doubling.
-            let bucket = &buckets[s];
-            let (n_hops, n_unreach) = bucket.iter().fold((0usize, 0usize), |(h, u), &i| {
-                (h + ts.hop_range(i).len(), u + ts.unreach_range(i).len())
-            });
-            let mut out = TraceSet::reserved(
-                ts.vantage.clone(),
-                ts.target_set.clone(),
-                if s == 0 { ts.rewritten_dropped } else { 0 },
-                Arc::clone(&ts.interner),
-                [bucket.len(), n_hops, n_unreach],
-            );
-            for &i in bucket {
-                out.push_trace(ts, i, None);
-            }
-            out
-        });
-        ShardedTraceSet { route, shards }
     }
 
-    /// Reassembles a sharded set from already-partitioned shards (the
-    /// snapshot reader's path). The caller guarantees each shard's
-    /// targets route to it, and that every shard shares one table.
-    pub(crate) fn from_parts(route: ShardRoute, shards: Vec<TraceSet>) -> ShardedTraceSet {
-        debug_assert_eq!(route.shards as usize, shards.len());
-        ShardedTraceSet { route, shards }
-    }
-
-    /// The routing function this set was partitioned by.
+    /// The routing function this set is partitioned by.
     pub fn route(&self) -> ShardRoute {
         self.route
     }
 
-    /// The address table every shard shares.
-    pub(crate) fn table(&self) -> &Arc<AddrInterner> {
-        &self.shards[0].interner
-    }
-
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.route.shards as usize
     }
 
-    /// The per-shard stores, in shard order.
+    /// The store as one set, in a one-element slice. The store holds no
+    /// per-shard sets (build one with [`shard`](Self::shard)); a pass
+    /// over many sets that share a table, such as a router-graph build,
+    /// reads the store through this.
     pub fn shards(&self) -> &[TraceSet] {
-        &self.shards
+        std::slice::from_ref(&self.set)
     }
 
-    /// One shard's store.
-    pub fn shard(&self, s: usize) -> &TraceSet {
-        &self.shards[s]
-    }
-
-    /// Total traces across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// True when no shard holds a trace.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
-    }
-
-    /// The trace probed toward `target`, routed straight to its shard
-    /// (one hash, one binary search — no cross-shard scan).
-    pub fn get(&self, target: Ipv6Addr) -> Option<TraceView<'_>> {
-        self.shards[self.route.shard_of(target)].get(target)
-    }
-
-    /// Merges many sharded sets: the union of their tables is built
-    /// once, and shard `s` of the result is the owner walk of
-    /// [`TraceSet::merge_all`] over every input's shard `s` against it,
-    /// all shards in parallel on the work-queue pool. Sound because the
-    /// shared route puts any given target in the same shard of every
-    /// input, so a shard's merge sees exactly the conflicts the flat
-    /// merge would: this equals sharding the flat `merge_all` of the
-    /// unsharded inputs, ids included. Panics on mixed routes —
-    /// re-shard first.
-    pub fn merge_all(sets: &[ShardedTraceSet]) -> ShardedTraceSet {
-        match sets {
-            [] => return ShardedTraceSet::from_set(&TraceSet::default(), 1),
-            [one] => return one.clone(),
-            _ => {}
+    /// Builds shard `s`: the store's traces whose targets route to `s`,
+    /// in target order, each trace's cells copied verbatim into columns
+    /// reserved at their final length, on the store's table.
+    /// `rewritten_dropped` (a set-level counter with no per-target home)
+    /// goes to shard 0. Panics when `s` is not a shard of the route.
+    pub fn shard(&self, s: usize) -> TraceSet {
+        assert!(s < self.n_shards(), "shard {s} of {}", self.n_shards());
+        let (ts, cols) = (&self.set, &*self.set.cols);
+        let mine: Vec<usize> = (0..ts.len())
+            .filter(|&i| self.route.shard_of(cols.targets[i]) == s)
+            .collect();
+        let (n_hops, n_unreach) = mine.iter().fold((0, 0), |(h, u), &i| {
+            (h + cols.hop_range(i).len(), u + cols.unreach_range(i).len())
+        });
+        let mut out = Columns::reserved([mine.len(), n_hops, n_unreach]);
+        for i in mine {
+            out.push_trace(cols, i, None);
         }
-        let route = sets[0].route;
+        TraceSet {
+            vantage: ts.vantage.clone(),
+            target_set: ts.target_set.clone(),
+            rewritten_dropped: if s == 0 { ts.rewritten_dropped } else { 0 },
+            interner: Arc::clone(&ts.interner),
+            cols: Arc::new(out),
+        }
+    }
+
+    /// Total traces in the store.
+    pub fn len(&self) -> usize {
+        self.set.len()
+    }
+
+    /// True when the store holds no trace.
+    pub fn is_empty(&self) -> bool {
+        self.set.is_empty()
+    }
+
+    /// The trace probed toward `target`.
+    pub fn get(&self, target: Ipv6Addr) -> Option<TraceView<'_>> {
+        self.set.get(target)
+    }
+
+    /// Merges stores of one route: [`TraceSet::merge_all`] of their
+    /// sets, under that route. Panics on mixed routes — re-shard first.
+    pub fn merge_all(sets: &[ShardedTraceSet]) -> ShardedTraceSet {
+        let Some(first) = sets.first() else {
+            return ShardedTraceSet::from_set(&TraceSet::default(), 1);
+        };
         assert!(
-            sets.iter().all(|s| s.route == route),
+            sets.iter().all(|s| s.route == first.route),
             "cannot merge sharded sets with different routes"
         );
-        let mut table = Arc::clone(sets[0].table());
-        let id_remaps = union(&mut table, sets.iter().map(|s| s.table()));
-        let shards = pool_map(route.shards as usize, route.shards > 1, |s| {
-            let refs: Vec<&TraceSet> = sets.iter().map(|set| &set.shards[s]).collect();
-            TraceSet::merge_walk(&refs, Arc::clone(&table), &id_remaps)
-        });
-        ShardedTraceSet { route, shards }
+        ShardedTraceSet {
+            route: first.route,
+            set: TraceSet::merge_all(sets.iter().map(|s| &s.set)),
+        }
     }
 
-    /// Folds the shards back into one flat [`TraceSet`] sharing the
-    /// store's table: `merge_all` in shard order, which over disjoint
-    /// targets and one table concatenates the columns. Exactly
-    /// `from_set(&ts, k).to_trace_set() == ts`.
+    /// The store as one flat [`TraceSet`]: a clone, sharing the store's
+    /// columns and table.
     pub fn to_trace_set(&self) -> TraceSet {
-        TraceSet::merge_all(&self.shards)
+        self.set.clone()
     }
 
-    /// [`TraceSet::discovery_delta`] over the store's one table.
+    /// [`TraceSet::discovery_delta`] of the store.
     pub fn discovery_delta(&self, seen: &mut AddrSet) -> Vec<Ipv6Addr> {
-        self.shards[0].discovery_delta(seen)
+        self.set.discovery_delta(seen)
     }
 
-    /// All distinct interface words across shards, ascending: the words
-    /// of the one table that some shard's hop cell names.
+    /// [`TraceSet::interface_words`] of the store.
     pub fn interface_words(&self) -> Vec<u128> {
-        interface_words(self.table(), self.shards.iter().map(|s| &s.hop_ids[..]))
+        self.set.interface_words()
     }
 }
 
@@ -259,8 +229,8 @@ mod tests {
                 "shard count {k}"
             );
             // Every shard holds only its own targets.
-            for (s, shard) in sharded.shards().iter().enumerate() {
-                for &t in shard.targets() {
+            for s in 0..k {
+                for &t in sharded.shard(s).targets() {
                     assert_eq!(sharded.route().shard_of(t), s);
                 }
             }
@@ -270,8 +240,9 @@ mod tests {
     #[test]
     fn every_shard_column_is_reserved_at_its_final_length() {
         let ts = sample_set();
-        for shard in ShardedTraceSet::from_set(&ts, 8).shards() {
-            assert_eq!(shard.spare_capacity(), [0; 8]);
+        let store = ShardedTraceSet::from_set(&ts, 8);
+        for s in 0..8 {
+            assert_eq!(store.shard(s).spare_capacity(), [0; 8]);
         }
     }
 
@@ -281,6 +252,9 @@ mod tests {
         let sharded = ShardedTraceSet::from_set(&ts, 4);
         for view in ts.iter() {
             let got = sharded.get(view.target()).expect("target present");
+            assert!(got.same_observations(&view));
+            let shard = sharded.shard(sharded.route().shard_of(view.target()));
+            let got = shard.get(view.target()).expect("target in its shard");
             assert!(got.same_observations(&view));
         }
         assert!(sharded.get("2001:db8:aaaa::1".parse().unwrap()).is_none());

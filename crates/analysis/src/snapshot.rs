@@ -34,7 +34,7 @@
 //! table. The adaptive checkpoint's trace record is such a chain.
 
 use crate::intern::AddrInterner;
-use crate::traces::{cell_range, trace_lens, TraceSet};
+use crate::traces::{cell_range, trace_lens, Columns, TraceSet};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
@@ -240,11 +240,12 @@ struct Widths {
 impl Widths {
     fn of(ts: &TraceSet) -> Widths {
         let longest = |ends| trace_lens(ends).max().unwrap_or(0);
+        let cols = &ts.cols;
         Widths {
-            hop_len: width_of(longest(&ts.hop_ends)),
-            unreach_len: width_of(longest(&ts.unreach_ends)),
+            hop_len: width_of(longest(&cols.hop_ends)),
+            unreach_len: width_of(longest(&cols.unreach_ends)),
             id: id_width(ts.interner.len()),
-            reached: ts.reached.iter().filter(|at| at.is_some()).count(),
+            reached: cols.reached.iter().filter(|at| at.is_some()).count(),
         }
     }
 
@@ -252,7 +253,7 @@ impl Widths {
     /// word table or without.
     fn encoded_len(&self, ts: &TraceSet, with_table: bool) -> usize {
         let str_len = |s: &str| 4 + s.len();
-        let n = ts.targets.len();
+        let n = ts.len();
         str_len(&ts.vantage)
             + str_len(&ts.target_set)
             + 8
@@ -265,8 +266,8 @@ impl Widths {
             + (1 + self.hop_len * n)
             + (1 + self.unreach_len * n)
             + (n + self.reached)
-            + (4 + (1 + self.id) * ts.hop_ids.len())
-            + (4 + (1 + self.id) * ts.unreach_ids.len())
+            + (4 + (1 + self.id) * ts.cols.hop_ids.len())
+            + (4 + (1 + self.id) * ts.cols.unreach_ids.len())
     }
 }
 
@@ -301,13 +302,14 @@ fn write_set(w: &mut SnapWriter, ts: &TraceSet, with_table: bool) {
     if with_table {
         write_words(w, &ts.interner);
     }
-    w.u32(ts.targets.len() as u32);
-    for &t in &ts.targets {
+    let cols = &ts.cols;
+    w.u32(cols.targets.len() as u32);
+    for &t in &cols.targets {
         w.u128(u128::from(t));
     }
-    write_lens(w, widths.hop_len, trace_lens(&ts.hop_ends));
-    write_lens(w, widths.unreach_len, trace_lens(&ts.unreach_ends));
-    for &reached_at in &ts.reached {
+    write_lens(w, widths.hop_len, trace_lens(&cols.hop_ends));
+    write_lens(w, widths.unreach_len, trace_lens(&cols.unreach_ends));
+    for &reached_at in &cols.reached {
         match reached_at {
             Some(at) => {
                 w.u8(1);
@@ -317,8 +319,8 @@ fn write_set(w: &mut SnapWriter, ts: &TraceSet, with_table: bool) {
         }
     }
     for (ttls, ids) in [
-        (&ts.hop_ttls, &ts.hop_ids),
-        (&ts.unreach_ttls, &ts.unreach_ids),
+        (&cols.hop_ttls, &cols.hop_ids),
+        (&cols.unreach_ttls, &cols.unreach_ids),
     ] {
         w.u32(ids.len() as u32);
         w.raw(ttls);
@@ -494,6 +496,9 @@ pub fn read_trace_chain(r: &mut SnapReader<'_>, n: usize) -> Result<Vec<TraceSet
             if next.len() != len {
                 return Err(SnapshotError::BadValue("duplicate interner word"));
             }
+            // The clone is exact, so its first new word doubled its word
+            // column; held at its length, as a live run's rebase holds it.
+            next.shrink_words();
             table = Arc::new(next);
         }
         sets.push(read_set(r, Some(&table))?);
@@ -585,14 +590,16 @@ fn read_set(
         target_set,
         rewritten_dropped,
         interner,
-        targets,
-        hop_ends,
-        unreach_ends,
-        reached,
-        hop_ttls,
-        hop_ids,
-        unreach_ttls,
-        unreach_ids,
+        cols: Arc::new(Columns {
+            targets,
+            hop_ends,
+            unreach_ends,
+            reached,
+            hop_ttls,
+            hop_ids,
+            unreach_ttls,
+            unreach_ids,
+        }),
     })
 }
 
@@ -604,7 +611,9 @@ fn read_set(
 // manifest records the format version, the routing parameters, and
 // each segment's byte length and FNV-1a checksum. The table segment is
 // the word table every shard shares, written once; a shard segment is
-// the `write_trace_set` layout without it. Writes are byte-deterministic:
+// the `write_trace_set` layout without it. A store holds one set, so
+// the writer builds each shard to encode it, and a read merges the
+// decoded shards back into one set. Writes are byte-deterministic:
 // persisting the same store twice produces identical files, so
 // day-over-day diffs of a snapshot directory are real topology diffs.
 
@@ -792,13 +801,14 @@ impl From<SnapshotError> for StoreError {
 }
 
 /// Persists a sharded store under `dir` (created if absent):
-/// `manifest.snap`, one segment file per shard, encoded, checksummed
-/// and written on the worker pool, and the word table's segment.
-/// Returns the manifest it wrote. Byte-deterministic — equal stores
-/// produce identical directories.
+/// `manifest.snap`, one segment file per shard, and the word table's
+/// segment. Each shard is built ([`ShardedTraceSet::shard`]), encoded,
+/// checksummed and written on the worker pool, and dropped once
+/// written. Returns the manifest it wrote. Byte-deterministic — equal
+/// stores produce identical directories.
 pub fn write_sharded_snapshot(
     dir: &Path,
-    set: &ShardedTraceSet,
+    store: &ShardedTraceSet,
 ) -> Result<SnapshotManifest, StoreError> {
     std::fs::create_dir_all(dir)?;
     let write = |name: &str, bytes: Vec<u8>| -> std::io::Result<SegmentInfo> {
@@ -806,16 +816,17 @@ pub fn write_sharded_snapshot(
         let (len, fnv) = (bytes.len() as u64, fnv1a(&bytes));
         Ok(SegmentInfo { len, fnv })
     };
-    let mut segments = pool_map(set.n_shards(), set.n_shards() > 1, |s| {
-        let shard = encode_file(SHARD_MAGIC, |w| write_set(w, set.shard(s), false));
+    let n_shards = store.n_shards();
+    let mut segments = pool_map(n_shards, n_shards > 1, |s| {
+        let shard = encode_file(SHARD_MAGIC, |w| write_set(w, &store.shard(s), false));
         write(&segment_file(s), shard)
     })
     .into_iter()
     .collect::<std::io::Result<Vec<_>>>()?;
-    let table = encode_file(TABLE_MAGIC, |w| write_words(w, set.table()));
+    let table = encode_file(TABLE_MAGIC, |w| write_words(w, &store.set.interner));
     segments.push(write(TABLE_FILE, table)?);
     let manifest = SnapshotManifest {
-        n_shards: set.n_shards() as u32,
+        n_shards: n_shards as u32,
         segments,
     };
     std::fs::write(dir.join(MANIFEST_FILE), encode_manifest(&manifest))?;
@@ -826,7 +837,10 @@ pub fn write_sharded_snapshot(
 /// and checksum against the manifest before decoding, and every
 /// decoded target's shard against the routing function — a snapshot
 /// that would merge under the wrong route is rejected, not repaired.
-/// The word table is decoded once, and every shard shares it.
+/// The word table is decoded once, and every shard shares it; the
+/// decoded shards are then merged into the store's one set
+/// ([`TraceSet::merge_all`], which over one table and disjoint targets
+/// copies each trace once, no id remapped).
 pub fn read_sharded_snapshot(dir: &Path) -> Result<ShardedTraceSet, StoreError> {
     let manifest = decode_manifest(&std::fs::read(dir.join(MANIFEST_FILE))?)?;
     let route = ShardRoute::new(manifest.n_shards as usize);
@@ -857,7 +871,8 @@ pub fn read_sharded_snapshot(dir: &Path) -> Result<ShardedTraceSet, StoreError> 
         }
         shards.push(ts);
     }
-    Ok(ShardedTraceSet::from_parts(route, shards))
+    let set = TraceSet::merge_all(&shards);
+    Ok(ShardedTraceSet::from_set(&set, manifest.n_shards as usize))
 }
 
 #[cfg(test)]
@@ -1176,15 +1191,18 @@ mod tests {
     fn corrupt_trace_metadata_is_rejected() {
         let read = |ts: &TraceSet| decode(&encode(ts));
         // `sample`: two traces, of two hops and of one, no unreachables.
+        fn cols(ts: &mut TraceSet) -> &mut Columns {
+            Arc::make_mut(&mut ts.cols)
+        }
         type Corrupt = fn(&mut TraceSet);
         let cases: [(Corrupt, &str); 3] = [
             // The first trace 100 hops longer, the second as it was.
             (
-                |ts| ts.hop_ends.iter_mut().for_each(|end| *end += 100),
+                |ts| cols(ts).hop_ends.iter_mut().for_each(|end| *end += 100),
                 "trace hop range",
             ),
-            (|ts| ts.unreach_ends[1] += 1, "trace unreach range"),
-            (|ts| ts.targets.swap(0, 1), "target order"),
+            (|ts| cols(ts).unreach_ends[1] += 1, "trace unreach range"),
+            (|ts| cols(ts).targets.swap(0, 1), "target order"),
         ];
         for (corrupt, what) in cases {
             let mut ts = sample();
@@ -1265,12 +1283,12 @@ mod tests {
     #[test]
     fn every_shard_of_a_store_shares_one_table() {
         let shared = |set: &ShardedTraceSet| {
-            let table = &set.shard(0).interner;
-            set.shards().iter().all(|s| Arc::ptr_eq(&s.interner, table))
+            let table = &set.set.interner;
+            (0..set.n_shards()).all(|s| Arc::ptr_eq(&set.shard(s).interner, table))
         };
         let (a, b) = (sample(), TraceSet::merge_all([&sample(), &sample()]));
         let sharded = ShardedTraceSet::from_set(&a, 4);
-        assert!(shared(&sharded) && Arc::ptr_eq(sharded.table(), &a.interner));
+        assert!(shared(&sharded) && Arc::ptr_eq(&sharded.set.interner, &a.interner));
         let merged = ShardedTraceSet::merge_all(&[sharded, ShardedTraceSet::from_set(&b, 4)]);
         assert!(shared(&merged));
         let dir = std::env::temp_dir().join(format!("beholder-one-table-{}", std::process::id()));
@@ -1343,6 +1361,49 @@ mod tests {
         assert_eq!(encode_chain(&back), bytes);
         for cut in 0..bytes.len() {
             assert!(read_trace_chain(&mut SnapReader::new(&bytes[..cut]), 3).is_err());
+        }
+    }
+
+    #[test]
+    fn a_decoded_chain_holds_no_spare_words() {
+        // Three rounds of a loop's record, as a live run's rebase builds
+        // them: each round's two sets on a table that extends the last
+        // round's. Decoding builds each longer table from a copy of the
+        // last one, whose word vector, doubled, would end with spare
+        // words in every round at these sizes.
+        let words = |n: u32, v: u32| 5 + 3 * v + n;
+        let mut table = Arc::default();
+        let mut sets = Vec::new();
+        for n in 0..3 {
+            let mut round: Vec<TraceSet> = (0..2)
+                .map(|v| {
+                    let records = (0..words(n, v))
+                        .map(|i| {
+                            let target = format!("2001:db8::{n}:{v}:{i}");
+                            let hop = format!("::{n}:{v}:{i}");
+                            rec(&target, &hop, ResponseKind::TimeExceeded, Some(1))
+                        })
+                        .collect();
+                    TraceSet::from_log(&ProbeLog {
+                        vantage: "V".into(),
+                        target_set: "chain".into(),
+                        records,
+                        ..Default::default()
+                    })
+                })
+                .collect();
+            TraceSet::rebase(&mut table, round.iter_mut());
+            sets.extend(round);
+        }
+        let back = decode_chain(&encode_chain(&sets), sets.len()).unwrap();
+        assert_eq!(back, sets);
+        let mut total = 0;
+        for (k, pair) in back.chunks(2).enumerate() {
+            let n = k as u32;
+            total += (words(n, 0) + words(n, 1)) as usize;
+            assert!(Arc::ptr_eq(&pair[0].interner, &pair[1].interner));
+            assert_eq!(pair[0].interner.len(), total);
+            assert_eq!(pair[0].interner.spare_words(), 0, "round {n}");
         }
     }
 

@@ -65,6 +65,14 @@ pub(crate) fn trace_lens(ends: &[u32]) -> impl Iterator<Item = u32> + '_ {
 /// trace order, so the row stores only where that range ends
 /// (`cell_range`). The ranges tile their columns by construction:
 /// every constructor appends a trace's cells and then ends it.
+///
+/// The eight columns sit behind one `Arc`, as the address table does,
+/// so `clone` is O(1): the clone shares both, and the shards of a
+/// store, the flat view of one and a delta run's prior are all such
+/// clones. Constructors fill their own columns and never share them
+/// while filling. Two methods write in place, [`rebase`](Self::rebase)
+/// (an id remap) and [`canonical`](Self::canonical) (an id rewrite),
+/// and each copies the columns first only when another set shares them.
 #[derive(Clone, Debug, Default)]
 pub struct TraceSet {
     /// Campaign identity, carried through for reporting (shared, not
@@ -80,8 +88,18 @@ pub struct TraceSet {
     /// saw the sum of their tampered records.
     pub rewritten_dropped: u64,
     /// Interned responder/interface addresses shared by all stages, and
-    /// by every shard of a store. A table is never mutated once shared.
+    /// by every set built from one store. A table is never mutated once
+    /// shared.
     pub(crate) interner: Arc<AddrInterner>,
+    /// The trace and cell columns, shared by the set's clones.
+    pub(crate) cols: Arc<Columns>,
+}
+
+/// The columns of a [`TraceSet`]: one row per trace in `targets`,
+/// `hop_ends`, `unreach_ends` and `reached`, one per cell in the two
+/// pairs of cell columns.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Columns {
     /// Probed destinations, ascending by address word.
     pub(crate) targets: Vec<Ipv6Addr>,
     /// Where each trace's hop cells end, parallel to `targets`:
@@ -105,6 +123,57 @@ pub struct TraceSet {
     pub(crate) unreach_ids: Vec<u32>,
 }
 
+impl Columns {
+    /// Empty columns reserved for `[traces, hop cells, unreachable cells]`.
+    pub(crate) fn reserved([n_targets, n_hops, n_unreach]: [usize; 3]) -> Columns {
+        Columns {
+            targets: Vec::with_capacity(n_targets),
+            hop_ends: Vec::with_capacity(n_targets),
+            unreach_ends: Vec::with_capacity(n_targets),
+            reached: Vec::with_capacity(n_targets),
+            hop_ttls: Vec::with_capacity(n_hops),
+            hop_ids: Vec::with_capacity(n_hops),
+            unreach_ttls: Vec::with_capacity(n_unreach),
+            unreach_ids: Vec::with_capacity(n_unreach),
+        }
+    }
+
+    /// Ends the trace toward `target`: it owns every cell appended since
+    /// the previous trace ended. The `u32` ends cannot wrap: every
+    /// constructor's columns hold fewer than 2³² cells.
+    #[inline]
+    pub(crate) fn end_trace(&mut self, target: Ipv6Addr, reached_at: Option<u8>) {
+        self.targets.push(target);
+        self.hop_ends.push(self.hop_ids.len() as u32);
+        self.unreach_ends.push(self.unreach_ids.len() as u32);
+        self.reached.push(reached_at);
+    }
+
+    /// Trace `idx`'s range of the hop columns.
+    #[inline]
+    pub(crate) fn hop_range(&self, idx: usize) -> Range<usize> {
+        cell_range(&self.hop_ends, idx)
+    }
+
+    /// Trace `idx`'s range of the unreachable columns.
+    #[inline]
+    pub(crate) fn unreach_range(&self, idx: usize) -> Range<usize> {
+        cell_range(&self.unreach_ends, idx)
+    }
+
+    /// Appends `src`'s trace at `idx`, its ids translated through
+    /// `id_remap` when there is one.
+    pub(crate) fn push_trace(&mut self, src: &Columns, idx: usize, id_remap: Option<&[u32]>) {
+        let (hops, unreach) = (src.hop_range(idx), src.unreach_range(idx));
+        self.hop_ttls.extend_from_slice(&src.hop_ttls[hops.clone()]);
+        extend_ids(&mut self.hop_ids, &src.hop_ids[hops], id_remap);
+        self.unreach_ttls
+            .extend_from_slice(&src.unreach_ttls[unreach.clone()]);
+        extend_ids(&mut self.unreach_ids, &src.unreach_ids[unreach], id_remap);
+        self.end_trace(src.targets[idx], src.reached[idx]);
+    }
+}
+
 /// Bit-for-bit equality of the flat stores, *including* interner id
 /// assignment — the pinned contract between the batch classify pass
 /// and the streaming [`crate::builder::TraceSetBuilder`], and between
@@ -116,14 +185,7 @@ impl PartialEq for TraceSet {
         self.vantage == other.vantage
             && self.target_set == other.target_set
             && self.rewritten_dropped == other.rewritten_dropped
-            && self.targets == other.targets
-            && self.hop_ends == other.hop_ends
-            && self.unreach_ends == other.unreach_ends
-            && self.reached == other.reached
-            && self.hop_ttls == other.hop_ttls
-            && self.hop_ids == other.hop_ids
-            && self.unreach_ttls == other.unreach_ttls
-            && self.unreach_ids == other.unreach_ids
+            && self.cols == other.cols
             && self.interner.words() == other.interner.words()
     }
 }
@@ -377,13 +439,7 @@ pub(crate) fn assemble<K: Copy + Ord + Default>(
     // Emit walk. `ttl_slot[t]` holds (owner rank + 1, winning cell) —
     // the epoch trick avoids clearing 256 slots per trace.
     let mut ttl_slot = [(0u32, Cell::<K>::default()); 256];
-    let mut out = TraceSet::reserved(
-        vantage,
-        target_set,
-        rewritten_dropped,
-        Arc::new(interner),
-        [n_targets, hop_cells.len(), unreach_cells.len()],
-    );
+    let mut cols = Columns::reserved([n_targets, hop_cells.len(), unreach_cells.len()]);
     for (r, &(word, tid)) in order.iter().enumerate() {
         let epoch = r as u32 + 1;
         let bucket = &hop_cells[starts[r][0] as usize..starts[r + 1][0] as usize];
@@ -402,8 +458,8 @@ pub(crate) fn assemble<K: Copy + Ord + Default>(
         if lo != usize::MAX {
             for (t, &(e, cell)) in ttl_slot.iter().enumerate().take(hi + 1).skip(lo) {
                 if e == epoch {
-                    out.hop_ttls.push(t as u8);
-                    out.hop_ids.push(cell.rid());
+                    cols.hop_ttls.push(t as u8);
+                    cols.hop_ids.push(cell.rid());
                 }
             }
         }
@@ -411,16 +467,23 @@ pub(crate) fn assemble<K: Copy + Ord + Default>(
         if bucket.windows(2).any(|w| w[1].key() < w[0].key()) {
             bucket.sort_by_key(|cell| cell.key());
         }
-        out.unreach_ttls
+        cols.unreach_ttls
             .extend(bucket.iter().map(|cell| cell.ttl()));
-        out.unreach_ids.extend(bucket.iter().map(|cell| cell.rid()));
+        cols.unreach_ids
+            .extend(bucket.iter().map(|cell| cell.rid()));
         let at = reached[tid as usize];
-        out.end_trace(
+        cols.end_trace(
             Ipv6Addr::from(word),
             (at != NOT_REACHED).then_some(at as u8),
         );
     }
-    out
+    TraceSet {
+        vantage,
+        target_set,
+        rewritten_dropped,
+        interner: Arc::new(interner),
+        cols: Arc::new(cols),
+    }
 }
 
 impl TraceSet {
@@ -473,17 +536,17 @@ impl TraceSet {
 
     /// Number of traces with at least one response.
     pub fn len(&self) -> usize {
-        self.targets.len()
+        self.cols.targets.len()
     }
 
     /// True when no responses were recorded.
     pub fn is_empty(&self) -> bool {
-        self.targets.is_empty()
+        self.cols.targets.is_empty()
     }
 
     /// The probed targets, ascending.
     pub fn targets(&self) -> &[Ipv6Addr] {
-        &self.targets
+        &self.cols.targets
     }
 
     /// The interface-address table. Sets may share one (the shards of
@@ -522,7 +585,14 @@ impl TraceSet {
     /// ascending. One flat pass over the hop column plus a per-id
     /// bitmap; no address re-hashing.
     pub fn interface_words(&self) -> Vec<u128> {
-        interface_words(&self.interner, [&self.hop_ids[..]])
+        let mut seen = vec![false; self.interner.len()];
+        for &id in &self.cols.hop_ids {
+            seen[id as usize] = true;
+        }
+        let words = self.interner.words().iter().zip(&seen);
+        let mut out: Vec<u128> = words.filter_map(|(&w, &s)| s.then_some(w)).collect();
+        out.sort_unstable();
+        out
     }
 
     /// [`interface_words`](Self::interface_words) as addresses.
@@ -531,66 +601,6 @@ impl TraceSet {
             .into_iter()
             .map(Ipv6Addr::from)
             .collect()
-    }
-
-    /// An empty set on `interner` whose columns are reserved for
-    /// `[traces, hop cells, unreachable cells]`.
-    pub(crate) fn reserved(
-        vantage: Arc<str>,
-        target_set: Arc<str>,
-        rewritten_dropped: u64,
-        interner: Arc<AddrInterner>,
-        [n_targets, n_hops, n_unreach]: [usize; 3],
-    ) -> TraceSet {
-        TraceSet {
-            vantage,
-            target_set,
-            rewritten_dropped,
-            interner,
-            targets: Vec::with_capacity(n_targets),
-            hop_ends: Vec::with_capacity(n_targets),
-            unreach_ends: Vec::with_capacity(n_targets),
-            reached: Vec::with_capacity(n_targets),
-            hop_ttls: Vec::with_capacity(n_hops),
-            hop_ids: Vec::with_capacity(n_hops),
-            unreach_ttls: Vec::with_capacity(n_unreach),
-            unreach_ids: Vec::with_capacity(n_unreach),
-        }
-    }
-
-    /// Ends the trace toward `target`: it owns every cell appended since
-    /// the previous trace ended. The `u32` ends cannot wrap: every
-    /// constructor's columns hold fewer than 2³² cells.
-    #[inline]
-    pub(crate) fn end_trace(&mut self, target: Ipv6Addr, reached_at: Option<u8>) {
-        self.targets.push(target);
-        self.hop_ends.push(self.hop_ids.len() as u32);
-        self.unreach_ends.push(self.unreach_ids.len() as u32);
-        self.reached.push(reached_at);
-    }
-
-    /// Trace `idx`'s range of the hop columns.
-    #[inline]
-    pub(crate) fn hop_range(&self, idx: usize) -> Range<usize> {
-        cell_range(&self.hop_ends, idx)
-    }
-
-    /// Trace `idx`'s range of the unreachable columns.
-    #[inline]
-    pub(crate) fn unreach_range(&self, idx: usize) -> Range<usize> {
-        cell_range(&self.unreach_ends, idx)
-    }
-
-    /// Appends `src`'s trace at `idx` to `self`'s columns, its ids
-    /// translated through `id_remap` when there is one.
-    pub(crate) fn push_trace(&mut self, src: &TraceSet, idx: usize, id_remap: Option<&[u32]>) {
-        let (hops, unreach) = (src.hop_range(idx), src.unreach_range(idx));
-        self.hop_ttls.extend_from_slice(&src.hop_ttls[hops.clone()]);
-        extend_ids(&mut self.hop_ids, &src.hop_ids[hops], id_remap);
-        self.unreach_ttls
-            .extend_from_slice(&src.unreach_ttls[unreach.clone()]);
-        extend_ids(&mut self.unreach_ids, &src.unreach_ids[unreach], id_remap);
-        self.end_trace(src.targets[idx], src.reached[idx]);
     }
 
     /// Unions columnar sets into one — the cross-vantage merge. Returns
@@ -639,47 +649,6 @@ impl TraceSet {
         }
         let mut interner = Arc::clone(&refs[0].interner);
         let id_remaps = union(&mut interner, refs.iter().map(|s| &s.interner));
-        Self::merge_walk(&refs, interner, &id_remaps)
-    }
-
-    /// Moves `sets` onto one table: one [`union`] extends `table` by
-    /// their tables, then each set's ids are remapped through its map
-    /// and the set shares `table`. Returns the maps, in input order
-    /// (`None`: the set's table is a prefix of the union, and its ids
-    /// stand). Every cell resolves to the address it did, so no view of
-    /// a set changes; only its interner holds more words.
-    ///
-    /// A table the union extended is held at its length: the copy of a
-    /// shared table is exact, so its first new word doubles its word
-    /// column, and once shared it never grows again.
-    pub fn rebase<'s>(
-        table: &mut Arc<AddrInterner>,
-        sets: impl IntoIterator<Item = &'s mut TraceSet>,
-    ) -> Vec<Option<Vec<u32>>> {
-        let mut sets: Vec<&mut TraceSet> = sets.into_iter().collect();
-        let maps = union(table, sets.iter().map(|s| &s.interner));
-        if let Some(own) = Arc::get_mut(table) {
-            own.shrink_words();
-        }
-        for (set, map) in sets.iter_mut().zip(&maps) {
-            if let Some(m) = map {
-                for id in set.hop_ids.iter_mut().chain(&mut set.unreach_ids) {
-                    *id = m[*id as usize];
-                }
-            }
-            set.interner = Arc::clone(table);
-        }
-        maps
-    }
-
-    /// The owner walk of [`merge_all`](Self::merge_all) over `refs` into
-    /// `interner`, the [`union`] of their tables, through its `id_remaps`.
-    /// The sharded merge walks each shard against one union.
-    pub(crate) fn merge_walk(
-        refs: &[&TraceSet],
-        interner: Arc<AddrInterner>,
-        id_remaps: &[Option<Vec<u32>>],
-    ) -> TraceSet {
         // Names and tamper counter fold left; `join_names` dedups, so
         // any grouping agrees.
         let mut vantage = refs[0].vantage.clone();
@@ -695,26 +664,61 @@ impl TraceSet {
         // exactly what survives dedup (inputs over the same targets
         // would otherwise reserve their sum), once to copy.
         let (mut n_targets, mut n_hops, mut n_unreach) = (0usize, 0usize, 0usize);
-        for (i, idx) in owner_walk(refs) {
+        for (i, idx) in owner_walk(&refs) {
             n_targets += 1;
-            n_hops += refs[i].hop_range(idx).len();
-            n_unreach += refs[i].unreach_range(idx).len();
+            n_hops += refs[i].cols.hop_range(idx).len();
+            n_unreach += refs[i].cols.unreach_range(idx).len();
         }
         assert!(
             n_hops <= u32::MAX as usize && n_unreach <= u32::MAX as usize,
             "one trace set holds at most 2^32 - 1 hop and 2^32 - 1 unreachable cells"
         );
-        let mut out = TraceSet::reserved(
+        let mut cols = Columns::reserved([n_targets, n_hops, n_unreach]);
+        for (i, idx) in owner_walk(&refs) {
+            cols.push_trace(&refs[i].cols, idx, id_remaps[i].as_deref());
+        }
+        TraceSet {
             vantage,
             target_set,
             rewritten_dropped,
             interner,
-            [n_targets, n_hops, n_unreach],
-        );
-        for (i, idx) in owner_walk(refs) {
-            out.push_trace(refs[i], idx, id_remaps[i].as_deref());
+            cols: Arc::new(cols),
         }
-        out
+    }
+
+    /// Moves `sets` onto one table: one [`union`] extends `table` by
+    /// their tables, then each set's ids are remapped through its map
+    /// and the set shares `table`. Returns the maps, in input order
+    /// (`None`: the set's table is a prefix of the union, and its ids
+    /// stand). Every cell resolves to the address it did, so no view of
+    /// a set changes; only its interner holds more words.
+    ///
+    /// A table the union extended is held at its length: the copy of a
+    /// shared table is exact, so its first new word doubles its word
+    /// column, and once shared it never grows again.
+    ///
+    /// A set whose ids are remapped and whose columns another set shares
+    /// gets its own copy of the columns first; the other set keeps the
+    /// ids it had.
+    pub fn rebase<'s>(
+        table: &mut Arc<AddrInterner>,
+        sets: impl IntoIterator<Item = &'s mut TraceSet>,
+    ) -> Vec<Option<Vec<u32>>> {
+        let mut sets: Vec<&mut TraceSet> = sets.into_iter().collect();
+        let maps = union(table, sets.iter().map(|s| &s.interner));
+        if let Some(own) = Arc::get_mut(table) {
+            own.shrink_words();
+        }
+        for (set, map) in sets.iter_mut().zip(&maps) {
+            if let Some(m) = map {
+                let cols = Arc::make_mut(&mut set.cols);
+                for id in cols.hop_ids.iter_mut().chain(&mut cols.unreach_ids) {
+                    *id = m[*id as usize];
+                }
+            }
+            set.interner = Arc::clone(table);
+        }
+        maps
     }
 
     /// The canonically re-interned form of this set: interner ids are
@@ -734,14 +738,17 @@ impl TraceSet {
     /// Consumes the set: the id columns are rewritten in place (each
     /// cell belongs to exactly one trace's range), everything else is
     /// moved, and only the new interner is allocated — once, at its
-    /// final size. A caller that keeps its input canonicalizes a clone.
+    /// final size. A caller that keeps its input canonicalizes a clone,
+    /// and the columns that clone shares are copied once, before the
+    /// rewrite.
     pub fn canonical(mut self) -> TraceSet {
         let mut ids = Reintern::new(&self.interner);
-        for idx in 0..self.targets.len() {
-            for id in &mut self.hop_ids[cell_range(&self.hop_ends, idx)] {
+        let cols = Arc::make_mut(&mut self.cols);
+        for idx in 0..cols.targets.len() {
+            for id in &mut cols.hop_ids[cell_range(&cols.hop_ends, idx)] {
                 *id = ids.id(*id);
             }
-            for id in &mut self.unreach_ids[cell_range(&self.unreach_ends, idx)] {
+            for id in &mut cols.unreach_ids[cell_range(&cols.unreach_ends, idx)] {
                 *id = ids.id(*id);
             }
         }
@@ -761,19 +768,20 @@ impl TraceSet {
 
     /// Iterates traces in target order — a slice walk, no re-sort.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = TraceView<'_>> + Clone {
-        (0..self.targets.len()).map(move |idx| TraceView { set: self, idx })
+        (0..self.len()).map(move |idx| TraceView { set: self, idx })
     }
 
     /// The trace at position `idx` in target order.
     pub fn view_at(&self, idx: usize) -> TraceView<'_> {
-        assert!(idx < self.targets.len());
+        assert!(idx < self.len());
         TraceView { set: self, idx }
     }
 
     /// The trace toward `target`, via binary search.
     pub fn get(&self, target: Ipv6Addr) -> Option<TraceView<'_>> {
         let w = u128::from(target);
-        self.targets
+        self.cols
+            .targets
             .binary_search_by_key(&w, |&t| u128::from(t))
             .ok()
             .map(|idx| TraceView { set: self, idx })
@@ -788,21 +796,6 @@ fn extend_ids(out: &mut Vec<u32>, ids: &[u32], remap: Option<&[u32]>) {
     }
 }
 
-/// The distinct words of `table` some id of `hop_ids` names, ascending.
-pub(crate) fn interface_words<'a>(
-    table: &AddrInterner,
-    hop_ids: impl IntoIterator<Item = &'a [u32]>,
-) -> Vec<u128> {
-    let mut seen = vec![false; table.len()];
-    for &id in hop_ids.into_iter().flatten() {
-        seen[id as usize] = true;
-    }
-    let words = table.words().iter().zip(&seen);
-    let mut out: Vec<u128> = words.filter_map(|(&w, &s)| s.then_some(w)).collect();
-    out.sort_unstable();
-    out
-}
-
 /// The k-way owner walk of [`TraceSet::merge_all`]: `(input, index)` of
 /// every surviving trace, in target order. Each step takes the smallest
 /// pending target; the lowest-index input holding it owns the surviving
@@ -813,7 +806,7 @@ fn owner_walk<'s>(sets: &'s [&'s TraceSet]) -> impl Iterator<Item = (usize, usiz
     std::iter::from_fn(move || {
         let mut min: Option<u128> = None;
         for (s, &c) in sets.iter().zip(&cursors) {
-            if let Some(&t) = s.targets.get(c) {
+            if let Some(&t) = s.cols.targets.get(c) {
                 let w = u128::from(t);
                 if min.is_none_or(|m| w < m) {
                     min = Some(w);
@@ -823,7 +816,11 @@ fn owner_walk<'s>(sets: &'s [&'s TraceSet]) -> impl Iterator<Item = (usize, usiz
         let min = min?;
         let mut owner: Option<usize> = None;
         for (i, (s, c)) in sets.iter().zip(&mut cursors).enumerate() {
-            if s.targets.get(*c).is_some_and(|&t| u128::from(t) == min) {
+            if s.cols
+                .targets
+                .get(*c)
+                .is_some_and(|&t| u128::from(t) == min)
+            {
                 if owner.is_none() {
                     owner = Some(i);
                 }
@@ -942,7 +939,7 @@ impl<'a> TraceView<'a> {
     /// The probed destination.
     #[inline]
     pub fn target(&self) -> Ipv6Addr {
-        self.set.targets[self.idx]
+        self.set.cols.targets[self.idx]
     }
 
     /// Position of this trace in target order.
@@ -954,16 +951,17 @@ impl<'a> TraceView<'a> {
     /// Smallest TTL at which the destination itself answered, if any.
     #[inline]
     pub fn reached_at(&self) -> Option<u8> {
-        self.set.reached[self.idx]
+        self.set.cols.reached[self.idx]
     }
 
     /// The raw hop cells `(ttl, iface_id)`, ttl strictly ascending.
     #[inline]
     pub fn hop_cells(&self) -> Cells<'a> {
-        let r = self.set.hop_range(self.idx);
+        let cols = &*self.set.cols;
+        let r = cols.hop_range(self.idx);
         Cells {
-            ttls: &self.set.hop_ttls[r.clone()],
-            ids: &self.set.hop_ids[r],
+            ttls: &cols.hop_ttls[r.clone()],
+            ids: &cols.hop_ids[r],
         }
     }
 
@@ -979,10 +977,11 @@ impl<'a> TraceView<'a> {
     /// record order.
     #[inline]
     pub fn unreachable_cells(&self) -> Cells<'a> {
-        let r = self.set.unreach_range(self.idx);
+        let cols = &*self.set.cols;
+        let r = cols.unreach_range(self.idx);
         Cells {
-            ttls: &self.set.unreach_ttls[r.clone()],
-            ids: &self.set.unreach_ids[r],
+            ttls: &cols.unreach_ttls[r.clone()],
+            ids: &cols.unreach_ids[r],
         }
     }
 
@@ -1112,14 +1111,14 @@ impl TraceSet {
             v.capacity() - v.len()
         }
         [
-            spare(&self.targets),
-            spare(&self.hop_ends),
-            spare(&self.unreach_ends),
-            spare(&self.reached),
-            spare(&self.hop_ttls),
-            spare(&self.hop_ids),
-            spare(&self.unreach_ttls),
-            spare(&self.unreach_ids),
+            spare(&self.cols.targets),
+            spare(&self.cols.hop_ends),
+            spare(&self.cols.unreach_ends),
+            spare(&self.cols.reached),
+            spare(&self.cols.hop_ttls),
+            spare(&self.cols.hop_ids),
+            spare(&self.cols.unreach_ttls),
+            spare(&self.cols.unreach_ids),
         ]
     }
 
@@ -1129,10 +1128,10 @@ impl TraceSet {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * size_of::<T>()
         }
-        bytes(&self.hop_ttls)
-            + bytes(&self.hop_ids)
-            + bytes(&self.unreach_ttls)
-            + bytes(&self.unreach_ids)
+        bytes(&self.cols.hop_ttls)
+            + bytes(&self.cols.hop_ids)
+            + bytes(&self.cols.unreach_ttls)
+            + bytes(&self.cols.unreach_ids)
     }
 
     /// Bytes the target and per-trace metadata columns hold, by
@@ -1141,10 +1140,10 @@ impl TraceSet {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * size_of::<T>()
         }
-        bytes(&self.targets)
-            + bytes(&self.hop_ends)
-            + bytes(&self.unreach_ends)
-            + bytes(&self.reached)
+        bytes(&self.cols.targets)
+            + bytes(&self.cols.hop_ends)
+            + bytes(&self.cols.unreach_ends)
+            + bytes(&self.cols.reached)
     }
 
     /// Panics unless the columns are laid out as every constructor lays
@@ -1152,19 +1151,24 @@ impl TraceSet {
     /// of equal length in pairs, and ends that never decrease and stop at
     /// their cell column's length.
     pub(crate) fn assert_tiled(&self) {
-        let n = self.targets.len();
+        let n = self.cols.targets.len();
         let rows = [
-            self.hop_ends.len(),
-            self.unreach_ends.len(),
-            self.reached.len(),
+            self.cols.hop_ends.len(),
+            self.cols.unreach_ends.len(),
+            self.cols.reached.len(),
         ];
         assert_eq!(rows, [n; 3], "one row per trace");
         for (ends, ttls, ids, what) in [
-            (&self.hop_ends, &self.hop_ttls, &self.hop_ids, "hop"),
             (
-                &self.unreach_ends,
-                &self.unreach_ttls,
-                &self.unreach_ids,
+                &self.cols.hop_ends,
+                &self.cols.hop_ttls,
+                &self.cols.hop_ids,
+                "hop",
+            ),
+            (
+                &self.cols.unreach_ends,
+                &self.cols.unreach_ttls,
+                &self.cols.unreach_ids,
                 "unreach",
             ),
         ] {
@@ -1502,6 +1506,92 @@ mod tests {
         }
     }
 
+    /// A copy of `ts` that shares nothing with it.
+    fn deep_copy(ts: &TraceSet) -> TraceSet {
+        TraceSet {
+            interner: Arc::new(AddrInterner::clone(&ts.interner)),
+            cols: Arc::new(Columns::clone(&ts.cols)),
+            ..ts.clone()
+        }
+    }
+
+    /// Two sets over the responders `::a`, `::b` and `::c`: the first
+    /// interns `::b` before `::a`, so its canonical form renumbers both,
+    /// and the second's `::a` is not at its id in the first's table.
+    fn two_sets() -> [TraceSet; 2] {
+        let te = ResponseKind::TimeExceeded;
+        let a = TraceSet::from_log(&log_named(
+            "V-A",
+            vec![
+                rec("2001:db8::9", "::b", te, Some(1)),
+                rec("2001:db8::1", "::a", te, Some(1)),
+            ],
+        ));
+        let b = TraceSet::from_log(&log_named(
+            "V-B",
+            vec![
+                rec("2001:db8::2", "::c", te, Some(1)),
+                rec("2001:db8::2", "::a", te, Some(2)),
+            ],
+        ));
+        [a, b]
+    }
+
+    #[test]
+    fn clones_and_stores_share_their_columns() {
+        use crate::shard::ShardedTraceSet;
+        let [ts, _] = two_sets();
+        let clone = ts.clone();
+        assert!(Arc::ptr_eq(&clone.cols, &ts.cols) && Arc::ptr_eq(&clone.interner, &ts.interner));
+        let store = ShardedTraceSet::from_set(&ts, 4);
+        assert!(Arc::ptr_eq(&store.shards()[0].cols, &ts.cols));
+        assert!(Arc::ptr_eq(&store.to_trace_set().cols, &ts.cols));
+        let merged = ShardedTraceSet::merge_all(std::slice::from_ref(&store));
+        assert!(Arc::ptr_eq(&merged.to_trace_set().cols, &ts.cols));
+    }
+
+    #[test]
+    fn a_write_to_shared_columns_leaves_the_other_set_as_it_was() {
+        use crate::quarantine::{quarantine_all, QuarantineConfig};
+        let [a, b] = two_sets();
+        let (deep_a, deep_b) = (deep_copy(&a), deep_copy(&b));
+
+        let canonical = a.clone().canonical();
+        assert_ne!(canonical.cols.hop_ids, a.cols.hop_ids, "the ids move");
+        assert!(!Arc::ptr_eq(&canonical.cols, &a.cols));
+        assert_eq!(a, deep_a);
+
+        let mut moved = b.clone();
+        let maps = TraceSet::rebase(&mut Arc::clone(a.interner()), [&mut moved]);
+        assert!(maps[0].is_some(), "the ids move");
+        assert!(!Arc::ptr_eq(&moved.cols, &b.cols));
+        assert_eq!(b, deep_b);
+
+        // A hop past the plausible depth, so the scrub rebuilds the set.
+        let config = QuarantineConfig {
+            max_plausible_ttl: 1,
+            ..QuarantineConfig::default()
+        };
+        let shared = b.clone();
+        let (cleaned, report) = quarantine_all(&[&shared], &config);
+        assert_eq!(report.cells_dropped(), 1);
+        assert!(matches!(cleaned[0], std::borrow::Cow::Owned(_)));
+        assert_eq!(b, deep_b);
+        assert_eq!(shared, deep_b);
+    }
+
+    #[test]
+    fn a_write_to_unshared_columns_copies_nothing() {
+        let [a, b] = two_sets();
+        let mut moved = b;
+        let before = Arc::as_ptr(&moved.cols);
+        let maps = TraceSet::rebase(&mut Arc::clone(a.interner()), [&mut moved]);
+        assert!(maps[0].is_some(), "the ids move");
+        assert_eq!(Arc::as_ptr(&moved.cols), before);
+        let before = Arc::as_ptr(&a.cols);
+        assert_eq!(Arc::as_ptr(&a.canonical().cols), before);
+    }
+
     #[test]
     fn merge_first_wins_on_shared_targets_but_interner_keeps_both() {
         let a = TraceSet::from_log(&log_named(
@@ -1660,7 +1750,10 @@ mod tests {
             })
             .into();
         let m = TraceSet::merge_all(&sets);
-        assert_eq!((m.len(), m.hop_ids.len(), m.unreach_ids.len()), (4, 8, 4));
+        assert_eq!(
+            (m.len(), m.cols.hop_ids.len(), m.cols.unreach_ids.len()),
+            (4, 8, 4)
+        );
         assert_eq!(m.spare_capacity(), [0; 8]);
         // The inputs' hops differ at every target; the first holder's
         // survive.
@@ -1711,9 +1804,10 @@ mod tests {
         check("finished", &finished, 0);
         check("from_log", &other, 0);
         check("merged", &merged, 0);
-        for shard in ShardedTraceSet::from_set(&merged, 3).shards() {
+        let store = ShardedTraceSet::from_set(&merged, 3);
+        for shard in (0..3).map(|s| store.shard(s)) {
             if !shard.is_empty() {
-                check("shard", shard, 0);
+                check("shard", &shard, 0);
             }
         }
         let (cleaned, report) = quarantine_all(&[&merged], &QuarantineConfig::default());
@@ -1736,7 +1830,7 @@ mod tests {
     #[test]
     fn every_kind_of_set_holds_a_cell_in_5_bytes() {
         every_kind_of_set(|what, ts, reserved| {
-            let cells = ts.hop_ids.len() + ts.unreach_ids.len();
+            let cells = ts.cols.hop_ids.len() + ts.cols.unreach_ids.len();
             assert!(cells > 0, "{what} holds cells");
             assert_eq!(ts.cell_bytes(), 5 * (cells + reserved), "{what}");
         });
@@ -1761,7 +1855,7 @@ mod tests {
             let views = ts
                 .iter()
                 .map(|t| t.hop_cells().len() + t.unreachable_cells().len());
-            let cells = ts.hop_ids.len() + ts.unreach_ids.len();
+            let cells = ts.cols.hop_ids.len() + ts.cols.unreach_ids.len();
             assert_eq!(views.sum::<usize>(), cells, "{what}");
         });
     }

@@ -95,8 +95,8 @@ proptest! {
         prop_assert!(back == want, "{k}-shard round trip diverged");
         // Every trace landed in the shard its target routes to.
         let route = ShardRoute::new(k);
-        for (s, shard) in sharded.shards().iter().enumerate() {
-            for &t in shard.targets() {
+        for s in 0..k {
+            for &t in sharded.shard(s).targets() {
                 prop_assert_eq!(route.shard_of(t), s, "target {} misrouted", t);
             }
         }
@@ -137,9 +137,10 @@ proptest! {
             flats.iter().map(|f| ShardedTraceSet::from_set(f, k)).collect();
         let merged = ShardedTraceSet::merge_all(&shardeds);
         for s in 0..k {
-            let fold = TraceSet::merge_all(shardeds.iter().map(|set| set.shard(s)));
+            let shards: Vec<TraceSet> = shardeds.iter().map(|set| set.shard(s)).collect();
+            let fold = TraceSet::merge_all(&shards);
             prop_assert!(
-                *merged.shard(s) == fold,
+                merged.shard(s) == fold,
                 "merge of shard {s} is not bit-identical to flat merge_all (k={k})"
             );
         }
@@ -157,7 +158,8 @@ proptest! {
     ) {
         let flat = TraceSet::merge_all(&[set_of(&a, true), losing_side(&b)]);
         let sharded = ShardedTraceSet::from_set(&flat, k);
-        for (s, shard) in sharded.shards().iter().enumerate() {
+        for s in 0..k {
+            let shard = sharded.shard(s);
             prop_assert_eq!(shard.interner().words(), flat.interner().words(), "shard {}", s);
             for t in shard.iter() {
                 let want = flat.get(t.target()).expect("a shard's target is the set's");
@@ -170,7 +172,8 @@ proptest! {
     /// The exact round trip: sharding then flattening returns the set,
     /// interner ids and all, with no canonical form on either side —
     /// for one campaign's set and for a merge that left words no trace
-    /// references.
+    /// references. So does merging the built shards, as a snapshot
+    /// read does.
     #[test]
     fn shard_then_flatten_is_exact(
         a in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
@@ -180,8 +183,10 @@ proptest! {
         let one = set_of(&a, true);
         let merged = TraceSet::merge_all(&[one.clone(), losing_side(&b)]);
         for ts in [one, merged] {
-            let back = ShardedTraceSet::from_set(&ts, k).to_trace_set();
-            prop_assert!(back == ts, "{k}-shard round trip is not exact");
+            let store = ShardedTraceSet::from_set(&ts, k);
+            prop_assert!(store.to_trace_set() == ts, "{k}-shard round trip is not exact");
+            let shards: Vec<TraceSet> = (0..k).map(|s| store.shard(s)).collect();
+            prop_assert!(TraceSet::merge_all(&shards) == ts, "{k} shards merge to another set");
         }
     }
 

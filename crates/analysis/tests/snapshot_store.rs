@@ -327,7 +327,8 @@ fn a_shard_id_the_table_cannot_resolve_is_refused() {
     write_sharded_snapshot(dir.path(), &store).unwrap();
     // A table of the first half of the words: ids stay one byte wide,
     // and the shards name words past its end.
-    let words = store.shard(0).interner().words();
+    let shard = store.shard(0);
+    let words = shard.interner().words();
     assert!((2..=256).contains(&words.len()));
     let half = &words[..words.len() / 2];
     let table = dir.path().join(TABLE_FILE);

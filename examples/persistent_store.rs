@@ -52,7 +52,8 @@ fn main() {
         on_disk,
         dir.display()
     );
-    for (s, shard) in store.shards().iter().enumerate() {
+    for s in 0..store.n_shards() {
+        let shard = store.shard(s);
         println!(
             "  shard {s}: {:>5} traces, {:>4} interfaces",
             shard.len(),

@@ -636,8 +636,9 @@ impl Checkpoint {
     /// the yield-floor streak, so changed regions are re-swept at full
     /// intensity while unchanged regions cost only their canaries. The
     /// run's `traces` begin with the prior store as one set
-    /// ([`ShardedTraceSet::to_trace_set`]; the merged view is the
-    /// updated store); `stats` counts only this run's probing.
+    /// ([`ShardedTraceSet::to_trace_set`], a clone that shares the
+    /// store's columns and table, so it copies nothing; the merged view
+    /// is the updated store); `stats` counts only this run's probing.
     pub fn delta(
         topo: &Topology,
         initial: &TargetSet,
