@@ -47,7 +47,7 @@ pub use metrics::{
 };
 pub use quarantine::{quarantine_all, QuarantineConfig, QuarantineReport};
 pub use runner::{CampaignOutcome, CampaignRun, CampaignRunner};
-pub use shard::{ShardRoute, ShardedTraceSet};
+pub use shard::{ShardRoute, ShardedTraceSet, MAX_SHARDS};
 pub use snapshot::{
     read_sharded_snapshot, read_trace_set, write_sharded_snapshot, write_trace_set, SnapReader,
     SnapWriter, SnapshotError, SnapshotManifest, StoreError,

@@ -1,18 +1,15 @@
 //! Sharding the columnar [`TraceSet`] by target prefix.
 //!
-//! A longitudinal store accumulating many campaigns wants an on-disk
-//! layout of independent units ([`crate::snapshot`]'s per-shard
-//! segments, encoded in parallel and each checked on its own at load;
-//! [`write_sharded_snapshot`](crate::write_sharded_snapshot) still
-//! rewrites every segment, so no write is incremental yet). A
-//! [`ShardedTraceSet`] is the store in memory: **one** `TraceSet` plus
-//! the fixed prefix→shard function ([`ShardRoute`]) that cuts it into
-//! those units. All addresses in one /64 land in the same shard (a
+//! A [`ShardedTraceSet`] is a longitudinal store: **one** `TraceSet`
+//! plus the fixed prefix→shard function ([`ShardRoute`]) that cuts it
+//! into shards. All addresses in one /64 land in the same shard (a
 //! trace never straddles shards, and the same target routes
-//! identically in every set), so the route is all a store needs to
-//! know of its shards. A shard is built only when asked for
-//! ([`ShardedTraceSet::shard`]): the writer builds each one to encode
-//! it, and the reader merges the decoded ones back into one set.
+//! identically in every set), so the route, a pure function of the
+//! shard count, is all a store needs to know of its shards. On disk a
+//! store is one file holding the count and the set
+//! ([`write_sharded_snapshot`](crate::write_sharded_snapshot)); no
+//! shard placement is stored. A shard is built only when asked for
+//! ([`ShardedTraceSet::shard`]).
 //!
 //! A shard is a complete `TraceSet` over its (sorted) target subset,
 //! so every analysis pass runs on a shard unchanged, and all shards
@@ -47,16 +44,22 @@ use yarrp6::addrset::AddrSet;
 /// (locality for subnet inference), while the mixer spreads clustered
 /// prefix allocations evenly across shards. The function is pure and
 /// versioned by the snapshot format: two processes with the same shard
-/// count route identically, which is what lets a reader check every
-/// decoded segment against it.
+/// count route identically, so a stored count is a stored route.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardRoute {
     shards: u32,
 }
 
+/// The most shards a route may have: a store's file holds its count,
+/// and what sizes anything per shard (a delta run's reopen latches)
+/// must not be sized by an unbounded number read back.
+pub const MAX_SHARDS: usize = 1 << 16;
+
 impl ShardRoute {
-    /// A route over `shards` shards (at least 1).
+    /// A route over `shards` shards (at least 1). Panics past
+    /// [`MAX_SHARDS`], so every store that can be written can be read.
     pub fn new(shards: usize) -> ShardRoute {
+        assert!(shards <= MAX_SHARDS, "{shards} shards, past {MAX_SHARDS}");
         ShardRoute {
             shards: shards.max(1) as u32,
         }
@@ -207,6 +210,12 @@ mod tests {
         };
         log.sort_by_recv();
         TraceSet::from_log(&log)
+    }
+
+    #[test]
+    #[should_panic(expected = "65537 shards, past 65536")]
+    fn a_route_past_the_shard_limit_is_refused() {
+        ShardRoute::new(MAX_SHARDS + 1);
     }
 
     #[test]

@@ -32,6 +32,10 @@
 //! previous one's) and write each word once: per set, its table's
 //! length, the words past the previous set's, then the set without its
 //! table. The adaptive checkpoint's trace record is such a chain.
+//!
+//! [`write_sharded_snapshot`] / [`read_sharded_snapshot`] persist a
+//! store as one file: a header, the shard count, the store's one set in
+//! the [`write_trace_set`] layout, and a checksum of all of it.
 
 use crate::intern::AddrInterner;
 use crate::traces::{cell_range, trace_lens, Columns, TraceSet};
@@ -280,16 +284,8 @@ pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
     write_set(w, ts, true);
 }
 
-/// Appends a word table: its count, then its words in id order.
-fn write_words(w: &mut SnapWriter, table: &AddrInterner) {
-    w.u32(table.len() as u32);
-    for &word in table.words() {
-        w.u128(word);
-    }
-}
-
-/// [`write_trace_set`], the word table left out unless `with_table`: a
-/// store segment's set shares the store's.
+/// [`write_trace_set`], the word table (its count, then its words in id
+/// order) left out unless `with_table`: a chain's set shares its chain's.
 fn write_set(w: &mut SnapWriter, ts: &TraceSet, with_table: bool) {
     let widths = Widths::of(ts);
     // One reservation, not a doubling buffer copied on the way up.
@@ -300,7 +296,10 @@ fn write_set(w: &mut SnapWriter, ts: &TraceSet, with_table: bool) {
     w.str(&ts.target_set);
     w.u64(ts.rewritten_dropped);
     if with_table {
-        write_words(w, &ts.interner);
+        w.u32(ts.interner.len() as u32);
+        for &word in ts.interner.words() {
+            w.u128(word);
+        }
     }
     let cols = &ts.cols;
     w.u32(cols.targets.len() as u32);
@@ -604,51 +603,43 @@ fn read_set(
 }
 
 // ---------------------------------------------------------------------------
-// Persistent sharded store: a versioned multi-shard on-disk format.
+// Persistent store: one versioned file.
 //
-// A [`crate::shard::ShardedTraceSet`] persists as a directory —
-// `manifest.snap`, `table.seg` and one `shard-NNNN.seg` per shard. The
-// manifest records the format version, the routing parameters, and
-// each segment's byte length and FNV-1a checksum. The table segment is
-// the word table every shard shares, written once; a shard segment is
-// the `write_trace_set` layout without it. A store holds one set, so
-// the writer builds each shard to encode it, and a read merges the
-// decoded shards back into one set. Writes are byte-deterministic:
-// persisting the same store twice produces identical files, so
-// day-over-day diffs of a snapshot directory are real topology diffs.
+// A [`crate::shard::ShardedTraceSet`] persists as one file, `store.snap`
+// in its directory: the magic, the format version, the shard count, the
+// store's one set in the `write_trace_set` layout (word table
+// included), then an FNV-1a checksum of every byte before it. No shard
+// placement is stored: the route is a function of the count. A write
+// goes to a temporary file, synced, then renamed over the last store,
+// so a crash mid-write leaves the previous store readable. Writes are
+// byte-deterministic: persisting the same store twice produces
+// identical files, so day-over-day diffs of a snapshot are real
+// topology diffs.
 
-use crate::shard::{ShardRoute, ShardedTraceSet};
+use crate::shard::{ShardedTraceSet, MAX_SHARDS};
+use std::io::Write;
 use std::path::Path;
-use yarrp6::campaign::pool_map;
 
-/// Manifest magic: `"BSNP"`.
+/// Store file magic: `"BSNP"`.
 pub(crate) const STORE_MAGIC: u32 = 0x4253_4e50;
 /// Standalone segment magic: `"BSEG"`.
 pub(crate) const SEGMENT_MAGIC: u32 = 0x4253_4547;
-/// Shard segment magic: `"BSHD"`.
-pub(crate) const SHARD_MAGIC: u32 = 0x4253_4844;
-/// Table segment magic: `"BTAB"`.
-pub(crate) const TABLE_MAGIC: u32 = 0x4254_4142;
 /// On-disk format version. Bump on any layout change; readers reject
-/// other versions rather than guessing. Version 4 drops the per-trace
-/// provenance lists; 3 wrote the word table once; 2 gave each shard
-/// segment its own; 1 had 4-byte ids and offsets.
-pub(crate) const STORE_VERSION: u32 = 4;
+/// other versions rather than guessing. Version 5 is one file; 4 was a
+/// directory of a manifest, a word-table segment and a segment per
+/// shard; 3 had per-trace provenance lists; 2 gave each shard segment
+/// its own word table; 1 had 4-byte ids and offsets.
+pub(crate) const STORE_VERSION: u32 = 5;
 
-/// Manifest file name inside a snapshot directory.
-pub const MANIFEST_FILE: &str = "manifest.snap";
+/// The store's file name inside a snapshot directory.
+pub const STORE_FILE: &str = "store.snap";
 
-/// The word table's segment file name inside a snapshot directory.
-pub(crate) const TABLE_FILE: &str = "table.seg";
-
-/// The name of shard `s`'s segment file.
-pub fn segment_file(s: usize) -> String {
-    format!("shard-{s:04}.seg")
-}
+/// Where a write puts the file before renaming it onto [`STORE_FILE`].
+const TEMP_FILE: &str = "store.snap.tmp";
 
 /// FNV-1a over a byte slice — the same construction
 /// `beholder::checkpoint` uses for its config digest, applied here to
-/// whole segment files so bit rot fails loudly at load.
+/// a whole store file so bit rot fails loudly at load.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -658,28 +649,27 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One segment's entry in the manifest: enough to detect truncation
-/// (length) and corruption (checksum) before decoding a byte.
+/// A store file's length and checksum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SegmentInfo {
-    /// Segment file length in bytes.
+    /// File length in bytes.
     pub len: u64,
-    /// FNV-1a over the whole segment file.
+    /// The file's trailing checksum: FNV-1a over every byte before it.
     pub fnv: u64,
 }
 
-/// The decoded `manifest.snap`: format version, routing parameters,
-/// per-segment integrity table.
+/// What [`write_sharded_snapshot`] wrote: the shard count and the file.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotManifest {
-    /// Shard count — the [`ShardRoute`] parameter (the routing
+    /// Shard count — the [`crate::ShardRoute`] parameter (the routing
     /// function itself is versioned by `STORE_VERSION`).
     pub n_shards: u32,
-    /// Integrity entries: each shard segment's in order, then the table's.
+    /// The store file, in a one-element slice: a store is one file,
+    /// and summing these lengths gives its size on disk.
     pub segments: Vec<SegmentInfo>,
 }
 
-/// A store file: magic, version, then what `body` writes.
+/// A file: magic, version, then what `body` writes.
 fn encode_file(magic: u32, body: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
     let mut w = SnapWriter::new();
     w.u32(magic);
@@ -711,35 +701,6 @@ fn decode_file<T>(
     Ok(value)
 }
 
-/// Encodes a manifest. Byte-deterministic.
-pub fn encode_manifest(m: &SnapshotManifest) -> Vec<u8> {
-    encode_file(STORE_MAGIC, |w| {
-        w.u32(m.n_shards);
-        for seg in &m.segments {
-            w.u64(seg.len);
-            w.u64(seg.fnv);
-        }
-    })
-}
-
-/// Decodes a manifest: a segment entry per shard, then the table's. A
-/// shard count the file cannot hold is `Truncated` before it sizes anything.
-pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<SnapshotManifest, SnapshotError> {
-    decode_file(bytes, STORE_MAGIC, "trailing manifest bytes", |r| {
-        let n_shards = r.count(16)?;
-        if n_shards == 0 {
-            return Err(SnapshotError::BadValue("shard count"));
-        }
-        let mut segments = Vec::with_capacity(n_shards + 1);
-        for _ in 0..=n_shards {
-            let (len, fnv) = (r.u64()?, r.u64()?);
-            segments.push(SegmentInfo { len, fnv });
-        }
-        let n_shards = n_shards as u32;
-        Ok(SnapshotManifest { n_shards, segments })
-    })
-}
-
 /// Encodes one set as a standalone segment: magic, version, then the
 /// [`write_trace_set`] layout, word table included. Byte-deterministic.
 pub fn encode_segment(ts: &TraceSet) -> Vec<u8> {
@@ -757,19 +718,10 @@ pub fn decode_segment(bytes: &[u8]) -> Result<TraceSet, SnapshotError> {
 pub enum StoreError {
     /// Filesystem failure (missing directory, unreadable file, ...).
     Io(std::io::Error),
-    /// A manifest or segment failed structural decoding.
+    /// The store file failed structural decoding.
     Decode(SnapshotError),
-    /// A segment's bytes did not match the manifest's checksum.
-    Corrupt {
-        /// The shard whose segment is damaged.
-        segment: u32,
-    },
-    /// The word table's segment is unreadable or not the manifest's.
-    Table(&'static str),
-    /// Manifest and directory disagree (a segment's length changed, a
-    /// target routed to the wrong shard, ...); the payload names the
-    /// inconsistency.
-    Mismatch(&'static str),
+    /// The store file's bytes did not match its checksum.
+    Corrupt,
 }
 
 impl std::fmt::Display for StoreError {
@@ -777,11 +729,7 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "snapshot io: {e}"),
             StoreError::Decode(e) => write!(f, "snapshot decode: {e}"),
-            StoreError::Corrupt { segment } => {
-                write!(f, "snapshot segment {segment} failed its checksum")
-            }
-            StoreError::Table(what) => write!(f, "snapshot word table: {what}"),
-            StoreError::Mismatch(what) => write!(f, "snapshot inconsistent: {what}"),
+            StoreError::Corrupt => write!(f, "snapshot failed its checksum"),
         }
     }
 }
@@ -800,79 +748,61 @@ impl From<SnapshotError> for StoreError {
     }
 }
 
-/// Persists a sharded store under `dir` (created if absent):
-/// `manifest.snap`, one segment file per shard, and the word table's
-/// segment. Each shard is built ([`ShardedTraceSet::shard`]), encoded,
-/// checksummed and written on the worker pool, and dropped once
-/// written. Returns the manifest it wrote. Byte-deterministic — equal
-/// stores produce identical directories.
+/// Persists a sharded store under `dir` (created if absent) as one
+/// file, [`STORE_FILE`]: the shard count, the store's set and a
+/// trailing checksum. The file is written under a temporary name,
+/// synced, and renamed into place, and the directory synced, so a
+/// crash mid-write leaves the previous store. Returns what it wrote.
+/// Byte-deterministic — equal stores produce identical files.
 pub fn write_sharded_snapshot(
     dir: &Path,
     store: &ShardedTraceSet,
 ) -> Result<SnapshotManifest, StoreError> {
+    let ts = &store.set;
+    let n_shards = store.n_shards() as u32;
+    let mut bytes = encode_file(STORE_MAGIC, |w| {
+        // The count, the set and the checksum in one reservation.
+        w.reserve(4 + Widths::of(ts).encoded_len(ts, true) + 8);
+        w.u32(n_shards);
+        write_trace_set(w, ts);
+    });
+    let fnv = fnv1a(&bytes);
+    bytes.extend_from_slice(&fnv.to_le_bytes());
     std::fs::create_dir_all(dir)?;
-    let write = |name: &str, bytes: Vec<u8>| -> std::io::Result<SegmentInfo> {
-        std::fs::write(dir.join(name), &bytes)?;
-        let (len, fnv) = (bytes.len() as u64, fnv1a(&bytes));
-        Ok(SegmentInfo { len, fnv })
-    };
-    let n_shards = store.n_shards();
-    let mut segments = pool_map(n_shards, n_shards > 1, |s| {
-        let shard = encode_file(SHARD_MAGIC, |w| write_set(w, &store.shard(s), false));
-        write(&segment_file(s), shard)
-    })
-    .into_iter()
-    .collect::<std::io::Result<Vec<_>>>()?;
-    let table = encode_file(TABLE_MAGIC, |w| write_words(w, &store.set.interner));
-    segments.push(write(TABLE_FILE, table)?);
-    let manifest = SnapshotManifest {
-        n_shards: n_shards as u32,
-        segments,
-    };
-    std::fs::write(dir.join(MANIFEST_FILE), encode_manifest(&manifest))?;
-    Ok(manifest)
+    let temp = dir.join(TEMP_FILE);
+    let mut file = std::fs::File::create(&temp)?;
+    file.write_all(&bytes)?;
+    file.sync_all()?;
+    std::fs::rename(&temp, dir.join(STORE_FILE))?;
+    // The rename is durable once the directory entry is.
+    std::fs::File::open(dir)?.sync_all()?;
+    let segments = vec![SegmentInfo {
+        len: bytes.len() as u64,
+        fnv,
+    }];
+    Ok(SnapshotManifest { n_shards, segments })
 }
 
-/// Loads a sharded store from `dir`, verifying every segment's length
-/// and checksum against the manifest before decoding, and every
-/// decoded target's shard against the routing function — a snapshot
-/// that would merge under the wrong route is rejected, not repaired.
-/// The word table is decoded once, and every shard shares it; the
-/// decoded shards are then merged into the store's one set
-/// ([`TraceSet::merge_all`], which over one table and disjoint targets
-/// copies each trace once, no id remapped).
+/// Loads the store [`write_sharded_snapshot`] wrote under `dir`. The
+/// checksum is checked before a byte is decoded; then the magic, the
+/// version, a shard count in `1..=MAX_SHARDS` and that no bytes trail
+/// the set. The set is decoded once, and the route rebuilt from the
+/// count.
 pub fn read_sharded_snapshot(dir: &Path) -> Result<ShardedTraceSet, StoreError> {
-    let manifest = decode_manifest(&std::fs::read(dir.join(MANIFEST_FILE))?)?;
-    let route = ShardRoute::new(manifest.n_shards as usize);
-    let (table_info, shard_infos) = manifest.segments.split_last().expect("a table entry");
-    let bytes = std::fs::read(dir.join(TABLE_FILE)).map_err(|_| StoreError::Table("unreadable"))?;
-    if bytes.len() as u64 != table_info.len {
-        return Err(StoreError::Table("length"));
+    let bytes = std::fs::read(dir.join(STORE_FILE))?;
+    let body_len = bytes.len().checked_sub(8).ok_or(SnapshotError::Truncated)?;
+    let (body, sum) = bytes.split_at(body_len);
+    if fnv1a(body) != u64::from_le_bytes(sum.try_into().expect("the last eight bytes")) {
+        return Err(StoreError::Corrupt);
     }
-    if fnv1a(&bytes) != table_info.fnv {
-        return Err(StoreError::Table("checksum"));
-    }
-    let table = decode_file(&bytes, TABLE_MAGIC, "trailing table bytes", read_words)?;
-    let table = Arc::new(table);
-    let mut shards = Vec::with_capacity(shard_infos.len());
-    for (s, seg) in shard_infos.iter().enumerate() {
-        let bytes = std::fs::read(dir.join(segment_file(s)))?;
-        if bytes.len() as u64 != seg.len {
-            return Err(StoreError::Mismatch("segment length"));
+    let (n_shards, set) = decode_file(body, STORE_MAGIC, "trailing store bytes", |r| {
+        let n_shards = r.u32()? as usize;
+        if !(1..=MAX_SHARDS).contains(&n_shards) {
+            return Err(SnapshotError::BadValue("shard count"));
         }
-        if fnv1a(&bytes) != seg.fnv {
-            return Err(StoreError::Corrupt { segment: s as u32 });
-        }
-        let ts = decode_file(&bytes, SHARD_MAGIC, "trailing segment bytes", |r| {
-            read_set(r, Some(&table))
-        })?;
-        if ts.targets().iter().any(|&t| route.shard_of(t) != s) {
-            return Err(StoreError::Mismatch("target routed to wrong shard"));
-        }
-        shards.push(ts);
-    }
-    let set = TraceSet::merge_all(&shards);
-    Ok(ShardedTraceSet::from_set(&set, manifest.n_shards as usize))
+        Ok((n_shards, read_trace_set(r)?))
+    })?;
+    Ok(ShardedTraceSet::from_set(&set, n_shards))
 }
 
 #[cfg(test)]

@@ -1,29 +1,29 @@
-//! Filesystem battery for the persistent sharded snapshot
-//! ([`analysis::snapshot`]): byte-determinism of the written
-//! directory, a faithful round trip, and — because a longitudinal
-//! store is only as good as its failure modes — loud rejection of
-//! truncation, bit rot, version skew, missing files, segments whose
-//! targets route to the wrong shard or whose ids the word table cannot
-//! resolve — and a set decoded from edited bytes is one every view can
-//! read.
+//! Filesystem battery for the persistent store
+//! ([`analysis::snapshot`]), one file per store: byte-determinism of
+//! the written file, a faithful round trip, a torn write that leaves
+//! the last store readable, and — because a longitudinal store is only
+//! as good as its failure modes — loud rejection of truncation, bit
+//! rot, version and magic skew, an out-of-range shard count, trailing
+//! bytes, a missing file and ids the word table cannot resolve — and a
+//! set decoded from edited bytes is one every view can read.
 
-use analysis::snapshot::{
-    decode_segment, encode_manifest, encode_segment, fnv1a, segment_file, SegmentInfo,
-    MANIFEST_FILE,
-};
+use analysis::snapshot::{decode_segment, encode_segment, fnv1a, STORE_FILE};
 use analysis::{
     read_sharded_snapshot, read_trace_set, write_sharded_snapshot, write_trace_set,
-    ShardedTraceSet, SnapReader, SnapWriter, SnapshotError, SnapshotManifest, StoreError, TraceSet,
+    ShardedTraceSet, SnapReader, SnapWriter, SnapshotError, StoreError, TraceSet, MAX_SHARDS,
 };
 use proptest::prelude::*;
 use std::net::Ipv6Addr;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
-
-/// The word table's segment inside a snapshot directory.
-const TABLE_FILE: &str = "table.seg";
 use v6packet::icmp6::DestUnreachCode;
 use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
+
+/// The store's file name while a write is under way.
+const TEMP_FILE: &str = "store.snap.tmp";
+
+/// The bytes before the set: magic, version and shard count.
+const HEADER: usize = 12;
 
 /// A unique scratch directory removed on drop, even when the test
 /// fails partway.
@@ -38,6 +38,11 @@ impl TempDir {
 
     fn path(&self) -> &Path {
         &self.0
+    }
+
+    /// The store file inside.
+    fn file(&self) -> PathBuf {
+        self.0.join(STORE_FILE)
     }
 }
 
@@ -98,29 +103,30 @@ fn patch(path: &Path, offset: usize, f: impl FnOnce(&mut u8)) {
     std::fs::write(path, bytes).unwrap();
 }
 
-/// Rewrites `dir`'s manifest for the `n_shards` segments and the table
-/// its files hold now, so every length and checksum vouches for them.
-fn remanifest(dir: &Path, n_shards: u32) {
-    let info = |name: &str| {
-        let b = std::fs::read(dir.join(name)).unwrap();
-        SegmentInfo {
-            len: b.len() as u64,
-            fnv: fnv1a(&b),
-        }
-    };
-    let mut segments: Vec<SegmentInfo> = (0..n_shards as usize)
-        .map(|s| info(&segment_file(s)))
-        .collect();
-    segments.push(info(TABLE_FILE));
-    let m = SnapshotManifest { n_shards, segments };
-    std::fs::write(dir.join(MANIFEST_FILE), encode_manifest(&m)).unwrap();
+/// Rewrites the store file at `path` with its body edited by `edit`
+/// and a checksum that vouches for the edit, so what fires is a check
+/// behind the checksum.
+fn rechecksum(path: &Path, edit: impl FnOnce(&mut Vec<u8>)) {
+    let bytes = std::fs::read(path).unwrap();
+    let mut body = bytes[..bytes.len() - 8].to_vec();
+    edit(&mut body);
+    let sum = fnv1a(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    std::fs::write(path, body).unwrap();
 }
 
-/// Sets the store version, bytes 4..8 of every store file, to `v`.
-fn set_version(path: &Path, v: u32) {
-    let mut bytes = std::fs::read(path).unwrap();
-    bytes[4..8].copy_from_slice(&v.to_le_bytes());
-    std::fs::write(path, bytes).unwrap();
+/// Sets the little-endian `u32` at `at` of the store file at `path` to
+/// `v`, re-checksummed: the version at 4, the shard count at 8.
+fn set_u32(path: &Path, at: usize, v: u32) {
+    rechecksum(path, |b| b[at..at + 4].copy_from_slice(&v.to_le_bytes()));
+}
+
+/// Reads the store under `dir`, expecting the decode error `want`.
+fn expect_decode(dir: &Path, want: SnapshotError) {
+    match read_sharded_snapshot(dir) {
+        Err(StoreError::Decode(got)) => assert_eq!(got, want),
+        other => panic!("expected {want:?}, got {other:?}"),
+    }
 }
 
 #[test]
@@ -129,8 +135,13 @@ fn round_trip_is_faithful() {
     let store = sample_store(4);
     let manifest = write_sharded_snapshot(dir.path(), &store).unwrap();
     assert_eq!(manifest.n_shards, 4);
+    let bytes = std::fs::read(dir.file()).unwrap();
+    let tail = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+    assert_eq!(manifest.segments.len(), 1, "one file");
+    assert_eq!(manifest.segments[0].len, bytes.len() as u64);
+    assert_eq!(manifest.segments[0].fnv, tail);
     let back = read_sharded_snapshot(dir.path()).unwrap();
-    // Exact: same route, same shards, same interner id assignment.
+    // Exact: same route, same set, same interner id assignment.
     assert!(back == store, "snapshot round trip diverged");
     assert!(back.to_trace_set().canonical() == store.to_trace_set().canonical());
 }
@@ -155,28 +166,32 @@ fn writes_are_byte_deterministic() {
     let (a, b) = (dir.path().join("a"), dir.path().join("b"));
     write_sharded_snapshot(&a, &store).unwrap();
     write_sharded_snapshot(&b, &store).unwrap();
-    let mut files: Vec<String> = (0..4).map(segment_file).collect();
-    files.push(TABLE_FILE.to_string());
-    files.push(MANIFEST_FILE.to_string());
-    for f in files {
-        assert_eq!(
-            std::fs::read(a.join(&f)).unwrap(),
-            std::fs::read(b.join(&f)).unwrap(),
-            "{f} differs between two writes of the same store"
-        );
-    }
+    assert_eq!(
+        std::fs::read(a.join(STORE_FILE)).unwrap(),
+        std::fs::read(b.join(STORE_FILE)).unwrap(),
+        "two writes of the same store differ"
+    );
+    // A write leaves its one file and nothing beside it.
+    let names: Vec<_> = std::fs::read_dir(&a)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, [STORE_FILE]);
 }
 
 #[test]
 fn truncated_segment_is_rejected_before_decoding() {
+    // Every cut is refused: a file shorter than its checksum is
+    // truncated, and any longer cut fails the checksum.
     let dir = TempDir::new("truncate");
     write_sharded_snapshot(dir.path(), &sample_store(3)).unwrap();
-    let seg = dir.path().join(segment_file(1));
-    let bytes = std::fs::read(&seg).unwrap();
-    std::fs::write(&seg, &bytes[..bytes.len() - 1]).unwrap();
-    match read_sharded_snapshot(dir.path()) {
-        Err(StoreError::Mismatch(what)) => assert_eq!(what, "segment length"),
-        other => panic!("expected length mismatch, got {other:?}"),
+    let bytes = std::fs::read(dir.file()).unwrap();
+    for cut in 0..bytes.len() {
+        std::fs::write(dir.file(), &bytes[..cut]).unwrap();
+        match read_sharded_snapshot(dir.path()) {
+            Err(StoreError::Decode(SnapshotError::Truncated) | StoreError::Corrupt) => {}
+            other => panic!("a cut at {cut} of {} read as {other:?}", bytes.len()),
+        }
     }
 }
 
@@ -184,44 +199,31 @@ fn truncated_segment_is_rejected_before_decoding() {
 fn bit_rot_fails_the_checksum() {
     let dir = TempDir::new("bitrot");
     write_sharded_snapshot(dir.path(), &sample_store(3)).unwrap();
-    // Flip one bit past the segment header; length is unchanged, so
-    // only the checksum can catch it — and it names the shard.
-    patch(&dir.path().join(segment_file(2)), 64, |b| *b ^= 0x40);
-    match read_sharded_snapshot(dir.path()) {
-        Err(StoreError::Corrupt { segment: 2 }) => {}
-        other => panic!("expected corrupt segment 2, got {other:?}"),
+    // Flip one bit past the header, in the set, and one in the
+    // checksum itself; the length is unchanged, so only the checksum
+    // can catch either.
+    let len = std::fs::read(dir.file()).unwrap().len();
+    for at in [64, len - 1] {
+        patch(&dir.file(), at, |b| *b ^= 0x40);
+        match read_sharded_snapshot(dir.path()) {
+            Err(StoreError::Corrupt) => {}
+            other => panic!("expected a flip at {at} corrupt, got {other:?}"),
+        }
+        patch(&dir.file(), at, |b| *b ^= 0x40);
     }
+    assert!(read_sharded_snapshot(dir.path()).unwrap() == sample_store(3));
 }
 
 #[test]
 fn manifest_version_and_magic_skew_are_rejected() {
     let dir = TempDir::new("skew");
     write_sharded_snapshot(dir.path(), &sample_store(2)).unwrap();
-    // Bytes 4..8 are the little-endian store version.
-    patch(&dir.path().join(MANIFEST_FILE), 4, |b| *b ^= 0xff);
-    match read_sharded_snapshot(dir.path()) {
-        Err(StoreError::Decode(SnapshotError::BadValue("store version"))) => {}
-        other => panic!("expected version rejection, got {other:?}"),
-    }
-    patch(&dir.path().join(MANIFEST_FILE), 4, |b| *b ^= 0xff);
-    patch(&dir.path().join(MANIFEST_FILE), 0, |b| *b ^= 0xff);
-    match read_sharded_snapshot(dir.path()) {
-        Err(StoreError::Decode(SnapshotError::BadMagic)) => {}
-        other => panic!("expected magic rejection, got {other:?}"),
-    }
-}
-
-#[test]
-fn segment_version_skew_is_rejected() {
-    let shard = sample_store(1).shard(0).clone();
-    let mut bytes = encode_segment(&shard);
-    bytes[4] ^= 0xff;
-    match decode_segment(&bytes) {
-        Err(SnapshotError::BadValue("store version")) => {}
-        other => panic!("expected version rejection, got {other:?}"),
-    }
-    bytes[4] ^= 0xff;
-    assert!(decode_segment(&bytes).unwrap() == shard);
+    // Bytes 4..8 are the little-endian store version, 0..4 the magic.
+    rechecksum(&dir.file(), |b| b[4] ^= 0xff);
+    expect_decode(dir.path(), SnapshotError::BadValue("store version"));
+    rechecksum(&dir.file(), |b| b[4] ^= 0xff);
+    rechecksum(&dir.file(), |b| b[0] ^= 0xff);
+    expect_decode(dir.path(), SnapshotError::BadMagic);
 }
 
 #[test]
@@ -242,82 +244,41 @@ fn a_standalone_segment_covers_every_address() {
 fn older_store_versions_are_refused_by_number() {
     // Version 1 stored 4-byte ids and each trace's offsets; version 2
     // gave every shard segment a word table of its own; version 3 wrote
-    // two provenance lists after each set's cells.
+    // two provenance lists after each set's cells; version 4 was a
+    // directory of a manifest, a word-table segment and a segment per
+    // shard. A later version is refused as well.
     let dir = TempDir::new("store-old");
-    let version = |name: &str| {
-        write_sharded_snapshot(dir.path(), &sample_store(2)).unwrap();
-        let bytes = std::fs::read(dir.path().join(name)).unwrap();
-        u32::from_le_bytes(bytes[4..8].try_into().unwrap())
-    };
-    assert_eq!(version(MANIFEST_FILE), 4);
-    for old in [1, 2, 3] {
-        // Each kind of store file at the old version, under a manifest
-        // that vouches for its bytes.
-        for name in [
-            MANIFEST_FILE.to_string(),
-            segment_file(1),
-            TABLE_FILE.to_string(),
-        ] {
-            write_sharded_snapshot(dir.path(), &sample_store(2)).unwrap();
-            set_version(&dir.path().join(&name), old);
-            if name != MANIFEST_FILE {
-                remanifest(dir.path(), 2);
-            }
-            match read_sharded_snapshot(dir.path()) {
-                Err(StoreError::Decode(SnapshotError::BadValue("store version"))) => {}
-                other => panic!("expected a version {old} {name} refused, got {other:?}"),
-            }
-        }
+    write_sharded_snapshot(dir.path(), &sample_store(2)).unwrap();
+    let set_version = |v| set_u32(&dir.file(), 4, v);
+    assert_eq!(std::fs::read(dir.file()).unwrap()[4..8], 5u32.to_le_bytes());
+    for other in [1, 2, 3, 4, 6] {
+        set_version(other);
+        expect_decode(dir.path(), SnapshotError::BadValue("store version"));
     }
-    // The last edit undone: the store reads again.
-    set_version(&dir.path().join(TABLE_FILE), 4);
-    remanifest(dir.path(), 2);
+    // The edit undone: the store reads again.
+    set_version(5);
     assert!(read_sharded_snapshot(dir.path()).unwrap() == sample_store(2));
 }
 
 #[test]
 fn a_shard_count_the_manifest_cannot_hold_is_truncation() {
-    // The count sizes the segment table before any entry is read; at
-    // u32::MAX that would ask for 68 GB.
+    // A delta run sizes a latch per shard of the store it reads, so a
+    // count outside 1..=MAX_SHARDS is refused before anything is sized
+    // by it, whatever the checksum vouches for.
     let dir = TempDir::new("shard-count");
     write_sharded_snapshot(dir.path(), &sample_store(2)).unwrap();
-    let manifest = dir.path().join(MANIFEST_FILE);
-    let written = std::fs::read(&manifest).unwrap();
-    for (count, bytes) in [
-        (u32::MAX, written[..12].to_vec()),
-        (u32::MAX, written.clone()),
-        // Two shards' entries and the table's: one more shard than that.
-        (3, written.clone()),
-    ] {
-        let mut bytes = bytes;
-        bytes[8..12].copy_from_slice(&count.to_le_bytes());
-        std::fs::write(&manifest, &bytes).unwrap();
-        match read_sharded_snapshot(dir.path()) {
-            Err(StoreError::Decode(SnapshotError::Truncated)) => {}
-            other => panic!("expected a count of {count} truncated, got {other:?}"),
-        }
+    let set_count = |n| set_u32(&dir.file(), 8, n);
+    for count in [0, MAX_SHARDS as u32 + 1, u32::MAX] {
+        set_count(count);
+        expect_decode(dir.path(), SnapshotError::BadValue("shard count"));
     }
-    std::fs::write(&manifest, &written).unwrap();
+    // The largest route reads, and the count is all it reads of it.
+    set_count(MAX_SHARDS as u32);
+    let back = read_sharded_snapshot(dir.path()).unwrap();
+    assert_eq!(back.n_shards(), MAX_SHARDS);
+    assert!(back.to_trace_set() == sample_store(2).to_trace_set());
+    set_count(2);
     assert!(read_sharded_snapshot(dir.path()).unwrap() == sample_store(2));
-}
-
-#[test]
-fn a_damaged_table_segment_is_named_as_the_table() {
-    let dir = TempDir::new("table");
-    let table = dir.path().join(TABLE_FILE);
-    let expect = |what: &str| match read_sharded_snapshot(dir.path()) {
-        Err(StoreError::Table(got)) => assert_eq!(got, what),
-        other => panic!("expected the table's {what} refused, got {other:?}"),
-    };
-    write_sharded_snapshot(dir.path(), &sample_store(3)).unwrap();
-    let bytes = std::fs::read(&table).unwrap();
-    std::fs::write(&table, &bytes[..bytes.len() - 1]).unwrap();
-    expect("length");
-    std::fs::write(&table, &bytes).unwrap();
-    patch(&table, bytes.len() - 3, |b| *b ^= 0x40);
-    expect("checksum");
-    std::fs::remove_file(&table).unwrap();
-    expect("unreadable");
 }
 
 #[test]
@@ -326,31 +287,37 @@ fn a_shard_id_the_table_cannot_resolve_is_refused() {
     let store = sample_store(3);
     write_sharded_snapshot(dir.path(), &store).unwrap();
     // A table of the first half of the words: ids stay one byte wide,
-    // and the shards name words past its end.
-    let shard = store.shard(0);
-    let words = shard.interner().words();
-    assert!((2..=256).contains(&words.len()));
+    // and the cells name words past its end.
+    let ts = store.to_trace_set();
+    let words = ts.interner().words();
+    assert!((4..=256).contains(&words.len()));
     let half = &words[..words.len() / 2];
-    let table = dir.path().join(TABLE_FILE);
-    let mut w = SnapWriter::new();
-    w.raw(&std::fs::read(&table).unwrap()[..8]);
-    w.u32(half.len() as u32);
-    half.iter().for_each(|&word| w.u128(word));
-    std::fs::write(&table, w.bytes()).unwrap();
-    remanifest(dir.path(), 3);
-    match read_sharded_snapshot(dir.path()) {
-        Err(StoreError::Decode(SnapshotError::BadValue(
-            "hop interner id" | "unreach interner id",
-        ))) => {}
-        other => panic!("expected an unresolvable id refused, got {other:?}"),
-    }
+    // The table follows the two names and the dropped-record count.
+    let at = HEADER + (4 + ts.vantage.len()) + (4 + ts.target_set.len()) + 8;
+    rechecksum(&dir.file(), |b| {
+        let mut w = SnapWriter::new();
+        w.raw(&b[..at]);
+        w.u32(half.len() as u32);
+        half.iter().for_each(|&word| w.u128(word));
+        w.raw(&b[at + 4 + 16 * words.len()..]);
+        *b = w.into_bytes();
+    });
+    expect_decode(dir.path(), SnapshotError::BadValue("hop interner id"));
+}
+
+#[test]
+fn a_trailing_byte_is_refused() {
+    let dir = TempDir::new("trailing");
+    write_sharded_snapshot(dir.path(), &sample_store(3)).unwrap();
+    rechecksum(&dir.file(), |b| b.push(0));
+    expect_decode(dir.path(), SnapshotError::BadValue("trailing store bytes"));
 }
 
 #[test]
 fn missing_segment_is_an_io_error() {
     let dir = TempDir::new("missing");
     write_sharded_snapshot(dir.path(), &sample_store(3)).unwrap();
-    std::fs::remove_file(dir.path().join(segment_file(0))).unwrap();
+    std::fs::remove_file(dir.file()).unwrap();
     match read_sharded_snapshot(dir.path()) {
         Err(StoreError::Io(_)) => {}
         other => panic!("expected io error, got {other:?}"),
@@ -358,25 +325,23 @@ fn missing_segment_is_an_io_error() {
 }
 
 #[test]
-fn misrouted_segment_is_rejected() {
-    let dir = TempDir::new("misroute");
-    let store = sample_store(2);
-    write_sharded_snapshot(dir.path(), &store).unwrap();
-    // Swap the two segment files and re-manifest with matching
-    // lengths/checksums: every integrity check passes, but the targets
-    // now sit in shards the route disagrees with.
-    let (f0, f1) = (
-        dir.path().join(segment_file(0)),
-        dir.path().join(segment_file(1)),
-    );
-    let (b0, b1) = (std::fs::read(&f0).unwrap(), std::fs::read(&f1).unwrap());
-    std::fs::write(&f0, &b1).unwrap();
-    std::fs::write(&f1, &b0).unwrap();
-    remanifest(dir.path(), 2);
-    match read_sharded_snapshot(dir.path()) {
-        Err(StoreError::Mismatch(what)) => assert_eq!(what, "target routed to wrong shard"),
-        other => panic!("expected misroute rejection, got {other:?}"),
-    }
+fn a_torn_write_leaves_the_last_store_readable() {
+    // Store B's bytes, torn halfway at the temporary name, as a crash
+    // mid-write leaves them: the last store, A, still reads.
+    let dir = TempDir::new("torn");
+    let (a, b) = (sample_store(2), sample_store(5));
+    let other = dir.path().join("b");
+    write_sharded_snapshot(&other, &b).unwrap();
+    let b_bytes = std::fs::read(other.join(STORE_FILE)).unwrap();
+    write_sharded_snapshot(dir.path(), &a).unwrap();
+    let temp = dir.path().join(TEMP_FILE);
+    std::fs::write(&temp, &b_bytes[..b_bytes.len() / 2]).unwrap();
+    assert!(read_sharded_snapshot(dir.path()).unwrap() == a);
+    // The next write replaces the torn file and then the store.
+    write_sharded_snapshot(dir.path(), &b).unwrap();
+    assert!(read_sharded_snapshot(dir.path()).unwrap() == b);
+    assert!(!temp.exists(), "the temporary file is renamed away");
+    assert_eq!(std::fs::read(dir.file()).unwrap(), b_bytes);
 }
 
 /// An encoded set of 40 traces, most several hops deep (so an edited
@@ -510,61 +475,38 @@ fn pinned_store(shards: usize) -> ShardedTraceSet {
     ])
 }
 
-/// Every file of a written store, as `(name, length, fnv1a)`: the
-/// manifest, the table, then each shard's segment in order.
-type Pin = &'static [(&'static str, u64, u64)];
-
 #[test]
 fn a_written_store_is_pinned_byte_for_byte() {
-    let pins: [(usize, Pin); 3] = [(1, PIN_1), (3, PIN_3), (8, PIN_8)];
-    for (k, pin) in pins {
+    // Each shard count's file as `(shards, length, fnv1a)`.
+    let pins: [(usize, u64, u64); 3] = [
+        (1, 13071, 0xa0609c86430bb0b3),
+        (3, 13071, 0x6248f587a2134346),
+        (8, 13071, 0x83af6ee6c9191bad),
+    ];
+    let mut files = Vec::new();
+    let mut got = Vec::new();
+    for (k, _, _) in pins {
         let dir = TempDir::new(&format!("pinned-{k}"));
-        write_sharded_snapshot(dir.path(), &pinned_store(k)).unwrap();
-        let mut files = vec![MANIFEST_FILE.to_string(), TABLE_FILE.to_string()];
-        files.extend((0..k).map(segment_file));
-        let got: Vec<(String, u64, u64)> = files
-            .into_iter()
-            .map(|name| {
-                let bytes = std::fs::read(dir.path().join(&name)).unwrap();
-                let (len, fnv) = (bytes.len() as u64, fnv1a(&bytes));
-                (name, len, fnv)
-            })
-            .collect();
-        let want: Vec<(String, u64, u64)> = pin
+        let store = pinned_store(k);
+        write_sharded_snapshot(dir.path(), &store).unwrap();
+        let bytes = std::fs::read(dir.file()).unwrap();
+        // Between the header and the checksum: the set, as
+        // `write_trace_set` writes it.
+        let mut w = SnapWriter::new();
+        write_trace_set(&mut w, &store.to_trace_set());
+        assert!(bytes[HEADER..bytes.len() - 8] == *w.bytes(), "{k} shards");
+        assert_eq!(bytes[8..HEADER], (k as u32).to_le_bytes());
+        got.push((k, bytes.len() as u64, fnv1a(&bytes)));
+        files.push(bytes);
+    }
+    // The files differ only in the shard count and the checksum.
+    let settled = |b: &[u8]| [&b[..8], &b[HEADER..b.len() - 8]].concat();
+    assert!(files.iter().all(|f| settled(f) == settled(&files[0])));
+    if got != pins {
+        let rows: String = got
             .iter()
-            .map(|&(name, len, fnv)| (name.to_string(), len, fnv))
+            .map(|(k, len, fnv)| format!("    ({k}, {len}, {fnv:#018x}),\n"))
             .collect();
-        if got != want {
-            let rows: String = got
-                .iter()
-                .map(|(name, len, fnv)| format!("    ({name:?}, {len}, {fnv:#018x}),\n"))
-                .collect();
-            panic!("the {k}-shard store's files moved; now:\n{rows}");
-        }
+        panic!("the written store moved; now:\n{rows}");
     }
 }
-
-const PIN_1: Pin = &[
-    ("manifest.snap", 44, 0x1e8df321cc48ad50),
-    ("table.seg", 5932, 0x173eb543ea20c540),
-    ("shard-0000.seg", 7135, 0x2ab7a80499278837),
-];
-const PIN_3: Pin = &[
-    ("manifest.snap", 76, 0x9bf34c4d351f2d97),
-    ("table.seg", 5932, 0x173eb543ea20c540),
-    ("shard-0000.seg", 927, 0xaabe71b0f010be68),
-    ("shard-0001.seg", 4066, 0x739f8d5ff351e003),
-    ("shard-0002.seg", 2258, 0xd1ca414f3fd3ce73),
-];
-const PIN_8: Pin = &[
-    ("manifest.snap", 156, 0x0b4f02cb470513e9),
-    ("table.seg", 5932, 0x173eb543ea20c540),
-    ("shard-0000.seg", 433, 0x1bf8a262a854b738),
-    ("shard-0001.seg", 477, 0x94e17897341947a0),
-    ("shard-0002.seg", 478, 0xe4a4d6f2164e33ea),
-    ("shard-0003.seg", 885, 0xaaf065962f28634e),
-    ("shard-0004.seg", 1385, 0x84b00e3c76efe622),
-    ("shard-0005.seg", 1950, 0x6b4977304cf73b52),
-    ("shard-0006.seg", 499, 0x661a929a3bba765d),
-    ("shard-0007.seg", 1434, 0x0127dbfd861a3b2e),
-];

@@ -1,6 +1,6 @@
 //! The longitudinal workflow end to end: run a discovery sweep, shard
-//! the merged trace store by target prefix, persist it as a versioned
-//! on-disk snapshot, read it back, and run a *delta* sweep against it
+//! the merged trace store by target prefix, persist it as one versioned
+//! snapshot file, read it back, and run a *delta* sweep against it
 //! — canaries re-probe a sample of known targets, and budget flows
 //! only where the topology changed (here: nowhere, so the delta run
 //! stops almost immediately at the same discovered-interface count).
@@ -46,11 +46,11 @@ fn main() {
     let manifest = write_sharded_snapshot(&dir, &store).expect("snapshot write");
     let on_disk: u64 = manifest.segments.iter().map(|s| s.len).sum();
     println!(
-        "snapshot: {} shards, {} traces, {} bytes at {}",
-        manifest.n_shards,
-        store.len(),
+        "snapshot: one file of {} bytes, {} traces under {} shards, at {}",
         on_disk,
-        dir.display()
+        store.len(),
+        manifest.n_shards,
+        dir.join(beholder::analyze::snapshot::STORE_FILE).display()
     );
     for s in 0..store.n_shards() {
         let shard = store.shard(s);

@@ -42,7 +42,7 @@ use crate::adaptive::{
 };
 use aliasres::RouterGraphBuilder;
 use analysis::snapshot::{fnv1a, read_trace_chain, trace_chain_encoded_len, write_trace_chain};
-use analysis::{SnapReader, SnapWriter, SnapshotError, TraceSet};
+use analysis::{SnapReader, SnapWriter, SnapshotError, TraceSet, MAX_SHARDS};
 use simnet::{EngineStats, Topology};
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
@@ -343,6 +343,8 @@ fn check_shape(st: &LoopState) -> Result<(), SnapshotError> {
         "a delta run's record begins with its prior set"
     } else if delta.is_some_and(|d| d.shards == 0) {
         "a delta run's route has no shard"
+    } else if delta.is_some_and(|d| d.shards > MAX_SHARDS) {
+        "a delta run's route past the shard limit"
     } else if delta.is_some_and(|d| d.reopened.len() != d.shards) {
         "reopen latches not one per prior shard"
     } else {
@@ -539,7 +541,7 @@ mod tests {
         let base = delta_checkpoint();
         assert!(Checkpoint::from_bytes(&base.to_bytes()).is_ok());
         type Edit = fn(&mut LoopState);
-        let cases: [(Edit, &str); 8] = [
+        let cases: [(Edit, &str); 9] = [
             (
                 |st| {
                     st.rounds[0].per_vantage.pop();
@@ -572,6 +574,13 @@ mod tests {
                     (d.shards, d.reopened) = (0, Vec::new());
                 },
                 "a delta run's route has no shard",
+            ),
+            (
+                |st| {
+                    let d = st.delta.as_mut().unwrap();
+                    (d.shards, d.reopened) = (MAX_SHARDS + 1, vec![false; MAX_SHARDS + 1]);
+                },
+                "a delta run's route past the shard limit",
             ),
             (
                 |st| {
