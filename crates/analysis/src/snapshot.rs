@@ -3,12 +3,12 @@
 //!
 //! The repo's serde is a no-op shim (derives expand to markers), so
 //! durable state is written by hand: a [`SnapWriter`] appends
-//! fixed-width little-endian primitives and length-prefixed strings to
-//! a byte vector, a [`SnapReader`] reads them back with explicit
-//! [`SnapshotError`]s instead of panics. The encoding has no varints,
-//! no alignment, no framing beyond what the caller writes — two
-//! encodes of equal values are byte-identical, which is what lets the
-//! checkpoint tests compare snapshots with `==`.
+//! little-endian primitives, LEB128 varints and length-prefixed strings
+//! to a byte vector, a [`SnapReader`] reads them back with explicit
+//! [`SnapshotError`]s instead of panics. The encoding has no alignment
+//! and no framing beyond what the caller writes — two encodes of equal
+//! values are byte-identical, which is what lets the checkpoint tests
+//! compare snapshots with `==`.
 //!
 //! [`write_trace_set`] / [`read_trace_set`] snapshot a
 //! [`TraceSet`] *bit-identically*: the interner is stored as its word
@@ -17,15 +17,28 @@
 //! the same address after a round-trip), so merges after a resume
 //! behave exactly as they would have in the uninterrupted run. A set
 //! holds its campaign names, not which vantage earned each trace; the
-//! per-vantage sets are what answers per-vantage questions. Each packed
-//! column is fixed width per
-//! set, at the width its data needs: a cell is its hop limit and its id
-//! in the fewest whole bytes that hold the set's largest id, and a
-//! trace's lengths are in the fewest bytes that hold the set's longest,
-//! behind one width byte. A set holds where each trace's cells end; the
-//! encoding holds the lengths, the differences of those ends, and the
-//! decoder turns them back into ends as running sums. Every width is the
-//! minimal one, so a set has one encoding.
+//! per-vantage sets are what answers per-vantage questions.
+//!
+//! The columns are written by what they hold. Traces to neighbouring
+//! targets share most of their path, so a set is mostly repeats:
+//! - **Targets** ascend, so each is two LEB128 varints, the step of its
+//!   high 64 bits over the previous target's and its low 64 bits xor
+//!   the previous target's (the first against zero).
+//! - **Hop limits** are one window per set, a base byte (the smallest
+//!   hop limit of any hop cell) and a width byte, then one bitmap per
+//!   trace of that many bytes: bit *i* says the trace answered at hop
+//!   limit base + *i*. A trace's hop count is its bitmap's popcount, and
+//!   its hop limits ascend by construction.
+//! - **Hop ids** are a second bitmap per trace, "this hop repeats the
+//!   previous trace's": set where the previous trace holds a hop at the
+//!   same limit with the same id. Only the other ids are written, each
+//!   in the fewest whole bytes that hold the set's largest id.
+//! - **Unreachable cells** keep record order and may share a hop limit,
+//!   so they stay a length column (behind one width byte) and two cell
+//!   columns: the hop limits, then the ids.
+//!
+//! Every varint, width and base is the minimal one, and a repeat bit is
+//! set exactly where it can be, so a set has one encoding.
 //!
 //! [`write_trace_chain`] / [`read_trace_chain`] snapshot a list of sets
 //! whose tables form a prefix chain (each table's words start with the
@@ -38,7 +51,7 @@
 //! the [`write_trace_set`] layout, and a checksum of all of it.
 
 use crate::intern::AddrInterner;
-use crate::traces::{cell_range, trace_lens, Columns, TraceSet};
+use crate::traces::{trace_lens, Columns, Memo, TraceSet};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
@@ -122,6 +135,16 @@ impl SnapWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends `v` as an LEB128 varint: seven bits a byte, low bits
+    /// first, the high bit set on every byte but the last.
+    pub(crate) fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Appends an `f64` as its raw IEEE-754 bits — exact, so EWMA
     /// weights survive a round-trip to the last ulp.
     pub fn f64(&mut self, v: f64) {
@@ -187,6 +210,28 @@ impl<'a> SnapReader<'a> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
     }
 
+    /// Reads an LEB128 varint as [`SnapWriter::varint`] writes it. A
+    /// value is spelled one way: a last byte of zero after the first
+    /// (`"overlong varint"`) and a tenth byte above one (`"varint past 64
+    /// bits"`) are refused.
+    pub(crate) fn varint(&mut self) -> Result<u64, SnapshotError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            if shift == 63 && b > 1 {
+                return Err(SnapshotError::BadValue("varint past 64 bits"));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(SnapshotError::BadValue("overlong varint"));
+                }
+                return Ok(v);
+            }
+        }
+        unreachable!("a tenth byte of 0 or 1 ends the varint")
+    }
+
     /// Reads an `f64` from its raw bits.
     pub fn f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.u64()?))
@@ -232,10 +277,70 @@ fn id_width(n_words: usize) -> usize {
     width_of(n_words.saturating_sub(1) as u32)
 }
 
-/// What sizes a set's encoding beyond its column lengths: the width of
-/// each packed column, and how many traces carry a `reached_at`.
+/// The bytes of `v`'s LEB128 varint.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// The widest hop-limit bitmap: a bit for each of the 256 hop limits.
+const MAX_BITMAP: usize = 32;
+
+/// The fewest bytes a trace takes: a varint for each half of its target,
+/// an unreachable length and a `reached_at` tag, at least a byte each.
+/// Hop-limit bitmaps are no bytes at all in a set without hops.
+const LEAST_TRACE_BYTES: usize = 4;
+
+/// Each target as the two varints it is written as: its high half's
+/// step over the previous target's, and its low half xor the previous
+/// target's, the first against zero. Ascending targets never step
+/// down; a step that would (from columns the library never builds)
+/// wraps, and its decode overflows into a refusal.
+fn target_steps(targets: &[Ipv6Addr]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    targets.iter().scan((0u64, 0u64), |prev, &t| {
+        let word = u128::from(t);
+        let (hi, lo) = ((word >> 64) as u64, word as u64);
+        let step = (hi.wrapping_sub(prev.0), lo ^ prev.1);
+        *prev = (hi, lo);
+        Some(step)
+    })
+}
+
+/// How many hop ids of `cols` no repeat bit spells: every hop cell but
+/// those that repeat the previous trace's, a hop at the same limit with
+/// the same id. `last[ttl]` holds the trace (counted from 1) and the id
+/// that last answered at `ttl`, so a cell repeats when its slot holds
+/// the previous trace and its own id.
+fn stored_hops(cols: &Columns) -> usize {
+    let mut last = [u64::MAX; 256];
+    let mut repeats = 0;
+    for idx in 0..cols.targets.len() {
+        let (prev, this) = ((idx as u64) << 32, (idx as u64 + 1) << 32);
+        let range = cols.hop_range(idx);
+        for (&ttl, &id) in cols.hop_ttls[range.clone()]
+            .iter()
+            .zip(&cols.hop_ids[range])
+        {
+            let slot = &mut last[usize::from(ttl)];
+            repeats += usize::from(*slot == prev | u64::from(id));
+            *slot = this | u64::from(id);
+        }
+    }
+    cols.hop_ids.len() - repeats
+}
+
+/// What sizes a set's encoding beyond its column lengths: the varint
+/// bytes of its targets, its hop-limit window, the width of each packed
+/// column, how many hop ids no repeat bit spells and how many traces
+/// carry a `reached_at`. Finding them walks the targets and the hop
+/// cells once; the writer then fills a region of known length.
 struct Widths {
-    hop_len: usize,
+    targets: usize,
+    /// The smallest hop limit of any hop cell; 0 with none.
+    base: u8,
+    /// Bytes of each hop-limit bitmap: the fewest that hold a bit from
+    /// `base` to the largest hop limit; 0 with no hop cells.
+    bitmap: usize,
+    stored: usize,
     unreach_len: usize,
     id: usize,
     reached: usize,
@@ -243,11 +348,26 @@ struct Widths {
 
 impl Widths {
     fn of(ts: &TraceSet) -> Widths {
-        let longest = |ends| trace_lens(ends).max().unwrap_or(0);
         let cols = &ts.cols;
+        let ttls = &cols.hop_ttls;
+        // One fold, which vectorises where `min` and `max` do not.
+        let (lo, hi) = ttls
+            .iter()
+            .fold((u8::MAX, 0), |(lo, hi), &t| (lo.min(t), hi.max(t)));
+        let (base, bitmap) = match ttls.is_empty() {
+            true => (0, 0),
+            false => (lo, usize::from(hi - lo) / 8 + 1),
+        };
+        let stored = cols.stored_hops.get(|| stored_hops(cols));
+        debug_assert_eq!(stored, stored_hops(cols), "a stale stored-hop count");
         Widths {
-            hop_len: width_of(longest(&cols.hop_ends)),
-            unreach_len: width_of(longest(&cols.unreach_ends)),
+            targets: target_steps(&cols.targets)
+                .map(|(hi, lo)| varint_len(hi) + varint_len(lo))
+                .sum(),
+            base,
+            bitmap,
+            stored,
+            unreach_len: width_of(trace_lens(&cols.unreach_ends).max().unwrap_or(0)),
             id: id_width(ts.interner.len()),
             reached: cols.reached.iter().filter(|at| at.is_some()).count(),
         }
@@ -266,32 +386,39 @@ impl Widths {
             } else {
                 0
             }
-            + (4 + 16 * n)
-            + (1 + self.hop_len * n)
+            + (4 + self.targets)
+            + (2 + 2 * self.bitmap * n)
+            + self.id * self.stored
             + (1 + self.unreach_len * n)
             + (n + self.reached)
-            + (4 + (1 + self.id) * ts.cols.hop_ids.len())
             + (4 + (1 + self.id) * ts.cols.unreach_ids.len())
     }
 }
 
-/// Serializes a [`TraceSet`]: the interner as its word list in id
-/// order, the targets, each trace's hop and unreachable lengths as two
-/// packed columns behind a width byte each, a `reached_at` per trace,
-/// then the two cell columns, each as its count, its hop limits and its
-/// packed ids. Inverse of [`read_trace_set`].
-pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
-    write_set(w, ts, true);
+/// The exact number of bytes [`write_trace_set`] appends for `ts`.
+#[cfg(test)]
+pub(crate) fn trace_set_encoded_len(ts: &TraceSet) -> usize {
+    Widths::of(ts).encoded_len(ts, true)
 }
 
-/// [`write_trace_set`], the word table (its count, then its words in id
-/// order) left out unless `with_table`: a chain's set shares its chain's.
-fn write_set(w: &mut SnapWriter, ts: &TraceSet, with_table: bool) {
+/// Serializes a [`TraceSet`]: the interner as its word list in id
+/// order, the targets as varint steps, the hop-limit window and each
+/// trace's two bitmaps (answered, repeats the previous trace), the ids
+/// no repeat bit spells, the unreachable lengths behind a width byte, a
+/// `reached_at` per trace, then the unreachable cells as their count,
+/// their hop limits and their packed ids. Reserved once, at its exact
+/// length. Inverse of [`read_trace_set`].
+pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
     let widths = Widths::of(ts);
-    // One reservation, not a doubling buffer copied on the way up.
-    let len = widths.encoded_len(ts, with_table);
-    w.reserve(len);
-    let end = w.buf.len() + len;
+    w.reserve(widths.encoded_len(ts, true));
+    write_set(w, ts, &widths, true);
+}
+
+/// [`write_trace_set`] at the given widths, the word table (its count,
+/// then its words in id order) left out unless `with_table`: a chain's
+/// set shares its chain's. The caller reserves.
+fn write_set(w: &mut SnapWriter, ts: &TraceSet, widths: &Widths, with_table: bool) {
+    let start = w.buf.len();
     w.str(&ts.vantage);
     w.str(&ts.target_set);
     w.u64(ts.rewritten_dropped);
@@ -303,11 +430,24 @@ fn write_set(w: &mut SnapWriter, ts: &TraceSet, with_table: bool) {
     }
     let cols = &ts.cols;
     w.u32(cols.targets.len() as u32);
-    for &t in &cols.targets {
-        w.u128(u128::from(t));
+    for (hi, lo) in target_steps(&cols.targets) {
+        w.varint(hi);
+        w.varint(lo);
     }
-    write_lens(w, widths.hop_len, trace_lens(&cols.hop_ends));
-    write_lens(w, widths.unreach_len, trace_lens(&cols.unreach_ends));
+    w.u8(widths.base);
+    w.u8(widths.bitmap as u8);
+    match (widths.id, widths.bitmap) {
+        (1, 0..=8) => write_hops::<1, 1>(w, cols, widths),
+        (2, 0..=8) => write_hops::<2, 1>(w, cols, widths),
+        (3, 0..=8) => write_hops::<3, 1>(w, cols, widths),
+        (_, 0..=8) => write_hops::<4, 1>(w, cols, widths),
+        (1, _) => write_hops::<1, 4>(w, cols, widths),
+        (2, _) => write_hops::<2, 4>(w, cols, widths),
+        (3, _) => write_hops::<3, 4>(w, cols, widths),
+        _ => write_hops::<4, 4>(w, cols, widths),
+    }
+    w.u8(widths.unreach_len as u8);
+    write_packed(w, widths.unreach_len, trace_lens(&cols.unreach_ends));
     for &reached_at in &cols.reached {
         match reached_at {
             Some(at) => {
@@ -317,15 +457,69 @@ fn write_set(w: &mut SnapWriter, ts: &TraceSet, with_table: bool) {
             None => w.u8(0),
         }
     }
-    for (ttls, ids) in [
-        (&cols.hop_ttls, &cols.hop_ids),
-        (&cols.unreach_ttls, &cols.unreach_ids),
-    ] {
-        w.u32(ids.len() as u32);
-        w.raw(ttls);
-        write_packed(w, widths.id, ids.iter().copied());
+    w.u32(cols.unreach_ids.len() as u32);
+    w.raw(&cols.unreach_ttls);
+    write_packed(w, widths.id, cols.unreach_ids.iter().copied());
+    debug_assert_eq!(
+        w.buf.len() - start,
+        widths.encoded_len(ts, with_table),
+        "the encoded length is exact"
+    );
+}
+
+/// Appends the two bitmap columns, answered then repeats, one bitmap of
+/// `widths.bitmap` bytes a trace in each, and after them every hop id no
+/// repeat bit spells, `W` bytes each. One walk of the hop cells fills
+/// the region in place, each trace's bitmaps in `WORDS` words (one while
+/// the window is at most 64 hop limits).
+fn write_hops<const W: usize, const WORDS: usize>(
+    w: &mut SnapWriter,
+    cols: &Columns,
+    widths: &Widths,
+) {
+    let (base, width) = (widths.base, widths.bitmap);
+    let column = cols.targets.len() * width;
+    let at = w.buf.len();
+    let end = at + 2 * column + W * widths.stored;
+    // Each id is written whole and kept unless it repeats, which needs
+    // `W` bytes of slack past the last: the set's unreachable width byte
+    // and cell count follow, so the reservation holds them.
+    w.buf.resize(end + W, 0);
+    let buf = &mut w.buf;
+    let mut pos = at + 2 * column;
+    // The id each hop limit last had: the previous trace's wherever it
+    // answered.
+    let mut last = [0u32; 256];
+    let mut prev = [0u64; WORDS];
+    for idx in 0..cols.targets.len() {
+        let range = cols.hop_range(idx);
+        let (mut answered, mut repeats) = ([0u64; WORDS], [0u64; WORDS]);
+        for (&ttl, &id) in cols.hop_ttls[range.clone()]
+            .iter()
+            .zip(&cols.hop_ids[range])
+        {
+            let rel = ttl - base;
+            let word = if WORDS == 1 { 0 } else { usize::from(rel / 64) };
+            let bit = 1u64 << (rel % 64);
+            let slot = &mut last[usize::from(rel)];
+            // Without a branch: neighbouring traces repeat a hop often,
+            // but not predictably.
+            let repeat = (prev[word] & bit != 0) & (*slot == id);
+            repeats[word] |= bit * u64::from(repeat);
+            answered[word] |= bit;
+            *slot = id;
+            buf[pos..pos + W].copy_from_slice(&id.to_le_bytes()[..W]);
+            pos += W * usize::from(!repeat);
+        }
+        let row = at + idx * width;
+        for j in 0..width {
+            let shift = 8 * (j % 8);
+            buf[row + j] = (answered[j / 8] >> shift) as u8;
+            buf[row + column + j] = (repeats[j / 8] >> shift) as u8;
+        }
+        prev = answered;
     }
-    debug_assert_eq!(w.buf.len(), end, "the encoded length is exact");
+    buf.truncate(end);
 }
 
 /// Appends each value's low `width` bytes, little-endian. The width is
@@ -364,44 +558,15 @@ fn read_packed(r: &mut SnapReader<'_>, n: usize, width: usize) -> Result<Vec<u32
     })
 }
 
-/// Appends a length column: its width byte, then each length at that
-/// width.
-fn write_lens(w: &mut SnapWriter, width: usize, lens: impl Iterator<Item = u32>) {
-    w.u8(width as u8);
-    write_packed(w, width, lens);
-}
-
-/// Reads a length column: its width byte, then `n` lengths at that
-/// width. A width outside `1..=4`, or wider than the longest length
-/// needs, is a `BadValue(what)`: each set has one spelling.
-fn read_lens(
+/// Reads `n` ids at the width `n_words` implies. An id the interner's
+/// `n_words` cannot resolve is a `BadValue(what)`.
+fn read_ids(
     r: &mut SnapReader<'_>,
     n: usize,
-    what: &'static str,
-) -> Result<Vec<u32>, SnapshotError> {
-    let width = usize::from(r.u8()?);
-    if !(1..=4).contains(&width) {
-        return Err(SnapshotError::BadValue(what));
-    }
-    let lens = read_packed(r, n, width)?;
-    if width != width_of(lens.iter().copied().max().unwrap_or(0)) {
-        return Err(SnapshotError::BadValue(what));
-    }
-    Ok(lens)
-}
-
-/// Reads a cell column pair: its count, the hop limits, the ids at the
-/// set's id width. An id the interner's `n_words` cannot resolve is a
-/// `BadValue(what)`.
-fn read_cells(
-    r: &mut SnapReader<'_>,
     n_words: usize,
     what: &'static str,
-) -> Result<(Vec<u8>, Vec<u32>), SnapshotError> {
-    let width = id_width(n_words);
-    let n = r.count(1 + width)?;
-    let ttls = r.take(n)?.to_vec();
-    let ids = read_packed(r, n, width)?;
+) -> Result<Vec<u32>, SnapshotError> {
+    let ids = read_packed(r, n, id_width(n_words))?;
     if ids
         .iter()
         .copied()
@@ -410,7 +575,7 @@ fn read_cells(
     {
         return Err(SnapshotError::BadValue(what));
     }
-    Ok((ttls, ids))
+    Ok(ids)
 }
 
 /// Deserializes a [`TraceSet`] written by [`write_trace_set`]. The
@@ -420,25 +585,35 @@ fn read_cells(
 ///
 /// What every set the library builds holds is also what decoding
 /// demands, because the views trust it: ids the interner resolves,
-/// targets strictly ascending, trace lengths that sum to their
-/// column's length (each trace's range starts where the previous
-/// trace's ends), and hop TTLs strictly ascending within a trace. So
-/// does the one spelling of each set: every length width the minimal
-/// one. Anything else is a [`SnapshotError::BadValue`].
+/// targets strictly ascending and unreachable lengths that sum to
+/// their column's length (each trace's range starts where the previous
+/// trace's ends); hop limits ascend within a trace by construction. So
+/// does the one spelling of each set: every varint, width and base the
+/// minimal one, a repeat bit only on a hop the trace and the previous
+/// trace both hold, and never an id a repeat bit would spell. Anything
+/// else is a [`SnapshotError::BadValue`].
 pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError> {
     read_set(r, None)
 }
 
 /// The exact number of bytes [`write_trace_chain`] appends for `sets`.
 pub fn trace_chain_encoded_len<'a>(sets: impl IntoIterator<Item = &'a TraceSet>) -> usize {
+    sized_chain(sets).map(|(_, _, len)| len).sum()
+}
+
+/// Each set of a chain with its widths and the length of its entry: its
+/// table length, the words past the previous set's, then the set.
+fn sized_chain<'a>(
+    sets: impl IntoIterator<Item = &'a TraceSet>,
+) -> impl Iterator<Item = (&'a TraceSet, Widths, usize)> {
     let mut prev = 0;
-    sets.into_iter()
-        .map(|ts| {
-            let n = ts.interner.len();
-            let added = n.saturating_sub(std::mem::replace(&mut prev, n));
-            4 + 16 * added + Widths::of(ts).encoded_len(ts, false)
-        })
-        .sum()
+    sets.into_iter().map(move |ts| {
+        let n = ts.interner.len();
+        let added = n.saturating_sub(std::mem::replace(&mut prev, n));
+        let widths = Widths::of(ts);
+        let len = 4 + 16 * added + widths.encoded_len(ts, false);
+        (ts, widths, len)
+    })
 }
 
 /// Serializes a chain of trace sets, each reading a table whose words
@@ -447,12 +622,20 @@ pub fn trace_chain_encoded_len<'a>(sets: impl IntoIterator<Item = &'a TraceSet>)
 /// per set, the length of its table, the words past the previous set's
 /// length, then the set in the [`write_trace_set`] layout without its
 /// table. Sets that share a table write no words after the first, so a
-/// run of sets and their new words is one contiguous span. Panics if a
-/// table does not extend the previous one. Inverse of
-/// [`read_trace_chain`]; the count of sets is the caller's to write.
-pub fn write_trace_chain<'a>(w: &mut SnapWriter, sets: impl IntoIterator<Item = &'a TraceSet>) {
+/// run of sets and their new words is one contiguous span. Reserves
+/// once: the chain's exact length and `room_after` bytes more, for what
+/// the caller writes next. Panics if a table does not extend the
+/// previous one. Inverse of [`read_trace_chain`]; the count of sets is
+/// the caller's to write.
+pub fn write_trace_chain<'a>(
+    w: &mut SnapWriter,
+    sets: impl IntoIterator<Item = &'a TraceSet>,
+    room_after: usize,
+) {
+    let sized: Vec<_> = sized_chain(sets).collect();
+    w.reserve(sized.iter().map(|(_, _, len)| len).sum::<usize>() + room_after);
     let mut prev: Option<&Arc<AddrInterner>> = None;
-    for ts in sets {
+    for (ts, widths, _) in &sized {
         let table = &ts.interner;
         let done = prev.map_or(&[][..], |p| p.words());
         assert!(
@@ -463,7 +646,7 @@ pub fn write_trace_chain<'a>(w: &mut SnapWriter, sets: impl IntoIterator<Item = 
         for &word in &table.words()[done.len()..] {
             w.u128(word);
         }
-        write_set(w, ts, false);
+        write_set(w, ts, widths, false);
         prev = Some(table);
     }
 }
@@ -518,6 +701,145 @@ fn read_words(r: &mut SnapReader<'_>) -> Result<AddrInterner, SnapshotError> {
     Ok(table)
 }
 
+/// Reads `n` targets written as [`target_steps`]: strictly ascending,
+/// else `"target order"`.
+fn read_targets(r: &mut SnapReader<'_>, n: usize) -> Result<Vec<Ipv6Addr>, SnapshotError> {
+    let mut targets = Vec::with_capacity(n);
+    let (mut hi, mut lo) = (0u64, 0u64);
+    for k in 0..n {
+        let (step, x) = (r.varint()?, r.varint()?);
+        let next = hi.checked_add(step);
+        let ascends = k == 0 || step > 0 || lo ^ x > lo;
+        let Some(next) = next.filter(|_| ascends) else {
+            return Err(SnapshotError::BadValue("target order"));
+        };
+        (hi, lo) = (next, lo ^ x);
+        targets.push(Ipv6Addr::from(u128::from(hi) << 64 | u128::from(lo)));
+    }
+    Ok(targets)
+}
+
+/// A set's hop columns as read back: where each trace's cells end,
+/// their hop limits and ids, and how many ids were written.
+struct Hops {
+    ends: Vec<u32>,
+    ttls: Vec<u8>,
+    ids: Vec<u32>,
+    stored: usize,
+}
+
+/// The hop columns of `n` traces as read back: the window and both
+/// bitmap columns, checked for their one spelling, then the ids no
+/// repeat bit spells.
+fn read_hops(r: &mut SnapReader<'_>, n: usize, n_words: usize) -> Result<Hops, SnapshotError> {
+    let bad = |what| Err(SnapshotError::BadValue(what));
+    let base = r.u8()?;
+    let width = usize::from(r.u8()?);
+    if width > MAX_BITMAP {
+        return bad("hop limit width");
+    }
+    // `n` is bounded by the input, and `width` by 32.
+    let answered = r.take(n * width)?;
+    let repeats = r.take(n * width)?;
+    // The window is the minimal one: the union of the bitmaps starts at
+    // bit 0 and ends in the last byte; no bit passes hop limit 255.
+    let mut union = [0u8; MAX_BITMAP];
+    for row in answered.chunks_exact(width.max(1)) {
+        for (u, b) in union.iter_mut().zip(row) {
+            *u |= b;
+        }
+    }
+    let union = &union[..width];
+    let lowest =
+        (union.iter().position(|&u| u != 0)).map(|j| 8 * j + union[j].trailing_zeros() as usize);
+    let highest = (union.iter().rposition(|&u| u != 0))
+        .map(|j| 8 * j + 7 - union[j].leading_zeros() as usize);
+    match (lowest, highest) {
+        (None, _) if width > 0 => return bad("hop limit width"),
+        (None, _) if base > 0 => return bad("hop limit base"),
+        (Some(lo), _) if lo > 0 => return bad("hop limit base"),
+        (_, Some(hi)) if hi / 8 + 1 != width => return bad("hop limit width"),
+        (_, Some(hi)) if usize::from(base) + hi > 255 => return bad("hop limit past 255"),
+        _ => {}
+    }
+    // A repeat bit sits on a hop of its own trace and of the previous
+    // trace: the first trace has none.
+    if repeats.iter().zip(answered).any(|(rep, a)| rep & !a != 0) {
+        return bad("hop repeat bit without a hop");
+    }
+    let (first, rest) = repeats.split_at(width.min(repeats.len()));
+    if first.iter().any(|&rep| rep != 0) || rest.iter().zip(answered).any(|(rep, a)| rep & !a != 0)
+    {
+        return bad("hop repeat bit without a previous hop");
+    }
+    let cells: usize = answered.iter().map(|a| a.count_ones() as usize).sum();
+    let stored: usize = answered
+        .iter()
+        .zip(repeats)
+        .map(|(a, rep)| (a & !rep).count_ones() as usize)
+        .sum();
+    if cells > u32::MAX as usize {
+        return bad("trace hop lengths past u32");
+    }
+    let stored_ids = read_ids(r, stored, n_words, "hop interner id")?;
+    let mut ends = Vec::with_capacity(n);
+    // Filled by index, so the running count stays in a register.
+    let (mut ttls, mut ids) = (vec![0u8; cells], vec![0u32; cells]);
+    let mut c = 0;
+    // The id each hop limit last had: the previous trace's wherever it
+    // answered, which is wherever a repeat bit may sit.
+    let mut last = [0u32; 256];
+    // The next stored id, and whether an id was written where a repeat
+    // bit spells it.
+    let (mut k, mut spelled) = (0, false);
+    // Word `w` of a bitmap row, little-endian.
+    let word = |row: &[u8], w: usize| {
+        let bytes = &row[(8 * w).min(row.len())..(8 * w + 8).min(row.len())];
+        bytes.iter().rev().fold(0u64, |v, &b| v << 8 | u64::from(b))
+    };
+    for idx in 0..n {
+        let row = idx * width;
+        let (answered_row, repeat_row) = (&answered[row..row + width], &repeats[row..row + width]);
+        let had_row = if idx > 0 {
+            &answered[row - width..row]
+        } else {
+            &[][..]
+        };
+        for w in 0..width.div_ceil(8) {
+            let (mut a, rep, had) = (word(answered_row, w), word(repeat_row, w), word(had_row, w));
+            while a != 0 {
+                let b = a.trailing_zeros() as usize;
+                a &= a - 1;
+                // Below 256, and base + rel at most 255: the window check
+                // bounds every bit.
+                let rel = 64 * w + b;
+                // Without a branch, as the writer: the next stored id, or
+                // the previous trace's where the repeat bit is set.
+                let repeat = rep >> b & 1 == 1;
+                let stored = stored_ids.get(k).copied().unwrap_or(0);
+                let prev = last[rel];
+                spelled |= (had >> b & 1 == 1) & !repeat & (prev == stored);
+                let id = if repeat { prev } else { stored };
+                k += usize::from(!repeat);
+                last[rel] = id;
+                ttls[c] = base + rel as u8;
+                ids[c] = id;
+                c += 1;
+            }
+        }
+        ends.push(c as u32);
+    }
+    if spelled {
+        return bad("hop id a repeat bit spells");
+    }
+    Ok(Hops {
+        ends,
+        ttls,
+        ids,
+        stored,
+    })
+}
+
 /// Reads what [`write_set`] wrote: with its own word table when `table`
 /// is `None`, else sharing `table`, which its ids must resolve in.
 fn read_set(
@@ -532,57 +854,40 @@ fn read_set(
         None => Arc::new(read_words(r)?),
     };
     let n_words = interner.len();
-    // A target is its word, two lengths and a `reached_at` tag, at
-    // least a byte each.
-    let n_targets = r.count(16 + 3)?;
-    let mut targets = Vec::with_capacity(n_targets);
-    for _ in 0..n_targets {
-        targets.push(Ipv6Addr::from(r.u128()?));
-    }
-    // The length columns are decoded in place into the end columns:
+    let n_targets = r.count(LEAST_TRACE_BYTES)?;
+    let targets = read_targets(r, n_targets)?;
+    let hops = read_hops(r, n_targets, n_words)?;
+    // The unreachable lengths are decoded in place into the end column:
     // each trace's end is the sum of its length and the lengths before
     // it, and a sum past `u32` is refused rather than wrapped. Ends
     // built so never decrease, so the ranges tile their columns once
     // the last end is the column's length.
-    let mut hop_ends = read_lens(r, n_targets, "hop length width")?;
-    let mut unreach_ends = read_lens(r, n_targets, "unreach length width")?;
-    let (mut hop_end, mut unreach_end) = (0u32, 0u32);
+    let width = usize::from(r.u8()?);
+    if !(1..=4).contains(&width) {
+        return Err(SnapshotError::BadValue("unreach length width"));
+    }
+    let mut unreach_ends = read_packed(r, n_targets, width)?;
+    if width != width_of(unreach_ends.iter().copied().max().unwrap_or(0)) {
+        return Err(SnapshotError::BadValue("unreach length width"));
+    }
+    let mut unreach_end = 0u32;
     let mut reached = Vec::with_capacity(n_targets);
-    for (hop, unreach) in hop_ends.iter_mut().zip(&mut unreach_ends) {
+    for end in &mut unreach_ends {
         reached.push(match r.u8()? {
             0 => None,
             1 => Some(r.u8()?),
             _ => return Err(SnapshotError::BadValue("reached_at tag")),
         });
-        hop_end = hop_end
-            .checked_add(*hop)
-            .ok_or(SnapshotError::BadValue("trace hop lengths past u32"))?;
-        *hop = hop_end;
         unreach_end = unreach_end
-            .checked_add(*unreach)
+            .checked_add(*end)
             .ok_or(SnapshotError::BadValue("trace unreach lengths past u32"))?;
-        *unreach = unreach_end;
+        *end = unreach_end;
     }
-    let (hop_ttls, hop_ids) = read_cells(r, n_words, "hop interner id")?;
-    let (unreach_ttls, unreach_ids) = read_cells(r, n_words, "unreach interner id")?;
-    if hop_end as usize != hop_ids.len() {
-        return Err(SnapshotError::BadValue("trace hop range"));
-    }
-    if unreach_end as usize != unreach_ids.len() {
+    let n_unreach = r.count(1 + id_width(n_words))?;
+    let unreach_ttls = r.take(n_unreach)?.to_vec();
+    let unreach_ids = read_ids(r, n_unreach, n_words, "unreach interner id")?;
+    if unreach_end as usize != n_unreach {
         return Err(SnapshotError::BadValue("trace unreach range"));
-    }
-    // `path_len`, `last_hop` and `hop_vec` read a trace's deepest hop
-    // off its last cell.
-    if (0..n_targets).any(|idx| {
-        hop_ttls[cell_range(&hop_ends, idx)]
-            .windows(2)
-            .any(|w| w[0] >= w[1])
-    }) {
-        return Err(SnapshotError::BadValue("hop ttl order"));
-    }
-    // `get` binary-searches the targets.
-    if targets.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(SnapshotError::BadValue("target order"));
     }
     Ok(TraceSet {
         vantage,
@@ -591,13 +896,14 @@ fn read_set(
         interner,
         cols: Arc::new(Columns {
             targets,
-            hop_ends,
+            hop_ends: hops.ends,
             unreach_ends,
             reached,
-            hop_ttls,
-            hop_ids,
+            hop_ttls: hops.ttls,
+            hop_ids: hops.ids,
             unreach_ttls,
             unreach_ids,
+            stored_hops: Memo::of(hops.stored),
         }),
     })
 }
@@ -625,11 +931,14 @@ pub(crate) const STORE_MAGIC: u32 = 0x4253_4e50;
 /// Standalone segment magic: `"BSEG"`.
 pub(crate) const SEGMENT_MAGIC: u32 = 0x4253_4547;
 /// On-disk format version. Bump on any layout change; readers reject
-/// other versions rather than guessing. Version 5 is one file; 4 was a
-/// directory of a manifest, a word-table segment and a segment per
-/// shard; 3 had per-trace provenance lists; 2 gave each shard segment
-/// its own word table; 1 had 4-byte ids and offsets.
-pub(crate) const STORE_VERSION: u32 = 5;
+/// other versions rather than guessing. Version 6 writes a set by its
+/// redundancy (varint target steps, hop-limit bitmaps, repeat bits in
+/// place of the ids they spell); 5 was the same one file over 16-byte
+/// targets, a hop length column, a hop limit byte a cell and every hop
+/// id; 4 was a directory of a manifest, a word-table segment and a
+/// segment per shard; 3 had per-trace provenance lists; 2 gave each
+/// shard segment its own word table; 1 had 4-byte ids and offsets.
+pub(crate) const STORE_VERSION: u32 = 6;
 
 /// The store's file name inside a snapshot directory.
 pub const STORE_FILE: &str = "store.snap";
@@ -762,9 +1071,10 @@ pub fn write_sharded_snapshot(
     let n_shards = store.n_shards() as u32;
     let mut bytes = encode_file(STORE_MAGIC, |w| {
         // The count, the set and the checksum in one reservation.
-        w.reserve(4 + Widths::of(ts).encoded_len(ts, true) + 8);
+        let widths = Widths::of(ts);
+        w.reserve(4 + widths.encoded_len(ts, true) + 8);
         w.u32(n_shards);
-        write_trace_set(w, ts);
+        write_set(w, ts, &widths, true);
     });
     let fnv = fnv1a(&bytes);
     bytes.extend_from_slice(&fnv.to_le_bytes());
@@ -888,6 +1198,10 @@ mod tests {
         read_trace_set(&mut SnapReader::new(bytes))
     }
 
+    fn bad<T>(what: &'static str) -> Result<T, SnapshotError> {
+        Err(SnapshotError::BadValue(what))
+    }
+
     /// The fewest bytes that hold `v`, spelled out.
     fn min_width(v: u32) -> u8 {
         match v {
@@ -898,60 +1212,162 @@ mod tests {
         }
     }
 
-    /// A set written field by field, so a test can state what the
-    /// library never builds: `n_words` interner words, a target per
-    /// `[hop_len, unreach_len]` pair, the two length columns behind the
-    /// width bytes `len_widths`, no trace reached, and the given
-    /// `(ttl, id)` cells with ids at the width `n_words` implies.
-    fn raw(
-        n_words: u32,
-        len_widths: [u8; 2],
-        lens: &[[u32; 2]],
-        hops: &[(u8, u32)],
-        unreach: &[(u8, u32)],
-    ) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.str("v");
-        w.str("t");
-        w.u64(0);
-        w.u32(n_words);
-        for i in 0..n_words {
-            w.u128(0xa + u128::from(i));
-        }
-        w.u32(lens.len() as u32);
-        for i in 0..lens.len() {
-            w.u128(0x2001_0db8 << 96 | i as u128);
-        }
-        for (k, &width) in len_widths.iter().enumerate() {
-            w.u8(width);
-            for len in lens {
-                w.raw(&len[k].to_le_bytes()[..usize::from(width).min(4)]);
+    /// `v` in LEB128, spelled out: seven bits a byte, low first.
+    fn leb128(mut v: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        loop {
+            let low = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(low);
+                return out;
             }
+            out.push(low | 0x80);
         }
-        lens.iter().for_each(|_| w.u8(0)); // not reached
-        let id_width = usize::from(min_width(n_words.saturating_sub(1)));
-        for cells in [hops, unreach] {
-            w.u32(cells.len() as u32);
-            cells.iter().for_each(|&(ttl, _)| w.u8(ttl));
-            cells
-                .iter()
-                .for_each(|&(_, id)| w.raw(&id.to_le_bytes()[..id_width]));
-        }
-        w.into_bytes()
     }
 
-    /// [`raw`] with one interner word and minimal length widths.
-    fn raw_set(lens: &[[u32; 2]], hops: &[(u8, u32)], unreach: &[(u8, u32)]) -> Vec<u8> {
-        let widest = |k: usize| min_width(lens.iter().map(|l| l[k]).max().unwrap_or(0));
-        raw(1, [widest(0), widest(1)], lens, hops, unreach)
+    /// One trace's `(ttl, id)` hop cells, ascending, and its
+    /// unreachable cells.
+    type RawTrace<'a> = (&'a [(u8, u32)], &'a [(u8, u32)]);
+
+    /// A trace with no cells.
+    const NO_CELLS: RawTrace<'static> = (&[], &[]);
+
+    /// A set written field by field, so a test can state what the
+    /// library never builds: [`Raw::of`] spells a set the way the
+    /// layout says, a test edits a field, and [`Raw::bytes`] writes it.
+    /// No trace is reached, and the word table is `n_words` words.
+    #[derive(Clone, Debug)]
+    struct Raw {
+        n_words: u32,
+        n: u32,
+        /// The target column after its count, two varints a target.
+        targets: Vec<u8>,
+        base: u8,
+        width: u8,
+        answered: Vec<u8>,
+        repeats: Vec<u8>,
+        /// The hop ids no repeat bit spells, at the width `n_words`
+        /// implies.
+        ids: Vec<u32>,
+        unreach_width: u8,
+        unreach_lens: Vec<u32>,
+        unreach: Vec<(u8, u32)>,
+    }
+
+    impl Raw {
+        /// A set of `traces` toward `2001:db8::` + their index.
+        fn of(n_words: u32, traces: &[RawTrace<'_>]) -> Raw {
+            let ttls = || traces.iter().flat_map(|t| t.0.iter().map(|&(ttl, _)| ttl));
+            let (base, width) = match (ttls().min(), ttls().max()) {
+                (Some(lo), Some(hi)) => (lo, (hi - lo) / 8 + 1),
+                _ => (0, 0),
+            };
+            let w = usize::from(width);
+            let unreach_lens: Vec<u32> = traces.iter().map(|t| t.1.len() as u32).collect();
+            let mut raw = Raw {
+                n_words,
+                n: traces.len() as u32,
+                targets: Vec::new(),
+                base,
+                width,
+                answered: vec![0; traces.len() * w],
+                repeats: vec![0; traces.len() * w],
+                ids: Vec::new(),
+                unreach_width: min_width(unreach_lens.iter().copied().max().unwrap_or(0)),
+                unreach_lens,
+                unreach: traces.iter().flat_map(|t| t.1.iter().copied()).collect(),
+            };
+            let targets: Vec<u128> = (0..traces.len() as u128)
+                .map(|i| 0x2001_0db8 << 96 | i)
+                .collect();
+            raw.set_targets(&targets);
+            for (k, (hops, _)) in traces.iter().enumerate() {
+                for &(ttl, id) in *hops {
+                    let bit = usize::from(ttl - base);
+                    let (at, mask) = (k * w + bit / 8, 1 << (bit % 8));
+                    raw.answered[at] |= mask;
+                    if k > 0 && traces[k - 1].0.contains(&(ttl, id)) {
+                        raw.repeats[at] |= mask;
+                    } else {
+                        raw.ids.push(id);
+                    }
+                }
+            }
+            raw
+        }
+
+        /// Spells `words` as the target column: per target, its high
+        /// half's step and its low half xor the previous target's.
+        fn set_targets(&mut self, words: &[u128]) {
+            self.targets.clear();
+            let mut prev = 0u128;
+            for &word in words {
+                let step = ((word >> 64) - (prev >> 64)) as u64;
+                self.targets.extend(leb128(step));
+                self.targets.extend(leb128((word ^ prev) as u64));
+                prev = word;
+            }
+        }
+
+        fn write(&self, w: &mut SnapWriter, with_table: bool) {
+            w.str("v");
+            w.str("t");
+            w.u64(0);
+            if with_table {
+                w.u32(self.n_words);
+                for i in 0..self.n_words {
+                    w.u128(0xa + u128::from(i));
+                }
+            }
+            w.u32(self.n);
+            w.raw(&self.targets);
+            w.u8(self.base);
+            w.u8(self.width);
+            w.raw(&self.answered);
+            w.raw(&self.repeats);
+            let id_width = usize::from(min_width(self.n_words.saturating_sub(1)));
+            for id in &self.ids {
+                w.raw(&id.to_le_bytes()[..id_width]);
+            }
+            w.u8(self.unreach_width);
+            for len in &self.unreach_lens {
+                w.raw(&len.to_le_bytes()[..usize::from(self.unreach_width).min(4)]);
+            }
+            (0..self.n).for_each(|_| w.u8(0)); // not reached
+            w.u32(self.unreach.len() as u32);
+            self.unreach.iter().for_each(|&(ttl, _)| w.u8(ttl));
+            for &(_, id) in &self.unreach {
+                w.raw(&id.to_le_bytes()[..id_width]);
+            }
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            self.write(&mut w, true);
+            w.into_bytes()
+        }
+
+        fn decode(&self) -> Result<TraceSet, SnapshotError> {
+            decode(&self.bytes())
+        }
+
+        /// Decodes, and checks the set re-encodes to the same bytes at
+        /// the exact length.
+        fn round_trip(&self) -> TraceSet {
+            let bytes = self.bytes();
+            let ts = decode(&bytes).unwrap();
+            assert_eq!(encode(&ts), bytes, "{self:?}");
+            assert_eq!(trace_set_encoded_len(&ts), bytes.len());
+            ts
+        }
     }
 
     #[test]
     fn corrupt_ids_are_rejected() {
-        let bad = |what| Err(SnapshotError::BadValue(what));
         // An empty interner resolves no id: a hop cell naming id 0.
         assert_eq!(
-            decode(&raw(0, [1, 1], &[[1, 0]], &[(1, 0)], &[])),
+            Raw::of(0, &[(&[(1, 0)], &[])]).decode(),
             bad("hop interner id")
         );
         // At ids of 1, 2 and 3 bytes, the largest id the word count
@@ -960,22 +1376,15 @@ mod tests {
         // id fits the width.
         for n_words in [1, 255, 256, 257, 65_536, 65_537] {
             let width = min_width(n_words - 1);
-            let set = |hop: u32, unreach: u32| {
-                decode(&raw(
-                    n_words,
-                    [1, 1],
-                    &[[1, 1]],
-                    &[(1, hop)],
-                    &[(1, unreach)],
-                ))
-            };
-            assert!(set(n_words - 1, 0).is_ok(), "{n_words} words");
-            assert!(set(0, n_words - 1).is_ok(), "{n_words} words");
+            let set = |hop: u32, unreach: u32| Raw::of(n_words, &[(&[(1, hop)], &[(1, unreach)])]);
+            set(n_words - 1, 0).round_trip();
+            set(0, n_words - 1).round_trip();
             let widest = u32::MAX >> (32 - 8 * u32::from(width));
             for id in [n_words, widest] {
                 if (n_words..=widest).contains(&id) {
-                    assert_eq!(set(id, 0), bad("hop interner id"), "{n_words} words");
-                    assert_eq!(set(0, id), bad("unreach interner id"), "{n_words} words");
+                    let (hop, unreach) = (set(id, 0).decode(), set(0, id).decode());
+                    assert_eq!(hop, bad("hop interner id"), "{n_words} words");
+                    assert_eq!(unreach, bad("unreach interner id"), "{n_words} words");
                 }
             }
         }
@@ -983,17 +1392,10 @@ mod tests {
         // called on its own.
         let n_words = (1 << 24) + 1;
         assert_eq!(id_width(n_words), 4);
-        let cells = |id: u32| {
-            let mut w = SnapWriter::new();
-            w.u32(1);
-            w.u8(7);
-            w.u32(id);
-            w.into_bytes()
-        };
-        let read = |id| read_cells(&mut SnapReader::new(&cells(id)), n_words, "id");
-        assert_eq!(read(1 << 24), Ok((vec![7], vec![1 << 24])));
-        assert_eq!(read((1 << 24) + 1), Err(SnapshotError::BadValue("id")));
-        assert_eq!(read(u32::MAX), Err(SnapshotError::BadValue("id")));
+        let read = |id: u32| read_ids(&mut SnapReader::new(&id.to_le_bytes()), 1, n_words, "id");
+        assert_eq!(read(1 << 24), Ok(vec![1 << 24]));
+        assert_eq!(read((1 << 24) + 1), bad("id"));
+        assert_eq!(read(u32::MAX), bad("id"));
     }
 
     #[test]
@@ -1030,58 +1432,241 @@ mod tests {
     #[test]
     fn lengths_of_255_and_256_cross_the_length_width() {
         for (n, width) in [(255u32, 1), (256, 2)] {
-            // One trace: hop limits 0.. ascending, as many unreachable
-            // cells.
+            // One trace: hops at limits 0.. ascending, as many
+            // unreachable cells. Either way every hop limit's bit fits
+            // the widest bitmap.
             let cells: Vec<(u8, u32)> = (0..n).map(|ttl| (ttl as u8, 0)).collect();
-            let bytes = raw(1, [width, width], &[[n, n]], &cells, &cells);
-            let ts = decode(&bytes).unwrap();
+            let raw = Raw::of(1, &[(&cells, &cells)]);
+            assert_eq!((raw.unreach_width, raw.width), (width, 32));
+            let ts = raw.round_trip();
             assert_eq!(ts.view_at(0).hop_cells().len(), n as usize);
             assert_eq!(ts.view_at(0).unreachable_cells().len(), n as usize);
-            assert_eq!(encode(&ts), bytes, "{n} cells");
-            assert_eq!(Widths::of(&ts).encoded_len(&ts, true), bytes.len());
         }
         // 65 536 cells take a third byte.
         let cells = vec![(1, 0); 1 << 16];
-        let bytes = raw(1, [1, 3], &[[0, 1 << 16]], &[], &cells);
-        assert_eq!(encode(&decode(&bytes).unwrap()), bytes);
+        let raw = Raw::of(1, &[(&[], &cells)]);
+        assert_eq!(raw.unreach_width, 3);
+        raw.round_trip();
     }
 
     #[test]
     fn a_length_width_that_is_not_minimal_is_refused() {
         let cells = [(1, 0), (2, 0)];
-        let lens = [[2, 1], [0, 1]];
-        assert!(decode(&raw(1, [1, 1], &lens, &cells, &cells)).is_ok());
-        let hop = Err(SnapshotError::BadValue("hop length width"));
-        let unreach = Err(SnapshotError::BadValue("unreach length width"));
+        let raw = Raw::of(1, &[(&cells, &cells[..1]), (&[], &cells[1..])]);
+        raw.round_trip();
         for wider in 2..=4 {
-            assert_eq!(decode(&raw(1, [wider, 1], &lens, &cells, &cells)), hop);
-            assert_eq!(decode(&raw(1, [1, wider], &lens, &cells, &cells)), unreach);
+            let edited = Raw {
+                unreach_width: wider,
+                ..raw.clone()
+            };
+            assert_eq!(edited.decode(), bad("unreach length width"));
         }
         // 255 fits one byte, so two is not minimal.
         let long: Vec<(u8, u32)> = (0..255).map(|ttl| (ttl, 0)).collect();
-        assert!(decode(&raw(1, [1, 1], &[[255, 0]], &long, &[])).is_ok());
-        assert_eq!(decode(&raw(1, [2, 1], &[[255, 0]], &long, &[])), hop);
+        let raw = Raw::of(1, &[(&[], &long)]);
+        raw.round_trip();
+        let two = Raw {
+            unreach_width: 2,
+            ..raw
+        };
+        assert_eq!(two.decode(), bad("unreach length width"));
         // With no traces the width is still one byte.
-        assert!(decode(&raw(1, [1, 1], &[], &[], &[])).is_ok());
-        assert_eq!(decode(&raw(1, [1, 2], &[], &[], &[])), unreach);
+        let empty = Raw::of(1, &[]);
+        empty.round_trip();
+        let two = Raw {
+            unreach_width: 2,
+            ..empty
+        };
+        assert_eq!(two.decode(), bad("unreach length width"));
     }
 
     #[test]
     fn a_length_width_of_0_or_5_is_refused() {
         let cells = [(1, 0), (2, 0)];
-        let lens = [[2, 1], [0, 1]];
+        let raw = Raw::of(1, &[(&cells, &cells[..1]), (&[], &cells[1..])]);
         for width in [0, 5, 255] {
-            assert_eq!(
-                decode(&raw(1, [width, 1], &lens, &cells, &cells)),
-                Err(SnapshotError::BadValue("hop length width")),
-                "width {width}"
-            );
-            assert_eq!(
-                decode(&raw(1, [1, width], &lens, &cells, &cells)),
-                Err(SnapshotError::BadValue("unreach length width")),
-                "width {width}"
-            );
+            let edited = Raw {
+                unreach_width: width,
+                ..raw.clone()
+            };
+            assert_eq!(edited.decode(), bad("unreach length width"), "{width}");
         }
+    }
+
+    #[test]
+    fn a_hop_limit_window_that_is_not_minimal_is_refused() {
+        // Hops at 3 and 12: base 3, and bit 9 is in the second byte.
+        let raw = Raw::of(1, &[(&[(3, 0), (12, 0)], &[]), (&[(5, 0)], &[])]);
+        assert_eq!(
+            (raw.base, raw.width, &raw.answered[..]),
+            (3, 2, &[1, 2, 4, 0][..])
+        );
+        raw.round_trip();
+        // The same hops from base 2: no hop at bit 0.
+        let mut low = raw.clone();
+        low.base = 2;
+        low.answered = vec![2, 4, 8, 0];
+        assert_eq!(low.decode(), bad("hop limit base"));
+        // A third byte no hop reaches, and a width past 32 bytes.
+        for (width, rows) in [(3, vec![1, 2, 0, 4, 0, 0]), (33, vec![0; 66])] {
+            let wide = Raw {
+                width,
+                repeats: vec![0; rows.len()],
+                answered: rows,
+                ..raw.clone()
+            };
+            assert_eq!(wide.decode(), bad("hop limit width"), "{width}");
+        }
+        // Without hops the window is base 0 and no bitmap at all.
+        let none = Raw::of(1, &[(&[], &[(1, 0)])]);
+        assert_eq!((none.base, none.width), (0, 0));
+        none.round_trip();
+        let based = Raw {
+            base: 1,
+            ..none.clone()
+        };
+        assert_eq!(based.decode(), bad("hop limit base"));
+        let empty_rows = Raw {
+            width: 1,
+            answered: vec![0],
+            repeats: vec![0],
+            ..none
+        };
+        assert_eq!(empty_rows.decode(), bad("hop limit width"));
+        // Hop limit 255 is the last a bit can name.
+        let top = Raw::of(1, &[(&[(248, 0), (255, 0)], &[])]);
+        assert_eq!((top.base, top.width), (248, 1));
+        top.round_trip();
+        let past = Raw { base: 249, ..top };
+        assert_eq!(past.decode(), bad("hop limit past 255"));
+    }
+
+    #[test]
+    fn repeat_bits_have_one_spelling() {
+        // The second trace repeats the first's hop at 1 and not its hop
+        // at 2, whose id differs; the third repeats both of the second's
+        // and adds one.
+        let (a, b) = ([(1, 0), (2, 1)], [(1, 0), (2, 2)]);
+        let c = [(1, 0), (2, 2), (3, 3)];
+        let raw = Raw::of(4, &[(&a, &[]), (&b, &[]), (&c, &[])]);
+        assert_eq!(raw.repeats, [0, 1, 3]);
+        assert_eq!(raw.ids, [0, 1, 2, 3]);
+        let ts = raw.round_trip();
+        let hops = |idx: usize| ts.view_at(idx).hop_cells().iter().collect::<Vec<_>>();
+        assert_eq!(
+            (hops(0), hops(1), hops(2)),
+            (a.to_vec(), b.to_vec(), c.to_vec())
+        );
+        let edit = |f: fn(&mut Raw)| {
+            let mut edited = raw.clone();
+            f(&mut edited);
+            edited.decode()
+        };
+        // A repeat bit on a hop the trace does not hold.
+        assert_eq!(
+            edit(|r| r.repeats[1] |= 4),
+            bad("hop repeat bit without a hop")
+        );
+        // On a hop the previous trace does not hold: the third trace's
+        // hop at 3, and any hop of the first trace.
+        assert_eq!(
+            edit(|r| r.repeats[2] |= 4),
+            bad("hop repeat bit without a previous hop")
+        );
+        assert_eq!(
+            edit(|r| r.repeats[0] |= 1),
+            bad("hop repeat bit without a previous hop")
+        );
+        // The second trace's hop at 1 written out where a repeat bit
+        // spells it.
+        assert_eq!(
+            edit(|r| {
+                r.repeats[1] = 0;
+                r.ids.insert(2, 0);
+            }),
+            bad("hop id a repeat bit spells")
+        );
+        // A repeat bit where the id differs is another set: the second
+        // trace's hop at 2 becomes the first's, id 1.
+        let other = edit(|r| {
+            r.repeats[1] = 3;
+            r.ids.remove(2);
+        })
+        .unwrap();
+        assert_eq!(other.view_at(1).hop_cells().ids()[1], 1);
+    }
+
+    #[test]
+    fn varints_are_spelled_one_way() {
+        for v in [0, 1, 127, 128, 16_383, 16_384, u64::MAX >> 1, u64::MAX] {
+            let mut w = SnapWriter::new();
+            w.varint(v);
+            assert_eq!(w.bytes(), leb128(v), "{v}");
+            assert_eq!(varint_len(v), w.bytes().len(), "{v}");
+            let mut r = SnapReader::new(w.bytes());
+            assert_eq!(r.varint(), Ok(v));
+            assert_eq!(r.remaining(), 0);
+        }
+        let read = |bytes: &[u8]| SnapReader::new(bytes).varint();
+        assert_eq!(read(&[0x80, 0x00]), bad("overlong varint"));
+        assert_eq!(read(&[0xff, 0x80, 0x00]), bad("overlong varint"));
+        let mut ten = [0xff; 10];
+        ten[9] = 0x01;
+        assert_eq!(read(&ten), Ok(u64::MAX));
+        ten[9] = 0x02;
+        assert_eq!(read(&ten), bad("varint past 64 bits"));
+        ten[9] = 0x81;
+        assert_eq!(read(&ten), bad("varint past 64 bits"));
+        assert_eq!(read(&[0x80]), Err(SnapshotError::Truncated));
+        // In a target column: both halves several bytes long, then each
+        // half spelled with a byte too many.
+        let words = [
+            0x2001_0db8_0000_0000_0000_0000_0000_0fff,
+            0x2001_0db8_0000_0080_8000_0000_0000_0fff,
+            0x2001_0db8_4000_0080_8000_0000_0000_0001,
+        ];
+        let mut raw = Raw::of(1, &[NO_CELLS; 3]);
+        raw.set_targets(&words);
+        let ts = raw.round_trip();
+        let targets: Vec<u128> = ts.targets().iter().map(|&t| u128::from(t)).collect();
+        assert_eq!(targets, words);
+        let steps = [
+            [leb128(0x2001_0db8_0000_0000), leb128(0xfff)],
+            [leb128(0x80), leb128(0x8000_0000_0000_0000)],
+            [leb128(0x4000_0000), leb128(0xffe)],
+        ];
+        assert!(steps.iter().flatten().all(|v| v.len() > 1));
+        assert_eq!(raw.targets, steps.concat().concat());
+        for half in 0..2 {
+            let mut overlong = steps.clone();
+            let last = overlong[2][half].len() - 1;
+            overlong[2][half][last] |= 0x80;
+            overlong[2][half].push(0);
+            raw.targets = overlong.concat().concat();
+            assert_eq!(raw.decode(), bad("overlong varint"), "half {half}");
+        }
+    }
+
+    #[test]
+    fn targets_decode_strictly_ascending() {
+        let mut raw = Raw::of(1, &[NO_CELLS; 2]);
+        let order = |raw: &Raw| raw.decode().err();
+        let bad = Some(SnapshotError::BadValue("target order"));
+        // The first target may be `::`, against the zero it starts from.
+        raw.targets = [0, 0, 0, 1].to_vec();
+        raw.round_trip();
+        // A step of zero whose low half does not rise: equal, then lower.
+        raw.targets = [0, 5, 0, 0].to_vec();
+        assert_eq!(order(&raw), bad);
+        raw.targets = [0, 5, 0, 1].to_vec();
+        assert_eq!(order(&raw), bad);
+        // A high half stepped past 2^64 wraps nowhere.
+        raw.targets = [1, 0]
+            .into_iter()
+            .chain(leb128(u64::MAX))
+            .chain([0])
+            .collect();
+        assert_eq!(order(&raw), bad);
     }
 
     #[test]
@@ -1097,24 +1682,37 @@ mod tests {
             |w| {
                 w.u32(0);
                 w.u32(0);
-                w.u8(1); // hop length width
+                w.u8(0); // hop limit base
+                w.u8(0); // hop limit width
                 w.u8(1); // unreach length width
-                w.u32(u32::MAX); // hop cells
+                w.u32(u32::MAX); // unreachable cells
             },
         ];
-        for counts in cases {
+        let set = |counts: fn(&mut SnapWriter)| {
             let mut w = SnapWriter::new();
             w.str("v");
             w.str("t");
             w.u64(0);
             counts(&mut w);
             w.raw(&[0; 64]);
-            let bytes = w.into_bytes();
-            assert_eq!(
-                read_trace_set(&mut SnapReader::new(&bytes)),
-                Err(SnapshotError::Truncated)
-            );
+            read_trace_set(&mut SnapReader::new(w.bytes()))
+        };
+        for counts in cases {
+            assert_eq!(set(counts), Err(SnapshotError::Truncated));
         }
+        // A trace is at least four bytes: 64 hold 16 traces, not 17.
+        let targets: [fn(&mut SnapWriter); 2] = [
+            |w| {
+                w.u32(0);
+                w.u32(17);
+            },
+            |w| {
+                w.u32(0);
+                w.u32(16);
+            },
+        ];
+        assert_eq!(set(targets[0]), Err(SnapshotError::Truncated));
+        assert_eq!(set(targets[1]), bad("target order"));
     }
 
     #[test]
@@ -1125,32 +1723,22 @@ mod tests {
             Arc::make_mut(&mut ts.cols)
         }
         type Corrupt = fn(&mut TraceSet);
-        let cases: [(Corrupt, &str); 3] = [
-            // The first trace 100 hops longer, the second as it was.
-            (
-                |ts| cols(ts).hop_ends.iter_mut().for_each(|end| *end += 100),
-                "trace hop range",
-            ),
+        let cases: [(Corrupt, &str); 2] = [
             (|ts| cols(ts).unreach_ends[1] += 1, "trace unreach range"),
             (|ts| cols(ts).targets.swap(0, 1), "target order"),
         ];
         for (corrupt, what) in cases {
             let mut ts = sample();
             corrupt(&mut ts);
-            assert_eq!(read(&ts), Err(SnapshotError::BadValue(what)));
+            assert_eq!(read(&ts), bad(what));
         }
         // Lengths whose sum passes u32 have no ends to hold them, so
-        // only the bytes can spell them: a first trace of u32::MAX hop
-        // or unreachable cells.
-        let hops = [(1, 0), (2, 0), (4, 0)];
-        let cases = [
-            ([[u32::MAX, 0], [1, 0]], "trace hop lengths past u32"),
-            ([[2, u32::MAX], [1, 1]], "trace unreach lengths past u32"),
-        ];
-        for (lens, what) in cases {
-            let bytes = raw_set(&lens, &hops, &[]);
-            assert_eq!(decode(&bytes), Err(SnapshotError::BadValue(what)));
-        }
+        // only the bytes can spell them: a first trace of u32::MAX
+        // unreachable cells.
+        let mut raw = Raw::of(1, &[(&[], &[(1, 0)]), (&[], &[])]);
+        raw.unreach_width = 4;
+        raw.unreach_lens = vec![u32::MAX, 1];
+        assert_eq!(raw.decode(), bad("trace unreach lengths past u32"));
         // The last trace's ranges end exactly at their columns' ends.
         let ts = sample();
         ts.assert_tiled();
@@ -1158,55 +1746,62 @@ mod tests {
     }
 
     #[test]
-    fn hop_ttls_out_of_order_within_a_trace_are_rejected() {
-        let hops = |ttls: [u8; 2]| ttls.map(|ttl| (ttl, 0));
+    fn hop_ttls_ascend_within_a_trace_by_construction() {
         // Two two-hop traces. Ascending within each, in any order across
         // them.
-        let two = [[2, 0], [2, 0]];
-        let ok = [(3, 0), (5, 0), (1, 0), (2, 0)];
-        let ts = decode(&raw_set(&two, &ok, &[])).unwrap();
+        let raw = Raw::of(1, &[(&[(3, 0), (5, 0)], &[]), (&[(1, 0), (2, 0)], &[])]);
+        let ts = raw.round_trip();
+        assert_eq!(ts.view_at(0).hop_cells().ttls(), [3, 5]);
         assert_eq!(ts.view_at(0).hop_vec().len(), 5);
         assert_eq!(ts.view_at(0).path_len(), Some(5));
-        // One edit that put a trace's deepest hop first, and one that
-        // repeats a TTL.
-        for bad in [hops([9, 5]), hops([5, 5])] {
-            for at in [0, 2] {
-                let mut cells = ok;
-                cells[at..at + 2].copy_from_slice(&bad);
-                assert_eq!(
-                    decode(&raw_set(&two, &cells, &[])).unwrap_err(),
-                    SnapshotError::BadValue("hop ttl order"),
-                    "{cells:?}"
-                );
-            }
+        // Every one-byte bitmap of a minimal window (bits 0 and 7 set)
+        // reads as its bits' hop limits, ascending.
+        for bits in (0..=255u8).filter(|b| b & 0x81 == 0x81) {
+            let one = Raw {
+                n: 1,
+                targets: vec![0, 1],
+                base: 10,
+                width: 1,
+                answered: vec![bits],
+                repeats: vec![0],
+                ids: vec![0; bits.count_ones() as usize],
+                unreach_lens: vec![0],
+                ..Raw::of(1, &[])
+            };
+            let ts = one.round_trip();
+            let want: Vec<u8> = (0..8)
+                .filter(|b| bits >> b & 1 == 1)
+                .map(|b| 10 + b)
+                .collect();
+            assert_eq!(ts.view_at(0).hop_cells().ttls(), want, "{bits:#010b}");
         }
         // Unreachable cells keep record order: any TTLs go.
-        let du = [[0, 2]];
-        assert!(decode(&raw_set(&du, &[], &[(9, 0), (5, 0)])).is_ok());
+        let ts = Raw::of(1, &[(&[], &[(9, 0), (5, 0)])]).round_trip();
+        assert_eq!(ts.view_at(0).unreachable_cells().ttls(), [9, 5]);
     }
 
     #[test]
     fn cell_ranges_that_do_not_tile_their_column_are_rejected() {
-        // Offsets are the running sums of the lengths, so two ways are
-        // left to break the tiling: lengths that do not sum to their
-        // column's length, and a sum past u32.
+        // Hop ranges are the bitmaps' popcounts and tile by
+        // construction. Unreachable ends are the running sums of the
+        // lengths, so two ways are left to break their tiling: lengths
+        // that do not sum to the column's length, and a sum past u32.
         let cells = [(1, 0), (2, 0), (3, 0)];
-        assert!(decode(&raw_set(&[[1, 1], [2, 2]], &cells, &cells)).is_ok());
-        let cases: [([[u32; 2]; 2], &str); 6] = [
+        let raw = Raw::of(1, &[(&cells[..1], &cells[..1]), (&cells[1..], &cells[1..])]);
+        raw.round_trip();
+        let cases: [([u32; 2], &str); 3] = [
             // A cell no trace owns, a trace past the column's end.
-            ([[1, 1], [1, 2]], "trace hop range"),
-            ([[1, 1], [3, 2]], "trace hop range"),
-            ([[1, 1], [2, 1]], "trace unreach range"),
-            ([[1, 2], [2, 2]], "trace unreach range"),
-            ([[u32::MAX, 1], [1, 2]], "trace hop lengths past u32"),
-            ([[1, u32::MAX], [2, 1]], "trace unreach lengths past u32"),
+            ([1, 1], "trace unreach range"),
+            ([2, 2], "trace unreach range"),
+            ([1, u32::MAX], "trace unreach lengths past u32"),
         ];
         for (lens, what) in cases {
-            assert_eq!(
-                decode(&raw_set(&lens, &cells, &cells)).unwrap_err(),
-                SnapshotError::BadValue(what),
-                "{lens:?}"
-            );
+            let edited = Raw {
+                unreach_width: min_width(lens[0].max(lens[1])),
+                unreach_lens: lens.to_vec(),
+                ..raw.clone()
+            };
+            assert_eq!(edited.decode(), bad(what), "{lens:?}");
         }
     }
 
@@ -1254,7 +1849,7 @@ mod tests {
 
     fn encode_chain(sets: &[TraceSet]) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        write_trace_chain(&mut w, sets);
+        write_trace_chain(&mut w, sets, 0);
         w.into_bytes()
     }
 
@@ -1351,22 +1946,7 @@ mod tests {
     fn entry(w: &mut SnapWriter, len: u32, words: &[u128], hops: &[(u8, u32)]) {
         w.u32(len);
         words.iter().for_each(|&word| w.u128(word));
-        w.str("v");
-        w.str("t");
-        w.u64(0);
-        w.u32(1);
-        w.u128(0x2001_0db8 << 96);
-        w.u8(1);
-        w.u8(hops.len() as u8);
-        w.u8(1);
-        w.u8(0);
-        w.u8(0); // not reached
-        let id_width = usize::from(min_width(len.saturating_sub(1)));
-        w.u32(hops.len() as u32);
-        hops.iter().for_each(|&(ttl, _)| w.u8(ttl));
-        hops.iter()
-            .for_each(|&(_, id)| w.raw(&id.to_le_bytes()[..id_width]));
-        w.u32(0); // no unreachable cells
+        Raw::of(len, &[(hops, &[])]).write(w, false);
     }
 
     #[test]

@@ -121,7 +121,39 @@ pub(crate) struct Columns {
     /// The responder id of every Destination Unreachable cell, parallel
     /// to `unreach_ttls`.
     pub(crate) unreach_ids: Vec<u32>,
+    /// How many hop cells do not repeat the previous trace's (a hop at
+    /// the same limit with the same id): the hop ids a snapshot writes.
+    /// Found by the first encode and kept, because a checkpoint writes
+    /// every set of its record again each round; [`Columns::make_mut`]
+    /// clears it.
+    pub(crate) stored_hops: Memo,
 }
+
+/// A count derived from the columns it sits in, found once on demand.
+/// It takes no part in equality: columns that hold the same cells are
+/// equal whether or not it was found yet.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Memo(std::sync::OnceLock<usize>);
+
+impl Memo {
+    /// A memo that already holds `v`.
+    pub(crate) fn of(v: usize) -> Memo {
+        Memo(v.into())
+    }
+
+    /// The count, found by `find` on first use.
+    pub(crate) fn get(&self, find: impl FnOnce() -> usize) -> usize {
+        *self.0.get_or_init(find)
+    }
+}
+
+impl PartialEq for Memo {
+    fn eq(&self, _: &Memo) -> bool {
+        true
+    }
+}
+
+impl Eq for Memo {}
 
 impl Columns {
     /// Empty columns reserved for `[traces, hop cells, unreachable cells]`.
@@ -135,6 +167,7 @@ impl Columns {
             hop_ids: Vec::with_capacity(n_hops),
             unreach_ttls: Vec::with_capacity(n_unreach),
             unreach_ids: Vec::with_capacity(n_unreach),
+            stored_hops: Memo::default(),
         }
     }
 
@@ -147,6 +180,14 @@ impl Columns {
         self.hop_ends.push(self.hop_ids.len() as u32);
         self.unreach_ends.push(self.unreach_ids.len() as u32);
         self.reached.push(reached_at);
+    }
+
+    /// `cols` to write in place: copied first if another set shares
+    /// them, and with what was derived from them cleared.
+    pub(crate) fn make_mut(cols: &mut Arc<Columns>) -> &mut Columns {
+        let cols = Arc::make_mut(cols);
+        cols.stored_hops = Memo::default();
+        cols
     }
 
     /// Trace `idx`'s range of the hop columns.
@@ -711,7 +752,7 @@ impl TraceSet {
         }
         for (set, map) in sets.iter_mut().zip(&maps) {
             if let Some(m) = map {
-                let cols = Arc::make_mut(&mut set.cols);
+                let cols = Columns::make_mut(&mut set.cols);
                 for id in cols.hop_ids.iter_mut().chain(&mut cols.unreach_ids) {
                     *id = m[*id as usize];
                 }
@@ -743,7 +784,7 @@ impl TraceSet {
     /// rewrite.
     pub fn canonical(mut self) -> TraceSet {
         let mut ids = Reintern::new(&self.interner);
-        let cols = Arc::make_mut(&mut self.cols);
+        let cols = Columns::make_mut(&mut self.cols);
         for idx in 0..cols.targets.len() {
             for id in &mut cols.hop_ids[cell_range(&cols.hop_ends, idx)] {
                 *id = ids.id(*id);
@@ -1844,6 +1885,36 @@ mod tests {
         every_kind_of_set(|what, ts, _| {
             assert!(!ts.is_empty(), "{what} holds traces");
             assert_eq!(ts.trace_bytes(), 26 * ts.len(), "{what}");
+        });
+    }
+
+    #[test]
+    fn every_kind_of_set_encodes_to_its_exact_length() {
+        use crate::snapshot::{
+            read_trace_chain, read_trace_set, trace_chain_encoded_len, trace_set_encoded_len,
+            write_trace_chain, write_trace_set, SnapReader, SnapWriter,
+        };
+        // Standalone and as a one-set chain, each set's bytes are
+        // exactly the length reserved for them, and the set decoded
+        // from them writes them again.
+        every_kind_of_set(|what, ts, _| {
+            let mut w = SnapWriter::new();
+            write_trace_set(&mut w, ts);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), trace_set_encoded_len(ts), "{what}");
+            let back = read_trace_set(&mut SnapReader::new(&bytes)).unwrap();
+            let mut w = SnapWriter::new();
+            write_trace_set(&mut w, &back);
+            assert!(w.bytes() == bytes, "{what} re-encodes to other bytes");
+
+            let mut w = SnapWriter::new();
+            write_trace_chain(&mut w, [ts], 0);
+            let chain = w.into_bytes();
+            assert_eq!(chain.len(), trace_chain_encoded_len([ts]), "{what} chain");
+            let back = read_trace_chain(&mut SnapReader::new(&chain), 1).unwrap();
+            let mut w = SnapWriter::new();
+            write_trace_chain(&mut w, &back, 0);
+            assert!(w.bytes() == chain, "{what} chain re-encodes to other bytes");
         });
     }
 

@@ -246,17 +246,19 @@ fn older_store_versions_are_refused_by_number() {
     // gave every shard segment a word table of its own; version 3 wrote
     // two provenance lists after each set's cells; version 4 was a
     // directory of a manifest, a word-table segment and a segment per
-    // shard. A later version is refused as well.
+    // shard; version 5 wrote 16-byte targets, a hop length column, a hop
+    // limit byte per cell and every hop id. A later version is refused
+    // as well.
     let dir = TempDir::new("store-old");
     write_sharded_snapshot(dir.path(), &sample_store(2)).unwrap();
     let set_version = |v| set_u32(&dir.file(), 4, v);
-    assert_eq!(std::fs::read(dir.file()).unwrap()[4..8], 5u32.to_le_bytes());
-    for other in [1, 2, 3, 4, 6] {
+    assert_eq!(std::fs::read(dir.file()).unwrap()[4..8], 6u32.to_le_bytes());
+    for other in [1, 2, 3, 4, 5, 7] {
         set_version(other);
         expect_decode(dir.path(), SnapshotError::BadValue("store version"));
     }
     // The edit undone: the store reads again.
-    set_version(5);
+    set_version(6);
     assert!(read_sharded_snapshot(dir.path()).unwrap() == sample_store(2));
 }
 
@@ -429,19 +431,93 @@ fn wide_sample_set_bytes() -> &'static [u8] {
     })
 }
 
+/// The hop-limit windows of [`redundant_set_bytes`]: a base above 1,
+/// and the last hop limit, so that each trace's bitmap is 1, 2 and 4
+/// bytes wide (the widest past hop limit 16, as fill mode probes).
+const WINDOWS: [(u8, u8); 3] = [(2, 9), (3, 18), (5, 36)];
+
+/// An encoded set of 48 traces as a sweep sees them: neighbouring
+/// targets share most hops, so many hops repeat the previous trace's
+/// and some do not. Target pairs share their high half, and every step
+/// of either half is several varint bytes. The hops span
+/// `WINDOWS[window]`, with gaps; some traces end in an unreachable cell
+/// or a destination response.
+fn redundant_set_bytes(window: usize) -> &'static [u8] {
+    static BYTES: [OnceLock<Vec<u8>>; 3] = [const { OnceLock::new() }; 3];
+    BYTES[window].get_or_init(|| {
+        let (first, last) = WINDOWS[window];
+        let mut records = Vec::new();
+        for t in 0..48u32 {
+            let hi = 0x2001_0db8_0000_0000_u128 + u128::from(t / 2) * 0x1_0000;
+            let lo = u128::from(t % 2 + 1) << 40 | u128::from(t);
+            let target = Ipv6Addr::from(hi << 64 | lo);
+            let record = |responder: u32, kind, ttl: u8| ResponseRecord {
+                target,
+                responder: Ipv6Addr::from(0x2001_0db8_ffff_u128 << 80 | u128::from(responder)),
+                kind,
+                probe_ttl: Some(ttl),
+                rtt_us: Some(1),
+                recv_us: u64::from(t * 64 + u32::from(ttl)),
+                target_cksum_ok: true,
+            };
+            for ttl in (first..=last).filter(|&ttl| (t * 7 + u32::from(ttl)) % 5 != 0) {
+                // A hop on the path of the target's group of four, or
+                // one of the target's own.
+                let own = (t + u32::from(ttl)).is_multiple_of(3);
+                let responder = if own { t * 64 } else { 0x8000 + t / 4 * 64 } + u32::from(ttl);
+                records.push(record(responder, ResponseKind::TimeExceeded, ttl));
+            }
+            if t % 3 == 0 {
+                let code = DestUnreachCode::NoRoute;
+                records.push(record(0xffff, ResponseKind::DestUnreachable(code), last));
+            }
+            if t % 2 == 0 {
+                records.push(record(0, ResponseKind::EchoReply, last + 1));
+            }
+        }
+        let ts = TraceSet::from_log(&ProbeLog {
+            vantage: "redundant-v".into(),
+            target_set: "redundant-s".into(),
+            records,
+            ..Default::default()
+        });
+        let hops = |idx: usize| ts.view_at(idx).hop_cells().iter().collect::<Vec<_>>();
+        let ttls = (0..ts.len()).flat_map(|idx| hops(idx).into_iter().map(|(ttl, _)| ttl));
+        assert_eq!((ttls.clone().min(), ttls.max()), (Some(first), Some(last)));
+        let repeats = (1..ts.len()).map(|idx| {
+            let prev = hops(idx - 1);
+            hops(idx).iter().filter(|cell| prev.contains(cell)).count()
+        });
+        let repeats: Vec<usize> = repeats.collect();
+        assert!(repeats.contains(&0), "a trace with no repeat");
+        assert!(repeats.iter().any(|&r| r > 1), "traces with repeats");
+        let mut w = SnapWriter::new();
+        write_trace_set(&mut w, &ts);
+        w.into_bytes()
+    })
+}
+
 proptest! {
     /// A set decoded from edited bytes is one the views can read, not
     /// only one that re-encodes: after random edits anywhere, decoding
     /// fails, or it yields a set that writes back exactly the bytes it
     /// read, whose every trace agrees with itself on its hop sequence,
     /// path length and last hop, and which canonicalizes. The edits land
-    /// on a set of one-byte ids and lengths, or on one of two-byte ones.
+    /// on a set of one-byte ids and lengths, on one of two-byte ones
+    /// (and a 32-byte hop-limit bitmap), or on one of the redundant sets:
+    /// multi-byte varints in both halves of a target, a base hop limit
+    /// above 1, bitmaps of 1, 2 and 4 bytes, traces with and without
+    /// repeats.
     #[test]
     fn prop_edited_trace_set_bytes_decode_to_a_usable_set(
-        wide in any::<bool>(),
+        fixture in 0..5usize,
         edits in prop::collection::vec((any::<u64>(), 1u8..=255), 1..4),
     ) {
-        let sample = if wide { wide_sample_set_bytes() } else { sample_set_bytes() };
+        let sample = match fixture {
+            0 => sample_set_bytes(),
+            1 => wide_sample_set_bytes(),
+            k => redundant_set_bytes(k - 2),
+        };
         let mut bytes = sample.to_vec();
         for &(at, x) in &edits {
             let n = bytes.len();
@@ -477,11 +553,14 @@ fn pinned_store(shards: usize) -> ShardedTraceSet {
 
 #[test]
 fn a_written_store_is_pinned_byte_for_byte() {
-    // Each shard count's file as `(shards, length, fnv1a)`.
+    // Each shard count's file as `(shards, length, fnv1a)`. Re-pinned
+    // once at store version 6, when a set came to be written by its
+    // redundancy (varint target steps, hop-limit bitmaps, repeat bits):
+    // 13 071 bytes at version 5.
     let pins: [(usize, u64, u64); 3] = [
-        (1, 13071, 0xa0609c86430bb0b3),
-        (3, 13071, 0x6248f587a2134346),
-        (8, 13071, 0x83af6ee6c9191bad),
+        (1, 9320, 0x1d03f316c6cda71e),
+        (3, 9320, 0x775f8e22a26e070d),
+        (8, 9320, 0x7a96d6fd3d6f0bac),
     ];
     let mut files = Vec::new();
     let mut got = Vec::new();

@@ -4,8 +4,10 @@
 //! This crate never depends on the umbrella crate, so the caller
 //! decodes (`Checkpoint::from_bytes(bytes)?.traces()`) and hands the
 //! decoded sets in. Their span is found by re-encoding them as the
-//! checkpoint does, one chain ([`write_trace_chain`]), and locating
-//! those bytes in the checkpoint. The fixed parts are the encoding's
+//! checkpoint does, one chain ([`write_trace_chain`]), and locating the
+//! start of those bytes in the checkpoint; the re-encoding also cuts the
+//! span set by set, so a moved trace-set row names the first set whose
+//! bytes are not its re-encoding. The fixed parts are the encoding's
 //! own: an 8-byte magic and version, an 8-byte configuration digest,
 //! and an 8-byte trailer. The scalars before the trace sets are the
 //! budgeter's weights and liveness, the discovery set, the subnets, the
@@ -16,7 +18,7 @@
 //! alias groups and the tested set; the decoder rebuilds the router
 //! graph from those and the trace sets).
 
-use analysis::snapshot::{fnv1a, write_trace_chain};
+use analysis::snapshot::{fnv1a, trace_chain_encoded_len, write_trace_chain};
 use analysis::{SnapWriter, TraceSet};
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -34,26 +36,56 @@ pub const SECTIONS: [&str; 7] = [
     "whole file",
 ];
 
+/// Index of the trace-set row in [`SECTIONS`].
+const TRACE_SETS: usize = 3;
+
+/// Bytes of the re-encoded chain that locate it in a checkpoint: its
+/// first table length and the first words of that table.
+const ANCHOR: usize = 64;
+
 /// One pin: a section's length in bytes and its FNV-1a.
 pub type Pin = (usize, u64);
 
-/// The byte range of each of [`SECTIONS`] in the checkpoint `bytes`,
-/// whose decoded trace sets are `sets`. Panics if the re-encoded sets
-/// are not in `bytes`, or if there are none.
-pub fn sections<'a>(
-    bytes: &[u8],
-    sets: impl IntoIterator<Item = &'a TraceSet>,
-) -> [Range<usize>; 7] {
+/// `sets` re-encoded as the checkpoint writes them, one chain, and each
+/// set's span in it (its table length and new words included).
+fn chain<'a>(sets: impl IntoIterator<Item = &'a TraceSet>) -> (Vec<u8>, Vec<Range<usize>>) {
+    let sets: Vec<&TraceSet> = sets.into_iter().collect();
     let mut w = SnapWriter::new();
-    write_trace_chain(&mut w, sets);
-    let sets = w.into_bytes();
-    assert!(!sets.is_empty(), "a checkpoint with no trace sets");
-    let start = 16
-        + bytes[16..]
-            .windows(sets.len())
-            .position(|w| w == sets)
-            .expect("the checkpoint holds its trace sets inline");
-    let (end, n) = (start + sets.len(), bytes.len());
+    write_trace_chain(&mut w, sets.iter().copied(), 0);
+    let mut start = 0;
+    let spans = (1..=sets.len())
+        .map(|k| {
+            let end = trace_chain_encoded_len(sets[..k].iter().copied());
+            std::mem::replace(&mut start, end)..end
+        })
+        .collect();
+    (w.into_bytes(), spans)
+}
+
+/// The byte range of each of [`SECTIONS`] in the checkpoint `bytes`,
+/// whose decoded trace sets re-encode to `chain`. The chain starts at
+/// the place its first [`ANCHOR`] bytes occur (the discovery set, in
+/// the scalars before it, can spell the same words) that agrees with the
+/// re-encoding for the longest prefix, and is as long as the
+/// re-encoding. Panics if the chain is empty or its start is not in
+/// `bytes`.
+fn sections(bytes: &[u8], chain: &[u8]) -> [Range<usize>; 7] {
+    assert!(!chain.is_empty(), "a checkpoint with no trace sets");
+    let anchor = &chain[..chain.len().min(ANCHOR)];
+    let agrees = |at: usize| {
+        let written = &bytes[at..];
+        chain
+            .iter()
+            .zip(written)
+            .take_while(|(a, b)| a == b)
+            .count()
+    };
+    let start = (16..bytes.len().saturating_sub(anchor.len() - 1))
+        .filter(|&at| bytes[at..].starts_with(anchor))
+        .max_by_key(|&at| (agrees(at), std::cmp::Reverse(at)))
+        .expect("the checkpoint holds its trace sets inline");
+    let n = bytes.len();
+    let end = (start + chain.len()).min(n - 8);
     [
         0..8,
         8..16,
@@ -67,13 +99,18 @@ pub fn sections<'a>(
 
 /// Every section of `bytes` whose pin is not the one in `pinned`, a
 /// line each with its byte range, then the whole table to re-pin from.
-/// Empty when nothing moved.
+/// A moved trace-set row also names the first set of the chain whose
+/// bytes differ from its re-encoding, and the offset inside it, or says
+/// that every set re-encodes to its own bytes (the layout or the sets
+/// moved, not the round trip). Empty when nothing moved.
 pub fn moved<'a>(
     bytes: &[u8],
     sets: impl IntoIterator<Item = &'a TraceSet>,
     pinned: &[Pin; 7],
 ) -> String {
-    let ranges = sections(bytes, sets);
+    let sets: Vec<&TraceSet> = sets.into_iter().collect();
+    let (chain, spans) = chain(sets.iter().copied());
+    let ranges = sections(bytes, &chain);
     let now = ranges.clone().map(|r| (r.len(), fnv1a(&bytes[r])));
     if now == *pinned {
         return String::new();
@@ -87,6 +124,102 @@ pub fn moved<'a>(
             );
         }
     }
+    if now[TRACE_SETS] != pinned[TRACE_SETS] {
+        let written = &bytes[ranges[TRACE_SETS].start..];
+        let differs = chain
+            .iter()
+            .zip(written)
+            .position(|(a, b)| a != b)
+            .or((written.len() < chain.len()).then_some(written.len()));
+        let _ = match differs {
+            Some(at) => {
+                let k = spans.iter().position(|s| s.contains(&at)).unwrap_or(0);
+                let set = sets[k];
+                writeln!(
+                    out,
+                    "    set {k} of {} ({} / {}, bytes {:?} of the row) differs from its \
+                     re-encoding at byte {} inside it",
+                    sets.len(),
+                    set.vantage,
+                    set.target_set,
+                    spans[k],
+                    at - spans[k].start
+                )
+            }
+            None => writeln!(
+                out,
+                "    each of the {} sets re-encodes to its own bytes",
+                sets.len()
+            ),
+        };
+    }
     let _ = writeln!(out, "  now: {now:?}");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two sets on one table, their chain, and a checkpoint-shaped
+    /// buffer around it: 16 header bytes, 69 scalar bytes that start
+    /// with the chain's first 64 (as a discovery set of the table's
+    /// words can), the chain, 3 tail bytes, an 8-byte trailer.
+    fn fixture() -> (Vec<TraceSet>, Vec<u8>, Range<usize>) {
+        let set = |vantage: &str, target: u128| {
+            let records = (1..=3u8)
+                .map(|ttl| yarrp6::ResponseRecord {
+                    target: std::net::Ipv6Addr::from(target),
+                    responder: std::net::Ipv6Addr::from(0xa + u128::from(ttl)),
+                    kind: yarrp6::ResponseKind::TimeExceeded,
+                    probe_ttl: Some(ttl),
+                    rtt_us: Some(1),
+                    recv_us: 0,
+                    target_cksum_ok: true,
+                })
+                .collect();
+            TraceSet::from_log(&yarrp6::ProbeLog {
+                vantage: vantage.into(),
+                target_set: "t".into(),
+                records,
+                ..Default::default()
+            })
+        };
+        let mut sets = vec![set("A", 1 << 64), set("B", 2 << 64)];
+        TraceSet::rebase(&mut Default::default(), sets.iter_mut());
+        let (chain, _) = chain(&sets);
+        let mut bytes = vec![0; 16];
+        bytes.extend_from_slice(&chain[..ANCHOR]);
+        bytes.extend_from_slice(&[0; 5]);
+        bytes.extend_from_slice(&chain);
+        bytes.extend_from_slice(&[0; 11]);
+        let span = 85..85 + chain.len();
+        (sets, bytes, span)
+    }
+
+    #[test]
+    fn a_moved_trace_set_row_names_the_first_set_that_differs() {
+        let (sets, mut bytes, span) = fixture();
+        let ranges = sections(&bytes, &chain(&sets).0);
+        assert_eq!(ranges[TRACE_SETS], span);
+        let mut pinned = ranges.map(|r| (r.len(), fnv1a(&bytes[r])));
+        assert_eq!(moved(&bytes, &sets, &pinned), "");
+        // A pin of other sets: the row moved, and every set round-trips.
+        pinned[TRACE_SETS].1 ^= 1;
+        let report = moved(&bytes, &sets, &pinned);
+        assert!(report.contains("trace sets moved"), "{report}");
+        assert!(report.contains("each of the 2 sets re-encodes"), "{report}");
+        // A byte 30 from the end of the second set differs.
+        let (_, spans) = chain(&sets);
+        let at = span.start + spans[1].end - 30;
+        bytes[at] ^= 1;
+        let report = moved(&bytes, &sets, &pinned);
+        let inside = spans[1].len() - 30;
+        let want = format!("set 1 of 2 (B / t, bytes {:?} of the row)", spans[1]);
+        assert!(report.contains(&want), "{report}");
+        assert!(
+            report.contains(&format!("at byte {inside} inside it")),
+            "{report}"
+        );
+    }
 }

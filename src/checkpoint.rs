@@ -41,7 +41,7 @@ use crate::adaptive::{
     yield_per_kprobe, AdaptiveConfig, AliasState, DeltaState, LoopState, RoundReport, VantageRound,
 };
 use aliasres::RouterGraphBuilder;
-use analysis::snapshot::{fnv1a, read_trace_chain, trace_chain_encoded_len, write_trace_chain};
+use analysis::snapshot::{fnv1a, read_trace_chain, write_trace_chain};
 use analysis::{SnapReader, SnapWriter, SnapshotError, TraceSet, MAX_SHARDS};
 use simnet::{EngineStats, Topology};
 use std::collections::BTreeSet;
@@ -52,7 +52,11 @@ use yarrp6::addrset::AddrSet;
 
 /// `"BHCK"` — beholder checkpoint.
 const MAGIC: u32 = 0x4248_434B;
-/// Version 10 writes trace sets without the per-trace provenance lists
+/// Version 11 writes each trace set by its redundancy
+/// ([`analysis::snapshot`]'s layout): targets as varint steps, hop limits
+/// as one bitmap a trace over a per-set window, and a second bitmap of
+/// the hops that repeat the previous trace's in place of their ids.
+/// Version 10 wrote trace sets without the per-trace provenance lists
 /// ([`analysis::snapshot`]'s layout lost them), and round reports
 /// without the four fields the loop derives from others: the round
 /// index (its position), the target count (its round list's length),
@@ -68,9 +72,9 @@ const MAGIC: u32 = 0x4248_434B;
 /// trace lengths packed at the width its data needs, and no offsets.
 /// Version 5 had the same [`checksum`] trailer over 4-byte ids and
 /// stored offsets; version 4 numbered a directory form that no longer
-/// exists and is never reused. Any other version, v3 and v5 to v9
+/// exists and is never reused. Any other version, v3 and v5 to v10
 /// included, is refused by number.
-const VERSION: u32 = 10;
+const VERSION: u32 = 11;
 /// Bytes of the trailing checksum.
 const TRAILER: usize = 8;
 
@@ -181,9 +185,8 @@ impl Checkpoint {
         write_list(&mut w, &st.rounds, write_round);
         write_list(&mut w, &st.round_targets, |w, rt| write_addrs(w, rt));
         w.u32(st.traces.len() as u32);
-        let sets = || st.traces.iter().map(|ts| &**ts);
-        w.reserve(trace_chain_encoded_len(sets()) + tail.bytes().len() + TRAILER);
-        write_trace_chain(&mut w, sets());
+        let sets = st.traces.iter().map(|ts| &**ts);
+        write_trace_chain(&mut w, sets, tail.bytes().len() + TRAILER);
         w.raw(tail.bytes());
         let sum = checksum(w.bytes());
         w.u64(sum);

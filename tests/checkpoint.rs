@@ -457,43 +457,42 @@ fn a_state_that_does_not_fit_its_config_is_refused() {
     assert_eq!(resume(&aliased), Err(ResumeError::ConfigMismatch));
 }
 
-/// Offset of the first hop cell's hop limit inside the first set's entry
-/// of a checkpoint's trace chain: its table length and as many words
-/// (the first set adds them all), two strings, a `u64`, the targets,
-/// two length columns (a width byte, then a length per target at that
-/// width), a `reached_at` tag per target (and its value when set), the
-/// hop count, then the hop limits.
-fn first_hop_cell(set: &[u8]) -> usize {
+/// Offset of the hop-limit base inside the first set's entry of a
+/// checkpoint's trace chain: its table length and as many words (the
+/// first set adds them all), two strings, a `u64`, the target count and
+/// two varints a target, then the base.
+fn hop_limit_base(set: &[u8]) -> usize {
     let count = |at: usize| u32::from_le_bytes(set[at..at + 4].try_into().unwrap()) as usize;
     let mut at = 4 + 16 * count(0);
     at += 4 + count(at);
     at += 4 + count(at) + 8;
     let targets = count(at);
-    at += 4 + 16 * targets;
-    for _lengths in 0..2 {
-        at += 1 + targets * usize::from(set[at]);
+    at += 4;
+    for _varint in 0..2 * targets {
+        while set[at] & 0x80 != 0 {
+            at += 1;
+        }
+        at += 1;
     }
-    for _ in 0..targets {
-        at += if set[at] == 1 { 2 } else { 1 };
-    }
-    assert!(count(at) > 0, "the set has hop cells");
-    at + 4
+    assert!(set[at + 1] > 0, "the set has hop cells");
+    at
 }
 
 #[test]
 fn a_flipped_hop_cell_fails_the_checksum() {
-    // A hop cell's TTL takes any value, so no range check of the body
+    // A set's hop cells shift with its hop-limit base, which takes any
+    // value its bitmaps leave room for, so no range check of the body
     // can see this edit: only the seal does.
     let (bytes, res) = small_checkpoint();
     let mut w = SnapWriter::new();
-    write_trace_chain(&mut w, [&res.traces[0]]);
+    write_trace_chain(&mut w, [&res.traces[0]], 0);
     let set = w.into_bytes();
     let at = bytes
         .windows(set.len())
         .position(|w| w == set)
         .expect("the checkpoint holds the set inline");
     let mut bad = bytes.clone();
-    bad[at + first_hop_cell(&set)] ^= 0x01;
+    bad[at + hop_limit_base(&set)] ^= 0x01;
     assert_eq!(
         Checkpoint::from_bytes(&bad).unwrap_err(),
         SnapshotError::BadValue("checkpoint checksum")
@@ -514,8 +513,9 @@ fn older_versions_are_refused_by_number() {
     // are derived from; version 8 wrote the router-graph builder's
     // forest and a delta run's prior store shard by shard; version 9
     // wrote two provenance lists per trace set and four round-report
-    // fields the loop derives.
-    for version in [3u32, 4, 5, 6, 7, 8, 9] {
+    // fields the loop derives; version 10 wrote 16-byte targets, a hop
+    // length column, a hop limit byte per cell and every hop id.
+    for version in [3u32, 4, 5, 6, 7, 8, 9, 10] {
         let mut old = bytes.clone();
         old[4..8].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -623,23 +623,29 @@ proptest! {
 /// set) and round reports the four fields the loop derives (32 bytes a
 /// round): the header, pre-trace scalars, trace-set and trailer rows
 /// moved, and the config digest and tail rows are version 9's.
+/// Re-pinned at version 11, when trace sets came to be written by their
+/// redundancy (varint target steps, hop-limit bitmaps, repeat bits in
+/// place of the ids they spell): the header, trace-set and trailer rows
+/// moved (the trace-set row to 54 % of its bytes in round 1, 44 % in the
+/// last), every set re-encodes to its own bytes, and every other row is
+/// version 10's.
 const PINNED_ROUND_1: [Pin; 7] = [
-    (8, 3035584561083054907),
+    (8, 9954613286778322602),
     (8, 12423028813639569097),
     (8092, 4345599837432682095),
-    (26207, 6007800465457257297),
+    (14162, 4963674623334811399),
     (13838, 15805825004169618340),
-    (8, 13320886932539926783),
-    (48161, 4205062259340199914),
+    (8, 11791801258445758273),
+    (36116, 14379836306074912755),
 ];
 const PINNED_LAST_ROUND: [Pin; 7] = [
-    (8, 3035584561083054907),
+    (8, 9954613286778322602),
     (8, 12423028813639569097),
     (18678, 7340103671600431927),
-    (84795, 14089843524446264176),
+    (37537, 11288425151935715024),
     (14502, 1966818285951231370),
-    (8, 11366029224695890734),
-    (117999, 11543566492467907156),
+    (8, 3915861607453116481),
+    (70741, 5783065464436085564),
 ];
 
 /// Fails unless every section of `bytes` matches its row of `pinned`,
@@ -672,22 +678,22 @@ fn checkpoint_format_is_pinned() {
 /// result can show a leak (nothing reads the pool after the stop); only
 /// these bytes can. Re-pinned with the two above, and in the same rows.
 const PINNED_YIELD_FLOOR_LAST: [Pin; 7] = [
-    (8, 3035584561083054907),
+    (8, 9954613286778322602),
     (8, 16338742832451936537),
     (13448, 15711635806003666477),
-    (55656, 1458560021468691557),
+    (26099, 16734393628168188072),
     (14374, 7188293949205612528),
-    (8, 10255298552820243855),
-    (83502, 1254613679692909000),
+    (8, 11072035260675251738),
+    (53945, 17082298834989028159),
 ];
 const PINNED_BUDGET_LAST: [Pin; 7] = [
-    (8, 3035584561083054907),
+    (8, 9954613286778322602),
     (8, 10288825219387128118),
     (20532, 7290916853497758361),
-    (94544, 6262277711903326960),
+    (41903, 13775107903167569370),
     (15046, 7935278299366144559),
-    (8, 8504717365369095675),
-    (130146, 9591829404511709497),
+    (8, 7684910743803663256),
+    (77505, 9497566426840804045),
 ];
 
 #[test]
