@@ -40,11 +40,14 @@
 //! Every varint, width and base is the minimal one, and a repeat bit is
 //! set exactly where it can be, so a set has one encoding.
 //!
-//! [`write_trace_chain`] / [`read_trace_chain`] snapshot a list of sets
-//! whose tables form a prefix chain (each table's words start with the
-//! previous one's) and write each word once: per set, its table's
-//! length, the words past the previous set's, then the set without its
-//! table. The adaptive checkpoint's trace record is such a chain.
+//! [`write_ascending`] / [`read_ascending`] write any strictly ascending
+//! address list as the target column is written, a count and then two
+//! varints an address.
+//!
+//! [`write_trace_record`] / [`read_trace_record`] snapshot a list of sets
+//! that share one word table (the adaptive checkpoint's trace record):
+//! the table once, then each set without it. Decoding builds the one
+//! table and hands it to every set.
 //!
 //! [`write_sharded_snapshot`] / [`read_sharded_snapshot`] persist a
 //! store as one file: a header, the shard count, the store's one set in
@@ -401,6 +404,28 @@ pub(crate) fn trace_set_encoded_len(ts: &TraceSet) -> usize {
     Widths::of(ts).encoded_len(ts, true)
 }
 
+/// Appends `addrs`, strictly ascending, as a set's target column is
+/// written: a `u32` count, then each address as two varints, its high
+/// half's step over the previous address's and its low half xor the
+/// previous address's (the first against zero). A list that does not
+/// strictly ascend is written as given, and [`read_ascending`] refuses
+/// it. Inverse of [`read_ascending`].
+pub fn write_ascending(w: &mut SnapWriter, addrs: &[Ipv6Addr]) {
+    w.u32(addrs.len() as u32);
+    for (hi, lo) in target_steps(addrs) {
+        w.varint(hi);
+        w.varint(lo);
+    }
+}
+
+/// Reads what [`write_ascending`] wrote: a list that does not strictly
+/// ascend is `"target order"`, and a count the rest of the input cannot
+/// hold at two bytes an address is [`SnapshotError::Truncated`].
+pub fn read_ascending(r: &mut SnapReader<'_>) -> Result<Vec<Ipv6Addr>, SnapshotError> {
+    let n = r.count(2)?;
+    read_targets(r, n)
+}
+
 /// Serializes a [`TraceSet`]: the interner as its word list in id
 /// order, the targets as varint steps, the hop-limit window and each
 /// trace's two bitmaps (answered, repeats the previous trace), the ids
@@ -414,26 +439,27 @@ pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
     write_set(w, ts, &widths, true);
 }
 
-/// [`write_trace_set`] at the given widths, the word table (its count,
-/// then its words in id order) left out unless `with_table`: a chain's
-/// set shares its chain's. The caller reserves.
+/// A word table: its count, then its words in id order.
+fn write_words(w: &mut SnapWriter, table: &AddrInterner) {
+    w.u32(table.len() as u32);
+    for &word in table.words() {
+        w.u128(word);
+    }
+}
+
+/// [`write_trace_set`] at the given widths, the word table left out
+/// unless `with_table`: a record's set shares its record's. The caller
+/// reserves.
 fn write_set(w: &mut SnapWriter, ts: &TraceSet, widths: &Widths, with_table: bool) {
     let start = w.buf.len();
     w.str(&ts.vantage);
     w.str(&ts.target_set);
     w.u64(ts.rewritten_dropped);
     if with_table {
-        w.u32(ts.interner.len() as u32);
-        for &word in ts.interner.words() {
-            w.u128(word);
-        }
+        write_words(w, &ts.interner);
     }
     let cols = &ts.cols;
-    w.u32(cols.targets.len() as u32);
-    for (hi, lo) in target_steps(&cols.targets) {
-        w.varint(hi);
-        w.varint(lo);
-    }
+    write_ascending(w, &cols.targets);
     w.u8(widths.base);
     w.u8(widths.bitmap as u8);
     match (widths.id, widths.bitmap) {
@@ -596,94 +622,51 @@ pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError>
     read_set(r, None)
 }
 
-/// The exact number of bytes [`write_trace_chain`] appends for `sets`.
-pub fn trace_chain_encoded_len<'a>(sets: impl IntoIterator<Item = &'a TraceSet>) -> usize {
-    sized_chain(sets).map(|(_, _, len)| len).sum()
-}
-
-/// Each set of a chain with its widths and the length of its entry: its
-/// table length, the words past the previous set's, then the set.
-fn sized_chain<'a>(
-    sets: impl IntoIterator<Item = &'a TraceSet>,
-) -> impl Iterator<Item = (&'a TraceSet, Widths, usize)> {
-    let mut prev = 0;
-    sets.into_iter().map(move |ts| {
-        let n = ts.interner.len();
-        let added = n.saturating_sub(std::mem::replace(&mut prev, n));
-        let widths = Widths::of(ts);
-        let len = 4 + 16 * added + widths.encoded_len(ts, false);
-        (ts, widths, len)
-    })
-}
-
-/// Serializes a chain of trace sets, each reading a table whose words
-/// start with the previous set's (the adaptive loop's record: one table
-/// per round, each a prefix of the next). Each word is written once:
-/// per set, the length of its table, the words past the previous set's
-/// length, then the set in the [`write_trace_set`] layout without its
-/// table. Sets that share a table write no words after the first, so a
-/// run of sets and their new words is one contiguous span. Reserves
-/// once: the chain's exact length and `room_after` bytes more, for what
-/// the caller writes next. Panics if a table does not extend the
-/// previous one. Inverse of [`read_trace_chain`]; the count of sets is
-/// the caller's to write.
-pub fn write_trace_chain<'a>(
+/// Serializes a trace record, sets that share one word table (the
+/// adaptive loop's record): a `u32` count of sets, then, when there are
+/// any, their table once (its length, then its words in id order), then
+/// each set in the [`write_trace_set`] layout without its table. Reserves once: the
+/// record's exact length and `room_after` bytes more, for what the
+/// caller writes next. Panics if a set reads another table than the
+/// first set's. Inverse of [`read_trace_record`].
+pub fn write_trace_record<'a>(
     w: &mut SnapWriter,
     sets: impl IntoIterator<Item = &'a TraceSet>,
     room_after: usize,
 ) {
-    let sized: Vec<_> = sized_chain(sets).collect();
-    w.reserve(sized.iter().map(|(_, _, len)| len).sum::<usize>() + room_after);
-    let mut prev: Option<&Arc<AddrInterner>> = None;
-    for (ts, widths, _) in &sized {
-        let table = &ts.interner;
-        let done = prev.map_or(&[][..], |p| p.words());
-        assert!(
-            prev.is_some_and(|p| Arc::ptr_eq(p, table)) || table.words().starts_with(done),
-            "each table of a trace chain extends the previous one"
-        );
-        w.u32(table.len() as u32);
-        for &word in &table.words()[done.len()..] {
-            w.u128(word);
-        }
+    let sized: Vec<_> = sets.into_iter().map(|ts| (ts, Widths::of(ts))).collect();
+    let table = sized.first().map(|(ts, _)| &ts.interner);
+    assert!(
+        sized
+            .iter()
+            .all(|(ts, _)| table.is_some_and(|t| Arc::ptr_eq(t, &ts.interner))),
+        "every set of a trace record shares one table"
+    );
+    let table_bytes = table.map_or(0, |t| 4 + 16 * t.len());
+    let set_bytes: usize = sized.iter().map(|(ts, wd)| wd.encoded_len(ts, false)).sum();
+    w.reserve(4 + table_bytes + set_bytes + room_after);
+    w.u32(sized.len() as u32);
+    if let Some(table) = table {
+        write_words(w, table);
+    }
+    for (ts, widths) in &sized {
         write_set(w, ts, widths, false);
-        prev = Some(table);
     }
 }
 
-/// Deserializes `n` sets written by [`write_trace_chain`]. Sets of one
-/// table length share one table, and each longer table is the previous
-/// one extended, so the decoded chain holds what the encoded one did. A
-/// table length below the previous set's, one past what the input
-/// holds, a word repeated across the increments or an id at or past its
-/// set's table length is a [`SnapshotError::BadValue`]; each set is
-/// checked as [`read_trace_set`] checks one.
-pub fn read_trace_chain(r: &mut SnapReader<'_>, n: usize) -> Result<Vec<TraceSet>, SnapshotError> {
-    let mut table: Arc<AddrInterner> = Arc::default();
+/// Deserializes what [`write_trace_record`] wrote: one table, which
+/// every set shares, its ids resolving in it. A repeated word or an id
+/// at or past the table's length is a [`SnapshotError::BadValue`]; each
+/// set is checked as [`read_trace_set`] checks one.
+pub fn read_trace_record(r: &mut SnapReader<'_>) -> Result<Vec<TraceSet>, SnapshotError> {
+    let n = r.u32()? as usize;
     // Not reserved from `n`, which came out of the input.
     let mut sets = Vec::new();
-    for _ in 0..n {
-        let len = r.u32()? as usize;
-        let added = len.checked_sub(table.len()).ok_or(SnapshotError::BadValue(
-            "trace table length below the previous set's",
-        ))?;
-        if added.saturating_mul(16) > r.remaining() {
-            return Err(SnapshotError::BadValue("trace table length past the input"));
+    if n > 0 {
+        let table = Arc::new(read_words(r)?);
+        for _ in 0..n {
+            sets.push(read_set(r, Some(&table))?);
         }
-        if added > 0 {
-            let mut next = AddrInterner::clone(&table);
-            for _ in 0..added {
-                next.intern(Ipv6Addr::from(r.u128()?));
-            }
-            if next.len() != len {
-                return Err(SnapshotError::BadValue("duplicate interner word"));
-            }
-            // The clone is exact, so its first new word doubled its word
-            // column; held at its length, as a live run's rebase holds it.
-            next.shrink_words();
-            table = Arc::new(next);
-        }
-        sets.push(read_set(r, Some(&table))?);
     }
     Ok(sets)
 }
@@ -701,7 +684,7 @@ fn read_words(r: &mut SnapReader<'_>) -> Result<AddrInterner, SnapshotError> {
     Ok(table)
 }
 
-/// Reads `n` targets written as [`target_steps`]: strictly ascending,
+/// Reads `n` addresses written as [`target_steps`]: strictly ascending,
 /// else `"target order"`.
 fn read_targets(r: &mut SnapReader<'_>, n: usize) -> Result<Vec<Ipv6Addr>, SnapshotError> {
     let mut targets = Vec::with_capacity(n);
@@ -1824,13 +1807,13 @@ mod tests {
         assert!(shared(&back) && back == merged);
     }
 
-    /// Two rounds of a loop's record: `sample` and a one-trace set on one
-    /// table, then a set that adds a word, on the next.
-    fn chain() -> Vec<TraceSet> {
+    /// A loop's record: `sample`, and two one-trace sets, the last of
+    /// which adds a word, all three on one table.
+    fn record() -> Vec<TraceSet> {
         let set = |target: &str, hop: &str| {
             TraceSet::from_log(&ProbeLog {
                 vantage: "V".into(),
-                target_set: "chain".into(),
+                target_set: "record".into(),
                 records: vec![rec(target, hop, ResponseKind::TimeExceeded, Some(1))],
                 ..Default::default()
             })
@@ -1840,67 +1823,58 @@ mod tests {
             set("2001:db8::5", "::a"),
             set("2001:db8::7", "::d"),
         ];
-        let mut table = Arc::default();
-        let (first, last) = sets.split_at_mut(2);
-        TraceSet::rebase(&mut table, first.iter_mut());
-        TraceSet::rebase(&mut table, last.iter_mut());
+        TraceSet::rebase(&mut Arc::default(), sets.iter_mut());
         sets
     }
 
-    fn encode_chain(sets: &[TraceSet]) -> Vec<u8> {
+    fn encode_record(sets: &[TraceSet]) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        write_trace_chain(&mut w, sets, 0);
+        write_trace_record(&mut w, sets, 0);
         w.into_bytes()
     }
 
-    fn decode_chain(bytes: &[u8], n: usize) -> Result<Vec<TraceSet>, SnapshotError> {
+    fn decode_record(bytes: &[u8]) -> Result<Vec<TraceSet>, SnapshotError> {
         let mut r = SnapReader::new(bytes);
-        let sets = read_trace_chain(&mut r, n)?;
+        let sets = read_trace_record(&mut r)?;
         assert_eq!(r.remaining(), 0);
         Ok(sets)
     }
 
     #[test]
-    fn a_trace_chain_writes_each_word_once_and_round_trips() {
-        let sets = chain();
-        let (first, last) = (&sets[0].interner, &sets[2].interner);
-        assert!(Arc::ptr_eq(first, &sets[1].interner) && (first.len(), last.len()) == (3, 4));
-        let bytes = encode_chain(&sets);
-        assert_eq!(bytes.len(), trace_chain_encoded_len(&sets));
+    fn a_trace_record_writes_its_table_once_and_round_trips() {
+        let sets = record();
+        let table = &sets[0].interner;
+        assert!(sets.iter().all(|s| Arc::ptr_eq(&s.interner, table)) && table.len() == 4);
+        let bytes = encode_record(&sets);
         let own: usize = sets
             .iter()
             .map(|s| Widths::of(s).encoded_len(s, false))
             .sum();
-        assert_eq!(
-            bytes.len(),
-            own + 3 * 4 + 16 * 4,
-            "three lengths, four words"
-        );
-        let back = decode_chain(&bytes, 3).unwrap();
+        assert_eq!(bytes.len(), own + 4 + 4 + 16 * 4, "a count, four words");
+        let back = decode_record(&bytes).unwrap();
         assert_eq!(back, sets);
-        assert!(Arc::ptr_eq(&back[0].interner, &back[1].interner));
-        assert!(back[2]
-            .interner
-            .words()
-            .starts_with(back[0].interner.words()));
-        assert_eq!(encode_chain(&back), bytes);
+        assert!(back
+            .iter()
+            .all(|s| Arc::ptr_eq(&s.interner, &back[0].interner)));
+        assert_eq!(encode_record(&back), bytes);
         for cut in 0..bytes.len() {
-            assert!(read_trace_chain(&mut SnapReader::new(&bytes[..cut]), 3).is_err());
+            assert!(read_trace_record(&mut SnapReader::new(&bytes[..cut])).is_err());
         }
+        // No set, no table: the count alone.
+        assert_eq!(encode_record(&[]), [0; 4]);
+        assert_eq!(decode_record(&[0; 4]), Ok(Vec::new()));
     }
 
     #[test]
-    fn a_decoded_chain_holds_no_spare_words() {
-        // Three rounds of a loop's record, as a live run's rebase builds
-        // them: each round's two sets on a table that extends the last
-        // round's. Decoding builds each longer table from a copy of the
-        // last one, whose word vector, doubled, would end with spare
-        // words in every round at these sizes.
+    fn a_decoded_record_holds_no_spare_words() {
+        // Three rounds of a loop's record, each round's two sets rebased
+        // onto the one table. A table grown word by word would end with
+        // spare words at these sizes; the decoder reads it at its length.
         let words = |n: u32, v: u32| 5 + 3 * v + n;
         let mut table = Arc::default();
         let mut sets = Vec::new();
         for n in 0..3 {
-            let mut round: Vec<TraceSet> = (0..2)
+            let round: Vec<TraceSet> = (0..2)
                 .map(|v| {
                     let records = (0..words(n, v))
                         .map(|i| {
@@ -1911,74 +1885,121 @@ mod tests {
                         .collect();
                     TraceSet::from_log(&ProbeLog {
                         vantage: "V".into(),
-                        target_set: "chain".into(),
+                        target_set: "record".into(),
                         records,
                         ..Default::default()
                     })
                 })
                 .collect();
-            TraceSet::rebase(&mut table, round.iter_mut());
             sets.extend(round);
+            TraceSet::rebase(&mut table, sets.iter_mut());
         }
-        let back = decode_chain(&encode_chain(&sets), sets.len()).unwrap();
+        let back = decode_record(&encode_record(&sets)).unwrap();
         assert_eq!(back, sets);
-        let mut total = 0;
-        for (k, pair) in back.chunks(2).enumerate() {
-            let n = k as u32;
-            total += (words(n, 0) + words(n, 1)) as usize;
-            assert!(Arc::ptr_eq(&pair[0].interner, &pair[1].interner));
-            assert_eq!(pair[0].interner.len(), total);
-            assert_eq!(pair[0].interner.spare_words(), 0, "round {n}");
-        }
+        assert_eq!(back[0].interner.len(), 45);
+        assert_eq!(back[0].interner.spare_words(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "each table of a trace chain extends the previous one")]
-    fn a_table_that_does_not_extend_the_last_is_not_a_chain() {
-        let mut sets = chain();
-        sets.swap(0, 2);
-        encode_chain(&sets);
-    }
-
-    /// One chain entry written field by field: a table length, the
-    /// words it adds, then a set of one trace with the given hop cells
-    /// at ids as wide as `len` implies.
-    fn entry(w: &mut SnapWriter, len: u32, words: &[u128], hops: &[(u8, u32)]) {
-        w.u32(len);
-        words.iter().for_each(|&word| w.u128(word));
-        Raw::of(len, &[(hops, &[])]).write(w, false);
+    #[should_panic(expected = "every set of a trace record shares one table")]
+    fn sets_on_two_tables_are_not_a_record() {
+        let mut sets = record();
+        sets.push(sample());
+        encode_record(&sets);
     }
 
     #[test]
-    fn corrupt_trace_chains_are_refused() {
-        type Entry<'a> = (u32, &'a [u128], &'a [(u8, u32)]);
-        // Two entries: the first reads [0xa, 0xb], the second as given.
-        let chain = |first: Entry<'_>, second: Entry<'_>| {
+    fn corrupt_trace_records_are_refused() {
+        // Two sets of one trace each on the table [0xa, 0xb, 0xc], each
+        // with the given hop cells.
+        let record = |words: [u128; 3], hops: [&[(u8, u32)]; 2]| {
             let mut w = SnapWriter::new();
-            for (len, words, hops) in [first, second] {
-                entry(&mut w, len, words, hops);
+            w.u32(2);
+            w.u32(3);
+            words.iter().for_each(|&word| w.u128(word));
+            for cells in hops {
+                Raw::of(3, &[(cells, &[])]).write(&mut w, false);
             }
-            decode_chain(&w.into_bytes(), 2)
+            decode_record(&w.into_bytes())
         };
-        let first: Entry<'_> = (2, &[0xa, 0xb], &[(1, 1)]);
-        let sets = chain(first, (3, &[0xc], &[(1, 2)])).unwrap();
-        assert!(sets[1]
-            .interner
-            .words()
-            .starts_with(sets[0].interner.words()));
+        let sets = record([0xa, 0xb, 0xc], [&[(1, 1)], &[(1, 2)]]).unwrap();
+        assert!(Arc::ptr_eq(&sets[0].interner, &sets[1].interner));
+        assert_eq!(sets[1].interner.resolve(2), Ipv6Addr::from(0xc));
         let bad = |what| Err(SnapshotError::BadValue(what));
-        let below = "trace table length below the previous set's";
-        assert_eq!(chain(first, (1, &[], &[(1, 0)])), bad(below));
-        let past = "trace table length past the input";
-        assert_eq!(chain(first, (1000, &[0xc], &[(1, 2)])), bad(past));
-        // A word the first set's increment already added.
-        let repeat = "duplicate interner word";
-        assert_eq!(chain(first, (3, &[0xa], &[(1, 2)])), bad(repeat));
-        // Id 2 is in the second set's table, not in the first's.
-        let beyond: Entry<'_> = (2, &[0xa, 0xb], &[(1, 2)]);
+        let repeat = record([0xa, 0xb, 0xa], [&[(1, 1)], &[(1, 2)]]);
+        assert_eq!(repeat, bad("duplicate interner word"));
+        // Id 3 is past the table, in either set.
+        let beyond = record([0xa, 0xb, 0xc], [&[(1, 1)], &[(1, 3)]]);
+        assert_eq!(beyond, bad("hop interner id"));
+        let beyond = record([0xa, 0xb, 0xc], [&[(1, 3)], &[(1, 2)]]);
+        assert_eq!(beyond, bad("hop interner id"));
+        // A table longer than the input is truncation.
+        let mut long = SnapWriter::new();
+        long.u32(1);
+        long.u32(1000);
+        long.raw(&[0; 64]);
+        assert_eq!(decode_record(long.bytes()), Err(SnapshotError::Truncated));
+    }
+
+    /// `addrs` as [`write_ascending`] writes them.
+    fn ascending_bytes(addrs: &[u128]) -> Vec<u8> {
+        let addrs: Vec<Ipv6Addr> = addrs.iter().map(|&a| Ipv6Addr::from(a)).collect();
+        let mut w = SnapWriter::new();
+        write_ascending(&mut w, &addrs);
+        w.into_bytes()
+    }
+
+    fn read_ascending_words(bytes: &[u8]) -> Result<Vec<u128>, SnapshotError> {
+        let mut r = SnapReader::new(bytes);
+        let addrs = read_ascending(&mut r)?;
+        assert_eq!(r.remaining(), 0);
+        Ok(addrs.into_iter().map(u128::from).collect())
+    }
+
+    #[test]
+    fn ascending_lists_round_trip_and_refuse_every_other_order() {
+        let ones = u128::MAX;
+        let db8 = 0x2001_0db8_u128 << 96;
+        let lists: [&[u128]; 7] = [
+            &[],
+            &[db8 | 1],
+            &[0],
+            &[ones],
+            &[0, 1, ones],
+            // Equal high halves: every step is in the low half.
+            &[db8 | 1, db8 | 2, db8 | 0xffff << 48],
+            // A high step of 2^64 - 1.
+            &[5, u128::from(u64::MAX) << 64],
+        ];
+        for list in lists {
+            let bytes = ascending_bytes(list);
+            let steps = list.iter().scan(0u128, |prev, &a| {
+                let (hi, lo) = (((a >> 64) - (*prev >> 64)) as u64, (a ^ *prev) as u64);
+                *prev = a;
+                Some(varint_len(hi) + varint_len(lo))
+            });
+            assert_eq!(bytes.len(), 4 + steps.sum::<usize>(), "{list:x?}");
+            assert_eq!(read_ascending_words(&bytes).as_deref(), Ok(list));
+        }
+        assert_eq!(ascending_bytes(&[0]), [1, 0, 0, 0, 0, 0]);
+        let high = ascending_bytes(&[u128::from(u64::MAX) << 64]);
+        assert_eq!(high[4..], [leb128(u64::MAX), vec![0]].concat());
+        let order = bad("target order");
+        // A repeat, a descending low half, a descending high half.
+        for list in [[db8 | 7, db8 | 7], [db8 | 2, db8 | 1], [db8 | 1 << 64, db8]] {
+            assert_eq!(read_ascending_words(&ascending_bytes(&list)), order);
+        }
+        // An overlong varint in either half.
+        let overlong = [[1, 0, 0, 0, 0x80, 0, 0], [1, 0, 0, 0, 0, 0x80, 0]];
+        for bytes in overlong {
+            assert_eq!(read_ascending_words(&bytes), bad("overlong varint"));
+        }
+        // At two bytes an address, four bytes hold two, not three.
+        let count = |n: u8| [n, 0, 0, 0, 0, 1, 0, 2];
+        assert_eq!(read_ascending_words(&count(2)), Ok(vec![1, 3]));
         assert_eq!(
-            chain(beyond, (3, &[0xc], &[(1, 2)])),
-            bad("hop interner id")
+            read_ascending_words(&count(3)),
+            Err(SnapshotError::Truncated)
         );
     }
 

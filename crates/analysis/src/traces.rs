@@ -1891,10 +1891,10 @@ mod tests {
     #[test]
     fn every_kind_of_set_encodes_to_its_exact_length() {
         use crate::snapshot::{
-            read_trace_chain, read_trace_set, trace_chain_encoded_len, trace_set_encoded_len,
-            write_trace_chain, write_trace_set, SnapReader, SnapWriter,
+            read_trace_record, read_trace_set, trace_set_encoded_len, write_trace_record,
+            write_trace_set, SnapReader, SnapWriter,
         };
-        // Standalone and as a one-set chain, each set's bytes are
+        // Standalone and as a one-set record, each set's bytes are
         // exactly the length reserved for them, and the set decoded
         // from them writes them again.
         every_kind_of_set(|what, ts, _| {
@@ -1907,14 +1907,19 @@ mod tests {
             write_trace_set(&mut w, &back);
             assert!(w.bytes() == bytes, "{what} re-encodes to other bytes");
 
+            // A one-set record is a count, the table, then the set
+            // without it: four bytes more than the set alone.
             let mut w = SnapWriter::new();
-            write_trace_chain(&mut w, [ts], 0);
-            let chain = w.into_bytes();
-            assert_eq!(chain.len(), trace_chain_encoded_len([ts]), "{what} chain");
-            let back = read_trace_chain(&mut SnapReader::new(&chain), 1).unwrap();
+            write_trace_record(&mut w, [ts], 0);
+            let record = w.into_bytes();
+            assert_eq!(record.len(), 4 + bytes.len(), "{what} record");
+            let back = read_trace_record(&mut SnapReader::new(&record)).unwrap();
             let mut w = SnapWriter::new();
-            write_trace_chain(&mut w, &back, 0);
-            assert!(w.bytes() == chain, "{what} chain re-encodes to other bytes");
+            write_trace_record(&mut w, &back, 0);
+            assert!(
+                w.bytes() == record,
+                "{what} record re-encodes to other bytes"
+            );
         });
     }
 

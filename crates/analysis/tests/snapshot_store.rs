@@ -7,7 +7,9 @@
 //! bytes, a missing file and ids the word table cannot resolve — and a
 //! set decoded from edited bytes is one every view can read.
 
-use analysis::snapshot::{decode_segment, encode_segment, fnv1a, STORE_FILE};
+use analysis::snapshot::{
+    decode_segment, encode_segment, fnv1a, read_ascending, write_ascending, STORE_FILE,
+};
 use analysis::{
     read_sharded_snapshot, read_trace_set, write_sharded_snapshot, write_trace_set,
     ShardedTraceSet, SnapReader, SnapWriter, SnapshotError, StoreError, TraceSet, MAX_SHARDS,
@@ -497,6 +499,45 @@ fn redundant_set_bytes(window: usize) -> &'static [u8] {
     })
 }
 
+/// An encoded set of two traces, only the second of which answered at
+/// the set's lowest hop limit, 1: the first answered at 2 and 3, the
+/// second at 1, 3 and 5, each hop with an id of its own (no repeat bit),
+/// on a table of three words. One edit of the second trace's bitmap can
+/// move its hop off limit 1 and keep the number of stored ids, which
+/// leaves a window whose base no hop holds.
+fn lowest_hop_once_set_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let hop = |target: u128, responder: u128, ttl: u8| ResponseRecord {
+            target: Ipv6Addr::from(target),
+            responder: Ipv6Addr::from(0xa + responder),
+            kind: ResponseKind::TimeExceeded,
+            probe_ttl: Some(ttl),
+            rtt_us: Some(1),
+            recv_us: 0,
+            target_cksum_ok: true,
+        };
+        let records = vec![
+            hop(1, 0, 2),
+            hop(1, 1, 3),
+            hop(2, 2, 1),
+            hop(2, 0, 3),
+            hop(2, 1, 5),
+        ];
+        let ts = TraceSet::from_log(&ProbeLog {
+            vantage: "v".into(),
+            target_set: "s".into(),
+            records,
+            ..Default::default()
+        });
+        let limits = |idx: usize| ts.view_at(idx).hop_cells().ttls().to_vec();
+        assert_eq!((limits(0), limits(1)), (vec![2, 3], vec![1, 3, 5]));
+        let mut w = SnapWriter::new();
+        write_trace_set(&mut w, &ts);
+        w.into_bytes()
+    })
+}
+
 proptest! {
     /// A set decoded from edited bytes is one the views can read, not
     /// only one that re-encodes: after random edits anywhere, decoding
@@ -504,18 +545,19 @@ proptest! {
     /// read, whose every trace agrees with itself on its hop sequence,
     /// path length and last hop, and which canonicalizes. The edits land
     /// on a set of one-byte ids and lengths, on one of two-byte ones
-    /// (and a 32-byte hop-limit bitmap), or on one of the redundant sets:
-    /// multi-byte varints in both halves of a target, a base hop limit
+    /// (and a 32-byte hop-limit bitmap), on one of the redundant sets
+    /// (multi-byte varints in both halves of a target, a base hop limit
     /// above 1, bitmaps of 1, 2 and 4 bytes, traces with and without
-    /// repeats.
+    /// repeats), or on a set whose lowest hop limit one trace holds.
     #[test]
     fn prop_edited_trace_set_bytes_decode_to_a_usable_set(
-        fixture in 0..5usize,
+        fixture in 0..6usize,
         edits in prop::collection::vec((any::<u64>(), 1u8..=255), 1..4),
     ) {
         let sample = match fixture {
             0 => sample_set_bytes(),
             1 => wide_sample_set_bytes(),
+            5 => lowest_hop_once_set_bytes(),
             k => redundant_set_bytes(k - 2),
         };
         let mut bytes = sample.to_vec();
@@ -536,6 +578,48 @@ proptest! {
             }
             prop_assert_eq!(ts.clone().canonical().len(), ts.len());
         }
+    }
+}
+
+proptest! {
+    /// The ascending-list codec is a bijection onto strictly ascending
+    /// lists: any list, drawn with high halves from four values half the
+    /// time (so that steps in the low half alone are common), decodes
+    /// from its encoding exactly when it strictly ascends, to itself, and
+    /// is otherwise refused as out of order; its sorted, deduplicated
+    /// form always round-trips.
+    #[test]
+    fn prop_ascending_lists_round_trip(
+        draws in prop::collection::vec((any::<bool>(), any::<u64>(), any::<u64>()), 0..24),
+    ) {
+        let list: Vec<Ipv6Addr> = draws
+            .iter()
+            .map(|&(near, hi, lo)| {
+                let hi = if near { hi % 4 } else { hi };
+                Ipv6Addr::from(u128::from(hi) << 64 | u128::from(lo))
+            })
+            .collect();
+        let read = |list: &[Ipv6Addr]| {
+            let mut w = SnapWriter::new();
+            write_ascending(&mut w, list);
+            let mut r = SnapReader::new(w.bytes());
+            let back = read_ascending(&mut r);
+            (back, r.remaining())
+        };
+        let ascends = list.windows(2).all(|w| w[0] < w[1]);
+        match read(&list) {
+            (Ok(back), rest) => {
+                prop_assert!(ascends && back == list && rest == 0);
+            }
+            (Err(e), _) => {
+                prop_assert!(!ascends);
+                prop_assert_eq!(e, SnapshotError::BadValue("target order"));
+            }
+        }
+        let mut sorted = list.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        prop_assert_eq!(read(&sorted), (Ok(sorted.clone()), 0));
     }
 }
 

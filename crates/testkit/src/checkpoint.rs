@@ -4,10 +4,11 @@
 //! This crate never depends on the umbrella crate, so the caller
 //! decodes (`Checkpoint::from_bytes(bytes)?.traces()`) and hands the
 //! decoded sets in. Their span is found by re-encoding them as the
-//! checkpoint does, one chain ([`write_trace_chain`]), and locating the
-//! start of those bytes in the checkpoint; the re-encoding also cuts the
-//! span set by set, so a moved trace-set row names the first set whose
-//! bytes are not its re-encoding. The fixed parts are the encoding's
+//! checkpoint does, one record ([`write_trace_record`]: their count,
+//! their one table, then each set), and locating the start of those
+//! bytes in the checkpoint; the re-encoding also cuts the span set by
+//! set, so a moved trace-set row names the first set whose bytes are not
+//! its re-encoding. The fixed parts are the encoding's
 //! own: an 8-byte magic and version, an 8-byte configuration digest,
 //! and an 8-byte trailer. The scalars before the trace sets are the
 //! budgeter's weights and liveness, the discovery set, the subnets, the
@@ -18,7 +19,7 @@
 //! alias groups and the tested set; the decoder rebuilds the router
 //! graph from those and the trace sets).
 
-use analysis::snapshot::{fnv1a, trace_chain_encoded_len, write_trace_chain};
+use analysis::snapshot::{fnv1a, write_trace_record};
 use analysis::{SnapWriter, TraceSet};
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -39,42 +40,46 @@ pub const SECTIONS: [&str; 7] = [
 /// Index of the trace-set row in [`SECTIONS`].
 const TRACE_SETS: usize = 3;
 
-/// Bytes of the re-encoded chain that locate it in a checkpoint: its
-/// first table length and the first words of that table.
+/// Bytes of the re-encoded record that locate it in a checkpoint: its
+/// set count, its table length and the first words of its table.
 const ANCHOR: usize = 64;
 
 /// One pin: a section's length in bytes and its FNV-1a.
 pub type Pin = (usize, u64);
 
-/// `sets` re-encoded as the checkpoint writes them, one chain, and each
-/// set's span in it (its table length and new words included).
-fn chain<'a>(sets: impl IntoIterator<Item = &'a TraceSet>) -> (Vec<u8>, Vec<Range<usize>>) {
+/// `sets` re-encoded as the checkpoint writes them, one record, and
+/// each set's span in it (the first's with the count and the table). A
+/// record of the first `k` sets ends where the `k`-th set does.
+fn record<'a>(sets: impl IntoIterator<Item = &'a TraceSet>) -> (Vec<u8>, Vec<Range<usize>>) {
     let sets: Vec<&TraceSet> = sets.into_iter().collect();
-    let mut w = SnapWriter::new();
-    write_trace_chain(&mut w, sets.iter().copied(), 0);
+    let encode = |k: usize| {
+        let mut w = SnapWriter::new();
+        write_trace_record(&mut w, sets[..k].iter().copied(), 0);
+        w.into_bytes()
+    };
     let mut start = 0;
     let spans = (1..=sets.len())
         .map(|k| {
-            let end = trace_chain_encoded_len(sets[..k].iter().copied());
+            let end = encode(k).len();
             std::mem::replace(&mut start, end)..end
         })
         .collect();
-    (w.into_bytes(), spans)
+    (encode(sets.len()), spans)
 }
 
 /// The byte range of each of [`SECTIONS`] in the checkpoint `bytes`,
-/// whose decoded trace sets re-encode to `chain`. The chain starts at
+/// whose decoded trace sets re-encode to `record`. The record starts at
 /// the place its first [`ANCHOR`] bytes occur (the discovery set, in
 /// the scalars before it, can spell the same words) that agrees with the
 /// re-encoding for the longest prefix, and is as long as the
-/// re-encoding. Panics if the chain is empty or its start is not in
-/// `bytes`.
-fn sections(bytes: &[u8], chain: &[u8]) -> [Range<usize>; 7] {
-    assert!(!chain.is_empty(), "a checkpoint with no trace sets");
-    let anchor = &chain[..chain.len().min(ANCHOR)];
+/// re-encoding. Panics if the record holds no set or its start is not
+/// in `bytes`.
+fn sections(bytes: &[u8], record: &[u8]) -> [Range<usize>; 7] {
+    assert!(record.len() > 4, "a checkpoint with no trace sets");
+    let anchor = &record[..record.len().min(ANCHOR)];
     let agrees = |at: usize| {
         let written = &bytes[at..];
-        chain
+        record
             .iter()
             .zip(written)
             .take_while(|(a, b)| a == b)
@@ -85,7 +90,7 @@ fn sections(bytes: &[u8], chain: &[u8]) -> [Range<usize>; 7] {
         .max_by_key(|&at| (agrees(at), std::cmp::Reverse(at)))
         .expect("the checkpoint holds its trace sets inline");
     let n = bytes.len();
-    let end = (start + chain.len()).min(n - 8);
+    let end = (start + record.len()).min(n - 8);
     [
         0..8,
         8..16,
@@ -99,7 +104,7 @@ fn sections(bytes: &[u8], chain: &[u8]) -> [Range<usize>; 7] {
 
 /// Every section of `bytes` whose pin is not the one in `pinned`, a
 /// line each with its byte range, then the whole table to re-pin from.
-/// A moved trace-set row also names the first set of the chain whose
+/// A moved trace-set row also names the first set of the record whose
 /// bytes differ from its re-encoding, and the offset inside it, or says
 /// that every set re-encodes to its own bytes (the layout or the sets
 /// moved, not the round trip). Empty when nothing moved.
@@ -109,8 +114,8 @@ pub fn moved<'a>(
     pinned: &[Pin; 7],
 ) -> String {
     let sets: Vec<&TraceSet> = sets.into_iter().collect();
-    let (chain, spans) = chain(sets.iter().copied());
-    let ranges = sections(bytes, &chain);
+    let (record, spans) = record(sets.iter().copied());
+    let ranges = sections(bytes, &record);
     let now = ranges.clone().map(|r| (r.len(), fnv1a(&bytes[r])));
     if now == *pinned {
         return String::new();
@@ -126,11 +131,11 @@ pub fn moved<'a>(
     }
     if now[TRACE_SETS] != pinned[TRACE_SETS] {
         let written = &bytes[ranges[TRACE_SETS].start..];
-        let differs = chain
+        let differs = record
             .iter()
             .zip(written)
             .position(|(a, b)| a != b)
-            .or((written.len() < chain.len()).then_some(written.len()));
+            .or((written.len() < record.len()).then_some(written.len()));
         let _ = match differs {
             Some(at) => {
                 let k = spans.iter().position(|s| s.contains(&at)).unwrap_or(0);
@@ -161,10 +166,10 @@ pub fn moved<'a>(
 mod tests {
     use super::*;
 
-    /// Two sets on one table, their chain, and a checkpoint-shaped
+    /// Two sets on one table, their record, and a checkpoint-shaped
     /// buffer around it: 16 header bytes, 69 scalar bytes that start
-    /// with the chain's first 64 (as a discovery set of the table's
-    /// words can), the chain, 3 tail bytes, an 8-byte trailer.
+    /// with the record's first 64 (as a discovery set of the table's
+    /// words can), the record, 3 tail bytes, an 8-byte trailer.
     fn fixture() -> (Vec<TraceSet>, Vec<u8>, Range<usize>) {
         let set = |vantage: &str, target: u128| {
             let records = (1..=3u8)
@@ -187,20 +192,20 @@ mod tests {
         };
         let mut sets = vec![set("A", 1 << 64), set("B", 2 << 64)];
         TraceSet::rebase(&mut Default::default(), sets.iter_mut());
-        let (chain, _) = chain(&sets);
+        let (record, _) = record(&sets);
         let mut bytes = vec![0; 16];
-        bytes.extend_from_slice(&chain[..ANCHOR]);
+        bytes.extend_from_slice(&record[..ANCHOR]);
         bytes.extend_from_slice(&[0; 5]);
-        bytes.extend_from_slice(&chain);
+        bytes.extend_from_slice(&record);
         bytes.extend_from_slice(&[0; 11]);
-        let span = 85..85 + chain.len();
+        let span = 85..85 + record.len();
         (sets, bytes, span)
     }
 
     #[test]
     fn a_moved_trace_set_row_names_the_first_set_that_differs() {
         let (sets, mut bytes, span) = fixture();
-        let ranges = sections(&bytes, &chain(&sets).0);
+        let ranges = sections(&bytes, &record(&sets).0);
         assert_eq!(ranges[TRACE_SETS], span);
         let mut pinned = ranges.map(|r| (r.len(), fnv1a(&bytes[r])));
         assert_eq!(moved(&bytes, &sets, &pinned), "");
@@ -210,7 +215,7 @@ mod tests {
         assert!(report.contains("trace sets moved"), "{report}");
         assert!(report.contains("each of the 2 sets re-encodes"), "{report}");
         // A byte 30 from the end of the second set differs.
-        let (_, spans) = chain(&sets);
+        let (_, spans) = record(&sets);
         let at = span.start + spans[1].end - 30;
         bytes[at] ^= 1;
         let report = moved(&bytes, &sets, &pinned);

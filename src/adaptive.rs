@@ -65,24 +65,26 @@
 //! the stages share (known subnets, probed targets) are extended, never
 //! rebuilt, and the kept record's interfaces are its table's words.
 //!
-//! ## The record's table chain
+//! ## The record's one table
 //!
 //! Each campaign interns its responders into a table of its own while
 //! it streams. At the round boundary, after the subnet miners (which
 //! read a set's own ids), the mine stage moves the round's kept sets
-//! onto one table ([`TraceSet::rebase`]): one [`analysis::union`] of
-//! their tables, starting from the last kept set's, then each set's ids
-//! remapped and the shared table handed to every set. So each round's
-//! table is a prefix of the next round's and the record holds one table
-//! a round, not one a campaign; the last set's table holds every word
-//! of the record, in the order the rounds met them. Nothing a set's
-//! views read moves. Downstream, tables related by a prefix meet
-//! without hashing: the alias builder adopts each round's table, and
-//! the merged view and a resumed record map every set to `None`. Both
-//! lanes read the kept interfaces as the last table's words (with the
-//! quarantine off, `seen`'s, in order: `discovery_delta` and `union`
-//! walk the same sets alike); only the alias candidates' fresh arrivals
-//! are a round's own words, read off the rebase's id maps.
+//! onto the record's table ([`TraceSet::rebase`]): one
+//! [`analysis::union`] of their tables, starting from the last kept
+//! set's, then each set's ids remapped and the extended table handed to
+//! every set. The older sets' table is a prefix of the extended one, so
+//! they are handed it too, with no id moved and no column copied (a set
+//! a retained [`Checkpoint`] shares is copied shallowly first). Every
+//! set of the record shares one table, a delta run's prior set included
+//! once round 0 closes; it holds every word of the record, in the order
+//! the rounds met them. Nothing a set's views read moves. Downstream,
+//! the alias builder adopts each round's table, and the merged view maps
+//! every set to `None`. Both lanes read the kept interfaces as the
+//! table's words (with the quarantine off, `seen`'s, in order:
+//! `discovery_delta` and `union` walk the same sets alike); only the
+//! alias candidates' fresh arrivals are a round's own words, read off
+//! the rebase's id maps.
 //!
 //! Once the pool is installed (or dropped) the state is a complete
 //! resume point and the round-boundary observer borrows the
@@ -536,9 +538,8 @@ pub(crate) struct LoopState {
     /// Every completed campaign's trace set. Shared, never mutated
     /// once pushed: a [`Checkpoint`] an observer cloned and kept holds
     /// the very sets the loop keeps reading, not copies of the
-    /// ever-growing record. A round's sets share one table, which
-    /// extends the previous round's (module docs, "The record's table
-    /// chain").
+    /// ever-growing record. Every set shares one table (module docs,
+    /// "The record's one table").
     pub(crate) traces: Vec<Arc<TraceSet>>,
     /// Merged engine accounting; its probe count is what the budget
     /// has been charged.
@@ -1024,9 +1025,8 @@ fn join<A, B: Send>(parallel: bool, a: impl FnOnce() -> A, b: impl FnOnce() -> B
 
 /// Moves a round's kept sets onto `table`, the record's, extended by
 /// their words ([`TraceSet::rebase`]), and returns the round's arrivals:
-/// the words the sets' own tables held, read off their id maps. Each
-/// round's table is then a prefix of the next one's, and the record
-/// holds one table a round instead of one a campaign.
+/// the words the sets' own tables held, read off their id maps. The
+/// record's older sets read a prefix of the extended table.
 fn rebase_round(table: &mut Arc<AddrInterner>, sets: &mut [TraceSet]) -> Vec<Ipv6Addr> {
     let own: Vec<usize> = sets.iter().map(|ts| ts.interner().len()).collect();
     let maps = TraceSet::rebase(table, sets.iter_mut());
@@ -1250,8 +1250,9 @@ impl LoopState {
     /// miners are pure per set and run on the campaign pool, and the
     /// fold back into the state is serial in campaign order — so the
     /// discovery order of `subnets` is the one-thread order. The fold
-    /// ends by rebasing the round's sets onto one table that extends
-    /// the record's (module docs, "The record's table chain").
+    /// ends by rebasing the round's sets onto the record's table,
+    /// extended, and handing it to every older set (module docs, "The
+    /// record's one table").
     fn mine_round(
         &mut self,
         topo: &Topology,
@@ -1289,14 +1290,19 @@ impl LoopState {
                 mined.new_subnets += 1;
             }
         }
-        // The record's table: the last set's, which every earlier
-        // set's is a prefix of.
+        // The record's table, which every set shares.
         let mut table = self
             .traces
             .last()
             .map_or_else(Arc::default, |ts| Arc::clone(ts.interner()));
         let mut sets: Vec<TraceSet> = kept.into_iter().map(|(_, ts)| ts).collect();
         mined.arrivals = rebase_round(&mut table, &mut sets);
+        // The older sets share a prefix of the extended table: every map
+        // is `None`, and only the table they point at changes.
+        let stale = |ts: &Arc<TraceSet>| !Arc::ptr_eq(ts.interner(), &table);
+        if self.traces.first().is_some_and(stale) {
+            TraceSet::rebase(&mut table, self.traces.iter_mut().map(Arc::make_mut));
+        }
         self.traces.extend(sets.into_iter().map(Arc::new));
         mined
     }
@@ -1701,14 +1707,45 @@ mod tests {
             first.get_or_insert_with(|| ck.to_bytes());
         });
         assert_eq!(res.rounds.len(), 3);
-        // A resumed record is a chain too, and its builder adopts the
-        // next round's table.
+        // A resumed record shares one table too, and its builder adopts
+        // the next round's table.
         let ck = Checkpoint::from_bytes(&first.unwrap()).unwrap();
         let (mut prev, mut sets) = (Some(Arc::clone(ck.state.traces[0].interner())), 4);
         resume_adaptive(&topo, &cfg, &ck, false, |ck| {
             check(ck, &mut prev, &mut sets)
         })
         .unwrap();
+    }
+
+    #[test]
+    fn the_record_holds_one_table() {
+        let (topo, set) = fixture();
+        // Every set of the record, a delta run's prior set included,
+        // shares the first set's table.
+        fn one_table<'a>(mut sets: impl Iterator<Item = &'a TraceSet>, what: &str) {
+            let table = Arc::clone(sets.next().expect("a set").interner());
+            assert!(sets.all(|ts| Arc::ptr_eq(ts.interner(), &table)), "{what}");
+        }
+        let check = |ck: &Checkpoint| {
+            one_table(ck.traces(), &format!("round {}", ck.round()));
+            let back = Checkpoint::from_bytes(&ck.to_bytes()).unwrap();
+            one_table(back.traces(), &format!("round {}, decoded", ck.round()));
+        };
+        for quarantine_feedback in [false, true] {
+            let cfg = AdaptiveConfig {
+                vantages: vec![0, 1],
+                shards: 2,
+                quarantine_feedback,
+                ..small_cfg()
+            };
+            let fresh = run_adaptive_checkpointed(&topo, &set, &cfg, false, check);
+            assert!(fresh.rounds.len() > 1, "a second round extends the table");
+            one_table(fresh.traces.iter(), "the result");
+            let prior = ShardedTraceSet::from_set(&fresh.merged_traces(), 4);
+            let start = Checkpoint::delta(&topo, &set, &cfg, &prior);
+            let delta = resume_adaptive(&topo, &cfg, &start, false, check).unwrap();
+            one_table(delta.traces.iter(), "the delta result");
+        }
     }
 
     /// What a result derives equals what it is derived from: the probes

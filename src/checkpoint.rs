@@ -23,13 +23,13 @@
 //! The format rides on [`analysis::snapshot`]'s little-endian
 //! primitives and trace-set columns: byte-deterministic (the same state
 //! always encodes to the same bytes, and a decoded state re-encodes to
-//! the bytes it came from). The trace record is one table chain (each
-//! round's sets share a table that extends the last round's; see
-//! [`crate::adaptive`]), so it is written as one
-//! ([`write_trace_chain`]): each word once, then each set's columns
-//! without a word table. Decoding rebuilds the chain, one table per
-//! table length, so a resumed record shares its tables as the running
-//! one did. A checkpoint is only meaningful under the
+//! the bytes it came from). Every set of the trace record shares one
+//! table (see [`crate::adaptive`]), so the record is written as one table
+//! and then the sets without it ([`write_trace_record`]), and decoding
+//! builds that one table and hands it to every set, as the running
+//! record holds it. The round target lists and the pool ascend, so each
+//! is written as the two varint steps an address of a set's targets is
+//! ([`write_ascending`]). A checkpoint is only meaningful under the
 //! exact topology and configuration it was captured under, so it
 //! carries an FNV-1a digest of both;
 //! [`crate::adaptive::resume_adaptive`] refuses a mismatch, or a state
@@ -41,7 +41,9 @@ use crate::adaptive::{
     yield_per_kprobe, AdaptiveConfig, AliasState, DeltaState, LoopState, RoundReport, VantageRound,
 };
 use aliasres::RouterGraphBuilder;
-use analysis::snapshot::{fnv1a, read_trace_chain, write_trace_chain};
+use analysis::snapshot::{
+    fnv1a, read_ascending, read_trace_record, write_ascending, write_trace_record,
+};
 use analysis::{SnapReader, SnapWriter, SnapshotError, TraceSet, MAX_SHARDS};
 use simnet::{EngineStats, Topology};
 use std::collections::BTreeSet;
@@ -52,10 +54,14 @@ use yarrp6::addrset::AddrSet;
 
 /// `"BHCK"` — beholder checkpoint.
 const MAGIC: u32 = 0x4248_434B;
-/// Version 11 writes each trace set by its redundancy
+/// Version 12 writes the trace record as one table, then the sets
+/// without it ([`write_trace_record`]), and each round's target list
+/// and the pool as ascending varint steps ([`write_ascending`]).
+/// Version 11 wrote each trace set by its redundancy
 /// ([`analysis::snapshot`]'s layout): targets as varint steps, hop limits
 /// as one bitmap a trace over a per-set window, and a second bitmap of
-/// the hops that repeat the previous trace's in place of their ids.
+/// the hops that repeat the previous trace's in place of their ids, on a
+/// table chain (a table length and the new words before each set).
 /// Version 10 wrote trace sets without the per-trace provenance lists
 /// ([`analysis::snapshot`]'s layout lost them), and round reports
 /// without the four fields the loop derives from others: the round
@@ -66,15 +72,16 @@ const MAGIC: u32 = 0x4248_434B;
 /// arrays, flags, links), and a delta run's prior store as one set
 /// where version 8 wrote one set per shard. Version 8 wrote each fact
 /// once (no probed set, charged probes or alias totals) and a delta
-/// run's state in the tail. Version 7 made the trace sets one chain
-/// ([`write_trace_chain`]), each word written once: a set's table
-/// length, the words past the previous set's, then its columns. Version 6 wrote each set's own word table, its ids and
+/// run's state in the tail. Version 7 made the trace sets one chain,
+/// each word written once: a set's table length, the words past the
+/// previous set's, then its columns. Version 6 wrote each set's own
+/// word table, its ids and
 /// trace lengths packed at the width its data needs, and no offsets.
 /// Version 5 had the same [`checksum`] trailer over 4-byte ids and
 /// stored offsets; version 4 numbered a directory form that no longer
-/// exists and is never reused. Any other version, v3 and v5 to v10
+/// exists and is never reused. Any other version, v3 and v5 to v11
 /// included, is refused by number.
-const VERSION: u32 = 11;
+const VERSION: u32 = 12;
 /// Bytes of the trailing checksum.
 const TRAILER: usize = 8;
 
@@ -158,7 +165,7 @@ impl Checkpoint {
         let mut tail = SnapWriter::new();
         write_stats(&mut tail, &st.stats);
         tail.u64(st.low_streak as u64);
-        write_addrs(&mut tail, &st.pool);
+        write_ascending(&mut tail, &st.pool);
         tail.u64(st.vclock_us);
         tail.bool(st.delta.is_some());
         if let Some(d) = &st.delta {
@@ -183,10 +190,9 @@ impl Checkpoint {
             w.u8(p.len());
         });
         write_list(&mut w, &st.rounds, write_round);
-        write_list(&mut w, &st.round_targets, |w, rt| write_addrs(w, rt));
-        w.u32(st.traces.len() as u32);
+        write_list(&mut w, &st.round_targets, |w, rt| write_ascending(w, rt));
         let sets = st.traces.iter().map(|ts| &**ts);
-        write_trace_chain(&mut w, sets, tail.bytes().len() + TRAILER);
+        write_trace_record(&mut w, sets, tail.bytes().len() + TRAILER);
         w.raw(tail.bytes());
         let sum = checksum(w.bytes());
         w.u64(sum);
@@ -220,14 +226,11 @@ impl Checkpoint {
             seen: read_addr_set(r)?,
             subnets: read_list(r, read_prefix)?,
             rounds: read_list(r, read_round)?,
-            round_targets: read_list(r, read_addrs)?,
-            traces: {
-                let n = r.u32()? as usize;
-                read_trace_chain(r, n)?.into_iter().map(Arc::new).collect()
-            },
+            round_targets: read_list(r, read_ascending)?,
+            traces: read_trace_record(r)?.into_iter().map(Arc::new).collect(),
             stats: read_stats(r)?,
             low_streak: r.u64()? as usize,
-            pool: read_addrs(r)?,
+            pool: read_ascending(r)?,
             vclock_us: r.u64()?,
             delta: match r.bool()? {
                 true => Some(DeltaState {
@@ -318,12 +321,11 @@ fn read_prefix(r: &mut SnapReader<'_>) -> Result<Ipv6Prefix, SnapshotError> {
 
 /// The loop indexes and derives its views from a decoded state, so it
 /// must have the shape the loop writes: a liveness flag and a
-/// per-vantage report entry per weight, each subnet once, a strictly
-/// ascending pool and target list per round, and a delta run's prior
-/// set leading the record, routed over at least one shard with a latch
-/// each.
+/// per-vantage report entry per weight, each subnet once, a target list
+/// per round, and a delta run's prior set leading the record, routed
+/// over at least one shard with a latch each. The pool and each round's
+/// targets strictly ascend by their encoding ([`read_ascending`]).
 fn check_shape(st: &LoopState) -> Result<(), SnapshotError> {
-    let ascending = |xs: &[Ipv6Addr]| xs.windows(2).all(|w| w[0] < w[1]);
     let mut subnets = BTreeSet::new();
     let delta = st.delta.as_ref();
     let refusal = if st.alive.len() != st.vweights.len() {
@@ -338,10 +340,6 @@ fn check_shape(st: &LoopState) -> Result<(), SnapshotError> {
         "repeated subnet"
     } else if st.round_targets.len() != st.rounds.len() {
         "round target lists and rounds differ in count"
-    } else if !st.round_targets.iter().all(|rt| ascending(rt)) {
-        "round targets not strictly ascending"
-    } else if !ascending(&st.pool) {
-        "pool not strictly ascending"
     } else if delta.is_some() && st.traces.is_empty() {
         "a delta run's record begins with its prior set"
     } else if delta.is_some_and(|d| d.shards == 0) {
@@ -562,11 +560,9 @@ mod tests {
                 |st| st.round_targets.push(Vec::new()),
                 "round target lists and rounds differ in count",
             ),
-            (
-                |st| st.round_targets[0].swap(0, 1),
-                "round targets not strictly ascending",
-            ),
-            (|st| st.pool.push(st.pool[0]), "pool not strictly ascending"),
+            // A list that does not ascend is refused by its encoding.
+            (|st| st.round_targets[0].swap(0, 1), "target order"),
+            (|st| st.pool.push(st.pool[0]), "target order"),
             (
                 |st| st.traces.clear(),
                 "a delta run's record begins with its prior set",
