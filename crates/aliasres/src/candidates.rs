@@ -22,7 +22,6 @@
 //! sorts that handful.
 
 use analysis::TraceSet;
-use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::net::Ipv6Addr;
@@ -66,13 +65,12 @@ fn emit_fresh_runs<K: Copy + Eq>(sorted: &[(K, u128)], fresh: &AddrSet, out: &mu
 /// belongs to the result when one of those buckets holds it, at least
 /// one other address and at least one fresh one. With nothing fresh
 /// the result is empty and no set is read.
-pub fn sibling_candidates<S: Borrow<TraceSet>>(
+pub fn sibling_candidates(
     known: &[u128],
-    round: &[S],
+    round: &[TraceSet],
     arrivals: &[Ipv6Addr],
     tested: &AddrSet,
 ) -> Vec<Ipv6Addr> {
-    let round: Vec<&TraceSet> = round.iter().map(Borrow::borrow).collect();
     let mut fresh = AddrSet::new();
     for &a in arrivals {
         if !tested.contains(a) {
@@ -116,7 +114,7 @@ pub fn sibling_candidates<S: Borrow<TraceSet>>(
                 break;
             }
             heap.pop();
-            let ts = round[i];
+            let ts = &round[i];
             let (targets, words) = (ts.targets(), ts.interner().words());
             let mut idx = cursor[i];
             while idx < targets.len() && hi64(u128::from(targets[idx])) == t64 {

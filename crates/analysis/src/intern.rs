@@ -254,11 +254,11 @@ pub(crate) fn hashed_ahead<T>(
 /// One rule spares the hashing: when one table's words are a prefix of
 /// the other's, their ids agree and the longer table is the union. Such
 /// a table maps to `None`, and when it is the longer one `table` becomes
-/// it, shared and not copied. That covers a table that *is* `table`, an
-/// empty `table`, and a table the other extends (the adaptive loop's
-/// older sets, moved onto the table a round extended). Any other table
-/// is looked up word by word, and `table` is copied only when it is
-/// shared and a word is missing.
+/// it, shared and not copied. That covers a table that *is* `table`
+/// (compared by pointer first, so many sets handing in one table cost
+/// one comparison each), an empty `table`, and a table that `table`
+/// extends. Any other table is looked up word by word, and `table` is
+/// copied only when it is shared and a word is missing.
 ///
 /// A merge starts from its first input's table; the router-graph
 /// builder extends its own; the quarantine pools evidence by union id;
@@ -268,21 +268,14 @@ pub fn union<'t>(
     table: &mut Arc<AddrInterner>,
     tables: impl IntoIterator<Item = &'t Arc<AddrInterner>>,
 ) -> Vec<Option<Vec<u32>>> {
-    // A table found to be a prefix stays one, as `table` only grows at
-    // its end: many sets of the loop's record hand in one table.
-    let mut prefix: Option<&Arc<AddrInterner>> = None;
     tables
         .into_iter()
         .map(|t| {
-            if prefix.is_some_and(|p| Arc::ptr_eq(p, t)) {
-                return None;
-            }
             if is_prefix(table, t) {
                 *table = Arc::clone(t);
                 return None;
             }
             if is_prefix(t, table) {
-                prefix = Some(t);
                 return None;
             }
             let map = t.words().iter().map(|&w| {

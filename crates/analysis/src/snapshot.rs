@@ -99,7 +99,7 @@ impl SnapWriter {
     }
 
     /// Makes room for `n` more bytes in one allocation.
-    pub fn reserve(&mut self, n: usize) {
+    pub(crate) fn reserve(&mut self, n: usize) {
         self.buf.reserve(n);
     }
 

@@ -2,8 +2,8 @@
 //! moves names what moved instead of only saying that the file did.
 //!
 //! This crate never depends on the umbrella crate, so the caller
-//! decodes (`Checkpoint::from_bytes(bytes)?.traces()`) and hands the
-//! decoded sets in. Their span is found by re-encoding them as the
+//! decodes (`Checkpoint::from_bytes(bytes)?.record().iter()`) and hands
+//! the decoded sets in. Their span is found by re-encoding them as the
 //! checkpoint does, one record ([`write_trace_record`]: their count,
 //! their one table, then each set), and locating the start of those
 //! bytes in the checkpoint; the re-encoding also cuts the span set by

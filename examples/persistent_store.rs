@@ -92,7 +92,7 @@ fn main() {
         "an unchanged world ends at the fresh sweep's interface count"
     );
     assert!(
-        delta.traces[0] == prior.to_trace_set(),
+        delta.traces.prior() == Some(&prior.to_trace_set()),
         "the delta run's record begins with the prior store"
     );
 }

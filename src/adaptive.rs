@@ -38,11 +38,11 @@
 //! | plan/budget | `pool`, `vweights`, `alive`, `stats`, the probed view; `delta`'s force queue | `delta`'s force queue (drained up to the round cap); the probed view gains the round's stride-sampled, budget-capped targets | always; per-vantage allocation by yield share is `vantage_budgeting`, queue-jumping targets are a delta run's |
 //! | probe | `vclock_us` (campaigns start there on the fault schedule) | — (one supervised outcome per vantage × shard) | always |
 //! | quarantine | the round's raw sets, jointly | — (a scrubbed replacement for each set that lost cells, for everything that feeds *forward*; an untouched set is not copied) | `quarantine_feedback` |
-//! | attribute + mine | `seen` at round start, then the round's sets | `seen` (raw sets: a decoded responder is a real interface), `subnets`, `traces` (scrubbed sets when the quarantine is on) | always; path divergence is `path_div` |
+//! | attribute + mine | `seen` at round start, then the round's sets | `seen` (raw sets: a decoded responder is a real interface), `subnets`, `traces`, the record (the round's sets appended, scrubbed when the quarantine is on) | always; path divergence is `path_div` |
 //! | alias ‖ | the round's kept sets, the record's table words, `alive`, `vclock_us`, `stats` | `alias` (router graph, tested set) | `alias_resolution` |
 //! | feedback ‖ | the record's table words, the probed view, `subnets` | — (returns the next pool: kIP + 6Gen over *all* discoveries, cumulative by the paper's definition of their basis) | always; not started when the round cap decides the stop |
 //! | close round | every round-local output above | `stats`, `vclock_us`, `alive`, `vweights`, `rounds`, `round_targets`, `low_streak` | always; the EWMA weight update is `vantage_budgeting` |
-//! | delta canaries | the round's targets and sets, the prior store (the record's first set), the canary view | `delta`'s latches and force queue (a changed canary reopens its [`ShardRoute`] shard once; the stored targets routed to it queue), `low_streak` (reset when a shard reopens) | a delta run ([`Checkpoint::delta`]) |
+//! | delta canaries | the round's targets and sets, the prior store (the record's [`prior`](Record::prior) set), the canary view | `delta`'s latches and force queue (a changed canary reopens its [`ShardRoute`] shard once; the stored targets routed to it queue), `low_streak` (reset when a shard reopens) | a delta run ([`Checkpoint::delta`]) |
 //! | install pool | the stop rule, the generated pool | `pool` — or nothing: if the stop rule now stops, the pool is dropped | always |
 //!
 //! The two `‖` rows are the round tail's **two lanes**: they read the
@@ -67,24 +67,25 @@
 //!
 //! ## The record's one table
 //!
-//! Each campaign interns its responders into a table of its own while
-//! it streams. At the round boundary, after the subnet miners (which
-//! read a set's own ids), the mine stage moves the round's kept sets
-//! onto the record's table ([`TraceSet::rebase`]): one
-//! [`analysis::union`] of their tables, starting from the last kept
-//! set's, then each set's ids remapped and the extended table handed to
-//! every set. The older sets' table is a prefix of the extended one, so
-//! they are handed it too, with no id moved and no column copied (a set
-//! a retained [`Checkpoint`] shares is copied shallowly first). Every
-//! set of the record shares one table, a delta run's prior set included
-//! once round 0 closes; it holds every word of the record, in the order
-//! the rounds met them. Nothing a set's views read moves. Downstream,
-//! the alias builder adopts each round's table, and the merged view maps
-//! every set to `None`. Both lanes read the kept interfaces as the
-//! table's words (with the quarantine off, `seen`'s, in order:
-//! `discovery_delta` and `union` walk the same sets alike); only the
-//! alias candidates' fresh arrivals are a round's own words, read off
-//! the rebase's id maps.
+//! The kept trace record is one [`Record`]: a delta run's prior store
+//! as one set, then the kept campaign sets. Each campaign interns its
+//! responders into a table of its own while it streams. At the round
+//! boundary, after the subnet miners (which read a set's own ids), the
+//! mine stage appends the round's kept sets (`Record::push_round`):
+//! one [`TraceSet::rebase`] over the older sets, then the round's. The
+//! older sets come first and share one table, so [`analysis::union`]
+//! adopts it as it stands and extends it by the round's words; the
+//! round's ids are remapped, and the extended table is handed to every
+//! set. The older sets' ids stand, so no column of theirs is copied.
+//! Every set of the record shares one table, a delta run's prior set
+//! included once round 0 closes; it holds every word of the record, in
+//! the order the rounds met them. Nothing a set's views read moves.
+//! Downstream, the alias builder adopts each round's table, and the
+//! merged view maps every set to `None`. Both lanes read the kept
+//! interfaces as the table's words (with the quarantine off, `seen`'s,
+//! in order: `discovery_delta` and `union` walk the same sets alike);
+//! only the alias candidates' fresh arrivals are a round's own words,
+//! read off the rebase's id maps.
 //!
 //! Once the pool is installed (or dropped) the state is a complete
 //! resume point and the round-boundary observer borrows the
@@ -156,9 +157,8 @@ use aliasres::{
     resolve_aliases_supervised, sibling_candidates, AliasConfig, RouterGraph, RouterGraphBuilder,
 };
 use analysis::{
-    discover_by_path_div, ia_hack, quarantine_all, stream_campaigns_supervised, AddrInterner,
-    AsnResolver, CandidateSubnet, PathDivParams, QuarantineConfig, ShardRoute, ShardedTraceSet,
-    TraceSet,
+    discover_by_path_div, ia_hack, quarantine_all, stream_campaigns_supervised, AsnResolver,
+    CandidateSubnet, PathDivParams, QuarantineConfig, ShardRoute, ShardedTraceSet, TraceSet,
 };
 use seeds::feedback::{feedback_list, FeedbackParams};
 // The workspace's shared splitmix64, for per-round generation seeds.
@@ -432,12 +432,12 @@ pub struct AdaptiveResult {
     /// Each round's exact (sorted, deduplicated) target list — the
     /// seeded-determinism contract of the loop.
     pub round_targets: Vec<Vec<Ipv6Addr>>,
-    /// Every campaign's trace set, rounds in order, vantage-major
-    /// within a round, shards within a vantage. A campaign that failed
-    /// hard (exhausted supervisor retries without one completed
-    /// attempt) contributes no set. A delta run's list leads with one
-    /// more set, the prior store ([`Checkpoint::delta`]).
-    pub traces: Vec<TraceSet>,
+    /// The trace record: every campaign's trace set, rounds in order,
+    /// vantage-major within a round, shards within a vantage, after a
+    /// delta run's prior store ([`Checkpoint::delta`]). A campaign that
+    /// failed hard (exhausted supervisor retries without one completed
+    /// attempt) contributes no set.
+    pub traces: Record,
     /// Engine accounting accumulated over all campaigns (every
     /// supervised attempt) via [`EngineStats::merge`].
     pub stats: EngineStats,
@@ -503,7 +503,59 @@ impl AdaptiveResult {
     /// was. Per-vantage questions read [`traces`](Self::traces), each
     /// set named by its `vantage` field.
     pub fn merged_traces(&self) -> TraceSet {
-        TraceSet::merge_all(&self.traces)
+        TraceSet::merge_all(self.traces.iter())
+    }
+}
+
+/// The loop's trace record: a delta run's prior store as one set, then
+/// every kept campaign set, all on one table (module docs, "The
+/// record's one table"). A clone shares every set's columns and the
+/// table, so a [`Checkpoint`] an observer keeps copies no column.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Record {
+    /// A delta run's prior store; `None` for any other run.
+    pub(crate) prior: Option<TraceSet>,
+    /// The kept campaign sets, in the order [`AdaptiveResult::traces`]
+    /// describes.
+    pub(crate) sets: Vec<TraceSet>,
+}
+
+impl Record {
+    /// A delta run's prior store, as one set.
+    pub fn prior(&self) -> Option<&TraceSet> {
+        self.prior.as_ref()
+    }
+
+    /// Every set of the record, the prior store first.
+    pub fn iter(&self) -> impl Iterator<Item = &TraceSet> {
+        self.prior.iter().chain(&self.sets)
+    }
+
+    /// The record's table's words: every interface the record holds, in
+    /// the order the rounds met them.
+    pub(crate) fn words(&self) -> &[u128] {
+        self.iter().last().map_or(&[], |ts| ts.interner().words())
+    }
+
+    /// Appends a round's kept sets by one [`TraceSet::rebase`] over the
+    /// older sets, then the round's (module docs, "The record's one
+    /// table"), and returns the round's arrivals: the words the round's
+    /// sets' own tables held, read off their id maps.
+    pub(crate) fn push_round(&mut self, sets: Vec<TraceSet>) -> Vec<Ipv6Addr> {
+        let own: Vec<usize> = sets.iter().map(|ts| ts.interner().len()).collect();
+        self.sets.extend(sets);
+        let mut table = Arc::default();
+        let maps = TraceSet::rebase(&mut table, self.prior.iter_mut().chain(&mut self.sets));
+        let mut arrived = vec![false; table.len()];
+        // The round's sets are the last ones rebased.
+        for (map, &n) in maps.iter().rev().zip(own.iter().rev()) {
+            match map {
+                Some(m) => m.iter().for_each(|&id| arrived[id as usize] = true),
+                None => arrived[..n].fill(true),
+            }
+        }
+        let words = table.words().iter().zip(arrived);
+        words.filter_map(|(&w, a)| a.then_some(w.into())).collect()
     }
 }
 
@@ -512,7 +564,7 @@ impl AdaptiveResult {
 /// targets are the round target lists (after a delta run's stored
 /// targets but the canaries), the budget's charge is the stats' probe
 /// count, the alias totals are the round reports' sums, the kept
-/// interfaces are the last set's table, a delta run's canaries come
+/// interfaces are the record's table, a delta run's canaries come
 /// from its prior set, and the router graph is the record's sets plus
 /// its alias partition (which is all a checkpoint writes of it). It has
 /// one owner: the loop runs on the state inside the [`Checkpoint`] it
@@ -535,12 +587,10 @@ pub(crate) struct LoopState {
     pub(crate) rounds: Vec<RoundReport>,
     /// Each finished round's exact target list.
     pub(crate) round_targets: Vec<Vec<Ipv6Addr>>,
-    /// Every completed campaign's trace set. Shared, never mutated
-    /// once pushed: a [`Checkpoint`] an observer cloned and kept holds
-    /// the very sets the loop keeps reading, not copies of the
-    /// ever-growing record. Every set shares one table (module docs,
-    /// "The record's one table").
-    pub(crate) traces: Vec<Arc<TraceSet>>,
+    /// The trace record: a delta run's prior set, then every completed
+    /// campaign's set. A round only appends to it and hands every set
+    /// the extended table; no column of a set moves once pushed.
+    pub(crate) traces: Record,
     /// Merged engine accounting; its probe count is what the budget
     /// has been charged.
     pub(crate) stats: EngineStats,
@@ -563,8 +613,8 @@ pub(crate) struct LoopState {
 /// Cross-round state of the alias-resolution stage.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct AliasState {
-    /// The incrementally maintained router-level graph: every set of
-    /// the record after a delta run's prior set, ingested in record
+    /// The incrementally maintained router-level graph: the record's
+    /// campaign sets (never a delta run's prior set), ingested in record
     /// order, and the alias groups merged into it. A checkpoint writes
     /// only its partition and rebuilds the rest from the record.
     pub(crate) builder: RouterGraphBuilder,
@@ -576,7 +626,7 @@ pub(crate) struct AliasState {
 }
 
 /// Cross-round state of a delta-seeded run ([`Checkpoint::delta`]),
-/// whose prior store is the record's first set.
+/// whose prior store is the record's [`prior`](Record::prior) set.
 #[derive(Clone, Debug)]
 pub(crate) struct DeltaState {
     /// The prior store's shard count: its [`ShardRoute`] is the unit a
@@ -600,7 +650,7 @@ fn fresh(topo: &Topology, initial: &TargetSet, cfg: &AdaptiveConfig) -> Checkpoi
         subnets: Vec::new(),
         rounds: Vec::new(),
         round_targets: Vec::new(),
-        traces: Vec::new(),
+        traces: Record::default(),
         stats: EngineStats::default(),
         low_streak: 0,
         pool: initial.addrs.clone(),
@@ -636,7 +686,7 @@ impl Checkpoint {
     /// stored trace re-queues its whole [`ShardRoute`] shard and resets
     /// the yield-floor streak, so changed regions are re-swept at full
     /// intensity while unchanged regions cost only their canaries. The
-    /// run's `traces` begin with the prior store as one set
+    /// run's record holds the prior store as one set
     /// ([`ShardedTraceSet::to_trace_set`], a clone that shares the
     /// store's columns and table, so it copies nothing; the merged view
     /// is the updated store); `stats` counts only this run's probing.
@@ -652,16 +702,15 @@ impl Checkpoint {
         // re-counted as yield) and the store, as one set, leads the kept
         // trace record, so the result's merged view is the updated store.
         prior.discovery_delta(&mut st.seen);
-        let prior_set = prior.to_trace_set();
+        let prior_set = st.traces.prior.insert(prior.to_trace_set());
         // The canaries ride the force queue into round 0: most stored
         // targets are feedback-round derivations outside `initial`'s
         // pool, so sampling the pool alone would re-probe almost none.
         st.delta = Some(DeltaState {
             shards: prior.n_shards(),
             reopened: vec![false; prior.n_shards()],
-            force: canaries(&prior_set),
+            force: canaries(prior_set),
         });
-        st.traces.push(Arc::new(prior_set));
         ck
     }
 }
@@ -739,10 +788,8 @@ struct Views {
 
 impl Views {
     fn rebuild(topo: &Topology, cfg: &AdaptiveConfig, st: &LoopState) -> Views {
-        let (known, canaries) = match &st.delta {
-            Some(_) => (st.traces[0].targets(), canaries(&st.traces[0])),
-            None => (&[][..], Vec::new()),
-        };
+        let known = st.traces.prior().map_or(&[][..], TraceSet::targets);
+        let canaries = st.traces.prior().map_or_else(Vec::new, canaries);
         // A delta run's stored targets count as probed, so no budget
         // re-pays them (feedback from the seeded seen-set re-derives
         // much of them); the canaries stay probeable.
@@ -812,7 +859,7 @@ struct Mined {
     stats: EngineStats,
     new_interfaces: u64,
     new_subnets: u64,
-    /// Where the round's kept sets start in `LoopState::traces`.
+    /// Where the round's kept sets start in the record's campaign sets.
     first_set: usize,
     /// The distinct interfaces of the round's kept sets: the words their
     /// own tables held before the rebase.
@@ -1023,27 +1070,6 @@ fn join<A, B: Send>(parallel: bool, a: impl FnOnce() -> A, b: impl FnOnce() -> B
     })
 }
 
-/// Moves a round's kept sets onto `table`, the record's, extended by
-/// their words ([`TraceSet::rebase`]), and returns the round's arrivals:
-/// the words the sets' own tables held, read off their id maps. The
-/// record's older sets read a prefix of the extended table.
-fn rebase_round(table: &mut Arc<AddrInterner>, sets: &mut [TraceSet]) -> Vec<Ipv6Addr> {
-    let own: Vec<usize> = sets.iter().map(|ts| ts.interner().len()).collect();
-    let maps = TraceSet::rebase(table, sets.iter_mut());
-    let mut arrived = vec![false; table.len()];
-    for (map, n) in maps.iter().zip(own) {
-        match map {
-            Some(m) => m.iter().for_each(|&id| arrived[id as usize] = true),
-            None => arrived[..n].fill(true),
-        }
-    }
-    let words = table.words().iter().zip(&arrived);
-    words
-        .filter(|(_, &a)| a)
-        .map(|(&w, _)| Ipv6Addr::from(w))
-        .collect()
-}
-
 /// The subnets one kept set implies: the IA hack always, path
 /// divergence when configured. A pure function of the set, so the mine
 /// stage maps it over the round's sets on the campaign pool.
@@ -1068,7 +1094,7 @@ fn mine_set(
 struct AliasLane<'a> {
     alias: Option<&'a mut AliasState>,
     /// The round's kept sets.
-    round_sets: &'a [Arc<TraceSet>],
+    round_sets: &'a [TraceSet],
     /// Their distinct interfaces ([`Mined::arrivals`]).
     arrivals: &'a [Ipv6Addr],
     /// The interfaces that feed forward: the record's table's words.
@@ -1250,9 +1276,8 @@ impl LoopState {
     /// miners are pure per set and run on the campaign pool, and the
     /// fold back into the state is serial in campaign order — so the
     /// discovery order of `subnets` is the one-thread order. The fold
-    /// ends by rebasing the round's sets onto the record's table,
-    /// extended, and handing it to every older set (module docs, "The
-    /// record's one table").
+    /// ends by appending the round's sets to the record, on its one
+    /// table, extended (module docs, "The record's one table").
     fn mine_round(
         &mut self,
         topo: &Topology,
@@ -1266,7 +1291,7 @@ impl LoopState {
             stats: EngineStats::default(),
             new_interfaces: 0,
             new_subnets: 0,
-            first_set: self.traces.len(),
+            first_set: self.traces.sets.len(),
             arrivals: Vec::new(),
         };
         let mut kept: Vec<(u8, TraceSet)> = Vec::with_capacity(run.results.len());
@@ -1290,20 +1315,9 @@ impl LoopState {
                 mined.new_subnets += 1;
             }
         }
-        // The record's table, which every set shares.
-        let mut table = self
+        mined.arrivals = self
             .traces
-            .last()
-            .map_or_else(Arc::default, |ts| Arc::clone(ts.interner()));
-        let mut sets: Vec<TraceSet> = kept.into_iter().map(|(_, ts)| ts).collect();
-        mined.arrivals = rebase_round(&mut table, &mut sets);
-        // The older sets share a prefix of the extended table: every map
-        // is `None`, and only the table they point at changes.
-        let stale = |ts: &Arc<TraceSet>| !Arc::ptr_eq(ts.interner(), &table);
-        if self.traces.first().is_some_and(stale) {
-            TraceSet::rebase(&mut table, self.traces.iter_mut().map(Arc::make_mut));
-        }
-        self.traces.extend(sets.into_iter().map(Arc::new));
+            .push_round(kept.into_iter().map(|(_, ts)| ts).collect());
         mined
     }
 
@@ -1314,14 +1328,10 @@ impl LoopState {
         views: &'a Views,
         mined: &'a Mined,
     ) -> (AliasLane<'a>, FeedbackLane<'a>) {
-        // The last set's table holds the record's words, in order.
-        let kept = self
-            .traces
-            .last()
-            .map_or(&[][..], |ts| ts.interner().words());
+        let kept = self.traces.words();
         let alias = AliasLane {
             alias: self.alias.as_mut(),
-            round_sets: &self.traces[mined.first_set..],
+            round_sets: &self.traces.sets[mined.first_set..],
             arrivals: &mined.arrivals,
             kept,
             charged: self.stats.probes,
@@ -1424,12 +1434,11 @@ impl LoopState {
     /// targets queue for forced re-probing — and reset the yield streak
     /// so the floor can't stop the loop before the re-sweep runs.
     fn reopen_changed_shards(&mut self, canaries: &[Ipv6Addr], first_set: usize) {
-        let Some(d) = self.delta.as_mut() else {
+        let (Some(d), Some(prior)) = (self.delta.as_mut(), self.traces.prior()) else {
             return;
         };
         let round_list = self.round_targets.last().expect("a round just closed");
-        let prior = &self.traces[0];
-        let this_round = &self.traces[first_set..];
+        let this_round = &self.traces.sets[first_set..];
         let route = ShardRoute::new(d.shards);
         let mut reopened_any = false;
         for &c in canaries {
@@ -1469,9 +1478,7 @@ impl LoopState {
         AdaptiveResult {
             rounds: self.rounds,
             round_targets: self.round_targets,
-            // Free unless an observer kept a checkpoint; then that one
-            // keeps its sets and the result takes copies.
-            traces: self.traces.into_iter().map(Arc::unwrap_or_clone).collect(),
+            traces: self.traces,
             stats: self.stats,
             interfaces: self.seen,
             subnets: self.subnets,
@@ -1629,6 +1636,7 @@ fn run_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use analysis::AddrInterner;
     use simnet::config::TopologyConfig;
     use simnet::generate::generate;
 
@@ -1689,8 +1697,8 @@ mod tests {
         // What each round boundary shows, for the run and for a resume.
         let check = |ck: &Checkpoint, prev: &mut Option<Arc<AddrInterner>>, sets: &mut usize| {
             let st = &ck.state;
-            let round = &st.traces[*sets..];
-            *sets = st.traces.len();
+            let round = &st.traces.sets[*sets..];
+            *sets = st.traces.sets.len();
             let table = round[0].interner();
             assert_eq!(round.len(), 4, "two vantages of two shards");
             assert!(round.iter().all(|ts| Arc::ptr_eq(ts.interner(), table)));
@@ -1710,7 +1718,7 @@ mod tests {
         // A resumed record shares one table too, and its builder adopts
         // the next round's table.
         let ck = Checkpoint::from_bytes(&first.unwrap()).unwrap();
-        let (mut prev, mut sets) = (Some(Arc::clone(ck.state.traces[0].interner())), 4);
+        let (mut prev, mut sets) = (Some(Arc::clone(ck.state.traces.sets[0].interner())), 4);
         resume_adaptive(&topo, &cfg, &ck, false, |ck| {
             check(ck, &mut prev, &mut sets)
         })
@@ -1727,9 +1735,10 @@ mod tests {
             assert!(sets.all(|ts| Arc::ptr_eq(ts.interner(), &table)), "{what}");
         }
         let check = |ck: &Checkpoint| {
-            one_table(ck.traces(), &format!("round {}", ck.round()));
+            let what = format!("round {}", ck.round());
+            one_table(ck.record().iter(), &what);
             let back = Checkpoint::from_bytes(&ck.to_bytes()).unwrap();
-            one_table(back.traces(), &format!("round {}, decoded", ck.round()));
+            one_table(back.record().iter(), &format!("{what}, decoded"));
         };
         for quarantine_feedback in [false, true] {
             let cfg = AdaptiveConfig {
@@ -1751,7 +1760,7 @@ mod tests {
     /// What a result derives equals what it is derived from: the probes
     /// charged are the rounds' probes, the alias totals are the rounds'
     /// verdicts, and with the quarantine off the interfaces, in
-    /// discovery order, are the words of the record's last table.
+    /// discovery order, are the words of the record's table.
     fn assert_accounted(res: &AdaptiveResult, quarantine: bool) {
         let sum = |f: fn(&RoundReport) -> u64| res.rounds.iter().map(f).sum::<u64>();
         assert_eq!(res.stats.probes, sum(|r| r.probes));
@@ -1760,10 +1769,7 @@ mod tests {
         assert_eq!(rl.pairs_confirmed, sum(|r| r.alias_pairs_confirmed));
         assert_eq!(rl.pairs_rejected, sum(|r| r.alias_pairs_rejected));
         if !quarantine {
-            let table = res
-                .traces
-                .last()
-                .map_or(&[][..], |ts| ts.interner().words());
+            let table = res.traces.words();
             let words: Vec<Ipv6Addr> = table.iter().map(|&w| Ipv6Addr::from(w)).collect();
             assert_eq!(res.interfaces.iter().collect::<Vec<_>>(), words);
         }

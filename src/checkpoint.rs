@@ -1,7 +1,7 @@
 //! Round-boundary checkpoints for the adaptive loop: the loop's
-//! complete cross-round state (`LoopState` — the interner-preserving
-//! trace sets, a delta run's prior store first among them as one set,
-//! the discovery set, the round reports and target lists, the
+//! complete cross-round state (`LoopState` — the trace record, a delta
+//! run's prior store as one set and then the campaign sets, the
+//! discovery set, the round reports and target lists, the
 //! budgeter's EWMA weights and liveness mask, the regenerated target
 //! pool, the virtual clock, a delta run's shard count, latches and
 //! force queue, the alias stage's partition and tested set) and a
@@ -25,9 +25,11 @@
 //! always encodes to the same bytes, and a decoded state re-encodes to
 //! the bytes it came from). Every set of the trace record shares one
 //! table (see [`crate::adaptive`]), so the record is written as one table
-//! and then the sets without it ([`write_trace_record`]), and decoding
-//! builds that one table and hands it to every set, as the running
-//! record holds it. The round target lists and the pool ascend, so each
+//! and then the sets without it, the prior store first
+//! ([`write_trace_record`]), and decoding builds that one table and
+//! hands it to every set, as the running record holds it; the delta
+//! flag, read after the record, says whether its first set is the prior
+//! store. The round target lists and the pool ascend, so each
 //! is written as the two varint steps an address of a set's targets is
 //! ([`write_ascending`]). A checkpoint is only meaningful under the
 //! exact topology and configuration it was captured under, so it
@@ -38,17 +40,17 @@
 //! silently-divergent run.
 
 use crate::adaptive::{
-    yield_per_kprobe, AdaptiveConfig, AliasState, DeltaState, LoopState, RoundReport, VantageRound,
+    yield_per_kprobe, AdaptiveConfig, AliasState, DeltaState, LoopState, Record, RoundReport,
+    VantageRound,
 };
 use aliasres::RouterGraphBuilder;
 use analysis::snapshot::{
     fnv1a, read_ascending, read_trace_record, write_ascending, write_trace_record,
 };
-use analysis::{SnapReader, SnapWriter, SnapshotError, TraceSet, MAX_SHARDS};
+use analysis::{SnapReader, SnapWriter, SnapshotError, MAX_SHARDS};
 use simnet::{EngineStats, Topology};
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
-use std::sync::Arc;
 use v6addr::Ipv6Prefix;
 use yarrp6::addrset::AddrSet;
 
@@ -146,11 +148,11 @@ impl Checkpoint {
         self.state.seen.len()
     }
 
-    /// Every campaign's trace set so far, in the order the run's
+    /// The trace record so far: what the run's
     /// [`AdaptiveResult::traces`](crate::adaptive::AdaptiveResult::traces)
-    /// lists them.
-    pub fn traces(&self) -> impl ExactSizeIterator<Item = &TraceSet> {
-        self.state.traces.iter().map(|t| &**t)
+    /// will begin with.
+    pub fn record(&self) -> &Record {
+        &self.state.traces
     }
 
     /// Serializes the checkpoint: header, then `LoopState`'s fields in
@@ -191,8 +193,7 @@ impl Checkpoint {
         });
         write_list(&mut w, &st.rounds, write_round);
         write_list(&mut w, &st.round_targets, |w, rt| write_ascending(w, rt));
-        let sets = st.traces.iter().map(|ts| &**ts);
-        write_trace_record(&mut w, sets, tail.bytes().len() + TRAILER);
+        write_trace_record(&mut w, st.traces.iter(), tail.bytes().len() + TRAILER);
         w.raw(tail.bytes());
         let sum = checksum(w.bytes());
         w.u64(sum);
@@ -227,7 +228,10 @@ impl Checkpoint {
             subnets: read_list(r, read_prefix)?,
             rounds: read_list(r, read_round)?,
             round_targets: read_list(r, read_ascending)?,
-            traces: read_trace_record(r)?.into_iter().map(Arc::new).collect(),
+            traces: Record {
+                prior: None,
+                sets: read_trace_record(r)?,
+            },
             stats: read_stats(r)?,
             low_streak: r.u64()? as usize,
             pool: read_ascending(r)?,
@@ -242,6 +246,10 @@ impl Checkpoint {
             },
             alias: None,
         };
+        // A delta run's record begins with its prior set.
+        if state.delta.is_some() && !state.traces.sets.is_empty() {
+            state.traces.prior = Some(state.traces.sets.remove(0));
+        }
         // A report's index and target count are its place in the lists.
         for (i, (report, targets)) in state
             .rounds
@@ -340,7 +348,7 @@ fn check_shape(st: &LoopState) -> Result<(), SnapshotError> {
         "repeated subnet"
     } else if st.round_targets.len() != st.rounds.len() {
         "round target lists and rounds differ in count"
-    } else if delta.is_some() && st.traces.is_empty() {
+    } else if delta.is_some() && st.traces.prior.is_none() {
         "a delta run's record begins with its prior set"
     } else if delta.is_some_and(|d| d.shards == 0) {
         "a delta run's route has no shard"
@@ -356,9 +364,9 @@ fn check_shape(st: &LoopState) -> Result<(), SnapshotError> {
 
 /// The alias stage's cross-round state: the router graph's alias
 /// partition ([`RouterGraphBuilder::alias_groups`]) and the tested set.
-/// The rest of the graph is the record's: the builder ingested every
-/// set after a delta run's prior set, so the decoder rebuilds it from
-/// those, in record order, and then merges the groups.
+/// The rest of the graph is the record's: the builder ingested its
+/// campaign sets (never a delta run's prior set), so the decoder
+/// rebuilds it from those, in record order, and then merges the groups.
 fn write_alias_state(w: &mut SnapWriter, al: &AliasState) {
     write_list(w, &al.builder.alias_groups(), |w, g| write_addrs(w, g));
     write_addr_set(w, &al.probed);
@@ -370,7 +378,7 @@ fn write_alias_state(w: &mut SnapWriter, al: &AliasState) {
 fn read_alias_state(r: &mut SnapReader<'_>, st: &LoopState) -> Result<AliasState, SnapshotError> {
     let groups = read_list(r, read_addrs)?;
     let mut builder = RouterGraphBuilder::new();
-    for set in st.traces.iter().skip(usize::from(st.delta.is_some())) {
+    for set in &st.traces.sets {
         builder.ingest(set);
     }
     for g in &groups {
@@ -511,6 +519,7 @@ mod tests {
     use analysis::ShardedTraceSet;
     use simnet::config::TopologyConfig;
     use simnet::generate::generate;
+    use std::sync::Arc;
     use targets::TargetSet;
 
     /// The first round boundary of a delta run against a four-shard
@@ -564,7 +573,7 @@ mod tests {
             (|st| st.round_targets[0].swap(0, 1), "target order"),
             (|st| st.pool.push(st.pool[0]), "target order"),
             (
-                |st| st.traces.clear(),
+                |st| st.traces = Record::default(),
                 "a delta run's record begins with its prior set",
             ),
             (

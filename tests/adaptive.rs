@@ -50,10 +50,7 @@ fn seeded_determinism_round_by_round() {
         a.round_targets, b.round_targets,
         "round-by-round target lists diverged"
     );
-    assert_eq!(a.traces.len(), b.traces.len());
-    for (x, y) in a.traces.iter().zip(&b.traces) {
-        assert_eq!(x, y, "trace sets diverged");
-    }
+    assert!(a.traces == b.traces, "trace sets diverged");
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.stop, b.stop);
     assert_eq!(
@@ -90,7 +87,6 @@ fn one_round_golden_matches_stream_campaign() {
     };
     let res = run_adaptive_checkpointed(&topo, &set, &one, false, |_| {});
     assert_eq!(res.rounds.len(), 1);
-    assert_eq!(res.traces.len(), 1);
     assert_eq!(res.round_targets[0], set.addrs);
 
     let golden = CampaignRunner::new(&topo)
@@ -103,8 +99,8 @@ fn one_round_golden_matches_stream_campaign() {
         .runs
         .remove(0);
     let (golden_ts, golden_stats) = (golden.traces, golden.stats);
-    assert_eq!(
-        res.traces[0], golden_ts,
+    assert!(
+        res.traces.iter().eq([&golden_ts]),
         "one-round adaptive must be bit-identical to a plain streamed campaign"
     );
     assert_eq!(res.stats, golden_stats);
@@ -120,10 +116,7 @@ fn parallel_matches_serial() {
     let serial = run_adaptive_checkpointed(&topo, &set, &cfg(), false, |_| {});
     let parallel = run_adaptive_checkpointed(&topo, &set, &cfg(), true, |_| {});
     assert_eq!(serial.round_targets, parallel.round_targets);
-    assert_eq!(serial.traces.len(), parallel.traces.len());
-    for (s, p) in serial.traces.iter().zip(&parallel.traces) {
-        assert_eq!(s, p);
-    }
+    assert!(serial.traces == parallel.traces, "trace sets diverged");
     assert_eq!(serial.stats, parallel.stats);
     assert_eq!(serial.stop, parallel.stop);
     assert_eq!(
@@ -166,9 +159,7 @@ fn vantage_budgeting_is_deterministic_and_parallel_matches_serial() {
         assert_eq!(x, y, "budgeting rounds must be deterministic");
         assert_eq!(x, z, "parallel budgeting must match serial");
     }
-    for (x, z) in a.traces.iter().zip(&p.traces) {
-        assert_eq!(x, z);
-    }
+    assert!(a.traces == p.traces, "trace sets diverged");
     assert_eq!(a.stats, p.stats);
 }
 
@@ -255,7 +246,7 @@ fn merged_traces_union_all_discoveries() {
     // of a per-vantage set.
     let names: Vec<&str> = merged.vantage.split('+').collect();
     assert!(!names.is_empty());
-    for ts in &res.traces {
+    for ts in res.traces.iter() {
         assert!(names.contains(&&*ts.vantage));
     }
 }

@@ -59,7 +59,7 @@ fn quarantined_run_on_hostile_topology_has_zero_fabricated_interfaces() {
     assert_no_fabricated(&topo, res.interfaces.iter());
     // The per-round trace sets the result keeps are the *cleaned* ones:
     // their interface columns are fabricated-free too.
-    for ts in &res.traces {
+    for ts in res.traces.iter() {
         assert_no_fabricated(&topo, ts.interface_addrs());
     }
     let union = res.merged_traces();
@@ -138,7 +138,7 @@ fn clean_topology_makes_quarantine_invisible() {
     let on = run_adaptive_checkpointed(&topo, &set, &loop_cfg(true), false, |_| {});
     assert_eq!(off.round_targets, on.round_targets, "feedback diverged");
     assert_eq!(off.traces, on.traces, "trace sets diverged");
-    for (x, y) in off.traces.iter().zip(&on.traces) {
+    for (x, y) in off.traces.iter().zip(on.traces.iter()) {
         assert_eq!(
             x.interner().words(),
             y.interner().words(),

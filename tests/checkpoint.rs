@@ -54,10 +54,7 @@ fn cfg() -> AdaptiveConfig {
 fn assert_same(a: &AdaptiveResult, b: &AdaptiveResult) {
     assert_eq!(a.round_targets, b.round_targets);
     assert_eq!(a.rounds, b.rounds);
-    assert_eq!(a.traces.len(), b.traces.len());
-    for (x, y) in a.traces.iter().zip(&b.traces) {
-        assert_eq!(x, y, "trace sets diverged");
-    }
+    assert!(a.traces == b.traces, "trace sets diverged");
     assert_eq!(a.merged_traces(), b.merged_traces());
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.stop, b.stop);
@@ -487,7 +484,7 @@ fn a_flipped_hop_cell_fails_the_checksum() {
     let bytes = small_checkpoint();
     let ck = Checkpoint::from_bytes(&bytes).unwrap();
     let mut w = SnapWriter::new();
-    write_trace_record(&mut w, ck.traces(), 0);
+    write_trace_record(&mut w, ck.record().iter(), 0);
     let record = w.into_bytes();
     let at = bytes
         .windows(record.len())
@@ -594,7 +591,7 @@ proptest! {
         reseal(&mut bytes);
         if let Ok(ck) = Checkpoint::from_bytes(&bytes) {
             prop_assert!(ck.to_bytes() == bytes, "a decoded checkpoint re-encodes to other bytes");
-            for set in ck.traces() {
+            for set in ck.record().iter() {
                 for t in set.iter() {
                     let deepest = t.last_hop().map(|(ttl, _)| ttl);
                     prop_assert_eq!(t.hop_vec().len(), deepest.map_or(0, usize::from));
@@ -663,7 +660,7 @@ const PINNED_LAST_ROUND: [Pin; 7] = [
 /// printing each section that moved with its byte range.
 fn assert_pinned(bytes: &[u8], pinned: &[Pin; 7], what: &str) {
     let ck = Checkpoint::from_bytes(bytes).expect("a pinned checkpoint decodes");
-    let moved = testkit::checkpoint::moved(bytes, ck.traces(), pinned);
+    let moved = testkit::checkpoint::moved(bytes, ck.record().iter(), pinned);
     assert!(moved.is_empty(), "{what}: the checkpoint moved\n{moved}");
 }
 

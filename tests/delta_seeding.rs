@@ -3,10 +3,10 @@
 //! run with [`beholder::adaptive::resume_adaptive`]:
 //!
 //! * **unchanged world, cheaper sweep** — against a snapshot of its
-//!   own prior run, the delta loop probes strictly fewer targets than
-//!   the fresh run did while ending at the same discovered-interface
-//!   count (the canaries confirm nothing moved, so budget buys
-//!   nothing);
+//!   own prior run, the delta loop probes one round of its 64 canaries
+//!   and stops at the yield floor, at the fresh run's
+//!   discovered-interface count (the canaries confirm nothing moved, so
+//!   budget buys nothing);
 //! * **determinism** — same `(topology, initial, config, snapshot)`
 //!   produces identical rounds, serial or parallel;
 //! * **changed world, reopened shards** — a snapshot whose stored
@@ -78,24 +78,47 @@ fn run_delta(
         .expect("a delta checkpoint fits its config")
 }
 
+/// The canaries a delta run re-probes: a stride-sampled 64 of the prior
+/// store's targets.
+const CANARY_TARGETS: u64 = 64;
+
 #[test]
 fn unchanged_snapshot_probes_fewer_targets_for_equal_discovery() {
     let (topo, set) = fixture();
-    let fresh = run_adaptive_checkpointed(&topo, &set, &cfg(), false, |_| {});
-    let prior = snapshot_of(&fresh);
-    let delta = run_delta(&topo, &set, &cfg(), &prior, false);
-    assert!(
-        targets_probed(&delta) < targets_probed(&fresh),
-        "delta against an unchanged snapshot must probe strictly fewer targets \
-         (delta {} vs fresh {})",
-        targets_probed(&delta),
-        targets_probed(&fresh)
-    );
-    assert_eq!(
-        delta.unique_interfaces(),
-        fresh.unique_interfaces(),
-        "an unchanged world must yield the same discovered-interface count"
-    );
+    for vantage_budgeting in [false, true] {
+        let mut cfg = cfg();
+        cfg.vantage_budgeting = vantage_budgeting;
+        let fresh = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
+        let prior = snapshot_of(&fresh);
+        let delta = run_delta(&topo, &set, &cfg, &prior, false);
+        assert!(
+            targets_probed(&delta) < targets_probed(&fresh),
+            "delta against an unchanged snapshot must probe strictly fewer targets \
+             (delta {} vs fresh {})",
+            targets_probed(&delta),
+            targets_probed(&fresh)
+        );
+        // An unchanged world costs exactly its canaries: one round, every
+        // vantage probing all of them, which earns nothing and stops the
+        // loop at the yield floor.
+        let rounds: Vec<(u64, Vec<u64>)> = delta
+            .rounds
+            .iter()
+            .map(|r| (r.targets, r.per_vantage.iter().map(|v| v.targets).collect()))
+            .collect();
+        let what = format!("vantage_budgeting = {vantage_budgeting}");
+        assert_eq!(
+            rounds,
+            [(CANARY_TARGETS, vec![CANARY_TARGETS; 2])],
+            "{what}"
+        );
+        assert_eq!(delta.stop, StopReason::YieldFloor, "{what}");
+        assert_eq!(
+            delta.unique_interfaces(),
+            fresh.unique_interfaces(),
+            "an unchanged world must yield the same discovered-interface count ({what})"
+        );
+    }
 }
 
 #[test]
@@ -108,10 +131,10 @@ fn delta_runs_are_deterministic_serial_and_parallel() {
     assert_eq!(a.round_targets, b.round_targets);
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.stop, b.stop);
-    assert_eq!(a.traces.len(), b.traces.len());
-    for (x, y) in a.traces.iter().zip(&b.traces) {
-        assert!(x == y, "delta trace sets diverged between drivers");
-    }
+    assert!(
+        a.traces == b.traces,
+        "delta trace sets diverged between drivers"
+    );
     assert_eq!(
         a.interfaces.iter().collect::<Vec<_>>(),
         b.interfaces.iter().collect::<Vec<_>>()

@@ -81,10 +81,7 @@ fn assert_same(a: &AdaptiveResult, b: &AdaptiveResult) {
     assert_eq!(a.round_targets, b.round_targets);
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.stop, b.stop);
-    assert_eq!(a.traces.len(), b.traces.len());
-    for (x, y) in a.traces.iter().zip(&b.traces) {
-        assert!(x == y, "trace sets diverged");
-    }
+    assert!(a.traces == b.traces, "trace sets diverged");
     assert!(
         a.merged_traces() == b.merged_traces(),
         "merged traces diverged"
