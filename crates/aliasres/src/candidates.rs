@@ -17,14 +17,20 @@
 //! vector, sorted, and every TTL run with two distinct addresses and a
 //! fresh member is emitted — no map, no per-bucket allocation. The
 //! shared-/64 rule needs old members, but not the sets they came from:
-//! it reads the record's *distinct* interfaces (a set the adaptive loop
-//! already keeps), picks out those whose /64 holds a fresh address and
-//! sorts that handful.
+//! it reads the record's one table (which holds every interface the
+//! record does), picks out the words whose /64 holds a fresh address
+//! and sorts that handful.
+//!
+//! Every round set reads that table, so an address is one id
+//! everywhere: fresh members and the output are bitmaps over the
+//! table's ids, a hop bucket holds `(ttl, id)` cells, and no address
+//! is hashed but the tested ones and the fresh /64s.
 
-use analysis::TraceSet;
+use analysis::{AddrInterner, TraceSet};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::net::Ipv6Addr;
+use std::sync::Arc;
 use yarrp6::addrset::AddrSet;
 
 /// The /64 an address word is numbered out of.
@@ -37,14 +43,14 @@ fn net64(w: u128) -> Ipv6Addr {
     Ipv6Addr::from(w >> 64 << 64)
 }
 
-/// Adds to `out` every run of `sorted` (ascending, distinct) that
-/// shares a key, holds at least two addresses and at least one member
-/// of `fresh`. `sorted` pairs the bucket key with the address word.
-fn emit_fresh_runs<K: Copy + Eq>(sorted: &[(K, u128)], fresh: &AddrSet, out: &mut AddrSet) {
+/// Marks in `out` every run of `sorted` (ascending, distinct) that
+/// shares a key, holds at least two ids and at least one `fresh` one.
+/// `sorted` pairs the bucket key with the table id.
+fn emit_fresh_runs<K: Copy + Eq>(sorted: &[(K, u32)], fresh: &[bool], out: &mut [bool]) {
     for run in sorted.chunk_by(|a, b| a.0 == b.0) {
-        if run.len() >= 2 && run.iter().any(|&(_, w)| fresh.contains(Ipv6Addr::from(w))) {
-            for &(_, w) in run {
-                out.insert(Ipv6Addr::from(w));
+        if run.len() >= 2 && run.iter().any(|&(_, id)| fresh[id as usize]) {
+            for &(_, id) in run {
+                out[id as usize] = true;
             }
         }
     }
@@ -53,46 +59,48 @@ fn emit_fresh_runs<K: Copy + Eq>(sorted: &[(K, u128)], fresh: &AddrSet, out: &mu
 /// The interfaces to offer the alias prober after a round, sorted
 /// ascending and deduplicated.
 ///
-/// `known` is every distinct interface word of the kept trace record,
-/// this round's included (the union of the kept sets' interners — the
-/// shared-/64 rule buckets it by /64), `round` is this round's kept
-/// sets (the shared-hop rule buckets their hop cells by
-/// `(target /64, TTL)`), `arrivals` is the round's distinct interfaces
-/// (the words of the round's sets' own interners: the adaptive loop's
-/// sets read a table that holds the whole record, so it passes what
-/// they held before), and `tested` is what the prober has already
-/// adjudicated. The arrivals outside `tested` are *fresh*; an address
-/// belongs to the result when one of those buckets holds it, at least
-/// one other address and at least one fresh one. With nothing fresh
-/// the result is empty and no set is read.
+/// `table` is the kept trace record's one table: every distinct
+/// interface word of the record, this round's included (the shared-/64
+/// rule buckets it by /64). `round` is this round's kept sets, each on
+/// `table` (the shared-hop rule buckets their hop cells by
+/// `(target /64, TTL)`). `arrivals` marks the round's distinct
+/// interfaces by table id (the words of the round's sets' own tables,
+/// before the adaptive loop rebased them onto the record's), and
+/// `tested` is what the prober has already adjudicated. The arrivals
+/// outside `tested` are *fresh*; an address belongs to the result when
+/// one of those buckets holds it, at least one other address and at
+/// least one fresh one. With nothing fresh the result is empty and no
+/// set is read. Panics when a round set reads another table.
 pub fn sibling_candidates(
-    known: &[u128],
+    table: &Arc<AddrInterner>,
     round: &[TraceSet],
-    arrivals: &[Ipv6Addr],
+    arrivals: &[bool],
     tested: &AddrSet,
 ) -> Vec<Ipv6Addr> {
-    let mut fresh = AddrSet::new();
-    for &a in arrivals {
-        if !tested.contains(a) {
-            fresh.insert(a);
+    assert!(
+        round.iter().all(|ts| Arc::ptr_eq(ts.interner(), table)),
+        "every round set reads the record's table"
+    );
+    let words = table.words();
+    let mut fresh = vec![false; words.len()];
+    let mut fresh64 = AddrSet::new();
+    for (id, _) in arrivals.iter().enumerate().filter(|&(_, &a)| a) {
+        if !tested.contains(Ipv6Addr::from(words[id])) {
+            fresh[id] = true;
+            fresh64.insert(net64(words[id]));
         }
     }
-    if fresh.is_empty() {
+    if fresh64.is_empty() {
         return Vec::new();
     }
-    let mut out = AddrSet::new();
+    let mut out = vec![false; words.len()];
 
     // Shared /64. Only a /64 holding a fresh address can qualify, so
     // only those interfaces are sorted into buckets.
-    let mut fresh64 = AddrSet::new();
-    for a in fresh.iter() {
-        fresh64.insert(net64(u128::from(a)));
-    }
-    let mut by64: Vec<(u64, u128)> = known
-        .iter()
-        .copied()
-        .filter(|&w| fresh64.contains(net64(w)))
-        .map(|w| (hi64(w), w))
+    let mut by64: Vec<(u64, u32)> = (0u32..)
+        .zip(words)
+        .filter(|&(_, &w)| fresh64.contains(net64(w)))
+        .map(|(id, &w)| (hi64(w), id))
         .collect();
     by64.sort_unstable();
     emit_fresh_runs(&by64, &fresh, &mut out);
@@ -106,7 +114,7 @@ pub fn sibling_candidates(
         .enumerate()
         .filter_map(|(i, ts)| Some(Reverse((hi64(u128::from(*ts.targets().first()?)), i))))
         .collect();
-    let mut cells: Vec<(u8, u128)> = Vec::new();
+    let mut cells: Vec<(u8, u32)> = Vec::new();
     while let Some(&Reverse((t64, _))) = heap.peek() {
         cells.clear();
         while let Some(&Reverse((k, i))) = heap.peek() {
@@ -115,15 +123,10 @@ pub fn sibling_candidates(
             }
             heap.pop();
             let ts = &round[i];
-            let (targets, words) = (ts.targets(), ts.interner().words());
+            let targets = ts.targets();
             let mut idx = cursor[i];
             while idx < targets.len() && hi64(u128::from(targets[idx])) == t64 {
-                cells.extend(
-                    ts.view_at(idx)
-                        .hop_cells()
-                        .iter()
-                        .map(|(ttl, aid)| (ttl, words[aid as usize])),
-                );
+                cells.extend(ts.view_at(idx).hop_cells());
                 idx += 1;
             }
             cursor[i] = idx;
@@ -136,7 +139,11 @@ pub fn sibling_candidates(
         emit_fresh_runs(&cells, &fresh, &mut out);
     }
 
-    let mut out: Vec<Ipv6Addr> = out.iter().collect();
+    let mut out: Vec<Ipv6Addr> = words
+        .iter()
+        .zip(out)
+        .filter_map(|(&w, o)| o.then_some(Ipv6Addr::from(w)))
+        .collect();
     out.sort_unstable();
     out
 }

@@ -12,7 +12,7 @@
 //! nodes) — no per-round rebuild of the whole graph. A set's ids meet
 //! the builder's through one [`union`] of the two tables: a set whose
 //! table is a prefix of the builder's, or extends it, costs no hashing
-//! at all (an empty builder, the shards of one store, the adaptive
+//! at all (an empty builder, sets rebased onto one table, the adaptive
 //! loop's rounds, each on a table that extends the last), and in the
 //! second case the builder adopts the set's table without copying it.
 //!
@@ -254,7 +254,7 @@ impl RouterGraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use analysis::ShardedTraceSet;
+    use analysis::ShardRoute;
     use testkit::fixtures::trace;
     use testkit::trace_set as ts;
 
@@ -301,13 +301,21 @@ mod tests {
 
     #[test]
     fn the_shards_of_one_store_share_the_builders_table() {
-        let set = ts((1..=8).map(|p| {
-            let hops = [(1, "::a"), (2, if p % 2 == 0 { "::b" } else { "::c" })];
-            trace(&format!("2001:db8:{p}::1"), &hops)
-        }));
-        let store = ShardedTraceSet::from_set(&set, 4);
-        let shards: Vec<TraceSet> = (0..4).map(|s| store.shard(s)).collect();
+        // The store's traces split by its route, each shard a set of its
+        // own, rebased onto one table as the loop's record is.
+        let traces = || {
+            (1..=8).map(|p| {
+                let hops = [(1, "::a"), (2, if p % 2 == 0 { "::b" } else { "::c" })];
+                trace(&format!("2001:db8:{p}::1"), &hops)
+            })
+        };
+        let set = ts(traces());
+        let route = ShardRoute::new(4);
+        let mut shards: Vec<TraceSet> = (0..4)
+            .map(|s| ts(traces().filter(|t| route.shard_of(t.target) == s)))
+            .collect();
         assert!(shards.iter().filter(|s| !s.is_empty()).count() > 1);
+        TraceSet::rebase(&mut Arc::default(), &mut shards);
         let mut b = RouterGraphBuilder::new();
         for shard in &shards {
             b.ingest(shard);

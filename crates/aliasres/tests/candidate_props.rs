@@ -1,14 +1,15 @@
 //! [`sibling_candidates`] pinned to the map-of-sets derivation it
 //! replaced: one heap-allocated `BTreeSet` per `/64` of the whole trace
 //! record and per `(target /64, TTL)` bucket of the round, the literal
-//! form of the two sibling rules. The merge-join — handed the record's
-//! distinct interfaces instead of the record — must return the same
-//! sorted list on any input: vantages sharing targets, several targets
-//! in one /64, sets with no traces, hop cells repeated across shards,
-//! everything already tested, nothing tested yet.
+//! form of the two sibling rules, keyed by address. The merge-join —
+//! handed the record's one table instead of the record, and the round's
+//! sets rebased onto it — must return the same sorted list on any
+//! input: vantages sharing targets, several targets in one /64, sets
+//! with no traces, hop cells repeated across shards, everything already
+//! tested, nothing tested yet.
 
 use aliasres::sibling_candidates;
-use analysis::{union, TraceSet};
+use analysis::{AddrInterner, TraceSet};
 use proptest::prelude::*;
 use proptest::strategy::FnStrategy;
 use proptest::test_runner::TestRng;
@@ -122,6 +123,7 @@ fn gen_sets(rng: &mut TestRng) -> Vec<TraceSet> {
 
 #[derive(Debug)]
 struct Case {
+    /// The record's sets before the round.
     history: Vec<TraceSet>,
     round: Vec<TraceSet>,
     /// Several tested sets judged over the same record: everything
@@ -132,18 +134,11 @@ struct Case {
 fn case_strategy() -> impl Strategy<Value = Case> {
     FnStrategy(|rng: &mut TestRng| {
         let round = gen_sets(rng);
-        // The loop's shape (the round is the record's tail), unrelated
-        // slices, or no record at all — the rules read one input each
-        // and must not assume the overlap, and without the /64 rule's
-        // output the hop rule's stands alone.
+        // Earlier rounds, or none: without them the /64 rule reads the
+        // round's words alone.
         let history = match rng.next_u64() % 4 {
             0 => Vec::new(),
-            1 => gen_sets(rng),
-            _ => {
-                let mut h = gen_sets(rng);
-                h.extend(round.iter().cloned());
-                h
-            }
+            _ => gen_sets(rng),
         };
         let mut tested = vec![
             (0..IFACE_64S * IFACES_PER_64)
@@ -162,20 +157,25 @@ fn case_strategy() -> impl Strategy<Value = Case> {
     })
 }
 
-/// What the adaptive loop hands over as `known`: the distinct
-/// interface words of the record's sets, in first-appearance order.
-fn known_of(history: &[TraceSet]) -> Vec<u128> {
-    let mut known = AddrSet::new();
-    for ts in history {
-        ts.discovery_delta(&mut known);
+/// The loop's shape: the record's older sets and then the round's,
+/// rebased onto one table (`Record::push_round`), the round's sets as
+/// rebased, and its arrivals as a bitmap over the table's ids: the
+/// words the round's sets' own tables held.
+fn on_one_table(
+    history: &[TraceSet],
+    round: &[TraceSet],
+) -> (Arc<AddrInterner>, Vec<TraceSet>, Vec<bool>) {
+    let mut sets: Vec<TraceSet> = history.iter().chain(round).cloned().collect();
+    let mut table = Arc::default();
+    TraceSet::rebase(&mut table, &mut sets);
+    let mut arrivals = vec![false; table.len()];
+    for &w in round.iter().flat_map(|ts| ts.interner().words()) {
+        let id = table
+            .lookup(Ipv6Addr::from(w))
+            .expect("the table holds the round");
+        arrivals[id as usize] = true;
     }
-    known.iter().map(u128::from).collect()
-}
-
-/// What the adaptive loop hands over as `arrivals`: the distinct
-/// words of the round's sets' own interners.
-fn arrivals_of(round: &[TraceSet]) -> Vec<Ipv6Addr> {
-    known_of(round).into_iter().map(Ipv6Addr::from).collect()
+    (table, sets.split_off(history.len()), arrivals)
 }
 
 fn addr_set(addrs: &[Ipv6Addr]) -> AddrSet {
@@ -189,20 +189,13 @@ fn addr_set(addrs: &[Ipv6Addr]) -> AddrSet {
 proptest! {
     #[test]
     fn merge_join_matches_the_map_of_sets(case in case_strategy()) {
-        let known = known_of(&case.history);
-        let arrivals = arrivals_of(&case.round);
-        // The loop's shape: the round's sets rebased onto a table that
-        // already holds the record's words.
-        let mut table = Arc::default();
-        union(&mut table, case.history.iter().map(|ts| ts.interner()));
-        let mut rebased = case.round.clone();
-        TraceSet::rebase(&mut table, &mut rebased);
+        let (table, rebased, arrivals) = on_one_table(&case.history, &case.round);
+        let record = [&case.history[..], &case.round].concat();
         for tested in &case.tested {
             let tested = addr_set(tested);
-            let got = sibling_candidates(&known, &case.round, &arrivals, &tested);
-            prop_assert_eq!(&got, &oracle::sibling_candidates(&case.history, &case.round, &tested));
+            let got = sibling_candidates(&table, &rebased, &arrivals, &tested);
+            prop_assert_eq!(&got, &oracle::sibling_candidates(&record, &case.round, &tested));
             prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted, deduplicated");
-            prop_assert_eq!(&sibling_candidates(&known, &rebased, &arrivals, &tested), &got);
         }
     }
 }
@@ -221,16 +214,12 @@ fn nothing_fresh_offers_nothing() {
         trace(target(0, 0), &[(3, a)]),
         trace(target(0, 1), &[(3, b)]),
     ])];
-    let (known, arrivals) = (known_of(&round), arrivals_of(&round));
-    assert_eq!(
-        sibling_candidates(&known, &round, &arrivals, &AddrSet::new()),
-        [a, b]
-    );
-    assert_eq!(
-        sibling_candidates(&known, &round, &arrivals, &addr_set(&[a])),
-        [a, b]
-    );
-    assert!(sibling_candidates(&known, &round, &arrivals, &addr_set(&[a, b])).is_empty());
+    let (table, round, arrivals) = on_one_table(&[], &round);
+    let offer =
+        |tested: &[Ipv6Addr]| sibling_candidates(&table, &round, &arrivals, &addr_set(tested));
+    assert_eq!(offer(&[]), [a, b]);
+    assert_eq!(offer(&[a]), [a, b]);
+    assert!(offer(&[a, b]).is_empty());
 }
 
 #[test]
@@ -241,14 +230,16 @@ fn each_rule_reads_its_own_input() {
     let (old, new, lone) = (iface(0, 0), iface(0, 1), iface(1, 0));
     let earlier = trace_set([trace(target(0, 0), &[(2, old)])]);
     let round = [trace_set([trace(target(1, 0), &[(3, new), (4, lone)])])];
-    let known = known_of(&[earlier, round[0].clone()]);
-    let (tested, arrivals) = (addr_set(&[old]), arrivals_of(&round));
+    let tested = addr_set(&[old]);
+    let (table, rebased, arrivals) = on_one_table(&[earlier], &round);
     assert_eq!(
-        sibling_candidates(&known, &round, &arrivals, &tested),
+        sibling_candidates(&table, &rebased, &arrivals, &tested),
         [old, new]
     );
-    // Without the record only the hop rule runs, and it has nothing.
-    assert!(sibling_candidates(&[], &round, &arrivals, &tested).is_empty());
+    // Without the record only the round's words are on the table, and
+    // neither rule pairs them.
+    let (table, rebased, arrivals) = on_one_table(&[], &round);
+    assert!(sibling_candidates(&table, &rebased, &arrivals, &tested).is_empty());
 }
 
 #[test]
@@ -259,11 +250,23 @@ fn one_address_seen_by_every_shard_is_not_a_pair() {
     let (a, b) = (iface(0, 0), iface(2, 1));
     let shard = |i| trace_set([trace(target(0, i), &[(3, a)])]);
     let none = AddrSet::new();
-    let offer = |round: &[TraceSet]| sibling_candidates(&[], round, &arrivals_of(round), &none);
+    let offer = |round: &[TraceSet]| {
+        let (table, round, arrivals) = on_one_table(&[], round);
+        sibling_candidates(&table, &round, &arrivals, &none)
+    };
     assert!(offer(&[shard(0), shard(1), shard(0)]).is_empty());
     let joined = [shard(0), trace_set([trace(target(0, 2), &[(3, b)])])];
     assert_eq!(offer(&joined), [a, b]);
     // Same TTL, different target /64: different position, no pair.
     let apart = [shard(0), trace_set([trace(target(1, 2), &[(3, b)])])];
     assert!(offer(&apart).is_empty());
+}
+
+#[test]
+#[should_panic(expected = "every round set reads the record's table")]
+fn a_round_set_on_another_table_is_refused() {
+    // The same words on a table of its own: ids that only look alike.
+    let set = || trace_set([trace(target(0, 0), &[(3, iface(0, 0)), (4, iface(0, 1))])]);
+    let (table, _, arrivals) = on_one_table(&[], &[set()]);
+    sibling_candidates(&table, &[set()], &arrivals, &AddrSet::new());
 }

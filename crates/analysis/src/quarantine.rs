@@ -35,7 +35,7 @@
 //! ([`quarantine_all`] evaluates the rules jointly across vantages).
 //! The sets' tables meet through one [`union`]: evidence and verdicts
 //! are indexed by union id and read through each set's id map, so the
-//! shards of one store, which share a table, need no map at all.
+//! sets rebased onto one table need no map at all.
 //! A set with nothing to scrub is neither rebuilt nor copied: its slot
 //! is `Cow::Borrowed` from the input itself, so the clean-input path is
 //! bit-identical by construction and costs no memory.

@@ -1101,6 +1101,7 @@ pub fn read_sharded_snapshot(dir: &Path) -> Result<ShardedTraceSet, StoreError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardRoute;
     use testkit::fixtures::rec;
     use yarrp6::{ProbeLog, ResponseKind};
 
@@ -1790,21 +1791,44 @@ mod tests {
 
     #[test]
     fn every_shard_of_a_store_shares_one_table() {
-        let shared = |set: &ShardedTraceSet| {
-            let table = &set.set.interner;
-            (0..set.n_shards()).all(|s| Arc::ptr_eq(&set.shard(s).interner, table))
-        };
-        let (a, b) = (sample(), TraceSet::merge_all([&sample(), &sample()]));
-        let sharded = ShardedTraceSet::from_set(&a, 4);
-        assert!(shared(&sharded) && Arc::ptr_eq(&sharded.set.interner, &a.interner));
-        let merged = ShardedTraceSet::merge_all(&[sharded, ShardedTraceSet::from_set(&b, 4)]);
-        assert!(shared(&merged));
+        // A store's traces split by its route, each shard a set of its
+        // own, rebased onto one table: the stores made of them merge
+        // into a store on that table, written and read back whole.
+        let route = ShardRoute::new(4);
+        let records: Vec<_> = (0..8)
+            .map(|p| {
+                let hop = format!("::{}", 10 + p % 3);
+                let te = ResponseKind::TimeExceeded;
+                rec(&format!("2001:db8:{p}::1"), &hop, te, Some(1))
+            })
+            .collect();
+        let mut shards: Vec<TraceSet> = (0..4)
+            .map(|s| {
+                TraceSet::from_log(&ProbeLog {
+                    vantage: "V".into(),
+                    target_set: "snap".into(),
+                    records: records
+                        .iter()
+                        .filter(|r| route.shard_of(r.target) == s)
+                        .cloned()
+                        .collect(),
+                    ..Default::default()
+                })
+            })
+            .collect();
+        assert!(shards.iter().filter(|s| !s.is_empty()).count() > 1);
+        TraceSet::rebase(&mut Arc::default(), &mut shards);
+        let stores: Vec<_> = shards
+            .iter()
+            .map(|s| ShardedTraceSet::from_set(s, 4))
+            .collect();
+        let merged = ShardedTraceSet::merge_all(&stores);
+        assert!(Arc::ptr_eq(&merged.set.interner, &shards[0].interner));
         let dir = std::env::temp_dir().join(format!("beholder-one-table-{}", std::process::id()));
         write_sharded_snapshot(&dir, &merged).unwrap();
         let back = read_sharded_snapshot(&dir);
         let _ = std::fs::remove_dir_all(&dir);
-        let back = back.unwrap();
-        assert!(shared(&back) && back == merged);
+        assert_eq!(back.unwrap(), merged);
     }
 
     /// A loop's record: `sample`, and two one-trace sets, the last of

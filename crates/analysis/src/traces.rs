@@ -590,10 +590,9 @@ impl TraceSet {
         &self.cols.targets
     }
 
-    /// The interface-address table. Sets may share one (the shards of
-    /// a store do, and so do the sets [`rebase`](Self::rebase) moves),
-    /// and [`union`] maps a shared table, or one that extends another,
-    /// without hashing.
+    /// The interface-address table. Sets may share one (the sets
+    /// [`rebase`](Self::rebase) moves do), and [`union`] maps a shared
+    /// table, or one that extends another, without hashing.
     pub fn interner(&self) -> &Arc<AddrInterner> {
         &self.interner
     }
@@ -654,7 +653,7 @@ impl TraceSet {
     ///   every campaign's discovered responders — including responders
     ///   whose traces lose the dedup below. Union discovery yield is
     ///   therefore never undercounted. A set sharing the first set's
-    ///   table (shards of one store) is copied without a remap.
+    ///   table (sets rebased onto one) is copied without a remap.
     /// * **First-wins per-target trace dedup**: where several sets
     ///   probed the same target, the earliest set's whole trace (hops,
     ///   unreachables, `reached_at`) is kept and the others are dropped
@@ -1815,7 +1814,6 @@ mod tests {
     fn every_kind_of_set(check: impl Fn(&str, &TraceSet, usize)) {
         use crate::builder::TraceSetBuilder;
         use crate::quarantine::{quarantine_all, QuarantineConfig};
-        use crate::shard::ShardedTraceSet;
         use crate::snapshot::{read_trace_set, write_trace_set, SnapReader, SnapWriter};
         use std::borrow::Cow;
 
@@ -1845,12 +1843,6 @@ mod tests {
         check("finished", &finished, 0);
         check("from_log", &other, 0);
         check("merged", &merged, 0);
-        let store = ShardedTraceSet::from_set(&merged, 3);
-        for shard in (0..3).map(|s| store.shard(s)) {
-            if !shard.is_empty() {
-                check("shard", &shard, 0);
-            }
-        }
         let (cleaned, report) = quarantine_all(&[&merged], &QuarantineConfig::default());
         let Cow::Owned(scrubbed) = &cleaned[0] else {
             panic!("the TTL-50 hop is dropped");
@@ -1864,6 +1856,7 @@ mod tests {
         check("read back", &back, 0);
         let (mut a, mut b) = (finished, other);
         TraceSet::rebase(&mut Arc::default(), [&mut a, &mut b]);
+        check("rebased", &a, 0);
         check("rebased", &b, 0);
         check("canonical", &back.canonical(), 0);
     }

@@ -6,11 +6,12 @@
 //! set's ids) shows as a difference in the cleaned columns or the
 //! report.
 
-use analysis::{quarantine_all, QuarantineConfig, QuarantineReport, ShardedTraceSet, TraceSet};
+use analysis::{quarantine_all, QuarantineConfig, QuarantineReport, TraceSet};
 use proptest::prelude::*;
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv6Addr;
+use std::sync::Arc;
 use v6packet::icmp6::DestUnreachCode;
 use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
 
@@ -223,12 +224,14 @@ proptest! {
         let refs: Vec<&TraceSet> = sets.iter().collect();
         let cfg = QuarantineConfig { min_loop_repeats, max_ttl_span, max_plausible_ttl };
         assert_matches_oracle(&refs, &cfg);
-        // The shards of the first set share its table: their ids meet
-        // without a map, the other sets' through one.
-        let store = ShardedTraceSet::from_set(&sets[0], 3);
-        let shards: Vec<TraceSet> = (0..3).map(|s| store.shard(s)).collect();
-        let refs: Vec<&TraceSet> = shards.iter().chain(&sets[1..]).collect();
-        assert_matches_oracle(&refs, &cfg);
+        // Sets rebased onto one table meet without a map; a set left on
+        // a table of its own meets them through one.
+        let mut rebased = sets.clone();
+        TraceSet::rebase(&mut Arc::default(), &mut rebased);
+        for shared in [sets.len(), sets.len() - 1] {
+            let refs: Vec<&TraceSet> = rebased[..shared].iter().chain(&sets[shared..]).collect();
+            assert_matches_oracle(&refs, &cfg);
+        }
     }
 }
 

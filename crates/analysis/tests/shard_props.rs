@@ -1,14 +1,15 @@
-//! Property suite pinning the sharded columnar store
-//! ([`ShardedTraceSet`]) to its flat reference: sharding is a pure
-//! re-partitioning of the columns, so every whole-store operation —
-//! flatten, merge, canonicalize, discovery — must agree bit-for-bit
-//! with the unsharded [`TraceSet`] path on any fuzzed record stream.
+//! Property suite pinning the sharded store ([`ShardedTraceSet`]: one
+//! set and the [`ShardRoute`] a delta run reopens it by) to its flat
+//! reference: `from_set` and `to_trace_set` round-trip a set exactly,
+//! and a store's merge is the flat [`TraceSet::merge_all`] of its sets,
+//! bit for bit, on any fuzzed record stream. The route sends every
+//! address of one /64 to one shard.
 
 use analysis::{ShardRoute, ShardedTraceSet, TraceSet};
 use proptest::prelude::*;
 use std::net::Ipv6Addr;
+use testkit::oracle::{merge_fold, Merged};
 use v6packet::icmp6::DestUnreachCode;
-use yarrp6::addrset::AddrSet;
 use yarrp6::{ProbeLog, ResponseKind, ResponseRecord};
 
 /// Decodes one synthetic record from two drawn words — the same
@@ -79,10 +80,9 @@ fn losing_side(draws: &[(u64, u64)]) -> TraceSet {
 }
 
 proptest! {
-    /// The central contract: shard any set, merge the shards back
-    /// down, canonicalize — bit-identical to the canonical flat set,
-    /// for every shard count. `from_set` → `to_trace_set` is a clean
-    /// round trip.
+    /// The central contract: a store's set, flattened and canonicalized,
+    /// is bit-identical to the canonical flat set for every shard count,
+    /// and the route keeps each /64 in one shard.
     #[test]
     fn shard_then_flatten_is_bit_identical(
         draws in prop::collection::vec((any::<u64>(), 0u64..50_000), 0..500),
@@ -90,21 +90,22 @@ proptest! {
     ) {
         let flat = set_of(&draws, true);
         let sharded = ShardedTraceSet::from_set(&flat, k);
+        prop_assert_eq!(sharded.n_shards(), k);
         let back = sharded.to_trace_set().canonical();
-        let want = flat.canonical();
+        let want = flat.clone().canonical();
         prop_assert!(back == want, "{k}-shard round trip diverged");
-        // Every trace landed in the shard its target routes to.
         let route = ShardRoute::new(k);
-        for s in 0..k {
-            for &t in sharded.shard(s).targets() {
-                prop_assert_eq!(route.shard_of(t), s, "target {} misrouted", t);
-            }
+        for &t in flat.targets() {
+            let s = route.shard_of(t);
+            prop_assert!(s < k, "target {} routed past {} shards", t, k);
+            let other_iid = Ipv6Addr::from(u128::from(t) ^ 0xffff_ffff);
+            prop_assert_eq!(route.shard_of(other_iid), s, "the /64 of {} straddles shards", t);
         }
     }
 
     /// Sharded merge_all distributes over the flat one: merging k
-    /// sharded stores shard-by-shard then flattening equals flat
-    /// merge_all of the flattened inputs.
+    /// sharded stores then flattening equals flat merge_all of the
+    /// flattened inputs.
     #[test]
     fn sharded_merge_all_matches_flat(
         a in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
@@ -120,10 +121,11 @@ proptest! {
         prop_assert!(merged_sharded == merged_flat, "sharded merge_all diverged at k={k}");
     }
 
-    /// The sharded store's merge is **bit-identical** per shard — not
-    /// merely canonical-equal — to flat `merge_all` (pinned to the
-    /// pairwise fold in `merge_props`) over the same per-shard inputs:
-    /// interner id assignment, column layout, names, everything.
+    /// The store's k-way merge is **bit-identical** — not merely
+    /// canonical-equal — to the pairwise fold of the two-set union
+    /// keyed by address (`testkit::oracle::merge_fold`): interner id
+    /// assignment, column layout, names, everything; and it keeps the
+    /// route.
     #[test]
     fn kway_shard_merge_is_bit_identical_to_pairwise_fold(
         a in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
@@ -132,48 +134,21 @@ proptest! {
         d in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
         k in 1usize..6,
     ) {
-        let flats = [set_of(&a, true), set_of(&b, true), set_of(&c, true), set_of(&d, true)];
+        let flats = [set_of(&a, true), set_of(&b, true), set_of(&c, true), losing_side(&d)];
         let shardeds: Vec<ShardedTraceSet> =
             flats.iter().map(|f| ShardedTraceSet::from_set(f, k)).collect();
         let merged = ShardedTraceSet::merge_all(&shardeds);
-        for s in 0..k {
-            let shards: Vec<TraceSet> = shardeds.iter().map(|set| set.shard(s)).collect();
-            let fold = TraceSet::merge_all(&shards);
-            prop_assert!(
-                merged.shard(s) == fold,
-                "merge of shard {s} is not bit-identical to flat merge_all (k={k})"
-            );
-        }
+        prop_assert_eq!(merged.n_shards(), k);
+        prop_assert!(
+            Merged::of(&merged.to_trace_set()) == merge_fold(&flats),
+            "the store's merge is not the pairwise fold (k={k})"
+        );
     }
 
-    /// Every shard shares its set's table, so sharding copies each
-    /// trace's cells verbatim, ids included, and keeps every word of the
-    /// table — a merge's dedup losers, referenced by no surviving cell,
-    /// too — in the flat set's id order.
-    #[test]
-    fn shards_copy_ids_verbatim_and_keep_every_word(
-        a in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
-        b in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
-        k in 1usize..6,
-    ) {
-        let flat = TraceSet::merge_all(&[set_of(&a, true), losing_side(&b)]);
-        let sharded = ShardedTraceSet::from_set(&flat, k);
-        for s in 0..k {
-            let shard = sharded.shard(s);
-            prop_assert_eq!(shard.interner().words(), flat.interner().words(), "shard {}", s);
-            for t in shard.iter() {
-                let want = flat.get(t.target()).expect("a shard's target is the set's");
-                prop_assert_eq!(t.hop_cells(), want.hop_cells());
-                prop_assert_eq!(t.unreachable_cells(), want.unreachable_cells());
-            }
-        }
-    }
-
-    /// The exact round trip: sharding then flattening returns the set,
+    /// The exact round trip: a store's set is the set it was made of,
     /// interner ids and all, with no canonical form on either side —
     /// for one campaign's set and for a merge that left words no trace
-    /// references. So does merging the built shards, as a snapshot
-    /// read does.
+    /// references.
     #[test]
     fn shard_then_flatten_is_exact(
         a in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
@@ -185,8 +160,6 @@ proptest! {
         for ts in [one, merged] {
             let store = ShardedTraceSet::from_set(&ts, k);
             prop_assert!(store.to_trace_set() == ts, "{k}-shard round trip is not exact");
-            let shards: Vec<TraceSet> = (0..k).map(|s| store.shard(s)).collect();
-            prop_assert!(TraceSet::merge_all(&shards) == ts, "{k} shards merge to another set");
         }
     }
 
@@ -206,28 +179,5 @@ proptest! {
         ]);
         let flat = ShardedTraceSet::from_set(&TraceSet::merge_all([&a, &b]), k);
         prop_assert!(sharded == flat, "sharded merge diverged from the flat one at k={k}");
-    }
-
-    /// Discovery is partition-independent: the sharded store's
-    /// interface union and discovery delta equal the flat set's.
-    #[test]
-    fn discovery_is_partition_independent(
-        draws in prop::collection::vec((any::<u64>(), 0u64..20_000), 0..300),
-        k in 1usize..6,
-    ) {
-        let flat = set_of(&draws, true);
-        let sharded = ShardedTraceSet::from_set(&flat, k);
-        let mut w = flat.interface_words();
-        w.sort_unstable();
-        prop_assert_eq!(sharded.interface_words(), w);
-        let mut seen_flat = AddrSet::new();
-        let mut seen_sharded = AddrSet::new();
-        let mut from_flat = flat.discovery_delta(&mut seen_flat);
-        let mut from_sharded = sharded.discovery_delta(&mut seen_sharded);
-        from_flat.sort_unstable();
-        from_sharded.sort_unstable();
-        prop_assert_eq!(from_flat, from_sharded);
-        // Nothing is new against a seen-set that already holds it all.
-        prop_assert!(sharded.discovery_delta(&mut seen_sharded).is_empty());
     }
 }

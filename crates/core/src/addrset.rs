@@ -74,20 +74,29 @@ impl AddrSet {
     /// (mirroring `HashSet::insert`).
     #[inline]
     pub fn insert(&mut self, addr: Ipv6Addr) -> bool {
+        let n = self.words.len();
+        self.insert_index(addr) == n
+    }
+
+    /// Inserts `addr` unless it is a member, and returns its index in
+    /// insertion order: a new member's is the old [`len`](Self::len).
+    #[inline]
+    pub fn insert_index(&mut self, addr: Ipv6Addr) -> usize {
         let w = u128::from(addr);
         let mut i = hash_word(w) as usize & self.mask;
         loop {
             let id = self.slots[i];
             if id == EMPTY {
-                self.slots[i] = self.words.len() as u32;
+                let id = self.words.len();
+                self.slots[i] = id as u32;
                 self.words.push(w);
                 if self.words.len() * 4 >= self.slots.len() * 3 {
                     self.grow();
                 }
-                return true;
+                return id;
             }
             if self.words[id as usize] == w {
-                return false;
+                return id as usize;
             }
             i = (i + 1) & self.mask;
         }
@@ -166,5 +175,26 @@ mod tests {
         }
         assert_eq!(s.iter().collect::<Vec<_>>(), addrs);
         assert_eq!(s.iter().len(), s.len());
+    }
+
+    #[test]
+    fn insert_index_finds_a_member_and_appends_a_new_word() {
+        let mut s = AddrSet::new();
+        let addr = |i: u128| Ipv6Addr::from(i * 0x9e37_79b9 + 1);
+        // The 256-slot table grows three times on the way to 1 000 words.
+        for i in 0..1_000 {
+            assert_eq!(s.insert_index(addr(i)), i as usize, "a new word is len - 1");
+            assert_eq!(s.len(), i as usize + 1);
+        }
+        for i in (0..1_000).rev() {
+            assert_eq!(
+                s.insert_index(addr(i)),
+                i as usize,
+                "a member keeps its index"
+            );
+        }
+        assert_eq!(s.len(), 1_000, "a member is not inserted again");
+        assert!(!s.insert(addr(7)) && s.insert(addr(1_000)));
+        assert_eq!(s.insert_index(addr(1_000)), 1_000);
     }
 }

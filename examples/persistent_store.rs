@@ -1,6 +1,6 @@
-//! The longitudinal workflow end to end: run a discovery sweep, shard
-//! the merged trace store by target prefix, persist it as one versioned
-//! snapshot file, read it back, and run a *delta* sweep against it
+//! The longitudinal workflow end to end: run a discovery sweep, route
+//! the merged trace store's targets to shards by prefix, persist it as
+//! one versioned snapshot file, read it back, and run a *delta* sweep against it
 //! — canaries re-probe a sample of known targets, and budget flows
 //! only where the topology changed (here: nowhere, so the delta run
 //! stops almost immediately at the same discovered-interface count).
@@ -40,25 +40,27 @@ fn main() {
         fresh.unique_interfaces()
     );
 
-    // --- Shard the merged store by /64 prefix and persist it.
-    let store = ShardedTraceSet::from_set(&fresh.merged_traces(), 8);
+    // --- Route the merged store by /64 prefix and persist it.
+    let merged = fresh.merged_traces();
+    let store = ShardedTraceSet::from_set(&merged, 8);
     let dir = std::env::temp_dir().join(format!("beholder-store-{}", std::process::id()));
     let manifest = write_sharded_snapshot(&dir, &store).expect("snapshot write");
     let on_disk: u64 = manifest.segments.iter().map(|s| s.len).sum();
     println!(
         "snapshot: one file of {} bytes, {} traces under {} shards, at {}",
         on_disk,
-        store.len(),
+        merged.len(),
         manifest.n_shards,
         dir.join(beholder::analyze::snapshot::STORE_FILE).display()
     );
-    for s in 0..store.n_shards() {
-        let shard = store.shard(s);
-        println!(
-            "  shard {s}: {:>5} traces, {:>4} interfaces",
-            shard.len(),
-            shard.interface_addrs().len()
-        );
+    // A shard is only a route: count the targets each one holds.
+    let route = ShardRoute::new(store.n_shards());
+    let mut per_shard = vec![0usize; store.n_shards()];
+    for &t in merged.targets() {
+        per_shard[route.shard_of(t)] += 1;
+    }
+    for (s, n) in per_shard.iter().enumerate() {
+        println!("  shard {s}: {n:>5} targets");
     }
 
     // --- Day 1: reload and sweep only the delta.

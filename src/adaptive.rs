@@ -6,7 +6,7 @@
 //!        ┌──────────── targets (round n) ────────────┐
 //!        │                                           ▼
 //!  seeds/feedback ◄── interfaces + subnets ◄── streamed campaigns
-//!   (kIP + 6Gen)        (discovery_delta,       → TraceSetBuilder
+//!   (kIP + 6Gen)        (seen-set walk,         → TraceSetBuilder
 //!        │               IA hack/path-div)            │
 //!        └────────── targets (round n+1) ◄────────────┘
 //! ```
@@ -38,8 +38,9 @@
 //! | plan/budget | `pool`, `vweights`, `alive`, `stats`, the probed view; `delta`'s force queue | `delta`'s force queue (drained up to the round cap); the probed view gains the round's stride-sampled, budget-capped targets | always; per-vantage allocation by yield share is `vantage_budgeting`, queue-jumping targets are a delta run's |
 //! | probe | `vclock_us` (campaigns start there on the fault schedule) | — (one supervised outcome per vantage × shard) | always |
 //! | quarantine | the round's raw sets, jointly | — (a scrubbed replacement for each set that lost cells, for everything that feeds *forward*; an untouched set is not copied) | `quarantine_feedback` |
-//! | attribute + mine | `seen` at round start, then the round's sets | `seen` (raw sets: a decoded responder is a real interface), `subnets`, `traces`, the record (the round's sets appended, scrubbed when the quarantine is on) | always; path divergence is `path_div` |
-//! | alias ‖ | the round's kept sets, the record's table words, `alive`, `vclock_us`, `stats` | `alias` (router graph, tested set) | `alias_resolution` |
+//! | attribute | `seen`, the round's raw sets | `seen`, in one walk: each word is inserted once, and a word whose insertion index is at or past the round-start length is new, credited once to each vantage that heard it (raw sets: a decoded responder is a real interface) | always |
+//! | mine | the round's kept sets (scrubbed when the quarantine is on) | `subnets`, the record (the round's kept sets appended; the arrivals come back as a bitmap over the table's ids) | always; path divergence is `path_div` |
+//! | alias ‖ | the round's kept sets and arrivals, the record's table (by id), `alive`, `vclock_us`, `stats` | `alias` (router graph, tested set) | `alias_resolution` |
 //! | feedback ‖ | the record's table words, the probed view, `subnets` | — (returns the next pool: kIP + 6Gen over *all* discoveries, cumulative by the paper's definition of their basis) | always; not started when the round cap decides the stop |
 //! | close round | every round-local output above | `stats`, `vclock_us`, `alive`, `vweights`, `rounds`, `round_targets`, `low_streak` | always; the EWMA weight update is `vantage_budgeting` |
 //! | delta canaries | the round's targets and sets, the prior store (the record's [`prior`](Record::prior) set), the canary view | `delta`'s latches and force queue (a changed canary reopens its [`ShardRoute`] shard once; the stored targets routed to it queue), `low_streak` (reset when a shard reopens) | a delta run ([`Checkpoint::delta`]) |
@@ -83,9 +84,16 @@
 //! Downstream, the alias builder adopts each round's table, and the
 //! merged view maps every set to `None`. Both lanes read the kept
 //! interfaces as the table's words (with the quarantine off, `seen`'s,
-//! in order: `discovery_delta` and `union` walk the same sets alike);
-//! only the alias candidates' fresh arrivals are a round's own words,
-//! read off the rebase's id maps.
+//! in order: the attribute stage and `union` walk the same sets alike).
+//! The alias candidates read the table by id: the round's arrivals are
+//! a bitmap over its ids, marked off the rebase's id maps.
+//!
+//! The round's raw sets stay off the table. Rebased before the
+//! quarantine, they would carry the words it removes into the record,
+//! through the sibling sets it leaves unscrubbed, and reorder the
+//! scrubbed sets' words; wherever it scrubs, the record, the merged
+//! view, feedback's interfaces and the checkpoint would move. The raw
+//! address space (`seen`) and the kept one (the record) stay apart.
 //!
 //! Once the pool is installed (or dropped) the state is a complete
 //! resume point and the round-boundary observer borrows the
@@ -157,8 +165,9 @@ use aliasres::{
     resolve_aliases_supervised, sibling_candidates, AliasConfig, RouterGraph, RouterGraphBuilder,
 };
 use analysis::{
-    discover_by_path_div, ia_hack, quarantine_all, stream_campaigns_supervised, AsnResolver,
-    CandidateSubnet, PathDivParams, QuarantineConfig, ShardRoute, ShardedTraceSet, TraceSet,
+    discover_by_path_div, ia_hack, quarantine_all, stream_campaigns_supervised, AddrInterner,
+    AsnResolver, CandidateSubnet, PathDivParams, QuarantineConfig, ShardRoute, ShardedTraceSet,
+    TraceSet,
 };
 use seeds::feedback::{feedback_list, FeedbackParams};
 // The workspace's shared splitmix64, for per-round generation seeds.
@@ -531,17 +540,23 @@ impl Record {
         self.prior.iter().chain(&self.sets)
     }
 
+    /// The record's one table; `None` while the record holds no set.
+    pub(crate) fn table(&self) -> Option<&Arc<AddrInterner>> {
+        self.iter().last().map(TraceSet::interner)
+    }
+
     /// The record's table's words: every interface the record holds, in
     /// the order the rounds met them.
     pub(crate) fn words(&self) -> &[u128] {
-        self.iter().last().map_or(&[], |ts| ts.interner().words())
+        self.table().map_or(&[], |t| t.words())
     }
 
     /// Appends a round's kept sets by one [`TraceSet::rebase`] over the
     /// older sets, then the round's (module docs, "The record's one
-    /// table"), and returns the round's arrivals: the words the round's
-    /// sets' own tables held, read off their id maps.
-    pub(crate) fn push_round(&mut self, sets: Vec<TraceSet>) -> Vec<Ipv6Addr> {
+    /// table"), and returns the round's arrivals as a bitmap over the
+    /// table's ids: the words the round's sets' own tables held, read
+    /// off their id maps.
+    pub(crate) fn push_round(&mut self, sets: Vec<TraceSet>) -> Vec<bool> {
         let own: Vec<usize> = sets.iter().map(|ts| ts.interner().len()).collect();
         self.sets.extend(sets);
         let mut table = Arc::default();
@@ -554,8 +569,7 @@ impl Record {
                 None => arrived[..n].fill(true),
             }
         }
-        let words = table.words().iter().zip(arrived);
-        words.filter_map(|(&w, a)| a.then_some(w.into())).collect()
+        arrived
     }
 }
 
@@ -701,8 +715,8 @@ impl Checkpoint {
         // The snapshot's discoveries seed the seen-set (they are not
         // re-counted as yield) and the store, as one set, leads the kept
         // trace record, so the result's merged view is the updated store.
-        prior.discovery_delta(&mut st.seen);
         let prior_set = st.traces.prior.insert(prior.to_trace_set());
+        prior_set.discovery_delta(&mut st.seen);
         // The canaries ride the force queue into round 0: most stored
         // targets are feedback-round derivations outside `initial`'s
         // pool, so sampling the pool alone would re-probe almost none.
@@ -850,6 +864,8 @@ struct VantageTally {
     per_v: Vec<VantageRound>,
     /// Vantages with at least one campaign that came back non-degraded.
     ok: Vec<bool>,
+    /// Interfaces new to the seen-set this round.
+    new_interfaces: u64,
 }
 
 /// Mine stage output.
@@ -857,13 +873,13 @@ struct Mined {
     /// Engine accounting of the round's campaigns, every supervised
     /// attempt included — retries burn real budget.
     stats: EngineStats,
-    new_interfaces: u64,
     new_subnets: u64,
     /// Where the round's kept sets start in the record's campaign sets.
     first_set: usize,
-    /// The distinct interfaces of the round's kept sets: the words their
-    /// own tables held before the rebase.
-    arrivals: Vec<Ipv6Addr>,
+    /// The distinct interfaces of the round's kept sets, as a bitmap
+    /// over the record's table ids: the words their own tables held
+    /// before the rebase.
+    arrivals: Vec<bool>,
 }
 
 /// Alias stage output; all zero when the stage is off or had nothing
@@ -1096,9 +1112,9 @@ struct AliasLane<'a> {
     /// The round's kept sets.
     round_sets: &'a [TraceSet],
     /// Their distinct interfaces ([`Mined::arrivals`]).
-    arrivals: &'a [Ipv6Addr],
-    /// The interfaces that feed forward: the record's table's words.
-    kept: &'a [u128],
+    arrivals: &'a [bool],
+    /// The record's one table, which the round's sets read.
+    table: Option<&'a Arc<AddrInterner>>,
     /// Probes the budget was charged before this round.
     charged: u64,
     alive: &'a [bool],
@@ -1212,14 +1228,20 @@ impl LoopState {
         })
     }
 
-    /// Attribute stage: per-vantage yield, credited against the
-    /// unmutated round-start seen-set *before* the mine stage absorbs
-    /// the round — shared finds credit every vantage that made them,
-    /// without order bias and without cloning the ever-growing set.
-    /// Like the seen-set it counts every checksum-validated responder,
+    /// Attribute stage: the round's raw sets into the seen-set, in one
+    /// walk. Each word is inserted once; one whose insertion index is
+    /// at or past the round-start length is new to the round, and it
+    /// credits each vantage that heard it once — shared finds credit
+    /// every vantage that made them, without order bias. Like the
+    /// seen-set it counts every checksum-validated responder,
     /// quarantined or not: condemned responders are real interfaces
     /// whose *reported structure* is untrustworthy.
-    fn attribute(&self, cfg: &AdaptiveConfig, plan: &RoundPlan, run: &RoundRun) -> VantageTally {
+    fn attribute(
+        &mut self,
+        cfg: &AdaptiveConfig,
+        plan: &RoundPlan,
+        run: &RoundRun,
+    ) -> VantageTally {
         let mut per_v: Vec<VantageRound> = cfg
             .vantages
             .iter()
@@ -1236,13 +1258,11 @@ impl LoopState {
             })
             .collect();
         let mut ok = vec![false; per_v.len()];
-        let mut vfresh = AddrSet::new();
-        let mut cur_vi = usize::MAX;
+        let start = self.seen.len();
+        // The vantage last credited with each new word, by its index
+        // past `start`.
+        let mut credited: Vec<usize> = Vec::new();
         for (sc, &vi) in run.results.iter().zip(&run.spec_vi) {
-            if vi != cur_vi {
-                vfresh = AddrSet::new();
-                cur_vi = vi;
-            }
             let p = &mut per_v[vi];
             p.probes += sc.stats.probes;
             p.attempts = p.attempts.max(sc.attempts);
@@ -1253,31 +1273,38 @@ impl LoopState {
                 continue;
             };
             for &w in ts.interner().words() {
-                let a = Ipv6Addr::from(w);
-                if !self.seen.contains(a) && vfresh.insert(a) {
+                let Some(new) = self.seen.insert_index(w.into()).checked_sub(start) else {
+                    continue;
+                };
+                if new == credited.len() {
+                    credited.push(usize::MAX);
+                }
+                if std::mem::replace(&mut credited[new], vi) != vi {
                     p.new_interfaces += 1;
                 }
             }
         }
-        VantageTally { per_v, ok }
+        VantageTally {
+            per_v,
+            ok,
+            new_interfaces: credited.len() as u64,
+        }
     }
 
-    /// Mine stage: discovery deltas against the global seen-set,
-    /// inferred subnets, merged engine accounting, and the round's
-    /// sets appended to the kept record. The seen-set absorbs the
-    /// *raw* sets — every responder that survived the panic-free
-    /// decoder is a genuinely observed interface and counts toward
-    /// yield. Structure mining and the kept record use the quarantined
-    /// set when there is one, so subnet inference, path divergence and
-    /// the result's traces then hold only clean cells.
+    /// Mine stage: inferred subnets, merged engine accounting, and the
+    /// round's sets appended to the kept record. The attribute stage
+    /// put the *raw* sets into the seen-set — every responder that
+    /// survived the panic-free decoder is a genuinely observed interface
+    /// and counts toward yield. Structure mining and the kept record use
+    /// the quarantined set when there is one, so subnet inference, path
+    /// divergence and the result's traces then hold only clean cells.
     ///
-    /// Three passes: the accounting is serial (each set's delta is
-    /// against the seen-set the earlier ones extended), the subnet
-    /// miners are pure per set and run on the campaign pool, and the
-    /// fold back into the state is serial in campaign order — so the
-    /// discovery order of `subnets` is the one-thread order. The fold
-    /// ends by appending the round's sets to the record, on its one
-    /// table, extended (module docs, "The record's one table").
+    /// Three passes: the accounting is serial, the subnet miners are
+    /// pure per set and run on the campaign pool, and the fold back into
+    /// the state is serial in campaign order — so the discovery order of
+    /// `subnets` is the one-thread order. The fold ends by appending the
+    /// round's sets to the record, on its one table, extended (module
+    /// docs, "The record's one table").
     fn mine_round(
         &mut self,
         topo: &Topology,
@@ -1289,7 +1316,6 @@ impl LoopState {
     ) -> Mined {
         let mut mined = Mined {
             stats: EngineStats::default(),
-            new_interfaces: 0,
             new_subnets: 0,
             first_set: self.traces.sets.len(),
             arrivals: Vec::new(),
@@ -1300,7 +1326,6 @@ impl LoopState {
             let Some(streamed) = sc.result else {
                 continue; // hard failure: no trace set to mine
             };
-            mined.new_interfaces += streamed.output.discovery_delta(&mut self.seen).len() as u64;
             let clean = cleaned.get_mut(i).and_then(Option::take);
             kept.push((sc.vantage_idx, clean.unwrap_or(streamed.output)));
         }
@@ -1328,19 +1353,18 @@ impl LoopState {
         views: &'a Views,
         mined: &'a Mined,
     ) -> (AliasLane<'a>, FeedbackLane<'a>) {
-        let kept = self.traces.words();
         let alias = AliasLane {
             alias: self.alias.as_mut(),
             round_sets: &self.traces.sets[mined.first_set..],
             arrivals: &mined.arrivals,
-            kept,
+            table: self.traces.table(),
             charged: self.stats.probes,
             alive: &self.alive,
             vclock_us: self.vclock_us,
         };
         let feedback = FeedbackLane {
             round: self.rounds.len(),
-            kept,
+            kept: self.traces.words(),
             probed: &views.probed,
             subnets: &self.subnets,
         };
@@ -1373,7 +1397,11 @@ impl LoopState {
         // Liveness: a vantage whose every campaign degraded is dead —
         // its weight zeroes and later rounds exclude it. (A vantage
         // with no campaigns this round keeps its state.)
-        let VantageTally { mut per_v, ok } = tally;
+        let VantageTally {
+            mut per_v,
+            ok,
+            new_interfaces,
+        } = tally;
         for (vi, p) in per_v.iter().enumerate() {
             if self.alive[vi] && p.degraded && !ok[vi] {
                 self.alive[vi] = false;
@@ -1403,12 +1431,12 @@ impl LoopState {
             p.next_share = s;
         }
 
-        let yield_per_kprobe = yield_per_kprobe(mined.new_interfaces, round_stats.probes);
+        let yield_per_kprobe = yield_per_kprobe(new_interfaces, round_stats.probes);
         self.rounds.push(RoundReport {
             round: self.rounds.len(),
             targets: plan.targets.len() as u64,
             probes: round_stats.probes,
-            new_interfaces: mined.new_interfaces,
+            new_interfaces,
             new_subnets: mined.new_subnets,
             yield_per_kprobe,
             rate_limited: round_stats.rate_limited,
@@ -1514,10 +1542,10 @@ impl AliasLane<'_> {
         // Candidates stay re-offerable (a cross-round pair needs the
         // old member probed alongside the new one), but only a bucket
         // with an untested arrival is offered at all.
-        let cand = stride_sample(
-            &sibling_candidates(self.kept, self.round_sets, self.arrivals, &al.probed),
-            cfg.alias.max_candidates_per_round,
-        );
+        let cand = self.table.map_or_else(Vec::new, |table| {
+            let all = sibling_candidates(table, self.round_sets, self.arrivals, &al.probed);
+            stride_sample(&all, cfg.alias.max_candidates_per_round)
+        });
         let remaining = cfg
             .probe_budget
             .saturating_sub(self.charged)

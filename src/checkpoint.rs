@@ -413,9 +413,9 @@ fn read_addrs(r: &mut SnapReader<'_>) -> Result<Vec<Ipv6Addr>, SnapshotError> {
 }
 
 /// Serialized in insertion order; rebuilding by re-inserting in that
-/// order reproduces the identical set (iteration order is the
-/// contract [`analysis::TraceSet::discovery_delta`] credit depends
-/// on).
+/// order reproduces the identical set (insertion indices are what the
+/// loop's yield credit reads: a word is new to a round when its index
+/// is at or past the round-start length).
 fn write_addr_set(w: &mut SnapWriter, set: &AddrSet) {
     w.u32(set.len() as u32);
     for a in set.iter() {
