@@ -126,7 +126,7 @@ pub fn sibling_candidates(
             let targets = ts.targets();
             let mut idx = cursor[i];
             while idx < targets.len() && hi64(u128::from(targets[idx])) == t64 {
-                cells.extend(ts.view_at(idx).hop_cells());
+                cells.extend(ts.view_at(idx).hop_cells().deepest_first());
                 idx += 1;
             }
             cursor[i] = idx;

@@ -8,7 +8,8 @@
 //! [`RouterGraph::build`] and [`RouterGraph::build_multi`] ingest the
 //! sets into a fresh one, merge the alias groups and render its
 //! snapshot. Link extraction ([`collect_links`]) is one walk over each
-//! trace's contiguous hop slice, by interner id.
+//! set's path-prefix tree, by interner id: a hop window is a node and
+//! its parent.
 
 use crate::incremental::RouterGraphBuilder;
 use analysis::TraceSet;
@@ -47,11 +48,13 @@ const PAIR_SCRATCH: usize = 1 << 12;
 /// window's two interner ids into the ids `links` is kept in (equal
 /// ids: no link) and may be skipped for a window it has already seen.
 ///
-/// Target-sorted neighbours share their path prefix, so most windows
-/// repeat the successor their first hop had last time: those are
-/// dropped on sight, and the rest are packed into `u64`s and
-/// deduplicated a scratch-full at a time, so the link set sees each
-/// pair about once instead of once per window.
+/// Two consecutive hops of a trace are a node of the set's path tree
+/// and its parent, so the walk visits each node once however many
+/// traces run through it: target-sorted neighbours share their path
+/// prefix, and the windows of a shared prefix are one window each. The
+/// pairs are packed into `u64`s and deduplicated a scratch-full at a
+/// time, since one pair of interfaces may close windows below several
+/// parents.
 pub(crate) fn collect_links(
     traces: &TraceSet,
     links: &mut BTreeSet<(u32, u32)>,
@@ -62,20 +65,22 @@ pub(crate) fn collect_links(
         pairs.dedup();
         links.extend(pairs.drain(..).map(|p| ((p >> 32) as u32, p as u32)));
     };
-    let mut last_next = vec![UNASSIGNED; traces.interner().len()];
+    let nodes = traces.path_nodes();
     let mut pairs: Vec<u64> = Vec::with_capacity(PAIR_SCRATCH);
-    for trace in traces.iter() {
-        let cells = trace.hop_cells();
-        for ((t1, a1), (t2, a2)) in cells.iter().zip(cells.iter().skip(1)) {
-            if t2 - t1 > 2 || a1 == a2 || std::mem::replace(&mut last_next[a1 as usize], a2) == a2 {
-                continue;
-            }
-            let (x, y) = endpoints(a1, a2);
-            if x != y {
-                pairs.push((x.min(y) as u64) << 32 | x.max(y) as u64);
-                if pairs.len() == PAIR_SCRATCH {
-                    flush(&mut pairs);
-                }
+    for node in nodes {
+        let Some(parent) = node.parent() else {
+            continue;
+        };
+        let parent = &nodes[parent as usize];
+        let ((t1, a1), (t2, a2)) = ((parent.ttl(), parent.id()), (node.ttl(), node.id()));
+        if t2 - t1 > 2 || a1 == a2 {
+            continue;
+        }
+        let (x, y) = endpoints(a1, a2);
+        if x != y {
+            pairs.push((x.min(y) as u64) << 32 | x.max(y) as u64);
+            if pairs.len() == PAIR_SCRATCH {
+                flush(&mut pairs);
             }
         }
     }

@@ -8,9 +8,10 @@
 //! only in [`validate`] where the paper, too, compares against operator
 //! truth data.
 //!
-//! The pipeline is **columnar**: [`TraceSet`] stores all hops
-//! of a campaign in flat, target-sorted columns with responder
-//! addresses interned to `u32` ids ([`AddrInterner`]), and the analysis
+//! The pipeline is **columnar**: [`TraceSet`] stores a campaign's
+//! traces in flat, target-sorted columns, their hops as one path-prefix
+//! tree, with responder addresses interned to `u32` ids
+//! ([`AddrInterner`]), and the analysis
 //! passes ([`subnets`], [`metrics`], [`validate`]) are sorted-merge
 //! walks over those columns. The original map-based implementation lives
 //! on as an oracle in the dev-only `testkit` crate (`testkit::oracle`),
@@ -31,6 +32,7 @@ mod builder;
 pub mod export;
 mod intern;
 pub mod metrics;
+mod paths;
 mod quarantine;
 mod runner;
 mod shard;
@@ -45,6 +47,7 @@ pub use metrics::{
     discovery_curve, hop_responsiveness, vantage_contributions, vantage_jaccard,
     vantage_union_count, CampaignMetrics, VantageContribution,
 };
+pub use paths::{DeepestFirst, HopCells, HopIter, PathNode};
 pub use quarantine::{quarantine_all, QuarantineConfig, QuarantineReport};
 pub use runner::{CampaignOutcome, CampaignRun, CampaignRunner};
 pub use shard::{ShardRoute, ShardedTraceSet, MAX_SHARDS};

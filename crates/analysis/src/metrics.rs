@@ -108,11 +108,9 @@ impl CampaignMetrics {
                     let Some(tasn) = bgp.origin(t.target()) else {
                         return false;
                     };
-                    t.hop_cells()
-                        .ids()
-                        .iter()
-                        .chain(t.unreachable_cells().ids())
-                        .any(|&id| id_origin[id as usize] == Some(tasn))
+                    let hops = t.hop_cells().deepest_first().map(|(_, id)| id);
+                    hops.chain(t.unreachable_cells().ids().iter().copied())
+                        .any(|id| id_origin[id as usize] == Some(tasn))
                 })
                 .count();
 
@@ -123,7 +121,8 @@ impl CampaignMetrics {
             let mut eui_seen = vec![false; ts.interner().len()];
             for t in ts.iter() {
                 let Some(plen) = t.path_len() else { continue };
-                for (ttl, id) in t.hop_cells() {
+                // Both lists are sorted below: the walk from the leaf.
+                for (ttl, id) in t.hop_cells().deepest_first() {
                     if id_eui64[id as usize] {
                         if !eui_seen[id as usize] {
                             eui_seen[id as usize] = true;

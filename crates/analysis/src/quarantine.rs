@@ -41,6 +41,7 @@
 //! bit-identical by construction and costs no memory.
 
 use crate::intern::{union, Reintern};
+use crate::paths::PathBuilder;
 use crate::traces::{Columns, TraceSet};
 use std::borrow::Cow;
 use std::net::Ipv6Addr;
@@ -155,7 +156,8 @@ pub fn quarantine_all<'a>(
     for (set, map) in sets.iter().zip(&maps) {
         for t in set.iter() {
             stamp += 1;
-            for (ttl, id) in t.hop_cells() {
+            // Min, max and count ask for no order: the walk from the leaf.
+            for (ttl, id) in t.hop_cells().deepest_first() {
                 let e = &mut evidence[union_id(map, id)];
                 e.lo = e.lo.min(ttl);
                 e.hi = e.hi.max(ttl);
@@ -230,15 +232,21 @@ fn scrub(
     };
     let keep_unreach = |ttl: u8, id: u32| -> bool { !bad(id) && ttl <= cfg.max_plausible_ttl };
 
-    // Dry pass: is there anything to drop at all?
-    let clean = set.iter().all(|t| {
-        let r = t.reached_at();
-        let mut hops = t.hop_cells().iter();
-        hops.all(|(ttl, id)| keep_hop(ttl, id, r) == Some(true))
-            && t.unreachable_cells()
-                .iter()
-                .all(|(ttl, id)| keep_unreach(ttl, id))
-    });
+    // Dry pass: is there anything to drop at all? Each path node is a
+    // hop cell of some trace, and a trace holds a hop past its
+    // `reached_at` exactly when its deepest one is.
+    let clean = set
+        .path_nodes()
+        .iter()
+        .all(|n| keep_hop(n.ttl(), n.id(), None) == Some(true))
+        && set.iter().all(|t| {
+            let r = t.reached_at();
+            let last = t.hop_cells().last();
+            last.is_none_or(|(ttl, id)| keep_hop(ttl, id, r) == Some(true))
+                && t.unreachable_cells()
+                    .iter()
+                    .all(|(ttl, id)| keep_unreach(ttl, id))
+        });
     if clean {
         return None;
     }
@@ -246,20 +254,14 @@ fn scrub(
     // Sized for every address: a scrub drops few.
     let mut ids = Reintern::new(set.interner());
 
-    let mut out = Columns::reserved([
-        set.len(),
-        set.cols.hop_ids.len(),
-        set.cols.unreach_ids.len(),
-    ]);
+    let mut out = Columns::reserved([set.len(), set.cols.unreach_ids.len()]);
+    let mut tree = PathBuilder::default();
     for t in set.iter() {
         let r = t.reached_at();
         let mut touched = false;
         for (ttl, id) in t.hop_cells() {
             match keep_hop(ttl, id, r) {
-                Some(true) => {
-                    out.hop_ttls.push(ttl);
-                    out.hop_ids.push(ids.id(id));
-                }
+                Some(true) => tree.push(ttl, ids.id(id)),
                 Some(false) => {
                     report.implausible_hops_dropped += 1;
                     touched = true;
@@ -282,8 +284,9 @@ fn scrub(
         if touched {
             report.traces_touched += 1;
         }
-        out.end_trace(t.target(), r);
+        out.end_trace(t.target(), tree.end(), r);
     }
+    out.nodes = tree.finish();
     Some(TraceSet {
         vantage: set.vantage.clone(),
         target_set: set.target_set.clone(),

@@ -54,6 +54,7 @@
 //! the [`write_trace_set`] layout, and a checksum of all of it.
 
 use crate::intern::AddrInterner;
+use crate::paths::{PathBuilder, PathCursor, PathNode};
 use crate::traces::{trace_lens, Columns, Memo, TraceSet};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -308,27 +309,107 @@ fn target_steps(targets: &[Ipv6Addr]) -> impl Iterator<Item = (u64, u64)> + '_ {
     })
 }
 
-/// How many hop ids of `cols` no repeat bit spells: every hop cell but
-/// those that repeat the previous trace's, a hop at the same limit with
-/// the same id. `last[ttl]` holds the trace (counted from 1) and the id
-/// that last answered at `ttl`, so a cell repeats when its slot holds
-/// the previous trace and its own id.
-fn stored_hops(cols: &Columns) -> usize {
-    let mut last = [u64::MAX; 256];
-    let mut repeats = 0;
-    for idx in 0..cols.targets.len() {
-        let (prev, this) = ((idx as u64) << 32, (idx as u64 + 1) << 32);
-        let range = cols.hop_range(idx);
-        for (&ttl, &id) in cols.hop_ttls[range.clone()]
-            .iter()
-            .zip(&cols.hop_ids[range])
-        {
-            let slot = &mut last[usize::from(ttl)];
-            repeats += usize::from(*slot == prev | u64::from(id));
-            *slot = this | u64::from(id);
+/// The hop columns' repeat rule, walked trace by trace in order: a hop
+/// repeats the previous trace's where that trace answered at the same
+/// hop limit with the same id. Every cell above where a trace's path
+/// leaves the previous trace's repeats, so only the cells below are
+/// visited; the answered bitmap (`WORDS` words from hop limit `base`)
+/// and the id each hop limit last had carry the rest. That id is the
+/// previous trace's wherever it answered: its cells above the parting
+/// point are the ones before it, whose ids the cells below never move.
+struct RepeatWalk<const WORDS: usize> {
+    path: PathCursor,
+    base: u8,
+    last: [u32; 256],
+    answered: [u64; WORDS],
+}
+
+impl<const WORDS: usize> RepeatWalk<WORDS> {
+    fn new(base: u8) -> Self {
+        RepeatWalk {
+            path: PathCursor::default(),
+            base,
+            last: [0; 256],
+            answered: [0; WORDS],
         }
     }
-    cols.hop_ids.len() - repeats
+
+    /// Moves to the next trace, whose path ends at `leaf` in `nodes`,
+    /// hands `each` each of its cells below the parting point with
+    /// whether it repeats, and returns the trace's answered and repeat
+    /// bitmaps.
+    #[inline]
+    fn step(
+        &mut self,
+        nodes: &[PathNode],
+        leaf: u32,
+        mut each: impl FnMut(u8, u32, bool),
+    ) -> [[u64; WORDS]; 2] {
+        let base = self.base;
+        let bit = |ttl: u8| {
+            let rel = ttl - base;
+            let word = if WORDS == 1 { 0 } else { usize::from(rel / 64) };
+            (word, 1u64 << (rel % 64))
+        };
+        let (prev, last) = (&self.answered, &mut self.last);
+        let (mut answered, mut repeats) = ([0; WORDS], [0; WORDS]);
+        let shared = self.path.move_to(nodes, leaf, |_, node| {
+            let (ttl, id) = (node.ttl(), node.id());
+            let (word, bit) = bit(ttl);
+            let slot = &mut last[usize::from(ttl - base)];
+            // Without a branch: neighbouring traces repeat a hop often,
+            // but not predictably.
+            let repeat = (prev[word] & bit != 0) & (*slot == id);
+            repeats[word] |= bit * u64::from(repeat);
+            answered[word] |= bit;
+            *slot = id;
+            each(ttl, id, repeat);
+        });
+        // The previous trace's bits up to the last shared hop limit.
+        if let Some(&n) = self.path.path()[..shared].last() {
+            let (word, bit) = bit(nodes[n as usize].ttl());
+            let mask = bit | (bit - 1);
+            for (w, (a, r)) in answered.iter_mut().zip(&mut repeats).enumerate() {
+                let shared_bits = match w.cmp(&word) {
+                    std::cmp::Ordering::Less => self.answered[w],
+                    std::cmp::Ordering::Equal => self.answered[w] & mask,
+                    std::cmp::Ordering::Greater => 0,
+                };
+                (*a, *r) = (*a | shared_bits, *r | shared_bits);
+            }
+        }
+        self.answered = answered;
+        [answered, repeats]
+    }
+}
+
+/// What a set's hop cells size in its encoding.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct HopShape {
+    /// How many hop ids no repeat bit spells.
+    stored: usize,
+    /// The smallest and largest hop limit of any hop cell; `None` with
+    /// none.
+    window: Option<(u8, u8)>,
+}
+
+/// The hop shape of `cols`: every hop cell but those that repeat the
+/// previous trace's is stored, and every node is a cell below where the
+/// trace that first reaches it leaves the trace before, so the walk of
+/// those cells meets every hop limit.
+fn hop_shape(cols: &Columns) -> HopShape {
+    let mut walk = RepeatWalk::<4>::new(0);
+    let (mut stored, mut lo, mut hi) = (0, u8::MAX, 0);
+    for &leaf in &cols.leaves {
+        walk.step(&cols.nodes, leaf, |ttl, _, repeat| {
+            stored += usize::from(!repeat);
+            (lo, hi) = (lo.min(ttl), hi.max(ttl));
+        });
+    }
+    HopShape {
+        stored,
+        window: (lo <= hi).then_some((lo, hi)),
+    }
 }
 
 /// What sizes a set's encoding beyond its column lengths: the varint
@@ -352,17 +433,13 @@ struct Widths {
 impl Widths {
     fn of(ts: &TraceSet) -> Widths {
         let cols = &ts.cols;
-        let ttls = &cols.hop_ttls;
-        // One fold, which vectorises where `min` and `max` do not.
-        let (lo, hi) = ttls
-            .iter()
-            .fold((u8::MAX, 0), |(lo, hi), &t| (lo.min(t), hi.max(t)));
-        let (base, bitmap) = match ttls.is_empty() {
-            true => (0, 0),
-            false => (lo, usize::from(hi - lo) / 8 + 1),
+        let shape = cols.hop_shape.get(|| hop_shape(cols));
+        debug_assert_eq!(shape, hop_shape(cols), "a stale hop shape");
+        let (base, bitmap) = match shape.window {
+            None => (0, 0),
+            Some((lo, hi)) => (lo, usize::from(hi - lo) / 8 + 1),
         };
-        let stored = cols.stored_hops.get(|| stored_hops(cols));
-        debug_assert_eq!(stored, stored_hops(cols), "a stale stored-hop count");
+        let stored = shape.stored;
         Widths {
             targets: target_steps(&cols.targets)
                 .map(|(hi, lo)| varint_len(hi) + varint_len(lo))
@@ -495,9 +572,10 @@ fn write_set(w: &mut SnapWriter, ts: &TraceSet, widths: &Widths, with_table: boo
 
 /// Appends the two bitmap columns, answered then repeats, one bitmap of
 /// `widths.bitmap` bytes a trace in each, and after them every hop id no
-/// repeat bit spells, `W` bytes each. One walk of the hop cells fills
-/// the region in place, each trace's bitmaps in `WORDS` words (one while
-/// the window is at most 64 hop limits).
+/// repeat bit spells, `W` bytes each. One walk of each trace's cells
+/// below where its path leaves the previous trace's ([`RepeatWalk`])
+/// fills the region in place, each trace's bitmaps in `WORDS` words (one
+/// while the window is at most 64 hop limits).
 fn write_hops<const W: usize, const WORDS: usize>(
     w: &mut SnapWriter,
     cols: &Columns,
@@ -513,38 +591,20 @@ fn write_hops<const W: usize, const WORDS: usize>(
     w.buf.resize(end + W, 0);
     let buf = &mut w.buf;
     let mut pos = at + 2 * column;
-    // The id each hop limit last had: the previous trace's wherever it
-    // answered.
-    let mut last = [0u32; 256];
-    let mut prev = [0u64; WORDS];
-    for idx in 0..cols.targets.len() {
-        let range = cols.hop_range(idx);
-        let (mut answered, mut repeats) = ([0u64; WORDS], [0u64; WORDS]);
-        for (&ttl, &id) in cols.hop_ttls[range.clone()]
-            .iter()
-            .zip(&cols.hop_ids[range])
-        {
-            let rel = ttl - base;
-            let word = if WORDS == 1 { 0 } else { usize::from(rel / 64) };
-            let bit = 1u64 << (rel % 64);
-            let slot = &mut last[usize::from(rel)];
-            // Without a branch: neighbouring traces repeat a hop often,
-            // but not predictably.
-            let repeat = (prev[word] & bit != 0) & (*slot == id);
-            repeats[word] |= bit * u64::from(repeat);
-            answered[word] |= bit;
-            *slot = id;
+    let mut walk = RepeatWalk::<WORDS>::new(base);
+    for (idx, &leaf) in cols.leaves.iter().enumerate() {
+        let [answered, repeats] = walk.step(&cols.nodes, leaf, |_, id, repeat| {
             buf[pos..pos + W].copy_from_slice(&id.to_le_bytes()[..W]);
             pos += W * usize::from(!repeat);
-        }
+        });
         let row = at + idx * width;
         for j in 0..width {
             let shift = 8 * (j % 8);
             buf[row + j] = (answered[j / 8] >> shift) as u8;
             buf[row + column + j] = (repeats[j / 8] >> shift) as u8;
         }
-        prev = answered;
     }
+    debug_assert_eq!(pos, end, "every stored id is written");
     buf.truncate(end);
 }
 
@@ -702,18 +762,18 @@ fn read_targets(r: &mut SnapReader<'_>, n: usize) -> Result<Vec<Ipv6Addr>, Snaps
     Ok(targets)
 }
 
-/// A set's hop columns as read back: where each trace's cells end,
-/// their hop limits and ids, and how many ids were written.
+/// A set's hop cells as read back: each trace's leaf, the node table,
+/// and their shape.
 struct Hops {
-    ends: Vec<u32>,
-    ttls: Vec<u8>,
-    ids: Vec<u32>,
-    stored: usize,
+    leaves: Vec<u32>,
+    nodes: Vec<PathNode>,
+    shape: HopShape,
 }
 
-/// The hop columns of `n` traces as read back: the window and both
+/// The hop cells of `n` traces as read back: the window and both
 /// bitmap columns, checked for their one spelling, then the ids no
-/// repeat bit spells.
+/// repeat bit spells. The cells go into a [`PathBuilder`], whose finger
+/// finds a repeated prefix on the previous trace's path.
 fn read_hops(r: &mut SnapReader<'_>, n: usize, n_words: usize) -> Result<Hops, SnapshotError> {
     let bad = |what| Err(SnapshotError::BadValue(what));
     let base = r.u8()?;
@@ -761,14 +821,13 @@ fn read_hops(r: &mut SnapReader<'_>, n: usize, n_words: usize) -> Result<Hops, S
         .zip(repeats)
         .map(|(a, rep)| (a & !rep).count_ones() as usize)
         .sum();
+    // Nodes are at most cells, so every node number stays below `ROOT`.
     if cells > u32::MAX as usize {
         return bad("trace hop lengths past u32");
     }
     let stored_ids = read_ids(r, stored, n_words, "hop interner id")?;
-    let mut ends = Vec::with_capacity(n);
-    // Filled by index, so the running count stays in a register.
-    let (mut ttls, mut ids) = (vec![0u8; cells], vec![0u32; cells]);
-    let mut c = 0;
+    let mut leaves = Vec::with_capacity(n);
+    let mut tree = PathBuilder::default();
     // The id each hop limit last had: the previous trace's wherever it
     // answered, which is wherever a repeat bit may sit.
     let mut last = [0u32; 256];
@@ -805,21 +864,21 @@ fn read_hops(r: &mut SnapReader<'_>, n: usize, n_words: usize) -> Result<Hops, S
                 let id = if repeat { prev } else { stored };
                 k += usize::from(!repeat);
                 last[rel] = id;
-                ttls[c] = base + rel as u8;
-                ids[c] = id;
-                c += 1;
+                tree.push(base + rel as u8, id);
             }
         }
-        ends.push(c as u32);
+        leaves.push(tree.end());
     }
     if spelled {
         return bad("hop id a repeat bit spells");
     }
     Ok(Hops {
-        ends,
-        ttls,
-        ids,
-        stored,
+        leaves,
+        nodes: tree.finish(),
+        shape: HopShape {
+            stored,
+            window: highest.map(|hi| (base, base + hi as u8)),
+        },
     })
 }
 
@@ -879,14 +938,13 @@ fn read_set(
         interner,
         cols: Arc::new(Columns {
             targets,
-            hop_ends: hops.ends,
+            leaves: hops.leaves,
             unreach_ends,
             reached,
-            hop_ttls: hops.ttls,
-            hop_ids: hops.ids,
+            nodes: hops.nodes,
             unreach_ttls,
             unreach_ids,
-            stored_hops: Memo::of(hops.stored),
+            hop_shape: Memo::of(hops.shape),
         }),
     })
 }
@@ -1577,7 +1635,7 @@ mod tests {
             r.ids.remove(2);
         })
         .unwrap();
-        assert_eq!(other.view_at(1).hop_cells().ids()[1], 1);
+        assert_eq!(other.view_at(1).hop_cells().iter().nth(1), Some((2, 1)));
     }
 
     #[test]
@@ -1735,7 +1793,11 @@ mod tests {
         // them.
         let raw = Raw::of(1, &[(&[(3, 0), (5, 0)], &[]), (&[(1, 0), (2, 0)], &[])]);
         let ts = raw.round_trip();
-        assert_eq!(ts.view_at(0).hop_cells().ttls(), [3, 5]);
+        let ttls = |ts: &TraceSet| -> Vec<u8> {
+            let cells = ts.view_at(0).hop_cells();
+            cells.iter().map(|(ttl, _)| ttl).collect()
+        };
+        assert_eq!(ttls(&ts), [3, 5]);
         assert_eq!(ts.view_at(0).hop_vec().len(), 5);
         assert_eq!(ts.view_at(0).path_len(), Some(5));
         // Every one-byte bitmap of a minimal window (bits 0 and 7 set)
@@ -1757,7 +1819,7 @@ mod tests {
                 .filter(|b| bits >> b & 1 == 1)
                 .map(|b| 10 + b)
                 .collect();
-            assert_eq!(ts.view_at(0).hop_cells().ttls(), want, "{bits:#010b}");
+            assert_eq!(ttls(&ts), want, "{bits:#010b}");
         }
         // Unreachable cells keep record order: any TTLs go.
         let ts = Raw::of(1, &[(&[], &[(9, 0), (5, 0)])]).round_trip();

@@ -28,6 +28,7 @@
 //! the dev-only `testkit` crate (`testkit::oracle::discover_by_path_div`,
 //! `ia_hack`) and are pinned equivalent by golden tests.
 
+use crate::paths::{PathCursor, MAX_HOPS, ROOT};
 use crate::traces::{AsnResolver, TraceSet, TraceView};
 use serde::{Deserialize, Serialize};
 use v6addr::{bits, dpl, Asn, Finger, Ipv6Prefix};
@@ -137,19 +138,38 @@ pub fn discover_by_path_div(
     // bound is always >= 1).
     let mut best = vec![0u8; n];
     let mut lcs_buf: Vec<u32> = Vec::new();
-    for i in 0..n - 1 {
-        if let Some(b) = divergence_bound(
-            ts.view_at(i),
-            ts.view_at(i + 1),
-            &ids,
-            &tgt_origin,
-            resolver,
-            params,
-            &mut lcs_buf,
-        ) {
-            best[i] = best[i].max(b);
-            best[i + 1] = best[i + 1].max(b);
+    // Each trace's cells on a cursor that moves through every trace,
+    // rewriting them below where the trace leaves the one before, then
+    // copied off to stand as the previous trace's in the next pair.
+    let nodes = ts.path_nodes();
+    let mut path = PathCursor::default();
+    let (mut ttls, mut hop_ids) = ([0; MAX_HOPS], [0; MAX_HOPS]);
+    let (mut prev_ttls, mut prev_ids) = (Vec::new(), Vec::new());
+    for i in 0..n {
+        let t = ts.view_at(i);
+        path.move_to(nodes, t.leaf().unwrap_or(ROOT), |d, node| {
+            (ttls[d], hop_ids[d]) = (node.ttl(), node.id());
+        });
+        let len = t.hop_cells().len();
+        let cells = (&ttls[..len], &hop_ids[..len]);
+        if i > 0 {
+            if let Some(b) = divergence_bound(
+                [ts.view_at(i - 1), t],
+                [(&prev_ttls, &prev_ids), cells],
+                &ids,
+                &tgt_origin,
+                resolver,
+                params,
+                &mut lcs_buf,
+            ) {
+                best[i - 1] = best[i - 1].max(b);
+                best[i] = best[i].max(b);
+            }
         }
+        prev_ttls.clear();
+        prev_ttls.extend_from_slice(cells.0);
+        prev_ids.clear();
+        prev_ids.extend_from_slice(cells.1);
     }
     let mut out: Vec<CandidateSubnet> = ts
         .targets()
@@ -169,10 +189,11 @@ pub fn discover_by_path_div(
 /// Tests one adjacent target pair for significant divergence; returns
 /// the DPL bound when the gates pass. Walks the two hop slices with two
 /// cursors — no `hop_vec` materialization, no per-pair allocation
-/// (`lcs_buf` is reused across pairs).
+/// (`lcs_buf` is reused across pairs). The second argument holds each
+/// trace's hop limits and ids.
 fn divergence_bound(
-    a: TraceView<'_>,
-    b: TraceView<'_>,
+    [a, b]: [TraceView<'_>; 2],
+    [(ta, ia), (tb, ib)]: [(&[u8], &[u32]); 2],
     ids: &IdAsns,
     tgt_origin: &[Option<Asn>],
     resolver: &AsnResolver,
@@ -186,8 +207,6 @@ fn divergence_bound(
         return None;
     }
 
-    let (ta, ia) = (a.hop_cells().ttls(), a.hop_cells().ids());
-    let (tb, ib) = (b.hop_cells().ttls(), b.hop_cells().ids());
     // Conceptual hop arrays run over ttl 1..=deepest; the walk visits
     // each position once, advancing both cursors monotonically.
     let deepest_a = ta.last().map_or(0, |&t| t as usize);

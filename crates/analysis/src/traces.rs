@@ -9,14 +9,18 @@
 //!   scatter** over dense interned target ids — no comparison sort
 //!   over the record volume and no `HashMap`/`BTreeMap` node
 //!   insertions;
-//! * all hop cells live contiguously in two parallel columns — hop
-//!   limits (`u8`) and interface ids (`u32`), 5 bytes a cell where a
-//!   `(u8, u32)` tuple pads to 8 — laid out in trace order, so a trace
-//!   is known by where its cells *end*: trace `i` owns
-//!   `ends[i - 1]..ends[i]` (from 0 for the first), and the ranges tile
-//!   the columns by construction. With its `reached_at` that is 10
-//!   bytes of metadata a trace. Iteration is a slice walk, already in
-//!   target order, so no `iter_sorted()` re-sort per analysis pass;
+//! * hop cells live in one path-prefix tree per set ([`crate::paths`]):
+//!   traces toward neighbouring targets share all but their last hops,
+//!   so each distinct (vantage, path prefix) is one node — a parent, a
+//!   hop limit, an interface id and a depth, 12 bytes — and a trace
+//!   holds only its deepest node, its leaf. A campaign's nodes are a
+//!   few percent of its hop cells. Destination Unreachable cells keep
+//!   record order and may repeat a hop limit, so they stay two flat
+//!   columns in trace order, a trace known by where its cells *end*:
+//!   trace `i` owns `ends[i - 1]..ends[i]` (from 0 for the first). With
+//!   its leaf and `reached_at` that is 10 bytes of metadata a trace.
+//!   Iteration is already in target order, so no `iter_sorted()`
+//!   re-sort per analysis pass;
 //! * responder addresses are interned once into a shared
 //!   [`AddrInterner`] ([`crate::intern`]); hops carry dense `u32` ids
 //!   and downstream stages cache per-address derived values by id.
@@ -28,6 +32,8 @@
 //! golden tests pin this store bit-identical to.
 
 use crate::intern::{hashed_ahead, union, AddrInterner, Reintern};
+use crate::paths::{first_reached, HopCells, PathBuilder, PathNode, ROOT};
+use crate::snapshot::HopShape;
 use std::iter::{Copied, Zip};
 use std::net::Ipv6Addr;
 use std::ops::Range;
@@ -60,13 +66,16 @@ pub(crate) fn trace_lens(ends: &[u32]) -> impl Iterator<Item = u32> + '_ {
 
 /// All traces of one campaign in columnar form, sorted by target.
 ///
-/// A trace is a row across the target and metadata columns; its cells
-/// are a range of the cell columns, which hold every trace's cells in
-/// trace order, so the row stores only where that range ends
-/// (`cell_range`). The ranges tile their columns by construction:
-/// every constructor appends a trace's cells and then ends it.
+/// A trace is a row across the target and metadata columns. Its hop
+/// cells are the path from the root of the set's path-prefix tree to
+/// the row's leaf [`PathNode`], so a prefix that many traces share is
+/// held once. Its Destination Unreachable cells are a range of
+/// the unreachable columns, which hold every trace's in trace order, so
+/// the row stores only where that range ends (`cell_range`). The ranges
+/// tile their columns by construction: every constructor appends a
+/// trace's cells and then ends it.
 ///
-/// The eight columns sit behind one `Arc`, as the address table does,
+/// The columns sit behind one `Arc`, as the address table does,
 /// so `clone` is O(1): the clone shares both, and the shards of a
 /// store, the flat view of one and a delta run's prior are all such
 /// clones. Constructors fill their own columns and never share them
@@ -91,93 +100,103 @@ pub struct TraceSet {
     /// by every set built from one store. A table is never mutated once
     /// shared.
     pub(crate) interner: Arc<AddrInterner>,
-    /// The trace and cell columns, shared by the set's clones.
+    /// The trace columns, the path tree and the unreachable columns,
+    /// shared by the set's clones.
     pub(crate) cols: Arc<Columns>,
 }
 
 /// The columns of a [`TraceSet`]: one row per trace in `targets`,
-/// `hop_ends`, `unreach_ends` and `reached`, one per cell in the two
-/// pairs of cell columns.
+/// `leaves`, `unreach_ends` and `reached`, one per path node in
+/// `nodes`, one per Destination Unreachable cell in the two unreachable
+/// columns. Nodes are in canonical order ([`crate::paths`]), so the
+/// derived equality is equality of cells.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Columns {
     /// Probed destinations, ascending by address word.
     pub(crate) targets: Vec<Ipv6Addr>,
-    /// Where each trace's hop cells end, parallel to `targets`:
-    /// non-decreasing, the last one the hop columns' length.
-    pub(crate) hop_ends: Vec<u32>,
-    /// Where each trace's unreachable cells end, as `hop_ends`.
+    /// Each trace's deepest hop cell, a node of `nodes`, parallel to
+    /// `targets`; [`ROOT`] for a trace without hops.
+    pub(crate) leaves: Vec<u32>,
+    /// Where each trace's unreachable cells end, parallel to `targets`:
+    /// non-decreasing, the last one the unreachable columns' length.
     pub(crate) unreach_ends: Vec<u32>,
     /// The smallest hop limit the destination answered at, parallel to
     /// `targets`.
     pub(crate) reached: Vec<Option<u8>>,
-    /// The hop limit of every hop cell, contiguous per trace, strictly
-    /// ascending within a trace.
-    pub(crate) hop_ttls: Vec<u8>,
-    /// The interface id of every hop cell, parallel to `hop_ttls`.
-    pub(crate) hop_ids: Vec<u32>,
+    /// The path-prefix tree of every trace's hop cells.
+    pub(crate) nodes: Vec<PathNode>,
     /// The hop limit of every Destination Unreachable cell, contiguous
     /// per trace, record order within a trace.
     pub(crate) unreach_ttls: Vec<u8>,
     /// The responder id of every Destination Unreachable cell, parallel
     /// to `unreach_ttls`.
     pub(crate) unreach_ids: Vec<u32>,
-    /// How many hop cells do not repeat the previous trace's (a hop at
-    /// the same limit with the same id): the hop ids a snapshot writes.
-    /// Found by the first encode and kept, because a checkpoint writes
-    /// every set of its record again each round; [`Columns::make_mut`]
-    /// clears it.
-    pub(crate) stored_hops: Memo,
+    /// What the hop cells size in a snapshot: how many do not repeat
+    /// the previous trace's (a hop at the same limit with the same id),
+    /// the hop ids a snapshot writes, and their hop-limit window. Found
+    /// by the first encode and kept, because a checkpoint writes every
+    /// set of its record again each round; [`Columns::make_mut`] clears
+    /// it.
+    pub(crate) hop_shape: Memo<HopShape>,
 }
 
-/// A count derived from the columns it sits in, found once on demand.
+/// A value derived from the columns it sits in, found once on demand.
 /// It takes no part in equality: columns that hold the same cells are
 /// equal whether or not it was found yet.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Memo(std::sync::OnceLock<usize>);
+#[derive(Clone, Debug)]
+pub(crate) struct Memo<T>(std::sync::OnceLock<T>);
 
-impl Memo {
+impl<T> Default for Memo<T> {
+    fn default() -> Self {
+        Memo(std::sync::OnceLock::new())
+    }
+}
+
+impl<T: Copy> Memo<T> {
     /// A memo that already holds `v`.
-    pub(crate) fn of(v: usize) -> Memo {
+    pub(crate) fn of(v: T) -> Memo<T> {
         Memo(v.into())
     }
 
-    /// The count, found by `find` on first use.
-    pub(crate) fn get(&self, find: impl FnOnce() -> usize) -> usize {
+    /// The value, found by `find` on first use.
+    pub(crate) fn get(&self, find: impl FnOnce() -> T) -> T {
         *self.0.get_or_init(find)
     }
 }
 
-impl PartialEq for Memo {
-    fn eq(&self, _: &Memo) -> bool {
+impl<T> PartialEq for Memo<T> {
+    fn eq(&self, _: &Memo<T>) -> bool {
         true
     }
 }
 
-impl Eq for Memo {}
+impl<T> Eq for Memo<T> {}
 
 impl Columns {
-    /// Empty columns reserved for `[traces, hop cells, unreachable cells]`.
-    pub(crate) fn reserved([n_targets, n_hops, n_unreach]: [usize; 3]) -> Columns {
+    /// Empty columns reserved for `[traces, unreachable cells]`. The node
+    /// table is built apart and set last: its length is not known up
+    /// front.
+    pub(crate) fn reserved([n_targets, n_unreach]: [usize; 2]) -> Columns {
         Columns {
             targets: Vec::with_capacity(n_targets),
-            hop_ends: Vec::with_capacity(n_targets),
+            leaves: Vec::with_capacity(n_targets),
             unreach_ends: Vec::with_capacity(n_targets),
             reached: Vec::with_capacity(n_targets),
-            hop_ttls: Vec::with_capacity(n_hops),
-            hop_ids: Vec::with_capacity(n_hops),
+            nodes: Vec::new(),
             unreach_ttls: Vec::with_capacity(n_unreach),
             unreach_ids: Vec::with_capacity(n_unreach),
-            stored_hops: Memo::default(),
+            hop_shape: Memo::default(),
         }
     }
 
-    /// Ends the trace toward `target`: it owns every cell appended since
-    /// the previous trace ended. The `u32` ends cannot wrap: every
-    /// constructor's columns hold fewer than 2³² cells.
+    /// Ends the trace toward `target`, whose hop cells end at `leaf`: it
+    /// owns every unreachable cell appended since the previous trace
+    /// ended. The `u32` ends cannot wrap: every constructor's columns
+    /// hold fewer than 2³² cells.
     #[inline]
-    pub(crate) fn end_trace(&mut self, target: Ipv6Addr, reached_at: Option<u8>) {
+    pub(crate) fn end_trace(&mut self, target: Ipv6Addr, leaf: u32, reached_at: Option<u8>) {
         self.targets.push(target);
-        self.hop_ends.push(self.hop_ids.len() as u32);
+        self.leaves.push(leaf);
         self.unreach_ends.push(self.unreach_ids.len() as u32);
         self.reached.push(reached_at);
     }
@@ -186,14 +205,8 @@ impl Columns {
     /// them, and with what was derived from them cleared.
     pub(crate) fn make_mut(cols: &mut Arc<Columns>) -> &mut Columns {
         let cols = Arc::make_mut(cols);
-        cols.stored_hops = Memo::default();
+        cols.hop_shape = Memo::default();
         cols
-    }
-
-    /// Trace `idx`'s range of the hop columns.
-    #[inline]
-    pub(crate) fn hop_range(&self, idx: usize) -> Range<usize> {
-        cell_range(&self.hop_ends, idx)
     }
 
     /// Trace `idx`'s range of the unreachable columns.
@@ -202,16 +215,10 @@ impl Columns {
         cell_range(&self.unreach_ends, idx)
     }
 
-    /// Appends `src`'s trace at `idx`, its ids translated through
-    /// `id_remap` when there is one.
-    pub(crate) fn push_trace(&mut self, src: &Columns, idx: usize, id_remap: Option<&[u32]>) {
-        let (hops, unreach) = (src.hop_range(idx), src.unreach_range(idx));
-        self.hop_ttls.extend_from_slice(&src.hop_ttls[hops.clone()]);
-        extend_ids(&mut self.hop_ids, &src.hop_ids[hops], id_remap);
-        self.unreach_ttls
-            .extend_from_slice(&src.unreach_ttls[unreach.clone()]);
-        extend_ids(&mut self.unreach_ids, &src.unreach_ids[unreach], id_remap);
-        self.end_trace(src.targets[idx], src.reached[idx]);
+    /// Trace `idx`'s hop cells.
+    #[inline]
+    pub(crate) fn hop_cells(&self, idx: usize) -> HopCells<'_> {
+        HopCells::new(&self.nodes, self.leaves[idx])
     }
 }
 
@@ -480,7 +487,8 @@ pub(crate) fn assemble<K: Copy + Ord + Default>(
     // Emit walk. `ttl_slot[t]` holds (owner rank + 1, winning cell) —
     // the epoch trick avoids clearing 256 slots per trace.
     let mut ttl_slot = [(0u32, Cell::<K>::default()); 256];
-    let mut cols = Columns::reserved([n_targets, hop_cells.len(), unreach_cells.len()]);
+    let mut cols = Columns::reserved([n_targets, unreach_cells.len()]);
+    let mut tree = PathBuilder::default();
     for (r, &(word, tid)) in order.iter().enumerate() {
         let epoch = r as u32 + 1;
         let bucket = &hop_cells[starts[r][0] as usize..starts[r + 1][0] as usize];
@@ -499,8 +507,7 @@ pub(crate) fn assemble<K: Copy + Ord + Default>(
         if lo != usize::MAX {
             for (t, &(e, cell)) in ttl_slot.iter().enumerate().take(hi + 1).skip(lo) {
                 if e == epoch {
-                    cols.hop_ttls.push(t as u8);
-                    cols.hop_ids.push(cell.rid());
+                    tree.push(t as u8, cell.rid());
                 }
             }
         }
@@ -515,9 +522,11 @@ pub(crate) fn assemble<K: Copy + Ord + Default>(
         let at = reached[tid as usize];
         cols.end_trace(
             Ipv6Addr::from(word),
+            tree.end(),
             (at != NOT_REACHED).then_some(at as u8),
         );
     }
+    cols.nodes = tree.finish();
     TraceSet {
         vantage,
         target_set,
@@ -543,8 +552,9 @@ impl TraceSet {
     ///   per-bucket sort;
     /// * Destination Unreachable rows ride the same scatter; their
     ///   bucket order *is* the required record order, copied verbatim;
-    /// * the winners land in the set's split cell columns, a `u8` hop
-    ///   limit and a `u32` id apiece — 5 bytes a cell.
+    /// * the winners land in the set's path-prefix tree, which finds a
+    ///   cell's node on the previous trace's path while the two paths
+    ///   agree, and hashes it only after they diverge.
     pub fn from_log(log: &ProbeLog) -> Self {
         // The log says how many targets were probed; no log has more
         // distinct ones than records.
@@ -590,6 +600,13 @@ impl TraceSet {
         &self.cols.targets
     }
 
+    /// The path-prefix tree of the set's hop cells, in canonical order
+    /// (see [`PathNode`]): each trace's path ends at its
+    /// [`TraceView::leaf`].
+    pub fn path_nodes(&self) -> &[PathNode] {
+        &self.cols.nodes
+    }
+
     /// The interface-address table. Sets may share one (the sets
     /// [`rebase`](Self::rebase) moves do), and [`union`] maps a shared
     /// table, or one that extends another, without hashing.
@@ -622,12 +639,12 @@ impl TraceSet {
     /// responders referenced by Time-Exceeded hop cells (the paper's
     /// "Rtr Int Addrs"; Destination Unreachable responders are in the
     /// interner but are not interfaces in this sense) — sorted
-    /// ascending. One flat pass over the hop column plus a per-id
-    /// bitmap; no address re-hashing.
+    /// ascending. One flat pass over the path nodes, each a distinct
+    /// hop cell, plus a per-id bitmap; no address re-hashing.
     pub fn interface_words(&self) -> Vec<u128> {
         let mut seen = vec![false; self.interner.len()];
-        for &id in &self.cols.hop_ids {
-            seen[id as usize] = true;
+        for node in &self.cols.nodes {
+            seen[node.id() as usize] = true;
         }
         let words = self.interner.words().iter().zip(&seen);
         let mut out: Vec<u128> = words.filter_map(|(&w, &s)| s.then_some(w)).collect();
@@ -674,10 +691,12 @@ impl TraceSet {
     /// tamper counter is additive).
     ///
     /// One union of the tables, then one k-way walk, equal to the left
-    /// fold of the two-set union: each surviving cell is copied once,
-    /// into a column reserved at exactly its final length, and each
-    /// input word interned once, where a fold re-copies and re-hashes
-    /// the accumulated set at every step. The `merge_props` suite pins
+    /// fold of the two-set union: each surviving unreachable cell is
+    /// copied once, into a column reserved at exactly its final length,
+    /// each input path node a surviving trace reaches is mapped once,
+    /// through a memo per input, and each input word interned once,
+    /// where a fold re-copies and re-hashes the accumulated set at every
+    /// step. The `merge_props` suite pins
     /// it against that fold written out over addresses
     /// (`testkit::oracle::merge_fold`).
     pub fn merge_all<'a>(sets: impl IntoIterator<Item = &'a TraceSet>) -> TraceSet {
@@ -703,20 +722,32 @@ impl TraceSet {
         // The owner walk runs twice: once to size every column at
         // exactly what survives dedup (inputs over the same targets
         // would otherwise reserve their sum), once to copy.
-        let (mut n_targets, mut n_hops, mut n_unreach) = (0usize, 0usize, 0usize);
+        let (mut n_targets, mut n_unreach) = (0usize, 0usize);
         for (i, idx) in owner_walk(&refs) {
             n_targets += 1;
-            n_hops += refs[i].cols.hop_range(idx).len();
             n_unreach += refs[i].cols.unreach_range(idx).len();
         }
         assert!(
-            n_hops <= u32::MAX as usize && n_unreach <= u32::MAX as usize,
-            "one trace set holds at most 2^32 - 1 hop and 2^32 - 1 unreachable cells"
+            n_unreach <= u32::MAX as usize,
+            "one trace set holds at most 2^32 - 1 unreachable cells"
         );
-        let mut cols = Columns::reserved([n_targets, n_hops, n_unreach]);
+        let mut cols = Columns::reserved([n_targets, n_unreach]);
+        let mut tree = PathBuilder::default();
+        // Each input node's node in the result; `ROOT` until mapped.
+        let mut memos: Vec<Vec<u32>> = refs
+            .iter()
+            .map(|s| vec![ROOT; s.cols.nodes.len()])
+            .collect();
         for (i, idx) in owner_walk(&refs) {
-            cols.push_trace(&refs[i].cols, idx, id_remaps[i].as_deref());
+            let (src, remap) = (&*refs[i].cols, id_remaps[i].as_deref());
+            let leaf = tree.graft(&src.nodes, &mut memos[i], src.leaves[idx], remap);
+            let unreach = src.unreach_range(idx);
+            cols.unreach_ttls
+                .extend_from_slice(&src.unreach_ttls[unreach.clone()]);
+            extend_ids(&mut cols.unreach_ids, &src.unreach_ids[unreach], remap);
+            cols.end_trace(src.targets[idx], leaf, src.reached[idx]);
         }
+        cols.nodes = tree.finish();
         TraceSet {
             vantage,
             target_set,
@@ -731,7 +762,9 @@ impl TraceSet {
     /// and the set shares `table`. Returns the maps, in input order
     /// (`None`: the set's table is a prefix of the union, and its ids
     /// stand). Every cell resolves to the address it did, so no view of
-    /// a set changes; only its interner holds more words.
+    /// a set changes; only its interner holds more words. A map is one
+    /// to one, so the path tree keeps its shape: only its nodes' ids
+    /// move, O(nodes).
     ///
     /// A table the union extended is held at its length: the copy of a
     /// shared table is exact, so its first new word doubles its word
@@ -752,7 +785,10 @@ impl TraceSet {
         for (set, map) in sets.iter_mut().zip(&maps) {
             if let Some(m) = map {
                 let cols = Columns::make_mut(&mut set.cols);
-                for id in cols.hop_ids.iter_mut().chain(&mut cols.unreach_ids) {
+                for node in &mut cols.nodes {
+                    node.set_id(m[node.id() as usize]);
+                }
+                for id in &mut cols.unreach_ids {
                     *id = m[*id as usize];
                 }
             }
@@ -775,18 +811,20 @@ impl TraceSet {
     /// `PartialEq`. The trace columns, targets, and counters are
     /// untouched apart from the id rewrite.
     ///
-    /// Consumes the set: the id columns are rewritten in place (each
-    /// cell belongs to exactly one trace's range), everything else is
-    /// moved, and only the new interner is allocated — once, at its
-    /// final size. A caller that keeps its input canonicalizes a clone,
-    /// and the columns that clone shares are copied once, before the
-    /// rewrite.
+    /// Consumes the set: the ids are rewritten in place, everything
+    /// else is moved, and only the new interner is allocated — once, at
+    /// its final size. A caller that keeps its input canonicalizes a
+    /// clone, and the columns that clone shares are copied once, before
+    /// the rewrite. The walk is O(nodes), not O(hop cells): in canonical
+    /// node order the cells a trace meets first are the block of nodes
+    /// from the first no earlier trace reached to its leaf, and every
+    /// other cell of it repeats an id met before.
     pub fn canonical(mut self) -> TraceSet {
         let mut ids = Reintern::new(&self.interner);
         let cols = Columns::make_mut(&mut self.cols);
-        for idx in 0..cols.targets.len() {
-            for id in &mut cols.hop_ids[cell_range(&cols.hop_ends, idx)] {
-                *id = ids.id(*id);
+        for (idx, fresh) in first_reached(&cols.leaves).enumerate() {
+            for node in &mut cols.nodes[fresh] {
+                node.set_id(ids.id(node.id()));
             }
             for id in &mut cols.unreach_ids[cell_range(&cols.unreach_ends, idx)] {
                 *id = ids.id(*id);
@@ -900,9 +938,10 @@ fn join_names(a: &Arc<str>, b: &Arc<str>) -> Arc<str> {
     }
 }
 
-/// One trace's hop or Destination Unreachable cells, `(ttl, id)`,
-/// read from the set's two parallel columns. Ids resolve through
-/// [`TraceSet::interner`]; id equality is address equality.
+/// One trace's Destination Unreachable cells, `(ttl, id)`, in record
+/// order, read from the set's two parallel unreachable columns. Ids
+/// resolve through [`TraceSet::interner`]; id equality is address
+/// equality. A trace's hop cells are a path instead, [`HopCells`].
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Cells<'a> {
     ttls: &'a [u8],
@@ -928,7 +967,7 @@ impl<'a> Cells<'a> {
         self.ttls.iter().copied().zip(self.ids.iter().copied())
     }
 
-    /// The last cell — for hop cells, the deepest.
+    /// The last cell, in record order.
     #[inline]
     pub fn last(&self) -> Option<(u8, u32)> {
         Some((*self.ttls.last()?, *self.ids.last()?))
@@ -967,8 +1006,8 @@ impl std::fmt::Debug for Cells<'_> {
 }
 
 /// A borrowed view of one trace inside the flat store: its row of the
-/// set's per-trace columns, and through its ends its ranges of the cell
-/// columns.
+/// set's per-trace columns, through its leaf its path of hop cells, and
+/// through its end its range of the unreachable columns.
 #[derive(Clone, Copy)]
 pub struct TraceView<'a> {
     set: &'a TraceSet,
@@ -994,15 +1033,20 @@ impl<'a> TraceView<'a> {
         self.set.cols.reached[self.idx]
     }
 
-    /// The raw hop cells `(ttl, iface_id)`, ttl strictly ascending.
+    /// The raw hop cells `(ttl, iface_id)`, ttl strictly ascending: the
+    /// trace's path in the set's path-prefix tree. Its length and last
+    /// cell are O(1), and iterating it allocates nothing.
     #[inline]
-    pub fn hop_cells(&self) -> Cells<'a> {
-        let cols = &*self.set.cols;
-        let r = cols.hop_range(self.idx);
-        Cells {
-            ttls: &cols.hop_ttls[r.clone()],
-            ids: &cols.hop_ids[r],
-        }
+    pub fn hop_cells(&self) -> HopCells<'a> {
+        self.set.cols.hop_cells(self.idx)
+    }
+
+    /// The trace's deepest hop cell, a node of
+    /// [`TraceSet::path_nodes`]; `None` for a trace without hops.
+    #[inline]
+    pub fn leaf(&self) -> Option<u32> {
+        let leaf = self.set.cols.leaves[self.idx];
+        (leaf != ROOT).then_some(leaf)
     }
 
     /// Hops as `(ttl, address)`, ttl ascending.
@@ -1038,7 +1082,7 @@ impl<'a> TraceView<'a> {
     /// bound).
     pub fn path_len(&self) -> Option<u8> {
         self.reached_at()
-            .or_else(|| self.hop_cells().ttls().last().copied())
+            .or_else(|| self.hop_cells().last().map(|(ttl, _)| ttl))
     }
 
     /// The deepest responding hop address (the "last hop" of §6).
@@ -1054,11 +1098,11 @@ impl<'a> TraceView<'a> {
     /// this.
     pub fn hop_vec(&self) -> Vec<Option<Ipv6Addr>> {
         let cells = self.hop_cells();
-        let Some(&max) = cells.ttls().last() else {
+        let Some((max, _)) = cells.last() else {
             return Vec::new();
         };
         let mut out = vec![None; max as usize];
-        for (ttl, id) in cells {
+        for (ttl, id) in cells.deepest_first() {
             // The sequence starts at ttl 1; a (nonsensical but
             // representable) ttl-0 hop is dropped here, as the map
             // reference's `(1..=max)` range did.
@@ -1143,35 +1187,31 @@ impl AsnResolver {
 
 #[cfg(test)]
 impl TraceSet {
-    /// Reserved but unused slots of the `targets`, `hop_ends`,
-    /// `unreach_ends`, `reached`, `hop_ttls`, `hop_ids`, `unreach_ttls`
-    /// and `unreach_ids` columns, in that order.
-    pub(crate) fn spare_capacity(&self) -> [usize; 8] {
+    /// Reserved but unused slots of the `targets`, `leaves`,
+    /// `unreach_ends`, `reached`, `nodes`, `unreach_ttls` and
+    /// `unreach_ids` columns, in that order.
+    pub(crate) fn spare_capacity(&self) -> [usize; 7] {
         fn spare<T>(v: &Vec<T>) -> usize {
             v.capacity() - v.len()
         }
         [
             spare(&self.cols.targets),
-            spare(&self.cols.hop_ends),
+            spare(&self.cols.leaves),
             spare(&self.cols.unreach_ends),
             spare(&self.cols.reached),
-            spare(&self.cols.hop_ttls),
-            spare(&self.cols.hop_ids),
+            spare(&self.cols.nodes),
             spare(&self.cols.unreach_ttls),
             spare(&self.cols.unreach_ids),
         ]
     }
 
-    /// Bytes the four cell columns hold, by capacity: what a set's
-    /// cells cost the heap.
+    /// Bytes the node table and the two unreachable columns hold, by
+    /// capacity: what a set's cells cost the heap.
     pub(crate) fn cell_bytes(&self) -> usize {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * size_of::<T>()
         }
-        bytes(&self.cols.hop_ttls)
-            + bytes(&self.cols.hop_ids)
-            + bytes(&self.cols.unreach_ttls)
-            + bytes(&self.cols.unreach_ids)
+        bytes(&self.cols.nodes) + bytes(&self.cols.unreach_ttls) + bytes(&self.cols.unreach_ids)
     }
 
     /// Bytes the target and per-trace metadata columns hold, by
@@ -1181,45 +1221,75 @@ impl TraceSet {
             v.capacity() * size_of::<T>()
         }
         bytes(&self.cols.targets)
-            + bytes(&self.cols.hop_ends)
+            + bytes(&self.cols.leaves)
             + bytes(&self.cols.unreach_ends)
             + bytes(&self.cols.reached)
     }
 
     /// Panics unless the columns are laid out as every constructor lays
-    /// them out: one row per trace in each per-trace column, cell columns
-    /// of equal length in pairs, and ends that never decrease and stop at
-    /// their cell column's length.
+    /// them out: one row per trace in each per-trace column, unreachable
+    /// columns of equal length, ends that never decrease and stop at
+    /// their column's length, and a node table in canonical order — each
+    /// trace's leaf is the root or a node, the nodes a trace reaches
+    /// first are the block after every node an earlier trace reached,
+    /// ending at its leaf, every node is reached, a child's hop limit is
+    /// above its parent's, its rank one more, and no two nodes hold the
+    /// same cell below the same parent.
     pub(crate) fn assert_tiled(&self) {
-        let n = self.cols.targets.len();
+        let cols = &*self.cols;
+        let n = cols.targets.len();
         let rows = [
-            self.cols.hop_ends.len(),
-            self.cols.unreach_ends.len(),
-            self.cols.reached.len(),
+            cols.leaves.len(),
+            cols.unreach_ends.len(),
+            cols.reached.len(),
         ];
         assert_eq!(rows, [n; 3], "one row per trace");
-        for (ends, ttls, ids, what) in [
-            (
-                &self.cols.hop_ends,
-                &self.cols.hop_ttls,
-                &self.cols.hop_ids,
-                "hop",
-            ),
-            (
-                &self.cols.unreach_ends,
-                &self.cols.unreach_ttls,
-                &self.cols.unreach_ids,
-                "unreach",
-            ),
-        ] {
-            assert_eq!(ttls.len(), ids.len(), "{what} columns");
-            assert!(
-                ends.windows(2).all(|w| w[0] <= w[1]),
-                "{what} ends decrease"
-            );
-            let last = ends.last().map_or(0, |&end| end as usize);
-            assert_eq!(last, ids.len(), "{what} ends stop at the column's end");
+        let ends = &cols.unreach_ends;
+        assert_eq!(
+            cols.unreach_ttls.len(),
+            cols.unreach_ids.len(),
+            "unreach columns"
+        );
+        assert!(
+            ends.windows(2).all(|w| w[0] <= w[1]),
+            "unreach ends decrease"
+        );
+        let last = ends.last().map_or(0, |&end| end as usize);
+        assert_eq!(
+            last,
+            cols.unreach_ids.len(),
+            "unreach ends stop at the column's end"
+        );
+
+        let nodes = &cols.nodes;
+        for (k, node) in nodes.iter().enumerate() {
+            if let Some(p) = node.parent() {
+                assert!((p as usize) < k, "node {k} precedes its parent");
+                let parent = &nodes[p as usize];
+                assert!(node.ttl() > parent.ttl(), "node {k}'s hop limit");
+                assert_eq!(node.depth(), parent.depth() + 1, "node {k}'s depth");
+            } else {
+                assert_eq!(node.depth(), 1, "node {k}'s depth");
+            }
         }
+        let triples: std::collections::HashSet<_> = nodes
+            .iter()
+            .map(|n| (n.parent(), n.ttl(), n.id()))
+            .collect();
+        assert_eq!(triples.len(), nodes.len(), "a repeated node");
+        let mut reached = 0;
+        for (&leaf, fresh) in cols.leaves.iter().zip(first_reached(&cols.leaves)) {
+            // The trace's path: the block it reaches first, below nodes
+            // an earlier trace reached.
+            let mut at = leaf;
+            for n in fresh.clone().rev() {
+                assert_eq!(at as usize, n, "a trace's new nodes are one block");
+                at = nodes[n].parent().unwrap_or(ROOT);
+            }
+            assert!(at == ROOT || (at as usize) < fresh.start, "a reached node");
+            reached = fresh.end;
+        }
+        assert_eq!(reached, nodes.len(), "a node no leaf reaches");
     }
 }
 
@@ -1411,8 +1481,10 @@ mod tests {
         );
         // Both traces' hop cells share one interned id for ::a.
         assert_eq!(ts.interner().len(), 1);
-        let ids: Vec<u32> = ts.iter().map(|t| t.hop_cells().ids()[0]).collect();
-        assert_eq!(ids, vec![0, 0]);
+        let ids: Vec<Option<(u8, u32)>> = ts.iter().map(|t| t.hop_cells().last()).collect();
+        assert_eq!(ids, vec![Some((1, 0)); 2]);
+        // And one node: the same first hop.
+        assert_eq!(ts.path_nodes().len(), 1);
     }
 
     fn log_named(vantage: &str, records: Vec<ResponseRecord>) -> ProbeLog {
@@ -1597,7 +1669,7 @@ mod tests {
         let (deep_a, deep_b) = (deep_copy(&a), deep_copy(&b));
 
         let canonical = a.clone().canonical();
-        assert_ne!(canonical.cols.hop_ids, a.cols.hop_ids, "the ids move");
+        assert_ne!(canonical.cols.nodes, a.cols.nodes, "the ids move");
         assert!(!Arc::ptr_eq(&canonical.cols, &a.cols));
         assert_eq!(a, deep_a);
 
@@ -1791,10 +1863,10 @@ mod tests {
             .into();
         let m = TraceSet::merge_all(&sets);
         assert_eq!(
-            (m.len(), m.cols.hop_ids.len(), m.cols.unreach_ids.len()),
+            (m.len(), m.cols.nodes.len(), m.cols.unreach_ids.len()),
             (4, 8, 4)
         );
-        assert_eq!(m.spare_capacity(), [0; 8]);
+        assert_eq!(m.spare_capacity(), [0; 7]);
         // The inputs' hops differ at every target; the first holder's
         // survive.
         for (t, first) in m.iter().zip(sets[0].iter()) {
@@ -1806,12 +1878,12 @@ mod tests {
         }
     }
 
-    /// Calls `check` on one set of every kind the library builds, named,
-    /// with the cells it reserved and dropped: `from_log`, the streaming
-    /// builder, a merge, its shards, a quarantine scrub, a snapshot read
-    /// back, a rebase and a canonical form. Each is checked as built,
-    /// never through a clone, which would drop its spare capacity.
-    fn every_kind_of_set(check: impl Fn(&str, &TraceSet, usize)) {
+    /// Calls `check` on one set of every kind the library builds, named:
+    /// `from_log`, the streaming builder, a merge, a quarantine scrub, a
+    /// snapshot read back, a rebase and a canonical form. Each is checked
+    /// as built, never through a clone, which would drop its spare
+    /// capacity.
+    fn every_kind_of_set(check: impl Fn(&str, &TraceSet)) {
         use crate::builder::TraceSetBuilder;
         use crate::quarantine::{quarantine_all, QuarantineConfig};
         use crate::snapshot::{read_trace_set, write_trace_set, SnapReader, SnapWriter};
@@ -1819,7 +1891,8 @@ mod tests {
 
         // Three hops at distinct TTLs and one unreachable per target, so
         // no cell loses a dedup and leaves a reserved slot; the hop at
-        // TTL 50 is past the quarantine's plausible depth.
+        // TTL 50 is past the quarantine's plausible depth. Every path
+        // starts at `::a`, so the traces share a node.
         let te = ResponseKind::TimeExceeded;
         let du = ResponseKind::DestUnreachable(DestUnreachCode::NoRoute);
         let records = |v: &str| -> Vec<ResponseRecord> {
@@ -1840,42 +1913,58 @@ mod tests {
         let finished = builder.finish();
         let other = TraceSet::from_log(&log_named("B", records("b")));
         let merged = TraceSet::merge_all([&finished, &other]);
-        check("finished", &finished, 0);
-        check("from_log", &other, 0);
-        check("merged", &merged, 0);
+        check("finished", &finished);
+        check("from_log", &other);
+        check("merged", &merged);
         let (cleaned, report) = quarantine_all(&[&merged], &QuarantineConfig::default());
         let Cow::Owned(scrubbed) = &cleaned[0] else {
             panic!("the TTL-50 hop is dropped");
         };
-        // A scrub reserves its input's cells and drops some of them.
+        // The scrub drops a hop cell, which holds no reserved slot: the
+        // node table is built apart and shrunk.
         assert_eq!(report.cells_dropped(), 1);
-        check("quarantined", scrubbed, 1);
+        check("quarantined", scrubbed);
         let mut w = SnapWriter::new();
         write_trace_set(&mut w, &merged);
         let back = read_trace_set(&mut SnapReader::new(w.bytes())).unwrap();
-        check("read back", &back, 0);
+        check("read back", &back);
         let (mut a, mut b) = (finished, other);
         TraceSet::rebase(&mut Arc::default(), [&mut a, &mut b]);
-        check("rebased", &a, 0);
-        check("rebased", &b, 0);
-        check("canonical", &back.canonical(), 0);
+        check("rebased", &a);
+        check("rebased", &b);
+        check("canonical", &back.canonical());
     }
 
     #[test]
-    fn every_kind_of_set_holds_a_cell_in_5_bytes() {
-        every_kind_of_set(|what, ts, reserved| {
-            let cells = ts.cols.hop_ids.len() + ts.cols.unreach_ids.len();
-            assert!(cells > 0, "{what} holds cells");
-            assert_eq!(ts.cell_bytes(), 5 * (cells + reserved), "{what}");
+    fn every_kind_of_set_holds_a_node_in_12_bytes() {
+        // A node is a parent, an id, a hop limit and a rank; an
+        // unreachable cell is a hop limit and an id in two columns.
+        assert_eq!(size_of::<PathNode>(), 12);
+        every_kind_of_set(|what, ts| {
+            let (nodes, unreach) = (ts.cols.nodes.len(), ts.cols.unreach_ids.len());
+            let cells: usize = ts.iter().map(|t| t.hop_cells().len()).sum();
+            assert!(nodes > 0 && unreach > 0, "{what} holds cells");
+            assert!(nodes < cells, "{what}'s traces share no node");
+            assert_eq!(ts.cell_bytes(), 12 * nodes + 5 * unreach, "{what}");
+        });
+    }
+
+    #[test]
+    fn every_kind_of_set_holds_no_spare_capacity() {
+        // The node count is not known until the table is built, so each
+        // builder's doubling table is shrunk when it finishes.
+        every_kind_of_set(|what, ts| {
+            assert_eq!(ts.spare_capacity(), [0; 7], "{what}");
         });
     }
 
     #[test]
     fn every_kind_of_set_holds_a_trace_in_26_bytes() {
-        // A 16-byte target, two 4-byte cell ends and a 2-byte `reached_at`.
+        // A 16-byte target, a 4-byte leaf, a 4-byte unreachable end and a
+        // 2-byte `reached_at`.
         let row = size_of::<Ipv6Addr>() + 2 * size_of::<u32>() + size_of::<Option<u8>>();
         assert_eq!(row, 26);
-        every_kind_of_set(|what, ts, _| {
+        every_kind_of_set(|what, ts| {
             assert!(!ts.is_empty(), "{what} holds traces");
             assert_eq!(ts.trace_bytes(), 26 * ts.len(), "{what}");
         });
@@ -1890,7 +1979,7 @@ mod tests {
         // Standalone and as a one-set record, each set's bytes are
         // exactly the length reserved for them, and the set decoded
         // from them writes them again.
-        every_kind_of_set(|what, ts, _| {
+        every_kind_of_set(|what, ts| {
             let mut w = SnapWriter::new();
             write_trace_set(&mut w, ts);
             let bytes = w.into_bytes();
@@ -1918,20 +2007,109 @@ mod tests {
 
     #[test]
     fn every_kind_of_set_tiles_its_cell_columns() {
-        every_kind_of_set(|what, ts, _| {
+        every_kind_of_set(|what, ts| {
             ts.assert_tiled();
-            // The views read every cell, each through one trace.
-            let views = ts
-                .iter()
-                .map(|t| t.hop_cells().len() + t.unreachable_cells().len());
-            let cells = ts.cols.hop_ids.len() + ts.cols.unreach_ids.len();
-            assert_eq!(views.sum::<usize>(), cells, "{what}");
+            // The views read every unreachable cell, each through one
+            // trace, and a path's length and last cell are its walk's.
+            let views = ts.iter().map(|t| t.unreachable_cells().len());
+            assert_eq!(views.sum::<usize>(), ts.cols.unreach_ids.len(), "{what}");
+            for t in ts.iter() {
+                let cells = t.hop_cells();
+                let walk: Vec<(u8, u32)> = cells.iter().collect();
+                assert_eq!(cells.len(), walk.len(), "{what}");
+                assert_eq!(cells.last(), walk.last().copied(), "{what}");
+                let mut up: Vec<(u8, u32)> = cells.deepest_first().collect();
+                up.reverse();
+                assert_eq!(up, walk, "{what}");
+            }
         });
     }
 
     /// A set over one target's records, for looking at its cells.
     fn one_trace(records: Vec<ResponseRecord>) -> TraceSet {
         TraceSet::from_log(&log_named("V", records))
+    }
+
+    /// A set of one trace a target, toward `2001:db8::` + the trace's
+    /// index, with the given hops `(ttl, responder)`.
+    fn paths(traces: &[&[(u8, &str)]]) -> TraceSet {
+        let records = traces
+            .iter()
+            .enumerate()
+            .flat_map(|(i, hops)| {
+                let target = format!("2001:db8::{:x}", i + 1);
+                hops.iter().map(move |&(ttl, hop)| {
+                    rec(&target, hop, ResponseKind::TimeExceeded, Some(ttl))
+                })
+            })
+            .collect();
+        TraceSet::from_log(&log_named("V", records))
+    }
+
+    /// The nodes of trace `idx`'s path, root first.
+    fn path_of(ts: &TraceSet, idx: usize) -> Vec<u32> {
+        let mut path = Vec::new();
+        let mut at = ts.view_at(idx).leaf();
+        while let Some(n) = at {
+            path.push(n);
+            at = ts.path_nodes()[n as usize].parent();
+        }
+        path.reverse();
+        path
+    }
+
+    #[test]
+    fn two_traces_with_a_common_prefix_share_its_nodes() {
+        let prefix = [(1, "::1"), (2, "::2"), (3, "::3"), (4, "::4"), (5, "::5")];
+        let a: Vec<(u8, &str)> = prefix.iter().copied().chain([(6, "::a")]).collect();
+        let b: Vec<(u8, &str)> = prefix.iter().copied().chain([(6, "::b")]).collect();
+        let ts = paths(&[&a, &b]);
+        assert_eq!(ts.path_nodes().len(), 7);
+        let (pa, pb) = (path_of(&ts, 0), path_of(&ts, 1));
+        assert_eq!((pa.len(), pb.len()), (6, 6));
+        assert_eq!(pa[..5], pb[..5], "the five shared nodes");
+        assert_ne!(pa[5], pb[5]);
+        assert_eq!(pa, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(pb[5], 6);
+        ts.assert_tiled();
+    }
+
+    #[test]
+    fn gapped_paths_share_only_their_common_prefix() {
+        let ts = paths(&[
+            &[(1, "::a"), (3, "::b"), (7, "::c")],
+            &[(1, "::a"), (3, "::b"), (8, "::c")],
+            // The same last hop without the hop at 3: another path.
+            &[(1, "::a"), (7, "::c")],
+        ]);
+        assert_eq!(ts.path_nodes().len(), 5);
+        let [p0, p1, p2] = [0, 1, 2].map(|i| path_of(&ts, i));
+        assert_eq!((p0, p1, p2), (vec![0, 1, 2], vec![0, 1, 3], vec![0, 4]));
+        let cell = |n: usize| {
+            let node = &ts.path_nodes()[n];
+            (node.ttl(), node.id(), node.depth())
+        };
+        assert_eq!(
+            (cell(2), cell(3), cell(4)),
+            ((7, 2, 3), (8, 2, 3), (7, 2, 2))
+        );
+        ts.assert_tiled();
+    }
+
+    #[test]
+    fn a_hop_less_traces_leaf_is_the_root() {
+        let du = ResponseKind::DestUnreachable(DestUnreachCode::NoRoute);
+        let ts = one_trace(vec![rec("2001:db8::1", "::f", du, Some(7))]);
+        let t = ts.view_at(0);
+        assert_eq!(t.leaf(), None);
+        assert!(ts.path_nodes().is_empty());
+        assert_eq!(ts.cols.leaves, [ROOT]);
+        let cells = t.hop_cells();
+        assert_eq!(
+            (cells.len(), cells.last(), cells.iter().len()),
+            (0, None, 0)
+        );
+        assert_eq!(cells.deepest_first().next(), None);
     }
 
     #[test]
@@ -1943,14 +2121,21 @@ mod tests {
             Some(6),
         )]);
         let t = ts.view_at(0);
-        for cells in [t.hop_cells(), t.unreachable_cells()] {
-            assert!(cells.is_empty());
-            assert_eq!(cells.len(), 0);
-            assert_eq!(cells.last(), None);
-            assert_eq!(cells.iter().next(), None);
-            assert!(cells.ttls().is_empty() && cells.ids().is_empty());
-            assert_eq!(format!("{cells:?}"), "[]");
-        }
+        let hops = t.hop_cells();
+        assert!(hops.is_empty());
+        assert_eq!(
+            (hops.len(), hops.last(), hops.iter().next()),
+            (0, None, None)
+        );
+        assert_eq!(format!("{hops:?}"), "[]");
+        let cells = t.unreachable_cells();
+        assert!(cells.is_empty());
+        assert_eq!(
+            (cells.len(), cells.last(), cells.iter().next()),
+            (0, None, None)
+        );
+        assert!(cells.ttls().is_empty() && cells.ids().is_empty());
+        assert_eq!(format!("{cells:?}"), "[]");
         assert_eq!((t.path_len(), t.last_hop()), (Some(6), None));
         assert!(t.hop_vec().is_empty());
     }
@@ -1985,9 +2170,14 @@ mod tests {
         assert_eq!(cells.iter().collect::<Vec<_>>(), [(1, 0), (2, 0), (4, 1)]);
         assert_eq!(cells.into_iter().next_back(), cells.last());
         assert_eq!(cells.last(), Some((4, 1)));
+        let mut iter = cells.iter();
         assert_eq!(
-            (cells.ttls(), cells.ids()),
-            (&[1, 2, 4][..], &[0, 0, 1][..])
+            (iter.len(), iter.next(), iter.next_back(), iter.len()),
+            (3, Some((1, 0)), Some((4, 1)), 1)
+        );
+        assert_eq!(
+            cells.deepest_first().collect::<Vec<_>>(),
+            [(4, 1), (2, 0), (1, 0)]
         );
         assert_eq!(format!("{cells:?}"), "[(1, 0), (2, 0), (4, 1)]");
         // Equal cells in another set compare equal; a moved hop does not.
@@ -1997,7 +2187,8 @@ mod tests {
         moved[2].probe_ttl = Some(3);
         let moved = one_trace(moved);
         assert_ne!(moved.view_at(0).hop_cells(), cells);
-        assert_eq!(moved.view_at(0).hop_cells().ids(), cells.ids());
+        let ids = |c: HopCells<'_>| c.iter().map(|(_, id)| id).collect::<Vec<_>>();
+        assert_eq!(ids(moved.view_at(0).hop_cells()), ids(cells));
     }
 
     #[test]

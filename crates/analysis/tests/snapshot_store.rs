@@ -530,7 +530,10 @@ fn lowest_hop_once_set_bytes() -> &'static [u8] {
             records,
             ..Default::default()
         });
-        let limits = |idx: usize| ts.view_at(idx).hop_cells().ttls().to_vec();
+        let limits = |idx: usize| -> Vec<u8> {
+            let cells = ts.view_at(idx).hop_cells();
+            cells.iter().map(|(ttl, _)| ttl).collect()
+        };
         assert_eq!((limits(0), limits(1)), (vec![2, 3], vec![1, 3, 5]));
         let mut w = SnapWriter::new();
         write_trace_set(&mut w, &ts);

@@ -48,7 +48,7 @@ fn main() {
         // Unique router interfaces: distinct interned hop ids.
         let ifaces: std::collections::BTreeSet<u32> = ts
             .iter()
-            .flat_map(|t| t.hop_cells().ids().iter().copied())
+            .flat_map(|t| t.hop_cells().iter().map(|(_, id)| id))
             .collect();
         let mut lens: Vec<u8> = ts.iter().filter_map(|t| t.path_len()).collect();
         lens.sort_unstable();

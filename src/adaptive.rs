@@ -1966,4 +1966,67 @@ mod tests {
         cfg.yarrp.max_ttl = 40;
         run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
     }
+
+    /// Panics unless every set of `record` holds the path tree its views
+    /// rebuild (`testkit::oracle::path_tree`).
+    fn assert_trees_canonical<'a>(sets: impl Iterator<Item = &'a TraceSet>, what: &str) {
+        use testkit::oracle::{held_tree, path_tree};
+        for (i, ts) in sets.enumerate() {
+            assert_eq!(held_tree(ts), path_tree(ts), "{what}, set {i}");
+        }
+    }
+
+    #[test]
+    fn every_record_set_keeps_its_path_tree_canonical() {
+        // At every round boundary the record has been through
+        // `Record::push_round`, which rebases every set onto the record's
+        // table; the decoded record's sets are read back one by one.
+        let (topo, set) = fixture();
+        let cfg = AdaptiveConfig {
+            vantages: vec![0, 1],
+            shards: 2,
+            quarantine_feedback: true,
+            ..small_cfg()
+        };
+        run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
+            let what = format!("round {}", ck.round());
+            assert_trees_canonical(ck.record().iter(), &what);
+            let back = Checkpoint::from_bytes(&ck.to_bytes()).unwrap();
+            assert_trees_canonical(back.record().iter(), &format!("{what}, decoded"));
+        });
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn push_round_keeps_every_path_tree_canonical(
+            rounds in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec((proptest::prelude::any::<u64>(), 0u64..20_000), 0..40),
+                    1..4,
+                ),
+                1..4,
+            ),
+        ) {
+            let mut record = Record::default();
+            for (r, round) in rounds.iter().enumerate() {
+                let sets = round
+                    .iter()
+                    .map(|draws| {
+                        let records = draws
+                            .iter()
+                            .map(|&(w, recv)| testkit::fixtures::synth_record(w, recv, true))
+                            .collect();
+                        let mut log = yarrp6::ProbeLog {
+                            records,
+                            ..Default::default()
+                        };
+                        log.sort_by_recv();
+                        TraceSet::from_log(&log)
+                    })
+                    .collect();
+                record.push_round(sets);
+                assert_trees_canonical(record.iter(), &format!("round {r}"));
+            }
+        }
+    }
 }
