@@ -164,12 +164,13 @@ impl PathBuilder {
             // The root's memo is at 0.
             let at = parent.wrapping_add(1) as usize;
             let [last, before] = self.recent[at];
-            let node = if same(last) {
+            // A node this trace added has no children yet.
+            let node = if self.added {
+                self.add(parent, ttl, id)
+            } else if same(last) {
                 last
             } else if same(before) {
                 before
-            } else if self.added {
-                self.add(parent, ttl, id)
             } else {
                 let n = self.nodes.len();
                 let node = self.child(parent, ttl, id);
