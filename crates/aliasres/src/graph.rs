@@ -46,7 +46,7 @@ const PAIR_SCRATCH: usize = 1 << 12;
 /// routers. A gap of exactly one silent TTL is bridged (the standard
 /// inference); wider gaps are not. `endpoints` turns a qualifying
 /// window's two interner ids into the ids `links` is kept in (equal
-/// ids: no link) and may be skipped for a window it has already seen.
+/// ids: no link), once a window.
 ///
 /// Two consecutive hops of a trace are a node of the set's path tree
 /// and its parent, so the walk visits each node once however many
