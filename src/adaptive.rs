@@ -39,7 +39,7 @@
 //! | probe | `vclock_us` (campaigns start there on the fault schedule) | — (one supervised outcome per vantage × shard) | always |
 //! | quarantine | the round's raw sets, jointly | — (a scrubbed replacement for each set that lost cells, for everything that feeds *forward*; an untouched set is not copied) | `quarantine_feedback` |
 //! | attribute | `seen`, the round's raw sets | `seen`, in one walk: each word is inserted once, and a word whose insertion index is at or past the round-start length is new, credited once to each vantage that heard it (raw sets: a decoded responder is a real interface) | always |
-//! | mine | the round's kept sets (scrubbed when the quarantine is on) | `subnets`, the record (the round's kept sets appended; the arrivals come back as a bitmap over the table's ids) | always; path divergence is `path_div` |
+//! | mine | the round's kept sets (scrubbed when the quarantine is on) | `subnets`, the record (the round's kept sets appended, each vantage's folded into one set; the arrivals come back as a bitmap over the table's ids) | always; path divergence is `path_div` |
 //! | alias ‖ | the round's kept sets and arrivals, the record's table (by id), `alive`, `vclock_us`, `stats` | `alias` (router graph, tested set) | `alias_resolution` |
 //! | feedback ‖ | the record's table words, the probed view, `subnets` | — (returns the next pool: kIP + 6Gen over *all* discoveries, cumulative by the paper's definition of their basis) | always; not started when the round cap decides the stop |
 //! | close round | every round-local output above | `stats`, `vclock_us`, `alive`, `vweights`, `rounds`, `round_targets`, `low_streak` | always; the EWMA weight update is `vantage_budgeting` |
@@ -69,15 +69,25 @@
 //! ## The record's one table
 //!
 //! The kept trace record is one [`Record`]: a delta run's prior store
-//! as one set, then the kept campaign sets. Each campaign interns its
-//! responders into a table of its own while it streams. At the round
-//! boundary, after the subnet miners (which read a set's own ids), the
-//! mine stage appends the round's kept sets (`Record::push_round`):
+//! as one set, then one set per round and vantage. Each campaign
+//! interns its responders into a table of its own while it streams. At
+//! the round boundary, after the subnet miners (which read a set's own
+//! ids), the mine stage appends the round's kept sets
+//! (`Record::push_round`):
 //! one [`TraceSet::rebase`] over the older sets, then the round's. The
 //! older sets come first and share one table, so [`analysis::union`]
 //! adopts it as it stands and extends it by the round's words; the
 //! round's ids are remapped, and the extended table is handed to every
 //! set. The older sets' ids stand, so no column of theirs is copied.
+//! Then each vantage's sets fold into one ([`TraceSet::merge_all`]).
+//! They are its shards, round-robin slices of one sorted target list,
+//! so their paths share nearly every prefix, and the fold's one path
+//! tree holds each shared prefix once where the shards held it once
+//! each. On the shared table the fold remaps no id, and the shards'
+//! targets are disjoint, so it drops no trace. The arrivals are read
+//! off the rebase before the fold. The shard count is a probing detail
+//! (the pool's work units): it does not shape how the record, the
+//! result's traces or the checkpoint group the sets.
 //! Every set of the record shares one table, a delta run's prior set
 //! included once round 0 closes; it holds every word of the record, in
 //! the order the rounds met them. Nothing a set's views read moves.
@@ -212,7 +222,9 @@ pub struct AdaptiveConfig {
     pub round_targets: usize,
     /// Shards per round: each round's target list is split round-robin
     /// into this many independent campaigns per vantage, giving the
-    /// parallel driver work units and bounding per-campaign memory.
+    /// parallel driver work units and bounding per-campaign memory. The
+    /// record folds a vantage's shards back into one set a round
+    /// ([`AdaptiveResult::traces`]).
     pub shards: usize,
     /// Hard round cap.
     pub max_rounds: usize,
@@ -441,11 +453,13 @@ pub struct AdaptiveResult {
     /// Each round's exact (sorted, deduplicated) target list — the
     /// seeded-determinism contract of the loop.
     pub round_targets: Vec<Vec<Ipv6Addr>>,
-    /// The trace record: every campaign's trace set, rounds in order,
-    /// vantage-major within a round, shards within a vantage, after a
-    /// delta run's prior store ([`Checkpoint::delta`]). A campaign that
-    /// failed hard (exhausted supervisor retries without one completed
-    /// attempt) contributes no set.
+    /// The trace record: one trace set per round and vantage (its
+    /// campaigns, the shards of its target list, folded into one),
+    /// rounds in order, vantages in [`AdaptiveConfig::vantages`] order
+    /// within a round, after a delta run's prior store
+    /// ([`Checkpoint::delta`]). A campaign that failed hard (exhausted
+    /// supervisor retries without one completed attempt) contributes no
+    /// traces; a vantage all of whose campaigns did, no set.
     pub traces: Record,
     /// Engine accounting accumulated over all campaigns (every
     /// supervised attempt) via [`EngineStats::merge`].
@@ -504,9 +518,9 @@ impl AdaptiveResult {
         self.interfaces.len()
     }
 
-    /// The cross-vantage, cross-round union of every campaign's trace
-    /// set ([`TraceSet::merge_all`] in execution order — rounds in
-    /// order, vantage-major within a round). The merged interner is the
+    /// The cross-vantage, cross-round union of the record's trace sets
+    /// ([`TraceSet::merge_all`] in execution order — rounds in order,
+    /// vantage-major within a round). The merged interner is the
     /// loop's full discovery union; the trace columns keep the earliest
     /// campaign's trace per target and do not say which campaign that
     /// was. Per-vantage questions read [`traces`](Self::traces), each
@@ -517,15 +531,16 @@ impl AdaptiveResult {
 }
 
 /// The loop's trace record: a delta run's prior store as one set, then
-/// every kept campaign set, all on one table (module docs, "The
-/// record's one table"). A clone shares every set's columns and the
+/// one set per round and vantage, each the fold of that vantage's kept
+/// campaign sets, all on one table (module docs, "The record's one
+/// table"). A clone shares every set's columns and the
 /// table, so a [`Checkpoint`] an observer keeps copies no column.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Record {
     /// A delta run's prior store; `None` for any other run.
     pub(crate) prior: Option<TraceSet>,
-    /// The kept campaign sets, in the order [`AdaptiveResult::traces`]
-    /// describes.
+    /// The rounds' sets, one a vantage, in the order
+    /// [`AdaptiveResult::traces`] describes.
     pub(crate) sets: Vec<TraceSet>,
 }
 
@@ -551,12 +566,16 @@ impl Record {
         self.table().map_or(&[], |t| t.words())
     }
 
-    /// Appends a round's kept sets by one [`TraceSet::rebase`] over the
-    /// older sets, then the round's (module docs, "The record's one
-    /// table"), and returns the round's arrivals as a bitmap over the
+    /// Appends a round's kept sets, each with the vantage index it
+    /// probed from, vantage-major: one [`TraceSet::rebase`] over the
+    /// older sets, then the round's, and then each vantage's sets folded
+    /// into one by [`TraceSet::merge_all`] (module docs, "The record's
+    /// one table"). Returns the round's arrivals as a bitmap over the
     /// table's ids: the words the round's sets' own tables held, read
-    /// off their id maps.
-    pub(crate) fn push_round(&mut self, sets: Vec<TraceSet>) -> Vec<bool> {
+    /// off their id maps before the fold.
+    pub(crate) fn push_round(&mut self, sets: Vec<(u8, TraceSet)>) -> Vec<bool> {
+        let first = self.sets.len();
+        let (vantages, sets): (Vec<u8>, Vec<TraceSet>) = sets.into_iter().unzip();
         let own: Vec<usize> = sets.iter().map(|ts| ts.interner().len()).collect();
         self.sets.extend(sets);
         let mut table = Arc::default();
@@ -568,6 +587,13 @@ impl Record {
                 Some(m) => m.iter().for_each(|&id| arrived[id as usize] = true),
                 None => arrived[..n].fill(true),
             }
+        }
+        // The sets share the table now, so the fold remaps no id, and a
+        // vantage's sets hold disjoint targets, so it drops no trace.
+        let mut round = self.sets.split_off(first).into_iter();
+        for group in vantages.chunk_by(|a, b| a == b) {
+            let mine: Vec<TraceSet> = round.by_ref().take(group.len()).collect();
+            self.sets.push(TraceSet::merge_all(&mine));
         }
         arrived
     }
@@ -601,9 +627,9 @@ pub(crate) struct LoopState {
     pub(crate) rounds: Vec<RoundReport>,
     /// Each finished round's exact target list.
     pub(crate) round_targets: Vec<Vec<Ipv6Addr>>,
-    /// The trace record: a delta run's prior set, then every completed
-    /// campaign's set. A round only appends to it and hands every set
-    /// the extended table; no column of a set moves once pushed.
+    /// The trace record: a delta run's prior set, then each round's
+    /// sets, one a vantage. A round only appends to it and hands every
+    /// set the extended table; no column of a set moves once pushed.
     pub(crate) traces: Record,
     /// Merged engine accounting; its probe count is what the budget
     /// has been charged.
@@ -628,7 +654,7 @@ pub(crate) struct LoopState {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct AliasState {
     /// The incrementally maintained router-level graph: the record's
-    /// campaign sets (never a delta run's prior set), ingested in record
+    /// round sets (never a delta run's prior set), ingested in record
     /// order, and the alias groups merged into it. A checkpoint writes
     /// only its partition and rebuilds the rest from the record.
     pub(crate) builder: RouterGraphBuilder,
@@ -874,7 +900,7 @@ struct Mined {
     /// attempt included — retries burn real budget.
     stats: EngineStats,
     new_subnets: u64,
-    /// Where the round's kept sets start in the record's campaign sets.
+    /// Where the round's sets start in the record's sets.
     first_set: usize,
     /// The distinct interfaces of the round's kept sets, as a bitmap
     /// over the record's table ids: the words their own tables held
@@ -1303,8 +1329,8 @@ impl LoopState {
     /// pure per set and run on the campaign pool, and the fold back into
     /// the state is serial in campaign order — so the discovery order of
     /// `subnets` is the one-thread order. The fold ends by appending the
-    /// round's sets to the record, on its one table, extended (module
-    /// docs, "The record's one table").
+    /// round's sets to the record, on its one table, extended, one set a
+    /// vantage (module docs, "The record's one table").
     fn mine_round(
         &mut self,
         topo: &Topology,
@@ -1340,9 +1366,7 @@ impl LoopState {
                 mined.new_subnets += 1;
             }
         }
-        mined.arrivals = self
-            .traces
-            .push_round(kept.into_iter().map(|(_, ts)| ts).collect());
+        mined.arrivals = self.traces.push_round(kept);
         mined
     }
 
@@ -1728,7 +1752,7 @@ mod tests {
             let round = &st.traces.sets[*sets..];
             *sets = st.traces.sets.len();
             let table = round[0].interner();
-            assert_eq!(round.len(), 4, "two vantages of two shards");
+            assert_eq!(round.len(), 2, "two vantages, one set a vantage");
             assert!(round.iter().all(|ts| Arc::ptr_eq(ts.interner(), table)));
             if let Some(prev) = prev.replace(Arc::clone(table)) {
                 assert!(table.len() > prev.len() && table.words().starts_with(prev.words()));
@@ -1746,7 +1770,7 @@ mod tests {
         // A resumed record shares one table too, and its builder adopts
         // the next round's table.
         let ck = Checkpoint::from_bytes(&first.unwrap()).unwrap();
-        let (mut prev, mut sets) = (Some(Arc::clone(ck.state.traces.sets[0].interner())), 4);
+        let (mut prev, mut sets) = (Some(Arc::clone(ck.state.traces.sets[0].interner())), 2);
         resume_adaptive(&topo, &cfg, &ck, false, |ck| {
             check(ck, &mut prev, &mut sets)
         })
@@ -1810,6 +1834,28 @@ mod tests {
         assert_accounted(&res, quarantine);
     }
 
+    /// Each round appended one set for each vantage that probed, in
+    /// vantage order, each named by its vantage. The fixture's network
+    /// is fault-free, so every vantage that probed returned a set.
+    fn assert_one_set_a_vantage(topo: &Topology, ck: &Checkpoint) {
+        let mut sets = ck.state.traces.sets.iter();
+        for report in &ck.state.rounds {
+            let probed = report.per_vantage.iter().filter(|p| p.targets > 0);
+            let names: Vec<&str> = probed
+                .map(|p| &*topo.vantages[p.vantage as usize].name)
+                .collect();
+            let held: Vec<&str> = sets
+                .by_ref()
+                .take(names.len())
+                .map(|ts| &*ts.vantage)
+                .collect();
+            assert_eq!(held, names, "round {}", report.round);
+            let distinct: BTreeSet<&str> = held.iter().copied().collect();
+            assert_eq!(distinct.len(), held.len(), "round {}", report.round);
+        }
+        assert!(sets.next().is_none(), "every set belongs to a round");
+    }
+
     #[test]
     fn every_round_boundary_accounts_for_itself() {
         let (topo, set) = fixture();
@@ -1823,7 +1869,10 @@ mod tests {
                 alias_resolution: true,
                 ..small_cfg()
             };
-            let check = |ck: &Checkpoint| assert_boundary_accounted(ck, quarantine_feedback);
+            let check = |ck: &Checkpoint| {
+                assert_boundary_accounted(ck, quarantine_feedback);
+                assert_one_set_a_vantage(&topo, ck);
+            };
             let mut first = None;
             let fresh = run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
                 check(ck);
@@ -1996,22 +2045,54 @@ mod tests {
         });
     }
 
+    /// One trace through the views: target, `reached_at`, hop cells and
+    /// unreachable cells, by address.
+    type TraceCells = (
+        Ipv6Addr,
+        Option<u8>,
+        Vec<(u8, Ipv6Addr)>,
+        Vec<(u8, Ipv6Addr)>,
+    );
+
+    /// A set as its names, tamper count and traces, read through the
+    /// views: what two sets on different tables can be compared by.
+    fn views(ts: &TraceSet) -> (&str, &str, u64, Vec<TraceCells>) {
+        let traces = ts.iter().map(|t| -> TraceCells {
+            let (hops, unreachable) = (t.hops().collect(), t.unreachable().collect());
+            (t.target(), t.reached_at(), hops, unreachable)
+        });
+        (
+            &ts.vantage,
+            &ts.target_set,
+            ts.rewritten_dropped,
+            traces.collect(),
+        )
+    }
+
     proptest::proptest! {
         #[test]
         fn push_round_keeps_every_path_tree_canonical(
             rounds in proptest::collection::vec(
                 proptest::collection::vec(
-                    proptest::collection::vec((proptest::prelude::any::<u64>(), 0u64..20_000), 0..40),
-                    1..4,
+                    (
+                        0u8..3,
+                        proptest::collection::vec(
+                            (proptest::prelude::any::<u64>(), 0u64..20_000),
+                            0..40,
+                        ),
+                    ),
+                    1..6,
                 ),
                 1..4,
             ),
         ) {
-            let mut record = Record::default();
+            // `flat` is pushed the same sets, each with a vantage of its
+            // own, so it folds nothing.
+            let (mut record, mut flat) = (Record::default(), Record::default());
             for (r, round) in rounds.iter().enumerate() {
-                let sets = round
+                let mut sets: Vec<(u8, TraceSet)> = round
                     .iter()
-                    .map(|draws| {
+                    .map(|(vantage, draws)| {
                         let records = draws
                             .iter()
                             .map(|&(w, recv)| testkit::fixtures::synth_record(w, recv, true))
@@ -2021,10 +2102,23 @@ mod tests {
                             ..Default::default()
                         };
                         log.sort_by_recv();
-                        TraceSet::from_log(&log)
+                        (*vantage, TraceSet::from_log(&log))
                     })
                     .collect();
-                record.push_round(sets);
+                // Vantage-major, as the mine stage keeps them.
+                sets.sort_by_key(|&(v, _)| v);
+                let first = record.sets.len();
+                let unfolded = sets.iter().enumerate().map(|(i, (_, ts))| (i as u8, ts.clone()));
+                let flat_arrivals = flat.push_round(unfolded.collect());
+                assert_eq!(record.push_round(sets.clone()), flat_arrivals, "round {r}");
+                assert_eq!(record.words(), flat.words(), "round {r}");
+                let groups: Vec<&[(u8, TraceSet)]> = sets.chunk_by(|a, b| a.0 == b.0).collect();
+                let appended = &record.sets[first..];
+                assert_eq!(appended.len(), groups.len(), "round {r}: one set a vantage");
+                for (set, group) in appended.iter().zip(groups) {
+                    let merged = TraceSet::merge_all(group.iter().map(|(_, ts)| ts));
+                    assert_eq!(views(set), views(&merged), "round {r}");
+                }
                 assert_trees_canonical(record.iter(), &format!("round {r}"));
             }
         }

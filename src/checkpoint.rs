@@ -1,6 +1,6 @@
 //! Round-boundary checkpoints for the adaptive loop: the loop's
 //! complete cross-round state (`LoopState` — the trace record, a delta
-//! run's prior store as one set and then the campaign sets, the
+//! run's prior store as one set and then one set per round and vantage, the
 //! discovery set, the round reports and target lists, the
 //! budgeter's EWMA weights and liveness mask, the regenerated target
 //! pool, the virtual clock, a delta run's shard count, latches and
@@ -365,7 +365,7 @@ fn check_shape(st: &LoopState) -> Result<(), SnapshotError> {
 /// The alias stage's cross-round state: the router graph's alias
 /// partition ([`RouterGraphBuilder::alias_groups`]) and the tested set.
 /// The rest of the graph is the record's: the builder ingested its
-/// campaign sets (never a delta run's prior set), so the decoder
+/// round sets (never a delta run's prior set), so the decoder
 /// rebuilds it from those, in record order, and then merges the groups.
 fn write_alias_state(w: &mut SnapWriter, al: &AliasState) {
     write_list(w, &al.builder.alias_groups(), |w, g| write_addrs(w, g));
