@@ -284,9 +284,11 @@ fn scrub(
         if touched {
             report.traces_touched += 1;
         }
-        out.end_trace(t.target(), tree.end(), r);
+        out.end_trace(tree.end(), r);
     }
     out.nodes = tree.finish();
+    // One trace out for each trace in: the targets are the input's.
+    out.targets = Arc::clone(&set.cols.targets);
     Some(TraceSet {
         vantage: set.vantage.clone(),
         target_set: set.target_set.clone(),

@@ -47,7 +47,14 @@
 //! [`write_trace_record`] / [`read_trace_record`] snapshot a list of sets
 //! that share one word table (the adaptive checkpoint's trace record):
 //! the table once, then each set without it. Decoding builds the one
-//! table and hands it to every set.
+//! table and hands it to every set. A record is a lead set, when there
+//! is one, then groups of sets (the loop's rounds), and a grouped set's
+//! targets were drawn from a plan its reader derives too (its vantage's
+//! sample of the round's target list). So a grouped set writes a key
+//! (its vantage) and then one tag in place of its targets: the plan
+//! itself, or a presence bitmap over the plan. The lead set (a delta
+//! run's prior store) has no plan and writes its targets as a lone set
+//! does.
 //!
 //! [`write_sharded_snapshot`] / [`read_sharded_snapshot`] persist a
 //! store as one file: a header, the shard count, the store's one set in
@@ -412,12 +419,58 @@ fn hop_shape(cols: &Columns) -> HopShape {
     }
 }
 
-/// What sizes a set's encoding beyond its column lengths: the varint
-/// bytes of its targets, its hop-limit window, the width of each packed
-/// column, how many hop ids no repeat bit spells and how many traces
-/// carry a `reached_at`. Finding them walks the targets and the hop
-/// cells once; the writer then fills a region of known length.
+/// A record set's target tag: the targets are the plan.
+const PLAN: u8 = 0;
+/// A record set's target tag: a presence bitmap over the plan follows.
+const BITMAP: u8 = 1;
+
+/// How a set's target column is written.
+enum TargetForm {
+    /// A count and varint steps ([`write_ascending`]): a lone set, a
+    /// record's lead.
+    Steps,
+    /// A grouped set's key and [`PLAN`].
+    Plan(u64),
+    /// A grouped set's key, [`BITMAP`] and the bitmap: bit `i` (of byte
+    /// `i / 8`, from the low bit) says `plan[i]` is a target.
+    Bitmap(u64, Vec<u8>),
+}
+
+impl TargetForm {
+    /// How `targets` are written against `plan`, under `key`: the plan
+    /// when they are it, else a bitmap. A set that holds the plan's own
+    /// allocation is the plan without a walk. Panics if a target is not
+    /// in the plan.
+    fn planned(targets: &[Ipv6Addr], key: u64, plan: &[Ipv6Addr]) -> TargetForm {
+        let same = std::ptr::eq(targets, plan);
+        if same || targets == plan {
+            return TargetForm::Plan(key);
+        }
+        let mut bits = vec![0u8; plan.len().div_ceil(8)];
+        let mut at = 0;
+        for t in targets {
+            while plan.get(at).is_some_and(|p| p < t) {
+                at += 1;
+            }
+            assert!(
+                plan.get(at) == Some(t),
+                "a grouped set's target {t} outside its plan"
+            );
+            bits[at / 8] |= 1 << (at % 8);
+            at += 1;
+        }
+        TargetForm::Bitmap(key, bits)
+    }
+}
+
+/// What sizes a set's encoding beyond its column lengths: how its
+/// targets are written and their bytes, its hop-limit window, the width
+/// of each packed column, how many hop ids no repeat bit spells and how
+/// many traces carry a `reached_at`. Finding them walks the targets and
+/// the hop cells once; the writer then fills a region of known length.
 struct Widths {
+    form: TargetForm,
+    /// Bytes of the target column as `form` writes it.
     targets: usize,
     /// The smallest hop limit of any hop cell; 0 with none.
     base: u8,
@@ -431,8 +484,17 @@ struct Widths {
 }
 
 impl Widths {
-    fn of(ts: &TraceSet) -> Widths {
+    fn of(ts: &TraceSet, form: TargetForm) -> Widths {
         let cols = &ts.cols;
+        let targets = match &form {
+            TargetForm::Steps => {
+                let steps =
+                    target_steps(&cols.targets).map(|(hi, lo)| varint_len(hi) + varint_len(lo));
+                4 + steps.sum::<usize>()
+            }
+            TargetForm::Plan(key) => varint_len(*key) + 1,
+            TargetForm::Bitmap(key, bits) => varint_len(*key) + 1 + bits.len(),
+        };
         let shape = cols.hop_shape.get(|| hop_shape(cols));
         debug_assert_eq!(shape, hop_shape(cols), "a stale hop shape");
         let (base, bitmap) = match shape.window {
@@ -441,9 +503,8 @@ impl Widths {
         };
         let stored = shape.stored;
         Widths {
-            targets: target_steps(&cols.targets)
-                .map(|(hi, lo)| varint_len(hi) + varint_len(lo))
-                .sum(),
+            form,
+            targets,
             base,
             bitmap,
             stored,
@@ -466,7 +527,7 @@ impl Widths {
             } else {
                 0
             }
-            + (4 + self.targets)
+            + self.targets
             + (2 + 2 * self.bitmap * n)
             + self.id * self.stored
             + (1 + self.unreach_len * n)
@@ -478,7 +539,7 @@ impl Widths {
 /// The exact number of bytes [`write_trace_set`] appends for `ts`.
 #[cfg(test)]
 pub(crate) fn trace_set_encoded_len(ts: &TraceSet) -> usize {
-    Widths::of(ts).encoded_len(ts, true)
+    Widths::of(ts, TargetForm::Steps).encoded_len(ts, true)
 }
 
 /// Appends `addrs`, strictly ascending, as a set's target column is
@@ -511,7 +572,7 @@ pub fn read_ascending(r: &mut SnapReader<'_>) -> Result<Vec<Ipv6Addr>, SnapshotE
 /// their hop limits and their packed ids. Reserved once, at its exact
 /// length. Inverse of [`read_trace_set`].
 pub fn write_trace_set(w: &mut SnapWriter, ts: &TraceSet) {
-    let widths = Widths::of(ts);
+    let widths = Widths::of(ts, TargetForm::Steps);
     w.reserve(widths.encoded_len(ts, true));
     write_set(w, ts, &widths, true);
 }
@@ -536,7 +597,18 @@ fn write_set(w: &mut SnapWriter, ts: &TraceSet, widths: &Widths, with_table: boo
         write_words(w, &ts.interner);
     }
     let cols = &ts.cols;
-    write_ascending(w, &cols.targets);
+    match &widths.form {
+        TargetForm::Steps => write_ascending(w, &cols.targets),
+        TargetForm::Plan(key) => {
+            w.varint(*key);
+            w.u8(PLAN);
+        }
+        TargetForm::Bitmap(key, bits) => {
+            w.varint(*key);
+            w.u8(BITMAP);
+            w.raw(bits);
+        }
+    }
     w.u8(widths.base);
     w.u8(widths.bitmap as u8);
     match (widths.id, widths.bitmap) {
@@ -679,22 +751,59 @@ fn read_ids(
 /// trace both hold, and never an id a repeat bit would spell. Anything
 /// else is a [`SnapshotError::BadValue`].
 pub fn read_trace_set(r: &mut SnapReader<'_>) -> Result<TraceSet, SnapshotError> {
-    read_set(r, None)
+    read_set(r, None, read_steps)
+}
+
+/// A set of a trace record that a plan covers: a set of one of the
+/// record's groups.
+#[derive(Clone, Copy, Debug)]
+pub struct Planned<'a> {
+    /// What tells the set from the others of its group (the loop: its
+    /// vantage's place in the configuration), ascending within a group.
+    pub key: u64,
+    pub set: &'a TraceSet,
+    /// What the set's targets were drawn from, strictly ascending, and
+    /// what [`read_trace_record`]'s caller derives for the set's group
+    /// and key.
+    pub plan: &'a [Ipv6Addr],
+}
+
+/// A trace record as [`read_trace_record`] reads it back.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct TraceRecord {
+    /// The set before the groups, when there is one.
+    pub lead: Option<TraceSet>,
+    /// Each group's sets with their keys, in the order they were written.
+    pub groups: Vec<Vec<(u64, TraceSet)>>,
 }
 
 /// Serializes a trace record, sets that share one word table (the
 /// adaptive loop's record): a `u32` count of sets, then, when there are
-/// any, their table once (its length, then its words in id order), then
-/// each set in the [`write_trace_set`] layout without its table. Reserves once: the
-/// record's exact length and `room_after` bytes more, for what the
-/// caller writes next. Panics if a set reads another table than the
-/// first set's. Inverse of [`read_trace_record`].
-pub fn write_trace_record<'a>(
+/// any, their table once (its length, then its words in id order), a
+/// `u32` set count for each group (how many groups there are is the
+/// reader's to know), then `lead` and each group's sets in the
+/// [`write_trace_set`] layout without the table. A grouped set writes
+/// its key and a tag where a lone set writes its targets (module docs).
+/// Reserves once: the record's exact length and `room_after` bytes more,
+/// for what the caller writes next. Panics if a set reads another table
+/// than the first set's, or if a grouped set holds a target its plan
+/// does not. Inverse of [`read_trace_record`].
+pub fn write_trace_record(
     w: &mut SnapWriter,
-    sets: impl IntoIterator<Item = &'a TraceSet>,
+    lead: Option<&TraceSet>,
+    groups: &[Vec<Planned<'_>>],
     room_after: usize,
 ) {
-    let sized: Vec<_> = sets.into_iter().map(|ts| (ts, Widths::of(ts))).collect();
+    let lead = lead.map(|ts| (ts, TargetForm::Steps));
+    let grouped = groups.iter().flatten().map(|p| {
+        let form = TargetForm::planned(p.set.targets(), p.key, p.plan);
+        (p.set, form)
+    });
+    let sized: Vec<_> = lead
+        .into_iter()
+        .chain(grouped)
+        .map(|(ts, form)| (ts, Widths::of(ts, form)))
+        .collect();
     let table = sized.first().map(|(ts, _)| &ts.interner);
     assert!(
         sized
@@ -704,31 +813,106 @@ pub fn write_trace_record<'a>(
     );
     let table_bytes = table.map_or(0, |t| 4 + 16 * t.len());
     let set_bytes: usize = sized.iter().map(|(ts, wd)| wd.encoded_len(ts, false)).sum();
-    w.reserve(4 + table_bytes + set_bytes + room_after);
+    w.reserve(4 + table_bytes + 4 * groups.len() + set_bytes + room_after);
     w.u32(sized.len() as u32);
     if let Some(table) = table {
         write_words(w, table);
+    }
+    for group in groups {
+        w.u32(group.len() as u32);
     }
     for (ts, widths) in &sized {
         write_set(w, ts, widths, false);
     }
 }
 
-/// Deserializes what [`write_trace_record`] wrote: one table, which
-/// every set shares, its ids resolving in it. A repeated word or an id
-/// at or past the table's length is a [`SnapshotError::BadValue`]; each
-/// set is checked as [`read_trace_set`] checks one.
-pub fn read_trace_record(r: &mut SnapReader<'_>) -> Result<Vec<TraceSet>, SnapshotError> {
+/// Deserializes what [`write_trace_record`] wrote, for `n_groups` groups:
+/// one table, which every set shares, its ids resolving in it. `plan`
+/// is called with each grouped set's group and key and returns the plan
+/// its targets were written against; its error refuses the record. A
+/// [`SnapshotError::BadValue`] is a repeated word or an id at or past the
+/// table's length; group counts that leave more than the lead set out,
+/// or more sets than the record holds; keys that do not ascend within a
+/// group; a target tag not one of the two; and a bitmap with a bit past
+/// the plan, or with every bit of it set (the plan's tag spells that).
+/// Each set is checked as [`read_trace_set`] checks one.
+pub fn read_trace_record(
+    r: &mut SnapReader<'_>,
+    n_groups: usize,
+    mut plan: impl FnMut(usize, u64) -> Result<Arc<Vec<Ipv6Addr>>, SnapshotError>,
+) -> Result<TraceRecord, SnapshotError> {
     let n = r.u32()? as usize;
-    // Not reserved from `n`, which came out of the input.
-    let mut sets = Vec::new();
-    if n > 0 {
-        let table = Arc::new(read_words(r)?);
-        for _ in 0..n {
-            sets.push(read_set(r, Some(&table))?);
-        }
+    let table = match n {
+        0 => Arc::default(),
+        _ => Arc::new(read_words(r)?),
+    };
+    // Not reserved from the counts, which came out of the input.
+    let mut counts = Vec::new();
+    for _ in 0..n_groups {
+        counts.push(r.u32()? as usize);
     }
-    Ok(sets)
+    let grouped: usize = counts.iter().sum();
+    if grouped > n || n - grouped > 1 {
+        return Err(SnapshotError::BadValue(
+            "record group counts and set count differ",
+        ));
+    }
+    let mut record = TraceRecord::default();
+    if n > grouped {
+        record.lead = Some(read_set(r, Some(&table), read_steps)?);
+    }
+    for (g, &count) in counts.iter().enumerate() {
+        let mut sets: Vec<(u64, TraceSet)> = Vec::new();
+        for _ in 0..count {
+            let last = sets.last().map(|&(key, _)| key);
+            let mut key = 0;
+            let set = read_set(r, Some(&table), |r| {
+                key = r.varint()?;
+                if last.is_some_and(|last| last >= key) {
+                    return Err(SnapshotError::BadValue("record keys not ascending"));
+                }
+                read_planned(r, plan(g, key)?)
+            })?;
+            sets.push((key, set));
+        }
+        record.groups.push(sets);
+    }
+    Ok(record)
+}
+
+/// Reads a count and that many targets, as a lone set's are written.
+fn read_steps(r: &mut SnapReader<'_>) -> Result<Arc<Vec<Ipv6Addr>>, SnapshotError> {
+    let n = r.count(LEAST_TRACE_BYTES)?;
+    read_targets(r, n).map(Arc::new)
+}
+
+/// Reads a grouped set's targets after its key: a tag, then what it
+/// says follows. The plan's own tag hands the set the plan.
+fn read_planned(
+    r: &mut SnapReader<'_>,
+    plan: Arc<Vec<Ipv6Addr>>,
+) -> Result<Arc<Vec<Ipv6Addr>>, SnapshotError> {
+    let bad = |what| Err(SnapshotError::BadValue(what));
+    match r.u8()? {
+        PLAN => Ok(plan),
+        BITMAP => {
+            let bits = r.take(plan.len().div_ceil(8))?;
+            let past =
+                !plan.len().is_multiple_of(8) && bits[bits.len() - 1] >> (plan.len() % 8) != 0;
+            if past {
+                return bad("target bitmap bit past the plan");
+            }
+            let targets: Vec<Ipv6Addr> = (plan.iter().enumerate())
+                .filter(|&(i, _)| bits[i / 8] >> (i % 8) & 1 == 1)
+                .map(|(_, &t)| t)
+                .collect();
+            if targets.len() == plan.len() {
+                return bad("target bitmap of the whole plan");
+            }
+            Ok(Arc::new(targets))
+        }
+        _ => bad("record target tag"),
+    }
 }
 
 /// Reads a word table, re-interned in order; a repeated word is refused.
@@ -883,10 +1067,12 @@ fn read_hops(r: &mut SnapReader<'_>, n: usize, n_words: usize) -> Result<Hops, S
 }
 
 /// Reads what [`write_set`] wrote: with its own word table when `table`
-/// is `None`, else sharing `table`, which its ids must resolve in.
+/// is `None`, else sharing `table`, which its ids must resolve in, and
+/// the target column as `targets` reads it.
 fn read_set(
     r: &mut SnapReader<'_>,
     table: Option<&Arc<AddrInterner>>,
+    targets: impl FnOnce(&mut SnapReader<'_>) -> Result<Arc<Vec<Ipv6Addr>>, SnapshotError>,
 ) -> Result<TraceSet, SnapshotError> {
     let vantage: Arc<str> = r.str()?.into();
     let target_set: Arc<str> = r.str()?.into();
@@ -896,8 +1082,8 @@ fn read_set(
         None => Arc::new(read_words(r)?),
     };
     let n_words = interner.len();
-    let n_targets = r.count(LEAST_TRACE_BYTES)?;
-    let targets = read_targets(r, n_targets)?;
+    let targets = targets(r)?;
+    let n_targets = targets.len();
     let hops = read_hops(r, n_targets, n_words)?;
     // The unreachable lengths are decoded in place into the end column:
     // each trace's end is the sum of its length and the lengths before
@@ -1112,7 +1298,7 @@ pub fn write_sharded_snapshot(
     let n_shards = store.n_shards() as u32;
     let mut bytes = encode_file(STORE_MAGIC, |w| {
         // The count, the set and the checksum in one reservation.
-        let widths = Widths::of(ts);
+        let widths = Widths::of(ts, TargetForm::Steps);
         w.reserve(4 + widths.encoded_len(ts, true) + 8);
         w.u32(n_shards);
         write_set(w, ts, &widths, true);
@@ -1295,6 +1481,10 @@ mod tests {
         unreach_width: u8,
         unreach_lens: Vec<u32>,
         unreach: Vec<(u8, u32)>,
+        /// What a grouped set of a record writes in place of the target
+        /// count and column: its key, its tag and what the tag says
+        /// follows.
+        planned: Option<Vec<u8>>,
     }
 
     impl Raw {
@@ -1319,6 +1509,7 @@ mod tests {
                 unreach_width: min_width(unreach_lens.iter().copied().max().unwrap_or(0)),
                 unreach_lens,
                 unreach: traces.iter().flat_map(|t| t.1.iter().copied()).collect(),
+                planned: None,
             };
             let targets: Vec<u128> = (0..traces.len() as u128)
                 .map(|i| 0x2001_0db8 << 96 | i)
@@ -1362,8 +1553,13 @@ mod tests {
                     w.u128(0xa + u128::from(i));
                 }
             }
-            w.u32(self.n);
-            w.raw(&self.targets);
+            match &self.planned {
+                Some(planned) => w.raw(planned),
+                None => {
+                    w.u32(self.n);
+                    w.raw(&self.targets);
+                }
+            }
             w.u8(self.base);
             w.u8(self.width);
             w.raw(&self.answered);
@@ -1463,7 +1659,10 @@ mod tests {
             assert_eq!(ts.interner.len(), n as usize);
             assert_eq!(id_width(n as usize), width, "{n} words");
             let bytes = encode(&ts);
-            assert_eq!(bytes.len(), Widths::of(&ts).encoded_len(&ts, true));
+            assert_eq!(
+                bytes.len(),
+                Widths::of(&ts, TargetForm::Steps).encoded_len(&ts, true)
+            );
             let back = decode(&bytes).unwrap();
             assert_eq!(back, ts, "{n} words");
             assert_eq!(back.interner().words(), ts.interner().words());
@@ -1767,7 +1966,10 @@ mod tests {
         type Corrupt = fn(&mut TraceSet);
         let cases: [(Corrupt, &str); 2] = [
             (|ts| cols(ts).unreach_ends[1] += 1, "trace unreach range"),
-            (|ts| cols(ts).targets.swap(0, 1), "target order"),
+            (
+                |ts| Arc::make_mut(&mut cols(ts).targets).swap(0, 1),
+                "target order",
+            ),
         ];
         for (corrupt, what) in cases {
             let mut ts = sample();
@@ -1913,17 +2115,54 @@ mod tests {
         sets
     }
 
+    /// `sets` as a record: the first the lead, the others one group, each
+    /// keyed by its place in it and planned as its own targets.
     fn encode_record(sets: &[TraceSet]) -> Vec<u8> {
+        let (lead, rest) = match sets.split_first() {
+            Some((lead, rest)) => (Some(lead), rest),
+            None => (None, sets),
+        };
+        let group: Vec<Planned<'_>> = (rest.iter().enumerate())
+            .map(|(k, set)| Planned {
+                key: k as u64,
+                set,
+                plan: set.targets(),
+            })
+            .collect();
         let mut w = SnapWriter::new();
-        write_trace_record(&mut w, sets, 0);
+        write_trace_record(&mut w, lead, &[group], 0);
         w.into_bytes()
     }
 
-    fn decode_record(bytes: &[u8]) -> Result<Vec<TraceSet>, SnapshotError> {
+    /// Reads one group whose set `k` is planned as `plans[k]`, and the
+    /// lead, as one list.
+    fn decode_record(
+        bytes: &[u8],
+        plans: &[Vec<Ipv6Addr>],
+    ) -> Result<Vec<TraceSet>, SnapshotError> {
         let mut r = SnapReader::new(bytes);
-        let sets = read_trace_record(&mut r)?;
+        let record = read_trace_record(&mut r, 1, |g, k| {
+            assert_eq!(g, 0, "one group");
+            Ok(Arc::new(plans[k as usize].clone()))
+        })?;
         assert_eq!(r.remaining(), 0);
-        Ok(sets)
+        let [group] = <[_; 1]>::try_from(record.groups).expect("one group");
+        let keys: Vec<u64> = group.iter().map(|&(k, _)| k).collect();
+        assert_eq!(keys, (0..group.len() as u64).collect::<Vec<_>>());
+        Ok(record
+            .lead
+            .into_iter()
+            .chain(group.into_iter().map(|(_, ts)| ts))
+            .collect())
+    }
+
+    /// Each set but the first's targets, the plans [`encode_record`]
+    /// writes them against.
+    fn plans(sets: &[TraceSet]) -> Vec<Vec<Ipv6Addr>> {
+        sets.iter()
+            .skip(1)
+            .map(|ts| ts.targets().to_vec())
+            .collect()
     }
 
     #[test]
@@ -1932,23 +2171,104 @@ mod tests {
         let table = &sets[0].interner;
         assert!(sets.iter().all(|s| Arc::ptr_eq(&s.interner, table)) && table.len() == 4);
         let bytes = encode_record(&sets);
-        let own: usize = sets
-            .iter()
-            .map(|s| Widths::of(s).encoded_len(s, false))
+        let lead = Widths::of(&sets[0], TargetForm::Steps).encoded_len(&sets[0], false);
+        // A grouped set that is its plan writes its key and the tag
+        // where its targets were.
+        let steps = Widths::of(&sets[1], TargetForm::Steps).encoded_len(&sets[1], false);
+        let planned = Widths::of(&sets[1], TargetForm::Plan(0)).encoded_len(&sets[1], false);
+        let written = ascending_bytes(&[u128::from(sets[1].targets()[0])]).len();
+        assert_eq!(
+            steps - planned,
+            written - 2,
+            "a count and two varints; a key and a tag"
+        );
+        let own: usize = (sets[1..].iter().enumerate())
+            .map(|(k, s)| Widths::of(s, TargetForm::Plan(k as u64)).encoded_len(s, false))
             .sum();
-        assert_eq!(bytes.len(), own + 4 + 4 + 16 * 4, "a count, four words");
-        let back = decode_record(&bytes).unwrap();
+        assert_eq!(
+            bytes.len(),
+            lead + own + 4 + 4 + 16 * 4 + 4,
+            "a count, four words, a group"
+        );
+        let back = decode_record(&bytes, &plans(&sets)).unwrap();
         assert_eq!(back, sets);
         assert!(back
             .iter()
             .all(|s| Arc::ptr_eq(&s.interner, &back[0].interner)));
         assert_eq!(encode_record(&back), bytes);
         for cut in 0..bytes.len() {
-            assert!(read_trace_record(&mut SnapReader::new(&bytes[..cut])).is_err());
+            let mut r = SnapReader::new(&bytes[..cut]);
+            let plan = |_, _| Ok(Arc::new(Vec::new()));
+            assert!(read_trace_record(&mut r, 1, plan).is_err());
         }
-        // No set, no table: the count alone.
-        assert_eq!(encode_record(&[]), [0; 4]);
-        assert_eq!(decode_record(&[0; 4]), Ok(Vec::new()));
+        // No set, no table: the count and the empty group's count.
+        assert_eq!(encode_record(&[]), [0; 8]);
+        assert_eq!(decode_record(&[0; 8], &[]), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn a_planned_set_writes_the_plan_or_a_bitmap() {
+        // `sample` toward 2001:db8::1 and ::9, under plans that hold
+        // both targets and nothing else, or both and others.
+        let ts = sample();
+        let addr = |s: &str| s.parse::<Ipv6Addr>().unwrap();
+        let [one, two] = [addr("2001:db8::1"), addr("2001:db8::9")];
+        assert_eq!(ts.targets(), [one, two]);
+        let wider: Vec<Ipv6Addr> = (0..10).map(|i| addr(&format!("2001:db8::{i}"))).collect();
+        for (plan, tag, payload) in [
+            (vec![one, two], PLAN, Vec::new()),
+            (wider.clone(), BITMAP, vec![0b10, 0b10]),
+        ] {
+            let planned = Planned {
+                key: 5,
+                set: &ts,
+                plan: &plan,
+            };
+            let mut w = SnapWriter::new();
+            write_trace_record(&mut w, None, &[vec![planned]], 0);
+            let bytes = w.into_bytes();
+            // The count, the table, the group's count, the set's names
+            // and tamper count, then its key, its tag and the payload.
+            let names = 4 + ts.vantage.len() + 4 + ts.target_set.len() + 8;
+            let at = 4 + 4 + 16 * ts.interner.len() + 4 + names;
+            let head = [&[5, tag][..], &payload].concat();
+            assert_eq!(bytes[at..at + head.len()], head, "{plan:?}");
+            let plan = Arc::new(plan);
+            let back = read_trace_record(&mut SnapReader::new(&bytes), 1, |g, k| {
+                assert_eq!((g, k), (0, 5));
+                Ok(Arc::clone(&plan))
+            })
+            .unwrap();
+            let [(5, set)] = &back.groups[0][..] else {
+                panic!("one set of key 5");
+            };
+            assert_eq!(set, &ts);
+            // A set that is its plan holds the plan's allocation.
+            assert_eq!(Arc::ptr_eq(set.target_column(), &plan), tag == PLAN);
+        }
+        // Sharing a list equal to the targets takes its allocation; any
+        // other list is refused.
+        let mut shared = ts.clone();
+        let list = Arc::new(vec![one, two]);
+        assert!(!shared.share_targets(&Arc::new(wider)));
+        assert!(shared.share_targets(&list));
+        assert!(Arc::ptr_eq(shared.target_column(), &list) && shared == ts);
+        assert!(
+            !Arc::ptr_eq(ts.target_column(), &list),
+            "the clone kept its own"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside its plan")]
+    fn a_planned_set_holds_no_target_outside_its_plan() {
+        let ts = sample();
+        let planned = Planned {
+            key: 0,
+            set: &ts,
+            plan: &ts.targets()[..1],
+        };
+        write_trace_record(&mut SnapWriter::new(), None, &[vec![planned]], 0);
     }
 
     #[test]
@@ -1980,7 +2300,7 @@ mod tests {
             sets.extend(round);
             TraceSet::rebase(&mut table, sets.iter_mut());
         }
-        let back = decode_record(&encode_record(&sets)).unwrap();
+        let back = decode_record(&encode_record(&sets), &plans(&sets)).unwrap();
         assert_eq!(back, sets);
         assert_eq!(back[0].interner.len(), 45);
         assert_eq!(back[0].interner.spare_words(), 0);
@@ -1996,22 +2316,26 @@ mod tests {
 
     #[test]
     fn corrupt_trace_records_are_refused() {
-        // Two sets of one trace each on the table [0xa, 0xb, 0xc], each
-        // with the given hop cells.
+        // A lead set and a set of one group, each of one trace toward
+        // 2001:db8:: on the table [0xa, 0xb, 0xc], each with the given
+        // hop cells; the grouped set is its plan.
+        let target = Ipv6Addr::from(0x2001_0db8_u128 << 96);
+        let read = |bytes: &[u8]| decode_record(bytes, &[vec![target]]);
         let record = |words: [u128; 3], hops: [&[(u8, u32)]; 2]| {
             let mut w = SnapWriter::new();
             w.u32(2);
             w.u32(3);
             words.iter().for_each(|&word| w.u128(word));
-            for cells in hops {
-                Raw::of(3, &[(cells, &[])]).write(&mut w, false);
-            }
-            decode_record(&w.into_bytes())
+            w.u32(1);
+            Raw::of(3, &[(hops[0], &[])]).write(&mut w, false);
+            let mut grouped = Raw::of(3, &[(hops[1], &[])]);
+            grouped.planned = Some(vec![0, PLAN]);
+            grouped.write(&mut w, false);
+            read(&w.into_bytes())
         };
         let sets = record([0xa, 0xb, 0xc], [&[(1, 1)], &[(1, 2)]]).unwrap();
         assert!(Arc::ptr_eq(&sets[0].interner, &sets[1].interner));
         assert_eq!(sets[1].interner.resolve(2), Ipv6Addr::from(0xc));
-        let bad = |what| Err(SnapshotError::BadValue(what));
         let repeat = record([0xa, 0xb, 0xa], [&[(1, 1)], &[(1, 2)]]);
         assert_eq!(repeat, bad("duplicate interner word"));
         // Id 3 is past the table, in either set.
@@ -2024,7 +2348,85 @@ mod tests {
         long.u32(1);
         long.u32(1000);
         long.raw(&[0; 64]);
-        assert_eq!(decode_record(long.bytes()), Err(SnapshotError::Truncated));
+        assert_eq!(read(long.bytes()), Err(SnapshotError::Truncated));
+        // Group counts that leave two sets out of every group, or name
+        // more sets than the record holds.
+        for (n, count) in [(2, 0), (1, 2)] {
+            let mut w = SnapWriter::new();
+            w.u32(n);
+            w.u32(0);
+            w.u32(count);
+            assert_eq!(
+                read(w.bytes()),
+                bad("record group counts and set count differ")
+            );
+        }
+    }
+
+    #[test]
+    fn a_planned_set_has_one_spelling() {
+        // Sets of one group over the plan 2001:db8::0 .. ::9, each set's
+        // key, tag and payload spelled out in front of a `Raw` set of
+        // `n` traces without cells.
+        let plan: Vec<Ipv6Addr> = (0..10u128)
+            .map(|i| Ipv6Addr::from(0x2001_0db8 << 96 | i))
+            .collect();
+        let read = |heads: &[(usize, Vec<u8>)]| {
+            let mut w = SnapWriter::new();
+            w.u32(heads.len() as u32);
+            w.u32(1);
+            w.u128(0xa);
+            w.u32(heads.len() as u32);
+            for (n, head) in heads {
+                let mut raw = Raw::of(1, &vec![NO_CELLS; *n]);
+                raw.planned = Some(head.clone());
+                raw.write(&mut w, false);
+            }
+            let mut r = SnapReader::new(w.bytes());
+            let record = read_trace_record(&mut r, 1, |_, _| Ok(Arc::new(plan.clone())))?;
+            assert_eq!(r.remaining(), 0);
+            Ok(record.groups.concat())
+        };
+        let targets = |sets: Result<Vec<(u64, TraceSet)>, SnapshotError>| {
+            let sets = sets.unwrap();
+            let words = |ts: &TraceSet| ts.targets().iter().map(|&t| u128::from(t) as u8).collect();
+            sets.iter()
+                .map(|(k, ts)| (*k, words(ts)))
+                .collect::<Vec<(u64, Vec<u8>)>>()
+        };
+        // The plan; two traces by bitmap, ::1 and ::8; none.
+        let sets = read(&[
+            (10, vec![0, PLAN]),
+            (2, vec![1, BITMAP, 0b10, 0b01]),
+            (0, vec![2, BITMAP, 0, 0]),
+        ]);
+        assert_eq!(
+            targets(sets),
+            [(0, (0..10).collect()), (1, vec![1, 8]), (2, vec![])]
+        );
+        for (heads, what) in [
+            // Every bit of the plan: the plan's own tag spells it.
+            (
+                vec![(10, vec![0, BITMAP, 0xff, 0b11])],
+                "target bitmap of the whole plan",
+            ),
+            // Bit 10 is past the ten addresses of the plan.
+            (
+                vec![(1, vec![0, BITMAP, 0, 0b100])],
+                "target bitmap bit past the plan",
+            ),
+            (vec![(0, vec![0, 2])], "record target tag"),
+            (
+                vec![(10, vec![1, PLAN]), (10, vec![1, PLAN])],
+                "record keys not ascending",
+            ),
+            (
+                vec![(10, vec![1, PLAN]), (10, vec![0, PLAN])],
+                "record keys not ascending",
+            ),
+        ] {
+            assert_eq!(read(&heads), bad(what), "{heads:?}");
+        }
     }
 
     /// `addrs` as [`write_ascending`] writes them.

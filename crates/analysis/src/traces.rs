@@ -78,10 +78,14 @@ pub(crate) fn trace_lens(ends: &[u32]) -> impl Iterator<Item = u32> + '_ {
 /// The columns sit behind one `Arc`, as the address table does,
 /// so `clone` is O(1): the clone shares both, and the shards of a
 /// store, the flat view of one and a delta run's prior are all such
-/// clones. Constructors fill their own columns and never share them
-/// while filling. Two methods write in place, [`rebase`](Self::rebase)
-/// (an id remap) and [`canonical`](Self::canonical) (an id rewrite),
-/// and each copies the columns first only when another set shares them.
+/// clones. The target column sits behind an `Arc` of its own, so a set
+/// can hold a list that others hold too: a scrubbed set holds its
+/// input's, and [`share_targets`](Self::share_targets) hands a set a
+/// list equal to its targets (the adaptive loop's round list).
+/// Constructors fill their own columns and never share them while
+/// filling. Two methods write in place, [`rebase`](Self::rebase) (an id
+/// remap) and [`canonical`](Self::canonical) (an id rewrite), and each
+/// copies the columns first only when another set shares them.
 #[derive(Clone, Debug, Default)]
 pub struct TraceSet {
     /// Campaign identity, carried through for reporting (shared, not
@@ -112,8 +116,9 @@ pub struct TraceSet {
 /// derived equality is equality of cells.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Columns {
-    /// Probed destinations, ascending by address word.
-    pub(crate) targets: Vec<Ipv6Addr>,
+    /// Probed destinations, ascending by address word; another set or
+    /// a caller's list may hold the same allocation.
+    pub(crate) targets: Arc<Vec<Ipv6Addr>>,
     /// Each trace's deepest hop cell, a node of `nodes`, parallel to
     /// `targets`; [`ROOT`] for a trace without hops.
     pub(crate) leaves: Vec<u32>,
@@ -175,10 +180,11 @@ impl<T> Eq for Memo<T> {}
 impl Columns {
     /// Empty columns reserved for `[traces, unreachable cells]`. The node
     /// table is built apart and set last: its length is not known up
-    /// front.
+    /// front. So is the target column, which the constructor fills or
+    /// shares on its own and sets last.
     pub(crate) fn reserved([n_targets, n_unreach]: [usize; 2]) -> Columns {
         Columns {
-            targets: Vec::with_capacity(n_targets),
+            targets: Arc::default(),
             leaves: Vec::with_capacity(n_targets),
             unreach_ends: Vec::with_capacity(n_targets),
             reached: Vec::with_capacity(n_targets),
@@ -189,13 +195,13 @@ impl Columns {
         }
     }
 
-    /// Ends the trace toward `target`, whose hop cells end at `leaf`: it
-    /// owns every unreachable cell appended since the previous trace
-    /// ended. The `u32` ends cannot wrap: every constructor's columns
-    /// hold fewer than 2³² cells.
+    /// Ends the next trace, whose hop cells end at `leaf`: it owns every
+    /// unreachable cell appended since the previous trace ended. Its
+    /// target is the next one of the column the constructor sets. The
+    /// `u32` ends cannot wrap: every constructor's columns hold fewer
+    /// than 2³² cells.
     #[inline]
-    pub(crate) fn end_trace(&mut self, target: Ipv6Addr, leaf: u32, reached_at: Option<u8>) {
-        self.targets.push(target);
+    pub(crate) fn end_trace(&mut self, leaf: u32, reached_at: Option<u8>) {
         self.leaves.push(leaf);
         self.unreach_ends.push(self.unreach_ids.len() as u32);
         self.reached.push(reached_at);
@@ -488,6 +494,7 @@ pub(crate) fn assemble<K: Copy + Ord + Default>(
     // the epoch trick avoids clearing 256 slots per trace.
     let mut ttl_slot = [(0u32, Cell::<K>::default()); 256];
     let mut cols = Columns::reserved([n_targets, unreach_cells.len()]);
+    let mut targets = Vec::with_capacity(n_targets);
     let mut tree = PathBuilder::default();
     for (r, &(word, tid)) in order.iter().enumerate() {
         let epoch = r as u32 + 1;
@@ -520,13 +527,11 @@ pub(crate) fn assemble<K: Copy + Ord + Default>(
         cols.unreach_ids
             .extend(bucket.iter().map(|cell| cell.rid()));
         let at = reached[tid as usize];
-        cols.end_trace(
-            Ipv6Addr::from(word),
-            tree.end(),
-            (at != NOT_REACHED).then_some(at as u8),
-        );
+        targets.push(Ipv6Addr::from(word));
+        cols.end_trace(tree.end(), (at != NOT_REACHED).then_some(at as u8));
     }
     cols.nodes = tree.finish();
+    cols.targets = Arc::new(targets);
     TraceSet {
         vantage,
         target_set,
@@ -598,6 +603,29 @@ impl TraceSet {
     /// The probed targets, ascending.
     pub fn targets(&self) -> &[Ipv6Addr] {
         &self.cols.targets
+    }
+
+    /// The target column as the allocation it is: the one a list handed
+    /// to [`share_targets`](Self::share_targets) holds, when the set took
+    /// it.
+    pub fn target_column(&self) -> &Arc<Vec<Ipv6Addr>> {
+        &self.cols.targets
+    }
+
+    /// Makes `list` the set's target column when it holds exactly the
+    /// set's targets, so the two share one allocation, and says whether
+    /// it did. Nothing a view reads changes. The other columns are copied
+    /// first only when another set shares them.
+    pub fn share_targets(&mut self, list: &Arc<Vec<Ipv6Addr>>) -> bool {
+        if **list != *self.cols.targets {
+            return false;
+        }
+        if !Arc::ptr_eq(list, &self.cols.targets) {
+            // The targets are not what the hop shape is found from, so
+            // it stands.
+            Arc::make_mut(&mut self.cols).targets = Arc::clone(list);
+        }
+        true
     }
 
     /// The path-prefix tree of the set's hop cells, in canonical order
@@ -732,6 +760,7 @@ impl TraceSet {
             "one trace set holds at most 2^32 - 1 unreachable cells"
         );
         let mut cols = Columns::reserved([n_targets, n_unreach]);
+        let mut targets = Vec::with_capacity(n_targets);
         let mut tree = PathBuilder::default();
         // Each input node's node in the result; `ROOT` until mapped.
         let mut memos: Vec<Vec<u32>> = refs
@@ -745,9 +774,11 @@ impl TraceSet {
             cols.unreach_ttls
                 .extend_from_slice(&src.unreach_ttls[unreach.clone()]);
             extend_ids(&mut cols.unreach_ids, &src.unreach_ids[unreach], remap);
-            cols.end_trace(src.targets[idx], leaf, src.reached[idx]);
+            targets.push(src.targets[idx]);
+            cols.end_trace(leaf, src.reached[idx]);
         }
         cols.nodes = tree.finish();
+        cols.targets = Arc::new(targets);
         TraceSet {
             vantage,
             target_set,
@@ -1195,7 +1226,7 @@ impl TraceSet {
             v.capacity() - v.len()
         }
         [
-            spare(&self.cols.targets),
+            spare(&*self.cols.targets),
             spare(&self.cols.leaves),
             spare(&self.cols.unreach_ends),
             spare(&self.cols.reached),
@@ -1220,7 +1251,7 @@ impl TraceSet {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * size_of::<T>()
         }
-        bytes(&self.cols.targets)
+        bytes(&*self.cols.targets)
             + bytes(&self.cols.leaves)
             + bytes(&self.cols.unreach_ends)
             + bytes(&self.cols.reached)
@@ -1974,7 +2005,7 @@ mod tests {
     fn every_kind_of_set_encodes_to_its_exact_length() {
         use crate::snapshot::{
             read_trace_record, read_trace_set, trace_set_encoded_len, write_trace_record,
-            write_trace_set, SnapReader, SnapWriter,
+            write_trace_set, Planned, SnapReader, SnapWriter,
         };
         // Standalone and as a one-set record, each set's bytes are
         // exactly the length reserved for them, and the set decoded
@@ -1992,15 +2023,40 @@ mod tests {
             // A one-set record is a count, the table, then the set
             // without it: four bytes more than the set alone.
             let mut w = SnapWriter::new();
-            write_trace_record(&mut w, [ts], 0);
+            write_trace_record(&mut w, Some(ts), &[], 0);
             let record = w.into_bytes();
             assert_eq!(record.len(), 4 + bytes.len(), "{what} record");
-            let back = read_trace_record(&mut SnapReader::new(&record)).unwrap();
+            let no_plan = |_, _| unreachable!("no group");
+            let back = read_trace_record(&mut SnapReader::new(&record), 0, no_plan).unwrap();
             let mut w = SnapWriter::new();
-            write_trace_record(&mut w, &back, 0);
+            write_trace_record(&mut w, back.lead.as_ref(), &[], 0);
             assert!(
                 w.bytes() == record,
                 "{what} record re-encodes to other bytes"
+            );
+
+            // As a group's one set, planned as its own targets, it writes
+            // a key and a tag in their place, and reads back holding the
+            // plan's allocation.
+            let plan = Arc::new(ts.targets().to_vec());
+            let planned = Planned {
+                key: 0,
+                set: ts,
+                plan: &plan,
+            };
+            let mut w = SnapWriter::new();
+            write_trace_record(&mut w, None, &[vec![planned]], 0);
+            let record = w.into_bytes();
+            let back = read_trace_record(&mut SnapReader::new(&record), 1, |_, _| {
+                Ok(Arc::clone(&plan))
+            })
+            .unwrap();
+            let [(0, set)] = &back.groups[0][..] else {
+                panic!("{what}: one set");
+            };
+            assert!(
+                set == ts && Arc::ptr_eq(set.target_column(), &plan),
+                "{what}"
             );
         });
     }

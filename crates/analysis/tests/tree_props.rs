@@ -20,7 +20,9 @@
 //! hops (a gap splits a prefix) and ends in a hop of its own, amid
 //! records of every other class.
 
-use analysis::snapshot::{decode_segment, encode_segment, read_trace_record, write_trace_record};
+use analysis::snapshot::{
+    decode_segment, encode_segment, read_trace_record, write_trace_record, Planned,
+};
 use analysis::{
     quarantine_all, QuarantineConfig, SnapReader, SnapWriter, TraceSet, TraceSetBuilder,
 };
@@ -193,12 +195,19 @@ proptest! {
             assert_canonical("read back", &back);
             prop_assert!(&back == ts);
         }
+        // As a record: the first set its lead, the rest one group, each
+        // planned as its own targets.
+        let group: Vec<Planned<'_>> = (moved.iter().enumerate().skip(1))
+            .map(|(k, set)| Planned { key: k as u64, set, plan: set.targets() })
+            .collect();
         let mut w = SnapWriter::new();
-        write_trace_record(&mut w, &moved, 0);
-        let record = read_trace_record(&mut SnapReader::new(w.bytes())).unwrap();
-        for (back, m) in record.iter().zip(&moved) {
-            assert_canonical("read back as a record", back);
-            prop_assert!(back == m);
+        write_trace_record(&mut w, moved.first(), &[group], 0);
+        let plan = |_, k: u64| Ok(Arc::new(moved[k as usize].targets().to_vec()));
+        let record = read_trace_record(&mut SnapReader::new(w.bytes()), 1, plan).unwrap();
+        let sets = record.groups.concat().into_iter().map(|(_, ts)| ts);
+        for (back, m) in record.lead.into_iter().chain(sets).zip(&moved) {
+            assert_canonical("read back as a record", &back);
+            prop_assert!(&back == m);
         }
     }
 }

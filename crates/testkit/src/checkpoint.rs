@@ -2,13 +2,16 @@
 //! moves names what moved instead of only saying that the file did.
 //!
 //! This crate never depends on the umbrella crate, so the caller
-//! decodes (`Checkpoint::from_bytes(bytes)?.record().iter()`) and hands
-//! the decoded sets in. Their span is found by re-encoding them as the
+//! decodes (`Checkpoint::from_bytes(bytes)?.record()`) and hands the
+//! decoded record in: a delta run's prior set, then each round's sets
+//! with their vantages and the plans their targets were drawn from
+//! ([`Planned`]). Their span is found by re-encoding them as the
 //! checkpoint does, one record ([`write_trace_record`]: their count,
-//! their one table, then each set), and locating the start of those
-//! bytes in the checkpoint; the re-encoding also cuts the span set by
-//! set, so a moved trace-set row names the first set whose bytes are not
-//! its re-encoding. The fixed parts are the encoding's
+//! their one table, the per-round set counts, then each set, a round
+//! set's targets as a tag against its plan), and locating the start of
+//! those bytes in the checkpoint; the re-encoding also cuts the span set
+//! by set, so a moved trace-set row names the first set whose bytes are
+//! not its re-encoding. The fixed parts are the encoding's
 //! own: an 8-byte magic and version, an 8-byte configuration digest,
 //! and an 8-byte trailer. The scalars before the trace sets are the
 //! budgeter's weights and liveness, the discovery set, the subnets, the
@@ -19,7 +22,7 @@
 //! alias groups and the tested set; the decoder rebuilds the router
 //! graph from those and the trace sets).
 
-use analysis::snapshot::{fnv1a, write_trace_record};
+use analysis::snapshot::{fnv1a, write_trace_record, Planned};
 use analysis::{SnapWriter, TraceSet};
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -47,24 +50,79 @@ const ANCHOR: usize = 64;
 /// One pin: a section's length in bytes and its FNV-1a.
 pub type Pin = (usize, u64);
 
-/// `sets` re-encoded as the checkpoint writes them, one record, and
-/// each set's span in it (the first's with the count and the table). A
-/// record of the first `k` sets ends where the `k`-th set does.
-fn record<'a>(sets: impl IntoIterator<Item = &'a TraceSet>) -> (Vec<u8>, Vec<Range<usize>>) {
-    let sets: Vec<&TraceSet> = sets.into_iter().collect();
+/// `lead` and `rounds` re-encoded as the checkpoint writes them, one
+/// record, and each set's span in it (the first's with the count, the
+/// table and the per-round counts). A record of the first `k` sets, the
+/// rounds cut short but as many, ends where the `k`-th set does: its
+/// counts take the same bytes.
+fn record(lead: Option<&TraceSet>, rounds: &[Vec<Planned<'_>>]) -> (Vec<u8>, Vec<Range<usize>>) {
     let encode = |k: usize| {
+        let mut left = k - usize::from(lead.is_some() && k > 0);
+        let cut: Vec<Vec<Planned<'_>>> = (rounds.iter())
+            .map(|round| {
+                let take = left.min(round.len());
+                left -= take;
+                round[..take].to_vec()
+            })
+            .collect();
         let mut w = SnapWriter::new();
-        write_trace_record(&mut w, sets[..k].iter().copied(), 0);
+        write_trace_record(&mut w, lead.filter(|_| k > 0), &cut, 0);
         w.into_bytes()
     };
+    let n = usize::from(lead.is_some()) + rounds.iter().map(Vec::len).sum::<usize>();
     let mut start = 0;
-    let spans = (1..=sets.len())
+    let spans = (1..=n)
         .map(|k| {
             let end = encode(k).len();
             std::mem::replace(&mut start, end)..end
         })
         .collect();
-    (encode(sets.len()), spans)
+    (encode(n), spans)
+}
+
+/// The record's sets in encoding order: the lead, then each round's.
+fn record_sets<'a>(lead: Option<&'a TraceSet>, rounds: &[Vec<Planned<'a>>]) -> Vec<&'a TraceSet> {
+    lead.into_iter()
+        .chain(rounds.iter().flatten().map(|p| p.set))
+        .collect()
+}
+
+/// The byte ranges of the checkpoint `bytes` that spell its record's
+/// plan forms: each round's set count, then each round set's vantage,
+/// its target tag and, when the tag is the bitmap's, the bitmap. `lead`
+/// and `rounds` are the checkpoint's decoded record, as [`moved`] takes
+/// them. An edit property aims at these to reach the decoder's plan
+/// refusals, which an edit anywhere in the file seldom does.
+pub fn plan_fields(
+    bytes: &[u8],
+    lead: Option<&TraceSet>,
+    rounds: &[Vec<Planned<'_>>],
+) -> Vec<Range<usize>> {
+    let (record, spans) = record(lead, rounds);
+    let start = sections(bytes, &record)[TRACE_SETS].start;
+    let words = u32::from_le_bytes(record[4..8].try_into().expect("a table length"));
+    let counts = 8 + 16 * words as usize;
+    let mut fields: Vec<Range<usize>> = (0..rounds.len())
+        .map(|r| counts + 4 * r..counts + 4 * r + 4)
+        .collect();
+    let first = usize::from(lead.is_some());
+    for (i, p) in rounds.iter().flatten().enumerate() {
+        let set = match i + first {
+            0 => counts + 4 * rounds.len(),
+            k => spans[k].start,
+        };
+        let key = set + 4 + p.set.vantage.len() + 4 + p.set.target_set.len() + 8;
+        let tag = key + record[key..].iter().take_while(|&&b| b & 0x80 != 0).count() + 1;
+        fields.push(key..tag);
+        fields.push(tag..tag + 1);
+        if record[tag] == 1 {
+            fields.push(tag + 1..tag + 1 + p.plan.len().div_ceil(8));
+        }
+    }
+    for field in &mut fields {
+        *field = start + field.start..start + field.end;
+    }
+    fields
 }
 
 /// The byte range of each of [`SECTIONS`] in the checkpoint `bytes`,
@@ -104,17 +162,20 @@ fn sections(bytes: &[u8], record: &[u8]) -> [Range<usize>; 7] {
 
 /// Every section of `bytes` whose pin is not the one in `pinned`, a
 /// line each with its byte range, then the whole table to re-pin from.
-/// A moved trace-set row also names the first set of the record whose
-/// bytes differ from its re-encoding, and the offset inside it, or says
-/// that every set re-encodes to its own bytes (the layout or the sets
-/// moved, not the round trip). Empty when nothing moved.
-pub fn moved<'a>(
+/// `lead` and `rounds` are the checkpoint's decoded record: a delta
+/// run's prior set, and each round's sets, each with its vantage and
+/// plan. A moved trace-set row also names the first set of the record
+/// whose bytes differ from its re-encoding, and the offset inside it, or
+/// says that every set re-encodes to its own bytes (the layout or the
+/// sets moved, not the round trip). Empty when nothing moved.
+pub fn moved(
     bytes: &[u8],
-    sets: impl IntoIterator<Item = &'a TraceSet>,
+    lead: Option<&TraceSet>,
+    rounds: &[Vec<Planned<'_>>],
     pinned: &[Pin; 7],
 ) -> String {
-    let sets: Vec<&TraceSet> = sets.into_iter().collect();
-    let (record, spans) = record(sets.iter().copied());
+    let sets = record_sets(lead, rounds);
+    let (record, spans) = record(lead, rounds);
     let ranges = sections(bytes, &record);
     let now = ranges.clone().map(|r| (r.len(), fnv1a(&bytes[r])));
     if now == *pinned {
@@ -166,10 +227,11 @@ pub fn moved<'a>(
 mod tests {
     use super::*;
 
-    /// Two sets on one table, their record, and a checkpoint-shaped
-    /// buffer around it: 16 header bytes, 69 scalar bytes that start
-    /// with the record's first 64 (as a discovery set of the table's
-    /// words can), the record, 3 tail bytes, an 8-byte trailer.
+    /// Two sets on one table, the first a lead and the second a round's
+    /// whole plan, their record, and a checkpoint-shaped buffer around
+    /// it: 16 header bytes, 69 scalar bytes that start with the record's
+    /// first 64 (as a discovery set of the table's words can), the
+    /// record, 3 tail bytes, an 8-byte trailer.
     fn fixture() -> (Vec<TraceSet>, Vec<u8>, Range<usize>) {
         let set = |vantage: &str, target: u128| {
             let records = (1..=3u8)
@@ -192,7 +254,7 @@ mod tests {
         };
         let mut sets = vec![set("A", 1 << 64), set("B", 2 << 64)];
         TraceSet::rebase(&mut Default::default(), sets.iter_mut());
-        let (record, _) = record(&sets);
+        let (record, _) = record(Some(&sets[0]), &rounds(&sets));
         let mut bytes = vec![0; 16];
         bytes.extend_from_slice(&record[..ANCHOR]);
         bytes.extend_from_slice(&[0; 5]);
@@ -202,23 +264,62 @@ mod tests {
         (sets, bytes, span)
     }
 
+    /// One round of the second set, planned as its own targets.
+    fn rounds(sets: &[TraceSet]) -> Vec<Vec<Planned<'_>>> {
+        let planned = Planned {
+            key: 0,
+            set: &sets[1],
+            plan: sets[1].targets(),
+        };
+        vec![vec![planned]]
+    }
+
+    #[test]
+    fn plan_fields_are_the_round_counts_vantages_tags_and_bitmaps() {
+        let (sets, bytes, span) = fixture();
+        let fields = plan_fields(&bytes, Some(&sets[0]), &rounds(&sets));
+        // The round's count after the count and the table (three words),
+        // then the second set's vantage (0) and tag (the plan's).
+        let counts = span.start + 8 + 16 * sets[0].interner().len();
+        assert_eq!(fields[0], counts..counts + 4);
+        assert_eq!(bytes[fields[0].clone()], 1u32.to_le_bytes());
+        let spelt: Vec<&[u8]> = fields[1..].iter().map(|f| &bytes[f.clone()]).collect();
+        assert_eq!(spelt, [[0], [0]]);
+        // Under a wider plan the set is a bitmap over it.
+        let wider = [sets[1].targets(), &[std::net::Ipv6Addr::from(3u128 << 64)]].concat();
+        let planned = Planned {
+            key: 0,
+            set: &sets[1],
+            plan: &wider,
+        };
+        let rounds = [vec![planned]];
+        let (record, _) = record(Some(&sets[0]), &rounds);
+        let mut bytes = bytes[..span.start].to_vec();
+        bytes.extend_from_slice(&record);
+        bytes.extend_from_slice(&[0; 11]);
+        let fields = plan_fields(&bytes, Some(&sets[0]), &rounds);
+        let spelt: Vec<&[u8]> = fields[1..].iter().map(|f| &bytes[f.clone()]).collect();
+        assert_eq!(spelt, [&[0][..], &[1], &[0b01]]);
+    }
+
     #[test]
     fn a_moved_trace_set_row_names_the_first_set_that_differs() {
         let (sets, mut bytes, span) = fixture();
-        let ranges = sections(&bytes, &record(&sets).0);
+        let (lead, rounds) = (Some(&sets[0]), rounds(&sets));
+        let ranges = sections(&bytes, &record(lead, &rounds).0);
         assert_eq!(ranges[TRACE_SETS], span);
         let mut pinned = ranges.map(|r| (r.len(), fnv1a(&bytes[r])));
-        assert_eq!(moved(&bytes, &sets, &pinned), "");
+        assert_eq!(moved(&bytes, lead, &rounds, &pinned), "");
         // A pin of other sets: the row moved, and every set round-trips.
         pinned[TRACE_SETS].1 ^= 1;
-        let report = moved(&bytes, &sets, &pinned);
+        let report = moved(&bytes, lead, &rounds, &pinned);
         assert!(report.contains("trace sets moved"), "{report}");
         assert!(report.contains("each of the 2 sets re-encodes"), "{report}");
         // A byte 30 from the end of the second set differs.
-        let (_, spans) = record(&sets);
+        let (_, spans) = record(lead, &rounds);
         let at = span.start + spans[1].end - 30;
         bytes[at] ^= 1;
-        let report = moved(&bytes, &sets, &pinned);
+        let report = moved(&bytes, lead, &rounds, &pinned);
         let inside = spans[1].len() - 30;
         let want = format!("set 1 of 2 (B / t, bytes {:?} of the row)", spans[1]);
         assert!(report.contains(&want), "{report}");

@@ -88,6 +88,16 @@
 //! off the rebase before the fold. The shard count is a probing detail
 //! (the pool's work units): it does not shape how the record, the
 //! result's traces or the checkpoint group the sets.
+//! The record knows its rounds: where each round's sets start and which
+//! vantage each set probed from ([`Record::round`],
+//! [`Record::round_vantages`]). A round set's targets are a part of its
+//! plan, the vantage's stride sample of the round's target list at its
+//! allocation, and on a clean network all of it. A set whose vantage
+//! drew the whole list and whose targets are all of it holds the list's
+//! allocation (`LoopState::round_targets` holds each list once), so the
+//! plan is kept once in memory; the checkpoint writes such a set's
+//! targets as a tag against the plan its decoder derives from the same
+//! list and allocation (`src/checkpoint.rs`).
 //! Every set of the record shares one table, a delta run's prior set
 //! included once round 0 closes; it holds every word of the record, in
 //! the order the rounds met them. Nothing a set's views read moves.
@@ -533,8 +543,11 @@ impl AdaptiveResult {
 /// The loop's trace record: a delta run's prior store as one set, then
 /// one set per round and vantage, each the fold of that vantage's kept
 /// campaign sets, all on one table (module docs, "The record's one
-/// table"). A clone shares every set's columns and the
-/// table, so a [`Checkpoint`] an observer keeps copies no column.
+/// table"). It knows its rounds: where each round's sets start, and
+/// which vantage each set probed from. A set whose targets are its
+/// round's whole list holds that list's allocation. A clone shares every
+/// set's columns and the table, so a [`Checkpoint`] an observer keeps
+/// copies no column.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Record {
     /// A delta run's prior store; `None` for any other run.
@@ -542,6 +555,11 @@ pub struct Record {
     /// The rounds' sets, one a vantage, in the order
     /// [`AdaptiveResult::traces`] describes.
     pub(crate) sets: Vec<TraceSet>,
+    /// Where each round's sets start in `sets`, one entry a round.
+    pub(crate) starts: Vec<usize>,
+    /// Each set's vantage, its place in [`AdaptiveConfig::vantages`],
+    /// parallel to `sets`.
+    pub(crate) vantages: Vec<usize>,
 }
 
 impl Record {
@@ -555,6 +573,31 @@ impl Record {
         self.prior.iter().chain(&self.sets)
     }
 
+    /// How many rounds the record holds: every finished round, a round
+    /// without sets included.
+    pub fn rounds(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// The range of `sets` round `r` holds.
+    fn span(&self, r: usize) -> std::ops::Range<usize> {
+        let end = self.starts.get(r + 1).copied().unwrap_or(self.sets.len());
+        self.starts[r]..end
+    }
+
+    /// Round `r`'s sets, one for each vantage that returned one, in
+    /// vantage order.
+    pub fn round(&self, r: usize) -> &[TraceSet] {
+        &self.sets[self.span(r)]
+    }
+
+    /// The vantage each of round `r`'s sets probed from, as its place in
+    /// [`AdaptiveConfig::vantages`]: ascending, parallel to
+    /// [`round`](Self::round).
+    pub fn round_vantages(&self, r: usize) -> &[usize] {
+        &self.vantages[self.span(r)]
+    }
+
     /// The record's one table; `None` while the record holds no set.
     pub(crate) fn table(&self) -> Option<&Arc<AddrInterner>> {
         self.iter().last().map(TraceSet::interner)
@@ -566,16 +609,26 @@ impl Record {
         self.table().map_or(&[], |t| t.words())
     }
 
-    /// Appends a round's kept sets, each with the vantage index it
-    /// probed from, vantage-major: one [`TraceSet::rebase`] over the
-    /// older sets, then the round's, and then each vantage's sets folded
-    /// into one by [`TraceSet::merge_all`] (module docs, "The record's
-    /// one table"). Returns the round's arrivals as a bitmap over the
-    /// table's ids: the words the round's sets' own tables held, read
-    /// off their id maps before the fold.
-    pub(crate) fn push_round(&mut self, sets: Vec<(u8, TraceSet)>) -> Vec<bool> {
+    /// Appends a round's kept sets, each with the vantage it probed from
+    /// (its place in [`AdaptiveConfig::vantages`]), vantage-major: one
+    /// [`TraceSet::rebase`] over the older sets, then the round's, and
+    /// then each vantage's sets folded into one by
+    /// [`TraceSet::merge_all`] (module docs, "The record's one table").
+    /// A folded set that a vantage drew from the whole of `list` (its
+    /// allocation, `alloc[v]`, is the list's length) and whose targets
+    /// are all of it takes `list`'s allocation as its target column.
+    /// Returns the round's arrivals as a bitmap over the table's ids: the
+    /// words the round's sets' own tables held, read off their id maps
+    /// before the fold.
+    pub(crate) fn push_round(
+        &mut self,
+        sets: Vec<(usize, TraceSet)>,
+        list: &Arc<Vec<Ipv6Addr>>,
+        alloc: &[usize],
+    ) -> Vec<bool> {
         let first = self.sets.len();
-        let (vantages, sets): (Vec<u8>, Vec<TraceSet>) = sets.into_iter().unzip();
+        self.starts.push(first);
+        let (vantages, sets): (Vec<usize>, Vec<TraceSet>) = sets.into_iter().unzip();
         let own: Vec<usize> = sets.iter().map(|ts| ts.interner().len()).collect();
         self.sets.extend(sets);
         let mut table = Arc::default();
@@ -589,11 +642,19 @@ impl Record {
             }
         }
         // The sets share the table now, so the fold remaps no id, and a
-        // vantage's sets hold disjoint targets, so it drops no trace.
+        // vantage's sets hold disjoint targets, so it drops no trace. A
+        // lone set folds to a clone of itself: the set is dropped first,
+        // so the clone owns its columns and sharing the list copies none.
         let mut round = self.sets.split_off(first).into_iter();
         for group in vantages.chunk_by(|a, b| a == b) {
             let mine: Vec<TraceSet> = round.by_ref().take(group.len()).collect();
-            self.sets.push(TraceSet::merge_all(&mine));
+            let mut set = TraceSet::merge_all(&mine);
+            drop(mine);
+            if alloc[group[0]] >= list.len() {
+                set.share_targets(list);
+            }
+            self.sets.push(set);
+            self.vantages.push(group[0]);
         }
         arrived
     }
@@ -625,8 +686,9 @@ pub(crate) struct LoopState {
     pub(crate) subnets: Vec<Ipv6Prefix>,
     /// Finished round reports.
     pub(crate) rounds: Vec<RoundReport>,
-    /// Each finished round's exact target list.
-    pub(crate) round_targets: Vec<Vec<Ipv6Addr>>,
+    /// Each finished round's exact target list, held once: a record set
+    /// drawn from the whole list holds the same allocation.
+    pub(crate) round_targets: Vec<Arc<Vec<Ipv6Addr>>>,
     /// The trace record: a delta run's prior set, then each round's
     /// sets, one a vantage. A round only appends to it and hands every
     /// set the extended table; no column of a set moves once pushed.
@@ -835,7 +897,7 @@ impl Views {
         // much of them); the canaries stay probeable.
         let mut probed = AddrSet::new();
         let stored = known.iter().filter(|t| canaries.binary_search(t).is_err());
-        for &t in stored.chain(st.round_targets.iter().flatten()) {
+        for &t in stored.chain(st.round_targets.iter().flat_map(|l| l.iter())) {
             probed.insert(t);
         }
         Views {
@@ -856,7 +918,7 @@ impl Views {
 /// Plan stage output: what the round probes and from where.
 struct RoundPlan {
     /// The round's sorted, deduplicated target list.
-    targets: Vec<Ipv6Addr>,
+    targets: Arc<Vec<Ipv6Addr>>,
     /// Targets allocated to each configured vantage (0 for a dead one).
     alloc: Vec<usize>,
     /// Each vantage's shard sets (none when dead).
@@ -870,6 +932,9 @@ struct RoundRun {
     /// Campaign → position in [`AdaptiveConfig::vantages`] (dead
     /// vantages contribute no campaigns, so `i / shards` would not do).
     spec_vi: Vec<usize>,
+    /// The quarantine stage's output, index-aligned with `results`
+    /// (empty when the stage is off; see [`quarantine_round`]).
+    cleaned: Vec<Option<TraceSet>>,
 }
 
 impl RoundRun {
@@ -900,8 +965,6 @@ struct Mined {
     /// attempt included — retries burn real budget.
     stats: EngineStats,
     new_subnets: u64,
-    /// Where the round's sets start in the record's sets.
-    first_set: usize,
     /// The distinct interfaces of the round's kept sets, as a bitmap
     /// over the record's table ids: the words their own tables held
     /// before the rebase.
@@ -1061,7 +1124,11 @@ fn probe_round(
     }
     let results =
         stream_campaigns_supervised(topo, &specs, &cfg.stream, &cfg.retry, start_us, parallel);
-    RoundRun { results, spec_vi }
+    RoundRun {
+        results,
+        spec_vi,
+        cleaned: Vec::new(),
+    }
 }
 
 /// Quarantine stage (opt-in): scrub hostile-responder artifacts from
@@ -1248,7 +1315,7 @@ impl LoopState {
             })
             .collect();
         Some(RoundPlan {
-            targets,
+            targets: Arc::new(targets),
             alloc,
             vantage_sets,
         })
@@ -1337,28 +1404,27 @@ impl LoopState {
         cfg: &AdaptiveConfig,
         parallel: bool,
         views: &mut Views,
-        run: RoundRun,
-        mut cleaned: Vec<Option<TraceSet>>,
+        plan: &RoundPlan,
+        mut run: RoundRun,
     ) -> Mined {
         let mut mined = Mined {
             stats: EngineStats::default(),
             new_subnets: 0,
-            first_set: self.traces.sets.len(),
             arrivals: Vec::new(),
         };
-        let mut kept: Vec<(u8, TraceSet)> = Vec::with_capacity(run.results.len());
-        for (i, sc) in run.results.into_iter().enumerate() {
+        let mut kept: Vec<(usize, TraceSet)> = Vec::with_capacity(run.results.len());
+        for (i, (sc, vi)) in run.results.into_iter().zip(run.spec_vi).enumerate() {
             mined.stats.merge(&sc.stats);
             let Some(streamed) = sc.result else {
                 continue; // hard failure: no trace set to mine
             };
-            let clean = cleaned.get_mut(i).and_then(Option::take);
-            kept.push((sc.vantage_idx, clean.unwrap_or(streamed.output)));
+            let clean = run.cleaned.get_mut(i).and_then(Option::take);
+            kept.push((vi, clean.unwrap_or(streamed.output)));
         }
         let resolver = views.resolver.as_ref();
         let found = pool_map(kept.len(), parallel, |i| {
-            let (vantage_idx, ts) = &kept[i];
-            mine_set(topo, cfg, resolver, *vantage_idx, ts)
+            let (vi, ts) = &kept[i];
+            mine_set(topo, cfg, resolver, cfg.vantages[*vi], ts)
         });
         for cand in found.into_iter().flatten() {
             if views.subnet_set.insert(cand.prefix) {
@@ -1366,7 +1432,7 @@ impl LoopState {
                 mined.new_subnets += 1;
             }
         }
-        mined.arrivals = self.traces.push_round(kept);
+        mined.arrivals = self.traces.push_round(kept, &plan.targets, &plan.alloc);
         mined
     }
 
@@ -1379,7 +1445,7 @@ impl LoopState {
     ) -> (AliasLane<'a>, FeedbackLane<'a>) {
         let alias = AliasLane {
             alias: self.alias.as_mut(),
-            round_sets: &self.traces.sets[mined.first_set..],
+            round_sets: self.traces.round(self.rounds.len()),
             arrivals: &mined.arrivals,
             table: self.traces.table(),
             charged: self.stats.probes,
@@ -1485,12 +1551,12 @@ impl LoopState {
     /// reopen the canary's whole target-prefix shard — its stored
     /// targets queue for forced re-probing — and reset the yield streak
     /// so the floor can't stop the loop before the re-sweep runs.
-    fn reopen_changed_shards(&mut self, canaries: &[Ipv6Addr], first_set: usize) {
+    fn reopen_changed_shards(&mut self, canaries: &[Ipv6Addr]) {
         let (Some(d), Some(prior)) = (self.delta.as_mut(), self.traces.prior()) else {
             return;
         };
         let round_list = self.round_targets.last().expect("a round just closed");
-        let this_round = &self.traces.sets[first_set..];
+        let this_round = self.traces.round(self.rounds.len() - 1);
         let route = ShardRoute::new(d.shards);
         let mut reopened_any = false;
         for &c in canaries {
@@ -1529,7 +1595,9 @@ impl LoopState {
         });
         AdaptiveResult {
             rounds: self.rounds,
-            round_targets: self.round_targets,
+            round_targets: (self.round_targets.into_iter())
+                .map(Arc::unwrap_or_clone)
+                .collect(),
             traces: self.traces,
             stats: self.stats,
             interfaces: self.seen,
@@ -1658,11 +1726,11 @@ fn run_loop(
         let Some(plan) = st.plan_round(cfg, &mut views.probed) else {
             break StopReason::NoTargets;
         };
-        let run = probe_round(topo, cfg, parallel, st.vclock_us, &plan);
+        let mut run = probe_round(topo, cfg, parallel, st.vclock_us, &plan);
         let round_elapsed = run.elapsed_us();
-        let cleaned = quarantine_round(cfg, &run);
+        run.cleaned = quarantine_round(cfg, &run);
         let mut tally = st.attribute(cfg, &plan, &run);
-        let mined = st.mine_round(topo, cfg, parallel, &mut views, run, cleaned);
+        let mined = st.mine_round(topo, cfg, parallel, &mut views, &plan, run);
         // The round tail's two lanes read the same finished round and
         // nothing of each other. The pool is generated before the round
         // closes, so it is speculative: only the round cap is decided
@@ -1676,7 +1744,7 @@ fn run_loop(
             || speculate.then(|| feedback_lane.generate(cfg)),
         );
         st.close_round(cfg, plan, tally, &mined, alias, round_elapsed);
-        st.reopen_changed_shards(&views.canaries, mined.first_set);
+        st.reopen_changed_shards(&views.canaries);
         if stop_reason(st, cfg).is_none() {
             st.pool = pool.expect("only the round cap skips generation, and it stops the loop");
         }
@@ -1775,6 +1843,89 @@ mod tests {
             check(ck, &mut prev, &mut sets)
         })
         .unwrap();
+    }
+
+    /// Panics unless each round set drawn from its round's whole list
+    /// and holding all of it holds the list's allocation, and every other
+    /// set a column of its own. Returns how many sets were each.
+    fn assert_lists_shared(st: &LoopState, what: &str) -> [usize; 2] {
+        let (record, mut counts) = (&st.traces, [0; 2]);
+        for r in 0..record.rounds() {
+            let list = &st.round_targets[r];
+            for (set, &v) in record.round(r).iter().zip(record.round_vantages(r)) {
+                let alloc = st.rounds[r].per_vantage[v].targets as usize;
+                let whole = alloc >= list.len() && set.targets() == &list[..];
+                let shared = Arc::ptr_eq(set.target_column(), list);
+                assert_eq!(shared, whole, "{what}, round {r}, vantage {v}");
+                counts[usize::from(!shared)] += 1;
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn a_set_of_the_whole_round_list_holds_the_lists_allocation() {
+        // Under vantage budgeting the quieter vantage draws a part of
+        // the list, and its set owns its targets.
+        let (topo, set) = fixture();
+        let cfg = AdaptiveConfig {
+            vantages: vec![0, 1],
+            vantage_budgeting: true,
+            shards: 2,
+            ..small_cfg()
+        };
+        let mut seen = [0; 2];
+        let mut first = None;
+        let check = |ck: &Checkpoint, seen: &mut [usize; 2]| {
+            let what = format!("round {}", ck.round());
+            let counts = assert_lists_shared(&ck.state, &what);
+            let back = Checkpoint::from_bytes(&ck.to_bytes()).unwrap();
+            assert_eq!(
+                assert_lists_shared(&back.state, &format!("{what}, decoded")),
+                counts
+            );
+            seen[0] += counts[0];
+            seen[1] += counts[1];
+        };
+        run_adaptive_checkpointed(&topo, &set, &cfg, false, |ck| {
+            check(ck, &mut seen);
+            first.get_or_insert_with(|| ck.to_bytes());
+        });
+        assert!(
+            seen[0] > 0 && seen[1] > 0,
+            "shared and owned sets: {seen:?}"
+        );
+        let ck = Checkpoint::from_bytes(&first.unwrap()).unwrap();
+        resume_adaptive(&topo, &cfg, &ck, false, |ck| {
+            check(ck, &mut seen);
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn on_a_clean_network_every_record_set_is_its_plan() {
+        // Every target a vantage probes answers at some hop limit, so
+        // each set's targets are its vantage's sample of the round list.
+        let (topo, set) = fixture();
+        let cfg = AdaptiveConfig {
+            vantages: vec![0, 1],
+            vantage_budgeting: true,
+            shards: 2,
+            ..small_cfg()
+        };
+        let res = run_adaptive_checkpointed(&topo, &set, &cfg, false, |_| {});
+        let record = &res.traces;
+        assert_eq!(record.rounds(), res.rounds.len());
+        for (r, list) in res.round_targets.iter().enumerate() {
+            for (ts, &v) in record.round(r).iter().zip(record.round_vantages(r)) {
+                let alloc = res.rounds[r].per_vantage[v].targets as usize;
+                assert_eq!(
+                    ts.targets(),
+                    stride_sample(list, alloc),
+                    "round {r}, vantage {v}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2073,15 +2224,19 @@ mod tests {
         #[test]
         fn push_round_keeps_every_path_tree_canonical(
             rounds in proptest::collection::vec(
-                proptest::collection::vec(
-                    (
-                        0u8..3,
-                        proptest::collection::vec(
-                            (proptest::prelude::any::<u64>(), 0u64..20_000),
-                            0..40,
+                (
+                    proptest::collection::vec(
+                        (
+                            0usize..3,
+                            proptest::collection::vec(
+                                (proptest::prelude::any::<u64>(), 0u64..20_000),
+                                0..40,
+                            ),
                         ),
+                        1..6,
                     ),
-                    1..6,
+                    // Which vantages draw less than the whole list.
+                    proptest::collection::vec(proptest::prelude::any::<bool>(), 3..4),
                 ),
                 1..4,
             ),
@@ -2089,8 +2244,8 @@ mod tests {
             // `flat` is pushed the same sets, each with a vantage of its
             // own, so it folds nothing.
             let (mut record, mut flat) = (Record::default(), Record::default());
-            for (r, round) in rounds.iter().enumerate() {
-                let mut sets: Vec<(u8, TraceSet)> = round
+            for (r, (round, trimmed)) in rounds.iter().enumerate() {
+                let mut sets: Vec<(usize, TraceSet)> = round
                     .iter()
                     .map(|(vantage, draws)| {
                         let records = draws
@@ -2107,17 +2262,32 @@ mod tests {
                     .collect();
                 // Vantage-major, as the mine stage keeps them.
                 sets.sort_by_key(|&(v, _)| v);
-                let first = record.sets.len();
-                let unfolded = sets.iter().enumerate().map(|(i, (_, ts))| (i as u8, ts.clone()));
-                let flat_arrivals = flat.push_round(unfolded.collect());
-                assert_eq!(record.push_round(sets.clone()), flat_arrivals, "round {r}");
+                // The round's list: every target its sets hold. A trimmed
+                // vantage was allocated one target fewer.
+                let mut list: Vec<Ipv6Addr> = sets.iter().flat_map(|(_, ts)| ts.targets().to_vec()).collect();
+                list.sort_unstable();
+                list.dedup();
+                let list = Arc::new(list);
+                let alloc: Vec<usize> = (trimmed.iter())
+                    .map(|&t| if t { list.len().saturating_sub(1) } else { list.len() })
+                    .collect();
+                let unfolded = sets.iter().enumerate().map(|(i, (_, ts))| (i, ts.clone()));
+                let flat_arrivals = flat.push_round(unfolded.collect(), &list, &vec![list.len(); sets.len()]);
+                let arrivals = record.push_round(sets.clone(), &list, &alloc);
+                assert_eq!(arrivals, flat_arrivals, "round {r}");
                 assert_eq!(record.words(), flat.words(), "round {r}");
-                let groups: Vec<&[(u8, TraceSet)]> = sets.chunk_by(|a, b| a.0 == b.0).collect();
-                let appended = &record.sets[first..];
+                let groups: Vec<&[(usize, TraceSet)]> = sets.chunk_by(|a, b| a.0 == b.0).collect();
+                let appended = record.round(r);
                 assert_eq!(appended.len(), groups.len(), "round {r}: one set a vantage");
-                for (set, group) in appended.iter().zip(groups) {
+                let vantages: Vec<usize> = groups.iter().map(|g| g[0].0).collect();
+                assert_eq!(record.round_vantages(r), vantages, "round {r}");
+                for ((set, group), &v) in appended.iter().zip(groups).zip(&vantages) {
                     let merged = TraceSet::merge_all(group.iter().map(|(_, ts)| ts));
                     assert_eq!(views(set), views(&merged), "round {r}");
+                    // A set drawn from the whole list that holds all of it
+                    // holds the list's allocation; any other owns its own.
+                    let whole = alloc[v] >= list.len() && set.targets() == &list[..];
+                    assert_eq!(Arc::ptr_eq(set.target_column(), &list), whole, "round {r}");
                 }
                 assert_trees_canonical(record.iter(), &format!("round {r}"));
             }

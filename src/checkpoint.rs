@@ -25,11 +25,19 @@
 //! always encodes to the same bytes, and a decoded state re-encodes to
 //! the bytes it came from). Every set of the trace record shares one
 //! table (see [`crate::adaptive`]), so the record is written as one table
-//! and then the sets without it, the prior store first
-//! ([`write_trace_record`]), and decoding builds that one table and
-//! hands it to every set, as the running record holds it; the delta
-//! flag, read after the record, says whether its first set is the prior
-//! store. The round target lists and the pool ascend, so each
+//! and then the sets without it ([`write_trace_record`]), and decoding
+//! builds that one table and hands it to every set, as the running
+//! record holds it. Between the table and the sets come a set count for
+//! each round: a prior store is the one set they leave out, and it is
+//! written first, its targets as steps. The record follows the round
+//! reports and target lists, so a round set's plan (its vantage's
+//! stride sample of the round's list at the vantage's allocation) is
+//! derived by the decoder before the set is read, and the set writes its
+//! vantage and one tag in place of its targets: the plan (on a clean
+//! network, every set), or a presence bitmap over the plan (a failed
+//! shard or an unanswered target). A set that is its round's whole list decodes
+//! holding the decoded list's allocation, as the running record does.
+//! The round target lists and the pool ascend, so each
 //! is written as the two varint steps an address of a set's targets is
 //! ([`write_ascending`]). A checkpoint is only meaningful under the
 //! exact topology and configuration it was captured under, so it
@@ -45,22 +53,29 @@ use crate::adaptive::{
 };
 use aliasres::RouterGraphBuilder;
 use analysis::snapshot::{
-    fnv1a, read_ascending, read_trace_record, write_ascending, write_trace_record,
+    fnv1a, read_ascending, read_trace_record, write_ascending, write_trace_record, Planned,
 };
 use analysis::{SnapReader, SnapWriter, SnapshotError, MAX_SHARDS};
 use simnet::{EngineStats, Topology};
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
+use std::sync::Arc;
+use targets::stride_sample;
 use v6addr::Ipv6Prefix;
 use yarrp6::addrset::AddrSet;
 
 /// `"BHCK"` — beholder checkpoint.
 const MAGIC: u32 = 0x4248_434B;
-/// Version 12 writes the trace record as one table, then the sets
-/// without it ([`write_trace_record`]), and each round's target list
-/// and the pool as ascending varint steps ([`write_ascending`]).
-/// Version 11 wrote each trace set by its redundancy
-/// ([`analysis::snapshot`]'s layout): targets as varint steps, hop limits
+/// Version 13 writes the record's rounds (a set count a round) and a
+/// round set's targets as its vantage and one tag against the plan the
+/// decoder derives from the round's list and the vantage's allocation:
+/// the plan itself, or a presence bitmap over it
+/// ([`write_trace_record`]). Version 12 wrote the trace record as one
+/// table, then the sets without it, every set's targets as varint
+/// steps, and each round's target list and the pool as ascending varint
+/// steps ([`write_ascending`]). Version 11 wrote each trace set by its
+/// redundancy ([`analysis::snapshot`]'s layout): targets as varint
+/// steps, hop limits
 /// as one bitmap a trace over a per-set window, and a second bitmap of
 /// the hops that repeat the previous trace's in place of their ids, on a
 /// table chain (a table length and the new words before each set).
@@ -81,9 +96,9 @@ const MAGIC: u32 = 0x4248_434B;
 /// trace lengths packed at the width its data needs, and no offsets.
 /// Version 5 had the same [`checksum`] trailer over 4-byte ids and
 /// stored offsets; version 4 numbered a directory form that no longer
-/// exists and is never reused. Any other version, v3 and v5 to v11
+/// exists and is never reused. Any other version, v3 and v5 to v12
 /// included, is refused by number.
-const VERSION: u32 = 12;
+const VERSION: u32 = 13;
 /// Bytes of the trailing checksum.
 const TRAILER: usize = 8;
 
@@ -163,6 +178,12 @@ impl Checkpoint {
     /// included, instead of doubling its way up: what follows the trace
     /// sets is encoded first, into a buffer of its own, and appended.
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.encode(&plans(&self.state))
+    }
+
+    /// [`to_bytes`](Self::to_bytes), each round set's targets written
+    /// against `plans[r][i]`, the plan of round `r`'s `i`-th set.
+    fn encode(&self, plans: &[Vec<Arc<Vec<Ipv6Addr>>>]) -> Vec<u8> {
         let st = &self.state;
         let mut tail = SnapWriter::new();
         write_stats(&mut tail, &st.stats);
@@ -193,7 +214,21 @@ impl Checkpoint {
         });
         write_list(&mut w, &st.rounds, write_round);
         write_list(&mut w, &st.round_targets, |w, rt| write_ascending(w, rt));
-        write_trace_record(&mut w, st.traces.iter(), tail.bytes().len() + TRAILER);
+        let record = &st.traces;
+        let rounds: Vec<Vec<Planned<'_>>> = (plans.iter().enumerate())
+            .map(|(r, plans)| {
+                let sets = record.round(r).iter().zip(record.round_vantages(r));
+                (sets.zip(plans))
+                    .map(|((set, &v), plan)| Planned {
+                        key: v as u64,
+                        set,
+                        plan,
+                    })
+                    .collect()
+            })
+            .collect();
+        let room_after = tail.bytes().len() + TRAILER;
+        write_trace_record(&mut w, record.prior(), &rounds, room_after);
         w.raw(tail.bytes());
         let sum = checksum(w.bytes());
         w.u64(sum);
@@ -221,17 +256,29 @@ impl Checkpoint {
             return Err(SnapshotError::BadValue("checkpoint checksum"));
         }
         let digest = r.u64()?;
+        let vweights = read_list(r, SnapReader::f64)?;
+        let alive = read_list(r, SnapReader::bool)?;
+        let seen = read_addr_set(r)?;
+        let subnets = read_list(r, read_prefix)?;
+        let mut rounds = read_list(r, read_round)?;
+        let round_targets: Vec<Arc<Vec<Ipv6Addr>>> = read_list(r, read_ascending)?
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        // A report's index and target count are its place in the lists.
+        for (i, (report, targets)) in rounds.iter_mut().zip(&round_targets).enumerate() {
+            report.round = i;
+            report.targets = targets.len() as u64;
+        }
+        let traces = read_record(r, &vweights, &rounds, &round_targets)?;
         let mut state = LoopState {
-            vweights: read_list(r, SnapReader::f64)?,
-            alive: read_list(r, SnapReader::bool)?,
-            seen: read_addr_set(r)?,
-            subnets: read_list(r, read_prefix)?,
-            rounds: read_list(r, read_round)?,
-            round_targets: read_list(r, read_ascending)?,
-            traces: Record {
-                prior: None,
-                sets: read_trace_record(r)?,
-            },
+            vweights,
+            alive,
+            seen,
+            subnets,
+            rounds,
+            round_targets,
+            traces,
             stats: read_stats(r)?,
             low_streak: r.u64()? as usize,
             pool: read_ascending(r)?,
@@ -246,20 +293,6 @@ impl Checkpoint {
             },
             alias: None,
         };
-        // A delta run's record begins with its prior set.
-        if state.delta.is_some() && !state.traces.sets.is_empty() {
-            state.traces.prior = Some(state.traces.sets.remove(0));
-        }
-        // A report's index and target count are its place in the lists.
-        for (i, (report, targets)) in state
-            .rounds
-            .iter_mut()
-            .zip(&state.round_targets)
-            .enumerate()
-        {
-            report.round = i;
-            report.targets = targets.len() as u64;
-        }
         if r.bool()? {
             state.alias = Some(read_alias_state(r, &state)?);
         }
@@ -327,15 +360,94 @@ fn read_prefix(r: &mut SnapReader<'_>) -> Result<Ipv6Prefix, SnapshotError> {
     Ok(p)
 }
 
+/// The plan each round set was drawn from, a list a round: its
+/// vantage's sample of the round's list, which is the list itself, its
+/// allocation, when the vantage drew from all of it. Empty where the
+/// state has no list or no report for the set, which the loop never
+/// builds and the decoder refuses.
+fn plans(st: &LoopState) -> Vec<Vec<Arc<Vec<Ipv6Addr>>>> {
+    let record = &st.traces;
+    let plan = |r: usize, v: usize| {
+        let report = st.rounds.get(r).and_then(|rep| rep.per_vantage.get(v));
+        let alloc = report.map_or(0, |p| p.targets);
+        (st.round_targets.get(r)).map_or_else(Arc::default, |list| plan_of(list, alloc))
+    };
+    (0..record.rounds())
+        .map(|r| {
+            record
+                .round_vantages(r)
+                .iter()
+                .map(|&v| plan(r, v))
+                .collect()
+        })
+        .collect()
+}
+
+/// A set's plan from its round's list and its vantage's allocation.
+fn plan_of(list: &Arc<Vec<Ipv6Addr>>, alloc: u64) -> Arc<Vec<Ipv6Addr>> {
+    match usize::try_from(alloc) {
+        Ok(n) if n < list.len() => Arc::new(stride_sample(list, n)),
+        _ => Arc::clone(list),
+    }
+}
+
+/// Reads the trace record: a delta run's prior set, then each round's
+/// sets, their targets against the plans derived from the reports and
+/// lists already read. A set from a vantage the weights do not have, or
+/// from one that was given no targets that round, is refused, and so is
+/// a round whose list or per-vantage report is missing (so the set
+/// cannot be planned).
+fn read_record(
+    r: &mut SnapReader<'_>,
+    vweights: &[f64],
+    rounds: &[RoundReport],
+    round_targets: &[Arc<Vec<Ipv6Addr>>],
+) -> Result<Record, SnapshotError> {
+    let bad = |what| Err(SnapshotError::BadValue(what));
+    let read = read_trace_record(r, rounds.len(), |round, key| {
+        let Some(v) = usize::try_from(key).ok().filter(|&v| v < vweights.len()) else {
+            return bad("record set vantage out of range");
+        };
+        let Some(list) = round_targets.get(round) else {
+            return bad("round target lists and rounds differ in count");
+        };
+        let Some(report) = rounds[round].per_vantage.get(v) else {
+            return bad("per-vantage reports/weight length mismatch");
+        };
+        if report.targets == 0 {
+            return bad("record set vantage without targets");
+        }
+        Ok(plan_of(list, report.targets))
+    })?;
+    let mut record = Record {
+        prior: read.lead,
+        ..Record::default()
+    };
+    for round in read.groups {
+        record.starts.push(record.sets.len());
+        for (v, set) in round {
+            record.vantages.push(v as usize);
+            record.sets.push(set);
+        }
+    }
+    Ok(record)
+}
+
 /// The loop indexes and derives its views from a decoded state, so it
 /// must have the shape the loop writes: a liveness flag and a
 /// per-vantage report entry per weight, each subnet once, a target list
-/// per round, and a delta run's prior set leading the record, routed
-/// over at least one shard with a latch each. The pool and each round's
-/// targets strictly ascend by their encoding ([`read_ascending`]).
+/// per round, no vantage given more targets than its round's list
+/// holds (a larger allocation would plan the same list as the list's
+/// length does: a second spelling of one state), and a prior set
+/// leading the record exactly in a delta run, routed over at least one
+/// shard with a latch each. The pool and each round's targets strictly
+/// ascend by their encoding ([`read_ascending`]).
 fn check_shape(st: &LoopState) -> Result<(), SnapshotError> {
     let mut subnets = BTreeSet::new();
     let delta = st.delta.as_ref();
+    let past_list = |(report, list): (&RoundReport, &Arc<Vec<Ipv6Addr>>)| {
+        (report.per_vantage.iter()).any(|p| p.targets > list.len() as u64)
+    };
     let refusal = if st.alive.len() != st.vweights.len() {
         "alive/weight length mismatch"
     } else if st
@@ -348,8 +460,12 @@ fn check_shape(st: &LoopState) -> Result<(), SnapshotError> {
         "repeated subnet"
     } else if st.round_targets.len() != st.rounds.len() {
         "round target lists and rounds differ in count"
+    } else if st.rounds.iter().zip(&st.round_targets).any(past_list) {
+        "a vantage allocation past its round's list"
     } else if delta.is_some() && st.traces.prior.is_none() {
         "a delta run's record begins with its prior set"
+    } else if delta.is_none() && st.traces.prior.is_some() {
+        "a prior set outside a delta run"
     } else if delta.is_some_and(|d| d.shards == 0) {
         "a delta run's route has no shard"
     } else if delta.is_some_and(|d| d.shards > MAX_SHARDS) {
@@ -551,7 +667,7 @@ mod tests {
         let base = delta_checkpoint();
         assert!(Checkpoint::from_bytes(&base.to_bytes()).is_ok());
         type Edit = fn(&mut LoopState);
-        let cases: [(Edit, &str); 9] = [
+        let cases: [(Edit, &str); 13] = [
             (
                 |st| {
                     st.rounds[0].per_vantage.pop();
@@ -566,15 +682,38 @@ mod tests {
                 "repeated subnet",
             ),
             (
-                |st| st.round_targets.push(Vec::new()),
+                |st| st.round_targets.push(Arc::default()),
                 "round target lists and rounds differ in count",
             ),
             // A list that does not ascend is refused by its encoding.
-            (|st| st.round_targets[0].swap(0, 1), "target order"),
+            (
+                |st| Arc::make_mut(&mut st.round_targets[0]).swap(0, 1),
+                "target order",
+            ),
             (|st| st.pool.push(st.pool[0]), "target order"),
             (
-                |st| st.traces = Record::default(),
+                |st| st.traces.prior = None,
                 "a delta run's record begins with its prior set",
+            ),
+            (|st| st.delta = None, "a prior set outside a delta run"),
+            // A round set's plan is derived from its vantage's report.
+            (
+                |st| st.traces.vantages[0] = st.vweights.len(),
+                "record set vantage out of range",
+            ),
+            (
+                |st| {
+                    let v = st.traces.vantages[0];
+                    st.rounds[0].per_vantage[v].targets = 0;
+                },
+                "record set vantage without targets",
+            ),
+            (
+                |st| {
+                    let v = st.traces.vantages[0];
+                    st.rounds[0].per_vantage[v].targets = st.round_targets[0].len() as u64 + 1;
+                },
+                "a vantage allocation past its round's list",
             ),
             (
                 |st| {
@@ -597,11 +736,14 @@ mod tests {
                 "reopen latches not one per prior shard",
             ),
         ];
+        // Each edited state's sets are written against the plans of the
+        // state they came from, which an edit can leave them outside.
+        let plans = plans(&base.state);
         for (edit, refusal) in cases {
             let mut ck = base.clone();
             edit(&mut ck.state);
             assert_eq!(
-                Checkpoint::from_bytes(&ck.to_bytes()).unwrap_err(),
+                Checkpoint::from_bytes(&ck.encode(&plans)).unwrap_err(),
                 SnapshotError::BadValue(refusal)
             );
         }
